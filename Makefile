@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke clean
+.PHONY: all build test race vet lint loc bench bench-smoke clean
 
 all: build test vet lint
 
@@ -22,6 +22,11 @@ lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
+# The yardstick every Subtract PR reports against: non-test Go lines outside
+# the benchmark harness.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+
 # Micro-benchmarks for the resolver hot path, then the cluster throughput
 # harness, which records sequential-vs-parallel numbers (plus host CPU count)
 # in BENCH_resolver.json for cross-commit comparison.
@@ -35,16 +40,16 @@ bench:
 # cache-hit resolve path, LRU Get/Put refresh, Normalize fast paths, the
 # UDP serve packet path, live scoring, and the resolve path with a tsdb
 # sweeper attached — a short serve-throughput flood with the end-to-end
-# packet-allocation gate (plain and scored), the streaming-miner
-# intake-overhead pair, and the tsdb-sweeper overhead pair, each with its
-# calibrated gate.
+# packet-allocation gate (plain and scored) and the streaming-miner
+# intake-overhead pair with its gate. Whole-program overhead questions
+# (telemetry, qlog, fleet collector, tsdb) go to benchmark/run.sh A/A runs
+# and -compare instead.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolveCacheHit|BenchmarkResolveCacheMiss|BenchmarkPutGet|BenchmarkEvictionChurn' \
 		-benchtime=100x -benchmem ./internal/resolver/ ./internal/cache/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/
 	$(GO) run ./cmd/dnsnoise-bench -only serve -serve-duration 200ms -serve-clients 4 -max-packet-allocs 0 -out /dev/null
 	$(GO) run ./cmd/dnsnoise-bench -only miner -queries 20000 -out /dev/null
-	$(GO) run ./cmd/dnsnoise-bench -only tsdb -queries 20000 -out /dev/null
 	$(GO) run ./cmd/dnsnoise-bench -only cache -cache-events 20000 -cache-capacities 2048,8192 -max-hit-allocs 0 -out /dev/null
 
 clean:

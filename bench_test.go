@@ -9,12 +9,13 @@ import (
 	"testing"
 
 	"dnsnoise/internal/experiments"
+	"dnsnoise/internal/sim"
 )
 
 // benchScale keeps each regeneration under ~1s so `go test -bench=.`
 // completes in minutes.
-func benchScale() experiments.Scale {
-	return experiments.Scale{
+func benchScale() sim.Scale {
+	return sim.Scale{
 		Seed:               11,
 		NonDisposableZones: 150,
 		DisposableZones:    50,

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -228,21 +226,8 @@ func runCacheOnly(args []string, out string, capacities []int, events int, maxHi
 	rep.Start = tracer.Roots()[0].Start
 	rep.Finish(nil, tracer)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := rep.write(out, func() { printCacheMatrix(cells) }); err != nil {
 		return err
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		printCacheMatrix(cells)
-		fmt.Printf("wrote %s\n", out)
 	}
 	return checkCacheAllocGate(cells, maxHitAllocs)
 }

@@ -25,7 +25,6 @@ import (
 	"dnsnoise/internal/authority"
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/ingest"
-	"dnsnoise/internal/qlog"
 	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/traceio"
@@ -43,9 +42,9 @@ type benchResult struct {
 	N             int     `json:"iterations"`
 }
 
-// overheadResult is the telemetry-overhead scenario: the same sequential
-// resolver day with a nil registry versus a live one, compared pairwise
-// (see benchOverhead). NoisePct is the run's own measurement-noise
+// overheadResult is a paired-overhead scenario: the same sequential
+// resolver day plain versus instrumented, compared pairwise (see
+// benchPairedOverhead). NoisePct is the run's own measurement-noise
 // estimate — the larger of the plain-vs-plain control pair's deviation
 // and the instrumented pairs' half-spread; an overhead reading is only
 // meaningful down to that precision.
@@ -104,24 +103,11 @@ type report struct {
 	Speedup    float64             `json:"speedup"`
 	Alloc      *allocResult        `json:"alloc,omitempty"`
 	Baseline   *baselineComparison `json:"baseline,omitempty"`
-	Overhead   *overheadResult     `json:"telemetry_overhead,omitempty"`
-	// QlogOverhead prices the query-level event log (internal/qlog) on
-	// the same paired plain-vs-instrumented method as Overhead.
-	QlogOverhead *overheadResult `json:"qlog_overhead,omitempty"`
 	// MinerOverhead prices the streaming miner's observe-side intake on
 	// top of the batch collector taps (see benchMinerOverhead); its
 	// control pair is collector-vs-collector, so the gate is calibrated
 	// against tap-path jitter.
 	MinerOverhead *overheadResult `json:"miner_overhead,omitempty"`
-	// FleetOverhead prices the fleet collector: the same multi-PoP day
-	// with the sweep loop at a pathological cadence versus not running
-	// (see benchFleetOverhead).
-	FleetOverhead *overheadResult `json:"fleet_overhead,omitempty"`
-	// TsdbOverhead prices continuous telemetry — the in-process tsdb
-	// sweeper plus the default-rules alert engine at a pathological
-	// cadence — on top of an already-instrumented cluster (see
-	// benchTsdbOverhead); its gate is -max-tsdb-overhead.
-	TsdbOverhead *overheadResult `json:"tsdb_overhead,omitempty"`
 	// ServeThroughput is the UDP front-door matrix: qps and latency
 	// percentiles across 1-vs-N listeners and single-vs-batched syscalls.
 	ServeThroughput []serveResult `json:"serve_throughput,omitempty"`
@@ -440,13 +426,10 @@ const (
 // near-identical heap layout and machine state — then alternates timed
 // segments between them for ovRounds and returns each side's minimum
 // ns/op and their ratio. The minimum is the noise-robust estimator:
-// contention and GC only ever add time. base builds the plain side (nil
-// means a bare cluster); other builds the instrumented side, and nil
+// contention and GC only ever add time. base builds the plain side;
+// other builds the instrumented side, and nil
 // makes a base-vs-base control pair.
-func ovPairRatio(servers int, qs []resolver.Query, flip bool, base, other func() (*resolver.Cluster, error)) (plainNs, otherNs float64, err error) {
-	if base == nil {
-		base = func() (*resolver.Cluster, error) { return newCluster(servers) }
-	}
+func ovPairRatio(qs []resolver.Query, flip bool, base, other func() (*resolver.Cluster, error)) (plainNs, otherNs float64, err error) {
 	build := func(first bool) (*resolver.Cluster, error) {
 		if first != flip { // plain side
 			return base()
@@ -518,14 +501,12 @@ func ovPairRatio(servers int, qs []resolver.Query, flip bool, base, other func()
 	return minA, minB, nil
 }
 
-// benchPairedOverhead is the shared paired-comparison method behind every
-// overhead scenario: ovPairs instrumented pairs — base() vs mkOther(pair)
-// — compared pair-locally by ovPairRatio with the median ratio as the
+// benchPairedOverhead is the paired-comparison method behind the overhead
+// scenario: ovPairs instrumented pairs — base() vs other() — compared pair-locally by ovPairRatio with the median ratio as the
 // overhead estimate, plus one base-vs-base control pair whose deviation
 // from 1.0, together with the instrumented ratios' half-spread, bounds
 // what this run can actually resolve (NoisePct).
-func benchPairedOverhead(servers int, qs []resolver.Query, base func() (*resolver.Cluster, error),
-	mkOther func(pair int) func() (*resolver.Cluster, error)) (overheadResult, error) {
+func benchPairedOverhead(qs []resolver.Query, base, instrumented func() (*resolver.Cluster, error)) (overheadResult, error) {
 	var (
 		ratios       []float64
 		plainMin     float64
@@ -534,11 +515,11 @@ func benchPairedOverhead(servers int, qs []resolver.Query, base func() (*resolve
 	)
 	for pair := 0; pair <= ovPairs; pair++ {
 		control := pair == ovPairs
-		var other func() (*resolver.Cluster, error)
-		if !control {
-			other = mkOther(pair)
+		other := instrumented
+		if control {
+			other = nil // base vs base
 		}
-		plainNs, otherNs, err := ovPairRatio(servers, qs, pair%2 == 1, base, other)
+		plainNs, otherNs, err := ovPairRatio(qs, pair%2 == 1, base, other)
 		if err != nil {
 			return overheadResult{}, err
 		}
@@ -571,108 +552,6 @@ func benchPairedOverhead(servers int, qs []resolver.Query, base func() (*resolve
 	}, nil
 }
 
-// pairedWholeRuns is the whole-run flavor of benchPairedOverhead, for
-// features that attach per-process background loops (the fleet collector,
-// the tsdb sweeper) rather than per-cluster options: each measurement is a
-// complete fresh run — run(false) plain, run(true) instrumented, min over
-// rounds per side — compared pairwise with the median ratio as the
-// overhead estimate and a plain-vs-plain control pair bounding the noise.
-func pairedWholeRuns(pairs, rounds, queriesPerPass int, run func(instrumented bool) (float64, error)) (overheadResult, error) {
-	var (
-		ratios       []float64
-		plainMin     float64
-		instrMin     float64
-		controlRatio float64
-	)
-	minRun := func(instrumented bool) (float64, error) {
-		best := 0.0
-		for r := 0; r < rounds; r++ {
-			ns, err := run(instrumented)
-			if err != nil {
-				return 0, err
-			}
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-	for pair := 0; pair <= pairs; pair++ {
-		control := pair == pairs
-		plainNs, err := minRun(false)
-		if err != nil {
-			return overheadResult{}, err
-		}
-		otherNs, err := minRun(!control)
-		if err != nil {
-			return overheadResult{}, err
-		}
-		if control {
-			controlRatio = otherNs / plainNs
-			continue
-		}
-		ratios = append(ratios, otherNs/plainNs)
-		if plainMin == 0 || plainNs < plainMin {
-			plainMin = plainNs
-		}
-		if instrMin == 0 || otherNs < instrMin {
-			instrMin = otherNs
-		}
-	}
-	sort.Float64s(ratios)
-	spread := 100 * (ratios[len(ratios)-1] - ratios[0]) / 2
-	noise := 100 * absFloat(controlRatio-1)
-	if spread > noise {
-		noise = spread
-	}
-	return overheadResult{
-		PlainNsPerOp:        plainMin,
-		InstrumentedNsPerOp: instrMin,
-		OverheadPct:         100 * (median(ratios) - 1),
-		NoisePct:            noise,
-		Pairs:               pairs,
-		RoundsPerPair:       rounds,
-		QueriesPerPass:      queriesPerPass,
-	}, nil
-}
-
-// benchOverhead measures what the telemetry instrumentation costs on the
-// resolver fast path: the same sequential day resolved with a nil
-// registry versus a live one. The last pair's registry is returned for
-// the report's metrics snapshot.
-func benchOverhead(servers int, qs []resolver.Query) (overheadResult, *telemetry.Registry, error) {
-	var reg *telemetry.Registry
-	res, err := benchPairedOverhead(servers, qs, nil, func(int) func() (*resolver.Cluster, error) {
-		pairReg := telemetry.NewRegistry()
-		reg = pairReg
-		return func() (*resolver.Cluster, error) {
-			return newCluster(servers, resolver.WithTelemetry(pairReg))
-		}
-	})
-	if err != nil {
-		return overheadResult{}, nil, err
-	}
-	return res, reg, nil
-}
-
-// benchQlogOverhead is the qlog-overhead scenario: the same paired method
-// as benchOverhead, but the instrumented side carries a live query log in
-// its heaviest in-process shape — head-sampled events fanning out to a
-// memory ring and an exemplar store, the configuration a CLI runs with
-// -metrics-addr live. The plain side resolves with qlog fully disabled
-// (nil log), so the ratio prices the entire feature: the per-query
-// sampling counter plus the amortized sampled-path event build and drain.
-func benchQlogOverhead(servers int, qs []resolver.Query) (overheadResult, error) {
-	return benchPairedOverhead(servers, qs, nil, func(int) func() (*resolver.Cluster, error) {
-		l := qlog.New(qlog.Config{})
-		l.AddSink(qlog.NewMemorySink(1024))
-		l.AddSink(qlog.NewExemplarSink())
-		return func() (*resolver.Cluster, error) {
-			return newCluster(servers, resolver.WithQueryLog(l))
-		}
-	})
-}
-
 func absFloat(x float64) float64 {
 	if x < 0 {
 		return -x
@@ -700,16 +579,10 @@ func run(args []string) error {
 		out      = fs.String("out", "BENCH_resolver.json", "output JSON path ('-' for stdout)")
 		servers  = fs.Int("servers", 4, "RDNS servers in the cluster")
 		queries  = fs.Int("queries", 100_000, "pre-generated workload size")
-		maxOv    = fs.Float64("max-overhead", 2.0, "fail when telemetry overhead exceeds this percent (0 disables the gate)")
-		maxQlOv  = fs.Float64("max-qlog-overhead", 2.0, "fail when qlog overhead exceeds this percent (0 disables the gate)")
 		maxMnOv  = fs.Float64("max-miner-overhead", 150.0, "fail when streaming-miner intake overhead exceeds this percent (0 disables the gate)")
-		maxFlOv  = fs.Float64("max-fleet-overhead", 10.0, "fail when the fleet collector's overhead exceeds this percent (0 disables the gate)")
-		maxTsOv  = fs.Float64("max-tsdb-overhead", 10.0, "fail when the tsdb sweeper + alert engine overhead exceeds this percent (0 disables the gate)")
-		flPops   = fs.Int("fleet-pops", 3, "PoPs in the fleet-overhead scenario")
-		flEvents = fs.Int("fleet-events", 20_000, "base events per day in the fleet-overhead scenario")
 		baseline = fs.String("baseline", "", "previous BENCH_resolver.json to embed as a before/after comparison")
 		maxHitAl = fs.Int64("max-hit-allocs", 0, "fail when the cache-hit path exceeds this many allocs/op (-1 disables the gate)")
-		only     = fs.String("only", "", "run a single scenario ('serve') instead of the full suite")
+		only     = fs.String("only", "", "run a single scenario ('serve', 'miner' or 'cache') instead of the full suite")
 		cacheCap = fs.String("cache-capacities", "4096,65536,1048576", "capacities for the cache policy matrix, comma-separated")
 		cacheEv  = fs.Int("cache-events", 500_000, "workload events per cell of the cache policy matrix")
 		srvCli   = fs.Int("serve-clients", 8, "concurrent client goroutines in the serve-throughput scenario")
@@ -742,14 +615,10 @@ func run(args []string) error {
 		return runServeOnly(args, *out, *srvCli, *srvDur, *srvBatch, *maxPktAl)
 	case "miner":
 		return runMinerOnly(args, *out, *servers, *queries, *maxMnOv)
-	case "fleet":
-		return runFleetOnly(args, *out, *flPops, *flEvents, *maxFlOv)
-	case "tsdb":
-		return runTsdbOnly(args, *out, *servers, *queries, *maxTsOv)
 	case "cache":
 		return runCacheOnly(args, *out, capacities, *cacheEv, *maxHitAl)
 	default:
-		return fmt.Errorf("-only %q: unknown scenario (want 'serve', 'miner', 'fleet', 'tsdb' or 'cache')", *only)
+		return fmt.Errorf("-only %q: unknown scenario (want 'serve', 'miner' or 'cache')", *only)
 	}
 	qs := benchQueries(*queries)
 	tracer := telemetry.NewTracer()
@@ -791,40 +660,12 @@ func run(args []string) error {
 	}
 	allocSpan.End()
 
-	ovSpan := tracer.Start("telemetry-overhead")
-	overhead, ovReg, err := benchOverhead(*servers, qs)
-	if err != nil {
-		return fmt.Errorf("overhead benchmark: %w", err)
-	}
-	ovSpan.End()
-
-	qlSpan := tracer.Start("qlog-overhead")
-	qlOverhead, err := benchQlogOverhead(*servers, qs)
-	if err != nil {
-		return fmt.Errorf("qlog overhead benchmark: %w", err)
-	}
-	qlSpan.End()
-
 	mnSpan := tracer.Start("miner-overhead")
 	mnOverhead, err := benchMinerOverhead(*servers, qs)
 	if err != nil {
 		return fmt.Errorf("miner overhead benchmark: %w", err)
 	}
 	mnSpan.End()
-
-	flSpan := tracer.Start("fleet-overhead")
-	flOverhead, err := benchFleetOverhead(*flPops, *flEvents)
-	if err != nil {
-		return fmt.Errorf("fleet overhead benchmark: %w", err)
-	}
-	flSpan.End()
-
-	tsSpan := tracer.Start("tsdb-overhead")
-	tsOverhead, err := benchTsdbOverhead(*servers, qs)
-	if err != nil {
-		return fmt.Errorf("tsdb overhead benchmark: %w", err)
-	}
-	tsSpan.End()
 
 	cacheSpan := tracer.Start("cache-matrix")
 	cacheCells := benchCacheMatrix(capacities, *cacheEv)
@@ -838,25 +679,9 @@ func run(args []string) error {
 	srcSpan.End()
 
 	serveSpan := tracer.Start("serve-throughput")
-	serveReg, serveWires, err := serveWorkload(4096)
+	serveMatrix, pktAlloc, pktAllocScored, err := benchServeScenario(*srvCli, *srvDur, *srvBatch)
 	if err != nil {
-		return fmt.Errorf("serve workload: %w", err)
-	}
-	serveAuth, err := serveReg.BuildAuthority(nil, nil)
-	if err != nil {
-		return fmt.Errorf("serve authority: %w", err)
-	}
-	serveMatrix, err := benchServeMatrix(serveAuth, *srvCli, *srvDur, *srvBatch, serveWires)
-	if err != nil {
-		return fmt.Errorf("serve benchmark: %w", err)
-	}
-	pktAlloc, err := benchServePacketAlloc(false)
-	if err != nil {
-		return fmt.Errorf("serve alloc benchmark: %w", err)
-	}
-	pktAllocScored, err := benchServePacketAlloc(true)
-	if err != nil {
-		return fmt.Errorf("scored serve alloc benchmark: %w", err)
+		return err
 	}
 	serveSpan.End()
 
@@ -867,13 +692,9 @@ func run(args []string) error {
 		Sequential: toResult("BenchmarkClusterSequential", seq),
 		Parallel:   toResult("BenchmarkClusterParallel", par),
 		Alloc:      &alloc,
-		Overhead:   &overhead,
 		Extra:      extra,
 	}
-	rep.QlogOverhead = &qlOverhead
 	rep.MinerOverhead = &mnOverhead
-	rep.FleetOverhead = &flOverhead
-	rep.TsdbOverhead = &tsOverhead
 	rep.ServeThroughput = serveMatrix
 	rep.ServePacketAlloc = &pktAlloc
 	rep.ServePacketAllocScored = &pktAllocScored
@@ -894,27 +715,15 @@ func run(args []string) error {
 	// NewRunReport ran after the benchmarks, so backdate Start to the
 	// first span for an honest wall-clock duration.
 	rep.Start = tracer.Roots()[0].Start
-	rep.Finish(ovReg, tracer)
+	rep.Finish(nil, tracer)
 	if rep.Parallel.NsPerOp > 0 {
 		rep.Speedup = rep.Sequential.NsPerOp / rep.Parallel.NsPerOp
 	}
 	if runtime.NumCPU() == 1 {
-		rep.Note = "single-CPU host: per-server workers cannot run concurrently, so speedup ~1x measures scheduling overhead only; expect near-linear scaling up to the server count on multi-core hosts"
+		rep.Note = "single-CPU host: per-server workers cannot run concurrently, so speedup ~1x measures scheduling overhead only"
 	}
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if *out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			return err
-		}
+	err = rep.write(*out, func() {
 		fmt.Printf("sequential: %8.1f ns/op (%.0f queries/s)\n", rep.Sequential.NsPerOp, rep.Sequential.QueriesPerSec)
 		fmt.Printf("parallel:   %8.1f ns/op (%.0f queries/s)\n", rep.Parallel.NsPerOp, rep.Parallel.QueriesPerSec)
 		fmt.Printf("speedup:    %.2fx on %d CPUs (%d servers)\n", rep.Speedup, runtime.NumCPU(), rep.Servers)
@@ -926,27 +735,17 @@ func run(args []string) error {
 			fmt.Printf("baseline:   seq %+.1f%%, par %+.1f%% vs %s\n",
 				rep.Baseline.SequentialGainPct, rep.Baseline.ParallelGainPct, rep.Baseline.Source)
 		}
-		fmt.Printf("telemetry:  %+.2f%% overhead, ±%.2f%% noise (%.1f -> %.1f ns/op, %d pairs)\n",
-			overhead.OverheadPct, overhead.NoisePct,
-			overhead.PlainNsPerOp, overhead.InstrumentedNsPerOp, overhead.Pairs)
-		fmt.Printf("qlog:       %+.2f%% overhead, ±%.2f%% noise (%.1f -> %.1f ns/op, %d pairs)\n",
-			qlOverhead.OverheadPct, qlOverhead.NoisePct,
-			qlOverhead.PlainNsPerOp, qlOverhead.InstrumentedNsPerOp, qlOverhead.Pairs)
 		fmt.Printf("miner:      %+.2f%% overhead, ±%.2f%% noise (%.1f -> %.1f ns/op, %d pairs)\n",
 			mnOverhead.OverheadPct, mnOverhead.NoisePct,
 			mnOverhead.PlainNsPerOp, mnOverhead.InstrumentedNsPerOp, mnOverhead.Pairs)
-		fmt.Printf("fleet:      %+.2f%% overhead, ±%.2f%% noise (%.1f -> %.1f ns/op, %d pairs)\n",
-			flOverhead.OverheadPct, flOverhead.NoisePct,
-			flOverhead.PlainNsPerOp, flOverhead.InstrumentedNsPerOp, flOverhead.Pairs)
-		fmt.Printf("tsdb:       %+.2f%% overhead, ±%.2f%% noise (%.1f -> %.1f ns/op, %d pairs)\n",
-			tsOverhead.OverheadPct, tsOverhead.NoisePct,
-			tsOverhead.PlainNsPerOp, tsOverhead.InstrumentedNsPerOp, tsOverhead.Pairs)
 		printServe(rep.ServeThroughput, rep.ServePacketAlloc, rep.ServePacketAllocScored)
 		printCacheMatrix(rep.CacheMatrix)
 		for _, r := range rep.Extra {
 			fmt.Printf("%-32s %8.1f ns/op (%.0f events/s)\n", r.Name+":", r.NsPerOp, r.QueriesPerSec)
 		}
-		fmt.Printf("wrote %s\n", *out)
+	})
+	if err != nil {
+		return err
 	}
 	if *maxHitAl >= 0 && alloc.HitAllocsPerOp > *maxHitAl {
 		return fmt.Errorf("cache-hit path allocates %d allocs/op (%d B/op), -max-hit-allocs is %d",
@@ -955,19 +754,7 @@ func run(args []string) error {
 	if err := checkCacheAllocGate(cacheCells, *maxHitAl); err != nil {
 		return err
 	}
-	if err := checkOverheadGate("telemetry", "-max-overhead", overhead, *maxOv); err != nil {
-		return err
-	}
-	if err := checkOverheadGate("qlog", "-max-qlog-overhead", qlOverhead, *maxQlOv); err != nil {
-		return err
-	}
 	if err := checkOverheadGate("miner", "-max-miner-overhead", mnOverhead, *maxMnOv); err != nil {
-		return err
-	}
-	if err := checkOverheadGate("fleet collector", "-max-fleet-overhead", flOverhead, *maxFlOv); err != nil {
-		return err
-	}
-	if err := checkOverheadGate("tsdb sweeper", "-max-tsdb-overhead", tsOverhead, *maxTsOv); err != nil {
 		return err
 	}
 	if err := checkPacketAllocGate("serve packet path", pktAlloc, *maxPktAl); err != nil {
@@ -994,62 +781,38 @@ func runMinerOnly(args []string, out string, servers, queries int, maxMnOv float
 	rep.Start = tracer.Roots()[0].Start
 	rep.Finish(nil, tracer)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
+	err = rep.write(out, func() {
 		fmt.Printf("miner:      %+.2f%% overhead, ±%.2f%% noise (%.1f -> %.1f ns/op, %d pairs)\n",
 			ov.OverheadPct, ov.NoisePct, ov.PlainNsPerOp, ov.InstrumentedNsPerOp, ov.Pairs)
-		fmt.Printf("wrote %s\n", out)
+	})
+	if err != nil {
+		return err
 	}
 	return checkOverheadGate("miner", "-max-miner-overhead", ov, maxMnOv)
 }
 
-// runFleetOnly is the -only fleet mode: just the fleet-collector
-// overhead pair and its gate, sized for CI smoke via -fleet-events.
-func runFleetOnly(args []string, out string, pops, events int, maxFlOv float64) error {
-	tracer := telemetry.NewTracer()
-	span := tracer.Start("fleet-overhead")
-	ov, err := benchFleetOverhead(pops, events)
+// benchServeScenario is the whole serve scenario: the front-door matrix
+// over the simulated namespace, then the plain and the scored
+// packet-allocation floods.
+func benchServeScenario(clients int, dur time.Duration, batch int) (matrix []serveResult, plain, scored servePacketAlloc, err error) {
+	reg, wires, err := serveWorkload(4096)
 	if err != nil {
-		return fmt.Errorf("fleet overhead benchmark: %w", err)
+		return nil, plain, scored, fmt.Errorf("serve workload: %w", err)
 	}
-	span.End()
-
-	rep := report{RunReport: *telemetry.NewRunReport("dnsnoise-bench", args)}
-	rep.Servers = 2
-	rep.Queries = events
-	rep.FleetOverhead = &ov
-	rep.Start = tracer.Roots()[0].Start
-	rep.Finish(nil, tracer)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
+	auth, err := reg.BuildAuthority(nil, nil)
 	if err != nil {
-		return err
+		return nil, plain, scored, fmt.Errorf("serve authority: %w", err)
 	}
-	data = append(data, '\n')
-	if out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("fleet:      %+.2f%% overhead, ±%.2f%% noise (%.1f -> %.1f ns/op, %d pairs)\n",
-			ov.OverheadPct, ov.NoisePct, ov.PlainNsPerOp, ov.InstrumentedNsPerOp, ov.Pairs)
-		fmt.Printf("wrote %s\n", out)
+	if matrix, err = benchServeMatrix(auth, clients, dur, batch, wires); err != nil {
+		return nil, plain, scored, fmt.Errorf("serve benchmark: %w", err)
 	}
-	return checkOverheadGate("fleet collector", "-max-fleet-overhead", ov, maxFlOv)
+	if plain, err = benchServePacketAlloc(false); err != nil {
+		return nil, plain, scored, fmt.Errorf("serve alloc benchmark: %w", err)
+	}
+	if scored, err = benchServePacketAlloc(true); err != nil {
+		return nil, plain, scored, fmt.Errorf("scored serve alloc benchmark: %w", err)
+	}
+	return matrix, plain, scored, nil
 }
 
 // runServeOnly is the -only serve mode: just the front-door matrix and the
@@ -1058,25 +821,9 @@ func runFleetOnly(args []string, out string, pops, events int, maxFlOv float64) 
 func runServeOnly(args []string, out string, clients int, dur time.Duration, batch int, maxPktAl int64) error {
 	tracer := telemetry.NewTracer()
 	serveSpan := tracer.Start("serve-throughput")
-	reg, wires, err := serveWorkload(4096)
+	matrix, pktAlloc, pktAllocScored, err := benchServeScenario(clients, dur, batch)
 	if err != nil {
-		return fmt.Errorf("serve workload: %w", err)
-	}
-	auth, err := reg.BuildAuthority(nil, nil)
-	if err != nil {
-		return fmt.Errorf("serve authority: %w", err)
-	}
-	matrix, err := benchServeMatrix(auth, clients, dur, batch, wires)
-	if err != nil {
-		return fmt.Errorf("serve benchmark: %w", err)
-	}
-	pktAlloc, err := benchServePacketAlloc(false)
-	if err != nil {
-		return fmt.Errorf("serve alloc benchmark: %w", err)
-	}
-	pktAllocScored, err := benchServePacketAlloc(true)
-	if err != nil {
-		return fmt.Errorf("scored serve alloc benchmark: %w", err)
+		return err
 	}
 	serveSpan.End()
 
@@ -1087,29 +834,37 @@ func runServeOnly(args []string, out string, clients int, dur time.Duration, bat
 	rep.Start = tracer.Roots()[0].Start
 	rep.Finish(nil, tracer)
 	if runtime.NumCPU() == 1 {
-		rep.Note = "single-CPU host: listener workers cannot run concurrently, so the multi-listener cells measure scheduling overhead only; expect near-linear scaling up to the listener count on multi-core hosts"
+		rep.Note = "single-CPU host: listener workers cannot run concurrently, so the multi-listener cells measure scheduling overhead only"
 	}
 
+	if err := rep.write(out, func() { printServe(matrix, &pktAlloc, &pktAllocScored) }); err != nil {
+		return err
+	}
+	if err := checkPacketAllocGate("serve packet path", pktAlloc, maxPktAl); err != nil {
+		return err
+	}
+	return checkPacketAllocGate("scored serve packet path", pktAllocScored, maxPktAl)
+}
+
+// write stores the report as indented JSON at out ('-' for stdout). Only a
+// run into a file prints the human-readable summary and the path: with '-'
+// stdout carries the report itself.
+func (rep *report) write(out string, summary func()) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
 	if out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		printServe(matrix, &pktAlloc, &pktAllocScored)
-		fmt.Printf("wrote %s\n", out)
-	}
-	if err := checkPacketAllocGate("serve packet path", pktAlloc, maxPktAl); err != nil {
+		_, err := os.Stdout.Write(data)
 		return err
 	}
-	return checkPacketAllocGate("scored serve packet path", pktAllocScored, maxPktAl)
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		return err
+	}
+	summary()
+	fmt.Printf("wrote %s\n", out)
+	return nil
 }
 
 // printServe renders the serve matrix and the packet-alloc readings on the
@@ -1129,20 +884,17 @@ func printServe(matrix []serveResult, alloc, scored *servePacketAlloc) {
 	}
 }
 
-// checkOverheadGate enforces an overhead ceiling. It only fails when this
-// run could actually resolve the gate: on a loaded shared host the reading
-// is dominated by scheduling and allocator luck, and failing on noise
-// teaches people to delete the gate. The noise estimate is recorded in the
-// report either way.
+// checkOverheadGate enforces an overhead ceiling. A reading over the gate
+// fails the run even when this run's own noise floor is wider than the
+// gate: a gate that passes whenever the host is noisy cannot fail, so the
+// inconclusive case is an error too (rerun on a quieter host).
 func checkOverheadGate(what, flagName string, ov overheadResult, max float64) error {
 	if max <= 0 || ov.OverheadPct <= max {
 		return nil
 	}
 	if ov.NoisePct > max {
-		fmt.Fprintf(os.Stderr,
-			"%s overhead gate inconclusive: measured %+.2f%% but this run's noise floor is ±%.2f%% (gate %.2f%%)\n",
-			what, ov.OverheadPct, ov.NoisePct, max)
-		return nil
+		return fmt.Errorf("%s overhead gate inconclusive: measured %+.2f%% but this run's noise floor is ±%.2f%% (%s %.2f%%)",
+			what, ov.OverheadPct, ov.NoisePct, flagName, max)
 	}
 	return fmt.Errorf("%s overhead %.2f%% exceeds %s %.2f%% (noise ±%.2f%%)",
 		what, ov.OverheadPct, flagName, max, ov.NoisePct)

@@ -39,10 +39,9 @@ func benchPipeline(servers int) (*core.StreamingPipeline, error) {
 // The control pair is collector-vs-collector, so NoisePct calibrates the
 // gate against tap-path jitter rather than the bare resolve loop.
 //
-// Unlike the telemetry/qlog scenarios this intake is not near-zero-cost
-// by design — it runs a second CHR collector plus a synchronized dedup
-// per observation (≈95-100% on the all-hits fast path when measured on
-// the development host). The -max-miner-overhead default leaves headroom
+// This intake is not near-zero-cost by design — it runs a second CHR
+// collector plus a synchronized dedup per observation (≈95-100% on the
+// all-hits fast path when measured on the development host). The -max-miner-overhead default leaves headroom
 // over that baseline and exists to catch pathological regressions
 // (accidental O(n) scans, lock convoys), not single-digit drift.
 func benchMinerOverhead(servers int, qs []resolver.Query) (overheadResult, error) {
@@ -55,30 +54,28 @@ func benchMinerOverhead(servers int, qs []resolver.Query) (overheadResult, error
 		c.SetTaps(col.BelowTap(), col.AboveTap())
 		return c, nil
 	}
-	mkOther := func(int) func() (*resolver.Cluster, error) {
-		return func() (*resolver.Cluster, error) {
-			c, err := newCluster(servers)
-			if err != nil {
-				return nil, err
-			}
-			sp, err := benchPipeline(servers)
-			if err != nil {
-				return nil, err
-			}
-			col := chrstat.NewCollector()
-			below, above := col.BelowTap(), col.AboveTap()
-			c.SetTaps(
-				resolver.TapFunc(func(ob resolver.Observation) {
-					below.Observe(ob)
-					sp.ObserveBelow(ob)
-				}),
-				resolver.TapFunc(func(ob resolver.Observation) {
-					above.Observe(ob)
-					sp.ObserveAbove(ob)
-				}),
-			)
-			return c, nil
+	withMiner := func() (*resolver.Cluster, error) {
+		c, err := newCluster(servers)
+		if err != nil {
+			return nil, err
 		}
+		sp, err := benchPipeline(servers)
+		if err != nil {
+			return nil, err
+		}
+		col := chrstat.NewCollector()
+		below, above := col.BelowTap(), col.AboveTap()
+		c.SetTaps(
+			resolver.TapFunc(func(ob resolver.Observation) {
+				below.Observe(ob)
+				sp.ObserveBelow(ob)
+			}),
+			resolver.TapFunc(func(ob resolver.Observation) {
+				above.Observe(ob)
+				sp.ObserveAbove(ob)
+			}),
+		)
+		return c, nil
 	}
-	return benchPairedOverhead(servers, qs, base, mkOther)
+	return benchPairedOverhead(qs, base, withMiner)
 }

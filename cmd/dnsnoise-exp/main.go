@@ -20,18 +20,15 @@ import (
 	"sync"
 	"time"
 
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/experiments"
-	"dnsnoise/internal/qlog"
-	"dnsnoise/internal/telemetry"
-	"dnsnoise/internal/telemetry/alerts"
+	"dnsnoise/internal/sim"
 )
 
 // experiment binds an id to its runner.
 type experiment struct {
 	id    string
 	about string
-	run   func(scale experiments.Scale, out io.Writer) error
+	run   func(scale sim.Scale, out io.Writer) error
 }
 
 func main() {
@@ -43,31 +40,31 @@ func main() {
 
 func catalog() []experiment {
 	return []experiment{
-		{id: "fig2", about: "traffic above/below the RDNS cluster (6 days)", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig2", about: "traffic above/below the RDNS cluster (6 days)", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.Fig2TrafficProfile(s, 6)
 			return render(out, r, err)
 		}},
-		{id: "fig3a", about: "lookup volume long tail", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig3a", about: "lookup volume long tail", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.Fig3LongTail(s)
 			return render(out, r, err)
 		}},
-		{id: "fig3b", about: "domain hit rate long tail", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig3b", about: "domain hit rate long tail", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.Fig3LongTail(s)
 			return render(out, r, err)
 		}},
-		{id: "fig4", about: "cache hit rate distribution", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig4", about: "cache hit rate distribution", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.Fig4CHR(s, 3)
 			return render(out, r, err)
 		}},
-		{id: "fig5", about: "new deduplicated RRs per day (13 days)", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig5", about: "new deduplicated RRs per day (13 days)", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.Fig5NewRRs(s, 13)
 			return render(out, r, err)
 		}},
-		{id: "fig7", about: "CHR distribution: disposable vs non-disposable", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig7", about: "CHR distribution: disposable vs non-disposable", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.Fig7LabeledCHR(s)
 			return render(out, r, err)
 		}},
-		{id: "fig11", about: "measurement results summary", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig11", about: "measurement results summary", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.GrowthStudy(s)
 			if err != nil {
 				return err
@@ -75,11 +72,11 @@ func catalog() []experiment {
 			_, err = fmt.Fprintln(out, r.RenderFig11())
 			return err
 		}},
-		{id: "fig12", about: "classifier ROC + model selection", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig12", about: "classifier ROC + model selection", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.Fig12ROC(s)
 			return render(out, r, err)
 		}},
-		{id: "fig13", about: "growth of disposable zones (6 dates)", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig13", about: "growth of disposable zones (6 dates)", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.GrowthStudy(s)
 			if err != nil {
 				return err
@@ -87,7 +84,7 @@ func catalog() []experiment {
 			_, err = fmt.Fprintln(out, r.RenderFig13())
 			return err
 		}},
-		{id: "fig14", about: "disposable TTL histogram (first vs last date)", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig14", about: "disposable TTL histogram (first vs last date)", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.GrowthStudy(s)
 			if err != nil {
 				return err
@@ -95,11 +92,11 @@ func catalog() []experiment {
 			_, err = fmt.Fprintln(out, r.RenderFig14())
 			return err
 		}},
-		{id: "fig15", about: "pDNS growth + wildcard collapse (13 days)", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "fig15", about: "pDNS growth + wildcard collapse (13 days)", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.Fig15PDNSGrowth(s, 13)
 			return render(out, r, err)
 		}},
-		{id: "table1", about: "disposable RRs in the lookup-volume tail", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "table1", about: "disposable RRs in the lookup-volume tail", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.GrowthStudy(s)
 			if err != nil {
 				return err
@@ -107,7 +104,7 @@ func catalog() []experiment {
 			_, err = fmt.Fprintln(out, r.RenderTables())
 			return err
 		}},
-		{id: "table2", about: "disposable RRs in the zero-DHR tail", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "table2", about: "disposable RRs in the zero-DHR tail", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.GrowthStudy(s)
 			if err != nil {
 				return err
@@ -115,47 +112,47 @@ func catalog() []experiment {
 			_, err = fmt.Fprintln(out, r.RenderTables())
 			return err
 		}},
-		{id: "cache", about: "Section VI-A cache pressure sweep", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "cache", about: "Section VI-A cache pressure sweep", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.CachePressure(s, nil)
 			return render(out, r, err)
 		}},
-		{id: "cache-policy", about: "Section VI-A impact analysis under LRU/SIEVE/CLOCK", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "cache-policy", about: "Section VI-A impact analysis under LRU/SIEVE/CLOCK", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.CachePolicySweep(s)
 			return render(out, r, err)
 		}},
-		{id: "dnssec", about: "Section VI-B DNSSEC validation load", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "dnssec", about: "Section VI-B DNSSEC validation load", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.DNSSECLoad(s)
 			return render(out, r, err)
 		}},
-		{id: "mitigation", about: "Section VI-A low-priority caching mitigation", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "mitigation", about: "Section VI-A low-priority caching mitigation", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.CacheMitigation(s, 0.3)
 			return render(out, r, err)
 		}},
-		{id: "crossnet", about: "cross-network globally disposable zones", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "crossnet", about: "cross-network globally disposable zones", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.CrossNetwork(s)
 			return render(out, r, err)
 		}},
-		{id: "clients", about: "distinct clients per RR by class", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "clients", about: "distinct clients per RR by class", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.ClientCardinality(s)
 			return render(out, r, err)
 		}},
-		{id: "renewal", about: "Jung TTL renewal model vs black-box measurement", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "renewal", about: "Jung TTL renewal model vs black-box measurement", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.RenewalModel(s)
 			return render(out, r, err)
 		}},
-		{id: "taxonomy", about: "Plonka treetop taxonomy vs disposable class", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "taxonomy", about: "Plonka treetop taxonomy vs disposable class", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.Taxonomy(s)
 			return render(out, r, err)
 		}},
-		{id: "baseline", about: "Yadav name-only detector vs the miner", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "baseline", about: "Yadav name-only detector vs the miner", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.Baseline(s)
 			return render(out, r, err)
 		}},
-		{id: "ablation-features", about: "feature family ablation", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "ablation-features", about: "feature family ablation", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.FeatureAblation(s)
 			return render(out, r, err)
 		}},
-		{id: "ablation-cache", about: "independent vs shared cache ablation", run: func(s experiments.Scale, out io.Writer) error {
+		{id: "ablation-cache", about: "independent vs shared cache ablation", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.SharedCacheAblation(s)
 			if err != nil {
 				return err
@@ -180,17 +177,16 @@ func run(args []string, stdout io.Writer) error {
 		id       = fs.String("id", "all", "experiment id, or 'all'")
 		scale    = fs.String("scale", "default", "simulation scale: small or default")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
-		seed     = fs.Int64("seed", 0, "override the scale's seed (0 keeps the default)")
 		parallel = fs.Int("parallel", 1, "run up to N experiments concurrently (each builds its own environment)")
-		policy   = fs.String("cache-policy", "lru", "cache eviction policy: lru, sieve, or clock")
-		negSize  = fs.Int("neg-cache-size", 0, "negative-cache entries per server (0 keeps cache-size/4)")
+		// Not sim's namespace -seed: the namespace comes from -scale, and
+		// this only overrides that scale's seed.
+		seed = fs.Int64("seed", 0, "override the scale's seed (0 keeps the default)")
+		// Only the cache flags land here; -scale sizes everything else.
+		knobs sim.Scale
+		obs   sim.Obs
 	)
-	var tcfg telemetry.CLIConfig
-	tcfg.RegisterFlags(fs)
-	var qcfg qlog.CLIConfig
-	qcfg.RegisterFlags(fs)
-	var acfg alerts.CLIConfig
-	acfg.RegisterFlags(fs)
+	knobs.RegisterCacheFlags(fs)
+	obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -203,26 +199,19 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	var sc experiments.Scale
+	var sc sim.Scale
 	switch *scale {
 	case "small":
-		sc = experiments.Small()
+		sc = sim.Small()
 	case "default":
-		sc = experiments.Default()
+		sc = sim.Default()
 	default:
 		return fmt.Errorf("unknown scale %q (small, default)", *scale)
 	}
 	if *seed != 0 {
 		sc.Seed = *seed
 	}
-	pk, err := cache.ParsePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	sc.CachePolicy = pk
-	if *negSize > 0 {
-		sc.NegCacheSize = *negSize
-	}
+	sc.CachePolicy, sc.NegCacheSize = knobs.CachePolicy, knobs.NegCacheSize
 
 	var selected []experiment
 	for _, e := range exps {
@@ -237,56 +226,49 @@ func run(args []string, stdout io.Writer) error {
 		*parallel = 1
 	}
 
-	sess, err := tcfg.Start("dnsnoise-exp", args)
-	if err != nil {
+	if err := obs.Start("dnsnoise-exp", args); err != nil {
 		return err
 	}
-	defer sess.Close()
-	qs, err := qcfg.Start(sess)
-	if err != nil {
-		return err
-	}
-	defer qs.Close()
-	as, err := acfg.Start(sess, qs.Log())
-	if err != nil {
-		return err
-	}
-	// LIFO: the tsdb sweeper stops (mirroring its last alert transitions)
-	// before the qlog session closes.
-	defer as.Close()
+	defer obs.Close()
 	// One query log is shared by every selected experiment's cluster. Each
 	// cluster drains only its own recorders at day boundaries
 	// (Cluster.FlushQueryLog), so concurrent -parallel experiments never
-	// flush each other's live workers; qs.Close drains the rest at exit.
-	sc.QueryLog = qs.Log()
+	// flush each other's live workers; obs.Close drains the rest at exit.
+	sc.QueryLog = obs.Log()
 	// Experiments run concurrently under -parallel, so each owns a root
 	// span; the completion counter feeds the periodic progress line.
-	completed := sess.Registry.Counter("exp_completed_total",
+	completed := obs.Registry.Counter("exp_completed_total",
 		"Experiments finished so far.")
-	sess.StartProgress(func(time.Duration) []slog.Attr {
+	obs.StartProgress(func(time.Duration) []slog.Attr {
 		return []slog.Attr{
 			slog.Uint64("completed", completed.Value()),
 			slog.Int("selected", len(selected)),
 		}
 	})
 
+	runOne := func(e experiment, out io.Writer) error {
+		start := time.Now()
+		sp := obs.Tracer.StartRoot(e.id)
+		fmt.Fprintf(out, "=== %s — %s ===\n", e.id, e.about)
+		if err := e.run(sc, out); err != nil {
+			return fmt.Errorf("experiment %s: %w", e.id, err)
+		}
+		sp.End()
+		completed.Inc()
+		// Wall clock goes to stderr: stdout is the report, byte-identical
+		// across runs, -parallel settings and observability flags.
+		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", e.id, time.Since(start).Seconds())
+		_, err := fmt.Fprintln(out)
+		return err
+	}
 	if *parallel == 1 {
 		// Sequential runs stream output as each experiment completes.
 		for _, e := range selected {
-			start := time.Now()
-			sp := sess.Tracer.StartRoot(e.id)
-			fmt.Fprintf(stdout, "=== %s — %s ===\n", e.id, e.about)
-			if err := e.run(sc, stdout); err != nil {
-				return fmt.Errorf("experiment %s: %w", e.id, err)
+			if err := runOne(e, stdout); err != nil {
+				return err
 			}
-			sp.End()
-			completed.Inc()
-			fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", e.id, time.Since(start).Seconds())
 		}
-		if err := qs.Close(); err != nil {
-			return fmt.Errorf("qlog: %w", err)
-		}
-		return sess.Close()
+		return obs.Close()
 	}
 
 	// Experiments are independent (each builds its own registry, authority,
@@ -306,16 +288,7 @@ func run(args []string, stdout io.Writer) error {
 		go func(i int, e experiment) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			start := time.Now()
-			sp := sess.Tracer.StartRoot(e.id)
-			fmt.Fprintf(&reports[i].buf, "=== %s — %s ===\n", e.id, e.about)
-			if err := e.run(sc, &reports[i].buf); err != nil {
-				reports[i].err = fmt.Errorf("experiment %s: %w", e.id, err)
-				return
-			}
-			sp.End()
-			completed.Inc()
-			fmt.Fprintf(&reports[i].buf, "(%s in %.1fs)\n\n", e.id, time.Since(start).Seconds())
+			reports[i].err = runOne(e, &reports[i].buf)
 		}(i, e)
 	}
 	wg.Wait()
@@ -327,8 +300,5 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	if err := qs.Close(); err != nil {
-		return fmt.Errorf("qlog: %w", err)
-	}
-	return sess.Close()
+	return obs.Close()
 }

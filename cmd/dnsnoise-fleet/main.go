@@ -34,18 +34,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/fleet"
 	"dnsnoise/internal/ingest"
-	"dnsnoise/internal/mlearn"
-	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/telemetry/alerts"
-	"dnsnoise/internal/telemetry/tsdb"
-	"dnsnoise/internal/workload"
 )
 
 func main() {
@@ -57,7 +52,17 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dnsnoise-fleet", flag.ContinueOnError)
+	scale := sim.Default()
+	scale.RegisterNamespaceFlags(fs)
+	scale.RegisterTrafficFlags(fs)
+	scale.RegisterClusterFlags(fs)
 	var (
+		source sim.Source
+		// -tsdb-interval, -tsdb-retain and -alert-rules as everywhere, except
+		// that here the interval also replaces -collect-every: the tsdb
+		// records the collector's sweeps.
+		tsdbFlags alerts.CLIConfig
+
 		pops      = fs.Int("pops", 3, "resolver PoPs in the fleet")
 		steering  = fs.String("steering", "hash", "client steering: hash (rendezvous) or modulo")
 		metrics   = fs.String("metrics-addr", "", "serve the /fleet/* control-plane API on this address (':0' picks a port)")
@@ -65,25 +70,6 @@ func run(args []string, stdout io.Writer) error {
 		report    = fs.String("report", "", "write the fleet run report as JSON to this path ('-' for stdout)")
 		linger    = fs.Duration("linger", 0, "keep the control plane serving this long after the run (for scrapes)")
 		collectEv = fs.Duration("collect-every", 2*time.Second, "collector sweep cadence")
-
-		tsdbEvery  = fs.Duration("tsdb-interval", 0, "record every collector sweep into the fleet tsdb and evaluate alert rules; overrides -collect-every as the sweep cadence (0 disables)")
-		tsdbRetain = fs.Int("tsdb-retain", tsdb.DefaultRetain, "samples retained per tsdb series (ring capacity)")
-		alertRules = fs.String("alert-rules", "", "JSON SLO/alert rules file evaluated each sweep (empty: built-in defaults; 'none': no rules)")
-
-		tracePath = fs.String("trace", "", "input trace(s), comma-separated (JSONL from dnsnoise-gen, gzip sniffed)")
-		live      = fs.Bool("live", false, "generate the query stream in-process (default when -trace is empty)")
-		profileNm = fs.String("profile", "december", "calibration profile: february, december, or dates")
-		days      = fs.Int("days", 1, "days to generate with -live (ignored for -profile dates)")
-		events    = fs.Int("events", 200_000, "base events per day (must match the generator for -trace)")
-		clients   = fs.Int("clients", 5000, "client population (must match the generator for -trace)")
-		seed      = fs.Int64("seed", 1, "namespace seed (must match the generator for -trace)")
-		ndZones   = fs.Int("zones", 900, "non-disposable zone count (must match)")
-		dispZn    = fs.Int("disposable-zones", 398, "disposable zone count (must match)")
-		maxHosts  = fs.Int("hosts-per-zone", 128, "host pool cap (must match)")
-		servers   = fs.Int("servers", 4, "RDNS servers per PoP")
-		cacheSz   = fs.Int("cache", 1<<16, "per-server cache entries")
-		cachePol  = fs.String("cache-policy", "lru", "cache eviction policy: lru, sieve, or clock")
-		negSz     = fs.Int("neg-cache-size", 0, "negative-cache entries per server (0 keeps cache/4)")
 		parallel  = fs.Bool("parallel", false, "resolve through per-server resolver workers in each PoP")
 
 		score    = fs.Bool("score", false, "train a classifier on a single-cluster pre-pass, then run the incremental miner in every PoP")
@@ -91,14 +77,13 @@ func run(args []string, stdout io.Writer) error {
 		theta    = fs.Float64("theta", 0.9, "classification threshold (with -score)")
 		hyster   = fs.Int("hysteresis", 2, "consecutive windows to flip a zone's verdict (with -score)")
 	)
+	source.RegisterFlags(fs)
+	tsdbFlags.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *tracePath == "" && !*live {
-		*live = true
-	}
-	if *tracePath != "" && *live {
-		return fmt.Errorf("-trace and -live are mutually exclusive")
+	if source.Trace == "" {
+		source.Live = true // the fleet's default stream
 	}
 	if *pops < 1 {
 		return fmt.Errorf("-pops must be >= 1")
@@ -107,38 +92,20 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	policy, err := cache.ParsePolicy(*cachePol)
-	if err != nil {
-		return err
-	}
 
 	cfg := fleet.Config{
 		Pops:         *pops,
 		Steering:     steer,
-		Servers:      *servers,
-		Cache:        *cacheSz,
-		CachePolicy:  policy,
-		NegCacheSize: *negSz,
+		Scale:        scale,
 		Parallel:     *parallel,
-		Registry: workload.RegistryConfig{
-			Seed:               *seed,
-			NonDisposableZones: *ndZones,
-			DisposableZones:    *dispZn,
-			HostsPerZoneMax:    *maxHosts,
-		},
-		Generator: workload.GeneratorConfig{
-			Seed:             *seed + 2,
-			Clients:          *clients,
-			BaseEventsPerDay: *events,
-		},
 		QlogSample:   *qlogN,
 		CollectEvery: *collectEv,
 	}
-	if *tsdbEvery > 0 {
+	if tsdbFlags.Interval > 0 {
 		cfg.TSDB = true
-		cfg.TSDBRetain = *tsdbRetain
-		cfg.CollectEvery = *tsdbEvery
-		rules, err := (alerts.CLIConfig{RulesPath: *alertRules}).Rules()
+		cfg.TSDBRetain = tsdbFlags.Retain
+		cfg.CollectEvery = tsdbFlags.Interval
+		rules, err := tsdbFlags.Rules()
 		if err != nil {
 			return err
 		}
@@ -148,15 +115,30 @@ func run(args []string, stdout io.Writer) error {
 		cfg.AlertRules = rules
 	}
 	if *score {
-		clf, err := trainClassifier(cfg, *profileNm, *days, *tracePath, *parallel)
+		// The single-cluster pre-pass: the same workload through one
+		// ordinary cluster over a fresh world of the same scale, to train
+		// the classifier the PoPs score with — mirroring dnsnoise-mine.
+		env, err := sim.NewEnv(scale)
+		if err != nil {
+			return err
+		}
+		var opts []ingest.Option
+		if *parallel {
+			opts = append(opts, ingest.WithParallel())
+		}
+		w, err := source.Run(env, opts...)
 		if err != nil {
 			return fmt.Errorf("train: %w", err)
+		}
+		clf, _, err := env.Train(w.Collector.ByName(), core.TrainingConfig{})
+		if err != nil {
+			return err
 		}
 		cfg.ScoreWindow = *scoreWin
 		cfg.NewScorer = func(int) (*core.StreamingPipeline, error) {
 			return core.NewStreamingPipeline(clf,
 				core.MinerConfig{Theta: *theta},
-				core.StreamingConfig{Hysteresis: *hyster, NumServers: *servers}, nil)
+				core.StreamingConfig{Hysteresis: *hyster, NumServers: scale.Servers}, nil)
 		}
 	}
 	f, err := fleet.New(cfg)
@@ -175,7 +157,7 @@ func run(args []string, stdout io.Writer) error {
 	f.Collector().Start()
 	defer f.Collector().Stop()
 
-	src, replayDay, err := buildSource(f, *live, *profileNm, *days, *tracePath)
+	src, replayDay, err := source.Open(f.Env())
 	if err != nil {
 		return err
 	}
@@ -213,82 +195,4 @@ func run(args []string, stdout io.Writer) error {
 		time.Sleep(*linger)
 	}
 	return nil
-}
-
-// buildSource wires the fleet's query stream: the fleet's own generator
-// for -live (so the namespace minting the queries is the one the PoPs
-// resolve against), or a trace replay with the day hook that walks the
-// shared registry through the recording's per-day states.
-func buildSource(f *fleet.Fleet, live bool, profileNm string, days int, tracePath string) (ingest.QuerySource, func(time.Time) error, error) {
-	if live {
-		profiles, err := workload.SelectProfiles(profileNm, days)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ingest.NewGeneratorSource(f.Generator(), profiles...), nil, nil
-	}
-	profileFor, err := workload.ProfileResolver(profileNm)
-	if err != nil {
-		return nil, nil, err
-	}
-	src := ingest.NewTraceSource(strings.Split(tracePath, ",")...)
-	return src, ingest.ReplayProfiles(f.Generator(), profileFor), nil
-}
-
-// trainClassifier runs the same workload through one ordinary cluster
-// (fresh namespace, same seeds) and trains the miner's classifier on
-// the namespace's ground-truth labels — the single-cluster pre-pass the
-// -score mode bootstraps from, mirroring dnsnoise-mine.
-func trainClassifier(cfg fleet.Config, profileNm string, days int, tracePath string, parallel bool) (*mlearn.DecisionTree, error) {
-	reg := workload.NewRegistry(cfg.Registry)
-	auth, err := reg.BuildAuthority(nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	nsrv := cfg.Servers
-	if nsrv <= 0 {
-		nsrv = 4
-	}
-	cluster, err := resolver.NewCluster(auth, resolver.WithServers(nsrv))
-	if err != nil {
-		return nil, err
-	}
-	gen := workload.NewGenerator(reg, cfg.Generator)
-	var (
-		src  ingest.QuerySource
-		opts []ingest.Option
-	)
-	if tracePath == "" {
-		profiles, err := workload.SelectProfiles(profileNm, days)
-		if err != nil {
-			return nil, err
-		}
-		src = ingest.NewGeneratorSource(gen, profiles...)
-	} else {
-		profileFor, err := workload.ProfileResolver(profileNm)
-		if err != nil {
-			return nil, err
-		}
-		src = ingest.NewTraceSource(strings.Split(tracePath, ",")...)
-		opts = append(opts, ingest.OnDayStart(ingest.ReplayProfiles(gen, profileFor)))
-	}
-	defer src.Close()
-	var collected *ingest.Window
-	opts = append(opts, ingest.WithSingleWindow(), ingest.OnWindow(func(w ingest.Window) error {
-		collected = &w
-		return nil
-	}))
-	if parallel {
-		opts = append(opts, ingest.WithParallel())
-	}
-	if err := ingest.NewRunner(cluster, opts...).Run(src); err != nil {
-		return nil, err
-	}
-	if collected == nil || collected.Queries == 0 {
-		return nil, fmt.Errorf("empty training stream")
-	}
-	names := collected.Collector.ByName()
-	tree := core.BuildTree(names, nil)
-	examples := core.BuildTrainingSet(tree, names, reg.TrainingLabels(401), core.TrainingConfig{})
-	return core.TrainClassifier(examples, core.TrainingConfig{})
 }

@@ -21,8 +21,8 @@ import (
 	"os"
 
 	"dnsnoise/internal/ingest"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/traceio"
-	"dnsnoise/internal/workload"
 )
 
 func main() {
@@ -34,34 +34,21 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("dnsnoise-gen", flag.ContinueOnError)
-	var (
-		out      = fs.String("out", "trace.jsonl", "output trace file ('-' for stdout; '.gz' suffix compresses)")
-		seed     = fs.Int64("seed", 1, "namespace and traffic seed")
-		profile  = fs.String("profile", "december", "calibration profile: february, december, or dates (the six paper dates)")
-		days     = fs.Int("days", 1, "number of consecutive days (ignored for -profile dates)")
-		events   = fs.Int("events", 200_000, "base events per day before the profile's volume scale")
-		clients  = fs.Int("clients", 5000, "client population")
-		ndZones  = fs.Int("zones", 900, "non-disposable zone count")
-		dispZn   = fs.Int("disposable-zones", 398, "disposable zone count")
-		maxHosts = fs.Int("hosts-per-zone", 128, "maximum host pool per non-disposable zone")
-	)
+	out := fs.String("out", "trace.jsonl", "output trace file ('-' for stdout; '.gz' suffix compresses)")
+	scale := sim.Default()
+	scale.RegisterNamespaceFlags(fs)
+	scale.RegisterTrafficFlags(fs)
+	var source sim.Source
+	source.RegisterProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	reg := workload.NewRegistry(workload.RegistryConfig{
-		Seed:               *seed,
-		NonDisposableZones: *ndZones,
-		DisposableZones:    *dispZn,
-		HostsPerZoneMax:    *maxHosts,
-	})
-	gen := workload.NewGenerator(reg, workload.GeneratorConfig{
-		Seed:             *seed + 2,
-		Clients:          *clients,
-		BaseEventsPerDay: *events,
-	})
-
-	profiles, err := workload.SelectProfiles(*profile, *days)
+	env, err := sim.NewNamespace(scale)
+	if err != nil {
+		return err
+	}
+	profiles, err := source.Profiles()
 	if err != nil {
 		return err
 	}
@@ -72,7 +59,7 @@ func run(args []string) error {
 	}
 	// One pump per profile so the per-day progress line lands between days.
 	for _, p := range profiles {
-		if _, err := ingest.Pump(ingest.NewGeneratorSource(gen, p), w); err != nil {
+		if _, err := ingest.Pump(ingest.NewGeneratorSource(env.Generator, p), w); err != nil {
 			done()
 			return err
 		}

@@ -8,10 +8,10 @@
 // Algorithm 1, and prints the ranked disposable zones with accuracy
 // against ground truth.
 //
-// The -seed, sizing, -profile, -events, and -clients flags must match the
-// dnsnoise-gen invocation that produced the trace, so the rebuilt
-// authoritative namespace evolves through the same per-day states while
-// answering the trace's names.
+// The namespace, traffic and -profile flags (internal/sim's shared groups)
+// must match the dnsnoise-gen invocation that produced the trace, so the
+// rebuilt authoritative namespace evolves through the same per-day states
+// while answering the trace's names.
 //
 // Usage:
 //
@@ -23,20 +23,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"strings"
-	"time"
 
-	"dnsnoise/internal/cache"
-	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
-	"dnsnoise/internal/qlog"
-	"dnsnoise/internal/resolver"
-	"dnsnoise/internal/telemetry"
-	"dnsnoise/internal/telemetry/alerts"
-	"dnsnoise/internal/workload"
+	"dnsnoise/internal/sim"
 )
 
 func main() {
@@ -71,21 +63,13 @@ func truthMatcher(labels map[string]bool) func(string) bool {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dnsnoise-mine", flag.ContinueOnError)
+	scale := sim.Default()
+	scale.RegisterNamespaceFlags(fs)
+	scale.RegisterTrafficFlags(fs)
+	scale.RegisterClusterFlags(fs)
 	var (
-		tracePath = fs.String("trace", "", "input trace(s), comma-separated (JSONL from dnsnoise-gen, gzip sniffed; '-' for stdin)")
-		live      = fs.Bool("live", false, "generate the query stream in-process instead of replaying a trace")
-		profileNm = fs.String("profile", "december", "calibration profile: february, december, or dates (must match the generator)")
-		days      = fs.Int("days", 1, "days to generate with -live (ignored for -profile dates)")
-		events    = fs.Int("events", 200_000, "base events per day (must match the generator)")
-		clients   = fs.Int("clients", 5000, "client population (must match the generator)")
-		seed      = fs.Int64("seed", 1, "namespace seed (must match the generator)")
-		ndZones   = fs.Int("zones", 900, "non-disposable zone count (must match)")
-		dispZn    = fs.Int("disposable-zones", 398, "disposable zone count (must match)")
-		maxHosts  = fs.Int("hosts-per-zone", 128, "host pool cap (must match)")
-		servers   = fs.Int("servers", 4, "RDNS servers in the cluster")
-		cacheSz   = fs.Int("cache", 1<<16, "per-server cache entries")
-		cachePol  = fs.String("cache-policy", "lru", "cache eviction policy: lru, sieve, or clock")
-		negSz     = fs.Int("neg-cache-size", 0, "negative-cache entries per server (0 keeps cache/4)")
+		source    sim.Source
+		obs       sim.Obs
 		theta     = fs.Float64("theta", 0.9, "classification threshold")
 		top       = fs.Int("top", 25, "findings to print")
 		parallel  = fs.Bool("parallel", false, "resolve through per-server resolver workers (one goroutine per simulated server)")
@@ -95,27 +79,13 @@ func run(args []string, stdout io.Writer) error {
 		hyster    = fs.Int("hysteresis", 2, "consecutive streaming windows required to flip a zone's verdict (with -window)")
 		keepWin   = fs.Int("keep-windows", 0, "sliding horizon for the streaming pass: only the last N re-score windows back a zone's evidence, so stale zones decay and expire (0 = cumulative, matching the batch miner)")
 	)
-	var tcfg telemetry.CLIConfig
-	tcfg.RegisterFlags(fs)
-	var qcfg qlog.CLIConfig
-	qcfg.RegisterFlags(fs)
-	var acfg alerts.CLIConfig
-	acfg.RegisterFlags(fs)
+	source.RegisterFlags(fs)
+	obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *verifyExp != "" {
 		return runVerifyExplain(*verifyExp, stdout)
-	}
-	if *tracePath == "" && !*live {
-		return fmt.Errorf("missing -trace (generate one with dnsnoise-gen, or pass -live to generate in-process)")
-	}
-	if *tracePath != "" && *live {
-		return fmt.Errorf("-trace and -live are mutually exclusive")
-	}
-	policy, err := cache.ParsePolicy(*cachePol)
-	if err != nil {
-		return err
 	}
 	if *keepWin < 0 {
 		return fmt.Errorf("-keep-windows must be >= 0")
@@ -124,159 +94,44 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-keep-windows needs the streaming pass; pass -window too")
 	}
 	if *window > 0 {
-		for _, p := range strings.Split(*tracePath, ",") {
+		for _, p := range source.Paths() {
 			if p == "-" {
 				return fmt.Errorf("-window needs to replay the stream a second time; stdin traces cannot be re-read")
 			}
 		}
 	}
 
-	sess, err := tcfg.Start("dnsnoise-mine", args)
+	if err := obs.Start("dnsnoise-mine", args); err != nil {
+		return err
+	}
+	defer obs.Close()
+	env, err := sim.NewEnv(scale, sim.WithResolverOptions(obs.ResolverOptions()...))
 	if err != nil {
 		return err
 	}
-	defer sess.Close()
-	qs, err := qcfg.Start(sess)
-	if err != nil {
-		return err
-	}
-	defer qs.Close()
-	as, err := acfg.Start(sess, qs.Log())
-	if err != nil {
-		return err
-	}
-	// LIFO: the tsdb sweeper stops (mirroring its last alert transitions)
-	// before the qlog session closes.
-	defer as.Close()
+	obs.StartProgress(sim.ClusterProgress(env.Cluster))
 
-	reg := workload.NewRegistry(workload.RegistryConfig{
-		Seed:               *seed,
-		NonDisposableZones: *ndZones,
-		DisposableZones:    *dispZn,
-		HostsPerZoneMax:    *maxHosts,
-	})
-	auth, err := reg.BuildAuthority(nil, nil)
-	if err != nil {
-		return fmt.Errorf("build authority: %w", err)
-	}
-	cluster, err := resolver.NewCluster(auth,
-		resolver.WithServers(*servers), resolver.WithCacheSize(*cacheSz),
-		resolver.WithCachePolicy(policy), resolver.WithNegCacheSize(*negSz),
-		resolver.WithTelemetry(sess.Registry),
-		resolver.WithQueryLog(qs.Log()))
-	if err != nil {
-		return err
-	}
-	sess.StartProgress(clusterProgress(cluster))
-	// The generator mirrors dnsnoise-gen's seeding (-seed + 2). Live mode
-	// draws the stream from it; trace mode burns the same draws through
-	// the ReplayProfiles day hook so the registry walks the recording's
-	// per-day TTL states.
-	gen := workload.NewGenerator(reg, workload.GeneratorConfig{
-		Seed:             *seed + 2,
-		Clients:          *clients,
-		BaseEventsPerDay: *events,
-	})
-
-	var (
-		src  ingest.QuerySource
-		opts []ingest.Option
-	)
-	if *live {
-		profiles, err := workload.SelectProfiles(*profileNm, *days)
-		if err != nil {
-			return err
-		}
-		src = ingest.NewGeneratorSource(gen, profiles...)
-	} else {
-		profileFor, err := workload.ProfileResolver(*profileNm)
-		if err != nil {
-			return err
-		}
-		src = ingest.NewTraceSource(strings.Split(*tracePath, ",")...)
-		opts = append(opts, ingest.OnDayStart(ingest.ReplayProfiles(gen, profileFor)))
-	}
-	defer src.Close()
-
-	var (
-		collector *chrstat.Collector
-		total     int
-	)
-	opts = append(opts,
-		ingest.WithSingleWindow(),
-		ingest.WithQueryLog(qs.Log()),
-		ingest.WithMetrics(sess.Registry),
-		ingest.WithTracer(sess.Tracer),
-		ingest.WithProgress(sess.Logger),
-		ingest.OnWindow(func(w ingest.Window) error {
-			collector = w.Collector
-			total = w.Queries
-			return nil
-		}),
-	)
+	opts := obs.IngestOptions()
 	if *parallel {
 		opts = append(opts, ingest.WithParallel())
 	}
-	if err := ingest.NewRunner(cluster, opts...).Run(src); err != nil {
-		return fmt.Errorf("replay: %w", err)
-	}
-	if total == 0 {
-		return fmt.Errorf("trace is empty")
-	}
-	st := cluster.Stats()
-	fmt.Fprintf(stdout, "replayed %d events: %d cache hits (%.1f%%), %d upstream round trips, %d NXDOMAIN\n",
-		total, st.CacheHits, 100*float64(st.CacheHits)/float64(st.Queries), st.UpstreamRTs, st.NXDomains)
-
-	byName := collector.ByName()
-	labels := reg.GroundTruth()
-	trainSpan := sess.Tracer.Start("train")
-	tree := core.BuildTree(byName, nil)
-	examples := core.BuildTrainingSet(tree, byName, reg.TrainingLabels(401), core.TrainingConfig{})
-	clf, err := core.TrainClassifier(examples, core.TrainingConfig{})
-	if err != nil {
-		return fmt.Errorf("train: %w", err)
-	}
-	trainSpan.AddItems(int64(len(examples)))
-	trainSpan.End()
-	miner, err := core.NewMiner(clf, core.MinerConfig{Theta: *theta})
+	w, err := source.Run(env, opts...)
 	if err != nil {
 		return err
 	}
-	miner.SetMetrics(sess.Registry)
-	var (
-		ew         *core.ExplainWriter
-		explainErr error
-	)
-	if *explain != "" && *window == 0 {
-		// With -window the streaming pass owns the explain file instead,
-		// stamping each record with its window and hysteresis state.
-		ew, err = core.CreateExplain(*explain)
-		if err != nil {
-			return fmt.Errorf("explain: %w", err)
-		}
-		miner.SetExplain(func(rec core.ExplainRecord) {
-			if err := ew.Record(rec); err != nil && explainErr == nil {
-				explainErr = err
-			}
-		})
-		defer ew.Close()
+	st := env.Cluster.Stats()
+	fmt.Fprintf(stdout, "replayed %d events: %d cache hits (%.1f%%), %d upstream round trips, %d NXDOMAIN\n",
+		w.Queries, st.CacheHits, 100*float64(st.CacheHits)/float64(st.Queries), st.UpstreamRTs, st.NXDomains)
+
+	batchExplain := *explain
+	if *window > 0 {
+		// The streaming pass owns the explain file instead, stamping each
+		// record with its window and hysteresis state.
+		batchExplain = ""
 	}
-	mineSpan := sess.Tracer.Start("mine")
-	tree = core.BuildTree(byName, nil)
-	findings, err := miner.Mine(tree, byName)
+	clf, findings, err := env.MineWindow(w.Collector.ByName(), *theta, batchExplain, &obs)
 	if err != nil {
-		return fmt.Errorf("mine: %w", err)
-	}
-	mineSpan.AddItems(int64(len(findings)))
-	mineSpan.End()
-	if ew != nil {
-		if explainErr != nil {
-			return fmt.Errorf("explain: %w", explainErr)
-		}
-		if err := ew.Close(); err != nil {
-			return fmt.Errorf("explain: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "explain: wrote %d decision records to %s\n", ew.Count(), *explain)
+		return err
 	}
 
 	rep := core.Summarize(findings, nil)
@@ -286,7 +141,7 @@ func run(args []string, stdout io.Writer) error {
 	// Score findings against ground truth by their member names: a finding
 	// is correct when the majority of its names fall under a
 	// disposable-labeled zone.
-	isDisp := truthMatcher(labels)
+	isDisp := truthMatcher(env.Registry.GroundTruth())
 	var tp, fp int
 	for _, f := range findings {
 		hits := 0
@@ -313,23 +168,15 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *window > 0 {
 		pass := &streamingPass{
-			tracePath: *tracePath, live: *live, profileNm: *profileNm, days: *days,
-			events: *events, clients: *clients, seed: *seed, ndZones: *ndZones,
-			dispZn: *dispZn, maxHosts: *maxHosts, servers: *servers, cacheSz: *cacheSz,
-			cachePolicy: policy, negCacheSz: *negSz,
-			parallel: *parallel,
-			clf:      clf, theta: *theta, window: *window, hysteresis: *hyster,
-			keepWindows: *keepWin,
-			explain:     *explain, batchFindings: findings,
+			scale: scale, source: source, parallel: *parallel,
+			clf: clf, theta: *theta, window: *window, hysteresis: *hyster,
+			keepWindows: *keepWin, explain: *explain, batchFindings: findings,
 		}
 		if err := pass.run(stdout); err != nil {
 			return err
 		}
 	}
-	if err := qs.Close(); err != nil {
-		return fmt.Errorf("qlog: %w", err)
-	}
-	return sess.Close()
+	return obs.Close()
 }
 
 // runVerifyExplain is the -verify-explain mode: load an explain file and
@@ -351,29 +198,4 @@ func runVerifyExplain(path string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "verified %d explain records (%d disposable): all decision paths replay\n",
 		len(recs), disposable)
 	return nil
-}
-
-// clusterProgress returns the per-tick attributes for the -progress
-// line: cumulative queries, qps since the last tick, and the cache hit
-// ratio so far. It runs on the progress goroutine only, so the
-// last-tick state needs no locking.
-func clusterProgress(cluster *resolver.Cluster) telemetry.ProgressFunc {
-	var (
-		lastQueries uint64
-		lastElapsed time.Duration
-	)
-	return func(elapsed time.Duration) []slog.Attr {
-		st := cluster.Stats()
-		dq := st.Queries - lastQueries
-		dt := (elapsed - lastElapsed).Seconds()
-		lastQueries, lastElapsed = st.Queries, elapsed
-		attrs := []slog.Attr{slog.Uint64("queries", st.Queries)}
-		if dt > 0 {
-			attrs = append(attrs, slog.Float64("qps", float64(dq)/dt))
-		}
-		if st.Queries > 0 {
-			attrs = append(attrs, slog.Float64("chr", float64(st.CacheHits)/float64(st.Queries)))
-		}
-		return attrs
-	}
 }

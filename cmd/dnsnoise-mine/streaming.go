@@ -4,36 +4,21 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"strings"
 	"time"
 
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/mlearn"
-	"dnsnoise/internal/resolver"
-	"dnsnoise/internal/workload"
+	"dnsnoise/internal/sim"
 )
 
-// streamingPass carries everything the -window second pass needs to
-// rebuild the exact same query stream the batch phase consumed and drive
-// it through the incremental miner.
+// streamingPass carries what the -window second pass needs to rebuild the
+// exact same query stream the batch phase consumed — the world's scale and
+// the stream's source — plus the incremental miner's settings.
 type streamingPass struct {
-	tracePath   string
-	live        bool
-	profileNm   string
-	days        int
-	events      int
-	clients     int
-	seed        int64
-	ndZones     int
-	dispZn      int
-	maxHosts    int
-	servers     int
-	cacheSz     int
-	cachePolicy cache.PolicyKind
-	negCacheSz  int
-	parallel    bool
+	scale    sim.Scale
+	source   sim.Source
+	parallel bool
 
 	clf         *mlearn.DecisionTree
 	theta       float64
@@ -52,56 +37,24 @@ type streamingPass struct {
 // have said along the way, and — for single-day streams — checks the
 // day-boundary verdicts reproduce the batch findings exactly.
 //
-// Everything is rebuilt from the original flags (registry, authority,
-// cluster, generator), so the regenerated stream is bit-identical to the
-// first pass; stdin traces cannot be re-read and are rejected up front.
+// The world is rebuilt from the original scale, so the regenerated stream
+// is bit-identical to the first pass; stdin traces cannot be re-read and
+// are rejected up front.
 func (p *streamingPass) run(stdout io.Writer) error {
-	reg := workload.NewRegistry(workload.RegistryConfig{
-		Seed:               p.seed,
-		NonDisposableZones: p.ndZones,
-		DisposableZones:    p.dispZn,
-		HostsPerZoneMax:    p.maxHosts,
-	})
-	auth, err := reg.BuildAuthority(nil, nil)
+	env, err := sim.NewEnv(p.scale)
 	if err != nil {
-		return fmt.Errorf("streaming: rebuild authority: %w", err)
+		return fmt.Errorf("streaming: %w", err)
 	}
-	cluster, err := resolver.NewCluster(auth,
-		resolver.WithServers(p.servers), resolver.WithCacheSize(p.cacheSz),
-		resolver.WithCachePolicy(p.cachePolicy), resolver.WithNegCacheSize(p.negCacheSz))
+	src, dayStart, err := p.source.Open(env)
 	if err != nil {
 		return err
-	}
-	gen := workload.NewGenerator(reg, workload.GeneratorConfig{
-		Seed:             p.seed + 2,
-		Clients:          p.clients,
-		BaseEventsPerDay: p.events,
-	})
-
-	var (
-		src  ingest.QuerySource
-		opts []ingest.Option
-	)
-	if p.live {
-		profiles, err := workload.SelectProfiles(p.profileNm, p.days)
-		if err != nil {
-			return err
-		}
-		src = ingest.NewGeneratorSource(gen, profiles...)
-	} else {
-		profileFor, err := workload.ProfileResolver(p.profileNm)
-		if err != nil {
-			return err
-		}
-		src = ingest.NewTraceSource(strings.Split(p.tracePath, ",")...)
-		opts = append(opts, ingest.OnDayStart(ingest.ReplayProfiles(gen, profileFor)))
 	}
 	defer src.Close()
 
 	sp, err := core.NewStreamingPipeline(p.clf,
 		core.MinerConfig{Theta: p.theta},
 		core.StreamingConfig{Hysteresis: p.hysteresis, KeepWindows: p.keepWindows,
-			NumServers: p.servers}, nil)
+			NumServers: p.scale.Servers}, nil)
 	if err != nil {
 		return err
 	}
@@ -129,7 +82,8 @@ func (p *streamingPass) run(stdout io.Writer) error {
 	// The StreamingHooks cadence, unbundled so each day's RescoreResult is
 	// kept for the equivalence check: sink intake, a re-score per elapsed
 	// -window of simulated time, EndDay at rotation.
-	opts = append(opts,
+	opts := []ingest.Option{
+		ingest.OnDayStart(dayStart),
 		ingest.WithSinks(sp),
 		ingest.WithWindowTicks(p.window, func(tk ingest.Tick) error {
 			_, err := sp.Rescore(tk.Day)
@@ -142,11 +96,11 @@ func (p *streamingPass) run(stdout io.Writer) error {
 			}
 			return err
 		}),
-	)
+	}
 	if p.parallel {
 		opts = append(opts, ingest.WithParallel())
 	}
-	if err := ingest.NewRunner(cluster, opts...).Run(src); err != nil {
+	if err := ingest.NewRunner(env.Cluster, opts...).Run(src); err != nil {
 		return fmt.Errorf("streaming replay: %w", err)
 	}
 	if explainErr != nil {

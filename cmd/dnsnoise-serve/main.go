@@ -19,12 +19,9 @@ import (
 	"time"
 
 	"dnsnoise/internal/authority"
-	"dnsnoise/internal/cache"
-	"dnsnoise/internal/qlog"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/telemetry"
-	"dnsnoise/internal/telemetry/alerts"
 	"dnsnoise/internal/udptransport"
-	"dnsnoise/internal/workload"
 )
 
 func main() {
@@ -38,10 +35,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("dnsnoise-serve", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:5355", "UDP listen address")
-		seed     = fs.Int64("seed", 1, "namespace seed")
-		ndZones  = fs.Int("zones", 900, "non-disposable zone count")
-		dispZn   = fs.Int("disposable-zones", 398, "disposable zone count")
-		maxHosts = fs.Int("hosts-per-zone", 128, "host pool cap")
 		zonefile = fs.String("zonefile", "", "optional extra zone file to serve ($ORIGIN required)")
 		nlisten  = fs.Int("listeners", 1, "SO_REUSEPORT listener sockets sharing the port (Linux; elsewhere falls back to 1)")
 		batch    = fs.Int("batch", udptransport.DefaultBatch, "datagrams moved per syscall via recvmmsg/sendmmsg (1 = single-packet syscalls)")
@@ -52,52 +45,25 @@ func run(args []string) error {
 	fs.Float64Var(&score.theta, "theta", 0.9, "classification threshold for -score")
 	fs.DurationVar(&score.window, "window", 30*time.Second, "wall-clock re-score interval for -score (0 = intake only, never re-score)")
 	fs.IntVar(&score.hysteresis, "hysteresis", 2, "consecutive re-score windows required to flip a zone's verdict")
-	cachePol := fs.String("cache-policy", "lru", "eviction policy for the -score training cluster: lru, sieve, or clock")
-	fs.IntVar(&score.negCacheSize, "neg-cache-size", 0, "negative-cache entries per -score training server (0 keeps cache/4)")
-	var tcfg telemetry.CLIConfig
-	tcfg.RegisterFlags(fs)
-	var qcfg qlog.CLIConfig
-	qcfg.RegisterFlags(fs)
-	var acfg alerts.CLIConfig
-	acfg.RegisterFlags(fs)
+	// Of the -score training cluster only the cache flags are adjustable.
+	scale := serveScale()
+	scale.RegisterNamespaceFlags(fs)
+	scale.RegisterCacheFlags(fs)
+	var obs sim.Obs
+	obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	policy, err := cache.ParsePolicy(*cachePol)
-	if err != nil {
+	if err := obs.Start("dnsnoise-serve", args); err != nil {
 		return err
 	}
-	score.cachePolicy = policy
-	sess, err := tcfg.Start("dnsnoise-serve", args)
-	if err != nil {
-		return err
-	}
-	defer sess.Close()
-	qs, err := qcfg.Start(sess)
-	if err != nil {
-		return err
-	}
-	// Deferred before srv.Close below: LIFO runs srv.Close first, joining
-	// the serve loop, so the final qlog flush sees a quiesced recorder.
-	defer qs.Close()
-	as, err := acfg.Start(sess, qs.Log())
-	if err != nil {
-		return err
-	}
-	// LIFO: the tsdb sweeper stops (and mirrors its last alert transitions)
-	// before the qlog session closes.
-	defer as.Close()
+	defer obs.Close()
 
-	reg := workload.NewRegistry(workload.RegistryConfig{
-		Seed:               *seed,
-		NonDisposableZones: *ndZones,
-		DisposableZones:    *dispZn,
-		HostsPerZoneMax:    *maxHosts,
-	})
-	auth, err := reg.BuildAuthority(nil, nil)
+	env, err := sim.NewNamespace(scale)
 	if err != nil {
-		return fmt.Errorf("build authority: %w", err)
+		return err
 	}
+	auth := env.Authority
 	if *zonefile != "" {
 		f, err := os.Open(*zonefile)
 		if err != nil {
@@ -115,8 +81,8 @@ func run(args []string) error {
 	}
 
 	serveOpts := []udptransport.ServerOption{
-		udptransport.WithServerMetrics(sess.Registry),
-		udptransport.WithServerQueryLog(qs.Log()),
+		udptransport.WithServerMetrics(obs.Registry),
+		udptransport.WithServerQueryLog(obs.Log()),
 		udptransport.WithListeners(*nlisten),
 		udptransport.WithBatch(*batch),
 	}
@@ -124,7 +90,7 @@ func run(args []string) error {
 		serveOpts = append(serveOpts, udptransport.WithTCP())
 	}
 	if score.enabled {
-		eng, err := buildScoring(reg, auth, *seed, score, sess.Registry)
+		eng, err := buildScoring(env, score, obs.Registry)
 		if err != nil {
 			return err
 		}
@@ -138,15 +104,18 @@ func run(args []string) error {
 		return err
 	}
 	defer srv.Close()
-	sess.StartProgress(serveProgress(sess.Registry))
+	obs.StartProgress(serveProgress(obs.Registry))
 	fmt.Fprintf(os.Stderr, "serving %d zones on udp://%s with %d listener(s), batch %d (try: dig @%s www.google.com A)\n",
-		len(reg.AllZones()), srv.Addr(), srv.Listeners(), srv.Batch(), srv.Addr())
+		len(env.Registry.AllZones()), srv.Addr(), srv.Listeners(), srv.Batch(), srv.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "shutting down")
-	return sess.Close()
+	// Join the serve loop first, so the final qlog flush sees quiesced
+	// recorders.
+	srv.Close()
+	return obs.Close()
 }
 
 // serveProgress returns the per-tick attributes for the -progress line:

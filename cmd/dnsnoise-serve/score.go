@@ -5,34 +5,30 @@ import (
 	"os"
 	"time"
 
-	"dnsnoise/internal/authority"
-	"dnsnoise/internal/cache"
-	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/features"
-	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/livescore"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/telemetry"
-	"dnsnoise/internal/workload"
 )
 
-// Training-day scale for -score: enough traffic to learn the tree-shape
-// split and prime the verdict set, small enough that serve startup stays
-// in seconds.
-const (
-	scoreTrainClients = 1000
-	scoreTrainEvents  = 60_000
-)
+// serveScale is the default served namespace, with the -score training
+// day sized beside it: enough traffic to learn the tree-shape split and
+// prime the verdict set, small enough that serve startup stays in seconds.
+func serveScale() sim.Scale {
+	s := sim.Default()
+	s.Servers, s.CacheSize = 2, 1<<14
+	s.Clients, s.BaseEventsPerDay = 1000, 60_000
+	return s
+}
 
 // scoreConfig carries the -score flag family.
 type scoreConfig struct {
-	enabled      bool
-	theta        float64
-	window       time.Duration
-	hysteresis   int
-	cachePolicy  cache.PolicyKind
-	negCacheSize int
+	enabled    bool
+	theta      float64
+	window     time.Duration
+	hysteresis int
 }
 
 // buildScoring boots live scoring for the serve path: it simulates one
@@ -46,55 +42,31 @@ type scoreConfig struct {
 // The classifier is restricted to the tree-structure feature family: the
 // serve path observes names, not cache-hit outcomes, so the CHR features
 // would read as zero at re-score time and poison full-vector splits.
-func buildScoring(reg *workload.Registry, auth *authority.Server, seed int64, cfg scoreConfig,
-	treg *telemetry.Registry) (*livescore.Engine, error) {
+func buildScoring(env *sim.Env, cfg scoreConfig, treg *telemetry.Registry) (*livescore.Engine, error) {
 	// The training cluster registers its gauges (cache occupancy by state,
 	// hit counters) on the serve session registry, so /metrics exposes the
 	// resolver side of -score alongside the UDP counters.
-	cluster, err := resolver.NewCluster(auth,
-		resolver.WithServers(2), resolver.WithCacheSize(1<<14),
-		resolver.WithCachePolicy(cfg.cachePolicy),
-		resolver.WithNegCacheSize(cfg.negCacheSize),
-		resolver.WithTelemetry(treg))
-	if err != nil {
+	var err error
+	if env.Cluster, err = env.NewCluster(resolver.WithTelemetry(treg)); err != nil {
 		return nil, fmt.Errorf("score: training cluster: %w", err)
 	}
-	profiles, err := workload.SelectProfiles("december", 1)
+	day, err := (&sim.Source{Live: true, Profile: "december", Days: 1}).Run(env)
 	if err != nil {
-		return nil, err
-	}
-	// The generator mirrors dnsnoise-gen's seeding (-seed + 2), like
-	// dnsnoise-mine's live mode.
-	gen := workload.NewGenerator(reg, workload.GeneratorConfig{
-		Seed:             seed + 2,
-		Clients:          scoreTrainClients,
-		BaseEventsPerDay: scoreTrainEvents,
-	})
-	var collector *chrstat.Collector
-	runner := ingest.NewRunner(cluster,
-		ingest.WithSingleWindow(),
-		ingest.OnWindow(func(w ingest.Window) error {
-			collector = w.Collector
-			return nil
-		}))
-	if err := runner.Run(ingest.NewGeneratorSource(gen, profiles...)); err != nil {
 		return nil, fmt.Errorf("score: training day: %w", err)
 	}
-	byName := collector.ByName()
+	byName := day.Collector.ByName()
 
 	trainCfg := core.TrainingConfig{FeatureMask: features.TreeStructureIdx}
-	tree := core.BuildTree(byName, nil)
-	examples := core.BuildTrainingSet(tree, byName, reg.TrainingLabels(401), trainCfg)
-	clf, err := core.TrainClassifier(examples, trainCfg)
+	clf, examples, err := env.Train(byName, trainCfg)
 	if err != nil {
-		return nil, fmt.Errorf("score: train: %w", err)
+		return nil, fmt.Errorf("score: %w", err)
 	}
 	mcfg := core.MinerConfig{Theta: cfg.theta, FeatureMask: features.TreeStructureIdx}
 	miner, err := core.NewMiner(clf, mcfg)
 	if err != nil {
 		return nil, err
 	}
-	findings, err := miner.Mine(core.BuildTree(byName, nil), byName)
+	findings, err := miner.Mine(core.BuildTree(byName, env.Suffixes), byName)
 	if err != nil {
 		return nil, fmt.Errorf("score: prime mine: %w", err)
 	}

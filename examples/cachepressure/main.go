@@ -11,10 +11,11 @@ import (
 	"log"
 
 	"dnsnoise/internal/experiments"
+	"dnsnoise/internal/sim"
 )
 
 func main() {
-	scale := experiments.Small()
+	scale := sim.Small()
 	// A deliberately small cache makes the eviction pressure visible at
 	// simulation scale, as the paper's "periods of heavy load" do at ISP
 	// scale.

@@ -10,10 +10,11 @@ import (
 	"log"
 
 	"dnsnoise/internal/experiments"
+	"dnsnoise/internal/sim"
 )
 
 func main() {
-	res, err := experiments.DNSSECLoad(experiments.Small())
+	res, err := experiments.DNSSECLoad(sim.Small())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,10 +11,11 @@ import (
 	"log"
 
 	"dnsnoise/internal/experiments"
+	"dnsnoise/internal/sim"
 )
 
 func main() {
-	res, err := experiments.Fig15PDNSGrowth(experiments.Small(), 8)
+	res, err := experiments.Fig15PDNSGrowth(sim.Small(), 8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,6 +53,15 @@ func ParsePolicy(s string) (PolicyKind, error) {
 	return PolicyLRU, errUnknownPolicy(s)
 }
 
+// MarshalText and UnmarshalText make a PolicyKind a flag.TextVar target,
+// spelled as String and ParsePolicy spell it.
+func (k PolicyKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *PolicyKind) UnmarshalText(text []byte) (err error) {
+	*k, err = ParsePolicy(string(text))
+	return err
+}
+
 type errUnknownPolicy string
 
 func (e errUnknownPolicy) Error() string {

@@ -18,6 +18,7 @@ import (
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/resolver"
 )
 
@@ -369,7 +370,7 @@ func (h *HourlyCounter) AddSeries(name string, pred func(resolver.Observation) b
 func (h *HourlyCounter) Tap() resolver.Tap {
 	return resolver.TapFunc(func(ob resolver.Observation) {
 		hour := ob.Time.Unix() / 3600
-		sh := &h.shards[fnvHash(ob.QName)&(hourlyShardCount-1)]
+		sh := &h.shards[dnsname.Hash(ob.QName)&(hourlyShardCount-1)]
 		sh.mu.Lock()
 		for i := range h.series {
 			if h.series[i].pred(ob) {
@@ -420,20 +421,6 @@ func (h *HourlyCounter) Absorb(src *HourlyCounter) bool {
 		srcSh.mu.Unlock()
 	}
 	return true
-}
-
-// fnvHash is FNV-1a over s, used to pick a lock stripe.
-func fnvHash(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
 }
 
 // Series returns the hourly counts for the named series as (unixHour,

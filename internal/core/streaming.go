@@ -324,27 +324,13 @@ func (p *StreamingPipeline) ObserveAbove(ob resolver.Observation) {
 func (p *StreamingPipeline) ObserveName(name string) { p.noteName(name) }
 
 func (p *StreamingPipeline) noteName(name string) {
-	s := &p.pending[stripeHash(name)&(pendingStripeCount-1)]
+	s := &p.pending[dnsname.Hash(name)&(pendingStripeCount-1)]
 	s.mu.Lock()
 	if _, dup := s.seen[name]; !dup {
 		s.seen[name] = struct{}{}
 		s.names = append(s.names, name)
 	}
 	s.mu.Unlock()
-}
-
-// stripeHash is FNV-1a, used only to pick a pending stripe.
-func stripeHash(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
 }
 
 // Rescore closes the current window: drain pending names into the tree,
@@ -375,7 +361,7 @@ func (p *StreamingPipeline) Rescore(date time.Time) (RescoreResult, error) {
 			expired := p.tree.ExpireBefore(uint32(oldest))
 			res.Expired = len(expired)
 			for _, name := range expired {
-				s := &p.pending[stripeHash(name)&(pendingStripeCount-1)]
+				s := &p.pending[dnsname.Hash(name)&(pendingStripeCount-1)]
 				s.mu.Lock()
 				delete(s.seen, name)
 				s.mu.Unlock()

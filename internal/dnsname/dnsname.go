@@ -155,6 +155,19 @@ func LeftLabel(name string) string {
 	return name[:dot]
 }
 
+// Hash is 64-bit FNV-1a over name: the one string hash behind the lock
+// stripes (pdns, chrstat, the streaming miner's pending sets) and the
+// synthetic rdata of the simulated namespace. It is small enough for the
+// compiler to inline into the per-observation paths that stripe with it.
+func Hash(name string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // IsSubdomainOf reports whether child is equal to, or a strict subdomain of,
 // parent. Both must be normalized.
 func IsSubdomainOf(child, parent string) bool {

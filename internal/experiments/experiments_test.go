@@ -3,11 +3,13 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"dnsnoise/internal/sim"
 )
 
 // tinyScale keeps individual experiment tests fast.
-func tinyScale() Scale {
-	return Scale{
+func tinyScale() sim.Scale {
+	return sim.Scale{
 		Seed:               15,
 		NonDisposableZones: 220,
 		DisposableZones:    60,

@@ -8,6 +8,7 @@ import (
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/workload"
 )
 
@@ -36,7 +37,7 @@ type MitigationResult struct {
 // mined names deprioritized. The mitigation must restore most of the
 // non-disposable hit rate (Section VI-A's "caching policies may require
 // adjustments").
-func CacheMitigation(scale Scale, disposableFrac float64) (*MitigationResult, error) {
+func CacheMitigation(scale sim.Scale, disposableFrac float64) (*MitigationResult, error) {
 	if disposableFrac <= 0 {
 		disposableFrac = 0.3
 	}
@@ -51,7 +52,7 @@ func CacheMitigation(scale Scale, disposableFrac float64) (*MitigationResult, er
 	}
 
 	// Phase 1: learn the disposable zones from a normal day.
-	learnEnv, err := NewEnv(scale)
+	learnEnv, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -59,19 +60,7 @@ func CacheMitigation(scale Scale, disposableFrac float64) (*MitigationResult, er
 	if err != nil {
 		return nil, err
 	}
-	byName := collector.ByName()
-	tree := core.BuildTree(byName, learnEnv.Suffixes)
-	examples := core.BuildTrainingSet(tree, byName, learnEnv.Registry.TrainingLabels(401), core.TrainingConfig{})
-	clf, err := core.TrainClassifier(examples, core.TrainingConfig{})
-	if err != nil {
-		return nil, err
-	}
-	miner, err := core.NewMiner(clf, core.MinerConfig{Theta: 0.9})
-	if err != nil {
-		return nil, err
-	}
-	tree = core.BuildTree(byName, learnEnv.Suffixes)
-	findings, err := miner.Mine(tree, byName)
+	findings, err := trainAndMine(learnEnv, collector.ByName())
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +76,7 @@ func CacheMitigation(scale Scale, disposableFrac float64) (*MitigationResult, er
 	run := func(opts ...resolver.Option) (hit, nonDispMiss float64, premature uint64, err error) {
 		s := scale
 		s.CacheSize = cacheSize
-		env, err := NewEnv(s, WithResolverOptions(opts...))
+		env, err := sim.NewEnv(s, sim.WithResolverOptions(opts...))
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -157,9 +146,9 @@ type CrossNetworkResult struct {
 // different client populations (different traffic seeds and mixes), mines
 // each independently with its own locally trained classifier, and
 // intersects the zone sets.
-func CrossNetwork(scale Scale) (*CrossNetworkResult, error) {
+func CrossNetwork(scale sim.Scale) (*CrossNetworkResult, error) {
 	mine := func(trafficSeed int64, frac float64) (map[string]bool, map[string]bool, error) {
-		env, err := NewEnv(scale)
+		env, err := sim.NewEnv(scale)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -175,19 +164,7 @@ func CrossNetwork(scale Scale) (*CrossNetworkResult, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		byName := collector.ByName()
-		tree := core.BuildTree(byName, env.Suffixes)
-		examples := core.BuildTrainingSet(tree, byName, env.Registry.TrainingLabels(401), core.TrainingConfig{})
-		clf, err := core.TrainClassifier(examples, core.TrainingConfig{})
-		if err != nil {
-			return nil, nil, err
-		}
-		miner, err := core.NewMiner(clf, core.MinerConfig{Theta: 0.9})
-		if err != nil {
-			return nil, nil, err
-		}
-		tree = core.BuildTree(byName, env.Suffixes)
-		findings, err := miner.Mine(tree, byName)
+		findings, err := trainAndMine(env, collector.ByName())
 		if err != nil {
 			return nil, nil, err
 		}

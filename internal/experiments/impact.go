@@ -10,6 +10,7 @@ import (
 	"dnsnoise/internal/features"
 	"dnsnoise/internal/pdns"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/workload"
 )
 
@@ -32,8 +33,8 @@ type Fig15Result struct {
 // Fig15PDNSGrowth bootstraps a pDNS database over `days` December days,
 // then trains and runs the miner on the final day to drive the wildcard
 // collapse with mined (not ground-truth) zones.
-func Fig15PDNSGrowth(scale Scale, days int) (*Fig15Result, error) {
-	env, err := NewEnv(scale)
+func Fig15PDNSGrowth(scale sim.Scale, days int) (*Fig15Result, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -42,26 +43,13 @@ func Fig15PDNSGrowth(scale Scale, days int) (*Fig15Result, error) {
 	var finalFindings []core.Finding
 	for d := 0; d < days; d++ {
 		p := workload.DecemberProfile(dateAt(d))
-		p.MeasurementBoost *= 1 + 0.35*float64(d)/float64(maxInt(days-1, 1))
+		p.MeasurementBoost *= 1 + 0.35*float64(d)/float64(max(days-1, 1))
 		collector, err := env.RunDay(p, store.Tap(), nil)
 		if err != nil {
 			return nil, err
 		}
 		if d == days-1 {
-			byName := collector.ByName()
-			tree := core.BuildTree(byName, env.Suffixes)
-			examples := core.BuildTrainingSet(tree, byName, env.Registry.TrainingLabels(401), core.TrainingConfig{})
-			clf, err := core.TrainClassifier(examples, core.TrainingConfig{})
-			if err != nil {
-				return nil, err
-			}
-			miner, err := core.NewMiner(clf, core.MinerConfig{Theta: 0.9})
-			if err != nil {
-				return nil, err
-			}
-			tree = core.BuildTree(byName, env.Suffixes)
-			finalFindings, err = miner.Mine(tree, byName)
-			if err != nil {
+			if finalFindings, err = trainAndMine(env, collector.ByName()); err != nil {
 				return nil, err
 			}
 		}
@@ -132,7 +120,7 @@ type CachePressureResult struct {
 // deliberately small cache and measures premature evictions of useful
 // entries and the resulting above-traffic inflation for non-disposable
 // names — the paper's "DNS service degradation" mechanism.
-func CachePressure(scale Scale, fracs []float64) (*CachePressureResult, error) {
+func CachePressure(scale sim.Scale, fracs []float64) (*CachePressureResult, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4}
 	}
@@ -147,7 +135,7 @@ func CachePressure(scale Scale, fracs []float64) (*CachePressureResult, error) {
 	for _, f := range fracs {
 		s := scale
 		s.CacheSize = cacheSize
-		env, err := NewEnv(s)
+		env, err := sim.NewEnv(s)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +193,7 @@ type CachePolicySweepResult struct {
 // so differences are attributable to the policy alone — the head-to-head
 // comparison behind the "when does SIEVE/CLOCK beat LRU" question at
 // capacity scale.
-func CachePolicySweep(scale Scale) (*CachePolicySweepResult, error) {
+func CachePolicySweep(scale sim.Scale) (*CachePolicySweepResult, error) {
 	sizes := []int{scale.CacheSize / 256, scale.CacheSize / 64, scale.CacheSize / 16}
 	for i, s := range sizes {
 		if s < 128 {
@@ -219,7 +207,7 @@ func CachePolicySweep(scale Scale) (*CachePolicySweepResult, error) {
 			s := scale
 			s.CacheSize = size
 			s.CachePolicy = kind
-			env, err := NewEnv(s)
+			env, err := sim.NewEnv(s)
 			if err != nil {
 				return nil, err
 			}
@@ -312,23 +300,10 @@ type DNSSECResult struct {
 
 // DNSSECLoad signs every disposable zone, enables the validating resolver,
 // and measures signature validations attributable to disposable queries.
-func DNSSECLoad(scale Scale) (*DNSSECResult, error) {
-	// Enumerate the disposable zone origins to sign. Registry construction
-	// is deterministic by seed, so this preview matches the registry NewEnv
-	// will rebuild.
-	preview := workload.NewRegistry(workload.RegistryConfig{
-		Seed:               scale.Seed,
-		NonDisposableZones: scale.NonDisposableZones,
-		DisposableZones:    scale.DisposableZones,
-		HostsPerZoneMax:    scale.HostsPerZoneMax,
-	})
-	signed := make(map[string]bool)
-	for _, z := range preview.Disposable {
-		signed[z.Zone] = true
-	}
-	env, err := NewEnv(scale,
-		WithSignedZones(signed),
-		WithResolverOptions(resolver.WithValidation(true)))
+func DNSSECLoad(scale sim.Scale) (*DNSSECResult, error) {
+	env, err := sim.NewEnv(scale,
+		sim.WithSignedDisposableZones(),
+		sim.WithResolverOptions(resolver.WithValidation(true)))
 	if err != nil {
 		return nil, err
 	}
@@ -380,8 +355,8 @@ type AblationRow struct {
 // FeatureAblation cross-validates the classifier with the full feature
 // vector, tree-structure features only, and CHR features only — the design
 // question of Section V-A2.
-func FeatureAblation(scale Scale) (*AblationResult, error) {
-	env, err := NewEnv(scale)
+func FeatureAblation(scale sim.Scale) (*AblationResult, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +366,7 @@ func FeatureAblation(scale Scale) (*AblationResult, error) {
 	}
 	byName := collector.ByName()
 	tree := core.BuildTree(byName, env.Suffixes)
-	labels := env.Registry.TrainingLabels(401)
+	labels := env.TrainingLabels()
 
 	variants := []struct {
 		name string
@@ -427,7 +402,7 @@ func (r *AblationResult) Render() string {
 
 // SharedCacheAblation compares the paper's per-server independent caches
 // against one shared cache of equal total capacity.
-func SharedCacheAblation(scale Scale) (*AblationResult, error) {
+func SharedCacheAblation(scale sim.Scale) (*AblationResult, error) {
 	res := &AblationResult{}
 	variants := []struct {
 		name    string
@@ -441,7 +416,7 @@ func SharedCacheAblation(scale Scale) (*AblationResult, error) {
 		s := scale
 		s.Servers = v.servers
 		s.CacheSize = v.size
-		env, err := NewEnv(s)
+		env, err := sim.NewEnv(s)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/features"
 	"dnsnoise/internal/mlearn"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/stats"
 	"dnsnoise/internal/workload"
 )
@@ -28,8 +29,8 @@ type Fig7Result struct {
 
 // Fig7LabeledCHR runs one day and splits the CHR sample by ground-truth
 // category, reproducing Figure 7.
-func Fig7LabeledCHR(scale Scale) (*Fig7Result, error) {
-	env, err := NewEnv(scale)
+func Fig7LabeledCHR(scale sim.Scale) (*Fig7Result, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -83,8 +84,8 @@ type Fig12Result struct {
 // Fig12ROC builds the labeled training set from one simulated day and runs
 // the paper's 10-fold cross-validation, both for the selected decision tree
 // (ROC, Figure 12) and the model-selection candidates.
-func Fig12ROC(scale Scale) (*Fig12Result, error) {
-	env, err := NewEnv(scale)
+func Fig12ROC(scale sim.Scale) (*Fig12Result, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -94,8 +95,7 @@ func Fig12ROC(scale Scale) (*Fig12Result, error) {
 		return nil, err
 	}
 	byName := collector.ByName()
-	tree := core.BuildTree(byName, env.Suffixes)
-	examples := core.BuildTrainingSet(tree, byName, env.Registry.TrainingLabels(401), core.TrainingConfig{})
+	examples := env.TrainingSet(byName, core.TrainingConfig{})
 
 	rng := rand.New(rand.NewSource(scale.Seed + 100))
 	cv, err := core.EvaluateClassifier(examples, 10, core.TrainingConfig{}, rng)
@@ -208,8 +208,8 @@ type GrowthResult struct {
 // GrowthStudy trains the classifier once (10-fold validated), then applies
 // the miner to each of the paper's six dated profiles and measures
 // disposable shares, tails and TTLs.
-func GrowthStudy(scale Scale) (*GrowthResult, error) {
-	env, err := NewEnv(scale)
+func GrowthStudy(scale sim.Scale) (*GrowthResult, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -222,9 +222,7 @@ func GrowthStudy(scale Scale) (*GrowthResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainByName := trainCollector.ByName()
-	trainTree := core.BuildTree(trainByName, env.Suffixes)
-	examples := core.BuildTrainingSet(trainTree, trainByName, env.Registry.TrainingLabels(401), core.TrainingConfig{})
+	examples := env.TrainingSet(trainCollector.ByName(), core.TrainingConfig{})
 	cv, err := core.EvaluateClassifier(examples, 10, core.TrainingConfig{}, rand.New(rand.NewSource(scale.Seed+200)))
 	if err != nil {
 		return nil, err

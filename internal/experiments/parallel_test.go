@@ -8,6 +8,7 @@ import (
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/pdns"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/workload"
 )
 
@@ -29,11 +30,11 @@ func sortedSample(vals []float64) []float64 {
 // strings' lengths vary.
 func TestParallelDayMatchesSequential(t *testing.T) {
 	scale := tinyScale()
-	seqEnv, err := NewEnv(scale)
+	seqEnv, err := sim.NewEnv(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parEnv, err := NewEnv(scale)
+	parEnv, err := sim.NewEnv(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func mustCount(total, _ int) int { return total }
 // sharded CHR collector on both sides, an hourly counter, and a pdns store —
 // so `go test -race` exercises the worker/tap/accumulator interleavings.
 func TestResolveStreamConcurrentTaps(t *testing.T) {
-	env, err := NewEnv(tinyScale())
+	env, err := sim.NewEnv(tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/renewal"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/stats"
 	"dnsnoise/internal/workload"
 )
@@ -30,8 +31,8 @@ type RenewalResult struct {
 // measured DHR. The paper argues the single-shared-cache assumption breaks
 // at a resolver cluster; the hot-record correlation quantifies how much
 // signal survives anyway.
-func RenewalModel(scale Scale) (*RenewalResult, error) {
-	env, err := NewEnv(scale)
+func RenewalModel(scale sim.Scale) (*RenewalResult, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -108,8 +109,8 @@ type TaxonomyResult struct {
 }
 
 // Taxonomy classifies one day of below-traffic with the treetop rules.
-func Taxonomy(scale Scale) (*TaxonomyResult, error) {
-	env, err := NewEnv(scale)
+func Taxonomy(scale sim.Scale) (*TaxonomyResult, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -165,8 +166,8 @@ type BaselineResult struct {
 // Baseline runs both detectors over one simulated day. Both train on the
 // same labeled zones; Yadav sees only the name strings, the miner sees
 // names plus caching behaviour.
-func Baseline(scale Scale) (*BaselineResult, error) {
-	env, err := NewEnv(scale)
+func Baseline(scale sim.Scale) (*BaselineResult, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +177,7 @@ func Baseline(scale Scale) (*BaselineResult, error) {
 	}
 	byName := collector.ByName()
 	tree := core.BuildTree(byName, env.Suffixes)
-	labels := env.Registry.TrainingLabels(401)
+	labels := env.TrainingLabels()
 
 	// Gather each labeled zone's observed names.
 	namesUnder := func(zone string) []string { return tree.NamesUnder(zone) }
@@ -196,17 +197,7 @@ func Baseline(scale Scale) (*BaselineResult, error) {
 	if err := yadav.Fit(trainZones); err != nil {
 		return nil, fmt.Errorf("fit yadav: %w", err)
 	}
-	examples := core.BuildTrainingSet(tree, byName, labels, core.TrainingConfig{})
-	clf, err := core.TrainClassifier(examples, core.TrainingConfig{})
-	if err != nil {
-		return nil, err
-	}
-	miner, err := core.NewMiner(clf, core.MinerConfig{Theta: 0.9})
-	if err != nil {
-		return nil, err
-	}
-	mineTree := core.BuildTree(byName, env.Suffixes)
-	findings, err := miner.Mine(mineTree, byName)
+	findings, err := trainAndMine(env, byName)
 	if err != nil {
 		return nil, err
 	}
@@ -338,8 +329,8 @@ type ClientsResult struct {
 
 // ClientCardinality runs one day and splits the distinct-client
 // distribution by ground-truth class.
-func ClientCardinality(scale Scale) (*ClientsResult, error) {
-	env, err := NewEnv(scale)
+func ClientCardinality(scale sim.Scale) (*ClientsResult, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}

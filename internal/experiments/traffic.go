@@ -9,6 +9,7 @@ import (
 	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/pdns"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/stats"
 	"dnsnoise/internal/workload"
 )
@@ -29,8 +30,8 @@ type Fig2Result struct {
 // Fig2TrafficProfile simulates `days` consecutive December days and tallies
 // hourly RR volumes for the All / NXDOMAIN / Akamai / Google series at both
 // monitoring points (paper Figure 2, 12/01-12/06).
-func Fig2TrafficProfile(scale Scale, days int) (*Fig2Result, error) {
-	env, err := NewEnv(scale)
+func Fig2TrafficProfile(scale sim.Scale, days int) (*Fig2Result, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -159,8 +160,8 @@ type Fig3Result struct {
 }
 
 // Fig3LongTail runs one February-calibrated day and measures both tails.
-func Fig3LongTail(scale Scale) (*Fig3Result, error) {
-	env, err := NewEnv(scale)
+func Fig3LongTail(scale sim.Scale) (*Fig3Result, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -203,8 +204,8 @@ type Fig4Result struct {
 
 // Fig4CHR measures the cache-hit-rate distribution for one day (Figure 4a)
 // and across several days (Figure 4b).
-func Fig4CHR(scale Scale, days int) (*Fig4Result, error) {
-	env, err := NewEnv(scale)
+func Fig4CHR(scale sim.Scale, days int) (*Fig4Result, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -257,8 +258,8 @@ type Fig5Result struct {
 // days (paper: 11/28-12/10) and reports new records per day for the overall
 // stream, Akamai and Google. Google's measurement experiment ramps up over
 // the window, as the paper observed.
-func Fig5NewRRs(scale Scale, days int) (*Fig5Result, error) {
-	env, err := NewEnv(scale)
+func Fig5NewRRs(scale sim.Scale, days int) (*Fig5Result, error) {
+	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +272,7 @@ func Fig5NewRRs(scale Scale, days int) (*Fig5Result, error) {
 		p := workload.DecemberProfile(dateAt(d))
 		// Google's ipv6 experiment grew ~25% across the window (Figure 5);
 		// ramp the measurement boost linearly.
-		p.MeasurementBoost *= 1 + 0.35*float64(d)/float64(maxInt(days-1, 1))
+		p.MeasurementBoost *= 1 + 0.35*float64(d)/float64(max(days-1, 1))
 		profiles[d] = p
 	}
 	// The store does its own day bucketing from observation timestamps, so
@@ -301,13 +302,6 @@ func ratio(a, b int) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Render prints the per-day table and trends.

@@ -23,17 +23,16 @@ import (
 	"sync"
 	"time"
 
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/pdns"
 	"dnsnoise/internal/qlog"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/telemetry/alerts"
 	"dnsnoise/internal/telemetry/tsdb"
-	"dnsnoise/internal/workload"
 )
 
 // Steering selects the client-to-PoP mapping.
@@ -84,24 +83,12 @@ type Config struct {
 	Pops int
 	// Steering picks the client-to-PoP mapping (default SteeringHash).
 	Steering Steering
-	// Servers is each PoP's RDNS server count (resolver default when 0).
-	Servers int
-	// Cache is each server's cache capacity (resolver default when 0).
-	Cache int
-	// CachePolicy selects each server's eviction policy (zero value = LRU).
-	CachePolicy cache.PolicyKind
-	// NegCacheSize overrides the negative-cache capacity (0 keeps the
-	// resolver's Cache/4 ratio).
-	NegCacheSize int
+	// Scale sizes the shared authoritative namespace, the generator over
+	// it (which a trace replay must build exactly as the recording did;
+	// see sim.Source), and each PoP's cluster.
+	Scale sim.Scale
 	// Parallel resolves through each PoP's per-server worker goroutines.
 	Parallel bool
-
-	// Registry configures the shared authoritative namespace.
-	Registry workload.RegistryConfig
-	// Generator configures the replay generator used to walk the shared
-	// registry through per-day profile states during trace replays (must
-	// mirror the recording generator; see ingest.ReplayProfiles).
-	Generator workload.GeneratorConfig
 
 	// HourlySeries/PdnsSeries add measurement series beyond the built-in
 	// catch-all "all" hourly series.
@@ -157,7 +144,7 @@ type Fleet struct {
 	pops      []*PoP
 	merged    *qlog.MemorySink
 	hourlyAll []HourlySeries // "all" + cfg.HourlySeries, for merged rebuilds
-	gen       *workload.Generator
+	env       *sim.Env
 	collector *Collector
 	db        *tsdb.DB       // nil unless cfg.TSDB
 	alerts    *alerts.Engine // nil unless cfg.TSDB
@@ -179,17 +166,16 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.NewScorer != nil && cfg.ScoreWindow <= 0 {
 		return nil, fmt.Errorf("fleet: NewScorer needs a positive ScoreWindow")
 	}
-	wreg := workload.NewRegistry(cfg.Registry)
-	auth, err := wreg.BuildAuthority(nil, nil)
+	env, err := sim.NewNamespace(cfg.Scale)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: build authority: %w", err)
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	f := &Fleet{
 		cfg:       cfg,
 		start:     time.Now(),
 		merged:    qlog.NewMemorySink(cfg.Pops * cfg.QlogRing),
 		hourlyAll: append([]HourlySeries{{Name: "all", Pred: func(resolver.Observation) bool { return true }}}, cfg.HourlySeries...),
-		gen:       workload.NewGenerator(wreg, cfg.Generator),
+		env:       env,
 	}
 	for i := 0; i < cfg.Pops; i++ {
 		p := &PoP{
@@ -212,17 +198,8 @@ func New(cfg Config) (*Fleet, error) {
 			stamp.score = func(name string) qlog.Verdict { return scoreName(sp, name) }
 		}
 		p.Log.AddSink(stamp)
-		var opts []resolver.Option
-		if cfg.Servers > 0 {
-			opts = append(opts, resolver.WithServers(cfg.Servers))
-		}
-		if cfg.Cache > 0 {
-			opts = append(opts, resolver.WithCacheSize(cfg.Cache))
-		}
-		opts = append(opts, resolver.WithCachePolicy(cfg.CachePolicy),
-			resolver.WithNegCacheSize(cfg.NegCacheSize))
-		opts = append(opts, resolver.WithTelemetry(p.Registry), resolver.WithQueryLog(p.Log))
-		if p.Cluster, err = resolver.NewCluster(auth, opts...); err != nil {
+		p.Cluster, err = env.NewCluster(resolver.WithTelemetry(p.Registry), resolver.WithQueryLog(p.Log))
+		if err != nil {
 			return nil, fmt.Errorf("fleet: pop %d: %w", i, err)
 		}
 		p.Store.SetMetrics(p.Registry)
@@ -251,10 +228,11 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Generator returns the fleet's replay generator, built over the shared
-// registry — live workloads draw their stream from it so the namespace
-// the PoPs resolve against is the one minting the queries.
-func (f *Fleet) Generator() *workload.Generator { return f.gen }
+// Env returns the shared world: the namespace and authority every PoP
+// resolves against, and the generator over them — live workloads draw
+// their stream from it, so the namespace answering the queries is the one
+// minting them (its Cluster is nil; the PoPs own the clusters).
+func (f *Fleet) Env() *sim.Env { return f.env }
 
 // Pops returns the PoPs (shared slice; do not mutate).
 func (f *Fleet) Pops() []*PoP { return f.pops }
@@ -362,18 +340,7 @@ func (f *Fleet) runPoP(p *PoP, ch chan dispatchItem) error {
 		ingest.WithSinks(ingest.TapSink(resolver.MultiTap(p.Hourly.Tap(), p.Store.Tap()), nil)),
 	}
 	if p.Scorer != nil {
-		sp := p.Scorer
-		opts = append(opts,
-			ingest.WithSinks(sp),
-			ingest.WithWindowTicks(f.cfg.ScoreWindow, func(tk ingest.Tick) error {
-				_, err := sp.Rescore(tk.Day)
-				return err
-			}),
-			ingest.OnWindow(func(w ingest.Window) error {
-				_, err := sp.EndDay(w.Date)
-				return err
-			}),
-		)
+		opts = append(opts, ingest.StreamingHooks(p.Scorer, f.cfg.ScoreWindow)...)
 	}
 	if f.cfg.Parallel {
 		opts = append(opts, ingest.WithParallel())

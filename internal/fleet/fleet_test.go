@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/fleet"
 	"dnsnoise/internal/ingest"
@@ -19,6 +18,7 @@ import (
 	"dnsnoise/internal/pdns"
 	"dnsnoise/internal/qlog"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/telemetry/promtext"
 	"dnsnoise/internal/workload"
@@ -27,19 +27,16 @@ import (
 // testConfig is the repo's small-scale workload convention, fleet-shaped.
 func testConfig(pops int) fleet.Config {
 	return fleet.Config{
-		Pops:    pops,
-		Servers: 2,
-		Cache:   8192,
-		Registry: workload.RegistryConfig{
+		Pops: pops,
+		Scale: sim.Scale{
 			Seed:               1,
 			NonDisposableZones: 60,
 			DisposableZones:    30,
 			HostsPerZoneMax:    16,
-		},
-		Generator: workload.GeneratorConfig{
-			Seed:             3,
-			Clients:          100,
-			BaseEventsPerDay: 8000,
+			Clients:            100,
+			BaseEventsPerDay:   8000,
+			Servers:            2,
+			CacheSize:          8192,
 		},
 		HourlySeries: []fleet.HourlySeries{
 			{Name: "even-clients", Pred: func(ob resolver.Observation) bool { return ob.ClientID%2 == 0 }},
@@ -60,7 +57,7 @@ func runFleet(t *testing.T, cfg fleet.Config, days int) *fleet.Fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := ingest.NewGeneratorSource(f.Generator(), profiles...)
+	src := ingest.NewGeneratorSource(f.Env().Generator, profiles...)
 	defer src.Close()
 	if err := f.Run(src, nil); err != nil {
 		t.Fatal(err)
@@ -74,8 +71,7 @@ func runFleet(t *testing.T, cfg fleet.Config, days int) *fleet.Fleet {
 // contents depend on how queries partition across caches and are
 // excluded from bit-identical comparisons — the repo's established
 // stance for cross-topology equivalence (see resolver's parallel tests).
-func varyingZonePred(cfg workload.RegistryConfig) func(name string) bool {
-	reg := workload.NewRegistry(cfg)
+func varyingZonePred(reg *workload.Registry) func(name string) bool {
 	var varying []string
 	for _, spec := range reg.AllZones() {
 		if spec.RDataVaries {
@@ -134,7 +130,7 @@ func TestFleetMatchesSingleCluster(t *testing.T) {
 		}
 	}
 
-	varying := varyingZonePred(testConfig(3).Registry)
+	varying := varyingZonePred(f3.Env().Registry)
 	r3 := stableRecords(f3.MergedStore(), varying)
 	r1 := stableRecords(f1.Pops()[0].Store, varying)
 	if len(r3) == 0 {
@@ -362,38 +358,15 @@ func TestFleetScorerStampsVerdicts(t *testing.T) {
 // trainTestClassifier mirrors the CLI's -score pre-pass at test scale.
 func trainTestClassifier(t *testing.T, cfg fleet.Config) *mlearn.DecisionTree {
 	t.Helper()
-	reg := workload.NewRegistry(cfg.Registry)
-	auth, err := reg.BuildAuthority(nil, nil)
+	env, err := sim.NewEnv(cfg.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := resolver.NewCluster(auth,
-		resolver.WithServers(cfg.Servers), resolver.WithCacheSize(cfg.Cache))
+	w, err := (&sim.Source{Live: true, Profile: "december", Days: 1}).Run(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := workload.NewGenerator(reg, cfg.Generator)
-	profiles, err := workload.SelectProfiles("december", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := ingest.NewGeneratorSource(gen, profiles...)
-	defer src.Close()
-	var collected *chrstat.Collector
-	err = ingest.NewRunner(cluster,
-		ingest.WithSingleWindow(),
-		ingest.OnWindow(func(w ingest.Window) error {
-			collected = w.Collector
-			return nil
-		}),
-	).Run(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := collected.ByName()
-	tree := core.BuildTree(names, nil)
-	examples := core.BuildTrainingSet(tree, names, reg.TrainingLabels(401), core.TrainingConfig{})
-	clf, err := core.TrainClassifier(examples, core.TrainingConfig{})
+	clf, _, err := env.Train(w.Collector.ByName(), core.TrainingConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/telemetry"
 )
@@ -108,18 +109,9 @@ func NewStore() *Store {
 	return s
 }
 
-// shardFor maps an owner name to its lock stripe (FNV-1a over the name).
+// shardFor maps an owner name to its lock stripe.
 func (s *Store) shardFor(name string) *shard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
-	}
-	return &s.shards[h&(numShards-1)]
+	return &s.shards[dnsname.Hash(name)&(numShards-1)]
 }
 
 // AddSeries registers a named per-day matcher (e.g. "google", "akamai").

@@ -48,8 +48,6 @@ func (c CLIConfig) Rules() ([]Rule, error) {
 
 // CLISession owns the running sweeper and engine for one command.
 type CLISession struct {
-	db      *tsdb.DB
-	engine  *Engine
 	sweeper *tsdb.Sweeper
 	closed  bool
 }
@@ -72,34 +70,18 @@ func (c CLIConfig) Start(sess *telemetry.Session, ql *qlog.Log) (*CLISession, er
 	if err != nil {
 		return nil, err
 	}
-	s.db = tsdb.New(tsdb.Config{Retain: c.Retain})
-	s.engine = NewEngine(s.db, rules, WithQueryLog(ql))
-	s.sweeper = tsdb.NewSweeper(s.db, c.Interval, sess.Registry.Snapshot)
-	s.sweeper.OnSweep(s.engine.Eval)
-	sess.Handle("/debug/tsdb", s.db.Handler())
-	sess.Handle("/debug/alerts", s.engine.Handler())
+	db := tsdb.New(tsdb.Config{Retain: c.Retain})
+	engine := NewEngine(db, rules, WithQueryLog(ql))
+	s.sweeper = tsdb.NewSweeper(db, c.Interval, sess.Registry.Snapshot)
+	s.sweeper.OnSweep(engine.Eval)
+	sess.Handle("/debug/tsdb", db.Handler())
+	sess.Handle("/debug/alerts", engine.Handler())
 	s.sweeper.Start()
 	if sess.HasEndpoint() {
 		fmt.Fprintf(os.Stderr, "telemetry: tsdb sweeping every %v (%d rules); /debug/tsdb and /debug/alerts live\n",
 			c.Interval, len(rules))
 	}
 	return s, nil
-}
-
-// DB exposes the store (nil when disabled), for progress hooks and tests.
-func (s *CLISession) DB() *tsdb.DB {
-	if s == nil {
-		return nil
-	}
-	return s.db
-}
-
-// Engine exposes the rules engine (nil when disabled).
-func (s *CLISession) Engine() *Engine {
-	if s == nil {
-		return nil
-	}
-	return s.engine
 }
 
 // Close stops the sweep loop (recording one final sweep). Idempotent.

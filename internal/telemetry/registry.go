@@ -49,6 +49,7 @@ type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 	last    *Snapshot // previous DeltaSnapshot baseline
+	runtime runtimeStats
 }
 
 // NewRegistry returns a registry pre-populated with Go runtime gauges
@@ -157,10 +158,12 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// sortedEntries returns the registry's entries ordered by name, holding
+// sortedEntries opens a collection pass: it takes the pass's one runtime
+// reading, then returns the registry's entries ordered by name, holding
 // the lock only for the copy (collection functions run unlocked, so
 // they may themselves take locks).
 func (r *Registry) sortedEntries() []*entry {
+	r.runtime.read()
 	r.mu.Lock()
 	out := make([]*entry, 0, len(r.entries))
 	for _, e := range r.entries {

@@ -20,6 +20,7 @@ import (
 
 	"dnsnoise/internal/authority"
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/labelgen"
 )
 
@@ -492,7 +493,7 @@ func populateStaticZone(z *authority.Zone, spec *ZoneSpec) error {
 	}
 	// Deterministic per-zone rdata assignment keeps authority data stable
 	// across runs with the same registry seed.
-	h := hashString(spec.Zone)
+	h := dnsname.Hash(spec.Zone)
 	for i, host := range spec.HostPool {
 		owner := host + "." + spec.Zone
 		if spec.CNAMETarget != nil && i == 0 {
@@ -535,7 +536,7 @@ func makeSynth(spec *ZoneSpec) authority.SynthFunc {
 		if qtype != dnsmsg.TypeA && qtype != dnsmsg.TypeAAAA {
 			return nil, false
 		}
-		h := hashString(name)
+		h := dnsname.Hash(name)
 		if spec.RDataVaries {
 			// Signaling answer: a small RRset whose addresses encode the
 			// verdict payload and change on every authoritative fetch.
@@ -577,16 +578,6 @@ func makeSynth(spec *ZoneSpec) authority.SynthFunc {
 		}
 		return rrs, true
 	}
-}
-
-// hashString is FNV-1a over s.
-func hashString(s string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
 }
 
 func syntheticIPv4(h, salt uint64) string {
