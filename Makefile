@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint loc bench bench-smoke clean
+.PHONY: all build test race vet lint loc bench bench-smoke fuzz-smoke clean
 
 all: build test vet lint
 
@@ -39,18 +39,26 @@ bench:
 # allocation guards — testing.AllocsPerRun asserting 0 allocs/op on the
 # cache-hit resolve path, LRU Get/Put refresh, Normalize fast paths, the
 # UDP serve packet path, live scoring, and the resolve path with a tsdb
-# sweeper attached — a short serve-throughput flood with the end-to-end
+# sweeper attached, and the small fixed budgets of the miss path (a cold
+# resolve, authority.AppendHandleWire, dnsmsg Unpack/AppendEncode into
+# reused scratch) — a short serve-throughput flood with the end-to-end
 # packet-allocation gate (plain and scored) and the streaming-miner
 # intake-overhead pair with its gate. Whole-program overhead questions
 # (telemetry, qlog, fleet collector, tsdb) go to benchmark/run.sh A/A runs
 # and -compare instead.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkResolveCacheHit|BenchmarkResolveCacheMiss|BenchmarkPutGet|BenchmarkEvictionChurn' \
-		-benchtime=100x -benchmem ./internal/resolver/ ./internal/cache/
-	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/
+	$(GO) test -run '^$$' -bench 'BenchmarkResolveCacheHit|BenchmarkResolveCacheMiss|BenchmarkPutGet|BenchmarkEvictionChurn|BenchmarkAppendHandleWire|BenchmarkUnpack' \
+		-benchtime=100x -benchmem ./internal/resolver/ ./internal/cache/ ./internal/authority/ ./internal/dnsmsg/
+	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/
 	$(GO) run ./cmd/dnsnoise-bench -only serve -serve-duration 200ms -serve-clients 4 -max-packet-allocs 0 -out /dev/null
 	$(GO) run ./cmd/dnsnoise-bench -only miner -queries 20000 -out /dev/null
 	$(GO) run ./cmd/dnsnoise-bench -only cache -cache-events 20000 -cache-capacities 2048,8192 -max-hit-allocs 0 -out /dev/null
+
+# Ten seconds of native fuzzing on the wire decoder, from the committed seeds
+# (the golden corpus plus hand-built hostile wires): no panic, reuse equals
+# fresh decode, re-encode is a fixed point, the wire scanners agree.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzUnpack -fuzztime 10s ./internal/dnsmsg
 
 clean:
 	$(GO) clean ./...

@@ -395,3 +395,47 @@ func TestPublicKeyFromDNSKEYErrors(t *testing.T) {
 		t.Error("bad hex should fail")
 	}
 }
+
+// TestAppendHandleWireZeroAllocBudget guards the miss path's authority half:
+// answering a plain query for a single-A name into a warmed dst builds no
+// query Message, no response Message and no response buffer. A static record
+// costs the question's name string alone; a synthesized one adds what the
+// SynthFunc makes (its RRset and the rdata string). The budget is the
+// issue's ≤ 3.
+func TestAppendHandleWireZeroAllocBudget(t *testing.T) {
+	s := NewServer()
+	z := mustZone(t, "example.com")
+	mustAdd(t, z, aRR("www.example.com", "192.0.2.1"))
+	if err := s.AddZone(z); err != nil {
+		t.Fatal(err)
+	}
+	synth := mustZone(t, "synth.test", WithSynth(func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
+		return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: "198.18.0." + name[:1]}}, true
+	}))
+	if err := s.AddZone(synth); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		budget float64
+	}{
+		{"www.example.com", 1},
+		{"nope.example.com", 1}, // NXDOMAIN + SOA
+		{"7.tok.synth.test", 3},
+	} {
+		query, err := dnsmsg.NewQuery(0x77, tc.name, dnsmsg.TypeA).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 0, 512)
+		allocs := testing.AllocsPerRun(200, func() {
+			out, err := s.AppendHandleWire(dst[:0], query)
+			if err != nil || len(out) <= len(query) {
+				t.Fatalf("AppendHandleWire(%s) = %d bytes, %v", tc.name, len(out), err)
+			}
+		})
+		if allocs > tc.budget {
+			t.Errorf("AppendHandleWire(%s) allocated %.1f times per op, budget %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+}

@@ -7,6 +7,7 @@ package authority
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"dnsnoise/internal/dnsmsg"
@@ -31,10 +32,14 @@ type SynthFunc func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool)
 
 // Zone holds the authoritative data for one DNS zone.
 type Zone struct {
-	origin    string
-	soa       dnsmsg.RR
-	records   map[string][]dnsmsg.RR // key: name|TYPE
-	wildcards map[string][]dnsmsg.RR // key: parent-of-* |TYPE
+	origin string
+	soa    dnsmsg.RR
+	// records holds every record of an owner under the owner's name, grouped
+	// by type, so one map probe finds the RRset asked for, a CNAME standing
+	// in for it, or — owner present, type absent — NODATA. wildcards does the
+	// same for "*.<parent>" owners, under the parent's name.
+	records   map[string][]dnsmsg.RR
+	wildcards map[string][]dnsmsg.RR
 	synth     SynthFunc
 	signer    *Signer
 	negTTL    uint32
@@ -108,17 +113,45 @@ func (z *Zone) Add(rr dnsmsg.RR) error {
 		if !dnsname.IsSubdomainOf(rest, z.origin) {
 			return fmt.Errorf("%w: %q not under %q", ErrBadRecord, rr.Name, z.origin)
 		}
-		key := rest + "|" + rr.Type.String()
 		rr.Name = name
-		z.wildcards[key] = append(z.wildcards[key], rr)
+		z.wildcards[rest] = insertByType(z.wildcards[rest], rr)
 		return nil
 	}
 	if !dnsname.IsSubdomainOf(name, z.origin) {
 		return fmt.Errorf("%w: %q not under %q", ErrBadRecord, rr.Name, z.origin)
 	}
-	key := name + "|" + rr.Type.String()
 	rr.Name = name
-	z.records[key] = append(z.records[key], rr)
+	z.records[name] = insertByType(z.records[name], rr)
+	return nil
+}
+
+// insertByType adds rr to an owner's records after the last one of its type
+// (at the end for a new type): each type stays one contiguous run, in the
+// order its records were added.
+func insertByType(rrs []dnsmsg.RR, rr dnsmsg.RR) []dnsmsg.RR {
+	at := len(rrs)
+	for i := len(rrs); i > 0; i-- {
+		if rrs[i-1].Type == rr.Type {
+			at = i
+			break
+		}
+	}
+	return slices.Insert(rrs, at, rr)
+}
+
+// rrset returns the run of typ within an owner's records, nil when there is
+// none. The result aliases rrs, with its capacity clipped to its length.
+func rrset(rrs []dnsmsg.RR, typ dnsmsg.Type) []dnsmsg.RR {
+	for i := range rrs {
+		if rrs[i].Type != typ {
+			continue
+		}
+		j := i + 1
+		for j < len(rrs) && rrs[j].Type == typ {
+			j++
+		}
+		return rrs[i:j:j]
+	}
 	return nil
 }
 
@@ -126,20 +159,30 @@ func (z *Zone) Add(rr dnsmsg.RR) error {
 // authoritative behaviour: exact match, then CNAME at the exact owner, then
 // synthesizer, then the closest-enclosing wildcard, then NXDOMAIN
 // (ErrNotInZone with the SOA available via SOA()). A name with records of
-// other types yields an empty, non-error answer (NODATA).
+// other types yields an empty, non-error answer (NODATA). The records are the
+// caller's to keep.
 func (z *Zone) Lookup(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, error) {
-	name = dnsname.Normalize(name)
+	rrs, err := z.lookup(dnsname.Normalize(name), qtype)
+	if len(rrs) == 0 {
+		return nil, err
+	}
+	return append([]dnsmsg.RR(nil), rrs...), nil
+}
+
+// lookup is Lookup for a normalized name, without the defensive copy: an
+// exact match hands back the zone's own RRset, which the caller must only
+// read.
+func (z *Zone) lookup(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, error) {
 	if !dnsname.IsSubdomainOf(name, z.origin) {
 		return nil, ErrNotInZone
 	}
-	if rrs, ok := z.records[name+"|"+qtype.String()]; ok {
-		return cloneRRs(rrs), nil
+	owned := z.records[name]
+	if rrs := rrset(owned, qtype); rrs != nil {
+		return rrs, nil
 	}
 	// CNAME at the owner answers any qtype (except CNAME itself, handled above).
-	if qtype != dnsmsg.TypeCNAME {
-		if rrs, ok := z.records[name+"|CNAME"]; ok {
-			return cloneRRs(rrs), nil
-		}
+	if rrs := rrset(owned, dnsmsg.TypeCNAME); rrs != nil {
+		return rrs, nil
 	}
 	if z.synth != nil {
 		if rrs, ok := z.synth(name, qtype); ok {
@@ -148,11 +191,11 @@ func (z *Zone) Lookup(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, error) {
 	}
 	// Wildcard: closest enclosing "*.<parent>" walking up to the origin.
 	for parent := dnsname.Parent(name); parent != "" && dnsname.IsSubdomainOf(parent, z.origin); parent = dnsname.Parent(parent) {
-		if rrs, ok := z.wildcards[parent+"|"+qtype.String()]; ok {
-			return synthesizeWildcard(rrs, name), nil
-		}
-		if qtype != dnsmsg.TypeCNAME {
-			if rrs, ok := z.wildcards[parent+"|CNAME"]; ok {
+		if wild := z.wildcards[parent]; wild != nil {
+			if rrs := rrset(wild, qtype); rrs != nil {
+				return synthesizeWildcard(rrs, name), nil
+			}
+			if rrs := rrset(wild, dnsmsg.TypeCNAME); rrs != nil {
 				return synthesizeWildcard(rrs, name), nil
 			}
 		}
@@ -161,18 +204,10 @@ func (z *Zone) Lookup(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, error) {
 		}
 	}
 	// NODATA if the exact owner exists under another type.
-	for key := range z.records {
-		if strings.HasPrefix(key, name+"|") {
-			return nil, nil
-		}
+	if owned != nil {
+		return nil, nil
 	}
 	return nil, ErrNotInZone
-}
-
-func cloneRRs(rrs []dnsmsg.RR) []dnsmsg.RR {
-	out := make([]dnsmsg.RR, len(rrs))
-	copy(out, rrs)
-	return out
 }
 
 func synthesizeWildcard(rrs []dnsmsg.RR, owner string) []dnsmsg.RR {

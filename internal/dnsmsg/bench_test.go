@@ -36,6 +36,22 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkUnpack is BenchmarkDecode into one reused Message, the way the
+// resolver reads upstream responses.
+func BenchmarkUnpack(b *testing.B) {
+	wire, err := benchMessage().Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var m Message
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := m.Unpack(wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRoundTrip(b *testing.B) {
 	m := benchMessage()
 	b.ReportAllocs()

@@ -3,8 +3,8 @@ package dnsmsg
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
-	"sync"
 )
 
 // Flag bit positions within the header's 16-bit flags word.
@@ -20,12 +20,97 @@ const (
 // defeat pointer loops in malformed packets.
 const maxCompressionPointers = 64
 
-// encoderPool recycles the compression-offset map between encodes; the
-// output buffer itself is owned by the caller (Encode hands it over,
-// AppendEncode appends to the caller's slice), so only the map is pooled.
-var encoderPool = sync.Pool{
-	New: func() any { return &encoder{offsets: make(map[string]int, 16)} },
+// maxNameLen is the longest domain name in presentation form, without the
+// trailing dot (RFC 1035 §2.3.4: 255 octets on the wire).
+const maxNameLen = 253
+
+// Offsets of the section counts within the header.
+const (
+	offQDCount = 4
+	offANCount = 6
+	offNSCount = 8
+	offARCount = 10
+)
+
+// inlineTargets is how many compression targets a Builder tracks in its own
+// array. A 12-label disposable name answered with an SOA needs 16; past the
+// array the targets spill to a heap slice, so larger messages still compress
+// fully.
+const inlineTargets = 32
+
+// Builder appends one wire-format message to a caller-owned buffer, section
+// by section, compressing every name against the names already written. It
+// is the only encoder: Message.AppendEncode walks a Message through it, and
+// callers that already hold the header fields and records (the authority's
+// answer path, the resolver's upstream query) drive it directly instead of
+// assembling a Message first.
+//
+// A Builder carries no heap state for messages of up to inlineTargets
+// distinct name suffixes, so it is meant to live on the caller's stack: the
+// zero value is ready for Begin, and Begin resets a used one. Sections must
+// be written in wire order; after any method returns an error the buffer
+// holds a partial record and must be discarded.
+type Builder struct {
+	buf  []byte
+	base int // message start within buf; compression offsets count from here
+
+	// Compression targets: the offset of every label sequence written out in
+	// full (RFC 1035 §4.1.4 lets a later name end in a pointer to any of
+	// them). A candidate suffix is compared against the wire bytes at each
+	// target, so nothing is hashed and no suffix string is kept.
+	ntargets int
+	inline   [inlineTargets]uint16
+	spill    []uint16
 }
+
+// Begin starts a message after whatever dst already holds: the header goes
+// out with zero section counts, and each record appended later bumps its
+// count in place.
+func (b *Builder) Begin(dst []byte, h Header) {
+	b.buf, b.base = dst, len(dst)
+	b.ntargets, b.spill = 0, b.spill[:0]
+
+	flags := uint16(h.Opcode&0xF) << 11
+	if h.Response {
+		flags |= flagQR
+	}
+	if h.Authoritative {
+		flags |= flagAA
+	}
+	if h.Truncated {
+		flags |= flagTC
+	}
+	if h.RecursionDesired {
+		flags |= flagRD
+	}
+	if h.RecursionAvailable {
+		flags |= flagRA
+	}
+	flags |= uint16(h.RCode) & 0xF
+	b.u16(h.ID)
+	b.u16(flags)
+	b.buf = append(b.buf, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// Bytes returns the buffer: dst as given to Begin, extended by the message.
+func (b *Builder) Bytes() []byte { return b.buf }
+
+// Question appends one entry to the question section.
+func (b *Builder) Question(name string, qtype Type, class Class) error {
+	if err := b.name(name); err != nil {
+		return err
+	}
+	b.u16(uint16(qtype))
+	b.u16(uint16(class))
+	b.bump(offQDCount)
+	return nil
+}
+
+// Answer appends rr to the answer section.
+func (b *Builder) Answer(rr *RR) error { return b.rr(offANCount, rr) }
+
+// Authority appends rr to the authority section.
+func (b *Builder) Authority(rr *RR) error { return b.rr(offNSCount, rr) }
 
 // Encode serializes the message to wire format with name compression.
 func (m *Message) Encode() ([]byte, error) {
@@ -37,146 +122,155 @@ func (m *Message) Encode() ([]byte, error) {
 // extended slice. Compression offsets are relative to the message start, so
 // dst may already hold unrelated bytes.
 func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
-	e := encoderPool.Get().(*encoder)
-	e.buf = dst
-	e.base = len(dst)
-	out, err := e.encode(m)
-	e.buf = nil // do not retain the caller's buffer
-	clear(e.offsets)
-	encoderPool.Put(e)
-	return out, err
-}
-
-func (e *encoder) encode(m *Message) ([]byte, error) {
-	flags := uint16(m.Header.Opcode&0xF) << 11
-	if m.Header.Response {
-		flags |= flagQR
-	}
-	if m.Header.Authoritative {
-		flags |= flagAA
-	}
-	if m.Header.Truncated {
-		flags |= flagTC
-	}
-	if m.Header.RecursionDesired {
-		flags |= flagRD
-	}
-	if m.Header.RecursionAvailable {
-		flags |= flagRA
-	}
-	flags |= uint16(m.Header.RCode) & 0xF
-
-	e.u16(m.Header.ID)
-	e.u16(flags)
-	e.u16(uint16(len(m.Questions)))
-	e.u16(uint16(len(m.Answers)))
-	e.u16(uint16(len(m.Authority)))
-	e.u16(uint16(len(m.Additional)))
-
-	for _, q := range m.Questions {
-		if err := e.name(q.Name); err != nil {
+	var b Builder
+	b.Begin(dst, m.Header)
+	for i := range m.Questions {
+		q := &m.Questions[i]
+		if err := b.Question(q.Name, q.Type, q.Class); err != nil {
 			return nil, fmt.Errorf("question %q: %w", q.Name, err)
 		}
-		e.u16(uint16(q.Type))
-		e.u16(uint16(q.Class))
 	}
-	for _, section := range [][]RR{m.Answers, m.Authority, m.Additional} {
-		for _, rr := range section {
-			if err := e.rr(rr); err != nil {
-				return nil, fmt.Errorf("rr %q: %w", rr.Name, err)
+	for si, section := range [...][]RR{m.Answers, m.Authority, m.Additional} {
+		for i := range section {
+			if err := b.rr(offANCount+2*si, &section[i]); err != nil {
+				return nil, fmt.Errorf("rr %q: %w", section[i].Name, err)
 			}
 		}
 	}
-	return e.buf, nil
+	return b.Bytes(), nil
 }
 
-// Decode parses a wire-format message.
+// Decode parses a wire-format message into a fresh Message.
 func Decode(data []byte) (*Message, error) {
-	d := decoder{data: data}
-	id, err := d.u16()
-	if err != nil {
+	m := new(Message)
+	if err := m.Unpack(data); err != nil {
 		return nil, err
-	}
-	flags, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]uint16, 4)
-	for i := range counts {
-		if counts[i], err = d.u16(); err != nil {
-			return nil, err
-		}
-	}
-	m := &Message{
-		Header: Header{
-			ID:                 id,
-			Response:           flags&flagQR != 0,
-			Opcode:             uint8(flags >> 11 & 0xF),
-			Authoritative:      flags&flagAA != 0,
-			Truncated:          flags&flagTC != 0,
-			RecursionDesired:   flags&flagRD != 0,
-			RecursionAvailable: flags&flagRA != 0,
-			RCode:              RCode(flags & 0xF),
-		},
-	}
-	for i := 0; i < int(counts[0]); i++ {
-		name, err := d.name()
-		if err != nil {
-			return nil, err
-		}
-		typ, err := d.u16()
-		if err != nil {
-			return nil, err
-		}
-		class, err := d.u16()
-		if err != nil {
-			return nil, err
-		}
-		m.Questions = append(m.Questions, Question{Name: name, Type: Type(typ), Class: Class(class)})
-	}
-	sections := []*[]RR{&m.Answers, &m.Authority, &m.Additional}
-	for si, section := range sections {
-		for i := 0; i < int(counts[si+1]); i++ {
-			rr, err := d.rr()
-			if err != nil {
-				return nil, err
-			}
-			*section = append(*section, rr)
-		}
 	}
 	return m, nil
 }
 
-// encoder accumulates wire bytes and tracks name offsets for compression.
-// Offsets are stored relative to base (the message start within buf) so an
-// encoder can append to a buffer that already holds other data.
-type encoder struct {
-	buf     []byte
-	base    int
-	offsets map[string]int
+// Unpack parses a wire-format message into m, replacing its contents. The
+// section slices are truncated and refilled, so a Message kept by one caller
+// and unpacked into repeatedly stops allocating them once they have grown to
+// the largest message seen. Nothing in m refers to data afterwards: every
+// name and rdata is a string of its own (owner names equal to the first
+// question's share that one string), so records copied out of m stay valid
+// across later Unpack calls — but m's own slices do not, and a caller that
+// keeps records must copy the RR values out first. After an error m holds a
+// partial message.
+func (m *Message) Unpack(data []byte) error {
+	if len(data) < headerLen {
+		return ErrTruncatedMessage
+	}
+	flags := binary.BigEndian.Uint16(data[2:])
+	m.Header = Header{
+		ID:                 binary.BigEndian.Uint16(data),
+		Response:           flags&flagQR != 0,
+		Opcode:             uint8(flags >> 11 & 0xF),
+		Authoritative:      flags&flagAA != 0,
+		Truncated:          flags&flagTC != 0,
+		RecursionDesired:   flags&flagRD != 0,
+		RecursionAvailable: flags&flagRA != 0,
+		RCode:              RCode(flags & 0xF),
+	}
+	d := decoder{data: data, pos: headerLen}
+	m.Questions = m.Questions[:0]
+	for i := int(binary.BigEndian.Uint16(data[offQDCount:])); i > 0; i-- {
+		name, err := d.name()
+		if err != nil {
+			return err
+		}
+		typ, err := d.u16()
+		if err != nil {
+			return err
+		}
+		class, err := d.u16()
+		if err != nil {
+			return err
+		}
+		if len(m.Questions) == 0 {
+			d.qname = name
+		}
+		m.Questions = append(m.Questions, Question{Name: name, Type: Type(typ), Class: Class(class)})
+	}
+	var err error
+	if m.Answers, err = d.section(m.Answers[:0], offANCount); err != nil {
+		return err
+	}
+	if m.Authority, err = d.section(m.Authority[:0], offNSCount); err != nil {
+		return err
+	}
+	m.Additional, err = d.section(m.Additional[:0], offARCount)
+	return err
 }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
+// SoleQuestion reads the ID and question of a plain query — one question and
+// no other record, which is every query the simulation sends and every stub
+// query without EDNS — straight off the wire, by the decoder's own rules for
+// names, without a Message to unpack into. ok is false for any other shape,
+// well-formed or not: those take Unpack.
+func SoleQuestion(data []byte) (id uint16, q Question, ok bool) {
+	// The four section counts read as one number: QDCOUNT 1, the rest 0.
+	if len(data) < headerLen || binary.BigEndian.Uint64(data[offQDCount:]) != 1<<48 {
+		return 0, Question{}, false
+	}
+	d := decoder{data: data, pos: headerLen}
+	name, err := d.name()
+	if err != nil || d.pos+4 > len(data) {
+		return 0, Question{}, false
+	}
+	q = Question{
+		Name:  name,
+		Type:  Type(binary.BigEndian.Uint16(data[d.pos:])),
+		Class: Class(binary.BigEndian.Uint16(data[d.pos+2:])),
+	}
+	return binary.BigEndian.Uint16(data), q, true
+}
+
+func (b *Builder) u8(v uint8)   { b.buf = append(b.buf, v) }
+func (b *Builder) u16(v uint16) { b.buf = binary.BigEndian.AppendUint16(b.buf, v) }
+func (b *Builder) u32(v uint32) { b.buf = binary.BigEndian.AppendUint32(b.buf, v) }
+
+// bump increments the section count at header offset off.
+func (b *Builder) bump(off int) {
+	p := b.buf[b.base+off:]
+	binary.BigEndian.PutUint16(p, binary.BigEndian.Uint16(p)+1)
+}
+
+func (b *Builder) target(i int) int {
+	if i < inlineTargets {
+		return int(b.inline[i])
+	}
+	return int(b.spill[i-inlineTargets])
+}
+
+func (b *Builder) addTarget(off int) {
+	if b.ntargets < inlineTargets {
+		b.inline[b.ntargets] = uint16(off)
+	} else {
+		b.spill = append(b.spill, uint16(off))
+	}
+	b.ntargets++
+}
 
 // name emits a possibly-compressed domain name. Compression targets are the
 // suffixes of every name previously emitted (RFC 1035 §4.1.4).
-func (e *encoder) name(name string) error {
+func (b *Builder) name(name string) error {
 	name = strings.TrimSuffix(name, ".")
-	if len(name) > 253 {
+	if len(name) > maxNameLen {
 		return ErrNameTooLong
 	}
+	// Targets added while this name goes out spell longer suffixes of the
+	// same name, so only the ones known on entry can match.
+	known := b.ntargets
 	for name != "" {
-		if off, ok := e.offsets[name]; ok && off < 0x3FFF {
-			e.u16(uint16(0xC000 | off))
+		if off := b.find(name, known); off >= 0 {
+			b.u16(uint16(0xC000 | off))
 			return nil
 		}
 		dot := strings.IndexByte(name, '.')
-		var label string
-		if dot < 0 {
-			label = name
-		} else {
+		label := name
+		if dot >= 0 {
 			label = name[:dot]
 		}
 		if len(label) > 63 {
@@ -185,68 +279,107 @@ func (e *encoder) name(name string) error {
 		if len(label) == 0 {
 			return fmt.Errorf("%w: empty label in %q", ErrBadRData, name)
 		}
-		if len(e.buf)-e.base < 0x3FFF {
-			e.offsets[name] = len(e.buf) - e.base
+		// A pointer holds 14 bits: names further in cannot be targets.
+		if off := len(b.buf) - b.base; off < 0x3FFF {
+			b.addTarget(off)
 		}
-		e.u8(uint8(len(label)))
-		e.buf = append(e.buf, label...)
+		b.u8(uint8(len(label)))
+		b.buf = append(b.buf, label...)
 		if dot < 0 {
 			break
 		}
 		name = name[dot+1:]
 	}
-	e.u8(0)
+	b.u8(0)
 	return nil
 }
 
-func (e *encoder) rr(rr RR) error {
-	if err := e.name(rr.Name); err != nil {
+// find returns the offset of the one target among the first known that
+// spells exactly name, or -1.
+func (b *Builder) find(name string, known int) int {
+	msg := b.buf[b.base:]
+	for i := 0; i < known; i++ {
+		if off := b.target(i); spells(msg, off, name) {
+			return off
+		}
+	}
+	return -1
+}
+
+// spells reports whether the name this builder wrote at msg[off:] — labels,
+// possibly ending in a pointer to an earlier name — is, label for label and
+// byte for byte, the presentation-form name.
+func spells(msg []byte, off int, name string) bool {
+	for {
+		n := int(msg[off])
+		switch {
+		case n >= 0xC0:
+			off = int(binary.BigEndian.Uint16(msg[off:]) & 0x3FFF)
+			continue
+		case n == 0:
+			return name == ""
+		case len(name) < n || name[:n] != string(msg[off+1:off+1+n]):
+			return false
+		case len(name) == n:
+			name = ""
+		case name[n] != '.':
+			return false
+		default:
+			name = name[n+1:]
+		}
+		off += 1 + n
+	}
+}
+
+func (b *Builder) rr(countOff int, rr *RR) error {
+	if err := b.name(rr.Name); err != nil {
 		return err
 	}
-	e.u16(uint16(rr.Type))
-	e.u16(uint16(rr.Class))
-	e.u32(rr.TTL)
+	b.u16(uint16(rr.Type))
+	b.u16(uint16(rr.Class))
+	b.u32(rr.TTL)
 	// Reserve RDLENGTH, fill after encoding rdata.
-	lenPos := len(e.buf)
-	e.u16(0)
-	start := len(e.buf)
-	if err := e.rdata(rr); err != nil {
+	lenPos := len(b.buf)
+	b.u16(0)
+	start := len(b.buf)
+	if err := b.rdata(rr); err != nil {
 		return err
 	}
-	rdlen := len(e.buf) - start
+	rdlen := len(b.buf) - start
 	if rdlen > 0xFFFF {
 		return ErrBadRData
 	}
-	binary.BigEndian.PutUint16(e.buf[lenPos:], uint16(rdlen))
+	binary.BigEndian.PutUint16(b.buf[lenPos:], uint16(rdlen))
+	b.bump(countOff)
 	return nil
 }
 
-func (e *encoder) rdata(rr RR) error {
+func (b *Builder) rdata(rr *RR) error {
 	switch rr.Type {
 	case TypeA:
 		ip, err := parseIPv4(rr.RData)
 		if err != nil {
 			return err
 		}
-		e.buf = append(e.buf, ip[:]...)
+		b.buf = append(b.buf, ip[:]...)
 	case TypeAAAA:
 		ip, err := parseIPv6(rr.RData)
 		if err != nil {
 			return err
 		}
-		e.buf = append(e.buf, ip[:]...)
+		b.buf = append(b.buf, ip[:]...)
 	case TypeCNAME, TypeNS:
 		// Note: compression inside rdata is legal for CNAME/NS.
-		return e.name(rr.RData)
+		return b.name(rr.RData)
 	case TypeTXT:
-		return e.txt(rr.RData)
+		b.txt(rr.RData)
 	case TypeSOA:
-		return e.soa(rr.RData)
+		return b.soa(rr.RData)
 	case TypeDNSKEY, TypeRRSIG:
 		// Structured blobs are carried as opaque character strings: the
 		// simulation validates signatures out of band (see authority), so
 		// byte-exact RFC 4034 rdata layout buys nothing here.
-		return e.txt(rr.RData)
+		b.txt(rr.RData)
 	default:
 		return fmt.Errorf("%w: unsupported type %v", ErrBadRData, rr.Type)
 	}
@@ -254,49 +387,64 @@ func (e *encoder) rdata(rr RR) error {
 }
 
 // txt encodes text as a sequence of <=255-octet character strings.
-func (e *encoder) txt(s string) error {
+func (b *Builder) txt(s string) {
 	if s == "" {
-		e.u8(0)
-		return nil
+		b.u8(0)
+		return
 	}
 	for len(s) > 0 {
-		n := len(s)
-		if n > 255 {
-			n = 255
-		}
-		e.u8(uint8(n))
-		e.buf = append(e.buf, s[:n]...)
+		n := min(len(s), 255)
+		b.u8(uint8(n))
+		b.buf = append(b.buf, s[:n]...)
 		s = s[n:]
+	}
+}
+
+// soa encodes the presentation form "mname rname serial refresh retry expire
+// minimum": seven fields separated by ASCII white space, the five numbers
+// plain decimal uint32s.
+func (b *Builder) soa(s string) error {
+	var fields [7]string
+	n := 0
+	for rest := strings.TrimLeft(s, asciiSpace); rest != ""; n++ {
+		end := strings.IndexAny(rest, asciiSpace)
+		if end < 0 {
+			end = len(rest)
+		}
+		if n < len(fields) {
+			fields[n] = rest[:end]
+		}
+		rest = strings.TrimLeft(rest[end:], asciiSpace)
+	}
+	if n != len(fields) {
+		return fmt.Errorf("%w: SOA wants 7 fields, got %d", ErrBadRData, n)
+	}
+	if err := b.name(fields[0]); err != nil {
+		return err
+	}
+	if err := b.name(fields[1]); err != nil {
+		return err
+	}
+	for _, f := range fields[2:] {
+		v, err := strconv.ParseUint(f, 10, 32)
+		if err != nil {
+			return fmt.Errorf("%w: SOA field %q: %v", ErrBadRData, f, err)
+		}
+		b.u32(uint32(v))
 	}
 	return nil
 }
 
-// soa encodes the presentation form "mname rname serial refresh retry expire minimum".
-func (e *encoder) soa(s string) error {
-	fields := strings.Fields(s)
-	if len(fields) != 7 {
-		return fmt.Errorf("%w: SOA wants 7 fields, got %d", ErrBadRData, len(fields))
-	}
-	if err := e.name(fields[0]); err != nil {
-		return err
-	}
-	if err := e.name(fields[1]); err != nil {
-		return err
-	}
-	for _, f := range fields[2:] {
-		var v uint32
-		if _, err := fmt.Sscanf(f, "%d", &v); err != nil {
-			return fmt.Errorf("%w: SOA field %q: %v", ErrBadRData, f, err)
-		}
-		e.u32(v)
-	}
-	return nil
-}
+const asciiSpace = " \t\n\v\f\r"
 
 // decoder walks a wire-format buffer.
 type decoder struct {
 	data []byte
 	pos  int
+	// qname is the first question's name. A response repeats it as the owner
+	// of (nearly) every record, so names that decode to the same bytes are
+	// handed this string instead of a new one.
+	qname string
 }
 
 func (d *decoder) u8() (uint8, error) {
@@ -335,16 +483,43 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
+// section appends the records of one section to rrs; countOff is where the
+// header keeps the section's count.
+func (d *decoder) section(rrs []RR, countOff int) ([]RR, error) {
+	for i := int(binary.BigEndian.Uint16(d.data[countOff:])); i > 0; i-- {
+		rr, err := d.rr()
+		if err != nil {
+			return rrs, err
+		}
+		rrs = append(rrs, rr)
+	}
+	return rrs, nil
+}
+
 // name decodes a possibly-compressed domain name starting at the current
-// position.
+// position: assembled in a stack buffer, converted to a string once.
 func (d *decoder) name() (string, error) {
-	var sb strings.Builder
+	var scratch [maxNameLen]byte
+	name, err := d.appendName(scratch[:0])
+	if err != nil {
+		return "", err
+	}
+	if string(name) == d.qname {
+		return d.qname, nil
+	}
+	return string(name), nil
+}
+
+// appendName decodes the name at the current position in presentation form
+// onto dst and advances past it.
+func (d *decoder) appendName(dst []byte) ([]byte, error) {
+	start := len(dst)
 	pos := d.pos
 	jumped := false
 	jumps := 0
 	for {
 		if pos >= len(d.data) {
-			return "", ErrTruncatedMessage
+			return dst, ErrTruncatedMessage
 		}
 		b := d.data[pos]
 		switch {
@@ -352,14 +527,14 @@ func (d *decoder) name() (string, error) {
 			if !jumped {
 				d.pos = pos + 1
 			}
-			return sb.String(), nil
+			return dst, nil
 		case b&0xC0 == 0xC0:
 			if pos+2 > len(d.data) {
-				return "", ErrTruncatedMessage
+				return dst, ErrTruncatedMessage
 			}
 			target := int(binary.BigEndian.Uint16(d.data[pos:]) & 0x3FFF)
 			if target >= pos {
-				return "", ErrBadPointer
+				return dst, ErrBadPointer
 			}
 			if !jumped {
 				d.pos = pos + 2
@@ -367,23 +542,27 @@ func (d *decoder) name() (string, error) {
 			}
 			jumps++
 			if jumps > maxCompressionPointers {
-				return "", ErrBadPointer
+				return dst, ErrBadPointer
 			}
 			pos = target
 		case b&0xC0 != 0:
-			return "", ErrBadPointer
+			return dst, ErrBadPointer
 		default:
 			n := int(b)
 			if pos+1+n > len(d.data) {
-				return "", ErrTruncatedMessage
+				return dst, ErrTruncatedMessage
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			size := len(dst) - start + n
+			if len(dst) > start {
+				size++ // the separating dot
 			}
-			sb.Write(d.data[pos+1 : pos+1+n])
-			if sb.Len() > 253 {
-				return "", ErrNameTooLong
+			if size > maxNameLen {
+				return dst, ErrNameTooLong
 			}
+			if len(dst) > start {
+				dst = append(dst, '.')
+			}
+			dst = append(dst, d.data[pos+1:pos+1+n]...)
 			pos += 1 + n
 		}
 	}
@@ -456,13 +635,15 @@ func (d *decoder) rdata(typ Type, rdlen int) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("\\# %d", len(b)), nil
+		return `\# ` + strconv.Itoa(len(b)), nil
 	}
 }
 
+// txt joins the character strings of rdlen octets of rdata.
 func (d *decoder) txt(rdlen int) (string, error) {
 	end := d.pos + rdlen
 	var sb strings.Builder
+	sb.Grow(rdlen)
 	for d.pos < end {
 		n, err := d.u8()
 		if err != nil {
@@ -478,33 +659,49 @@ func (d *decoder) txt(rdlen int) (string, error) {
 }
 
 func (d *decoder) soa() (string, error) {
-	mname, err := d.name()
+	// Two names, five decimal uint32s and the six spaces between them.
+	var scratch [2*maxNameLen + 5*10 + 6]byte
+	b, err := d.appendName(scratch[:0])
 	if err != nil {
 		return "", err
 	}
-	rname, err := d.name()
-	if err != nil {
+	b = append(b, ' ')
+	if b, err = d.appendName(b); err != nil {
 		return "", err
 	}
-	vals := make([]uint32, 5)
-	for i := range vals {
-		if vals[i], err = d.u32(); err != nil {
+	for i := 0; i < 5; i++ {
+		v, err := d.u32()
+		if err != nil {
 			return "", err
 		}
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(v), 10)
 	}
-	return fmt.Sprintf("%s %s %d %d %d %d %d", mname, rname, vals[0], vals[1], vals[2], vals[3], vals[4]), nil
+	return string(b), nil
 }
 
+// parseIPv4 reads a dotted quad: exactly four octets of one to three decimal
+// digits each, at most 255, and nothing else — no sign, no blanks, no
+// trailing bytes.
 func parseIPv4(s string) ([4]byte, error) {
 	var ip [4]byte
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return ip, fmt.Errorf("%w: bad IPv4 %q", ErrBadRData, s)
-	}
-	for i, p := range parts {
-		var v int
-		if _, err := fmt.Sscanf(p, "%d", &v); err != nil || v < 0 || v > 255 {
-			return ip, fmt.Errorf("%w: bad IPv4 octet %q", ErrBadRData, p)
+	rest := s
+	for i := range ip {
+		octet := rest
+		if i < len(ip)-1 {
+			dot := strings.IndexByte(rest, '.')
+			if dot < 0 {
+				return ip, fmt.Errorf("%w: bad IPv4 %q", ErrBadRData, s)
+			}
+			octet, rest = rest[:dot], rest[dot+1:]
+		}
+		v, ok := 0, len(octet) >= 1 && len(octet) <= 3
+		for j := 0; ok && j < len(octet); j++ {
+			ok = octet[j] >= '0' && octet[j] <= '9'
+			v = v*10 + int(octet[j]-'0')
+		}
+		if !ok || v > 255 {
+			return ip, fmt.Errorf("%w: bad IPv4 octet %q", ErrBadRData, octet)
 		}
 		ip[i] = byte(v)
 	}
@@ -512,48 +709,57 @@ func parseIPv4(s string) ([4]byte, error) {
 }
 
 func formatIPv4(ip [4]byte) string {
-	return fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])
+	var buf [len("255.255.255.255")]byte
+	b := buf[:0]
+	for i, octet := range ip {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	return string(b)
 }
 
 // parseIPv6 accepts the full 8-group hex form with optional "::" shorthand.
 func parseIPv6(s string) ([16]byte, error) {
 	var ip [16]byte
-	var head, tail []string
-	if i := strings.Index(s, "::"); i >= 0 {
-		if s[:i] != "" {
-			head = strings.Split(s[:i], ":")
-		}
-		if s[i+2:] != "" {
-			tail = strings.Split(s[i+2:], ":")
-		}
-	} else {
-		head = strings.Split(s, ":")
-		if len(head) != 8 {
-			return ip, fmt.Errorf("%w: bad IPv6 %q", ErrBadRData, s)
-		}
+	var groups, tail [8]uint16
+	head, rest, short := strings.Cut(s, "::")
+	nh, err := parseHexGroups(head, &groups)
+	if err != nil {
+		return ip, err
 	}
-	if len(head)+len(tail) > 8 {
+	nt, err := parseHexGroups(rest, &tail)
+	if err != nil {
+		return ip, err
+	}
+	if nh+nt > 8 || (!short && nh != 8) {
 		return ip, fmt.Errorf("%w: bad IPv6 %q", ErrBadRData, s)
 	}
-	groups := make([]uint16, 8)
-	for i, g := range head {
-		v, err := parseHexGroup(g)
-		if err != nil {
-			return ip, err
-		}
-		groups[i] = v
-	}
-	for i, g := range tail {
-		v, err := parseHexGroup(g)
-		if err != nil {
-			return ip, err
-		}
-		groups[8-len(tail)+i] = v
-	}
+	copy(groups[8-nt:], tail[:nt])
 	for i, g := range groups {
 		binary.BigEndian.PutUint16(ip[2*i:], g)
 	}
 	return ip, nil
+}
+
+// parseHexGroups reads colon-separated hex groups from s into out and
+// returns how many there were; the empty string holds none.
+func parseHexGroups(s string, out *[8]uint16) (int, error) {
+	n := 0
+	for more := s != ""; more; n++ {
+		var g string
+		g, s, more = strings.Cut(s, ":")
+		if n == len(out) {
+			return 0, fmt.Errorf("%w: bad IPv6 group %q", ErrBadRData, g)
+		}
+		v, err := parseHexGroup(g)
+		if err != nil {
+			return 0, err
+		}
+		out[n] = v
+	}
+	return n, nil
 }
 
 func parseHexGroup(g string) (uint16, error) {
@@ -582,12 +788,13 @@ func parseHexGroup(g string) (uint16, error) {
 // formatIPv6 renders the canonical un-shortened lowercase form. A fixed form
 // keeps RR deduplication keys stable.
 func formatIPv6(ip [16]byte) string {
-	var sb strings.Builder
-	for i := 0; i < 16; i += 2 {
+	var buf [len("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")]byte
+	b := buf[:0]
+	for i := 0; i < len(ip); i += 2 {
 		if i > 0 {
-			sb.WriteByte(':')
+			b = append(b, ':')
 		}
-		fmt.Fprintf(&sb, "%x", binary.BigEndian.Uint16(ip[i:]))
+		b = strconv.AppendUint(b, uint64(binary.BigEndian.Uint16(ip[i:])), 16)
 	}
-	return sb.String()
+	return string(b)
 }

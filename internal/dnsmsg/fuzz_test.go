@@ -1,0 +1,213 @@
+package dnsmsg
+
+import (
+	"encoding/binary"
+	"strings"
+	"testing"
+)
+
+// hostileSeeds are the hand-built wires FuzzUnpack starts from besides the
+// golden corpus. As f.Add seeds they also run on every plain `go test`.
+func hostileSeeds() map[string][]byte {
+	header := func(qd, an uint16) []byte {
+		h := make([]byte, headerLen)
+		h[2] = 0x80
+		binary.BigEndian.PutUint16(h[offQDCount:], qd)
+		binary.BigEndian.PutUint16(h[offANCount:], an)
+		return h
+	}
+	seeds := map[string][]byte{
+		// A name that is a pointer to itself.
+		"pointer-self": append(header(1, 0), 0xC0, 12, 0, 1, 0, 1),
+		// Two pointers pointing at each other: the second is a forward
+		// reference from the first.
+		"pointer-forward": append(header(1, 0), 0xC0, 14, 0xC0, 12, 0, 1, 0, 1),
+		// A pointer past the end of the message.
+		"pointer-out-of-bounds": append(header(1, 0), 0xC0, 0xFF, 0, 1, 0, 1),
+		// A pointer into the header: bytes 4.. read as labels.
+		"pointer-into-header": append(header(1, 0), 3, 'w', 'w', 'w', 0xC0, 4, 0, 1, 0, 1),
+		// Reserved label types 0x40 and 0x80.
+		"label-type-reserved": append(header(1, 0), 0x41, 'x', 0, 0, 1, 0, 1),
+		// A label running past the end.
+		"label-overrun": append(header(1, 0), 63, 'a', 'b'),
+		// RDLENGTH promising more than the message holds.
+		"rdata-truncated": append(header(0, 1), 1, 'x', 0, 0, 16, 0, 1, 0, 0, 0, 60, 0, 200, 5, 'h', 'e'),
+		// An A record with five octets of rdata.
+		"rdata-length-mismatch": append(header(0, 1), 1, 'x', 0, 0, 1, 0, 1, 0, 0, 0, 60, 0, 5, 1, 2, 3, 4, 5),
+		// A TXT whose character string overruns its rdata.
+		"txt-overrun": append(header(0, 1), 1, 'x', 0, 0, 16, 0, 1, 0, 0, 0, 60, 0, 2, 9, 'a', 'b', 'c'),
+		// An SOA cut inside its numbers.
+		"soa-truncated": append(header(0, 1), 1, 'x', 0, 0, 6, 0, 1, 0, 0, 0, 60, 0, 8, 1, 'm', 0, 1, 'r', 0, 0, 0),
+		// Counts with nothing behind them.
+		"counts-only": {0, 1, 0x81, 0x80, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+		// An EDNS0 query, and an unknown type carried opaquely.
+		"edns-query":   appendOPT(append(header(1, 0), 1, 'x', 0, 0, 1, 0, 1), 1232),
+		"unknown-type": append(header(0, 1), 1, 'x', 0, 0, 99, 0, 1, 0, 0, 0, 60, 0, 4, 1, 2, 3, 4),
+		// Labels the presentation form cannot carry: a dot inside, a blank.
+		"label-with-dot":   append(header(1, 0), 2, 'a', '.', 1, 'b', 0, 0, 1, 0, 1),
+		"label-with-blank": append(header(0, 1), 1, 'x', 0, 0, 6, 0, 1, 0, 0, 0, 60, 0, 27, 3, 'a', ' ', 'b', 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5),
+	}
+	// A name one octet over the limit: four 63-octet labels.
+	long := header(1, 0)
+	for i := 0; i < 4; i++ {
+		long = append(long, 63)
+		long = append(long, strings.Repeat(string(rune('a'+i)), 63)...)
+	}
+	seeds["name-too-long"] = append(long, 0, 0, 1, 0, 1)
+	// A chain of backward pointers hidden in TXT rdata, entered from the next
+	// record's owner: ten hops resolve, seventy trip the jump limit.
+	for name, hops := range map[string]int{"pointer-chain": 10, "pointer-chain-long": maxCompressionPointers + 6} {
+		wire := append(header(1, 2), 1, 'a', 0, 0, 16, 0, 1)
+		wire = append(wire, 0xC0, 12, 0, 16, 0, 1, 0, 0, 0, 0)
+		wire = binary.BigEndian.AppendUint16(wire, uint16(1+2*hops))
+		wire = append(wire, byte(2*hops))
+		target := 12
+		for i := 0; i < hops; i++ {
+			at := len(wire)
+			wire = binary.BigEndian.AppendUint16(wire, 0xC000|uint16(target))
+			target = at
+		}
+		wire = binary.BigEndian.AppendUint16(wire, 0xC000|uint16(target))
+		seeds[name] = append(wire, 0, 1, 0, 1, 0, 0, 0, 0, 0, 4, 10, 0, 0, 1)
+	}
+	return seeds
+}
+
+// lossless reports whether every name and SOA in m survives the trip through
+// presentation form: a name ending in a dot loses it to the encoder's
+// trailing-dot rule, and an SOA whose names hold blanks or are the root
+// re-splits into different fields.
+func lossless(m *Message) bool {
+	for _, q := range m.Questions {
+		if strings.HasSuffix(q.Name, ".") {
+			return false
+		}
+	}
+	for _, section := range [][]RR{m.Answers, m.Authority, m.Additional} {
+		for _, rr := range section {
+			if strings.HasSuffix(rr.Name, ".") {
+				return false
+			}
+			switch rr.Type {
+			case TypeCNAME, TypeNS:
+				if strings.HasSuffix(rr.RData, ".") {
+					return false
+				}
+			case TypeSOA:
+				fields := strings.Fields(rr.RData)
+				if strings.Join(fields, " ") != rr.RData || strings.HasSuffix(fields[0], ".") || strings.HasSuffix(fields[1], ".") {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// FuzzUnpack holds the decoder to four promises on arbitrary bytes: it never
+// panics or reads out of bounds; unpacking into a dirty, reused Message gives
+// what decoding into a fresh one gives; whatever it accepts and the encoder
+// can spell re-encodes to a fixed point, and to the same message when the
+// presentation forms are lossless; and the zero-alloc wire scanners
+// (QuestionSectionEnd, EDNSUDPSize, SoleQuestion) agree with it wherever
+// both accept.
+func FuzzUnpack(f *testing.F) {
+	for _, tc := range goldenCorpus() {
+		f.Add(readGolden(f, tc.name))
+	}
+	for _, wire := range hostileSeeds() {
+		f.Add(wire)
+	}
+	var dirtyWire []byte
+	for _, tc := range goldenCorpus() {
+		if tc.name == "compression-sections" {
+			dirtyWire = readGolden(f, tc.name)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh, err := Decode(data)
+
+		var reused Message
+		if err := reused.Unpack(dirtyWire); err != nil {
+			t.Fatal(err)
+		}
+		reusedErr := reused.Unpack(data)
+		if (err == nil) != (reusedErr == nil) {
+			t.Fatalf("Decode: %v, Unpack into a used Message: %v", err, reusedErr)
+		}
+		if err == nil && !sameMessage(fresh, &reused) {
+			t.Fatalf("Unpack into a used Message = %+v, Decode = %+v", reused, fresh)
+		}
+
+		checkScanners(t, data, fresh)
+		if err != nil {
+			return
+		}
+
+		wire, err := fresh.Encode()
+		if err != nil {
+			return // a type or a name the encoder has no spelling for
+		}
+		back, err := Decode(wire)
+		if err != nil {
+			t.Fatalf("re-encoded message does not decode: %v\n wire %x", err, wire)
+		}
+		if lossless(fresh) && !sameMessage(back, fresh) {
+			t.Fatalf("re-encoding changed the message:\n was %+v\n now %+v", fresh, back)
+		}
+		again, err := back.Encode()
+		if err != nil || string(again) != string(wire) {
+			t.Fatalf("encode(decode(wire)) != wire: %v\n was %x\n now %x", err, wire, again)
+		}
+	})
+}
+
+// checkScanners compares the wire scanners with the full decoder; m is nil
+// when the decoder rejected data as a whole.
+func checkScanners(t *testing.T, data []byte, m *Message) {
+	// The question section on its own, by the decoder's rules.
+	questionsEnd := -1
+	if len(data) >= headerLen {
+		d := decoder{data: data, pos: headerLen}
+		ok := true
+		for i := int(binary.BigEndian.Uint16(data[offQDCount:])); i > 0 && ok; i-- {
+			if _, err := d.name(); err != nil || d.pos+4 > len(data) {
+				ok = false
+			}
+			d.pos += 4
+		}
+		if ok {
+			questionsEnd = d.pos
+		}
+	}
+	if end := QuestionSectionEnd(data); end >= 0 && questionsEnd >= 0 && end != questionsEnd {
+		t.Fatalf("QuestionSectionEnd = %d, the decoder's question section ends at %d", end, questionsEnd)
+	}
+	if questionsEnd >= 0 && QuestionSectionEnd(data) < 0 {
+		t.Fatalf("QuestionSectionEnd rejects a question section the decoder reads (to %d)", questionsEnd)
+	}
+
+	id, q, plain := SoleQuestion(data)
+	if plain && (m == nil || len(m.Questions) != 1 || m.Questions[0] != q || m.Header.ID != id) {
+		t.Fatalf("SoleQuestion = %#x %+v, Decode = %+v", id, q, m)
+	}
+	if m == nil {
+		return
+	}
+	if !plain && len(m.Questions) == 1 && len(m.Answers)+len(m.Authority)+len(m.Additional) == 0 &&
+		binary.BigEndian.Uint64(data[offQDCount:]) == 1<<48 {
+		t.Fatalf("SoleQuestion rejects a plain query the decoder reads: %+v", m)
+	}
+	size, found := EDNSUDPSize(data)
+	var want uint16
+	wantFound := false
+	for _, rr := range m.Additional {
+		if rr.Type == TypeOPT {
+			want, wantFound = uint16(rr.Class), true
+			break
+		}
+	}
+	if found != wantFound || size != want {
+		t.Fatalf("EDNSUDPSize = %d, %v; the decoded additional section says %d, %v", size, found, want, wantFound)
+	}
+}

@@ -174,10 +174,10 @@ func IsSubdomainOf(child, parent string) bool {
 	if parent == "" {
 		return false
 	}
-	if child == parent {
-		return true
-	}
-	return strings.HasSuffix(child, "."+parent)
+	// A strict subdomain ends in "."+parent; compared in place, since
+	// building that string would allocate for parents past 31 bytes.
+	n := len(child) - len(parent)
+	return n == 0 && child == parent || n > 0 && child[n-1] == '.' && child[n:] == parent
 }
 
 // Suffixes holds an effective-TLD ruleset. The zero value matches nothing;

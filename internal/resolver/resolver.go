@@ -212,18 +212,19 @@ func (st *Stats) add(o *Stats) {
 // Upstream is the authoritative side the cluster recurses to: anything
 // that answers a wire-format DNS query with a wire-format response. The
 // in-process authority.Server satisfies it directly; udptransport.Client
-// satisfies it over a real UDP socket. Implementations must not retain the
-// query slice after returning (the cluster reuses wire buffers), and must be
-// safe for concurrent calls when the cluster is driven through
+// satisfies it over a real UDP socket. Both also offer the append form of
+// the contract (dnsmsg.WireHandler), which the cluster calls when it is
+// there, handing in each server's own response buffer; an upstream with
+// only HandleWire costs one copy per response. Implementations must not
+// retain the query slice after returning (the cluster reuses wire buffers),
+// and must be safe for concurrent calls when the cluster is driven through
 // ResolveStream/ResolveBatch.
-type Upstream interface {
-	HandleWire(query []byte) ([]byte, error)
-}
+type Upstream = dnsmsg.Handler
 
 // Cluster is a set of simulated recursive DNS servers.
 type Cluster struct {
 	servers  []*server
-	upstream Upstream
+	upstream dnsmsg.WireHandler
 	opts     options
 	below    Tap
 	above    Tap
@@ -241,7 +242,13 @@ type server struct {
 	negCache *cache.LRU[qkey, negValue]
 	stats    statsShard
 	msgID    uint16 // upstream message-ID counter, independent of any stat
-	queryBuf []byte // reusable wire buffer for upstream queries
+
+	// Upstream exchange scratch: the query wire, the response wire the
+	// upstream appends into, and the Message it is unpacked into. One
+	// exchange's response is readable until the server's next exchange.
+	queryBuf []byte
+	respBuf  []byte
+	resp     dnsmsg.Message
 
 	// Telemetry (nil / unused unless WithTelemetry was given). latSample is
 	// touched only by the server's owning goroutine.
@@ -428,7 +435,7 @@ func NewCluster(upstream Upstream, opts ...Option) (*Cluster, error) {
 		opt.apply(&o)
 	}
 	c := &Cluster{
-		upstream: upstream,
+		upstream: dnsmsg.AsWireHandler(upstream),
 		opts:     o,
 		keys:     make(map[string]ed25519.PublicKey),
 	}
@@ -753,6 +760,9 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 			}
 			return nil, resp.Header.RCode, negativeTTL(resp), nil
 		}
+		// resp is the server's exchange scratch and validate may fetch a
+		// DNSKEY through it, so everything this hop still needs is copied
+		// out first; resp is dead from here on.
 		answers, rrsig := splitRRSIG(resp.Answers)
 		if c.opts.validate && rrsig != nil {
 			c.validate(s, q, rrsig, answers)
@@ -763,7 +773,14 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 		// Cache this hop's RRset under the name queried at this hop.
 		c.cachePut(s, qkey{name: name, qtype: q.Type}, cacheValue{answers: answers},
 			c.clampTTL(answers[0].TTL), q, ev)
-		chain = append(chain, answers...)
+		if chain == nil {
+			// One hop is the usual case: its RRset is the chain. Capacity is
+			// clipped so that a later hop's append copies rather than writes
+			// past the slice the cache now holds.
+			chain = answers[:len(answers):len(answers)]
+		} else {
+			chain = append(chain, answers...)
+		}
 		last := answers[len(answers)-1]
 		if last.Type == dnsmsg.TypeCNAME && q.Type != dnsmsg.TypeCNAME {
 			name = last.RData
@@ -882,32 +899,35 @@ var errUpstreamUnavailable = errors.New("resolver: upstream unavailable")
 
 // exchange performs one wire-level round trip with the authority, retrying
 // transport failures per WithUpstreamRetries. The message ID comes from the
-// server's own counter (wrapping uint16), decoupled from any statistic, and
-// the query is encoded into the server's reusable wire buffer.
+// server's own counter (wrapping uint16), decoupled from any statistic. The
+// query is built in, the response appended to and unpacked into the server's
+// reusable scratch, so the returned Message is only valid until the next
+// exchange on s: callers copy out the records they keep (the strings in them
+// are their own and stay valid).
 func (c *Cluster) exchange(s *server, name string, qtype dnsmsg.Type) (*dnsmsg.Message, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.retries; attempt++ {
 		s.stats.upstreamRTs.Add(1)
 		s.msgID++
-		query := dnsmsg.NewQuery(s.msgID, name, qtype)
-		wire, err := query.AppendEncode(s.queryBuf[:0])
-		if err != nil {
-			return nil, fmt.Errorf("encode upstream query: %w", err)
+		var b dnsmsg.Builder
+		b.Begin(s.queryBuf[:0], dnsmsg.Header{ID: s.msgID, RecursionDesired: true})
+		if err := b.Question(name, qtype, dnsmsg.ClassIN); err != nil {
+			return nil, fmt.Errorf("encode upstream query: question %q: %w", name, err)
 		}
-		s.queryBuf = wire
-		s.stats.wireBytesUp.Add(uint64(len(wire)))
-		respWire, err := c.upstream.HandleWire(wire)
+		s.queryBuf = b.Bytes()
+		s.stats.wireBytesUp.Add(uint64(len(s.queryBuf)))
+		respWire, err := c.upstream.AppendHandleWire(s.respBuf[:0], s.queryBuf)
 		if err != nil {
 			lastErr = err
 			continue
 		}
+		s.respBuf = respWire // keep any growth for the next exchange
 		s.stats.wireBytesUp.Add(uint64(len(respWire)))
-		resp, err := dnsmsg.Decode(respWire)
-		if err != nil {
+		if err := s.resp.Unpack(respWire); err != nil {
 			lastErr = err
 			continue
 		}
-		return resp, nil
+		return &s.resp, nil
 	}
 	s.stats.upstreamErrors.Add(1)
 	return nil, fmt.Errorf("%w: %v", errUpstreamUnavailable, lastErr)
@@ -977,17 +997,21 @@ func signerZone(rdata string) string {
 	return ""
 }
 
+// splitRRSIG copies a response's answer section out of the exchange scratch:
+// the records a cache entry will keep, and apart from them the first RRSIG,
+// if there is one.
 func splitRRSIG(answers []dnsmsg.RR) ([]dnsmsg.RR, *dnsmsg.RR) {
+	rest := make([]dnsmsg.RR, 0, len(answers))
+	var rrsig *dnsmsg.RR
 	for i := range answers {
-		if answers[i].Type == dnsmsg.TypeRRSIG {
+		if rrsig == nil && answers[i].Type == dnsmsg.TypeRRSIG {
 			sig := answers[i]
-			rest := make([]dnsmsg.RR, 0, len(answers)-1)
-			rest = append(rest, answers[:i]...)
-			rest = append(rest, answers[i+1:]...)
-			return rest, &sig
+			rrsig = &sig
+			continue
 		}
+		rest = append(rest, answers[i])
 	}
-	return answers, nil
+	return rest, rrsig
 }
 
 func (c *Cluster) clampTTL(ttl uint32) time.Duration {

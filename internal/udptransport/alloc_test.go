@@ -32,7 +32,7 @@ func (echoWireHandler) AppendHandleWire(dst, query []byte) ([]byte, error) {
 func newProcessHarness(t *testing.T, h Handler, wire []byte) *listenerWorker {
 	t.Helper()
 	w := &listenerWorker{
-		srv:   &Server{wire: asWireHandler(h)},
+		srv:   &Server{wire: dnsmsg.AsWireHandler(h)},
 		slots: make([]pktBuf, 1),
 	}
 	rx := make([]byte, maxPacket)

@@ -47,40 +47,12 @@ const dnsHeaderLen = 12
 const DefaultBatch = 32
 
 // Handler answers a wire-format DNS query. Implementations must not retain
-// query past the call: the serve path reuses its receive buffers.
-type Handler interface {
-	HandleWire(query []byte) ([]byte, error)
-}
-
-// WireHandler is the allocation-conscious serve contract: the response is
-// appended to dst, a transport-owned scratch buffer reused across packets,
-// so steady-state handling allocates nothing in the transport. query must
-// not be retained past the call. Handlers that also implement WireHandler
-// (like authority.Server) are served through this path; plain Handlers are
-// adapted with one copy per response.
-type WireHandler interface {
-	AppendHandleWire(dst, query []byte) ([]byte, error)
-}
-
-// handlerAdapter bridges a plain Handler onto the WireHandler contract with
-// one copy per response.
-type handlerAdapter struct{ h Handler }
-
-func (a handlerAdapter) AppendHandleWire(dst, query []byte) ([]byte, error) {
-	resp, err := a.h.HandleWire(query)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, resp...), nil
-}
-
-// asWireHandler selects the zero-copy contract when the handler offers it.
-func asWireHandler(h Handler) WireHandler {
-	if wh, ok := h.(WireHandler); ok {
-		return wh
-	}
-	return handlerAdapter{h: h}
-}
+// query past the call: the serve path reuses its receive buffers. Handlers
+// that also implement dnsmsg.WireHandler (like authority.Server) are served
+// through that contract — the response appended to a transport-owned buffer
+// reused across packets, so steady-state handling allocates nothing in the
+// transport; plain Handlers are adapted with one copy per response.
+type Handler = dnsmsg.Handler
 
 // Scorer classifies one wire-format query as it passes through the serve
 // path, returning its live disposable verdict. Implementations must be
@@ -94,7 +66,7 @@ type Scorer interface {
 
 // Server answers DNS queries from one or more UDP sockets.
 type Server struct {
-	wire       WireHandler
+	wire       dnsmsg.WireHandler
 	conns      []*net.UDPConn
 	workers    []*listenerWorker
 	reg        *telemetry.Registry
@@ -210,7 +182,7 @@ func Serve(handler Handler, addr string, opts ...ServerOption) (*Server, error) 
 	for _, o := range opts {
 		o(s)
 	}
-	s.wire = asWireHandler(handler)
+	s.wire = dnsmsg.AsWireHandler(handler)
 	conns, err := listenAll(addr, s.listeners)
 	if err != nil {
 		return nil, err
@@ -621,12 +593,20 @@ func (c *Client) dialLocked() error {
 	return nil
 }
 
-// HandleWire sends the query and returns the matching response, satisfying
-// resolver.Upstream. Responses whose ID does not match the query are
-// discarded (late packets from earlier attempts).
+// HandleWire sends the query and returns the matching response in a buffer
+// of its own, satisfying resolver.Upstream.
 func (c *Client) HandleWire(query []byte) ([]byte, error) {
+	return c.AppendHandleWire(nil, query)
+}
+
+// AppendHandleWire sends the query and appends the matching response to dst
+// (see dnsmsg.WireHandler): a resolver recursing over the socket hands in
+// its per-server response buffer and no response is allocated. Responses
+// whose ID does not match the query are discarded (late packets from earlier
+// attempts).
+func (c *Client) AppendHandleWire(dst, query []byte) ([]byte, error) {
 	if len(query) < 2 {
-		return nil, dnsmsg.ErrTruncatedMessage
+		return dst, dnsmsg.ErrTruncatedMessage
 	}
 	queryID := uint16(query[0])<<8 | uint16(query[1])
 
@@ -638,14 +618,14 @@ func (c *Client) HandleWire(query []byte) ([]byte, error) {
 			c.conn = nil
 		}
 		if err := c.dialLocked(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		if _, err := c.conn.Write(query); err != nil {
-			return nil, fmt.Errorf("udptransport: send: %w", err)
+			return dst, fmt.Errorf("udptransport: send: %w", err)
 		}
 		deadline := time.Now().Add(c.timeout)
 		if err := c.conn.SetReadDeadline(deadline); err != nil {
-			return nil, fmt.Errorf("udptransport: deadline: %w", err)
+			return dst, fmt.Errorf("udptransport: deadline: %w", err)
 		}
 		for {
 			n, err := c.conn.Read(c.buf)
@@ -653,7 +633,7 @@ func (c *Client) HandleWire(query []byte) ([]byte, error) {
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					break // next attempt
 				}
-				return nil, fmt.Errorf("udptransport: recv: %w", err)
+				return dst, fmt.Errorf("udptransport: recv: %w", err)
 			}
 			if n < 2 {
 				continue
@@ -662,20 +642,18 @@ func (c *Client) HandleWire(query []byte) ([]byte, error) {
 			if respID != queryID {
 				continue // stale response from an earlier attempt
 			}
-			resp := make([]byte, n)
-			copy(resp, c.buf[:n])
-			if c.tcpFallback && n >= dnsHeaderLen && resp[2]&0x02 != 0 {
+			if c.tcpFallback && n >= dnsHeaderLen && c.buf[2]&0x02 != 0 {
 				// Truncated: retry over TCP per RFC 1035. A failed TCP
 				// retry surfaces the truncated UDP response instead —
 				// header and question intact, like a stub resolver would.
 				if full, err := c.exchangeTCP(query); err == nil {
-					return full, nil
+					return append(dst, full...), nil
 				}
 			}
-			return resp, nil
+			return append(dst, c.buf[:n]...), nil
 		}
 	}
-	return nil, fmt.Errorf("%w after %d attempts", ErrTimeout, c.retries+1)
+	return dst, fmt.Errorf("%w after %d attempts", ErrTimeout, c.retries+1)
 }
 
 // Close releases the client socket.

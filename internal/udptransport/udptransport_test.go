@@ -181,3 +181,38 @@ func TestClientRejectsShortQuery(t *testing.T) {
 		t.Error("short query should fail before hitting the network")
 	}
 }
+
+// TestClientAppendHandleWire: the client offers the append contract, so a
+// resolver recursing over the socket reuses one response buffer; the
+// response lands after whatever dst holds and equals HandleWire's.
+func TestClientAppendHandleWire(t *testing.T) {
+	_, client := startServer(t)
+	var _ dnsmsg.WireHandler = client
+	if wh := dnsmsg.AsWireHandler(client); wh != dnsmsg.WireHandler(client) {
+		t.Errorf("AsWireHandler wrapped a client that already appends: %T", wh)
+	}
+	wire, err := dnsmsg.NewQuery(0x4343, "www.udp.test", dnsmsg.TypeA).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := client.HandleWire(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 512)
+	for i := 0; i < 3; i++ {
+		got, err := client.AppendHandleWire(append(buf[:0], "prefix"...), wire)
+		if err != nil {
+			t.Fatalf("AppendHandleWire: %v", err)
+		}
+		if string(got) != "prefix"+string(want) {
+			t.Fatalf("round %d: appended response = %x, want prefix + %x", i, got, want)
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Errorf("round %d: response did not land in the caller's buffer", i)
+		}
+	}
+	if _, err := client.AppendHandleWire(buf[:0], []byte{1}); !errors.Is(err, dnsmsg.ErrTruncatedMessage) {
+		t.Errorf("short query err = %v, want ErrTruncatedMessage", err)
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -547,9 +548,9 @@ func makeSynth(spec *ZoneSpec) authority.SynthFunc {
 			rrs := make([]dnsmsg.RR, 0, n)
 			for i := 0; i < n; i++ {
 				sn := spec.synthN.Add(1)
-				rdata := fmt.Sprintf("127.0.%d.%d", (sn>>8)%256, sn%256)
+				rdata := signalIPv4(sn)
 				if qtype == dnsmsg.TypeAAAA {
-					rdata = fmt.Sprintf("100:0:0:0:0:0:%x:%x", (sn>>8)%65536, sn%65536)
+					rdata = signalIPv6(sn)
 				}
 				rrs = append(rrs, dnsmsg.RR{
 					Name: name, Type: qtype, Class: dnsmsg.ClassIN,
@@ -580,13 +581,42 @@ func makeSynth(spec *ZoneSpec) authority.SynthFunc {
 	}
 }
 
+// signalIPv4 and signalIPv6 encode the serial number of a signaling answer
+// in an address: 127.0.0.0/16 like a DNSBL verdict, or the 100::/64 discard
+// prefix.
+func signalIPv4(sn uint64) string {
+	return rdataPair("127.0.", '.', 10, (sn>>8)%256, sn%256)
+}
+
+func signalIPv6(sn uint64) string {
+	return rdataPair("100:0:0:0:0:0:", ':', 16, (sn>>8)%65536, sn%65536)
+}
+
 func syntheticIPv4(h, salt uint64) string {
 	v := h + salt*0x9E3779B9
 	// 198.18.0.0/15 is reserved for benchmarking — fitting for a simulator.
-	return fmt.Sprintf("198.%d.%d.%d", 18+(v>>16)%2, (v>>8)%256, v%256)
+	prefix := "198.18."
+	if (v>>16)%2 == 1 {
+		prefix = "198.19."
+	}
+	return rdataPair(prefix, '.', 10, (v>>8)%256, v%256)
 }
 
 func syntheticIPv6(h, salt uint64) string {
 	v := h + salt*0x9E3779B9
-	return fmt.Sprintf("2001:db8:0:0:0:0:%x:%x", (v>>16)%65536, v%65536)
+	return rdataPair("2001:db8:0:0:0:0:", ':', 16, (v>>16)%65536, v%65536)
+}
+
+// rdataPair renders prefix, then a and b in the given base with sep between
+// them. Every synthesized address is a fixed prefix and two numbers; they are
+// spelled with strconv into a stack buffer because the authority runs this
+// once per record of every disposable answer, where fmt cost four
+// allocations to the one the string needs.
+func rdataPair(prefix string, sep byte, base int, a, b uint64) string {
+	var buf [32]byte
+	out := append(buf[:0], prefix...)
+	out = strconv.AppendUint(out, a, base)
+	out = append(out, sep)
+	out = strconv.AppendUint(out, b, base)
+	return string(out)
 }
