@@ -41,7 +41,10 @@ bench:
 # UDP serve packet path, live scoring, and the resolve path with a tsdb
 # sweeper attached, and the small fixed budgets of the miss path (a cold
 # resolve, authority.AppendHandleWire, dnsmsg Unpack/AppendEncode into
-# reused scratch) — a short serve-throughput flood with the end-to-end
+# reused scratch) — the miner's hourly re-score (BenchmarkRescore over an
+# unchanged 5 k-name tree, the tree's GroupsUnder/ChildZones, and the
+# guard that such a re-score allocates for what it reports, not per name)
+# — a short serve-throughput flood with the end-to-end
 # packet-allocation gate (plain and scored) and the streaming-miner
 # intake-overhead pair with its gate. Whole-program overhead questions
 # (telemetry, qlog, fleet collector, tsdb) go to benchmark/run.sh A/A runs
@@ -49,6 +52,9 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolveCacheHit|BenchmarkResolveCacheMiss|BenchmarkPutGet|BenchmarkEvictionChurn|BenchmarkAppendHandleWire|BenchmarkUnpack' \
 		-benchtime=100x -benchmem ./internal/resolver/ ./internal/cache/ ./internal/authority/ ./internal/dnsmsg/
+	$(GO) test -run '^$$' -bench 'BenchmarkRescore|BenchmarkGroupsUnder|BenchmarkChildZones' \
+		-benchtime=100x -benchmem ./internal/core/ ./internal/dntree/
+	$(GO) test -run 'TestRescoreSteadyStateAllocs' -v ./internal/core/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/
 	$(GO) run ./cmd/dnsnoise-bench -only serve -serve-duration 200ms -serve-clients 4 -max-packet-allocs 0 -out /dev/null
 	$(GO) run ./cmd/dnsnoise-bench -only miner -queries 20000 -out /dev/null

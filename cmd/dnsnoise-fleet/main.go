@@ -85,6 +85,9 @@ func run(args []string, stdout io.Writer) error {
 	if source.Trace == "" {
 		source.Live = true // the fleet's default stream
 	}
+	if err := source.Validate(); err != nil {
+		return err
+	}
 	if *pops < 1 {
 		return fmt.Errorf("-pops must be >= 1")
 	}

@@ -87,6 +87,9 @@ func run(args []string, stdout io.Writer) error {
 	if *verifyExp != "" {
 		return runVerifyExplain(*verifyExp, stdout)
 	}
+	if err := source.Validate(); err != nil {
+		return err
+	}
 	if *keepWin < 0 {
 		return fmt.Errorf("-keep-windows must be >= 0")
 	}

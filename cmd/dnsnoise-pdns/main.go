@@ -50,6 +50,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := source.Validate(); err != nil {
+		return err
+	}
 	if *explain != "" && !*collapse {
 		return fmt.Errorf("-explain requires -collapse (the mining pass produces the records)")
 	}

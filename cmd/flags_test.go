@@ -7,8 +7,10 @@
 package cmd_test
 
 import (
+	"errors"
 	"flag"
 	"io/fs"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -54,6 +56,54 @@ func parseDefaults(cli, help string) []string {
 	return out
 }
 
+// buildCLIs builds the named commands into a directory of the test's own.
+func buildCLIs(t *testing.T, names ...string) string {
+	t.Helper()
+	bin := t.TempDir()
+	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	for _, cli := range names {
+		args = append(args, "./"+cli)
+	}
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestSourceMisuseBindsNothing: -trace with -live, or neither, is refused
+// from the parsed flags, before telemetry listens. The test holds the port
+// it names in -metrics-addr, so a CLI that reached the bind would fail on
+// the listen instead and say so.
+func TestSourceMisuseBindsNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	bin := buildCLIs(t, "dnsnoise-mine", "dnsnoise-pdns", "dnsnoise-fleet")
+	for _, tc := range []struct {
+		cli, want string
+		args      []string
+	}{
+		{"dnsnoise-mine", "mutually exclusive", []string{"-trace", "t.jsonl", "-live"}},
+		{"dnsnoise-mine", "missing -trace", nil},
+		{"dnsnoise-pdns", "mutually exclusive", []string{"-trace", "t.jsonl", "-live"}},
+		{"dnsnoise-pdns", "missing -trace", nil},
+		{"dnsnoise-fleet", "mutually exclusive", []string{"-trace", "t.jsonl", "-live"}},
+	} {
+		args := append([]string{"-metrics-addr", addr}, tc.args...)
+		out, err := exec.Command(filepath.Join(bin, tc.cli), args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Errorf("%s %v: err %v, want a non-zero exit\n%s", tc.cli, tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "listen") {
+			t.Errorf("%s %v: want only the flag error (%q), got:\n%s", tc.cli, tc.args, tc.want, out)
+		}
+	}
+}
+
 func TestFlagParity(t *testing.T) {
 	// The binaries are built out of process, where go test's result cache
 	// cannot see their inputs: stat the module's sources, which it does
@@ -70,14 +120,7 @@ func TestFlagParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin := t.TempDir()
-	args := []string{"build", "-o", bin + string(filepath.Separator)}
-	for _, cli := range clis {
-		args = append(args, "./"+cli)
-	}
-	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLIs(t, clis...)
 	got := make(map[string][]string)
 	for _, cli := range clis {
 		// -h exits non-zero by design; the usage text is what matters.

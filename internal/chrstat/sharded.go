@@ -2,7 +2,7 @@ package chrstat
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dnsnoise/internal/resolver"
 )
@@ -84,6 +84,52 @@ func (s *ShardedCollector) Merge() *Collector {
 	return out
 }
 
+// Counts is a reusable per-name view of a ShardedCollector's per-record
+// sums: Merge().ByName() for a reader of the counts alone (DHR, Misses),
+// with no client set, name set or Collector copied per refresh. The zero
+// value is ready. Its RRStats carry no client sets and are overwritten by
+// the next Refresh: hold them no longer than that.
+type Counts struct {
+	perRR  map[rrKey]*RRStat
+	byName map[string][]*RRStat
+}
+
+// Refresh re-sums every shard of s into the view and returns it grouped by
+// owner name, allocating only for records it had not seen. Name, Type,
+// TTL, Category, Below and Above equal Merge()'s. s must be quiescent and,
+// since the last Reset, the same collector: records only ever accumulate
+// in one, and a record that vanished would linger here with zero counts.
+func (v *Counts) Refresh(s *ShardedCollector) map[string][]*RRStat {
+	if v.perRR == nil {
+		v.perRR = make(map[rrKey]*RRStat)
+		v.byName = make(map[string][]*RRStat)
+	}
+	for _, st := range v.perRR {
+		st.Below, st.Above = 0, 0
+	}
+	for _, sh := range s.shards {
+		for key, st := range sh.perRR {
+			dst, ok := v.perRR[key]
+			if !ok {
+				dst = &RRStat{Name: st.Name, Type: st.Type}
+				v.perRR[key] = dst
+				v.byName[st.Name] = append(v.byName[st.Name], dst)
+			}
+			if dst.Below == 0 && dst.Above == 0 {
+				// First shard (in server order) to hold the record this
+				// refresh: Merge takes TTL and Category from the same one.
+				dst.TTL, dst.Category = st.TTL, st.Category
+			}
+			dst.Below += st.Below
+			dst.Above += st.Above
+		}
+	}
+	return v.byName
+}
+
+// Reset empties the view and releases its records.
+func (v *Counts) Reset() { v.perRR, v.byName = nil, nil }
+
 // absorb folds src into c.
 func (c *Collector) absorb(src *Collector) {
 	c.belowTotal += src.belowTotal
@@ -122,7 +168,7 @@ func (dst *RRStat) absorb(src *RRStat) {
 		for id := range src.clients {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		for _, id := range ids {
 			if dst.clientsOverflow {
 				break

@@ -8,8 +8,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dnsnoise/internal/chrstat"
@@ -115,51 +117,62 @@ func NewMiner(classifier mlearn.Classifier, cfg MinerConfig) (*Miner, error) {
 	return &Miner{classifier: classifier, cfg: cfg}, nil
 }
 
+// mineScratch is the working storage of one Mine: what Algorithm 1 builds
+// about a group and does not report (names are copied out only into a
+// Finding). ProcessDays mines from one Miner concurrently, so the scratch
+// belongs to the call: a fresh one per batch Mine, the streaming
+// pipeline's own across its re-scores.
+type mineScratch struct {
+	groups  []dntree.Group // G_k sets of the zone under inspection
+	zones   []string       // stack of child zones still to mine
+	samples features.Scratch
+	vec     [features.Dim]float64
+}
+
 // Mine executes Algorithm 1 over the tree, starting from every effective
 // 2LD, decoloring disposable groups as it goes. byName carries the day's
 // per-record cache statistics (chrstat.Collector.ByName). The tree is
 // mutated (decolored); findings are returned sorted by descending
 // confidence, ties broken by group size then zone name.
 func (m *Miner) Mine(tree *dntree.Tree, byName map[string][]*chrstat.RRStat) ([]Finding, error) {
+	return m.mine(tree, byName, new(mineScratch))
+}
+
+func (m *Miner) mine(tree *dntree.Tree, byName map[string][]*chrstat.RRStat, sc *mineScratch) ([]Finding, error) {
 	if tree == nil {
 		return nil, ErrNoTree
 	}
 	var findings []Finding
 	for _, zone := range tree.Effective2LDs() {
-		if err := m.mineZone(tree, byName, zone, &findings); err != nil {
+		if err := m.mineZone(tree, byName, zone, sc, &findings); err != nil {
 			return nil, err
 		}
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		if findings[i].Confidence != findings[j].Confidence {
-			return findings[i].Confidence > findings[j].Confidence
-		}
-		if len(findings[i].Names) != len(findings[j].Names) {
-			return len(findings[i].Names) > len(findings[j].Names)
-		}
-		if findings[i].Zone != findings[j].Zone {
-			return findings[i].Zone < findings[j].Zone
-		}
-		return findings[i].Depth < findings[j].Depth
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(
+			cmp.Compare(b.Confidence, a.Confidence),
+			cmp.Compare(len(b.Names), len(a.Names)),
+			cmp.Compare(a.Zone, b.Zone),
+			cmp.Compare(a.Depth, b.Depth),
+		)
 	})
 	return findings, nil
 }
 
 // mineZone is the recursive body of Algorithm 1.
-func (m *Miner) mineZone(tree *dntree.Tree, byName map[string][]*chrstat.RRStat, zone string, findings *[]Finding) error {
+func (m *Miner) mineZone(tree *dntree.Tree, byName map[string][]*chrstat.RRStat, zone string, sc *mineScratch, findings *[]Finding) error {
 	// Line 1-3: stop when no black descendants remain.
 	if !tree.HasBlackDescendants(zone) {
 		return nil
 	}
 	// Line 4: identify G_k and L_k for every depth under the zone.
-	groups := tree.GroupsUnder(zone)
+	sc.groups = tree.AppendGroupsUnder(sc.groups, zone)
 	// Lines 6-14: classify each group; decolor and report disposables.
-	for _, g := range groups {
+	for _, g := range sc.groups {
 		if len(g.Names) < m.cfg.MinGroupSize {
 			continue
 		}
-		vec := features.FromGroupCached(g, byName, m.entropy)
-		slice := vec.Slice()
+		slice := sc.samples.FromGroup(g, byName, m.entropy).AppendTo(sc.vec[:0])
 		input := slice
 		if m.cfg.FeatureMask != nil {
 			input = features.Mask(slice, m.cfg.FeatureMask)
@@ -183,15 +196,20 @@ func (m *Miner) mineZone(tree *dntree.Tree, byName map[string][]*chrstat.RRStat,
 			Zone:       zone,
 			Depth:      g.Depth,
 			Confidence: p,
-			Names:      g.Names,
+			Names:      slices.Clone(g.Names),
 		})
 	}
-	// Lines 15-17: recurse into the remaining child zones.
-	for _, child := range tree.ChildZones(zone) {
-		if err := m.mineZone(tree, byName, child, findings); err != nil {
+	// Lines 15-17: recurse into the remaining child zones. They sit on the
+	// shared stack above whatever the callers are still iterating; a deeper
+	// call may move the stack but not the entries below its own.
+	from := len(sc.zones)
+	sc.zones = tree.AppendChildZones(sc.zones, zone)
+	for i, to := from, len(sc.zones); i < to; i++ {
+		if err := m.mineZone(tree, byName, sc.zones[i], sc, findings); err != nil {
 			return err
 		}
 	}
+	sc.zones = sc.zones[:from]
 	return nil
 }
 

@@ -195,6 +195,8 @@ type StreamingPipeline struct {
 	tree      *dntree.Tree
 	entropy   *features.EntropyCache
 	collector *chrstat.ShardedCollector
+	counts    chrstat.Counts // the collector's per-name sums, re-summed each window
+	scratch   mineScratch    // the miner's working storage, kept across re-scores
 	pending   [pendingStripeCount]pendingStripe
 
 	windows atomic.Uint32 // completed re-scores (1-based window = windows+1)
@@ -365,13 +367,13 @@ func (p *StreamingPipeline) Rescore(date time.Time) (RescoreResult, error) {
 				s.mu.Lock()
 				delete(s.seen, name)
 				s.mu.Unlock()
+				p.entropy.Forget(name)
 			}
 		}
 	}
 
 	// Re-score: mine the live tree, then recolor so it survives.
-	byName := p.collector.Merge().ByName()
-	findings, err := p.miner.Mine(p.tree, byName)
+	findings, err := p.miner.mine(p.tree, p.counts.Refresh(p.collector), &p.scratch)
 	if err != nil {
 		return res, fmt.Errorf("window %d: %w", res.Window, err)
 	}
@@ -408,6 +410,8 @@ func (p *StreamingPipeline) EndDay(date time.Time) (RescoreResult, error) {
 	p.rank.fold(date, res.Findings)
 	p.tree.ResetStream()
 	p.collector = chrstat.NewShardedCollector(p.cfg.NumServers)
+	p.counts.Reset()
+	p.entropy.Reset()
 	for i := range p.pending {
 		s := &p.pending[i]
 		s.mu.Lock()

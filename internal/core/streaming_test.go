@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func synthObservations(seed int64, nDisp, nNorm, namesPerZone int) []obsEvent {
 	return events
 }
 
-func trainedClassifier(t *testing.T) *mlearn.DecisionTree {
+func trainedClassifier(t testing.TB) *mlearn.DecisionTree {
 	t.Helper()
 	c, labels := synthCollector(10, 20, 20, 15)
 	byName := c.ByName()
@@ -353,5 +354,115 @@ func TestStreamingSlidingExpiry(t *testing.T) {
 	stream.ObserveName("once.seen.example.com")
 	if res, err = stream.Rescore(date); err != nil || res.Inserted != 1 {
 		t.Fatalf("window 4: inserted=%d err=%v", res.Inserted, err)
+	}
+}
+
+// TestEntropyCacheBoundedByLiveTree: under a sliding horizon the label
+// entropy cache follows the tree — windows of fresh one-shot names leave
+// it no larger than the labels of the names still live, not one entry per
+// label ever mined — and a day boundary empties it with the tree.
+func TestEntropyCacheBoundedByLiveTree(t *testing.T) {
+	const keep, zones, perWindow = 2, 5, 20
+	stream, err := NewStreamingPipeline(trainedClassifier(t), MinerConfig{Theta: 0.5},
+		StreamingConfig{Hysteresis: 1, KeepWindows: keep}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	var batches [][]string
+	for w := 0; w < 12; w++ {
+		var batch []string
+		for z := 0; z < zones; z++ {
+			for i := 0; i < perWindow; i++ {
+				batch = append(batch, fmt.Sprintf("%s.sig%d.vendor.com", labelgen.Token(rng, 20), z))
+			}
+		}
+		batches = append(batches, batch)
+		for _, name := range batch {
+			stream.ObserveName(name)
+		}
+		res, err := stream.Rescore(date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w >= keep && res.Expired != zones*perWindow {
+			t.Fatalf("window %d expired %d names, want the %d of window %d", w, res.Expired, zones*perWindow, w-keep)
+		}
+		live := make(map[string]struct{})
+		for _, batch := range batches[max(0, len(batches)-keep):] {
+			for _, name := range batch {
+				for _, label := range strings.Split(name, ".") {
+					live[label] = struct{}{}
+				}
+			}
+		}
+		if got := stream.entropy.Len(); got == 0 || got > len(live) {
+			t.Fatalf("window %d: %d cached entropies, want 1..%d (the live labels)", w, got, len(live))
+		}
+	}
+	if _, err := stream.EndDay(date); err != nil {
+		t.Fatal(err)
+	}
+	if got := stream.entropy.Len(); got != 0 {
+		t.Errorf("%d cached entropies survive the day boundary", got)
+	}
+	if got := stream.counts.Refresh(stream.collector); len(got) != 0 {
+		t.Errorf("the counts view still groups %d names after EndDay", len(got))
+	}
+}
+
+// steadyPipeline returns a streaming pipeline one re-score into a day of
+// 5 000 names under 50 zones (35 of them disposable), with nothing pending: the
+// state between two windows in which no new name arrived.
+func steadyPipeline(tb testing.TB) (*StreamingPipeline, time.Time, int) {
+	tb.Helper()
+	stream, err := NewStreamingPipeline(trainedClassifier(tb), MinerConfig{Theta: 0.5}, StreamingConfig{NumServers: 2}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, e := range synthObservations(21, 35, 15, 130) {
+		e.ob.Server = i % 2
+		if e.above {
+			stream.ObserveAbove(e.ob)
+		} else {
+			stream.ObserveBelow(e.ob)
+		}
+	}
+	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	res, err := stream.Rescore(date)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.Inserted < 5000 || len(res.Findings) == 0 {
+		tb.Fatalf("fixture: %d names inserted, %d findings", res.Inserted, len(res.Findings))
+	}
+	return stream, date, res.Inserted
+}
+
+// TestRescoreSteadyStateAllocs is the allocation guard of the hourly
+// re-score: over an unchanged tree it may allocate for what it reports
+// (findings, the snapshot), not per name or per record in the tree.
+func TestRescoreSteadyStateAllocs(t *testing.T) {
+	stream, date, names := steadyPipeline(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := stream.Rescore(date); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(names) / 4; allocs >= limit {
+		t.Errorf("a re-score of an unchanged tree of %d names allocates %.0f objects, want fewer than %.0f", names, allocs, limit)
+	}
+	t.Logf("%.0f allocs per steady-state re-score of %d names", allocs, names)
+}
+
+func BenchmarkRescore(b *testing.B) {
+	stream, date, _ := steadyPipeline(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stream.Rescore(date); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -251,21 +251,14 @@ func (s *Suffixes) ETLD(name string) string {
 
 // ETLDPlusOne returns the registrable domain ("effective 2LD"): the effective
 // TLD plus one additional label. It returns "" when name is itself a suffix
-// or has no label to add.
+// or has no label to add. The result is a suffix slice of name, not a copy.
 func (s *Suffixes) ETLDPlusOne(name string) string {
 	etld := s.ETLD(name)
-	if etld == "" || name == etld {
-		return ""
+	cut := len(name) - len(etld) - 1 // the dot left of the suffix
+	if etld == "" || cut < 0 || name[cut] != '.' || name[cut+1:] != etld {
+		return "" // name is the suffix itself (or, defensively, does not end in it)
 	}
-	rest := strings.TrimSuffix(name, "."+etld)
-	if rest == name {
-		return "" // defensive: name did not actually end in etld
-	}
-	lastLabel := rest
-	if dot := strings.LastIndexByte(rest, '.'); dot >= 0 {
-		lastLabel = rest[dot+1:]
-	}
-	return lastLabel + "." + etld
+	return name[strings.LastIndexByte(name[:cut], '.')+1:]
 }
 
 // Depth returns the depth of name in the domain-name tree rooted at ".":

@@ -31,11 +31,34 @@ func BenchmarkInsert(b *testing.B) {
 
 func BenchmarkGroupsUnder(b *testing.B) {
 	t, _ := benchTree(5000)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := t.GroupsUnder("example.com"); len(got) == 0 {
+				b.Fatal("no groups")
+			}
+		}
+	})
+	// The miner's way: one buffer across zones and re-scores.
+	b.Run("reused", func(b *testing.B) {
+		var buf []Group
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if buf = t.AppendGroupsUnder(buf, "example.com"); len(buf) == 0 {
+				b.Fatal("no groups")
+			}
+		}
+	})
+}
+
+func BenchmarkChildZones(b *testing.B) {
+	t, _ := benchTree(5000)
+	var buf []string
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := t.GroupsUnder("example.com"); len(got) == 0 {
-			b.Fatal("no groups")
+		if buf = t.AppendChildZones(buf[:0], "example.com"); len(buf) != 50 {
+			b.Fatalf("%d child zones, want 50", len(buf))
 		}
 	}
 }

@@ -33,13 +33,38 @@ type Tree struct {
 	windowBlack map[uint32]int
 }
 
+// node invariants, kept by every method that creates, colours or removes
+// one: name is the full domain name, a suffix slice of the first name
+// inserted through the node ("" for the root), and name minus
+// "."+parent.name is the label that keys it in parent.children; below
+// counts the black strict descendants; children is nil until the first
+// child (most nodes are leaves).
 type node struct {
+	parent   *node
 	children map[string]*node
+	name     string
+	below    int
 	black    bool
 	// lastSeen is the window ordinal of the node's most recent
 	// observation while black; meaningful only for streaming trees.
 	lastSeen uint32
 }
+
+// setBlack recolours n and keeps every ancestor's below count in step.
+func (t *Tree) setBlack(n *node, black bool) {
+	delta := 1
+	if !black {
+		delta = -1
+	}
+	n.black = black
+	t.black += delta
+	for p := n.parent; p != nil; p = p.parent {
+		p.below += delta
+	}
+}
+
+// live reports whether n's subtree, n included, holds a black node.
+func (n *node) live() bool { return n.black || n.below > 0 }
 
 // New returns an empty tree using suffixes for effective-2LD extraction.
 // Passing nil uses dnsname.DefaultSuffixes().
@@ -48,7 +73,7 @@ func New(suffixes *dnsname.Suffixes) *Tree {
 		suffixes = dnsname.DefaultSuffixes()
 	}
 	return &Tree{
-		root:     &node{children: make(map[string]*node)},
+		root:     &node{},
 		suffixes: suffixes,
 		e2lds:    make(map[string]int),
 	}
@@ -64,8 +89,7 @@ func (t *Tree) Insert(name string) {
 	}
 	n := t.walk(name, true)
 	if !n.black {
-		n.black = true
-		t.black++
+		t.setBlack(n, true)
 		if e2ld := t.suffixes.ETLDPlusOne(name); e2ld != "" {
 			t.e2lds[e2ld]++
 		}
@@ -74,20 +98,28 @@ func (t *Tree) Insert(name string) {
 
 // walk descends right-to-left through the labels of name, optionally
 // creating missing nodes; returns nil when create is false and the path is
-// absent.
+// absent. The labels are scanned in place; a created node's name and its
+// key in the parent's map are slices of name.
 func (t *Tree) walk(name string, create bool) *node {
-	labels := dnsname.Labels(name)
 	n := t.root
-	for i := len(labels) - 1; i >= 0; i-- {
-		child, ok := n.children[labels[i]]
+	if name == "" {
+		return n
+	}
+	for end := len(name); end >= 0; {
+		start := strings.LastIndexByte(name[:end], '.') + 1
+		child, ok := n.children[name[start:end]]
 		if !ok {
 			if !create {
 				return nil
 			}
-			child = &node{children: make(map[string]*node)}
-			n.children[labels[i]] = child
+			if n.children == nil {
+				n.children = make(map[string]*node)
+			}
+			child = &node{parent: n, name: name[start:]}
+			n.children[name[start:end]] = child
 		}
 		n = child
+		end = start - 1
 	}
 	return n
 }
@@ -109,8 +141,7 @@ func (t *Tree) Decolor(name string) bool {
 	if n == nil || !n.black {
 		return false
 	}
-	n.black = false
-	t.black--
+	t.setBlack(n, false)
 	return true
 }
 
@@ -141,95 +172,107 @@ type Group struct {
 // The zone's own node (even if black) is not part of any group; only strict
 // descendants count. An absent zone yields nil.
 func (t *Tree) GroupsUnder(zone string) []Group {
+	return t.AppendGroupsUnder(nil, zone)
+}
+
+// AppendGroupsUnder is GroupsUnder into caller-owned storage, for a caller
+// that mines zone after zone: the groups overwrite buf from index 0 and
+// reuse the Names and Labels arrays of whatever buf held up to its
+// capacity. The result aliases buf and is valid until buf is passed in
+// again; the name strings belong to the tree and stay valid.
+func (t *Tree) AppendGroupsUnder(buf []Group, zone string) []Group {
 	zone = dnsname.Normalize(zone)
 	zn := t.walk(zone, false)
 	if zn == nil {
-		return nil
+		return buf[:0]
+	}
+	// Collect with the group of relative depth d at index d-1, which may
+	// leave empty slots at depths that hold no black node.
+	groups := buf[:0]
+	if zn.below > 0 {
+		for label, child := range zn.children {
+			if child.live() {
+				groups = child.collect(groups, label, 0)
+			}
+		}
 	}
 	zoneDepth := dnsname.Depth(zone)
-	byDepth := make(map[int]*Group)
-	labelSeen := make(map[int]map[string]struct{})
-
-	var descend func(n *node, name string, adjacent string, depth int)
-	descend = func(n *node, name string, adjacent string, depth int) {
-		if n.black {
-			g, ok := byDepth[depth]
-			if !ok {
-				g = &Group{Zone: zone, Depth: depth}
-				byDepth[depth] = g
-				labelSeen[depth] = make(map[string]struct{})
-			}
-			g.Names = append(g.Names, name)
-			if _, dup := labelSeen[depth][adjacent]; !dup {
-				labelSeen[depth][adjacent] = struct{}{}
-				g.Labels = append(g.Labels, adjacent)
-			}
+	out := groups[:0]
+	for i := range groups {
+		g := &groups[i]
+		if len(g.Names) == 0 {
+			continue
 		}
-		for label, child := range n.children {
-			childAdjacent := adjacent
-			if depth == zoneDepth {
-				// Direct children of the zone define the adjacent label for
-				// their whole subtree.
-				childAdjacent = label
-			}
-			descend(child, label+"."+name, childAdjacent, depth+1)
-		}
-	}
-	for label, child := range zn.children {
-		descend(child, label+"."+zone, label, zoneDepth+1)
-	}
-
-	depths := make([]int, 0, len(byDepth))
-	for d := range byDepth {
-		depths = append(depths, d)
-	}
-	sort.Ints(depths)
-	out := make([]Group, 0, len(depths))
-	for _, d := range depths {
-		g := byDepth[d]
+		g.Zone, g.Depth = zone, zoneDepth+1+i
 		sort.Strings(g.Names)
 		sort.Strings(g.Labels)
-		out = append(out, *g)
+		// Swap, not copy: the skipped slot keeps its arrays for reuse.
+		k := len(out)
+		out = out[:k+1]
+		out[k], groups[i] = groups[i], out[k]
 	}
 	return out
+}
+
+// collect adds the black nodes of n's subtree to groups, n itself at index
+// rel. adjacent is the label of the zone's direct child the subtree hangs
+// from; a subtree is collected in one go, so within a group equal labels
+// are consecutive and the last one appended is the only duplicate to check.
+func (n *node) collect(groups []Group, adjacent string, rel int) []Group {
+	if n.black {
+		for len(groups) <= rel {
+			if k := len(groups); k < cap(groups) {
+				groups = groups[:k+1]
+				groups[k].Names, groups[k].Labels = groups[k].Names[:0], groups[k].Labels[:0]
+			} else {
+				groups = append(groups, Group{})
+			}
+		}
+		g := &groups[rel]
+		g.Names = append(g.Names, n.name)
+		if k := len(g.Labels); k == 0 || g.Labels[k-1] != adjacent {
+			g.Labels = append(g.Labels, adjacent)
+		}
+	}
+	if n.below > 0 {
+		for _, child := range n.children {
+			if child.live() {
+				groups = child.collect(groups, adjacent, rel+1)
+			}
+		}
+	}
+	return groups
 }
 
 // ChildZones returns the names of zone's direct child nodes (black or
 // white) that still have black descendants or are black themselves — the
 // recursion set of Algorithm 1 (lines 15-17). Sorted.
 func (t *Tree) ChildZones(zone string) []string {
-	zone = dnsname.Normalize(zone)
-	zn := t.walk(zone, false)
-	if zn == nil {
-		return nil
+	return t.AppendChildZones(nil, zone)
+}
+
+// AppendChildZones appends ChildZones(zone) to dst; only the appended part
+// is sorted. The names belong to the tree: nothing is built per call.
+func (t *Tree) AppendChildZones(dst []string, zone string) []string {
+	zn := t.walk(dnsname.Normalize(zone), false)
+	if zn == nil || zn.below == 0 {
+		return dst
 	}
-	var out []string
-	for label, child := range zn.children {
-		if child.black || hasBlackDescendant(child) {
-			out = append(out, label+"."+zone)
+	from := len(dst)
+	for _, child := range zn.children {
+		if child.live() {
+			dst = append(dst, child.name)
 		}
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(dst[from:])
+	return dst
 }
 
 // HasBlackDescendants reports whether zone has any black strict descendant
 // (Algorithm 1, line 1).
 func (t *Tree) HasBlackDescendants(zone string) bool {
 	zn := t.walk(dnsname.Normalize(zone), false)
-	if zn == nil {
-		return false
-	}
-	return hasBlackDescendant(zn)
-}
-
-func hasBlackDescendant(n *node) bool {
-	for _, child := range n.children {
-		if child.black || hasBlackDescendant(child) {
-			return true
-		}
-	}
-	return false
+	return zn != nil && zn.below > 0
 }
 
 // NamesUnder returns all black names that are strict descendants of zone,

@@ -1,12 +1,16 @@
 package dntree
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/labelgen"
-	"math/rand"
 )
 
 // paperNames reproduces the example of Figure 8.
@@ -253,5 +257,258 @@ func TestDecolorAllProperty(t *testing.T) {
 	}
 	if tr.HasBlackDescendants("example.com") {
 		t.Error("no black descendants should remain")
+	}
+}
+
+// The reference: GroupsUnder, ChildZones and hasBlackDescendant as they
+// were before nodes carried name, parent and below — every name rebuilt by
+// label+"."+name on the way down, every "any black below?" answered by a
+// subtree scan, the path found through dnsname.Labels. They read only
+// children and black, so they check the new fields against the structure
+// those fields summarise. (Under the root zone "" the old bodies left a
+// trailing dot on every name; the reference does not.)
+
+func refWalk(t *Tree, name string) *node {
+	n := t.root
+	labels := dnsname.Labels(name)
+	for i := len(labels) - 1; i >= 0; i-- {
+		child, ok := n.children[labels[i]]
+		if !ok {
+			return nil
+		}
+		n = child
+	}
+	return n
+}
+
+func refGroupsUnder(t *Tree, zone string) []Group {
+	zone = dnsname.Normalize(zone)
+	zn := refWalk(t, zone)
+	if zn == nil {
+		return nil
+	}
+	zoneDepth := dnsname.Depth(zone)
+	byDepth := make(map[int]*Group)
+	labelSeen := make(map[int]map[string]struct{})
+
+	var descend func(n *node, name string, adjacent string, depth int)
+	descend = func(n *node, name string, adjacent string, depth int) {
+		if n.black {
+			g, ok := byDepth[depth]
+			if !ok {
+				g = &Group{Zone: zone, Depth: depth}
+				byDepth[depth] = g
+				labelSeen[depth] = make(map[string]struct{})
+			}
+			g.Names = append(g.Names, name)
+			if _, dup := labelSeen[depth][adjacent]; !dup {
+				labelSeen[depth][adjacent] = struct{}{}
+				g.Labels = append(g.Labels, adjacent)
+			}
+		}
+		for label, child := range n.children {
+			descend(child, label+"."+name, adjacent, depth+1)
+		}
+	}
+	for label, child := range zn.children {
+		name := label
+		if zone != "" {
+			name = label + "." + zone
+		}
+		descend(child, name, label, zoneDepth+1)
+	}
+
+	depths := make([]int, 0, len(byDepth))
+	for d := range byDepth {
+		depths = append(depths, d)
+	}
+	sort.Ints(depths)
+	out := make([]Group, 0, len(depths))
+	for _, d := range depths {
+		g := byDepth[d]
+		sort.Strings(g.Names)
+		sort.Strings(g.Labels)
+		out = append(out, *g)
+	}
+	return out
+}
+
+func refChildZones(t *Tree, zone string) []string {
+	zone = dnsname.Normalize(zone)
+	zn := refWalk(t, zone)
+	if zn == nil {
+		return nil
+	}
+	var out []string
+	for label, child := range zn.children {
+		if child.black || refHasBlackDescendant(child) {
+			if zone == "" {
+				out = append(out, label)
+			} else {
+				out = append(out, label+"."+zone)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func refHasBlackDescendant(n *node) bool {
+	for _, child := range n.children {
+		if child.black || refHasBlackDescendant(child) {
+			return true
+		}
+	}
+	return false
+}
+
+func refNamesUnder(t *Tree, zone string) []string {
+	var out []string
+	for _, g := range refGroupsUnder(t, zone) {
+		out = append(out, g.Names...)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// checkNodes recounts what every node claims about itself: name is the
+// path's labels joined, parent is the node above, below is the number of
+// black strict descendants; and the tree's black total is the recount.
+func checkNodes(t *testing.T, tr *Tree) {
+	t.Helper()
+	var recount func(n *node, name string) int
+	recount = func(n *node, name string) int {
+		if n.name != name {
+			t.Errorf("node %q holds name %q", name, n.name)
+		}
+		black := 0
+		for label, child := range n.children {
+			if child.parent != n {
+				t.Errorf("node %q: child %q points at another parent", name, label)
+			}
+			childName := label
+			if n != tr.root {
+				childName = label + "." + name
+			}
+			black += recount(child, childName)
+			if child.black {
+				black++
+			}
+		}
+		if n.below != black {
+			t.Errorf("node %q: below = %d, recount = %d", name, n.below, black)
+		}
+		return black
+	}
+	if total := recount(tr.root, ""); total != tr.BlackCount() {
+		t.Errorf("BlackCount = %d, recount = %d", tr.BlackCount(), total)
+	}
+}
+
+// sameGroups compares group lists, an absent or empty list being equal to
+// nil either way.
+func sameGroups(a, b []Group) bool {
+	if len(a) == 0 && len(b) == 0 {
+		return true
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+func sameStrings(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// TestMatchesReference drives random operation sequences over a small
+// label alphabet — so names collide, share zones at every depth, make zone
+// nodes and a node next to the TLD black, and come back after expiry — and
+// after every step compares each query method with the reference over
+// every zone that was ever named, plus an absent one.
+func TestMatchesReference(t *testing.T) {
+	zones := []string{"com", "example.com", "a.example.com", "b.a.example.com",
+		"co.uk", "shop.co.uk", "net", "cdn.net"}
+	labels := []string{"a", "b", "c", "www", "x1", "x2"}
+	probes := append([]string{"", "absent.org", "Example.COM."}, zones...)
+	for _, z := range zones {
+		for _, l := range labels {
+			probes = append(probes, l+"."+z)
+		}
+	}
+
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randomName := func() string {
+			name := zones[rng.Intn(len(zones))]
+			for d := rng.Intn(4); d > 0; d-- {
+				name = labels[rng.Intn(len(labels))] + "." + name
+			}
+			switch rng.Intn(8) {
+			case 0:
+				name = strings.ToUpper(name)
+			case 1:
+				name += "."
+			}
+			return name
+		}
+		tr := New(nil)
+		var buf []Group
+		var stack []string
+		for step := 0; step < 300; step++ {
+			var op string
+			switch r := rng.Intn(100); {
+			case r < 30:
+				op = "Insert"
+				tr.Insert(randomName())
+			case r < 60:
+				op = "InsertAt"
+				tr.InsertAt(randomName())
+			case r < 75:
+				op = "Decolor"
+				tr.Decolor(randomName())
+			case r < 85:
+				op = "Recolor"
+				tr.Recolor(randomName())
+			case r < 92:
+				op = "AdvanceWindow"
+				tr.AdvanceWindow()
+			case r < 99:
+				op = "ExpireBefore"
+				if w := tr.Window(); w > 0 {
+					tr.ExpireBefore(w - uint32(rng.Intn(int(min(w, 3)))))
+				}
+			default:
+				op = "ResetStream"
+				tr.ResetStream()
+			}
+			at := fmt.Sprintf("seed %d step %d (%s)", seed, step, op)
+			checkNodes(t, tr)
+			for _, zone := range probes {
+				want := refGroupsUnder(tr, zone)
+				if got := tr.GroupsUnder(zone); !sameGroups(got, want) {
+					t.Fatalf("%s: GroupsUnder(%q) = %v, reference %v", at, zone, got, want)
+				}
+				// One buffer across every zone, as the miner holds it.
+				if buf = tr.AppendGroupsUnder(buf, zone); !sameGroups(buf, want) {
+					t.Fatalf("%s: AppendGroupsUnder(%q) into a used buffer = %v, reference %v", at, zone, buf, want)
+				}
+				wantZones := refChildZones(tr, zone)
+				if got := tr.ChildZones(zone); !sameStrings(got, wantZones) {
+					t.Fatalf("%s: ChildZones(%q) = %v, reference %v", at, zone, got, wantZones)
+				}
+				stack = tr.AppendChildZones(append(stack[:0], "below"), zone)
+				if stack[0] != "below" || !sameStrings(stack[1:], wantZones) {
+					t.Fatalf("%s: AppendChildZones(%q) = %v, reference %v after the first", at, zone, stack, wantZones)
+				}
+				zn := refWalk(tr, dnsname.Normalize(zone))
+				if got, want := tr.HasBlackDescendants(zone), zn != nil && refHasBlackDescendant(zn); got != want {
+					t.Fatalf("%s: HasBlackDescendants(%q) = %v, reference %v", at, zone, got, want)
+				}
+				if got, want := tr.NamesUnder(zone), refNamesUnder(tr, zone); !sameStrings(got, want) {
+					t.Fatalf("%s: NamesUnder(%q) = %v, reference %v", at, zone, got, want)
+				}
+			}
+			if t.Failed() {
+				t.Fatalf("%s: node invariants broken", at)
+			}
+		}
 	}
 }

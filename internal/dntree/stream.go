@@ -43,8 +43,7 @@ func (t *Tree) InsertAt(name string) {
 		t.windowBlack = make(map[uint32]int)
 	}
 	if !n.black {
-		n.black = true
-		t.black++
+		t.setBlack(n, true)
 		if e2ld := t.suffixes.ETLDPlusOne(name); e2ld != "" {
 			t.e2lds[e2ld]++
 		}
@@ -73,8 +72,7 @@ func (t *Tree) Recolor(name string) bool {
 	if n == nil || n.black {
 		return false
 	}
-	n.black = true
-	t.black++
+	t.setBlack(n, true)
 	return true
 }
 
@@ -94,15 +92,14 @@ func (t *Tree) ExpireBefore(oldest uint32) []string {
 			if n == nil || !n.black || n.lastSeen != w {
 				continue // re-observed later, or already gone
 			}
-			n.black = false
-			t.black--
+			t.setBlack(n, false)
 			t.windowBlack[w]--
 			if e2ld := t.suffixes.ETLDPlusOne(name); e2ld != "" {
 				if t.e2lds[e2ld]--; t.e2lds[e2ld] <= 0 {
 					delete(t.e2lds, e2ld)
 				}
 			}
-			t.prune(name)
+			t.prune(n)
 			expired = append(expired, name)
 		}
 		delete(t.byWindow, w)
@@ -111,29 +108,16 @@ func (t *Tree) ExpireBefore(oldest uint32) []string {
 	return expired
 }
 
-// prune removes the white, childless tail of name's path, so expired
-// branches do not accumulate as dead trie weight.
-func (t *Tree) prune(name string) {
-	labels := dnsname.Labels(name)
-	// Collect the path root -> leaf (path[0] is the root).
-	path := make([]*node, 1, len(labels)+1)
-	path[0] = t.root
-	n := t.root
-	for i := len(labels) - 1; i >= 0; i-- {
-		child, ok := n.children[labels[i]]
-		if !ok {
-			return
+// prune removes the white, childless tail of the path that ends at n, so
+// expired branches do not accumulate as dead trie weight.
+func (t *Tree) prune(n *node) {
+	for p := n.parent; p != nil && !n.black && len(n.children) == 0; n, p = p, p.parent {
+		// n's label is its name without the parent's (the root has none).
+		label := n.name
+		if p != t.root {
+			label = n.name[:len(n.name)-len(p.name)-1]
 		}
-		path = append(path, child)
-		n = child
-	}
-	// Unwind: drop each white childless node from its parent.
-	for i := len(path) - 1; i >= 1; i-- {
-		n := path[i]
-		if n.black || len(n.children) > 0 {
-			return
-		}
-		delete(path[i-1].children, labels[len(labels)-i])
+		delete(p.children, label)
 	}
 }
 
@@ -141,7 +125,7 @@ func (t *Tree) prune(name string) {
 // the suffix ruleset: the day-boundary reset of the streaming pipeline,
 // equivalent to allocating a fresh tree but explicit about intent.
 func (t *Tree) ResetStream() {
-	t.root = &node{children: make(map[string]*node)}
+	t.root = &node{}
 	t.e2lds = make(map[string]int)
 	t.black = 0
 	t.byWindow = nil

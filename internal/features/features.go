@@ -61,12 +61,15 @@ type Vector struct {
 }
 
 // Slice returns the vector as a fixed-order float slice.
-func (v Vector) Slice() []float64 {
-	return []float64{
+func (v Vector) Slice() []float64 { return v.AppendTo(make([]float64, 0, Dim)) }
+
+// AppendTo appends the vector to dst in Slice order.
+func (v Vector) AppendTo(dst []float64) []float64 {
+	return append(dst,
 		v.Cardinality,
 		v.EntropyMax, v.EntropyMin, v.EntropyMean, v.EntropyMedian, v.EntropyVar,
 		v.CHRMedian, v.CHRZeroFrac,
-	}
+	)
 }
 
 // Mask returns a copy of the sliced vector keeping only the listed indexes.
@@ -82,20 +85,28 @@ func Mask(vec []float64, keep []int) []float64 {
 // day's RR statistics by owner name (chrstat.Collector.ByName); names with
 // no recorded RRs contribute nothing to the CHR family.
 func FromGroup(g dntree.Group, byName map[string][]*chrstat.RRStat) Vector {
-	return fromGroup(g, byName, stats.ShannonEntropy)
+	return new(Scratch).FromGroup(g, byName, nil)
 }
 
-// fromGroup is the shared body of FromGroup and FromGroupCached: both run
-// the exact same arithmetic, so a cached-entropy streaming re-score is
-// bit-identical to the batch computation.
-func fromGroup(g dntree.Group, byName map[string][]*chrstat.RRStat, entropy func(string) float64) Vector {
+// Scratch holds the two samples an extraction builds — the label entropies
+// and the CHR sample — for a caller that extracts group after group (the
+// miner) to reuse. The zero value is ready; not safe for concurrent use.
+type Scratch struct {
+	entropies, chr []float64
+}
+
+// FromGroup is the one extraction body: the same arithmetic in the same
+// order whatever the scratch held and whether entropies come from cache or
+// (nil) are computed, so batch and streaming vectors are bit-identical.
+func (sc *Scratch) FromGroup(g dntree.Group, byName map[string][]*chrstat.RRStat, cache *EntropyCache) Vector {
 	var v Vector
 
 	// Tree-structure features over the adjacent label set L_k.
-	entropies := make([]float64, 0, len(g.Labels))
+	entropies := sc.entropies[:0]
 	for _, label := range g.Labels {
-		entropies = append(entropies, entropy(label))
+		entropies = append(entropies, cache.Entropy(label))
 	}
+	sc.entropies = entropies
 	v.Cardinality = float64(len(g.Labels))
 	if len(entropies) > 0 {
 		min, max, err := stats.MinMax(entropies)
@@ -103,15 +114,16 @@ func fromGroup(g dntree.Group, byName map[string][]*chrstat.RRStat, entropy func
 			v.EntropyMin, v.EntropyMax = min, max
 		}
 		v.EntropyMean = stats.Mean(entropies)
-		v.EntropyMedian = stats.Median(entropies)
 		v.EntropyVar = stats.Variance(entropies)
+		// Last: the sums above run in label order, the median reorders.
+		v.EntropyMedian = stats.MedianInPlace(entropies)
 	}
 
 	// Cache-hit-rate features over the group's RRs: the CHR sample repeats
 	// each RR's DHR once per miss (eq. 2); the zero fraction is computed
 	// over distinct RRs as the paper states ("percentage of RRs that have
 	// zero cache hit rate").
-	var chrSample []float64
+	chrSample := sc.chr[:0]
 	var rrs, zeroRRs int
 	for _, name := range g.Names {
 		for _, st := range byName[name] {
@@ -136,8 +148,9 @@ func fromGroup(g dntree.Group, byName map[string][]*chrstat.RRStat, entropy func
 			}
 		}
 	}
+	sc.chr = chrSample
 	if len(chrSample) > 0 {
-		v.CHRMedian = stats.Median(chrSample)
+		v.CHRMedian = stats.MedianInPlace(chrSample)
 	}
 	if rrs > 0 {
 		v.CHRZeroFrac = float64(zeroRRs) / float64(rrs)

@@ -9,9 +9,9 @@ package features
 
 import (
 	"math"
+	"strings"
 
 	"dnsnoise/internal/chrstat"
-	"dnsnoise/internal/dntree"
 	"dnsnoise/internal/stats"
 )
 
@@ -30,7 +30,11 @@ func NewEntropyCache() *EntropyCache {
 }
 
 // Entropy returns the Shannon entropy of label, computing it on first use.
+// A nil cache computes it every time.
 func (c *EntropyCache) Entropy(label string) float64 {
+	if c == nil {
+		return stats.ShannonEntropy(label)
+	}
 	if v, ok := c.m[label]; ok {
 		return v
 	}
@@ -42,19 +46,20 @@ func (c *EntropyCache) Entropy(label string) float64 {
 // Len reports how many distinct labels are cached.
 func (c *EntropyCache) Len() int { return len(c.m) }
 
-// Reset drops every cached entropy (day-boundary housekeeping when label
-// churn makes the cache grow without bound).
+// Reset drops every cached entropy: the streaming pipeline's day boundary,
+// where the tree the labels came from is dropped too.
 func (c *EntropyCache) Reset() { c.m = make(map[string]float64) }
 
-// FromGroupCached is FromGroup with memoized label entropies: the exact
-// same arithmetic over the exact same inputs, so its output is
-// bit-identical to FromGroup — the property the streaming-vs-batch
-// equivalence tests pin. A nil cache falls back to FromGroup.
-func FromGroupCached(g dntree.Group, byName map[string][]*chrstat.RRStat, cache *EntropyCache) Vector {
-	if cache == nil {
-		return FromGroup(g, byName)
+// Forget drops the cached entropy of each label of name. Called for every
+// name the sliding horizon expires, it keeps the cache within the labels
+// of the live tree (a node is pruned only off an expired name's path); a
+// label still in use elsewhere is recomputed on next use, to the same value.
+func (c *EntropyCache) Forget(name string) {
+	for name != "" {
+		var label string
+		label, name, _ = strings.Cut(name, ".")
+		delete(c.m, label)
 	}
-	return fromGroup(g, byName, cache.Entropy)
 }
 
 // RunningEntropy accumulates streaming moments over one per-depth label

@@ -14,8 +14,10 @@ import (
 )
 
 // TestFromGroupCachedBitIdentical pins the streaming equivalence property
-// at the feature layer: the cached variant must produce the exact same
-// vector (==, not approximately) as the batch extractor, cold and warm.
+// at the feature layer: the miner's way — cached entropies, one scratch
+// across groups — must produce the exact same vector (==, not
+// approximately) as the batch extractor, cold and warm. Forgetting a name
+// only costs a recomputation.
 func TestFromGroupCachedBitIdentical(t *testing.T) {
 	tr := dntree.New(nil)
 	col := chrstat.NewCollector()
@@ -33,17 +35,23 @@ func TestFromGroupCachedBitIdentical(t *testing.T) {
 	}
 	byName := col.ByName()
 	cache := NewEntropyCache()
-	for _, g := range tr.GroupsUnder("example.com") {
-		want := FromGroup(g, byName)
-		for pass := 0; pass < 2; pass++ { // cold cache, then warm
-			got := FromGroupCached(g, byName, cache)
-			if got != want {
+	var sc Scratch
+	for pass := 0; pass < 3; pass++ { // cold cache, warm, partly forgotten
+		for _, g := range tr.GroupsUnder("example.com") {
+			want := FromGroup(g, byName)
+			if got := sc.FromGroup(g, byName, cache); got != want {
 				t.Fatalf("pass %d depth %d: cached %+v != batch %+v", pass, g.Depth, got, want)
 			}
 		}
-	}
-	if cache.Len() == 0 {
-		t.Fatal("cache stayed empty")
+		if cache.Len() == 0 {
+			t.Fatal("cache stayed empty")
+		}
+		if before := cache.Len(); pass == 1 {
+			cache.Forget("api.zone.example.com")
+			if cache.Len() >= before {
+				t.Fatalf("Forget left all %d labels cached", before)
+			}
+		}
 	}
 	cache.Reset()
 	if cache.Len() != 0 {

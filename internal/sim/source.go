@@ -44,6 +44,19 @@ func (s *Source) Profiles() ([]workload.Profile, error) {
 	return workload.SelectProfiles(s.Profile, s.Days)
 }
 
+// Validate reports -trace with -live, or neither, from the parsed flags
+// alone, so a CLI can refuse before it builds a world or opens a telemetry
+// socket. Open runs it too.
+func (s *Source) Validate() error {
+	switch {
+	case s.Trace != "" && s.Live:
+		return errors.New("-trace and -live are mutually exclusive")
+	case s.Trace == "" && !s.Live:
+		return errors.New("missing -trace (generate one with dnsnoise-gen, or pass -live to generate in-process)")
+	}
+	return nil
+}
+
 // Open returns the stream over env's world, and the day-start hook the
 // run must install (ingest.OnDayStart, or fleet.Run's replayDay). A live
 // stream draws from env's generator and needs no hook (nil). A replay
@@ -51,23 +64,21 @@ func (s *Source) Profiles() ([]workload.Profile, error) {
 // day start instead, so the registry walks the recording's per-day TTL
 // states; env must be freshly built from the recording's flags.
 func (s *Source) Open(env *Env) (ingest.QuerySource, func(time.Time) error, error) {
-	switch {
-	case s.Trace != "" && s.Live:
-		return nil, nil, errors.New("-trace and -live are mutually exclusive")
-	case s.Live:
+	if err := s.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if s.Live {
 		profiles, err := s.Profiles()
 		if err != nil {
 			return nil, nil, err
 		}
 		return ingest.NewGeneratorSource(env.Generator, profiles...), nil, nil
-	case s.Trace != "":
-		profileFor, err := workload.ProfileResolver(s.Profile)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ingest.NewTraceSource(s.Paths()...), ingest.ReplayProfiles(env.Generator, profileFor), nil
 	}
-	return nil, nil, errors.New("missing -trace (generate one with dnsnoise-gen, or pass -live to generate in-process)")
+	profileFor, err := workload.ProfileResolver(s.Profile)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ingest.NewTraceSource(s.Paths()...), ingest.ReplayProfiles(env.Generator, profileFor), nil
 }
 
 // Run opens the stream, resolves it through env's cluster as one window

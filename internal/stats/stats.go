@@ -51,17 +51,23 @@ func StdDev(xs []float64) float64 {
 // Median returns the median of xs without mutating it, or 0 for an empty
 // sample.
 func Median(xs []float64) float64 {
+	cp := make([]float64, len(xs))
+	copy(cp, xs)
+	return MedianInPlace(cp)
+}
+
+// MedianInPlace is Median for a caller that owns xs and no longer needs its
+// order: it sorts xs instead of a copy.
+func MedianInPlace(xs []float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
-	cp := make([]float64, n)
-	copy(cp, xs)
-	sort.Float64s(cp)
+	sort.Float64s(xs)
 	if n%2 == 1 {
-		return cp[n/2]
+		return xs[n/2]
 	}
-	return (cp[n/2-1] + cp[n/2]) / 2
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // MinMax returns the minimum and maximum of xs. It returns ErrEmpty for an
