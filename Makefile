@@ -44,9 +44,11 @@ bench:
 # reused scratch) — the miner's hourly re-score (BenchmarkRescore over an
 # unchanged 5 k-name tree, the tree's GroupsUnder/ChildZones, and the
 # guard that such a re-score allocates for what it reports, not per name)
-# — a short serve-throughput flood with the end-to-end
-# packet-allocation gate (plain and scored) and the streaming-miner
-# intake-overhead pair with its gate. Whole-program overhead questions
+# — the source side of a replay (BenchmarkReaderNext and BenchmarkDayStream
+# with the guards that a canonical trace line costs one allocation and a
+# generated name at most one) — a short serve-throughput flood with the
+# end-to-end packet-allocation gate (plain and scored) and the
+# streaming-miner intake-overhead pair with its gate. Whole-program overhead questions
 # (telemetry, qlog, fleet collector, tsdb) go to benchmark/run.sh A/A runs
 # and -compare instead.
 bench-smoke:
@@ -55,16 +57,23 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRescore|BenchmarkGroupsUnder|BenchmarkChildZones' \
 		-benchtime=100x -benchmem ./internal/core/ ./internal/dntree/
 	$(GO) test -run 'TestRescoreSteadyStateAllocs' -v ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkDayStream' \
+		-benchtime=100x -benchmem ./internal/traceio/ ./internal/workload/
+	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs' -v ./internal/traceio/ ./internal/workload/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/
 	$(GO) run ./cmd/dnsnoise-bench -only serve -serve-duration 200ms -serve-clients 4 -max-packet-allocs 0 -out /dev/null
 	$(GO) run ./cmd/dnsnoise-bench -only miner -queries 20000 -out /dev/null
 	$(GO) run ./cmd/dnsnoise-bench -only cache -cache-events 20000 -cache-capacities 2048,8192 -max-hit-allocs 0 -out /dev/null
 
-# Ten seconds of native fuzzing on the wire decoder, from the committed seeds
-# (the golden corpus plus hand-built hostile wires): no panic, reuse equals
-# fresh decode, re-encode is a fixed point, the wire scanners agree.
+# Ten seconds of native fuzzing on each decoder that reads outside input,
+# from the committed seeds. The wire decoder (the golden corpus plus
+# hand-built hostile wires): no panic, reuse equals fresh decode, re-encode is
+# a fixed point, the wire scanners agree. The trace reader (the golden and
+# foreign traces plus hostile lines): its canonical-line path decodes what
+# encoding/json decodes and fails where it fails.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnpack -fuzztime 10s ./internal/dnsmsg
+	$(GO) test -run '^$$' -fuzz FuzzReaderLine -fuzztime 10s ./internal/traceio
 
 clean:
 	$(GO) clean ./...

@@ -8,6 +8,7 @@ package dnsmsg
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Type is a DNS resource record type.
@@ -71,7 +72,9 @@ func ParseType(s string) (Type, error) {
 	case "RRSIG":
 		return TypeRRSIG, nil
 	default:
-		return 0, fmt.Errorf("dnsmsg: unknown type %q", s)
+		// The error keeps a copy, so s does not escape and a caller holding
+		// bytes (the trace reader) converts them on its stack.
+		return 0, fmt.Errorf("dnsmsg: unknown type %q", strings.Clone(s))
 	}
 }
 

@@ -93,12 +93,19 @@ func Validate(name string) error {
 	if len(name) > MaxNameLength {
 		return ErrNameLength
 	}
-	for _, label := range strings.Split(name, ".") {
-		if len(label) == 0 || len(label) > MaxLabelLength {
+	for {
+		dot := strings.IndexByte(name, '.')
+		if dot < 0 {
+			dot = len(name)
+		}
+		if dot == 0 || dot > MaxLabelLength {
 			return ErrBadLabel
 		}
+		if dot == len(name) {
+			return nil
+		}
+		name = name[dot+1:]
 	}
-	return nil
 }
 
 // Labels returns the labels of a normalized name, left to right.

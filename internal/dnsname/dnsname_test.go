@@ -76,6 +76,12 @@ func TestValidate(t *testing.T) {
 		{name: "long name", give: strings.Repeat("abcdefgh.", 30) + "com", wantErr: ErrNameLength},
 		{name: "single label", give: "localhost", wantErr: nil},
 		{name: "token bytes ok", give: "load-0-p-01.up-1852280.example.com", wantErr: nil},
+		{name: "leading dot", give: ".com", wantErr: ErrBadLabel},
+		{name: "trailing dot", give: "example.com.", wantErr: ErrBadLabel},
+		{name: "bare dot", give: ".", wantErr: ErrBadLabel},
+		{name: "63-octet last label", give: "a." + long[:63], wantErr: nil},
+		{name: "64-octet last label", give: "a." + long, wantErr: ErrBadLabel},
+		{name: "253 octets", give: strings.Repeat("abcdefg.", 31) + "abcde", wantErr: nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -84,6 +90,15 @@ func TestValidate(t *testing.T) {
 				t.Errorf("Validate(%q) = %v, want %v", tt.give, err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// TestValidateZeroAlloc: trace replay validates every name it reads.
+func TestValidateZeroAlloc(t *testing.T) {
+	for _, name := range []string{"www.example.com", "a..b", "0.0.0.0.1.0.0.4e.135jg5e1pd7s4735ftrqweufm5.avqs.mcafee.com"} {
+		if allocs := testing.AllocsPerRun(200, func() { _ = Validate(name) }); allocs != 0 {
+			t.Errorf("Validate(%q) allocated %.1f times per op, want 0", name, allocs)
+		}
 	}
 }
 

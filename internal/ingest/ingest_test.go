@@ -1,11 +1,14 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -592,3 +595,39 @@ func TestRunnerSinksObserveAllWindows(t *testing.T) {
 type querySinkFunc func(resolver.Query) error
 
 func (f querySinkFunc) Consume(q resolver.Query) error { return f(q) }
+
+// TestTraceBadNameStopsAtItsLine: a name the wire codec cannot encode is
+// refused where it is read — file and line in the error, nothing resolved
+// past the line before — not at its first cache miss deep inside a replay.
+// Both of the reader's decode paths apply the rule.
+func TestTraceBadNameStopsAtItsLine(t *testing.T) {
+	long := strings.Repeat("a", 64)
+	for name, bad := range map[string]string{
+		"canonical line": `{"ts":"2011-12-01T00:00:01Z","client":2,"name":"` + long + `.example.com","type":"A","disposable":false}`,
+		"json fallback":  `{"client":2,"ts":"2011-12-01T00:00:01Z","name":"` + long + `.example.com","type":"A","disposable":false}`,
+		"empty label":    `{"ts":"2011-12-01T00:00:01Z","client":2,"name":"www..example.com","type":"A","disposable":false}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trace.jsonl")
+			trace := `{"ts":"2011-12-01T00:00:00Z","client":1,"name":"www.google.com","type":"A","disposable":false}` + "\n" +
+				bad + "\n" +
+				`{"ts":"2011-12-01T00:00:02Z","client":3,"name":"mail.google.com","type":"A","disposable":false}` + "\n"
+			if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c := newTestEnv(t).cluster(t)
+			src := NewTraceSource(path)
+			defer src.Close()
+			err := NewRunner(c).Run(src)
+			if !errors.Is(err, traceio.ErrBadEvent) {
+				t.Fatalf("Run = %v, want ErrBadEvent", err)
+			}
+			if want := "trace " + path + ": traceio: malformed event: line 2"; !strings.Contains(err.Error(), want) {
+				t.Errorf("Run = %q, want it to contain %q", err, want)
+			}
+			if got := c.Stats().Queries; got != 1 {
+				t.Errorf("resolved %d queries, want only line 1", got)
+			}
+		})
+	}
+}

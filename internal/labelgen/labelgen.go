@@ -11,6 +11,7 @@ package labelgen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -27,11 +28,15 @@ func Token(rng *rand.Rand, n int) string {
 	if n <= 0 {
 		return ""
 	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = base36[rng.Intn(len(base36))]
+	return string(AppendToken(make([]byte, 0, n), rng, n))
+}
+
+// AppendToken appends an n-character Token to dst.
+func AppendToken(dst []byte, rng *rand.Rand, n int) []byte {
+	for i := 0; i < n; i++ {
+		dst = append(dst, base36[rng.Intn(len(base36))])
 	}
-	return string(b)
+	return dst
 }
 
 // HexToken returns an n-character lowercase hexadecimal token.
@@ -66,12 +71,17 @@ func HumanWord(rng *rand.Rand, n int) string {
 	return sb.String()
 }
 
-// ESoftName reproduces Figure 6(i): system telemetry smuggled into labels,
-// e.g. "load-0-p-01.up-1852280.mem-...-p-50.swap-...-p-44.3302068.1222092134".
-// It returns the labels left of the zone (deepest first), ready to be joined
-// with the zone suffix. The device and session IDs identify a pseudo-device
-// so repeated reports from one device share the trailing labels.
-func ESoftName(rng *rand.Rand, deviceID uint32) []string {
+// The disposable grammars below append the labels left of the zone (deepest
+// first, dot-joined, no trailing dot) to dst: a generated day mints one such
+// name per fresh disposable query, so they write into the caller's buffer
+// with strconv and leave the one string to the caller.
+
+// AppendESoftName reproduces Figure 6(i): system telemetry smuggled into
+// labels, e.g.
+// "load-0-p-01.up-1852280.mem-...-p-50.swap-...-p-44.3302068.1222092134".
+// The device and session IDs identify a pseudo-device so repeated reports
+// from one device share the trailing labels.
+func AppendESoftName(dst []byte, rng *rand.Rand, deviceID uint32) []byte {
 	load := rng.Intn(100)
 	up := rng.Intn(2_000_000)
 	mem1, mem2 := rng.Intn(500_000_000), rng.Intn(600_000_000)
@@ -79,61 +89,67 @@ func ESoftName(rng *rand.Rand, deviceID uint32) []string {
 	swap1, swap2 := rng.Intn(300_000_000), rng.Intn(600_000_000)
 	swapp := rng.Intn(60)
 	session := rng.Uint32()
-	return []string{
-		fmt.Sprintf("load-0-p-%02d", load),
-		fmt.Sprintf("up-%d", up),
-		fmt.Sprintf("mem-%d-%d-0-p-%02d", mem1, mem2, memp),
-		fmt.Sprintf("swap-%d-%d-0-p-%02d", swap1, swap2, swapp),
-		fmt.Sprintf("%d", deviceID),
-		fmt.Sprintf("%d", session),
-	}
+	dst = appendPad2(append(dst, "load-0-p-"...), load)
+	dst = appendInt(append(dst, ".up-"...), up)
+	dst = appendInt(append(dst, ".mem-"...), mem1)
+	dst = appendInt(append(dst, '-'), mem2)
+	dst = appendPad2(append(dst, "-0-p-"...), memp)
+	dst = appendInt(append(dst, ".swap-"...), swap1)
+	dst = appendInt(append(dst, '-'), swap2)
+	dst = appendPad2(append(dst, "-0-p-"...), swapp)
+	dst = strconv.AppendUint(append(dst, '.'), uint64(deviceID), 10)
+	return strconv.AppendUint(append(dst, '.'), uint64(session), 10)
 }
 
-// McAfeeName reproduces Figure 6(ii): Global Threat Intelligence file
+func appendInt(dst []byte, v int) []byte { return strconv.AppendInt(dst, int64(v), 10) }
+
+// appendPad2 appends v, which is not negative, as %02d spells it.
+func appendPad2(dst []byte, v int) []byte {
+	if v < 10 {
+		dst = append(dst, '0')
+	}
+	return appendInt(dst, v)
+}
+
+// AppendMcAfeeName reproduces Figure 6(ii): Global Threat Intelligence file
 // reputation queries, e.g. "0.0.0.0.1.0.0.4e.135jg5e1pd7s4735ftrqweufm5".
 // The per-file hash token makes each queried name effectively unique.
-func McAfeeName(rng *rand.Rand) []string {
-	return []string{
-		"0", "0", "0", "0", "1", "0", "0", "4e",
-		Token(rng, 26),
-	}
+func AppendMcAfeeName(dst []byte, rng *rand.Rand) []byte {
+	return AppendToken(append(dst, "0.0.0.0.1.0.0.4e."...), rng, 26)
 }
 
-// GoogleIPv6Name reproduces Figure 6(iii): the ipv6-exp measurement names,
-// e.g. "p2.a22a43lt5rwfg.ihg5ki5i6q3cfn3n.191742.i1.ds". The i1/i2/s1 and
-// ds/v4 variants mirror the experiment's probe matrix.
-func GoogleIPv6Name(rng *rand.Rand) []string {
-	probes := []string{"i1", "i2", "s1"}
-	nets := []string{"ds", "v4"}
-	return []string{
-		fmt.Sprintf("p%d", rng.Intn(4)+1),
-		"a" + Token(rng, 12),
-		Token(rng, 16),
-		fmt.Sprintf("%d", rng.Intn(900_000)+100_000),
-		probes[rng.Intn(len(probes))],
-		nets[rng.Intn(len(nets))],
-	}
+// AppendGoogleIPv6Name reproduces Figure 6(iii): the ipv6-exp measurement
+// names, e.g. "p2.a22a43lt5rwfg.ihg5ki5i6q3cfn3n.191742.i1.ds". The i1/i2/s1
+// and ds/v4 variants mirror the experiment's probe matrix.
+func AppendGoogleIPv6Name(dst []byte, rng *rand.Rand) []byte {
+	probes := [...]string{"i1", "i2", "s1"}
+	nets := [...]string{"ds", "v4"}
+	dst = appendInt(append(dst, 'p'), rng.Intn(4)+1)
+	dst = AppendToken(append(dst, ".a"...), rng, 12)
+	dst = AppendToken(append(dst, '.'), rng, 16)
+	dst = appendInt(append(dst, '.'), rng.Intn(900_000)+100_000)
+	dst = append(append(dst, '.'), probes[rng.Intn(len(probes))]...)
+	return append(append(dst, '.'), nets[rng.Intn(len(nets))]...)
 }
 
-// DNSBLName generates a reversed-IPv4 blocklist query label set
+// AppendDNSBLName generates a reversed-IPv4 blocklist query label set
 // ("4.3.2.1" for 1.2.3.4), the classic overloaded-DNS pattern the paper
 // groups with disposable traffic.
-func DNSBLName(rng *rand.Rand) []string {
-	return []string{
-		fmt.Sprintf("%d", rng.Intn(256)),
-		fmt.Sprintf("%d", rng.Intn(256)),
-		fmt.Sprintf("%d", rng.Intn(256)),
-		fmt.Sprintf("%d", rng.Intn(256)),
+func AppendDNSBLName(dst []byte, rng *rand.Rand) []byte {
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			dst = append(dst, '.')
+		}
+		dst = appendInt(dst, rng.Intn(256))
 	}
+	return dst
 }
 
-// TrackingName generates a cookie-tracking / ad-beacon style name: one wide
-// token plus a short shard label, e.g. "x7k2m9q4w1z8.b3".
-func TrackingName(rng *rand.Rand) []string {
-	return []string{
-		Token(rng, 12),
-		fmt.Sprintf("b%d", rng.Intn(8)),
-	}
+// AppendTrackingName generates a cookie-tracking / ad-beacon style name: one
+// wide token plus a short shard label, e.g. "x7k2m9q4w1z8.b3".
+func AppendTrackingName(dst []byte, rng *rand.Rand) []byte {
+	dst = AppendToken(dst, rng, 12)
+	return appendInt(append(dst, ".b"...), rng.Intn(8))
 }
 
 // CDNShardName generates an Akamai-style content shard label pair, e.g.

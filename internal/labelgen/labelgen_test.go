@@ -59,8 +59,11 @@ func TestHumanWordShape(t *testing.T) {
 	}
 }
 
+// split cuts an appended name back into its labels.
+func split(name []byte) []string { return strings.Split(string(name), ".") }
+
 func TestESoftNameGrammar(t *testing.T) {
-	labels := ESoftName(rng(4), 3302068)
+	labels := split(AppendESoftName(nil, rng(4), 3302068))
 	if len(labels) != 6 {
 		t.Fatalf("labels = %v", labels)
 	}
@@ -86,7 +89,7 @@ func TestESoftNameGrammar(t *testing.T) {
 }
 
 func TestMcAfeeNameGrammar(t *testing.T) {
-	labels := McAfeeName(rng(5))
+	labels := split(AppendMcAfeeName(nil, rng(5)))
 	if len(labels) != 9 {
 		t.Fatalf("labels = %v", labels)
 	}
@@ -108,7 +111,7 @@ func TestMcAfeeNameGrammar(t *testing.T) {
 }
 
 func TestGoogleIPv6NameGrammar(t *testing.T) {
-	labels := GoogleIPv6Name(rng(6))
+	labels := split(AppendGoogleIPv6Name(nil, rng(6)))
 	if len(labels) != 6 {
 		t.Fatalf("labels = %v", labels)
 	}
@@ -127,7 +130,7 @@ func TestGoogleIPv6NameGrammar(t *testing.T) {
 }
 
 func TestDNSBLNameIsReversedOctets(t *testing.T) {
-	labels := DNSBLName(rng(7))
+	labels := split(AppendDNSBLName(nil, rng(7)))
 	if len(labels) != 4 {
 		t.Fatalf("labels = %v", labels)
 	}
@@ -158,7 +161,7 @@ type regexpError string
 func (e regexpError) Error() string { return string(e) }
 
 func TestTrackingName(t *testing.T) {
-	labels := TrackingName(rng(8))
+	labels := split(AppendTrackingName(nil, rng(8)))
 	if len(labels) != 2 || len(labels[0]) != 12 {
 		t.Errorf("labels = %v", labels)
 	}
@@ -219,23 +222,31 @@ func TestEntropySeparation(t *testing.T) {
 func TestGeneratorsProduceValidLabels(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rng(seed)
-		sets := [][]string{
-			ESoftName(r, r.Uint32()),
-			McAfeeName(r),
-			GoogleIPv6Name(r),
-			DNSBLName(r),
-			TrackingName(r),
-			CDNShardName(r, 100),
+		// The append forms join their labels with dots, so a stray dot
+		// inside a label shows as a wrong label count. They extend dst.
+		sets := []struct {
+			labels []string
+			want   int
+		}{
+			{split(AppendESoftName(nil, r, r.Uint32())), 6},
+			{split(AppendMcAfeeName(nil, r)), 9},
+			{split(AppendGoogleIPv6Name(nil, r)), 6},
+			{split(AppendDNSBLName(nil, r)), 4},
+			{split(AppendTrackingName([]byte("kept."), r)), 3},
+			{CDNShardName(r, 100), 2},
 		}
-		for _, labels := range sets {
-			for _, l := range labels {
-				if len(l) == 0 || len(l) > 63 {
-					return false
-				}
-				if strings.Contains(l, ".") {
+		for _, set := range sets {
+			if len(set.labels) != set.want {
+				return false
+			}
+			for _, l := range set.labels {
+				if len(l) == 0 || len(l) > 63 || strings.Contains(l, ".") {
 					return false
 				}
 			}
+		}
+		if sets[4].labels[0] != "kept" {
+			return false
 		}
 		return true
 	}
@@ -246,9 +257,9 @@ func TestGeneratorsProduceValidLabels(t *testing.T) {
 
 // Determinism: the same seed yields the same names.
 func TestDeterminism(t *testing.T) {
-	a := ESoftName(rng(42), 7)
-	b := ESoftName(rng(42), 7)
-	if strings.Join(a, ".") != strings.Join(b, ".") {
-		t.Errorf("same seed produced different names: %v vs %v", a, b)
+	a := AppendESoftName(nil, rng(42), 7)
+	b := AppendESoftName(nil, rng(42), 7)
+	if string(a) != string(b) {
+		t.Errorf("same seed produced different names: %s vs %s", a, b)
 	}
 }

@@ -94,6 +94,7 @@ type Stream struct {
 	c        *Cluster
 	so       streamOptions
 	chans    []chan streamMsg
+	free     []chan []Query // per server: drained batches on their way back to Submit
 	pending  [][]Query
 	wg       sync.WaitGroup // worker lifetimes
 	firstErr atomic.Pointer[error]
@@ -109,6 +110,7 @@ func (c *Cluster) StartStream(opts ...StreamOption) *Stream {
 	}
 	n := len(c.servers)
 	st.chans = make([]chan streamMsg, n)
+	st.free = make([]chan []Query, n)
 	st.pending = make([][]Query, n)
 	for i, s := range c.servers {
 		s.buffered = st.so.bufferedTaps
@@ -117,13 +119,17 @@ func (c *Cluster) StartStream(opts ...StreamOption) *Stream {
 		}
 		ch := make(chan streamMsg, shardChanCap)
 		st.chans[i] = ch
+		// As deep as the queue it mirrors: a batch is on ch, with the
+		// worker, or here, so a steady stream stops allocating batches.
+		st.free[i] = make(chan []Query, shardChanCap)
+		st.pending[i] = make([]Query, 0, streamBatchSize)
 		st.wg.Add(1)
-		go st.worker(s, ch)
+		go st.worker(s, ch, st.free[i])
 	}
 	return st
 }
 
-func (st *Stream) worker(s *server, ch <-chan streamMsg) {
+func (st *Stream) worker(s *server, ch <-chan streamMsg, free chan<- []Query) {
 	defer st.wg.Done()
 	for msg := range ch {
 		if msg.barrier != nil {
@@ -142,6 +148,13 @@ func (st *Stream) worker(s *server, ch <-chan streamMsg) {
 				// whether to continue after an error).
 			}
 		}
+		// Hand the batch back, emptied so it pins no names; when the
+		// free list is full the slice is simply dropped.
+		clear(msg.batch)
+		select {
+		case free <- msg.batch[:0]:
+		default:
+		}
 	}
 }
 
@@ -152,7 +165,17 @@ func (st *Stream) Submit(q Query) {
 	i := st.c.pickServer(q.ClientID)
 	st.pending[i] = append(st.pending[i], q)
 	if len(st.pending[i]) >= streamBatchSize {
-		st.chans[i] <- streamMsg{batch: st.pending[i]}
+		st.handOff(i)
+	}
+}
+
+// handOff sends server i's pending batch to its worker and starts the next
+// one in a slice the worker has finished with, if there is one.
+func (st *Stream) handOff(i int) {
+	st.chans[i] <- streamMsg{batch: st.pending[i]}
+	select {
+	case st.pending[i] = <-st.free[i]:
+	default:
 		st.pending[i] = make([]Query, 0, streamBatchSize)
 	}
 }
@@ -161,8 +184,7 @@ func (st *Stream) Submit(q Query) {
 func (st *Stream) flush() {
 	for i, batch := range st.pending {
 		if len(batch) > 0 {
-			st.chans[i] <- streamMsg{batch: batch}
-			st.pending[i] = make([]Query, 0, streamBatchSize)
+			st.handOff(i)
 		}
 	}
 }

@@ -60,6 +60,33 @@ func TestStreamBarrierRotatesTaps(t *testing.T) {
 	}
 }
 
+// TestStreamRecyclesBatches: the router's 64-query batches come back from the
+// workers, so a stream in steady state allocates for its barriers and not per
+// hand-off (300 hand-offs per run here; how many slices circulate depends on
+// how far the router gets ahead, hence the loose bound).
+func TestStreamRecyclesBatches(t *testing.T) {
+	c, err := NewCluster(synthUpstream(t), WithServers(3), WithCacheSize(1<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.StartStream()
+	defer st.Close()
+	q := Query{Time: t0, Name: "h.synth.test", Type: dnsmsg.TypeA}
+	const handOffs = 300
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < handOffs*streamBatchSize; i++ {
+			q.ClientID = uint32(i % 57)
+			st.Submit(q)
+		}
+		if err := st.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > handOffs/6 {
+		t.Errorf("%d batch hand-offs allocated %.0f times, want a handful", handOffs, allocs)
+	}
+}
+
 // TestStreamMatchesSequential verifies that a Stream with interleaved
 // barriers leaves the cluster in the same state as sequential Resolve calls
 // over the same query sequence.

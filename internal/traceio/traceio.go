@@ -12,12 +12,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/resolver"
 )
 
@@ -132,7 +134,10 @@ func (w *Writer) Flush() error {
 }
 
 // Reader parses JSON-line events. The input is sniffed for the gzip magic
-// bytes on the first read and decompressed transparently.
+// bytes on the first read and decompressed transparently. The format is
+// what encoding/json decodes into an Event; a line of exactly the shape
+// Writer emits is decoded in place instead (see decodeCanonical), to the
+// same Event. Either way the name must be one the wire codec can encode.
 type Reader struct {
 	raw     io.Reader
 	sc      *bufio.Scanner
@@ -178,12 +183,19 @@ func (r *Reader) Next() (Event, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var e Event
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return Event{}, fmt.Errorf("%w: line %d: %v", ErrBadEvent, r.line, err)
+		e, ok := decodeCanonical(raw)
+		if !ok {
+			var general Event // declared here: only this path's event escapes to the heap
+			if err := json.Unmarshal(raw, &general); err != nil {
+				return Event{}, fmt.Errorf("%w: line %d: %v", ErrBadEvent, r.line, err)
+			}
+			e = general
 		}
 		if e.Name == "" || e.Type == "" {
 			return Event{}, fmt.Errorf("%w: line %d: missing name or type", ErrBadEvent, r.line)
+		}
+		if err := validateName(e.Name); err != nil {
+			return Event{}, fmt.Errorf("%w: line %d: name %q: %v", ErrBadEvent, r.line, e.Name, err)
 		}
 		return e, nil
 	}
@@ -194,6 +206,101 @@ func (r *Reader) Next() (Event, error) {
 		return Event{}, fmt.Errorf("traceio: scan: %w", err)
 	}
 	return Event{}, io.EOF
+}
+
+// validateName accepts the names the wire codec can put in a question
+// (dnsmsg.Builder.Question): dnsname.Validate's structural rules after at
+// most one trailing dot, and the root. A replay that let any other name
+// through would fail at that name's first cache miss, far from the line.
+func validateName(name string) error {
+	name = strings.TrimSuffix(name, ".")
+	if name == "" {
+		return nil
+	}
+	return dnsname.Validate(name)
+}
+
+// decodeCanonical decodes line if it is, byte for byte, of the shape Writer
+// emits:
+//
+//	{"ts":"…","client":N,"name":"…","type":"…","disposable":true|false}
+//
+// with strings whose every byte stands for itself, an RFC 3339 stamp, a
+// plain decimal uint32 and a known type mnemonic. For such a line the event
+// equals what json.Unmarshal decodes (FuzzReaderLine holds the two
+// together) at one allocation, the name, instead of six. On any deviation
+// — key order or case, escapes, whitespace, non-ASCII, an unknown type —
+// it reports false and the caller hands the untouched line to
+// encoding/json, which remains the specification of the format and the
+// only source of error text.
+func decodeCanonical(line []byte) (e Event, ok bool) {
+	ts, rest, ok := plainString(line, `{"ts":"`)
+	if !ok || e.Time.UnmarshalText(ts) != nil {
+		return Event{}, false
+	}
+	if rest, ok = cutLiteral(rest, `,"client":`); !ok {
+		return Event{}, false
+	}
+	// JSON spells a number without leading zeros; ten digits can overflow.
+	digits := 0
+	var client uint64
+	for digits < len(rest) && digits < 10 && '0' <= rest[digits] && rest[digits] <= '9' {
+		client = client*10 + uint64(rest[digits]-'0')
+		digits++
+	}
+	if digits == 0 || (digits > 1 && rest[0] == '0') || client > math.MaxUint32 {
+		return Event{}, false
+	}
+	e.Client = uint32(client)
+	name, rest, ok := plainString(rest[digits:], `,"name":"`)
+	if !ok {
+		return Event{}, false
+	}
+	mnemonic, rest, ok := plainString(rest, `,"type":"`)
+	if !ok || len(mnemonic) > 8 {
+		return Event{}, false
+	}
+	// The length bound keeps the conversion on the stack, and going through
+	// the parsed type makes Event.Type one of String's constants.
+	typ, err := dnsmsg.ParseType(string(mnemonic))
+	if err != nil {
+		return Event{}, false
+	}
+	e.Type = typ.String()
+	switch string(rest) {
+	case `,"disposable":true}`:
+		e.Disposable = true
+	case `,"disposable":false}`:
+	default:
+		return Event{}, false
+	}
+	e.Name = string(name)
+	return e, true
+}
+
+// plainString consumes the literal lit and then a JSON string body up to
+// its closing quote, provided the body is printable ASCII without a
+// backslash, so that its bytes are its value.
+func plainString(b []byte, lit string) (val, rest []byte, ok bool) {
+	if b, ok = cutLiteral(b, lit); !ok {
+		return nil, nil, false
+	}
+	for i, c := range b {
+		switch {
+		case c == '"':
+			return b[:i], b[i+1:], true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, nil, false
+		}
+	}
+	return nil, nil, false
+}
+
+func cutLiteral(b []byte, lit string) ([]byte, bool) {
+	if len(b) < len(lit) || string(b[:len(lit)]) != lit {
+		return nil, false
+	}
+	return b[len(lit):], true
 }
 
 // OpenPath opens a trace file for reading — "-" means stdin — sniffing

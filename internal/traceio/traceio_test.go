@@ -96,6 +96,12 @@ func TestReaderRejectsMalformed(t *testing.T) {
 		{name: "bad json", input: "{not json}\n"},
 		{name: "missing name", input: `{"ts":"2011-12-01T00:00:00Z","client":1,"type":"A"}` + "\n"},
 		{name: "missing type", input: `{"ts":"2011-12-01T00:00:00Z","client":1,"name":"a.test"}` + "\n"},
+		// Names the wire codec would refuse at their first cache miss.
+		{name: "long label", input: `{"ts":"2011-12-01T00:00:00Z","client":1,"name":"` + strings.Repeat("a", 64) + `.test","type":"A","disposable":false}` + "\n"},
+		{name: "empty label", input: `{"ts":"2011-12-01T00:00:00Z","client":1,"name":"a..test","type":"A","disposable":false}` + "\n"},
+		{name: "two trailing dots", input: `{"ts":"2011-12-01T00:00:00Z","client":1,"name":"a.test..","type":"A","disposable":false}` + "\n"},
+		{name: "long name", input: `{"ts":"2011-12-01T00:00:00Z","client":1,"name":"` + strings.Repeat("abcdefg.", 32) + `","type":"A","disposable":false}` + "\n"},
+		{name: "long escaped label", input: `{"ts":"2011-12-01T00:00:00Z","client":1,"name":"\u0061` + strings.Repeat("a", 63) + `.test","type":"A","disposable":false}` + "\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -208,5 +214,63 @@ func TestToQueryRejectsUnknownType(t *testing.T) {
 	e := Event{Name: "x.test", Type: "BOGUS"}
 	if _, err := e.ToQuery(); !errors.Is(err, ErrBadEvent) {
 		t.Errorf("ToQuery = %v, want ErrBadEvent", err)
+	}
+}
+
+// canonicalTrace is Writer output covering both stamp shapes, both types the
+// generator asks for and both labels.
+func canonicalTrace(t testing.TB, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := 0; i < n; i++ {
+		e := Event{
+			Time:   time.Date(2011, 12, 1, 8, 30, i, 1000*i, time.UTC),
+			Client: uint32(i * 7919), Name: "www.example.com", Type: "A",
+		}
+		if i%3 == 1 {
+			e.Name, e.Type, e.Disposable = "0.0.0.0.1.0.0.4e.135jg5e1pd7s4735ftrqweufm5.avqs.mcafee.com", "AAAA", true
+		}
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReaderNextAllocs: a line the Writer emitted costs its name and nothing
+// else (the json.Unmarshal path costs six). AllocsPerRun rounds down, so
+// the count is taken over a batch of events, not per call.
+func TestReaderNextAllocs(t *testing.T) {
+	const batch, runs = 1000, 5
+	r := NewReader(bytes.NewReader(canonicalTrace(t, batch*(runs+1))))
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < batch; i++ {
+			if _, err := r.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > batch {
+		t.Errorf("Reader.Next allocated %.0f times for %d canonical events, want <= one each", allocs, batch)
+	}
+}
+
+func BenchmarkReaderNext(b *testing.B) {
+	data := canonicalTrace(b, 10_000)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)) / 10_000)
+	b.ResetTimer()
+	var r *Reader
+	for i := 0; i < b.N; i++ {
+		if i%10_000 == 0 {
+			r = NewReader(bytes.NewReader(data))
+		}
+		if _, err := r.Next(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

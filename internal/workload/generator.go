@@ -169,13 +169,18 @@ func (g *Generator) nxName() string {
 	if len(g.nxPool) > 0 && g.rng.Float64() < 0.7 {
 		return g.nxPool[g.rng.Intn(len(g.nxPool))]
 	}
-	var name string
+	var buf [96]byte
+	b := buf[:0]
 	if g.rng.Float64() < 0.8 && len(g.registry.NonDisposable) > 0 {
 		zone := g.registry.NonDisposable[g.rng.Intn(len(g.registry.NonDisposable))]
-		name = labelgen.Token(g.rng, 6+g.rng.Intn(8)) + "." + zone.Zone
+		b = labelgen.AppendToken(b, g.rng, 6+g.rng.Intn(8))
+		b = append(append(b, '.'), zone.Zone...)
 	} else {
-		name = labelgen.Token(g.rng, 8) + "." + labelgen.ZoneName(g.rng) + ".com"
+		b = labelgen.AppendToken(b, g.rng, 8)
+		b = append(append(b, '.'), labelgen.ZoneName(g.rng)...)
+		b = append(b, ".com"...)
 	}
+	name := string(b)
 	if len(g.nxPool) < g.nxPoolCap {
 		g.nxPool = append(g.nxPool, name)
 	} else if g.nxPoolCap > 0 {

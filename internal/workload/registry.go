@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"dnsnoise/internal/authority"
@@ -85,7 +84,10 @@ type ZoneSpec struct {
 	TTL uint32
 	// Weight is the zone's share of its category's query volume.
 	Weight float64
-	// HostPool holds the finite name pool for non-disposable and CDN zones.
+	// HostPool holds the finite name pool of a non-disposable or CDN zone
+	// as full names ("www.vexora.com"), hottest first. NextName hands them
+	// out as they are and the authority owns its records by these same
+	// strings, so a pool name exists once.
 	HostPool []string
 	// RDataPool bounds distinct rdata for pool-based zones.
 	RDataPool int
@@ -151,27 +153,30 @@ func (z *ZoneSpec) NextName(rng *rand.Rand) (string, dnsmsg.Type) {
 		if idx >= len(z.HostPool) {
 			idx = len(z.HostPool) - 1
 		}
-		return z.HostPool[idx] + "." + z.Zone, qtype
+		return z.HostPool[idx], qtype
 	}
 	if z.RepeatP > 0 && rng.Float64() < z.RepeatP {
 		if name := z.recentName(rng); name != "" {
 			return name, qtype
 		}
 	}
-	var labels []string
+	// A fresh name costs its string and nothing else: the longest grammar
+	// (telemetry, ~100 bytes) and a zone origin fit the stack buffer.
+	var buf [192]byte
+	b := buf[:0]
 	switch z.Kind {
 	case KindTelemetry:
-		labels = labelgen.ESoftName(rng, rng.Uint32()%1_000_000)
+		b = labelgen.AppendESoftName(b, rng, rng.Uint32()%1_000_000)
 	case KindReputation:
-		labels = labelgen.McAfeeName(rng)
+		b = labelgen.AppendMcAfeeName(b, rng)
 	case KindMeasurement:
-		labels = labelgen.GoogleIPv6Name(rng)
+		b = labelgen.AppendGoogleIPv6Name(b, rng)
 	case KindDNSBL:
-		labels = labelgen.DNSBLName(rng)
+		b = labelgen.AppendDNSBLName(b, rng)
 	default: // KindTracking
-		labels = labelgen.TrackingName(rng)
+		b = labelgen.AppendTrackingName(b, rng)
 	}
-	name := strings.Join(labels, ".") + "." + z.Zone
+	name := string(append(append(b, '.'), z.Zone...))
 	z.rememberName(name)
 	return name, qtype
 }
@@ -266,7 +271,7 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 			h := labels[0] + "." + labels[1]
 			if !seen[h] {
 				seen[h] = true
-				spec.HostPool = append(spec.HostPool, h)
+				spec.HostPool = append(spec.HostPool, h+"."+origin)
 			}
 		}
 		r.CDN = append(r.CDN, spec)
@@ -276,11 +281,13 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	google := &ZoneSpec{
 		Zone: "google.com", E2LD: "google.com", Kind: KindNonDisposable,
 		TTL: 300, Weight: 120, RDataPool: 16, AAAAShare: 0.08,
-		HostPool: []string{
-			"www", "mail", "apis", "accounts", "drive", "docs", "maps",
-			"news", "play", "translate", "calendar", "plus", "talk",
-			"picasaweb", "code", "groups", "sites", "books", "scholar",
-		},
+	}
+	for _, h := range []string{
+		"www", "mail", "apis", "accounts", "drive", "docs", "maps",
+		"news", "play", "translate", "calendar", "plus", "talk",
+		"picasaweb", "code", "groups", "sites", "books", "scholar",
+	} {
+		google.HostPool = append(google.HostPool, h+"."+google.Zone)
 	}
 	r.NonDisposable = append(r.NonDisposable, google)
 
@@ -317,7 +324,7 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 			h := labelgen.HostName(rng)
 			if !seen[h] {
 				seen[h] = true
-				spec.HostPool = append(spec.HostPool, h)
+				spec.HostPool = append(spec.HostPool, h+"."+e2ld)
 			}
 		}
 		if rng.Float64() < cfg.CDNFanout {
@@ -495,14 +502,13 @@ func populateStaticZone(z *authority.Zone, spec *ZoneSpec) error {
 	// Deterministic per-zone rdata assignment keeps authority data stable
 	// across runs with the same registry seed.
 	h := dnsname.Hash(spec.Zone)
-	for i, host := range spec.HostPool {
-		owner := host + "." + spec.Zone
+	for i, owner := range spec.HostPool {
 		if spec.CNAMETarget != nil && i == 0 {
 			// The hottest host (typically www) shards into the CDN.
 			target := spec.CNAMETarget.HostPool[h%uint64(len(spec.CNAMETarget.HostPool))]
 			rr := dnsmsg.RR{
 				Name: owner, Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN,
-				TTL: spec.TTL, RData: target + "." + spec.CNAMETarget.Zone,
+				TTL: spec.TTL, RData: target,
 			}
 			if err := z.Add(rr); err != nil {
 				return err

@@ -185,7 +185,7 @@ func TestCNAMEShardingIntoCDN(t *testing.T) {
 			continue
 		}
 		found = true
-		owner := z.HostPool[0] + "." + z.Zone
+		owner := z.HostPool[0]
 		resp := srv.Resolve(owner, dnsmsg.TypeA)
 		if len(resp.Answers) != 1 || resp.Answers[0].Type != dnsmsg.TypeCNAME {
 			t.Fatalf("sharded host %s answers = %+v, want CNAME", owner, resp.Answers)
