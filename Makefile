@@ -46,7 +46,10 @@ bench:
 # guard that such a re-score allocates for what it reports, not per name)
 # — the source side of a replay (BenchmarkReaderNext and BenchmarkDayStream
 # with the guards that a canonical trace line costs one allocation and a
-# generated name at most one) — a short serve-throughput flood with the
+# generated name at most one) — the CHR collector (BenchmarkObserveBelow
+# known/fresh and BenchmarkMerge, with the guards that a known record costs
+# nothing and a new or merged one its share of a slab chunk and of map
+# growth, not objects of its own) — a short serve-throughput flood with the
 # end-to-end packet-allocation gate (plain and scored) and the
 # streaming-miner intake-overhead pair with its gate. Whole-program overhead questions
 # (telemetry, qlog, fleet collector, tsdb) go to benchmark/run.sh A/A runs
@@ -60,6 +63,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkDayStream' \
 		-benchtime=100x -benchmem ./internal/traceio/ ./internal/workload/
 	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs' -v ./internal/traceio/ ./internal/workload/
+	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
+	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs' -v ./internal/chrstat/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/
 	$(GO) run ./cmd/dnsnoise-bench -only serve -serve-duration 200ms -serve-clients 4 -max-packet-allocs 0 -out /dev/null
 	$(GO) run ./cmd/dnsnoise-bench -only miner -queries 20000 -out /dev/null
@@ -67,13 +72,16 @@ bench-smoke:
 
 # Ten seconds of native fuzzing on each decoder that reads outside input,
 # from the committed seeds. The wire decoder (the golden corpus plus
-# hand-built hostile wires): no panic, reuse equals fresh decode, re-encode is
-# a fixed point, the wire scanners agree. The trace reader (the golden and
-# foreign traces plus hostile lines): its canonical-line path decodes what
-# encoding/json decodes and fails where it fails.
+# hand-built hostile wires): no panic, reuse equals fresh decode, the asked
+# name changes nothing, re-encode is a fixed point, the wire scanners agree.
+# The trace reader (the golden and foreign traces plus hostile lines): its
+# canonical-line path decodes what encoding/json decodes and fails where it
+# fails. The exposition parser (a rendered registry, whole and cut): no
+# panic, and a sample that parses survives being spelled out again.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnpack -fuzztime 10s ./internal/dnsmsg
 	$(GO) test -run '^$$' -fuzz FuzzReaderLine -fuzztime 10s ./internal/traceio
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/telemetry/promtext
 
 clean:
 	$(GO) clean ./...

@@ -1,0 +1,110 @@
+package chrstat
+
+import (
+	"fmt"
+	"testing"
+
+	"dnsnoise/internal/cache"
+	"dnsnoise/internal/resolver"
+)
+
+// freshObservations returns n below-side observations of n distinct
+// disposable-style records, one client each.
+func freshObservations(n int) []resolver.Observation {
+	obs := make([]resolver.Observation, n)
+	for i := range obs {
+		obs[i] = obBelow(rrA(fmt.Sprintf("tok%d.avqs.example.com", i), "127.0.3.17"), cache.CategoryDisposable)
+		obs[i].ClientID = uint32(i % 1000)
+	}
+	return obs
+}
+
+// TestObserveAllocs: an observation of a record the collector knows, from a
+// client the record knows, allocates nothing; a new record with its one
+// client costs its share of a slab chunk and of the growth of the collector's
+// three maps (its entry, its name queried, its name resolved) — and no
+// object, client map or map group of its own, which were three more.
+func TestObserveAllocs(t *testing.T) {
+	const records = 10000
+	obs := freshObservations(records)
+	c := NewCollector()
+	fresh := testing.AllocsPerRun(1, func() {
+		c = NewCollector()
+		for i := range obs {
+			c.ObserveBelow(obs[i])
+		}
+	}) / records
+	known := testing.AllocsPerRun(5, func() {
+		for i := range obs {
+			c.ObserveBelow(obs[i])
+		}
+	})
+	t.Logf("known record: %.0f allocs per %d observations; new record: %.3f allocs each", known, records, fresh)
+	if known != 0 {
+		t.Errorf("%d observations of known records allocated %.0f times, want 0", records, known)
+	}
+	if fresh > 0.05 {
+		t.Errorf("a new record cost %.3f allocations, budget 0.05", fresh)
+	}
+}
+
+// mergeFixture is two shards of 5 000 records each, disjoint, one or two
+// clients a record.
+func mergeFixture() (s *ShardedCollector, records int) {
+	obs := freshObservations(10000)
+	s = NewShardedCollector(2)
+	for i := range obs {
+		obs[i].Server = i % 2
+		s.ObserveBelow(obs[i])
+		if i%3 == 0 {
+			obs[i].ClientID++
+			s.ObserveBelow(obs[i])
+		}
+	}
+	return s, len(obs)
+}
+
+// TestMergeAllocs: folding a shard's record into the merged collector costs
+// what observing it new does — not a record, a client map and an id slice
+// each.
+func TestMergeAllocs(t *testing.T) {
+	s, records := mergeFixture()
+	perRecord := testing.AllocsPerRun(3, func() { s.Merge() }) / float64(records)
+	t.Logf("Merge: %.3f allocs per absorbed record", perRecord)
+	if perRecord > 0.05 {
+		t.Errorf("Merge cost %.3f allocations per absorbed record, budget 0.05", perRecord)
+	}
+}
+
+func BenchmarkObserveBelow(b *testing.B) {
+	b.Run("known", func(b *testing.B) {
+		obs := freshObservations(1000)
+		c := NewCollector()
+		for i := range obs {
+			c.ObserveBelow(obs[i])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.ObserveBelow(obs[i%len(obs)])
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		obs := freshObservations(b.N)
+		c := NewCollector()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range obs {
+			c.ObserveBelow(obs[i])
+		}
+	})
+}
+
+func BenchmarkMerge(b *testing.B) {
+	s, _ := mergeFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Merge()
+	}
+}

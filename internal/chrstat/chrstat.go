@@ -14,7 +14,9 @@
 package chrstat
 
 import (
+	"slices"
 	"sync"
+	"unsafe"
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
@@ -27,6 +29,10 @@ import (
 // counts only matter at the low end.
 const maxTrackedClients = 64
 
+// inlineClients is how many client ids a record holds in place. Most records
+// never see more, and so never own anything on the heap.
+const inlineClients = 4
+
 // RRStat is the daily accounting for one distinct resource record.
 type RRStat struct {
 	Name     string
@@ -36,31 +42,62 @@ type RRStat struct {
 	Above    uint64 // answers observed above (cache misses)
 	Category cache.Category
 
-	clients         map[uint32]struct{}
+	// The distinct clients seen, in arrival order: the first inlineClients
+	// in clients, the rest in moreClients, nclients in all. Sets are small
+	// (at most maxTrackedClients), so membership is a scan.
 	clientsOverflow bool
+	nclients        uint8
+	clients         [inlineClients]uint32
+	moreClients     []uint32
 }
 
 // Clients returns the number of distinct clients observed querying the
 // record, and whether the count saturated the tracking cap (64).
 func (s *RRStat) Clients() (n int, saturated bool) {
-	return len(s.clients), s.clientsOverflow
+	return int(s.nclients), s.clientsOverflow
+}
+
+// inlineIDs returns the ids held in place.
+func (s *RRStat) inlineIDs() []uint32 {
+	return s.clients[:min(int(s.nclients), inlineClients)]
 }
 
 func (s *RRStat) trackClient(id uint32) {
 	if s.clientsOverflow {
 		return
 	}
-	if s.clients == nil {
-		s.clients = make(map[uint32]struct{}, 2)
-	}
-	if _, ok := s.clients[id]; ok {
+	if slices.Contains(s.inlineIDs(), id) || slices.Contains(s.moreClients, id) {
 		return
 	}
-	if len(s.clients) >= maxTrackedClients {
+	switch n := int(s.nclients); {
+	case n >= maxTrackedClients:
 		s.clientsOverflow = true
 		return
+	case n < inlineClients:
+		s.clients[n] = id
+	default:
+		s.moreClients = append(s.moreClients, id)
 	}
-	s.clients[id] = struct{}{}
+	s.nclients++
+}
+
+// statChunk is how many RRStats a collector allocates at a time: what fits
+// in 8 KiB, which the allocator hands out without rounding up.
+const statChunk = 8 << 10 / int(unsafe.Sizeof(RRStat{}))
+
+// statSlab hands out zeroed RRStats carved from chunks of statChunk, one
+// allocation per chunk rather than per record. A chunk is never grown or
+// copied, so a record's address is stable; chunks are released together,
+// when the collector (or view) that owns the slab is.
+type statSlab struct{ free []RRStat }
+
+func (sl *statSlab) new() *RRStat {
+	if len(sl.free) == 0 {
+		sl.free = make([]RRStat, statChunk)
+	}
+	st := &sl.free[0]
+	sl.free = sl.free[1:]
+	return st
 }
 
 // DHR returns the record's domain hit rate. Records observed above more
@@ -93,6 +130,7 @@ type rrKey struct {
 // It is not safe for concurrent use.
 type Collector struct {
 	perRR map[rrKey]*RRStat
+	slab  statSlab
 
 	belowTotal   uint64 // all below observations, incl. NXDOMAIN
 	aboveTotal   uint64
@@ -160,7 +198,8 @@ func (c *Collector) stat(rr dnsmsg.RR, cat cache.Category) *RRStat {
 	key := rrKey{name: rr.Name, typ: rr.Type, rdata: rr.RData}
 	st, ok := c.perRR[key]
 	if !ok {
-		st = &RRStat{Name: rr.Name, Type: rr.Type, TTL: rr.TTL, Category: cat}
+		st = c.slab.new()
+		st.Name, st.Type, st.TTL, st.Category = rr.Name, rr.Type, rr.TTL, cat
 		c.perRR[key] = st
 	}
 	return st

@@ -1,0 +1,236 @@
+package chrstat
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"dnsnoise/internal/cache"
+	"dnsnoise/internal/dnsmsg"
+)
+
+// refClients is the client set as a map, by the rules trackClient keeps: a
+// new id is counted until maxTrackedClients are, the next new one saturates,
+// and nothing is looked at after that.
+type refClients struct {
+	ids       map[uint32]struct{}
+	saturated bool
+}
+
+func (r *refClients) track(id uint32) {
+	if r.saturated {
+		return
+	}
+	if _, ok := r.ids[id]; ok {
+		return
+	}
+	if len(r.ids) >= maxTrackedClients {
+		r.saturated = true
+		return
+	}
+	if r.ids == nil {
+		r.ids = make(map[uint32]struct{})
+	}
+	r.ids[id] = struct{}{}
+}
+
+// TestClientSetMatchesReferenceMap drives trackClient beside the map over
+// random id streams and compares Clients() after every id. The small id
+// spaces repeat ids constantly and stay inline or just spill; the large ones
+// run through the spill, the cap, the saturating 65th id and repeats after
+// it.
+func TestClientSetMatchesReferenceMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	spaces := []int{1, 3, 5, 8, 64, 65, 70, 200, 1 << 20}
+	reached := make(map[int]bool) // distinct-client counts seen, and 65 for saturation
+	for stream := 0; stream < 1500; stream++ {
+		space := spaces[stream%len(spaces)]
+		var st RRStat
+		var ref refClients
+		for i, length := 0, rng.Intn(301); i <= length; i++ {
+			if i > 0 { // the empty set is compared too
+				id := uint32(rng.Intn(space))
+				if space > 1000 {
+					id *= 4099 // spread over the high bits too
+				}
+				st.trackClient(id)
+				ref.track(id)
+			}
+			n, saturated := st.Clients()
+			if n != len(ref.ids) || saturated != ref.saturated {
+				t.Fatalf("stream %d (ids below %d), after %d ids: Clients() = (%d, %v), the map says (%d, %v)",
+					stream, space, i, n, saturated, len(ref.ids), ref.saturated)
+			}
+			reached[n] = true
+			if saturated {
+				reached[maxTrackedClients+1] = true
+			}
+		}
+		for _, id := range trackedIDs(&st) {
+			if _, ok := ref.ids[id]; !ok {
+				t.Fatalf("stream %d: the set holds %d, which the map does not", stream, id)
+			}
+		}
+	}
+	for _, n := range []int{0, inlineClients, inlineClients + 1, maxTrackedClients, maxTrackedClients + 1} {
+		if !reached[n] {
+			t.Errorf("no stream reached %d distinct clients: the test lost its point", n)
+		}
+	}
+}
+
+// summary is what a collector reports, in comparable form.
+type summary struct {
+	totals            [4]uint64
+	queried, resolved int
+	records           map[rrKey]recordSummary
+}
+
+type recordSummary struct {
+	name         string
+	typ          dnsmsg.Type
+	ttl          uint32
+	category     cache.Category
+	below, above uint64
+	clients      int
+	saturated    bool
+}
+
+func summarize(c *Collector) summary {
+	s := summary{records: make(map[rrKey]recordSummary)}
+	s.totals[0], s.totals[1], s.totals[2], s.totals[3] = c.Totals()
+	s.queried, _ = c.QueriedNames(nil)
+	s.resolved, _ = c.ResolvedNames(nil)
+	for key, st := range c.perRR {
+		n, saturated := st.Clients()
+		s.records[key] = recordSummary{st.Name, st.Type, st.TTL, st.Category, st.Below, st.Above, n, saturated}
+	}
+	return s
+}
+
+// trackedIDs lists a record's tracked client ids in stored order.
+func trackedIDs(st *RRStat) []uint32 {
+	ids := append([]uint32(nil), st.inlineIDs()...)
+	return append(ids, st.moreClients...)
+}
+
+func retainedClients(c *Collector) map[rrKey][]uint32 {
+	out := make(map[rrKey][]uint32)
+	for key, st := range c.perRR {
+		out[key] = trackedIDs(st)
+	}
+	return out
+}
+
+// TestMergeMatchesSequentialCollector: Merge over 2–4 shards reports what one
+// Collector fed the shards' streams one after the other reports — counts,
+// name sets, and every record's client count and saturation — whether the
+// shards' client sets are disjoint (hash affinity) or overlap, below the cap
+// and past it; and merging again gives the same collector down to the ids
+// retained, whatever order the maps iterate in.
+func TestMergeMatchesSequentialCollector(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	// How a merged record came to saturate: a shard already had, or only the
+	// union did.
+	var byShard, byUnion, unsaturated int
+	for round := 0; round < 12; round++ {
+		shards := 2 + round%3
+		disjoint := round%2 == 0
+		clientSpace := []int{3, 40, 90, 400}[round%4] // per shard when disjoint
+		s := NewShardedCollector(shards)
+		streams := make([][]func(*Collector), shards)
+		for i := 0; i < 6000; i++ {
+			server := rng.Intn(shards)
+			// Few records, so that some collect clients past the cap.
+			rr := rrA(fmt.Sprintf("h%d.example.com", rng.Intn(12)), fmt.Sprintf("198.18.0.%d", rng.Intn(2)))
+			rr.TTL = uint32(60 * (server + 1))
+			ob := obBelow(rr, cache.Category(rng.Intn(2)))
+			ob.Server, ob.ClientID = server, uint32(rng.Intn(clientSpace))
+			if disjoint {
+				ob.ClientID = ob.ClientID*uint32(shards) + uint32(server)
+			}
+			switch rng.Intn(8) {
+			case 0:
+				s.ObserveAbove(ob)
+				streams[server] = append(streams[server], func(c *Collector) { c.ObserveAbove(ob) })
+				continue
+			case 1:
+				ob.RCode = dnsmsg.RCodeNXDomain
+				ob.QName = "missing-" + ob.QName
+			}
+			s.ObserveBelow(ob)
+			streams[server] = append(streams[server], func(c *Collector) { c.ObserveBelow(ob) })
+		}
+		sequential := NewCollector()
+		for _, stream := range streams {
+			for _, observe := range stream {
+				observe(sequential)
+			}
+		}
+
+		merged := s.Merge()
+		want := summarize(sequential)
+		if got := summarize(merged); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d (%d shards, disjoint %v, %d clients): Merge = %+v\nsequential = %+v", round, shards, disjoint, clientSpace, got, want)
+		}
+		for key, st := range merged.perRR {
+			inShard := false
+			for i := 0; i < shards; i++ {
+				if sh, ok := s.Shard(i).perRR[key]; ok && sh.clientsOverflow {
+					inShard = true
+				}
+			}
+			switch {
+			case inShard:
+				byShard++
+			case st.clientsOverflow:
+				byUnion++
+			default:
+				unsaturated++
+			}
+		}
+		retained := retainedClients(merged)
+		for again := 0; again < 20; again++ {
+			m := s.Merge()
+			if got := summarize(m); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, merge %d differs from the first", round, again+2)
+			}
+			if got := retainedClients(m); !reflect.DeepEqual(got, retained) {
+				t.Fatalf("round %d, merge %d retained other client ids than the first", round, again+2)
+			}
+		}
+	}
+	if byShard == 0 || byUnion == 0 || unsaturated == 0 {
+		t.Errorf("records saturated in a shard %d, by union only %d, not at all %d: the test lost its point", byShard, byUnion, unsaturated)
+	}
+}
+
+// TestStatPointersStable: the slab never moves a record it has handed out.
+func TestStatPointersStable(t *testing.T) {
+	c := NewCollector()
+	const records = 10000
+	rrs := make([]dnsmsg.RR, records)
+	held := make([]*RRStat, records)
+	for i := range rrs {
+		rrs[i] = rrA(fmt.Sprintf("h%d.example.com", i), "192.0.2.1")
+		rrs[i].TTL = uint32(i)
+		held[i] = c.stat(rrs[i], cache.Category(i%2))
+		held[i].Below = uint64(i)
+		held[i].trackClient(uint32(i))
+	}
+	if len(c.perRR) != records {
+		t.Fatalf("%d records, want %d", len(c.perRR), records)
+	}
+	for i, rr := range rrs {
+		st := c.stat(rr, 0)
+		if st != held[i] {
+			t.Fatalf("record %d moved: %p, was %p", i, st, held[i])
+		}
+		n, _ := st.Clients()
+		if st.Name != rr.Name || st.Type != rr.Type || st.TTL != uint32(i) || st.Category != cache.Category(i%2) ||
+			st.Below != uint64(i) || n != 1 || st.clients[0] != uint32(i) {
+			t.Fatalf("record %d changed: %+v", i, *st)
+		}
+	}
+}

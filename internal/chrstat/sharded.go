@@ -92,6 +92,7 @@ func (s *ShardedCollector) Merge() *Collector {
 type Counts struct {
 	perRR  map[rrKey]*RRStat
 	byName map[string][]*RRStat
+	slab   statSlab
 }
 
 // Refresh re-sums every shard of s into the view and returns it grouped by
@@ -111,7 +112,8 @@ func (v *Counts) Refresh(s *ShardedCollector) map[string][]*RRStat {
 		for key, st := range sh.perRR {
 			dst, ok := v.perRR[key]
 			if !ok {
-				dst = &RRStat{Name: st.Name, Type: st.Type}
+				dst = v.slab.new()
+				dst.Name, dst.Type = st.Name, st.Type
 				v.perRR[key] = dst
 				v.byName[st.Name] = append(v.byName[st.Name], dst)
 			}
@@ -128,7 +130,7 @@ func (v *Counts) Refresh(s *ShardedCollector) map[string][]*RRStat {
 }
 
 // Reset empties the view and releases its records.
-func (v *Counts) Reset() { v.perRR, v.byName = nil, nil }
+func (v *Counts) Reset() { *v = Counts{} }
 
 // absorb folds src into c.
 func (c *Collector) absorb(src *Collector) {
@@ -145,7 +147,8 @@ func (c *Collector) absorb(src *Collector) {
 	for key, st := range src.perRR {
 		dst, ok := c.perRR[key]
 		if !ok {
-			dst = &RRStat{Name: st.Name, Type: st.Type, TTL: st.TTL, Category: st.Category}
+			dst = c.slab.new()
+			dst.Name, dst.Type, dst.TTL, dst.Category = st.Name, st.Type, st.TTL, st.Category
 			c.perRR[key] = dst
 		}
 		dst.absorb(st)
@@ -159,15 +162,14 @@ func (c *Collector) absorb(src *Collector) {
 // the disjoint shard sets union past the cap during insertion. IDs are
 // inserted in sorted order so that when the union saturates mid-shard, the
 // retained set — and hence the whole merged collector — is a deterministic
-// function of the shard contents, not of map iteration order.
+// function of the shard contents, not of the order clients arrived in.
 func (dst *RRStat) absorb(src *RRStat) {
 	dst.Below += src.Below
 	dst.Above += src.Above
-	if len(src.clients) > 0 && !dst.clientsOverflow {
-		ids := make([]uint32, 0, len(src.clients))
-		for id := range src.clients {
-			ids = append(ids, id)
-		}
+	if src.nclients > 0 && !dst.clientsOverflow {
+		var buf [maxTrackedClients]uint32
+		n := copy(buf[:], src.inlineIDs())
+		ids := buf[:n+copy(buf[n:], src.moreClients)]
 		slices.Sort(ids)
 		for _, id := range ids {
 			if dst.clientsOverflow {

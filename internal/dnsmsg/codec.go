@@ -152,13 +152,21 @@ func Decode(data []byte) (*Message, error) {
 // Unpack parses a wire-format message into m, replacing its contents. The
 // section slices are truncated and refilled, so a Message kept by one caller
 // and unpacked into repeatedly stops allocating them once they have grown to
-// the largest message seen. Nothing in m refers to data afterwards: every
-// name and rdata is a string of its own (owner names equal to the first
-// question's share that one string), so records copied out of m stay valid
+// the largest message seen. Nothing in m refers to data afterwards: names and
+// rdata are strings, not views of it, and every name that spells the first
+// question's shares that one string. Records copied out of m stay valid
 // across later Unpack calls — but m's own slices do not, and a caller that
 // keeps records must copy the RR values out first. After an error m holds a
 // partial message.
-func (m *Message) Unpack(data []byte) error {
+func (m *Message) Unpack(data []byte) error { return m.UnpackReply(data, "") }
+
+// UnpackReply is Unpack for the reply to a question the caller still holds:
+// names in data that spell asked are handed that string instead of a copy, so
+// a reply that echoes its question costs no string for the question or for
+// any record it owns. asked only saves the copy; data is parsed, checked and
+// compared as in Unpack, and the resulting message is equal to Unpack's
+// whatever asked is.
+func (m *Message) UnpackReply(data []byte, asked string) error {
 	if len(data) < headerLen {
 		return ErrTruncatedMessage
 	}
@@ -173,7 +181,7 @@ func (m *Message) Unpack(data []byte) error {
 		RecursionAvailable: flags&flagRA != 0,
 		RCode:              RCode(flags & 0xF),
 	}
-	d := decoder{data: data, pos: headerLen}
+	d := decoder{data: data, pos: headerLen, qname: asked}
 	m.Questions = m.Questions[:0]
 	for i := int(binary.BigEndian.Uint16(data[offQDCount:])); i > 0; i-- {
 		name, err := d.name()
@@ -441,9 +449,10 @@ const asciiSpace = " \t\n\v\f\r"
 type decoder struct {
 	data []byte
 	pos  int
-	// qname is the first question's name. A response repeats it as the owner
-	// of (nearly) every record, so names that decode to the same bytes are
-	// handed this string instead of a new one.
+	// qname is the first question's name and, until that is decoded, the
+	// name the caller asked about. A response repeats it as the owner of
+	// (nearly) every record, so names that decode to the same bytes are handed
+	// this string instead of a new one.
 	qname string
 }
 

@@ -2,6 +2,8 @@ package dnsmsg
 
 import (
 	"encoding/binary"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -104,13 +106,14 @@ func lossless(m *Message) bool {
 	return true
 }
 
-// FuzzUnpack holds the decoder to four promises on arbitrary bytes: it never
+// FuzzUnpack holds the decoder to five promises on arbitrary bytes: it never
 // panics or reads out of bounds; unpacking into a dirty, reused Message gives
-// what decoding into a fresh one gives; whatever it accepts and the encoder
-// can spell re-encodes to a fixed point, and to the same message when the
-// presentation forms are lossless; and the zero-alloc wire scanners
-// (QuestionSectionEnd, EDNSUDPSize, SoleQuestion) agree with it wherever
-// both accept.
+// what decoding into a fresh one gives; telling it the name that was asked
+// about (the right one, a wrong one, none) changes neither the message nor
+// the error; whatever it accepts and the encoder can spell re-encodes to a
+// fixed point, and to the same message when the presentation forms are
+// lossless; and the zero-alloc wire scanners (QuestionSectionEnd,
+// EDNSUDPSize, SoleQuestion) agree with it wherever both accept.
 func FuzzUnpack(f *testing.F) {
 	for _, tc := range goldenCorpus() {
 		f.Add(readGolden(f, tc.name))
@@ -137,6 +140,20 @@ func FuzzUnpack(f *testing.F) {
 		}
 		if err == nil && !sameMessage(fresh, &reused) {
 			t.Fatalf("Unpack into a used Message = %+v, Decode = %+v", reused, fresh)
+		}
+
+		var plain Message // not fresh: after an error there is a partial message to compare
+		plainErr := plain.Unpack(data)
+		askedNames := []string{"unrelated.example.net", ""}
+		if len(plain.Questions) > 0 {
+			askedNames = append(askedNames, plain.Questions[0].Name)
+		}
+		for _, asked := range askedNames {
+			var reply Message
+			replyErr := reply.UnpackReply(data, asked)
+			if fmt.Sprint(replyErr) != fmt.Sprint(plainErr) || !reflect.DeepEqual(&reply, &plain) {
+				t.Fatalf("UnpackReply(asked %q) = %+v, %v; Unpack = %+v, %v", asked, reply, replyErr, plain, plainErr)
+			}
 		}
 
 		checkScanners(t, data, fresh)

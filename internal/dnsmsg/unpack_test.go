@@ -1,8 +1,11 @@
 package dnsmsg
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 func mustEncode(t testing.TB, m *Message) []byte {
@@ -84,6 +87,74 @@ func TestUnpackZeroAllocBudget(t *testing.T) {
 		})
 		if allocs > want {
 			t.Errorf("%s: Unpack into a warmed Message allocated %.1f times per op, budget %.0f", tc.name, allocs, want)
+		}
+	}
+}
+
+// TestUnpackReplySharesAskedName: a reply that echoes the name the caller
+// asked about is decoded onto that very string — question and owners — and
+// costs one allocation less for it; whatever asked is, the message equals
+// plain Unpack's.
+func TestUnpackReplySharesAskedName(t *testing.T) {
+	var reply *Message
+	for _, tc := range goldenCorpus() {
+		if tc.name == "synth-multi" {
+			reply = tc.msg
+		}
+	}
+	wire := mustEncode(t, reply)
+	asked := string(append([]byte(nil), reply.Questions[0].Name...)) // equal, not the corpus's string
+
+	var m Message
+	if err := m.UnpackReply(wire, asked); err != nil {
+		t.Fatal(err)
+	}
+	if !sameMessage(&m, reply) {
+		t.Fatalf("UnpackReply = %+v, want %+v", m, reply)
+	}
+	names := []string{m.Questions[0].Name}
+	for _, rr := range m.Answers {
+		names = append(names, rr.Name)
+	}
+	for i, name := range names {
+		if unsafe.StringData(name) != unsafe.StringData(asked) {
+			t.Errorf("name %d of the reply (%q) is a copy, not the asked string", i, name)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := m.UnpackReply(wire, asked); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Errorf("UnpackReply of an echoed 3-address reply allocated %.1f times per op, want 3 (the addresses)", allocs)
+	}
+
+	mixed := bytes.Replace(wire, []byte("mcafee"), []byte("McAfee"), 1)
+	if bytes.Equal(mixed, wire) {
+		t.Fatal("the reply's name is not spelled out in its wire")
+	}
+	for _, tc := range []struct {
+		what  string
+		wire  []byte
+		asked string
+	}{
+		{"a reply to a different name", wire, "www.example.com"},
+		{"a mixed-case reply", mixed, asked},
+		{"no asked name", wire, ""},
+	} {
+		var plain, got Message
+		if err := plain.Unpack(tc.wire); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.UnpackReply(tc.wire, tc.asked); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&got, &plain) {
+			t.Errorf("%s: UnpackReply = %+v, Unpack = %+v", tc.what, got, plain)
+		}
+		if tc.asked != "" && unsafe.StringData(got.Questions[0].Name) == unsafe.StringData(tc.asked) {
+			t.Errorf("%s: the question name is the asked string", tc.what)
 		}
 	}
 }

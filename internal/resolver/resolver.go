@@ -903,7 +903,7 @@ var errUpstreamUnavailable = errors.New("resolver: upstream unavailable")
 // query is built in, the response appended to and unpacked into the server's
 // reusable scratch, so the returned Message is only valid until the next
 // exchange on s: callers copy out the records they keep (the strings in them
-// are their own and stay valid).
+// stay valid; names the reply echoes are name itself, not copies).
 func (c *Cluster) exchange(s *server, name string, qtype dnsmsg.Type) (*dnsmsg.Message, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.retries; attempt++ {
@@ -923,7 +923,7 @@ func (c *Cluster) exchange(s *server, name string, qtype dnsmsg.Type) (*dnsmsg.M
 		}
 		s.respBuf = respWire // keep any growth for the next exchange
 		s.stats.wireBytesUp.Add(uint64(len(respWire)))
-		if err := s.resp.Unpack(respWire); err != nil {
+		if err := s.resp.UnpackReply(respWire, name); err != nil {
 			lastErr = err
 			continue
 		}
