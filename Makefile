@@ -77,11 +77,15 @@ bench-smoke:
 # The trace reader (the golden and foreign traces plus hostile lines): its
 # canonical-line path decodes what encoding/json decodes and fails where it
 # fails. The exposition parser (a rendered registry, whole and cut): no
-# panic, and a sample that parses survives being spelled out again.
+# panic, and a sample that parses survives being spelled out again. The
+# zone-file reader (the zone files of its tests, good and bad): no panic,
+# every record of an accepted zone is served over the wire, and write →
+# parse → write is a fixed point.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnpack -fuzztime 10s ./internal/dnsmsg
 	$(GO) test -run '^$$' -fuzz FuzzReaderLine -fuzztime 10s ./internal/traceio
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/telemetry/promtext
+	$(GO) test -run '^$$' -fuzz FuzzParseZoneFile -fuzztime 10s ./internal/authority
 
 clean:
 	$(GO) clean ./...

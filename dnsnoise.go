@@ -96,7 +96,8 @@ func NewDataset() *Dataset {
 }
 
 // AddBelow records an answer observed below the resolvers (resolver to
-// client). Unknown record types are rejected.
+// client). Unknown record types are rejected, and so is rdata that is not
+// valid for its type (an A record's RData must be a dotted quad).
 func (d *Dataset) AddBelow(rec Record) error {
 	return d.add(rec, true)
 }
@@ -112,6 +113,10 @@ func (d *Dataset) add(rec Record, below bool) error {
 	if err != nil {
 		return fmt.Errorf("dnsnoise: %w", err)
 	}
+	rdata, err := dnsmsg.ParseRData(typ, rec.RData)
+	if err != nil {
+		return fmt.Errorf("dnsnoise: %s rdata %q: %w", rec.Type, rec.RData, err)
+	}
 	ob := resolver.Observation{
 		Time:  rec.Time,
 		QName: dnsname.Normalize(rec.QName),
@@ -120,7 +125,7 @@ func (d *Dataset) add(rec Record, below bool) error {
 			Type:  typ,
 			Class: dnsmsg.ClassIN,
 			TTL:   rec.TTL,
-			RData: rec.RData,
+			RData: rdata,
 		},
 		RCode: dnsmsg.RCodeNoError,
 	}

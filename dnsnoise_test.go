@@ -164,6 +164,10 @@ func TestDatasetRejectsUnknownType(t *testing.T) {
 	if err := ds.AddAbove(rec); err == nil {
 		t.Error("AddAbove with unknown type should fail")
 	}
+	rec.Type, rec.RData = "A", "1.2.3"
+	if err := ds.AddBelow(rec); err == nil {
+		t.Error("AddBelow of an A record whose rdata is no address should fail")
+	}
 	if ds.NumRecords() != 0 {
 		t.Errorf("NumRecords = %d, want 0", ds.NumRecords())
 	}

@@ -26,7 +26,7 @@ func mustAdd(t *testing.T, z *Zone, rr dnsmsg.RR) {
 }
 
 func aRR(name, ip string) dnsmsg.RR {
-	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: ip}
+	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(dnsmsg.TypeA, ip)}
 }
 
 func TestZoneExactLookup(t *testing.T) {
@@ -36,7 +36,7 @@ func TestZoneExactLookup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
-	if len(got) != 1 || got[0].RData != "192.0.2.1" {
+	if len(got) != 1 || got[0].RData != dnsmsg.IPv4(192, 0, 2, 1) {
 		t.Errorf("Lookup = %v", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestZoneNoData(t *testing.T) {
 
 func TestZoneCNAMEAnswersOtherTypes(t *testing.T) {
 	z := mustZone(t, "example.com")
-	mustAdd(t, z, dnsmsg.RR{Name: "www.example.com", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: "edge.cdn.example.com"})
+	mustAdd(t, z, dnsmsg.RR{Name: "www.example.com", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.Text("edge.cdn.example.com")})
 	got, err := z.Lookup("www.example.com", dnsmsg.TypeA)
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
@@ -78,12 +78,12 @@ func TestZoneCNAMEAnswersOtherTypes(t *testing.T) {
 
 func TestZoneWildcard(t *testing.T) {
 	z := mustZone(t, "fbcdn.net")
-	mustAdd(t, z, dnsmsg.RR{Name: "*.dns.xx.fbcdn.net", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 30, RData: "192.0.2.77"})
+	mustAdd(t, z, dnsmsg.RR{Name: "*.dns.xx.fbcdn.net", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 30, RData: dnsmsg.IPv4(192, 0, 2, 77)})
 	got, err := z.Lookup("1022vr5.dns.xx.fbcdn.net", dnsmsg.TypeA)
 	if err != nil {
 		t.Fatalf("wildcard Lookup: %v", err)
 	}
-	if len(got) != 1 || got[0].Name != "1022vr5.dns.xx.fbcdn.net" || got[0].RData != "192.0.2.77" {
+	if len(got) != 1 || got[0].Name != "1022vr5.dns.xx.fbcdn.net" || got[0].RData != dnsmsg.IPv4(192, 0, 2, 77) {
 		t.Errorf("wildcard answer = %v", got)
 	}
 	// Wildcard only matches direct and deeper children of its parent, not
@@ -95,7 +95,7 @@ func TestZoneWildcard(t *testing.T) {
 
 func TestZoneWildcardDeepMatch(t *testing.T) {
 	z := mustZone(t, "example.com")
-	mustAdd(t, z, dnsmsg.RR{Name: "*.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 30, RData: "192.0.2.9"})
+	mustAdd(t, z, dnsmsg.RR{Name: "*.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 30, RData: dnsmsg.IPv4(192, 0, 2, 9)})
 	got, err := z.Lookup("a.b.c.example.com", dnsmsg.TypeA)
 	if err != nil {
 		t.Fatalf("deep wildcard: %v", err)
@@ -107,13 +107,13 @@ func TestZoneWildcardDeepMatch(t *testing.T) {
 
 func TestZoneExactBeatsWildcard(t *testing.T) {
 	z := mustZone(t, "example.com")
-	mustAdd(t, z, dnsmsg.RR{Name: "*.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 30, RData: "192.0.2.9"})
+	mustAdd(t, z, dnsmsg.RR{Name: "*.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 30, RData: dnsmsg.IPv4(192, 0, 2, 9)})
 	mustAdd(t, z, aRR("www.example.com", "192.0.2.1"))
 	got, err := z.Lookup("www.example.com", dnsmsg.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].RData != "192.0.2.1" {
+	if got[0].RData != dnsmsg.IPv4(192, 0, 2, 1) {
 		t.Errorf("exact record should beat wildcard, got %v", got)
 	}
 }
@@ -123,14 +123,14 @@ func TestZoneSynth(t *testing.T) {
 		if qtype != dnsmsg.TypeA || !strings.HasSuffix(name, ".avqs.mcafee.com") {
 			return nil, false
 		}
-		return []dnsmsg.RR{{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60, RData: "127.0.0.1"}}, true
+		return []dnsmsg.RR{{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.IPv4(127, 0, 0, 1)}}, true
 	}
 	z := mustZone(t, "mcafee.com", WithSynth(synth))
 	got, err := z.Lookup("0.0.0.0.1.0.0.4e.13cfus2drmdq.avqs.mcafee.com", dnsmsg.TypeA)
 	if err != nil {
 		t.Fatalf("synth Lookup: %v", err)
 	}
-	if got[0].RData != "127.0.0.1" {
+	if got[0].RData != dnsmsg.IPv4(127, 0, 0, 1) {
 		t.Errorf("synth answer = %v", got)
 	}
 	if _, err := z.Lookup("www.mcafee.com", dnsmsg.TypeA); !errors.Is(err, ErrNotInZone) {
@@ -143,7 +143,7 @@ func TestZoneAddValidation(t *testing.T) {
 	if err := z.Add(aRR("www.other.com", "192.0.2.1")); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("Add outside zone = %v, want ErrBadRecord", err)
 	}
-	if err := z.Add(dnsmsg.RR{Name: "*.other.com", Type: dnsmsg.TypeA, RData: "192.0.2.1"}); !errors.Is(err, ErrBadRecord) {
+	if err := z.Add(dnsmsg.RR{Name: "*.other.com", Type: dnsmsg.TypeA, RData: dnsmsg.IPv4(192, 0, 2, 1)}); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("Add wildcard outside zone = %v, want ErrBadRecord", err)
 	}
 	if _, err := NewZone(""); !errors.Is(err, ErrZoneOrigin) {
@@ -165,11 +165,11 @@ func TestServerRouting(t *testing.T) {
 	}
 	// Longest-suffix zone must win.
 	resp := s.Resolve("host.deep.example.com", dnsmsg.TypeA)
-	if resp.Header.RCode != dnsmsg.RCodeNoError || len(resp.Answers) != 1 || resp.Answers[0].RData != "192.0.2.2" {
+	if resp.Header.RCode != dnsmsg.RCodeNoError || len(resp.Answers) != 1 || resp.Answers[0].RData != dnsmsg.IPv4(192, 0, 2, 2) {
 		t.Errorf("deep zone response = %+v", resp)
 	}
 	resp = s.Resolve("www.example.com", dnsmsg.TypeA)
-	if len(resp.Answers) != 1 || resp.Answers[0].RData != "192.0.2.1" {
+	if len(resp.Answers) != 1 || resp.Answers[0].RData != dnsmsg.IPv4(192, 0, 2, 1) {
 		t.Errorf("parent zone response = %+v", resp)
 	}
 }
@@ -386,11 +386,11 @@ func TestPublicKeyFromDNSKEYErrors(t *testing.T) {
 	if _, err := PublicKeyFromDNSKEY(aRR("x.com", "192.0.2.1")); err == nil {
 		t.Error("non-DNSKEY record should fail")
 	}
-	bad := dnsmsg.RR{Name: "x.com", Type: dnsmsg.TypeDNSKEY, RData: "257 3 8 abcd"}
+	bad := dnsmsg.RR{Name: "x.com", Type: dnsmsg.TypeDNSKEY, RData: dnsmsg.Text("257 3 8 abcd")}
 	if _, err := PublicKeyFromDNSKEY(bad); err == nil {
 		t.Error("wrong algorithm should fail")
 	}
-	bad.RData = "257 3 15 zz"
+	bad.RData = dnsmsg.Text("257 3 15 zz")
 	if _, err := PublicKeyFromDNSKEY(bad); err == nil {
 		t.Error("bad hex should fail")
 	}
@@ -400,8 +400,7 @@ func TestPublicKeyFromDNSKEYErrors(t *testing.T) {
 // answering a plain query for a single-A name into a warmed dst builds no
 // query Message, no response Message and no response buffer. A static record
 // costs the question's name string alone; a synthesized one adds what the
-// SynthFunc makes (its RRset and the rdata string). The budget is the
-// issue's ≤ 3.
+// SynthFunc makes: its RRset, the address being part of the record.
 func TestAppendHandleWireZeroAllocBudget(t *testing.T) {
 	s := NewServer()
 	z := mustZone(t, "example.com")
@@ -410,7 +409,7 @@ func TestAppendHandleWireZeroAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	synth := mustZone(t, "synth.test", WithSynth(func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
-		return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: "198.18.0." + name[:1]}}, true
+		return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: dnsmsg.IPv4(198, 18, 0, name[0]-'0')}}, true
 	}))
 	if err := s.AddZone(synth); err != nil {
 		t.Fatal(err)
@@ -421,7 +420,7 @@ func TestAppendHandleWireZeroAllocBudget(t *testing.T) {
 	}{
 		{"www.example.com", 1},
 		{"nope.example.com", 1}, // NXDOMAIN + SOA
-		{"7.tok.synth.test", 3},
+		{"7.tok.synth.test", 2},
 	} {
 		query, err := dnsmsg.NewQuery(0x77, tc.name, dnsmsg.TypeA).Encode()
 		if err != nil {

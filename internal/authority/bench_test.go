@@ -22,7 +22,7 @@ func BenchmarkAppendHandleWire(b *testing.B) {
 	synth, err := NewZone("avqs.mcafee.com", WithSynth(func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
 		rrs := make([]dnsmsg.RR, 3)
 		for i := range rrs {
-			rrs[i] = dnsmsg.RR{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: "127.0.3.17"}
+			rrs[i] = dnsmsg.RR{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: dnsmsg.IPv4(127, 0, 3, 17)}
 		}
 		return rrs, true
 	}))

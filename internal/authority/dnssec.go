@@ -62,7 +62,7 @@ func (s *Signer) DNSKEY() dnsmsg.RR {
 		Type:  dnsmsg.TypeDNSKEY,
 		Class: dnsmsg.ClassIN,
 		TTL:   3600,
-		RData: fmt.Sprintf("257 3 %d %s", algEd25519, hex.EncodeToString(s.pub)),
+		RData: dnsmsg.Text(fmt.Sprintf("257 3 %d %s", algEd25519, hex.EncodeToString(s.pub))),
 	}
 }
 
@@ -88,9 +88,9 @@ func (s *Signer) Sign(rrset []dnsmsg.RR) (dnsmsg.RR, error) {
 		Type:  dnsmsg.TypeRRSIG,
 		Class: dnsmsg.ClassIN,
 		TTL:   ttl,
-		RData: fmt.Sprintf("%s %d %d %d %s sig=%s keytag=%d",
+		RData: dnsmsg.Text(fmt.Sprintf("%s %d %d %d %s sig=%s keytag=%d",
 			typ, algEd25519, strings.Count(owner, ".")+1, ttl, s.zone,
-			hex.EncodeToString(sig), s.keyTag),
+			hex.EncodeToString(sig), s.keyTag)),
 	}, nil
 }
 
@@ -100,7 +100,7 @@ func Verify(pub ed25519.PublicKey, rrsig dnsmsg.RR, rrset []dnsmsg.RR) error {
 	if rrsig.Type != dnsmsg.TypeRRSIG {
 		return fmt.Errorf("authority: not an RRSIG: %v", rrsig.Type)
 	}
-	sig, err := parseRRSIGSignature(rrsig.RData)
+	sig, err := parseRRSIGSignature(rrsig.RData.Text())
 	if err != nil {
 		return err
 	}
@@ -116,9 +116,9 @@ func PublicKeyFromDNSKEY(rr dnsmsg.RR) (ed25519.PublicKey, error) {
 	if rr.Type != dnsmsg.TypeDNSKEY {
 		return nil, fmt.Errorf("authority: not a DNSKEY: %v", rr.Type)
 	}
-	fields := strings.Fields(rr.RData)
+	fields := strings.Fields(rr.RData.Text())
 	if len(fields) != 4 {
-		return nil, fmt.Errorf("authority: malformed DNSKEY rdata %q", rr.RData)
+		return nil, fmt.Errorf("authority: malformed DNSKEY rdata %q", rr.RData.Text())
 	}
 	alg, err := strconv.Atoi(fields[2])
 	if err != nil || alg != algEd25519 {
@@ -152,7 +152,7 @@ func parseRRSIGSignature(rdata string) ([]byte, error) {
 func canonicalRRSetBytes(rrset []dnsmsg.RR) []byte {
 	lines := make([]string, len(rrset))
 	for i, rr := range rrset {
-		lines[i] = fmt.Sprintf("%s|%s|%d|%s", strings.ToLower(rr.Name), rr.Type, rr.TTL, rr.RData)
+		lines[i] = fmt.Sprintf("%s|%s|%d|%s", strings.ToLower(rr.Name), rr.Type, rr.TTL, rr.RData.Format(rr.Type))
 	}
 	sort.Strings(lines)
 	return []byte(strings.Join(lines, "\n"))

@@ -34,7 +34,7 @@ func goldenServer(t testing.TB) *Server {
 		}
 	}
 	in := func(name string, typ dnsmsg.Type, rdata string) dnsmsg.RR {
-		return dnsmsg.RR{Name: name, Type: typ, Class: dnsmsg.ClassIN, TTL: 300, RData: rdata}
+		return dnsmsg.RR{Name: name, Type: typ, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(typ, rdata)}
 	}
 	static, err := NewZone("example.com", WithNegativeTTL(120))
 	if err != nil {
@@ -54,8 +54,8 @@ func goldenServer(t testing.TB) *Server {
 			return nil, false
 		}
 		return []dnsmsg.RR{
-			{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: "127.0.3.17"},
-			{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: "127.0.3.18"},
+			{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: dnsmsg.IPv4(127, 0, 3, 17)},
+			{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: dnsmsg.IPv4(127, 0, 3, 18)},
 		}, true
 	}))
 	if err != nil {

@@ -91,7 +91,7 @@ func NewZone(origin string, opts ...ZoneOption) (*Zone, error) {
 		Type:  dnsmsg.TypeSOA,
 		Class: dnsmsg.ClassIN,
 		TTL:   z.negTTL,
-		RData: fmt.Sprintf("ns1.%s hostmaster.%s 2011120100 7200 3600 1209600 %d", origin, origin, z.negTTL),
+		RData: dnsmsg.Text(fmt.Sprintf("ns1.%s hostmaster.%s 2011120100 7200 3600 1209600 %d", origin, origin, z.negTTL)),
 	}
 	return z, nil
 }

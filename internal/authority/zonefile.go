@@ -34,9 +34,16 @@ var (
 //
 // Class is optional and must be IN when present; TTL is optional and falls
 // back to $TTL (or 3600). Owner names may be omitted to repeat the previous
-// owner. Multi-line parentheses and $INCLUDE are not supported. The
+// owner. A backslash takes the next byte literally, so \" puts a quote in a
+// quoted string. Multi-line parentheses and $INCLUDE are not supported. The
 // defaultOrigin argument seeds the origin before any $ORIGIN directive;
 // pass "" to require one in the file.
+//
+// Every record is checked as it is read: a name must be one WriteZoneFile can
+// spell back (printable ASCII, none of the characters the syntax gives a
+// meaning), and rdata one the wire encoder accepts. A zone that parses
+// therefore answers every query for its records, and survives
+// WriteZoneFile → ParseZoneFile unchanged.
 func ParseZoneFile(r io.Reader, defaultOrigin string, opts ...ZoneOption) (*Zone, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -62,6 +69,9 @@ func ParseZoneFile(r io.Reader, defaultOrigin string, opts ...ZoneOption) (*Zone
 					return nil, fmt.Errorf("%w: line %d: $ORIGIN wants one argument", ErrZoneSyntax, lineNo)
 				}
 				origin = dnsname.Normalize(fields[1])
+				if err := checkName(origin); err != nil {
+					return nil, fmt.Errorf("line %d: %w", lineNo, err)
+				}
 			case "$TTL":
 				if len(fields) != 2 {
 					return nil, fmt.Errorf("%w: line %d: $TTL wants one argument", ErrZoneSyntax, lineNo)
@@ -125,7 +135,10 @@ func parseRecordLine(line, origin string, defaultTTL uint32, lastOwner string) (
 		}
 		owner = lastOwner
 	} else {
-		owner = expandName(fields[0], origin)
+		var err error
+		if owner, err = expandName(fields[0], origin); err != nil {
+			return rr, "", err
+		}
 		fields = fields[1:]
 	}
 	ttl := defaultTTL
@@ -147,18 +160,27 @@ func parseRecordLine(line, origin string, defaultTTL uint32, lastOwner string) (
 	if err != nil {
 		return rr, "", fmt.Errorf("%w: %v", ErrZoneSyntax, err)
 	}
-	rdata := strings.Join(fields[1:], " ")
+	text := strings.Join(fields[1:], " ")
 	switch typ {
 	case dnsmsg.TypeCNAME, dnsmsg.TypeNS:
-		rdata = expandName(rdata, origin)
+		if text, err = expandName(text, origin); err != nil {
+			return rr, "", err
+		}
 	case dnsmsg.TypeSOA:
-		soaFields := strings.Fields(rdata)
+		soaFields := strings.Fields(text)
 		if len(soaFields) != 7 {
 			return rr, "", fmt.Errorf("%w: SOA wants 7 rdata fields", ErrZoneSyntax)
 		}
-		soaFields[0] = expandName(soaFields[0], origin)
-		soaFields[1] = expandName(soaFields[1], origin)
-		rdata = strings.Join(soaFields, " ")
+		for i := range soaFields[:2] {
+			if soaFields[i], err = expandName(soaFields[i], origin); err != nil {
+				return rr, "", err
+			}
+		}
+		text = strings.Join(soaFields, " ")
+	}
+	rdata, err := dnsmsg.ParseRData(typ, text)
+	if err != nil {
+		return rr, "", fmt.Errorf("%w: %v", ErrZoneSyntax, err)
 	}
 	rr = dnsmsg.RR{
 		Name:  owner,
@@ -173,22 +195,41 @@ func parseRecordLine(line, origin string, defaultTTL uint32, lastOwner string) (
 // expandName resolves a master-file name: "@" is the origin, absolute names
 // (trailing dot) are kept, and relative names append the origin. The
 // wildcard prefix is preserved.
-func expandName(name, origin string) string {
-	if name == "@" {
-		return origin
+func expandName(name, origin string) (string, error) {
+	switch {
+	case name == "@":
+		return origin, nil
+	case strings.HasSuffix(name, "."):
+		name = dnsname.Normalize(name)
+	default:
+		name = dnsname.Normalize(name) + "." + origin
 	}
-	if strings.HasSuffix(name, ".") {
-		return dnsname.Normalize(name)
+	return name, checkName(name)
+}
+
+// checkName accepts a valid name made of printable ASCII other than the
+// bytes the file syntax reads as something else: one WriteZoneFile can write
+// bare.
+func checkName(name string) error {
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c <= ' ' || c >= 0x7f || strings.IndexByte(`"$();@\`, c) >= 0 {
+			return fmt.Errorf("%w: byte %q in name %q", ErrZoneSyntax, c, name)
+		}
 	}
-	return dnsname.Normalize(name) + "." + origin
+	if err := dnsname.Validate(strings.TrimPrefix(name, "*.")); err != nil {
+		return fmt.Errorf("%w: name %q: %v", ErrZoneSyntax, name, err)
+	}
+	return nil
 }
 
 // stripComment removes a trailing ;-comment, respecting double quotes
-// (TXT rdata may contain semicolons).
+// (TXT rdata may contain semicolons) and backslash escapes.
 func stripComment(line string) string {
 	inQuote := false
 	for i := 0; i < len(line); i++ {
 		switch line[i] {
+		case '\\':
+			i++
 		case '"':
 			inQuote = !inQuote
 		case ';':
@@ -201,7 +242,8 @@ func stripComment(line string) string {
 }
 
 // splitRecordFields splits on whitespace but keeps double-quoted strings
-// (minus the quotes) as single fields.
+// (minus the quotes) as single fields. A backslash is dropped and the byte
+// after it taken as is.
 func splitRecordFields(line string) []string {
 	var fields []string
 	var cur strings.Builder
@@ -215,6 +257,9 @@ func splitRecordFields(line string) []string {
 	for i := 0; i < len(line); i++ {
 		c := line[i]
 		switch {
+		case c == '\\' && i+1 < len(line):
+			i++
+			cur.WriteByte(line[i])
 		case c == '"':
 			inQuote = !inQuote
 		case (c == ' ' || c == '\t') && !inQuote:

@@ -2,6 +2,7 @@ package authority
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -45,8 +46,8 @@ func TestParseZoneFileBasics(t *testing.T) {
 	if rrs[0].TTL != 300 {
 		t.Errorf("www TTL = %d, want explicit 300", rrs[0].TTL)
 	}
-	if rrs[0].RData != "192.0.2.1" {
-		t.Errorf("www rdata = %q", rrs[0].RData)
+	if rrs[0].RData != dnsmsg.IPv4(192, 0, 2, 1) {
+		t.Errorf("www = %v", rrs[0])
 	}
 	rrs, err = z.Lookup("mail.example.com", dnsmsg.TypeA)
 	if err != nil || len(rrs) != 1 {
@@ -63,8 +64,8 @@ func TestParseZoneFileBlankOwnerRepeats(t *testing.T) {
 	if err != nil || len(rrs) != 1 {
 		t.Fatalf("www AAAA (repeated owner): %v %v", rrs, err)
 	}
-	if rrs[0].RData != "2001:db8::1" {
-		t.Errorf("AAAA rdata = %q", rrs[0].RData)
+	if rrs[0].RData != dnsmsg.Text("2001:db8::1") {
+		t.Errorf("AAAA = %v", rrs[0])
 	}
 }
 
@@ -74,15 +75,15 @@ func TestParseZoneFileRelativeAndAbsoluteCNAME(t *testing.T) {
 	if err != nil || len(rrs) != 1 {
 		t.Fatalf("alias: %v %v", rrs, err)
 	}
-	if rrs[0].Type != dnsmsg.TypeCNAME || rrs[0].RData != "www.example.com" {
+	if rrs[0].Type != dnsmsg.TypeCNAME || rrs[0].RData != dnsmsg.Text("www.example.com") {
 		t.Errorf("relative CNAME = %+v", rrs[0])
 	}
 	rrs, err = z.Lookup("ext.example.com", dnsmsg.TypeCNAME)
 	if err != nil || len(rrs) != 1 {
 		t.Fatalf("ext: %v %v", rrs, err)
 	}
-	if rrs[0].RData != "edge.cdn.example.net" {
-		t.Errorf("absolute CNAME = %q (trailing dot must stop expansion)", rrs[0].RData)
+	if rrs[0].RData != dnsmsg.Text("edge.cdn.example.net") {
+		t.Errorf("absolute CNAME = %v (trailing dot must stop expansion)", rrs[0])
 	}
 }
 
@@ -92,7 +93,7 @@ func TestParseZoneFileWildcard(t *testing.T) {
 	if err != nil || len(rrs) != 1 {
 		t.Fatalf("wildcard: %v %v", rrs, err)
 	}
-	if rrs[0].Name != "e17.shard.example.com" || rrs[0].RData != "192.0.2.99" {
+	if rrs[0].Name != "e17.shard.example.com" || rrs[0].RData != dnsmsg.IPv4(192, 0, 2, 99) {
 		t.Errorf("wildcard synthesis = %+v", rrs[0])
 	}
 }
@@ -104,8 +105,8 @@ func TestParseZoneFileQuotedTXTWithSemicolon(t *testing.T) {
 		t.Fatalf("txt: %v %v", rrs, err)
 	}
 	want := "v=spf1 a ; include:example.net -all"
-	if rrs[0].RData != want {
-		t.Errorf("TXT rdata = %q, want %q", rrs[0].RData, want)
+	if rrs[0].RData != dnsmsg.Text(want) {
+		t.Errorf("TXT rdata = %q, want %q", rrs[0].RData.Text(), want)
 	}
 }
 
@@ -115,8 +116,8 @@ func TestParseZoneFileAtOwner(t *testing.T) {
 	if err != nil || len(rrs) != 1 {
 		t.Fatalf("apex NS: %v %v", rrs, err)
 	}
-	if rrs[0].RData != "ns1.example.com" {
-		t.Errorf("NS rdata = %q", rrs[0].RData)
+	if rrs[0].RData != dnsmsg.Text("ns1.example.com") {
+		t.Errorf("NS = %v", rrs[0])
 	}
 }
 
@@ -136,9 +137,10 @@ func TestParseZoneFileDefaultOriginArgument(t *testing.T) {
 
 func TestParseZoneFileErrors(t *testing.T) {
 	tests := []struct {
-		name    string
-		input   string
-		wantErr error
+		name     string
+		input    string
+		wantErr  error
+		wantLine int // when set, the error names this line
 	}{
 		{name: "no origin", input: "www IN A 192.0.2.1\n", wantErr: ErrNoOrigin},
 		{name: "empty no origin", input: "", wantErr: ErrNoOrigin},
@@ -149,6 +151,18 @@ func TestParseZoneFileErrors(t *testing.T) {
 		{name: "unknown type", input: "$ORIGIN x.com.\nwww IN WKS 1.2.3.4\n", wantErr: ErrZoneSyntax},
 		{name: "blank owner first", input: "$ORIGIN x.com.\n  IN A 192.0.2.1\n", wantErr: ErrZoneSyntax},
 		{name: "short soa", input: "$ORIGIN x.com.\n@ IN SOA ns1 hostmaster 1\n", wantErr: ErrZoneSyntax},
+		// Rdata the wire encoder has no bytes for used to load, and then fail
+		// every query for its owner with an empty reply.
+		{name: "bad A", input: "$ORIGIN x.com.\nwww IN A not.an.ip\n", wantErr: ErrZoneSyntax, wantLine: 2},
+		{name: "bad AAAA", input: "$ORIGIN x.com.\n\nwww IN AAAA 2001:db8::1::2\n", wantErr: ErrZoneSyntax, wantLine: 3},
+		{name: "A with trailing bytes", input: "$ORIGIN x.com.\nwww IN A 192.0.2.1 192.0.2.2\n", wantErr: ErrZoneSyntax, wantLine: 2},
+		{name: "bad soa number", input: "$ORIGIN x.com.\nsub IN SOA ns1 hostmaster 1 2h 3 4 5\n", wantErr: ErrZoneSyntax, wantLine: 2},
+		{name: "cname with empty label", input: "$ORIGIN x.com.\nwww IN CNAME a..b\n", wantErr: ErrZoneSyntax, wantLine: 2},
+		// Names the writer could not spell back bare.
+		{name: "owner with blank", input: "$ORIGIN x.com.\n\"a b\" IN A 192.0.2.1\n", wantErr: ErrZoneSyntax, wantLine: 2},
+		{name: "owner with semicolon", input: "$ORIGIN x.com.\n\"a;b\" IN A 192.0.2.1\n", wantErr: ErrZoneSyntax, wantLine: 2},
+		{name: "origin with quote", input: "$ORIGIN x\"y.com.\n", wantErr: ErrZoneSyntax, wantLine: 1},
+		{name: "label too long", input: "$ORIGIN x.com.\n" + strings.Repeat("a", 64) + " IN A 192.0.2.1\n", wantErr: ErrZoneSyntax, wantLine: 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -156,7 +170,46 @@ func TestParseZoneFileErrors(t *testing.T) {
 			if !errors.Is(err, tt.wantErr) {
 				t.Errorf("err = %v, want %v", err, tt.wantErr)
 			}
+			if want := fmt.Sprintf("line %d:", tt.wantLine); tt.wantLine > 0 && !strings.Contains(fmt.Sprint(err), want) {
+				t.Errorf("err = %v, want it to name %s", err, want)
+			}
 		})
+	}
+}
+
+// TestParseZoneFileEscapes: a backslash takes the next byte as is, so a
+// quoted string can hold a quote or a backslash, and the writer spells both
+// back.
+func TestParseZoneFileEscapes(t *testing.T) {
+	input := "$ORIGIN e.test.\n" +
+		`q IN TXT "a;b \"q\" c" ; a comment` + "\n" +
+		`b IN TXT "back\\slash" tail\ end` + "\n"
+	z, err := ParseZoneFile(strings.NewReader(input), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"q.e.test": `a;b "q" c`,
+		"b.e.test": `back\slash tail end`,
+	} {
+		rrs, err := z.Lookup(name, dnsmsg.TypeTXT)
+		if err != nil || len(rrs) != 1 || rrs[0].RData != dnsmsg.Text(want) {
+			t.Errorf("%s TXT = %v, %v; want %q", name, rrs, err, want)
+		}
+	}
+	var first, second strings.Builder
+	if err := z.WriteZoneFile(&first); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseZoneFile(strings.NewReader(first.String()), "")
+	if err != nil {
+		t.Fatalf("reparse: %v\n%s", err, first.String())
+	}
+	if err := back.WriteZoneFile(&second); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Errorf("write → parse → write changed the file:\n%s\nbecame\n%s", first.String(), second.String())
 	}
 }
 
@@ -172,7 +225,7 @@ www IN A 192.0.2.1 ; trailing comment
 		t.Fatal(err)
 	}
 	rrs, err := z.Lookup("www.c.test", dnsmsg.TypeA)
-	if err != nil || len(rrs) != 1 || rrs[0].RData != "192.0.2.1" {
+	if err != nil || len(rrs) != 1 || rrs[0].RData != dnsmsg.IPv4(192, 0, 2, 1) {
 		t.Errorf("lookup = %v %v", rrs, err)
 	}
 }

@@ -1,9 +1,10 @@
 package authority
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"dnsnoise/internal/dnsmsg"
@@ -17,43 +18,60 @@ func (z *Zone) WriteZoneFile(w io.Writer) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "$ORIGIN %s.\n", z.origin)
 	fmt.Fprintf(&sb, "$TTL %d\n", z.negTTL)
-	fmt.Fprintf(&sb, "@ IN SOA %s\n", z.soa.RData)
+	fmt.Fprintf(&sb, "@ IN SOA %s\n", zoneRData(&z.soa))
 	if z.synth != nil {
 		sb.WriteString("; zone answers additional names programmatically (synthesizer installed)\n")
 	}
 
-	var rrs []dnsmsg.RR
-	for _, set := range z.records {
-		rrs = append(rrs, set...)
+	type line struct {
+		rr    *dnsmsg.RR
+		rdata string
 	}
-	for _, set := range z.wildcards {
-		rrs = append(rrs, set...)
+	var lines []line
+	for _, sets := range []map[string][]dnsmsg.RR{z.records, z.wildcards} {
+		for _, set := range sets {
+			for i := range set {
+				lines = append(lines, line{&set[i], zoneRData(&set[i])})
+			}
+		}
 	}
-	sort.Slice(rrs, func(i, j int) bool {
-		if rrs[i].Name != rrs[j].Name {
-			return rrs[i].Name < rrs[j].Name
-		}
-		if rrs[i].Type != rrs[j].Type {
-			return rrs[i].Type < rrs[j].Type
-		}
-		return rrs[i].RData < rrs[j].RData
+	// A total order: records that tie on every field print the same line.
+	slices.SortFunc(lines, func(a, b line) int {
+		return cmp.Or(strings.Compare(a.rr.Name, b.rr.Name), cmp.Compare(a.rr.Type, b.rr.Type),
+			strings.Compare(a.rdata, b.rdata), cmp.Compare(a.rr.TTL, b.rr.TTL))
 	})
-	for _, rr := range rrs {
-		owner := relativeOwner(rr.Name, z.origin)
-		rdata := rr.RData
-		switch rr.Type {
-		case dnsmsg.TypeCNAME, dnsmsg.TypeNS:
-			// Absolute form keeps round trips exact.
-			rdata += "."
-		case dnsmsg.TypeTXT:
-			rdata = `"` + rdata + `"`
-		}
-		fmt.Fprintf(&sb, "%s %d IN %s %s\n", owner, rr.TTL, rr.Type, rdata)
+	for _, l := range lines {
+		fmt.Fprintf(&sb, "%s %d IN %s %s\n", relativeOwner(l.rr.Name, z.origin), l.rr.TTL, l.rr.Type, l.rdata)
 	}
 	if _, err := io.WriteString(w, sb.String()); err != nil {
 		return fmt.Errorf("authority: write zone file: %w", err)
 	}
 	return nil
+}
+
+// quoteEscaper escapes what would end a quoted string early or be read as an
+// escape itself.
+var quoteEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
+// zoneRData renders a record's rdata as ParseZoneFile reads it back: names
+// absolute, so they are not expanded twice, and free text quoted.
+func zoneRData(rr *dnsmsg.RR) string {
+	text := rr.RData.Format(rr.Type)
+	switch rr.Type {
+	case dnsmsg.TypeA, dnsmsg.TypeAAAA:
+		return text
+	case dnsmsg.TypeCNAME, dnsmsg.TypeNS:
+		return text + "."
+	case dnsmsg.TypeSOA:
+		if f := strings.Fields(text); len(f) == 7 {
+			f[0] += "."
+			f[1] += "."
+			return strings.Join(f, " ")
+		}
+		return text
+	default:
+		return `"` + quoteEscaper.Replace(text) + `"`
+	}
 }
 
 // relativeOwner renders an owner name relative to the origin ("@" at the

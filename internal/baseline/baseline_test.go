@@ -24,7 +24,7 @@ func TestClassifyTaxonomy(t *testing.T) {
 	}{
 		{
 			name: "canonical A",
-			ob:   obWith(dnsmsg.RR{Name: "www.example.com", Type: dnsmsg.TypeA, RData: "198.18.0.1"}, dnsmsg.RCodeNoError, cache.CategoryOther),
+			ob:   obWith(dnsmsg.RR{Name: "www.example.com", Type: dnsmsg.TypeA, RData: dnsmsg.IPv4(198, 18, 0, 1)}, dnsmsg.RCodeNoError, cache.CategoryOther),
 			want: Canonical,
 		},
 		{
@@ -39,22 +39,22 @@ func TestClassifyTaxonomy(t *testing.T) {
 		},
 		{
 			name: "loopback verdict overloaded",
-			ob:   obWith(dnsmsg.RR{Name: "tok.avqs.mcafee.com", Type: dnsmsg.TypeA, RData: "127.0.4.2"}, dnsmsg.RCodeNoError, cache.CategoryDisposable),
+			ob:   obWith(dnsmsg.RR{Name: "tok.avqs.mcafee.com", Type: dnsmsg.TypeA, RData: dnsmsg.IPv4(127, 0, 4, 2)}, dnsmsg.RCodeNoError, cache.CategoryDisposable),
 			want: Overloaded,
 		},
 		{
 			name: "TXT overloaded",
-			ob:   obWith(dnsmsg.RR{Name: "x.example.com", Type: dnsmsg.TypeTXT, RData: "payload"}, dnsmsg.RCodeNoError, cache.CategoryOther),
+			ob:   obWith(dnsmsg.RR{Name: "x.example.com", Type: dnsmsg.TypeTXT, RData: dnsmsg.Text("payload")}, dnsmsg.RCodeNoError, cache.CategoryOther),
 			want: Overloaded,
 		},
 		{
 			name: "reversed IP overloaded even with routable answer",
-			ob:   obWith(dnsmsg.RR{Name: "4.3.2.1.zen.bl.test", Type: dnsmsg.TypeA, RData: "198.18.0.1"}, dnsmsg.RCodeNoError, cache.CategoryDisposable),
+			ob:   obWith(dnsmsg.RR{Name: "4.3.2.1.zen.bl.test", Type: dnsmsg.TypeA, RData: dnsmsg.IPv4(198, 18, 0, 1)}, dnsmsg.RCodeNoError, cache.CategoryDisposable),
 			want: Overloaded,
 		},
 		{
 			name: "telemetry with routable answer stays canonical",
-			ob:   obWith(dnsmsg.RR{Name: "load-0-p-01.up-99.dev.esoft.com", Type: dnsmsg.TypeA, RData: "198.18.0.9"}, dnsmsg.RCodeNoError, cache.CategoryDisposable),
+			ob:   obWith(dnsmsg.RR{Name: "load-0-p-01.up-99.dev.esoft.com", Type: dnsmsg.TypeA, RData: dnsmsg.IPv4(198, 18, 0, 9)}, dnsmsg.RCodeNoError, cache.CategoryDisposable),
 			want: Canonical,
 		},
 	}
@@ -92,9 +92,9 @@ func TestTaxonomyCounterOverlap(t *testing.T) {
 	// Disposable traffic split across overloaded (reputation verdict) and
 	// canonical (telemetry with routable answers) — the paper's claim that
 	// disposable is broader than overloaded.
-	tap.Observe(obWith(dnsmsg.RR{Name: "tok1.avqs.test", Type: dnsmsg.TypeA, RData: "127.0.0.1"}, dnsmsg.RCodeNoError, cache.CategoryDisposable))
-	tap.Observe(obWith(dnsmsg.RR{Name: "up-1.dev.esoft.test", Type: dnsmsg.TypeA, RData: "198.18.0.2"}, dnsmsg.RCodeNoError, cache.CategoryDisposable))
-	tap.Observe(obWith(dnsmsg.RR{Name: "www.ok.test", Type: dnsmsg.TypeA, RData: "198.18.0.3"}, dnsmsg.RCodeNoError, cache.CategoryOther))
+	tap.Observe(obWith(dnsmsg.RR{Name: "tok1.avqs.test", Type: dnsmsg.TypeA, RData: dnsmsg.IPv4(127, 0, 0, 1)}, dnsmsg.RCodeNoError, cache.CategoryDisposable))
+	tap.Observe(obWith(dnsmsg.RR{Name: "up-1.dev.esoft.test", Type: dnsmsg.TypeA, RData: dnsmsg.IPv4(198, 18, 0, 2)}, dnsmsg.RCodeNoError, cache.CategoryDisposable))
+	tap.Observe(obWith(dnsmsg.RR{Name: "www.ok.test", Type: dnsmsg.TypeA, RData: dnsmsg.IPv4(198, 18, 0, 3)}, dnsmsg.RCodeNoError, cache.CategoryOther))
 	tap.Observe(resolver.Observation{QName: "typo.ok.test", RCode: dnsmsg.RCodeNXDomain})
 
 	if got := tc.Share(Unwanted); got != 0.25 {

@@ -73,11 +73,11 @@ func isOverloaded(rr dnsmsg.RR) bool {
 	case dnsmsg.TypeA:
 		// Verdict-style answers in loopback/reserved space (the DNSBL and
 		// file-reputation convention the paper describes for McAfee).
-		if strings.HasPrefix(rr.RData, "127.") || strings.HasPrefix(rr.RData, "0.") {
+		if first := rr.RData.IPv4()[0]; first == 127 || first == 0 {
 			return true
 		}
 	case dnsmsg.TypeAAAA:
-		if strings.HasPrefix(rr.RData, "100:") || strings.HasPrefix(rr.RData, "0:") {
+		if text := rr.RData.Text(); strings.HasPrefix(text, "100:") || strings.HasPrefix(text, "0:") {
 			return true
 		}
 	}

@@ -117,19 +117,10 @@ func (s *RRStat) DHR() float64 {
 // Misses returns the number of cache misses attributed to the record.
 func (s *RRStat) Misses() uint64 { return s.Above }
 
-// rrKey is a record's dedup identity, matching dnsmsg.RR.Key() but as a
-// comparable struct: the per-observation map lookup then costs no string
-// concatenation and no allocation.
-type rrKey struct {
-	name  string
-	typ   dnsmsg.Type
-	rdata string
-}
-
 // Collector accumulates one observation window (typically a day).
 // It is not safe for concurrent use.
 type Collector struct {
-	perRR map[rrKey]*RRStat
+	perRR map[dnsmsg.RRKey]*RRStat
 	slab  statSlab
 
 	belowTotal   uint64 // all below observations, incl. NXDOMAIN
@@ -143,7 +134,7 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		perRR:        make(map[rrKey]*RRStat),
+		perRR:        make(map[dnsmsg.RRKey]*RRStat),
 		queriedNames: make(map[string]struct{}),
 		resolvedNF:   make(map[string]struct{}),
 	}
@@ -195,7 +186,7 @@ func (c *Collector) ObserveAbove(ob resolver.Observation) {
 }
 
 func (c *Collector) stat(rr dnsmsg.RR, cat cache.Category) *RRStat {
-	key := rrKey{name: rr.Name, typ: rr.Type, rdata: rr.RData}
+	key := rr.Key()
 	st, ok := c.perRR[key]
 	if !ok {
 		st = c.slab.new()

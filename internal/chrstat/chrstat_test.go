@@ -16,7 +16,7 @@ import (
 var t0 = time.Date(2011, 11, 10, 0, 0, 0, 0, time.UTC)
 
 func rrA(name, ip string) dnsmsg.RR {
-	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: ip}
+	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(dnsmsg.TypeA, ip)}
 }
 
 func obBelow(rr dnsmsg.RR, cat cache.Category) resolver.Observation {

@@ -84,7 +84,7 @@ func TestClientSetMatchesReferenceMap(t *testing.T) {
 type summary struct {
 	totals            [4]uint64
 	queried, resolved int
-	records           map[rrKey]recordSummary
+	records           map[dnsmsg.RRKey]recordSummary
 }
 
 type recordSummary struct {
@@ -98,7 +98,7 @@ type recordSummary struct {
 }
 
 func summarize(c *Collector) summary {
-	s := summary{records: make(map[rrKey]recordSummary)}
+	s := summary{records: make(map[dnsmsg.RRKey]recordSummary)}
 	s.totals[0], s.totals[1], s.totals[2], s.totals[3] = c.Totals()
 	s.queried, _ = c.QueriedNames(nil)
 	s.resolved, _ = c.ResolvedNames(nil)
@@ -115,8 +115,8 @@ func trackedIDs(st *RRStat) []uint32 {
 	return append(ids, st.moreClients...)
 }
 
-func retainedClients(c *Collector) map[rrKey][]uint32 {
-	out := make(map[rrKey][]uint32)
+func retainedClients(c *Collector) map[dnsmsg.RRKey][]uint32 {
+	out := make(map[dnsmsg.RRKey][]uint32)
 	for key, st := range c.perRR {
 		out[key] = trackedIDs(st)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/resolver"
 )
 
@@ -90,7 +91,7 @@ func (s *ShardedCollector) Merge() *Collector {
 // value is ready. Its RRStats carry no client sets and are overwritten by
 // the next Refresh: hold them no longer than that.
 type Counts struct {
-	perRR  map[rrKey]*RRStat
+	perRR  map[dnsmsg.RRKey]*RRStat
 	byName map[string][]*RRStat
 	slab   statSlab
 }
@@ -102,7 +103,7 @@ type Counts struct {
 // in one, and a record that vanished would linger here with zero counts.
 func (v *Counts) Refresh(s *ShardedCollector) map[string][]*RRStat {
 	if v.perRR == nil {
-		v.perRR = make(map[rrKey]*RRStat)
+		v.perRR = make(map[dnsmsg.RRKey]*RRStat)
 		v.byName = make(map[string][]*RRStat)
 	}
 	for _, st := range v.perRR {

@@ -28,7 +28,7 @@ func synthCollector(seed int64, nDisp, nNorm, namesPerZone int) (*chrstat.Collec
 
 	emit := func(name string, cat cache.Category, queries, misses int) {
 		rr := dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
-			RData: fmt.Sprintf("198.18.0.%d", rng.Intn(255))}
+			RData: dnsmsg.IPv4(198, 18, 0, byte(rng.Intn(255)))}
 		ob := resolver.Observation{QName: name, RR: rr, RCode: dnsmsg.RCodeNoError, Category: cat}
 		for i := 0; i < queries; i++ {
 			below.Observe(ob)
@@ -204,7 +204,7 @@ func TestMinerRecursesIntoSubZones(t *testing.T) {
 	labels := make(map[string]bool)
 
 	mkRR := func(name string) dnsmsg.RR {
-		return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60, RData: "127.0.0.1"}
+		return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.IPv4(127, 0, 0, 1)}
 	}
 	// Training zones: direct children.
 	for z := 0; z < 12; z++ {

@@ -29,7 +29,7 @@ func synthObservations(seed int64, nDisp, nNorm, namesPerZone int) []obsEvent {
 	var events []obsEvent
 	emit := func(name string, cat cache.Category, queries, misses int) {
 		rr := dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
-			RData: fmt.Sprintf("198.18.0.%d", rng.Intn(255))}
+			RData: dnsmsg.IPv4(198, 18, 0, byte(rng.Intn(255)))}
 		ob := resolver.Observation{QName: name, RR: rr, RCode: dnsmsg.RCodeNoError, Category: cat}
 		for i := 0; i < queries; i++ {
 			events = append(events, obsEvent{ob: ob})

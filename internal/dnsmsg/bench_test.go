@@ -6,9 +6,9 @@ func benchMessage() *Message {
 	q := NewQuery(0x1234, "p2.a22a43lt5rwfg.ihg5ki5i6q3cfn3n.191742.i1.ds.ipv6-exp.l.google.com", TypeA)
 	resp := NewResponse(q, RCodeNoError)
 	resp.Answers = append(resp.Answers,
-		RR{Name: q.Questions[0].Name, Type: TypeCNAME, Class: ClassIN, TTL: 300, RData: "target.l.google.com"},
-		RR{Name: "target.l.google.com", Type: TypeA, Class: ClassIN, TTL: 300, RData: "198.18.7.9"},
-		RR{Name: "target.l.google.com", Type: TypeA, Class: ClassIN, TTL: 300, RData: "198.18.7.10"},
+		RR{Name: q.Questions[0].Name, Type: TypeCNAME, Class: ClassIN, TTL: 300, RData: Text("target.l.google.com")},
+		RR{Name: "target.l.google.com", Type: TypeA, Class: ClassIN, TTL: 300, RData: IPv4(198, 18, 7, 9)},
+		RR{Name: "target.l.google.com", Type: TypeA, Class: ClassIN, TTL: 300, RData: IPv4(198, 18, 7, 10)},
 	)
 	return resp
 }

@@ -20,6 +20,9 @@ const (
 // defeat pointer loops in malformed packets.
 const maxCompressionPointers = 64
 
+// maxRDLen is the largest rdata RDLENGTH can count.
+const maxRDLen = 0xFFFF
+
 // maxNameLen is the longest domain name in presentation form, without the
 // trailing dot (RFC 1035 §2.3.4: 255 octets on the wire).
 const maxNameLen = 253
@@ -350,11 +353,11 @@ func (b *Builder) rr(countOff int, rr *RR) error {
 	lenPos := len(b.buf)
 	b.u16(0)
 	start := len(b.buf)
-	if err := b.rdata(rr); err != nil {
+	if err := b.rdata(rr.Type, rr.RData); err != nil {
 		return err
 	}
 	rdlen := len(b.buf) - start
-	if rdlen > 0xFFFF {
+	if rdlen > maxRDLen {
 		return ErrBadRData
 	}
 	binary.BigEndian.PutUint16(b.buf[lenPos:], uint16(rdlen))
@@ -362,34 +365,33 @@ func (b *Builder) rr(countOff int, rr *RR) error {
 	return nil
 }
 
-func (b *Builder) rdata(rr *RR) error {
-	switch rr.Type {
+func (b *Builder) rdata(typ Type, d RData) error {
+	switch typ {
 	case TypeA:
-		ip, err := parseIPv4(rr.RData)
-		if err != nil {
-			return err
+		if d.text != "" {
+			return fmt.Errorf("%w: A record with a text payload %q", ErrBadRData, d.text)
 		}
-		b.buf = append(b.buf, ip[:]...)
+		b.buf = append(b.buf, d.ip4[:]...)
 	case TypeAAAA:
-		ip, err := parseIPv6(rr.RData)
+		ip, err := parseIPv6(d.text)
 		if err != nil {
 			return err
 		}
 		b.buf = append(b.buf, ip[:]...)
 	case TypeCNAME, TypeNS:
 		// Note: compression inside rdata is legal for CNAME/NS.
-		return b.name(rr.RData)
+		return b.name(d.text)
 	case TypeTXT:
-		b.txt(rr.RData)
+		b.txt(d.text)
 	case TypeSOA:
-		return b.soa(rr.RData)
+		return b.soa(d.text)
 	case TypeDNSKEY, TypeRRSIG:
 		// Structured blobs are carried as opaque character strings: the
 		// simulation validates signatures out of band (see authority), so
 		// byte-exact RFC 4034 rdata layout buys nothing here.
-		b.txt(rr.RData)
+		b.txt(d.text)
 	default:
-		return fmt.Errorf("%w: unsupported type %v", ErrBadRData, rr.Type)
+		return fmt.Errorf("%w: unsupported type %v", ErrBadRData, typ)
 	}
 	return nil
 }
@@ -618,34 +620,30 @@ func (d *decoder) rr() (RR, error) {
 	return rr, nil
 }
 
-func (d *decoder) rdata(typ Type, rdlen int) (string, error) {
+func (d *decoder) rdata(typ Type, rdlen int) (out RData, err error) {
+	var b []byte
 	switch typ {
 	case TypeA:
-		b, err := d.bytes(4)
-		if err != nil {
-			return "", err
+		if b, err = d.bytes(4); err == nil {
+			out.ip4 = [4]byte(b)
 		}
-		return formatIPv4([4]byte(b)), nil
 	case TypeAAAA:
-		b, err := d.bytes(16)
-		if err != nil {
-			return "", err
+		if b, err = d.bytes(16); err == nil {
+			out.text = formatIPv6([16]byte(b))
 		}
-		return formatIPv6([16]byte(b)), nil
 	case TypeCNAME, TypeNS:
-		return d.name()
+		out.text, err = d.name()
 	case TypeTXT, TypeDNSKEY, TypeRRSIG:
-		return d.txt(rdlen)
+		out.text, err = d.txt(rdlen)
 	case TypeSOA:
-		return d.soa()
+		out.text, err = d.soa()
 	default:
 		// Skip unknown rdata opaquely and surface it as hex-free placeholder.
-		b, err := d.bytes(rdlen)
-		if err != nil {
-			return "", err
+		if b, err = d.bytes(rdlen); err == nil {
+			out.text = `\# ` + strconv.Itoa(len(b))
 		}
-		return `\# ` + strconv.Itoa(len(b)), nil
 	}
+	return out, err
 }
 
 // txt joins the character strings of rdlen octets of rdata.

@@ -46,13 +46,13 @@ func TestResponseRoundTripAllTypes(t *testing.T) {
 		name string
 		rr   RR
 	}{
-		{name: "A", rr: RR{Name: "a.example.com", Type: TypeA, Class: ClassIN, TTL: 300, RData: "192.0.2.17"}},
-		{name: "AAAA", rr: RR{Name: "a.example.com", Type: TypeAAAA, Class: ClassIN, TTL: 60, RData: "2001:db8:0:0:0:0:0:1"}},
-		{name: "CNAME", rr: RR{Name: "www.example.com", Type: TypeCNAME, Class: ClassIN, TTL: 20, RData: "edge.cdn.example.net"}},
-		{name: "NS", rr: RR{Name: "example.com", Type: TypeNS, Class: ClassIN, TTL: 86400, RData: "ns1.example.com"}},
-		{name: "TXT", rr: RR{Name: "example.com", Type: TypeTXT, Class: ClassIN, TTL: 3600, RData: "v=spf1 -all"}},
-		{name: "SOA", rr: RR{Name: "example.com", Type: TypeSOA, Class: ClassIN, TTL: 3600, RData: "ns1.example.com hostmaster.example.com 2011120100 7200 3600 1209600 300"}},
-		{name: "RRSIG", rr: RR{Name: "a.example.com", Type: TypeRRSIG, Class: ClassIN, TTL: 300, RData: "A 15 3 300 sig=deadbeef keytag=12345"}},
+		{name: "A", rr: RR{Name: "a.example.com", Type: TypeA, Class: ClassIN, TTL: 300, RData: IPv4(192, 0, 2, 17)}},
+		{name: "AAAA", rr: RR{Name: "a.example.com", Type: TypeAAAA, Class: ClassIN, TTL: 60, RData: Text("2001:db8:0:0:0:0:0:1")}},
+		{name: "CNAME", rr: RR{Name: "www.example.com", Type: TypeCNAME, Class: ClassIN, TTL: 20, RData: Text("edge.cdn.example.net")}},
+		{name: "NS", rr: RR{Name: "example.com", Type: TypeNS, Class: ClassIN, TTL: 86400, RData: Text("ns1.example.com")}},
+		{name: "TXT", rr: RR{Name: "example.com", Type: TypeTXT, Class: ClassIN, TTL: 3600, RData: Text("v=spf1 -all")}},
+		{name: "SOA", rr: RR{Name: "example.com", Type: TypeSOA, Class: ClassIN, TTL: 3600, RData: Text("ns1.example.com hostmaster.example.com 2011120100 7200 3600 1209600 300")}},
+		{name: "RRSIG", rr: RR{Name: "a.example.com", Type: TypeRRSIG, Class: ClassIN, TTL: 300, RData: Text("A 15 3 300 sig=deadbeef keytag=12345")}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -78,7 +78,7 @@ func TestNXDomainResponse(t *testing.T) {
 	resp := NewResponse(q, RCodeNXDomain)
 	resp.Authority = append(resp.Authority, RR{
 		Name: "example.com", Type: TypeSOA, Class: ClassIN, TTL: 300,
-		RData: "ns1.example.com hostmaster.example.com 1 2 3 4 300",
+		RData: Text("ns1.example.com hostmaster.example.com 1 2 3 4 300"),
 	})
 	got := roundTrip(t, resp)
 	if got.Header.RCode != RCodeNXDomain {
@@ -95,7 +95,7 @@ func TestNameCompressionShrinksMessage(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		resp.Answers = append(resp.Answers, RR{
 			Name: "a.very.long.subdomain.chain.example.com", Type: TypeA,
-			Class: ClassIN, TTL: 300, RData: "192.0.2.1",
+			Class: ClassIN, TTL: 300, RData: IPv4(192, 0, 2, 1),
 		})
 	}
 	wire, err := resp.Encode()
@@ -122,12 +122,12 @@ func TestCompressionSuffixSharing(t *testing.T) {
 	q := NewQuery(1, "host1.example.com", TypeA)
 	resp := NewResponse(q, RCodeNoError)
 	resp.Answers = append(resp.Answers,
-		RR{Name: "host1.example.com", Type: TypeCNAME, Class: ClassIN, TTL: 30, RData: "host2.example.com"},
-		RR{Name: "host2.example.com", Type: TypeA, Class: ClassIN, TTL: 30, RData: "192.0.2.2"},
+		RR{Name: "host1.example.com", Type: TypeCNAME, Class: ClassIN, TTL: 30, RData: Text("host2.example.com")},
+		RR{Name: "host2.example.com", Type: TypeA, Class: ClassIN, TTL: 30, RData: IPv4(192, 0, 2, 2)},
 	)
 	got := roundTrip(t, resp)
-	if got.Answers[0].RData != "host2.example.com" {
-		t.Errorf("CNAME target = %q", got.Answers[0].RData)
+	if got.Answers[0].RData != Text("host2.example.com") {
+		t.Errorf("CNAME target = %q", got.Answers[0].RData.Text())
 	}
 	if got.Answers[1].Name != "host2.example.com" {
 		t.Errorf("second owner = %q", got.Answers[1].Name)
@@ -174,9 +174,9 @@ func TestEncodeRejectsBadRData(t *testing.T) {
 		name string
 		rr   RR
 	}{
-		{name: "bad A", rr: RR{Name: "x.com", Type: TypeA, Class: ClassIN, RData: "not-an-ip"}},
-		{name: "bad AAAA", rr: RR{Name: "x.com", Type: TypeAAAA, Class: ClassIN, RData: "1:2:3"}},
-		{name: "bad SOA", rr: RR{Name: "x.com", Type: TypeSOA, Class: ClassIN, RData: "only three fields"}},
+		{name: "bad A", rr: RR{Name: "x.com", Type: TypeA, Class: ClassIN, RData: Text("not-an-ip")}},
+		{name: "bad AAAA", rr: RR{Name: "x.com", Type: TypeAAAA, Class: ClassIN, RData: Text("1:2:3")}},
+		{name: "bad SOA", rr: RR{Name: "x.com", Type: TypeSOA, Class: ClassIN, RData: Text("only three fields")}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -199,7 +199,7 @@ func TestIPv6Forms(t *testing.T) {
 		{give: "fe80::", want: "fe80:0:0:0:0:0:0:0"},
 	}
 	for _, tt := range tests {
-		rr := RR{Name: "x.com", Type: TypeAAAA, Class: ClassIN, TTL: 1, RData: tt.give}
+		rr := RR{Name: "x.com", Type: TypeAAAA, Class: ClassIN, TTL: 1, RData: Text(tt.give)}
 		m := &Message{Answers: []RR{rr}}
 		wire, err := m.Encode()
 		if err != nil {
@@ -209,8 +209,8 @@ func TestIPv6Forms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Decode(%q): %v", tt.give, err)
 		}
-		if got.Answers[0].RData != tt.want {
-			t.Errorf("AAAA %q -> %q, want %q", tt.give, got.Answers[0].RData, tt.want)
+		if got.Answers[0].RData != Text(tt.want) {
+			t.Errorf("AAAA %q -> %q, want %q", tt.give, got.Answers[0].RData.Text(), tt.want)
 		}
 	}
 }
@@ -237,9 +237,9 @@ func TestTypeStringParse(t *testing.T) {
 }
 
 func TestRRKeyIgnoresTTL(t *testing.T) {
-	a := RR{Name: "x.com", Type: TypeA, TTL: 300, RData: "192.0.2.1"}
-	b := RR{Name: "x.com", Type: TypeA, TTL: 60, RData: "192.0.2.1"}
-	c := RR{Name: "x.com", Type: TypeA, TTL: 300, RData: "192.0.2.2"}
+	a := RR{Name: "x.com", Type: TypeA, TTL: 300, RData: IPv4(192, 0, 2, 1)}
+	b := RR{Name: "x.com", Type: TypeA, TTL: 60, RData: IPv4(192, 0, 2, 1)}
+	c := RR{Name: "x.com", Type: TypeA, TTL: 300, RData: IPv4(192, 0, 2, 2)}
 	if a.Key() != b.Key() {
 		t.Error("Key should not include TTL")
 	}
@@ -271,13 +271,13 @@ func TestRoundTripProperty(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				rr = RR{Name: randName(), Type: TypeA, Class: ClassIN,
-					TTL: uint32(rng.Intn(86400)), RData: formatIPv4([4]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})}
+					TTL: uint32(rng.Intn(86400)), RData: IPv4(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))}
 			case 1:
 				rr = RR{Name: randName(), Type: TypeCNAME, Class: ClassIN,
-					TTL: uint32(rng.Intn(86400)), RData: randName()}
+					TTL: uint32(rng.Intn(86400)), RData: Text(randName())}
 			default:
 				rr = RR{Name: randName(), Type: TypeTXT, Class: ClassIN,
-					TTL: uint32(rng.Intn(86400)), RData: randName()}
+					TTL: uint32(rng.Intn(86400)), RData: Text(randName())}
 			}
 			resp.Answers = append(resp.Answers, rr)
 		}
@@ -322,11 +322,11 @@ func TestDecodeFuzzSafety(t *testing.T) {
 
 func TestLongTXTSplitsIntoStrings(t *testing.T) {
 	long := strings.Repeat("x", 600)
-	rr := RR{Name: "t.example.com", Type: TypeTXT, Class: ClassIN, TTL: 1, RData: long}
+	rr := RR{Name: "t.example.com", Type: TypeTXT, Class: ClassIN, TTL: 1, RData: Text(long)}
 	m := &Message{Answers: []RR{rr}}
 	got := roundTrip(t, m)
-	if got.Answers[0].RData != long {
-		t.Errorf("long TXT round trip failed: got %d bytes", len(got.Answers[0].RData))
+	if got.Answers[0].RData != Text(long) {
+		t.Errorf("long TXT round trip failed: got %d bytes", len(got.Answers[0].RData.Text()))
 	}
 }
 
@@ -350,8 +350,8 @@ func TestDecodeUnknownRDataIsOpaque(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if m.Answers[0].RData != `\# 4` {
-		t.Errorf("opaque rdata = %q", m.Answers[0].RData)
+	if m.Answers[0].RData != Text(`\# 4`) {
+		t.Errorf("opaque rdata = %q", m.Answers[0].RData.Text())
 	}
 	if m.Answers[0].Type.String() != "TYPE99" {
 		t.Errorf("type = %q", m.Answers[0].Type)
@@ -383,7 +383,7 @@ func TestSOATruncatedRData(t *testing.T) {
 	resp := NewResponse(q, RCodeNoError)
 	resp.Answers = append(resp.Answers, RR{
 		Name: "example.com", Type: TypeSOA, Class: ClassIN, TTL: 300,
-		RData: "ns1.example.com hostmaster.example.com 1 2 3 4 5",
+		RData: Text("ns1.example.com hostmaster.example.com 1 2 3 4 5"),
 	})
 	wire, err := resp.Encode()
 	if err != nil {

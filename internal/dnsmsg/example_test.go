@@ -12,7 +12,7 @@ func ExampleMessage_Encode() {
 	resp := dnsmsg.NewResponse(q, dnsmsg.RCodeNoError)
 	resp.Answers = append(resp.Answers, dnsmsg.RR{
 		Name: "www.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN,
-		TTL: 300, RData: "192.0.2.1",
+		TTL: 300, RData: dnsmsg.IPv4(192, 0, 2, 1),
 	})
 	wire, _ := resp.Encode()
 	decoded, _ := dnsmsg.Decode(wire)

@@ -139,27 +139,21 @@ type Question struct {
 	Class Class
 }
 
-// RR is a resource record in presentation-friendly form. RData holds the
-// type-specific payload as a string: dotted-quad for A, RFC 5952-ish hex
-// groups for AAAA, a domain name for CNAME/NS, free text for TXT, and a
-// structured blob for SOA/DNSKEY/RRSIG (see rdata.go).
+// RR is a resource record. RData holds the type-specific payload (see
+// rdata.go): the address bytes for A, presentation text for the rest. The
+// struct is 48 bytes, the size class a one-record []RR is allocated in; every
+// cache entry holds one, so a field added here is paid for per cached answer.
 type RR struct {
 	Name  string
 	Type  Type
 	Class Class
 	TTL   uint32
-	RData string
-}
-
-// Key returns the deduplication key used by the passive-DNS pipeline: the
-// (name, type, rdata) triple, which identifies an RR independent of TTL.
-func (rr RR) Key() string {
-	return rr.Name + "|" + rr.Type.String() + "|" + rr.RData
+	RData RData
 }
 
 // String renders the record in zone-file style.
 func (rr RR) String() string {
-	return fmt.Sprintf("%s %d IN %s %s", rr.Name, rr.TTL, rr.Type, rr.RData)
+	return fmt.Sprintf("%s %d IN %s %s", rr.Name, rr.TTL, rr.Type, rr.RData.Format(rr.Type))
 }
 
 // Message is a complete DNS message.

@@ -1,7 +1,6 @@
 package features
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,7 +22,7 @@ func BenchmarkFromGroup(b *testing.B) {
 		g.Names = append(g.Names, name)
 		g.Labels = append(g.Labels, label)
 		rr := dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
-			RData: fmt.Sprintf("127.0.0.%d", i%255)}
+			RData: dnsmsg.IPv4(127, 0, 0, byte(i%255))}
 		ob := resolver.Observation{QName: name, RR: rr, RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable}
 		c.BelowTap().Observe(ob)
 		c.AboveTap().Observe(ob)

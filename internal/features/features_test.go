@@ -15,7 +15,7 @@ func collectorWith(t *testing.T, belowAbove map[string][2]int) *chrstat.Collecto
 	t.Helper()
 	c := chrstat.NewCollector()
 	for name, counts := range belowAbove {
-		rr := dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60, RData: "127.0.0.1"}
+		rr := dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.IPv4(127, 0, 0, 1)}
 		for i := 0; i < counts[0]; i++ {
 			c.BelowTap().Observe(resolver.Observation{QName: name, RR: rr, RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable})
 		}

@@ -26,7 +26,7 @@ func TestFromGroupCachedBitIdentical(t *testing.T) {
 		tr.Insert(name)
 		ob := resolver.Observation{
 			QName: name,
-			RR:    dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, RData: "10.0.0.1", TTL: 30},
+			RR:    dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, RData: dnsmsg.IPv4(10, 0, 0, 1), TTL: 30},
 		}
 		col.ObserveBelow(ob)
 		if i%3 == 0 {

@@ -24,8 +24,8 @@ func TestParallelRunnerNoLeakOnResolveError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rr := range []dnsmsg.RR{
-		{Name: "a.loop.test", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: "b.loop.test"},
-		{Name: "b.loop.test", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: "a.loop.test"},
+		{Name: "a.loop.test", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.Text("b.loop.test")},
+		{Name: "b.loop.test", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.Text("a.loop.test")},
 	} {
 		if err := z.Add(rr); err != nil {
 			t.Fatal(err)

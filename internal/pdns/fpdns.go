@@ -54,7 +54,7 @@ func (w *FpWriter) Tap() resolver.Tap {
 			Name:   ob.RR.Name,
 			Type:   ob.RR.Type.String(),
 			TTL:    ob.RR.TTL,
-			RData:  ob.RR.RData,
+			RData:  ob.RR.RData.Format(ob.RR.Type),
 		}
 		if err := w.enc.Encode(rec); err == nil {
 			w.n++

@@ -17,7 +17,7 @@ func TestFpWriterRoundTrip(t *testing.T) {
 	at := time.Date(2011, 12, 1, 8, 0, 0, 123456789, time.UTC)
 	tap.Observe(resolver.Observation{
 		Time: at, ClientID: 42, QName: "www.example.com",
-		RR:    dnsmsg.RR{Name: "www.example.com", Type: dnsmsg.TypeA, TTL: 300, RData: "192.0.2.1"},
+		RR:    dnsmsg.RR{Name: "www.example.com", Type: dnsmsg.TypeA, TTL: 300, RData: dnsmsg.IPv4(192, 0, 2, 1)},
 		RCode: dnsmsg.RCodeNoError,
 	})
 	// Excluded: NXDOMAIN and NODATA observations.

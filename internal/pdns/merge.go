@@ -31,7 +31,7 @@ func MergeStores(stores ...*Store) *Store {
 	for i, name := range first.seriesNm {
 		out.AddSeries(name, first.seriesFn[i])
 	}
-	merged := make(map[recordKey]*Record)
+	merged := make(map[dnsmsg.RRKey]*Record)
 	for _, s := range stores {
 		if s == nil {
 			continue
@@ -48,8 +48,8 @@ func MergeStores(stores ...*Store) *Store {
 			sh.mu.Unlock()
 		}
 	}
-	for key, rec := range merged {
-		out.Insert(dnsmsg.RR{Name: key.name, Type: key.typ, RData: key.rdata},
+	for _, rec := range merged {
+		out.Insert(dnsmsg.RR{Name: rec.Name, Type: rec.Type, RData: rec.RData},
 			rec.Category, rec.FirstSeen)
 	}
 	return out

@@ -31,7 +31,7 @@ func TestMergeStoresMatchesSingle(t *testing.T) {
 			cat = cache.CategoryDisposable
 		}
 		stream = append(stream, ins{
-			rr:  dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, TTL: 60, RData: fmt.Sprintf("10.0.0.%d", i%50)},
+			rr:  dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, TTL: 60, RData: dnsmsg.IPv4(10, 0, 0, byte(i%50))},
 			cat: cat,
 			at:  day0.Add(time.Duration(i) * 11 * time.Minute),
 		})
@@ -64,7 +64,7 @@ func TestMergeStoresMatchesSingle(t *testing.T) {
 		t.Fatalf("merged Days = %+v, want %+v", got, want)
 	}
 	key := func(r *Record) string {
-		return fmt.Sprintf("%s|%d|%s|%d|%d", r.Name, r.Type, r.RData, r.FirstSeen.Unix(), r.Category)
+		return fmt.Sprintf("%s|%d|%s|%d|%d", r.Name, r.Type, r.RData.Format(r.Type), r.FirstSeen.Unix(), r.Category)
 	}
 	var a, b []string
 	for _, r := range merged.Records() {

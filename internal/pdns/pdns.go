@@ -22,7 +22,7 @@ import (
 type Record struct {
 	Name      string
 	Type      dnsmsg.Type
-	RData     string
+	RData     dnsmsg.RData
 	FirstSeen time.Time
 	Category  cache.Category
 }
@@ -37,16 +37,6 @@ type DayCounts struct {
 	PerSeries []int
 }
 
-// recordKey is the dedup identity of a record. A comparable struct keys the
-// shard maps directly, so the duplicate check — the operation every single
-// observation pays — allocates nothing, unlike the former
-// name+"|"+type+"|"+rdata concatenation.
-type recordKey struct {
-	name  string
-	typ   dnsmsg.Type
-	rdata string
-}
-
 // numShards is the store's lock-stripe count. Power of two so the shard
 // pick is a mask; 32 stripes keep the probability of two cluster workers
 // colliding on one mutex low even at high server counts.
@@ -56,7 +46,7 @@ const numShards = 32
 // concurrent inserts for different name hashes never contend.
 type shard struct {
 	mu        sync.Mutex
-	firstSeen map[recordKey]*Record
+	firstSeen map[dnsmsg.RRKey]*Record
 	days      map[int64]*DayCounts // unix day -> counts
 }
 
@@ -103,7 +93,7 @@ func (s *Store) SetMetrics(reg *telemetry.Registry) {
 func NewStore() *Store {
 	s := &Store{}
 	for i := range s.shards {
-		s.shards[i].firstSeen = make(map[recordKey]*Record)
+		s.shards[i].firstSeen = make(map[dnsmsg.RRKey]*Record)
 		s.shards[i].days = make(map[int64]*DayCounts)
 	}
 	return s
@@ -142,7 +132,7 @@ func (s *Store) Tap() resolver.Tap {
 // ignored; the first sighting wins. Safe for concurrent use; inserts for
 // names hashing to different stripes proceed in parallel.
 func (s *Store) Insert(rr dnsmsg.RR, cat cache.Category, at time.Time) {
-	key := recordKey{name: rr.Name, typ: rr.Type, rdata: rr.RData}
+	key := rr.Key()
 	sh := s.shardFor(rr.Name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -264,7 +254,7 @@ func (s *Store) StorageBytes() uint64 {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, rec := range sh.firstSeen {
-			total += uint64(len(rec.Name) + len(rec.RData) + overhead)
+			total += uint64(len(rec.Name) + rec.RData.TextLen(rec.Type) + overhead)
 		}
 		sh.mu.Unlock()
 	}
@@ -319,7 +309,7 @@ func (s *Store) CollapseWildcards(zoneOf func(name string) (string, bool)) Colla
 			zone, ok := zoneOf(rec.Name)
 			if !ok {
 				kept++
-				keptBytes += uint64(len(rec.Name) + len(rec.RData) + overhead)
+				keptBytes += uint64(len(rec.Name) + rec.RData.TextLen(rec.Type) + overhead)
 				continue
 			}
 			res.Collapsed++

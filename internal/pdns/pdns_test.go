@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
@@ -14,7 +15,7 @@ import (
 var day1 = time.Date(2011, 11, 28, 10, 0, 0, 0, time.UTC)
 
 func rrA(name, ip string) dnsmsg.RR {
-	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: ip}
+	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(dnsmsg.TypeA, ip)}
 }
 
 func TestInsertDeduplicates(t *testing.T) {
@@ -160,5 +161,14 @@ func TestDisposableRatio(t *testing.T) {
 	var zero CollapseResult
 	if zero.DisposableRatio() != 0 {
 		t.Error("zero collapse DisposableRatio should be 0")
+	}
+}
+
+// TestRecordSizeClass: a stored record is allocated in the 80-byte class, as
+// it was when its rdata was a string; the store holds one per distinct RR for
+// the whole run.
+func TestRecordSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got > 80 {
+		t.Errorf("unsafe.Sizeof(pdns.Record{}) = %d, want at most 80", got)
 	}
 }

@@ -37,7 +37,7 @@ func shardTestRecords() []struct {
 			cat cache.Category
 			at  time.Time
 		}{
-			rr:  dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, TTL: 60, RData: fmt.Sprintf("10.0.%d.%d", i%200, i%250)},
+			rr:  dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, TTL: 60, RData: dnsmsg.IPv4(10, 0, byte(i%200), byte(i%250))},
 			cat: cat,
 			at:  t0.Add(time.Duration(i) * 45 * time.Second), // spans >2 days
 		})
@@ -63,7 +63,7 @@ func sortedRecords(s *Store) []Record {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name
 		}
-		return out[i].RData < out[j].RData
+		return out[i].RData.Format(out[i].Type) < out[j].RData.Format(out[j].Type)
 	})
 	return out
 }

@@ -33,7 +33,7 @@ func TestNegativeTTLFromResponse(t *testing.T) {
 	soa := func(ttl uint32, minimum string) dnsmsg.RR {
 		return dnsmsg.RR{
 			Name: "example.com", Type: dnsmsg.TypeSOA, Class: dnsmsg.ClassIN, TTL: ttl,
-			RData: "ns1.example.com hostmaster.example.com 2011120100 7200 3600 1209600 " + minimum,
+			RData: dnsmsg.Text("ns1.example.com hostmaster.example.com 2011120100 7200 3600 1209600 " + minimum),
 		}
 	}
 	cases := []struct {
@@ -45,7 +45,7 @@ func TestNegativeTTLFromResponse(t *testing.T) {
 		{"soa ttl wins when smaller", dnsmsg.Message{Authority: []dnsmsg.RR{soa(30, "900")}}, 30},
 		{"no soa falls back to 300", dnsmsg.Message{}, 300},
 		{"malformed soa falls back to 300", dnsmsg.Message{Authority: []dnsmsg.RR{{
-			Name: "example.com", Type: dnsmsg.TypeSOA, Class: dnsmsg.ClassIN, TTL: 60, RData: "garbage",
+			Name: "example.com", Type: dnsmsg.TypeSOA, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.Text("garbage"),
 		}}}, 300},
 	}
 	for _, tc := range cases {
@@ -64,7 +64,7 @@ func TestNegativeCacheHonorsZoneSOA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := z.Add(dnsmsg.RR{Name: "www.short.test", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: "192.0.2.7"}); err != nil {
+	if err := z.Add(dnsmsg.RR{Name: "www.short.test", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(192, 0, 2, 7)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := up.AddZone(z); err != nil {

@@ -17,7 +17,7 @@ func synthUpstream(t testing.TB) *authority.Server {
 	up := authority.NewServer()
 	z, err := authority.NewZone("synth.test", authority.WithSynth(
 		func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
-			return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 300, RData: "198.18.0.1"}}, true
+			return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(198, 18, 0, 1)}}, true
 		}))
 	if err != nil {
 		t.Fatal(err)

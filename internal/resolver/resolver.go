@@ -783,7 +783,7 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 		}
 		last := answers[len(answers)-1]
 		if last.Type == dnsmsg.TypeCNAME && q.Type != dnsmsg.TypeCNAME {
-			name = last.RData
+			name = last.RData.Text()
 			continue
 		}
 		if name != q.Name {
@@ -806,7 +806,7 @@ func negativeTTL(resp *dnsmsg.Message) uint32 {
 		if rr.Type != dnsmsg.TypeSOA {
 			continue
 		}
-		minimum, ok := soaMinimum(rr.RData)
+		minimum, ok := soaMinimum(rr.RData.Text())
 		if !ok {
 			break
 		}
@@ -938,7 +938,7 @@ func (c *Cluster) exchange(s *server, name string, qtype dnsmsg.Type) (*dnsmsg.M
 // map mutex is held across the fetch so concurrent workers fetch each zone
 // key exactly once, like the sequential path.
 func (c *Cluster) validate(s *server, q Query, rrsig *dnsmsg.RR, answers []dnsmsg.RR) {
-	zone := signerZone(rrsig.RData)
+	zone := signerZone(rrsig.RData.Text())
 	c.keysMu.Lock()
 	pub, ok := c.keys[zone]
 	if !ok {

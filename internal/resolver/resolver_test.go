@@ -30,9 +30,9 @@ func testUpstream(t *testing.T) *authority.Server {
 			t.Fatal(err)
 		}
 	}
-	add(ex, dnsmsg.RR{Name: "www.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: "192.0.2.1"})
-	add(ex, dnsmsg.RR{Name: "zero.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 0, RData: "192.0.2.5"})
-	add(ex, dnsmsg.RR{Name: "cdn.example.com", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: "edge.akamai.net"})
+	add(ex, dnsmsg.RR{Name: "www.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(192, 0, 2, 1)})
+	add(ex, dnsmsg.RR{Name: "zero.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 0, RData: dnsmsg.IPv4(192, 0, 2, 5)})
+	add(ex, dnsmsg.RR{Name: "cdn.example.com", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.Text("edge.akamai.net")})
 	if err := up.AddZone(ex); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func testUpstream(t *testing.T) *authority.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add(ak, dnsmsg.RR{Name: "edge.akamai.net", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 20, RData: "198.51.100.9"})
+	add(ak, dnsmsg.RR{Name: "edge.akamai.net", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 20, RData: dnsmsg.IPv4(198, 51, 100, 9)})
 	if err := up.AddZone(ak); err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestCNAMEChainFollowed(t *testing.T) {
 	if r.Answers[0].Type != dnsmsg.TypeCNAME || r.Answers[1].Type != dnsmsg.TypeA {
 		t.Errorf("chain = %v, %v", r.Answers[0].Type, r.Answers[1].Type)
 	}
-	if r.Answers[1].RData != "198.51.100.9" {
-		t.Errorf("final A = %q", r.Answers[1].RData)
+	if r.Answers[1].RData != dnsmsg.IPv4(198, 51, 100, 9) {
+		t.Errorf("final A = %v", r.Answers[1])
 	}
 	// A cache hit must replay the full chain.
 	r2, err := c.Resolve(q("cdn.example.com", t0.Add(time.Second)))
@@ -165,10 +165,10 @@ func TestCNAMELoopDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := z.Add(dnsmsg.RR{Name: "a.loop.test", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: "b.loop.test"}); err != nil {
+	if err := z.Add(dnsmsg.RR{Name: "a.loop.test", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.Text("b.loop.test")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := z.Add(dnsmsg.RR{Name: "b.loop.test", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: "a.loop.test"}); err != nil {
+	if err := z.Add(dnsmsg.RR{Name: "b.loop.test", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.Text("a.loop.test")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := up.AddZone(z); err != nil {
@@ -346,7 +346,7 @@ func TestValidationCountsSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := z.Add(dnsmsg.RR{Name: "www.signed.test", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: "192.0.2.1"}); err != nil {
+	if err := z.Add(dnsmsg.RR{Name: "www.signed.test", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(192, 0, 2, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := up.AddZone(z); err != nil {
@@ -387,7 +387,7 @@ func TestNoUpstream(t *testing.T) {
 func TestCategoryFlowsToCache(t *testing.T) {
 	up := authority.NewServer()
 	z, err := authority.NewZone("d.test", authority.WithSynth(func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
-		return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 300, RData: "127.0.0.1"}}, true
+		return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(127, 0, 0, 1)}}, true
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +462,7 @@ func TestWithMaxTTLCapsCacheLifetime(t *testing.T) {
 func TestDeprioritizedEntriesEvictFirst(t *testing.T) {
 	up := authority.NewServer()
 	z, err := authority.NewZone("d.test", authority.WithSynth(func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
-		return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 3600, RData: "127.0.0.1"}}, true
+		return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 3600, RData: dnsmsg.IPv4(127, 0, 0, 1)}}, true
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestResolvePathZeroAllocWithTsdb(t *testing.T) {
 	up := authority.NewServer()
 	z, err := authority.NewZone("alloc.test", authority.WithSynth(
 		func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
-			return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 3600, RData: "198.18.0.1"}}, true
+			return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 3600, RData: dnsmsg.IPv4(198, 18, 0, 1)}}, true
 		}))
 	if err != nil {
 		t.Fatal(err)

@@ -81,7 +81,7 @@ func TestConcurrentListenersAndClients(t *testing.T) {
 					errs <- fmt.Errorf("client %d: ID = %#x, want %#x", id, resp.Header.ID, qid)
 					return
 				}
-				if len(resp.Answers) != 1 || resp.Answers[0].RData != "198.18.0.7" {
+				if len(resp.Answers) != 1 || resp.Answers[0].RData != dnsmsg.IPv4(198, 18, 0, 7) {
 					errs <- fmt.Errorf("client %d: answers = %+v", id, resp.Answers)
 					return
 				}
@@ -179,7 +179,7 @@ func (h bigResponder) HandleWire(query []byte) ([]byte, error) {
 	for i := 0; i < h.records; i++ {
 		resp.Answers = append(resp.Answers, dnsmsg.RR{
 			Name: msg.Questions[0].Name, Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN,
-			TTL: 60, RData: fmt.Sprintf("record-%03d-%s", i, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"),
+			TTL: 60, RData: dnsmsg.Text(fmt.Sprintf("record-%03d-%s", i, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")),
 		})
 	}
 	return resp.Encode()

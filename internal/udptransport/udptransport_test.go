@@ -17,7 +17,7 @@ func testAuthority(t *testing.T) *authority.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := dnsmsg.RR{Name: "www.udp.test", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: "198.18.0.7"}
+	rr := dnsmsg.RR{Name: "www.udp.test", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(198, 18, 0, 7)}
 	if err := z.Add(rr); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestQueryOverUDP(t *testing.T) {
 	if resp.Header.ID != 0x4242 {
 		t.Errorf("ID = %#x", resp.Header.ID)
 	}
-	if len(resp.Answers) != 1 || resp.Answers[0].RData != "198.18.0.7" {
+	if len(resp.Answers) != 1 || resp.Answers[0].RData != dnsmsg.IPv4(198, 18, 0, 7) {
 		t.Errorf("answers = %+v", resp.Answers)
 	}
 }

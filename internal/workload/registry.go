@@ -508,7 +508,7 @@ func populateStaticZone(z *authority.Zone, spec *ZoneSpec) error {
 			target := spec.CNAMETarget.HostPool[h%uint64(len(spec.CNAMETarget.HostPool))]
 			rr := dnsmsg.RR{
 				Name: owner, Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN,
-				TTL: spec.TTL, RData: target,
+				TTL: spec.TTL, RData: dnsmsg.Text(target),
 			}
 			if err := z.Add(rr); err != nil {
 				return err
@@ -590,39 +590,34 @@ func makeSynth(spec *ZoneSpec) authority.SynthFunc {
 // signalIPv4 and signalIPv6 encode the serial number of a signaling answer
 // in an address: 127.0.0.0/16 like a DNSBL verdict, or the 100::/64 discard
 // prefix.
-func signalIPv4(sn uint64) string {
-	return rdataPair("127.0.", '.', 10, (sn>>8)%256, sn%256)
+func signalIPv4(sn uint64) dnsmsg.RData {
+	return dnsmsg.IPv4(127, 0, byte(sn>>8), byte(sn))
 }
 
-func signalIPv6(sn uint64) string {
-	return rdataPair("100:0:0:0:0:0:", ':', 16, (sn>>8)%65536, sn%65536)
+func signalIPv6(sn uint64) dnsmsg.RData {
+	return ipv6Text("100:0:0:0:0:0:", (sn>>8)%65536, sn%65536)
 }
 
-func syntheticIPv4(h, salt uint64) string {
+func syntheticIPv4(h, salt uint64) dnsmsg.RData {
 	v := h + salt*0x9E3779B9
 	// 198.18.0.0/15 is reserved for benchmarking — fitting for a simulator.
-	prefix := "198.18."
-	if (v>>16)%2 == 1 {
-		prefix = "198.19."
-	}
-	return rdataPair(prefix, '.', 10, (v>>8)%256, v%256)
+	return dnsmsg.IPv4(198, 18+byte(v>>16)%2, byte(v>>8), byte(v))
 }
 
-func syntheticIPv6(h, salt uint64) string {
+func syntheticIPv6(h, salt uint64) dnsmsg.RData {
 	v := h + salt*0x9E3779B9
-	return rdataPair("2001:db8:0:0:0:0:", ':', 16, (v>>16)%65536, v%65536)
+	return ipv6Text("2001:db8:0:0:0:0:", (v>>16)%65536, v%65536)
 }
 
-// rdataPair renders prefix, then a and b in the given base with sep between
-// them. Every synthesized address is a fixed prefix and two numbers; they are
-// spelled with strconv into a stack buffer because the authority runs this
-// once per record of every disposable answer, where fmt cost four
-// allocations to the one the string needs.
-func rdataPair(prefix string, sep byte, base int, a, b uint64) string {
+// ipv6Text spells prefix and the last two groups of an address, with strconv
+// into a stack buffer: AAAA rdata travels as text (see dnsmsg.RData), and the
+// authority runs this once per record of every disposable AAAA answer, where
+// fmt cost four allocations to the one the string needs.
+func ipv6Text(prefix string, a, b uint64) dnsmsg.RData {
 	var buf [32]byte
 	out := append(buf[:0], prefix...)
-	out = strconv.AppendUint(out, a, base)
-	out = append(out, sep)
-	out = strconv.AppendUint(out, b, base)
-	return string(out)
+	out = strconv.AppendUint(out, a, 16)
+	out = append(out, ':')
+	out = strconv.AppendUint(out, b, 16)
+	return dnsmsg.Text(string(out))
 }

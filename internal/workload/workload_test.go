@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -167,8 +166,8 @@ func TestSignalingZonesVaryRData(t *testing.T) {
 		t.Error("signaling rdata should vary across fetches")
 	}
 	for _, rr := range a {
-		if !strings.HasPrefix(rr.RData, "127.0.") {
-			t.Errorf("reputation verdict %q outside 127.0.0.0/16", rr.RData)
+		if ip := rr.RData.IPv4(); ip[0] != 127 || ip[1] != 0 {
+			t.Errorf("reputation verdict %v outside 127.0.0.0/16", rr)
 		}
 	}
 }
@@ -190,8 +189,8 @@ func TestCNAMEShardingIntoCDN(t *testing.T) {
 		if len(resp.Answers) != 1 || resp.Answers[0].Type != dnsmsg.TypeCNAME {
 			t.Fatalf("sharded host %s answers = %+v, want CNAME", owner, resp.Answers)
 		}
-		if !dnsname.IsSubdomainOf(resp.Answers[0].RData, z.CNAMETarget.Zone) {
-			t.Errorf("CNAME target %q not in CDN zone %q", resp.Answers[0].RData, z.CNAMETarget.Zone)
+		if target := resp.Answers[0].RData.Text(); !dnsname.IsSubdomainOf(target, z.CNAMETarget.Zone) {
+			t.Errorf("CNAME target %q not in CDN zone %q", target, z.CNAMETarget.Zone)
 		}
 		break
 	}
