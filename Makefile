@@ -89,4 +89,3 @@ fuzz-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_resolver.json

@@ -62,6 +62,8 @@ func (p *streamingPass) run(stdout io.Writer) error {
 		drifts     int
 		dayResults []core.RescoreResult
 	)
+	// Both callbacks run on the pipeline's re-score goroutine; what they
+	// touch is read here only after Run, whose last hook, EndDay, joined it.
 	sp.OnDrift(func(core.DriftEvent) { drifts++ })
 	var (
 		ew         *core.ExplainWriter

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -85,12 +86,19 @@ func NewPipeline(miner *Miner, suffixes *dnsname.Suffixes) (*Pipeline, error) {
 // 1-3) and folds the findings into the cumulative ranking. The day's own
 // findings are returned for per-day consumers.
 func (p *Pipeline) ProcessDay(date time.Time, byName map[string][]*chrstat.RRStat) ([]Finding, error) {
-	tree := BuildTree(byName, p.suffixes)
-	findings, err := p.miner.Mine(tree, byName)
-	if err != nil {
-		return nil, fmt.Errorf("day %s: %w", date.Format("2006-01-02"), err)
+	findings, err := p.mineDay(DayInput{Date: date, ByName: byName})
+	if err == nil {
+		p.fold(date, findings)
 	}
-	p.fold(date, findings)
+	return findings, err
+}
+
+// mineDay is the read-only part of a day, which ProcessDays fans out.
+func (p *Pipeline) mineDay(d DayInput) ([]Finding, error) {
+	findings, err := p.miner.Mine(BuildTree(d.ByName, p.suffixes), d.ByName)
+	if err != nil {
+		return nil, fmt.Errorf("day %s: %w", d.Date.Format("2006-01-02"), err)
+	}
 	return findings, nil
 }
 
@@ -112,7 +120,7 @@ func (p *Pipeline) fold(date time.Time, findings []Finding) {
 		if f.Confidence > rec.MaxConfidence {
 			rec.MaxConfidence = f.Confidence
 		}
-		if !containsInt(rec.Depths, f.Depth) {
+		if !slices.Contains(rec.Depths, f.Depth) {
 			rec.Depths = append(rec.Depths, f.Depth)
 			sort.Ints(rec.Depths)
 		}
@@ -139,11 +147,8 @@ func (p *Pipeline) ProcessDays(days []DayInput, workers int) ([][]Finding, error
 	if workers > len(days) {
 		workers = len(days)
 	}
-	type mined struct {
-		findings []Finding
-		err      error
-	}
-	results := make([]mined, len(days))
+	out := make([][]Finding, len(days))
+	errs := make([]error, len(days))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for i := range days {
@@ -152,33 +157,17 @@ func (p *Pipeline) ProcessDays(days []DayInput, workers int) ([][]Finding, error
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			tree := BuildTree(days[i].ByName, p.suffixes)
-			findings, err := p.miner.Mine(tree, days[i].ByName)
-			if err != nil {
-				err = fmt.Errorf("day %s: %w", days[i].Date.Format("2006-01-02"), err)
-			}
-			results[i] = mined{findings: findings, err: err}
+			out[i], errs[i] = p.mineDay(days[i])
 		}(i)
 	}
 	wg.Wait()
-	out := make([][]Finding, len(days))
-	for i, r := range results {
-		if r.err != nil {
-			return nil, r.err
+	for i, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		p.fold(days[i].Date, r.findings)
-		out[i] = r.findings
+		p.fold(days[i].Date, out[i])
 	}
 	return out, nil
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Days returns how many days the pipeline has processed.

@@ -26,8 +26,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,13 +181,33 @@ type pendingStripe struct {
 	mu    sync.Mutex
 	seen  map[string]struct{}
 	names []string
+	// spare is the other intake buffer: swapped with names at the barrier,
+	// drained by the re-score, which owns it (no lock) until the next one.
+	spare []string
+}
+
+// RescoreHandle is one window's re-score in flight on its own goroutine.
+type RescoreHandle struct {
+	done chan struct{}
+	res  RescoreResult
+	err  error
+}
+
+// Wait blocks until the window is mined and returns its outcome; any
+// goroutine may call it, any number of times.
+func (h *RescoreHandle) Wait() (RescoreResult, error) {
+	<-h.done
+	return h.res, h.err
 }
 
 // StreamingPipeline is the incremental miner. Observe* methods are safe
 // for concurrent use (the parallel resolver workers call them);
 // Rescore/EndDay/Prime must run with the observe side quiesced — the
 // ingest runner calls them at stream barriers, the serve path from its
-// single miner goroutine.
+// single miner goroutine — and one at a time. Between two of them the
+// re-score goroutine owns the tree, the entropy cache, the verdict states,
+// the scratch and the spare intake buffers, and reads a counts view that
+// stays frozen until the next barrier re-sums it.
 type StreamingPipeline struct {
 	miner    *Miner
 	suffixes *dnsname.Suffixes
@@ -204,14 +225,17 @@ type StreamingPipeline struct {
 	states  map[ZoneDepth]*verdictState
 	snap    atomic.Pointer[VerdictSnapshot]
 
-	rank *Pipeline // cumulative day ranking, folded exactly like batch
+	rank     *Pipeline      // cumulative day ranking, folded exactly like batch
+	inflight *RescoreHandle // what the last barrier started, until the next joins it
 
 	onDrift func(DriftEvent)
 	explain func(ExplainRecord)
 
-	mRescores *telemetry.Counter
-	mDrifts   *telemetry.Counter
-	mNames    *telemetry.Counter
+	mRescores  *telemetry.Counter
+	mDrifts    *telemetry.Counter
+	mNames     *telemetry.Counter
+	mRescoreNs *telemetry.Histogram
+	mWaitNs    *telemetry.Histogram
 }
 
 // NewStreamingPipeline builds the incremental pipeline around a trained
@@ -252,14 +276,16 @@ func NewStreamingPipeline(classifier mlearn.Classifier, mcfg MinerConfig, scfg S
 // inspection).
 func (p *StreamingPipeline) Miner() *Miner { return p.miner }
 
-// OnDrift installs the drift-event callback, invoked from the re-score
-// path (quiesced) in deterministic (zone, depth) order.
+// OnDrift installs the drift-event callback. It runs on the re-score
+// goroutine, window by window and in (zone, depth) order within one, and a
+// window's calls are over before the next Rescore or EndDay returns: state
+// it shares with that caller needs no lock. Install before the first window.
 func (p *StreamingPipeline) OnDrift(fn func(DriftEvent)) { p.onDrift = fn }
 
 // SetExplain installs the provenance callback. Each record is stamped
 // with the re-score window, its day, and the hysteresis state the pair
 // held when the decision was made — the streaming extension of the batch
-// -explain records.
+// -explain records. It runs where and when OnDrift's callback does.
 func (p *StreamingPipeline) SetExplain(fn func(ExplainRecord)) {
 	p.explain = fn
 	if fn == nil {
@@ -270,8 +296,8 @@ func (p *StreamingPipeline) SetExplain(fn func(ExplainRecord)) {
 }
 
 // stampExplain decorates one miner provenance record with streaming
-// context. It runs inside Mine, which only executes on the quiesced
-// re-score path, so reading the pipeline's window state is safe.
+// context. It runs inside the mine, which owns the pipeline's window state
+// until the next barrier joins it.
 func (p *StreamingPipeline) stampExplain(rec ExplainRecord) {
 	rec.Window = p.windows.Load() + 1
 	rec.Day = p.day
@@ -297,6 +323,10 @@ func (p *StreamingPipeline) SetMetrics(reg *telemetry.Registry) {
 		"Verdict flips accepted by hysteresis.")
 	p.mNames = reg.Counter("streaming_names_total",
 		"Distinct names drained into the live domain name tree.")
+	p.mRescoreNs = reg.Histogram("streaming_rescore_ns",
+		"Duration of a window's mine, the half of a re-score that runs beside the next intake.")
+	p.mWaitNs = reg.Histogram("streaming_rescore_wait_ns",
+		"Time a barrier blocked on the previous window's mine (next to nothing: the mine kept up).")
 	reg.GaugeFunc("streaming_disposable_pairs",
 		"Zone-depth pairs currently holding a disposable verdict.",
 		func() float64 { return float64(p.snap.Load().Pairs()) })
@@ -335,29 +365,56 @@ func (p *StreamingPipeline) noteName(name string) {
 	s.mu.Unlock()
 }
 
-// Rescore closes the current window: drain pending names into the tree,
-// expire the sliding horizon, run Algorithm 1 over the live tree, restore
-// the mined colors, fold the window's verdict proposals through
-// hysteresis, and publish a fresh snapshot. Must run with the observe
-// side quiesced.
-func (p *StreamingPipeline) Rescore(date time.Time) (RescoreResult, error) {
-	p.day = date.UTC().Format("2006-01-02")
-	res := RescoreResult{Window: p.windows.Load() + 1, Date: date}
-
-	// Drain the observe-side intake into the tree.
-	for i := range p.pending {
-		s := &p.pending[i]
-		s.mu.Lock()
-		for _, name := range s.names {
-			p.tree.InsertAt(name)
-		}
-		res.Inserted += len(s.names)
-		s.names = s.names[:0]
-		s.mu.Unlock()
+// Rescore closes the current window: with the observe side quiesced it
+// joins the previous window's re-score and runs closeWindow, then starts
+// mineWindow on its own goroutine and returns, so the caller can release
+// the next window's intake. The handle yields this window's outcome; the
+// error is the previous window's, and then nothing was started.
+func (p *StreamingPipeline) Rescore(date time.Time) (*RescoreHandle, error) {
+	if err := p.join(); err != nil {
+		return nil, err
 	}
-	p.mNames.Add(uint64(res.Inserted))
+	h := &RescoreHandle{done: make(chan struct{})}
+	byName := p.closeWindow(date, &h.res)
+	p.inflight = h
+	go func() {
+		defer close(h.done)
+		h.err = p.mineWindow(&h.res, byName)
+	}()
+	return h, nil
+}
 
-	// Expire names that fell out of the sliding horizon.
+// wait blocks while a re-score is in flight.
+func (p *StreamingPipeline) wait() {
+	if h := p.inflight; h != nil {
+		<-h.done
+	}
+}
+
+// join is the barrier's wait: it takes the re-score off the pipeline, so
+// that its error is returned once, and records how long it blocked.
+func (p *StreamingPipeline) join() error {
+	h := p.inflight
+	if h == nil {
+		return nil
+	}
+	p.inflight = nil
+	if p.mWaitNs != nil {
+		defer func(start time.Time) { p.mWaitNs.Observe(uint64(time.Since(start))) }(time.Now())
+	}
+	<-h.done
+	return h.err
+}
+
+// closeWindow is the barrier half of a re-score, what must be ordered
+// against the observe side: expire the sliding horizon (it edits the dedup
+// sets, which decide what the next window admits; only the expiring
+// window's names are visited, none of them pending), swap the intake
+// buffers, re-sum the counts view. The view is returned, not kept, so that
+// EndDay's Reset leaves the day's records unreachable.
+func (p *StreamingPipeline) closeWindow(date time.Time, res *RescoreResult) map[string][]*chrstat.RRStat {
+	p.day = date.UTC().Format("2006-01-02")
+	*res = RescoreResult{Window: p.windows.Load() + 1, Date: date}
 	if p.cfg.KeepWindows > 0 {
 		if oldest := int64(p.tree.Window()) + 1 - int64(p.cfg.KeepWindows); oldest > 0 {
 			expired := p.tree.ExpireBefore(uint32(oldest))
@@ -371,11 +428,36 @@ func (p *StreamingPipeline) Rescore(date time.Time) (RescoreResult, error) {
 			}
 		}
 	}
+	for i := range p.pending {
+		s := &p.pending[i]
+		s.mu.Lock()
+		s.names, s.spare = s.spare, s.names
+		s.mu.Unlock()
+	}
+	return p.counts.Refresh(p.collector)
+}
+
+// mineWindow is the other half, over pipeline-owned state and the frozen
+// view: tree drain, mine and recolor, hysteresis, snapshot, callbacks.
+func (p *StreamingPipeline) mineWindow(res *RescoreResult, byName map[string][]*chrstat.RRStat) error {
+	if p.mRescoreNs != nil {
+		defer func(start time.Time) { p.mRescoreNs.Observe(uint64(time.Since(start))) }(time.Now())
+	}
+	for i := range p.pending {
+		s := &p.pending[i]
+		for _, name := range s.spare {
+			p.tree.InsertAt(name)
+		}
+		res.Inserted += len(s.spare)
+		clear(s.spare) // an idle buffer keeps no name alive
+		s.spare = s.spare[:0]
+	}
+	p.mNames.Add(uint64(res.Inserted))
 
 	// Re-score: mine the live tree, then recolor so it survives.
-	findings, err := p.miner.mine(p.tree, p.counts.Refresh(p.collector), &p.scratch)
+	findings, err := p.miner.mine(p.tree, byName, &p.scratch)
 	if err != nil {
-		return res, fmt.Errorf("window %d: %w", res.Window, err)
+		return fmt.Errorf("window %d: %w", res.Window, err)
 	}
 	for _, f := range findings {
 		for _, name := range f.Names {
@@ -383,7 +465,7 @@ func (p *StreamingPipeline) Rescore(date time.Time) (RescoreResult, error) {
 		}
 	}
 	res.Findings = findings
-	res.Drifts = p.updateHysteresis(findings, res.Window, date)
+	res.Drifts = p.updateHysteresis(findings, res.Window, res.Date)
 	p.windows.Add(1)
 	p.tree.AdvanceWindow()
 	p.publishSnapshot()
@@ -394,17 +476,22 @@ func (p *StreamingPipeline) Rescore(date time.Time) (RescoreResult, error) {
 		}
 	}
 	p.mDrifts.Add(uint64(len(res.Drifts)))
-	return res, nil
+	return nil
 }
 
-// EndDay closes the day: a final window re-score (whose findings are the
-// day's verdicts — the batch-equivalence artifact), a fold into the
-// cumulative ranking exactly like Pipeline.ProcessDay, then a reset of
-// the tree, collector, and intake dedup for the next day. Hysteresis
-// state and the published snapshot survive across days.
+// EndDay closes the day: a final window re-score, joined and run inline
+// (whose findings are the day's verdicts — the batch-equivalence
+// artifact), a fold into the cumulative ranking exactly like
+// Pipeline.ProcessDay, then a reset of the tree, collector, and intake
+// dedup for the next day. Hysteresis state and the published snapshot
+// survive across days.
 func (p *StreamingPipeline) EndDay(date time.Time) (RescoreResult, error) {
-	res, err := p.Rescore(date)
-	if err != nil {
+	var res RescoreResult
+	if err := p.join(); err != nil {
+		return res, err
+	}
+	byName := p.closeWindow(date, &res)
+	if err := p.mineWindow(&res, byName); err != nil {
 		return res, err
 	}
 	p.rank.fold(date, res.Findings)
@@ -416,7 +503,6 @@ func (p *StreamingPipeline) EndDay(date time.Time) (RescoreResult, error) {
 		s := &p.pending[i]
 		s.mu.Lock()
 		s.seen = make(map[string]struct{})
-		s.names = s.names[:0]
 		s.mu.Unlock()
 	}
 	return res, nil
@@ -438,12 +524,7 @@ func (p *StreamingPipeline) updateHysteresis(findings []Finding, window uint32, 
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Zone != keys[j].Zone {
-			return keys[i].Zone < keys[j].Zone
-		}
-		return keys[i].Depth < keys[j].Depth
-	})
+	sortPairs(keys)
 	var drifts []DriftEvent
 	for _, k := range keys {
 		conf, proposed := positive[k]
@@ -504,6 +585,7 @@ func (p *StreamingPipeline) publishSnapshot() {
 // path's bootstrap: train, mine once offline, then go live) and publishes
 // the snapshot. Must run before the observe side starts.
 func (p *StreamingPipeline) Prime(findings []Finding) {
+	p.wait()
 	for _, f := range findings {
 		k := ZoneDepth{Zone: f.Zone, Depth: f.Depth}
 		st, ok := p.states[k]
@@ -525,28 +607,33 @@ func (p *StreamingPipeline) Prime(findings []Finding) {
 func (p *StreamingPipeline) Snapshot() *VerdictSnapshot { return p.snap.Load() }
 
 // CurrentDisposable lists the pairs currently holding a disposable
-// verdict, sorted. Quiesced callers only.
+// verdict as of the last closed window, sorted. Quiesced callers only.
 func (p *StreamingPipeline) CurrentDisposable() []ZoneDepth {
+	p.wait()
 	out := make([]ZoneDepth, 0, len(p.states))
 	for k, st := range p.states {
 		if st.current {
 			out = append(out, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Zone != out[j].Zone {
-			return out[i].Zone < out[j].Zone
-		}
-		return out[i].Depth < out[j].Depth
-	})
+	sortPairs(out)
 	return out
 }
 
-// Windows returns how many re-scores have completed.
+// sortPairs orders pairs by (zone, depth), the order of everything the
+// pipeline reports.
+func sortPairs(ps []ZoneDepth) {
+	slices.SortFunc(ps, func(a, b ZoneDepth) int {
+		return cmp.Or(cmp.Compare(a.Zone, b.Zone), cmp.Compare(a.Depth, b.Depth))
+	})
+}
+
+// Windows returns how many re-scores have completed (mined, not started).
 func (p *StreamingPipeline) Windows() uint32 { return p.windows.Load() }
 
 // Ranking returns the cumulative day ranking folded from EndDay verdicts,
-// identical in shape to the batch pipeline's.
+// identical in shape to the batch pipeline's. EndDay alone folds it, under
+// the ranking's own lock: no re-score to wait for here or in Summary.
 func (p *StreamingPipeline) Ranking() []ZoneRecord { return p.rank.Ranking() }
 
 // Summary delegates to the cumulative ranking's Figure 11 inventory.

@@ -66,6 +66,21 @@ func trainedClassifier(t testing.TB) *mlearn.DecisionTree {
 	return clf
 }
 
+// rescore runs one window's re-score to its end: the barrier half, then a
+// Wait for the mine.
+func rescore(tb testing.TB, p *StreamingPipeline, date time.Time) RescoreResult {
+	tb.Helper()
+	h, err := p.Rescore(date)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := h.Wait()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // TestStreamingDayEquivalence pins the tentpole contract: a streaming run
 // — observations drip-fed through the sink seam, with several intra-day
 // re-scores mutating and restoring the live tree — must produce
@@ -164,10 +179,7 @@ func TestStreamingHysteresisAndDrift(t *testing.T) {
 
 	// Window 1: positives appear — proposals only, no flip yet.
 	feed()
-	res1, err := stream.Rescore(date)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res1 := rescore(t, stream, date)
 	if len(res1.Findings) == 0 {
 		t.Fatal("window 1 found nothing")
 	}
@@ -180,10 +192,7 @@ func TestStreamingHysteresisAndDrift(t *testing.T) {
 
 	// Window 2: same positives — flips accepted.
 	feed()
-	res2, err := stream.Rescore(date)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := rescore(t, stream, date)
 	if len(res2.Drifts) != len(res1.Findings) {
 		t.Fatalf("window 2 accepted %d flips, want %d", len(res2.Drifts), len(res1.Findings))
 	}
@@ -231,17 +240,11 @@ func TestStreamingHysteresisAndDrift(t *testing.T) {
 	// Windows 4-5: the zones go quiet (fresh tree, no new observations) —
 	// only after two empty windows does every verdict flip back.
 	next := date.AddDate(0, 0, 1)
-	res4, err := stream.Rescore(next) // window 4: streak building
-	if err != nil {
-		t.Fatal(err)
-	}
+	res4 := rescore(t, stream, next) // window 4: streak building
 	if len(res4.Drifts) != 0 {
 		t.Fatalf("quiet window flipped early: %+v", res4.Drifts)
 	}
-	res5, err := stream.Rescore(next) // window 5: flips accepted
-	if err != nil {
-		t.Fatal(err)
-	}
+	res5 := rescore(t, stream, next) // window 5: flips accepted
 	backFlips := 0
 	for _, d := range res5.Drifts {
 		if d.Disposable {
@@ -301,10 +304,7 @@ func TestStreamingExplainStamps(t *testing.T) {
 			stream.ObserveBelow(e.ob)
 		}
 	}
-	date := time.Date(2014, 3, 5, 0, 0, 0, 0, time.UTC)
-	if _, err := stream.Rescore(date); err != nil {
-		t.Fatal(err)
-	}
+	rescore(t, stream, time.Date(2014, 3, 5, 0, 0, 0, 0, time.UTC))
 	if len(recs) == 0 {
 		t.Fatal("no explain records emitted")
 	}
@@ -335,25 +335,21 @@ func TestStreamingSlidingExpiry(t *testing.T) {
 	}
 	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
 	stream.ObserveName("once.seen.example.com")
-	res, err := stream.Rescore(date)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Inserted != 1 || res.Expired != 0 {
+	if res := rescore(t, stream, date); res.Inserted != 1 || res.Expired != 0 {
 		t.Fatalf("window 1: inserted=%d expired=%d", res.Inserted, res.Expired)
 	}
 	// Window 2: nothing re-observed; horizon is 2 so the name survives.
-	if res, err = stream.Rescore(date); err != nil || res.Expired != 0 {
-		t.Fatalf("window 2: expired=%d err=%v", res.Expired, err)
+	if res := rescore(t, stream, date); res.Expired != 0 {
+		t.Fatalf("window 2: expired=%d", res.Expired)
 	}
 	// Window 3: the name falls out of the horizon.
-	if res, err = stream.Rescore(date); err != nil || res.Expired != 1 {
-		t.Fatalf("window 3: expired=%d err=%v", res.Expired, err)
+	if res := rescore(t, stream, date); res.Expired != 1 {
+		t.Fatalf("window 3: expired=%d", res.Expired)
 	}
 	// Re-observation after expiry re-inserts (the dedup map was cleaned).
 	stream.ObserveName("once.seen.example.com")
-	if res, err = stream.Rescore(date); err != nil || res.Inserted != 1 {
-		t.Fatalf("window 4: inserted=%d err=%v", res.Inserted, err)
+	if res := rescore(t, stream, date); res.Inserted != 1 {
+		t.Fatalf("window 4: inserted=%d", res.Inserted)
 	}
 }
 
@@ -382,10 +378,7 @@ func TestEntropyCacheBoundedByLiveTree(t *testing.T) {
 		for _, name := range batch {
 			stream.ObserveName(name)
 		}
-		res, err := stream.Rescore(date)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := rescore(t, stream, date)
 		if w >= keep && res.Expired != zones*perWindow {
 			t.Fatalf("window %d expired %d names, want the %d of window %d", w, res.Expired, zones*perWindow, w-keep)
 		}
@@ -430,10 +423,7 @@ func steadyPipeline(tb testing.TB) (*StreamingPipeline, time.Time, int) {
 		}
 	}
 	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	res, err := stream.Rescore(date)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	res := rescore(tb, stream, date)
 	if res.Inserted < 5000 || len(res.Findings) == 0 {
 		tb.Fatalf("fixture: %d names inserted, %d findings", res.Inserted, len(res.Findings))
 	}
@@ -442,16 +432,16 @@ func steadyPipeline(tb testing.TB) (*StreamingPipeline, time.Time, int) {
 
 // TestRescoreSteadyStateAllocs is the allocation guard of the hourly
 // re-score: over an unchanged tree it may allocate for what it reports
-// (findings, the snapshot), not per name or per record in the tree.
+// (35 findings and their name lists, the hysteresis fold, the snapshot) and
+// for running beside the intake (handle, channel, goroutine) — 63 objects
+// on this fixture — not per name or per record in the tree. The limit is
+// that reading plus a handful, so that it can fail.
 func TestRescoreSteadyStateAllocs(t *testing.T) {
+	const limit = 70
 	stream, date, names := steadyPipeline(t)
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := stream.Rescore(date); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if limit := float64(names) / 4; allocs >= limit {
-		t.Errorf("a re-score of an unchanged tree of %d names allocates %.0f objects, want fewer than %.0f", names, allocs, limit)
+	allocs := testing.AllocsPerRun(5, func() { rescore(t, stream, date) })
+	if allocs > limit {
+		t.Errorf("a re-score of an unchanged tree of %d names allocates %.0f objects, want at most %d", names, allocs, limit)
 	}
 	t.Logf("%.0f allocs per steady-state re-score of %d names", allocs, names)
 }
@@ -461,8 +451,6 @@ func BenchmarkRescore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stream.Rescore(date); err != nil {
-			b.Fatal(err)
-		}
+		rescore(b, stream, date) // the whole re-score, not its barrier half
 	}
 }

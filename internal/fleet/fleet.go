@@ -441,8 +441,10 @@ func dayOf(t time.Time) time.Time {
 }
 
 // popStamp is the per-PoP qlog sink: it stamps each drained batch with
-// the PoP id (and, with a scorer attached, a live verdict), then feeds
-// the copies to the PoP's own ring and the fleet-wide merged ring. The
+// the PoP id (and, with a scorer attached, the verdict live when the batch
+// is drained — the scorer publishes a window's snapshot when its mine ends,
+// beside the next window's queries, not at a point in simulated time), then
+// feeds the copies to the PoP's own ring and the fleet-wide merged ring. The
 // incoming slice is the recorder's reused staging ring and other sinks
 // observe it afterwards, so the stamp works on a private scratch copy.
 type popStamp struct {

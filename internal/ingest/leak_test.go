@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dnsnoise/internal/authority"
+	"dnsnoise/internal/core"
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/resolver"
 )
@@ -58,13 +59,54 @@ func TestParallelRunnerNoLeakOnResolveError(t *testing.T) {
 		t.Fatalf("Run = %v, want ErrChainLoop", err)
 	}
 
-	// The workers must have been joined by the time Run returns; allow the
-	// runtime a moment to retire exited goroutines before judging.
+	// The workers must have been joined by the time Run returns.
+	expectGoroutines(t, before)
+}
+
+// expectGoroutines allows the runtime a moment to retire exited goroutines
+// before judging the count against the one taken before the run.
+func expectGoroutines(t *testing.T, before int) {
+	t.Helper()
 	for i := 0; i < 50; i++ {
 		if runtime.NumGoroutine() <= before {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Errorf("goroutines: %d before run, %d after — worker leak", before, runtime.NumGoroutine())
+	t.Errorf("goroutines: %d before run, %d after — leak", before, runtime.NumGoroutine())
+}
+
+// benignClassifier finds nothing disposable.
+type benignClassifier struct{}
+
+func (benignClassifier) Fit([][]float64, []bool) error          { return nil }
+func (benignClassifier) PredictProb([]float64) (float64, error) { return 0, nil }
+
+// TestStreamingRunNoLeakOnTickError fails a tick hook right after its
+// Rescore: the run aborts while that window is still being mined on the
+// pipeline's goroutine, which nobody will join. It must end by itself.
+func TestStreamingRunNoLeakOnTickError(t *testing.T) {
+	sp, err := core.NewStreamingPipeline(benignClassifier{}, core.MinerConfig{},
+		core.StreamingConfig{NumServers: 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newTestEnv(t)
+	c := env.cluster(t)
+	errTick := errors.New("tick hook down")
+	rescored := 0
+
+	before := runtime.NumGoroutine()
+	err = NewRunner(c, WithParallel(), WithSinks(sp),
+		WithWindowTicks(6*time.Hour, func(tk Tick) error {
+			if _, err := sp.Rescore(tk.Day); err != nil {
+				return err
+			}
+			rescored++
+			return errTick
+		})).Run(NewGeneratorSource(env.gen, testProfiles(1)...))
+	if !errors.Is(err, errTick) || rescored != 1 {
+		t.Fatalf("Run = %v after %d re-scores, want the tick hook's error after one", err, rescored)
+	}
+	expectGoroutines(t, before)
 }

@@ -16,7 +16,9 @@ import (
 
 // StreamingHooks returns the runner options that wire a streaming miner
 // into a run: the pipeline observes every below/above record, re-scores at
-// each `every` interval of simulated time (0 disables intra-day ticks),
+// each `every` interval of simulated time (0 disables intra-day ticks; the
+// tick closes the window at the barrier and the mine runs beside the next
+// window's queries, its error surfacing at the next tick or boundary),
 // and closes its day at every window boundary. The pipeline's
 // StreamingConfig.NumServers should match the cluster when running
 // parallel. Combine with OnWindow callbacks freely — hooks chain.

@@ -183,6 +183,7 @@ type Engine struct {
 	every   time.Duration
 	stop    chan struct{}
 	done    chan struct{}
+	last    *core.RescoreHandle // the loop's latest re-score; Close waits on it
 	drained atomic.Uint64
 }
 
@@ -248,11 +249,12 @@ func (e *Engine) Flush() int {
 }
 
 // Start launches the engine goroutine: a tight drain loop (idling a few
-// milliseconds when rings are empty) that also runs pipe.Rescore every
+// milliseconds when rings are empty) that also calls pipe.Rescore every
 // rescoreEvery of wall time (0 disables re-scoring — intake only). The
-// single goroutine serializes draining and re-scoring, so the pipeline's
-// tree is never touched concurrently; the packet-path producers only ever
-// meet the ring's atomics and the pipeline's stripe locks.
+// goroutine is the pipeline's only observer, so each Rescore finds the
+// intake quiesced; it closes the window and returns, and the loop goes back
+// to draining rings while the pipeline mines that window on its own
+// goroutine. The packet-path producers only ever meet the ring's atomics.
 func (e *Engine) Start(rescoreEvery time.Duration) {
 	if e.stop != nil {
 		return
@@ -274,7 +276,8 @@ func (e *Engine) loop() {
 	for {
 		n := e.Flush()
 		if e.every > 0 && !time.Now().Before(next) {
-			_, _ = e.pipe.Rescore(time.Now().UTC())
+			// A failed window leaves the last snapshot in force: no one to tell.
+			e.last, _ = e.pipe.Rescore(time.Now().UTC())
 			next = time.Now().Add(e.every)
 		}
 		if n > 0 {
@@ -296,7 +299,8 @@ func (e *Engine) loop() {
 	}
 }
 
-// Close stops the engine goroutine after a final drain. Idempotent.
+// Close stops the engine goroutine after a final drain, and waits for the
+// re-score it last started. Idempotent.
 func (e *Engine) Close() {
 	if e.stop == nil {
 		return
@@ -307,4 +311,7 @@ func (e *Engine) Close() {
 		close(e.stop)
 	}
 	<-e.done
+	if e.last != nil {
+		_, _ = e.last.Wait() // its error: as in loop, no one to tell
+	}
 }

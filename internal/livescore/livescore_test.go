@@ -94,7 +94,11 @@ func TestScoreWireStagesNamesForMiner(t *testing.T) {
 	if got := eng.Flush(); got != len(names) {
 		t.Fatalf("Flush moved %d names, want %d", got, len(names))
 	}
-	res, err := eng.Pipeline().Rescore(time.Date(2014, 4, 1, 0, 0, 0, 0, time.UTC))
+	h, err := eng.Pipeline().Rescore(time.Date(2014, 4, 1, 0, 0, 0, 0, time.UTC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +167,14 @@ func TestEngineConcurrentScoring(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if eng.Pipeline().Windows() == 0 {
-		t.Error("engine never re-scored")
+		t.Fatal("engine never re-scored")
 	}
 	eng.Close()
+	// Close waited for the window the loop last closed: it is counted.
+	done := eng.Pipeline().Windows()
+	if res, err := eng.last.Wait(); err != nil || res.Window != done {
+		t.Errorf("after Close %d windows are mined, the last one started is %d (err %v)", done, res.Window, err)
+	}
 	if left := eng.Flush(); left != 0 {
 		t.Errorf("%d names left in rings after Close", left)
 	}
