@@ -41,14 +41,16 @@ bench:
 # UDP serve packet path, live scoring, and the resolve path with a tsdb
 # sweeper attached, and the small fixed budgets of the miss path (a cold
 # resolve, authority.AppendHandleWire, dnsmsg Unpack/AppendEncode into
-# reused scratch) — the miner's hourly re-score (BenchmarkRescore over an
-# unchanged 5 k-name tree, the tree's GroupsUnder/ChildZones, and the
-# guard that such a re-score allocates for what it reports, not per name)
-# — the source side of a replay (BenchmarkReaderNext and BenchmarkDayStream
+# reused scratch) — the miner (BenchmarkRescore over an unchanged 5 k-name
+# tree and BenchmarkRescoreTouched over a window that touched three zones of
+# it, the batch BenchmarkMine, the tree's GroupsUnder/ChildZones, and the
+# guard that an untouched re-score allocates for what it reports, not per
+# name or per finding) — the source side of a replay (BenchmarkReaderNext and BenchmarkDayStream
 # with the guards that a canonical trace line costs one allocation and a
 # generated name at most one) — the CHR collector (BenchmarkObserveBelow
-# known/fresh and BenchmarkMerge, with the guards that a known record costs
-# nothing and a new or merged one its share of a slab chunk and of map
+# known/fresh, BenchmarkMerge and BenchmarkMergeTouched, the merge a window
+# pays, with the guards that a known record costs nothing and a new or
+# merged one its share of a slab chunk and of map
 # growth, not objects of its own) — a short serve-throughput flood with the
 # end-to-end packet-allocation gate (plain and scored) and the
 # streaming-miner intake-overhead pair with its gate. Whole-program overhead questions
@@ -57,7 +59,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolveCacheHit|BenchmarkResolveCacheMiss|BenchmarkPutGet|BenchmarkEvictionChurn|BenchmarkAppendHandleWire|BenchmarkUnpack' \
 		-benchtime=100x -benchmem ./internal/resolver/ ./internal/cache/ ./internal/authority/ ./internal/dnsmsg/
-	$(GO) test -run '^$$' -bench 'BenchmarkRescore|BenchmarkGroupsUnder|BenchmarkChildZones' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRescore|BenchmarkMine|BenchmarkGroupsUnder|BenchmarkChildZones' \
 		-benchtime=100x -benchmem ./internal/core/ ./internal/dntree/
 	$(GO) test -run 'TestRescoreSteadyStateAllocs' -v ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkDayStream' \

@@ -34,16 +34,12 @@ func benchPipeline(servers int) (*core.StreamingPipeline, error) {
 // the streaming miner's: both sides resolve the day with a chrstat
 // collector on the cluster taps (what every dnsnoise-mine run pays), and
 // the instrumented side additionally forwards each observation into a
-// StreamingPipeline — the sharded CHR collector plus the pending-name
-// stripe intake that the incremental tree drains at the next re-score.
-// The control pair is collector-vs-collector, so NoisePct calibrates the
-// gate against tap-path jitter rather than the bare resolve loop.
-//
-// This intake is not near-zero-cost by design — it runs a second CHR
-// collector plus a synchronized dedup per observation (≈95-100% on the
-// all-hits fast path when measured on the development host). The -max-miner-overhead default leaves headroom
-// over that baseline and exists to catch pathological regressions
-// (accidental O(n) scans, lock convoys), not single-digit drift.
+// StreamingPipeline, whose intake is a second, sharded CHR collector that
+// lists the records it touches. The control pair is collector-vs-collector,
+// so NoisePct calibrates the gate against tap-path jitter rather than the
+// bare resolve loop. A second collector is not near-zero-cost by design; the
+// -max-miner-overhead default leaves headroom over it and exists to catch
+// pathological regressions (accidental O(n) scans, lock convoys), not drift.
 func benchMinerOverhead(servers int, qs []resolver.Query) (overheadResult, error) {
 	base := func() (*resolver.Cluster, error) {
 		c, err := newCluster(servers)

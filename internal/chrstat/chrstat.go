@@ -48,6 +48,7 @@ type RRStat struct {
 	clientsOverflow bool
 	nclients        uint8
 	clients         [inlineClients]uint32
+	epoch           uint32 // the refresh epoch that last touched the record; in padding
 	moreClients     []uint32
 }
 
@@ -123,6 +124,11 @@ type Collector struct {
 	perRR map[dnsmsg.RRKey]*RRStat
 	slab  statSlab
 
+	// epoch is zero until a Counts view attaches; then touched lists a record
+	// the first time an epoch observes it, and a refresh starts the next.
+	epoch   uint32
+	touched []touchedRecord
+
 	belowTotal   uint64 // all below observations, incl. NXDOMAIN
 	aboveTotal   uint64
 	belowNX      uint64
@@ -192,6 +198,10 @@ func (c *Collector) stat(rr dnsmsg.RR, cat cache.Category) *RRStat {
 		st = c.slab.new()
 		st.Name, st.Type, st.TTL, st.Category = rr.Name, rr.Type, rr.TTL, cat
 		c.perRR[key] = st
+	}
+	if st.epoch != c.epoch {
+		st.epoch = c.epoch
+		c.touched = append(c.touched, touchedRecord{key, st, st.Below, st.Above})
 	}
 	return st
 }

@@ -177,7 +177,7 @@ func TestMergeMatchesSequentialCollector(t *testing.T) {
 		for key, st := range merged.perRR {
 			inShard := false
 			for i := 0; i < shards; i++ {
-				if sh, ok := s.Shard(i).perRR[key]; ok && sh.clientsOverflow {
+				if sh, ok := s.shards[i].perRR[key]; ok && sh.clientsOverflow {
 					inShard = true
 				}
 			}

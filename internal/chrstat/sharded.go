@@ -66,12 +66,6 @@ func (s *ShardedCollector) shard(i int) *Collector {
 	return s.shards[i]
 }
 
-// NumShards returns the number of per-server shards.
-func (s *ShardedCollector) NumShards() int { return len(s.shards) }
-
-// Shard exposes one per-server shard, e.g. for per-server CHR breakdowns.
-func (s *ShardedCollector) Shard(i int) *Collector { return s.shards[i] }
-
 // Merge folds all shards into a single Collector, deterministically: shards
 // are absorbed in server order. The result is equivalent to a sequential
 // Collector that observed the union of the shard streams — counter totals
@@ -89,45 +83,62 @@ func (s *ShardedCollector) Merge() *Collector {
 // sums: Merge().ByName() for a reader of the counts alone (DHR, Misses),
 // with no client set, name set or Collector copied per refresh. The zero
 // value is ready. Its RRStats carry no client sets and are overwritten by
-// the next Refresh: hold them no longer than that.
+// the next Refresh: hold them, and the touched names, no longer than that.
 type Counts struct {
-	perRR  map[dnsmsg.RRKey]*RRStat
-	byName map[string][]*RRStat
-	slab   statSlab
+	from    *ShardedCollector // the collector the view is attached to
+	perRR   map[dnsmsg.RRKey]*RRStat
+	byName  map[string][]*RRStat
+	touched []string
+	slab    statSlab
 }
 
-// Refresh re-sums every shard of s into the view and returns it grouped by
-// owner name, allocating only for records it had not seen. Name, Type,
-// TTL, Category, Below and Above equal Merge()'s. s must be quiescent and,
-// since the last Reset, the same collector: records only ever accumulate
-// in one, and a record that vanished would linger here with zero counts.
-func (v *Counts) Refresh(s *ShardedCollector) map[string][]*RRStat {
-	if v.perRR == nil {
-		v.perRR = make(map[dnsmsg.RRKey]*RRStat)
-		v.byName = make(map[string][]*RRStat)
-	}
-	for _, st := range v.perRR {
-		st.Below, st.Above = 0, 0
-	}
-	for _, sh := range s.shards {
-		for key, st := range sh.perRR {
-			dst, ok := v.perRR[key]
-			if !ok {
-				dst = v.slab.new()
-				dst.Name, dst.Type = st.Name, st.Type
-				v.perRR[key] = dst
-				v.byName[st.Name] = append(v.byName[st.Name], dst)
+// touchedRecord is a record with its counts when the epoch first touched it.
+type touchedRecord struct {
+	key          dnsmsg.RRKey
+	stat         *RRStat
+	below, above uint64
+}
+
+// Refresh brings the view up to date with s, which must be quiescent, and
+// returns it grouped by owner name, with the owner of each record observed
+// since the last refresh: the shards of an attached collector list those as
+// they go, and the view adds what each gained since, so a refresh costs what
+// was touched and allocates only for new records. Name, Type, TTL, Category,
+// Below and Above equal Merge()'s. A collector serves one view, for life.
+func (v *Counts) Refresh(s *ShardedCollector) (byName map[string][]*RRStat, touched []string) {
+	if v.from != s { // attach: every record s holds is listed, as new
+		*v = Counts{from: s, perRR: make(map[dnsmsg.RRKey]*RRStat), byName: make(map[string][]*RRStat)}
+		for _, sh := range s.shards {
+			sh.epoch, sh.touched = sh.epoch+1, sh.touched[:0]
+			for key, st := range sh.perRR {
+				st.epoch = sh.epoch
+				sh.touched = append(sh.touched, touchedRecord{key: key, stat: st})
 			}
-			if dst.Below == 0 && dst.Above == 0 {
-				// First shard (in server order) to hold the record this
-				// refresh: Merge takes TTL and Category from the same one.
-				dst.TTL, dst.Category = st.TTL, st.Category
-			}
-			dst.Below += st.Below
-			dst.Above += st.Above
 		}
 	}
-	return v.byName
+	v.touched = v.touched[:0]
+	for i, sh := range s.shards {
+		for _, t := range sh.touched {
+			dst, ok := v.perRR[t.key]
+			if !ok {
+				dst = v.slab.new()
+				dst.Name, dst.Type = t.stat.Name, t.stat.Type
+				v.perRR[t.key] = dst
+				v.byName[dst.Name] = append(v.byName[dst.Name], dst)
+			}
+			// Merge takes TTL and Category from the first shard in server order
+			// that holds the record: here, one no shard before it holds it too.
+			if t.below|t.above == 0 && !slices.ContainsFunc(s.shards[:i], func(o *Collector) bool { return o.perRR[t.key] != nil }) {
+				dst.TTL, dst.Category = t.stat.TTL, t.stat.Category
+			}
+			dst.Below += t.stat.Below - t.below
+			dst.Above += t.stat.Above - t.above
+			v.touched = append(v.touched, dst.Name)
+		}
+		sh.epoch++
+		sh.touched = sh.touched[:0]
+	}
+	return v.byName, v.touched
 }
 
 // Reset empties the view and releases its records.

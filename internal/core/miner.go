@@ -99,7 +99,7 @@ func (m *Miner) SetMetrics(reg *telemetry.Registry) {
 		return
 	}
 	m.mDecisions = reg.Counter("miner_decisions_total",
-		"Classifier decisions over same-depth name groups.")
+		"Classifier decisions made over same-depth name groups (a streaming window re-makes those of the zones it touched).")
 	m.mDisposable = reg.Counter("miner_disposable_groups_total",
 		"Groups classified disposable (Algorithm 1 line 5 positives).")
 }
@@ -124,7 +124,7 @@ func NewMiner(classifier mlearn.Classifier, cfg MinerConfig) (*Miner, error) {
 // pipeline's own across its re-scores.
 type mineScratch struct {
 	groups  []dntree.Group // G_k sets of the zone under inspection
-	zones   []string       // stack of child zones still to mine
+	zones   []*dntree.Node // stack of child zones still to mine
 	samples features.Scratch
 	vec     [features.Dim]float64
 }
@@ -135,19 +135,24 @@ type mineScratch struct {
 // mutated (decolored); findings are returned sorted by descending
 // confidence, ties broken by group size then zone name.
 func (m *Miner) Mine(tree *dntree.Tree, byName map[string][]*chrstat.RRStat) ([]Finding, error) {
-	return m.mine(tree, byName, new(mineScratch))
-}
-
-func (m *Miner) mine(tree *dntree.Tree, byName map[string][]*chrstat.RRStat, sc *mineScratch) ([]Finding, error) {
 	if tree == nil {
 		return nil, ErrNoTree
 	}
 	var findings []Finding
-	for _, zone := range tree.Effective2LDs() {
+	sc := new(mineScratch)
+	tree.TouchAll()
+	for _, zone := range tree.Dirty(nil) {
 		if err := m.mineZone(tree, byName, zone, sc, &findings); err != nil {
 			return nil, err
 		}
 	}
+	sortFindings(findings)
+	return findings, nil
+}
+
+// sortFindings orders findings as everything reports them. The order is total
+// (a mine finds a (zone, depth) once): the order zones were mined in is gone.
+func sortFindings(findings []Finding) {
 	slices.SortFunc(findings, func(a, b Finding) int {
 		return cmp.Or(
 			cmp.Compare(b.Confidence, a.Confidence),
@@ -156,44 +161,42 @@ func (m *Miner) mine(tree *dntree.Tree, byName map[string][]*chrstat.RRStat, sc 
 			cmp.Compare(a.Depth, b.Depth),
 		)
 	})
-	return findings, nil
 }
 
-// mineZone is the recursive body of Algorithm 1.
-func (m *Miner) mineZone(tree *dntree.Tree, byName map[string][]*chrstat.RRStat, zone string, sc *mineScratch, findings *[]Finding) error {
+// mineZone is the recursive body of Algorithm 1, batch and streaming.
+func (m *Miner) mineZone(tree *dntree.Tree, byName map[string][]*chrstat.RRStat, zn *dntree.Node, sc *mineScratch, findings *[]Finding) error {
 	// Line 1-3: stop when no black descendants remain.
-	if !tree.HasBlackDescendants(zone) {
+	if !zn.HasBlackDescendants() {
 		return nil
 	}
 	// Line 4: identify G_k and L_k for every depth under the zone.
-	sc.groups = tree.AppendGroupsUnder(sc.groups, zone)
+	sc.groups = zn.AppendGroups(sc.groups)
 	// Lines 6-14: classify each group; decolor and report disposables.
-	for _, g := range sc.groups {
+	for i := range sc.groups {
+		g := &sc.groups[i]
 		if len(g.Names) < m.cfg.MinGroupSize {
 			continue
 		}
-		slice := sc.samples.FromGroup(g, byName, m.entropy).AppendTo(sc.vec[:0])
+		slice := sc.samples.FromGroup(*g, byName, m.entropy).AppendTo(sc.vec[:0])
 		input := slice
 		if m.cfg.FeatureMask != nil {
 			input = features.Mask(slice, m.cfg.FeatureMask)
 		}
 		disposable, p, err := mlearn.Predict(m.classifier, input, m.cfg.Theta)
 		if err != nil {
-			return fmt.Errorf("classify %s depth %d: %w", zone, g.Depth, err)
+			return fmt.Errorf("classify %s depth %d: %w", g.Zone, g.Depth, err)
 		}
 		m.mDecisions.Inc()
 		if m.explain != nil {
-			m.explain(m.explainRecord(zone, g.Depth, g.Names, g.Labels, slice, input, p, disposable))
+			m.explain(m.explainRecord(g.Zone, g.Depth, g.Names, g.Labels, slice, input, p, disposable))
 		}
 		if !disposable {
 			continue
 		}
 		m.mDisposable.Inc()
-		for _, name := range g.Names {
-			tree.Decolor(name)
-		}
+		tree.DecolorGroup(g)
 		*findings = append(*findings, Finding{
-			Zone:       zone,
+			Zone:       g.Zone,
 			Depth:      g.Depth,
 			Confidence: p,
 			Names:      slices.Clone(g.Names),
@@ -203,7 +206,7 @@ func (m *Miner) mineZone(tree *dntree.Tree, byName map[string][]*chrstat.RRStat,
 	// shared stack above whatever the callers are still iterating; a deeper
 	// call may move the stack but not the entries below its own.
 	from := len(sc.zones)
-	sc.zones = tree.AppendChildZones(sc.zones, zone)
+	sc.zones = zn.AppendChildZones(sc.zones)
 	for i, to := from, len(sc.zones); i < to; i++ {
 		if err := m.mineZone(tree, byName, sc.zones[i], sc, findings); err != nil {
 			return err

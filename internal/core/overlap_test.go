@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dnsnoise/internal/chrstat"
+	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/mlearn"
 	"dnsnoise/internal/telemetry"
 )
@@ -24,8 +27,9 @@ type overlapTrace struct {
 
 // overlapRun drives a fresh pipeline over two days of eight windows. Each
 // window's events are observed by two goroutines, one per collector shard
-// (their WaitGroup is the barrier), and every window also re-observes six
-// hot names, so that under a sliding horizon names expire, are refused as
+// (their WaitGroup is the barrier), and six hot names are noted twice in
+// every window but the fourth to the seventh of a day — one more than the
+// horizon the test runs under — so that names expire, are refused as
 // duplicates and come back. With waitEach the run waits for every re-score
 // before it feeds the next window — the serial miner; without, the feeders
 // of window N+1 run beside the re-score of window N and nothing is waited
@@ -58,8 +62,9 @@ func overlapRun(t *testing.T, clf mlearn.Classifier, seed int64, keep int, waitE
 						p.ObserveBelow(e.ob)
 					}
 				}
-				for h := g; h < 6; h += 2 {
-					p.ObserveName(fmt.Sprintf("hot%d.always.example.com", h))
+				for h := g; h < 6 && (window < 3 || window > 6); h += 2 {
+					p.ObserveName(fmt.Appendf(nil, "hot%d.always.example.com", h))
+					p.ObserveName(fmt.Appendf(nil, "hot%d.always.example.com", h))
 				}
 			}(g)
 		}
@@ -150,11 +155,33 @@ func TestRescoreOverlapDeterminism(t *testing.T) {
 	}
 }
 
+// probeName returns a name whose bytes are its own heap object, and a
+// channel that is closed once nothing reaches them any more.
+func probeName(name string) (string, <-chan struct{}) {
+	b := []byte(name)
+	own := unsafe.String(&b[0], len(b))
+	return own, watchName(own)
+}
+
+// watchName returns a channel that is closed once nothing reaches the bytes
+// of name, which must be a heap object of their own (and more than 16 of
+// them: the allocator packs smaller ones together). A name cannot tell who
+// still holds it; its backing array can, through a finalizer.
+func watchName(name string) <-chan struct{} {
+	freed := make(chan struct{})
+	runtime.SetFinalizer(unsafe.StringData(name), func(*byte) { close(freed) })
+	return freed
+}
+
 // TestEndDayReleasesTheDay: after EndDay nothing of the finished day is
-// reachable from the pipeline — not through the counts view (which is
-// passed to the mine, never stored: a stored view outlived Counts.Reset and
-// cost 5.7 % of the benchmark's live heap), not through an idle intake
-// buffer's backing array.
+// reachable from the pipeline. Two probe names say so, one through each
+// intake: a record's owner and the copy ObserveName made of a bare name the
+// first time it was noted, which every holder of a name
+// keeps alive — counts view, collector shards and their touched lists,
+// touched-name buffer, stripes, entropy cache, findings kept per zone,
+// scratch — and every holder of a tree handle too, because one node reaches
+// the whole tree through its parent (handles left in the scratch across
+// EndDay once read +80 % live heap). The checks after that say where.
 func TestEndDayReleasesTheDay(t *testing.T) {
 	view := reflect.TypeOf(map[string][]*chrstat.RRStat(nil))
 	typ := reflect.TypeOf((*StreamingPipeline)(nil)).Elem()
@@ -164,26 +191,64 @@ func TestEndDayReleasesTheDay(t *testing.T) {
 		}
 	}
 
-	p, err := NewStreamingPipeline(trainedClassifier(t), MinerConfig{Theta: 0.5}, StreamingConfig{}, nil)
+	// A horizon, so that the tree lists its windows; a suffix that makes
+	// bucket.s3.example.com a deep start under example.com.
+	p, err := NewStreamingPipeline(trainedClassifier(t), MinerConfig{Theta: 0.5}, StreamingConfig{KeepWindows: 8},
+		dnsname.NewSuffixes([]string{"com", "s3.example.com"}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
 	events := synthObservations(5, 6, 6, 15)
+	recordProbe, recordFreed := probeName("probe-of-the-records." + events[0].ob.RR.Name)
+	events[0].ob.RR.Name, events[0].ob.QName = recordProbe, recordProbe
+	nameProbe := []byte("probe-of-the-names.bucket.s3.example.com")
+	var nameFreed <-chan struct{}
 	for i, e := range events {
 		if e.above {
 			p.ObserveAbove(e.ob)
 		} else {
 			p.ObserveBelow(e.ob)
 		}
-		if i == len(events)/3 || i == 2*len(events)/3 {
-			if _, err := p.Rescore(date); err != nil { // both buffers of a stripe get used
-				t.Fatal(err)
+		if i%(len(events)/3) == 0 { // three windows: both buffers of every stripe get used
+			p.ObserveName(nameProbe)
+			if i == 0 { // the copy the tree will be built from
+				noted := p.pending[dnsname.Hash(nameProbe)&(pendingStripeCount-1)].names
+				nameFreed = watchName(noted[len(noted)-1])
+			}
+			for n := 0; n < 8*pendingStripeCount; n++ {
+				p.ObserveName(fmt.Appendf(nil, "k%d-%d.bucket.s3.example.com", i, n))
+			}
+			if i > 0 {
+				if _, err := p.Rescore(date); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
-	if _, err := p.EndDay(date); err != nil {
-		t.Fatal(err)
+	p.wait()
+	if len(p.found) == 0 || len(p.dirty) == 0 || cap(p.scratch.zones) == 0 || len(p.scratch.groups) == 0 {
+		t.Fatalf("fixture: %d zones with findings, %d dirty, a zone stack of %d, %d groups in the scratch",
+			len(p.found), len(p.dirty), cap(p.scratch.zones), len(p.scratch.groups))
+	}
+	if res, err := p.EndDay(date); err != nil || len(res.Findings) == 0 {
+		t.Fatalf("EndDay: %d findings, %v", len(res.Findings), err)
+	}
+	events, recordProbe = nil, ""
+
+	for name, freed := range map[string]<-chan struct{}{"a record's owner name": recordFreed, "a noted name": nameFreed} {
+		for tries := 0; ; tries++ {
+			runtime.GC()
+			select {
+			case <-freed:
+			case <-time.After(10 * time.Millisecond):
+				if tries < 300 {
+					continue
+				}
+				t.Errorf("%s of the finished day is still reachable after EndDay", name)
+			}
+			break
+		}
 	}
 
 	if p.inflight != nil {
@@ -192,8 +257,18 @@ func TestEndDayReleasesTheDay(t *testing.T) {
 	if !reflect.ValueOf(&p.counts).Elem().IsZero() {
 		t.Error("the counts view is not empty after EndDay")
 	}
-	if p.tree.BlackCount() != 0 || p.entropy.Len() != 0 {
-		t.Errorf("%d black names, %d cached entropies after EndDay", p.tree.BlackCount(), p.entropy.Len())
+	if p.collector.Merge().NumRecords() != 0 {
+		t.Error("the collector of the finished day is still the pipeline's")
+	}
+	if p.tree.BlackCount() != 0 || p.tree.NumStarts() != 0 || p.entropy.Len() != 0 {
+		t.Errorf("%d black names, %d starts, %d cached entropies after EndDay", p.tree.BlackCount(), p.tree.NumStarts(), p.entropy.Len())
+	}
+	if len(p.found) != 0 {
+		t.Errorf("%d zones keep their findings after EndDay", len(p.found))
+	}
+	if p.dirty != nil || p.scratch.zones != nil || p.scratch.groups != nil {
+		t.Errorf("after EndDay the pipeline keeps a dirty list of %d, a zone stack of %d, %d scratch groups: handles into the old tree",
+			cap(p.dirty), cap(p.scratch.zones), cap(p.scratch.groups))
 	}
 	buffers := 0
 	for i := range p.pending {
@@ -212,8 +287,8 @@ func TestEndDayReleasesTheDay(t *testing.T) {
 			}
 		}
 	}
-	if buffers <= pendingStripeCount {
-		t.Errorf("fixture: only %d intake buffers were ever used, want both of some stripe", buffers)
+	if buffers != 2*pendingStripeCount {
+		t.Errorf("fixture: %d intake buffers were ever used, want both of every stripe", buffers)
 	}
 }
 

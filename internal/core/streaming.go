@@ -3,13 +3,15 @@
 // the same ingest sink seam the batch pipeline taps, but instead of
 // waiting for a completed day collector, the StreamingPipeline
 //
-//   - folds newly observed names into one long-lived domain name tree
-//     (dntree.InsertAt, window-stamped, with optional sliding-window
-//     expiry) through lock-striped dedup buffers, so the observe path
-//     costs a stripe lock and a map probe;
-//   - re-scores every candidate zone each window by running Algorithm 1
-//     over the live tree with memoized label entropies, then recoloring
-//     the mined names so the tree survives to the next window;
+//   - folds the names each window observed into one long-lived domain
+//     name tree (dntree.InsertAt, window-stamped, with optional
+//     sliding-window expiry): the owners of the records the window touched,
+//     which the CHR collector lists as it counts them, so that the observe
+//     path is the collector's — or bare names, through lock-striped buffers;
+//   - re-scores each window the zones it touched — the effective 2LDs
+//     above a name it observed or expired — by running Algorithm 1 over
+//     them with memoized label entropies and restoring the mined names, and
+//     reports them with what every other zone gave when it was last mined;
 //   - debounces verdict flips with hysteresis — a zone's public verdict
 //     changes only after K consecutive windows propose the same flip —
 //     and emits a DriftEvent at each accepted flip;
@@ -34,7 +36,6 @@ import (
 	"time"
 
 	"dnsnoise/internal/chrstat"
-	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/dntree"
 	"dnsnoise/internal/features"
@@ -178,9 +179,12 @@ type RescoreResult struct {
 const pendingStripeCount = 16
 
 type pendingStripe struct {
-	mu    sync.Mutex
-	seen  map[string]struct{}
-	names []string
+	mu sync.Mutex
+	// seen holds the window, by the stripe's own count of barriers, that
+	// last noted each name: a name is admitted once per window.
+	seen   map[string]uint32
+	window uint32
+	names  []string
 	// spare is the other intake buffer: swapped with names at the barrier,
 	// drained by the re-score, which owns it (no lock) until the next one.
 	spare []string
@@ -206,8 +210,8 @@ func (h *RescoreHandle) Wait() (RescoreResult, error) {
 // ingest runner calls them at stream barriers, the serve path from its
 // single miner goroutine — and one at a time. Between two of them the
 // re-score goroutine owns the tree, the entropy cache, the verdict states,
-// the scratch and the spare intake buffers, and reads a counts view that
-// stays frozen until the next barrier re-sums it.
+// the scratch, the per-zone findings and the spare intake buffers, and reads
+// a counts view that stays frozen until the next barrier refreshes it.
 type StreamingPipeline struct {
 	miner    *Miner
 	suffixes *dnsname.Suffixes
@@ -216,9 +220,13 @@ type StreamingPipeline struct {
 	tree      *dntree.Tree
 	entropy   *features.EntropyCache
 	collector *chrstat.ShardedCollector
-	counts    chrstat.Counts // the collector's per-name sums, re-summed each window
+	counts    chrstat.Counts // the collector's per-name sums, brought up to date each window
 	scratch   mineScratch    // the miner's working storage, kept across re-scores
-	pending   [pendingStripeCount]pendingStripe
+	dirty     []*dntree.Node // the zones the window being mined touched
+	// found holds, per effective 2LD with any, the findings of the window
+	// that last mined it: every window reports their union.
+	found   map[*dntree.Node][]Finding
+	pending [pendingStripeCount]pendingStripe
 
 	windows atomic.Uint32 // completed re-scores (1-based window = windows+1)
 	day     string        // current day label, for explain stamps
@@ -231,9 +239,11 @@ type StreamingPipeline struct {
 	onDrift func(DriftEvent)
 	explain func(ExplainRecord)
 
+	zonesLive  atomic.Int64 // the tree's effective 2LDs, as of the last mine
 	mRescores  *telemetry.Counter
 	mDrifts    *telemetry.Counter
 	mNames     *telemetry.Counter
+	mZones     *telemetry.Counter
 	mRescoreNs *telemetry.Histogram
 	mWaitNs    *telemetry.Histogram
 }
@@ -262,19 +272,17 @@ func NewStreamingPipeline(classifier mlearn.Classifier, mcfg MinerConfig, scfg S
 		tree:      dntree.New(suffixes),
 		entropy:   features.NewEntropyCache(),
 		collector: chrstat.NewShardedCollector(scfg.NumServers),
+		found:     make(map[*dntree.Node][]Finding),
 		states:    make(map[ZoneDepth]*verdictState),
 		rank:      rank,
 	}
+	p.tree.SetHorizon(scfg.KeepWindows)
 	miner.SetEntropyCache(p.entropy)
 	for i := range p.pending {
-		p.pending[i].seen = make(map[string]struct{})
+		p.pending[i].seen, p.pending[i].window = make(map[string]uint32), 1
 	}
 	return p, nil
 }
-
-// Miner exposes the wrapped miner (for metric registration and config
-// inspection).
-func (p *StreamingPipeline) Miner() *Miner { return p.miner }
 
 // OnDrift installs the drift-event callback. It runs on the re-score
 // goroutine, window by window and in (zone, depth) order within one, and a
@@ -285,7 +293,9 @@ func (p *StreamingPipeline) OnDrift(fn func(DriftEvent)) { p.onDrift = fn }
 // SetExplain installs the provenance callback. Each record is stamped
 // with the re-score window, its day, and the hysteresis state the pair
 // held when the decision was made — the streaming extension of the batch
-// -explain records. It runs where and when OnDrift's callback does.
+// -explain records. One record per classifier decision, as in batch: a
+// window makes, and records, none in a zone it did not touch. It runs where
+// and when OnDrift's callback does.
 func (p *StreamingPipeline) SetExplain(fn func(ExplainRecord)) {
 	p.explain = fn
 	if fn == nil {
@@ -323,6 +333,11 @@ func (p *StreamingPipeline) SetMetrics(reg *telemetry.Registry) {
 		"Verdict flips accepted by hysteresis.")
 	p.mNames = reg.Counter("streaming_names_total",
 		"Distinct names drained into the live domain name tree.")
+	p.mZones = reg.Counter("streaming_zones_mined_total",
+		"Effective 2LDs re-mined by window re-scores: the ones a window touched.")
+	reg.GaugeFunc("streaming_zones_live",
+		"Effective 2LDs in the live domain name tree as of the last re-score; with streaming_zones_mined_total, the share of the tree a window re-scores.",
+		func() float64 { return float64(p.zonesLive.Load()) })
 	p.mRescoreNs = reg.Histogram("streaming_rescore_ns",
 		"Duration of a window's mine, the half of a re-score that runs beside the next intake.")
 	p.mWaitNs = reg.Histogram("streaming_rescore_wait_ns",
@@ -332,35 +347,26 @@ func (p *StreamingPipeline) SetMetrics(reg *telemetry.Registry) {
 		func() float64 { return float64(p.snap.Load().Pairs()) })
 }
 
-// ObserveBelow implements the ingest observation-sink seam: record the
-// observation into the sharded CHR collector and note the owner name for
-// the next window's tree drain. Safe for concurrent use.
-func (p *StreamingPipeline) ObserveBelow(ob resolver.Observation) {
-	p.collector.ObserveBelow(ob)
-	if ob.RCode == dnsmsg.RCodeNoError && ob.RR.Name != "" {
-		p.noteName(ob.RR.Name)
-	}
-}
+// ObserveBelow implements the ingest observation-sink seam. The sharded CHR
+// collector is the intake: the records a window touches name the owners the
+// barrier hands to the tree. Safe for concurrent use, a goroutine per server.
+func (p *StreamingPipeline) ObserveBelow(ob resolver.Observation) { p.collector.ObserveBelow(ob) }
 
 // ObserveAbove is the above-side half of the sink seam.
-func (p *StreamingPipeline) ObserveAbove(ob resolver.Observation) {
-	p.collector.ObserveAbove(ob)
-	if ob.RCode == dnsmsg.RCodeNoError && ob.RR.Name != "" {
-		p.noteName(ob.RR.Name)
-	}
-}
+func (p *StreamingPipeline) ObserveAbove(ob resolver.Observation) { p.collector.ObserveAbove(ob) }
 
 // ObserveName notes a bare name with no cache observation behind it — the
-// serve path's intake, where only the query stream is visible. Safe for
-// concurrent use.
-func (p *StreamingPipeline) ObserveName(name string) { p.noteName(name) }
-
-func (p *StreamingPipeline) noteName(name string) {
+// serve path's intake, where only the query stream is visible — once per
+// window. The bytes stay the caller's: a name is copied when a window first
+// notes it, so the intake allocates by the names that arrive, not by how
+// often or how promptly they do. Safe for concurrent use.
+func (p *StreamingPipeline) ObserveName(name []byte) {
 	s := &p.pending[dnsname.Hash(name)&(pendingStripeCount-1)]
 	s.mu.Lock()
-	if _, dup := s.seen[name]; !dup {
-		s.seen[name] = struct{}{}
-		s.names = append(s.names, name)
+	if s.seen[string(name)] != s.window { // probed by the bytes: no copy
+		key := string(name)
+		s.seen[key] = s.window
+		s.names = append(s.names, key)
 	}
 	s.mu.Unlock()
 }
@@ -375,11 +381,11 @@ func (p *StreamingPipeline) Rescore(date time.Time) (*RescoreHandle, error) {
 		return nil, err
 	}
 	h := &RescoreHandle{done: make(chan struct{})}
-	byName := p.closeWindow(date, &h.res)
+	byName, touched := p.closeWindow(date, &h.res)
 	p.inflight = h
 	go func() {
 		defer close(h.done)
-		h.err = p.mineWindow(&h.res, byName)
+		h.err = p.mineWindow(&h.res, byName, touched)
 	}()
 	return h, nil
 }
@@ -407,65 +413,86 @@ func (p *StreamingPipeline) join() error {
 }
 
 // closeWindow is the barrier half of a re-score, what must be ordered
-// against the observe side: expire the sliding horizon (it edits the dedup
-// sets, which decide what the next window admits; only the expiring
-// window's names are visited, none of them pending), swap the intake
-// buffers, re-sum the counts view. The view is returned, not kept, so that
-// EndDay's Reset leaves the day's records unreachable.
-func (p *StreamingPipeline) closeWindow(date time.Time, res *RescoreResult) map[string][]*chrstat.RRStat {
+// against the observe side: close the stripes' window and swap their intake
+// buffers, bring the counts view up to date with the records the window
+// touched. The view and the touched owner names are returned, not kept, so
+// that EndDay's Reset leaves the day's records unreachable.
+func (p *StreamingPipeline) closeWindow(date time.Time, res *RescoreResult) (byName map[string][]*chrstat.RRStat, touched []string) {
 	p.day = date.UTC().Format("2006-01-02")
 	*res = RescoreResult{Window: p.windows.Load() + 1, Date: date}
-	if p.cfg.KeepWindows > 0 {
-		if oldest := int64(p.tree.Window()) + 1 - int64(p.cfg.KeepWindows); oldest > 0 {
-			expired := p.tree.ExpireBefore(uint32(oldest))
-			res.Expired = len(expired)
-			for _, name := range expired {
-				s := &p.pending[dnsname.Hash(name)&(pendingStripeCount-1)]
-				s.mu.Lock()
-				delete(s.seen, name)
-				s.mu.Unlock()
-				p.entropy.Forget(name)
-			}
-		}
-	}
 	for i := range p.pending {
 		s := &p.pending[i]
 		s.mu.Lock()
 		s.names, s.spare = s.spare, s.names
+		s.window++
 		s.mu.Unlock()
 	}
 	return p.counts.Refresh(p.collector)
 }
 
 // mineWindow is the other half, over pipeline-owned state and the frozen
-// view: tree drain, mine and recolor, hysteresis, snapshot, callbacks.
-func (p *StreamingPipeline) mineWindow(res *RescoreResult, byName map[string][]*chrstat.RRStat) error {
+// view: tree drain and expiry, the mine of what they touched, hysteresis,
+// snapshot, callbacks.
+func (p *StreamingPipeline) mineWindow(res *RescoreResult, byName map[string][]*chrstat.RRStat, touched []string) error {
 	if p.mRescoreNs != nil {
 		defer func(start time.Time) { p.mRescoreNs.Observe(uint64(time.Since(start))) }(time.Now())
 	}
+	// The window's names, from both intakes, before the horizon is applied:
+	// a name the tree knows is re-stamped, and the expiry leaves it alone.
+	insert := func(names []string) {
+		for _, name := range names {
+			if p.tree.InsertAt(name) {
+				res.Inserted++
+			}
+		}
+	}
+	insert(touched)
 	for i := range p.pending {
 		s := &p.pending[i]
-		for _, name := range s.spare {
-			p.tree.InsertAt(name)
-		}
-		res.Inserted += len(s.spare)
+		insert(s.spare)
 		clear(s.spare) // an idle buffer keeps no name alive
 		s.spare = s.spare[:0]
 	}
 	p.mNames.Add(uint64(res.Inserted))
-
-	// Re-score: mine the live tree, then recolor so it survives.
-	findings, err := p.miner.mine(p.tree, byName, &p.scratch)
-	if err != nil {
-		return fmt.Errorf("window %d: %w", res.Window, err)
+	expired := p.tree.Expire()
+	res.Expired = len(expired)
+	for _, name := range expired {
+		// The stripe forgets the name with the tree, unless the window now
+		// open has noted it: what a window admits never depends on this.
+		s := &p.pending[dnsname.Hash(name)&(pendingStripeCount-1)]
+		s.mu.Lock()
+		if w, ok := s.seen[name]; ok && w != s.window {
+			delete(s.seen, name)
+		}
+		s.mu.Unlock()
+		p.entropy.Forget(name)
 	}
-	for _, f := range findings {
-		for _, name := range f.Names {
-			p.tree.Recolor(name)
+
+	// Re-score: mine the zones the window touched, then restore the tree. A
+	// failed window is not advanced, and its zones stay dirty.
+	defer p.tree.Restore()
+	p.dirty = p.tree.Dirty(p.dirty[:0])
+	for _, zone := range p.dirty {
+		var found []Finding
+		if err := p.miner.mineZone(p.tree, byName, zone, &p.scratch, &found); err != nil {
+			return fmt.Errorf("window %d: %w", res.Window, err)
+		}
+		if p.found[zone] = found; found == nil {
+			delete(p.found, zone)
 		}
 	}
-	res.Findings = findings
-	res.Drifts = p.updateHysteresis(findings, res.Window, res.Date)
+	p.mZones.Add(uint64(len(p.dirty)))
+	p.zonesLive.Store(int64(p.tree.NumStarts()))
+	// Report them with what the other zones gave when they were last mined.
+	for zone, found := range p.found {
+		if !zone.IsStart() { // its last name expired
+			delete(p.found, zone)
+			continue
+		}
+		res.Findings = append(res.Findings, found...)
+	}
+	sortFindings(res.Findings)
+	res.Drifts = p.updateHysteresis(res.Findings, res.Window, res.Date)
 	p.windows.Add(1)
 	p.tree.AdvanceWindow()
 	p.publishSnapshot()
@@ -483,26 +510,28 @@ func (p *StreamingPipeline) mineWindow(res *RescoreResult, byName map[string][]*
 // (whose findings are the day's verdicts — the batch-equivalence
 // artifact), a fold into the cumulative ranking exactly like
 // Pipeline.ProcessDay, then a reset of the tree, collector, and intake
-// dedup for the next day. Hysteresis state and the published snapshot
-// survive across days.
+// dedup for the next day, and of whatever else holds a name or a handle of
+// this one. Hysteresis state and the published snapshot survive across days.
 func (p *StreamingPipeline) EndDay(date time.Time) (RescoreResult, error) {
 	var res RescoreResult
 	if err := p.join(); err != nil {
 		return res, err
 	}
-	byName := p.closeWindow(date, &res)
-	if err := p.mineWindow(&res, byName); err != nil {
+	byName, touched := p.closeWindow(date, &res)
+	if err := p.mineWindow(&res, byName, touched); err != nil {
 		return res, err
 	}
 	p.rank.fold(date, res.Findings)
 	p.tree.ResetStream()
+	p.scratch.groups, p.scratch.zones, p.dirty = nil, nil, nil // handles into the tree that was
+	clear(p.found)
 	p.collector = chrstat.NewShardedCollector(p.cfg.NumServers)
 	p.counts.Reset()
 	p.entropy.Reset()
 	for i := range p.pending {
 		s := &p.pending[i]
 		s.mu.Lock()
-		s.seen = make(map[string]struct{})
+		s.seen = make(map[string]uint32)
 		s.mu.Unlock()
 	}
 	return res, nil

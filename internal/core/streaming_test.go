@@ -334,7 +334,7 @@ func TestStreamingSlidingExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	stream.ObserveName("once.seen.example.com")
+	stream.ObserveName([]byte("once.seen.example.com"))
 	if res := rescore(t, stream, date); res.Inserted != 1 || res.Expired != 0 {
 		t.Fatalf("window 1: inserted=%d expired=%d", res.Inserted, res.Expired)
 	}
@@ -347,7 +347,7 @@ func TestStreamingSlidingExpiry(t *testing.T) {
 		t.Fatalf("window 3: expired=%d", res.Expired)
 	}
 	// Re-observation after expiry re-inserts (the dedup map was cleaned).
-	stream.ObserveName("once.seen.example.com")
+	stream.ObserveName([]byte("once.seen.example.com"))
 	if res := rescore(t, stream, date); res.Inserted != 1 {
 		t.Fatalf("window 4: inserted=%d", res.Inserted)
 	}
@@ -376,7 +376,7 @@ func TestEntropyCacheBoundedByLiveTree(t *testing.T) {
 		}
 		batches = append(batches, batch)
 		for _, name := range batch {
-			stream.ObserveName(name)
+			stream.ObserveName([]byte(name))
 		}
 		res := rescore(t, stream, date)
 		if w >= keep && res.Expired != zones*perWindow {
@@ -400,7 +400,7 @@ func TestEntropyCacheBoundedByLiveTree(t *testing.T) {
 	if got := stream.entropy.Len(); got != 0 {
 		t.Errorf("%d cached entropies survive the day boundary", got)
 	}
-	if got := stream.counts.Refresh(stream.collector); len(got) != 0 {
+	if got, _ := stream.counts.Refresh(stream.collector); len(got) != 0 {
 		t.Errorf("the counts view still groups %d names after EndDay", len(got))
 	}
 }
@@ -431,13 +431,13 @@ func steadyPipeline(tb testing.TB) (*StreamingPipeline, time.Time, int) {
 }
 
 // TestRescoreSteadyStateAllocs is the allocation guard of the hourly
-// re-score: over an unchanged tree it may allocate for what it reports
-// (35 findings and their name lists, the hysteresis fold, the snapshot) and
-// for running beside the intake (handle, channel, goroutine) — 63 objects
-// on this fixture — not per name or per record in the tree. The limit is
-// that reading plus a handful, so that it can fail.
+// re-score: over an unchanged tree it mines nothing, and may allocate for
+// what it reports (the findings' list, the hysteresis fold, the snapshot)
+// and for running beside the intake (handle, channel, goroutine) — 24
+// objects on this fixture — not per name, per record or per finding in the
+// tree. The limit is that reading plus a handful, so that it can fail.
 func TestRescoreSteadyStateAllocs(t *testing.T) {
-	const limit = 70
+	const limit = 28
 	stream, date, names := steadyPipeline(t)
 	allocs := testing.AllocsPerRun(5, func() { rescore(t, stream, date) })
 	if allocs > limit {
@@ -452,5 +452,76 @@ func BenchmarkRescore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rescore(b, stream, date) // the whole re-score, not its barrier half
+	}
+}
+
+// BenchmarkRescoreTouched prices a window that changed something: 100 new
+// names under one zone of 2 000, and a name seen again under two of the 40
+// other zones (5 %) of 75 names each.
+func BenchmarkRescoreTouched(b *testing.B) {
+	stream, err := NewStreamingPipeline(trainedClassifier(b), MinerConfig{Theta: 0.5}, StreamingConfig{NumServers: 2}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	observe := func(name string) {
+		ob := observation(name, cache.CategoryDisposable)
+		ob.Server = rng.Intn(2)
+		stream.ObserveBelow(ob)
+		stream.ObserveAbove(ob)
+	}
+	var others []string
+	for z := 0; z < 40; z++ {
+		for i := 0; i < 75; i++ {
+			others = append(others, fmt.Sprintf("%s.sig%d.vendor%d.com", labelgen.Token(rng, 20), z, z))
+			observe(others[len(others)-1])
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		observe(labelgen.Token(rng, 20) + ".avqs.bigvendor.com")
+	}
+	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	if res := rescore(b, stream, date); res.Inserted != 5000 || len(res.Findings) < 41 {
+		b.Fatalf("fixture: %d names inserted, %d findings", res.Inserted, len(res.Findings))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for n := 0; n < 100; n++ {
+			observe(labelgen.Token(rng, 20) + ".avqs.bigvendor.com")
+		}
+		observe(others[(2*i)%40*75])
+		observe(others[(2*i+1)%40*75])
+		rescore(b, stream, date)
+	}
+	if got := len(stream.dirty); got != 3 {
+		b.Fatalf("the last window mined %d zones, want 3", got)
+	}
+}
+
+// BenchmarkMine prices the batch miner over the steady fixture's day.
+func BenchmarkMine(b *testing.B) {
+	col := chrstat.NewCollector()
+	for _, e := range synthObservations(21, 35, 15, 130) {
+		if e.above {
+			col.ObserveAbove(e.ob)
+		} else {
+			col.ObserveBelow(e.ob)
+		}
+	}
+	byName := col.ByName()
+	miner, err := NewMiner(trainedClassifier(b), MinerConfig{Theta: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree := BuildTree(byName, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		findings, err := miner.Mine(tree, byName)
+		if err != nil || len(findings) < 35 {
+			b.Fatalf("%d findings, %v", len(findings), err)
+		}
+		tree.Restore() // the next round mines the same tree
 	}
 }

@@ -162,11 +162,11 @@ func LeftLabel(name string) string {
 	return name[:dot]
 }
 
-// Hash is 64-bit FNV-1a over name: the one string hash behind the lock
-// stripes (pdns, chrstat, the streaming miner's pending sets) and the
+// Hash is 64-bit FNV-1a over name, a string or its bytes: the one hash behind
+// the lock stripes (pdns, chrstat, the streaming miner's pending sets) and the
 // synthetic rdata of the simulated namespace. It is small enough for the
 // compiler to inline into the per-observation paths that stripe with it.
-func Hash(name string) uint64 {
+func Hash[S string | []byte](name S) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])

@@ -2,6 +2,7 @@ package dnsname
 
 import (
 	"errors"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -309,5 +310,18 @@ func TestDepth(t *testing.T) {
 	}
 	if got := Depth("i.1.a.example.com"); got != 5 {
 		t.Errorf("Depth = %d, want 5", got)
+	}
+}
+
+// TestHash: FNV-1a, and the same over a name's bytes as over the name — a
+// stripe chosen by one must be the stripe found by the other.
+func TestHash(t *testing.T) {
+	f := func(name string) bool {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		return Hash(name) == h.Sum64() && Hash([]byte(name)) == h.Sum64()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

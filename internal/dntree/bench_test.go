@@ -44,7 +44,7 @@ func BenchmarkGroupsUnder(b *testing.B) {
 		var buf []Group
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if buf = t.AppendGroupsUnder(buf, "example.com"); len(buf) == 0 {
+			if buf = t.Node("example.com").AppendGroups(buf); len(buf) == 0 {
 				b.Fatal("no groups")
 			}
 		}
@@ -53,11 +53,12 @@ func BenchmarkGroupsUnder(b *testing.B) {
 
 func BenchmarkChildZones(b *testing.B) {
 	t, _ := benchTree(5000)
-	var buf []string
+	var buf []*Node
+	zone := t.Node("example.com")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if buf = t.AppendChildZones(buf[:0], "example.com"); len(buf) != 50 {
+		if buf = zone.AppendChildZones(buf[:0]); len(buf) != 50 {
 			b.Fatalf("%d child zones, want 50", len(buf))
 		}
 	}

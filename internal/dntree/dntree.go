@@ -7,6 +7,7 @@
 package dntree
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,56 +16,87 @@ import (
 
 // Tree is the domain name tree. The zero value is not usable; call New.
 type Tree struct {
-	root     *node
+	root     *Node
 	suffixes *dnsname.Suffixes
-	// e2lds refcounts black nodes per registrable domain: batch inserts
-	// only ever increment (a zone stays a mining start point for the whole
-	// day), while the streaming expiry path (stream.go) decrements so
-	// zones whose names all aged out stop being walked.
-	e2lds map[string]int
-	black int
+	// starts holds, by name, the node of every effective 2LD some black name
+	// registers under: the zones Algorithm 1 starts from. Batch inserts only
+	// add to them; streaming expiry (stream.go) also takes away.
+	starts    map[string]*Node
+	black     int
+	decolored []*Node // turned white since the last Restore
 
-	// Streaming state (see stream.go). window is the current window
-	// ordinal; byWindow records names first stamped in each window so
-	// expiry touches only that window's names, not the whole tree;
-	// windowBlack counts black nodes per last-seen window.
-	window      uint32
-	byWindow    map[uint32][]string
-	windowBlack map[uint32]int
+	// Streaming state (see stream.go): the window ordinal, the horizon in
+	// windows (0: no expiry), the nodes stamped in each window inside it, the
+	// starts touched this window, the starts deep enough to sit under another.
+	window, keep uint32
+	byWindow     map[uint32][]*Node
+	dirty, deep  []*Node
 }
 
-// node invariants, kept by every method that creates, colours or removes
-// one: name is the full domain name, a suffix slice of the first name
-// inserted through the node ("" for the root), and name minus
-// "."+parent.name is the label that keys it in parent.children; below
-// counts the black strict descendants; children is nil until the first
-// child (most nodes are leaves).
-type node struct {
-	parent   *node
-	children map[string]*node
+// Node is one name's place in the tree, and the handle a caller that goes
+// zone by zone holds in place of the name: valid until the name expires or
+// ResetStream; a nil Node is an absent name, with nothing below it.
+// Invariants, kept by every method that creates, colours or removes one:
+// name is the full domain name, a suffix slice of the first name inserted
+// through the node ("" for the root), and name minus "."+parent.name is the
+// label that keys it in parent.children; below counts the black strict
+// descendants, starts the black names whose effective 2LD the node is;
+// children is nil until the first child (most nodes are leaves); lastSeen
+// is the window of the latest observation while black.
+type Node struct {
+	parent   *Node
+	children map[string]*Node
 	name     string
-	below    int
-	black    bool
-	// lastSeen is the window ordinal of the node's most recent
-	// observation while black; meaningful only for streaming trees.
+	below    int32
 	lastSeen uint32
+	starts   int32
+	black    bool
+	dirty    bool // a start, listed in Tree.dirty
 }
 
 // setBlack recolours n and keeps every ancestor's below count in step.
-func (t *Tree) setBlack(n *node, black bool) {
-	delta := 1
+func (t *Tree) setBlack(n *Node, black bool) {
+	delta := int32(1)
 	if !black {
 		delta = -1
 	}
 	n.black = black
-	t.black += delta
+	t.black += int(delta)
 	for p := n.parent; p != nil; p = p.parent {
 		p.below += delta
 	}
 }
 
+// register counts n, just turned black (delta 1) or expired (-1), at its
+// effective 2LD, which becomes or stops being a start — a deep one from four
+// labels up: the only kind, made by a suffix of three, to have one above it.
+func (t *Tree) register(n *Node, delta int32) {
+	e2ld := t.suffixes.ETLDPlusOne(n.name)
+	if e2ld == "" {
+		return
+	}
+	for len(n.name) > len(e2ld) {
+		n = n.parent
+	}
+	if n.starts += delta; n.starts != max(delta, 0) {
+		return // neither its first name nor its last
+	}
+	deep := dnsname.CountLabels(n.name) >= 4
+	if delta > 0 {
+		t.starts[n.name] = n
+		if deep {
+			t.deep = append(t.deep, n)
+		}
+	} else {
+		delete(t.starts, n.name)
+		if deep {
+			t.deep = slices.DeleteFunc(t.deep, func(d *Node) bool { return d == n })
+		}
+	}
+}
+
 // live reports whether n's subtree, n included, holds a black node.
-func (n *node) live() bool { return n.black || n.below > 0 }
+func (n *Node) live() bool { return n.black || n.below > 0 }
 
 // New returns an empty tree using suffixes for effective-2LD extraction.
 // Passing nil uses dnsname.DefaultSuffixes().
@@ -73,34 +105,36 @@ func New(suffixes *dnsname.Suffixes) *Tree {
 		suffixes = dnsname.DefaultSuffixes()
 	}
 	return &Tree{
-		root:     &node{},
+		root:     &Node{},
 		suffixes: suffixes,
-		e2lds:    make(map[string]int),
+		starts:   make(map[string]*Node),
 	}
 }
 
 // Insert marks name as a black node, creating intermediate white nodes along
 // the path. Names are normalized. Inserting an existing black node is a
 // no-op.
-func (t *Tree) Insert(name string) {
-	name = dnsname.Normalize(name)
-	if name == "" {
-		return
+func (t *Tree) Insert(name string) { t.blacken(name) }
+
+// blacken is Insert; it returns the node, nil for the empty name, and
+// whether the node was not black already.
+func (t *Tree) blacken(name string) (n *Node, fresh bool) {
+	if name = dnsname.Normalize(name); name == "" {
+		return nil, false
 	}
-	n := t.walk(name, true)
-	if !n.black {
+	n = t.walk(name, true)
+	if fresh = !n.black; fresh {
 		t.setBlack(n, true)
-		if e2ld := t.suffixes.ETLDPlusOne(name); e2ld != "" {
-			t.e2lds[e2ld]++
-		}
+		t.register(n, 1)
 	}
+	return n, fresh
 }
 
 // walk descends right-to-left through the labels of name, optionally
 // creating missing nodes; returns nil when create is false and the path is
 // absent. The labels are scanned in place; a created node's name and its
 // key in the parent's map are slices of name.
-func (t *Tree) walk(name string, create bool) *node {
+func (t *Tree) walk(name string, create bool) *Node {
 	n := t.root
 	if name == "" {
 		return n
@@ -113,9 +147,9 @@ func (t *Tree) walk(name string, create bool) *node {
 				return nil
 			}
 			if n.children == nil {
-				n.children = make(map[string]*node)
+				n.children = make(map[string]*Node)
 			}
-			child = &node{parent: n, name: name[start:]}
+			child = &Node{parent: n, name: name[start:]}
 			n.children[name[start:end]] = child
 		}
 		n = child
@@ -124,37 +158,60 @@ func (t *Tree) walk(name string, create bool) *node {
 	return n
 }
 
+// Node returns the handle of name, nil when the tree holds no such node.
+func (t *Tree) Node(name string) *Node { return t.walk(dnsname.Normalize(name), false) }
+
+// Name returns the node's full domain name.
+func (n *Node) Name() string { return n.name }
+
 // IsBlack reports whether name is currently a black node.
 func (t *Tree) IsBlack(name string) bool {
-	n := t.walk(dnsname.Normalize(name), false)
+	n := t.Node(name)
 	return n != nil && n.black
 }
 
 // BlackCount returns the number of black nodes in the tree.
 func (t *Tree) BlackCount() int { return t.black }
 
-// Decolor turns name's node white, if present and black, and reports
-// whether anything changed. The node (and its descendants) remain in the
-// tree structure.
-func (t *Tree) Decolor(name string) bool {
-	n := t.walk(dnsname.Normalize(name), false)
+// Decolor turns name's node white and reports whether it was black.
+func (t *Tree) Decolor(name string) bool { return t.decolor(t.Node(name)) }
+
+func (t *Tree) decolor(n *Node) bool {
 	if n == nil || !n.black {
 		return false
 	}
 	t.setBlack(n, false)
+	t.decolored = append(t.decolored, n)
 	return true
 }
 
-// Effective2LDs returns the distinct registrable domains (effective 2LDs)
-// of every name ever inserted, sorted — the starting zones for Algorithm 1.
-func (t *Tree) Effective2LDs() []string {
-	out := make([]string, 0, len(t.e2lds))
-	for z := range t.e2lds {
-		out = append(out, z)
+// DecolorGroup turns white every node of g that is still black (Algorithm 1,
+// line 8).
+func (t *Tree) DecolorGroup(g *Group) {
+	for _, n := range g.nodes {
+		t.decolor(n)
 	}
-	sort.Strings(out)
-	return out
 }
+
+// Restore turns black again whatever was decolored since the last Restore,
+// so that a mined tree can be mined again; until then nothing may be inserted
+// or expired. Window stamps and start counts are as decoloring left them.
+func (t *Tree) Restore() {
+	for _, n := range t.decolored {
+		t.setBlack(n, true)
+	}
+	t.decolored = t.decolored[:0]
+}
+
+func sortByName(nodes []*Node) {
+	slices.SortFunc(nodes, func(a, b *Node) int { return strings.Compare(a.name, b.name) })
+}
+
+// NumStarts counts the starts: effective 2LDs with a name in the tree.
+func (t *Tree) NumStarts() int { return len(t.starts) }
+
+// IsStart reports whether the node is (still) one of them.
+func (n *Node) IsStart() bool { return n.starts > 0 }
 
 // Group is one G_k set: the black strict descendants of Zone at depth
 // Depth, with the distinct labels adjacent to the zone (the L_k set).
@@ -166,23 +223,19 @@ type Group struct {
 	// Labels is the distinct set of labels immediately left of Zone among
 	// Names (paper: "labels next to the zone under inspection").
 	Labels []string
+	nodes  []*Node // the same, in no order, for DecolorGroup
 }
 
 // GroupsUnder returns the G_k sets under zone, ordered by increasing depth.
 // The zone's own node (even if black) is not part of any group; only strict
 // descendants count. An absent zone yields nil.
-func (t *Tree) GroupsUnder(zone string) []Group {
-	return t.AppendGroupsUnder(nil, zone)
-}
+func (t *Tree) GroupsUnder(zone string) []Group { return t.Node(zone).AppendGroups(nil) }
 
-// AppendGroupsUnder is GroupsUnder into caller-owned storage, for a caller
-// that mines zone after zone: the groups overwrite buf from index 0 and
-// reuse the Names and Labels arrays of whatever buf held up to its
-// capacity. The result aliases buf and is valid until buf is passed in
-// again; the name strings belong to the tree and stay valid.
-func (t *Tree) AppendGroupsUnder(buf []Group, zone string) []Group {
-	zone = dnsname.Normalize(zone)
-	zn := t.walk(zone, false)
+// AppendGroups is GroupsUnder into caller-owned storage, for a caller that
+// mines zone after zone: the groups overwrite buf from index 0 and reuse the
+// arrays of whatever buf held up to its capacity. The result aliases buf until
+// buf is passed in again; the name strings belong to the tree and stay valid.
+func (zn *Node) AppendGroups(buf []Group) []Group {
 	if zn == nil {
 		return buf[:0]
 	}
@@ -196,14 +249,14 @@ func (t *Tree) AppendGroupsUnder(buf []Group, zone string) []Group {
 			}
 		}
 	}
-	zoneDepth := dnsname.Depth(zone)
+	zoneDepth := dnsname.Depth(zn.name)
 	out := groups[:0]
 	for i := range groups {
 		g := &groups[i]
 		if len(g.Names) == 0 {
 			continue
 		}
-		g.Zone, g.Depth = zone, zoneDepth+1+i
+		g.Zone, g.Depth = zn.name, zoneDepth+1+i
 		sort.Strings(g.Names)
 		sort.Strings(g.Labels)
 		// Swap, not copy: the skipped slot keeps its arrays for reuse.
@@ -218,18 +271,20 @@ func (t *Tree) AppendGroupsUnder(buf []Group, zone string) []Group {
 // rel. adjacent is the label of the zone's direct child the subtree hangs
 // from; a subtree is collected in one go, so within a group equal labels
 // are consecutive and the last one appended is the only duplicate to check.
-func (n *node) collect(groups []Group, adjacent string, rel int) []Group {
+func (n *Node) collect(groups []Group, adjacent string, rel int) []Group {
 	if n.black {
 		for len(groups) <= rel {
 			if k := len(groups); k < cap(groups) {
 				groups = groups[:k+1]
-				groups[k].Names, groups[k].Labels = groups[k].Names[:0], groups[k].Labels[:0]
+				g := &groups[k]
+				g.Names, g.Labels, g.nodes = g.Names[:0], g.Labels[:0], g.nodes[:0]
 			} else {
 				groups = append(groups, Group{})
 			}
 		}
 		g := &groups[rel]
 		g.Names = append(g.Names, n.name)
+		g.nodes = append(g.nodes, n)
 		if k := len(g.Labels); k == 0 || g.Labels[k-1] != adjacent {
 			g.Labels = append(g.Labels, adjacent)
 		}
@@ -244,35 +299,23 @@ func (n *node) collect(groups []Group, adjacent string, rel int) []Group {
 	return groups
 }
 
-// ChildZones returns the names of zone's direct child nodes (black or
-// white) that still have black descendants or are black themselves — the
-// recursion set of Algorithm 1 (lines 15-17). Sorted.
-func (t *Tree) ChildZones(zone string) []string {
-	return t.AppendChildZones(nil, zone)
-}
+// HasBlackDescendants is Algorithm 1's line 1: any black strict descendant?
+func (zn *Node) HasBlackDescendants() bool { return zn != nil && zn.below > 0 }
 
-// AppendChildZones appends ChildZones(zone) to dst; only the appended part
-// is sorted. The names belong to the tree: nothing is built per call.
-func (t *Tree) AppendChildZones(dst []string, zone string) []string {
-	zn := t.walk(dnsname.Normalize(zone), false)
-	if zn == nil || zn.below == 0 {
+// AppendChildZones appends, sorted by name, the zone's direct children that
+// have black descendants: Algorithm 1's recursion set (lines 15-17, less 1).
+func (zn *Node) AppendChildZones(dst []*Node) []*Node {
+	if !zn.HasBlackDescendants() {
 		return dst
 	}
 	from := len(dst)
 	for _, child := range zn.children {
-		if child.live() {
-			dst = append(dst, child.name)
+		if child.below > 0 {
+			dst = append(dst, child)
 		}
 	}
-	sort.Strings(dst[from:])
+	sortByName(dst[from:])
 	return dst
-}
-
-// HasBlackDescendants reports whether zone has any black strict descendant
-// (Algorithm 1, line 1).
-func (t *Tree) HasBlackDescendants(zone string) bool {
-	zn := t.walk(dnsname.Normalize(zone), false)
-	return zn != nil && zn.below > 0
 }
 
 // NamesUnder returns all black names that are strict descendants of zone,
@@ -284,29 +327,4 @@ func (t *Tree) NamesUnder(zone string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// String renders a compact indented dump, black nodes marked with "*".
-// Intended for debugging and small trees only.
-func (t *Tree) String() string {
-	var sb strings.Builder
-	var dump func(n *node, label string, indent int)
-	dump = func(n *node, label string, indent int) {
-		sb.WriteString(strings.Repeat("  ", indent))
-		sb.WriteString(label)
-		if n.black {
-			sb.WriteString(" *")
-		}
-		sb.WriteByte('\n')
-		labels := make([]string, 0, len(n.children))
-		for l := range n.children {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		for _, l := range labels {
-			dump(n.children[l], l, indent+1)
-		}
-	}
-	dump(t.root, ".", 0)
-	return sb.String()
 }

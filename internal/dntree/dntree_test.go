@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -126,18 +127,40 @@ func TestDecolorPaperFigure9(t *testing.T) {
 	}
 }
 
+// startNames lists the effective 2LDs the tree would mine from, sorted.
+func startNames(tr *Tree) []string {
+	var out []string
+	for name := range tr.starts {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// childZones and hasBlackDescendants are the handle queries by name.
+func childZones(tr *Tree, zone string) []string {
+	var out []string
+	for _, n := range tr.Node(zone).AppendChildZones(nil) {
+		out = append(out, n.Name())
+	}
+	return out
+}
+
+func hasBlackDescendants(tr *Tree, zone string) bool { return tr.Node(zone).HasBlackDescendants() }
+
 func TestChildZones(t *testing.T) {
 	tr := paperTree()
-	got := tr.ChildZones("example.com")
-	want := "a.example.com,b.example.com,c.example.com"
+	// c.example.com is a black leaf: Algorithm 1 line 1 would turn it away.
+	got := childZones(tr, "example.com")
+	want := "a.example.com,b.example.com"
 	if strings.Join(got, ",") != want {
 		t.Errorf("ChildZones = %v, want %s", got, want)
 	}
-	// After decoloring c (a leaf), c.example.com has no black descendants
-	// and is not black itself -> drops out of the recursion set.
-	tr.Decolor("c.example.com")
-	got = tr.ChildZones("example.com")
-	want = "a.example.com,b.example.com"
+	// After decoloring b's only descendant, b.example.com has no black
+	// descendants -> drops out of the recursion set.
+	tr.Decolor("4.b.example.com")
+	got = childZones(tr, "example.com")
+	want = "a.example.com"
 	if strings.Join(got, ",") != want {
 		t.Errorf("ChildZones after decolor = %v, want %s", got, want)
 	}
@@ -145,16 +168,16 @@ func TestChildZones(t *testing.T) {
 
 func TestHasBlackDescendants(t *testing.T) {
 	tr := paperTree()
-	if !tr.HasBlackDescendants("example.com") {
+	if !hasBlackDescendants(tr, "example.com") {
 		t.Error("example.com should have black descendants")
 	}
-	if !tr.HasBlackDescendants("a.example.com") {
+	if !hasBlackDescendants(tr, "a.example.com") {
 		t.Error("a.example.com should have black descendants (2,3,i.1)")
 	}
-	if tr.HasBlackDescendants("c.example.com") {
+	if hasBlackDescendants(tr, "c.example.com") {
 		t.Error("leaf c.example.com has no descendants")
 	}
-	if tr.HasBlackDescendants("absent.example.com") {
+	if hasBlackDescendants(tr, "absent.example.com") {
 		t.Error("absent zone should report false")
 	}
 }
@@ -164,7 +187,7 @@ func TestEffective2LDs(t *testing.T) {
 	tr.Insert("a.example.com")
 	tr.Insert("b.example.co.uk")
 	tr.Insert("x.y.host.no-ip.com")
-	got := tr.Effective2LDs()
+	got := startNames(tr)
 	want := []string{"example.co.uk", "example.com", "host.no-ip.com"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("Effective2LDs = %v, want %v", got, want)
@@ -187,17 +210,6 @@ func TestGroupsUnderAbsentZone(t *testing.T) {
 	tr := paperTree()
 	if got := tr.GroupsUnder("not.present.test"); got != nil {
 		t.Errorf("GroupsUnder absent = %v", got)
-	}
-}
-
-func TestStringDump(t *testing.T) {
-	tr := New(nil)
-	tr.Insert("a.example.com")
-	dump := tr.String()
-	for _, want := range []string{"com", "example", "a *"} {
-		if !strings.Contains(dump, want) {
-			t.Errorf("dump missing %q:\n%s", want, dump)
-		}
 	}
 }
 
@@ -255,7 +267,7 @@ func TestDecolorAllProperty(t *testing.T) {
 	if groups := tr.GroupsUnder("example.com"); len(groups) != 0 {
 		t.Errorf("groups = %v, want none", groups)
 	}
-	if tr.HasBlackDescendants("example.com") {
+	if hasBlackDescendants(tr, "example.com") {
 		t.Error("no black descendants should remain")
 	}
 }
@@ -268,7 +280,7 @@ func TestDecolorAllProperty(t *testing.T) {
 // those fields summarise. (Under the root zone "" the old bodies left a
 // trailing dot on every name; the reference does not.)
 
-func refWalk(t *Tree, name string) *node {
+func refWalk(t *Tree, name string) *Node {
 	n := t.root
 	labels := dnsname.Labels(name)
 	for i := len(labels) - 1; i >= 0; i-- {
@@ -291,8 +303,8 @@ func refGroupsUnder(t *Tree, zone string) []Group {
 	byDepth := make(map[int]*Group)
 	labelSeen := make(map[int]map[string]struct{})
 
-	var descend func(n *node, name string, adjacent string, depth int)
-	descend = func(n *node, name string, adjacent string, depth int) {
+	var descend func(n *Node, name string, adjacent string, depth int)
+	descend = func(n *Node, name string, adjacent string, depth int) {
 		if n.black {
 			g, ok := byDepth[depth]
 			if !ok {
@@ -341,7 +353,7 @@ func refChildZones(t *Tree, zone string) []string {
 	}
 	var out []string
 	for label, child := range zn.children {
-		if child.black || refHasBlackDescendant(child) {
+		if refHasBlackDescendant(child) {
 			if zone == "" {
 				out = append(out, label)
 			} else {
@@ -353,7 +365,7 @@ func refChildZones(t *Tree, zone string) []string {
 	return out
 }
 
-func refHasBlackDescendant(n *node) bool {
+func refHasBlackDescendant(n *Node) bool {
 	for _, child := range n.children {
 		if child.black || refHasBlackDescendant(child) {
 			return true
@@ -373,13 +385,21 @@ func refNamesUnder(t *Tree, zone string) []string {
 
 // checkNodes recounts what every node claims about itself: name is the
 // path's labels joined, parent is the node above, below is the number of
-// black strict descendants; and the tree's black total is the recount.
+// black strict descendants, starts the number of black names registered
+// under it; and the tree's black total, its starts and its deep starts are
+// the recount's.
 func checkNodes(t *testing.T, tr *Tree) {
 	t.Helper()
-	var recount func(n *node, name string) int
-	recount = func(n *node, name string) int {
+	registered := make(map[string]int32)
+	var recount func(n *Node, name string) int
+	recount = func(n *Node, name string) int {
 		if n.name != name {
 			t.Errorf("node %q holds name %q", name, n.name)
+		}
+		if n.black || slices.Contains(tr.decolored, n) { // decoloring does not unregister
+			if e2ld := tr.suffixes.ETLDPlusOne(name); e2ld != "" {
+				registered[e2ld]++
+			}
 		}
 		black := 0
 		for label, child := range n.children {
@@ -395,7 +415,7 @@ func checkNodes(t *testing.T, tr *Tree) {
 				black++
 			}
 		}
-		if n.below != black {
+		if int(n.below) != black {
 			t.Errorf("node %q: below = %d, recount = %d", name, n.below, black)
 		}
 		return black
@@ -403,26 +423,70 @@ func checkNodes(t *testing.T, tr *Tree) {
 	if total := recount(tr.root, ""); total != tr.BlackCount() {
 		t.Errorf("BlackCount = %d, recount = %d", tr.BlackCount(), total)
 	}
+	deep := 0
+	for name, want := range registered {
+		if n := tr.starts[name]; n == nil || n != refWalk(tr, name) || n.starts != want {
+			t.Errorf("start %q: %d names registered, the tree says %+v", name, want, n)
+		}
+		if dnsname.CountLabels(name) >= 4 {
+			deep++
+			if !slices.Contains(tr.deep, tr.starts[name]) {
+				t.Errorf("start %q is not listed as deep", name)
+			}
+		}
+	}
+	if len(tr.starts) != len(registered) || len(tr.deep) != deep {
+		t.Errorf("%d starts, %d of them deep; recount %d and %d", len(tr.starts), len(tr.deep), len(registered), deep)
+	}
 }
 
-// sameGroups compares group lists, an absent or empty list being equal to
-// nil either way.
+// sameGroups compares group lists on what they report — not the handles
+// they carry — an absent or empty list being equal to nil either way.
 func sameGroups(a, b []Group) bool {
-	if len(a) == 0 && len(b) == 0 {
-		return true
+	if len(a) != len(b) {
+		return false
 	}
-	return reflect.DeepEqual(a, b)
+	for i := range a {
+		if a[i].Zone != b[i].Zone || a[i].Depth != b[i].Depth ||
+			!sameStrings(a[i].Names, b[i].Names) || !sameStrings(a[i].Labels, b[i].Labels) {
+			return false
+		}
+	}
+	return true
 }
 
 func sameStrings(a, b []string) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
+// refDirty is what Dirty must report: of the starts the tree has now, those
+// that were a start above a name when the window inserted, re-observed or
+// expired it (marked), and every deep start with the starts above it.
+func refDirty(tr *Tree, marked map[string]bool) []string {
+	starts := startNames(tr)
+	var out []string
+	for _, s := range starts {
+		dirty := marked[s]
+		for _, deep := range starts {
+			if dnsname.CountLabels(deep) >= 4 && dnsname.IsSubdomainOf(deep, s) {
+				dirty = true
+			}
+		}
+		if dirty {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // TestMatchesReference drives random operation sequences over a small
 // label alphabet — so names collide, share zones at every depth, make zone
 // nodes and a node next to the TLD black, and come back after expiry — and
 // after every step compares each query method with the reference over
-// every zone that was ever named, plus an absent one.
+// every zone that was ever named, plus an absent one. Odd seeds mix batch
+// and streaming inserts under the default suffixes; even seeds are streams
+// under a suffix set that nests starts (x.a.example.com under example.com),
+// and there Dirty is compared with the reference too.
 func TestMatchesReference(t *testing.T) {
 	zones := []string{"com", "example.com", "a.example.com", "b.a.example.com",
 		"co.uk", "shop.co.uk", "net", "cdn.net"}
@@ -449,57 +513,99 @@ func TestMatchesReference(t *testing.T) {
 			}
 			return name
 		}
+		stream := seed%2 == 0
 		tr := New(nil)
+		if stream {
+			tr = New(dnsname.NewSuffixes([]string{"com", "net", "co.uk", "a.example.com"}))
+		}
+		marked := make(map[string]bool)
+		mark := func(name string, starts []string) {
+			for _, s := range starts {
+				if dnsname.IsSubdomainOf(name, s) {
+					marked[s] = true
+				}
+			}
+		}
 		var buf []Group
-		var stack []string
+		stack := []*Node{nil}
 		for step := 0; step < 300; step++ {
 			var op string
 			switch r := rng.Intn(100); {
-			case r < 30:
+			case r < 30 && !stream:
 				op = "Insert"
+				tr.Restore()
 				tr.Insert(randomName())
 			case r < 60:
 				op = "InsertAt"
-				tr.InsertAt(randomName())
-			case r < 75:
+				name := dnsname.Normalize(randomName())
+				tr.Restore() // the contract: nothing is inserted into a mined tree
+				n := tr.Node(name)
+				fresh := name != "" && (n == nil || !n.black)
+				stamps := fresh || name != "" && n.lastSeen != tr.window
+				if got := tr.InsertAt(name); got != fresh {
+					t.Fatalf("seed %d step %d: InsertAt(%q) = %v", seed, step, name, got)
+				}
+				if stamps {
+					mark(name, startNames(tr))
+				}
+			case r < 70:
 				op = "Decolor"
 				tr.Decolor(randomName())
+			case r < 75:
+				op = "DecolorGroup"
+				if groups := tr.GroupsUnder(randomName()); len(groups) > 0 {
+					tr.DecolorGroup(&groups[rng.Intn(len(groups))])
+				}
 			case r < 85:
-				op = "Recolor"
-				tr.Recolor(randomName())
+				op = "Restore"
+				tr.Restore()
 			case r < 92:
 				op = "AdvanceWindow"
 				tr.AdvanceWindow()
+				clear(marked)
 			case r < 99:
-				op = "ExpireBefore"
-				if w := tr.Window(); w > 0 {
-					tr.ExpireBefore(w - uint32(rng.Intn(int(min(w, 3)))))
+				op = "Expire"
+				tr.Restore()
+				tr.SetHorizon(1 + rng.Intn(3))
+				starts := startNames(tr)
+				for _, name := range tr.Expire() {
+					mark(name, starts)
 				}
 			default:
 				op = "ResetStream"
 				tr.ResetStream()
+				clear(marked)
 			}
 			at := fmt.Sprintf("seed %d step %d (%s)", seed, step, op)
 			checkNodes(t, tr)
+			if got, want := dirtyNames(tr), refDirty(tr, marked); stream && !sameStrings(got, want) {
+				t.Fatalf("%s: Dirty = %v, reference %v", at, got, want)
+			}
 			for _, zone := range probes {
 				want := refGroupsUnder(tr, zone)
 				if got := tr.GroupsUnder(zone); !sameGroups(got, want) {
 					t.Fatalf("%s: GroupsUnder(%q) = %v, reference %v", at, zone, got, want)
 				}
 				// One buffer across every zone, as the miner holds it.
-				if buf = tr.AppendGroupsUnder(buf, zone); !sameGroups(buf, want) {
-					t.Fatalf("%s: AppendGroupsUnder(%q) into a used buffer = %v, reference %v", at, zone, buf, want)
+				if buf = tr.Node(zone).AppendGroups(buf); !sameGroups(buf, want) {
+					t.Fatalf("%s: AppendGroups(%q) into a used buffer = %v, reference %v", at, zone, buf, want)
+				}
+				for _, g := range buf {
+					var names []string
+					for _, n := range g.nodes {
+						names = append(names, n.name)
+					}
+					if sort.Strings(names); !sameStrings(names, g.Names) {
+						t.Fatalf("%s: group %s/%d carries nodes %v for names %v", at, zone, g.Depth, names, g.Names)
+					}
 				}
 				wantZones := refChildZones(tr, zone)
-				if got := tr.ChildZones(zone); !sameStrings(got, wantZones) {
-					t.Fatalf("%s: ChildZones(%q) = %v, reference %v", at, zone, got, wantZones)
-				}
-				stack = tr.AppendChildZones(append(stack[:0], "below"), zone)
-				if stack[0] != "below" || !sameStrings(stack[1:], wantZones) {
-					t.Fatalf("%s: AppendChildZones(%q) = %v, reference %v after the first", at, zone, stack, wantZones)
+				stack = tr.Node(zone).AppendChildZones(stack[:1])
+				if got := childZones(tr, zone); stack[0] != nil || len(stack) != 1+len(got) || !sameStrings(got, wantZones) {
+					t.Fatalf("%s: AppendChildZones(%q) = %v, reference %v", at, zone, got, wantZones)
 				}
 				zn := refWalk(tr, dnsname.Normalize(zone))
-				if got, want := tr.HasBlackDescendants(zone), zn != nil && refHasBlackDescendant(zn); got != want {
+				if got, want := hasBlackDescendants(tr, zone), zn != nil && refHasBlackDescendant(zn); got != want {
 					t.Fatalf("%s: HasBlackDescendants(%q) = %v, reference %v", at, zone, got, want)
 				}
 				if got, want := tr.NamesUnder(zone), refNamesUnder(tr, zone); !sameStrings(got, want) {

@@ -4,113 +4,127 @@
 //
 //   - InsertAt stamps each observation with a window ordinal, so the tree
 //     knows which sliding window last saw every black node;
-//   - ExpireBefore decolors (and prunes) the names whose last observation
-//     fell out of the sliding window, touching only the per-window name
-//     lists instead of rescanning the whole trie;
-//   - Recolor undoes the miner's Decolor after a re-score, so a single
-//     tree can be mined every window without a rebuild.
+//   - Expire decolors (and prunes) the names whose last observation fell
+//     out of the horizon, by per-window node lists, not a scan of the trie;
+//   - both mark dirty the starts above the name, which Dirty lists, so that
+//     a window is mined where it changed, and Restore (dntree.go) undoes the
+//     miner's decoloring.
 //
 // With expiry disabled (the day-equivalence mode), a streaming tree fed
 // the same names as a batch BuildTree holds an identical black set, which
 // is what pins streaming day-boundary verdicts to the batch miner's.
 package dntree
 
-import "dnsnoise/internal/dnsname"
-
-// Window returns the tree's current window ordinal (advanced by
-// AdvanceWindow; zero for batch trees).
-func (t *Tree) Window() uint32 { return t.window }
-
-// AdvanceWindow moves the tree to the next window ordinal and returns it.
-// Not safe for concurrent use with any other tree method.
-func (t *Tree) AdvanceWindow() uint32 {
+// AdvanceWindow moves the tree to the next window ordinal, in which nothing
+// is dirty yet. Not safe for concurrent use with any other tree method.
+func (t *Tree) AdvanceWindow() {
+	for _, n := range t.dirty {
+		n.dirty = false
+	}
+	t.dirty = t.dirty[:0]
 	t.window++
-	return t.window
+}
+
+// SetHorizon makes Expire take the names not re-observed within keep
+// windows. Zero, the default, keeps every name and lists none by window.
+func (t *Tree) SetHorizon(keep int) {
+	t.keep, t.byWindow = uint32(max(keep, 0)), make(map[uint32][]*Node)
 }
 
 // InsertAt is Insert stamped with the tree's current window: the name's
-// node becomes (or stays) black and records the window as its last
-// observation, feeding the per-window bookkeeping that ExpireBefore uses
-// for O(window) decay.
-func (t *Tree) InsertAt(name string) {
-	name = dnsname.Normalize(name)
-	if name == "" {
-		return
-	}
-	n := t.walk(name, true)
-	if t.byWindow == nil {
-		t.byWindow = make(map[uint32][]string)
-		t.windowBlack = make(map[uint32]int)
-	}
-	if !n.black {
-		t.setBlack(n, true)
-		if e2ld := t.suffixes.ETLDPlusOne(name); e2ld != "" {
-			t.e2lds[e2ld]++
-		}
-	} else {
-		if n.lastSeen == t.window {
-			return // already stamped this window
-		}
-		t.windowBlack[n.lastSeen]--
+// node becomes (or stays) black, records the window as its last
+// observation and, once per window, marks dirty every start above it.
+// It reports whether the name is new to the tree.
+func (t *Tree) InsertAt(name string) bool {
+	n, fresh := t.blacken(name)
+	if n == nil || !fresh && n.lastSeen == t.window {
+		return false // no name, or already stamped this window
 	}
 	n.lastSeen = t.window
-	t.windowBlack[t.window]++
-	t.byWindow[t.window] = append(t.byWindow[t.window], name)
-}
-
-// BlackInWindow returns how many black nodes were last observed in the
-// given window ordinal — the per-window node count behind drift and decay
-// monitoring.
-func (t *Tree) BlackInWindow(w uint32) int { return t.windowBlack[w] }
-
-// Recolor restores a present white node to black and reports whether
-// anything changed: the inverse of Decolor, used after a streaming
-// re-score so the mined tree survives to the next window. It does not
-// touch window stamps or e2ld refcounts (Decolor touched neither).
-func (t *Tree) Recolor(name string) bool {
-	n := t.walk(dnsname.Normalize(name), false)
-	if n == nil || n.black {
-		return false
+	if t.keep > 0 {
+		t.byWindow[t.window] = append(t.byWindow[t.window], n)
 	}
-	t.setBlack(n, true)
-	return true
+	t.touch(n)
+	return fresh
 }
 
-// ExpireBefore decolors every black node whose last observation precedes
-// window `oldest`, prunes the emptied branches, and returns the expired
-// names (so callers can drop them from their dedup state). Only the
-// per-window name lists are visited. Names re-observed since their listing
-// carry a newer stamp and survive.
-func (t *Tree) ExpireBefore(oldest uint32) []string {
+// touch marks dirty the starts on n's ancestor path, n included: the zones
+// whose mine reads n, of which there can be two (bucket.s3.example.com under
+// example.com, s3.example.com being a suffix). A start found dirty ends the
+// climb: whoever marked it went on to the root.
+func (t *Tree) touch(n *Node) {
+	for ; n != nil; n = n.parent {
+		if n.starts == 0 {
+			continue
+		}
+		if n.dirty {
+			return
+		}
+		n.dirty = true
+		t.dirty = append(t.dirty, n)
+	}
+}
+
+// TouchAll marks every start dirty: a full mine, which is the batch miner's
+// and the reference an incremental one is tested against.
+func (t *Tree) TouchAll() {
+	for _, n := range t.starts {
+		t.touch(n)
+	}
+}
+
+// Dirty returns in dst, sorted by name, the starts touched in the current
+// window: the zones whose mine may differ from their last. Two starts read
+// each other's names only if one is above the other, and the lower is then
+// deep: a deep start and the starts above it are dirty in every window.
+func (t *Tree) Dirty(dst []*Node) []*Node {
+	for _, n := range t.deep {
+		t.touch(n)
+	}
+	for _, n := range t.dirty {
+		if n.IsStart() { // not one whose last name expired since
+			dst = append(dst, n)
+		}
+	}
+	sortByName(dst)
+	return dst
+}
+
+// Expire decolors every black node last observed before the horizon (the
+// current window and the keep-1 before it), prunes the emptied branches,
+// marks dirty the starts above them, and returns the expired names (so
+// callers can drop them from their own state). Only the lists of the
+// windows that fell out are visited; a name re-observed since its listing
+// carries a newer stamp and survives. The tree must be restored: a node a
+// mine decolored looks expired already.
+func (t *Tree) Expire() []string {
+	if t.keep == 0 || t.window < t.keep {
+		return nil
+	}
+	oldest := t.window + 1 - t.keep
 	var expired []string
-	for w, names := range t.byWindow {
+	for w, nodes := range t.byWindow {
 		if w >= oldest {
 			continue
 		}
-		for _, name := range names {
-			n := t.walk(name, false)
-			if n == nil || !n.black || n.lastSeen != w {
-				continue // re-observed later, or already gone
+		for _, n := range nodes {
+			if !n.black || n.lastSeen != w {
+				continue // re-observed later, or expired from a later list
 			}
+			t.touch(n)
 			t.setBlack(n, false)
-			t.windowBlack[w]--
-			if e2ld := t.suffixes.ETLDPlusOne(name); e2ld != "" {
-				if t.e2lds[e2ld]--; t.e2lds[e2ld] <= 0 {
-					delete(t.e2lds, e2ld)
-				}
-			}
+			t.register(n, -1)
 			t.prune(n)
-			expired = append(expired, name)
+			expired = append(expired, n.name)
 		}
 		delete(t.byWindow, w)
-		delete(t.windowBlack, w)
 	}
 	return expired
 }
 
 // prune removes the white, childless tail of the path that ends at n, so
 // expired branches do not accumulate as dead trie weight.
-func (t *Tree) prune(n *node) {
+func (t *Tree) prune(n *Node) {
 	for p := n.parent; p != nil && !n.black && len(n.children) == 0; n, p = p, p.parent {
 		// n's label is its name without the parent's (the root has none).
 		label := n.name
@@ -122,13 +136,14 @@ func (t *Tree) prune(n *node) {
 }
 
 // ResetStream clears every name and all window bookkeeping while keeping
-// the suffix ruleset: the day-boundary reset of the streaming pipeline,
-// equivalent to allocating a fresh tree but explicit about intent.
+// the suffix ruleset and the horizon: the day-boundary reset of the
+// streaming pipeline. Every Node handed out before is dead, and the tree
+// holds none of them.
 func (t *Tree) ResetStream() {
-	t.root = &node{}
-	t.e2lds = make(map[string]int)
+	t.root = &Node{}
+	clear(t.starts)
 	t.black = 0
-	t.byWindow = nil
-	t.windowBlack = nil
+	clear(t.byWindow)
+	t.decolored, t.dirty, t.deep = nil, nil, nil
 	// The window ordinal keeps counting: hysteresis state outlives days.
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"dnsnoise/internal/dnsname"
 )
 
 // TestStreamEquivalenceWithBatch pins the day-equivalence contract at the
@@ -34,11 +36,11 @@ func TestStreamEquivalenceWithBatch(t *testing.T) {
 	if got, want := stream.BlackCount(), batch.BlackCount(); got != want {
 		t.Fatalf("BlackCount: stream %d, batch %d", got, want)
 	}
-	if got, want := stream.Effective2LDs(), batch.Effective2LDs(); !reflect.DeepEqual(got, want) {
+	if got, want := startNames(stream), startNames(batch); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Effective2LDs: stream %v, batch %v", got, want)
 	}
-	for _, zone := range batch.Effective2LDs() {
-		if got, want := stream.GroupsUnder(zone), batch.GroupsUnder(zone); !reflect.DeepEqual(got, want) {
+	for _, zone := range startNames(batch) {
+		if got, want := stream.GroupsUnder(zone), batch.GroupsUnder(zone); !sameGroups(got, want) {
 			t.Fatalf("GroupsUnder(%s): stream %+v, batch %+v", zone, got, want)
 		}
 	}
@@ -50,6 +52,7 @@ func TestRecolorUndoesDecolor(t *testing.T) {
 	tr := New(nil)
 	tr.InsertAt("a.zone.example.net")
 	tr.InsertAt("b.zone.example.net")
+	tr.InsertAt("c.zone.example.net")
 	before := tr.BlackCount()
 	if !tr.Decolor("a.zone.example.net") {
 		t.Fatal("Decolor returned false for a black node")
@@ -57,21 +60,28 @@ func TestRecolorUndoesDecolor(t *testing.T) {
 	if tr.IsBlack("a.zone.example.net") {
 		t.Fatal("node still black after Decolor")
 	}
-	if !tr.Recolor("a.zone.example.net") {
-		t.Fatal("Recolor returned false for a decolored node")
+	// A group goes white in one call, less what already is.
+	groups := tr.GroupsUnder("example.net")
+	tr.Decolor("b.zone.example.net")
+	tr.DecolorGroup(&groups[0])
+	if got := tr.BlackCount(); got != 0 {
+		t.Fatalf("BlackCount after DecolorGroup = %d, want 0", got)
 	}
-	if tr.Recolor("a.zone.example.net") {
-		t.Fatal("Recolor reported a change on an already-black node")
-	}
-	if tr.Recolor("never.inserted.example.net") {
-		t.Fatal("Recolor invented a node")
-	}
+	tr.Restore()
 	if got := tr.BlackCount(); got != before {
-		t.Fatalf("BlackCount after decolor+recolor = %d, want %d", got, before)
+		t.Fatalf("BlackCount after decolor+restore = %d, want %d", got, before)
 	}
 	if !tr.IsBlack("a.zone.example.net") {
-		t.Fatal("node not black after Recolor")
+		t.Fatal("node not black after Restore")
 	}
+	tr.Decolor("c.zone.example.net")
+	tr.Restore()
+	tr.Decolor("a.zone.example.net")
+	tr.Restore()
+	if got := tr.BlackCount(); got != before {
+		t.Fatalf("BlackCount after two more rounds = %d, want %d: Restore remembers a round it already restored", got, before)
+	}
+	checkNodes(t, tr)
 }
 
 // TestExpireBefore exercises sliding-window decay: names not re-observed
@@ -79,16 +89,17 @@ func TestRecolorUndoesDecolor(t *testing.T) {
 // survive with their newer stamp.
 func TestExpireBefore(t *testing.T) {
 	tr := New(nil)
+	tr.SetHorizon(1)
 	tr.InsertAt("old.zone.example.com")    // window 0
 	tr.InsertAt("stable.zone.example.com") // window 0
+	if expired := tr.Expire(); len(expired) != 0 {
+		t.Fatalf("expired = %v inside the first window", expired)
+	}
 	tr.AdvanceWindow()
 	tr.InsertAt("stable.zone.example.com") // re-observed in window 1
 	tr.InsertAt("new.zone.example.com")    // window 1
 
-	if got := tr.BlackInWindow(1); got != 2 {
-		t.Fatalf("BlackInWindow(1) = %d, want 2", got)
-	}
-	expired := tr.ExpireBefore(1)
+	expired := tr.Expire()
 	sort.Strings(expired)
 	if want := []string{"old.zone.example.com"}; !reflect.DeepEqual(expired, want) {
 		t.Fatalf("expired = %v, want %v", expired, want)
@@ -104,15 +115,15 @@ func TestExpireBefore(t *testing.T) {
 	}
 	// The e2ld survives while any black name remains, and disappears once
 	// the last one expires.
-	if got := tr.Effective2LDs(); !reflect.DeepEqual(got, []string{"example.com"}) {
+	if got := startNames(tr); !reflect.DeepEqual(got, []string{"example.com"}) {
 		t.Fatalf("Effective2LDs = %v", got)
 	}
 	tr.AdvanceWindow()
 	tr.AdvanceWindow()
-	if expired := tr.ExpireBefore(3); len(expired) != 2 {
+	if expired := tr.Expire(); len(expired) != 2 {
 		t.Fatalf("second expiry = %v, want both survivors", expired)
 	}
-	if got := tr.Effective2LDs(); len(got) != 0 {
+	if got := startNames(tr); len(got) != 0 {
 		t.Fatalf("Effective2LDs after full expiry = %v, want empty", got)
 	}
 	if tr.BlackCount() != 0 {
@@ -122,19 +133,128 @@ func TestExpireBefore(t *testing.T) {
 	if gs := tr.GroupsUnder("example.com"); len(gs) != 0 {
 		t.Fatalf("groups under pruned zone: %+v", gs)
 	}
+
+	// Without a horizon nothing is listed and nothing expires.
+	tr = New(nil)
+	tr.InsertAt("kept.zone.example.com")
+	for i := 0; i < 3; i++ {
+		tr.AdvanceWindow()
+	}
+	if expired := tr.Expire(); len(expired) != 0 || tr.byWindow != nil {
+		t.Fatalf("no horizon: expired = %v, %d window lists", expired, len(tr.byWindow))
+	}
 }
 
-// TestResetStream starts a fresh day but keeps the window ordinal running.
-func TestResetStream(t *testing.T) {
-	tr := New(nil)
-	tr.InsertAt("a.zone.example.com")
+// dirtyNames lists what Dirty reports.
+func dirtyNames(tr *Tree) []string {
+	var out []string
+	for _, n := range tr.Dirty(nil) {
+		out = append(out, n.Name())
+	}
+	return out
+}
+
+// TestDirty: a window's dirty starts are those above the names it inserted,
+// re-observed or expired — every one of them where starts nest, and a deep
+// start and those above it in every window.
+func TestDirty(t *testing.T) {
+	suffixes := dnsname.NewSuffixes([]string{"com", "org", "s3.example.com"})
+	tr := New(suffixes)
+	tr.SetHorizon(2)
+	for _, name := range []string{"www.example.com", "a.shop.org", "b.shop.org", "x.quiet.org"} {
+		tr.InsertAt(name)
+	}
+	if got, want := dirtyNames(tr), []string{"example.com", "quiet.org", "shop.org"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("window 0: dirty = %v, want %v", got, want)
+	}
+	if got := dirtyNames(tr); len(got) != 3 {
+		t.Fatalf("Dirty forgot its starts before the window advanced: %v", got)
+	}
 	tr.AdvanceWindow()
+	if got := dirtyNames(tr); len(got) != 0 {
+		t.Fatalf("window 1: dirty = %v before anything was touched", got)
+	}
+	tr.InsertAt("a.shop.org") // re-observed
+	tr.InsertAt("a.shop.org") // twice
+	tr.InsertAt("c.shop.org") // new
+	if got, want := dirtyNames(tr), []string{"shop.org"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("window 1: dirty = %v, want %v", got, want)
+	}
+	tr.AdvanceWindow()
+	// Window 2: what window 0 saw last expires; quiet.org goes with its only
+	// name and is no start any more, example.com likewise.
+	quiet := tr.Node("quiet.org")
+	if expired := tr.Expire(); len(expired) != 3 {
+		t.Fatalf("window 2: expired = %v, want www.example.com, b.shop.org, x.quiet.org", expired)
+	}
+	if got, want := dirtyNames(tr), []string{"shop.org"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("window 2: dirty = %v, want %v (an expired name's start, while it is one)", got, want)
+	}
+	if quiet.IsStart() || tr.Node("quiet.org") != nil {
+		t.Fatal("quiet.org outlived its last name")
+	}
+	// The name comes back on a new node: one dirty start of that name.
+	tr.InsertAt("y.quiet.org")
+	if got, want := dirtyNames(tr), []string{"quiet.org", "shop.org"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("window 2: dirty = %v, want %v", got, want)
+	}
+	tr.AdvanceWindow()
+
+	// Nested starts: a name under the lower one dirties both, a name under
+	// the upper one alone dirties the upper — and the lower, because it is
+	// deep, is dirty regardless, in every window.
+	tr.InsertAt("k1.bucket.s3.example.com")
+	tr.InsertAt("www.example.com")
+	if got, want := startNames(tr), []string{"bucket.s3.example.com", "example.com", "quiet.org", "shop.org"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Effective2LDs = %v, want %v", got, want)
+	}
+	nested := []string{"bucket.s3.example.com", "example.com"}
+	if got := dirtyNames(tr); !reflect.DeepEqual(got, nested) {
+		t.Fatalf("nested: dirty = %v, want %v", got, nested)
+	}
+	tr.AdvanceWindow()
+	if got := dirtyNames(tr); !reflect.DeepEqual(got, nested) {
+		t.Fatalf("nested, untouched window: dirty = %v, want %v", got, nested)
+	}
+	tr.AdvanceWindow()
+	tr.TouchAll()
+	if got, want := dirtyNames(tr), startNames(tr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("TouchAll: dirty = %v, want every start %v", got, want)
+	}
+	// Both names of the nest expire: nothing is deep any more.
+	tr.AdvanceWindow()
+	tr.Expire()
+	tr.AdvanceWindow()
+	if got := dirtyNames(tr); len(got) != 0 || len(tr.deep) != 0 {
+		t.Fatalf("after the nest expired: dirty = %v, %d deep starts", got, len(tr.deep))
+	}
+	checkNodes(t, tr)
+}
+
+// TestResetStream starts a fresh day but keeps the window ordinal running,
+// and keeps no handle on the day that ended: one node reaches the whole
+// tree through its parent.
+func TestResetStream(t *testing.T) {
+	tr := New(dnsname.NewSuffixes([]string{"com", "s3.example.com"}))
+	tr.SetHorizon(3)
+	tr.InsertAt("a.zone.example.com")
+	tr.InsertAt("k.bucket.s3.example.com")
+	tr.Decolor("a.zone.example.com")
+	tr.AdvanceWindow()
+	tr.InsertAt("b.zone.example.com")
+	if len(tr.decolored) == 0 || len(tr.dirty) == 0 || len(tr.deep) == 0 || len(tr.byWindow) == 0 {
+		t.Fatalf("fixture: %d decolored, %d dirty, %d deep, %d window lists", len(tr.decolored), len(tr.dirty), len(tr.deep), len(tr.byWindow))
+	}
 	tr.ResetStream()
-	if tr.BlackCount() != 0 || len(tr.Effective2LDs()) != 0 {
+	if tr.BlackCount() != 0 || len(startNames(tr)) != 0 {
 		t.Fatal("ResetStream left names behind")
 	}
-	if tr.Window() != 1 {
-		t.Fatalf("Window after reset = %d, want 1", tr.Window())
+	if tr.window != 1 {
+		t.Fatalf("Window after reset = %d, want 1", tr.window)
+	}
+	if tr.decolored != nil || tr.dirty != nil || tr.deep != nil || len(tr.byWindow) != 0 {
+		t.Errorf("ResetStream keeps lists of %d decolored, %d dirty, %d deep, %d windows: handles into the old tree",
+			cap(tr.decolored), cap(tr.dirty), cap(tr.deep), len(tr.byWindow))
 	}
 	tr.InsertAt("b.zone.example.com")
 	if !tr.IsBlack("b.zone.example.com") {

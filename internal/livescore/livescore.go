@@ -6,8 +6,9 @@
 // chain, and stages the name in a single-producer ring so the Engine's
 // drain goroutine can feed it to the StreamingPipeline off the packet
 // path. The packet loop never takes a lock and never allocates; the
-// string materialization and stripe-lock intake happen on the Engine's
-// goroutine.
+// stripe-lock intake happens on the Engine's goroutine, where a name becomes
+// a string the first time a window sees it: what the serve path allocates
+// must not depend on how many names a full ring dropped.
 package livescore
 
 import (
@@ -65,8 +66,8 @@ func (r *nameRing) push(name []byte) bool {
 	return true
 }
 
-// drain hands every staged name to fn. Consumer only.
-func (r *nameRing) drain(fn func(string)) int {
+// drain lends every staged name to fn until it returns. Consumer only.
+func (r *nameRing) drain(fn func([]byte)) int {
 	n := 0
 	for {
 		t := r.tail.Load()
@@ -74,7 +75,7 @@ func (r *nameRing) drain(fn func(string)) int {
 			return n
 		}
 		s := &r.slots[t%ringSlots]
-		fn(string(s.buf[:s.n]))
+		fn(s.buf[:s.n])
 		r.tail.Store(t + 1)
 		n++
 	}

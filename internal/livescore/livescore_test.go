@@ -122,6 +122,36 @@ func TestScoreWireZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDrainSeenNameZeroAlloc: moving a name the window has already noted
+// from a ring into the pipeline allocates nothing — only a name's first
+// sighting in a window is copied. Otherwise what the serve path allocates
+// depends on how many names a full ring dropped, which is to say on how the
+// host scheduled the drain (serve-wire's allocs_per_query once moved 3 %
+// from run to run for that reason alone).
+func TestDrainSeenNameZeroAlloc(t *testing.T) {
+	eng := newPrimedEngine(t)
+	s := eng.NewScorer()
+	// Long enough that a copy could not sit on the stack, and two of them,
+	// or the scorer's own repeat filter stages nothing the second time.
+	a := queryWire(t, "a-label-of-some-length.and-another-one.zone.test")
+	b := queryWire(t, "b-label-of-some-length.and-another-one.zone.test")
+	round := func() int {
+		s.ScoreWire(a)
+		s.ScoreWire(b)
+		return eng.Flush()
+	}
+	if got := round(); got != 2 {
+		t.Fatalf("fixture: Flush moved %d names, want 2", got)
+	}
+	moved := 0
+	if got := testing.AllocsPerRun(200, func() { moved += round() }); got != 0 {
+		t.Errorf("draining two names already noted allocates %.1f per run, want 0", got)
+	}
+	if moved != 2*201 { // AllocsPerRun warms up with one run of its own
+		t.Errorf("fixture: %d names moved in 201 rounds, want 2 each", moved)
+	}
+}
+
 // TestRingOverflowDrops fills a ring past capacity and checks pushes drop
 // (counted) instead of blocking or wrapping.
 func TestRingOverflowDrops(t *testing.T) {
