@@ -27,12 +27,10 @@ lint:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
-# Micro-benchmarks for the resolver hot path, then the cluster throughput
-# harness, which records sequential-vs-parallel numbers (plus host CPU count)
-# in BENCH_resolver.json for cross-commit comparison.
+# The repository benchmark in A/A mode: every BENCHMARK.json workload run as
+# two sets on the same code, medians compared against the metrics' bounds.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/resolver/...
-	$(GO) run ./cmd/dnsnoise-bench -out BENCH_resolver.json
+	bash benchmark/run.sh
 
 # Fast hot-path health check, cheap enough for CI: the resolver and cache
 # micro-benchmarks at -benchtime=100x (smoke, not measurement) plus the
@@ -51,11 +49,11 @@ bench:
 # known/fresh, BenchmarkMerge and BenchmarkMergeTouched, the merge a window
 # pays, with the guards that a known record costs nothing and a new or
 # merged one its share of a slab chunk and of map
-# growth, not objects of its own) — a short serve-throughput flood with the
-# end-to-end packet-allocation gate (plain and scored) and the
-# streaming-miner intake-overhead pair with its gate. Whole-program overhead questions
-# (telemetry, qlog, fleet collector, tsdb) go to benchmark/run.sh A/A runs
-# and -compare instead.
+# growth, not objects of its own) — and the loopback socket flood that holds
+# the serve path, plain and scored, to zero process-wide allocations per
+# packet (TestServeFloodZeroAlloc*, on the 'ZeroAlloc' line). Whole-program
+# overhead questions (telemetry, qlog, fleet collector, tsdb) go to
+# benchmark/run.sh A/A runs and -compare instead.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolveCacheHit|BenchmarkResolveCacheMiss|BenchmarkPutGet|BenchmarkEvictionChurn|BenchmarkAppendHandleWire|BenchmarkUnpack' \
 		-benchtime=100x -benchmem ./internal/resolver/ ./internal/cache/ ./internal/authority/ ./internal/dnsmsg/
@@ -68,9 +66,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
 	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs' -v ./internal/chrstat/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/
-	$(GO) run ./cmd/dnsnoise-bench -only serve -serve-duration 200ms -serve-clients 4 -max-packet-allocs 0 -out /dev/null
-	$(GO) run ./cmd/dnsnoise-bench -only miner -queries 20000 -out /dev/null
-	$(GO) run ./cmd/dnsnoise-bench -only cache -cache-events 20000 -cache-capacities 2048,8192 -max-hit-allocs 0 -out /dev/null
 
 # Ten seconds of native fuzzing on each decoder that reads outside input,
 # from the committed seeds. The wire decoder (the golden corpus plus

@@ -116,7 +116,7 @@ func catalog() []experiment {
 			r, err := experiments.CachePressure(s, nil)
 			return render(out, r, err)
 		}},
-		{id: "cache-policy", about: "Section VI-A impact analysis under LRU/SIEVE/CLOCK", run: func(s sim.Scale, out io.Writer) error {
+		{id: "cache-policy", about: "Section VI-A impact analysis under LRU and SIEVE", run: func(s sim.Scale, out io.Writer) error {
 			r, err := experiments.CachePolicySweep(s)
 			return render(out, r, err)
 		}},

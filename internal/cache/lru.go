@@ -10,7 +10,7 @@
 // The implementation is a slab-backed intrusive structure: entry payloads
 // live in a contiguous arena, with a map from key to slot index. Two
 // parallel link arenas thread through the slab: the eviction-policy order
-// (policy.go — LRU by default, SIEVE or CLOCK selectable at construction)
+// (policy.go — LRU by default, SIEVE selectable at construction)
 // and the TTL timer wheel (wheel.go), which files every entry into a bucket
 // for its expiry second so Advance reclaims whole buckets of dead entries
 // without scanning live ones. Steady-state operation — hits, refreshes,
@@ -270,8 +270,8 @@ func (c *LRU[K, V]) Advance(now time.Time) {
 }
 
 // Get looks up key at instant now. A present, unexpired entry counts as a
-// hit and is reported to the eviction policy (LRU promotes it; SIEVE/CLOCK
-// set its reference bit). A present but expired entry is removed, counted
+// hit and is reported to the eviction policy (LRU promotes it; SIEVE
+// sets its visited bit). A present but expired entry is removed, counted
 // as an expiry AND a miss (the resolver must re-fetch) — this lazy check
 // backstops the wheel for the in-progress second and for callers that never
 // Advance.
@@ -332,9 +332,9 @@ func (c *LRU[K, V]) PutEv(key K, value V, ttl time.Duration, cat Category, now t
 // PutLowPriority inserts key at the cold end of the eviction order: under
 // the default LRU policy it is the next eviction victim and can never push
 // out another live entry (the eviction mitigation of paper Section VI-A —
-// disposable answers are cached, but at the lowest priority). SIEVE and
-// CLOCK honor the cold placement but their scan state may examine other
-// entries first. Refreshing an existing entry keeps it cold.
+// disposable answers are cached, but at the lowest priority). SIEVE
+// honors the cold placement but its hand may examine other entries first.
+// Refreshing an existing entry keeps it cold.
 func (c *LRU[K, V]) PutLowPriority(key K, value V, ttl time.Duration, cat Category, now time.Time) {
 	c.put(key, value, ttl, cat, now, true)
 }

@@ -22,10 +22,6 @@ const (
 	// toward the head. Hits set the bit and never move the entry, so the
 	// hit path is a single store — cheaper than LRU promotion.
 	PolicySIEVE
-	// PolicyCLOCK is the second-chance FIFO: the cold-end entry is evicted
-	// if its reference bit is clear, otherwise the bit is cleared and the
-	// entry is recycled to the head. Hits set the bit in place.
-	PolicyCLOCK
 )
 
 // String renders the policy name as accepted by ParsePolicy.
@@ -33,8 +29,6 @@ func (k PolicyKind) String() string {
 	switch k {
 	case PolicySIEVE:
 		return "sieve"
-	case PolicyCLOCK:
-		return "clock"
 	default:
 		return "lru"
 	}
@@ -47,8 +41,6 @@ func ParsePolicy(s string) (PolicyKind, error) {
 		return PolicyLRU, nil
 	case "sieve":
 		return PolicySIEVE, nil
-	case "clock":
-		return PolicyCLOCK, nil
 	}
 	return PolicyLRU, errUnknownPolicy(s)
 }
@@ -65,11 +57,11 @@ func (k *PolicyKind) UnmarshalText(text []byte) (err error) {
 type errUnknownPolicy string
 
 func (e errUnknownPolicy) Error() string {
-	return "unknown cache policy " + string(e) + " (want lru, sieve, or clock)"
+	return "unknown cache policy " + string(e) + " (want lru or sieve)"
 }
 
 // Policies lists every built-in PolicyKind, for sweeps and tests.
-func Policies() []PolicyKind { return []PolicyKind{PolicyLRU, PolicySIEVE, PolicyCLOCK} }
+func Policies() []PolicyKind { return []PolicyKind{PolicyLRU, PolicySIEVE} }
 
 // order is the ordering arena a Policy operates on: intrusive prev/next
 // links and one mark bit per slab slot, plus the list ends and the scan
@@ -175,8 +167,6 @@ func policyFor(kind PolicyKind) Policy {
 	switch kind {
 	case PolicySIEVE:
 		return sieveSingleton
-	case PolicyCLOCK:
-		return clockSingleton
 	default:
 		return lruSingleton
 	}
@@ -185,7 +175,6 @@ func policyFor(kind PolicyKind) Policy {
 var (
 	lruSingleton   Policy = lruPolicy{}
 	sieveSingleton Policy = sievePolicy{}
-	clockSingleton Policy = clockPolicy{}
 )
 
 // lruPolicy reproduces the historical behaviour exactly: recency list with
@@ -275,46 +264,4 @@ func (sievePolicy) victim(o *order) int32 {
 	}
 	o.hand = o.prev[h] // may be nilIdx: the next sweep wraps to the tail
 	return h
-}
-
-// clockPolicy: second-chance FIFO. The cold-end entry is the candidate; a
-// set reference bit buys it one recycle to the head (bit cleared), a clear
-// bit makes it the victim. Hits set the bit in place, so like SIEVE the hit
-// path never touches the list links.
-type clockPolicy struct{}
-
-func (clockPolicy) Kind() PolicyKind { return PolicyCLOCK }
-
-func (clockPolicy) insert(o *order, i int32, low bool) {
-	if low {
-		o.pushBack(i)
-	} else {
-		o.pushFront(i)
-	}
-	o.mark[i] = false
-}
-
-func (clockPolicy) touch(o *order, i int32) { o.mark[i] = true }
-
-func (clockPolicy) refresh(o *order, i int32, low bool) {
-	if low {
-		o.mark[i] = false
-		o.moveToBack(i)
-	} else {
-		o.mark[i] = true
-	}
-}
-
-func (clockPolicy) remove(o *order, i int32) { o.unlink(i) }
-
-func (clockPolicy) victim(o *order) int32 {
-	if o.tail == nilIdx {
-		return nilIdx
-	}
-	// Every recycle clears one bit, so at most one full rotation.
-	for o.mark[o.tail] {
-		o.mark[o.tail] = false
-		o.moveToFront(o.tail)
-	}
-	return o.tail
 }

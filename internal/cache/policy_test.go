@@ -84,33 +84,6 @@ func TestSieveHitDoesNotMove(t *testing.T) {
 	}
 }
 
-// TestClockSecondChance pins CLOCK: a referenced cold-end entry is recycled
-// to the head with its bit cleared, and the first unreferenced entry from
-// the cold end is the victim.
-func TestClockSecondChance(t *testing.T) {
-	c := New[string, int](3, PolicyCLOCK)
-	c.Put("a", 1, time.Hour, CategoryOther, t0)
-	c.Put("b", 2, time.Hour, CategoryOther, t0)
-	c.Put("c", 3, time.Hour, CategoryOther, t0)
-	c.Get("a", t0) // reference the cold-end entry
-	// Victim scan: a referenced → recycled to head; b unreferenced → out.
-	c.Put("d", 4, time.Hour, CategoryOther, t0)
-	if _, ok := c.Peek("b"); ok {
-		t.Fatal("clock should have evicted b (a had a second chance)")
-	}
-	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Peek(k); !ok {
-			t.Fatalf("%s should have survived", k)
-		}
-	}
-	// a's bit was consumed by the recycle: with no new reference it is
-	// now the cold-end victim.
-	c.Put("e", 5, time.Hour, CategoryOther, t0)
-	if _, ok := c.Peek("c"); ok {
-		t.Fatal("clock should have evicted c (next unreferenced cold entry)")
-	}
-}
-
 // TestPolicyChurnInvariants runs heavy insert/evict churn under every
 // policy: occupancy stays bounded, category counts stay consistent, and
 // every surviving key is servable.

@@ -501,3 +501,37 @@ func TestClientCardinalityShape(t *testing.T) {
 			res.NonDisposableHandful, res.DisposableHandful)
 	}
 }
+
+// TestCachePolicySweepVerdict pins the verdict EXPERIMENTS.md records for
+// the eviction-policy sweep: under the paper's disposable-heavy mix SIEVE
+// never hits less often than LRU, hits strictly more often where the cache
+// is smallest, and the two are the same cache where nothing live is evicted.
+func TestCachePolicySweepVerdict(t *testing.T) {
+	res, err := CachePolicySweep(sim.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) == 0 || len(res.Points)%2 != 0 {
+		t.Fatalf("points = %d, want (lru, sieve) pairs", len(res.Points))
+	}
+	for i := 0; i < len(res.Points); i += 2 {
+		lru, sieve := res.Points[i], res.Points[i+1]
+		if lru.Policy != "lru" || sieve.Policy != "sieve" || lru.CacheSize != sieve.CacheSize {
+			t.Fatalf("cell %d is not an (lru, sieve) pair at one capacity: %+v %+v", i/2, lru, sieve)
+		}
+		switch {
+		case sieve.HitRate < lru.HitRate:
+			t.Errorf("cache %d: sieve hit rate %.4f below lru %.4f", lru.CacheSize, sieve.HitRate, lru.HitRate)
+		case i == 0 && sieve.HitRate == lru.HitRate:
+			t.Errorf("cache %d (smallest): sieve hit rate %.4f not above lru", lru.CacheSize, sieve.HitRate)
+		case lru.PrematureEvictions == 0 && sieve.PrematureEvictions == 0 && sieve.HitRate != lru.HitRate:
+			t.Errorf("cache %d: nothing evicted early, yet sieve %.4f != lru %.4f", lru.CacheSize, sieve.HitRate, lru.HitRate)
+		}
+	}
+	if last := res.Points[len(res.Points)-1]; last.PrematureEvictions != 0 {
+		t.Errorf("cache %d: the largest capacity should evict nothing early, so the equality above is tested", last.CacheSize)
+	}
+	if !strings.Contains(res.Render(), "LRU and SIEVE") {
+		t.Error("render missing title")
+	}
+}

@@ -170,7 +170,7 @@ func frac64(num, den uint64) float64 {
 
 // CachePolicyPoint is one (policy, capacity) cell of the eviction-policy
 // sweep: the paper's disposable-vs-cache-size impact analysis re-run under
-// LRU, SIEVE and CLOCK.
+// LRU and SIEVE.
 type CachePolicyPoint struct {
 	Policy             string
 	CacheSize          int
@@ -191,8 +191,8 @@ type CachePolicySweepResult struct {
 // eviction policy at several cache capacities. Each cell is an independent
 // deterministic run over an identical workload (same seeds, same namespace),
 // so differences are attributable to the policy alone — the head-to-head
-// comparison behind the "when does SIEVE/CLOCK beat LRU" question at
-// capacity scale.
+// comparison behind the "when does SIEVE beat LRU" question at capacity
+// scale (EXPERIMENTS.md has the ten-seed answer).
 func CachePolicySweep(scale sim.Scale) (*CachePolicySweepResult, error) {
 	sizes := []int{scale.CacheSize / 256, scale.CacheSize / 64, scale.CacheSize / 16}
 	for i, s := range sizes {
@@ -247,7 +247,7 @@ func CachePolicySweep(scale sim.Scale) (*CachePolicySweepResult, error) {
 // Render prints the policy × capacity matrix.
 func (r *CachePolicySweepResult) Render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Eviction-policy sweep — Section VI-A impact analysis under LRU/SIEVE/CLOCK (disposable share %s)\n",
+	fmt.Fprintf(&sb, "Eviction-policy sweep — Section VI-A impact analysis under LRU and SIEVE (disposable share %s)\n",
 		pct(r.DisposableFrac))
 	header := []string{"cache", "policy", "hit rate", "premature[other<-disp]", "disp victim share", "wheel reclaims", "non-disp miss rate"}
 	var rows [][]string
@@ -261,8 +261,8 @@ func (r *CachePolicySweepResult) Render() string {
 		})
 	}
 	sb.WriteString(renderTable(header, rows))
-	sb.WriteString("expected shape: one-shot disposable entries are never re-referenced, so policies that\n")
-	sb.WriteString("spend no recency effort on them (SIEVE/CLOCK reference bits) retain useful entries\n")
+	sb.WriteString("expected shape: one-shot disposable entries are never re-referenced, so SIEVE, which\n")
+	sb.WriteString("spends no recency effort on them (a visited bit, no promotion), retains useful entries\n")
 	sb.WriteString("at least as well as LRU while the cache is under live pressure\n")
 	return sb.String()
 }

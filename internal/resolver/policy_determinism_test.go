@@ -7,7 +7,7 @@ import (
 )
 
 // TestPolicyDeterminismSeqVsParallel pins the determinism contract for the
-// non-default eviction policies: with SIEVE or CLOCK selected (and a cache
+// non-default eviction policy: with SIEVE selected (and a cache
 // small enough to force evictions and wheel reclaims), per-server stats and
 // the full cache counters — hits, misses, evictions, premature splits,
 // wheel reclaims — must be identical whether the stream is resolved

@@ -323,7 +323,7 @@ func WithCacheSize(n int) Option {
 
 // WithCachePolicy selects the eviction policy for each server's caches
 // (default cache.PolicyLRU — the policy every paper measurement runs
-// under; SIEVE and CLOCK are for the capacity sweeps).
+// under; SIEVE is for the capacity sweeps).
 func WithCachePolicy(p cache.PolicyKind) Option {
 	return optionFunc(func(o *options) { o.cachePolicy = p })
 }

@@ -96,6 +96,6 @@ func (s *Scale) RegisterClusterFlags(fs *flag.FlagSet) {
 // RegisterCacheFlags adds -cache-policy and -neg-cache-size, for CLIs
 // whose cluster size is fixed elsewhere (-scale, the -score training day).
 func (s *Scale) RegisterCacheFlags(fs *flag.FlagSet) {
-	fs.TextVar(&s.CachePolicy, "cache-policy", s.CachePolicy, "cache eviction `policy`: lru, sieve, or clock")
+	fs.TextVar(&s.CachePolicy, "cache-policy", s.CachePolicy, "cache eviction `policy`: lru or sieve")
 	fs.IntVar(&s.NegCacheSize, "neg-cache-size", s.NegCacheSize, "negative-cache entries per server (0 keeps cache/4)")
 }

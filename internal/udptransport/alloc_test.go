@@ -29,7 +29,7 @@ func (echoWireHandler) AppendHandleWire(dst, query []byte) ([]byte, error) {
 // newProcessHarness builds a listener worker detached from any socket,
 // with one slot preloaded with wire: exactly the state the serve loop
 // hands to process for each received datagram.
-func newProcessHarness(t *testing.T, h Handler, wire []byte) *listenerWorker {
+func newProcessHarness(t *testing.T, h dnsmsg.Handler, wire []byte) *listenerWorker {
 	t.Helper()
 	w := &listenerWorker{
 		srv:   &Server{wire: dnsmsg.AsWireHandler(h)},
@@ -46,7 +46,7 @@ func newProcessHarness(t *testing.T, h Handler, wire []byte) *listenerWorker {
 // the caller-owned response buffer, truncation — at zero heap allocations,
 // the contract that lets the front door run at wire speed without GC
 // pressure. (The syscall layer is preallocated separately; the end-to-end
-// gate lives in dnsnoise-bench -max-packet-allocs.)
+// gate is TestServeFloodZeroAlloc in flood_test.go.)
 func TestServePacketPathZeroAlloc(t *testing.T) {
 	wire, err := dnsmsg.NewQuery(0x1234, "host.zone.example", dnsmsg.TypeA).Encode()
 	if err != nil {

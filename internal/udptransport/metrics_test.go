@@ -12,7 +12,7 @@ import (
 
 // strictHandler refuses sub-header datagrams (the in-process authority
 // would answer them FORMERR), so the test can exercise the drop counter.
-type strictHandler struct{ inner Handler }
+type strictHandler struct{ inner dnsmsg.Handler }
 
 func (h strictHandler) HandleWire(q []byte) ([]byte, error) {
 	if len(q) < dnsHeaderLen {

@@ -15,7 +15,7 @@ import (
 // recordingHandler counts how many queries actually reach the wrapped
 // handler.
 type recordingHandler struct {
-	inner Handler
+	inner dnsmsg.Handler
 	calls atomic.Uint64
 }
 

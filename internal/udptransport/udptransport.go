@@ -46,14 +46,6 @@ const dnsHeaderLen = 12
 // cache-friendly territory.
 const DefaultBatch = 32
 
-// Handler answers a wire-format DNS query. Implementations must not retain
-// query past the call: the serve path reuses its receive buffers. Handlers
-// that also implement dnsmsg.WireHandler (like authority.Server) are served
-// through that contract — the response appended to a transport-owned buffer
-// reused across packets, so steady-state handling allocates nothing in the
-// transport; plain Handlers are adapted with one copy per response.
-type Handler = dnsmsg.Handler
-
 // Scorer classifies one wire-format query as it passes through the serve
 // path, returning its live disposable verdict. Implementations must be
 // safe for the transport's calling pattern — one scorer per listener
@@ -167,8 +159,13 @@ func WithBatch(n int) ServerOption {
 }
 
 // Serve binds addr (e.g. "127.0.0.1:0" for an ephemeral port; "" defaults
-// to that) and starts answering queries with handler until Close.
-func Serve(handler Handler, addr string, opts ...ServerOption) (*Server, error) {
+// to that) and starts answering queries with handler until Close. A
+// handler that also implements dnsmsg.WireHandler (like authority.Server)
+// is served through that contract — the response appended to a
+// transport-owned buffer reused across packets, so steady-state handling
+// allocates nothing in the transport; a plain one is adapted with one copy
+// per response.
+func Serve(handler dnsmsg.Handler, addr string, opts ...ServerOption) (*Server, error) {
 	if handler == nil {
 		return nil, errors.New("udptransport: nil handler")
 	}
