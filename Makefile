@@ -45,11 +45,12 @@ bench:
 # guard that an untouched re-score allocates for what it reports, not per
 # name or per finding) — the source side of a replay (BenchmarkReaderNext and BenchmarkDayStream
 # with the guards that a canonical trace line costs one allocation and a
-# generated name at most one) — the CHR collector (BenchmarkObserveBelow
-# known/fresh, BenchmarkMerge and BenchmarkMergeTouched, the merge a window
-# pays, with the guards that a known record costs nothing and a new or
-# merged one its share of a slab chunk and of map
-# growth, not objects of its own) — and the loopback socket flood that holds
+# generated name at most one) — the CHR collector (BenchmarkObserveBelow and
+# BenchmarkObserveMiss, a miss's above-then-below pair, each known/fresh,
+# BenchmarkMerge and BenchmarkMergeTouched, the merge a window pays, with the
+# guards that a known record costs nothing, a new or merged one its share of
+# a slab chunk and of map growth, not objects of its own, and a further
+# record of a known name the slab share alone) — and the loopback socket flood that holds
 # the serve path, plain and scored, to zero process-wide allocations per
 # packet (TestServeFloodZeroAlloc*, on the 'ZeroAlloc' line). Whole-program
 # overhead questions (telemetry, qlog, fleet collector, tsdb) go to
@@ -63,7 +64,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkDayStream' \
 		-benchtime=100x -benchmem ./internal/traceio/ ./internal/workload/
 	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs' -v ./internal/traceio/ ./internal/workload/
-	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
+	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
 	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs' -v ./internal/chrstat/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/
 

@@ -169,7 +169,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := f.Run(src, replayDay); err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
+	// Wall-clock time goes to stderr, as in dnsnoise-exp: stdout is the same
+	// bytes on every run of the same flags.
+	fmt.Fprintf(os.Stderr, "(fleet run in %s)\n", time.Since(start).Round(time.Millisecond))
 
 	var total uint64
 	for _, p := range f.Pops() {
@@ -183,8 +185,8 @@ func run(args []string, stdout io.Writer) error {
 			p.ID, st.Queries, 100*chr, st.UpstreamRTs, p.Store.Len())
 	}
 	merged := f.MergedStore()
-	fmt.Fprintf(stdout, "fleet: %d queries across %d pops (%s steering) in %s; merged pdns: %d records, %d disposable\n",
-		total, *pops, steer, elapsed.Round(time.Millisecond), merged.Len(), merged.DisposableCount())
+	fmt.Fprintf(stdout, "fleet: %d queries across %d pops (%s steering); merged pdns: %d records, %d disposable\n",
+		total, *pops, steer, merged.Len(), merged.DisposableCount())
 
 	if *report != "" {
 		rep := f.Report()

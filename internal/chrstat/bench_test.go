@@ -21,30 +21,52 @@ func freshObservations(n int) []resolver.Observation {
 
 // TestObserveAllocs: an observation of a record the collector knows, from a
 // client the record knows, allocates nothing; a new record with its one
-// client costs its share of a slab chunk and of the growth of the collector's
-// three maps (its entry, its name queried, its name resolved) — and no
-// object, client map or map group of its own, which were three more.
+// client costs its share of two slab chunks (the record, its name's entry)
+// and of the growth of the collector's one map — and no object, client map or
+// map group of its own. A second and a third record on a known name cost a
+// slab share each and nothing else: they hang off the first, no slice grows.
 func TestObserveAllocs(t *testing.T) {
 	const records = 10000
 	obs := freshObservations(records)
-	c := NewCollector()
-	fresh := testing.AllocsPerRun(1, func() {
-		c = NewCollector()
+	more := make([]resolver.Observation, 0, 2*records)
+	for _, ip := range []string{"127.0.3.18", "127.0.3.19"} {
 		for i := range obs {
-			c.ObserveBelow(obs[i])
+			ob := obs[i]
+			ob.RR = rrA(ob.RR.Name, ip)
+			more = append(more, ob)
 		}
-	}) / records
+	}
+	var c *Collector
+	build := func(streams ...[]resolver.Observation) float64 {
+		return testing.AllocsPerRun(1, func() {
+			c = NewCollector()
+			for _, stream := range streams {
+				for i := range stream {
+					c.ObserveBelow(stream[i])
+				}
+			}
+		})
+	}
+	first := build(obs)
+	fresh := first / records
+	further := (build(obs, more) - first) / float64(len(more))
 	known := testing.AllocsPerRun(5, func() {
 		for i := range obs {
 			c.ObserveBelow(obs[i])
 		}
 	})
-	t.Logf("known record: %.0f allocs per %d observations; new record: %.3f allocs each", known, records, fresh)
+	if got, _ := c.QueriedNames(nil); got != records || c.NumRecords() != 3*records {
+		t.Fatalf("%d names own %d records, want %d and %d", got, c.NumRecords(), records, 3*records)
+	}
+	t.Logf("known record: %.0f allocs per %d observations; new record: %.3f allocs each; further record of a known name: %.4f", known, records, fresh, further)
 	if known != 0 {
 		t.Errorf("%d observations of known records allocated %.0f times, want 0", records, known)
 	}
 	if fresh > 0.05 {
 		t.Errorf("a new record cost %.3f allocations, budget 0.05", fresh)
+	}
+	if slabShare := 1 / float64(statChunk); further > slabShare+0.001 {
+		t.Errorf("a further record of a known name cost %.4f allocations, want a slab share (%.4f)", further, slabShare)
 	}
 }
 
@@ -95,6 +117,34 @@ func BenchmarkObserveBelow(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := range obs {
+			c.ObserveBelow(obs[i])
+		}
+	})
+}
+
+// BenchmarkObserveMiss is what a cache miss costs the collector: the record
+// observed above, then below.
+func BenchmarkObserveMiss(b *testing.B) {
+	b.Run("known", func(b *testing.B) {
+		obs := freshObservations(1000)
+		c := NewCollector()
+		for i := range obs {
+			c.ObserveBelow(obs[i])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.ObserveAbove(obs[i%len(obs)])
+			c.ObserveBelow(obs[i%len(obs)])
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		obs := freshObservations(b.N)
+		c := NewCollector()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range obs {
+			c.ObserveAbove(obs[i])
 			c.ObserveBelow(obs[i])
 		}
 	})

@@ -38,6 +38,7 @@ type RRStat struct {
 	Name     string
 	Type     dnsmsg.Type
 	TTL      uint32
+	RData    dnsmsg.RData
 	Below    uint64 // answers observed below (total queries for the RR)
 	Above    uint64 // answers observed above (cache misses)
 	Category cache.Category
@@ -50,7 +51,13 @@ type RRStat struct {
 	clients         [inlineClients]uint32
 	epoch           uint32 // the refresh epoch that last touched the record; in padding
 	moreClients     []uint32
+
+	next *RRStat // the owner name's next record in a collector, in first-seen order
 }
+
+// is reports whether s, a record of the name in question, is the one of type
+// t with payload d: name, type and rdata are a record's identity, TTL is not.
+func (s *RRStat) is(t dnsmsg.Type, d dnsmsg.RData) bool { return s.Type == t && s.RData == d }
 
 // Clients returns the number of distinct clients observed querying the
 // record, and whether the count saturated the tracking cap (64).
@@ -82,23 +89,26 @@ func (s *RRStat) trackClient(id uint32) {
 	s.nclients++
 }
 
-// statChunk is how many RRStats a collector allocates at a time: what fits
-// in 8 KiB, which the allocator hands out without rounding up.
-const statChunk = 8 << 10 / int(unsafe.Sizeof(RRStat{}))
+// slabBytes is the size of a slab chunk: 8 KiB, which the allocator hands
+// out without rounding up. statChunk is how many RRStats that is.
+const (
+	slabBytes = 8 << 10
+	statChunk = slabBytes / int(unsafe.Sizeof(RRStat{}))
+)
 
-// statSlab hands out zeroed RRStats carved from chunks of statChunk, one
-// allocation per chunk rather than per record. A chunk is never grown or
-// copied, so a record's address is stable; chunks are released together,
+// slab hands out zeroed values carved from chunks of slabBytes, one
+// allocation per chunk rather than per value. A chunk is never grown or
+// copied, so a value's address is stable; chunks are released together,
 // when the collector (or view) that owns the slab is.
-type statSlab struct{ free []RRStat }
+type slab[T any] struct{ free []T }
 
-func (sl *statSlab) new() *RRStat {
+func (sl *slab[T]) new() *T {
 	if len(sl.free) == 0 {
-		sl.free = make([]RRStat, statChunk)
+		sl.free = make([]T, slabBytes/unsafe.Sizeof(sl.free[0]))
 	}
-	st := &sl.free[0]
+	v := &sl.free[0]
 	sl.free = sl.free[1:]
-	return st
+	return v
 }
 
 // DHR returns the record's domain hit rate. Records observed above more
@@ -118,32 +128,56 @@ func (s *RRStat) DHR() float64 {
 // Misses returns the number of cache misses attributed to the record.
 func (s *RRStat) Misses() uint64 { return s.Above }
 
-// Collector accumulates one observation window (typically a day).
-// It is not safe for concurrent use.
+// Collector accumulates one observation window (typically a day), indexed by
+// owner name: a name is hashed once, and its records — one or two as a rule,
+// nine at most on the benchmark's days — are told apart by walking them. It
+// is not safe for concurrent use, which is what lets it remember the last
+// name it looked up: the above-then-below pair of a cache miss and every
+// further record of a multi-record answer find their name without touching
+// the map.
 type Collector struct {
-	perRR map[dnsmsg.RRKey]*RRStat
-	slab  statSlab
+	names   map[string]*nameEntry
+	records int // distinct records, over all names
+
+	lastName string // the name last looked up, and its entry
+	last     *nameEntry
+
+	slab    slab[RRStat]
+	entries slab[nameEntry]
 
 	// epoch is zero until a Counts view attaches; then touched lists a record
 	// the first time an epoch observes it, and a refresh starts the next.
 	epoch   uint32
 	touched []touchedRecord
 
-	belowTotal   uint64 // all below observations, incl. NXDOMAIN
-	aboveTotal   uint64
-	belowNX      uint64
-	aboveNX      uint64
-	queriedNames map[string]struct{} // distinct names queried below
-	resolvedNF   map[string]struct{} // distinct names successfully resolved
+	belowTotal uint64 // all below observations, incl. NXDOMAIN
+	aboveTotal uint64
+	belowNX    uint64
+	aboveNX    uint64
+}
+
+// nameEntry is what a collector knows of one name: whether it was queried
+// below, and the records it owns, chained through RRStat.next. A name that
+// only ever failed has no record; one that was only a CNAME target or was
+// only seen above was not queried.
+type nameEntry struct {
+	head    *RRStat
+	queried bool
+}
+
+// resolved reports whether some record of the name was answered below.
+func (e *nameEntry) resolved() bool {
+	for st := e.head; st != nil; st = st.next {
+		if st.Below > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		perRR:        make(map[dnsmsg.RRKey]*RRStat),
-		queriedNames: make(map[string]struct{}),
-		resolvedNF:   make(map[string]struct{}),
-	}
+	return &Collector{names: make(map[string]*nameEntry)}
 }
 
 // BelowTap returns the tap to install below the resolvers.
@@ -162,7 +196,7 @@ func (c *Collector) AboveTap() resolver.Tap {
 func (c *Collector) ObserveBelow(ob resolver.Observation) {
 	c.belowTotal++
 	if ob.QName != "" {
-		c.queriedNames[ob.QName] = struct{}{}
+		c.entry(ob.QName).queried = true
 	}
 	if ob.RCode != dnsmsg.RCodeNoError {
 		c.belowNX++
@@ -171,7 +205,6 @@ func (c *Collector) ObserveBelow(ob resolver.Observation) {
 	if ob.RR.Name == "" {
 		return // NODATA
 	}
-	c.resolvedNF[ob.RR.Name] = struct{}{}
 	st := c.stat(ob.RR, ob.Category)
 	st.Below++
 	st.trackClient(ob.ClientID)
@@ -191,38 +224,91 @@ func (c *Collector) ObserveAbove(ob resolver.Observation) {
 	st.Above++
 }
 
+// entry returns name's entry, new if the name is.
+func (c *Collector) entry(name string) *nameEntry {
+	if c.last != nil && name == c.lastName {
+		return c.last
+	}
+	e := c.names[name]
+	if e == nil {
+		e = c.entries.new()
+		c.names[name] = e
+	}
+	c.lastName, c.last = name, e
+	return e
+}
+
+// find returns the name's record of type t with payload d, nil if it has
+// none, and the link that holds it — or that a new one is to hang from.
+func (e *nameEntry) find(t dnsmsg.Type, d dnsmsg.RData) (st *RRStat, link **RRStat) {
+	for link = &e.head; *link != nil && !(*link).is(t, d); link = &(*link).next {
+	}
+	return *link, link
+}
+
+// stat returns rr's record, new (and last of its name's) if rr is.
 func (c *Collector) stat(rr dnsmsg.RR, cat cache.Category) *RRStat {
-	key := rr.Key()
-	st, ok := c.perRR[key]
-	if !ok {
+	st, link := c.entry(rr.Name).find(rr.Type, rr.RData)
+	if st == nil {
 		st = c.slab.new()
-		st.Name, st.Type, st.TTL, st.Category = rr.Name, rr.Type, rr.TTL, cat
-		c.perRR[key] = st
+		st.Name, st.Type, st.TTL, st.RData, st.Category = rr.Name, rr.Type, rr.TTL, rr.RData, cat
+		*link = st
+		c.records++
 	}
 	if st.epoch != c.epoch {
 		st.epoch = c.epoch
-		c.touched = append(c.touched, touchedRecord{key, st, st.Below, st.Above})
+		c.touched = append(c.touched, touchedRecord{st, st.Below, st.Above})
 	}
 	return st
 }
 
+// lookup returns the collector's record of that identity, nil if it has none.
+func (c *Collector) lookup(name string, t dnsmsg.Type, d dnsmsg.RData) (st *RRStat) {
+	if e := c.names[name]; e != nil {
+		st, _ = e.find(t, d)
+	}
+	return st
+}
+
+// all yields every record, a name's records together and in first-seen
+// order; the order of names is undefined.
+func (c *Collector) all(yield func(*RRStat) bool) {
+	for _, e := range c.names {
+		for st := e.head; st != nil; st = st.next {
+			if !yield(st) {
+				return
+			}
+		}
+	}
+}
+
 // Records returns every distinct RR's stats. The slice order is undefined.
 func (c *Collector) Records() []*RRStat {
-	out := make([]*RRStat, 0, len(c.perRR))
-	for _, st := range c.perRR {
+	out := make([]*RRStat, 0, c.records)
+	for st := range c.all {
 		out = append(out, st)
 	}
 	return out
 }
 
-// NumRecords returns the count of distinct resource records observed below.
-func (c *Collector) NumRecords() int { return len(c.perRR) }
+// NumRecords returns the count of distinct resource records observed.
+func (c *Collector) NumRecords() int { return c.records }
 
-// ByName groups records by owner name.
+// ByName returns the records grouped by owner name, which is how the
+// collector holds them: a name's records in first-seen order, in one slice
+// cut from an array that holds them all.
 func (c *Collector) ByName() map[string][]*RRStat {
-	out := make(map[string][]*RRStat)
-	for _, st := range c.perRR {
-		out[st.Name] = append(out[st.Name], st)
+	out := make(map[string][]*RRStat, len(c.names)) // a few too many: names that only failed own nothing
+	flat := make([]*RRStat, 0, c.records)
+	for name, e := range c.names {
+		if e.head == nil {
+			continue
+		}
+		start := len(flat)
+		for st := e.head; st != nil; st = st.next {
+			flat = append(flat, st)
+		}
+		out[name] = flat[start:len(flat):len(flat)]
 	}
 	return out
 }
@@ -236,19 +322,20 @@ func (c *Collector) Totals() (below, above, belowNX, aboveNX uint64) {
 // QueriedNames returns the number of distinct names queried below
 // (successful or not) and how many of them satisfy pred (pass nil to skip).
 func (c *Collector) QueriedNames(pred func(string) bool) (total, matching int) {
-	for name := range c.queriedNames {
-		total++
-		if pred != nil && pred(name) {
-			matching++
-		}
-	}
-	return total, matching
+	return c.countNames(func(e *nameEntry) bool { return e.queried }, pred)
 }
 
 // ResolvedNames is QueriedNames over successfully resolved names (including
 // CNAME targets, as in the rpDNS dataset).
 func (c *Collector) ResolvedNames(pred func(string) bool) (total, matching int) {
-	for name := range c.resolvedNF {
+	return c.countNames((*nameEntry).resolved, pred)
+}
+
+func (c *Collector) countNames(in func(*nameEntry) bool, pred func(string) bool) (total, matching int) {
+	for name, e := range c.names {
+		if !in(e) {
+			continue
+		}
 		total++
 		if pred != nil && pred(name) {
 			matching++
@@ -260,8 +347,8 @@ func (c *Collector) ResolvedNames(pred func(string) bool) (total, matching int) 
 // DHRSample returns each record's domain hit rate, one value per distinct
 // RR, optionally filtered by pred over the record.
 func (c *Collector) DHRSample(pred func(*RRStat) bool) []float64 {
-	out := make([]float64, 0, len(c.perRR))
-	for _, st := range c.perRR {
+	out := make([]float64, 0, c.records)
+	for st := range c.all {
 		if pred != nil && !pred(st) {
 			continue
 		}
@@ -277,7 +364,7 @@ func (c *Collector) DHRSample(pred func(*RRStat) bool) []float64 {
 // swamping the distribution sample; pass 0 for no cap.
 func (c *Collector) CHRSample(pred func(*RRStat) bool, perRRCap int) []float64 {
 	var out []float64
-	for _, st := range c.perRR {
+	for st := range c.all {
 		if pred != nil && !pred(st) {
 			continue
 		}
@@ -297,8 +384,8 @@ func (c *Collector) CHRSample(pred func(*RRStat) bool, perRRCap int) []float64 {
 // (capped at 64), optionally filtered — the measurement behind the paper's
 // "queried a few times by a handful of clients".
 func (c *Collector) ClientCounts(pred func(*RRStat) bool) []float64 {
-	out := make([]float64, 0, len(c.perRR))
-	for _, st := range c.perRR {
+	out := make([]float64, 0, c.records)
+	for st := range c.all {
 		if pred != nil && !pred(st) {
 			continue
 		}
@@ -311,8 +398,8 @@ func (c *Collector) ClientCounts(pred func(*RRStat) bool) []float64 {
 // LookupVolumes returns each record's below-query count as float64,
 // optionally filtered.
 func (c *Collector) LookupVolumes(pred func(*RRStat) bool) []float64 {
-	out := make([]float64, 0, len(c.perRR))
-	for _, st := range c.perRR {
+	out := make([]float64, 0, c.records)
+	for st := range c.all {
 		if pred != nil && !pred(st) {
 			continue
 		}
@@ -339,7 +426,7 @@ type TailStats struct {
 // Tail computes TailStats for the records satisfying inTail.
 func (c *Collector) Tail(inTail func(*RRStat) bool) TailStats {
 	var ts TailStats
-	for _, st := range c.perRR {
+	for st := range c.all {
 		ts.Records++
 		disp := st.Category == cache.CategoryDisposable
 		if disp {

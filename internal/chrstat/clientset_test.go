@@ -84,7 +84,16 @@ func TestClientSetMatchesReferenceMap(t *testing.T) {
 type summary struct {
 	totals            [4]uint64
 	queried, resolved int
-	records           map[dnsmsg.RRKey]recordSummary
+	records           map[string]recordSummary // by spell
+}
+
+// spell is a record's identity written out: name, type and rdata.
+func spell(st *RRStat) string {
+	return spellRR(dnsmsg.RR{Name: st.Name, Type: st.Type, RData: st.RData})
+}
+
+func spellRR(rr dnsmsg.RR) string {
+	return fmt.Sprintf("%s %v %s", rr.Name, rr.Type, rr.RData.Format(rr.Type))
 }
 
 type recordSummary struct {
@@ -98,13 +107,13 @@ type recordSummary struct {
 }
 
 func summarize(c *Collector) summary {
-	s := summary{records: make(map[dnsmsg.RRKey]recordSummary)}
+	s := summary{records: make(map[string]recordSummary)}
 	s.totals[0], s.totals[1], s.totals[2], s.totals[3] = c.Totals()
 	s.queried, _ = c.QueriedNames(nil)
 	s.resolved, _ = c.ResolvedNames(nil)
-	for key, st := range c.perRR {
+	for st := range c.all {
 		n, saturated := st.Clients()
-		s.records[key] = recordSummary{st.Name, st.Type, st.TTL, st.Category, st.Below, st.Above, n, saturated}
+		s.records[spell(st)] = recordSummary{st.Name, st.Type, st.TTL, st.Category, st.Below, st.Above, n, saturated}
 	}
 	return s
 }
@@ -115,10 +124,10 @@ func trackedIDs(st *RRStat) []uint32 {
 	return append(ids, st.moreClients...)
 }
 
-func retainedClients(c *Collector) map[dnsmsg.RRKey][]uint32 {
-	out := make(map[dnsmsg.RRKey][]uint32)
-	for key, st := range c.perRR {
-		out[key] = trackedIDs(st)
+func retainedClients(c *Collector) map[string][]uint32 {
+	out := make(map[string][]uint32)
+	for st := range c.all {
+		out[spell(st)] = trackedIDs(st)
 	}
 	return out
 }
@@ -174,10 +183,10 @@ func TestMergeMatchesSequentialCollector(t *testing.T) {
 		if got := summarize(merged); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d (%d shards, disjoint %v, %d clients): Merge = %+v\nsequential = %+v", round, shards, disjoint, clientSpace, got, want)
 		}
-		for key, st := range merged.perRR {
+		for st := range merged.all {
 			inShard := false
 			for i := 0; i < shards; i++ {
-				if sh, ok := s.shards[i].perRR[key]; ok && sh.clientsOverflow {
+				if sh := s.shards[i].lookup(st.Name, st.Type, st.RData); sh != nil && sh.clientsOverflow {
 					inShard = true
 				}
 			}
@@ -219,8 +228,8 @@ func TestStatPointersStable(t *testing.T) {
 		held[i].Below = uint64(i)
 		held[i].trackClient(uint32(i))
 	}
-	if len(c.perRR) != records {
-		t.Fatalf("%d records, want %d", len(c.perRR), records)
+	if c.NumRecords() != records {
+		t.Fatalf("%d records, want %d", c.NumRecords(), records)
 	}
 	for i, rr := range rrs {
 		st := c.stat(rr, 0)

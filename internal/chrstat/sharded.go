@@ -86,15 +86,13 @@ func (s *ShardedCollector) Merge() *Collector {
 // the next Refresh: hold them, and the touched names, no longer than that.
 type Counts struct {
 	from    *ShardedCollector // the collector the view is attached to
-	perRR   map[dnsmsg.RRKey]*RRStat
 	byName  map[string][]*RRStat
 	touched []string
-	slab    statSlab
+	slab    slab[RRStat]
 }
 
 // touchedRecord is a record with its counts when the epoch first touched it.
 type touchedRecord struct {
-	key          dnsmsg.RRKey
 	stat         *RRStat
 	below, above uint64
 }
@@ -107,33 +105,37 @@ type touchedRecord struct {
 // Below and Above equal Merge()'s. A collector serves one view, for life.
 func (v *Counts) Refresh(s *ShardedCollector) (byName map[string][]*RRStat, touched []string) {
 	if v.from != s { // attach: every record s holds is listed, as new
-		*v = Counts{from: s, perRR: make(map[dnsmsg.RRKey]*RRStat), byName: make(map[string][]*RRStat)}
+		*v = Counts{from: s, byName: make(map[string][]*RRStat)}
 		for _, sh := range s.shards {
 			sh.epoch, sh.touched = sh.epoch+1, sh.touched[:0]
-			for key, st := range sh.perRR {
+			for st := range sh.all {
 				st.epoch = sh.epoch
-				sh.touched = append(sh.touched, touchedRecord{key: key, stat: st})
+				sh.touched = append(sh.touched, touchedRecord{stat: st})
 			}
 		}
 	}
 	v.touched = v.touched[:0]
 	for i, sh := range s.shards {
 		for _, t := range sh.touched {
-			dst, ok := v.perRR[t.key]
-			if !ok {
-				dst = v.slab.new()
-				dst.Name, dst.Type = t.stat.Name, t.stat.Type
-				v.perRR[t.key] = dst
-				v.byName[dst.Name] = append(v.byName[dst.Name], dst)
+			src := t.stat
+			group := v.byName[src.Name]
+			at := slices.IndexFunc(group, func(d *RRStat) bool { return d.is(src.Type, src.RData) })
+			if at < 0 {
+				at = len(group)
+				dst := v.slab.new()
+				dst.Name, dst.Type, dst.RData = src.Name, src.Type, src.RData
+				group = append(group, dst)
+				v.byName[src.Name] = group
 			}
+			dst := group[at]
 			// Merge takes TTL and Category from the first shard in server order
 			// that holds the record: here, one no shard before it holds it too.
-			if t.below|t.above == 0 && !slices.ContainsFunc(s.shards[:i], func(o *Collector) bool { return o.perRR[t.key] != nil }) {
-				dst.TTL, dst.Category = t.stat.TTL, t.stat.Category
+			if t.below|t.above == 0 && !slices.ContainsFunc(s.shards[:i], func(o *Collector) bool { return o.lookup(src.Name, src.Type, src.RData) != nil }) {
+				dst.TTL, dst.Category = src.TTL, src.Category
 			}
-			dst.Below += t.stat.Below - t.below
-			dst.Above += t.stat.Above - t.above
-			v.touched = append(v.touched, dst.Name)
+			dst.Below += src.Below - t.below
+			dst.Above += src.Above - t.above
+			v.touched = append(v.touched, src.Name)
 		}
 		sh.epoch++
 		sh.touched = sh.touched[:0]
@@ -150,20 +152,13 @@ func (c *Collector) absorb(src *Collector) {
 	c.aboveTotal += src.aboveTotal
 	c.belowNX += src.belowNX
 	c.aboveNX += src.aboveNX
-	for name := range src.queriedNames {
-		c.queriedNames[name] = struct{}{}
-	}
-	for name := range src.resolvedNF {
-		c.resolvedNF[name] = struct{}{}
-	}
-	for key, st := range src.perRR {
-		dst, ok := c.perRR[key]
-		if !ok {
-			dst = c.slab.new()
-			dst.Name, dst.Type, dst.TTL, dst.Category = st.Name, st.Type, st.TTL, st.Category
-			c.perRR[key] = dst
+	for name, from := range src.names {
+		e := c.entry(name)
+		e.queried = e.queried || from.queried
+		for st := from.head; st != nil; st = st.next {
+			rr := dnsmsg.RR{Name: st.Name, Type: st.Type, TTL: st.TTL, RData: st.RData}
+			c.stat(rr, st.Category).absorb(st)
 		}
-		dst.absorb(st)
 	}
 }
 

@@ -236,18 +236,6 @@ func TestTypeStringParse(t *testing.T) {
 	}
 }
 
-func TestRRKeyIgnoresTTL(t *testing.T) {
-	a := RR{Name: "x.com", Type: TypeA, TTL: 300, RData: IPv4(192, 0, 2, 1)}
-	b := RR{Name: "x.com", Type: TypeA, TTL: 60, RData: IPv4(192, 0, 2, 1)}
-	c := RR{Name: "x.com", Type: TypeA, TTL: 300, RData: IPv4(192, 0, 2, 2)}
-	if a.Key() != b.Key() {
-		t.Error("Key should not include TTL")
-	}
-	if a.Key() == c.Key() {
-		t.Error("Key must include RData")
-	}
-}
-
 // Property: random well-formed messages survive an encode/decode round trip.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))

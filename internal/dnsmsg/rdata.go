@@ -4,14 +4,16 @@ package dnsmsg
 // record, and presentation text for every other type — a domain name for
 // CNAME/NS, free text for TXT, "mname rname serial refresh retry expire
 // minimum" for SOA, an opaque blob for DNSKEY/RRSIG, and the colon-hex form
-// for AAAA. It is comparable. A value does not know its type; the record (or
-// key) around it does.
+// for AAAA. It is comparable, and with the type beside it and under an owner
+// name it is a record's identity: the CHR collector and the passive-DNS store
+// tell a name's records apart by comparing it. A value does not know its
+// type; the record around it does.
 //
-// The address bytes sit where an RR and an RRKey already had padding, so an
-// A record's address costs no string on either side of the wire and nothing
-// grew to hold it (TestRecordSizes). AAAA stays text on purpose: sixteen more
-// bytes on every record and key cost more memory than the one string per AAAA
-// answer they would save.
+// The address bytes sit where an RR already had padding, so an A record's
+// address costs no string on either side of the wire and the RR did not grow
+// to hold it (TestRecordSizes). AAAA stays text on purpose: sixteen more
+// bytes on every record cost more memory than the one string per AAAA answer
+// they would save.
 type RData struct {
 	text string
 	ip4  [4]byte
@@ -84,20 +86,4 @@ func (d RData) TextLen(t Type) int {
 		}
 	}
 	return n
-}
-
-// RRKey is a record's identity independent of TTL and class — the (name,
-// type, rdata) triple the collectors and the passive-DNS store deduplicate
-// by — as a comparable value, so it keys a map with no string built. RData's
-// fields are laid out flat so that the address bytes and the type share one
-// word: the key is 40 bytes, as it was when rdata was a string.
-type RRKey struct {
-	name, text string
-	ip4        [4]byte
-	typ        Type
-}
-
-// Key returns the record's deduplication key.
-func (rr RR) Key() RRKey {
-	return RRKey{name: rr.Name, text: rr.RData.text, ip4: rr.RData.ip4, typ: rr.Type}
 }

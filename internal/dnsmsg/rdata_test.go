@@ -8,21 +8,21 @@ import (
 )
 
 // TestRecordSizes pins the two layouts everything else is sized by. An RR is
-// 48 bytes — the size class a one-record []RR rounds up to anyway — and an
-// RRKey 40, what the collectors' and the pDNS store's string keys were before
-// rdata was typed: the address rides in padding. The obvious alternative,
-// RData{text string; ip [16]byte} with AAAA inline too, makes both 56 and was
-// measured (seed 1, 8 s): allocs/query fell a little further
-// (replay-disposable 3.34 against 3.52) but bytes/query rose 7–9 % and
-// sim-day's live heap went from 81.0 to 85.2 MiB, where this layout takes it
-// down to 78.3. A field added to either struct is paid for by every cache
-// entry and every map key; measure before moving these numbers.
+// 48 bytes — the size class a one-record []RR rounds up to anyway — and its
+// RData 24, which every collector record and every stored pDNS record carries
+// as its identity under the name: the address rides in padding. The obvious
+// alternative, RData{text string; ip [16]byte} with AAAA inline too, makes
+// them 56 and 32 and was measured (seed 1, 8 s): allocs/query fell a little
+// further (replay-disposable 3.34 against 3.52) but bytes/query rose 7–9 %
+// and sim-day's live heap went from 81.0 to 85.2 MiB, where this layout takes
+// it down to 78.3. A field added to either struct is paid for by every cache
+// entry and every record; measure before moving these numbers.
 func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(RR{}); got != 48 {
 		t.Errorf("unsafe.Sizeof(RR{}) = %d, want 48", got)
 	}
-	if got := unsafe.Sizeof(RRKey{}); got != 40 {
-		t.Errorf("unsafe.Sizeof(RRKey{}) = %d, want 40", got)
+	if got := unsafe.Sizeof(RData{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(RData{}) = %d, want 24", got)
 	}
 }
 

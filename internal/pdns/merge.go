@@ -31,26 +31,21 @@ func MergeStores(stores ...*Store) *Store {
 	for i, name := range first.seriesNm {
 		out.AddSeries(name, first.seriesFn[i])
 	}
-	merged := make(map[dnsmsg.RRKey]*Record)
+	// Fold the records into out's own index first, the earliest sighting of
+	// each winning; count them into days once every sighting is in.
 	for _, s := range stores {
 		if s == nil {
 			continue
 		}
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			for key, rec := range sh.firstSeen {
-				if prev, ok := merged[key]; ok && !rec.FirstSeen.Before(prev.FirstSeen) {
-					continue
-				}
-				merged[key] = rec
+		for rec := range s.all {
+			m, added := out.shardFor(rec.Name).record(dnsmsg.RR{Name: rec.Name, Type: rec.Type, RData: rec.RData})
+			if added || rec.FirstSeen.Before(m.FirstSeen) {
+				m.FirstSeen, m.Category = rec.FirstSeen, rec.Category
 			}
-			sh.mu.Unlock()
 		}
 	}
-	for _, rec := range merged {
-		out.Insert(dnsmsg.RR{Name: rec.Name, Type: rec.Type, RData: rec.RData},
-			rec.Category, rec.FirstSeen)
+	for rec := range out.all {
+		out.countNew(out.shardFor(rec.Name), rec)
 	}
 	return out
 }

@@ -22,9 +22,11 @@ import (
 type Record struct {
 	Name      string
 	Type      dnsmsg.Type
+	Category  cache.Category
 	RData     dnsmsg.RData
 	FirstSeen time.Time
-	Category  cache.Category
+
+	next *Record // the owner name's next record in its store, in first-seen order
 }
 
 // DayCounts summarizes the newly observed records of one calendar day.
@@ -42,12 +44,36 @@ type DayCounts struct {
 // colliding on one mutex low even at high server counts.
 const numShards = 32
 
-// shard is one lock stripe: its own dedup map and per-day accounting, so
-// concurrent inserts for different name hashes never contend.
+// shard is one lock stripe: its own dedup index and per-day accounting, so
+// concurrent inserts for different name hashes never contend. The index is by
+// owner name, like the CHR collector's: a name leads to its first record and
+// the rest chain from it, so a lookup hashes the name and walks the two or
+// three records it owns.
 type shard struct {
-	mu        sync.Mutex
-	firstSeen map[dnsmsg.RRKey]*Record
-	days      map[int64]*DayCounts // unix day -> counts
+	mu     sync.Mutex
+	byName map[string]*Record
+	n      int                  // records, over all names
+	days   map[int64]*DayCounts // unix day -> counts
+}
+
+// record returns the shard's record of rr's (name, type, rdata), which it
+// appends to the name's chain when it has none.
+func (sh *shard) record(rr dnsmsg.RR) (rec *Record, added bool) {
+	var last *Record
+	for rec = sh.byName[rr.Name]; rec != nil; rec = rec.next {
+		if rec.Type == rr.Type && rec.RData == rr.RData {
+			return rec, false
+		}
+		last = rec
+	}
+	rec = &Record{Name: rr.Name, Type: rr.Type, RData: rr.RData}
+	if last == nil {
+		sh.byName[rr.Name] = rec
+	} else {
+		last.next = rec
+	}
+	sh.n++
+	return rec, true
 }
 
 // Store is the rpDNS database. It consumes the below-the-resolver stream
@@ -93,7 +119,7 @@ func (s *Store) SetMetrics(reg *telemetry.Registry) {
 func NewStore() *Store {
 	s := &Store{}
 	for i := range s.shards {
-		s.shards[i].firstSeen = make(map[dnsmsg.RRKey]*Record)
+		s.shards[i].byName = make(map[string]*Record)
 		s.shards[i].days = make(map[int64]*DayCounts)
 	}
 	return s
@@ -102,6 +128,24 @@ func NewStore() *Store {
 // shardFor maps an owner name to its lock stripe.
 func (s *Store) shardFor(name string) *shard {
 	return &s.shards[dnsname.Hash(name)&(numShards-1)]
+}
+
+// all yields every record, stripe by stripe under the stripe's lock: the loop
+// body must not insert.
+func (s *Store) all(yield func(*Record) bool) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, rec := range sh.byName {
+			for ; rec != nil; rec = rec.next {
+				if !yield(rec) {
+					sh.mu.Unlock()
+					return
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // AddSeries registers a named per-day matcher (e.g. "google", "akamai").
@@ -132,25 +176,23 @@ func (s *Store) Tap() resolver.Tap {
 // ignored; the first sighting wins. Safe for concurrent use; inserts for
 // names hashing to different stripes proceed in parallel.
 func (s *Store) Insert(rr dnsmsg.RR, cat cache.Category, at time.Time) {
-	key := rr.Key()
 	sh := s.shardFor(rr.Name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.firstSeen[key]; ok {
+	rec, added := sh.record(rr)
+	if !added {
 		s.mDups.Inc()
 		return
 	}
 	s.mInserts.Inc()
-	rec := &Record{
-		Name:      rr.Name,
-		Type:      rr.Type,
-		RData:     rr.RData,
-		FirstSeen: at,
-		Category:  cat,
-	}
-	sh.firstSeen[key] = rec
+	rec.FirstSeen, rec.Category = at, cat
+	s.countNew(sh, rec)
+}
 
-	day := at.Unix() / 86400
+// countNew enters rec in its first day's accounting; the caller holds sh's
+// lock.
+func (s *Store) countNew(sh *shard, rec *Record) {
+	day := rec.FirstSeen.Unix() / 86400
 	dc, ok := sh.days[day]
 	if !ok {
 		dc = &DayCounts{
@@ -160,7 +202,7 @@ func (s *Store) Insert(rr dnsmsg.RR, cat cache.Category, at time.Time) {
 		sh.days[day] = dc
 	}
 	dc.New++
-	if cat == cache.CategoryDisposable {
+	if rec.Category == cache.CategoryDisposable {
 		dc.Disposable++
 	}
 	for i, pred := range s.seriesFn {
@@ -176,7 +218,7 @@ func (s *Store) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += len(sh.firstSeen)
+		n += sh.n
 		sh.mu.Unlock()
 	}
 	return n
@@ -185,15 +227,10 @@ func (s *Store) Len() int {
 // DisposableCount returns how many stored records are disposable.
 func (s *Store) DisposableCount() int {
 	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, rec := range sh.firstSeen {
-			if rec.Category == cache.CategoryDisposable {
-				n++
-			}
+	for rec := range s.all {
+		if rec.Category == cache.CategoryDisposable {
+			n++
 		}
-		sh.mu.Unlock()
 	}
 	return n
 }
@@ -234,13 +271,8 @@ func (s *Store) Days() []DayCounts {
 // Records returns all stored records; order is undefined.
 func (s *Store) Records() []*Record {
 	out := make([]*Record, 0, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, rec := range sh.firstSeen {
-			out = append(out, rec)
-		}
-		sh.mu.Unlock()
+	for rec := range s.all {
+		out = append(out, rec)
 	}
 	return out
 }
@@ -250,13 +282,8 @@ func (s *Store) Records() []*Record {
 func (s *Store) StorageBytes() uint64 {
 	const overhead = 24
 	var total uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, rec := range sh.firstSeen {
-			total += uint64(len(rec.Name) + rec.RData.TextLen(rec.Type) + overhead)
-		}
-		sh.mu.Unlock()
+	for rec := range s.all {
+		total += uint64(len(rec.Name) + rec.RData.TextLen(rec.Type) + overhead)
 	}
 	return total
 }
@@ -301,25 +328,20 @@ func (s *Store) CollapseWildcards(zoneOf func(name string) (string, bool)) Colla
 	kept := 0
 	var keptBytes uint64
 	const overhead = 24
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		res.Before += len(sh.firstSeen)
-		for _, rec := range sh.firstSeen {
-			zone, ok := zoneOf(rec.Name)
-			if !ok {
-				kept++
-				keptBytes += uint64(len(rec.Name) + rec.RData.TextLen(rec.Type) + overhead)
-				continue
-			}
-			res.Collapsed++
-			owner := "*." + zone
-			if _, seen := wildcards[owner]; !seen {
-				wildcards[owner] = struct{}{}
-				keptBytes += uint64(len(owner) + overhead)
-			}
+	for rec := range s.all {
+		res.Before++
+		zone, ok := zoneOf(rec.Name)
+		if !ok {
+			kept++
+			keptBytes += uint64(len(rec.Name) + rec.RData.TextLen(rec.Type) + overhead)
+			continue
 		}
-		sh.mu.Unlock()
+		res.Collapsed++
+		owner := "*." + zone
+		if _, seen := wildcards[owner]; !seen {
+			wildcards[owner] = struct{}{}
+			keptBytes += uint64(len(owner) + overhead)
+		}
 	}
 	res.Wildcards = len(wildcards)
 	res.After = kept + res.Wildcards
