@@ -36,10 +36,11 @@ bench:
 # micro-benchmarks at -benchtime=100x (smoke, not measurement) plus the
 # allocation guards — testing.AllocsPerRun asserting 0 allocs/op on the
 # cache-hit resolve path, LRU Get/Put refresh, Normalize fast paths, the
-# UDP serve packet path, live scoring, and the resolve path with a tsdb
-# sweeper attached, and the small fixed budgets of the miss path (a cold
-# resolve, authority.AppendHandleWire, dnsmsg Unpack/AppendEncode into
-# reused scratch) — the miner (BenchmarkRescore over an unchanged 5 k-name
+# UDP serve packet path, live scoring, the resolve path with a tsdb sweeper
+# attached, and authority.AppendHandleWire answering a static, CNAME,
+# wildcard, synthesized or NXDOMAIN query into reused scratch, and the small
+# fixed budgets of the miss path (a cold resolve's one kept []RR, dnsmsg
+# Unpack/AppendEncode into reused scratch) — the miner (BenchmarkRescore over an unchanged 5 k-name
 # tree and BenchmarkRescoreTouched over a window that touched three zones of
 # it, the batch BenchmarkMine, the tree's GroupsUnder/ChildZones, and the
 # guard that an untouched re-score allocates for what it reports, not per
@@ -51,8 +52,10 @@ bench:
 # guards that a known record costs nothing, a new or merged one its share of
 # a slab chunk and of map growth, not objects of its own, and a further
 # record of a known name the slab share alone) — and the loopback socket flood that holds
-# the serve path, plain and scored, to zero process-wide allocations per
-# packet (TestServeFloodZeroAlloc*, on the 'ZeroAlloc' line). Whole-program
+# the serve path, plain and scored, answering from a real authority, to zero
+# process-wide allocations per packet (TestServeFloodZeroAlloc*, on the
+# 'ZeroAlloc' line with the authority guard, so an allocation coming back
+# to either fails the job). Whole-program
 # overhead questions (telemetry, qlog, fleet collector, tsdb) go to
 # benchmark/run.sh A/A runs and -compare instead.
 bench-smoke:
@@ -72,7 +75,8 @@ bench-smoke:
 # from the committed seeds. The wire decoder (the golden corpus plus
 # hand-built hostile wires): no panic, reuse equals fresh decode, the asked
 # name changes nothing, re-encode is a fixed point, the wire scanners agree.
-# The trace reader (the golden and foreign traces plus hostile lines): its
+# The authority's in-place question reader against the live scorer:
+# its name is Normalize of the scorer's staged name. The trace reader (the golden and foreign traces plus hostile lines): its
 # canonical-line path decodes what encoding/json decodes and fails where it
 # fails. The exposition parser (a rendered registry, whole and cut): no
 # panic, and a sample that parses survives being spelled out again. The
@@ -81,6 +85,7 @@ bench-smoke:
 # parse → write is a fixed point.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnpack -fuzztime 10s ./internal/dnsmsg
+	$(GO) test -run '^$$' -fuzz FuzzQuestionReaders -fuzztime 10s ./internal/livescore
 	$(GO) test -run '^$$' -fuzz FuzzReaderLine -fuzztime 10s ./internal/traceio
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/telemetry/promtext
 	$(GO) test -run '^$$' -fuzz FuzzParseZoneFile -fuzztime 10s ./internal/authority

@@ -19,19 +19,52 @@ import (
 	"time"
 
 	"dnsnoise/internal/authority"
+	"dnsnoise/internal/livescore"
 	"dnsnoise/internal/sim"
 	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/udptransport"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	svc, err := start(os.Args[1:])
+	if err == nil {
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		<-sig
+		fmt.Fprintln(os.Stderr, "shutting down")
+		err = svc.Close()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dnsnoise-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// service is a started dnsnoise-serve: the namespace's authority answering
+// on a socket, with live scoring behind it when -score is set.
+type service struct {
+	auth    *authority.Server
+	srv     *udptransport.Server
+	eng     *livescore.Engine
+	obs     *sim.Obs
+	example string // a mined disposable name, with -score
+}
+
+// Close stops the service. The serve loop is joined first, so the final
+// qlog flush sees quiesced recorders.
+func (s *service) Close() error {
+	if s.srv != nil {
+		s.srv.Close()
+	}
+	if s.eng != nil {
+		s.eng.Close()
+	}
+	return s.obs.Close()
+}
+
+// start parses args, builds the namespace and starts serving it; the caller
+// owns the returned service and closes it.
+func start(args []string) (_ *service, err error) {
 	fs := flag.NewFlagSet("dnsnoise-serve", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:5355", "UDP listen address")
@@ -52,30 +85,35 @@ func run(args []string) error {
 	var obs sim.Obs
 	obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if err := obs.Start("dnsnoise-serve", args); err != nil {
-		return err
+		return nil, err
 	}
-	defer obs.Close()
+	svc := &service{obs: &obs}
+	defer func() {
+		if err != nil {
+			svc.Close()
+		}
+	}()
 
 	env, err := sim.NewNamespace(scale)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	auth := env.Authority
+	svc.auth = env.Authority
 	if *zonefile != "" {
 		f, err := os.Open(*zonefile)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		zone, err := authority.ParseZoneFile(f, "")
 		f.Close()
 		if err != nil {
-			return fmt.Errorf("parse %s: %w", *zonefile, err)
+			return nil, fmt.Errorf("parse %s: %w", *zonefile, err)
 		}
-		if err := auth.AddZone(zone); err != nil {
-			return fmt.Errorf("add %s: %w", *zonefile, err)
+		if err := svc.auth.AddZone(zone); err != nil {
+			return nil, fmt.Errorf("add %s: %w", *zonefile, err)
 		}
 		fmt.Fprintf(os.Stderr, "serving extra zone %s\n", zone.Origin())
 	}
@@ -90,32 +128,21 @@ func run(args []string) error {
 		serveOpts = append(serveOpts, udptransport.WithTCP())
 	}
 	if score.enabled {
-		eng, err := buildScoring(env, score, obs.Registry)
-		if err != nil {
-			return err
+		if svc.eng, svc.example, err = buildScoring(env, score, obs.Registry); err != nil {
+			return nil, err
 		}
-		defer eng.Close()
+		eng := svc.eng
 		serveOpts = append(serveOpts, udptransport.WithScorer(
 			func(listener int) udptransport.Scorer { return eng.NewScorer() }))
 	}
 
-	srv, err := udptransport.Serve(auth, *addr, serveOpts...)
-	if err != nil {
-		return err
+	if svc.srv, err = udptransport.Serve(svc.auth, *addr, serveOpts...); err != nil {
+		return nil, err
 	}
-	defer srv.Close()
 	obs.StartProgress(serveProgress(obs.Registry))
 	fmt.Fprintf(os.Stderr, "serving %d zones on udp://%s with %d listener(s), batch %d (try: dig @%s www.google.com A)\n",
-		len(env.Registry.AllZones()), srv.Addr(), srv.Listeners(), srv.Batch(), srv.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Fprintln(os.Stderr, "shutting down")
-	// Join the serve loop first, so the final qlog flush sees quiesced
-	// recorders.
-	srv.Close()
-	return obs.Close()
+		len(env.Registry.AllZones()), svc.srv.Addr(), svc.srv.Listeners(), svc.srv.Batch(), svc.srv.Addr())
+	return svc, nil
 }
 
 // serveProgress returns the per-tick attributes for the -progress line:

@@ -38,43 +38,44 @@ type scoreConfig struct {
 // returned engine is already running — its scorers classify datagrams
 // against the primed snapshot while the engine goroutine feeds observed
 // names back into the miner and re-scores every cfg.window of wall time.
+// Beside it comes one mined disposable name, "" when the mine found none.
 //
 // The classifier is restricted to the tree-structure feature family: the
 // serve path observes names, not cache-hit outcomes, so the CHR features
 // would read as zero at re-score time and poison full-vector splits.
-func buildScoring(env *sim.Env, cfg scoreConfig, treg *telemetry.Registry) (*livescore.Engine, error) {
+func buildScoring(env *sim.Env, cfg scoreConfig, treg *telemetry.Registry) (*livescore.Engine, string, error) {
 	// The training cluster registers its gauges (cache occupancy by state,
 	// hit counters) on the serve session registry, so /metrics exposes the
 	// resolver side of -score alongside the UDP counters.
 	var err error
 	if env.Cluster, err = env.NewCluster(resolver.WithTelemetry(treg)); err != nil {
-		return nil, fmt.Errorf("score: training cluster: %w", err)
+		return nil, "", fmt.Errorf("score: training cluster: %w", err)
 	}
 	day, err := (&sim.Source{Live: true, Profile: "december", Days: 1}).Run(env)
 	if err != nil {
-		return nil, fmt.Errorf("score: training day: %w", err)
+		return nil, "", fmt.Errorf("score: training day: %w", err)
 	}
 	byName := day.Collector.ByName()
 
 	trainCfg := core.TrainingConfig{FeatureMask: features.TreeStructureIdx}
 	clf, examples, err := env.Train(byName, trainCfg)
 	if err != nil {
-		return nil, fmt.Errorf("score: %w", err)
+		return nil, "", fmt.Errorf("score: %w", err)
 	}
 	mcfg := core.MinerConfig{Theta: cfg.theta, FeatureMask: features.TreeStructureIdx}
 	miner, err := core.NewMiner(clf, mcfg)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	findings, err := miner.Mine(core.BuildTree(byName, env.Suffixes), byName)
 	if err != nil {
-		return nil, fmt.Errorf("score: prime mine: %w", err)
+		return nil, "", fmt.Errorf("score: prime mine: %w", err)
 	}
 
 	pipe, err := core.NewStreamingPipeline(clf, mcfg,
 		core.StreamingConfig{Hysteresis: cfg.hysteresis}, nil)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	pipe.Prime(findings)
 	pipe.SetMetrics(treg)
@@ -89,12 +90,13 @@ func buildScoring(env *sim.Env, cfg scoreConfig, treg *telemetry.Registry) (*liv
 	}
 	fmt.Fprintf(os.Stderr, "scoring: trained on %d examples, primed %d zone/depth pairs (hysteresis %d, re-score every %s)\n",
 		len(examples), pairs, cfg.hysteresis, cfg.window)
-	if example := exampleDisposableName(findings); example != "" {
+	example := exampleDisposableName(findings)
+	if example != "" {
 		// One concrete name CI smoke (and humans) can dig to watch a
 		// disposable verdict land in /debug/qlog?verdict=disposable.
 		fmt.Fprintf(os.Stderr, "scoring: example disposable name: %s\n", example)
 	}
-	return eng, nil
+	return eng, example, nil
 }
 
 // exampleDisposableName picks one mined member name to advertise on

@@ -19,12 +19,11 @@ func BenchmarkAppendHandleWire(b *testing.B) {
 	if err := static.Add(aRR("www.example.com", "192.0.2.1")); err != nil {
 		b.Fatal(err)
 	}
-	synth, err := NewZone("avqs.mcafee.com", WithSynth(func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
-		rrs := make([]dnsmsg.RR, 3)
-		for i := range rrs {
-			rrs[i] = dnsmsg.RR{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: dnsmsg.IPv4(127, 0, 3, 17)}
+	synth, err := NewZone("avqs.mcafee.com", WithSynth(func(_ []byte, qtype dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool) {
+		for range 3 {
+			dst = append(dst, dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: dnsmsg.IPv4(127, 0, 3, 17)})
 		}
-		return rrs, true
+		return dst, true
 	}))
 	if err != nil {
 		b.Fatal(err)

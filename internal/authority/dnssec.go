@@ -74,13 +74,25 @@ func (s *Signer) Sign(rrset []dnsmsg.RR) (dnsmsg.RR, error) {
 	if len(rrset) == 0 {
 		return dnsmsg.RR{}, fmt.Errorf("authority: empty rrset")
 	}
-	owner, typ, ttl := rrset[0].Name, rrset[0].Type, rrset[0].TTL
+	owner := rrset[0].Name
 	for _, rr := range rrset[1:] {
-		if rr.Name != owner || rr.Type != typ {
-			return dnsmsg.RR{}, fmt.Errorf("authority: mixed rrset (%s/%v vs %s/%v)", owner, typ, rr.Name, rr.Type)
+		if rr.Name != owner {
+			return dnsmsg.RR{}, fmt.Errorf("authority: mixed rrset (%s vs %s)", owner, rr.Name)
 		}
 	}
-	msg := canonicalRRSetBytes(rrset)
+	return s.signAs(owner, rrset)
+}
+
+// signAs is Sign for a non-empty RRset named owner whatever its records'
+// Names say: the records a synthesizer or a wildcard made for a question.
+func (s *Signer) signAs(owner string, rrset []dnsmsg.RR) (dnsmsg.RR, error) {
+	typ, ttl := rrset[0].Type, rrset[0].TTL
+	for _, rr := range rrset[1:] {
+		if rr.Type != typ {
+			return dnsmsg.RR{}, fmt.Errorf("authority: mixed rrset (%v vs %v)", typ, rr.Type)
+		}
+	}
+	msg := canonicalRRSetBytes(owner, rrset)
 	sig := ed25519.Sign(s.priv, msg)
 	s.signed.Add(1)
 	return dnsmsg.RR{
@@ -104,7 +116,7 @@ func Verify(pub ed25519.PublicKey, rrsig dnsmsg.RR, rrset []dnsmsg.RR) error {
 	if err != nil {
 		return err
 	}
-	msg := canonicalRRSetBytes(rrset)
+	msg := canonicalRRSetBytes("", rrset)
 	if !ed25519.Verify(pub, msg, sig) {
 		return fmt.Errorf("authority: signature verification failed for %s", rrsig.Name)
 	}
@@ -149,10 +161,15 @@ func parseRRSIGSignature(rdata string) ([]byte, error) {
 
 // canonicalRRSetBytes serializes an RRset into a deterministic byte string
 // for signing: records sorted by rdata, one "name|type|ttl|rdata" line each.
-func canonicalRRSetBytes(rrset []dnsmsg.RR) []byte {
+// A non-empty owner names every record in place of its own Name.
+func canonicalRRSetBytes(owner string, rrset []dnsmsg.RR) []byte {
 	lines := make([]string, len(rrset))
 	for i, rr := range rrset {
-		lines[i] = fmt.Sprintf("%s|%s|%d|%s", strings.ToLower(rr.Name), rr.Type, rr.TTL, rr.RData.Format(rr.Type))
+		name := rr.Name
+		if owner != "" {
+			name = owner
+		}
+		lines[i] = fmt.Sprintf("%s|%s|%d|%s", strings.ToLower(name), rr.Type, rr.TTL, rr.RData.Format(rr.Type))
 	}
 	sort.Strings(lines)
 	return []byte(strings.Join(lines, "\n"))

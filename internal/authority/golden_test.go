@@ -49,14 +49,14 @@ func goldenServer(t testing.TB) *Server {
 		in("example.com", dnsmsg.TypeNS, "ns1.example.com"),
 		in("*.shard.example.com", dnsmsg.TypeA, "192.0.2.77"),
 	)
-	synth, err := NewZone("avqs.mcafee.com", WithSynth(func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
+	synth, err := NewZone("avqs.mcafee.com", WithSynth(func(_ []byte, qtype dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool) {
 		if qtype != dnsmsg.TypeA {
-			return nil, false
+			return dst, false
 		}
-		return []dnsmsg.RR{
-			{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: dnsmsg.IPv4(127, 0, 3, 17)},
-			{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: dnsmsg.IPv4(127, 0, 3, 18)},
-		}, true
+		return append(dst,
+			dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: dnsmsg.IPv4(127, 0, 3, 17)},
+			dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: 1, RData: dnsmsg.IPv4(127, 0, 3, 18)},
+		), true
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package authority
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"dnsnoise/internal/dnsmsg"
@@ -81,39 +82,52 @@ func (s *Server) Stats() ServerStats {
 }
 
 // findZone locates the longest-suffix zone containing name.
-func (s *Server) findZone(name string) (*Zone, bool) {
-	for probe := name; probe != ""; probe = dnsname.Parent(probe) {
-		if z, ok := s.zones[probe]; ok {
+func (s *Server) findZone(name []byte) (*Zone, bool) {
+	for probe := name; len(probe) > 0; probe = parent(probe) {
+		if z, ok := s.zones[string(probe)]; ok {
 			return z, true
 		}
 	}
 	return nil, false
 }
 
+// scratch is one answer's working memory: the question's name and the
+// records a synthesizer appends for it. It comes from scratchPool because
+// it must already be on the heap: a buffer on the stack handed to a
+// SynthFunc, an indirect call, escapes and costs an allocation per query.
+// What a used one still holds is overwritten by the next.
+type scratch struct {
+	name []byte
+	rrs  []dnsmsg.RR
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{name: make([]byte, 0, dnsname.MaxNameLength+2)}
+}}
+
 // reply is one authoritative decision, before it takes a form: Resolve wraps
 // it in a Message, AppendHandleWire writes it to the wire.
 type reply struct {
-	name          string // the question's name, normalized
 	rcode         dnsmsg.RCode
 	authoritative bool
-	answers       []dnsmsg.RR // may be zone data: read only
+	answers       []dnsmsg.RR // zone data or scratch: read only
+	owned         bool        // answers are named by the question, not by their Name
 	rrsig         dnsmsg.RR   // follows answers when signed is set
 	signed        bool
 	soa           *dnsmsg.RR // authority section of negative replies
 }
 
-// answer decides the reply to (name, qtype) and moves the counters.
-// NXDOMAIN and NODATA replies carry the zone SOA; signed zones attach an
-// RRSIG after each positive answer RRset.
-func (s *Server) answer(name string, qtype dnsmsg.Type) reply {
+// answer decides the reply to (name, qtype), name normalized, and moves the
+// counters. NXDOMAIN and NODATA replies carry the zone SOA; signed zones
+// attach an RRSIG after each positive answer RRset.
+func (s *Server) answer(name []byte, qtype dnsmsg.Type, sc *scratch) reply {
 	s.queriesServed.Add(1)
-	name = dnsname.Normalize(name)
-	r := reply{name: name, authoritative: true}
+	r := reply{authoritative: true}
 
 	// DNSKEY queries are answered from the key registry: validating
 	// resolvers fetch zone keys over the wire like any other record.
 	if qtype == dnsmsg.TypeDNSKEY {
-		if rrs, ok := s.keys[name]; ok {
+		if rrs, ok := s.keys[string(name)]; ok {
 			r.answers = rrs
 			return r
 		}
@@ -125,7 +139,7 @@ func (s *Server) answer(name string, qtype dnsmsg.Type) reply {
 		r.rcode, r.authoritative = dnsmsg.RCodeNXDomain, false
 		return r
 	}
-	answers, err := z.lookup(name, qtype)
+	answers, owned, err := z.lookup(name, qtype, &sc.rrs)
 	if err != nil {
 		s.nxDomains.Add(1)
 		r.rcode, r.soa = dnsmsg.RCodeNXDomain, &z.soa
@@ -138,9 +152,13 @@ func (s *Server) answer(name string, qtype dnsmsg.Type) reply {
 	}
 	// A CNAME answer to a non-CNAME query leaves chain-following to the
 	// recursive resolver, as in real DNS.
-	r.answers = answers
+	r.answers, r.owned = answers, owned
 	if z.signer != nil {
-		if rrsig, err := z.signer.Sign(answers); err == nil {
+		owner := answers[0].Name
+		if owned {
+			owner = string(name)
+		}
+		if rrsig, err := z.signer.signAs(owner, answers); err == nil {
 			r.rrsig, r.signed = rrsig, true
 			s.signatures.Add(1)
 		}
@@ -166,12 +184,14 @@ func (r *reply) header(id uint16) dnsmsg.Header {
 // NXDOMAIN responses carry the zone SOA in the authority section; signed
 // zones attach an RRSIG after each positive answer RRset.
 func (s *Server) Resolve(name string, qtype dnsmsg.Type) *dnsmsg.Message {
-	r := s.answer(name, qtype)
+	name = dnsname.Normalize(name)
+	var sc scratch
+	r := s.answer([]byte(name), qtype, &sc)
 	resp := &dnsmsg.Message{
 		Header:    r.header(0),
-		Questions: []dnsmsg.Question{{Name: r.name, Type: qtype, Class: dnsmsg.ClassIN}},
+		Questions: []dnsmsg.Question{{Name: name, Type: qtype, Class: dnsmsg.ClassIN}},
 	}
-	resp.Answers = append(resp.Answers, r.answers...) // a copy: zone data stays private
+	resp.Answers = appendSpelled(resp.Answers, r.answers, r.owned, name) // a copy: zone data stays private
 	if r.signed {
 		resp.Answers = append(resp.Answers, r.rrsig)
 	}
@@ -192,13 +212,17 @@ func (s *Server) HandleWire(query []byte) ([]byte, error) {
 // encoded response to dst, returning the extended slice (see
 // dnsmsg.WireHandler): with dst a caller-owned scratch buffer threaded
 // through every call, the steady-state exchange allocates no response. A
-// plain query's question is read in place and the reply goes from the zone's
-// records straight to the wire — no query or response Message is built — so
-// what a call allocates is the question's name, plus whatever a synthesizer
-// or signer makes. Nothing is kept on the Server: concurrent callers share
-// only the read-only zone data and the atomic counters.
+// plain query's question is read in place into pooled scratch, looked up as
+// bytes, and the reply goes from the zone's records — or the synthesizer's,
+// appended into the same scratch — straight to the wire under the question's
+// own bytes: no query or response Message is built and no name is spelled,
+// so an unsigned answer allocates nothing. Nothing is kept on the Server:
+// concurrent callers share only the read-only zone data and the atomic
+// counters.
 func (s *Server) AppendHandleWire(dst, query []byte) ([]byte, error) {
-	id, q, ok := dnsmsg.SoleQuestion(query)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	name, id, qtype, ok := dnsmsg.AppendSoleQuestion(sc.name[:0], query)
 	if !ok {
 		// Not a plain one-question query: an EDNS query (OPT in the
 		// additional section), several questions, or garbage. The full
@@ -213,17 +237,25 @@ func (s *Server) AppendHandleWire(dst, query []byte) ([]byte, error) {
 			}
 			return resp.AppendEncode(dst)
 		}
-		id, q = msg.Header.ID, msg.Questions[0]
+		id, qtype = msg.Header.ID, msg.Questions[0].Type
+		name = append(sc.name[:0], dnsname.Normalize(msg.Questions[0].Name)...)
 	}
-	r := s.answer(q.Name, q.Type)
+	sc.name = name[:0]
+	r := s.answer(name, qtype, sc)
 
 	var b dnsmsg.Builder
 	b.Begin(dst, r.header(id))
-	if err := b.Question(r.name, q.Type, dnsmsg.ClassIN); err != nil {
+	if err := b.QuestionBytes(name, qtype, dnsmsg.ClassIN); err != nil {
 		return dst, err
 	}
 	for i := range r.answers {
-		if err := b.Answer(&r.answers[i]); err != nil {
+		var err error
+		if r.owned {
+			err = b.AnswerAs(name, &r.answers[i])
+		} else {
+			err = b.Answer(&r.answers[i])
+		}
+		if err != nil {
 			return dst, err
 		}
 	}

@@ -5,6 +5,7 @@
 package authority
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -24,11 +25,19 @@ var (
 )
 
 // SynthFunc programmatically answers a query for a name inside a zone. It
-// returns the answer RRset and true, or false when the name should fall
-// through to wildcard/NXDOMAIN handling. Disposable zones (McAfee-style
-// reputation lookups, telemetry channels) are modeled with SynthFuncs: any
-// algorithmically generated child name gets an answer.
-type SynthFunc func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool)
+// appends the answer RRset to dst and returns the extended slice and true,
+// or false when the name should fall through to wildcard/NXDOMAIN handling.
+// Disposable zones (McAfee-style reputation lookups, telemetry channels) are
+// modeled with SynthFuncs: any algorithmically generated child name gets an
+// answer.
+//
+// The records belong to the question: their Name is left empty, and the
+// server writes them under the question's own name (spelling it as a string
+// only for Zone.Lookup, Server.Resolve and a signer). name, normalized, and
+// dst are the server's scratch, valid only during the call: a SynthFunc must
+// not retain either, and the caller reuses the returned slice for the next
+// query.
+type SynthFunc func(name []byte, qtype dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool)
 
 // Zone holds the authoritative data for one DNS zone.
 type Zone struct {
@@ -160,61 +169,79 @@ func rrset(rrs []dnsmsg.RR, typ dnsmsg.Type) []dnsmsg.RR {
 // synthesizer, then the closest-enclosing wildcard, then NXDOMAIN
 // (ErrNotInZone with the SOA available via SOA()). A name with records of
 // other types yields an empty, non-error answer (NODATA). The records are the
-// caller's to keep.
+// caller's to keep, each named.
 func (z *Zone) Lookup(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, error) {
-	rrs, err := z.lookup(dnsname.Normalize(name), qtype)
+	name = dnsname.Normalize(name)
+	var scratch []dnsmsg.RR
+	rrs, owned, err := z.lookup([]byte(name), qtype, &scratch)
 	if len(rrs) == 0 {
 		return nil, err
 	}
-	return append([]dnsmsg.RR(nil), rrs...), nil
+	return appendSpelled(nil, rrs, owned, name), nil
 }
 
-// lookup is Lookup for a normalized name, without the defensive copy: an
+// lookup is Lookup for a normalized name held as bytes, without the copy: an
 // exact match hands back the zone's own RRset, which the caller must only
-// read.
-func (z *Zone) lookup(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, error) {
+// read. owned reports that the records were made for the question — by the
+// synthesizer, into *scratch (kept grown for the next call), or matched by a
+// wildcard — and are to be named by it, whatever their Name says.
+func (z *Zone) lookup(name []byte, qtype dnsmsg.Type, scratch *[]dnsmsg.RR) (rrs []dnsmsg.RR, owned bool, err error) {
 	if !dnsname.IsSubdomainOf(name, z.origin) {
-		return nil, ErrNotInZone
+		return nil, false, ErrNotInZone
 	}
-	owned := z.records[name]
-	if rrs := rrset(owned, qtype); rrs != nil {
-		return rrs, nil
+	exact := z.records[string(name)]
+	if rrs := rrset(exact, qtype); rrs != nil {
+		return rrs, false, nil
 	}
 	// CNAME at the owner answers any qtype (except CNAME itself, handled above).
-	if rrs := rrset(owned, dnsmsg.TypeCNAME); rrs != nil {
-		return rrs, nil
+	if rrs := rrset(exact, dnsmsg.TypeCNAME); rrs != nil {
+		return rrs, false, nil
 	}
 	if z.synth != nil {
-		if rrs, ok := z.synth(name, qtype); ok {
-			return rrs, nil
+		if rrs, ok := z.synth(name, qtype, (*scratch)[:0]); ok {
+			*scratch = rrs[:0]
+			return rrs, true, nil
 		}
 	}
 	// Wildcard: closest enclosing "*.<parent>" walking up to the origin.
-	for parent := dnsname.Parent(name); parent != "" && dnsname.IsSubdomainOf(parent, z.origin); parent = dnsname.Parent(parent) {
-		if wild := z.wildcards[parent]; wild != nil {
+	for p := parent(name); len(p) > 0 && dnsname.IsSubdomainOf(p, z.origin); p = parent(p) {
+		if wild := z.wildcards[string(p)]; wild != nil {
 			if rrs := rrset(wild, qtype); rrs != nil {
-				return synthesizeWildcard(rrs, name), nil
+				return rrs, true, nil
 			}
 			if rrs := rrset(wild, dnsmsg.TypeCNAME); rrs != nil {
-				return synthesizeWildcard(rrs, name), nil
+				return rrs, true, nil
 			}
 		}
-		if parent == z.origin {
+		if string(p) == z.origin {
 			break
 		}
 	}
 	// NODATA if the exact owner exists under another type.
-	if owned != nil {
-		return nil, nil
+	if exact != nil {
+		return nil, false, nil
 	}
-	return nil, ErrNotInZone
+	return nil, false, ErrNotInZone
 }
 
-func synthesizeWildcard(rrs []dnsmsg.RR, owner string) []dnsmsg.RR {
-	out := make([]dnsmsg.RR, len(rrs))
-	for i, rr := range rrs {
-		rr.Name = owner
-		out[i] = rr
+// parent is dnsname.Parent for a name held as bytes.
+func parent(name []byte) []byte {
+	dot := bytes.IndexByte(name, '.')
+	if dot < 0 {
+		return nil
 	}
-	return out
+	return name[dot+1:]
+}
+
+// appendSpelled appends rrs to dst, each named name when the question owns
+// them: where a record leaves the server as a value rather than as wire.
+func appendSpelled(dst, rrs []dnsmsg.RR, owned bool, name string) []dnsmsg.RR {
+	at := len(dst)
+	dst = append(dst, rrs...)
+	if owned {
+		for i := range dst[at:] {
+			dst[at+i].Name = name
+		}
+	}
+	return dst
 }

@@ -47,7 +47,7 @@ func TestWriteZoneFileRoundTrip(t *testing.T) {
 }
 
 func TestWriteZoneFileNotesSynth(t *testing.T) {
-	z := mustZone(t, "d.test", WithSynth(func(string, dnsmsg.Type) ([]dnsmsg.RR, bool) { return nil, false }))
+	z := mustZone(t, "d.test", WithSynth(func(_ []byte, _ dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool) { return dst, false }))
 	var sb strings.Builder
 	if err := z.WriteZoneFile(&sb); err != nil {
 		t.Fatal(err)

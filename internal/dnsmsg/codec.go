@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
+
+	"dnsnoise/internal/dnsname"
 )
 
 // Flag bit positions within the header's 16-bit flags word.
@@ -66,6 +69,12 @@ type Builder struct {
 	spill    []uint16
 }
 
+// The methods that hand a name to a generic helper (appendName, appendRR)
+// are marked go:noinline. Inlined into another package, a call to
+// a shape instantiation is escape-analysed as leaking every argument, which
+// would move the caller's stack Builder, and the record it writes, to the
+// heap on every message.
+
 // Begin starts a message after whatever dst already holds: the header goes
 // out with zero section counts, and each record appended later bumps its
 // count in place.
@@ -99,8 +108,22 @@ func (b *Builder) Begin(dst []byte, h Header) {
 func (b *Builder) Bytes() []byte { return b.buf }
 
 // Question appends one entry to the question section.
+//
+//go:noinline
 func (b *Builder) Question(name string, qtype Type, class Class) error {
-	if err := b.name(name); err != nil {
+	return question(b, name, qtype, class)
+}
+
+// QuestionBytes is Question for a name held as bytes, such as the one
+// AppendSoleQuestion reads.
+//
+//go:noinline
+func (b *Builder) QuestionBytes(name []byte, qtype Type, class Class) error {
+	return question(b, name, qtype, class)
+}
+
+func question[S string | []byte](b *Builder, name S, qtype Type, class Class) error {
+	if err := appendName(b, name); err != nil {
 		return err
 	}
 	b.u16(uint16(qtype))
@@ -111,6 +134,13 @@ func (b *Builder) Question(name string, qtype Type, class Class) error {
 
 // Answer appends rr to the answer section.
 func (b *Builder) Answer(rr *RR) error { return b.rr(offANCount, rr) }
+
+// AnswerAs appends rr to the answer section under owner in place of
+// rr.Name: a record a synthesizer or a wildcard made for the question goes
+// out under the question's own bytes, never spelled as a string.
+//
+//go:noinline
+func (b *Builder) AnswerAs(owner []byte, rr *RR) error { return appendRR(b, offANCount, owner, rr) }
 
 // Authority appends rr to the authority section.
 func (b *Builder) Authority(rr *RR) error { return b.rr(offNSCount, rr) }
@@ -215,27 +245,44 @@ func (m *Message) UnpackReply(data []byte, asked string) error {
 	return err
 }
 
-// SoleQuestion reads the ID and question of a plain query — one question and
-// no other record, which is every query the simulation sends and every stub
-// query without EDNS — straight off the wire, by the decoder's own rules for
-// names, without a Message to unpack into. ok is false for any other shape,
-// well-formed or not: those take Unpack.
-func SoleQuestion(data []byte) (id uint16, q Question, ok bool) {
+// AppendSoleQuestion reads the ID and question of a plain query — one
+// question and no other record, which is every query the simulation sends
+// and every stub query without EDNS — straight off the wire, by the decoder's
+// own rules for names, without a Message to unpack into. The question's name
+// is appended to dst in presentation form, normalized as dnsname.Normalize
+// would (ASCII lower-cased in place, one trailing dot dropped; a name with a
+// byte past ASCII takes Normalize itself, which allocates), and the extended
+// dst is returned: the name is what follows len(dst). ok is false for any
+// other shape, well-formed or not: those take Unpack.
+func AppendSoleQuestion(dst, data []byte) (name []byte, id uint16, qtype Type, ok bool) {
 	// The four section counts read as one number: QDCOUNT 1, the rest 0.
 	if len(data) < headerLen || binary.BigEndian.Uint64(data[offQDCount:]) != 1<<48 {
-		return 0, Question{}, false
+		return dst, 0, 0, false
 	}
+	start := len(dst)
 	d := decoder{data: data, pos: headerLen}
-	name, err := d.name()
+	name, err := d.appendName(dst)
 	if err != nil || d.pos+4 > len(data) {
-		return 0, Question{}, false
+		return dst, 0, 0, false
 	}
-	q = Question{
-		Name:  name,
-		Type:  Type(binary.BigEndian.Uint16(data[d.pos:])),
-		Class: Class(binary.BigEndian.Uint16(data[d.pos+2:])),
+	return normalizeTail(name, start), binary.BigEndian.Uint16(data), Type(binary.BigEndian.Uint16(data[d.pos:])), true
+}
+
+// normalizeTail applies dnsname.Normalize to name[start:].
+func normalizeTail(name []byte, start int) []byte {
+	tail := name[start:]
+	for i, c := range tail {
+		if c >= utf8.RuneSelf {
+			return append(name[:start], dnsname.Normalize(string(tail))...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			tail[i] = c + 'a' - 'A'
+		}
 	}
-	return binary.BigEndian.Uint16(data), q, true
+	if len(tail) > 0 && tail[len(tail)-1] == '.' {
+		name = name[:len(name)-1]
+	}
+	return name
 }
 
 func (b *Builder) u8(v uint8)   { b.buf = append(b.buf, v) }
@@ -266,20 +313,25 @@ func (b *Builder) addTarget(off int) {
 
 // name emits a possibly-compressed domain name. Compression targets are the
 // suffixes of every name previously emitted (RFC 1035 §4.1.4).
-func (b *Builder) name(name string) error {
-	name = strings.TrimSuffix(name, ".")
+func (b *Builder) name(name string) error { return appendName(b, name) }
+
+// appendName is Builder.name for a name held as a string or as its bytes.
+func appendName[S string | []byte](b *Builder, name S) error {
+	if len(name) > 0 && name[len(name)-1] == '.' {
+		name = name[:len(name)-1]
+	}
 	if len(name) > maxNameLen {
 		return ErrNameTooLong
 	}
 	// Targets added while this name goes out spell longer suffixes of the
 	// same name, so only the ones known on entry can match.
 	known := b.ntargets
-	for name != "" {
-		if off := b.find(name, known); off >= 0 {
+	for len(name) > 0 {
+		if off := find(b, name, known); off >= 0 {
 			b.u16(uint16(0xC000 | off))
 			return nil
 		}
-		dot := strings.IndexByte(name, '.')
+		dot := indexDot(name)
 		label := name
 		if dot >= 0 {
 			label = name[:dot]
@@ -305,9 +357,19 @@ func (b *Builder) name(name string) error {
 	return nil
 }
 
+// indexDot is strings.IndexByte(name, '.') for a string or its bytes.
+func indexDot[S string | []byte](name S) int {
+	for i := 0; i < len(name); i++ {
+		if name[i] == '.' {
+			return i
+		}
+	}
+	return -1
+}
+
 // find returns the offset of the one target among the first known that
 // spells exactly name, or -1.
-func (b *Builder) find(name string, known int) int {
+func find[S string | []byte](b *Builder, name S, known int) int {
 	msg := b.buf[b.base:]
 	for i := 0; i < known; i++ {
 		if off := b.target(i); spells(msg, off, name) {
@@ -320,7 +382,7 @@ func (b *Builder) find(name string, known int) int {
 // spells reports whether the name this builder wrote at msg[off:] — labels,
 // possibly ending in a pointer to an earlier name — is, label for label and
 // byte for byte, the presentation-form name.
-func spells(msg []byte, off int, name string) bool {
+func spells[S string | []byte](msg []byte, off int, name S) bool {
 	for {
 		n := int(msg[off])
 		switch {
@@ -328,11 +390,11 @@ func spells(msg []byte, off int, name string) bool {
 			off = int(binary.BigEndian.Uint16(msg[off:]) & 0x3FFF)
 			continue
 		case n == 0:
-			return name == ""
-		case len(name) < n || name[:n] != string(msg[off+1:off+1+n]):
+			return len(name) == 0
+		case len(name) < n || string(name[:n]) != string(msg[off+1:off+1+n]):
 			return false
 		case len(name) == n:
-			name = ""
+			name = name[:0]
 		case name[n] != '.':
 			return false
 		default:
@@ -342,8 +404,12 @@ func spells(msg []byte, off int, name string) bool {
 	}
 }
 
-func (b *Builder) rr(countOff int, rr *RR) error {
-	if err := b.name(rr.Name); err != nil {
+//go:noinline
+func (b *Builder) rr(countOff int, rr *RR) error { return appendRR(b, countOff, rr.Name, rr) }
+
+// appendRR writes rr under owner, whatever rr.Name says.
+func appendRR[S string | []byte](b *Builder, countOff int, owner S, rr *RR) error {
+	if err := appendName(b, owner); err != nil {
 		return err
 	}
 	b.u16(uint16(rr.Type))

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"dnsnoise/internal/dnsname"
 )
 
 // hostileSeeds are the hand-built wires FuzzUnpack starts from besides the
@@ -48,6 +50,13 @@ func hostileSeeds() map[string][]byte {
 		"unknown-type": append(header(0, 1), 1, 'x', 0, 0, 99, 0, 1, 0, 0, 0, 60, 0, 4, 1, 2, 3, 4),
 		// Labels the presentation form cannot carry: a dot inside, a blank.
 		"label-with-dot":   append(header(1, 0), 2, 'a', '.', 1, 'b', 0, 0, 1, 0, 1),
+		"label-ending-dot": append(header(1, 0), 2, 'a', '.', 0, 0, 1, 0, 1),
+		// Question names the in-place reader must normalize as
+		// dnsname.Normalize does: upper-case ASCII, UTF-8 upper case, and
+		// bytes that are not UTF-8 at all.
+		"question-upper":   append(header(1, 0), 3, 'W', 'w', 'W', 2, 'E', 'x', 0, 0, 1, 0, 1),
+		"question-utf8":    append(header(1, 0), 4, 0xC3, 0x89, 'T', 'E', 1, 'x', 0, 0, 1, 0, 1),
+		"question-invalid": append(header(1, 0), 3, 0xFF, 'A', 0x80, 0, 0, 28, 0, 1),
 		"label-with-blank": append(header(0, 1), 1, 'x', 0, 0, 6, 0, 1, 0, 0, 0, 60, 0, 27, 3, 'a', ' ', 'b', 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5),
 	}
 	// A name one octet over the limit: four 63-octet labels.
@@ -113,8 +122,9 @@ func lossless(m *Message) bool {
 // about (the right one, a wrong one, none) changes neither the message nor
 // the error; whatever it accepts and the encoder can spell re-encodes to a
 // fixed point, to the same message when the presentation forms are lossless,
-// and to the same A addresses always; and the zero-alloc wire scanners (QuestionSectionEnd,
-// EDNSUDPSize, SoleQuestion) agree with it wherever both accept.
+// and to the same A addresses always; and the zero-alloc wire scanners
+// (QuestionSectionEnd, EDNSUDPSize, AppendSoleQuestion) agree with it wherever
+// both accept.
 func FuzzUnpack(f *testing.F) {
 	for _, tc := range goldenCorpus() {
 		f.Add(readGolden(f, tc.name))
@@ -214,16 +224,24 @@ func checkScanners(t *testing.T, data []byte, m *Message) {
 		t.Fatalf("QuestionSectionEnd rejects a question section the decoder reads (to %d)", questionsEnd)
 	}
 
-	id, q, plain := SoleQuestion(data)
-	if plain && (m == nil || len(m.Questions) != 1 || m.Questions[0] != q || m.Header.ID != id) {
-		t.Fatalf("SoleQuestion = %#x %+v, Decode = %+v", id, q, m)
+	// The in-place question reader: what it accepts is exactly a message of
+	// one question and no record, and the name it appends after whatever the
+	// scratch held is the decoded name, normalized.
+	const prefix = "scratch"
+	name, id, qtype, plain := AppendSoleQuestion([]byte(prefix), data)
+	if plain && (m == nil || len(m.Questions) != 1 || len(m.Answers)+len(m.Authority)+len(m.Additional) != 0 ||
+		m.Header.ID != id || m.Questions[0].Type != qtype ||
+		string(name) != prefix+dnsname.Normalize(m.Questions[0].Name)) {
+		t.Fatalf("AppendSoleQuestion = %q %#x %v, Decode = %+v", name, id, qtype, m)
+	}
+	if !plain && string(name) != prefix {
+		t.Fatalf("AppendSoleQuestion rejected the wire but left %q in the scratch", name)
 	}
 	if m == nil {
 		return
 	}
-	if !plain && len(m.Questions) == 1 && len(m.Answers)+len(m.Authority)+len(m.Additional) == 0 &&
-		binary.BigEndian.Uint64(data[offQDCount:]) == 1<<48 {
-		t.Fatalf("SoleQuestion rejects a plain query the decoder reads: %+v", m)
+	if !plain && len(m.Questions) == 1 && len(m.Answers)+len(m.Authority)+len(m.Additional) == 0 {
+		t.Fatalf("AppendSoleQuestion rejects a plain query the decoder reads: %+v", m)
 	}
 	size, found := EDNSUDPSize(data)
 	var want uint16

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"dnsnoise/internal/dnsname"
 )
 
 func mustEncode(t testing.TB, m *Message) []byte {
@@ -319,26 +321,37 @@ func TestStrictSOAFields(t *testing.T) {
 	}
 }
 
-func TestSoleQuestion(t *testing.T) {
+func TestAppendSoleQuestion(t *testing.T) {
 	wire := mustEncode(t, NewQuery(0xbeef, "WWW.Example.com", TypeAAAA))
-	id, q, ok := SoleQuestion(wire)
-	if !ok || id != 0xbeef || q != (Question{Name: "WWW.Example.com", Type: TypeAAAA, Class: ClassIN}) {
-		t.Errorf("SoleQuestion(plain query) = %#x, %+v, %v", id, q, ok)
+	dst := []byte("kept")
+	name, id, qtype, ok := AppendSoleQuestion(dst, wire)
+	if !ok || id != 0xbeef || qtype != TypeAAAA || string(name) != "keptwww.example.com" {
+		t.Errorf("AppendSoleQuestion(plain query) = %q, %#x, %v, %v", name, id, qtype, ok)
 	}
-	if _, _, ok := SoleQuestion(appendOPT(append([]byte(nil), wire...), 1232)); ok {
+	// Past ASCII the name is dnsname.Normalize's, and so is a label's own
+	// trailing dot.
+	for _, label := range []string{"\xc3\x89COLE", "\xff\xfeA", "dot."} {
+		raw := []byte{0xbe, 0xef, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, byte(len(label))}
+		raw = append(append(raw, label...), 0, 0, 1, 0, 1)
+		name, _, _, ok := AppendSoleQuestion(nil, raw)
+		if want := dnsname.Normalize(label); !ok || string(name) != want {
+			t.Errorf("AppendSoleQuestion(%q) = %q, %v; want %q", label, name, ok, want)
+		}
+	}
+	if _, _, _, ok := AppendSoleQuestion(nil, appendOPT(append([]byte(nil), wire...), 1232)); ok {
 		t.Error("an EDNS query is not a plain query")
 	}
 	for _, tc := range goldenCorpus() {
 		if tc.name == "query" {
 			continue
 		}
-		if _, _, ok := SoleQuestion(mustEncode(t, tc.msg)); ok && len(tc.msg.Answers)+len(tc.msg.Authority)+len(tc.msg.Additional) > 0 {
+		if _, _, _, ok := AppendSoleQuestion(nil, mustEncode(t, tc.msg)); ok && len(tc.msg.Answers)+len(tc.msg.Authority)+len(tc.msg.Additional) > 0 {
 			t.Errorf("%s: a message with records is not a plain query", tc.name)
 		}
 	}
 	for _, cut := range []int{0, 5, 11, 12, len(wire) - 1} {
-		if _, _, ok := SoleQuestion(wire[:cut]); ok {
-			t.Errorf("SoleQuestion(prefix %d) accepted", cut)
+		if _, _, _, ok := AppendSoleQuestion(nil, wire[:cut]); ok {
+			t.Errorf("AppendSoleQuestion(prefix %d) accepted", cut)
 		}
 	}
 }

@@ -175,16 +175,16 @@ func Hash[S string | []byte](name S) uint64 {
 	return h
 }
 
-// IsSubdomainOf reports whether child is equal to, or a strict subdomain of,
-// parent. Both must be normalized.
-func IsSubdomainOf(child, parent string) bool {
+// IsSubdomainOf reports whether child, a string or its bytes, is equal to,
+// or a strict subdomain of, parent. Both must be normalized.
+func IsSubdomainOf[S string | []byte](child S, parent string) bool {
 	if parent == "" {
 		return false
 	}
 	// A strict subdomain ends in "."+parent; compared in place, since
 	// building that string would allocate for parents past 31 bytes.
 	n := len(child) - len(parent)
-	return n == 0 && child == parent || n > 0 && child[n-1] == '.' && child[n:] == parent
+	return n == 0 && string(child) == parent || n > 0 && child[n-1] == '.' && string(child[n:]) == parent
 }
 
 // Suffixes holds an effective-TLD ruleset. The zero value matches nothing;

@@ -12,7 +12,7 @@ import (
 	"dnsnoise/internal/qlog"
 )
 
-func newPrimedEngine(t *testing.T, findings ...core.Finding) *Engine {
+func newPrimedEngine(t testing.TB, findings ...core.Finding) *Engine {
 	t.Helper()
 	// A trivially fitted classifier (always benign) so engine re-scores
 	// over staged names never error; verdicts come from Prime.

@@ -16,8 +16,8 @@ func synthUpstream(t testing.TB) *authority.Server {
 	t.Helper()
 	up := authority.NewServer()
 	z, err := authority.NewZone("synth.test", authority.WithSynth(
-		func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
-			return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(198, 18, 0, 1)}}, true
+		func(_ []byte, qtype dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool) {
+			return append(dst, dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(198, 18, 0, 1)}), true
 		}))
 	if err != nil {
 		t.Fatal(err)

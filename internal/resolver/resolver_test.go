@@ -386,8 +386,8 @@ func TestNoUpstream(t *testing.T) {
 
 func TestCategoryFlowsToCache(t *testing.T) {
 	up := authority.NewServer()
-	z, err := authority.NewZone("d.test", authority.WithSynth(func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
-		return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(127, 0, 0, 1)}}, true
+	z, err := authority.NewZone("d.test", authority.WithSynth(func(_ []byte, qtype dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool) {
+		return append(dst, dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(127, 0, 0, 1)}), true
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -461,8 +461,8 @@ func TestWithMaxTTLCapsCacheLifetime(t *testing.T) {
 
 func TestDeprioritizedEntriesEvictFirst(t *testing.T) {
 	up := authority.NewServer()
-	z, err := authority.NewZone("d.test", authority.WithSynth(func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
-		return []dnsmsg.RR{{Name: name, Type: qtype, Class: dnsmsg.ClassIN, TTL: 3600, RData: dnsmsg.IPv4(127, 0, 0, 1)}}, true
+	z, err := authority.NewZone("d.test", authority.WithSynth(func(_ []byte, qtype dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool) {
+		return append(dst, dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: 3600, RData: dnsmsg.IPv4(127, 0, 0, 1)}), true
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -539,9 +539,9 @@ func populateStaticZone(z *authority.Zone, spec *ZoneSpec) error {
 // Reputation/DNSBL zones answer from 127.0.0.0/16 with verdict-dependent
 // (varying) addresses; others answer stable per-name addresses.
 func makeSynth(spec *ZoneSpec) authority.SynthFunc {
-	return func(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, bool) {
+	return func(name []byte, qtype dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool) {
 		if qtype != dnsmsg.TypeA && qtype != dnsmsg.TypeAAAA {
-			return nil, false
+			return dst, false
 		}
 		h := dnsname.Hash(name)
 		if spec.RDataVaries {
@@ -551,19 +551,15 @@ func makeSynth(spec *ZoneSpec) authority.SynthFunc {
 			// disproportionately many distinct RRs (paper: 60% of RRs vs
 			// 33% of resolved names).
 			n := 2 + int(h%3)
-			rrs := make([]dnsmsg.RR, 0, n)
 			for i := 0; i < n; i++ {
 				sn := spec.synthN.Add(1)
 				rdata := signalIPv4(sn)
 				if qtype == dnsmsg.TypeAAAA {
 					rdata = signalIPv6(sn)
 				}
-				rrs = append(rrs, dnsmsg.RR{
-					Name: name, Type: qtype, Class: dnsmsg.ClassIN,
-					TTL: spec.TTL, RData: rdata,
-				})
+				dst = append(dst, dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: spec.TTL, RData: rdata})
 			}
-			return rrs, true
+			return dst, true
 		}
 		// Stable multi-record answers: measurement/telemetry/tracking names
 		// carry 1-3 probe endpoints, fixed per name. Together with the
@@ -572,18 +568,14 @@ func makeSynth(spec *ZoneSpec) authority.SynthFunc {
 		// distinct RRs above its share of resolved names (paper: 60% of
 		// RRs vs 33% of names).
 		n := 1 + int(h>>8)%3
-		rrs := make([]dnsmsg.RR, 0, n)
 		for i := 0; i < n; i++ {
 			rdata := syntheticIPv4(h, uint64(i))
 			if qtype == dnsmsg.TypeAAAA {
 				rdata = syntheticIPv6(h, uint64(i))
 			}
-			rrs = append(rrs, dnsmsg.RR{
-				Name: name, Type: qtype, Class: dnsmsg.ClassIN,
-				TTL: spec.TTL, RData: rdata,
-			})
+			dst = append(dst, dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: spec.TTL, RData: rdata})
 		}
-		return rrs, true
+		return dst, true
 	}
 }
 
