@@ -181,7 +181,7 @@ func run(args []string, stdout io.Writer) error {
 		// Not sim's namespace -seed: the namespace comes from -scale, and
 		// this only overrides that scale's seed.
 		seed = fs.Int64("seed", 0, "override the scale's seed (0 keeps the default)")
-		// Only the cache flags land here; -scale sizes everything else.
+		// Only the cache policy lands here; -scale sizes everything else.
 		knobs sim.Scale
 		obs   sim.Obs
 	)
@@ -211,7 +211,7 @@ func run(args []string, stdout io.Writer) error {
 	if *seed != 0 {
 		sc.Seed = *seed
 	}
-	sc.CachePolicy, sc.NegCacheSize = knobs.CachePolicy, knobs.NegCacheSize
+	sc.CachePolicy = knobs.CachePolicy
 
 	var selected []experiment
 	for _, e := range exps {

@@ -9,13 +9,13 @@ import (
 )
 
 // ShardedCollector is the concurrent counterpart of Collector for clusters
-// driven by per-server worker goroutines (resolver.ResolveStream). Each
+// driven by per-server worker goroutines (resolver.Cluster.StartStream). Each
 // simulated server gets a private Collector shard; the taps route every
 // observation to the shard named by its Server index, so shards are only
 // ever touched by their own worker and no locking is needed on the hot
 // path. Merge folds the shards into one ordinary Collector after the run.
 //
-// Because hash affinity pins each client to one server, shard client sets
+// Because the cluster pins each client to one server, shard client sets
 // are disjoint and the merged per-record client counts (including the
 // 64-client saturation behaviour) match what a sequential Collector
 // observing the same traffic would report.
@@ -37,7 +37,7 @@ func NewShardedCollector(numServers int) *ShardedCollector {
 
 // BelowTap returns the below-side tap. Safe for concurrent use as long as
 // observations with the same Server index arrive from one goroutine, which
-// is exactly the contract ResolveStream provides.
+// is exactly the contract a resolver.Stream provides.
 func (s *ShardedCollector) BelowTap() resolver.Tap {
 	return resolver.TapFunc(s.ObserveBelow)
 }

@@ -21,10 +21,10 @@ func sortedSample(vals []float64) []float64 {
 
 // TestParallelDayMatchesSequential is the determinism contract of the
 // per-server worker architecture: the same seeded day, run once through
-// sequential Resolve and once through ResolveStream, must leave every
+// sequential Resolve and once through a resolver Stream, must leave every
 // server's cache statistics bit-identical and produce identical CHR
-// aggregates. Per-server streams are identical in both modes (hash affinity
-// plus per-server FIFO routing), so the only tolerated difference is
+// aggregates. Per-server streams are identical in both modes (clients pinned
+// by hash plus per-server FIFO routing), so the only tolerated difference is
 // WireBytesUp: zones with varying rdata mint answer strings from a global
 // counter whose interleaving across servers is timing-dependent, and those
 // strings' lengths vary.
@@ -108,8 +108,8 @@ func TestParallelDayMatchesSequential(t *testing.T) {
 
 func mustCount(total, _ int) int { return total }
 
-// TestResolveStreamConcurrentTaps drives a full workload day through
-// ResolveStream with every concurrent consumer attached at once — the
+// TestResolveStreamConcurrentTaps drives a full workload day through a
+// resolver Stream with every concurrent consumer attached at once — the
 // sharded CHR collector on both sides, an hourly counter, and a pdns store —
 // so `go test -race` exercises the worker/tap/accumulator interleavings.
 func TestResolveStreamConcurrentTaps(t *testing.T) {

@@ -33,20 +33,19 @@ import (
 // Outcome classifies how a query was answered.
 type Outcome uint8
 
-// Outcomes. A resolver emits Hit/NegHit for cache answers and
+// Outcomes. A resolver emits Hit for cache answers and
 // NoError/NXDomain/ServFail for recursed ones; an authoritative server
 // (dnsnoise-serve) emits the rcode-derived subset.
 const (
 	OutcomeUnknown  Outcome = iota
-	OutcomeHit              // positive-cache hit
-	OutcomeNegHit           // negative-cache hit
+	OutcomeHit              // cache hit
 	OutcomeNoError          // recursed upstream, answered NoError
 	OutcomeNXDomain         // answered NXDOMAIN
 	OutcomeServFail         // answered SERVFAIL (upstream unreachable)
 	OutcomeError            // resolution failed with an error
 )
 
-var outcomeNames = [...]string{"unknown", "hit", "neghit", "noerror", "nxdomain", "servfail", "error"}
+var outcomeNames = [...]string{"unknown", "hit", "noerror", "nxdomain", "servfail", "error"}
 
 // String renders the outcome label used in JSON and /debug/qlog filters.
 func (o Outcome) String() string {
@@ -170,7 +169,6 @@ type Event struct {
 	Qtype     string        `json:"qtype"`
 	Outcome   Outcome       `json:"outcome"`
 	CacheHit  bool          `json:"cache_hit,omitempty"`
-	NegCache  bool          `json:"neg_cache,omitempty"` // touched the negative-cache path (hit or store)
 	Evict     EvictionCause `json:"evict,omitempty"`
 	AuthRTTs  uint32        `json:"auth_rtts,omitempty"` // upstream exchanges performed
 	AuthNs    uint64        `json:"auth_ns,omitempty"`   // wall time spent in upstream exchanges

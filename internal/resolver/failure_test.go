@@ -2,7 +2,6 @@ package resolver
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -10,11 +9,11 @@ import (
 	"dnsnoise/internal/dnsmsg"
 )
 
-// flakyUpstream decorates an authority with injected transport failures.
+// flakyUpstream decorates an authority with injected transport failures:
+// call n (counting from 1) fails when fail(n) says so.
 type flakyUpstream struct {
 	inner    *authority.Server
-	rng      *rand.Rand
-	failProb float64
+	fail     func(call int) bool
 	failures int
 	calls    int
 }
@@ -23,21 +22,19 @@ var errInjected = errors.New("injected transport failure")
 
 func (f *flakyUpstream) HandleWire(query []byte) ([]byte, error) {
 	f.calls++
-	if f.rng.Float64() < f.failProb {
+	if f.fail(f.calls) {
 		f.failures++
 		return nil, errInjected
 	}
 	return f.inner.HandleWire(query)
 }
 
-func flakyCluster(t *testing.T, failProb float64, opts ...Option) (*Cluster, *flakyUpstream) {
+func always(int) bool { return true }
+
+func flakyCluster(t *testing.T, fail func(call int) bool) (*Cluster, *flakyUpstream) {
 	t.Helper()
-	flaky := &flakyUpstream{
-		inner:    testUpstream(t),
-		rng:      rand.New(rand.NewSource(44)),
-		failProb: failProb,
-	}
-	c, err := NewCluster(flaky, append([]Option{WithServers(1)}, opts...)...)
+	flaky := &flakyUpstream{inner: testUpstream(t), fail: fail}
+	c, err := NewCluster(flaky, WithServers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,34 +42,35 @@ func flakyCluster(t *testing.T, failProb float64, opts ...Option) (*Cluster, *fl
 }
 
 func TestRetryRecoversFromTransientFailure(t *testing.T) {
-	// 40% failure probability with 3 retries: the vast majority of queries
-	// must still resolve, and none may surface a transport error.
-	c, flaky := flakyCluster(t, 0.4, WithUpstreamRetries(3))
-	servfails := 0
-	for i := 0; i < 200; i++ {
+	// Every exchange's first attempt fails and its retry succeeds: no query
+	// may answer SERVFAIL or surface a transport error, and each pays two
+	// round trips.
+	c, flaky := flakyCluster(t, func(call int) bool { return call%2 == 1 })
+	const queries = 200
+	for i := 0; i < queries; i++ {
 		at := t0.Add(time.Duration(i) * 400 * time.Second) // defeat caching
 		r, err := c.Resolve(Query{Time: at, ClientID: 1, Name: "www.example.com", Type: dnsmsg.TypeA})
 		if err != nil {
 			t.Fatalf("Resolve surfaced transport error: %v", err)
 		}
-		if r.RCode == dnsmsg.RCodeServFail {
-			servfails++
+		if r.RCode != dnsmsg.RCodeNoError {
+			t.Fatalf("query %d: RCode = %v, want NOERROR after the retry", i, r.RCode)
 		}
 	}
-	if flaky.failures == 0 {
-		t.Fatal("fault injection never fired")
+	if flaky.failures != queries {
+		t.Errorf("injected failures = %d, want %d", flaky.failures, queries)
 	}
-	// P(4 consecutive failures) = 0.4^4 = 2.6%; allow generous slack.
-	if servfails > 20 {
-		t.Errorf("servfails = %d of 200, retries should absorb most failures", servfails)
+	st := c.Stats()
+	if st.ServFails != 0 || st.UpstreamErrors != 0 {
+		t.Errorf("ServFails = %d, UpstreamErrors = %d, want 0 and 0", st.ServFails, st.UpstreamErrors)
 	}
-	if c.Stats().ServFails != uint64(servfails) {
-		t.Errorf("ServFails stat = %d, want %d", c.Stats().ServFails, servfails)
+	if st.UpstreamRTs != 2*queries {
+		t.Errorf("UpstreamRTs = %d, want %d (two attempts a query)", st.UpstreamRTs, 2*queries)
 	}
 }
 
 func TestTotalOutageDegradesToServFail(t *testing.T) {
-	c, _ := flakyCluster(t, 1.0, WithUpstreamRetries(2))
+	c, _ := flakyCluster(t, always)
 	r, err := c.Resolve(Query{Time: t0, ClientID: 1, Name: "www.example.com", Type: dnsmsg.TypeA})
 	if err != nil {
 		t.Fatalf("outage must degrade, not error: %v", err)
@@ -84,20 +82,20 @@ func TestTotalOutageDegradesToServFail(t *testing.T) {
 	if st.UpstreamErrors == 0 {
 		t.Error("UpstreamErrors not counted")
 	}
-	// 1 initial + 2 retries.
-	if st.UpstreamRTs != 3 {
-		t.Errorf("UpstreamRTs = %d, want 3 (retries)", st.UpstreamRTs)
+	// 1 initial + 1 retry.
+	if st.UpstreamRTs != 2 {
+		t.Errorf("UpstreamRTs = %d, want 2 (one retry)", st.UpstreamRTs)
 	}
 }
 
 func TestServFailIsNotCached(t *testing.T) {
-	c, flaky := flakyCluster(t, 1.0, WithUpstreamRetries(0))
+	c, flaky := flakyCluster(t, always)
 	if _, err := c.Resolve(Query{Time: t0, ClientID: 1, Name: "www.example.com", Type: dnsmsg.TypeA}); err != nil {
 		t.Fatal(err)
 	}
 	// Upstream heals; the next query must reach it rather than replay a
 	// cached failure.
-	flaky.failProb = 0
+	flaky.fail = func(int) bool { return false }
 	r, err := c.Resolve(Query{Time: t0.Add(time.Second), ClientID: 1, Name: "www.example.com", Type: dnsmsg.TypeA})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +106,7 @@ func TestServFailIsNotCached(t *testing.T) {
 }
 
 func TestServFailTapsObserveFailure(t *testing.T) {
-	c, _ := flakyCluster(t, 1.0, WithUpstreamRetries(0))
+	c, _ := flakyCluster(t, always)
 	var below []Observation
 	c.SetTaps(TapFunc(func(ob Observation) { below = append(below, ob) }), nil)
 	if _, err := c.Resolve(Query{Time: t0, ClientID: 1, Name: "www.example.com", Type: dnsmsg.TypeA}); err != nil {

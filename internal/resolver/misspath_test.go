@@ -255,14 +255,7 @@ func TestValidationKeyFetchParallelMatchesSequential(t *testing.T) {
 			mu.Unlock()
 		}))
 		if parallel {
-			ch := make(chan Query, 64)
-			go func() {
-				defer close(ch)
-				for _, q := range qs {
-					ch <- q
-				}
-			}()
-			if err := c.ResolveStream(ch); err != nil {
+			if err := c.ResolveBatch(qs); err != nil {
 				t.Fatal(err)
 			}
 		} else {

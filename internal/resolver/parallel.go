@@ -1,14 +1,13 @@
 package resolver
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // Parallel resolution: one worker goroutine per simulated RDNS server.
 //
-// AffinityHash pins each client to exactly one server, so the cluster's
+// pickServer pins each client to exactly one server, so the cluster's
 // query stream is a union of independent per-server substreams. The router
 // (caller goroutine) splits the incoming stream by pickServer and feeds each
 // server's worker over a bounded channel, preserving per-server FIFO order.
@@ -28,48 +27,10 @@ const streamBatchSize = 64
 // keep memory bounded, large enough to decouple router and worker bursts.
 const shardChanCap = 32
 
-// StreamOption configures one ResolveStream/ResolveBatch run.
-type StreamOption interface {
-	applyStream(*streamOptions)
-}
-
-type streamOptions struct {
-	bufferedTaps bool
-}
-
-type streamOptionFunc func(*streamOptions)
-
-func (f streamOptionFunc) applyStream(o *streamOptions) { f(o) }
-
-// WithBufferedTaps defers tap delivery: each worker appends its
-// observations to a private buffer, and after all workers finish the
-// buffers are drained into the taps server by server, in server order,
-// from the calling goroutine. Observations within a server stay in
-// resolution order. The mode trades tap latency and memory for two
-// guarantees tests want: taps need not be concurrency-safe, and a given
-// seed yields one deterministic delivery order.
-func WithBufferedTaps() StreamOption {
-	return streamOptionFunc(func(o *streamOptions) { o.bufferedTaps = true })
-}
-
-// ResolveStream consumes queries until the channel closes, resolving each
-// on its affinity-selected server's worker goroutine. It blocks until every
-// in-flight query finishes and returns the first resolution error, if any
-// (the stream keeps draining after an error so producers never block).
-// Round-robin affinity is routed by the single router goroutine, so its
-// query interleaving is exactly the arrival order, as in sequential mode.
-func (c *Cluster) ResolveStream(queries <-chan Query, opts ...StreamOption) error {
-	st := c.StartStream(opts...)
-	for q := range queries {
-		st.Submit(q)
-	}
-	return st.Close()
-}
-
 // ResolveBatch resolves a slice of queries through the per-server workers
 // and blocks until all complete, returning the first error encountered.
-func (c *Cluster) ResolveBatch(queries []Query, opts ...StreamOption) error {
-	st := c.StartStream(opts...)
+func (c *Cluster) ResolveBatch(queries []Query) error {
+	st := c.StartStream()
 	for _, q := range queries {
 		st.Submit(q)
 	}
@@ -85,14 +46,13 @@ type streamMsg struct {
 }
 
 // Stream is a long-lived parallel resolution session: one worker goroutine
-// per server, fed by the caller through Submit. Unlike ResolveStream, a
+// per server, fed by the caller through Submit. Unlike ResolveBatch, a
 // Stream survives across logical windows (days) of the query sequence —
 // Barrier drains every in-flight query without tearing the workers down, so
 // the caller can rotate taps or accumulators at window boundaries and keep
 // submitting. All methods must be called from a single goroutine.
 type Stream struct {
 	c        *Cluster
-	so       streamOptions
 	chans    []chan streamMsg
 	free     []chan []Query // per server: drained batches on their way back to Submit
 	pending  [][]Query
@@ -103,20 +63,13 @@ type Stream struct {
 
 // StartStream spins up one worker per server and returns the session. The
 // caller must Close it, even on error paths, or the workers leak.
-func (c *Cluster) StartStream(opts ...StreamOption) *Stream {
+func (c *Cluster) StartStream() *Stream {
 	st := &Stream{c: c}
-	for _, opt := range opts {
-		opt.applyStream(&st.so)
-	}
 	n := len(c.servers)
 	st.chans = make([]chan streamMsg, n)
 	st.free = make([]chan []Query, n)
 	st.pending = make([][]Query, n)
 	for i, s := range c.servers {
-		s.buffered = st.so.bufferedTaps
-		if st.so.bufferedTaps {
-			s.obBuf = s.obBuf[:0]
-		}
 		ch := make(chan streamMsg, shardChanCap)
 		st.chans[i] = ch
 		// As deep as the queue it mirrors: a batch is on ch, with the
@@ -159,8 +112,8 @@ func (st *Stream) worker(s *server, ch <-chan streamMsg, free chan<- []Query) {
 }
 
 // Submit routes one query to its server's worker. It acts as the single
-// router goroutine: pickServer's round-robin cursor is only safe
-// single-threaded, which the one-caller contract guarantees.
+// router goroutine: the pending batches are only safe single-threaded,
+// which the one-caller contract guarantees.
 func (st *Stream) Submit(q Query) {
 	i := st.c.pickServer(q.ClientID)
 	st.pending[i] = append(st.pending[i], q)
@@ -194,8 +147,7 @@ func (st *Stream) flush() {
 // (i.e. after it returns and before the next Submit), every worker is idle,
 // so the caller may safely swap cluster taps — this is the hook window
 // rotation builds on. Returns the first resolution error observed so far;
-// the stream remains usable either way. Not supported together with
-// WithBufferedTaps (buffers drain only at Close).
+// the stream remains usable either way.
 func (st *Stream) Barrier() error {
 	st.flush()
 	var wg sync.WaitGroup
@@ -215,9 +167,8 @@ func (st *Stream) Err() error {
 	return nil
 }
 
-// Close flushes remaining batches, joins the workers, drains buffered-tap
-// observations deterministically, and returns the first resolution error.
-// Close is idempotent.
+// Close flushes remaining batches, joins the workers, and returns the first
+// resolution error. Close is idempotent.
 func (st *Stream) Close() error {
 	if !st.closed {
 		st.closed = true
@@ -226,44 +177,6 @@ func (st *Stream) Close() error {
 			close(ch)
 		}
 		st.wg.Wait()
-		if st.so.bufferedTaps {
-			st.c.drainBuffers()
-		}
 	}
 	return st.Err()
-}
-
-// drainBuffers replays buffered observations into the taps from the calling
-// goroutine: servers in index order, each server's observations in the
-// order its worker produced them.
-func (c *Cluster) drainBuffers() {
-	for _, s := range c.servers {
-		for _, b := range s.obBuf {
-			if b.side == sideBelow {
-				if c.below != nil {
-					c.below.Observe(b.ob)
-				}
-			} else if c.above != nil {
-				c.above.Observe(b.ob)
-			}
-		}
-		s.obBuf = nil
-		s.buffered = false
-	}
-}
-
-// SortObservations orders observations by time, then client, then qname —
-// a stable canonical order for comparing tap output across runs whose
-// interleaving differs.
-func SortObservations(obs []Observation) {
-	sort.SliceStable(obs, func(i, j int) bool {
-		a, b := obs[i], obs[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
-		}
-		if a.ClientID != b.ClientID {
-			return a.ClientID < b.ClientID
-		}
-		return a.QName < b.QName
-	})
 }

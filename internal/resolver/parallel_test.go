@@ -89,71 +89,8 @@ func TestResolveBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestResolveStreamChannel exercises the channel-driven entry point with a
-// concurrent producer.
-func TestResolveStreamChannel(t *testing.T) {
-	c, err := NewCluster(synthUpstream(t), WithServers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := mixedQueries(5_000)
-	ch := make(chan Query, 256)
-	go func() {
-		defer close(ch)
-		for _, q := range qs {
-			ch <- q
-		}
-	}()
-	if err := c.ResolveStream(ch); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Queries; got != uint64(len(qs)) {
-		t.Errorf("Queries = %d, want %d", got, len(qs))
-	}
-}
-
-// TestBufferedTapsDeterministicOrder runs the same batch twice in buffered
-// mode and requires the delivered observation sequences to be identical —
-// the replay contract tests rely on.
-func TestBufferedTapsDeterministicOrder(t *testing.T) {
-	run := func() []Observation {
-		c, err := NewCluster(synthUpstream(t), WithServers(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var below []Observation
-		var mu sync.Mutex // not needed in buffered mode, but cheap insurance for the test
-		c.SetTaps(TapFunc(func(ob Observation) {
-			mu.Lock()
-			below = append(below, ob)
-			mu.Unlock()
-		}), nil)
-		if err := c.ResolveBatch(mixedQueries(3_000), WithBufferedTaps()); err != nil {
-			t.Fatal(err)
-		}
-		return below
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("observation counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("observation %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	// Buffered drain delivers servers in index order.
-	lastServer := -1
-	for _, ob := range a {
-		if ob.Server < lastServer {
-			t.Fatalf("server order regressed: %d after %d", ob.Server, lastServer)
-		}
-		lastServer = ob.Server
-	}
-}
-
-// TestConcurrentTapsSeeEveryObservation attaches a mutex-guarded tap in
-// direct (unbuffered) mode; under -race this validates the concurrent-tap
+// TestConcurrentTapsSeeEveryObservation attaches a mutex-guarded tap; under
+// -race this validates the concurrent-tap
 // path, and the count check validates no observation is dropped.
 func TestConcurrentTapsSeeEveryObservation(t *testing.T) {
 	c, err := NewCluster(synthUpstream(t), WithServers(4))

@@ -17,7 +17,7 @@ func TestPolicyDeterminismSeqVsParallel(t *testing.T) {
 	qs := mixedQueries(20_000)
 	for _, kind := range cache.Policies() {
 		t.Run(kind.String(), func(t *testing.T) {
-			opts := []Option{WithServers(4), WithCacheSize(64), WithCachePolicy(kind), WithNegCacheSize(32)}
+			opts := []Option{WithServers(4), WithCacheSize(64), WithCachePolicy(kind)}
 			seq, err := NewCluster(synthUpstream(t), opts...)
 			if err != nil {
 				t.Fatal(err)

@@ -71,32 +71,14 @@ func TestQueryLogMissThenHit(t *testing.T) {
 	}
 }
 
-func TestQueryLogNegativeCachePath(t *testing.T) {
-	c, mem := qlogCluster(t, WithNegativeCache(true))
-	if _, err := c.Resolve(q("missing.example.com", t0)); err != nil {
-		t.Fatal(err)
-	}
-	ev := lastEvent(t, c, mem)
-	if ev.Outcome != qlog.OutcomeNXDomain || !ev.NegCache || ev.CacheHit {
-		t.Errorf("first NXDOMAIN event = %+v, want nxdomain with neg_cache store", ev)
-	}
-	if _, err := c.Resolve(q("missing.example.com", t0.Add(time.Second))); err != nil {
-		t.Fatal(err)
-	}
-	ev = lastEvent(t, c, mem)
-	if ev.Outcome != qlog.OutcomeNegHit || !ev.NegCache || !ev.CacheHit {
-		t.Errorf("second NXDOMAIN event = %+v, want neghit from the negative cache", ev)
-	}
-}
-
 func TestQueryLogNXDomainWithoutNegCache(t *testing.T) {
 	c, mem := qlogCluster(t)
 	if _, err := c.Resolve(q("missing.example.com", t0)); err != nil {
 		t.Fatal(err)
 	}
 	ev := lastEvent(t, c, mem)
-	if ev.Outcome != qlog.OutcomeNXDomain || ev.NegCache {
-		t.Errorf("event = %+v, want nxdomain without neg_cache", ev)
+	if ev.Outcome != qlog.OutcomeNXDomain || ev.CacheHit || ev.AuthRTTs != 1 {
+		t.Errorf("event = %+v, want nxdomain recursed upstream", ev)
 	}
 }
 

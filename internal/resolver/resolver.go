@@ -15,7 +15,7 @@
 //
 // All per-query state — caches, counters, upstream message IDs, scratch wire
 // buffers — is sharded per server, so the cluster can run one worker
-// goroutine per server (see ResolveStream) without any locking on the hot
+// goroutine per server (see StartStream) without any locking on the hot
 // path. Resolve itself is single-threaded: one caller at a time, as before.
 package resolver
 
@@ -45,9 +45,14 @@ var (
 // maxChainDepth bounds CNAME chain following.
 const maxChainDepth = 8
 
-// defaultNegTTL is the RFC 2308 fallback negative-caching TTL used when the
-// authority's NXDOMAIN response carries no SOA to derive one from.
-const defaultNegTTL = 300
+// maxCacheTTL caps how long a cached answer lives, whatever TTL the
+// authority gave it; shorter TTLs, 0 included, are honoured as given.
+const maxCacheTTL = 24 * time.Hour
+
+// upstreamRetries is how many times a failed upstream exchange is retried
+// before the query is answered SERVFAIL. Transport errors (timeouts, socket
+// failures) trigger retries; well-formed negative responses do not.
+const upstreamRetries = 1
 
 // Query is one client resolution request. Category carries the workload's
 // ground-truth label; it is used only for cache-pressure accounting and is
@@ -90,9 +95,9 @@ func MultiTap(taps ...Tap) Tap {
 }
 
 // Tap consumes observations from one side of the cluster. Taps installed on
-// a cluster driven through ResolveStream or ResolveBatch are invoked
+// a cluster driven through StartStream or ResolveBatch are invoked
 // concurrently from the per-server workers and must be safe for concurrent
-// use, unless WithBufferedTaps defers delivery to a single drain pass.
+// use.
 type Tap interface {
 	Observe(ob Observation)
 }
@@ -112,17 +117,6 @@ type Response struct {
 	FromCache bool
 }
 
-// Affinity selects how clients map to cluster servers.
-type Affinity int
-
-// Affinity modes. AffinityHash pins each client to one server (typical ISP
-// load-balancer behaviour); AffinityRoundRobin sprays queries across all
-// servers, which degrades per-server cache locality.
-const (
-	AffinityHash Affinity = iota + 1
-	AffinityRoundRobin
-)
-
 // Stats aggregates cluster-wide counters. Each server accumulates its own
 // shard; Stats() merges the shards on read.
 type Stats struct {
@@ -131,7 +125,7 @@ type Stats struct {
 	CacheMisses    uint64
 	UpstreamRTs    uint64 // round trips to the authority (incl. chain + DNSKEY)
 	NXDomains      uint64
-	NegCacheHits   uint64
+	NegCacheHits   uint64 // always 0: the cluster keeps no negative cache
 	Validations    uint64 // DNSSEC signature verifications performed
 	ValidationErrs uint64
 	WireBytesUp    uint64 // bytes exchanged with the authority
@@ -147,12 +141,11 @@ type Stats struct {
 // worker. The hit path pays as little as possible: Queries, CacheMisses and
 // CacheHits are not stored but derived on read — Queries is the sum of the
 // per-category query counts, CacheMisses the sum of the per-category miss
-// counts, and CacheHits = Queries − CacheMisses − NegCacheHits, which holds
-// exactly because every query takes precisely one of the three branches.
+// counts, and CacheHits = Queries − CacheMisses, which holds exactly because
+// every query either hits the cache or recurses.
 type statsShard struct {
 	queriesByCategory [2]atomic.Uint64
 	missesByCategory  [2]atomic.Uint64
-	negCacheHits      atomic.Uint64
 	nxDomains         atomic.Uint64
 	upstreamRTs       atomic.Uint64
 	validations       atomic.Uint64
@@ -162,24 +155,23 @@ type statsShard struct {
 	servFails         atomic.Uint64
 }
 
-// snapshot loads the shard into the exported Stats form. Outcome counters
-// (misses, negative hits) are loaded BEFORE the query counters: a query
-// increments its query counter first and its outcome counter later, so this
-// order guarantees Queries ≥ CacheMisses + NegCacheHits and the derived
-// CacheHits never underflows. In-flight queries may transiently count as
-// hits until their outcome lands.
+// snapshot loads the shard into the exported Stats form. The miss counters
+// are loaded BEFORE the query counters: a query increments its query
+// counter first and its miss counter later, so this order guarantees
+// Queries ≥ CacheMisses and the derived CacheHits never underflows.
+// In-flight queries may transiently count as hits until their outcome
+// lands.
 func (sh *statsShard) snapshot() Stats {
 	var st Stats
 	for i := range sh.missesByCategory {
 		st.MissesByCategory[i] = sh.missesByCategory[i].Load()
 		st.CacheMisses += st.MissesByCategory[i]
 	}
-	st.NegCacheHits = sh.negCacheHits.Load()
 	for i := range sh.queriesByCategory {
 		st.QueriesByCategory[i] = sh.queriesByCategory[i].Load()
 		st.Queries += st.QueriesByCategory[i]
 	}
-	st.CacheHits = st.Queries - st.CacheMisses - st.NegCacheHits
+	st.CacheHits = st.Queries - st.CacheMisses
 	st.NXDomains = sh.nxDomains.Load()
 	st.UpstreamRTs = sh.upstreamRTs.Load()
 	st.Validations = sh.validations.Load()
@@ -197,7 +189,6 @@ func (st *Stats) add(o *Stats) {
 	st.CacheMisses += o.CacheMisses
 	st.UpstreamRTs += o.UpstreamRTs
 	st.NXDomains += o.NXDomains
-	st.NegCacheHits += o.NegCacheHits
 	st.Validations += o.Validations
 	st.ValidationErrs += o.ValidationErrs
 	st.WireBytesUp += o.WireBytesUp
@@ -218,7 +209,7 @@ func (st *Stats) add(o *Stats) {
 // only HandleWire costs one copy per response. Implementations must not
 // retain the query slice after returning (the cluster reuses wire buffers),
 // and must be safe for concurrent calls when the cluster is driven through
-// ResolveStream/ResolveBatch.
+// StartStream/ResolveBatch.
 type Upstream = dnsmsg.Handler
 
 // Cluster is a set of simulated recursive DNS servers.
@@ -228,20 +219,18 @@ type Cluster struct {
 	opts     options
 	below    Tap
 	above    Tap
-	rrIndex  uint64 // round-robin cursor
 	keys     map[string]ed25519.PublicKey
 	keysMu   sync.Mutex // guards keys; held across the DNSKEY fetch so each zone key is fetched once
 }
 
-// server is one RDNS server: its caches plus every piece of mutable
+// server is one RDNS server: its cache plus every piece of mutable
 // per-query state, so a dedicated worker goroutine can drive it without
 // synchronizing with its siblings.
 type server struct {
-	idx      int
-	cache    *cache.LRU[qkey, cacheValue]
-	negCache *cache.LRU[qkey, negValue]
-	stats    statsShard
-	msgID    uint16 // upstream message-ID counter, independent of any stat
+	idx   int
+	cache *cache.LRU[qkey, cacheValue]
+	stats statsShard
+	msgID uint16 // upstream message-ID counter, independent of any stat
 
 	// Upstream exchange scratch: the query wire, the response wire the
 	// upstream appends into, and the Message it is unpacked into. One
@@ -260,36 +249,14 @@ type server struct {
 	// logged path stores fields instead of allocating.
 	qrec *qlog.Recorder
 	qev  qlog.Event
-
-	// Parallel-mode tap buffering (see WithBufferedTaps).
-	buffered bool
-	obBuf    []bufferedOb
-}
-
-type obSide uint8
-
-const (
-	sideBelow obSide = iota
-	sideAbove
-)
-
-type bufferedOb struct {
-	side obSide
-	ob   Observation
 }
 
 type options struct {
 	numServers    int
 	cacheSize     int
-	negCacheSize  int
 	cachePolicy   cache.PolicyKind
-	negCache      bool
 	validate      bool
-	affinity      Affinity
-	minTTL        time.Duration
-	maxTTL        time.Duration
 	deprioritizer func(name string) bool
-	retries       int
 	telemetry     *telemetry.Registry
 	qlog          *qlog.Log
 }
@@ -321,65 +288,16 @@ func WithCacheSize(n int) Option {
 	})
 }
 
-// WithCachePolicy selects the eviction policy for each server's caches
+// WithCachePolicy selects the eviction policy for each server's cache
 // (default cache.PolicyLRU — the policy every paper measurement runs
 // under; SIEVE is for the capacity sweeps).
 func WithCachePolicy(p cache.PolicyKind) Option {
 	return optionFunc(func(o *options) { o.cachePolicy = p })
 }
 
-// WithNegCacheSize sets the negative cache capacity in entries. The default
-// (0) keeps the historical ratio of a quarter of the positive cache size.
-func WithNegCacheSize(n int) Option {
-	return optionFunc(func(o *options) {
-		if n > 0 {
-			o.negCacheSize = n
-		}
-	})
-}
-
-// WithNegativeCache enables RFC 2308 negative caching. The paper observed
-// the monitored resolvers NOT honoring it (hence 40% NXDOMAIN traffic above),
-// so the default is off.
-func WithNegativeCache(enabled bool) Option {
-	return optionFunc(func(o *options) { o.negCache = enabled })
-}
-
 // WithValidation enables DNSSEC validation of signed answers (Section VI-B).
 func WithValidation(enabled bool) Option {
 	return optionFunc(func(o *options) { o.validate = enabled })
-}
-
-// WithAffinity selects the client-to-server mapping (default AffinityHash).
-func WithAffinity(a Affinity) Option {
-	return optionFunc(func(o *options) {
-		if a == AffinityHash || a == AffinityRoundRobin {
-			o.affinity = a
-		}
-	})
-}
-
-// WithMinTTL floors cached TTLs: some resolver implementations hold records
-// for a minimum period even when the authority says 0 (RFC 1536/1912
-// discussion in Section VI-A). Default 0 (honor the authority).
-func WithMinTTL(d time.Duration) Option {
-	return optionFunc(func(o *options) {
-		if d >= 0 {
-			o.minTTL = d
-		}
-	})
-}
-
-// WithUpstreamRetries sets how many times a failed upstream exchange is
-// retried before the query is answered SERVFAIL (default 1). Transport
-// errors (timeouts, socket failures) trigger retries; well-formed negative
-// responses do not.
-func WithUpstreamRetries(n int) Option {
-	return optionFunc(func(o *options) {
-		if n >= 0 {
-			o.retries = n
-		}
-	})
 }
 
 // WithDeprioritizer installs the Section VI-A caching mitigation: answers
@@ -410,15 +328,6 @@ func WithQueryLog(l *qlog.Log) Option {
 	return optionFunc(func(o *options) { o.qlog = l })
 }
 
-// WithMaxTTL caps cached TTLs (default 24h).
-func WithMaxTTL(d time.Duration) Option {
-	return optionFunc(func(o *options) {
-		if d > 0 {
-			o.maxTTL = d
-		}
-	})
-}
-
 // NewCluster builds a cluster recursing to upstream.
 func NewCluster(upstream Upstream, opts ...Option) (*Cluster, error) {
 	if upstream == nil || upstream == (*authority.Server)(nil) {
@@ -427,9 +336,6 @@ func NewCluster(upstream Upstream, opts ...Option) (*Cluster, error) {
 	o := options{
 		numServers: 4,
 		cacheSize:  1 << 16,
-		affinity:   AffinityHash,
-		maxTTL:     24 * time.Hour,
-		retries:    1,
 	}
 	for _, opt := range opts {
 		opt.apply(&o)
@@ -439,16 +345,11 @@ func NewCluster(upstream Upstream, opts ...Option) (*Cluster, error) {
 		opts:     o,
 		keys:     make(map[string]ed25519.PublicKey),
 	}
-	negSize := o.negCacheSize
-	if negSize <= 0 {
-		negSize = o.cacheSize / 4
-	}
 	for i := 0; i < o.numServers; i++ {
 		c.servers = append(c.servers, &server{
-			idx:      i,
-			cache:    cache.New[qkey, cacheValue](o.cacheSize, o.cachePolicy),
-			negCache: cache.New[qkey, negValue](negSize, o.cachePolicy),
-			qrec:     o.qlog.NewRecorder(i), // nil log → nil recorder
+			idx:   i,
+			cache: cache.New[qkey, cacheValue](o.cacheSize, o.cachePolicy),
+			qrec:  o.qlog.NewRecorder(i), // nil log → nil recorder
 		})
 	}
 	c.registerMetrics(o.telemetry)
@@ -478,9 +379,6 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 		reg.CounterFunc("resolver_cache_misses_total"+label,
 			"Positive-cache misses (recursed upstream).",
 			func() uint64 { return sh.snapshot().CacheMisses })
-		reg.CounterFunc("resolver_negcache_hits_total"+label,
-			"Negative-cache hits.",
-			func() uint64 { return sh.snapshot().NegCacheHits })
 		reg.GaugeFunc("resolver_cache_entries"+label,
 			"Entries currently in the positive cache.",
 			func() float64 { return float64(srv.cache.Len()) })
@@ -523,14 +421,14 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 }
 
 // SetTaps installs the below/above observation taps; either may be nil.
-// Must not be called while a ResolveStream/ResolveBatch run is in flight.
+// Must not be called while a StartStream/ResolveBatch run is in flight.
 func (c *Cluster) SetTaps(below, above Tap) {
 	c.below = below
 	c.above = above
 }
 
 // Stats returns the cluster counters, merged across the per-server shards.
-// Safe to call while a ResolveStream/ResolveBatch run is in flight; counts
+// Safe to call while a StartStream/ResolveBatch run is in flight; counts
 // from in-flight queries land atomically.
 func (c *Cluster) Stats() Stats {
 	var out Stats
@@ -591,12 +489,8 @@ type qkey struct {
 	qtype dnsmsg.Type
 }
 
-// negValue is the (empty) payload of a negative-cache entry; only the
-// entry's presence and TTL matter.
-type negValue struct{}
-
 // Resolve processes one client query through the cluster. It is not safe
-// for concurrent use; parallel callers should use ResolveStream or
+// for concurrent use; parallel callers should use StartStream or
 // ResolveBatch, which fan the load out across per-server workers.
 func (c *Cluster) Resolve(q Query) (Response, error) {
 	return c.resolveOn(c.servers[c.pickServer(q.ClientID)], q)
@@ -658,17 +552,14 @@ func (c *Cluster) doResolve(s *server, q Query, ev *qlog.Event) (Response, error
 		ev.Qtype = q.Type.String()
 	}
 
-	// Drive the timer wheels off query time: whole buckets of dead entries
+	// Drive the timer wheel off query time: whole buckets of dead entries
 	// are reclaimed here, so occupancy tracks live entries and eviction
 	// victims are never already-expired. Same-second queries return in two
 	// atomic loads; nothing allocates (guarded by AllocsPerRun tests).
 	s.cache.Advance(q.Time)
-	if c.opts.negCache {
-		s.negCache.Advance(q.Time)
-	}
 
-	// Positive cache. Hits are derived on read (see statsShard), so the
-	// hottest branch increments nothing beyond the query counter above.
+	// Hits are derived on read (see statsShard), so the hottest branch
+	// increments nothing beyond the query counter above.
 	if cv, ok := s.cache.Get(key, q.Time); ok {
 		if ev != nil {
 			ev.Outcome = qlog.OutcomeHit
@@ -677,23 +568,9 @@ func (c *Cluster) doResolve(s *server, q Query, ev *qlog.Event) (Response, error
 		c.emitBelow(s, q, cv.answers, dnsmsg.RCodeNoError)
 		return Response{RCode: dnsmsg.RCodeNoError, Answers: cv.answers, FromCache: true}, nil
 	}
-	// Negative cache.
-	if c.opts.negCache {
-		if _, ok := s.negCache.Get(key, q.Time); ok {
-			s.stats.negCacheHits.Add(1)
-			s.stats.nxDomains.Add(1)
-			if ev != nil {
-				ev.Outcome = qlog.OutcomeNegHit
-				ev.CacheHit = true
-				ev.NegCache = true
-			}
-			c.emitBelow(s, q, nil, dnsmsg.RCodeNXDomain)
-			return Response{RCode: dnsmsg.RCodeNXDomain, FromCache: true}, nil
-		}
-	}
 	s.stats.missesByCategory[q.Category].Add(1)
 
-	answers, rcode, negTTL, err := c.recurse(q, s, ev)
+	answers, rcode, err := c.recurse(q, s, ev)
 	if errors.Is(err, errUpstreamUnavailable) {
 		// The authority could not be reached after retries: degrade to
 		// SERVFAIL, as a production resolver would, rather than failing
@@ -709,13 +586,11 @@ func (c *Cluster) doResolve(s *server, q Query, ev *qlog.Event) (Response, error
 		return Response{}, err
 	}
 	if rcode == dnsmsg.RCodeNXDomain {
+		// Not cached: the paper's resolvers did not honour RFC 2308
+		// negative caching, so every repeat of a dead name goes above.
 		s.stats.nxDomains.Add(1)
 		if ev != nil {
 			ev.Outcome = qlog.OutcomeNXDomain
-			ev.NegCache = c.opts.negCache // the store half of the negative-cache path
-		}
-		if c.opts.negCache {
-			s.negCache.Put(key, negValue{}, c.clampTTL(negTTL), q.Category, q.Time)
 		}
 		c.emitBelow(s, q, nil, dnsmsg.RCodeNXDomain)
 		return Response{RCode: rcode}, nil
@@ -728,16 +603,14 @@ func (c *Cluster) doResolve(s *server, q Query, ev *qlog.Event) (Response, error
 }
 
 // recurse performs the iterative resolution against the upstream authority,
-// following CNAME chains and caching every RRset it learns. For negative
-// outcomes it also reports the RFC 2308 negative-caching TTL derived from
-// the authority's SOA. When ev is non-nil it accumulates the authority
-// round-trip count and wall time.
-func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsmsg.RCode, uint32, error) {
+// following CNAME chains and caching every RRset it learns. When ev is
+// non-nil it accumulates the authority round-trip count and wall time.
+func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsmsg.RCode, error) {
 	var chain []dnsmsg.RR
 	name := q.Name
 	for depth := 0; ; depth++ {
 		if depth >= maxChainDepth {
-			return nil, 0, 0, fmt.Errorf("%w: %q", ErrChainLoop, q.Name)
+			return nil, 0, fmt.Errorf("%w: %q", ErrChainLoop, q.Name)
 		}
 		var authStart time.Time
 		if ev != nil {
@@ -749,16 +622,16 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 			ev.AuthNs += uint64(time.Since(authStart))
 		}
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		c.emitAbove(s, q, resp)
 		if resp.Header.RCode != dnsmsg.RCodeNoError {
 			if len(chain) > 0 {
 				// A broken chain still returns the prefix gathered so far,
 				// mirroring common resolver behaviour; the final rcode wins.
-				return chain, resp.Header.RCode, negativeTTL(resp), nil
+				return chain, resp.Header.RCode, nil
 			}
-			return nil, resp.Header.RCode, negativeTTL(resp), nil
+			return nil, resp.Header.RCode, nil
 		}
 		// resp is the server's exchange scratch and validate may fetch a
 		// DNSKEY through it, so everything this hop still needs is copied
@@ -768,11 +641,11 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 			c.validate(s, q, rrsig, answers)
 		}
 		if len(answers) == 0 {
-			return chain, dnsmsg.RCodeNoError, 0, nil // NODATA
+			return chain, dnsmsg.RCodeNoError, nil // NODATA
 		}
 		// Cache this hop's RRset under the name queried at this hop.
 		c.cachePut(s, qkey{name: name, qtype: q.Type}, cacheValue{answers: answers},
-			c.clampTTL(answers[0].TTL), q, ev)
+			cacheTTL(answers[0].TTL), q, ev)
 		if chain == nil {
 			// One hop is the usual case: its RRset is the chain. Capacity is
 			// clipped so that a later hop's append copies rather than writes
@@ -792,60 +665,10 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 			// answer section. The chain lives only as long as its
 			// shortest-lived link.
 			c.cachePut(s, qkey{name: q.Name, qtype: q.Type}, cacheValue{answers: chain},
-				c.clampTTL(minChainTTL(chain)), q, ev)
+				cacheTTL(minChainTTL(chain)), q, ev)
 		}
-		return chain, dnsmsg.RCodeNoError, 0, nil
+		return chain, dnsmsg.RCodeNoError, nil
 	}
-}
-
-// negativeTTL derives the RFC 2308 negative-caching TTL from a negative
-// response: the minimum of the authority-section SOA's own TTL and its
-// MINIMUM field. Responses carrying no SOA fall back to defaultNegTTL.
-func negativeTTL(resp *dnsmsg.Message) uint32 {
-	for _, rr := range resp.Authority {
-		if rr.Type != dnsmsg.TypeSOA {
-			continue
-		}
-		minimum, ok := soaMinimum(rr.RData.Text())
-		if !ok {
-			break
-		}
-		if rr.TTL < minimum {
-			return rr.TTL
-		}
-		return minimum
-	}
-	return defaultNegTTL
-}
-
-// soaMinimum parses the MINIMUM (7th) field of SOA presentation rdata
-// "mname rname serial refresh retry expire minimum".
-func soaMinimum(rdata string) (uint32, bool) {
-	field := 0
-	start := 0
-	for i := 0; i <= len(rdata); i++ {
-		if i < len(rdata) && rdata[i] != ' ' {
-			continue
-		}
-		if i > start {
-			field++
-			if field == 7 {
-				var v uint64
-				for _, ch := range []byte(rdata[start:i]) {
-					if ch < '0' || ch > '9' {
-						return 0, false
-					}
-					v = v*10 + uint64(ch-'0')
-					if v > 0xFFFFFFFF {
-						return 0, false
-					}
-				}
-				return uint32(v), true
-			}
-		}
-		start = i + 1
-	}
-	return 0, false
 }
 
 // cachePut stores a positive entry, demoting deprioritized names to the
@@ -898,7 +721,7 @@ func minChainTTL(chain []dnsmsg.RR) uint32 {
 var errUpstreamUnavailable = errors.New("resolver: upstream unavailable")
 
 // exchange performs one wire-level round trip with the authority, retrying
-// transport failures per WithUpstreamRetries. The message ID comes from the
+// transport failures upstreamRetries times. The message ID comes from the
 // server's own counter (wrapping uint16), decoupled from any statistic. The
 // query is built in, the response appended to and unpacked into the server's
 // reusable scratch, so the returned Message is only valid until the next
@@ -906,7 +729,7 @@ var errUpstreamUnavailable = errors.New("resolver: upstream unavailable")
 // stay valid; names the reply echoes are name itself, not copies).
 func (c *Cluster) exchange(s *server, name string, qtype dnsmsg.Type) (*dnsmsg.Message, error) {
 	var lastErr error
-	for attempt := 0; attempt <= c.opts.retries; attempt++ {
+	for attempt := 0; attempt <= upstreamRetries; attempt++ {
 		s.stats.upstreamRTs.Add(1)
 		s.msgID++
 		var b dnsmsg.Builder
@@ -1014,44 +837,21 @@ func splitRRSIG(answers []dnsmsg.RR) ([]dnsmsg.RR, *dnsmsg.RR) {
 	return rest, rrsig
 }
 
-func (c *Cluster) clampTTL(ttl uint32) time.Duration {
-	d := time.Duration(ttl) * time.Second
-	if d < c.opts.minTTL {
-		d = c.opts.minTTL
-	}
-	if d > c.opts.maxTTL {
-		d = c.opts.maxTTL
-	}
-	return d
+// cacheTTL is how long an answer carrying the authority's ttl stays cached.
+func cacheTTL(ttl uint32) time.Duration {
+	return min(time.Duration(ttl)*time.Second, maxCacheTTL)
 }
 
+// pickServer pins each client to one server, as an ISP load balancer does:
+// a cheap integer mix keeps adjacent client IDs from clustering on one
+// server.
 func (c *Cluster) pickServer(clientID uint32) int {
 	n := uint64(len(c.servers))
 	if n == 1 {
 		return 0
 	}
-	if c.opts.affinity == AffinityRoundRobin {
-		c.rrIndex++
-		return int(c.rrIndex % n)
-	}
-	// Hash affinity: a cheap integer mix keeps adjacent client IDs from
-	// clustering on one server.
 	h := uint64(clientID) * 0x9E3779B97F4A7C15
 	return int((h >> 32) % n)
-}
-
-// observe delivers one observation: straight to the tap in direct mode, or
-// into the server's replay buffer when the run is in buffered-taps mode.
-func (c *Cluster) observe(s *server, side obSide, ob Observation) {
-	if s.buffered {
-		s.obBuf = append(s.obBuf, bufferedOb{side: side, ob: ob})
-		return
-	}
-	if side == sideBelow {
-		c.below.Observe(ob)
-	} else {
-		c.above.Observe(ob)
-	}
 }
 
 func (c *Cluster) emitBelow(s *server, q Query, answers []dnsmsg.RR, rcode dnsmsg.RCode) {
@@ -1059,14 +859,14 @@ func (c *Cluster) emitBelow(s *server, q Query, answers []dnsmsg.RR, rcode dnsms
 		return
 	}
 	if len(answers) == 0 {
-		c.observe(s, sideBelow, Observation{Time: q.Time, ClientID: q.ClientID, Server: s.idx, QName: q.Name, RCode: rcode, Category: q.Category})
+		c.below.Observe(Observation{Time: q.Time, ClientID: q.ClientID, Server: s.idx, QName: q.Name, RCode: rcode, Category: q.Category})
 		return
 	}
 	for _, rr := range answers {
 		if rr.Type == dnsmsg.TypeRRSIG {
 			continue
 		}
-		c.observe(s, sideBelow, Observation{Time: q.Time, ClientID: q.ClientID, Server: s.idx, QName: q.Name, RR: rr, RCode: rcode, Category: q.Category})
+		c.below.Observe(Observation{Time: q.Time, ClientID: q.ClientID, Server: s.idx, QName: q.Name, RR: rr, RCode: rcode, Category: q.Category})
 	}
 }
 
@@ -1079,13 +879,13 @@ func (c *Cluster) emitAbove(s *server, q Query, resp *dnsmsg.Message) {
 		qname = resp.Questions[0].Name
 	}
 	if resp.Header.RCode != dnsmsg.RCodeNoError || len(resp.Answers) == 0 {
-		c.observe(s, sideAbove, Observation{Time: q.Time, ClientID: q.ClientID, Server: s.idx, QName: qname, RCode: resp.Header.RCode, Category: q.Category})
+		c.above.Observe(Observation{Time: q.Time, ClientID: q.ClientID, Server: s.idx, QName: qname, RCode: resp.Header.RCode, Category: q.Category})
 		return
 	}
 	for _, rr := range resp.Answers {
 		if rr.Type == dnsmsg.TypeRRSIG {
 			continue
 		}
-		c.observe(s, sideAbove, Observation{Time: q.Time, ClientID: q.ClientID, Server: s.idx, QName: qname, RR: rr, RCode: resp.Header.RCode, Category: q.Category})
+		c.above.Observe(Observation{Time: q.Time, ClientID: q.ClientID, Server: s.idx, QName: qname, RR: rr, RCode: resp.Header.RCode, Category: q.Category})
 	}
 }

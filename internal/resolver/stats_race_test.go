@@ -40,7 +40,7 @@ func TestStatsSnapshotDuringStream(t *testing.T) {
 		}
 		for {
 			st := c.Stats()
-			if st.Queries != st.CacheHits+st.CacheMisses+st.NegCacheHits {
+			if st.Queries != st.CacheHits+st.CacheMisses {
 				fail("stats identity broken mid-run")
 			}
 			if st.Queries < lastQueries {
@@ -108,7 +108,7 @@ func TestStatsSnapshotDuringStream(t *testing.T) {
 	if final.Queries != 6000 {
 		t.Fatalf("final queries = %d, want 6000", final.Queries)
 	}
-	if final.Queries != final.CacheHits+final.CacheMisses+final.NegCacheHits {
+	if final.Queries != final.CacheHits+final.CacheMisses {
 		t.Fatalf("final stats identity broken: %+v", final)
 	}
 	// The telemetry scrape must agree with the merged stats once quiesced.

@@ -60,6 +60,33 @@ func TestStreamBarrierRotatesTaps(t *testing.T) {
 	}
 }
 
+// TestStreamSubmitFromChannel feeds a Stream from a concurrent producer: the
+// caller drains a channel and submits, and every query must be resolved.
+func TestStreamSubmitFromChannel(t *testing.T) {
+	c, err := NewCluster(synthUpstream(t), WithServers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := mixedQueries(5_000)
+	ch := make(chan Query, 256)
+	go func() {
+		defer close(ch)
+		for _, q := range qs {
+			ch <- q
+		}
+	}()
+	st := c.StartStream()
+	for q := range ch {
+		st.Submit(q)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Queries; got != uint64(len(qs)) {
+		t.Errorf("Queries = %d, want %d", got, len(qs))
+	}
+}
+
 // TestStreamRecyclesBatches: the router's 64-query batches come back from the
 // workers, so a stream in steady state allocates for its barriers and not per
 // hand-off (300 hand-offs per run here; how many slices circulate depends on

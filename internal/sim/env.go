@@ -111,7 +111,6 @@ func (e *Env) NewCluster(opts ...resolver.Option) (*resolver.Cluster, error) {
 		resolver.WithServers(s.Servers),
 		resolver.WithCacheSize(s.CacheSize),
 		resolver.WithCachePolicy(s.CachePolicy),
-		resolver.WithNegCacheSize(s.NegCacheSize),
 		resolver.WithQueryLog(s.QueryLog),
 	}, e.resolverOpts...)
 	cluster, err := resolver.NewCluster(e.Authority, append(all, opts...)...)

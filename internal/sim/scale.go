@@ -27,9 +27,6 @@ type Scale struct {
 	// CachePolicy selects the eviction policy for every resolver cache in
 	// the environment (zero value = LRU, the paper's policy).
 	CachePolicy cache.PolicyKind
-	// NegCacheSize overrides the negative-cache capacity (0 keeps the
-	// historical CacheSize/4 ratio).
-	NegCacheSize int
 	// QueryLog, when non-nil, attaches the query-level event log to the
 	// environment's cluster and day runner (see internal/qlog). It never
 	// changes an experiment's output, only what is observable about it.
@@ -93,9 +90,8 @@ func (s *Scale) RegisterClusterFlags(fs *flag.FlagSet) {
 	s.RegisterCacheFlags(fs)
 }
 
-// RegisterCacheFlags adds -cache-policy and -neg-cache-size, for CLIs
-// whose cluster size is fixed elsewhere (-scale, the -score training day).
+// RegisterCacheFlags adds -cache-policy, for CLIs whose cluster size is
+// fixed elsewhere (-scale, the -score training day).
 func (s *Scale) RegisterCacheFlags(fs *flag.FlagSet) {
 	fs.TextVar(&s.CachePolicy, "cache-policy", s.CachePolicy, "cache eviction `policy`: lru or sieve")
-	fs.IntVar(&s.NegCacheSize, "neg-cache-size", s.NegCacheSize, "negative-cache entries per server (0 keeps cache/4)")
 }

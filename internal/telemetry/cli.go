@@ -24,7 +24,7 @@ type CLIConfig struct {
 // RegisterFlags adds the telemetry flags to fs.
 func (c *CLIConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "",
-		"serve GET /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9153; empty disables)")
+		"serve GET /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9153; empty disables)")
 	fs.DurationVar(&c.Interval, "progress", 0,
 		"log a structured progress line to stderr at this interval (e.g. 10s; 0 disables)")
 	fs.StringVar(&c.ReportPath, "report", "",
@@ -74,7 +74,7 @@ func (c CLIConfig) Start(command string, args []string) (*Session, error) {
 			return nil, err
 		}
 		s.server = srv
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics, /debug/vars and /debug/pprof on http://%s\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/pprof on http://%s\n", srv.Addr())
 	}
 	return s, nil
 }

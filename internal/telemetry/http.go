@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -9,8 +8,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // splitSeries separates an optional label set from a metric name:
@@ -105,36 +102,16 @@ func writePromHistogram(w io.Writer, base, labels string, s HistogramSnapshot) e
 	return err
 }
 
-// expvar integration: /debug/vars serves the process-wide expvar map, so
-// the registry snapshot is published there once under "telemetry",
-// reading whichever registry most recently built a handler.
-var (
-	expvarOnce sync.Once
-	expvarReg  atomic.Pointer[Registry]
-)
-
-func publishExpvar(r *Registry) {
-	expvarReg.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("telemetry", expvar.Func(func() any {
-			return expvarReg.Load().Snapshot()
-		}))
-	})
-}
-
 // Handler returns the telemetry HTTP mux:
 //
 //	GET /metrics         Prometheus text exposition
-//	GET /debug/vars      expvar JSON (includes the registry snapshot)
 //	GET /debug/pprof/*   net/http/pprof profiles
 func (r *Registry) Handler() http.Handler {
-	publishExpvar(r)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -145,7 +122,7 @@ func (r *Registry) Handler() http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "dnsnoise telemetry\n\n/metrics\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "dnsnoise telemetry\n\n/metrics\n/debug/pprof/\n")
 	})
 	return mux
 }

@@ -1,9 +1,9 @@
 // Package telemetry is the pipeline's observability layer: a
 // dependency-free metrics core (atomic counters, gauges, and
 // power-of-two-bucket histograms collected in a named Registry), a Span
-// API for timing named pipeline stages, Prometheus/expvar/pprof HTTP
-// exposure, a periodic structured progress logger, and machine-readable
-// end-of-run reports.
+// API for timing named pipeline stages, Prometheus/pprof HTTP exposure, a
+// periodic structured progress logger, and machine-readable end-of-run
+// reports.
 //
 // Every instrument is nil-safe: methods on a nil *Counter, *Gauge,
 // *Histogram, *Registry, *Tracer, or *Span are no-ops, so instrumented
