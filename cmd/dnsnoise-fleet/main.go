@@ -1,26 +1,21 @@
 // Command dnsnoise-fleet runs an in-process multi-PoP resolver fleet:
-// N independent clusters behind client steering, one shared
-// authoritative namespace, and an aggregating collector that serves the
-// fleet-wide control-plane API. The query stream is either generated
-// live (-live, the default) or replayed from a dnsnoise-gen trace
-// (-trace); either way each client's queries steer to one PoP, every
-// PoP runs the full ingest pipeline with its own telemetry, event log,
-// pDNS store, and hourly counters, and the merged measurements
-// reproduce a single-cluster run over the same stream bit for bit.
+// N independent clusters behind client steering over one shared
+// authoritative namespace. The query stream is either generated live
+// (-live, the default) or replayed from a dnsnoise-gen trace (-trace);
+// either way each client's queries steer to one PoP, every PoP runs the
+// full ingest pipeline with its own pDNS store, and the merged rpDNS view
+// reproduces a single-cluster run over the same stream bit for bit.
 //
 // With -score each PoP also runs the incremental miner: a classifier is
 // trained on a single-cluster pre-pass over the same workload, then
 // every PoP re-scores its own traffic each -score-window of simulated
-// time and stamps live verdicts into its event log.
+// time and stamps live verdicts into its query events.
 //
-// The control plane (-metrics-addr) serves:
-//
-//	GET /fleet/metrics  merged Prometheus exposition (pop= labels)
-//	GET /fleet/pops     per-PoP health JSON
-//	GET /fleet/qlog     merged event tail (zone/server/pop/... filters)
-//	GET /fleet/report   fleet run report, one span tree per PoP
-//	GET /fleet/tsdb     time-series range queries (with -tsdb-interval)
-//	GET /fleet/alerts   SLO rule status and transitions (with -tsdb-interval)
+// The fleet is observed with the flags and surfaces of every simulation
+// CLI (-metrics-addr, -report, -qlog, -tsdb-interval, ...): each PoP's
+// series carry a pop="N" label on /metrics, /debug/tsdb and in the report,
+// whose span forest holds one pop-N tree per PoP; its query events carry
+// their pop (/debug/qlog?pop=N&verdict=disposable scopes the tail).
 //
 // Usage:
 //
@@ -40,7 +35,6 @@ import (
 	"dnsnoise/internal/fleet"
 	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/sim"
-	"dnsnoise/internal/telemetry/alerts"
 )
 
 func main() {
@@ -57,20 +51,12 @@ func run(args []string, stdout io.Writer) error {
 	scale.RegisterTrafficFlags(fs)
 	scale.RegisterClusterFlags(fs)
 	var (
-		source sim.Source
-		// -tsdb-interval, -tsdb-retain and -alert-rules as everywhere, except
-		// that here the interval also replaces -collect-every: the tsdb
-		// records the collector's sweeps.
-		tsdbFlags alerts.CLIConfig
-
-		pops      = fs.Int("pops", 3, "resolver PoPs in the fleet")
-		steering  = fs.String("steering", "hash", "client steering: hash (rendezvous) or modulo")
-		metrics   = fs.String("metrics-addr", "", "serve the /fleet/* control-plane API on this address (':0' picks a port)")
-		qlogN     = fs.Int("qlog", 0, "sample 1 in N queries per server into each PoP's event log (0 = library default)")
-		report    = fs.String("report", "", "write the fleet run report as JSON to this path ('-' for stdout)")
-		linger    = fs.Duration("linger", 0, "keep the control plane serving this long after the run (for scrapes)")
-		collectEv = fs.Duration("collect-every", 2*time.Second, "collector sweep cadence")
-		parallel  = fs.Bool("parallel", false, "resolve through per-server resolver workers in each PoP")
+		source   sim.Source
+		obs      sim.Obs
+		pops     = fs.Int("pops", 3, "resolver PoPs in the fleet")
+		steering = fs.String("steering", "hash", "client steering: hash (rendezvous) or modulo")
+		linger   = fs.Duration("linger", 0, "keep the -metrics-addr endpoint serving this long after the run (for scrapes)")
+		parallel = fs.Bool("parallel", false, "resolve through per-server resolver workers in each PoP")
 
 		score    = fs.Bool("score", false, "train a classifier on a single-cluster pre-pass, then run the incremental miner in every PoP")
 		scoreWin = fs.Duration("score-window", 6*time.Hour, "re-score cadence in simulated time (with -score)")
@@ -78,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 		hyster   = fs.Int("hysteresis", 2, "consecutive windows to flip a zone's verdict (with -score)")
 	)
 	source.RegisterFlags(fs)
-	tsdbFlags.RegisterFlags(fs)
+	obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -96,27 +82,13 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	cfg := fleet.Config{
-		Pops:         *pops,
-		Steering:     steer,
-		Scale:        scale,
-		Parallel:     *parallel,
-		QlogSample:   *qlogN,
-		CollectEvery: *collectEv,
+	if err := obs.Start("dnsnoise-fleet", args); err != nil {
+		return err
 	}
-	if tsdbFlags.Interval > 0 {
-		cfg.TSDB = true
-		cfg.TSDBRetain = tsdbFlags.Retain
-		cfg.CollectEvery = tsdbFlags.Interval
-		rules, err := tsdbFlags.Rules()
-		if err != nil {
-			return err
-		}
-		if rules == nil {
-			rules = []alerts.Rule{} // "none": non-nil empty disables alerting
-		}
-		cfg.AlertRules = rules
-	}
+	defer obs.Close()
+	obs.StartProgress(nil)
+
+	cfg := fleet.Config{Pops: *pops, Steering: steer, Scale: scale, Parallel: *parallel, Obs: &obs}
 	if *score {
 		// The single-cluster pre-pass: the same workload through one
 		// ordinary cluster over a fresh world of the same scale, to train
@@ -149,17 +121,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var srv *fleet.Server
-	if *metrics != "" {
-		if srv, err = f.Serve(*metrics); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stdout, "control plane on http://%s/fleet/metrics (pops, qlog, report)\n", srv.Addr())
-	}
-	f.Collector().Start()
-	defer f.Collector().Stop()
-
 	src, replayDay, err := source.Open(f.Env())
 	if err != nil {
 		return err
@@ -188,16 +149,9 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "fleet: %d queries across %d pops (%s steering); merged pdns: %d records, %d disposable\n",
 		total, *pops, steer, merged.Len(), merged.DisposableCount())
 
-	if *report != "" {
-		rep := f.Report()
-		rep.Args = args
-		if err := rep.WriteFile(*report); err != nil {
-			return err
-		}
-	}
-	if *linger > 0 && srv != nil {
-		fmt.Fprintf(stdout, "lingering %s on http://%s\n", *linger, srv.Addr())
+	if *linger > 0 && obs.HasEndpoint() {
+		fmt.Fprintf(stdout, "lingering %s\n", *linger)
 		time.Sleep(*linger)
 	}
-	return nil
+	return obs.Close()
 }

@@ -1,11 +1,8 @@
 // Command dnsnoise-top is a terminal dashboard over the continuous
-// telemetry endpoints: it polls a running dnsnoise-serve (or any command
-// started with -tsdb-interval) or a dnsnoise-fleet control plane and
-// renders per-PoP rate/ratio/latency sparklines plus the active alerts.
-//
-// The target is autodetected: /fleet/tsdb answering means a fleet
-// control plane (per-PoP panels from the pop= labels), otherwise the
-// single-instance /debug/tsdb + /debug/alerts pair is used.
+// telemetry endpoints: it polls the /debug/tsdb and /debug/alerts pair of
+// a running dnsnoise-serve, dnsnoise-fleet or any command started with
+// -tsdb-interval and renders rate/ratio/latency sparklines, one row per
+// pop= label (a fleet's PoPs) or one "all" row, plus the active alerts.
 //
 // Usage:
 //
@@ -45,7 +42,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dnsnoise-top", flag.ContinueOnError)
 	var (
-		addr   = fs.String("addr", "127.0.0.1:8089", "telemetry endpoint (dnsnoise-serve -metrics-addr or dnsnoise-fleet control plane)")
+		addr   = fs.String("addr", "127.0.0.1:8089", "telemetry endpoint (the target's -metrics-addr)")
 		every  = fs.Duration("every", time.Second, "refresh interval")
 		window = fs.Duration("window", 2*time.Minute, "trailing history window per sparkline")
 		frames = fs.Int("frames", 0, "render this many frames then exit (0 = run until interrupted)")
@@ -77,48 +74,26 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// client polls one telemetry endpoint, fleet or single-instance.
+// client polls one telemetry endpoint.
 type client struct {
-	base  string // http://host:port
-	fleet bool
-	hc    *http.Client
+	base string // http://host:port
+	hc   *http.Client
 }
 
-// detect probes addr: a /fleet/tsdb answer means a fleet control plane
-// (the route only exists with -tsdb-interval); otherwise the
-// single-instance /debug/tsdb must answer.
+// detect probes addr's /debug/tsdb, which only answers on a target
+// started with -tsdb-interval.
 func detect(addr string) (*client, error) {
 	cl := &client{base: "http://" + addr, hc: &http.Client{Timeout: 5 * time.Second}}
-	for _, probe := range []struct {
-		path  string
-		fleet bool
-	}{{"/fleet/tsdb", true}, {"/debug/tsdb", false}} {
-		resp, err := cl.hc.Get(cl.base + probe.path)
-		if err != nil {
-			return nil, fmt.Errorf("probe %s: %w", cl.base, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			cl.fleet = probe.fleet
-			return cl, nil
-		}
+	resp, err := cl.hc.Get(cl.base + "/debug/tsdb")
+	if err != nil {
+		return nil, fmt.Errorf("probe %s: %w", cl.base, err)
 	}
-	return nil, fmt.Errorf("%s serves neither /fleet/tsdb nor /debug/tsdb (start the target with -tsdb-interval)", addr)
-}
-
-func (c *client) tsdbPath() string {
-	if c.fleet {
-		return "/fleet/tsdb"
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s does not serve /debug/tsdb (start the target with -tsdb-interval)", addr)
 	}
-	return "/debug/tsdb"
-}
-
-func (c *client) alertsPath() string {
-	if c.fleet {
-		return "/fleet/alerts"
-	}
-	return "/debug/alerts"
+	return cl, nil
 }
 
 // query runs one range query and returns the matched series.
@@ -128,13 +103,13 @@ func (c *client) query(series, agg string, window time.Duration, steps int) ([]t
 	q.Set("agg", agg)
 	q.Set("start", fmt.Sprintf("%.3f", float64(time.Now().Add(-window).UnixMilli())/1e3))
 	q.Set("step", (window / time.Duration(steps)).String())
-	resp, err := c.hc.Get(c.base + c.tsdbPath() + "?" + q.Encode())
+	resp, err := c.hc.Get(c.base + "/debug/tsdb?" + q.Encode())
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", c.tsdbPath(), resp.Status)
+		return nil, fmt.Errorf("GET /debug/tsdb: %s", resp.Status)
 	}
 	var out struct {
 		Series []tsdb.Result `json:"series"`
@@ -146,13 +121,13 @@ func (c *client) query(series, agg string, window time.Duration, steps int) ([]t
 }
 
 func (c *client) alerts() (*alerts.Status, error) {
-	resp, err := c.hc.Get(c.base + c.alertsPath())
+	resp, err := c.hc.Get(c.base + "/debug/alerts")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", c.alertsPath(), resp.Status)
+		return nil, fmt.Errorf("GET /debug/alerts: %s", resp.Status)
 	}
 	var st alerts.Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -197,14 +172,13 @@ type panelData struct {
 type frame struct {
 	when   time.Time
 	target string
-	fleet  bool
 	panels []panelData
 	alerts *alerts.Status
 }
 
 // fetch pulls every panel's history plus the alert status.
 func (c *client) fetch(window time.Duration, width int) (*frame, error) {
-	fr := &frame{when: time.Now(), target: strings.TrimPrefix(c.base, "http://"), fleet: c.fleet}
+	fr := &frame{when: time.Now(), target: strings.TrimPrefix(c.base, "http://")}
 	for _, spec := range panels {
 		res, err := c.query(spec.series, spec.agg, window, width)
 		if err != nil {
@@ -234,8 +208,8 @@ func hasData(res []tsdb.Result) bool {
 	return false
 }
 
-// buildPanel folds query results into per-label histories. Fleet series
-// keep their pop= label as the row key; unlabeled series collapse to one
+// buildPanel folds query results into per-label histories. A fleet's
+// series keep their pop= label as the row key; unlabeled series collapse to one
 // "all" row. Multiple series mapping to one row (e.g. per-server
 // latency percentiles) fold together: rates/ratios could sum wrongly, so
 // derived series are already pop-grouped upstream and raw gauges take
@@ -330,11 +304,7 @@ func sparkline(vals []float64, width int) string {
 // render draws one frame as plain text. Pure: all I/O happened in fetch.
 func render(fr *frame, width int) string {
 	var b strings.Builder
-	mode := "single"
-	if fr.fleet {
-		mode = "fleet"
-	}
-	fmt.Fprintf(&b, "dnsnoise-top  %s (%s)  %s\n\n", fr.target, mode, fr.when.Format("15:04:05"))
+	fmt.Fprintf(&b, "dnsnoise-top  %s  %s\n\n", fr.target, fr.when.Format("15:04:05"))
 	for _, pd := range fr.panels {
 		if len(pd.labels) == 0 {
 			fmt.Fprintf(&b, "%-12s %8s  %s\n", pd.spec.title, "-", strings.Repeat(" ", width))

@@ -14,7 +14,7 @@ import (
 
 // testBackend mounts real tsdb/alerts handlers (the same ones the CLIs
 // serve) on an httptest server, with a little recent history recorded.
-func testBackend(t *testing.T, fleet bool) (addr string, done func()) {
+func testBackend(t *testing.T) (addr string, done func()) {
 	t.Helper()
 	db := tsdb.New(tsdb.Config{Retain: 64, Derived: []tsdb.DerivedRule{}})
 	now := time.Now()
@@ -34,25 +34,18 @@ func testBackend(t *testing.T, fleet bool) (addr string, done func()) {
 	eng.Eval(now)
 
 	mux := http.NewServeMux()
-	prefix := "/debug"
-	if fleet {
-		prefix = "/fleet"
-	}
-	mux.Handle(prefix+"/tsdb", db.Handler())
-	mux.Handle(prefix+"/alerts", eng.Handler())
+	mux.Handle("/debug/tsdb", db.Handler())
+	mux.Handle("/debug/alerts", eng.Handler())
 	ts := httptest.NewServer(mux)
 	return strings.TrimPrefix(ts.URL, "http://"), ts.Close
 }
 
 func TestDetectAndRenderSingle(t *testing.T) {
-	addr, done := testBackend(t, false)
+	addr, done := testBackend(t)
 	defer done()
 	cl, err := detect(addr)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cl.fleet {
-		t.Fatal("detected fleet on a /debug backend")
 	}
 	fr, err := cl.fetch(2*time.Minute, 32)
 	if err != nil {
@@ -74,25 +67,6 @@ func TestDetectAndRenderSingle(t *testing.T) {
 	}
 }
 
-func TestDetectFleet(t *testing.T) {
-	addr, done := testBackend(t, true)
-	defer done()
-	cl, err := detect(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cl.fleet {
-		t.Fatal("fleet backend not detected")
-	}
-	fr, err := cl.fetch(2*time.Minute, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := render(fr, 16); !strings.Contains(out, "(fleet)") {
-		t.Fatalf("render not in fleet mode:\n%s", out)
-	}
-}
-
 func TestDetectRefusesBareServer(t *testing.T) {
 	ts := httptest.NewServer(http.NewServeMux()) // no telemetry routes at all
 	defer ts.Close()
@@ -102,7 +76,7 @@ func TestDetectRefusesBareServer(t *testing.T) {
 }
 
 func TestRunFramesAgainstBackend(t *testing.T) {
-	addr, done := testBackend(t, false)
+	addr, done := testBackend(t)
 	defer done()
 	var out strings.Builder
 	if err := run([]string{"-addr", addr, "-frames", "2", "-every", "10ms"}, &out); err != nil {

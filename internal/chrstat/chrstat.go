@@ -508,48 +508,6 @@ func (h *HourlyCounter) Tap() resolver.Tap {
 	})
 }
 
-// Absorb folds src's hourly volumes into h, matching series by name —
-// the fleet-side merge that turns per-PoP counters into the global
-// Figure 2 view. Per-(series, hour) volumes are sums and the read side
-// (Series, WindowVolume) merges all stripes anyway, so absorbing into
-// the same stripe index preserves exactness: the merged counts equal a
-// single counter fed the union of both observation streams. Returns
-// false when src registered a series h does not have (nothing is
-// absorbed in that case). src must be quiescent; h may be read
-// concurrently.
-func (h *HourlyCounter) Absorb(src *HourlyCounter) bool {
-	if src == nil {
-		return true
-	}
-	idx := make([]int, len(src.series))
-	for i := range src.series {
-		idx[i] = -1
-		for j := range h.series {
-			if h.series[j].name == src.series[i].name {
-				idx[i] = j
-				break
-			}
-		}
-		if idx[i] < 0 {
-			return false
-		}
-	}
-	for s := range src.shards {
-		srcSh := &src.shards[s]
-		dstSh := &h.shards[s]
-		srcSh.mu.Lock()
-		dstSh.mu.Lock()
-		for i := range src.series {
-			for hour, v := range srcSh.counts[i] {
-				dstSh.counts[idx[i]][hour] += v
-			}
-		}
-		dstSh.mu.Unlock()
-		srcSh.mu.Unlock()
-	}
-	return true
-}
-
 // Series returns the hourly counts for the named series as (unixHour,
 // volume) pairs sorted by hour, or nil when the series is unknown. The
 // per-stripe maps are merged by summing each hour's volume.

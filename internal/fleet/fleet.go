@@ -1,29 +1,30 @@
-// Package fleet is the multi-PoP control plane: N resolver clusters
-// (each the full resolver/ingest stack, optionally running the
-// streaming miner) behind consistent-hash client steering, plus the
-// observability layer that makes the fleet legible — a collector that
-// periodically pulls each PoP's telemetry snapshot, qlog tail, and
-// pDNS/hourly summaries and merges them into one fleet-wide view served
-// over /fleet/* HTTP endpoints.
+// Package fleet runs N resolver clusters (each the full resolver/ingest
+// stack, optionally running the streaming miner) behind consistent-hash
+// client steering.
 //
 // All PoPs resolve against one shared authoritative namespace (the
 // simulated Internet is global, the vantage points are not), so the
 // dispatcher quiesces every PoP before the workload registry mutates at
 // a day boundary — the same ErrPause contract the single-cluster ingest
 // runner honors, widened to the whole fleet. Because the per-PoP pDNS
-// stores and hourly counters merge exactly (pdns.MergeStores,
-// chrstat.Absorb), an N-PoP run's global measurements reproduce a
-// single-cluster run over the same stream bit for bit.
+// stores merge exactly (pdns.MergeStores), an N-PoP run's global rpDNS
+// view reproduces a single-cluster run over the same stream bit for bit.
+//
+// A fleet is observed through the command's one sim.Obs session: every
+// PoP registers its instruments through a pop="N" view of the session's
+// registry, records its ingest spans under a pop-N span, and forwards its
+// sampled query events, stamped with the PoP (and the live verdict under a
+// scorer), into the session's query log.
 package fleet
 
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/pdns"
@@ -31,8 +32,6 @@ import (
 	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/sim"
 	"dnsnoise/internal/telemetry"
-	"dnsnoise/internal/telemetry/alerts"
-	"dnsnoise/internal/telemetry/tsdb"
 )
 
 // Steering selects the client-to-PoP mapping.
@@ -65,18 +64,6 @@ func (s Steering) String() string {
 	return "hash"
 }
 
-// HourlySeries registers one named hourly-volume series on every PoP.
-type HourlySeries struct {
-	Name string
-	Pred func(resolver.Observation) bool
-}
-
-// PdnsSeries registers one named per-day matcher on every PoP's store.
-type PdnsSeries struct {
-	Name string
-	Pred func(*pdns.Record) bool
-}
-
 // Config sizes a fleet.
 type Config struct {
 	// Pops is the number of resolver clusters (default 3).
@@ -89,32 +76,11 @@ type Config struct {
 	Scale sim.Scale
 	// Parallel resolves through each PoP's per-server worker goroutines.
 	Parallel bool
-
-	// HourlySeries/PdnsSeries add measurement series beyond the built-in
-	// catch-all "all" hourly series.
-	HourlySeries []HourlySeries
-	PdnsSeries   []PdnsSeries
-
-	// QlogSample head-samples 1 query in N per server (qlog default when
-	// 0); QlogRing sizes each PoP's retained tail (default 4096). The
-	// merged fleet tail retains Pops*QlogRing events.
-	QlogSample int
-	QlogRing   int
-
-	// CollectEvery is the collector cadence (default 2s).
-	CollectEvery time.Duration
-
-	// TSDB enables the fleet time-series history: every collector sweep
-	// records the merged snapshot (pop= labels intact) into a fixed-memory
-	// ring served at /fleet/tsdb, and the alert rules are evaluated after
-	// each sweep (/fleet/alerts) with transitions mirrored into the merged
-	// qlog ring as ALERT events.
-	TSDB bool
-	// TSDBRetain is samples kept per series (tsdb.DefaultRetain when 0).
-	TSDBRetain int
-	// AlertRules overrides the evaluated rule set (alerts.DefaultRules
-	// when nil; an empty non-nil slice disables alerting).
-	AlertRules []alerts.Rule
+	// Obs, when set, is the started observability session the PoPs report
+	// through: its registry (one pop= view per PoP), tracer (one pop-N span
+	// per PoP) and query log (sampled at its -qlog-sample rate per server).
+	// Nil observes nothing.
+	Obs *sim.Obs
 
 	// NewScorer, when set, attaches a streaming miner to each PoP: its
 	// pipeline consumes the PoP's observations, re-scores every
@@ -124,44 +90,31 @@ type Config struct {
 	ScoreWindow time.Duration
 }
 
-// PoP is one resolver cluster plus its private observability stack.
+// PoP is one resolver cluster and its pDNS store.
 type PoP struct {
-	ID       int
-	Registry *telemetry.Registry
-	Tracer   *telemetry.Tracer
-	Log      *qlog.Log
-	Ring     *qlog.MemorySink
-	Cluster  *resolver.Cluster
-	Store    *pdns.Store
-	Hourly   *chrstat.HourlyCounter
-	Scorer   *core.StreamingPipeline
+	ID      int
+	Cluster *resolver.Cluster
+	Store   *pdns.Store
+	Scorer  *core.StreamingPipeline
+
+	reg *telemetry.Registry // the session registry's pop="ID" view
+	log *qlog.Log           // the PoP's recorders; nil without a session log
 }
 
 // Fleet is a running multi-PoP topology.
 type Fleet struct {
-	cfg       Config
-	start     time.Time
-	pops      []*PoP
-	merged    *qlog.MemorySink
-	hourlyAll []HourlySeries // "all" + cfg.HourlySeries, for merged rebuilds
-	env       *sim.Env
-	collector *Collector
-	db        *tsdb.DB       // nil unless cfg.TSDB
-	alerts    *alerts.Engine // nil unless cfg.TSDB
+	cfg    Config
+	pops   []*PoP
+	env    *sim.Env
+	tracer *telemetry.Tracer // the session's; nil when not observed
 }
 
-// New builds the fleet: the shared namespace and authority, one cluster
-// per PoP with its own telemetry registry, tracer, qlog ring, pDNS
-// store, and hourly counter, plus the (not yet started) collector.
+// New builds the fleet: the shared namespace and authority, and one
+// cluster and pDNS store per PoP, registered on the session's registry
+// under the PoP's pop= label.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Pops <= 0 {
 		cfg.Pops = 3
-	}
-	if cfg.QlogRing <= 0 {
-		cfg.QlogRing = 4096
-	}
-	if cfg.CollectEvery <= 0 {
-		cfg.CollectEvery = 2 * time.Second
 	}
 	if cfg.NewScorer != nil && cfg.ScoreWindow <= 0 {
 		return nil, fmt.Errorf("fleet: NewScorer needs a positive ScoreWindow")
@@ -170,61 +123,33 @@ func New(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	f := &Fleet{
-		cfg:       cfg,
-		start:     time.Now(),
-		merged:    qlog.NewMemorySink(cfg.Pops * cfg.QlogRing),
-		hourlyAll: append([]HourlySeries{{Name: "all", Pred: func(resolver.Observation) bool { return true }}}, cfg.HourlySeries...),
-		env:       env,
+	f := &Fleet{cfg: cfg, env: env}
+	var (
+		reg    *telemetry.Registry
+		out    *qlog.Log
+		sample int
+	)
+	if o := cfg.Obs; o != nil {
+		reg, f.tracer, out, sample = o.Registry, o.Tracer, o.Log(), o.Qlog.Sample
 	}
 	for i := 0; i < cfg.Pops; i++ {
-		p := &PoP{
-			ID:       i,
-			Registry: telemetry.NewRegistry(),
-			Tracer:   telemetry.NewTracer(),
-			Log:      qlog.New(qlog.Config{Sample: cfg.QlogSample}),
-			Ring:     qlog.NewMemorySink(cfg.QlogRing),
-			Store:    pdns.NewStore(),
-			Hourly:   chrstat.NewHourlyCounter(),
-		}
+		p := &PoP{ID: i, Store: pdns.NewStore(), reg: reg.WithLabel("pop", strconv.Itoa(i))}
 		if cfg.NewScorer != nil {
 			if p.Scorer, err = cfg.NewScorer(i); err != nil {
 				return nil, fmt.Errorf("fleet: pop %d scorer: %w", i, err)
 			}
 		}
-		stamp := &popStamp{pop: int32(i), targets: []qlog.Sink{p.Ring, f.merged}}
-		if p.Scorer != nil {
-			sp := p.Scorer
-			stamp.score = func(name string) qlog.Verdict { return scoreName(sp, name) }
+		if out != nil {
+			p.log = qlog.New(qlog.Config{Sample: sample})
+			p.log.AddSink(&popStamp{pop: int32(i), scorer: p.Scorer, out: out})
 		}
-		p.Log.AddSink(stamp)
-		p.Cluster, err = env.NewCluster(resolver.WithTelemetry(p.Registry), resolver.WithQueryLog(p.Log))
+		p.Cluster, err = env.NewCluster(resolver.WithTelemetry(p.reg), resolver.WithQueryLog(p.log))
 		if err != nil {
 			return nil, fmt.Errorf("fleet: pop %d: %w", i, err)
 		}
-		p.Store.SetMetrics(p.Registry)
-		for _, s := range cfg.PdnsSeries {
-			p.Store.AddSeries(s.Name, s.Pred)
-		}
-		for _, s := range f.hourlyAll {
-			p.Hourly.AddSeries(s.Name, s.Pred)
-		}
+		p.Store.SetMetrics(p.reg)
 		f.pops = append(f.pops, p)
 	}
-	if cfg.TSDB {
-		f.db = tsdb.New(tsdb.Config{Retain: cfg.TSDBRetain})
-		rules := cfg.AlertRules
-		if rules == nil {
-			rules = alerts.DefaultRules()
-		}
-		// Transitions land in the merged tail directly (there is no
-		// fleet-level recorder to drain); Pop -1 marks them fleet-scoped.
-		f.alerts = alerts.NewEngine(f.db, rules, alerts.WithEventMirror(func(ev qlog.Event) {
-			ev.Pop = -1
-			_ = f.merged.Consume([]qlog.Event{ev})
-		}))
-	}
-	f.collector = newCollector(f, cfg.CollectEvery)
 	return f, nil
 }
 
@@ -236,19 +161,6 @@ func (f *Fleet) Env() *sim.Env { return f.env }
 
 // Pops returns the PoPs (shared slice; do not mutate).
 func (f *Fleet) Pops() []*PoP { return f.pops }
-
-// Collector returns the fleet's metrics collector.
-func (f *Fleet) Collector() *Collector { return f.collector }
-
-// MergedQlog returns the fleet-wide event ring (every PoP's sampled
-// events, stamped with pop ids).
-func (f *Fleet) MergedQlog() *qlog.MemorySink { return f.merged }
-
-// TSDB returns the fleet's time-series store (nil unless Config.TSDB).
-func (f *Fleet) TSDB() *tsdb.DB { return f.db }
-
-// Alerts returns the fleet's alert engine (nil unless Config.TSDB).
-func (f *Fleet) Alerts() *alerts.Engine { return f.alerts }
 
 // Route returns the PoP a client steers to.
 func (f *Fleet) Route(clientID uint32) int {
@@ -279,19 +191,6 @@ func (f *Fleet) MergedStore() *pdns.Store {
 		stores[i] = p.Store
 	}
 	return pdns.MergeStores(stores...)
-}
-
-// MergedHourly folds the per-PoP hourly counters into one global
-// counter with the same series. Call with the fleet quiescent.
-func (f *Fleet) MergedHourly() *chrstat.HourlyCounter {
-	global := chrstat.NewHourlyCounter()
-	for _, s := range f.hourlyAll {
-		global.AddSeries(s.Name, s.Pred)
-	}
-	for _, p := range f.pops {
-		global.Absorb(p.Hourly)
-	}
-	return global
 }
 
 // dispatchItem is one unit on a PoP's intake channel: a query, or a
@@ -329,15 +228,16 @@ func (s *popSource) Next() (resolver.Query, error) {
 
 func (s *popSource) Close() error { return nil }
 
-// runPoP drives one PoP's ingest runner over its intake channel. On
-// error it keeps draining the channel (acking barriers) so the
-// dispatcher never blocks on a dead PoP.
-func (f *Fleet) runPoP(p *PoP, ch chan dispatchItem) error {
+// runPoP drives one PoP's ingest runner over its intake channel, its day
+// spans under span. On error it keeps draining the channel (acking
+// barriers) so the dispatcher never blocks on a dead PoP.
+func (f *Fleet) runPoP(p *PoP, span *telemetry.Span, ch chan dispatchItem) error {
+	defer span.End()
 	opts := []ingest.Option{
-		ingest.WithMetrics(p.Registry),
-		ingest.WithTracer(p.Tracer),
-		ingest.WithQueryLog(p.Log),
-		ingest.WithSinks(ingest.TapSink(resolver.MultiTap(p.Hourly.Tap(), p.Store.Tap()), nil)),
+		ingest.WithMetrics(p.reg),
+		ingest.WithTracer(span.Tracer()),
+		ingest.WithQueryLog(p.log),
+		ingest.WithSinks(ingest.TapSink(p.Store.Tap(), nil)),
 	}
 	if p.Scorer != nil {
 		opts = append(opts, ingest.StreamingHooks(p.Scorer, f.cfg.ScoreWindow)...)
@@ -371,10 +271,11 @@ func (f *Fleet) Run(src ingest.QuerySource, replayDay func(time.Time) error) err
 	for i, p := range f.pops {
 		ch := make(chan dispatchItem, 256)
 		chans[i] = ch
+		span := f.tracer.StartRoot(fmt.Sprintf("pop-%d", p.ID))
 		wg.Add(1)
 		go func(i int, p *PoP, ch chan dispatchItem) {
 			defer wg.Done()
-			errs[i] = f.runPoP(p, ch)
+			errs[i] = f.runPoP(p, span, ch)
 		}(i, p, ch)
 	}
 	finish := func() {
@@ -440,44 +341,31 @@ func dayOf(t time.Time) time.Time {
 	return time.Date(u.Year(), u.Month(), u.Day(), 0, 0, 0, 0, time.UTC)
 }
 
-// popStamp is the per-PoP qlog sink: it stamps each drained batch with
+// popStamp is the per-PoP qlog sink: it stamps each drained event with
 // the PoP id (and, with a scorer attached, the verdict live when the batch
 // is drained — the scorer publishes a window's snapshot when its mine ends,
 // beside the next window's queries, not at a point in simulated time), then
-// feeds the copies to the PoP's own ring and the fleet-wide merged ring. The
-// incoming slice is the recorder's reused staging ring and other sinks
-// observe it afterwards, so the stamp works on a private scratch copy.
+// hands it to the session log, which numbers it among every PoP's events
+// and feeds its own sinks (the -qlog file, /debug/qlog, the exemplars).
 type popStamp struct {
-	pop     int32
-	score   func(name string) qlog.Verdict
-	targets []qlog.Sink
-	scratch []qlog.Event
+	pop    int32
+	scorer *core.StreamingPipeline // nil without -score
+	out    *qlog.Log
 }
 
 func (s *popStamp) Consume(events []qlog.Event) error {
-	s.scratch = append(s.scratch[:0], events...)
-	for i := range s.scratch {
-		s.scratch[i].Pop = s.pop
-		if s.score != nil && s.scratch[i].Verdict == qlog.VerdictNone {
-			s.scratch[i].Verdict = s.score(s.scratch[i].Name)
+	for _, ev := range events {
+		ev.Pop = s.pop
+		if s.scorer != nil && ev.Verdict == qlog.VerdictNone {
+			ev.Verdict = scoreName(s.scorer, ev.Name)
 		}
-	}
-	for _, t := range s.targets {
-		if err := t.Consume(s.scratch); err != nil {
-			return err
-		}
+		s.out.EmitNow(ev)
 	}
 	return nil
 }
 
-func (s *popStamp) Flush() error {
-	for _, t := range s.targets {
-		if err := t.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Flush has nothing to do: the session log flushes its own sinks.
+func (s *popStamp) Flush() error { return nil }
 
 // scoreName probes the streaming pipeline's live verdict snapshot with
 // a dotted name: disposable when any proper ancestor zone is flagged

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -17,10 +20,11 @@ import (
 	"dnsnoise/internal/mlearn"
 	"dnsnoise/internal/pdns"
 	"dnsnoise/internal/qlog"
-	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/sim"
 	"dnsnoise/internal/telemetry"
+	"dnsnoise/internal/telemetry/alerts"
 	"dnsnoise/internal/telemetry/promtext"
+	"dnsnoise/internal/telemetry/tsdb"
 	"dnsnoise/internal/workload"
 )
 
@@ -38,10 +42,6 @@ func testConfig(pops int) fleet.Config {
 			Servers:            2,
 			CacheSize:          8192,
 		},
-		HourlySeries: []fleet.HourlySeries{
-			{Name: "even-clients", Pred: func(ob resolver.Observation) bool { return ob.ClientID%2 == 0 }},
-		},
-		CollectEvery: time.Hour, // sweeps driven explicitly in tests
 	}
 }
 
@@ -63,6 +63,55 @@ func runFleet(t *testing.T, cfg fleet.Config, days int) *fleet.Fleet {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// startObs starts obs the way a CLI does after parsing its flags, with the
+// HTTP endpoint on a free loopback port, and returns the endpoint's base
+// URL. The session closes when the test ends.
+func startObs(t *testing.T, obs *sim.Obs) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Telemetry.MetricsAddr = ln.Addr().String()
+	ln.Close()
+	if err := obs.Start("dnsnoise-fleet", nil); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { obs.Close() })
+	return "http://" + obs.Telemetry.MetricsAddr
+}
+
+// get fetches url and returns its status code and body.
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// tail fetches a /debug/qlog query and returns its events.
+func tail(t *testing.T, url string) []qlog.Event {
+	t.Helper()
+	code, body := get(t, url)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", url, code, body)
+	}
+	var out struct {
+		Events []qlog.Event `json:"events"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Events
 }
 
 // varyingZonePred builds the RDataVaries suffix matcher for the test
@@ -104,7 +153,7 @@ func stableRecords(s *pdns.Store, varying func(string) bool) []string {
 }
 
 // TestFleetMatchesSingleCluster is the acceptance check: a 3-PoP fleet's
-// merged paper measurements are bit-identical to the equivalent
+// query total and merged rpDNS view are bit-identical to the equivalent
 // single-cluster run (a 1-PoP fleet) over the same two-day workload.
 func TestFleetMatchesSingleCluster(t *testing.T) {
 	f3 := runFleet(t, testConfig(3), 2)
@@ -117,17 +166,6 @@ func TestFleetMatchesSingleCluster(t *testing.T) {
 	q1 = f1.Pops()[0].Cluster.Stats().Queries
 	if q3 == 0 || q3 != q1 {
 		t.Fatalf("query totals diverge: fleet %d vs single %d", q3, q1)
-	}
-
-	h3, h1 := f3.MergedHourly(), f1.MergedHourly()
-	for _, name := range []string{"all", "even-clients"} {
-		s3, s1 := h3.Series(name), h1.Series(name)
-		if len(s3) == 0 {
-			t.Fatalf("hourly series %q is empty", name)
-		}
-		if !reflect.DeepEqual(s3, s1) {
-			t.Errorf("hourly series %q diverges between 3-PoP and single-cluster", name)
-		}
 	}
 
 	varying := varyingZonePred(f3.Env().Registry)
@@ -182,157 +220,302 @@ func TestFleetSteering(t *testing.T) {
 	}
 }
 
-// TestFleetControlPlane runs a small fleet and exercises all four
-// /fleet/* endpoints over real HTTP: strict Prometheus exposition with
-// per-PoP labels, per-PoP health JSON, the pop-filterable merged event
-// tail, and the run report with one span tree per PoP.
+// TestFleetControlPlane observes a small fleet through one session, as
+// dnsnoise-fleet does, over real HTTP: /metrics is strict Prometheus text
+// with every PoP's series under its pop= label and the runtime gauges once,
+// nothing answers under /fleet/, and the -report file holds one span tree
+// per PoP.
 func TestFleetControlPlane(t *testing.T) {
+	report := filepath.Join(t.TempDir(), "report.json")
+	obs := &sim.Obs{Telemetry: telemetry.CLIConfig{ReportPath: report}}
+	base := startObs(t, obs)
 	cfg := testConfig(3)
-	cfg.QlogSample = 1 // log every query so the tail covers all pops
-	f := runFleet(t, cfg, 1)
-	srv, err := f.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	get := func(path string) []byte {
-		t.Helper()
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s", path, resp.Status)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
+	cfg.Obs = obs
+	runFleet(t, cfg, 1)
 
-	// /fleet/metrics: strict exposition, every PoP labeled.
-	body := get("/fleet/metrics")
+	code, body := get(t, base+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: %d", code)
+	}
 	samples, err := promtext.Parse(string(body))
 	if err != nil {
-		t.Fatalf("/fleet/metrics is not strict Prometheus text: %v", err)
+		t.Fatalf("/metrics is not strict Prometheus text: %v", err)
 	}
 	if n, err := promtext.CheckHistograms(samples); err != nil || n == 0 {
-		t.Fatalf("/fleet/metrics histograms invalid (%d checked): %v", n, err)
+		t.Fatalf("/metrics histograms invalid (%d checked): %v", n, err)
 	}
 	popsSeen := map[string]bool{}
+	goroutines := 0
 	for _, sm := range samples {
-		if sm.Name == "resolver_queries_total" {
+		switch sm.Name {
+		case "resolver_queries_total":
 			popsSeen[sm.Labels["pop"]] = true
+		case "go_goroutines":
+			goroutines++
 		}
 	}
 	for i := 0; i < 3; i++ {
 		if !popsSeen[fmt.Sprint(i)] {
-			t.Fatalf("/fleet/metrics missing resolver_queries_total for pop %d (saw %v)", i, popsSeen)
+			t.Fatalf("/metrics missing resolver_queries_total for pop %d (saw %v)", i, popsSeen)
 		}
 	}
-
-	// /fleet/pops: one health line per PoP with sane ratios.
-	var pops struct {
-		Steering string            `json:"steering"`
-		Pops     []fleet.PopStatus `json:"pops"`
+	if goroutines != 1 {
+		t.Fatalf("/metrics has %d go_goroutines series, want 1", goroutines)
 	}
-	if err := json.Unmarshal(get("/fleet/pops"), &pops); err != nil {
+	if code, _ := get(t, base+"/fleet/metrics"); code != http.StatusNotFound {
+		t.Fatalf("/fleet/metrics answered %d, want 404: the fleet has no endpoint of its own", code)
+	}
+
+	if err := obs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if pops.Steering != "hash" || len(pops.Pops) != 3 {
-		t.Fatalf("/fleet/pops: steering %q, %d pops", pops.Steering, len(pops.Pops))
-	}
-	for _, ps := range pops.Pops {
-		if ps.Queries == 0 || ps.CacheHitRatio < 0 || ps.CacheHitRatio > 1 || ps.PdnsRecords == 0 {
-			t.Fatalf("pop %d status implausible: %+v", ps.Pop, ps)
-		}
-	}
-
-	// /fleet/qlog: merged tail, pop filter scopes to one vantage point.
-	var tail struct {
-		Total    uint64       `json:"total"`
-		Returned int          `json:"returned"`
-		Events   []qlog.Event `json:"events"`
-	}
-	if err := json.Unmarshal(get("/fleet/qlog?pop=1&n=50"), &tail); err != nil {
+	data, err := os.ReadFile(report)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tail.Returned == 0 {
-		t.Fatal("/fleet/qlog?pop=1 returned no events")
-	}
-	for _, ev := range tail.Events {
-		if ev.Pop != 1 {
-			t.Fatalf("pop filter leaked event from pop %d", ev.Pop)
-		}
-	}
-
-	// /fleet/report: one span tree per PoP, merged metrics embedded.
 	var rep telemetry.RunReport
-	if err := json.Unmarshal(get("/fleet/report"), &rep); err != nil {
+	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Command != "dnsnoise-fleet" || len(rep.Spans) != 3 {
-		t.Fatalf("/fleet/report: command %q, %d span trees", rep.Command, len(rep.Spans))
+	if len(rep.Spans) != 3 {
+		t.Fatalf("report has %d span trees, want one per PoP", len(rep.Spans))
 	}
 	for i, sp := range rep.Spans {
 		if sp.Name != fmt.Sprintf("pop-%d", i) || len(sp.Children) == 0 {
 			t.Fatalf("span tree %d = %q with %d children", i, sp.Name, len(sp.Children))
 		}
 	}
-	if rep.Metrics == nil || len(rep.Metrics.Counters) == 0 {
-		t.Fatal("/fleet/report has no merged metrics")
+	if rep.Metrics.Counter(`resolver_queries_total{server="0",pop="2"}`) == 0 {
+		t.Fatalf("report metrics lack pop-labelled counters: %v", rep.Metrics.Counters)
 	}
 }
 
-// TestFleetCollectorStatus drives two sweeps directly and checks the
-// per-PoP derived stats (QPS appears on the second sweep, verdict rate
-// stays zero without a scorer).
+// TestFleetCollectorStatus: the per-PoP query counters the session's
+// registry collects add up to each cluster's own, and without a scorer no
+// event in the session's tail carries a verdict.
 func TestFleetCollectorStatus(t *testing.T) {
-	f := runFleet(t, testConfig(2), 1)
-	c := f.Collector()
-	c.Collect()
-	time.Sleep(10 * time.Millisecond)
-	c.Collect()
-	merged, pops := c.Latest()
-	if merged == nil || len(pops) != 2 {
-		t.Fatalf("Latest: merged=%v, %d pops", merged != nil, len(pops))
-	}
-	var total uint64
-	for _, ps := range pops {
-		total += ps.Queries
-		if ps.VerdictRate != 0 {
-			t.Fatalf("verdict rate without scorer: %+v", ps)
+	obs := &sim.Obs{Qlog: qlog.CLIConfig{Sample: 1, Mem: 1 << 16}}
+	base := startObs(t, obs)
+	cfg := testConfig(2)
+	cfg.Obs = obs
+	f := runFleet(t, cfg, 1)
+
+	perPop := map[string]uint64{}
+	for name, v := range obs.Registry.Snapshot().Counters {
+		if !strings.HasPrefix(name, "resolver_queries_total{") {
+			continue
+		}
+		for i := range f.Pops() {
+			if strings.Contains(name, fmt.Sprintf("pop=%q", fmt.Sprint(i))) {
+				perPop[fmt.Sprint(i)] += v
+			}
 		}
 	}
-	var snapTotal uint64
-	for name, v := range merged.Counters {
-		if strings.HasPrefix(name, "resolver_queries_total{") {
-			snapTotal += v
+	for i, p := range f.Pops() {
+		q := p.Cluster.Stats().Queries
+		if q == 0 || perPop[fmt.Sprint(i)] != q {
+			t.Fatalf("pop %d: Σ resolver_queries_total = %d, cluster resolved %d", i, perPop[fmt.Sprint(i)], q)
 		}
 	}
-	if total == 0 || snapTotal != total {
-		t.Fatalf("merged counters disagree with cluster stats: %d vs %d", snapTotal, total)
+	evs := tail(t, base+"/debug/qlog?n=0")
+	if len(evs) == 0 {
+		t.Fatal("no events in the session's tail")
+	}
+	for _, ev := range evs {
+		if ev.Verdict != qlog.VerdictNone {
+			t.Fatalf("event carries a verdict without a scorer: %+v", ev)
+		}
+	}
+}
+
+// observedFleet runs a 3-PoP fleet under a session whose tsdb sweeps
+// every 20ms with the given rules file ("" for the built-in defaults),
+// and returns the session's base URL.
+func observedFleet(t *testing.T, rules string) string {
+	t.Helper()
+	obs := &sim.Obs{
+		Qlog:   qlog.CLIConfig{Sample: 64, Mem: 1024},
+		Alerts: alerts.CLIConfig{Interval: 20 * time.Millisecond, Retain: 64, RulesPath: rules},
+	}
+	base := startObs(t, obs)
+	cfg := testConfig(3)
+	cfg.Obs = obs
+	runFleet(t, cfg, 1)
+	return base
+}
+
+// tsdbSeries fetches a /debug/tsdb query and returns its series.
+func tsdbSeries(t *testing.T, url string) []tsdb.Result {
+	t.Helper()
+	code, body := get(t, url)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", url, code, body)
+	}
+	var out struct {
+		Series []tsdb.Result `json:"series"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Series
+}
+
+// alertStatus fetches /debug/alerts.
+func alertStatus(t *testing.T, base string) alerts.Status {
+	t.Helper()
+	code, body := get(t, base+"/debug/alerts")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/alerts: %d %s", code, body)
+	}
+	var st alerts.Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestFleetTSDB: the session's tsdb sweeps every PoP's series under its
+// pop= label (the derived qps one per PoP from its second sweep on), and a
+// rule firing once per PoP × server series (3 × 2) mirrors each transition
+// into the session's query log as an ALERT event.
+func TestFleetTSDB(t *testing.T) {
+	rules := filepath.Join(t.TempDir(), "rules.json")
+	// One rule that fires on the first sweep that sees a series: the query
+	// counters pass half a query as soon as the PoPs resolve anything.
+	if err := os.WriteFile(rules, []byte(`{"rules": [{"name": "queries_seen",
+		"series": "resolver_queries_total", "agg": "max", "threshold": 0.5, "window": "1m"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := observedFleet(t, rules)
+
+	var (
+		st  alerts.Status
+		qps []tsdb.Result
+	)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		st = alertStatus(t, base)
+		qps = tsdbSeries(t, base+"/debug/tsdb?series=resolver_qps")
+		if st.Firing == 6 && len(qps) >= 3 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if st.Firing != 6 || st.Evals == 0 {
+		t.Fatalf("/debug/alerts: %d firing after %d evals, want 6 (per pop x server)", st.Firing, st.Evals)
+	}
+	if len(qps) < 3 {
+		t.Fatalf("/debug/tsdb resolver_qps: %d series, want one per PoP", len(qps))
+	}
+
+	popsSeen := map[string]bool{}
+	for _, r := range tsdbSeries(t, base+"/debug/tsdb?series=resolver_queries_total&agg=max") {
+		if len(r.Points) == 0 || r.Points[len(r.Points)-1].V <= 0 {
+			t.Fatalf("series %s has no positive history: %+v", r.Name, r.Points)
+		}
+		for i := 0; i < 3; i++ {
+			if strings.Contains(r.Name, fmt.Sprintf("pop=%q", fmt.Sprint(i))) {
+				popsSeen[fmt.Sprint(i)] = true
+			}
+		}
+	}
+	if len(popsSeen) != 3 {
+		t.Fatalf("per-PoP resolver_queries_total history for pops %v, want all three", popsSeen)
+	}
+
+	evs := tail(t, base+"/debug/qlog?qtype=ALERT&n=0")
+	if len(evs) != 6 {
+		t.Fatalf("ALERT events in /debug/qlog = %+v, want 6", evs)
+	}
+	for _, ev := range evs {
+		if ev.Name != "queries_seen.firing.alert" {
+			t.Fatalf("unexpected alert event %+v", ev)
+		}
+	}
+}
+
+// TestFleetTSDBEndpoints: with -tsdb-interval set the session serves
+// /debug/tsdb (pop-labelled series) and /debug/alerts (the default rules
+// evaluated); without it those routes are absent, and the fleet never
+// answers under /fleet/.
+func TestFleetTSDBEndpoints(t *testing.T) {
+	base := observedFleet(t, "")
+	var st alerts.Status
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if st = alertStatus(t, base); st.Evals > 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if st.Evals == 0 || len(st.Rules) == 0 {
+		t.Fatalf("/debug/alerts status = %+v, want default rules evaluated", st)
+	}
+	series := tsdbSeries(t, base+"/debug/tsdb?series=resolver_queries_total&agg=max")
+	if len(series) == 0 || !strings.Contains(series[0].Name, "pop=") {
+		t.Fatalf("/debug/tsdb series = %+v, want pop-labelled", series)
+	}
+	for _, path := range []string{"/fleet/tsdb", "/fleet/alerts"} {
+		if code, _ := get(t, base+path); code != http.StatusNotFound {
+			t.Fatalf("%s answered %d, want 404", path, code)
+		}
+	}
+
+	plain := startObs(t, &sim.Obs{})
+	for _, path := range []string{"/debug/tsdb", "/debug/alerts"} {
+		if code, _ := get(t, plain+path); code != http.StatusNotFound {
+			t.Fatalf("%s without -tsdb-interval answered %d, want 404", path, code)
+		}
+	}
+}
+
+// TestFleetQlogIDsUnique: every PoP numbers its events in the session's
+// one sequence, so the fleet's tail never repeats an id, and ?pop= scopes
+// it to one vantage point.
+func TestFleetQlogIDsUnique(t *testing.T) {
+	obs := &sim.Obs{Qlog: qlog.CLIConfig{Sample: 1, Mem: 1 << 16}}
+	base := startObs(t, obs)
+	cfg := testConfig(3)
+	cfg.Obs = obs
+	runFleet(t, cfg, 1)
+
+	ids := map[uint64]bool{}
+	pops := map[int32]int{}
+	for _, ev := range tail(t, base+"/debug/qlog?n=0") {
+		if ids[ev.ID] {
+			t.Fatalf("event id %d appears twice in the fleet's tail", ev.ID)
+		}
+		ids[ev.ID] = true
+		pops[ev.Pop]++
+	}
+	if len(pops) != 3 {
+		t.Fatalf("events per pop = %v, want all three", pops)
+	}
+	one := tail(t, base+"/debug/qlog?pop=1&n=0")
+	if len(one) != pops[1] {
+		t.Fatalf("?pop=1 returned %d events, pop 1 logged %d", len(one), pops[1])
+	}
+	for _, ev := range one {
+		if ev.Pop != 1 {
+			t.Fatalf("?pop=1 leaked an event from pop %d", ev.Pop)
+		}
 	}
 }
 
 // TestFleetScorerStampsVerdicts attaches the incremental miner to every
 // PoP (classifier trained on a single-cluster pre-pass, as the CLI
-// does) and checks live verdicts land in the merged event tail.
+// does) and checks live verdicts land in the session's event tail.
 func TestFleetScorerStampsVerdicts(t *testing.T) {
 	cfg := testConfig(2)
 	clf := trainTestClassifier(t, cfg)
-	cfg.QlogSample = 1
+	obs := &sim.Obs{Qlog: qlog.CLIConfig{Sample: 1, Mem: 1 << 16}}
+	base := startObs(t, obs)
+	cfg.Obs = obs
 	cfg.ScoreWindow = 6 * time.Hour
 	cfg.NewScorer = func(int) (*core.StreamingPipeline, error) {
 		return core.NewStreamingPipeline(clf,
 			core.MinerConfig{Theta: 0.5},
 			core.StreamingConfig{Hysteresis: 1, NumServers: 2}, nil)
 	}
-	f := runFleet(t, cfg, 2)
+	runFleet(t, cfg, 2)
 	var benign, disposable int
-	for _, ev := range f.MergedQlog().Snapshot(qlog.Filter{}) {
+	for _, ev := range tail(t, base+"/debug/qlog?n=0") {
 		switch ev.Verdict {
 		case qlog.VerdictBenign:
 			benign++
@@ -342,16 +525,6 @@ func TestFleetScorerStampsVerdicts(t *testing.T) {
 	}
 	if benign == 0 || disposable == 0 {
 		t.Fatalf("scored tail looks wrong: %d benign, %d disposable", benign, disposable)
-	}
-	_, pops := f.Collector().Latest()
-	var rated bool
-	for _, ps := range pops {
-		if ps.VerdictRate > 0 {
-			rated = true
-		}
-	}
-	if !rated {
-		t.Fatalf("no PoP reports a verdict rate: %+v", pops)
 	}
 }
 

@@ -2,20 +2,15 @@ package livescore
 
 import (
 	"testing"
-	"unicode/utf8"
 
 	"dnsnoise/internal/dnsmsg"
-	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/qlog"
 )
 
 // FuzzQuestionReaders holds the two front-door readers of a query's name to
 // each other (FuzzUnpack holds dnsmsg.AppendSoleQuestion, the authority's
 // in-place reader, to the decoder). Wherever the reader and ScoreWire both
-// read a name, the scorer stages the same name — up to the scorer's
-// ASCII-only case folding and its keeping of a label's own trailing dot, so
-// the reader's name is always dnsname.Normalize of the staged one and equals
-// it outright for an ASCII name with no trailing dot.
+// read a name, the scorer stages the same name.
 func FuzzQuestionReaders(f *testing.F) {
 	query := func(labels ...string) []byte {
 		wire := []byte{0xbe, 0xef, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0}
@@ -54,20 +49,8 @@ func FuzzQuestionReaders(f *testing.F) {
 		}
 		var staged string
 		s.ring.drain(func(b []byte) { staged = string(b) })
-		if string(name) != dnsname.Normalize(staged) {
+		if string(name) != staged {
 			t.Fatalf("reader name %q, scorer staged %q", name, staged)
 		}
-		if ascii(staged) && staged[len(staged)-1] != '.' && string(name) != staged {
-			t.Fatalf("reader name %q, scorer staged the ASCII name %q", name, staged)
-		}
 	})
-}
-
-func ascii(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return false
-		}
-	}
-	return true
 }

@@ -13,9 +13,11 @@ package livescore
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/qlog"
@@ -102,7 +104,9 @@ type Scorer struct {
 // currently flagged for the name's depth, VerdictBenign otherwise, and
 // VerdictNone when no question name can be parsed (runts, root queries,
 // compression pointers in the question — which no sane client sends).
-// The name is also staged for the streaming miner. Zero allocations.
+// The name, staged for the streaming miner too, is the question's name as
+// dnsname.Normalize spells it. Zero allocations for an ASCII name; a label
+// with a byte >= 0x80 is lowered as Normalize does, which may allocate.
 func (s *Scorer) ScoreWire(query []byte) qlog.Verdict {
 	if len(query) <= qnameOffset {
 		return qlog.VerdictNone
@@ -130,18 +134,33 @@ func (s *Scorer) ScoreWire(query []byte) qlog.Verdict {
 			w++
 		}
 		s.starts[depth] = w
+		var high byte
 		for i := 0; i < b; i++ {
 			c := query[off+i]
+			high |= c
 			if 'A' <= c && c <= 'Z' {
 				c += 'a' - 'A'
 			}
 			s.scratch[w] = c
 			w++
 		}
+		if high >= utf8.RuneSelf {
+			// Rare: Unicode lowering, which may change the label's length.
+			// Lowering label by label spells what lowering the whole name
+			// does, since no byte of a multi-byte rune is a dot.
+			low := strings.ToLower(string(query[off : off+b]))
+			if s.starts[depth]+len(low) > maxNameLen {
+				return qlog.VerdictNone
+			}
+			w = s.starts[depth] + copy(s.scratch[s.starts[depth]:], low)
+		}
 		depth++
 		off += b
 	}
-	if depth == 0 {
+	if w > 0 && s.scratch[w-1] == '.' {
+		w-- // a last label's own trailing dot, which Normalize drops
+	}
+	if w == 0 {
 		return qlog.VerdictNone // root query
 	}
 	name := s.scratch[:w]

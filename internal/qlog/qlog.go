@@ -161,8 +161,8 @@ type Event struct {
 	Day    string    `json:"day,omitempty"`
 	Window uint32    `json:"window,omitempty"`
 	Server int32     `json:"server"`
-	// Pop identifies the originating PoP in a merged fleet tail (stamped
-	// by the fleet collector; absent in single-cluster runs).
+	// Pop identifies the originating PoP of a fleet's event (stamped by
+	// the PoP's sink; absent in single-cluster runs).
 	Pop       int32         `json:"pop,omitempty"`
 	Client    uint32        `json:"client,omitempty"`
 	Name      string        `json:"name"`

@@ -280,7 +280,7 @@ func (m *MemorySink) Snapshot(f Filter) []Event {
 //
 // The response carries the total events seen, the retained count, and
 // the matching events (newest last). server and pop scope the tail to
-// one cluster server or (in a merged fleet tail) one PoP; since and
+// one cluster server or (in a fleet's tail) one PoP; since and
 // until (RFC3339 or Unix seconds) bound the event times, e.g. to the
 // minute around an alert transition.
 func (m *MemorySink) Handler() http.Handler {

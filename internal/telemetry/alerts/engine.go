@@ -57,9 +57,9 @@ const transitionRing = 256
 // Engine evaluates rules against a tsdb on every sweep. All methods are
 // safe for concurrent use; Eval is expected from the sweep goroutine.
 type Engine struct {
-	db     *tsdb.DB
-	rules  []Rule
-	mirror func(qlog.Event)
+	db    *tsdb.DB
+	rules []Rule
+	log   *qlog.Log
 
 	mu    sync.Mutex
 	insts map[string]map[string]*instance // rule name -> series -> state
@@ -74,16 +74,7 @@ type Option func(*Engine)
 // WithQueryLog mirrors every transition into l as a synthetic qlog event
 // (Qtype "ALERT", Name "<rule>.<to>.alert") via EmitNow.
 func WithQueryLog(l *qlog.Log) Option {
-	if l == nil {
-		return func(*Engine) {}
-	}
-	return WithEventMirror(l.EmitNow)
-}
-
-// WithEventMirror routes transition events to fn instead of a *qlog.Log —
-// the fleet control plane feeds its merged in-memory tail this way.
-func WithEventMirror(fn func(qlog.Event)) Option {
-	return func(e *Engine) { e.mirror = fn }
+	return func(e *Engine) { e.log = l }
 }
 
 // NewEngine builds an engine over db. Invalid rules are rejected by
@@ -188,12 +179,12 @@ func (e *Engine) transition(rule Rule, series string, inst *instance, next State
 		e.hist[e.histN%transitionRing] = tr
 	}
 	e.histN++
-	if e.mirror != nil {
+	if e.log != nil {
 		lat := uint64(0)
 		if v > 0 {
 			lat = uint64(v)
 		}
-		e.mirror(qlog.Event{
+		e.log.EmitNow(qlog.Event{
 			Time:      now,
 			Server:    -1, // not a resolver worker
 			Name:      rule.Name + "." + label + ".alert",
@@ -283,8 +274,7 @@ func (e *Engine) Firing() int {
 	return e.Snapshot().Firing
 }
 
-// Handler serves the alert status as JSON (mounted at /debug/alerts and
-// /fleet/alerts).
+// Handler serves the alert status as JSON (mounted at /debug/alerts).
 func (e *Engine) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if e == nil {

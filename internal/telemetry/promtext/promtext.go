@@ -1,6 +1,5 @@
 // Package promtext is a strict parser for the Prometheus text exposition
-// format (version 0.0.4), used by tests and the fleet control plane to
-// validate /metrics payloads: metric-name and label-name charsets,
+// format (version 0.0.4), used by tests to validate /metrics payloads: metric-name and label-name charsets,
 // label-value quoting, HELP/TYPE placement and uniqueness, sample grouping
 // under the TYPE header, and cumulative histogram buckets ending in
 // le="+Inf" with matching _sum/_count.

@@ -46,6 +46,12 @@ type entry struct {
 // family. Registering the same name twice returns the existing
 // instrument; registering it with a different kind panics.
 type Registry struct {
+	*metricSet        // shared with every view of this registry
+	labels     string // appended to names registered through this view
+}
+
+// metricSet is the state a registry shares with its labelled views.
+type metricSet struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 	last    *Snapshot // previous DeltaSnapshot baseline
@@ -55,13 +61,35 @@ type Registry struct {
 // NewRegistry returns a registry pre-populated with Go runtime gauges
 // (go_goroutines, go_heap_alloc_bytes, go_gc_cycles_total).
 func NewRegistry() *Registry {
-	r := &Registry{entries: make(map[string]*entry)}
+	r := &Registry{metricSet: &metricSet{entries: make(map[string]*entry)}}
 	registerRuntimeMetrics(r)
 	return r
 }
 
-// lookup get-or-creates the entry for name, panicking on kind mismatch.
+// WithLabel returns a view of r that appends key="value" to the label set
+// of every name registered through it: `resolver_queries_total{server="0"}`
+// registered on r.WithLabel("pop", "2") is the series
+// `resolver_queries_total{server="0",pop="2"}` of r. The view shares r's
+// metrics, so snapshotting or serving either shows them all, the runtime
+// gauges once. A nil registry yields a nil view.
+func (r *Registry) WithLabel(key, value string) *Registry {
+	if r == nil {
+		return nil
+	}
+	pair := fmt.Sprintf("%s=%q", key, value)
+	if r.labels != "" {
+		pair = r.labels + "," + pair
+	}
+	return &Registry{metricSet: r.metricSet, labels: pair}
+}
+
+// lookup get-or-creates the entry for name (relabelled by the view),
+// panicking on kind mismatch.
 func (r *Registry) lookup(name, help string, kind Kind) *entry {
+	if r.labels != "" {
+		base, labels := splitSeries(name)
+		name = base + joinLabels(labels, r.labels)
+	}
 	e, ok := r.entries[name]
 	if !ok {
 		e = &entry{name: name, help: help, kind: kind}

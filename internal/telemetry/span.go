@@ -17,10 +17,11 @@ import (
 // goroutine — exactly the runner's day loop. StartRoot and every Span
 // method are safe for concurrent use.
 type Tracer struct {
-	mu    sync.Mutex
-	now   func() time.Time // test seam
-	roots []*Span
-	stack []*Span
+	mu     sync.Mutex
+	now    func() time.Time // test seam
+	parent *Span            // where top-level spans go instead of roots (Span.Tracer)
+	roots  []*Span
+	stack  []*Span
 }
 
 // NewTracer returns an empty tracer.
@@ -57,7 +58,7 @@ func (t *Tracer) Start(name string) *Span {
 		parent.children = append(parent.children, sp)
 		parent.mu.Unlock()
 	} else {
-		t.roots = append(t.roots, sp)
+		t.addRoot(sp)
 	}
 	t.stack = append(t.stack, sp)
 	return sp
@@ -73,8 +74,30 @@ func (t *Tracer) StartRoot(name string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sp := &Span{tr: t, name: name, start: t.now()}
-	t.roots = append(t.roots, sp)
+	t.addRoot(sp)
 	return sp
+}
+
+// addRoot files a top-level span. Called with t.mu held.
+func (t *Tracer) addRoot(sp *Span) {
+	if p := t.parent; p != nil {
+		p.mu.Lock()
+		p.children = append(p.children, sp)
+		p.mu.Unlock()
+		return
+	}
+	t.roots = append(t.roots, sp)
+}
+
+// Tracer returns a tracer with a nesting stack of its own whose top-level
+// spans hang under s: concurrent runners (a fleet's PoPs) each get one
+// under their own StartRoot span, and the parent tracer's Roots shows
+// them all in one tree. A nil span yields a nil tracer.
+func (s *Span) Tracer() *Tracer {
+	if s == nil {
+		return nil
+	}
+	return &Tracer{now: s.tr.now, parent: s}
 }
 
 // AddItems adds n to the span's processed-item count.

@@ -244,6 +244,12 @@ func TestSpanStartRootConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			sp := tr.StartRoot("exp")
+			// Each root's own tracer nests its stages under it, as a fleet
+			// PoP's runner does under its pop-N span.
+			sub := sp.Tracer()
+			day := sub.Start("day")
+			sub.Start("resolve").End()
+			day.End()
 			sp.AddItems(1)
 			sp.End()
 		}()
@@ -252,6 +258,15 @@ func TestSpanStartRootConcurrent(t *testing.T) {
 	roots := tr.Roots()
 	if len(roots) != 8 {
 		t.Fatalf("%d roots, want 8", len(roots))
+	}
+	for _, r := range roots {
+		if len(r.Children) != 1 || r.Children[0].Name != "day" || len(r.Children[0].Children) != 1 {
+			t.Fatalf("root %q does not hold its own day/resolve tree: %+v", r.Name, r.Children)
+		}
+	}
+	var none *Span
+	if none.Tracer() != nil {
+		t.Fatal("a nil span's tracer is not nil")
 	}
 }
 

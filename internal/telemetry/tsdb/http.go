@@ -9,8 +9,7 @@ import (
 	"time"
 )
 
-// Handler serves the range-query API, mounted at /debug/tsdb (and
-// /fleet/tsdb on the fleet control plane).
+// Handler serves the range-query API, mounted at /debug/tsdb.
 //
 //	GET /debug/tsdb                       -> series index
 //	GET /debug/tsdb?series=PAT&agg=rate   -> aggregated points

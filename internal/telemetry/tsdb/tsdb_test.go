@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -285,35 +286,37 @@ func TestHandler(t *testing.T) {
 	}
 }
 
-// TestFleetMergeBitConsistency: recording a pop-labeled merged snapshot into
-// a fleet DB yields, for every pop, exactly the points a single-PoP DB
-// records from the unlabeled snapshot — same values, same timestamps.
+// TestFleetMergeBitConsistency: recording a registry whose series come
+// from per-pop views into a fleet DB yields, for every pop, exactly the
+// points a single-PoP DB records from an unlabeled registry — same values,
+// same timestamps.
 func TestFleetMergeBitConsistency(t *testing.T) {
+	fleet := telemetry.NewRegistry()
 	regs := []*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
-	for i, reg := range regs {
-		hits := reg.Counter("resolver_cache_hits_total", "t")
-		miss := reg.Counter("resolver_cache_misses_total", "t")
-		lat := reg.Histogram("resolver_latency_ns", "t")
-		hits.Add(uint64(80 + 7*i))
-		miss.Add(uint64(20 + 3*i))
-		lat.Observe(uint64(1000 * (i + 1)))
+	views := []*telemetry.Registry{fleet.WithLabel("pop", "0"), fleet.WithLabel("pop", "1")}
+	for i := range regs {
+		for _, reg := range []*telemetry.Registry{regs[i], views[i]} {
+			reg.Counter("resolver_cache_hits_total", "t").Add(uint64(80 + 7*i))
+			reg.Counter("resolver_cache_misses_total", "t").Add(uint64(20 + 3*i))
+			reg.Histogram("resolver_latency_ns", "t").Observe(uint64(1000 * (i + 1)))
+		}
 	}
 
 	single := []*DB{New(Config{}), New(Config{})}
 	fleetDB := New(Config{})
 	for sweep := 0; sweep < 3; sweep++ {
 		ts := t0.Add(time.Duration(sweep) * time.Second)
-		var labeled []*telemetry.Snapshot
-		for i, reg := range regs {
-			reg.Counter("resolver_cache_hits_total", "t").Add(uint64(10 * (i + 1)))
-			snap := reg.Snapshot()
+		for i := range regs {
+			for _, reg := range []*telemetry.Registry{regs[i], views[i]} {
+				reg.Counter("resolver_cache_hits_total", "t").Add(uint64(10 * (i + 1)))
+			}
+			snap := regs[i].Snapshot()
 			snap.Time = ts
 			single[i].Record(snap)
-			labeled = append(labeled, snap.WithLabel("pop", []string{"0", "1"}[i]))
 		}
-		merged := telemetry.MergeSnapshots(labeled...)
-		merged.Time = ts
-		fleetDB.Record(merged)
+		snap := fleet.Snapshot()
+		snap.Time = ts
+		fleetDB.Record(snap)
 	}
 
 	opt := Options{Start: t0.Add(-time.Second), End: t0.Add(3 * time.Second), Step: time.Second}
@@ -321,8 +324,8 @@ func TestFleetMergeBitConsistency(t *testing.T) {
 		popLbl := `{pop="` + []string{"0", "1"}[pop] + `"}`
 		for _, info := range db.Series() {
 			base, labels := splitName(info.Name)
-			if base == "go_goroutines" || base == "go_heap_alloc_bytes" || base == "go_gc_cycles_total" {
-				continue // runtime gauges are process-wide, not merged per pop
+			if strings.HasPrefix(base, "go_") {
+				continue // runtime metrics are process-wide, registered once
 			}
 			fleetName := base + "{"
 			if labels != "" {
