@@ -82,13 +82,17 @@ bench-smoke:
 # panic, and a sample that parses survives being spelled out again. The
 # zone-file reader (the zone files of its tests, good and bad): no panic,
 # every record of an accepted zone is served over the wire, and write →
-# parse → write is a fixed point.
+# parse → write is a fixed point. The TCP lane's framing (runt, cut,
+# oversize and garbage frames over a pipe): no panic, every reply is a
+# framed response to the frame in its place, and a bad frame ends the
+# connection.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnpack -fuzztime 10s ./internal/dnsmsg
 	$(GO) test -run '^$$' -fuzz FuzzQuestionReaders -fuzztime 10s ./internal/livescore
 	$(GO) test -run '^$$' -fuzz FuzzReaderLine -fuzztime 10s ./internal/traceio
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/telemetry/promtext
 	$(GO) test -run '^$$' -fuzz FuzzParseZoneFile -fuzztime 10s ./internal/authority
+	$(GO) test -run '^$$' -fuzz FuzzTCPFrames -fuzztime 10s ./internal/udptransport
 
 clean:
 	$(GO) clean ./...

@@ -149,7 +149,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "fleet: %d queries across %d pops (%s steering); merged pdns: %d records, %d disposable\n",
 		total, *pops, steer, merged.Len(), merged.DisposableCount())
 
-	if *linger > 0 && obs.HasEndpoint() {
+	if *linger > 0 && obs.MetricsAddr != "" {
 		fmt.Fprintf(stdout, "lingering %s\n", *linger)
 		time.Sleep(*linger)
 	}

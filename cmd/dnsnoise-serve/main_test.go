@@ -1,11 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/qlog"
+	"dnsnoise/internal/telemetry"
 )
 
 // TestServeAnswersOverUDP starts the command on a small namespace, plain and
@@ -88,5 +93,70 @@ func TestServeAnswersOverUDP(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServeCloseFlushesQlog: every query answered before Close is in the
+// -qlog file once Close returns, each under its own event id, and the
+// -report file is written, naming the command.
+func TestServeCloseFlushesQlog(t *testing.T) {
+	dir := t.TempDir()
+	qpath, rpath := filepath.Join(dir, "q.jsonl"), filepath.Join(dir, "r.json")
+	svc, err := start([]string{"-addr", "127.0.0.1:0", "-zones", "40", "-disposable-zones", "8",
+		"-qlog", qpath, "-qlog-sample", "1", "-report", rpath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", svc.srv.Addr())
+	if err != nil {
+		svc.Close()
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const n = 25
+	buf := make([]byte, 4096)
+	for i := 0; i < n; i++ {
+		query, err := dnsmsg.NewQuery(uint16(i+1), "www.google.com", dnsmsg.TypeA).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(query); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(buf); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(qpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	evs, err := qlog.ReadEvents(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[uint64]bool{}
+	for _, ev := range evs {
+		ids[ev.ID] = true
+	}
+	if len(evs) != n || len(ids) != n {
+		t.Fatalf("-qlog holds %d events with %d distinct ids, want %d answered queries", len(evs), len(ids), n)
+	}
+	data, err := os.ReadFile(rpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep telemetry.RunReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Command != "dnsnoise-serve" {
+		t.Errorf("report command = %q, want dnsnoise-serve", rep.Command)
 	}
 }

@@ -30,7 +30,7 @@ func testBackend(t *testing.T) (addr string, done func()) {
 		})
 	}
 	rule := alerts.Rule{Name: "chr_floor", Series: "cache_hit_ratio", Op: "<", Threshold: 0.5, Window: alerts.Duration(time.Minute)}
-	eng := alerts.NewEngine(db, []alerts.Rule{rule})
+	eng := alerts.NewEngine(db, []alerts.Rule{rule}, nil)
 	eng.Eval(now)
 
 	mux := http.NewServeMux()

@@ -64,9 +64,9 @@ type ExplainRecord struct {
 }
 
 // SetExplain installs the provenance callback, invoked once per
-// classifier decision with the completed record. When miners run
-// concurrently (core.Pipeline.ProcessDays) the callback must be safe for
-// concurrent use; ExplainWriter is. A nil fn disables provenance.
+// classifier decision with the completed record. When one miner mines on
+// several goroutines the callback must be safe for concurrent use;
+// ExplainWriter is. A nil fn disables provenance.
 func (m *Miner) SetExplain(fn func(ExplainRecord)) { m.explain = fn }
 
 // explainRecord assembles the provenance for one decision. vec is the

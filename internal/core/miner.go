@@ -87,7 +87,7 @@ type Miner struct {
 	entropy *features.EntropyCache
 
 	// Telemetry counters; nil (no-op) unless SetMetrics was called. The
-	// counters are atomic, so ProcessDays' concurrent miners share them.
+	// counters are atomic, so concurrent Mine calls may share them.
 	mDecisions  *telemetry.Counter
 	mDisposable *telemetry.Counter
 }
@@ -119,9 +119,9 @@ func NewMiner(classifier mlearn.Classifier, cfg MinerConfig) (*Miner, error) {
 
 // mineScratch is the working storage of one Mine: what Algorithm 1 builds
 // about a group and does not report (names are copied out only into a
-// Finding). ProcessDays mines from one Miner concurrently, so the scratch
-// belongs to the call: a fresh one per batch Mine, the streaming
-// pipeline's own across its re-scores.
+// Finding). The scratch belongs to the call, so Mine stays safe to call
+// concurrently: a fresh one per batch Mine, the streaming pipeline's own
+// across its re-scores.
 type mineScratch struct {
 	groups  []dntree.Group // G_k sets of the zone under inspection
 	zones   []*dntree.Node // stack of child zones still to mine

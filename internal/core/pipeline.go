@@ -86,19 +86,11 @@ func NewPipeline(miner *Miner, suffixes *dnsname.Suffixes) (*Pipeline, error) {
 // 1-3) and folds the findings into the cumulative ranking. The day's own
 // findings are returned for per-day consumers.
 func (p *Pipeline) ProcessDay(date time.Time, byName map[string][]*chrstat.RRStat) ([]Finding, error) {
-	findings, err := p.mineDay(DayInput{Date: date, ByName: byName})
-	if err == nil {
-		p.fold(date, findings)
-	}
-	return findings, err
-}
-
-// mineDay is the read-only part of a day, which ProcessDays fans out.
-func (p *Pipeline) mineDay(d DayInput) ([]Finding, error) {
-	findings, err := p.miner.Mine(BuildTree(d.ByName, p.suffixes), d.ByName)
+	findings, err := p.miner.Mine(BuildTree(byName, p.suffixes), byName)
 	if err != nil {
-		return nil, fmt.Errorf("day %s: %w", d.Date.Format("2006-01-02"), err)
+		return nil, fmt.Errorf("day %s: %w", date.Format("2006-01-02"), err)
 	}
+	p.fold(date, findings)
 	return findings, nil
 }
 
@@ -125,49 +117,6 @@ func (p *Pipeline) fold(date time.Time, findings []Finding) {
 			sort.Ints(rec.Depths)
 		}
 	}
-}
-
-// DayInput names one day's statistics for batch processing.
-type DayInput struct {
-	Date   time.Time
-	ByName map[string][]*chrstat.RRStat
-}
-
-// ProcessDays mines a batch of independent days with up to workers
-// concurrent miners, then folds the findings into the cumulative ranking in
-// input order — so the resulting ranking (FirstSeen/LastSeen, day counts)
-// is identical to calling ProcessDay once per day sequentially. Mining
-// (tree build + Algorithm 1) dominates day cost and is read-only over its
-// inputs, which is what makes the fan-out safe; the fold is cheap and stays
-// single-threaded. The per-day findings are returned in input order.
-func (p *Pipeline) ProcessDays(days []DayInput, workers int) ([][]Finding, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(days) {
-		workers = len(days)
-	}
-	out := make([][]Finding, len(days))
-	errs := make([]error, len(days))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range days {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = p.mineDay(days[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		p.fold(days[i].Date, out[i])
-	}
-	return out, nil
 }
 
 // Days returns how many days the pipeline has processed.

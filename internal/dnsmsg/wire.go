@@ -19,7 +19,7 @@ type WireHandler interface {
 }
 
 // AsWireHandler returns h itself when it also implements the append contract
-// (authority.Server, udptransport.Client), and otherwise adapts HandleWire
+// (authority.Server), and otherwise adapts HandleWire
 // at the price of one copy per response.
 func AsWireHandler(h Handler) WireHandler {
 	if wh, ok := h.(WireHandler); ok {

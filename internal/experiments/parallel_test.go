@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dnsnoise/internal/chrstat"
+	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/pdns"
 	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/sim"
@@ -44,7 +45,7 @@ func TestParallelDayMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCol, err := parEnv.RunDayParallel(profile, nil, nil)
+	parCol, err := parEnv.RunDay(profile, nil, nil, ingest.WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +121,8 @@ func TestResolveStreamConcurrentTaps(t *testing.T) {
 	hourly := chrstat.NewHourlyCounter()
 	hourly.AddSeries("all", func(resolver.Observation) bool { return true })
 	store := pdns.NewStore()
-	collector, err := env.RunDayParallel(workload.DecemberProfile(dateAt(0)),
-		resolver.MultiTap(hourly.Tap(), store.Tap()), hourly.Tap())
+	collector, err := env.RunDay(workload.DecemberProfile(dateAt(0)),
+		resolver.MultiTap(hourly.Tap(), store.Tap()), hourly.Tap(), ingest.WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func New(cfg Config) (*Fleet, error) {
 		sample int
 	)
 	if o := cfg.Obs; o != nil {
-		reg, f.tracer, out, sample = o.Registry, o.Tracer, o.Log(), o.Qlog.Sample
+		reg, f.tracer, out, sample = o.Registry, o.Tracer, o.Log(), o.QlogSample
 	}
 	for i := 0; i < cfg.Pops; i++ {
 		p := &PoP{ID: i, Store: pdns.NewStore(), reg: reg.WithLabel("pop", strconv.Itoa(i))}

@@ -74,13 +74,13 @@ func startObs(t *testing.T, obs *sim.Obs) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.Telemetry.MetricsAddr = ln.Addr().String()
+	obs.MetricsAddr = ln.Addr().String()
 	ln.Close()
 	if err := obs.Start("dnsnoise-fleet", nil); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { obs.Close() })
-	return "http://" + obs.Telemetry.MetricsAddr
+	return "http://" + obs.MetricsAddr
 }
 
 // get fetches url and returns its status code and body.
@@ -227,7 +227,7 @@ func TestFleetSteering(t *testing.T) {
 // per PoP.
 func TestFleetControlPlane(t *testing.T) {
 	report := filepath.Join(t.TempDir(), "report.json")
-	obs := &sim.Obs{Telemetry: telemetry.CLIConfig{ReportPath: report}}
+	obs := &sim.Obs{ReportPath: report}
 	base := startObs(t, obs)
 	cfg := testConfig(3)
 	cfg.Obs = obs
@@ -294,7 +294,7 @@ func TestFleetControlPlane(t *testing.T) {
 // registry collects add up to each cluster's own, and without a scorer no
 // event in the session's tail carries a verdict.
 func TestFleetCollectorStatus(t *testing.T) {
-	obs := &sim.Obs{Qlog: qlog.CLIConfig{Sample: 1, Mem: 1 << 16}}
+	obs := &sim.Obs{QlogSample: 1, QlogMem: 1 << 16}
 	base := startObs(t, obs)
 	cfg := testConfig(2)
 	cfg.Obs = obs
@@ -334,8 +334,8 @@ func TestFleetCollectorStatus(t *testing.T) {
 func observedFleet(t *testing.T, rules string) string {
 	t.Helper()
 	obs := &sim.Obs{
-		Qlog:   qlog.CLIConfig{Sample: 64, Mem: 1024},
-		Alerts: alerts.CLIConfig{Interval: 20 * time.Millisecond, Retain: 64, RulesPath: rules},
+		QlogSample: 64, QlogMem: 1024,
+		TSDBInterval: 20 * time.Millisecond, TSDBRetain: 64, AlertRules: rules,
 	}
 	base := startObs(t, obs)
 	cfg := testConfig(3)
@@ -469,7 +469,7 @@ func TestFleetTSDBEndpoints(t *testing.T) {
 // one sequence, so the fleet's tail never repeats an id, and ?pop= scopes
 // it to one vantage point.
 func TestFleetQlogIDsUnique(t *testing.T) {
-	obs := &sim.Obs{Qlog: qlog.CLIConfig{Sample: 1, Mem: 1 << 16}}
+	obs := &sim.Obs{QlogSample: 1, QlogMem: 1 << 16}
 	base := startObs(t, obs)
 	cfg := testConfig(3)
 	cfg.Obs = obs
@@ -504,7 +504,7 @@ func TestFleetQlogIDsUnique(t *testing.T) {
 func TestFleetScorerStampsVerdicts(t *testing.T) {
 	cfg := testConfig(2)
 	clf := trainTestClassifier(t, cfg)
-	obs := &sim.Obs{Qlog: qlog.CLIConfig{Sample: 1, Mem: 1 << 16}}
+	obs := &sim.Obs{QlogSample: 1, QlogMem: 1 << 16}
 	base := startObs(t, obs)
 	cfg.Obs = obs
 	cfg.ScoreWindow = 6 * time.Hour

@@ -70,7 +70,7 @@ func BenchmarkClusterSequential(b *testing.B) {
 }
 
 // BenchmarkClusterParallel resolves the same stream through the per-server
-// worker goroutines via ResolveBatch.
+// worker goroutines via StartStream.
 func BenchmarkClusterParallel(b *testing.B) {
 	c, err := NewCluster(synthUpstream(b), WithServers(4), WithCacheSize(1<<14))
 	if err != nil {
@@ -84,7 +84,11 @@ func BenchmarkClusterParallel(b *testing.B) {
 		if rest := b.N - done; rest < n {
 			n = rest
 		}
-		if err := c.ResolveBatch(qs[:n]); err != nil {
+		st := c.StartStream()
+		for _, q := range qs[:n] {
+			st.Submit(q)
+		}
+		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
 		done += n

@@ -255,7 +255,11 @@ func TestValidationKeyFetchParallelMatchesSequential(t *testing.T) {
 			mu.Unlock()
 		}))
 		if parallel {
-			if err := c.ResolveBatch(qs); err != nil {
+			st := c.StartStream()
+			for _, q := range qs {
+				st.Submit(q)
+			}
+			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
 		} else {

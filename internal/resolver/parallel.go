@@ -27,16 +27,6 @@ const streamBatchSize = 64
 // keep memory bounded, large enough to decouple router and worker bursts.
 const shardChanCap = 32
 
-// ResolveBatch resolves a slice of queries through the per-server workers
-// and blocks until all complete, returning the first error encountered.
-func (c *Cluster) ResolveBatch(queries []Query) error {
-	st := c.StartStream()
-	for _, q := range queries {
-		st.Submit(q)
-	}
-	return st.Close()
-}
-
 // streamMsg is one unit of work handed to a per-server worker: a batch of
 // queries, or — when barrier is non-nil — a synchronization point the worker
 // acknowledges and then keeps running.
@@ -46,11 +36,11 @@ type streamMsg struct {
 }
 
 // Stream is a long-lived parallel resolution session: one worker goroutine
-// per server, fed by the caller through Submit. Unlike ResolveBatch, a
-// Stream survives across logical windows (days) of the query sequence —
-// Barrier drains every in-flight query without tearing the workers down, so
-// the caller can rotate taps or accumulators at window boundaries and keep
-// submitting. All methods must be called from a single goroutine.
+// per server, fed by the caller through Submit. A Stream survives across
+// logical windows (days) of the query sequence — Barrier drains every
+// in-flight query without tearing the workers down, so the caller can
+// rotate taps or accumulators at window boundaries and keep submitting.
+// All methods must be called from a single goroutine.
 type Stream struct {
 	c        *Cluster
 	chans    []chan streamMsg

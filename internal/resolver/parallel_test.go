@@ -68,7 +68,11 @@ func TestResolveBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := par.ResolveBatch(qs); err != nil {
+	st := par.StartStream()
+	for _, q := range qs {
+		st.Submit(q)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,7 +108,11 @@ func TestConcurrentTapsSeeEveryObservation(t *testing.T) {
 		TapFunc(func(Observation) { mu.Lock(); aboveN++; mu.Unlock() }),
 	)
 	qs := mixedQueries(10_000)
-	if err := c.ResolveBatch(qs); err != nil {
+	stream := c.StartStream()
+	for _, q := range qs {
+		stream.Submit(q)
+	}
+	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()

@@ -31,7 +31,11 @@ func TestPolicyDeterminismSeqVsParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := par.ResolveBatch(qs); err != nil {
+			st := par.StartStream()
+			for _, q := range qs {
+				st.Submit(q)
+			}
+			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
 			seqStats, parStats := seq.PerServerStats(), par.PerServerStats()

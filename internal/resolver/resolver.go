@@ -95,7 +95,7 @@ func MultiTap(taps ...Tap) Tap {
 }
 
 // Tap consumes observations from one side of the cluster. Taps installed on
-// a cluster driven through StartStream or ResolveBatch are invoked
+// a cluster driven through StartStream are invoked
 // concurrently from the per-server workers and must be safe for concurrent
 // use.
 type Tap interface {
@@ -202,14 +202,13 @@ func (st *Stats) add(o *Stats) {
 
 // Upstream is the authoritative side the cluster recurses to: anything
 // that answers a wire-format DNS query with a wire-format response. The
-// in-process authority.Server satisfies it directly; udptransport.Client
-// satisfies it over a real UDP socket. Both also offer the append form of
-// the contract (dnsmsg.WireHandler), which the cluster calls when it is
+// in-process authority.Server satisfies it, and also offers the append form
+// of the contract (dnsmsg.WireHandler), which the cluster calls when it is
 // there, handing in each server's own response buffer; an upstream with
 // only HandleWire costs one copy per response. Implementations must not
 // retain the query slice after returning (the cluster reuses wire buffers),
 // and must be safe for concurrent calls when the cluster is driven through
-// StartStream/ResolveBatch.
+// StartStream.
 type Upstream = dnsmsg.Handler
 
 // Cluster is a set of simulated recursive DNS servers.
@@ -421,14 +420,14 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 }
 
 // SetTaps installs the below/above observation taps; either may be nil.
-// Must not be called while a StartStream/ResolveBatch run is in flight.
+// Must not be called while a StartStream run is in flight.
 func (c *Cluster) SetTaps(below, above Tap) {
 	c.below = below
 	c.above = above
 }
 
 // Stats returns the cluster counters, merged across the per-server shards.
-// Safe to call while a StartStream/ResolveBatch run is in flight; counts
+// Safe to call while a StartStream run is in flight; counts
 // from in-flight queries land atomically.
 func (c *Cluster) Stats() Stats {
 	var out Stats
@@ -490,8 +489,8 @@ type qkey struct {
 }
 
 // Resolve processes one client query through the cluster. It is not safe
-// for concurrent use; parallel callers should use StartStream or
-// ResolveBatch, which fan the load out across per-server workers.
+// for concurrent use; parallel callers should use StartStream, which fans
+// the load out across per-server workers.
 func (c *Cluster) Resolve(q Query) (Response, error) {
 	return c.resolveOn(c.servers[c.pickServer(q.ClientID)], q)
 }

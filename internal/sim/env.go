@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"log/slog"
 	"math/rand"
+	"time"
 
 	"dnsnoise/internal/authority"
 	"dnsnoise/internal/chrstat"
@@ -12,6 +14,7 @@ import (
 	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/mlearn"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/workload"
 )
 
@@ -137,18 +140,6 @@ func (e *Env) RunDay(p workload.Profile, extraBelow, extraAbove resolver.Tap, op
 	return w.Collector, nil
 }
 
-// RunDayParallel is RunDay driven through the cluster's per-server worker
-// goroutines: the runner pulls the generator's stream on this goroutine —
-// there is no producer goroutine to leak — while one worker per simulated
-// server resolves its shard. The per-day CHR accounting lands in a sharded
-// collector merged after the run, so the returned Collector matches a
-// sequential RunDay of the same seeded day (see resolver.Stream for the
-// ordering argument). Extra taps observe from concurrent workers and must
-// be safe for concurrent use.
-func (e *Env) RunDayParallel(p workload.Profile, extraBelow, extraAbove resolver.Tap) (*chrstat.Collector, error) {
-	return e.RunDay(p, extraBelow, extraAbove, ingest.WithParallel())
-}
-
 // RunWindow resolves src through the cluster as one observation window,
 // however many days it spans, and returns that window.
 func (e *Env) RunWindow(src ingest.QuerySource, opts ...ingest.Option) (ingest.Window, error) {
@@ -186,4 +177,29 @@ func (e *Env) Train(byName map[string][]*chrstat.RRStat, cfg core.TrainingConfig
 		return nil, nil, fmt.Errorf("train: %w", err)
 	}
 	return clf, examples, nil
+}
+
+// ClusterProgress returns the per-tick attributes for a simulation's
+// -progress line: cumulative queries, qps since the last tick, and the
+// cache hit ratio so far. It runs on the progress goroutine only, so the
+// last-tick state needs no locking.
+func ClusterProgress(cluster *resolver.Cluster) telemetry.ProgressFunc {
+	var (
+		lastQueries uint64
+		lastElapsed time.Duration
+	)
+	return func(elapsed time.Duration) []slog.Attr {
+		st := cluster.Stats()
+		dq := st.Queries - lastQueries
+		dt := (elapsed - lastElapsed).Seconds()
+		lastQueries, lastElapsed = st.Queries, elapsed
+		attrs := []slog.Attr{slog.Uint64("queries", st.Queries)}
+		if dt > 0 {
+			attrs = append(attrs, slog.Float64("qps", float64(dq)/dt))
+		}
+		if st.Queries > 0 {
+			attrs = append(attrs, slog.Float64("chr", float64(st.CacheHits)/float64(st.Queries)))
+		}
+		return attrs
+	}
 }

@@ -46,7 +46,7 @@ func TestStateMachineTransitionTable(t *testing.T) {
 		Window: Duration(time.Second), For: Duration(2 * time.Second),
 	}
 	db := tsdb.New(tsdb.Config{Retain: 64, Derived: []tsdb.DerivedRule{}})
-	e := NewEngine(db, []Rule{rule})
+	e := NewEngine(db, []Rule{rule}, nil)
 
 	steps := []struct {
 		dt   time.Duration
@@ -92,7 +92,7 @@ func TestStateMachineTransitionTable(t *testing.T) {
 func TestZeroForFiresImmediately(t *testing.T) {
 	rule := Rule{Name: "g_now", Series: "g", Agg: "max", Threshold: 10, Window: Duration(5 * time.Second)}
 	db := tsdb.New(tsdb.Config{Retain: 16, Derived: []tsdb.DerivedRule{}})
-	e := NewEngine(db, []Rule{rule})
+	e := NewEngine(db, []Rule{rule}, nil)
 	feed(db, e, t0, 99)
 	if got := state(e, "g_now", "g"); got != "firing" {
 		t.Fatalf("state = %s, want firing (For=0)", got)
@@ -108,7 +108,7 @@ func TestShortWindowGuard(t *testing.T) {
 		Window: Duration(20 * time.Second), ShortWindow: Duration(2 * time.Second),
 	}
 	db := tsdb.New(tsdb.Config{Retain: 64, Derived: []tsdb.DerivedRule{}})
-	e := NewEngine(db, []Rule{rule})
+	e := NewEngine(db, []Rule{rule}, nil)
 
 	feed(db, e, t0, 50) // violates both windows: fires (For=0)
 	if got := state(e, "g_burn", "g"); got != "firing" {
@@ -130,7 +130,7 @@ func TestShortWindowGuard(t *testing.T) {
 func TestPerSeriesInstances(t *testing.T) {
 	rule := Rule{Name: "qps_high", Series: "qps", Agg: "max", Threshold: 100, Window: Duration(5 * time.Second)}
 	db := tsdb.New(tsdb.Config{Retain: 16, Derived: []tsdb.DerivedRule{}})
-	e := NewEngine(db, []Rule{rule})
+	e := NewEngine(db, []Rule{rule}, nil)
 	db.Record(&telemetry.Snapshot{Time: t0, Gauges: map[string]float64{
 		`qps{pop="0"}`: 500, `qps{pop="1"}`: 50,
 	}})
@@ -151,7 +151,7 @@ func TestPerSeriesInstances(t *testing.T) {
 func TestNoDataResolves(t *testing.T) {
 	rule := Rule{Name: "g_high", Series: "g", Agg: "max", Threshold: 10, Window: Duration(2 * time.Second)}
 	db := tsdb.New(tsdb.Config{Retain: 16, Derived: []tsdb.DerivedRule{}})
-	e := NewEngine(db, []Rule{rule})
+	e := NewEngine(db, []Rule{rule}, nil)
 	feed(db, e, t0, 99)
 	if got := state(e, "g_high", "g"); got != "firing" {
 		t.Fatalf("state = %s, want firing", got)
@@ -172,7 +172,7 @@ func TestQlogMirror(t *testing.T) {
 
 	rule := Rule{Name: "g_high", Series: "g", Agg: "max", Threshold: 10, Window: Duration(2 * time.Second)}
 	db := tsdb.New(tsdb.Config{Retain: 16, Derived: []tsdb.DerivedRule{}})
-	e := NewEngine(db, []Rule{rule}, WithQueryLog(l))
+	e := NewEngine(db, []Rule{rule}, l)
 	feed(db, e, t0, 99)                   // firing
 	feed(db, e, t0.Add(3*time.Second), 1) // window slides past the 99: resolved
 
@@ -250,7 +250,7 @@ func TestDefaultRulesValid(t *testing.T) {
 func TestHandler(t *testing.T) {
 	rule := Rule{Name: "g_high", Series: "g", Agg: "max", Threshold: 10, Window: Duration(2 * time.Second)}
 	db := tsdb.New(tsdb.Config{Retain: 16, Derived: []tsdb.DerivedRule{}})
-	e := NewEngine(db, []Rule{rule})
+	e := NewEngine(db, []Rule{rule}, nil)
 	feed(db, e, t0, 99)
 
 	rec := httptest.NewRecorder()

@@ -68,23 +68,12 @@ type Engine struct {
 	evals uint64
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithQueryLog mirrors every transition into l as a synthetic qlog event
-// (Qtype "ALERT", Name "<rule>.<to>.alert") via EmitNow.
-func WithQueryLog(l *qlog.Log) Option {
-	return func(e *Engine) { e.log = l }
-}
-
-// NewEngine builds an engine over db. Invalid rules are rejected by
-// CLIConfig/ParseRules before they get here; NewEngine trusts its input.
-func NewEngine(db *tsdb.DB, rules []Rule, opts ...Option) *Engine {
-	e := &Engine{db: db, rules: rules, insts: make(map[string]map[string]*instance)}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
+// NewEngine builds an engine over db. Every transition mirrors into log
+// (nil for none) as a synthetic qlog event (Qtype "ALERT", Name
+// "<rule>.<to>.alert") via EmitNow. Invalid rules are rejected by
+// ParseRules before they get here; NewEngine trusts its input.
+func NewEngine(db *tsdb.DB, rules []Rule, log *qlog.Log) *Engine {
+	return &Engine{db: db, rules: rules, log: log, insts: make(map[string]map[string]*instance)}
 }
 
 // Rules returns the engine's rule set.

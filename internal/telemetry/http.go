@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -125,43 +124,4 @@ func (r *Registry) Handler() http.Handler {
 		fmt.Fprint(w, "dnsnoise telemetry\n\n/metrics\n/debug/pprof/\n")
 	})
 	return mux
-}
-
-// HTTPServer is a running telemetry endpoint.
-type HTTPServer struct {
-	ln  net.Listener
-	srv *http.Server
-	mux *http.ServeMux
-}
-
-// Addr returns the bound address (host:port), useful with ":0".
-func (h *HTTPServer) Addr() string { return h.ln.Addr().String() }
-
-// Close shuts the endpoint down.
-func (h *HTTPServer) Close() error { return h.srv.Close() }
-
-// Handle mounts handler at pattern on the endpoint — how qlog attaches
-// /debug/qlog next to /metrics. ServeMux registration is safe while
-// serving; more-specific patterns win over the registry's catch-all.
-func (h *HTTPServer) Handle(pattern string, handler http.Handler) {
-	if h == nil {
-		return
-	}
-	h.mux.Handle(pattern, handler)
-}
-
-// Serve binds addr and serves the telemetry handler until Close. The
-// returned server reports the resolved address, so addr may use port 0.
-// The registry's routes sit under a catch-all, leaving the returned
-// server's Handle free to mount additional debug routes.
-func (r *Registry) Serve(addr string) (*HTTPServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/", r.Handler())
-	h := &HTTPServer{ln: ln, srv: &http.Server{Handler: mux}, mux: mux}
-	go func() { _ = h.srv.Serve(ln) }()
-	return h, nil
 }

@@ -42,8 +42,8 @@ func ReadRuntimeStats() RuntimeStats {
 
 // RunReport is the machine-readable end-of-run record: the final metric
 // snapshot, the span tree of every timed stage, and the runtime state —
-// one schema shared by the CLIs' -report flag and the bench harness, so
-// successive runs compare field-for-field.
+// the schema of every CLI's -report file, so successive runs compare
+// field-for-field.
 type RunReport struct {
 	Command         string       `json:"command"`
 	Args            []string     `json:"args,omitempty"`

@@ -30,18 +30,13 @@ func TestServerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	client, err := NewClient(srv.Addr(), WithTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
 
 	q := dnsmsg.NewQuery(0x7777, "www.udp.test", dnsmsg.TypeA)
 	wire, err := q.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.HandleWire(wire); err != nil {
+	if _, err := exchange("udp", srv.Addr(), wire); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,7 +2,6 @@ package udptransport
 
 import (
 	"testing"
-	"time"
 
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/qlog"
@@ -18,11 +17,6 @@ func TestServerQueryLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewClient(srv.Addr(), WithTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 
 	send := func(name string) {
 		t.Helper()
@@ -31,7 +25,7 @@ func TestServerQueryLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.HandleWire(wire); err != nil {
+		if _, err := exchange("udp", srv.Addr(), wire); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,18 +68,13 @@ func TestServerQueryLogSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewClient(srv.Addr(), WithTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 	for i := 0; i < 12; i++ {
 		q := dnsmsg.NewQuery(uint16(i), "www.udp.test", dnsmsg.TypeA)
 		wire, err := q.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.HandleWire(wire); err != nil {
+		if _, err := exchange("udp", srv.Addr(), wire); err != nil {
 			t.Fatal(err)
 		}
 	}

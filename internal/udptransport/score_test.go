@@ -3,7 +3,6 @@ package udptransport
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/qlog"
@@ -48,18 +47,13 @@ func TestWithScorerTagsEventsAndCounters(t *testing.T) {
 	if made != srv.Listeners() {
 		t.Fatalf("scorer factory ran %d times for %d listeners", made, srv.Listeners())
 	}
-	client, err := NewClient(srv.Addr(), WithTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 
 	for i, name := range []string{"www.udp.test", "evil.udp.test"} {
 		wire, err := dnsmsg.NewQuery(uint16(i+1), name, dnsmsg.TypeA).Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.HandleWire(wire); err != nil {
+		if _, err := exchange("udp", srv.Addr(), wire); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,9 +1,9 @@
 package udptransport
 
 import (
-	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,12 +53,12 @@ func TestConcurrentListenersAndClients(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			client, err := NewClient(srv.Addr(), WithTimeout(2*time.Second), WithRetries(2))
+			conn, err := net.Dial("udp", srv.Addr())
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer client.Close()
+			defer conn.Close()
 			for i := 0; i < queries; i++ {
 				qid := uint16(id*queries + i + 1)
 				q := dnsmsg.NewQuery(qid, "www.udp.test", dnsmsg.TypeA)
@@ -67,7 +67,7 @@ func TestConcurrentListenersAndClients(t *testing.T) {
 					errs <- err
 					return
 				}
-				respWire, err := client.HandleWire(wire)
+				respWire, err := roundTrip(conn, wire, 2*time.Second)
 				if err != nil {
 					errs <- fmt.Errorf("client %d query %d: %w", id, i, err)
 					return
@@ -120,16 +120,11 @@ func TestBatchOneUsesSinglePacketPath(t *testing.T) {
 	if srv.Batch() != 1 {
 		t.Fatalf("Batch() = %d, want 1", srv.Batch())
 	}
-	client, err := NewClient(srv.Addr(), WithTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 	wire, err := dnsmsg.NewQuery(9, "www.udp.test", dnsmsg.TypeA).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.HandleWire(wire); err != nil {
+	if _, err := exchange("udp", srv.Addr(), wire); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,12 +139,12 @@ func TestMalformedDatagramDroppedBeforeHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := NewClient(srv.Addr(), WithTimeout(100*time.Millisecond), WithRetries(0))
+	conn, err := net.Dial("udp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	if _, err := client.HandleWire([]byte{0, 9, 1, 2, 3}); !errors.Is(err, ErrTimeout) {
+	defer conn.Close()
+	if _, err := roundTrip(conn, []byte{0, 9, 1, 2, 3}, 100*time.Millisecond); !os.IsTimeout(err) {
 		t.Fatalf("runt datagram should be dropped (timeout), got %v", err)
 	}
 	if n := seen.calls.Load(); n != 0 {
@@ -160,7 +155,7 @@ func TestMalformedDatagramDroppedBeforeHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.HandleWire(wire); err != nil {
+	if _, err := roundTrip(conn, wire, time.Second); err != nil {
 		t.Fatalf("server died after runt: %v", err)
 	}
 }
@@ -204,17 +199,12 @@ func TestOversizeResponseTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := NewClient(srv.Addr(), WithTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 
 	wire, err := dnsmsg.NewQuery(0x77, "big.udp.test", dnsmsg.TypeTXT).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	respWire, err := client.HandleWire(wire)
+	respWire, err := exchange("udp", srv.Addr(), wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +233,6 @@ func TestEDNSBudgetRaisesTruncationPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := NewClient(srv.Addr(), WithTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 
 	// The full response is ~2KB; an EDNS bufsize of 4096 must let it
 	// through whole, like `dig +bufsize=4096`.
@@ -255,7 +240,7 @@ func TestEDNSBudgetRaisesTruncationPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	respWire, err := client.HandleWire(appendOPT(wire, 4096))
+	respWire, err := exchange("udp", srv.Addr(), appendOPT(wire, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +260,7 @@ func TestEDNSBudgetRaisesTruncationPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	respWire2, err := client.HandleWire(appendOPT(wire2, 1024))
+	respWire2, err := exchange("udp", srv.Addr(), appendOPT(wire2, 1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,68 +273,5 @@ func TestEDNSBudgetRaisesTruncationPoint(t *testing.T) {
 	}
 	if !resp2.Header.Truncated {
 		t.Error("TC not set when response exceeds the EDNS budget")
-	}
-}
-
-func TestPortPerAttemptUsesDistinctSourcePorts(t *testing.T) {
-	// A black-hole server that records each datagram's source port and
-	// never answers, so every client attempt times out and retries.
-	hole, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hole.Close()
-	ports := make(chan int, 8)
-	go func() {
-		buf := make([]byte, 64)
-		for {
-			_, raddr, err := hole.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			ports <- raddr.Port
-		}
-	}()
-
-	collect := func(opts ...ClientOption) []int {
-		t.Helper()
-		opts = append([]ClientOption{WithTimeout(50 * time.Millisecond), WithRetries(2)}, opts...)
-		client, err := NewClient(hole.LocalAddr().String(), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
-		wire, err := dnsmsg.NewQuery(5, "www.udp.test", dnsmsg.TypeA).Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := client.HandleWire(wire); !errors.Is(err, ErrTimeout) {
-			t.Fatalf("expected timeout, got %v", err)
-		}
-		var got []int
-		for i := 0; i < 3; i++ {
-			select {
-			case p := <-ports:
-				got = append(got, p)
-			case <-time.After(time.Second):
-				t.Fatalf("saw only %d attempts", len(got))
-			}
-		}
-		return got
-	}
-
-	same := collect()
-	for _, p := range same[1:] {
-		if p != same[0] {
-			t.Fatalf("default client changed source port across attempts: %v", same)
-		}
-	}
-	fresh := collect(WithPortPerAttempt())
-	seen := map[int]bool{}
-	for _, p := range fresh {
-		if seen[p] {
-			t.Fatalf("WithPortPerAttempt reused source port: %v", fresh)
-		}
-		seen[p] = true
 	}
 }

@@ -20,11 +20,23 @@ const tcpIdleTimeout = 10 * time.Second
 // explicit bound for buffer sizing.
 const tcpMaxMessage = 1 << 16
 
+// tcpMaxConns caps the connections served at once, and tcpMaxQueries the
+// queries answered on one connection. The lane faces strangers: without
+// them a peer could hold a goroutine and two 4 KB buffers per connection
+// without bound, or keep one connection busy forever. A connection over
+// the cap is closed at accept; one past its budget is closed when the next
+// query arrives. Both count in tcp_refused_total.
+const (
+	tcpMaxConns   = 64
+	tcpMaxQueries = 256
+)
+
 // WithTCP opens a TCP listener alongside the UDP sockets, on the same
 // address, speaking RFC 1035 §4.2.2 framing: every message is prefixed
 // with a 2-byte big-endian length. This is where clients land after a
 // truncated (TC=1) UDP response. Each accepted connection gets its own
-// goroutine and an idle deadline; responses over TCP are never truncated.
+// goroutine, an idle deadline and a query budget, up to tcpMaxConns at
+// once; responses over TCP are never truncated.
 func WithTCP() ServerOption {
 	return func(s *Server) { s.tcpEnabled = true }
 }
@@ -38,6 +50,7 @@ type tcpState struct {
 	closed  bool
 	accepts atomic.Uint64
 	queries atomic.Uint64
+	refused atomic.Uint64
 }
 
 // serveTCP binds the TCP listener on the UDP-bound address and starts the
@@ -67,6 +80,12 @@ func (s *Server) acceptLoop() {
 			conn.Close()
 			return
 		}
+		if len(s.tcp.conns) >= tcpMaxConns {
+			s.tcp.mu.Unlock()
+			s.tcp.refused.Add(1)
+			conn.Close()
+			continue
+		}
 		s.tcp.conns[conn] = struct{}{}
 		s.tcp.mu.Unlock()
 		s.tcp.accepts.Add(1)
@@ -76,9 +95,9 @@ func (s *Server) acceptLoop() {
 }
 
 // serveTCPConn answers framed queries on one connection until the peer
-// hangs up, a frame is malformed, or the idle deadline passes. The TCP
-// path allocates per connection, not per message — it is the rare retry
-// lane, not the packet loop.
+// hangs up, a frame is malformed, the idle deadline passes or the query
+// budget is spent. The TCP path allocates per connection, not per message
+// — it is the rare retry lane, not the packet loop.
 func (s *Server) serveTCPConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -90,11 +109,15 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 	var hdr [2]byte
 	in := make([]byte, 0, maxPacket)
 	out := make([]byte, 0, maxPacket)
-	for {
+	for served := 0; ; served++ {
 		if err := conn.SetDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
 			return
 		}
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			return
+		}
+		if served == tcpMaxQueries {
+			s.tcp.refused.Add(1)
 			return
 		}
 		n := int(binary.BigEndian.Uint16(hdr[:]))
@@ -142,54 +165,4 @@ func (s *Server) closeTCP() error {
 		c.Close()
 	}
 	return err
-}
-
-// TCPAddr returns the TCP listener's address, or "" when WithTCP was not
-// given. It matches Addr when the OS grants the same port on both stacks
-// (it always does here: the TCP bind copies the UDP-resolved address).
-func (s *Server) TCPAddr() string {
-	if s.tcp == nil {
-		return ""
-	}
-	return s.tcp.ln.Addr().String()
-}
-
-// WithTCPFallback makes the client retry over TCP when a UDP response
-// comes back truncated (TC=1), per RFC 1035 — the other half of the
-// server's WithTCP. The TCP exchange reuses the per-attempt timeout. When
-// the TCP retry itself fails, the truncated UDP response is returned
-// rather than an error: the caller still gets the header and question,
-// exactly what a stub resolver would surface.
-func WithTCPFallback() ClientOption {
-	return func(c *Client) { c.tcpFallback = true }
-}
-
-// exchangeTCP performs one framed query/response exchange over a fresh
-// TCP connection.
-func (c *Client) exchangeTCP(query []byte) ([]byte, error) {
-	d := net.Dialer{Timeout: c.timeout}
-	conn, err := d.Dial("tcp", c.raddr.String())
-	if err != nil {
-		return nil, fmt.Errorf("udptransport: tcp dial: %w", err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-		return nil, fmt.Errorf("udptransport: tcp deadline: %w", err)
-	}
-	var hdr [2]byte
-	binary.BigEndian.PutUint16(hdr[:], uint16(len(query)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("udptransport: tcp send: %w", err)
-	}
-	if _, err := conn.Write(query); err != nil {
-		return nil, fmt.Errorf("udptransport: tcp send: %w", err)
-	}
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, fmt.Errorf("udptransport: tcp recv: %w", err)
-	}
-	resp := make([]byte, int(binary.BigEndian.Uint16(hdr[:])))
-	if _, err := io.ReadFull(conn, resp); err != nil {
-		return nil, fmt.Errorf("udptransport: tcp recv: %w", err)
-	}
-	return resp, nil
 }

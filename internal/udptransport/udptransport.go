@@ -1,11 +1,12 @@
-// Package udptransport carries DNS wire messages over real UDP sockets, so
-// the simulated resolver and authority can be separated across processes or
-// machines. The Server is a multi-core front door: N listener sockets
-// (SO_REUSEPORT on Linux, single-socket elsewhere), each owned by a worker
-// goroutine that moves datagrams in batches (recvmmsg/sendmmsg on Linux,
-// one-packet syscalls elsewhere) through preallocated buffers — the
-// steady-state packet path performs zero heap allocations. The Client
-// implements the resolver's Upstream interface over the network.
+// Package udptransport answers DNS queries arriving on real sockets with a
+// dnsmsg handler (dnsnoise-serve's authority). The Server is a multi-core
+// front door: N listener sockets (SO_REUSEPORT on Linux, single-socket
+// elsewhere), each owned by a worker goroutine that moves datagrams in
+// batches (recvmmsg/sendmmsg on Linux, one-packet syscalls elsewhere)
+// through preallocated buffers — the steady-state packet path performs zero
+// heap allocations. WithTCP adds the RFC 1035 framed TCP lane that a
+// truncated (TC=1) answer sends clients to. There is no client side: the
+// resolver exchanges with its upstream in process.
 package udptransport
 
 import (
@@ -19,12 +20,6 @@ import (
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/qlog"
 	"dnsnoise/internal/telemetry"
-)
-
-// Errors returned by the transport.
-var (
-	ErrClosed  = errors.New("udptransport: server closed")
-	ErrTimeout = errors.New("udptransport: query timed out")
 )
 
 // maxPacket is the largest UDP payload accepted or sent; generous for the
@@ -278,6 +273,8 @@ func (s *Server) registerMetrics() {
 			s.tcp.accepts.Load)
 		s.reg.CounterFunc("tcp_queries_total", "Queries answered over the TCP fallback listener.",
 			s.tcp.queries.Load)
+		s.reg.CounterFunc("tcp_refused_total", "TCP connections refused over the connection cap or cut at their query budget.",
+			s.tcp.refused.Load)
 	}
 	if s.newScorer != nil {
 		s.reg.CounterFunc(`udp_scored_total{verdict="benign"}`,
@@ -293,8 +290,8 @@ func (s *Server) registerMetrics() {
 	}
 }
 
-// Addr returns the bound address, suitable for NewClient. With several
-// listeners they all share it (SO_REUSEPORT).
+// Addr returns the bound address. With several listeners they all share it
+// (SO_REUSEPORT), and the WithTCP listener binds it too.
 func (s *Server) Addr() string { return s.conns[0].LocalAddr().String() }
 
 // Listeners reports how many listener sockets are actually serving — the
@@ -516,151 +513,4 @@ func (w *listenerWorker) logQuery(query, resp []byte, herr error, verdict qlog.V
 	// for the simulation hot path; at packet-I/O rates one uncontended
 	// mutex per sampled query is noise.
 	w.qrec.Drain()
-}
-
-// Client sends DNS queries to a UDP server and implements the resolver's
-// Upstream contract (HandleWire). It is safe for sequential use; a mutex
-// serializes callers.
-type Client struct {
-	raddr          *net.UDPAddr
-	timeout        time.Duration
-	retries        int
-	portPerAttempt bool
-	tcpFallback    bool
-
-	mu   sync.Mutex
-	conn *net.UDPConn
-	buf  []byte // receive buffer, guarded by mu like conn
-}
-
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithTimeout sets the per-attempt response deadline (default 2s).
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.timeout = d
-		}
-	}
-}
-
-// WithRetries sets how many times a timed-out query is retried (default 1).
-func WithRetries(n int) ClientOption {
-	return func(c *Client) {
-		if n >= 0 {
-			c.retries = n
-		}
-	}
-}
-
-// WithPortPerAttempt gives every retry attempt a fresh socket, and with it
-// a fresh ephemeral source port: a response to an earlier attempt that
-// straggles in late dies with the socket that sent the query instead of
-// collecting on the shared one. The per-query ID check still applies;
-// this closes the window where a stale same-ID datagram could be read.
-// Default off: one connected socket is reused across attempts.
-func WithPortPerAttempt() ClientOption {
-	return func(c *Client) { c.portPerAttempt = true }
-}
-
-// NewClient prepares a client for the server at addr.
-func NewClient(addr string, opts ...ClientOption) (*Client, error) {
-	raddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("udptransport: resolve %q: %w", addr, err)
-	}
-	c := &Client{raddr: raddr, timeout: 2 * time.Second, retries: 1, buf: make([]byte, maxPacket)}
-	for _, o := range opts {
-		o(c)
-	}
-	return c, nil
-}
-
-// dialLocked ensures c.conn exists. Callers hold c.mu.
-func (c *Client) dialLocked() error {
-	if c.conn != nil {
-		return nil
-	}
-	conn, err := net.DialUDP("udp", nil, c.raddr)
-	if err != nil {
-		return fmt.Errorf("udptransport: dial: %w", err)
-	}
-	c.conn = conn
-	return nil
-}
-
-// HandleWire sends the query and returns the matching response in a buffer
-// of its own, satisfying resolver.Upstream.
-func (c *Client) HandleWire(query []byte) ([]byte, error) {
-	return c.AppendHandleWire(nil, query)
-}
-
-// AppendHandleWire sends the query and appends the matching response to dst
-// (see dnsmsg.WireHandler): a resolver recursing over the socket hands in
-// its per-server response buffer and no response is allocated. Responses
-// whose ID does not match the query are discarded (late packets from earlier
-// attempts).
-func (c *Client) AppendHandleWire(dst, query []byte) ([]byte, error) {
-	if len(query) < 2 {
-		return dst, dnsmsg.ErrTruncatedMessage
-	}
-	queryID := uint16(query[0])<<8 | uint16(query[1])
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 && c.portPerAttempt && c.conn != nil {
-			c.conn.Close()
-			c.conn = nil
-		}
-		if err := c.dialLocked(); err != nil {
-			return dst, err
-		}
-		if _, err := c.conn.Write(query); err != nil {
-			return dst, fmt.Errorf("udptransport: send: %w", err)
-		}
-		deadline := time.Now().Add(c.timeout)
-		if err := c.conn.SetReadDeadline(deadline); err != nil {
-			return dst, fmt.Errorf("udptransport: deadline: %w", err)
-		}
-		for {
-			n, err := c.conn.Read(c.buf)
-			if err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					break // next attempt
-				}
-				return dst, fmt.Errorf("udptransport: recv: %w", err)
-			}
-			if n < 2 {
-				continue
-			}
-			respID := uint16(c.buf[0])<<8 | uint16(c.buf[1])
-			if respID != queryID {
-				continue // stale response from an earlier attempt
-			}
-			if c.tcpFallback && n >= dnsHeaderLen && c.buf[2]&0x02 != 0 {
-				// Truncated: retry over TCP per RFC 1035. A failed TCP
-				// retry surfaces the truncated UDP response instead —
-				// header and question intact, like a stub resolver would.
-				if full, err := c.exchangeTCP(query); err == nil {
-					return append(dst, full...), nil
-				}
-			}
-			return append(dst, c.buf[:n]...), nil
-		}
-	}
-	return dst, fmt.Errorf("%w after %d attempts", ErrTimeout, c.retries+1)
-}
-
-// Close releases the client socket.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
 }

@@ -1,16 +1,18 @@
 package udptransport
 
 import (
-	"errors"
+	"encoding/binary"
+	"io"
+	"net"
+	"os"
 	"testing"
 	"time"
 
 	"dnsnoise/internal/authority"
 	"dnsnoise/internal/dnsmsg"
-	"dnsnoise/internal/resolver"
 )
 
-func testAuthority(t *testing.T) *authority.Server {
+func testAuthority(t testing.TB) *authority.Server {
 	t.Helper()
 	srv := authority.NewServer()
 	z, err := authority.NewZone("udp.test")
@@ -27,31 +29,62 @@ func testAuthority(t *testing.T) *authority.Server {
 	return srv
 }
 
-func startServer(t *testing.T) (*Server, *Client) {
+// startServer serves the test authority on an ephemeral loopback port.
+func startServer(t *testing.T) *Server {
 	t.Helper()
 	srv, err := Serve(testAuthority(t), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	client, err := NewClient(srv.Addr(), WithTimeout(time.Second))
+	return srv
+}
+
+// exchange sends query to addr over a fresh connection and returns the
+// reply, giving up after a second.
+func exchange(network, addr string, query []byte) ([]byte, error) {
+	conn, err := net.Dial(network, addr)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	t.Cleanup(func() { client.Close() })
-	return srv, client
+	defer conn.Close()
+	return roundTrip(conn, query, time.Second)
+}
+
+// roundTrip writes query on conn and reads one reply: a datagram over UDP,
+// an RFC 1035 length-prefixed message over a stream.
+func roundTrip(conn net.Conn, query []byte, wait time.Duration) ([]byte, error) {
+	conn.SetDeadline(time.Now().Add(wait))
+	if _, udp := conn.(*net.UDPConn); udp {
+		if _, err := conn.Write(query); err != nil {
+			return nil, err
+		}
+		buf := make([]byte, maxPacket)
+		n, err := conn.Read(buf)
+		return buf[:n], err
+	}
+	if _, err := conn.Write(append(binary.BigEndian.AppendUint16(nil, uint16(len(query))), query...)); err != nil {
+		return nil, err
+	}
+	var hdr [2]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return nil, err
+	}
+	resp := make([]byte, binary.BigEndian.Uint16(hdr[:]))
+	_, err := io.ReadFull(conn, resp)
+	return resp, err
 }
 
 func TestQueryOverUDP(t *testing.T) {
-	_, client := startServer(t)
+	srv := startServer(t)
 	q := dnsmsg.NewQuery(0x4242, "www.udp.test", dnsmsg.TypeA)
 	wire, err := q.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	respWire, err := client.HandleWire(wire)
+	respWire, err := exchange("udp", srv.Addr(), wire)
 	if err != nil {
-		t.Fatalf("HandleWire: %v", err)
+		t.Fatalf("exchange: %v", err)
 	}
 	resp, err := dnsmsg.Decode(respWire)
 	if err != nil {
@@ -66,13 +99,13 @@ func TestQueryOverUDP(t *testing.T) {
 }
 
 func TestNXDomainOverUDP(t *testing.T) {
-	_, client := startServer(t)
+	srv := startServer(t)
 	q := dnsmsg.NewQuery(7, "missing.udp.test", dnsmsg.TypeA)
 	wire, err := q.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	respWire, err := client.HandleWire(wire)
+	respWire, err := exchange("udp", srv.Addr(), wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,67 +118,24 @@ func TestNXDomainOverUDP(t *testing.T) {
 	}
 }
 
-func TestResolverClusterOverUDP(t *testing.T) {
-	// The full stack: resolver cluster recursing over real UDP packets.
-	_, client := startServer(t)
-	cluster, err := resolver.NewCluster(client, resolver.WithServers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
-	r, err := cluster.Resolve(resolver.Query{Time: t0, ClientID: 1, Name: "www.udp.test", Type: dnsmsg.TypeA})
-	if err != nil {
-		t.Fatalf("Resolve over UDP: %v", err)
-	}
-	if r.FromCache || len(r.Answers) != 1 {
-		t.Fatalf("response = %+v", r)
-	}
-	r, err = cluster.Resolve(resolver.Query{Time: t0.Add(time.Second), ClientID: 1, Name: "www.udp.test", Type: dnsmsg.TypeA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.FromCache {
-		t.Error("second resolve should hit the cache, not the network")
-	}
-}
-
-func TestClientTimeout(t *testing.T) {
-	// A client pointed at a UDP port where nothing listens times out.
-	client, err := NewClient("127.0.0.1:1", WithTimeout(50*time.Millisecond), WithRetries(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	q := dnsmsg.NewQuery(1, "www.udp.test", dnsmsg.TypeA)
-	wire, err := q.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err = client.HandleWire(wire)
-	if err == nil {
-		t.Fatal("expected timeout error")
-	}
-	// ICMP port-unreachable may surface as a socket error instead of a
-	// deadline; both are failures, only the deadline path must also work.
-	if errors.Is(err, ErrTimeout) && time.Since(start) < 90*time.Millisecond {
-		t.Errorf("timed out too fast for 2 x 50ms attempts: %v", time.Since(start))
-	}
-}
-
 func TestServerSurvivesGarbage(t *testing.T) {
-	_, client := startServer(t)
-	// Garbage produces a FORMERR (header readable) or is dropped; either
-	// way the server must keep answering real queries afterwards.
-	if _, err := client.HandleWire([]byte{0, 9, 1, 2, 3}); err != nil && !errors.Is(err, ErrTimeout) {
-		t.Fatalf("garbage query: %v", err)
+	srv := startServer(t)
+	conn, err := net.Dial("udp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Garbage is dropped unanswered; the server must keep answering real
+	// queries afterwards.
+	if _, err := roundTrip(conn, []byte{0, 9, 1, 2, 3}, 100*time.Millisecond); !os.IsTimeout(err) {
+		t.Fatalf("garbage query: %v, want no answer", err)
 	}
 	q := dnsmsg.NewQuery(3, "www.udp.test", dnsmsg.TypeA)
 	wire, err := q.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.HandleWire(wire); err != nil {
+	if _, err := roundTrip(conn, wire, time.Second); err != nil {
 		t.Fatalf("server died after garbage: %v", err)
 	}
 }
@@ -169,50 +159,5 @@ func TestServeValidation(t *testing.T) {
 	}
 	if _, err := Serve(testAuthority(t), "not-an-addr:xx"); err == nil {
 		t.Error("Serve(bad addr) should fail")
-	}
-	if _, err := NewClient("bad::addr::foo"); err == nil {
-		t.Error("NewClient(bad addr) should fail")
-	}
-}
-
-func TestClientRejectsShortQuery(t *testing.T) {
-	_, client := startServer(t)
-	if _, err := client.HandleWire([]byte{1}); err == nil {
-		t.Error("short query should fail before hitting the network")
-	}
-}
-
-// TestClientAppendHandleWire: the client offers the append contract, so a
-// resolver recursing over the socket reuses one response buffer; the
-// response lands after whatever dst holds and equals HandleWire's.
-func TestClientAppendHandleWire(t *testing.T) {
-	_, client := startServer(t)
-	var _ dnsmsg.WireHandler = client
-	if wh := dnsmsg.AsWireHandler(client); wh != dnsmsg.WireHandler(client) {
-		t.Errorf("AsWireHandler wrapped a client that already appends: %T", wh)
-	}
-	wire, err := dnsmsg.NewQuery(0x4343, "www.udp.test", dnsmsg.TypeA).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := client.HandleWire(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 0, 512)
-	for i := 0; i < 3; i++ {
-		got, err := client.AppendHandleWire(append(buf[:0], "prefix"...), wire)
-		if err != nil {
-			t.Fatalf("AppendHandleWire: %v", err)
-		}
-		if string(got) != "prefix"+string(want) {
-			t.Fatalf("round %d: appended response = %x, want prefix + %x", i, got, want)
-		}
-		if &got[0] != &buf[:1][0] {
-			t.Errorf("round %d: response did not land in the caller's buffer", i)
-		}
-	}
-	if _, err := client.AppendHandleWire(buf[:0], []byte{1}); !errors.Is(err, dnsmsg.ErrTruncatedMessage) {
-		t.Errorf("short query err = %v, want ErrTruncatedMessage", err)
 	}
 }
