@@ -297,8 +297,21 @@ func TestServerWireMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Header.RCode != dnsmsg.RCodeFormErr {
-		t.Errorf("RCode = %v, want FORMERR", resp.Header.RCode)
+	if resp.Header.RCode != dnsmsg.RCodeFormErr || resp.Header.ID != 0 {
+		t.Errorf("runt answered %v under id %#x, want FORMERR under 0", resp.Header.RCode, resp.Header.ID)
+	}
+
+	// A readable header promising five questions it does not carry: the
+	// query cannot be decoded, but its id can, and the FORMERR echoes it.
+	respWire, err = s.HandleWire([]byte{0xBE, 0xEF, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = dnsmsg.Decode(respWire); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.RCode != dnsmsg.RCodeFormErr || resp.Header.ID != 0xBEEF {
+		t.Errorf("bad header answered %v under id %#x, want FORMERR under 0xbeef", resp.Header.RCode, resp.Header.ID)
 	}
 }
 

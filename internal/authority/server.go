@@ -203,7 +203,7 @@ func (s *Server) Resolve(name string, qtype dnsmsg.Type) *dnsmsg.Message {
 
 // HandleWire decodes a wire-format query, resolves it and returns the
 // encoded response in a buffer of its own. Malformed queries yield a FORMERR
-// with a zeroed question section when even the header is unreadable.
+// under the query's id, or under id 0 when even the header is unreadable.
 func (s *Server) HandleWire(query []byte) ([]byte, error) {
 	return s.AppendHandleWire(nil, query)
 }
@@ -231,8 +231,10 @@ func (s *Server) AppendHandleWire(dst, query []byte) ([]byte, error) {
 		err := msg.Unpack(query)
 		if err != nil || len(msg.Questions) != 1 {
 			resp := dnsmsg.Message{Header: dnsmsg.Header{Response: true, RCode: dnsmsg.RCodeFormErr}}
+			if len(query) >= 12 { // a readable header: answer under its id
+				resp.Header.ID = uint16(query[0])<<8 | uint16(query[1])
+			}
 			if err == nil {
-				resp.Header.ID = msg.Header.ID
 				resp.Questions = msg.Questions
 			}
 			return resp.AppendEncode(dst)

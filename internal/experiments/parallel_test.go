@@ -121,8 +121,12 @@ func TestResolveStreamConcurrentTaps(t *testing.T) {
 	hourly := chrstat.NewHourlyCounter()
 	hourly.AddSeries("all", func(resolver.Observation) bool { return true })
 	store := pdns.NewStore()
-	collector, err := env.RunDay(workload.DecemberProfile(dateAt(0)),
-		resolver.MultiTap(hourly.Tap(), store.Tap()), hourly.Tap(), ingest.WithParallel())
+	hourlyBelow, storeBelow := hourly.Tap(), store.Tap()
+	both := resolver.TapFunc(func(ob resolver.Observation) {
+		hourlyBelow.Observe(ob)
+		storeBelow.Observe(ob)
+	})
+	collector, err := env.RunDay(workload.DecemberProfile(dateAt(0)), both, hourly.Tap(), ingest.WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}

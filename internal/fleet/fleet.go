@@ -1,11 +1,11 @@
 // Package fleet runs N resolver clusters (each the full resolver/ingest
 // stack, optionally running the streaming miner) behind consistent-hash
-// client steering.
+// client steering: each PoP is an ingest.Runner fed by one router.
 //
 // All PoPs resolve against one shared authoritative namespace (the
 // simulated Internet is global, the vantage points are not), so the
-// dispatcher quiesces every PoP before the workload registry mutates at
-// a day boundary — the same ErrPause contract the single-cluster ingest
+// router pauses every PoP before the workload registry mutates at a day
+// boundary — the same ErrPause contract the single-cluster ingest
 // runner honors, widened to the whole fleet. Because the per-PoP pDNS
 // stores merge exactly (pdns.MergeStores), an N-PoP run's global rpDNS
 // view reproduces a single-cluster run over the same stream bit for bit.
@@ -22,7 +22,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dnsnoise/internal/core"
@@ -193,152 +192,79 @@ func (f *Fleet) MergedStore() *pdns.Store {
 	return pdns.MergeStores(stores...)
 }
 
-// dispatchItem is one unit on a PoP's intake channel: a query, or a
-// barrier request (ack non-nil) asking the PoP to quiesce and signal.
-type dispatchItem struct {
-	q   resolver.Query
-	ack chan<- struct{}
-}
-
-// popSource adapts a PoP's intake channel to ingest.QuerySource. A
-// barrier item makes Next return ErrPause once; the ack fires on the
-// NEXT Next call — by then the runner has honored the pause (drained
-// its workers in parallel mode), so the dispatcher's wait-for-ack is a
-// true fleet-wide quiesce point.
-type popSource struct {
-	ch  <-chan dispatchItem
-	ack chan<- struct{}
-}
-
-func (s *popSource) Next() (resolver.Query, error) {
-	if s.ack != nil {
-		s.ack <- struct{}{}
-		s.ack = nil
+// Run pulls the source dry on the caller's goroutine: the one router,
+// feeding each query to its client's PoP. A source's ErrPause (a live
+// generator about to start its next day on the shared registry) pauses
+// every PoP; so does a new day when replayDay is set, which then walks the
+// registry into that day's profile state (trace replays). When Run
+// returns, every PoP's runner is closed and no resolver worker is left.
+func (f *Fleet) Run(src ingest.QuerySource, replayDay func(time.Time) error) error {
+	runners := make([]*ingest.Runner, len(f.pops))
+	for i, p := range f.pops {
+		span := f.tracer.StartRoot(fmt.Sprintf("pop-%d", p.ID))
+		defer span.End() // after every runner's Close
+		opts := []ingest.Option{
+			ingest.WithMetrics(p.reg),
+			ingest.WithTracer(span.Tracer()),
+			ingest.WithQueryLog(p.log),
+			ingest.WithSinks(ingest.TapSink(p.Store.Tap(), nil)),
+		}
+		if p.Scorer != nil {
+			opts = append(opts, ingest.StreamingHooks(p.Scorer, f.cfg.ScoreWindow)...)
+		}
+		if f.cfg.Parallel {
+			opts = append(opts, ingest.WithParallel())
+		}
+		runners[i] = ingest.NewRunner(p.Cluster, opts...)
 	}
-	it, ok := <-s.ch
-	if !ok {
-		return resolver.Query{}, io.EOF
-	}
-	if it.ack != nil {
-		s.ack = it.ack
-		return resolver.Query{}, ingest.ErrPause
-	}
-	return it.q, nil
-}
-
-func (s *popSource) Close() error { return nil }
-
-// runPoP drives one PoP's ingest runner over its intake channel, its day
-// spans under span. On error it keeps draining the channel (acking
-// barriers) so the dispatcher never blocks on a dead PoP.
-func (f *Fleet) runPoP(p *PoP, span *telemetry.Span, ch chan dispatchItem) error {
-	defer span.End()
-	opts := []ingest.Option{
-		ingest.WithMetrics(p.reg),
-		ingest.WithTracer(span.Tracer()),
-		ingest.WithQueryLog(p.log),
-		ingest.WithSinks(ingest.TapSink(p.Store.Tap(), nil)),
-	}
-	if p.Scorer != nil {
-		opts = append(opts, ingest.StreamingHooks(p.Scorer, f.cfg.ScoreWindow)...)
-	}
-	if f.cfg.Parallel {
-		opts = append(opts, ingest.WithParallel())
-	}
-	src := &popSource{ch: ch}
-	err := ingest.NewRunner(p.Cluster, opts...).Run(src)
-	if err != nil {
-		for it := range ch { // keep the dispatcher unblocked
-			if it.ack != nil {
-				it.ack <- struct{}{}
-			}
+	err := f.route(src, runners, replayDay)
+	for i, r := range runners {
+		if cerr := r.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("fleet: pop %d: %w", i, cerr)
 		}
 	}
 	return err
 }
 
-// Run pulls the source dry, steering each query to its client's PoP.
-// Day boundaries (and source ErrPause requests) quiesce every PoP
-// before shared registry state may change; replayDay, when non-nil,
-// then walks the registry into the new day's profile state (trace
-// replays — live generator sources mutate the registry themselves under
-// the same fleet-wide pause). Run owns the PoP runner goroutines; when
-// it returns, the fleet is quiescent and every runner has exited.
-func (f *Fleet) Run(src ingest.QuerySource, replayDay func(time.Time) error) error {
-	chans := make([]chan dispatchItem, len(f.pops))
-	errs := make([]error, len(f.pops))
-	var wg sync.WaitGroup
-	for i, p := range f.pops {
-		ch := make(chan dispatchItem, 256)
-		chans[i] = ch
-		span := f.tracer.StartRoot(fmt.Sprintf("pop-%d", p.ID))
-		wg.Add(1)
-		go func(i int, p *PoP, ch chan dispatchItem) {
-			defer wg.Done()
-			errs[i] = f.runPoP(p, span, ch)
-		}(i, p, ch)
-	}
-	finish := func() {
-		for _, ch := range chans {
-			close(ch)
+// route is Run's loop.
+func (f *Fleet) route(src ingest.QuerySource, runners []*ingest.Runner, replayDay func(time.Time) error) error {
+	pauseAll := func() error {
+		for i, r := range runners {
+			if err := r.Pause(); err != nil {
+				return fmt.Errorf("fleet: pop %d: %w", i, err)
+			}
 		}
-		wg.Wait()
+		return nil
 	}
-	barrierAll := func() {
-		ack := make(chan struct{}, len(chans))
-		for _, ch := range chans {
-			ch <- dispatchItem{ack: ack}
-		}
-		for range chans {
-			<-ack
-		}
-	}
-	var (
-		curDay  time.Time
-		started bool
-	)
+	var day time.Time // UTC midnight of the day replayed last
 	for {
 		q, err := src.Next()
-		if err == ingest.ErrPause {
-			// The source is about to mutate the shared registry (a live
-			// generator starting its next day): quiesce the whole fleet.
-			barrierAll()
+		switch {
+		case err == io.EOF:
+			return nil
+		case err == ingest.ErrPause:
+			if err := pauseAll(); err != nil {
+				return err
+			}
 			continue
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			finish()
+		case err != nil:
 			return err
 		}
-		if day := dayOf(q.Time); !started || !day.Equal(curDay) {
-			if started || replayDay != nil {
-				barrierAll()
+		// A runner quiesces itself at its day rotation; only a replay needs all.
+		if d := q.Time.UTC().Truncate(24 * time.Hour); replayDay != nil && !d.Equal(day) {
+			if err := pauseAll(); err != nil {
+				return err
 			}
-			if replayDay != nil {
-				if err := replayDay(day); err != nil {
-					finish()
-					return err
-				}
+			if err := replayDay(d); err != nil {
+				return err
 			}
-			curDay, started = day, true
+			day = d
 		}
-		chans[f.Route(q.ClientID)] <- dispatchItem{q: q}
-	}
-	finish()
-	for i, err := range errs {
-		if err != nil {
+		i := f.Route(q.ClientID)
+		if err := runners[i].Submit(q); err != nil {
 			return fmt.Errorf("fleet: pop %d: %w", i, err)
 		}
 	}
-	return nil
-}
-
-// dayOf returns UTC midnight of the query's day (mirrors ingest).
-func dayOf(t time.Time) time.Time {
-	u := t.UTC()
-	return time.Date(u.Year(), u.Month(), u.Day(), 0, 0, 0, 0, time.UTC)
 }
 
 // popStamp is the per-PoP qlog sink: it stamps each drained event with

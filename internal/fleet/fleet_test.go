@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"dnsnoise/internal/mlearn"
 	"dnsnoise/internal/pdns"
 	"dnsnoise/internal/qlog"
+	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/sim"
 	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/telemetry/alerts"
@@ -525,6 +528,89 @@ func TestFleetScorerStampsVerdicts(t *testing.T) {
 	}
 	if benign == 0 || disposable == 0 {
 		t.Fatalf("scored tail looks wrong: %d benign, %d disposable", benign, disposable)
+	}
+}
+
+// failingSource passes n queries through, then fails with err.
+type failingSource struct {
+	ingest.QuerySource
+	n   int
+	err error
+}
+
+func (s *failingSource) Next() (resolver.Query, error) {
+	if s.n == 0 {
+		return resolver.Query{}, s.err
+	}
+	q, err := s.QuerySource.Next()
+	if err == nil {
+		s.n--
+	}
+	return q, err
+}
+
+// stubClassifier finds nothing disposable or, with fail set, cannot score
+// a zone, so a window that mines anything fails.
+type stubClassifier struct{ fail bool }
+
+var errClassifier = errors.New("classifier down")
+
+func (stubClassifier) Fit([][]float64, []bool) error { return nil }
+
+func (c stubClassifier) PredictProb([]float64) (float64, error) {
+	if c.fail {
+		return 0, errClassifier
+	}
+	return 0, nil
+}
+
+// TestFleetRunErrorJoins stops a parallel 3-PoP run two ways — its source
+// failing mid-day, and one PoP's scorer failing a re-score — and checks
+// that Run returns the error, naming the PoP in the second case, with
+// every PoP's resolver workers joined.
+func TestFleetRunErrorJoins(t *testing.T) {
+	errSource := errors.New("source down")
+	for _, tc := range []struct {
+		name   string
+		n      int // queries before the source fails; -1 never
+		scorer bool
+		want   error
+		prefix string
+	}{
+		{"source", 2000, false, errSource, ""},
+		{"scorer", -1, true, errClassifier, "fleet: pop 1: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(3)
+			cfg.Parallel = true
+			if tc.scorer {
+				cfg.ScoreWindow = time.Hour
+				cfg.NewScorer = func(pop int) (*core.StreamingPipeline, error) {
+					return core.NewStreamingPipeline(stubClassifier{fail: pop == 1}, core.MinerConfig{Theta: 0.5},
+						core.StreamingConfig{NumServers: 2}, nil)
+				}
+			}
+			f, err := fleet.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			profiles, err := workload.SelectProfiles("december", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &failingSource{QuerySource: ingest.NewGeneratorSource(f.Env().Generator, profiles...), n: tc.n, err: errSource}
+			before := runtime.NumGoroutine()
+			err = f.Run(src, nil)
+			if !errors.Is(err, tc.want) || !strings.HasPrefix(err.Error(), tc.prefix) {
+				t.Fatalf("Run = %v, want %q wrapped as %q…", err, tc.want, tc.prefix)
+			}
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == 50 {
+					t.Fatalf("goroutines: %d before Run, %d after — leak", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 

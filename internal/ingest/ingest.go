@@ -1,13 +1,14 @@
 // Package ingest defines the day pipeline's seams: where queries come
 // from (QuerySource), where raw queries go (QuerySink), where tapped
-// observations go (ObservationSink), and the runner that drives any
-// source through a resolver cluster with per-day measurement windows
-// (Runner).
+// observations go (ObservationSink), and the runner that drives a query
+// stream through a resolver cluster with per-day measurement windows
+// (Runner) — pulled from a source by Run, or pushed by a router through
+// Submit, Pause and Close, one per-query body either way.
 //
 // The package exists so the CLIs and the experiment harness stop caring
 // whether a query stream is generated live or replayed from a trace, and
 // whether observations land in a CHR collector, a passive-DNS store, a
-// counter, or all three. A generated day written through a trace sink and
+// streaming miner, or all three. A generated day written through a trace sink and
 // replayed through a TraceSource produces byte-identical measurements:
 // trace timestamps round-trip exactly (RFC 3339 with nanoseconds) and the
 // runner preserves the observation order of the pre-ingest wiring.

@@ -29,7 +29,6 @@ var (
 	_ QuerySink       = (*traceio.Writer)(nil)
 	_ ObservationSink = (*chrstat.Collector)(nil)
 	_ ObservationSink = (*chrstat.ShardedCollector)(nil)
-	_ ObservationSink = (*CountSink)(nil)
 )
 
 // testScale mirrors the experiments package's small scale, shrunk further
@@ -123,7 +122,8 @@ func TestGeneratorSourceMatchesGenerateDay(t *testing.T) {
 	}
 }
 
-// sliceSource yields a fixed query slice; for merge and error-path tests.
+// sliceSource yields a fixed query slice; for hand-built and error-path
+// streams.
 type sliceSource struct {
 	qs []resolver.Query
 	i  int
@@ -140,23 +140,13 @@ func (s *sliceSource) Next() (resolver.Query, error) {
 
 func (s *sliceSource) Close() error { return nil }
 
-func TestMergeOrdersByTimestamp(t *testing.T) {
-	t0 := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
-	at := func(sec int, name string) resolver.Query {
-		return resolver.Query{Time: t0.Add(time.Duration(sec) * time.Second), Name: name}
-	}
-	a := &sliceSource{qs: []resolver.Query{at(0, "a0"), at(2, "a2"), at(5, "tie-a")}}
-	b := &sliceSource{qs: []resolver.Query{at(1, "b1"), at(5, "tie-b"), at(9, "b9")}}
-	got := drain(t, Merge(a, b))
-	want := []string{"a0", "b1", "a2", "tie-a", "tie-b", "b9"}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d queries, want %d", len(got), len(want))
-	}
-	for i, name := range want {
-		if got[i].Name != name {
-			t.Errorf("merged[%d] = %q, want %q (ties must favor the earlier source)", i, got[i].Name, name)
-		}
-	}
+// modes are the runner's two ways to resolve: the same body drives both.
+var modes = []struct {
+	name string
+	opts []Option
+}{
+	{"sequential", nil},
+	{"parallel", []Option{WithParallel()}},
 }
 
 // runWindows drives src through a runner and returns the emitted windows.
@@ -215,24 +205,36 @@ func TestRunnerRotationMatchesManualDays(t *testing.T) {
 	}
 }
 
-// writeTrace runs a generated stream through a trace-writer query sink
-// (and a live cluster) and returns the live windows plus the trace path.
-func writeTrace(t *testing.T, name string, parallel bool) (live []Window, path string) {
+// recordTrace pumps days of generated traffic into a trace file, as
+// dnsnoise-gen does, over a world of its own built from the test seeds, so
+// a live run over another such world resolves the recorded stream.
+func recordTrace(t *testing.T, name string, days int) string {
 	t.Helper()
-	path = filepath.Join(t.TempDir(), name)
+	path := filepath.Join(t.TempDir(), name)
 	w, done, err := traceio.CreatePath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := Pump(NewGeneratorSource(newTestEnv(t).gen, testProfiles(days)...), w); err != nil {
+		t.Fatal(err)
+	}
+	if err := done(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeTrace records two generated days and runs the same days live,
+// returning the live windows plus the trace path.
+func writeTrace(t *testing.T, name string, parallel bool) (live []Window, path string) {
+	t.Helper()
+	path = recordTrace(t, name, 2)
 	env := newTestEnv(t)
-	opts := []Option{WithQuerySinks(w)}
+	var opts []Option
 	if parallel {
 		opts = append(opts, WithParallel())
 	}
 	live = runWindows(t, env.cluster(t), NewGeneratorSource(env.gen, testProfiles(2)...), opts...)
-	if err := done(); err != nil {
-		t.Fatal(err)
-	}
 	return live, path
 }
 
@@ -468,18 +470,10 @@ func TestPipelineHookMatchesManualProcessDay(t *testing.T) {
 // TestReplayFindingsMatchLive closes the loop at the miner: the zones
 // mined from a replayed trace must be identical to those mined live.
 func TestReplayFindingsMatchLive(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl.gz")
-	w, done, err := traceio.CreatePath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := recordTrace(t, "trace.jsonl.gz", 2)
 	liveEnv := newTestEnv(t)
 	live := runWindows(t, liveEnv.cluster(t),
-		NewGeneratorSource(liveEnv.gen, testProfiles(2)...),
-		WithQuerySinks(w), WithSingleWindow())
-	if err := done(); err != nil {
-		t.Fatal(err)
-	}
+		NewGeneratorSource(liveEnv.gen, testProfiles(2)...), WithSingleWindow())
 
 	replayEnv := newTestEnv(t)
 	src := NewTraceSource(path)
@@ -544,38 +538,39 @@ func TestTraceSourceSpansFiles(t *testing.T) {
 }
 
 func TestSingleWindowModes(t *testing.T) {
-	env := newTestEnv(t)
-	windows := runWindows(t, env.cluster(t),
-		NewGeneratorSource(env.gen, testProfiles(2)...), WithSingleWindow())
-	if len(windows) != 1 {
-		t.Fatalf("single-window run emitted %d windows, want 1", len(windows))
-	}
-	if windows[0].Queries == 0 {
-		t.Error("single window resolved no queries")
-	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			env := newTestEnv(t)
+			windows := runWindows(t, env.cluster(t),
+				NewGeneratorSource(env.gen, testProfiles(2)...), append(m.opts, WithSingleWindow())...)
+			if len(windows) != 1 {
+				t.Fatalf("single-window run emitted %d windows, want 1", len(windows))
+			}
+			if windows[0].Queries == 0 {
+				t.Error("single window resolved no queries")
+			}
 
-	// Empty stream: single-window mode still emits its one (empty) window;
-	// rotating mode emits none.
-	c := newTestEnv(t).cluster(t)
-	empty := runWindows(t, c, &sliceSource{}, WithSingleWindow())
-	if len(empty) != 1 || empty[0].Queries != 0 {
-		t.Errorf("empty single-window run = %+v, want one empty window", empty)
-	}
-	if got := runWindows(t, c, &sliceSource{}); len(got) != 0 {
-		t.Errorf("empty rotating run emitted %d windows, want 0", len(got))
+			// Empty stream: single-window mode still emits its one (empty)
+			// window; rotating mode emits none.
+			c := newTestEnv(t).cluster(t)
+			empty := runWindows(t, c, &sliceSource{}, append(m.opts, WithSingleWindow())...)
+			if len(empty) != 1 || empty[0].Queries != 0 {
+				t.Errorf("empty single-window run = %+v, want one empty window", empty)
+			}
+			if got := runWindows(t, c, &sliceSource{}, m.opts...); len(got) != 0 {
+				t.Errorf("empty rotating run emitted %d windows, want 0", len(got))
+			}
+		})
 	}
 }
 
 // TestRunnerSinksObserveAllWindows checks that persistent sinks keep
-// observing across rotations and that the query tee sees every query.
+// observing across rotations and that the windows count every query.
 func TestRunnerSinksObserveAllWindows(t *testing.T) {
 	env := newTestEnv(t)
-	var counts CountSink
-	var teed int
-	tee := querySinkFunc(func(resolver.Query) error { teed++; return nil })
-	windows := runWindows(t, env.cluster(t),
-		NewGeneratorSource(env.gen, testProfiles(2)...),
-		WithSinks(&counts), WithQuerySinks(tee))
+	c := env.cluster(t)
+	var counts countSink
+	windows := runWindows(t, c, NewGeneratorSource(env.gen, testProfiles(2)...), WithSinks(&counts))
 
 	var below uint64
 	total := 0
@@ -584,17 +579,19 @@ func TestRunnerSinksObserveAllWindows(t *testing.T) {
 		below += b
 		total += w.Queries
 	}
-	if counts.Below() != below {
-		t.Errorf("persistent sink saw %d below observations, collectors saw %d", counts.Below(), below)
+	if counts.below != below {
+		t.Errorf("persistent sink saw %d below observations, collectors saw %d", counts.below, below)
 	}
-	if teed != total {
-		t.Errorf("query tee saw %d queries, windows resolved %d", teed, total)
+	if got := c.Stats().Queries; got != uint64(total) {
+		t.Errorf("cluster resolved %d queries, windows counted %d", got, total)
 	}
 }
 
-type querySinkFunc func(resolver.Query) error
+// countSink tallies observations per side.
+type countSink struct{ below, above uint64 }
 
-func (f querySinkFunc) Consume(q resolver.Query) error { return f(q) }
+func (c *countSink) ObserveBelow(resolver.Observation) { c.below++ }
+func (c *countSink) ObserveAbove(resolver.Observation) { c.above++ }
 
 // TestTraceBadNameStopsAtItsLine: a name the wire codec cannot encode is
 // refused where it is read — file and line in the error, nothing resolved

@@ -63,6 +63,55 @@ func TestParallelRunnerNoLeakOnResolveError(t *testing.T) {
 	expectGoroutines(t, before)
 }
 
+// TestRunnerSubmitAfterError pushes queries into a runner whose tick hook
+// fails: Submit returns the hook's error and keeps returning it without
+// resolving anything more, Pause and Close return it too, Close emits no
+// window, and no worker outlives Close.
+func TestRunnerSubmitAfterError(t *testing.T) {
+	errTick := errors.New("tick hook down")
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			env := newTestEnv(t)
+			c := env.cluster(t)
+			qs := drain(t, NewGeneratorSource(env.gen, testProfiles(1)...))
+			// The first query opens the day; the first past the day's first
+			// hour crosses a tick.
+			first, late := qs[0], 0
+			for qs[late].Time.Before(first.Time.Truncate(time.Hour).Add(time.Hour)) {
+				late++
+			}
+			windows := 0
+			before := runtime.NumGoroutine()
+			r := NewRunner(c, append(m.opts,
+				WithWindowTicks(time.Hour, func(Tick) error { return errTick }),
+				OnWindow(func(Window) error { windows++; return nil }))...)
+			if err := r.Submit(first); err != nil {
+				t.Fatalf("first Submit = %v", err)
+			}
+			for i, q := range []resolver.Query{qs[late], first, qs[late]} {
+				if err := r.Submit(q); err != errTick {
+					t.Fatalf("Submit %d after the tick = %v, want the hook's error", i, err)
+				}
+			}
+			if err := r.Pause(); err != errTick {
+				t.Errorf("Pause = %v, want the hook's error", err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := r.Close(); err != errTick {
+					t.Errorf("Close %d = %v, want the hook's error", i, err)
+				}
+			}
+			if windows != 0 {
+				t.Errorf("Close after an error emitted %d windows", windows)
+			}
+			if got := c.Stats().Queries; got != 1 {
+				t.Errorf("resolved %d queries, want only the one before the tick", got)
+			}
+			expectGoroutines(t, before)
+		})
+	}
+}
+
 // expectGoroutines allows the runtime a moment to retire exited goroutines
 // before judging the count against the one taken before the run.
 func expectGoroutines(t *testing.T, before int) {

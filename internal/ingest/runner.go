@@ -27,11 +27,15 @@ type Window struct {
 	Queries int
 }
 
-// Runner drives a query source through a resolver cluster, rotating
+// Runner drives a query stream through a resolver cluster, rotating
 // measurement windows on UTC day boundaries without tearing the stream
 // down: in parallel mode the rotation is a Stream.Barrier, so the
 // per-server workers survive across days exactly as a production cluster
 // would, while each day still gets a fresh collector.
+//
+// Run pulls queries from a QuerySource; a router (a fleet's, one runner
+// per PoP) pushes them with Submit, Pause and Close instead. Either way one
+// goroutine drives one per-query body, and the first error is sticky.
 //
 // Observation order matches the pre-ingest wiring: the window collector
 // observes first, then the extra sinks in registration order.
@@ -40,16 +44,14 @@ type Runner struct {
 	parallel   bool
 	single     bool
 	sinks      []ObservationSink
-	qsinks     []QuerySink
 	onWindow   []func(Window) error
 	onDayStart func(time.Time) error
 
 	// Intra-day tick hook (optional; see WithWindowTicks). nextTick is the
-	// next boundary in simulated time; tickDay the day it belongs to.
+	// current day's next boundary in simulated time.
 	tickEvery time.Duration
 	onTick    func(Tick) error
 	nextTick  time.Time
-	tickDay   time.Time
 
 	// Query-level event log (optional; see WithQueryLog).
 	qlg *qlog.Log
@@ -65,7 +67,17 @@ type Runner struct {
 	obsAbove telemetry.Counter
 	countObs bool
 
-	// Per-day state owned by the driving goroutine.
+	// Run state owned by the driving goroutine.
+	stream      *resolver.Stream          // parallel mode, from the first Submit on
+	col         *chrstat.Collector        // the open window's collector, sequentially
+	shards      *chrstat.ShardedCollector // the open window's collector, in parallel
+	winDate     time.Time
+	curDay      time.Time
+	started     bool
+	count       int // queries in the open window
+	dayCount    int // queries in the current day
+	err         error
+	closed      bool
 	daySpan     *telemetry.Span
 	resolveSpan *telemetry.Span
 	dayWall     time.Time // wall-clock instant the current day opened
@@ -75,8 +87,8 @@ type Runner struct {
 type Option func(*Runner)
 
 // WithParallel resolves through the cluster's per-server worker
-// goroutines (one Stream for the whole run). Extra sinks must be safe for
-// concurrent use.
+// goroutines (one Stream for the whole run, started by its first query).
+// Extra sinks must be safe for concurrent use.
 func WithParallel() Option {
 	return func(r *Runner) { r.parallel = true }
 }
@@ -96,18 +108,6 @@ func WithSinks(sinks ...ObservationSink) Option {
 		for _, s := range sinks {
 			if s != nil {
 				r.sinks = append(r.sinks, s)
-			}
-		}
-	}
-}
-
-// WithQuerySinks tees every query into the given sinks before it is
-// resolved — e.g. a trace writer recording the stream being measured.
-func WithQuerySinks(sinks ...QuerySink) Option {
-	return func(r *Runner) {
-		for _, s := range sinks {
-			if s != nil {
-				r.qsinks = append(r.qsinks, s)
 			}
 		}
 	}
@@ -222,21 +222,180 @@ func NewRunner(cluster *resolver.Cluster, opts ...Option) *Runner {
 	return r
 }
 
-// errCheckInterval is how many parallel submissions pass between checks
-// of the stream's error state: frequent enough to stop promptly, rare
-// enough to stay off the hot path.
+// errCheckInterval is how many of a day's parallel submissions pass between
+// checks of the stream's error state: frequent enough to stop promptly,
+// rare enough to stay off the hot path.
 const errCheckInterval = 1024
 
-// Run pulls the source dry, resolving every query and emitting one
-// Window per UTC day (or one total, in single-window mode). Queries are
-// pulled on the calling goroutine — there is no producer goroutine to
-// leak — and in parallel mode the worker stream is closed on every exit
-// path. The source is left for the caller to close.
+// Run pulls the source dry through Submit, Pause and Close on the calling
+// goroutine, emitting one Window per UTC day (or one in single-window
+// mode). The workers are joined on every exit path; the source is left for
+// the caller to close.
 func (r *Runner) Run(src QuerySource) error {
-	if r.parallel {
-		return r.runParallel(src)
+	for {
+		q, err := src.Next()
+		switch err {
+		case nil:
+			err = r.Submit(q)
+		case ErrPause:
+			err = r.Pause()
+		case io.EOF:
+			return r.Close()
+		}
+		if err != nil {
+			if r.err == nil {
+				r.err = err // the source's: Close must emit nothing
+			}
+			r.Close()
+			return err
+		}
 	}
-	return r.runSequential(src)
+}
+
+// Submit resolves one query. The first query of a new UTC day first
+// quiesces the stream, finishes the day, emits its window and starts the
+// next; then come the intra-day ticks the query's timestamp crossed, and
+// the resolve: Cluster.Resolve sequentially, the cluster's worker Stream
+// (started by the first Submit) in parallel mode, where a resolution error
+// surfaces within errCheckInterval submissions or at the next quiesce.
+func (r *Runner) Submit(q resolver.Query) error {
+	if r.err == nil {
+		r.err = r.submit(q)
+	}
+	return r.err
+}
+
+func (r *Runner) submit(q resolver.Query) error {
+	if day := dayOf(q.Time); !r.started || !day.Equal(r.curDay) {
+		if err := r.rotate(day); err != nil {
+			return err
+		}
+	}
+	if err := r.checkTick(q.Time); err != nil {
+		return err
+	}
+	if r.parallel {
+		if r.stream == nil {
+			r.stream = r.cluster.StartStream()
+		}
+		r.stream.Submit(q)
+	} else if _, err := r.cluster.Resolve(q); err != nil {
+		return err
+	}
+	r.count++
+	r.dayCount++
+	r.queries.Inc()
+	if r.stream != nil && r.dayCount%errCheckInterval == 0 {
+		return r.stream.Err()
+	}
+	return nil
+}
+
+// Pause quiesces the stream, so the caller may mutate state the resolution
+// path reads: a source's ErrPause, a fleet's day boundary.
+func (r *Runner) Pause() error {
+	if r.err == nil {
+		if r.err = r.quiesce(); r.err == nil {
+			r.pauses.Inc()
+		}
+	}
+	return r.err
+}
+
+// Close joins the workers, then emits the final window: the last day's, or
+// in single-window mode the run's one window, even when nothing was
+// submitted. After an error it only joins the workers. Close is idempotent.
+func (r *Runner) Close() error {
+	if r.closed {
+		return r.err
+	}
+	r.closed = true
+	if r.stream != nil {
+		if err := r.stream.Close(); r.err == nil {
+			r.err = err
+		}
+	}
+	switch {
+	case r.err != nil:
+	case r.started:
+		r.err = r.finishDay(true)
+	case r.single:
+		r.err = r.emit(Window{Collector: chrstat.NewCollector()})
+	}
+	return r.err
+}
+
+// quiesce waits out every in-flight resolution: a Stream.Barrier once the
+// parallel stream runs; sequentially, or before the first query, nothing
+// is in flight. Afterwards merging shards, running hooks and swapping taps
+// are safe without tearing the workers down.
+func (r *Runner) quiesce() error {
+	if r.stream == nil {
+		return nil
+	}
+	return r.stream.Barrier()
+}
+
+// rotate moves the run into day, quiesced: it finishes the current day,
+// then opens the new day's span, runs the OnDayStart hook under a prepare
+// child, opens the resolve child that stays open while the day's queries
+// flow, and (unless single-window past the first day) a fresh window.
+func (r *Runner) rotate(day time.Time) error {
+	if r.started {
+		if err := r.quiesce(); err != nil {
+			return err
+		}
+		if err := r.finishDay(!r.single); err != nil {
+			return err
+		}
+	}
+	r.dayWall, r.nextTick = time.Now(), day.Add(r.tickEvery)
+	r.qlg.SetDay(day) // quiesced here, so the stamp cannot tear a worker's emit
+	r.daySpan = r.tracer.Start(day.Format("2006-01-02"))
+	if r.onDayStart != nil {
+		sp := r.tracer.Start("prepare")
+		err := r.onDayStart(day)
+		sp.End()
+		if err != nil {
+			return err
+		}
+	}
+	r.resolveSpan = r.tracer.Start("resolve")
+	if !r.started || !r.single {
+		// A window's collector: per-server shards, merged at emit, in
+		// parallel mode; sequentially one plain collector, never copied.
+		r.winDate, r.count = day, 0
+		if r.parallel {
+			r.shards = chrstat.NewShardedCollector(r.cluster.NumServers())
+			r.installTaps(r.shards)
+		} else {
+			r.col = chrstat.NewCollector()
+			r.installTaps(r.col)
+		}
+	}
+	r.curDay, r.started, r.dayCount = day, true, 0
+	return nil
+}
+
+// finishDay ends the current day, quiesced: its resolve span, crediting
+// the day's queries, the cluster's query-log recorders, the progress line,
+// the window when emit holds, and the day span.
+func (r *Runner) finishDay(emit bool) error {
+	r.resolveSpan.AddItems(int64(r.dayCount))
+	r.resolveSpan.End()
+	r.cluster.FlushQueryLog()
+	r.days.Inc()
+	r.logDay()
+	var err error
+	if emit {
+		w := Window{Date: r.winDate, Collector: r.col, Queries: r.count}
+		if r.shards != nil {
+			w.Collector = r.shards.Merge()
+		}
+		err = r.emit(w)
+	}
+	r.daySpan.End()
+	return err
 }
 
 // installTaps points the cluster's below/above taps at the window
@@ -286,65 +445,16 @@ func (r *Runner) emit(w Window) error {
 	return nil
 }
 
-// startDay opens the new day's span, runs the OnDayStart hook under a
-// prepare child, and opens the resolve child that stays open while the
-// day's queries flow. Called with the stream quiesced.
-func (r *Runner) startDay(day time.Time) error {
-	r.dayWall = time.Now()
-	if r.onTick != nil {
-		r.tickDay = day
-		r.nextTick = day.Add(r.tickEvery)
-	}
-	r.qlg.SetDay(day) // quiesced here, so the stamp cannot tear a worker's emit
-	if r.tracer != nil {
-		r.daySpan = r.tracer.Start(day.UTC().Format("2006-01-02"))
-	}
-	if r.onDayStart != nil {
-		sp := r.tracer.Start("prepare")
-		err := r.onDayStart(day)
-		sp.End()
-		if err != nil {
-			return err
-		}
-	}
-	if r.tracer != nil {
-		r.resolveSpan = r.tracer.Start("resolve")
-	}
-	return nil
-}
-
-// finishResolve ends the day's resolve span, crediting it with the day's
-// query count, and logs the per-day progress line. Called with the stream
-// quiesced, before the window (if any) is emitted.
-func (r *Runner) finishResolve(day time.Time, dayQueries int) {
-	if r.resolveSpan != nil {
-		r.resolveSpan.AddItems(int64(dayQueries))
-		r.resolveSpan.End()
-		r.resolveSpan = nil
-	}
-	r.cluster.FlushQueryLog() // cluster quiesced at the day barrier
-	r.days.Inc()
-	r.logDay(day, dayQueries)
-}
-
-// endDay closes the day span after its window has been collected.
-func (r *Runner) endDay() {
-	if r.daySpan != nil {
-		r.daySpan.End()
-		r.daySpan = nil
-	}
-}
-
 // logDay emits the per-day structured progress line with the run's
 // cumulative hit ratios.
-func (r *Runner) logDay(day time.Time, dayQueries int) {
+func (r *Runner) logDay() {
 	if r.progress == nil {
 		return
 	}
 	wall := time.Since(r.dayWall)
 	qps := 0.0
 	if s := wall.Seconds(); s > 0 {
-		qps = float64(dayQueries) / s
+		qps = float64(r.dayCount) / s
 	}
 	st := r.cluster.Stats()
 	chr := 0.0
@@ -357,8 +467,8 @@ func (r *Runner) logDay(day time.Time, dayQueries int) {
 		dhr = 1 - float64(above)/float64(below)
 	}
 	r.progress.LogAttrs(context.Background(), slog.LevelInfo, "day complete",
-		slog.String("day", day.UTC().Format("2006-01-02")),
-		slog.Int("queries", dayQueries),
+		slog.String("day", r.curDay.Format("2006-01-02")),
+		slog.Int("queries", r.dayCount),
 		slog.Float64("wall_s", wall.Seconds()),
 		slog.Float64("qps", qps),
 		slog.Float64("chr", chr),
@@ -368,33 +478,20 @@ func (r *Runner) logDay(day time.Time, dayQueries int) {
 	)
 }
 
-// checkTick fires the tick hook once per intra-day boundary the simulated
-// clock has crossed, quiescing first when a quiesce func is given (the
-// parallel path passes Stream.Barrier). No-op without WithWindowTicks.
-func (r *Runner) checkTick(t time.Time, quiesce func() error, dayQueries int) error {
-	if r.onTick == nil || r.nextTick.IsZero() {
+// checkTick fires the tick hook, quiesced, once per intra-day boundary the
+// simulated clock has crossed. No-op without WithWindowTicks.
+func (r *Runner) checkTick(t time.Time) error {
+	if r.onTick == nil {
 		return nil
 	}
 	for !t.Before(r.nextTick) {
-		if quiesce != nil {
-			if err := quiesce(); err != nil {
-				return err
-			}
+		if err := r.quiesce(); err != nil {
+			return err
 		}
-		if err := r.onTick(Tick{Day: r.tickDay, Time: r.nextTick, Queries: dayQueries}); err != nil {
+		if err := r.onTick(Tick{Day: r.curDay, Time: r.nextTick, Queries: r.dayCount}); err != nil {
 			return err
 		}
 		r.nextTick = r.nextTick.Add(r.tickEvery)
-	}
-	return nil
-}
-
-// tee feeds one query to the query sinks.
-func (r *Runner) tee(q resolver.Query) error {
-	for _, s := range r.qsinks {
-		if err := s.Consume(q); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -403,171 +500,4 @@ func (r *Runner) tee(q resolver.Query) error {
 func dayOf(t time.Time) time.Time {
 	u := t.UTC()
 	return time.Date(u.Year(), u.Month(), u.Day(), 0, 0, 0, 0, time.UTC)
-}
-
-func (r *Runner) runSequential(src QuerySource) error {
-	var (
-		col      *chrstat.Collector
-		winDate  time.Time
-		curDay   time.Time
-		started  bool
-		count    int
-		dayCount int
-	)
-	open := func(day time.Time) {
-		col = chrstat.NewCollector()
-		winDate = day
-		count = 0
-		r.installTaps(col)
-	}
-	for {
-		q, err := src.Next()
-		if err == ErrPause {
-			r.pauses.Inc()
-			continue // nothing is ever in flight sequentially
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if day := dayOf(q.Time); !started || !day.Equal(curDay) {
-			if started {
-				r.finishResolve(curDay, dayCount)
-				if !r.single {
-					if err := r.emit(Window{Date: winDate, Collector: col, Queries: count}); err != nil {
-						return err
-					}
-				}
-				r.endDay()
-			}
-			if err := r.startDay(day); err != nil {
-				return err
-			}
-			if !started || !r.single {
-				open(day)
-			}
-			curDay, started = day, true
-			dayCount = 0
-		}
-		if err := r.checkTick(q.Time, nil, dayCount); err != nil {
-			return err
-		}
-		if err := r.tee(q); err != nil {
-			return err
-		}
-		if _, err := r.cluster.Resolve(q); err != nil {
-			return err
-		}
-		count++
-		dayCount++
-		r.queries.Inc()
-	}
-	if !started {
-		if !r.single {
-			return nil // empty stream, nothing to emit
-		}
-		col = chrstat.NewCollector()
-	} else {
-		r.finishResolve(curDay, dayCount)
-	}
-	err := r.emit(Window{Date: winDate, Collector: col, Queries: count})
-	r.endDay()
-	return err
-}
-
-func (r *Runner) runParallel(src QuerySource) error {
-	var (
-		sh       *chrstat.ShardedCollector
-		winDate  time.Time
-		curDay   time.Time
-		started  bool
-		count    int
-		dayCount int
-	)
-	st := r.cluster.StartStream()
-	// Close on every exit path: Submit never blocks forever (workers keep
-	// draining after errors) and Close joins the workers, so no goroutine
-	// outlives the run regardless of how it ends. Close is idempotent, so
-	// the clean path below may close again to harvest the error.
-	defer st.Close()
-	open := func(day time.Time) {
-		sh = chrstat.NewShardedCollector(r.cluster.NumServers())
-		winDate = day
-		count = 0
-		r.installTaps(sh)
-	}
-	for i := 0; ; i++ {
-		q, err := src.Next()
-		if err == ErrPause {
-			// The source is about to mutate shared state; drain all
-			// in-flight resolutions first.
-			if err := st.Barrier(); err != nil {
-				return err
-			}
-			r.pauses.Inc()
-			continue
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if day := dayOf(q.Time); !started || !day.Equal(curDay) {
-			// Quiesce the stream: after Barrier returns every worker is
-			// idle, so merging shards, running the day hook, and swapping
-			// taps are all safe without tearing the workers down.
-			if started {
-				if err := st.Barrier(); err != nil {
-					return err
-				}
-				r.finishResolve(curDay, dayCount)
-				if !r.single {
-					if err := r.emit(Window{Date: winDate, Collector: sh.Merge(), Queries: count}); err != nil {
-						return err
-					}
-				}
-				r.endDay()
-			}
-			if err := r.startDay(day); err != nil {
-				return err
-			}
-			if !started || !r.single {
-				open(day)
-			}
-			curDay, started = day, true
-			dayCount = 0
-		}
-		if err := r.checkTick(q.Time, st.Barrier, dayCount); err != nil {
-			return err
-		}
-		if err := r.tee(q); err != nil {
-			return err
-		}
-		st.Submit(q)
-		count++
-		dayCount++
-		r.queries.Inc()
-		if i%errCheckInterval == errCheckInterval-1 {
-			if err := st.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	// Drain fully before the final merge so the last window is complete.
-	if err := st.Close(); err != nil {
-		return err
-	}
-	if !started {
-		if !r.single {
-			return nil
-		}
-		return r.emit(Window{Collector: chrstat.NewCollector(), Queries: 0})
-	}
-	r.finishResolve(curDay, dayCount)
-	err := r.emit(Window{Date: winDate, Collector: sh.Merge(), Queries: count})
-	r.endDay()
-	return err
 }

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"io"
-	"sync/atomic"
 
 	"dnsnoise/internal/resolver"
 )
@@ -31,51 +30,6 @@ func (t tapSink) ObserveAbove(ob resolver.Observation) {
 		t.above.Observe(ob)
 	}
 }
-
-// multiSink fans observations out to several sinks in order.
-type multiSink []ObservationSink
-
-// MultiSink combines sinks, skipping nils; each observation is delivered
-// to every sink in argument order.
-func MultiSink(sinks ...ObservationSink) ObservationSink {
-	kept := make(multiSink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			kept = append(kept, s)
-		}
-	}
-	return kept
-}
-
-func (m multiSink) ObserveBelow(ob resolver.Observation) {
-	for _, s := range m {
-		s.ObserveBelow(ob)
-	}
-}
-
-func (m multiSink) ObserveAbove(ob resolver.Observation) {
-	for _, s := range m {
-		s.ObserveAbove(ob)
-	}
-}
-
-// CountSink tallies observation volumes on both sides. Safe for
-// concurrent use, so it can ride on a parallel runner.
-type CountSink struct {
-	below, above atomic.Uint64
-}
-
-// ObserveBelow counts one below-side observation.
-func (c *CountSink) ObserveBelow(resolver.Observation) { c.below.Add(1) }
-
-// ObserveAbove counts one above-side observation.
-func (c *CountSink) ObserveAbove(resolver.Observation) { c.above.Add(1) }
-
-// Below returns the below-side observation count.
-func (c *CountSink) Below() uint64 { return c.below.Load() }
-
-// Above returns the above-side observation count.
-func (c *CountSink) Above() uint64 { return c.above.Load() }
 
 // Pump drains a source into query sinks without resolving anything — the
 // generation pipeline's shape: source → trace writer. It returns the

@@ -139,64 +139,3 @@ func (s *TraceSource) Close() error {
 	s.r, s.done = nil, nil
 	return err
 }
-
-// mergeSource interleaves several sources by timestamp.
-type mergeSource struct {
-	srcs  []QuerySource
-	heads []resolver.Query
-	ready []bool // heads[i] holds a pending query
-	eof   []bool
-}
-
-// Merge combines sources into one stream ordered by query timestamp.
-// When timestamps tie, the earlier-listed source wins, so merging is
-// deterministic. Each input must itself be time-ordered; out-of-order
-// inputs merge without error but the output inherits their disorder.
-// Closing the merged source closes every input.
-func Merge(srcs ...QuerySource) QuerySource {
-	if len(srcs) == 1 {
-		return srcs[0]
-	}
-	return &mergeSource{
-		srcs:  srcs,
-		heads: make([]resolver.Query, len(srcs)),
-		ready: make([]bool, len(srcs)),
-		eof:   make([]bool, len(srcs)),
-	}
-}
-
-func (m *mergeSource) Next() (resolver.Query, error) {
-	// Refill empty head slots, then emit the earliest head.
-	best := -1
-	for i, src := range m.srcs {
-		if !m.ready[i] && !m.eof[i] {
-			q, err := src.Next()
-			if err == io.EOF {
-				m.eof[i] = true
-				continue
-			}
-			if err != nil {
-				return resolver.Query{}, err
-			}
-			m.heads[i], m.ready[i] = q, true
-		}
-		if m.ready[i] && (best < 0 || m.heads[i].Time.Before(m.heads[best].Time)) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return resolver.Query{}, io.EOF
-	}
-	m.ready[best] = false
-	return m.heads[best], nil
-}
-
-func (m *mergeSource) Close() error {
-	var first error
-	for _, src := range m.srcs {
-		if err := src.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

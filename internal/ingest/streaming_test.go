@@ -163,26 +163,12 @@ func TestWindowTicksCadence(t *testing.T) {
 	at := func(base time.Time, d time.Duration, name string) timedQuery {
 		return timedQuery{t: base.Add(d), name: name}
 	}
-	src := &sliceSource{}
-	for _, q := range []timedQuery{
+	stream := []timedQuery{
 		at(day1, 1*time.Hour, "a"),
 		at(day1, 7*time.Hour, "b"),  // crosses 06:00
 		at(day1, 23*time.Hour, "c"), // crosses 12:00 and 18:00 (catch-up)
 		at(day2, 2*time.Hour, "d"),  // day rotation resets the anchor
 		at(day2, 6*time.Hour, "e"),  // exactly on the boundary: tick first
-	} {
-		src.qs = append(src.qs, resolver.Query{Time: q.t, Name: q.name + ".tick.example"})
-	}
-	var got []Tick
-	env := newTestEnv(t)
-	err := NewRunner(env.cluster(t),
-		WithWindowTicks(6*time.Hour, func(tk Tick) error {
-			got = append(got, tk)
-			return nil
-		}),
-	).Run(src)
-	if err != nil {
-		t.Fatal(err)
 	}
 	want := []struct {
 		day  time.Time
@@ -194,15 +180,34 @@ func TestWindowTicksCadence(t *testing.T) {
 		{day1, 18, 2}, // catch-up, same query count
 		{day2, 6, 1},  // before "e"
 	}
-	if len(got) != len(want) {
-		t.Fatalf("fired %d ticks, want %d: %+v", len(got), len(want), got)
-	}
-	for i, w := range want {
-		tk := got[i]
-		if !tk.Day.Equal(w.day) || !tk.Time.Equal(w.day.Add(time.Duration(w.hour)*time.Hour)) || tk.Queries != w.qs {
-			t.Errorf("tick %d = {day %s time %s queries %d}, want {day %s hour %d queries %d}",
-				i, tk.Day, tk.Time, tk.Queries, w.day, w.hour, w.qs)
-		}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			src := &sliceSource{}
+			for _, q := range stream {
+				src.qs = append(src.qs, resolver.Query{Time: q.t, Name: q.name + ".tick.example"})
+			}
+			var got []Tick
+			env := newTestEnv(t)
+			err := NewRunner(env.cluster(t), append(m.opts,
+				WithWindowTicks(6*time.Hour, func(tk Tick) error {
+					got = append(got, tk)
+					return nil
+				}),
+			)...).Run(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("fired %d ticks, want %d: %+v", len(got), len(want), got)
+			}
+			for i, w := range want {
+				tk := got[i]
+				if !tk.Day.Equal(w.day) || !tk.Time.Equal(w.day.Add(time.Duration(w.hour)*time.Hour)) || tk.Queries != w.qs {
+					t.Errorf("tick %d = {day %s time %s queries %d}, want {day %s hour %d queries %d}",
+						i, tk.Day, tk.Time, tk.Queries, w.day, w.hour, w.qs)
+				}
+			}
+		})
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // runTelemetryWindows drives days of generated traffic through a runner
 // built with opts and returns the emitted windows' query counts.
-func runTelemetryWindows(t *testing.T, parallel bool, days int, opts ...Option) []int {
+func runTelemetryWindows(t *testing.T, days int, opts ...Option) []int {
 	t.Helper()
 	env := newTestEnv(t)
 	cl := env.cluster(t)
@@ -24,9 +24,6 @@ func runTelemetryWindows(t *testing.T, parallel bool, days int, opts ...Option) 
 		}),
 		OnDayStart(func(time.Time) error { return nil }),
 	}, opts...)
-	if parallel {
-		all = append(all, WithParallel())
-	}
 	r := NewRunner(cl, all...)
 	if err := r.Run(NewGeneratorSource(env.gen, testProfiles(days)...)); err != nil {
 		t.Fatal(err)
@@ -39,20 +36,16 @@ func runTelemetryWindows(t *testing.T, parallel bool, days int, opts ...Option) 
 // progress lines — then reruns without telemetry and verifies the windows
 // are identical, the zero-perturbation contract.
 func TestRunnerTelemetry(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
 			const days = 3
 			reg := telemetry.NewRegistry()
 			tr := telemetry.NewTracer()
 			var logBuf bytes.Buffer
 			logger := slog.New(slog.NewTextHandler(&logBuf, nil))
 
-			counts := runTelemetryWindows(t, parallel, days,
-				WithMetrics(reg), WithTracer(tr), WithProgress(logger))
+			counts := runTelemetryWindows(t, days, append(m.opts,
+				WithMetrics(reg), WithTracer(tr), WithProgress(logger))...)
 			if len(counts) != days {
 				t.Fatalf("%d windows, want %d", len(counts), days)
 			}
@@ -108,7 +101,7 @@ func TestRunnerTelemetry(t *testing.T) {
 			}
 
 			// Telemetry must not perturb the measurement.
-			plain := runTelemetryWindows(t, parallel, days)
+			plain := runTelemetryWindows(t, days, m.opts...)
 			for i := range plain {
 				if plain[i] != counts[i] {
 					t.Fatalf("window %d: telemetry run saw %d queries, plain run %d",
@@ -123,18 +116,22 @@ func TestRunnerTelemetry(t *testing.T) {
 // counter) still rotates per UTC day in single-window mode, where only one
 // window is emitted at the end.
 func TestRunnerSingleWindowDays(t *testing.T) {
-	const days = 2
-	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTracer()
-	counts := runTelemetryWindows(t, false, days, WithSingleWindow(),
-		WithMetrics(reg), WithTracer(tr))
-	if len(counts) != 1 {
-		t.Fatalf("%d windows, want 1 in single-window mode", len(counts))
-	}
-	if got := reg.Snapshot().Counter("ingest_days_total"); got != days {
-		t.Errorf("ingest_days_total = %d, want %d", got, days)
-	}
-	if roots := tr.Roots(); len(roots) != days {
-		t.Errorf("%d day spans, want %d", len(roots), days)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			const days = 2
+			reg := telemetry.NewRegistry()
+			tr := telemetry.NewTracer()
+			counts := runTelemetryWindows(t, days, append(m.opts, WithSingleWindow(),
+				WithMetrics(reg), WithTracer(tr))...)
+			if len(counts) != 1 {
+				t.Fatalf("%d windows, want 1 in single-window mode", len(counts))
+			}
+			if got := reg.Snapshot().Counter("ingest_days_total"); got != days {
+				t.Errorf("ingest_days_total = %d, want %d", got, days)
+			}
+			if roots := tr.Roots(); len(roots) != days {
+				t.Errorf("%d day spans, want %d", len(roots), days)
+			}
+		})
 	}
 }

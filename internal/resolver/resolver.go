@@ -79,21 +79,6 @@ type Observation struct {
 	Category cache.Category
 }
 
-// MultiTap fans observations out to every non-nil tap.
-func MultiTap(taps ...Tap) Tap {
-	kept := make([]Tap, 0, len(taps))
-	for _, t := range taps {
-		if t != nil {
-			kept = append(kept, t)
-		}
-	}
-	return TapFunc(func(ob Observation) {
-		for _, t := range kept {
-			t.Observe(ob)
-		}
-	})
-}
-
 // Tap consumes observations from one side of the cluster. Taps installed on
 // a cluster driven through StartStream are invoked
 // concurrently from the per-server workers and must be safe for concurrent

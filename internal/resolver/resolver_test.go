@@ -374,20 +374,6 @@ func TestSignerZoneParsing(t *testing.T) {
 	}
 }
 
-func TestMultiTapFansOut(t *testing.T) {
-	var a, b int
-	tap := MultiTap(
-		TapFunc(func(Observation) { a++ }),
-		nil, // nils are skipped
-		TapFunc(func(Observation) { b++ }),
-	)
-	tap.Observe(Observation{})
-	tap.Observe(Observation{})
-	if a != 2 || b != 2 {
-		t.Errorf("fan-out counts = %d, %d, want 2, 2", a, b)
-	}
-}
-
 func TestWithMaxTTLCapsCacheLifetime(t *testing.T) {
 	// long.example.com has a two-day TTL; the cache holds it for 24 h.
 	c, err := NewCluster(testUpstream(t), WithServers(1))

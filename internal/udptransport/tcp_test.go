@@ -324,10 +324,7 @@ func FuzzTCPFrames(f *testing.F) {
 			}
 			query := data[2 : 2+qn]
 			data = data[2+qn:]
-			// The authority answers a query it cannot decode FORMERR under
-			// id 0; every other answer carries its query's id.
-			formErr := len(resp) >= dnsHeaderLen && resp[3]&0x0f == byte(dnsmsg.RCodeFormErr) && resp[0]|resp[1] == 0
-			if len(resp) < dnsHeaderLen || resp[2]&0x80 == 0 || !formErr && !bytes.Equal(resp[:2], query[:2]) {
+			if len(resp) < dnsHeaderLen || resp[2]&0x80 == 0 || !bytes.Equal(resp[:2], query[:2]) {
 				t.Fatalf("reply %d is not a response to its frame: %x", i, resp)
 			}
 			if _, err := dnsmsg.Decode(resp); err != nil {
