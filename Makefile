@@ -35,7 +35,9 @@ bench:
 # Fast hot-path health check, cheap enough for CI: the resolver and cache
 # micro-benchmarks at -benchtime=100x (smoke, not measurement) plus the
 # allocation guards — testing.AllocsPerRun asserting 0 allocs/op on the
-# cache-hit resolve path, LRU Get/Put refresh, Normalize fast paths, the
+# cache-hit resolve path, the bytes probe of a 60-byte wire question
+# (cache.GetName, and the resolver's hit body behind it: TestGetNameZeroAlloc,
+# TestWireProbeZeroAlloc), LRU Get/Put refresh, Normalize fast paths, the
 # UDP serve packet path, live scoring, the resolve path with a tsdb sweeper
 # attached, and authority.AppendHandleWire answering a static, CNAME,
 # wildcard, synthesized or NXDOMAIN query into reused scratch, and the small

@@ -1,5 +1,6 @@
 // Package cache implements the fixed-capacity, TTL-aware resource-record
-// cache used by each simulated recursive DNS server.
+// cache used by each simulated recursive DNS server, keyed by Key: a
+// question's (name, type).
 //
 // The cache is the mechanism behind every caching observation in the paper:
 // domain hit rates, cache hit rates, and the Section VI-A result that
@@ -15,16 +16,25 @@
 // for its expiry second so Advance reclaims whole buckets of dead entries
 // without scanning live ones. Steady-state operation — hits, refreshes,
 // reclaim, and evict-then-insert churn once the slab has grown to capacity —
-// performs no heap allocation: there is no per-entry *list.Element, no
-// boxing of values into interface{}, and every structural move touches only
-// a handful of int32 links. Keys and values are typed via generics, so
-// callers pay neither an allocation nor a type assertion per operation.
+// performs no heap allocation: every structural move touches only a handful
+// of int32 links. Keys and values are typed via generics, so callers pay
+// neither boxing nor a type assertion per operation, and GetName answers a
+// question read off the wire from its name's bytes.
 package cache
 
 import (
 	"sync/atomic"
 	"time"
+
+	"dnsnoise/internal/dnsmsg"
 )
+
+// Key is the DNS cache key: a normalized owner name and a query type. A
+// comparable struct keys the index map directly, so building one is free.
+type Key struct {
+	Name string
+	Type dnsmsg.Type
+}
 
 // Category labels a cached entry for eviction accounting. The simulation
 // uses CategoryDisposable and CategoryOther, but any small set of labels
@@ -47,15 +57,6 @@ func (c Category) String() string {
 	}
 }
 
-// Entry is a cached value with an absolute expiry instant, as reported by
-// Peek. It is a copy of the cache's internal slot, detached from the arena.
-type Entry[K comparable, V any] struct {
-	Key      K
-	Value    V
-	Expires  time.Time
-	Category Category
-}
-
 // Stats counts cache events. PrematureEvictions counts policy evictions of
 // entries that had NOT yet expired, split by the category of the victim and
 // of the entry whose insertion forced the eviction.
@@ -68,15 +69,6 @@ type Stats struct {
 	Reclaims   uint64 // expired entries reclaimed by the timer wheel (Advance)
 	// PrematureEvictions[victim][inserter]
 	PrematureEvictions [2][2]uint64
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // counters hold the cache's event counts as atomics, so Stats() and Len()
@@ -108,10 +100,9 @@ type slot[K comparable, V any] struct {
 
 // LRU is a fixed-capacity cache with per-entry TTL and a pluggable eviction
 // policy (the type name predates the policy seam; the default policy is
-// LRU). Structural operations (Get/Put/Remove/Advance) are not safe for
-// concurrent use — each simulated server owns one — but Len, LiveLen,
-// Capacity, Stats and CategoryCounts are safe to call from other goroutines
-// while the owner works.
+// LRU). Structural operations (Get/PutEv/Advance) are not safe for
+// concurrent use — each simulated server owns one — but Len, LiveLen and
+// Stats are safe to call from other goroutines while the owner works.
 type LRU[K comparable, V any] struct {
 	capacity int
 	slab     []slot[K, V]
@@ -122,10 +113,6 @@ type LRU[K comparable, V any] struct {
 	free     int32 // head of the free-slot chain (linked via ord.next)
 	stats    counters
 	size     atomic.Int64
-	// catCount tracks live entries per category, maintained on every
-	// insert/remove/evict/refresh so CategoryCounts is a constant-time
-	// atomic read instead of a list walk.
-	catCount [2]atomic.Int64
 }
 
 // New returns a cache holding at most capacity entries, evicting with the
@@ -145,11 +132,6 @@ func New[K comparable, V any](capacity int, policy PolicyKind) *LRU[K, V] {
 	}
 	c.whl.init()
 	return c
-}
-
-// NewLRU returns a cache with the default (LRU) eviction policy.
-func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
-	return New[K, V](capacity, PolicyLRU)
 }
 
 // Len returns the number of entries currently stored, including any that
@@ -202,12 +184,6 @@ func (c *LRU[K, V]) LiveLen() int {
 	}
 	return total - expired
 }
-
-// Capacity returns the configured maximum entry count.
-func (c *LRU[K, V]) Capacity() int { return c.capacity }
-
-// Policy returns the eviction policy the cache was built with.
-func (c *LRU[K, V]) Policy() PolicyKind { return c.pol.Kind() }
 
 // Stats returns a copy of the event counters.
 func (c *LRU[K, V]) Stats() Stats {
@@ -275,36 +251,48 @@ func (c *LRU[K, V]) Advance(now time.Time) {
 // as an expiry AND a miss (the resolver must re-fetch) — this lazy check
 // backstops the wheel for the in-progress second and for callers that never
 // Advance.
-func (c *LRU[K, V]) Get(key K, now time.Time) (V, bool) {
-	c.whl.observe(now)
-	var zero V
+func (c *LRU[K, V]) Get(key K, now time.Time) (v V, ok bool) {
 	i, ok := c.index[key]
+	if s := c.lookup(i, ok, now); s != nil {
+		return s.value, true
+	}
+	return v, false
+}
+
+// GetName is Get of Key{string(name), qtype} without spelling the name.
+// The conversion sits inside the map index, where the compiler reads the
+// bytes in place; a Get caller builds the key first, which allocates for a
+// name longer than 32 bytes. It is a function because a method cannot fix
+// its receiver's K to Key. On a hit it also returns the cached key's own
+// name, which the caller may keep without a copy.
+func GetName[V any](c *LRU[Key, V], name []byte, qtype dnsmsg.Type, now time.Time) (cached string, v V, ok bool) {
+	i, ok := c.index[Key{string(name), qtype}]
+	if s := c.lookup(i, ok, now); s != nil {
+		return s.key.Name, s.value, true
+	}
+	return "", v, false
+}
+
+// lookup is what Get and GetName share after the index: ok says slot i
+// holds the key. It counts the hit, the miss or the expiry, reports a hit
+// to the policy and returns its slot, valid until the next structural
+// operation; nil on a miss.
+func (c *LRU[K, V]) lookup(i int32, ok bool, now time.Time) *slot[K, V] {
+	c.whl.observe(now)
 	if !ok {
 		c.stats.misses.Add(1)
-		return zero, false
+		return nil
 	}
 	s := &c.slab[i]
 	if !now.Before(s.expires) {
 		c.removeSlot(i)
 		c.stats.expiries.Add(1)
 		c.stats.misses.Add(1)
-		return zero, false
+		return nil
 	}
 	c.pol.touch(&c.ord, i)
 	c.stats.hits.Add(1)
-	return s.value, true
-}
-
-// Peek returns a copy of the entry without promoting it or counting a
-// hit/miss. Expired entries are still returned; the caller can inspect
-// Expires.
-func (c *LRU[K, V]) Peek(key K) (Entry[K, V], bool) {
-	i, ok := c.index[key]
-	if !ok {
-		return Entry[K, V]{}, false
-	}
-	s := &c.slab[i]
-	return Entry[K, V]{Key: s.key, Value: s.value, Expires: s.expires, Category: s.category}, true
+	return s
 }
 
 // Eviction describes what an insertion displaced, for the query-level
@@ -316,31 +304,21 @@ type Eviction struct {
 	Victim    Category // the victim's category (meaningful when Evicted)
 }
 
-// Put inserts or refreshes key with the given value, TTL and category.
-// When the cache is full, the eviction policy picks a victim; if that
-// victim had not yet expired the eviction is counted as premature, attributed
-// to the inserting entry's category.
-func (c *LRU[K, V]) Put(key K, value V, ttl time.Duration, cat Category, now time.Time) {
-	c.put(key, value, ttl, cat, now, false)
-}
-
-// PutEv is Put returning what the insertion evicted.
+// PutEv inserts or refreshes key with the given value, TTL and category,
+// and returns what the insertion evicted. When the cache is full, the
+// eviction policy picks a victim; if that victim had not yet expired the
+// eviction is counted as premature, attributed to the inserting entry's
+// category.
 func (c *LRU[K, V]) PutEv(key K, value V, ttl time.Duration, cat Category, now time.Time) Eviction {
 	return c.put(key, value, ttl, cat, now, false)
 }
 
-// PutLowPriority inserts key at the cold end of the eviction order: under
-// the default LRU policy it is the next eviction victim and can never push
-// out another live entry (the eviction mitigation of paper Section VI-A —
-// disposable answers are cached, but at the lowest priority). SIEVE
-// honors the cold placement but its hand may examine other entries first.
-// Refreshing an existing entry keeps it cold.
-func (c *LRU[K, V]) PutLowPriority(key K, value V, ttl time.Duration, cat Category, now time.Time) {
-	c.put(key, value, ttl, cat, now, true)
-}
-
-// PutLowPriorityEv is PutLowPriority returning what the insertion
-// evicted.
+// PutLowPriorityEv is PutEv at the cold end of the eviction order: under
+// the default LRU policy the entry is the next eviction victim and can
+// never push out another live entry (the eviction mitigation of paper
+// Section VI-A — disposable answers are cached, but at the lowest
+// priority). SIEVE honors the cold placement but its hand may examine other
+// entries first. Refreshing an existing entry keeps it cold.
 func (c *LRU[K, V]) PutLowPriorityEv(key K, value V, ttl time.Duration, cat Category, now time.Time) Eviction {
 	return c.put(key, value, ttl, cat, now, true)
 }
@@ -356,10 +334,6 @@ func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now tim
 	expires := now.Add(ttl)
 	if i, ok := c.index[key]; ok {
 		s := &c.slab[i]
-		if s.category != cat {
-			c.catCount[s.category].Add(-1)
-			c.catCount[cat].Add(1)
-		}
 		s.value = value
 		s.expires = expires
 		s.category = cat
@@ -382,18 +356,7 @@ func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now tim
 	w.file(i, w.tickOf(expires))
 	c.index[key] = i
 	c.size.Add(1)
-	c.catCount[cat].Add(1)
 	return ev
-}
-
-// Remove deletes key if present and reports whether it was.
-func (c *LRU[K, V]) Remove(key K) bool {
-	i, ok := c.index[key]
-	if !ok {
-		return false
-	}
-	c.removeSlot(i)
-	return true
 }
 
 // evictOldest removes the policy's victim to make room for an insertion by
@@ -413,17 +376,6 @@ func (c *LRU[K, V]) evictOldest(inserter Category, now time.Time) Eviction {
 	}
 	c.removeSlot(i)
 	return ev
-}
-
-// CategoryCounts returns how many currently cached entries belong to each
-// category (expired-but-unreclaimed entries included). Index by Category.
-// It reads two atomics — safe to call from a metrics scrape while the
-// owning goroutine mutates the cache.
-func (c *LRU[K, V]) CategoryCounts() [2]int {
-	return [2]int{
-		int(c.catCount[0].Load()),
-		int(c.catCount[1].Load()),
-	}
 }
 
 // allocSlot returns a free arena index, growing the slab (and the order and
@@ -452,7 +404,6 @@ func (c *LRU[K, V]) removeSlot(i int32) {
 	delete(c.index, s.key)
 	c.whl.unfile(i)
 	c.pol.remove(&c.ord, i)
-	c.catCount[s.category].Add(-1)
 	var zero slot[K, V]
 	*s = zero
 	c.ord.next[i] = c.free

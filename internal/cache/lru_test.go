@@ -11,11 +11,11 @@ import (
 var t0 = time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
 
 func TestGetMissThenHit(t *testing.T) {
-	c := NewLRU[string, int](4)
+	c := New[string, int](4, PolicyLRU)
 	if _, ok := c.Get("a", t0); ok {
 		t.Fatal("Get on empty cache should miss")
 	}
-	c.Put("a", 1, time.Minute, CategoryOther, t0)
+	c.PutEv("a", 1, time.Minute, CategoryOther, t0)
 	v, ok := c.Get("a", t0.Add(time.Second))
 	if !ok || v != 1 {
 		t.Fatalf("Get = (%v, %v), want (1, true)", v, ok)
@@ -27,8 +27,8 @@ func TestGetMissThenHit(t *testing.T) {
 }
 
 func TestTTLExpiry(t *testing.T) {
-	c := NewLRU[string, int](4)
-	c.Put("a", 1, 30*time.Second, CategoryOther, t0)
+	c := New[string, int](4, PolicyLRU)
+	c.PutEv("a", 1, 30*time.Second, CategoryOther, t0)
 	if _, ok := c.Get("a", t0.Add(29*time.Second)); !ok {
 		t.Error("entry expired too early")
 	}
@@ -46,14 +46,14 @@ func TestTTLExpiry(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := NewLRU[string, int](2)
-	c.Put("a", 1, time.Hour, CategoryOther, t0)
-	c.Put("b", 2, time.Hour, CategoryOther, t0)
+	c := New[string, int](2, PolicyLRU)
+	c.PutEv("a", 1, time.Hour, CategoryOther, t0)
+	c.PutEv("b", 2, time.Hour, CategoryOther, t0)
 	// Touch "a" so "b" becomes LRU.
 	if _, ok := c.Get("a", t0); !ok {
 		t.Fatal("a should be present")
 	}
-	c.Put("c", 3, time.Hour, CategoryOther, t0)
+	c.PutEv("c", 3, time.Hour, CategoryOther, t0)
 	if _, ok := c.Get("b", t0); ok {
 		t.Error("b should have been evicted (LRU)")
 	}
@@ -66,11 +66,11 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestPrematureEvictionAccounting(t *testing.T) {
-	c := NewLRU[string, int](2)
-	c.Put("nd1", 1, time.Hour, CategoryOther, t0)
-	c.Put("nd2", 2, time.Hour, CategoryOther, t0)
+	c := New[string, int](2, PolicyLRU)
+	c.PutEv("nd1", 1, time.Hour, CategoryOther, t0)
+	c.PutEv("nd2", 2, time.Hour, CategoryOther, t0)
 	// A disposable insertion evicts a live non-disposable entry.
-	c.Put("d1", 3, time.Minute, CategoryDisposable, t0)
+	c.PutEv("d1", 3, time.Minute, CategoryDisposable, t0)
 	st := c.Stats()
 	if st.Evictions != 1 {
 		t.Fatalf("Evictions = %d, want 1", st.Evictions)
@@ -84,10 +84,10 @@ func TestPrematureEvictionAccounting(t *testing.T) {
 }
 
 func TestExpiredVictimIsNotPremature(t *testing.T) {
-	c := NewLRU[string, int](1)
-	c.Put("a", 1, time.Second, CategoryOther, t0)
+	c := New[string, int](1, PolicyLRU)
+	c.PutEv("a", 1, time.Second, CategoryOther, t0)
 	// Insert long after "a" expired: reclaim, not premature eviction.
-	c.Put("b", 2, time.Minute, CategoryDisposable, t0.Add(time.Hour))
+	c.PutEv("b", 2, time.Minute, CategoryDisposable, t0.Add(time.Hour))
 	st := c.Stats()
 	if st.Evictions != 0 {
 		t.Errorf("Evictions = %d, want 0 (victim already expired)", st.Evictions)
@@ -95,9 +95,9 @@ func TestExpiredVictimIsNotPremature(t *testing.T) {
 }
 
 func TestPutRefreshesExisting(t *testing.T) {
-	c := NewLRU[string, int](2)
-	c.Put("a", 1, time.Second, CategoryOther, t0)
-	c.Put("a", 2, time.Hour, CategoryDisposable, t0)
+	c := New[string, int](2, PolicyLRU)
+	c.PutEv("a", 1, time.Second, CategoryOther, t0)
+	c.PutEv("a", 2, time.Hour, CategoryDisposable, t0)
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
@@ -105,78 +105,18 @@ func TestPutRefreshesExisting(t *testing.T) {
 	if !ok || v != 2 {
 		t.Errorf("Get = (%v, %v), want (2, true) after refresh", v, ok)
 	}
-	ent, ok := c.Peek("a")
-	if !ok || ent.Category != CategoryDisposable {
-		t.Errorf("Peek = (%+v, %v), category should be refreshed", ent, ok)
-	}
-}
-
-func TestPeekDoesNotPromoteOrCount(t *testing.T) {
-	c := NewLRU[string, int](2)
-	c.Put("a", 1, time.Hour, CategoryOther, t0)
-	c.Put("b", 2, time.Hour, CategoryOther, t0)
-	before := c.Stats()
-	if _, ok := c.Peek("a"); !ok {
-		t.Fatal("Peek should find a")
-	}
-	if c.Stats() != before {
-		t.Error("Peek must not change stats")
-	}
-	// "a" was peeked, not promoted, so it is still LRU and gets evicted.
-	c.Put("c", 3, time.Hour, CategoryOther, t0)
-	if _, ok := c.Peek("a"); ok {
-		t.Error("a should have been evicted; Peek must not promote")
-	}
-}
-
-func TestRemove(t *testing.T) {
-	c := NewLRU[string, int](2)
-	c.Put("a", 1, time.Hour, CategoryOther, t0)
-	if !c.Remove("a") {
-		t.Error("Remove should report true for present key")
-	}
-	if c.Remove("a") {
-		t.Error("Remove should report false for absent key")
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d, want 0", c.Len())
+	s, ok := peek(c, "a")
+	if !ok || s.category != CategoryDisposable {
+		t.Errorf("slot = (%+v, %v), category should be refreshed", s, ok)
 	}
 }
 
 func TestCapacityFloor(t *testing.T) {
-	c := NewLRU[string, int](0)
-	if c.Capacity() != 1 {
-		t.Errorf("Capacity = %d, want 1", c.Capacity())
-	}
-	c.Put("a", 1, time.Hour, CategoryOther, t0)
-	c.Put("b", 2, time.Hour, CategoryOther, t0)
+	c := New[string, int](0, PolicyLRU)
+	c.PutEv("a", 1, time.Hour, CategoryOther, t0)
+	c.PutEv("b", 2, time.Hour, CategoryOther, t0)
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
-	}
-}
-
-func TestCategoryCounts(t *testing.T) {
-	c := NewLRU[string, int](10)
-	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("d%d", i), i, time.Hour, CategoryDisposable, t0)
-	}
-	for i := 0; i < 2; i++ {
-		c.Put(fmt.Sprintf("n%d", i), i, time.Hour, CategoryOther, t0)
-	}
-	counts := c.CategoryCounts()
-	if counts[CategoryDisposable] != 3 || counts[CategoryOther] != 2 {
-		t.Errorf("CategoryCounts = %v, want [2 3]", counts)
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	var st Stats
-	if st.HitRate() != 0 {
-		t.Error("zero stats HitRate should be 0")
-	}
-	st = Stats{Hits: 3, Misses: 1}
-	if got := st.HitRate(); got != 0.75 {
-		t.Errorf("HitRate = %v, want 0.75", got)
 	}
 }
 
@@ -192,21 +132,18 @@ func TestInvariantsProperty(t *testing.T) {
 	f := func(seed int64, capRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := int(capRaw%20) + 1
-		c := NewLRU[string, int](capacity)
+		c := New[string, int](capacity, PolicyLRU)
 		now := t0
 		gets := uint64(0)
 		for i := 0; i < 500; i++ {
 			key := fmt.Sprintf("k%d", rng.Intn(40))
 			now = now.Add(time.Duration(rng.Intn(10)) * time.Second)
-			switch rng.Intn(3) {
-			case 0:
+			if rng.Intn(2) == 0 {
 				ttl := time.Duration(rng.Intn(60)+1) * time.Second
-				c.Put(key, i, ttl, Category(rng.Intn(2)), now)
-			case 1:
+				c.PutEv(key, i, ttl, Category(rng.Intn(2)), now)
+			} else {
 				c.Get(key, now)
 				gets++
-			default:
-				c.Remove(key)
 			}
 			if c.Len() > capacity {
 				return false
@@ -224,9 +161,9 @@ func TestInvariantsProperty(t *testing.T) {
 // TTL) always hits.
 func TestImmediateHitProperty(t *testing.T) {
 	f := func(key string, ttlRaw uint16) bool {
-		c := NewLRU[string, string](4)
+		c := New[string, string](4, PolicyLRU)
 		ttl := time.Duration(ttlRaw%3600+1) * time.Second
-		c.Put(key, "v", ttl, CategoryOther, t0)
+		c.PutEv(key, "v", ttl, CategoryOther, t0)
 		_, ok := c.Get(key, t0)
 		return ok
 	}
@@ -236,41 +173,41 @@ func TestImmediateHitProperty(t *testing.T) {
 }
 
 func TestPutLowPriorityIsFirstVictim(t *testing.T) {
-	c := NewLRU[string, int](3)
-	c.Put("hot1", 1, time.Hour, CategoryOther, t0)
-	c.PutLowPriority("cold", 2, time.Hour, CategoryDisposable, t0)
-	c.Put("hot2", 3, time.Hour, CategoryOther, t0)
+	c := New[string, int](3, PolicyLRU)
+	c.PutEv("hot1", 1, time.Hour, CategoryOther, t0)
+	c.PutLowPriorityEv("cold", 2, time.Hour, CategoryDisposable, t0)
+	c.PutEv("hot2", 3, time.Hour, CategoryOther, t0)
 	// Cache full; the next insert must evict the low-priority entry even
 	// though hot1 is older.
-	c.Put("hot3", 4, time.Hour, CategoryOther, t0)
-	if _, ok := c.Peek("cold"); ok {
+	c.PutEv("hot3", 4, time.Hour, CategoryOther, t0)
+	if _, ok := peek(c, "cold"); ok {
 		t.Error("low-priority entry should be the first victim")
 	}
 	for _, k := range []string{"hot1", "hot2", "hot3"} {
-		if _, ok := c.Peek(k); !ok {
+		if _, ok := peek(c, k); !ok {
 			t.Errorf("%s should have survived", k)
 		}
 	}
 }
 
 func TestPutLowPriorityRefreshStaysCold(t *testing.T) {
-	c := NewLRU[string, int](2)
-	c.Put("hot", 1, time.Hour, CategoryOther, t0)
-	c.PutLowPriority("cold", 2, time.Hour, CategoryDisposable, t0)
+	c := New[string, int](2, PolicyLRU)
+	c.PutEv("hot", 1, time.Hour, CategoryOther, t0)
+	c.PutLowPriorityEv("cold", 2, time.Hour, CategoryDisposable, t0)
 	// Refreshing the cold entry must not promote it.
-	c.PutLowPriority("cold", 3, time.Hour, CategoryDisposable, t0)
-	c.Put("hot2", 4, time.Hour, CategoryOther, t0)
-	if _, ok := c.Peek("cold"); ok {
+	c.PutLowPriorityEv("cold", 3, time.Hour, CategoryDisposable, t0)
+	c.PutEv("hot2", 4, time.Hour, CategoryOther, t0)
+	if _, ok := peek(c, "cold"); ok {
 		t.Error("refreshed low-priority entry should still be the victim")
 	}
-	if _, ok := c.Peek("hot"); !ok {
+	if _, ok := peek(c, "hot"); !ok {
 		t.Error("hot entry should survive")
 	}
 }
 
 func TestPutLowPriorityStillServesHits(t *testing.T) {
-	c := NewLRU[string, int](4)
-	c.PutLowPriority("cold", 1, time.Hour, CategoryDisposable, t0)
+	c := New[string, int](4, PolicyLRU)
+	c.PutLowPriorityEv("cold", 1, time.Hour, CategoryDisposable, t0)
 	v, ok := c.Get("cold", t0.Add(time.Second))
 	if !ok || v != 1 {
 		t.Errorf("Get = (%v, %v): low priority entries are still cached", v, ok)

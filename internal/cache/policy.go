@@ -138,7 +138,7 @@ func (o *order) moveToBack(i int32) {
 }
 
 // Policy decides which occupied slot an insertion displaces. Implementations
-// are stateless singletons — every bit of policy state lives in the order
+// are stateless — every bit of policy state lives in the order
 // arena — so a policy is shared by all caches and all key/value types.
 //
 // The methods are unexported: the set of invariants a policy must uphold
@@ -146,8 +146,6 @@ func (o *order) moveToBack(i int32) {
 // easiest to keep honest inside the package. New policies are added here and
 // surfaced through PolicyKind.
 type Policy interface {
-	// Kind identifies the policy.
-	Kind() PolicyKind
 	// insert files freshly allocated slot i. low asks for the cold end:
 	// the entry should be an early eviction victim.
 	insert(o *order, i int32, low bool)
@@ -155,35 +153,26 @@ type Policy interface {
 	touch(o *order, i int32)
 	// refresh records an in-place overwrite of slot i; low demotes it.
 	refresh(o *order, i int32, low bool)
-	// remove unfiles slot i (eviction, expiry reclaim, or Remove).
+	// remove unfiles slot i (eviction or expiry reclaim).
 	remove(o *order, i int32)
 	// victim returns the slot the next insertion should evict, advancing
 	// any internal scan state. nilIdx when nothing is filed.
 	victim(o *order) int32
 }
 
-// policyFor returns the shared singleton for kind.
+// policyFor returns the policy for kind.
 func policyFor(kind PolicyKind) Policy {
-	switch kind {
-	case PolicySIEVE:
-		return sieveSingleton
-	default:
-		return lruSingleton
+	if kind == PolicySIEVE {
+		return sievePolicy{}
 	}
+	return lruPolicy{}
 }
 
-var (
-	lruSingleton   Policy = lruPolicy{}
-	sieveSingleton Policy = sievePolicy{}
-)
-
 // lruPolicy reproduces the historical behaviour exactly: recency list with
-// front promotion; the tail is always the victim. PutLowPriority's contract
+// front promotion; the tail is always the victim. PutLowPriorityEv's contract
 // — the entry is the next victim and can never displace a live entry — holds
 // precisely under this policy.
 type lruPolicy struct{}
-
-func (lruPolicy) Kind() PolicyKind { return PolicyLRU }
 
 func (lruPolicy) insert(o *order, i int32, low bool) {
 	if low {
@@ -215,8 +204,6 @@ func (lruPolicy) victim(o *order) int32 { return o.tail }
 // unvisited — cold, though the next-victim guarantee is LRU-only (the hand
 // may be mid-sweep elsewhere).
 type sievePolicy struct{}
-
-func (sievePolicy) Kind() PolicyKind { return PolicySIEVE }
 
 func (sievePolicy) insert(o *order, i int32, low bool) {
 	if low {

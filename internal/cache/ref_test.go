@@ -15,9 +15,20 @@ type refEntry struct {
 	cat Category
 }
 
+// peek reads key's slot without reporting it to the policy or counting a
+// lookup. The slot may hold an expired entry the wheel has not reclaimed.
+func peek[K comparable, V any](c *LRU[K, V], key K) (slot[K, V], bool) {
+	i, ok := c.index[key]
+	if !ok {
+		return slot[K, V]{}, false
+	}
+	return c.slab[i], true
+}
+
 // TestReferenceModelProperty drives every policy with a randomized op
-// sequence — Put/PutLowPriority/Get/Peek/Remove/Advance over skewed keys
-// and mixed TTLs — and cross-checks each observation against the reference.
+// sequence — PutEv/PutLowPriorityEv/Get/Advance over skewed keys and mixed
+// TTLs, with occasional direct reads of a key's slot — and cross-checks each
+// observation against the reference.
 //
 // With capacity ≥ the key universe nothing is ever evicted, so the cache
 // must agree with the model exactly: Get hits iff the model holds an
@@ -72,23 +83,24 @@ func runReferenceModel(t *testing.T, kind PolicyKind, capacity int, exact bool, 
 		now = now.Add(time.Duration(rng.Intn(2500)) * time.Millisecond)
 		k := pick()
 		switch rng.Intn(10) {
-		case 0, 1, 2: // Put
+		case 0, 1, 2: // PutEv
 			v := rng.Int()
 			ttl := time.Duration(1+rng.Intn(600)) * time.Second
 			cat := Category(rng.Intn(2))
-			c.Put(k, v, ttl, cat, now)
+			if ev := c.PutEv(k, v, ttl, cat, now); exact && ev != (Eviction{}) {
+				t.Fatalf("op %d: PutEv(%s) evicted %+v below capacity", op, k, ev)
+			}
 			model[k] = refEntry{val: v, exp: now.Add(ttl), cat: cat}
-		case 3: // PutLowPriority
+		case 3: // PutLowPriorityEv
 			v := rng.Int()
 			ttl := time.Duration(1+rng.Intn(30)) * time.Second
-			c.PutLowPriority(k, v, ttl, CategoryDisposable, now)
+			if ev := c.PutLowPriorityEv(k, v, ttl, CategoryDisposable, now); exact && ev != (Eviction{}) {
+				t.Fatalf("op %d: PutLowPriorityEv(%s) evicted %+v below capacity", op, k, ev)
+			}
 			model[k] = refEntry{val: v, exp: now.Add(ttl), cat: CategoryDisposable}
-		case 4: // Remove
-			c.Remove(k)
-			delete(model, k)
-		case 5: // Advance; also age the model
+		case 4: // Advance
 			c.Advance(now)
-		default: // Get + occasional Peek
+		default: // Get + an occasional read of the slot
 			v, ok := c.Get(k, now)
 			ref, live := modelLive(k)
 			if ok {
@@ -99,15 +111,15 @@ func runReferenceModel(t *testing.T, kind PolicyKind, capacity int, exact bool, 
 				t.Fatalf("op %d: Get(%s) missed but model holds live entry %+v", op, k, ref)
 			}
 			if rng.Intn(8) == 0 {
-				e, ok := c.Peek(k)
+				e, ok := peek(c, k)
 				if ok {
 					m, inModel := model[k]
-					if !inModel || e.Value != m.val || !e.Expires.Equal(m.exp) || e.Category != m.cat {
-						t.Fatalf("op %d: Peek(%s) = %+v disagrees with model %+v (present=%v)", op, k, e, m, inModel)
+					if !inModel || e.value != m.val || !e.expires.Equal(m.exp) || e.category != m.cat {
+						t.Fatalf("op %d: slot of %s = %+v disagrees with model %+v (present=%v)", op, k, e, m, inModel)
 					}
 				} else if exact {
 					if _, live := modelLive(k); live {
-						t.Fatalf("op %d: Peek(%s) missing but model holds a live entry", op, k)
+						t.Fatalf("op %d: no slot for %s but model holds a live entry", op, k)
 					}
 				}
 			}

@@ -181,7 +181,9 @@ func watchName(name string) <-chan struct{} {
 // touched-name buffer, stripes, entropy cache, findings kept per zone,
 // scratch — and every holder of a tree handle too, because one node reaches
 // the whole tree through its parent (handles left in the scratch across
-// EndDay once read +80 % live heap). The checks after that say where.
+// EndDay once read +80 % live heap), and every holder of a finding's zone
+// across days — verdict states, snapshot, ranking — since a zone is a slice
+// of the name that created its node. The checks after that say where.
 func TestEndDayReleasesTheDay(t *testing.T) {
 	view := reflect.TypeOf(map[string][]*chrstat.RRStat(nil))
 	typ := reflect.TypeOf((*StreamingPipeline)(nil)).Elem()
@@ -210,7 +212,10 @@ func TestEndDayReleasesTheDay(t *testing.T) {
 		} else {
 			p.ObserveBelow(e.ob)
 		}
-		if i%(len(events)/3) == 0 { // three windows: both buffers of every stripe get used
+		// Four windows: both buffers of every stripe get used, and the
+		// first holds the record probe alone of its zone, so that the
+		// zone's tree node, and the zone of its findings, slice the probe.
+		if i%(len(events)/3) == 0 {
 			p.ObserveName(nameProbe)
 			if i == 0 { // the copy the tree will be built from
 				noted := p.pending[dnsname.Hash(nameProbe)&(pendingStripeCount-1)].names
@@ -219,10 +224,8 @@ func TestEndDayReleasesTheDay(t *testing.T) {
 			for n := 0; n < 8*pendingStripeCount; n++ {
 				p.ObserveName(fmt.Appendf(nil, "k%d-%d.bucket.s3.example.com", i, n))
 			}
-			if i > 0 {
-				if _, err := p.Rescore(date); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := p.Rescore(date); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -103,8 +104,10 @@ func (p *Pipeline) fold(date time.Time, findings []Finding) {
 	for _, f := range findings {
 		rec, ok := p.zones[f.Zone]
 		if !ok {
-			rec = &ZoneRecord{Zone: f.Zone, FirstSeen: date}
-			p.zones[f.Zone] = rec
+			// The ranking outlives the day; the finding's zone is a slice
+			// of one of the day's query names (see keepPair).
+			rec = &ZoneRecord{Zone: strings.Clone(f.Zone), FirstSeen: date}
+			p.zones[rec.Zone] = rec
 		}
 		rec.LastSeen = date
 		rec.DaysSeen++

@@ -31,6 +31,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -563,7 +564,7 @@ func (p *StreamingPipeline) updateHysteresis(findings []Finding, window uint32, 
 				continue
 			}
 			st = &verdictState{}
-			p.states[k] = st
+			p.states[keepPair(k)] = st
 		}
 		if proposed {
 			st.confidence = conf
@@ -590,6 +591,14 @@ func (p *StreamingPipeline) updateHysteresis(findings []Finding, window uint32, 
 		}
 	}
 	return drifts
+}
+
+// keepPair returns k with a zone of its own for a verdict state, which
+// outlives the day: a finding's zone is its tree node's name, a slice of the
+// query name that created the node, and would pin that name for good.
+func keepPair(k ZoneDepth) ZoneDepth {
+	k.Zone = strings.Clone(k.Zone)
+	return k
 }
 
 // publishSnapshot rebuilds and atomically publishes the verdict set.
@@ -620,7 +629,7 @@ func (p *StreamingPipeline) Prime(findings []Finding) {
 		st, ok := p.states[k]
 		if !ok {
 			st = &verdictState{}
-			p.states[k] = st
+			p.states[keepPair(k)] = st
 		}
 		st.current = true
 		if f.Confidence > st.confidence {

@@ -98,7 +98,7 @@ func TestModelMatchesSimulatedCache(t *testing.T) {
 		{lambda: 0.05, ttl: 60},
 		{lambda: 1, ttl: 5},
 	} {
-		c := cache.NewLRU[string, int](16)
+		c := cache.New[string, int](16, cache.PolicyLRU)
 		now := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
 		const n = 60000
 		hits := 0
@@ -109,7 +109,7 @@ func TestModelMatchesSimulatedCache(t *testing.T) {
 			if _, ok := c.Get("item", now); ok {
 				hits++
 			} else {
-				c.Put("item", 1, time.Duration(tc.ttl*float64(time.Second)), cache.CategoryOther, now)
+				c.PutEv("item", 1, time.Duration(tc.ttl*float64(time.Second)), cache.CategoryOther, now)
 			}
 		}
 		measured := float64(hits) / n

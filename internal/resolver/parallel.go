@@ -80,7 +80,7 @@ func (st *Stream) worker(s *server, ch <-chan streamMsg, free chan<- []Query) {
 			continue
 		}
 		for _, q := range msg.batch {
-			if _, err := st.c.resolveOn(s, q); err != nil {
+			if _, err := st.c.resolveOn(s, q, nil); err != nil {
 				if st.firstErr.Load() == nil {
 					e := err
 					st.firstErr.CompareAndSwap(nil, &e)

@@ -54,9 +54,14 @@ const maxCacheTTL = 24 * time.Hour
 // failures) trigger retries; well-formed negative responses do not.
 const upstreamRetries = 1
 
-// Query is one client resolution request. Category carries the workload's
-// ground-truth label; it is used only for cache-pressure accounting and is
-// invisible to the mining pipeline.
+// Query is one client resolution request. Time is the cluster's clock: the
+// caches expire and reclaim entries by it, and the resolve path reads no
+// wall clock for that, so a caller answering packets sets it once per batch.
+// Category carries the workload's ground-truth label; it is used only for
+// cache-pressure accounting and is invisible to the mining pipeline. A
+// question read off the wire carries CategoryOther, so the per-category
+// splits of Stats and of the caches' premature evictions are a
+// simulation-only reading.
 type Query struct {
 	Time     time.Time
 	ClientID uint32
@@ -212,7 +217,7 @@ type Cluster struct {
 // synchronizing with its siblings.
 type server struct {
 	idx   int
-	cache *cache.LRU[qkey, cacheValue]
+	cache *cache.LRU[cache.Key, cacheValue]
 	stats statsShard
 	msgID uint16 // upstream message-ID counter, independent of any stat
 
@@ -332,7 +337,7 @@ func NewCluster(upstream Upstream, opts ...Option) (*Cluster, error) {
 	for i := 0; i < o.numServers; i++ {
 		c.servers = append(c.servers, &server{
 			idx:   i,
-			cache: cache.New[qkey, cacheValue](o.cacheSize, o.cachePolicy),
+			cache: cache.New[cache.Key, cacheValue](o.cacheSize, o.cachePolicy),
 			qrec:  o.qlog.NewRecorder(i), // nil log → nil recorder
 		})
 	}
@@ -463,21 +468,11 @@ type cacheValue struct {
 	answers []dnsmsg.RR
 }
 
-// qkey is the composite per-server cache key for (name, qtype). Earlier
-// versions concatenated the pair into a "name|TYPE" string, which cost one
-// heap allocation per query; a comparable struct keys the LRU's index map
-// directly, so building a key is free and the hot path performs no
-// allocation at all.
-type qkey struct {
-	name  string
-	qtype dnsmsg.Type
-}
-
 // Resolve processes one client query through the cluster. It is not safe
 // for concurrent use; parallel callers should use StartStream, which fans
 // the load out across per-server workers.
 func (c *Cluster) Resolve(q Query) (Response, error) {
-	return c.resolveOn(c.servers[c.pickServer(q.ClientID)], q)
+	return c.resolveOn(c.servers[c.pickServer(q.ClientID)], q, nil)
 }
 
 // latSampleMask samples 1 query in 64 for the latency histogram — still
@@ -491,8 +486,10 @@ const latSampleMask = 63
 // telemetry is enabled and recording a 1-in-N event when a query log is
 // attached. latSample and the qlog recorder belong to the server's owning
 // goroutine, so both sampling decisions cost no synchronization; when both
-// fire on the same query they share one pair of clock reads.
-func (c *Cluster) resolveOn(s *server, q Query) (Response, error) {
+// fire on the same query they share one pair of clock reads. name is nil,
+// or the question's name as dnsmsg.AppendSoleQuestion reads it off the wire,
+// standing in for q.Name (see doResolve).
+func (c *Cluster) resolveOn(s *server, q Query, name []byte) (Response, error) {
 	logged := s.qrec.Sample()
 	timed := false
 	if s.latHist != nil {
@@ -500,7 +497,7 @@ func (c *Cluster) resolveOn(s *server, q Query) (Response, error) {
 		timed = s.latSample&latSampleMask == 0
 	}
 	if !logged && !timed {
-		return c.doResolve(s, q, nil)
+		return c.doResolve(s, q, name, nil)
 	}
 	var ev *qlog.Event
 	if logged {
@@ -508,7 +505,7 @@ func (c *Cluster) resolveOn(s *server, q Query) (Response, error) {
 		ev = &s.qev
 	}
 	start := time.Now()
-	resp, err := c.doResolve(s, q, ev)
+	resp, err := c.doResolve(s, q, name, ev)
 	elapsed := uint64(time.Since(start))
 	if timed {
 		s.latHist.Observe(elapsed)
@@ -527,24 +524,35 @@ func (c *Cluster) resolveOn(s *server, q Query) (Response, error) {
 // driven by its own worker, so everything touched here — caches, counters,
 // wire buffers — must live on s or be concurrent-safe. ev is non-nil only
 // for queries the event log sampled; the outcome branches fill it in.
-func (c *Cluster) doResolve(s *server, q Query, ev *qlog.Event) (Response, error) {
-	s.stats.queriesByCategory[q.Category].Add(1)
-	q.Name = dnsname.Normalize(q.Name)
-	key := qkey{name: q.Name, qtype: q.Type}
-	if ev != nil {
-		ev.Name = q.Name
-		ev.Qtype = q.Type.String()
-	}
-
+//
+// Only the cache probe differs by caller: Resolve's q.Name is normalized
+// and looked up, while a non-nil name — a normalized wire question — is
+// probed by its bytes, q.Name ignored. A hit then takes the cached
+// key's own spelling of the name and allocates nothing; a miss spells it
+// once to recurse. Everything after the probe is one body.
+func (c *Cluster) doResolve(s *server, q Query, name []byte, ev *qlog.Event) (Response, error) {
 	// Drive the timer wheel off query time: whole buckets of dead entries
 	// are reclaimed here, so occupancy tracks live entries and eviction
 	// victims are never already-expired. Same-second queries return in two
 	// atomic loads; nothing allocates (guarded by AllocsPerRun tests).
 	s.cache.Advance(q.Time)
+	var cv cacheValue
+	var hit bool
+	if name == nil {
+		q.Name = dnsname.Normalize(q.Name)
+		cv, hit = s.cache.Get(cache.Key{Name: q.Name, Type: q.Type}, q.Time)
+	} else if q.Name, cv, hit = cache.GetName(s.cache, name, q.Type, q.Time); !hit {
+		q.Name = string(name)
+	}
 
+	s.stats.queriesByCategory[q.Category].Add(1)
+	if ev != nil {
+		ev.Name = q.Name
+		ev.Qtype = q.Type.String()
+	}
 	// Hits are derived on read (see statsShard), so the hottest branch
 	// increments nothing beyond the query counter above.
-	if cv, ok := s.cache.Get(key, q.Time); ok {
+	if hit {
 		if ev != nil {
 			ev.Outcome = qlog.OutcomeHit
 			ev.CacheHit = true
@@ -628,7 +636,7 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 			return chain, dnsmsg.RCodeNoError, nil // NODATA
 		}
 		// Cache this hop's RRset under the name queried at this hop.
-		c.cachePut(s, qkey{name: name, qtype: q.Type}, cacheValue{answers: answers},
+		c.cachePut(s, cache.Key{Name: name, Type: q.Type}, cacheValue{answers: answers},
 			cacheTTL(answers[0].TTL), q, ev)
 		if chain == nil {
 			// One hop is the usual case: its RRset is the chain. Capacity is
@@ -648,7 +656,7 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 			// with the full chain so a later hit replays the complete
 			// answer section. The chain lives only as long as its
 			// shortest-lived link.
-			c.cachePut(s, qkey{name: q.Name, qtype: q.Type}, cacheValue{answers: chain},
+			c.cachePut(s, cache.Key{Name: q.Name, Type: q.Type}, cacheValue{answers: chain},
 				cacheTTL(minChainTTL(chain)), q, ev)
 		}
 		return chain, dnsmsg.RCodeNoError, nil
@@ -659,23 +667,14 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 // cold end of the LRU. For logged queries the eviction outcome feeds the
 // event's cause field; a query performing several insertions (a CNAME
 // chain) keeps the most severe cause it observed.
-func (c *Cluster) cachePut(s *server, key qkey, v cacheValue, ttl time.Duration, q Query, ev *qlog.Event) {
-	low := c.opts.deprioritizer != nil && c.opts.deprioritizer(key.name)
-	if ev == nil {
-		if low {
-			s.cache.PutLowPriority(key, v, ttl, q.Category, q.Time)
-		} else {
-			s.cache.Put(key, v, ttl, q.Category, q.Time)
-		}
-		return
-	}
+func (c *Cluster) cachePut(s *server, key cache.Key, v cacheValue, ttl time.Duration, q Query, ev *qlog.Event) {
 	var e cache.Eviction
-	if low {
+	if c.opts.deprioritizer != nil && c.opts.deprioritizer(key.Name) {
 		e = s.cache.PutLowPriorityEv(key, v, ttl, q.Category, q.Time)
 	} else {
 		e = s.cache.PutEv(key, v, ttl, q.Category, q.Time)
 	}
-	if !e.Evicted {
+	if ev == nil || !e.Evicted {
 		return
 	}
 	cause := qlog.EvictExpired
