@@ -77,10 +77,11 @@ bench-smoke:
 # from the committed seeds. The wire decoder (the golden corpus plus
 # hand-built hostile wires): no panic, reuse equals fresh decode, the asked
 # name changes nothing, re-encode is a fixed point, the wire scanners agree.
-# The authority's in-place question reader against the live scorer:
-# its name is Normalize of the scorer's staged name. The trace reader (the golden and foreign traces plus hostile lines): its
-# canonical-line path decodes what encoding/json decodes and fails where it
-# fails. The exposition parser (a rendered registry, whole and cut): no
+# The live scorer against the one question reader: no verdict exactly when
+# the reader rejects, reads the root or reads too many labels, else the
+# reader's name staged. The trace reader (the golden and foreign traces plus
+# hostile lines): its canonical-line path decodes what encoding/json decodes
+# and fails where it fails. The exposition parser (a rendered registry, whole and cut): no
 # panic, and a sample that parses survives being spelled out again. The
 # zone-file reader (the zone files of its tests, good and bad): no panic,
 # every record of an accepted zone is served over the wire, and write →

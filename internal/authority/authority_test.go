@@ -251,7 +251,7 @@ func TestServerAppendHandleWireMatchesHandleWire(t *testing.T) {
 	queries := [][]byte{
 		{1, 2, 3}, // malformed: FORMERR on both paths
 	}
-	for _, name := range []string{"www.example.com", "missing.example.com"} {
+	for _, name := range []string{"www.example.com", "WWW.Example.COM", "missing.example.com"} {
 		wire, err := dnsmsg.NewQuery(0x5151, name, dnsmsg.TypeA).Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -262,6 +262,12 @@ func TestServerAppendHandleWireMatchesHandleWire(t *testing.T) {
 		want, err := s.HandleWire(q)
 		if err != nil {
 			t.Fatalf("query %d: HandleWire: %v", i, err)
+		}
+		// An OPT record changes no byte of the answer.
+		if len(q) > 12 {
+			if got, err := s.HandleWire(withCookieOPT(q)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("query %d: the answer with an OPT differs from the one without (%v)", i, err)
+			}
 		}
 		got, err := s.AppendHandleWire(nil, q)
 		if err != nil {
@@ -409,16 +415,24 @@ func TestPublicKeyFromDNSKEYErrors(t *testing.T) {
 	}
 }
 
-// TestAppendHandleWireZeroAllocBudget guards the miss path's authority half:
-// answering a plain query into a warmed dst builds no query Message, no
-// response Message and no response buffer, and spells no name: the question
-// is read into pooled scratch and looked up as bytes, a synthesizer appends
-// into the same scratch, and records the question owns — synthesized or
-// matched by a wildcard — go out under the question's own bytes. An unsigned
-// answer of any kind allocates nothing.
 // raceEnabled is set under the race detector (race_test.go).
 var raceEnabled bool
 
+// withCookieOPT is a query as dig sends it by default: with an EDNS0 OPT
+// record advertising 1232 bytes and carrying an 8-byte client COOKIE.
+func withCookieOPT(query []byte) []byte {
+	query = bytes.Clone(query)
+	query[11]++ // ARCOUNT
+	return append(query, 0, 0, 41, 0x04, 0xd0, 0, 0, 0, 0, 0, 12, 0, 10, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8)
+}
+
+// TestAppendHandleWireZeroAllocBudget guards the miss path's authority half:
+// answering a query, plain or as dig sends it, into a warmed dst builds no
+// query Message, no response Message and no response buffer, and spells no
+// name: the question is read into pooled scratch and looked up as bytes, a
+// synthesizer appends into the same scratch, and records the question owns —
+// synthesized or matched by a wildcard — go out under the question's own
+// bytes. An unsigned answer of any kind allocates nothing.
 func TestAppendHandleWireZeroAllocBudget(t *testing.T) {
 	s := NewServer()
 	z := mustZone(t, "example.com")
@@ -451,26 +465,31 @@ func TestAppendHandleWireZeroAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := make([]byte, 0, 512)
-		out, err := s.AppendHandleWire(dst, query)
+		want, err := s.AppendHandleWire(nil, query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := dnsmsg.Decode(out)
+		resp, err := dnsmsg.Decode(want)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if last := len(resp.Answers) - 1; tc.want != "" && (last < 0 || resp.Answers[last].String() != tc.want) {
 			t.Errorf("AppendHandleWire(%s) answers %v, want the last to be %q", tc.name, resp.Answers, tc.want)
 		}
-		allocs := testing.AllocsPerRun(200, func() {
-			out, err := s.AppendHandleWire(dst[:0], query)
-			if err != nil || len(out) <= len(query) {
-				t.Fatalf("AppendHandleWire(%s) = %d bytes, %v", tc.name, len(out), err)
+		for _, q := range []struct {
+			shape string
+			wire  []byte
+		}{{"plain", query}, {"dig", withCookieOPT(query)}} {
+			dst := make([]byte, 0, 512)
+			allocs := testing.AllocsPerRun(200, func() {
+				out, err := s.AppendHandleWire(dst[:0], q.wire)
+				if err != nil || !bytes.Equal(out, want) {
+					t.Fatalf("AppendHandleWire(%s, %s) = %d bytes, %v; want the plain query's %d", q.shape, tc.name, len(out), err, len(want))
+				}
+			})
+			if allocs != 0 && !raceEnabled {
+				t.Errorf("AppendHandleWire(%s, %s) allocated %.1f times per op, want 0", q.shape, tc.name, allocs)
 			}
-		})
-		if allocs != 0 && !raceEnabled {
-			t.Errorf("AppendHandleWire(%s) allocated %.1f times per op, want 0", tc.name, allocs)
 		}
 	}
 }

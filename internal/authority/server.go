@@ -212,21 +212,20 @@ func (s *Server) HandleWire(query []byte) ([]byte, error) {
 // encoded response to dst, returning the extended slice (see
 // dnsmsg.WireHandler): with dst a caller-owned scratch buffer threaded
 // through every call, the steady-state exchange allocates no response. A
-// plain query's question is read in place into pooled scratch, looked up as
-// bytes, and the reply goes from the zone's records — or the synthesizer's,
-// appended into the same scratch — straight to the wire under the question's
-// own bytes: no query or response Message is built and no name is spelled,
-// so an unsigned answer allocates nothing. Nothing is kept on the Server:
-// concurrent callers share only the read-only zone data and the atomic
-// counters.
+// query's question, EDNS or not, is read in place into pooled scratch
+// (dnsmsg.AppendSoleQuestion), looked up as bytes, and the reply goes from
+// the zone's records — or the synthesizer's, appended into the same scratch
+// — straight to the wire under the question's own bytes: no query or
+// response Message is built and no name is spelled, so an unsigned answer
+// allocates nothing. Nothing is kept on the Server: concurrent callers share
+// only the read-only zone data and the atomic counters.
 func (s *Server) AppendHandleWire(dst, query []byte) ([]byte, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	name, id, qtype, ok := dnsmsg.AppendSoleQuestion(sc.name[:0], query)
 	if !ok {
-		// Not a plain one-question query: an EDNS query (OPT in the
-		// additional section), several questions, or garbage. The full
-		// decoder tells which.
+		// A shape the reader does not take: several questions, records
+		// other than one OPT, or garbage. The full decoder tells which.
 		var msg dnsmsg.Message
 		err := msg.Unpack(query)
 		if err != nil || len(msg.Questions) != 1 {

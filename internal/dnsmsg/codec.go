@@ -245,25 +245,34 @@ func (m *Message) UnpackReply(data []byte, asked string) error {
 	return err
 }
 
-// AppendSoleQuestion reads the ID and question of a plain query — one
-// question and no other record, which is every query the simulation sends
-// and every stub query without EDNS — straight off the wire, by the decoder's
-// own rules for names, without a Message to unpack into. The question's name
-// is appended to dst in presentation form, normalized as dnsname.Normalize
+// AppendSoleQuestion reads the ID and question of a query straight off the
+// wire, by the decoder's own rules for names, without a Message to unpack
+// into. It takes one question and at most one other record: an EDNS0 OPT in
+// the additional section, owned by the single root byte (not a pointer),
+// with its rdata inside data — the query dig sends. The question's name is
+// appended to dst in presentation form, normalized as dnsname.Normalize
 // would (ASCII lower-cased in place, one trailing dot dropped; a name with a
 // byte past ASCII takes Normalize itself, which allocates), and the extended
 // dst is returned: the name is what follows len(dst). ok is false for any
 // other shape, well-formed or not: those take Unpack.
 func AppendSoleQuestion(dst, data []byte) (name []byte, id uint16, qtype Type, ok bool) {
-	// The four section counts read as one number: QDCOUNT 1, the rest 0.
-	if len(data) < headerLen || binary.BigEndian.Uint64(data[offQDCount:]) != 1<<48 {
+	// The section counts as one number: QDCOUNT 1, ARCOUNT 0 or 1, the rest 0.
+	if len(data) < headerLen || binary.BigEndian.Uint64(data[offQDCount:])&^1 != 1<<48 {
 		return dst, 0, 0, false
 	}
 	start := len(dst)
 	d := decoder{data: data, pos: headerLen}
 	name, err := d.appendName(dst)
-	if err != nil || d.pos+4 > len(data) {
+	end := d.pos + 4
+	if err != nil || end > len(data) {
 		return dst, 0, 0, false
+	}
+	if data[offARCount+1] == 1 {
+		// The OPT record: root owner, TYPE, CLASS, TTL, RDLEN, then rdata.
+		if end+11 > len(data) || data[end] != 0 || Type(binary.BigEndian.Uint16(data[end+1:])) != TypeOPT ||
+			end+11+int(binary.BigEndian.Uint16(data[end+9:])) > len(data) {
+			return dst, 0, 0, false
+		}
 	}
 	return normalizeTail(name, start), binary.BigEndian.Uint16(data), Type(binary.BigEndian.Uint16(data[d.pos:])), true
 }

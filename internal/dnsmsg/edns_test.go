@@ -14,6 +14,14 @@ func appendOPT(wire []byte, size uint16) []byte {
 	)
 }
 
+// appendCookieOPT adds the OPT pseudo-RR dig sends by default: 1232 bytes,
+// with an 8-byte client COOKIE option.
+func appendCookieOPT(wire []byte) []byte {
+	wire = appendOPT(wire, 1232)
+	wire[len(wire)-1] = 12 // RDLEN
+	return append(wire, 0, 10, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8)
+}
+
 func TestQuestionSectionEnd(t *testing.T) {
 	wire, err := NewQuery(1, "www.example.com", TypeA).Encode()
 	if err != nil {

@@ -48,6 +48,14 @@ func hostileSeeds() map[string][]byte {
 		// An EDNS0 query, and an unknown type carried opaquely.
 		"edns-query":   appendOPT(append(header(1, 0), 1, 'x', 0, 0, 1, 0, 1), 1232),
 		"unknown-type": append(header(0, 1), 1, 'x', 0, 0, 99, 0, 1, 0, 0, 0, 60, 0, 4, 1, 2, 3, 4),
+		// dig's default query: OPT 1232 carrying an 8-byte client COOKIE.
+		// Then OPTs the question reader leaves to the decoder: owned by a
+		// pointer to a root byte (the header's), with rdata running past
+		// the datagram, and beside a second additional record.
+		"edns-cookie":        appendCookieOPT(append(header(1, 0), 1, 'x', 0, 0, 1, 0, 1)),
+		"edns-pointer-owner": slices.Replace(appendOPT(append(header(1, 0), 1, 'x', 0, 0, 1, 0, 1), 1232), 19, 20, 0xC0, 4),
+		"edns-rdata-overrun": append(appendOPT(append(header(1, 0), 1, 'x', 0, 0, 1, 0, 1), 1232)[:28], 0, 9, 0, 10),
+		"edns-and-another":   appendOPT(appendOPT(append(header(1, 0), 1, 'x', 0, 0, 1, 0, 1), 1232), 512),
 		// Labels the presentation form cannot carry: a dot inside, a blank.
 		"label-with-dot":   append(header(1, 0), 2, 'a', '.', 1, 'b', 0, 0, 1, 0, 1),
 		"label-ending-dot": append(header(1, 0), 2, 'a', '.', 0, 0, 1, 0, 1),
@@ -225,11 +233,13 @@ func checkScanners(t *testing.T, data []byte, m *Message) {
 	}
 
 	// The in-place question reader: what it accepts is exactly a message of
-	// one question and no record, and the name it appends after whatever the
-	// scratch held is the decoded name, normalized.
+	// one question, no answer or authority record and at most one
+	// additional, a root-owned OPT; and the name it appends after whatever
+	// the scratch held is the decoded name, normalized.
 	const prefix = "scratch"
 	name, id, qtype, plain := AppendSoleQuestion([]byte(prefix), data)
-	if plain && (m == nil || len(m.Questions) != 1 || len(m.Answers)+len(m.Authority)+len(m.Additional) != 0 ||
+	if plain && (m == nil || len(m.Questions) != 1 || len(m.Answers)+len(m.Authority) != 0 ||
+		len(m.Additional) > 1 || len(m.Additional) == 1 && (m.Additional[0].Type != TypeOPT || m.Additional[0].Name != "") ||
 		m.Header.ID != id || m.Questions[0].Type != qtype ||
 		string(name) != prefix+dnsname.Normalize(m.Questions[0].Name)) {
 		t.Fatalf("AppendSoleQuestion = %q %#x %v, Decode = %+v", name, id, qtype, m)
@@ -240,8 +250,11 @@ func checkScanners(t *testing.T, data []byte, m *Message) {
 	if m == nil {
 		return
 	}
-	if !plain && len(m.Questions) == 1 && len(m.Answers)+len(m.Authority)+len(m.Additional) == 0 {
-		t.Fatalf("AppendSoleQuestion rejects a plain query the decoder reads: %+v", m)
+	// The reader takes the OPT owner as the single root byte only; a root
+	// spelled by a pointer is the decoder's alone.
+	if !plain && len(m.Questions) == 1 && len(m.Answers)+len(m.Authority) == 0 &&
+		(len(m.Additional) == 0 || len(m.Additional) == 1 && m.Additional[0].Type == TypeOPT && data[questionsEnd] == 0) {
+		t.Fatalf("AppendSoleQuestion rejects a query the decoder reads: %+v", m)
 	}
 	size, found := EDNSUDPSize(data)
 	var want uint16

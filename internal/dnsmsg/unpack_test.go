@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -338,8 +339,41 @@ func TestAppendSoleQuestion(t *testing.T) {
 			t.Errorf("AppendSoleQuestion(%q) = %q, %v; want %q", label, name, ok, want)
 		}
 	}
-	if _, _, _, ok := AppendSoleQuestion(nil, appendOPT(append([]byte(nil), wire...), 1232)); ok {
-		t.Error("an EDNS query is not a plain query")
+	// An EDNS query — a root-owned OPT, bare or carrying dig's COOKIE — is
+	// read as the plain one; any other additional section is not.
+	for _, edns := range [][]byte{
+		appendOPT(slices.Clone(wire), 1232),
+		appendCookieOPT(slices.Clone(wire)),
+	} {
+		name, id, qtype, ok := AppendSoleQuestion(nil, edns)
+		if !ok || id != 0xbeef || qtype != TypeAAAA || string(name) != "www.example.com" {
+			t.Errorf("AppendSoleQuestion(EDNS query) = %q, %#x, %v, %v", name, id, qtype, ok)
+		}
+	}
+	opt := appendOPT(slices.Clone(wire), 1232)
+	nonRoot := slices.Replace(slices.Clone(opt), len(wire), len(wire)+1, 1, 'x', 0)
+	nonOPT := slices.Clone(opt)
+	nonOPT[len(wire)+2] = byte(TypeTXT)
+	overrun := slices.Clone(opt)
+	overrun[len(overrun)-1] = 1 // RDLEN 1, no rdata behind it
+	// Well-formed or not, every other additional section takes Unpack.
+	for _, tc := range []struct {
+		what    string
+		wire    []byte
+		decodes bool
+	}{
+		{"OPT and a second additional record", appendOPT(slices.Clone(opt), 512), true},
+		{"an OPT owned by a name", nonRoot, true},
+		{"an additional record that is no OPT", nonOPT, true},
+		{"OPT rdata past the datagram", overrun, false},
+		{"an OPT cut short", opt[:len(opt)-1], false},
+	} {
+		if _, _, _, ok := AppendSoleQuestion(nil, tc.wire); ok {
+			t.Errorf("AppendSoleQuestion accepted %s", tc.what)
+		}
+		if _, err := Decode(tc.wire); (err == nil) != tc.decodes {
+			t.Errorf("fixture: %s decodes with error %v", tc.what, err)
+		}
 	}
 	for _, tc := range goldenCorpus() {
 		if tc.name == "query" {

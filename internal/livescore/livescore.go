@@ -1,25 +1,25 @@
 // Package livescore scores live DNS queries against the streaming miner's
 // published verdict set, on the wire serve path and at wire speed. A
-// Scorer parses the question name straight out of the query datagram into
-// per-worker scratch (no heap allocation, guarded by AllocsPerRun tests),
-// probes the current core.VerdictSnapshot along the name's ancestor
-// chain, and stages the name in a single-producer ring so the Engine's
-// drain goroutine can feed it to the StreamingPipeline off the packet
-// path. The packet loop never takes a lock and never allocates; the
-// stripe-lock intake happens on the Engine's goroutine, where a name becomes
-// a string the first time a window sees it: what the serve path allocates
-// must not depend on how many names a full ring dropped.
+// Scorer reads the question name out of the query datagram with the
+// authority's reader, dnsmsg.AppendSoleQuestion, into per-worker scratch (no
+// heap allocation, guarded by AllocsPerRun tests), probes the current
+// core.VerdictSnapshot along the name's ancestor chain, and stages the name
+// in a single-producer ring so the Engine's drain goroutine can feed it to
+// the StreamingPipeline off the packet path. The packet loop never takes a
+// lock and never allocates; the stripe-lock intake happens on the Engine's
+// goroutine, where a name becomes a string the first time a window sees it:
+// what the serve path allocates must not depend on how many names a full
+// ring dropped.
 package livescore
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"dnsnoise/internal/core"
+	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/qlog"
 	"dnsnoise/internal/telemetry"
 )
@@ -28,15 +28,14 @@ const (
 	// maxNameLen bounds a presentation-form name (RFC 1035: 255 wire
 	// octets bound the dotted form below 255 bytes).
 	maxNameLen = 255
-	// maxLabelStarts bounds the per-label offset table; 255 wire octets
-	// cannot hold more than 127 labels.
+	// maxLabelStarts bounds the per-label offset table. 255 wire octets
+	// hold at most 127 labels, but a dot inside a wire label splits it
+	// in the presentation form, so a name may spell more.
 	maxLabelStarts = 128
 	// ringSlots is each scorer's staging capacity. When the miner's drain
 	// falls behind, pushes drop (counted) rather than block the packet
 	// loop.
 	ringSlots = 1024
-	// qnameOffset is where the question name starts in a query datagram.
-	qnameOffset = 12
 )
 
 // nameSlot is one staged name in a scorer's ring.
@@ -99,75 +98,35 @@ type Scorer struct {
 	lastLen int
 }
 
-// ScoreWire parses the question name out of a wire-format DNS query and
-// returns its live verdict: VerdictDisposable when an ancestor zone is
-// currently flagged for the name's depth, VerdictBenign otherwise, and
-// VerdictNone when no question name can be parsed (runts, root queries,
-// compression pointers in the question — which no sane client sends).
-// The name, staged for the streaming miner too, is the question's name as
-// dnsname.Normalize spells it. Zero allocations for an ASCII name; a label
-// with a byte >= 0x80 is lowered as Normalize does, which may allocate.
+// ScoreWire reads the question name out of a wire-format DNS query with
+// dnsmsg.AppendSoleQuestion, the authority's reader, and returns its live
+// verdict: VerdictDisposable when an ancestor zone is currently flagged for
+// the name's depth, VerdictBenign otherwise, and VerdictNone when the reader
+// rejects the datagram, reads the root, or the name has more than
+// maxLabelStarts labels (or, lowered past ASCII, outgrows a ring slot). The
+// name, staged for the streaming miner too, is the one the reader returns;
+// its depth counts its dots, as the miner counts it (dnsname.CountLabels).
+// Zero allocations for an ASCII name; a byte >= 0x80 is lowered as
+// dnsname.Normalize does, which may allocate.
 func (s *Scorer) ScoreWire(query []byte) qlog.Verdict {
-	if len(query) <= qnameOffset {
+	name, _, _, ok := dnsmsg.AppendSoleQuestion(s.scratch[:0], query)
+	if !ok || len(name) == 0 || len(name) > maxNameLen {
 		return qlog.VerdictNone
 	}
-	off, w, depth := qnameOffset, 0, 0
-	for {
-		if off >= len(query) {
-			return qlog.VerdictNone // truncated name
-		}
-		b := int(query[off])
-		if b == 0 {
-			break
-		}
-		if b >= 64 {
-			// Compression pointer or reserved label type in a question
-			// name: not scoreable without decompression.
-			return qlog.VerdictNone
-		}
-		off++
-		if off+b > len(query) || depth >= maxLabelStarts || w+b+1 > maxNameLen {
-			return qlog.VerdictNone
-		}
-		if w > 0 {
-			s.scratch[w] = '.'
-			w++
-		}
-		s.starts[depth] = w
-		var high byte
-		for i := 0; i < b; i++ {
-			c := query[off+i]
-			high |= c
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			s.scratch[w] = c
-			w++
-		}
-		if high >= utf8.RuneSelf {
-			// Rare: Unicode lowering, which may change the label's length.
-			// Lowering label by label spells what lowering the whole name
-			// does, since no byte of a multi-byte rune is a dot.
-			low := strings.ToLower(string(query[off : off+b]))
-			if s.starts[depth]+len(low) > maxNameLen {
+	depth := 1
+	for i, c := range name {
+		if c == '.' {
+			if depth == maxLabelStarts {
 				return qlog.VerdictNone
 			}
-			w = s.starts[depth] + copy(s.scratch[s.starts[depth]:], low)
+			s.starts[depth] = i + 1
+			depth++
 		}
-		depth++
-		off += b
 	}
-	if w > 0 && s.scratch[w-1] == '.' {
-		w-- // a last label's own trailing dot, which Normalize drops
-	}
-	if w == 0 {
-		return qlog.VerdictNone // root query
-	}
-	name := s.scratch[:w]
 
 	// Stage for the miner's intake, skipping immediate repeats of a hot
 	// name (the pipeline dedups across the window anyway).
-	if w != s.lastLen || !bytes.Equal(name, s.last[:s.lastLen]) {
+	if !bytes.Equal(name, s.last[:s.lastLen]) {
 		if s.ring.push(name) {
 			s.lastLen = copy(s.last[:], name)
 		}
@@ -213,9 +172,6 @@ type Engine struct {
 func NewEngine(pipe *core.StreamingPipeline) *Engine {
 	return &Engine{pipe: pipe}
 }
-
-// Pipeline returns the wrapped streaming pipeline.
-func (e *Engine) Pipeline() *core.StreamingPipeline { return e.pipe }
 
 // NewScorer returns a scorer for one listener worker. Safe to call while
 // the engine runs; typically called from the transport's per-listener

@@ -46,6 +46,13 @@ func queryWire(t *testing.T, name string) []byte {
 	return wire
 }
 
+// withCookieOPT is a query as dig sends it by default: with an EDNS0 OPT
+// record advertising 1232 bytes and carrying an 8-byte client COOKIE.
+func withCookieOPT(query []byte) []byte {
+	query[11]++ // ARCOUNT
+	return append(query, 0, 0, 41, 0x04, 0xd0, 0, 0, 0, 0, 0, 12, 0, 10, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8)
+}
+
 func TestScoreWireVerdicts(t *testing.T) {
 	eng := newPrimedEngine(t, core.Finding{Zone: "api.example.com", Depth: 4, Confidence: 0.99})
 	s := eng.NewScorer()
@@ -63,6 +70,9 @@ func TestScoreWireVerdicts(t *testing.T) {
 		if got := s.ScoreWire(queryWire(t, c.name)); got != c.want {
 			t.Errorf("ScoreWire(%s) = %v, want %v", c.name, got, c.want)
 		}
+		if got := s.ScoreWire(withCookieOPT(queryWire(t, c.name))); got != c.want {
+			t.Errorf("ScoreWire(%s with EDNS) = %v, want %v", c.name, got, c.want)
+		}
 	}
 
 	// Unscoreable wires: runts, root queries, compression pointers.
@@ -77,7 +87,7 @@ func TestScoreWireVerdicts(t *testing.T) {
 	if got := s.ScoreWire(ptr); got != qlog.VerdictNone {
 		t.Errorf("compressed-question verdict = %v, want none", got)
 	}
-	truncated := queryWire(t, "cut.example.com")[:qnameOffset+3]
+	truncated := queryWire(t, "cut.example.com")[:15] // header, then "\x03cu"
 	if got := s.ScoreWire(truncated); got != qlog.VerdictNone {
 		t.Errorf("truncated-name verdict = %v, want none", got)
 	}
@@ -94,7 +104,7 @@ func TestScoreWireStagesNamesForMiner(t *testing.T) {
 	if got := eng.Flush(); got != len(names) {
 		t.Fatalf("Flush moved %d names, want %d", got, len(names))
 	}
-	h, err := eng.Pipeline().Rescore(time.Date(2014, 4, 1, 0, 0, 0, 0, time.UTC))
+	h, err := eng.pipe.Rescore(time.Date(2014, 4, 1, 0, 0, 0, 0, time.UTC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +118,18 @@ func TestScoreWireStagesNamesForMiner(t *testing.T) {
 }
 
 // TestScoreWireZeroAlloc is the serve-path gate at the unit level: scoring
-// a query against a primed snapshot allocates nothing.
+// a query against a primed snapshot allocates nothing, dig's EDNS query
+// included.
 func TestScoreWireZeroAlloc(t *testing.T) {
 	eng := newPrimedEngine(t, core.Finding{Zone: "api.example.com", Depth: 4, Confidence: 0.99})
 	s := eng.NewScorer()
 	hit := queryWire(t, "u8f3n1d0.api.example.com")
 	miss := queryWire(t, "static.other.example.net")
+	dig := withCookieOPT(queryWire(t, "0.0.0.0.1.0.0.4e.abc123.api.example.com"))
 	if got := testing.AllocsPerRun(200, func() {
 		s.ScoreWire(hit)
 		s.ScoreWire(miss)
+		s.ScoreWire(dig)
 	}); got != 0 {
 		t.Errorf("ScoreWire allocates %.1f per run, want 0", got)
 	}
@@ -193,15 +206,15 @@ func TestEngineConcurrentScoring(t *testing.T) {
 	}
 	wg.Wait()
 	deadline := time.Now().Add(2 * time.Second)
-	for eng.Pipeline().Windows() == 0 && time.Now().Before(deadline) {
+	for eng.pipe.Windows() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if eng.Pipeline().Windows() == 0 {
+	if eng.pipe.Windows() == 0 {
 		t.Fatal("engine never re-scored")
 	}
 	eng.Close()
 	// Close waited for the window the loop last closed: it is counted.
-	done := eng.Pipeline().Windows()
+	done := eng.pipe.Windows()
 	if res, err := eng.last.Wait(); err != nil || res.Window != done {
 		t.Errorf("after Close %d windows are mined, the last one started is %d (err %v)", done, res.Window, err)
 	}

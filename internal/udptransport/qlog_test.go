@@ -8,7 +8,9 @@ import (
 )
 
 // TestServerQueryLog runs real packets through a logging server and checks
-// the sampled events carry the decoded question and rcode-derived outcome.
+// the sampled events carry the question as the front door's reader reads it
+// — dig's EDNS query included, no name for a shape it rejects — and the
+// rcode-derived outcome.
 func TestServerQueryLog(t *testing.T) {
 	l := qlog.New(qlog.Config{Sample: 1, RingSize: 8})
 	mem := qlog.NewMemorySink(64)
@@ -18,19 +20,28 @@ func TestServerQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	send := func(name string) {
+	query := func(names ...string) []byte {
 		t.Helper()
-		q := dnsmsg.NewQuery(9, name, dnsmsg.TypeA)
+		q := dnsmsg.NewQuery(9, names[0], dnsmsg.TypeA)
+		for _, name := range names[1:] {
+			q.Questions = append(q.Questions, dnsmsg.Question{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN})
+		}
 		wire, err := q.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
+		return wire
+	}
+	for _, wire := range [][]byte{
+		query("www.udp.test"),
+		query("missing.udp.test"),
+		appendCookieOPT(query("WWW.Udp.test")),
+		query("www.udp.test", "missing.udp.test"), // two questions: FORMERR
+	} {
 		if _, err := exchange("udp", srv.Addr(), wire); err != nil {
 			t.Fatal(err)
 		}
 	}
-	send("www.udp.test")
-	send("missing.udp.test")
 
 	// Close joins the serve loop, so the recorder is quiesced and the
 	// global flush may drain its ring.
@@ -42,14 +53,20 @@ func TestServerQueryLog(t *testing.T) {
 	}
 
 	evs := mem.Snapshot(qlog.Filter{})
-	if len(evs) != 2 {
-		t.Fatalf("sampled %d events, want 2: %+v", len(evs), evs)
+	if len(evs) != 4 {
+		t.Fatalf("sampled %d events, want 4: %+v", len(evs), evs)
 	}
 	if evs[0].Name != "www.udp.test" || evs[0].Qtype != "A" || evs[0].Outcome != qlog.OutcomeNoError {
 		t.Errorf("answered event = %+v, want www.udp.test/A noerror", evs[0])
 	}
 	if evs[1].Name != "missing.udp.test" || evs[1].Outcome != qlog.OutcomeNXDomain {
 		t.Errorf("nxdomain event = %+v, want missing.udp.test nxdomain", evs[1])
+	}
+	if evs[2].Name != "www.udp.test" || evs[2].Qtype != "A" || evs[2].Outcome != qlog.OutcomeNoError {
+		t.Errorf("EDNS event = %+v, want www.udp.test/A noerror", evs[2])
+	}
+	if evs[3].Name != "" || evs[3].Qtype != "" || evs[3].Outcome != qlog.OutcomeError {
+		t.Errorf("two-question event = %+v, want no question and an error", evs[3])
 	}
 	for _, ev := range evs {
 		if ev.LatencyNs == 0 {

@@ -193,6 +193,14 @@ func appendOPT(wire []byte, size uint16) []byte {
 	)
 }
 
+// appendCookieOPT adds the OPT pseudo-RR dig sends by default: 1232 bytes,
+// with an 8-byte client COOKIE option.
+func appendCookieOPT(wire []byte) []byte {
+	wire = appendOPT(wire, 1232)
+	wire[len(wire)-1] = 12 // RDLEN
+	return append(wire, 0, 10, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8)
+}
+
 func TestOversizeResponseTruncated(t *testing.T) {
 	srv, err := Serve(bigResponder{records: 40}, "")
 	if err != nil {

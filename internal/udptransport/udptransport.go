@@ -341,6 +341,7 @@ type listenerWorker struct {
 	stats  listenerStats
 	qrec   *qlog.Recorder
 	scorer Scorer // per-listener, nil when scoring is off
+	qname  []byte // logQuery's question scratch
 }
 
 // packetIO moves batches of datagrams between a socket and the worker's
@@ -473,11 +474,12 @@ func truncateResponse(resp []byte) []byte {
 	return resp[:end]
 }
 
-// logQuery emits one event for a head-sampled query: the question decoded
-// from the query wire, the outcome derived from the response rcode, the
-// live-scoring verdict (when a scorer is attached), and the handler's
-// wall time. Decoding and the per-verdict latency observation happen only
-// on sampled queries, off the unsampled fast path.
+// logQuery emits one event for a head-sampled query: the question as
+// dnsmsg.AppendSoleQuestion reads it from the query wire (no name for a
+// shape the reader rejects), the outcome derived from the response rcode,
+// the live-scoring verdict (when a scorer is attached), and the handler's
+// wall time. Spelling the name and the per-verdict latency observation
+// happen only on sampled queries, off the unsampled fast path.
 func (w *listenerWorker) logQuery(query, resp []byte, herr error, verdict qlog.Verdict, elapsed time.Duration) {
 	w.srv.latAll.Observe(uint64(elapsed))
 	switch verdict {
@@ -487,9 +489,9 @@ func (w *listenerWorker) logQuery(query, resp []byte, herr error, verdict qlog.V
 		w.srv.latDisposable.Observe(uint64(elapsed))
 	}
 	ev := qlog.Event{Time: time.Now(), LatencyNs: uint64(elapsed), Verdict: verdict}
-	if msg, err := dnsmsg.Decode(query); err == nil && len(msg.Questions) > 0 {
-		ev.Name = msg.Questions[0].Name
-		ev.Qtype = msg.Questions[0].Type.String()
+	if name, _, qtype, ok := dnsmsg.AppendSoleQuestion(w.qname[:0], query); ok {
+		w.qname = name
+		ev.Name, ev.Qtype = string(name), qtype.String()
 	}
 	switch {
 	case herr != nil || len(resp) < dnsHeaderLen:
