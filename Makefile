@@ -41,8 +41,9 @@ bench:
 # UDP serve packet path, live scoring, the resolve path with a tsdb sweeper
 # attached, and authority.AppendHandleWire answering a static, CNAME,
 # wildcard, synthesized or NXDOMAIN query into reused scratch, and the small
-# fixed budgets of the miss path (a cold resolve's one kept []RR, dnsmsg
-# Unpack/AppendEncode into reused scratch) — the miner (BenchmarkRescore over an unchanged 5 k-name
+# fixed budgets of the miss path (a cold single-A or NXDOMAIN resolve 0, a
+# 3-address one its one kept []RR, dnsmsg Unpack/AppendEncode into reused
+# scratch) — the miner (BenchmarkRescore over an unchanged 5 k-name
 # tree and BenchmarkRescoreTouched over a window that touched three zones of
 # it, the batch BenchmarkMine, the tree's GroupsUnder/ChildZones, and the
 # guard that an untouched re-score allocates for what it reports, not per

@@ -44,8 +44,8 @@ func TestGetNameZeroAlloc(t *testing.T) {
 	b := []byte(name)
 	now := t0.Add(time.Second)
 	allocs := testing.AllocsPerRun(500, func() {
-		if got, v, ok := GetName(c, b, dnsmsg.TypeAAAA, now); !ok || v != 2 || got != name {
-			t.Fatalf("GetName = (%q, %d, %v), want (%q, 2, true)", got, v, ok, name)
+		if got, v, ok := GetName(c, b, dnsmsg.TypeAAAA, now); !ok || *v != 2 || got != name {
+			t.Fatalf("GetName = (%q, %v, %v), want (%q, 2, true)", got, v, ok, name)
 		}
 	})
 	if allocs != 0 {

@@ -251,12 +251,17 @@ func (c *LRU[K, V]) Advance(now time.Time) {
 // as an expiry AND a miss (the resolver must re-fetch) — this lazy check
 // backstops the wheel for the in-progress second and for callers that never
 // Advance.
-func (c *LRU[K, V]) Get(key K, now time.Time) (v V, ok bool) {
+//
+// A hit returns the entry's value where it lies in the slab, not a copy: the
+// pointer stays valid until the cache's next structural operation (Get,
+// GetName, PutEv, PutLowPriorityEv or Advance), which may move, refresh or
+// zero the slot. A caller that keeps the value longer copies it first.
+func (c *LRU[K, V]) Get(key K, now time.Time) (*V, bool) {
 	i, ok := c.index[key]
 	if s := c.lookup(i, ok, now); s != nil {
-		return s.value, true
+		return &s.value, true
 	}
-	return v, false
+	return nil, false
 }
 
 // GetName is Get of Key{string(name), qtype} without spelling the name.
@@ -264,13 +269,15 @@ func (c *LRU[K, V]) Get(key K, now time.Time) (v V, ok bool) {
 // bytes in place; a Get caller builds the key first, which allocates for a
 // name longer than 32 bytes. It is a function because a method cannot fix
 // its receiver's K to Key. On a hit it also returns the cached key's own
-// name, which the caller may keep without a copy.
-func GetName[V any](c *LRU[Key, V], name []byte, qtype dnsmsg.Type, now time.Time) (cached string, v V, ok bool) {
+// name, which the caller may keep without a copy, and, as Get does, a
+// pointer to the value that is valid only until the next structural
+// operation.
+func GetName[V any](c *LRU[Key, V], name []byte, qtype dnsmsg.Type, now time.Time) (cached string, v *V, ok bool) {
 	i, ok := c.index[Key{string(name), qtype}]
 	if s := c.lookup(i, ok, now); s != nil {
-		return s.key.Name, s.value, true
+		return s.key.Name, &s.value, true
 	}
-	return "", v, false
+	return "", nil, false
 }
 
 // lookup is what Get and GetName share after the index: ok says slot i
@@ -305,11 +312,17 @@ type Eviction struct {
 }
 
 // PutEv inserts or refreshes key with the given value, TTL and category,
-// and returns what the insertion evicted. When the cache is full, the
-// eviction policy picks a victim; if that victim had not yet expired the
-// eviction is counted as premature, attributed to the inserting entry's
-// category.
-func (c *LRU[K, V]) PutEv(key K, value V, ttl time.Duration, cat Category, now time.Time) Eviction {
+// and returns the stored value and what the insertion evicted. When the
+// cache is full, the eviction policy picks a victim; if that victim had not
+// yet expired the eviction is counted as premature, attributed to the
+// inserting entry's category.
+//
+// The returned pointer is the entry's slot, the one a following Get of key
+// returns, and like Get's it is valid only until the cache's next
+// structural operation: a caller that puts again while it still needs the
+// value copies it first, since that put may evict this entry (at capacity
+// 1, or when this entry sits at the cold end) and reuse its slot.
+func (c *LRU[K, V]) PutEv(key K, value V, ttl time.Duration, cat Category, now time.Time) (*V, Eviction) {
 	return c.put(key, value, ttl, cat, now, false)
 }
 
@@ -319,11 +332,11 @@ func (c *LRU[K, V]) PutEv(key K, value V, ttl time.Duration, cat Category, now t
 // Section VI-A — disposable answers are cached, but at the lowest
 // priority). SIEVE honors the cold placement but its hand may examine other
 // entries first. Refreshing an existing entry keeps it cold.
-func (c *LRU[K, V]) PutLowPriorityEv(key K, value V, ttl time.Duration, cat Category, now time.Time) Eviction {
+func (c *LRU[K, V]) PutLowPriorityEv(key K, value V, ttl time.Duration, cat Category, now time.Time) (*V, Eviction) {
 	return c.put(key, value, ttl, cat, now, true)
 }
 
-func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now time.Time, low bool) Eviction {
+func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now time.Time, low bool) (*V, Eviction) {
 	c.stats.insertions.Add(1)
 	w := &c.whl
 	if !w.started {
@@ -340,7 +353,7 @@ func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now tim
 		c.pol.refresh(&c.ord, i, low)
 		w.unfile(i)
 		w.file(i, w.tickOf(expires))
-		return Eviction{}
+		return &s.value, Eviction{}
 	}
 	var ev Eviction
 	if int(c.size.Load()) >= c.capacity {
@@ -356,7 +369,7 @@ func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now tim
 	w.file(i, w.tickOf(expires))
 	c.index[key] = i
 	c.size.Add(1)
-	return ev
+	return &s.value, ev
 }
 
 // evictOldest removes the policy's victim to make room for an insertion by
@@ -379,9 +392,10 @@ func (c *LRU[K, V]) evictOldest(inserter Category, now time.Time) Eviction {
 }
 
 // allocSlot returns a free arena index, growing the slab (and the order and
-// wheel arenas in lockstep) geometrically via append until it reaches
-// capacity. After the slab is full the free chain always has a slot
-// available, so no allocation ever happens again.
+// wheel arenas in lockstep) geometrically until it reaches capacity, and no
+// further: the arenas never hold room for a slot past capacity. After the
+// slab is full the free chain always has a slot available, so no allocation
+// ever happens again.
 func (c *LRU[K, V]) allocSlot() int32 {
 	if c.free != nilIdx {
 		i := c.free
@@ -389,10 +403,26 @@ func (c *LRU[K, V]) allocSlot() int32 {
 		c.ord.next[i] = nilIdx
 		return i
 	}
-	c.slab = append(c.slab, slot[K, V]{})
-	c.ord.grow()
-	c.whl.grow()
+	c.slab = appendCapped(c.slab, slot[K, V]{}, c.capacity)
+	c.ord.grow(c.capacity)
+	c.whl.grow(c.capacity)
 	return int32(len(c.slab) - 1)
+}
+
+// appendCapped is append(s, v) for an arena that never holds more than limit
+// elements: a full s grows by append's own steps (double, then a quarter
+// once past 256), but to no more than limit. Callers never append past it.
+func appendCapped[E any](s []E, v E, limit int) []E {
+	if n := len(s); n == cap(s) {
+		next := 2 * n
+		if n >= 256 {
+			next = n + (n+3*256)/4
+		}
+		t := make([]E, n, min(max(next, 4), limit))
+		copy(t, s)
+		s = t
+	}
+	return append(s, v)
 }
 
 // removeSlot unfiles slot i from the wheel and the policy order, drops its

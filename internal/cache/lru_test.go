@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"dnsnoise/internal/dnsmsg"
 )
 
 var t0 = time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
@@ -16,7 +18,7 @@ func TestGetMissThenHit(t *testing.T) {
 		t.Fatal("Get on empty cache should miss")
 	}
 	c.PutEv("a", 1, time.Minute, CategoryOther, t0)
-	v, ok := c.Get("a", t0.Add(time.Second))
+	v, ok := valueOf(c.Get("a", t0.Add(time.Second)))
 	if !ok || v != 1 {
 		t.Fatalf("Get = (%v, %v), want (1, true)", v, ok)
 	}
@@ -94,6 +96,53 @@ func TestExpiredVictimIsNotPremature(t *testing.T) {
 	}
 }
 
+// TestPutPointerIsTheSlot pins the pointer contract: PutEv returns the
+// slot a following Get of the key returns, a refresh in place writes through
+// it, and GetName's pointer is the same slot.
+func TestPutPointerIsTheSlot(t *testing.T) {
+	c := New[Key, int](4, PolicyLRU)
+	key := Key{"a.example", dnsmsg.TypeA}
+	put, ev := c.PutEv(key, 1, time.Hour, CategoryOther, t0)
+	if ev != (Eviction{}) || *put != 1 {
+		t.Fatalf("PutEv = (%v, %+v), want (1, no eviction)", *put, ev)
+	}
+	got, ok := c.Get(key, t0.Add(time.Second))
+	if !ok || got != put {
+		t.Fatalf("Get = (%p, %v), want PutEv's pointer %p", got, ok, put)
+	}
+	again, _ := c.PutLowPriorityEv(key, 2, time.Hour, CategoryDisposable, t0.Add(time.Second))
+	if again != put || *put != 2 {
+		t.Errorf("refresh in place returned %p holding %d, want %p holding 2", again, *again, put)
+	}
+	if _, byName, ok := GetName(c, []byte(key.Name), key.Type, t0.Add(2*time.Second)); !ok || byName != put {
+		t.Errorf("GetName = (%p, %v), want PutEv's pointer %p", byName, ok, put)
+	}
+}
+
+// TestSlabNeverGrowsPastCapacity: the arenas grow geometrically on first
+// use, but the step that would overshoot the capacity stops at it — no
+// arena has room for a slot the cache may never hold.
+func TestSlabNeverGrowsPastCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 3, 256, 1000} {
+		c := New[int, int](capacity, PolicySIEVE)
+		for i := 0; i < 2*capacity; i++ {
+			c.PutEv(i, i, time.Hour, CategoryOther, t0)
+		}
+		caps := map[string]int{
+			"slab": cap(c.slab), "ord.prev": cap(c.ord.prev), "ord.next": cap(c.ord.next), "ord.mark": cap(c.ord.mark),
+			"whl.prev": cap(c.whl.prev), "whl.next": cap(c.whl.next), "whl.bucket": cap(c.whl.bucket), "whl.expiry": cap(c.whl.expiry),
+		}
+		for arena, n := range caps {
+			if n > capacity {
+				t.Errorf("capacity %d: %s has room for %d slots", capacity, arena, n)
+			}
+		}
+		if len(c.slab) != capacity {
+			t.Errorf("capacity %d: slab holds %d slots after %d insertions", capacity, len(c.slab), 2*capacity)
+		}
+	}
+}
+
 func TestPutRefreshesExisting(t *testing.T) {
 	c := New[string, int](2, PolicyLRU)
 	c.PutEv("a", 1, time.Second, CategoryOther, t0)
@@ -101,7 +150,7 @@ func TestPutRefreshesExisting(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
-	v, ok := c.Get("a", t0.Add(time.Minute))
+	v, ok := valueOf(c.Get("a", t0.Add(time.Minute)))
 	if !ok || v != 2 {
 		t.Errorf("Get = (%v, %v), want (2, true) after refresh", v, ok)
 	}
@@ -208,7 +257,7 @@ func TestPutLowPriorityRefreshStaysCold(t *testing.T) {
 func TestPutLowPriorityStillServesHits(t *testing.T) {
 	c := New[string, int](4, PolicyLRU)
 	c.PutLowPriorityEv("cold", 1, time.Hour, CategoryDisposable, t0)
-	v, ok := c.Get("cold", t0.Add(time.Second))
+	v, ok := valueOf(c.Get("cold", t0.Add(time.Second)))
 	if !ok || v != 1 {
 		t.Errorf("Get = (%v, %v): low priority entries are still cached", v, ok)
 	}

@@ -76,10 +76,10 @@ type order struct {
 
 func newOrder() order { return order{head: nilIdx, tail: nilIdx, hand: nilIdx} }
 
-func (o *order) grow() {
-	o.prev = append(o.prev, nilIdx)
-	o.next = append(o.next, nilIdx)
-	o.mark = append(o.mark, false)
+func (o *order) grow(limit int) {
+	o.prev = appendCapped(o.prev, nilIdx, limit)
+	o.next = appendCapped(o.next, nilIdx, limit)
+	o.mark = appendCapped(o.mark, false, limit)
 }
 
 func (o *order) unlink(i int32) {

@@ -99,7 +99,7 @@ func TestPolicyChurnInvariants(t *testing.T) {
 			// Every key the index knows must round-trip through Get.
 			live := 0
 			for i := 0; i < 40*capacity; i++ {
-				if v, ok := c.Get(i, t0.Add(time.Second)); ok {
+				if v, ok := valueOf(c.Get(i, t0.Add(time.Second))); ok {
 					if v != i {
 						t.Fatalf("key %d returned value %d", i, v)
 					}

@@ -17,6 +17,15 @@ type refEntry struct {
 
 // peek reads key's slot without reporting it to the policy or counting a
 // lookup. The slot may hold an expired entry the wheel has not reclaimed.
+// valueOf copies the value out of a Get result, the zero value on a miss.
+func valueOf[V any](v *V, ok bool) (V, bool) {
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return *v, true
+}
+
 func peek[K comparable, V any](c *LRU[K, V], key K) (slot[K, V], bool) {
 	i, ok := c.index[key]
 	if !ok {
@@ -87,21 +96,21 @@ func runReferenceModel(t *testing.T, kind PolicyKind, capacity int, exact bool, 
 			v := rng.Int()
 			ttl := time.Duration(1+rng.Intn(600)) * time.Second
 			cat := Category(rng.Intn(2))
-			if ev := c.PutEv(k, v, ttl, cat, now); exact && ev != (Eviction{}) {
+			if _, ev := c.PutEv(k, v, ttl, cat, now); exact && ev != (Eviction{}) {
 				t.Fatalf("op %d: PutEv(%s) evicted %+v below capacity", op, k, ev)
 			}
 			model[k] = refEntry{val: v, exp: now.Add(ttl), cat: cat}
 		case 3: // PutLowPriorityEv
 			v := rng.Int()
 			ttl := time.Duration(1+rng.Intn(30)) * time.Second
-			if ev := c.PutLowPriorityEv(k, v, ttl, CategoryDisposable, now); exact && ev != (Eviction{}) {
+			if _, ev := c.PutLowPriorityEv(k, v, ttl, CategoryDisposable, now); exact && ev != (Eviction{}) {
 				t.Fatalf("op %d: PutLowPriorityEv(%s) evicted %+v below capacity", op, k, ev)
 			}
 			model[k] = refEntry{val: v, exp: now.Add(ttl), cat: CategoryDisposable}
 		case 4: // Advance
 			c.Advance(now)
 		default: // Get + an occasional read of the slot
-			v, ok := c.Get(k, now)
+			v, ok := valueOf(c.Get(k, now))
 			ref, live := modelLive(k)
 			if ok {
 				if v != ref.val || !live {
@@ -151,7 +160,7 @@ func runReferenceModel(t *testing.T, kind PolicyKind, capacity int, exact bool, 
 			if !now.Before(e.exp) {
 				continue
 			}
-			v, ok := c.Get(k, now)
+			v, ok := valueOf(c.Get(k, now))
 			if !ok || v != e.val {
 				t.Fatalf("final: Get(%s) = (%d, %v), model %+v", k, v, ok, e)
 			}

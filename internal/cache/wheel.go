@@ -65,11 +65,11 @@ func (w *wheel) init() {
 	}
 }
 
-func (w *wheel) grow() {
-	w.prev = append(w.prev, nilIdx)
-	w.next = append(w.next, nilIdx)
-	w.bucket = append(w.bucket, nilIdx)
-	w.expiry = append(w.expiry, 0)
+func (w *wheel) grow(limit int) {
+	w.prev = appendCapped(w.prev, nilIdx, limit)
+	w.next = appendCapped(w.next, nilIdx, limit)
+	w.bucket = appendCapped(w.bucket, nilIdx, limit)
+	w.expiry = appendCapped(w.expiry, 0, limit)
 }
 
 // observe folds a caller-supplied wall-clock reading into the scrape-visible

@@ -144,7 +144,7 @@ func TestPutRefreshRefilesWheel(t *testing.T) {
 	c.PutEv("a", 1, 10*time.Second, CategoryOther, t0)
 	c.PutEv("a", 2, time.Hour, CategoryOther, t0) // extend
 	c.Advance(t0.Add(time.Minute))
-	if v, ok := c.Get("a", t0.Add(time.Minute)); !ok || v != 2 {
+	if v, ok := valueOf(c.Get("a", t0.Add(time.Minute))); !ok || v != 2 {
 		t.Fatalf("Get = (%v, %v), want (2, true) after TTL extension", v, ok)
 	}
 	c.PutEv("a", 3, 5*time.Second, CategoryOther, t0.Add(time.Minute)) // shorten

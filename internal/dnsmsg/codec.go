@@ -191,15 +191,22 @@ func Decode(data []byte) (*Message, error) {
 // across later Unpack calls — but m's own slices do not, and a caller that
 // keeps records must copy the RR values out first. After an error m holds a
 // partial message.
-func (m *Message) Unpack(data []byte) error { return m.UnpackReply(data, "") }
+func (m *Message) Unpack(data []byte) error { return m.unpack(data, "", true) }
 
-// UnpackReply is Unpack for the reply to a question the caller still holds:
-// names in data that spell asked are handed that string instead of a copy, so
-// a reply that echoes its question costs no string for the question or for
-// any record it owns. asked only saves the copy; data is parsed, checked and
-// compared as in Unpack, and the resulting message is equal to Unpack's
-// whatever asked is.
-func (m *Message) UnpackReply(data []byte, asked string) error {
+// UnpackReply is Unpack for the reply to a question the caller still holds,
+// read by a caller that looks no further than the answers. It returns
+// Unpack's header, questions, answers and error, and leaves Authority and
+// Additional empty: those sections are walked by the same rules — names,
+// pointers, rdata lengths — so UnpackReply rejects exactly what Unpack
+// rejects, but nothing in them is spelled. Names in data that spell asked are
+// handed that string instead of a copy, so a reply that echoes its question
+// costs no string for the question or for any record it owns; asked only
+// saves the copy and never changes the result.
+func (m *Message) UnpackReply(data []byte, asked string) error { return m.unpack(data, asked, false) }
+
+// unpack is Unpack and UnpackReply: tail says whether the authority and
+// additional sections are kept or only walked.
+func (m *Message) unpack(data []byte, asked string, tail bool) error {
 	if len(data) < headerLen {
 		return ErrTruncatedMessage
 	}
@@ -238,6 +245,7 @@ func (m *Message) UnpackReply(data []byte, asked string) error {
 	if m.Answers, err = d.section(m.Answers[:0], offANCount); err != nil {
 		return err
 	}
+	d.skip = !tail
 	if m.Authority, err = d.section(m.Authority[:0], offNSCount); err != nil {
 		return err
 	}
@@ -531,6 +539,9 @@ type decoder struct {
 	// (nearly) every record, so names that decode to the same bytes are handed
 	// this string instead of a new one.
 	qname string
+	// skip walks records by the same rules without spelling them: names and
+	// rdata come back empty and section keeps none.
+	skip bool
 }
 
 func (d *decoder) u8() (uint8, error) {
@@ -577,7 +588,9 @@ func (d *decoder) section(rrs []RR, countOff int) ([]RR, error) {
 		if err != nil {
 			return rrs, err
 		}
-		rrs = append(rrs, rr)
+		if !d.skip {
+			rrs = append(rrs, rr)
+		}
 	}
 	return rrs, nil
 }
@@ -587,7 +600,7 @@ func (d *decoder) section(rrs []RR, countOff int) ([]RR, error) {
 func (d *decoder) name() (string, error) {
 	var scratch [maxNameLen]byte
 	name, err := d.appendName(scratch[:0])
-	if err != nil {
+	if err != nil || d.skip {
 		return "", err
 	}
 	if string(name) == d.qname {
@@ -703,7 +716,7 @@ func (d *decoder) rdata(typ Type, rdlen int) (out RData, err error) {
 			out.ip4 = [4]byte(b)
 		}
 	case TypeAAAA:
-		if b, err = d.bytes(16); err == nil {
+		if b, err = d.bytes(16); err == nil && !d.skip {
 			out.text = formatIPv6([16]byte(b))
 		}
 	case TypeCNAME, TypeNS:
@@ -714,7 +727,7 @@ func (d *decoder) rdata(typ Type, rdlen int) (out RData, err error) {
 		out.text, err = d.soa()
 	default:
 		// Skip unknown rdata opaquely and surface it as hex-free placeholder.
-		if b, err = d.bytes(rdlen); err == nil {
+		if b, err = d.bytes(rdlen); err == nil && !d.skip {
 			out.text = `\# ` + strconv.Itoa(len(b))
 		}
 	}
@@ -725,7 +738,9 @@ func (d *decoder) rdata(typ Type, rdlen int) (out RData, err error) {
 func (d *decoder) txt(rdlen int) (string, error) {
 	end := d.pos + rdlen
 	var sb strings.Builder
-	sb.Grow(rdlen)
+	if !d.skip {
+		sb.Grow(rdlen)
+	}
 	for d.pos < end {
 		n, err := d.u8()
 		if err != nil {
@@ -735,7 +750,9 @@ func (d *decoder) txt(rdlen int) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		sb.Write(b)
+		if !d.skip {
+			sb.Write(b)
+		}
 	}
 	return sb.String(), nil
 }
@@ -758,6 +775,9 @@ func (d *decoder) soa() (string, error) {
 		}
 		b = append(b, ' ')
 		b = strconv.AppendUint(b, uint64(v), 10)
+	}
+	if d.skip {
+		return "", nil
 	}
 	return string(b), nil
 }

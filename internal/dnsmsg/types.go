@@ -142,7 +142,8 @@ type Question struct {
 // RR is a resource record. RData holds the type-specific payload (see
 // rdata.go): the address bytes for A, presentation text for the rest. The
 // struct is 48 bytes, the size class a one-record []RR is allocated in; every
-// cache entry holds one, so a field added here is paid for per cached answer.
+// cache entry holds one in its slot, so a field added here is paid for per
+// cache slot.
 type RR struct {
 	Name  string
 	Type  Type

@@ -34,36 +34,78 @@ func coldNames(t *testing.T, up *authority.Server, n int) []string {
 	return names
 }
 
+// raceEnabled is set under the race detector (race_test.go). sync.Pool
+// drops a quarter of its Puts there by design, so the authority rebuilds
+// its pooled scratch now and then, and a miss budget allows one more.
+var raceEnabled bool
+
 // TestResolveMissPathZeroAllocBudget guards the disposable path: a cold
-// resolve — query out, authority, response in, cache fill — of a single-A
-// name costs the one thing that outlives the call: the []RR the cache entry
-// keeps, the address inside it. The authority reads the question where it
-// lies and answers from its bytes, the reply's own names are the name that
-// was asked, and the wire buffers, both Messages and the compression table
-// are reused scratch or stack. The budget is the reading.
+// resolve — query out, authority, response in, cache fill — costs only what
+// outlives the call, and for a single-A name or an NXDOMAIN that is nothing.
+// The authority reads the question where it lies and answers from its
+// bytes, the reply's own names are the name that was asked, its authority
+// section is walked and not spelled, a one-record RRset lives in the cache
+// slot, and the wire buffers, both Messages and the compression table are
+// reused scratch or stack. A 3-address RRset keeps one slice of its own.
+// The budgets are the readings.
 func TestResolveMissPathZeroAllocBudget(t *testing.T) {
 	const runs = 200
 	up := authority.NewServer()
 	names := coldNames(t, up, runs+2)
-	c, err := NewCluster(up, WithServers(1))
+	z, err := authority.NewZone("three.test", authority.WithSynth(
+		func(_ []byte, qtype dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool) {
+			for i := range 3 {
+				dst = append(dst, dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(198, 18, 3, byte(i))})
+			}
+			return dst, true
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the scratch buffers with one miss; every later name is new.
-	if _, err := c.Resolve(q(names[0], t0)); err != nil {
+	if err := up.AddZone(z); err != nil {
 		t.Fatal(err)
 	}
-	next := 1
-	allocs := testing.AllocsPerRun(runs, func() {
-		resp, err := c.Resolve(q(names[next], t0))
-		next++
-		if err != nil || resp.FromCache || len(resp.Answers) != 1 {
-			t.Fatalf("cold resolve = %+v, %v", resp, err)
+	missing := make([]string, runs+2)
+	three := make([]string, runs+2)
+	for i := range missing {
+		missing[i] = fmt.Sprintf("gone%d.cold.test", i)
+		three[i] = fmt.Sprintf("h%d.three.test", i)
+	}
+	for _, tc := range []struct {
+		what    string
+		names   []string
+		rcode   dnsmsg.RCode
+		answers int
+		budget  float64
+	}{
+		{"single-A", names, dnsmsg.RCodeNoError, 1, 0},
+		{"NXDOMAIN", missing, dnsmsg.RCodeNXDomain, 0, 0},
+		{"3-address", three, dnsmsg.RCodeNoError, 3, 1},
+	} {
+		c, err := NewCluster(up, WithServers(1))
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	t.Logf("cold single-A resolve: %.1f allocs/op", allocs)
-	if allocs > 1 {
-		t.Errorf("cold Resolve allocated %.1f times per op, budget 1", allocs)
+		// Warm the scratch buffers with one miss; every later name is new.
+		if _, err := c.Resolve(q(tc.names[0], t0)); err != nil {
+			t.Fatal(err)
+		}
+		next := 1
+		allocs := testing.AllocsPerRun(runs, func() {
+			resp, err := c.Resolve(q(tc.names[next], t0))
+			next++
+			if err != nil || resp.FromCache || resp.RCode != tc.rcode || len(resp.Answers) != tc.answers {
+				t.Fatalf("cold %s resolve = %+v, %v", tc.what, resp, err)
+			}
+		})
+		t.Logf("cold %s resolve: %.1f allocs/op", tc.what, allocs)
+		budget := tc.budget
+		if raceEnabled {
+			budget++
+		}
+		if allocs > budget {
+			t.Errorf("cold %s Resolve allocated %.1f times per op, budget %.0f", tc.what, allocs, budget)
+		}
 	}
 }
 

@@ -100,7 +100,9 @@ func (f TapFunc) Observe(ob Observation) { f(ob) }
 
 var _ Tap = TapFunc(nil)
 
-// Response summarizes the answer returned to the client.
+// Response summarizes the answer returned to the client. A hit or a one-hop
+// miss answers with a view of the server's cache slot, so Answers is valid
+// only until the cluster's next query; a caller that keeps it copies it.
 type Response struct {
 	RCode     dnsmsg.RCode
 	Answers   []dnsmsg.RR
@@ -463,9 +465,21 @@ func (c *Cluster) CacheStats() []cache.Stats {
 }
 
 // cacheValue is what a positive cache entry stores: the full answer section
-// for the queried (name, type).
+// for the queried (name, type). One record — nearly every RRset a hop
+// caches — lives in the value itself, so in the cache slot; only a larger
+// set or a CNAME chain keeps a slice of its own in many.
 type cacheValue struct {
-	answers []dnsmsg.RR
+	one  [1]dnsmsg.RR
+	many []dnsmsg.RR
+}
+
+// answers returns the value's records. For a one-record value they are a
+// view of v, so a view of the cache slot v lies in.
+func (v *cacheValue) answers() []dnsmsg.RR {
+	if v.many != nil {
+		return v.many
+	}
+	return v.one[:]
 }
 
 // Resolve processes one client query through the cluster. It is not safe
@@ -536,7 +550,7 @@ func (c *Cluster) doResolve(s *server, q Query, name []byte, ev *qlog.Event) (Re
 	// victims are never already-expired. Same-second queries return in two
 	// atomic loads; nothing allocates (guarded by AllocsPerRun tests).
 	s.cache.Advance(q.Time)
-	var cv cacheValue
+	var cv *cacheValue
 	var hit bool
 	if name == nil {
 		q.Name = dnsname.Normalize(q.Name)
@@ -557,8 +571,9 @@ func (c *Cluster) doResolve(s *server, q Query, name []byte, ev *qlog.Event) (Re
 			ev.Outcome = qlog.OutcomeHit
 			ev.CacheHit = true
 		}
-		c.emitBelow(s, q, cv.answers, dnsmsg.RCodeNoError)
-		return Response{RCode: dnsmsg.RCodeNoError, Answers: cv.answers, FromCache: true}, nil
+		answers := cv.answers()
+		c.emitBelow(s, q, answers, dnsmsg.RCodeNoError)
+		return Response{RCode: dnsmsg.RCodeNoError, Answers: answers, FromCache: true}, nil
 	}
 	s.stats.missesByCategory[q.Category].Add(1)
 
@@ -628,26 +643,34 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 		// resp is the server's exchange scratch and validate may fetch a
 		// DNSKEY through it, so everything this hop still needs is copied
 		// out first; resp is dead from here on.
-		answers, rrsig := splitRRSIG(resp.Answers)
-		if c.opts.validate && rrsig != nil {
-			c.validate(s, q, rrsig, answers)
+		v, n, rrsig := splitRRSIG(resp.Answers)
+		var answers []dnsmsg.RR
+		if n > 0 {
+			// Cache this hop's RRset under the name queried at this hop; its
+			// records are read from the cache slot from here on.
+			answers = c.cachePut(s, cache.Key{Name: name, Type: q.Type}, v,
+				cacheTTL(v.answers()[0].TTL), q, ev).answers()
 		}
-		if len(answers) == 0 {
+		if c.opts.validate && rrsig.Type == dnsmsg.TypeRRSIG {
+			c.validate(s, q, &rrsig, answers)
+		}
+		if n == 0 {
 			return chain, dnsmsg.RCodeNoError, nil // NODATA
 		}
-		// Cache this hop's RRset under the name queried at this hop.
-		c.cachePut(s, cache.Key{Name: name, Type: q.Type}, cacheValue{answers: answers},
-			cacheTTL(answers[0].TTL), q, ev)
-		if chain == nil {
-			// One hop is the usual case: its RRset is the chain. Capacity is
-			// clipped so that a later hop's append copies rather than writes
-			// past the slice the cache now holds.
-			chain = answers[:len(answers):len(answers)]
-		} else {
-			chain = append(chain, answers...)
-		}
 		last := answers[len(answers)-1]
-		if last.Type == dnsmsg.TypeCNAME && q.Type != dnsmsg.TypeCNAME {
+		cname := last.Type == dnsmsg.TypeCNAME && q.Type != dnsmsg.TypeCNAME
+		if chain == nil && !cname {
+			// One hop, the usual case: the answer is the slot's view.
+			return answers, dnsmsg.RCodeNoError, nil
+		}
+		// The next put may evict this hop's slot (at capacity 1, or when it
+		// went in at the cold end), so a chain copies its records first,
+		// into room for the usual one-record answer at its end.
+		if chain == nil {
+			chain = make([]dnsmsg.RR, 0, len(answers)+1)
+		}
+		chain = append(chain, answers...)
+		if cname {
 			name = last.RData.Text()
 			continue
 		}
@@ -656,7 +679,7 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 			// with the full chain so a later hit replays the complete
 			// answer section. The chain lives only as long as its
 			// shortest-lived link.
-			c.cachePut(s, cache.Key{Name: q.Name, Type: q.Type}, cacheValue{answers: chain},
+			c.cachePut(s, cache.Key{Name: q.Name, Type: q.Type}, cacheValue{many: chain},
 				cacheTTL(minChainTTL(chain)), q, ev)
 		}
 		return chain, dnsmsg.RCodeNoError, nil
@@ -667,15 +690,16 @@ func (c *Cluster) recurse(q Query, s *server, ev *qlog.Event) ([]dnsmsg.RR, dnsm
 // cold end of the LRU. For logged queries the eviction outcome feeds the
 // event's cause field; a query performing several insertions (a CNAME
 // chain) keeps the most severe cause it observed.
-func (c *Cluster) cachePut(s *server, key cache.Key, v cacheValue, ttl time.Duration, q Query, ev *qlog.Event) {
+func (c *Cluster) cachePut(s *server, key cache.Key, v cacheValue, ttl time.Duration, q Query, ev *qlog.Event) *cacheValue {
+	var p *cacheValue
 	var e cache.Eviction
 	if c.opts.deprioritizer != nil && c.opts.deprioritizer(key.Name) {
-		e = s.cache.PutLowPriorityEv(key, v, ttl, q.Category, q.Time)
+		p, e = s.cache.PutLowPriorityEv(key, v, ttl, q.Category, q.Time)
 	} else {
-		e = s.cache.PutEv(key, v, ttl, q.Category, q.Time)
+		p, e = s.cache.PutEv(key, v, ttl, q.Category, q.Time)
 	}
 	if ev == nil || !e.Evicted {
-		return
+		return p
 	}
 	cause := qlog.EvictExpired
 	if e.Premature {
@@ -688,6 +712,7 @@ func (c *Cluster) cachePut(s *server, key cache.Key, v cacheValue, ttl time.Dura
 	if cause > ev.Evict {
 		ev.Evict = cause
 	}
+	return p
 }
 
 func minChainTTL(chain []dnsmsg.RR) uint32 {
@@ -803,21 +828,35 @@ func signerZone(rdata string) string {
 	return ""
 }
 
-// splitRRSIG copies a response's answer section out of the exchange scratch:
-// the records a cache entry will keep, and apart from them the first RRSIG,
-// if there is one.
-func splitRRSIG(answers []dnsmsg.RR) ([]dnsmsg.RR, *dnsmsg.RR) {
-	rest := make([]dnsmsg.RR, 0, len(answers))
-	var rrsig *dnsmsg.RR
+// splitRRSIG copies a response's answer section out of the exchange scratch
+// into the value a cache entry keeps — one record inline, more in a slice of
+// their own — and returns how many records that is and, apart from them, the
+// first RRSIG (a zero RR if there is none).
+func splitRRSIG(answers []dnsmsg.RR) (v cacheValue, n int, rrsig dnsmsg.RR) {
+	sig := -1
 	for i := range answers {
-		if rrsig == nil && answers[i].Type == dnsmsg.TypeRRSIG {
-			sig := answers[i]
-			rrsig = &sig
-			continue
+		if answers[i].Type == dnsmsg.TypeRRSIG {
+			sig, rrsig = i, answers[i]
+			break
 		}
-		rest = append(rest, answers[i])
 	}
-	return rest, rrsig
+	n = len(answers)
+	if sig >= 0 {
+		n--
+	}
+	if n > 1 {
+		v.many = make([]dnsmsg.RR, 0, n)
+	}
+	for i := range answers {
+		switch {
+		case i == sig:
+		case v.many != nil:
+			v.many = append(v.many, answers[i])
+		default:
+			v.one[0] = answers[i]
+		}
+	}
+	return v, n, rrsig
 }
 
 // cacheTTL is how long an answer carrying the authority's ttl stays cached.

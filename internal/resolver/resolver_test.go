@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -140,6 +141,48 @@ func TestCNAMEChainFollowed(t *testing.T) {
 	}
 	if !r2.FromCache || len(r2.Answers) != 2 {
 		t.Errorf("cached chain = %+v", r2)
+	}
+}
+
+// TestCNAMEChainSurvivesColdHopEviction: a chain's answers are the
+// records of every hop, and a hop's records live in its cache slot until the
+// next put, which may evict that very slot — at capacity 1, or when every
+// entry goes in at the cold end. At any size, with or without that
+// demotion, the miss and the following hit must answer what a roomy
+// cluster answers.
+func TestCNAMEChainSurvivesColdHopEviction(t *testing.T) {
+	resolveTwice := func(opts ...Option) [2]Response {
+		t.Helper()
+		c, err := NewCluster(testUpstream(t), append([]Option{WithServers(1)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [2]Response
+		for i := range out {
+			r, err := c.Resolve(q("cdn.example.com", t0.Add(time.Duration(i)*time.Second)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Answers = append([]dnsmsg.RR(nil), r.Answers...) // a copy outlives the next query
+			out[i] = r
+		}
+		return out
+	}
+	want := resolveTwice()
+	if len(want[0].Answers) != 2 || want[0].FromCache || !want[1].FromCache {
+		t.Fatalf("roomy cluster answered %+v", want)
+	}
+	all := func(string) bool { return true }
+	for _, size := range []int{1, 2, 64} {
+		for _, demote := range []bool{false, true} {
+			opts := []Option{WithCacheSize(size)}
+			if demote {
+				opts = append(opts, WithDeprioritizer(all))
+			}
+			if got := resolveTwice(opts...); !reflect.DeepEqual(got, want) {
+				t.Errorf("cache size %d, deprioritized %v: miss then hit = %+v, want %+v", size, demote, got, want)
+			}
+		}
 	}
 }
 
