@@ -45,9 +45,11 @@ bench:
 # 3-address one its one kept []RR, dnsmsg Unpack/AppendEncode into reused
 # scratch) — the miner (BenchmarkRescore over an unchanged 5 k-name
 # tree and BenchmarkRescoreTouched over a window that touched three zones of
-# it, the batch BenchmarkMine, the tree's GroupsUnder/ChildZones, and the
-# guard that an untouched re-score allocates for what it reports, not per
-# name or per finding) — the source side of a replay (BenchmarkReaderNext and BenchmarkDayStream
+# it, the batch BenchmarkMine, the tree's GroupsUnder/ChildZones and Insert,
+# the guard that an untouched re-score allocates for what it reports, not per
+# name or per finding, and TestTreeInsertZeroAlloc: a re-stamp allocates
+# nothing, a new node its share of a slab chunk) — the source side of a
+# replay (BenchmarkReaderNext and BenchmarkDayStream
 # with the guards that a canonical trace line costs one allocation and a
 # generated name at most one) — the CHR collector (BenchmarkObserveBelow and
 # BenchmarkObserveMiss, a miss's above-then-below pair, each known/fresh,
@@ -64,7 +66,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolveCacheHit|BenchmarkResolveCacheMiss|BenchmarkPutGet|BenchmarkEvictionChurn|BenchmarkAppendHandleWire|BenchmarkUnpack' \
 		-benchtime=100x -benchmem ./internal/resolver/ ./internal/cache/ ./internal/authority/ ./internal/dnsmsg/
-	$(GO) test -run '^$$' -bench 'BenchmarkRescore|BenchmarkMine|BenchmarkGroupsUnder|BenchmarkChildZones' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRescore|BenchmarkMine|BenchmarkGroupsUnder|BenchmarkChildZones|BenchmarkInsert' \
 		-benchtime=100x -benchmem ./internal/core/ ./internal/dntree/
 	$(GO) test -run 'TestRescoreSteadyStateAllocs' -v ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkDayStream' \
@@ -72,7 +74,7 @@ bench-smoke:
 	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs' -v ./internal/traceio/ ./internal/workload/
 	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
 	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs' -v ./internal/chrstat/
-	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/
+	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/ ./internal/dntree/
 
 # Ten seconds of native fuzzing on each decoder that reads outside input,
 # from the committed seeds. The wire decoder (the golden corpus plus

@@ -20,13 +20,59 @@ func benchTree(n int) (*Tree, []string) {
 	return t, names
 }
 
+// mcafeeName is a disposable name of the shape McAfee's reputation lookups
+// resolve, 0.0.0.0.1.0.0.4e.<hash>.avqs.mcafee.com: eight short labels over
+// a hash, nine nodes new to a tree that holds avqs.mcafee.com.
+func mcafeeName(rng *rand.Rand) string {
+	b := make([]byte, 0, 64)
+	for i := 0; i < 8; i++ {
+		b = fmt.Appendf(b, "%x.", rng.Intn(256))
+	}
+	b = labelgen.AppendToken(b, rng, 26)
+	return string(append(b, ".avqs.mcafee.com"...))
+}
+
+// BenchmarkInsert times the tree alone, on names made before the timer
+// starts: one new node per name under a shared parent (shallow), nine per
+// name (deep), and none (restamp: a name the tree holds, in a new window).
+// The fresh-name cases start a new tree, untimed, after each pass.
 func BenchmarkInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	t := New(nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t.Insert(labelgen.Token(rng, 20) + ".avqs.mcafee.com")
+	shallow, deep := make([]string, 1<<14), make([]string, 1<<14)
+	for i := range shallow {
+		shallow[i] = labelgen.Token(rng, 20) + ".avqs.mcafee.com"
+		deep[i] = mcafeeName(rng)
 	}
+	fresh := func(names []string) func(*testing.B) {
+		return func(b *testing.B) {
+			var t *Tree
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%len(names) == 0 {
+					b.StopTimer()
+					t = New(nil)
+					b.StartTimer()
+				}
+				t.Insert(names[i%len(names)])
+			}
+		}
+	}
+	b.Run("shallow", fresh(shallow))
+	b.Run("deep", fresh(deep))
+	b.Run("restamp", func(b *testing.B) {
+		t := New(nil)
+		for _, name := range deep {
+			t.InsertAt(name)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%len(deep) == 0 {
+				t.AdvanceWindow()
+			}
+			t.InsertAt(deep[i%len(deep)])
+		}
+	})
 }
 
 func BenchmarkGroupsUnder(b *testing.B) {

@@ -18,6 +18,13 @@ import (
 type Tree struct {
 	root     *Node
 	suffixes *dnsname.Suffixes
+	// nodes holds every node but the root by its full name: the tree's one
+	// name index.
+	nodes map[string]*Node
+	// slab is the chunk new nodes are cut from, free the pruned slots to
+	// reuse first, chained through next (see release).
+	slab []Node
+	free *Node
 	// starts holds, by name, the node of every effective 2LD some black name
 	// registers under: the zones Algorithm 1 starts from. Batch inserts only
 	// add to them; streaming expiry (stream.go) also takes away.
@@ -35,23 +42,25 @@ type Tree struct {
 
 // Node is one name's place in the tree, and the handle a caller that goes
 // zone by zone holds in place of the name: valid until the name expires or
-// ResetStream; a nil Node is an absent name, with nothing below it.
+// ResetStream; a nil Node is an absent name, with nothing below it. Nodes
+// are cut from slab chunks that never move, so a handle pins its chunk; an
+// expired node's slot is reused, and a handle kept past expiry then reads a
+// different node.
 // Invariants, kept by every method that creates, colours or removes one:
 // name is the full domain name, a suffix slice of the first name inserted
-// through the node ("" for the root), and name minus "."+parent.name is the
-// label that keys it in parent.children; below counts the black strict
+// through the node ("" for the root), and any other is Tree.nodes[name];
+// child heads the chain of its children, linked both ways through next and
+// prev, each pointing back through parent; below counts the black strict
 // descendants, starts the black names whose effective 2LD the node is;
-// children is nil until the first child (most nodes are leaves); lastSeen
-// is the window of the latest observation while black.
+// lastSeen is the window of the latest observation while black.
 type Node struct {
-	parent   *Node
-	children map[string]*Node
-	name     string
-	below    int32
-	lastSeen uint32
-	starts   int32
-	black    bool
-	dirty    bool // a start, listed in Tree.dirty
+	parent, child, next, prev *Node
+	name                      string
+	below                     int32
+	lastSeen                  uint32
+	starts                    int32
+	black                     bool
+	dirty                     bool // listed in Tree.dirty: a start, or a slot pruned since
 }
 
 // setBlack recolours n and keeps every ancestor's below count in step.
@@ -95,6 +104,14 @@ func (t *Tree) register(n *Node, delta int32) {
 	}
 }
 
+// label is n's own label: its name without the parent's.
+func (n *Node) label() string {
+	if n.parent.parent == nil { // under the root
+		return n.name
+	}
+	return n.name[:len(n.name)-len(n.parent.name)-1]
+}
+
 // live reports whether n's subtree, n included, holds a black node.
 func (n *Node) live() bool { return n.black || n.below > 0 }
 
@@ -107,6 +124,7 @@ func New(suffixes *dnsname.Suffixes) *Tree {
 	return &Tree{
 		root:     &Node{},
 		suffixes: suffixes,
+		nodes:    make(map[string]*Node),
 		starts:   make(map[string]*Node),
 	}
 }
@@ -130,31 +148,61 @@ func (t *Tree) blacken(name string) (n *Node, fresh bool) {
 	return n, fresh
 }
 
-// walk descends right-to-left through the labels of name, optionally
-// creating missing nodes; returns nil when create is false and the path is
-// absent. The labels are scanned in place; a created node's name and its
-// key in the parent's map are slices of name.
+// walk returns name's node, optionally creating it and its missing
+// ancestors; nil when create is false and the name is absent. A new name's
+// suffixes are probed left to right up to the deepest node the tree holds,
+// and the missing nodes are made from there down; each one's name is a
+// suffix slice of name, not a copy.
 func (t *Tree) walk(name string, create bool) *Node {
-	n := t.root
 	if name == "" {
+		return t.root
+	}
+	if n := t.nodes[name]; n != nil || !create {
 		return n
 	}
-	for end := len(name); end >= 0; {
-		start := strings.LastIndexByte(name[:end], '.') + 1
-		child, ok := n.children[name[start:end]]
-		if !ok {
-			if !create {
-				return nil
-			}
-			if n.children == nil {
-				n.children = make(map[string]*Node)
-			}
-			child = &Node{parent: n, name: name[start:]}
-			n.children[name[start:end]] = child
+	n, end := t.root, len(name)
+	for i := 0; ; {
+		dot := strings.IndexByte(name[i:], '.')
+		if dot < 0 {
+			break
 		}
-		n = child
+		i += dot + 1
+		if p := t.nodes[name[i:]]; p != nil {
+			n, end = p, i-1
+			break
+		}
+	}
+	for end >= 0 {
+		start := strings.LastIndexByte(name[:end], '.') + 1
+		n = t.newNode(n, name[start:])
 		end = start - 1
 	}
+	return n
+}
+
+// Slab chunks double from slabMin nodes to slabMax (256 KiB), so a small
+// tree stays small and a day's tree is a few dozen allocations.
+const slabMin, slabMax = 64, 4096
+
+// newNode links a node named name as parent's first child, in a pruned
+// slot if there is one.
+func (t *Tree) newNode(parent *Node, name string) *Node {
+	n := t.free
+	if n != nil {
+		t.free = n.next
+	} else {
+		if len(t.slab) == cap(t.slab) {
+			t.slab = make([]Node, 0, min(max(2*cap(t.slab), slabMin), slabMax))
+		}
+		t.slab = t.slab[:len(t.slab)+1]
+		n = &t.slab[len(t.slab)-1]
+	}
+	*n = Node{parent: parent, next: parent.child, name: name}
+	if parent.child != nil {
+		parent.child.prev = n
+	}
+	parent.child = n
+	t.nodes[name] = n
 	return n
 }
 
@@ -243,9 +291,9 @@ func (zn *Node) AppendGroups(buf []Group) []Group {
 	// leave empty slots at depths that hold no black node.
 	groups := buf[:0]
 	if zn.below > 0 {
-		for label, child := range zn.children {
+		for child := zn.child; child != nil; child = child.next {
 			if child.live() {
-				groups = child.collect(groups, label, 0)
+				groups = child.collect(groups, child.label(), 0)
 			}
 		}
 	}
@@ -290,7 +338,7 @@ func (n *Node) collect(groups []Group, adjacent string, rel int) []Group {
 		}
 	}
 	if n.below > 0 {
-		for _, child := range n.children {
+		for child := n.child; child != nil; child = child.next {
 			if child.live() {
 				groups = child.collect(groups, adjacent, rel+1)
 			}
@@ -309,7 +357,7 @@ func (zn *Node) AppendChildZones(dst []*Node) []*Node {
 		return dst
 	}
 	from := len(dst)
-	for _, child := range zn.children {
+	for child := zn.child; child != nil; child = child.next {
 		if child.below > 0 {
 			dst = append(dst, child)
 		}

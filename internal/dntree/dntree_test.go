@@ -277,14 +277,33 @@ func TestDecolorAllProperty(t *testing.T) {
 // label+"."+name on the way down, every "any black below?" answered by a
 // subtree scan, the path found through dnsname.Labels. They read only
 // children and black, so they check the new fields against the structure
-// those fields summarise. (Under the root zone "" the old bodies left a
-// trailing dot on every name; the reference does not.)
+// those fields summarise; they read children off the chain, by label.
+// (Under the root zone "" the old bodies left a trailing dot on every name;
+// the reference does not.)
+
+// children maps the labels of n's chained children to them.
+func children(n *Node) map[string]*Node {
+	out := make(map[string]*Node)
+	for c := n.child; c != nil; c = c.next {
+		out[childLabel(n, c)] = c
+	}
+	return out
+}
+
+// childLabel is c's name less "."+n's, all of it when it does not end so:
+// the label checkNodes rebuilds c's name from.
+func childLabel(n, c *Node) string {
+	if n.parent == nil { // the root
+		return c.name
+	}
+	return strings.TrimSuffix(c.name, "."+n.name)
+}
 
 func refWalk(t *Tree, name string) *Node {
 	n := t.root
 	labels := dnsname.Labels(name)
 	for i := len(labels) - 1; i >= 0; i-- {
-		child, ok := n.children[labels[i]]
+		child, ok := children(n)[labels[i]]
 		if !ok {
 			return nil
 		}
@@ -318,11 +337,11 @@ func refGroupsUnder(t *Tree, zone string) []Group {
 				g.Labels = append(g.Labels, adjacent)
 			}
 		}
-		for label, child := range n.children {
+		for label, child := range children(n) {
 			descend(child, label+"."+name, adjacent, depth+1)
 		}
 	}
-	for label, child := range zn.children {
+	for label, child := range children(zn) {
 		name := label
 		if zone != "" {
 			name = label + "." + zone
@@ -352,7 +371,7 @@ func refChildZones(t *Tree, zone string) []string {
 		return nil
 	}
 	var out []string
-	for label, child := range zn.children {
+	for label, child := range children(zn) {
 		if refHasBlackDescendant(child) {
 			if zone == "" {
 				out = append(out, label)
@@ -366,7 +385,7 @@ func refChildZones(t *Tree, zone string) []string {
 }
 
 func refHasBlackDescendant(n *Node) bool {
-	for _, child := range n.children {
+	for _, child := range children(n) {
 		if child.black || refHasBlackDescendant(child) {
 			return true
 		}
@@ -386,15 +405,24 @@ func refNamesUnder(t *Tree, zone string) []string {
 // checkNodes recounts what every node claims about itself: name is the
 // path's labels joined, parent is the node above, below is the number of
 // black strict descendants, starts the number of black names registered
-// under it; and the tree's black total, its starts and its deep starts are
-// the recount's.
+// under it; the index holds every node reached from the root by its name and
+// nothing else, the chains run the same both ways, and a free slot is
+// empty; and the tree's black total, its starts and its deep starts are the
+// recount's.
 func checkNodes(t *testing.T, tr *Tree) {
 	t.Helper()
 	registered := make(map[string]int32)
+	reached := 0
 	var recount func(n *Node, name string) int
 	recount = func(n *Node, name string) int {
 		if n.name != name {
 			t.Errorf("node %q holds name %q", name, n.name)
+		}
+		if n != tr.root {
+			reached++
+			if tr.nodes[name] != n {
+				t.Errorf("node %q is not the index's node of its name", name)
+			}
 		}
 		if n.black || slices.Contains(tr.decolored, n) { // decoloring does not unregister
 			if e2ld := tr.suffixes.ETLDPlusOne(name); e2ld != "" {
@@ -402,9 +430,17 @@ func checkNodes(t *testing.T, tr *Tree) {
 			}
 		}
 		black := 0
-		for label, child := range n.children {
+		var prev *Node
+		for child := n.child; child != nil; prev, child = child, child.next {
+			label := childLabel(n, child)
 			if child.parent != n {
 				t.Errorf("node %q: child %q points at another parent", name, label)
+			}
+			if child.prev != prev {
+				t.Errorf("node %q: child %q is chained to the next one but not back", name, label)
+			}
+			if strings.Contains(label, ".") {
+				t.Errorf("node %q: child %q is more than one label below", name, label)
 			}
 			childName := label
 			if n != tr.root {
@@ -422,6 +458,14 @@ func checkNodes(t *testing.T, tr *Tree) {
 	}
 	if total := recount(tr.root, ""); total != tr.BlackCount() {
 		t.Errorf("BlackCount = %d, recount = %d", tr.BlackCount(), total)
+	}
+	if len(tr.nodes) != reached {
+		t.Errorf("the index holds %d nodes, %d are reached from the root", len(tr.nodes), reached)
+	}
+	for n := tr.free; n != nil; n = n.next {
+		if *n != (Node{next: n.next}) {
+			t.Errorf("free slot holds %+v", *n)
+		}
 	}
 	deep := 0
 	for name, want := range registered {
@@ -617,4 +661,56 @@ func TestMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTreeInsertZeroAlloc: a name the tree holds is re-stamped without an
+// allocation, and a tree of new deep names allocates for its slab chunks and
+// the growth of its index, not per node. The index's growth is measured on
+// its own, the same names put in the same order: 0.006 allocations a node
+// on the Swiss-table map of Go 1.24, 0.033 on Go 1.23's, which allocates
+// overflow buckets one by one.
+func TestTreeInsertZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	names := make([]string, 10000)
+	for i := range names {
+		names[i] = mcafeeName(rng)
+	}
+	tr := New(nil)
+	for _, name := range names {
+		tr.InsertAt(name)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		tr.AdvanceWindow()
+		for _, name := range names {
+			tr.InsertAt(name)
+		}
+	}); allocs != 0 {
+		t.Errorf("re-stamping %d names: %v allocations", len(names), allocs)
+	}
+
+	created := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		tr := New(nil)
+		for _, name := range names {
+			tr.Insert(name)
+		}
+		created = len(tr.nodes)
+	})
+	index := testing.AllocsPerRun(3, func() {
+		m := make(map[string]*Node)
+		for _, name := range names {
+			for end := len(name); end > 0; {
+				start := strings.LastIndexByte(name[:end], '.') + 1
+				if _, ok := m[name[start:]]; !ok {
+					m[name[start:]] = nil
+				}
+				end = start - 1
+			}
+		}
+	})
+	if perNode := (allocs - index) / float64(created); perNode > 0.01 {
+		t.Errorf("building a tree of %d names: %v allocations for %d nodes, %v of them the index's: %.3f a node beyond it, want at most 0.01",
+			len(names), allocs, created, index, perNode)
+	}
+	t.Logf("%d nodes in %v allocations, %v of them the index's", created, allocs, index)
 }

@@ -19,7 +19,9 @@ package dntree
 // is dirty yet. Not safe for concurrent use with any other tree method.
 func (t *Tree) AdvanceWindow() {
 	for _, n := range t.dirty {
-		n.dirty = false
+		if n.dirty = false; n.parent == nil { // pruned in the window
+			n.next, t.free = t.free, n
+		}
 	}
 	t.dirty = t.dirty[:0]
 	t.window++
@@ -114,8 +116,8 @@ func (t *Tree) Expire() []string {
 			t.touch(n)
 			t.setBlack(n, false)
 			t.register(n, -1)
+			expired = append(expired, n.name) // before prune empties the slot
 			t.prune(n)
-			expired = append(expired, n.name)
 		}
 		delete(t.byWindow, w)
 	}
@@ -125,13 +127,27 @@ func (t *Tree) Expire() []string {
 // prune removes the white, childless tail of the path that ends at n, so
 // expired branches do not accumulate as dead trie weight.
 func (t *Tree) prune(n *Node) {
-	for p := n.parent; p != nil && !n.black && len(n.children) == 0; n, p = p, p.parent {
-		// n's label is its name without the parent's (the root has none).
-		label := n.name
-		if p != t.root {
-			label = n.name[:len(n.name)-len(p.name)-1]
+	for p := n.parent; p != nil && !n.black && n.child == nil; n, p = p, p.parent {
+		if n.prev != nil {
+			n.prev.next = n.next
+		} else {
+			p.child = n.next
 		}
-		delete(p.children, label)
+		if n.next != nil {
+			n.next.prev = n.prev
+		}
+		delete(t.nodes, n.name)
+		t.release(n)
+	}
+}
+
+// release zeroes a pruned node's slot, so that it pins no name, and frees it
+// for reuse. A dirty one stays listed in t.dirty until AdvanceWindow frees
+// it: reused sooner, it would be listed twice.
+func (t *Tree) release(n *Node) {
+	*n = Node{dirty: n.dirty}
+	if !n.dirty {
+		n.next, t.free = t.free, n
 	}
 }
 
@@ -141,6 +157,7 @@ func (t *Tree) prune(n *Node) {
 // holds none of them.
 func (t *Tree) ResetStream() {
 	t.root = &Node{}
+	t.nodes, t.slab, t.free = make(map[string]*Node), nil, nil
 	clear(t.starts)
 	t.black = 0
 	clear(t.byWindow)

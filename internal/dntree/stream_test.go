@@ -1,9 +1,13 @@
 package dntree
 
 import (
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
+	"unsafe"
 
 	"dnsnoise/internal/dnsname"
 )
@@ -256,8 +260,63 @@ func TestResetStream(t *testing.T) {
 		t.Errorf("ResetStream keeps lists of %d decolored, %d dirty, %d deep, %d windows: handles into the old tree",
 			cap(tr.decolored), cap(tr.dirty), cap(tr.deep), len(tr.byWindow))
 	}
+	if len(tr.nodes) != 0 || tr.slab != nil || tr.free != nil {
+		t.Errorf("ResetStream keeps %d indexed nodes, a chunk of %d, free slots %v: the old tree's", len(tr.nodes), cap(tr.slab), tr.free != nil)
+	}
 	tr.InsertAt("b.zone.example.com")
 	if !tr.IsBlack("b.zone.example.com") {
 		t.Fatal("insert after reset failed")
 	}
+}
+
+// TestExpireRecyclesSlots: expiry keeps the tree's memory bound. Forty
+// windows of a thousand fresh deep names under horizon 2 take no more slots
+// than the live peak and one chunk, and an expired name's bytes are
+// collected: a pruned slot pins nothing. A slot counts as taken once it is
+// seen live, right after the inserts of its window: nothing is pruned before.
+func TestExpireRecyclesSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	tr := New(nil)
+	tr.SetHorizon(2)
+	taken := make(map[*Node]bool)
+	peak := 0
+	var probeFreed <-chan struct{}
+	for w := 0; w < 40; w++ {
+		for i := 0; i < 1000; i++ {
+			tr.InsertAt(mcafeeName(rng))
+		}
+		if w == 0 {
+			// A name of its own bytes (more than 16 of them: the allocator
+			// packs smaller ones together), alone under its hash.
+			b := []byte("probe." + mcafeeName(rng))
+			probe := unsafe.String(&b[0], len(b))
+			freed := make(chan struct{})
+			runtime.SetFinalizer(&b[0], func(*byte) { close(freed) })
+			probeFreed = freed
+			tr.InsertAt(probe)
+		}
+		for _, n := range tr.nodes {
+			taken[n] = true
+		}
+		peak = max(peak, len(tr.nodes))
+		tr.Expire()
+		tr.AdvanceWindow()
+	}
+	if len(taken) > peak+slabMax {
+		t.Errorf("%d slots taken for a peak of %d live nodes: more than one chunk (%d) over", len(taken), peak, slabMax)
+	}
+	for tries := 0; ; tries++ {
+		runtime.GC()
+		select {
+		case <-probeFreed:
+		case <-time.After(10 * time.Millisecond):
+			if tries < 300 {
+				continue
+			}
+			t.Error("an expired name's bytes are still reachable from the tree")
+		}
+		break
+	}
+	runtime.KeepAlive(tr)
+	checkNodes(t, tr)
 }
