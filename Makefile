@@ -55,8 +55,11 @@ bench:
 # BenchmarkObserveMiss, a miss's above-then-below pair, each known/fresh,
 # BenchmarkMerge and BenchmarkMergeTouched, the merge a window pays, with the
 # guards that a known record costs nothing, a new or merged one its share of
-# a slab chunk and of map growth, not objects of its own, and a further
-# record of a known name the slab share alone) — and the loopback socket flood that holds
+# a slab chunk and of map growth, not objects of its own, a further record of
+# a known name the slab share alone, a client past a record's fourth a block
+# chunk's share, and a counts view's new name or grown group a run of its
+# pointer chunk, not a slice) — the rpDNS store (a duplicate insert costs
+# nothing, a new record its stripe's slab share) — and the loopback socket flood that holds
 # the serve path, plain and scored, answering from a real authority, to zero
 # process-wide allocations per packet (TestServeFloodZeroAlloc*, on the
 # 'ZeroAlloc' line with the authority guard, so an allocation coming back
@@ -73,7 +76,7 @@ bench-smoke:
 		-benchtime=100x -benchmem ./internal/traceio/ ./internal/workload/
 	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs' -v ./internal/traceio/ ./internal/workload/
 	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
-	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs' -v ./internal/chrstat/
+	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs|TestRefreshAllocs|TestInsertAllocs' -v ./internal/chrstat/ ./internal/pdns/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/ ./internal/dntree/
 
 # Ten seconds of native fuzzing on each decoder that reads outside input,

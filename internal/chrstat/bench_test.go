@@ -2,6 +2,7 @@ package chrstat
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dnsnoise/internal/cache"
@@ -19,12 +20,34 @@ func freshObservations(n int) []resolver.Observation {
 	return obs
 }
 
+// crowdClients are the client counts of the records that spill: just past the
+// inline four, one block and a bit, the cap, and past it.
+var crowdClients = [...]int{5, 18, 64, 70}
+
+// crowd returns observations of obs[i] by further distinct clients, enough
+// that record i has crowdClients[i%4] in all, and how many of each record's
+// counted ids spill past the inline ones.
+func crowd(obs []resolver.Observation) (more []resolver.Observation, spilled int) {
+	for i := range obs {
+		clients := crowdClients[i%len(crowdClients)]
+		spilled += min(clients, maxTrackedClients) - inlineClients
+		for id := 1; id < clients; id++ {
+			ob := obs[i]
+			ob.ClientID = uint32(1<<20 + id) // none is the record's first
+			more = append(more, ob)
+		}
+	}
+	return more, spilled
+}
+
 // TestObserveAllocs: an observation of a record the collector knows, from a
 // client the record knows, allocates nothing; a new record with its one
 // client costs its share of two slab chunks (the record, its name's entry)
 // and of the growth of the collector's one map — and no object, client map or
 // map group of its own. A second and a third record on a known name cost a
 // slab share each and nothing else: they hang off the first, no slice grows.
+// A client past a record's fourth costs its share of a block chunk: fourteen
+// ids to a block, 128 blocks to a chunk — not a growing slice.
 func TestObserveAllocs(t *testing.T) {
 	const records = 10000
 	obs := freshObservations(records)
@@ -36,20 +59,31 @@ func TestObserveAllocs(t *testing.T) {
 			more = append(more, ob)
 		}
 	}
+	crowded, spilled := crowd(obs)
 	var c *Collector
-	build := func(streams ...[]resolver.Observation) float64 {
-		return testing.AllocsPerRun(1, func() {
-			c = NewCollector()
-			for _, stream := range streams {
-				for i := range stream {
-					c.ObserveBelow(stream[i])
-				}
+	fresh := testing.AllocsPerRun(1, func() {
+		c = NewCollector()
+		for i := range obs {
+			c.ObserveBelow(obs[i])
+		}
+	}) / records
+	// The rest is measured on c, whose map knows every name by now: the two
+	// builds a difference would take hash their maps apart, and on Go 1.23's
+	// map their overflow buckets differ by more than the budgets below.
+	observe := func(stream []resolver.Observation) float64 {
+		return mallocs(func() {
+			for i := range stream {
+				c.ObserveBelow(stream[i])
 			}
-		})
+		}) / float64(len(stream))
 	}
-	first := build(obs)
-	fresh := first / records
-	further := (build(obs, more) - first) / float64(len(more))
+	perSpill := observe(crowded) * float64(len(crowded)) / float64(spilled)
+	for i, clients := range crowdClients {
+		if n, saturated := c.stat(obs[i].RR, 0).Clients(); n != min(clients, maxTrackedClients) || saturated != (clients > maxTrackedClients) {
+			t.Fatalf("a record observed by %d clients counts (%d, %v)", clients, n, saturated)
+		}
+	}
+	further := observe(more)
 	known := testing.AllocsPerRun(5, func() {
 		for i := range obs {
 			c.ObserveBelow(obs[i])
@@ -58,7 +92,8 @@ func TestObserveAllocs(t *testing.T) {
 	if got, _ := c.QueriedNames(nil); got != records || c.NumRecords() != 3*records {
 		t.Fatalf("%d names own %d records, want %d and %d", got, c.NumRecords(), records, 3*records)
 	}
-	t.Logf("known record: %.0f allocs per %d observations; new record: %.3f allocs each; further record of a known name: %.4f", known, records, fresh, further)
+	t.Logf("known record: %.0f allocs per %d observations; new record: %.3f allocs each; further record of a known name: %.4f; spilled client: %.4f",
+		known, records, fresh, further, perSpill)
 	if known != 0 {
 		t.Errorf("%d observations of known records allocated %.0f times, want 0", records, known)
 	}
@@ -68,10 +103,13 @@ func TestObserveAllocs(t *testing.T) {
 	if slabShare := 1 / float64(statChunk); further > slabShare+0.001 {
 		t.Errorf("a further record of a known name cost %.4f allocations, want a slab share (%.4f)", further, slabShare)
 	}
+	if perSpill > 0.01 {
+		t.Errorf("a client past a record's fourth cost %.4f allocations, budget 0.01", perSpill)
+	}
 }
 
 // mergeFixture is two shards of 5 000 records each, disjoint, one or two
-// clients a record.
+// clients a record, and one record in 25 with 5 to 70, past its inline four.
 func mergeFixture() (s *ShardedCollector, records int) {
 	obs := freshObservations(10000)
 	s = NewShardedCollector(2)
@@ -83,18 +121,88 @@ func mergeFixture() (s *ShardedCollector, records int) {
 			s.ObserveBelow(obs[i])
 		}
 	}
+	var spilling []resolver.Observation
+	for i := 0; i < len(obs); i += 25 {
+		spilling = append(spilling, obs[i])
+	}
+	crowded, _ := crowd(spilling)
+	for i := range crowded {
+		s.ObserveBelow(crowded[i])
+	}
 	return s, len(obs)
 }
 
 // TestMergeAllocs: folding a shard's record into the merged collector costs
 // what observing it new does — not a record, a client map and an id slice
-// each.
+// each, and not a growing id slice for a record past four clients.
 func TestMergeAllocs(t *testing.T) {
 	s, records := mergeFixture()
 	perRecord := testing.AllocsPerRun(3, func() { s.Merge() }) / float64(records)
 	t.Logf("Merge: %.3f allocs per absorbed record", perRecord)
 	if perRecord > 0.05 {
 		t.Errorf("Merge cost %.3f allocations per absorbed record, budget 0.05", perRecord)
+	}
+}
+
+// mallocs counts the heap allocations of one call of f, which AllocsPerRun
+// cannot: its warm-up call would consume what f is measured on.
+func mallocs(f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs)
+}
+
+// TestRefreshAllocs: a view's record costs its share of a slab chunk, and its
+// name's group a run of the view's pointer chunk: a new name costs no slice
+// of its own, and a name that gains a record in a later refresh moves its
+// group to a run twice as long, in the same chunk. Beyond the record's share
+// and the growth of the view's map, a name costs at most 0.01.
+func TestRefreshAllocs(t *testing.T) {
+	const names = 10000
+	obs := freshObservations(names)
+	s := NewShardedCollector(2)
+	for i := range obs {
+		obs[i].Server = i % 2
+		s.ObserveBelow(obs[i])
+	}
+	var v Counts
+	first := testing.AllocsPerRun(3, func() {
+		v = Counts{}
+		if byName, _ := v.Refresh(s); len(byName) != names {
+			t.Fatalf("the view groups %d names, want %d", len(byName), names)
+		}
+	})
+	index := testing.AllocsPerRun(3, func() {
+		m := make(map[string][]*RRStat)
+		for i := range obs {
+			m[obs[i].RR.Name] = nil
+		}
+	})
+	recordShare := 1 / float64(statChunk)
+	newName := (first-index)/names - recordShare
+
+	second := make([]resolver.Observation, names)
+	for i := range obs {
+		second[i] = obs[i]
+		second[i].RR = rrA(obs[i].RR.Name, "127.0.3.18")
+	}
+	for i := range second {
+		s.ObserveBelow(second[i])
+	}
+	grown := mallocs(func() {
+		if byName, touched := v.Refresh(s); len(touched) != names || len(byName[obs[0].RR.Name]) != 2 {
+			t.Fatalf("a refresh touched %d names and grouped %d records under the first, want %d and 2", len(touched), len(byName[obs[0].RR.Name]), names)
+		}
+	})/names - recordShare
+	t.Logf("beyond the record's slab share (%.4f) and the map: a new name %.4f allocs, a name's second record %.4f", recordShare, newName, grown)
+	if newName > 0.01 {
+		t.Errorf("a refresh over new names cost %.4f allocations a name beyond the record and the map, budget 0.01", newName)
+	}
+	if grown > 0.01 {
+		t.Errorf("a name's second record cost %.4f allocations beyond its slab share, want a run's share (budget 0.01)", grown)
 	}
 }
 

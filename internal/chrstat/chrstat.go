@@ -22,6 +22,7 @@ import (
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/slab"
 )
 
 // maxTrackedClients caps per-record client-set tracking; the paper's claim
@@ -32,6 +33,15 @@ const maxTrackedClients = 64
 // inlineClients is how many client ids a record holds in place. Most records
 // never see more, and so never own anything on the heap.
 const inlineClients = 4
+
+// clientBlock holds a record's client ids past the inline ones, blockClients
+// at a time, chained in arrival order: 64 bytes, 128 to a slab chunk.
+type clientBlock struct {
+	ids  [blockClients]uint32
+	next *clientBlock
+}
+
+const blockClients = 14
 
 // RRStat is the daily accounting for one distinct resource record.
 type RRStat struct {
@@ -44,13 +54,13 @@ type RRStat struct {
 	Category cache.Category
 
 	// The distinct clients seen, in arrival order: the first inlineClients
-	// in clients, the rest in moreClients, nclients in all. Sets are small
-	// (at most maxTrackedClients), so membership is a scan.
+	// in clients, the rest in the chain of blocks from more, nclients in all.
+	// Sets are small (at most maxTrackedClients), so membership is a scan.
 	clientsOverflow bool
 	nclients        uint8
 	clients         [inlineClients]uint32
 	epoch           uint32 // the refresh epoch that last touched the record; in padding
-	moreClients     []uint32
+	more            *clientBlock
 
 	next *RRStat // the owner name's next record in a collector, in first-seen order
 }
@@ -70,46 +80,44 @@ func (s *RRStat) inlineIDs() []uint32 {
 	return s.clients[:min(int(s.nclients), inlineClients)]
 }
 
-func (s *RRStat) trackClient(id uint32) {
-	if s.clientsOverflow {
+// trackClient adds id to the record's client set, cutting a block from
+// blocks when the chain's last is full: id number p past the inline ones
+// goes in block p/blockClients at p%blockClients.
+func (s *RRStat) trackClient(id uint32, blocks *slab.Slab[clientBlock]) {
+	if s.clientsOverflow || slices.Contains(s.inlineIDs(), id) {
 		return
 	}
-	if slices.Contains(s.inlineIDs(), id) || slices.Contains(s.moreClients, id) {
-		return
+	n := int(s.nclients)
+	var last *clientBlock
+	for b, left := s.more, n-inlineClients; b != nil; b, left = b.next, left-blockClients {
+		if slices.Contains(b.ids[:min(left, blockClients)], id) {
+			return
+		}
+		last = b
 	}
-	switch n := int(s.nclients); {
+	switch p := n - inlineClients; {
 	case n >= maxTrackedClients:
 		s.clientsOverflow = true
 		return
-	case n < inlineClients:
+	case p < 0:
 		s.clients[n] = id
 	default:
-		s.moreClients = append(s.moreClients, id)
+		if p%blockClients == 0 {
+			b := blocks.New()
+			if last == nil {
+				s.more = b
+			} else {
+				last.next = b
+			}
+			last = b
+		}
+		last.ids[p%blockClients] = id
 	}
 	s.nclients++
 }
 
-// slabBytes is the size of a slab chunk: 8 KiB, which the allocator hands
-// out without rounding up. statChunk is how many RRStats that is.
-const (
-	slabBytes = 8 << 10
-	statChunk = slabBytes / int(unsafe.Sizeof(RRStat{}))
-)
-
-// slab hands out zeroed values carved from chunks of slabBytes, one
-// allocation per chunk rather than per value. A chunk is never grown or
-// copied, so a value's address is stable; chunks are released together,
-// when the collector (or view) that owns the slab is.
-type slab[T any] struct{ free []T }
-
-func (sl *slab[T]) new() *T {
-	if len(sl.free) == 0 {
-		sl.free = make([]T, slabBytes/unsafe.Sizeof(sl.free[0]))
-	}
-	v := &sl.free[0]
-	sl.free = sl.free[1:]
-	return v
-}
+// statChunk is how many RRStats a slab chunk holds.
+const statChunk = slab.ChunkBytes / int(unsafe.Sizeof(RRStat{}))
 
 // DHR returns the record's domain hit rate. Records observed above more
 // often than below (possible when a prefetch-style fetch never reaches a
@@ -142,8 +150,9 @@ type Collector struct {
 	lastName string // the name last looked up, and its entry
 	last     *nameEntry
 
-	slab    slab[RRStat]
-	entries slab[nameEntry]
+	slab    slab.Slab[RRStat]
+	entries slab.Slab[nameEntry]
+	blocks  slab.Slab[clientBlock] // the records' spilled client ids
 
 	// epoch is zero until a Counts view attaches; then touched lists a record
 	// the first time an epoch observes it, and a refresh starts the next.
@@ -207,7 +216,7 @@ func (c *Collector) ObserveBelow(ob resolver.Observation) {
 	}
 	st := c.stat(ob.RR, ob.Category)
 	st.Below++
-	st.trackClient(ob.ClientID)
+	st.trackClient(ob.ClientID, &c.blocks)
 }
 
 // ObserveAbove accumulates one above-side observation.
@@ -231,7 +240,7 @@ func (c *Collector) entry(name string) *nameEntry {
 	}
 	e := c.names[name]
 	if e == nil {
-		e = c.entries.new()
+		e = c.entries.New()
 		c.names[name] = e
 	}
 	c.lastName, c.last = name, e
@@ -250,7 +259,7 @@ func (e *nameEntry) find(t dnsmsg.Type, d dnsmsg.RData) (st *RRStat, link **RRSt
 func (c *Collector) stat(rr dnsmsg.RR, cat cache.Category) *RRStat {
 	st, link := c.entry(rr.Name).find(rr.Type, rr.RData)
 	if st == nil {
-		st = c.slab.new()
+		st = c.slab.New()
 		st.Name, st.Type, st.TTL, st.RData, st.Category = rr.Name, rr.Type, rr.TTL, rr.RData, cat
 		*link = st
 		c.records++

@@ -4,17 +4,21 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/slab"
 )
 
 // refClients is the client set as a map, by the rules trackClient keeps: a
 // new id is counted until maxTrackedClients are, the next new one saturates,
-// and nothing is looked at after that.
+// and nothing is looked at after that. order lists the counted ids as they
+// arrived.
 type refClients struct {
 	ids       map[uint32]struct{}
+	order     []uint32
 	saturated bool
 }
 
@@ -33,13 +37,16 @@ func (r *refClients) track(id uint32) {
 		r.ids = make(map[uint32]struct{})
 	}
 	r.ids[id] = struct{}{}
+	r.order = append(r.order, id)
 }
 
 // TestClientSetMatchesReferenceMap drives trackClient beside the map over
 // random id streams and compares Clients() after every id. The small id
 // spaces repeat ids constantly and stay inline or just spill; the large ones
 // run through the spill, the cap, the saturating 65th id and repeats after
-// it.
+// it. The record must hold the map's ids in arrival order, inline and
+// through its chain of blocks: which ids absorb keeps when a merge saturates
+// depends on that.
 func TestClientSetMatchesReferenceMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	spaces := []int{1, 3, 5, 8, 64, 65, 70, 200, 1 << 20}
@@ -48,13 +55,14 @@ func TestClientSetMatchesReferenceMap(t *testing.T) {
 		space := spaces[stream%len(spaces)]
 		var st RRStat
 		var ref refClients
+		var blocks slab.Slab[clientBlock]
 		for i, length := 0, rng.Intn(301); i <= length; i++ {
 			if i > 0 { // the empty set is compared too
 				id := uint32(rng.Intn(space))
 				if space > 1000 {
 					id *= 4099 // spread over the high bits too
 				}
-				st.trackClient(id)
+				st.trackClient(id, &blocks)
 				ref.track(id)
 			}
 			n, saturated := st.Clients()
@@ -67,10 +75,8 @@ func TestClientSetMatchesReferenceMap(t *testing.T) {
 				reached[maxTrackedClients+1] = true
 			}
 		}
-		for _, id := range trackedIDs(&st) {
-			if _, ok := ref.ids[id]; !ok {
-				t.Fatalf("stream %d: the set holds %d, which the map does not", stream, id)
-			}
+		if got := trackedIDs(&st); !slices.Equal(got, ref.order) {
+			t.Fatalf("stream %d: the set holds %v, want %v in arrival order", stream, got, ref.order)
 		}
 	}
 	for _, n := range []int{0, inlineClients, inlineClients + 1, maxTrackedClients, maxTrackedClients + 1} {
@@ -118,10 +124,14 @@ func summarize(c *Collector) summary {
 	return s
 }
 
-// trackedIDs lists a record's tracked client ids in stored order.
+// trackedIDs lists a record's tracked client ids in stored order: the
+// inline ones, then each block's through the chain.
 func trackedIDs(st *RRStat) []uint32 {
 	ids := append([]uint32(nil), st.inlineIDs()...)
-	return append(ids, st.moreClients...)
+	for b := st.more; b != nil; b = b.next {
+		ids = append(ids, b.ids[:min(int(st.nclients)-len(ids), blockClients)]...)
+	}
+	return ids
 }
 
 func retainedClients(c *Collector) map[string][]uint32 {
@@ -226,7 +236,7 @@ func TestStatPointersStable(t *testing.T) {
 		rrs[i].TTL = uint32(i)
 		held[i] = c.stat(rrs[i], cache.Category(i%2))
 		held[i].Below = uint64(i)
-		held[i].trackClient(uint32(i))
+		held[i].trackClient(uint32(i), &c.blocks)
 	}
 	if c.NumRecords() != records {
 		t.Fatalf("%d records, want %d", c.NumRecords(), records)

@@ -6,6 +6,7 @@ import (
 
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/slab"
 )
 
 // ShardedCollector is the concurrent counterpart of Collector for clusters
@@ -84,11 +85,14 @@ func (s *ShardedCollector) Merge() *Collector {
 // with no client set, name set or Collector copied per refresh. The zero
 // value is ready. Its RRStats carry no client sets and are overwritten by
 // the next Refresh: hold them, and the touched names, no longer than that.
+// A name's group is a run of the view's pointer slab; one that outgrows its
+// run moves to a run twice as long, and the old run is dropped at Reset.
 type Counts struct {
 	from    *ShardedCollector // the collector the view is attached to
 	byName  map[string][]*RRStat
 	touched []string
-	slab    slab[RRStat]
+	slab    slab.Slab[RRStat]
+	runs    slab.Slab[*RRStat]
 }
 
 // touchedRecord is a record with its counts when the epoch first touched it.
@@ -122,8 +126,11 @@ func (v *Counts) Refresh(s *ShardedCollector) (byName map[string][]*RRStat, touc
 			at := slices.IndexFunc(group, func(d *RRStat) bool { return d.is(src.Type, src.RData) })
 			if at < 0 {
 				at = len(group)
-				dst := v.slab.new()
+				dst := v.slab.New()
 				dst.Name, dst.Type, dst.RData = src.Name, src.Type, src.RData
+				if len(group) == cap(group) {
+					group = append(v.runs.Run(max(1, 2*len(group)))[:0], group...)
+				}
 				group = append(group, dst)
 				v.byName[src.Name] = group
 			}
@@ -157,7 +164,7 @@ func (c *Collector) absorb(src *Collector) {
 		e.queried = e.queried || from.queried
 		for st := from.head; st != nil; st = st.next {
 			rr := dnsmsg.RR{Name: st.Name, Type: st.Type, TTL: st.TTL, RData: st.RData}
-			c.stat(rr, st.Category).absorb(st)
+			c.stat(rr, st.Category).absorb(st, &c.blocks)
 		}
 	}
 }
@@ -170,19 +177,22 @@ func (c *Collector) absorb(src *Collector) {
 // inserted in sorted order so that when the union saturates mid-shard, the
 // retained set — and hence the whole merged collector — is a deterministic
 // function of the shard contents, not of the order clients arrived in.
-func (dst *RRStat) absorb(src *RRStat) {
+func (dst *RRStat) absorb(src *RRStat, blocks *slab.Slab[clientBlock]) {
 	dst.Below += src.Below
 	dst.Above += src.Above
 	if src.nclients > 0 && !dst.clientsOverflow {
 		var buf [maxTrackedClients]uint32
-		n := copy(buf[:], src.inlineIDs())
-		ids := buf[:n+copy(buf[n:], src.moreClients)]
+		ids := buf[:src.nclients]
+		n := copy(ids, src.inlineIDs())
+		for b := src.more; b != nil; b = b.next {
+			n += copy(ids[n:], b.ids[:])
+		}
 		slices.Sort(ids)
 		for _, id := range ids {
 			if dst.clientsOverflow {
 				break
 			}
-			dst.trackClient(id)
+			dst.trackClient(id, blocks)
 		}
 	}
 	if src.clientsOverflow {

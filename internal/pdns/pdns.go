@@ -14,6 +14,7 @@ import (
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/slab"
 	"dnsnoise/internal/telemetry"
 )
 
@@ -48,12 +49,14 @@ const numShards = 32
 // concurrent inserts for different name hashes never contend. The index is by
 // owner name, like the CHR collector's: a name leads to its first record and
 // the rest chain from it, so a lookup hashes the name and walks the two or
-// three records it owns.
+// three records it owns. The records are cut from the stripe's slab, and a
+// store never frees one, so a *Record stays valid as long as the store.
 type shard struct {
 	mu     sync.Mutex
 	byName map[string]*Record
 	n      int                  // records, over all names
 	days   map[int64]*DayCounts // unix day -> counts
+	recs   slab.Slab[Record]
 }
 
 // record returns the shard's record of rr's (name, type, rdata), which it
@@ -66,7 +69,8 @@ func (sh *shard) record(rr dnsmsg.RR) (rec *Record, added bool) {
 		}
 		last = rec
 	}
-	rec = &Record{Name: rr.Name, Type: rr.Type, RData: rr.RData}
+	rec = sh.recs.New()
+	rec.Name, rec.Type, rec.RData = rr.Name, rr.Type, rr.RData
 	if last == nil {
 		sh.byName[rr.Name] = rec
 	} else {

@@ -3,9 +3,11 @@ package udptransport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -44,6 +46,35 @@ func TestTCPExchange(t *testing.T) {
 			t.Errorf("query %d: response ID %#x, want %#x", i, resp.Header.ID, 40+i)
 		}
 	}
+}
+
+// TestTCPHeldPortFails: a port the caller names whose TCP side another
+// socket holds fails at once with EADDRINUSE — only an ephemeral port is
+// drawn again — and leaves no UDP socket bound behind it.
+func TestTCPHeldPortFails(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	addr := held.Addr().String()
+	srv, err := Serve(testAuthority(t), addr, WithTCP())
+	if err == nil {
+		srv.Close()
+		t.Fatalf("Serve on %s, whose TCP side is held, succeeded", addr)
+	}
+	if !errors.Is(err, syscall.EADDRINUSE) {
+		t.Fatalf("Serve on %s: %v, want EADDRINUSE", addr, err)
+	}
+	laddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.ListenUDP("udp", laddr)
+	if err != nil {
+		t.Fatalf("the failed Serve left %s bound: %v", addr, err)
+	}
+	conn.Close()
 }
 
 // TestTCPFallbackRetriesTruncated is the server half of the TC=1 contract:

@@ -15,6 +15,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"dnsnoise/internal/dnsmsg"
@@ -167,7 +168,8 @@ func Serve(handler dnsmsg.Handler, addr string, opts ...ServerOption) (*Server, 
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	if _, err := net.ResolveUDPAddr("udp", addr); err != nil {
+	laddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
 		return nil, fmt.Errorf("udptransport: resolve %q: %w", addr, err)
 	}
 	s := &Server{listeners: 1, batch: DefaultBatch}
@@ -175,21 +177,11 @@ func Serve(handler dnsmsg.Handler, addr string, opts ...ServerOption) (*Server, 
 		o(s)
 	}
 	s.wire = dnsmsg.AsWireHandler(handler)
-	conns, err := listenAll(addr, s.listeners)
-	if err != nil {
+	if err := s.bind(addr, laddr.Port == 0); err != nil {
 		return nil, err
 	}
-	s.conns = conns
-	for i, conn := range conns {
+	for i, conn := range s.conns {
 		s.workers = append(s.workers, newListenerWorker(s, conn, i))
-	}
-	if s.tcpEnabled {
-		if err := s.serveTCP(); err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return nil, err
-		}
 	}
 	s.registerMetrics()
 	for _, w := range s.workers {
@@ -197,6 +189,38 @@ func Serve(handler dnsmsg.Handler, addr string, opts ...ServerOption) (*Server, 
 		go w.loop()
 	}
 	return s, nil
+}
+
+// portDraws is how many ephemeral ports bind draws before it gives up on
+// finding one whose TCP side is free too.
+const portDraws = 8
+
+// bind opens the UDP sockets on addr and, with WithTCP, the TCP listener on
+// the port they drew. A TCP socket elsewhere may hold that port: when the
+// caller asked for an ephemeral port, bind closes the UDP sockets and draws
+// again, up to portDraws times; a port the caller named fails at once. On
+// failure no socket is left open.
+func (s *Server) bind(addr string, ephemeral bool) error {
+	for draw := 1; ; draw++ {
+		conns, err := listenAll(addr, s.listeners)
+		if err != nil {
+			return err
+		}
+		s.conns = conns
+		if !s.tcpEnabled {
+			return nil
+		}
+		if err = s.serveTCP(); err == nil {
+			return nil
+		}
+		for _, c := range conns {
+			c.Close()
+		}
+		s.conns = nil
+		if !ephemeral || draw == portDraws || !errors.Is(err, syscall.EADDRINUSE) {
+			return err
+		}
+	}
 }
 
 // listenAll opens n sockets on addr. The first bind resolves an ephemeral
