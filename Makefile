@@ -51,8 +51,10 @@ bench:
 # nothing, a new node its share of a slab chunk) — the source side of a
 # replay (BenchmarkReaderNext and BenchmarkDayStream
 # with the guards that a canonical trace line costs one allocation and a
-# generated name at most one) — the CHR collector (BenchmarkObserveBelow and
-# BenchmarkObserveMiss, a miss's above-then-below pair, each known/fresh,
+# generated name at most one, and BenchmarkTraceSource, the decode and the
+# batch handoff per query at one processor and at two) — the CHR collector
+# (BenchmarkObserveBelow and BenchmarkObserveMiss, a miss's above-then-below
+# pair, each known/fresh,
 # BenchmarkMerge and BenchmarkMergeTouched, the merge a window pays, with the
 # guards that a known record costs nothing, a new or merged one its share of
 # a slab chunk and of map growth, not objects of its own, a further record of
@@ -75,6 +77,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkDayStream' \
 		-benchtime=100x -benchmem ./internal/traceio/ ./internal/workload/
 	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs' -v ./internal/traceio/ ./internal/workload/
+	$(GO) test -run '^$$' -bench 'BenchmarkTraceSource' -benchtime=100x -benchmem -cpu 1,2 ./internal/ingest/
 	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
 	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs|TestRefreshAllocs|TestInsertAllocs' -v ./internal/chrstat/ ./internal/pdns/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/ ./internal/dntree/

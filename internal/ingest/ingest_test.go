@@ -208,7 +208,7 @@ func TestRunnerRotationMatchesManualDays(t *testing.T) {
 // recordTrace pumps days of generated traffic into a trace file, as
 // dnsnoise-gen does, over a world of its own built from the test seeds, so
 // a live run over another such world resolves the recorded stream.
-func recordTrace(t *testing.T, name string, days int) string {
+func recordTrace(t testing.TB, name string, days int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
 	w, done, err := traceio.CreatePath(path)
@@ -498,14 +498,15 @@ func TestReplayFindingsMatchLive(t *testing.T) {
 }
 
 // TestTraceSourceSpansFiles verifies a multi-file day sequence replays as
-// one stream, mixing plain and gzip members.
+// one stream, mixing plain and gzip members, across many of the decoder's
+// batches: the recorded queries, field for field what a sequential
+// traceio.Reader + ToQuery loop decodes from the same files.
 func TestTraceSourceSpansFiles(t *testing.T) {
 	dir := t.TempDir()
-	profiles := testProfiles(2)
 	env := newTestEnv(t)
 	var paths []string
-	var want []resolver.Query
-	for i, p := range profiles {
+	var want, read []resolver.Query
+	for i, p := range testProfiles(3) {
 		path := filepath.Join(dir, fmt.Sprintf("day%d.jsonl", i))
 		if i%2 == 1 {
 			path += ".gz"
@@ -526,14 +527,54 @@ func TestTraceSourceSpansFiles(t *testing.T) {
 		}
 		want = append(want, qs...)
 		paths = append(paths, path)
+		read = append(read, readTraceFile(t, path)...)
+	}
+	if len(want) < 4*traceBatchLen || len(want)%traceBatchLen == 0 {
+		t.Fatalf("%d queries: want several batches and a partial last one", len(want))
+	}
+	if !reflect.DeepEqual(read, want) {
+		t.Fatal("a sequential read of the files differs from the recorded stream")
 	}
 	src := NewTraceSource(paths...)
 	got := drain(t, src)
+	if len(got) != len(read) {
+		t.Fatalf("multi-file replay yields %d queries, want the %d a sequential read decodes", len(got), len(read))
+	}
+	for i := range read {
+		if got[i] != read[i] {
+			t.Fatalf("query %d: replay %+v, sequential read %+v", i, got[i], read[i])
+		}
+	}
+	if _, err := src.Next(); err != io.EOF {
+		t.Errorf("Next past the end = %v, want io.EOF again", err)
+	}
 	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("multi-file replay yields %d queries, want %d identical to the recorded stream", len(got), len(want))
+}
+
+// readTraceFile decodes path with a plain traceio.Reader + ToQuery loop.
+func readTraceFile(t *testing.T, path string) []resolver.Query {
+	t.Helper()
+	r, done, err := traceio.OpenPath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer done()
+	var out []resolver.Query
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := ev.ToQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, q)
 	}
 }
 

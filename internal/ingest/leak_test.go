@@ -2,6 +2,9 @@ package ingest
 
 import (
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -110,6 +113,89 @@ func TestRunnerSubmitAfterError(t *testing.T) {
 			expectGoroutines(t, before)
 		})
 	}
+}
+
+// TestTraceSourceCloseMidStream closes a source whose decoder is ahead of
+// Next and waiting to hand over a batch: Close returns at once, the
+// decoder exits, and Next reports io.EOF.
+func TestTraceSourceCloseMidStream(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := os.WriteFile(path, []byte(traceLines(0, 4*traceBatchLen)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	src := NewTraceSource(path)
+	if _, err := src.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	expectGoroutines(t, before)
+	if _, err := src.Next(); err != io.EOF {
+		t.Errorf("Next after Close = %v, want io.EOF", err)
+	}
+}
+
+// TestTraceSourceCloseDuringRead closes a stdin source whose decoder is
+// blocked reading a pipe that is still open for writing: Close does not
+// wait for the read, and the decoder exits once the read returns.
+func TestTraceSourceCloseDuringRead(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	stdin := os.Stdin
+	os.Stdin = r
+	defer func() { os.Stdin = stdin }()
+	// One full batch, so the first Next returns while the decoder waits
+	// for the line after it.
+	if _, err := io.WriteString(w, traceLines(0, traceBatchLen)); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	src := NewTraceSource("-")
+	if _, err := src.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if runtime.NumGoroutine() <= before {
+		t.Fatal("decoder gone before its read returned: the read did not block")
+	}
+	if _, err := io.WriteString(w, traceLines(traceBatchLen, 1)); err != nil {
+		t.Fatal(err)
+	}
+	expectGoroutines(t, before)
+}
+
+// TestTraceSourceDrainedNeedsNoClose drops sources without Close once Next
+// has reported the end of their stream, io.EOF or an error: their decoders
+// have exited.
+func TestTraceSourceDrainedNeedsNoClose(t *testing.T) {
+	dir := t.TempDir()
+	good, bad := filepath.Join(dir, "good.jsonl"), filepath.Join(dir, "bad.jsonl")
+	if err := os.WriteFile(good, []byte(traceLines(0, 2*traceBatchLen+1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte(traceLines(0, traceBatchLen+1)+"{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for _, paths := range [][]string{{good}, {good, bad}, {good, filepath.Join(dir, "missing.jsonl")}} {
+		src := NewTraceSource(paths...)
+		var err error
+		for err == nil {
+			_, err = src.Next()
+		}
+		if (len(paths) == 1) != (err == io.EOF) {
+			t.Errorf("%v ends with %v", paths, err)
+		}
+	}
+	expectGoroutines(t, before)
 }
 
 // expectGoroutines allows the runtime a moment to retire exited goroutines

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -83,11 +84,43 @@ func ReplayProfiles(g *workload.Generator, profileFor func(time.Time) workload.P
 // TraceSource replays serialized query traces: one or more files read in
 // sequence, forming a multi-day stream. Gzip-compressed traces are
 // decompressed transparently (sniffed, not told), and "-" means stdin.
+//
+// The files are read and decoded on a goroutine of the source's own,
+// started by the first Next, which hands Next batches of queries through a
+// one-deep channel, so a replay resolves one batch while the next is
+// parsed. Next sees exactly what a sequential read would give: the queries
+// in trace order, a missing file's open error after the queries of the
+// files before it, a bad line's error (file and line) after the queries
+// before it, and io.EOF at the end. The goroutine exits after handing over
+// that last error or io.EOF, so a source drained to it needs no Close.
 type TraceSource struct {
 	paths []string
-	r     *traceio.Reader
-	done  func() error
-	next  int
+	dec   *traceDecoder // nil until the first Next
+	cur   []resolver.Query
+	pos   int   // next query in cur
+	err   error // ends the stream once cur is drained
+}
+
+// traceBatchLen is how many queries one handoff carries: enough that the
+// channel operations are a rounding error per query, few enough that the
+// batches in flight hold a few dozen KiB.
+const traceBatchLen = 256
+
+// traceBatch is one handoff: queries in trace order, then err — nil if
+// more follow, otherwise what ends the stream.
+type traceBatch struct {
+	qs  []resolver.Query
+	err error
+}
+
+// traceDecoder is the channels between Next and the decoding goroutine.
+type traceDecoder struct {
+	full chan traceBatch
+	// empty returns drained batches for refilling. At most three slices
+	// exist — one being filled, one in full, one being read by Next — so a
+	// return never blocks.
+	empty chan []resolver.Query
+	stop  chan struct{} // closed by Close
 }
 
 // NewTraceSource returns a source over the listed trace files.
@@ -98,44 +131,114 @@ func NewTraceSource(paths ...string) *TraceSource {
 // Next yields the next replayed query, opening files lazily and crossing
 // file boundaries transparently.
 func (s *TraceSource) Next() (resolver.Query, error) {
-	for {
-		if s.r == nil {
-			if s.next >= len(s.paths) {
-				return resolver.Query{}, io.EOF
-			}
-			r, done, err := traceio.OpenPath(s.paths[s.next])
-			if err != nil {
-				return resolver.Query{}, fmt.Errorf("ingest: open trace: %w", err)
-			}
-			s.r, s.done = r, done
-			s.next++
+	for s.pos == len(s.cur) {
+		if s.err != nil {
+			return resolver.Query{}, s.err
 		}
-		ev, err := s.r.Next()
-		if err == io.EOF {
-			closeErr := s.done()
-			s.r, s.done = nil, nil
-			if closeErr != nil {
-				return resolver.Query{}, fmt.Errorf("ingest: close trace: %w", closeErr)
+		if s.dec == nil {
+			s.dec = &traceDecoder{
+				full:  make(chan traceBatch, 1),
+				empty: make(chan []resolver.Query, 3),
+				stop:  make(chan struct{}),
 			}
-			continue
+			go s.dec.run(s.paths)
+		} else {
+			s.dec.empty <- s.cur[:0]
+		}
+		b := <-s.dec.full
+		s.cur, s.pos, s.err = b.qs, 0, b.err
+	}
+	q := s.cur[s.pos]
+	s.pos++
+	return q, nil
+}
+
+// Close stops the decoding goroutine without waiting for it: one waiting
+// to hand over a batch exits at once, one blocked in a read (of stdin, say)
+// when that read returns; it closes its file as it goes. Next reports
+// io.EOF after Close.
+func (s *TraceSource) Close() error {
+	if s.dec != nil && s.err == nil {
+		close(s.dec.stop)
+	}
+	s.cur, s.pos, s.err = nil, 0, io.EOF
+	return nil
+}
+
+// run decodes the files in order and hands their queries over in full
+// batches, then the remainder with the error that ends the stream.
+func (d *traceDecoder) run(paths []string) {
+	qs := make([]resolver.Query, 0, traceBatchLen)
+	var err error
+	for _, path := range paths {
+		if qs, err = d.decodeFile(path, qs); err != nil {
+			break
+		}
+	}
+	switch err {
+	case errTraceStopped:
+		return
+	case nil:
+		err = io.EOF
+	}
+	d.send(traceBatch{qs: qs, err: err})
+}
+
+// errTraceStopped ends a decoder that Close has stopped; Next never sees it.
+var errTraceStopped = errors.New("ingest: trace source closed")
+
+// decodeFile appends path's queries to qs, handing over every full batch,
+// and returns the partial batch it ends with.
+func (d *traceDecoder) decodeFile(path string, qs []resolver.Query) ([]resolver.Query, error) {
+	r, done, err := traceio.OpenPath(path)
+	if err != nil {
+		return qs, fmt.Errorf("ingest: open trace: %w", err)
+	}
+	qs, err = d.decode(r, path, qs)
+	if closeErr := done(); err == nil && closeErr != nil {
+		err = fmt.Errorf("ingest: close trace: %w", closeErr)
+	}
+	return qs, err
+}
+
+// decode is decodeFile's read loop; it returns nil at the end of r.
+func (d *traceDecoder) decode(r *traceio.Reader, path string, qs []resolver.Query) ([]resolver.Query, error) {
+	for {
+		ev, err := r.Next()
+		select {
+		case <-d.stop: // checked per line: a read of stdin may have blocked
+			return qs, errTraceStopped
+		default:
+		}
+		if err == io.EOF {
+			return qs, nil
 		}
 		if err != nil {
-			return resolver.Query{}, fmt.Errorf("ingest: trace %s: %w", s.paths[s.next-1], err)
+			return qs, fmt.Errorf("ingest: trace %s: %w", path, err)
 		}
 		q, err := ev.ToQuery()
 		if err != nil {
-			return resolver.Query{}, fmt.Errorf("ingest: trace %s: %w", s.paths[s.next-1], err)
+			return qs, fmt.Errorf("ingest: trace %s: %w", path, err)
 		}
-		return q, nil
+		if qs = append(qs, q); len(qs) == traceBatchLen {
+			if !d.send(traceBatch{qs: qs}) {
+				return nil, errTraceStopped
+			}
+			select {
+			case qs = <-d.empty:
+			default:
+				qs = make([]resolver.Query, 0, traceBatchLen)
+			}
+		}
 	}
 }
 
-// Close releases the currently open trace file, if any.
-func (s *TraceSource) Close() error {
-	if s.done == nil {
-		return nil
+// send hands b to Next, or reports false once Close has been called.
+func (d *traceDecoder) send(b traceBatch) bool {
+	select {
+	case d.full <- b:
+		return true
+	case <-d.stop:
+		return false
 	}
-	err := s.done()
-	s.r, s.done = nil, nil
-	return err
 }
