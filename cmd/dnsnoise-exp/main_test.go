@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/qlog"
 )
 
@@ -70,7 +71,7 @@ func TestQlogDoesNotPerturbExperiment(t *testing.T) {
 		t.Errorf("qlog perturbed experiment output:\n--- plain ---\n%s\n--- qlog ---\n%s",
 			plain.String(), logged.String())
 	}
-	evs, err := qlog.OpenEvents(qlogPath)
+	evs, err := jsonl.Open[qlog.Event](qlogPath)
 	if err != nil {
 		t.Fatalf("read qlog: %v", err)
 	}

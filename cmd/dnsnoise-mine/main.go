@@ -24,10 +24,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/sim"
 )
 
@@ -35,29 +35,6 @@ func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "dnsnoise-mine:", err)
 		os.Exit(1)
-	}
-}
-
-// truthMatcher returns an O(labels) predicate over the ground-truth map.
-func truthMatcher(labels map[string]bool) func(string) bool {
-	disp := make(map[string]struct{}, len(labels))
-	for zone, d := range labels {
-		if d {
-			disp[zone] = struct{}{}
-		}
-	}
-	return func(name string) bool {
-		for probe := name; probe != ""; {
-			if _, ok := disp[probe]; ok {
-				return true
-			}
-			dot := strings.IndexByte(probe, '.')
-			if dot < 0 {
-				break
-			}
-			probe = probe[dot+1:]
-		}
-		return false
 	}
 }
 
@@ -144,7 +121,7 @@ func run(args []string, stdout io.Writer) error {
 	// Score findings against ground truth by their member names: a finding
 	// is correct when the majority of its names fall under a
 	// disposable-labeled zone.
-	isDisp := truthMatcher(env.Registry.GroundTruth())
+	isDisp := sim.TruthMatcher(env.Registry.GroundTruth())
 	var tp, fp int
 	for _, f := range findings {
 		hits := 0
@@ -185,7 +162,7 @@ func run(args []string, stdout io.Writer) error {
 // runVerifyExplain is the -verify-explain mode: load an explain file and
 // replay every decision path against its recorded features.
 func runVerifyExplain(path string, stdout io.Writer) error {
-	recs, err := core.OpenExplain(path)
+	recs, err := jsonl.Open[core.ExplainRecord](path)
 	if err != nil {
 		return fmt.Errorf("verify-explain: %w", err)
 	}

@@ -11,7 +11,9 @@ import (
 
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/qlog"
+	"dnsnoise/internal/sim"
 	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/traceio"
 	"dnsnoise/internal/workload"
@@ -239,7 +241,7 @@ func TestQlogExplainDoNotPerturbOutput(t *testing.T) {
 			plain.String(), instrumented.String())
 	}
 
-	evs, err := qlog.OpenEvents(qlogPath)
+	evs, err := jsonl.Open[qlog.Event](qlogPath)
 	if err != nil {
 		t.Fatalf("read qlog: %v", err)
 	}
@@ -252,7 +254,7 @@ func TestQlogExplainDoNotPerturbOutput(t *testing.T) {
 		}
 	}
 
-	recs, err := core.OpenExplain(explainPath)
+	recs, err := jsonl.Open[core.ExplainRecord](explainPath)
 	if err != nil {
 		t.Fatalf("read explain: %v", err)
 	}
@@ -308,7 +310,7 @@ func TestStreamingWindowPass(t *testing.T) {
 		t.Errorf("streaming pass did not confirm batch equivalence:\n%s", streamed.String())
 	}
 
-	recs, err := core.OpenExplain(explainPath)
+	recs, err := jsonl.Open[core.ExplainRecord](explainPath)
 	if err != nil {
 		t.Fatalf("read explain: %v", err)
 	}
@@ -439,7 +441,7 @@ func TestRunEmptyTrace(t *testing.T) {
 }
 
 func TestTruthMatcher(t *testing.T) {
-	m := truthMatcher(map[string]bool{
+	m := sim.TruthMatcher(map[string]bool{
 		"avqs.mcafee.com": true,
 		"example.com":     false,
 	})

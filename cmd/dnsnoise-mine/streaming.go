@@ -8,6 +8,7 @@ import (
 
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/mlearn"
 	"dnsnoise/internal/sim"
 )
@@ -65,21 +66,14 @@ func (p *streamingPass) run(stdout io.Writer) error {
 	// Both callbacks run on the pipeline's re-score goroutine; what they
 	// touch is read here only after Run, whose last hook, EndDay, joined it.
 	sp.OnDrift(func(core.DriftEvent) { drifts++ })
-	var (
-		ew         *core.ExplainWriter
-		explainErr error
-	)
+	var ew *jsonl.Writer[core.ExplainRecord]
 	if p.explain != "" {
-		ew, err = core.CreateExplain(p.explain)
+		ew, err = jsonl.Create[core.ExplainRecord](p.explain)
 		if err != nil {
 			return fmt.Errorf("streaming explain: %w", err)
 		}
 		defer ew.Close()
-		sp.SetExplain(func(rec core.ExplainRecord) {
-			if err := ew.Record(rec); err != nil && explainErr == nil {
-				explainErr = err
-			}
-		})
+		sp.SetExplain(func(rec core.ExplainRecord) { ew.Write(&rec) })
 	}
 	// The StreamingHooks cadence, unbundled so each day's RescoreResult is
 	// kept for the equivalence check: sink intake, a re-score per elapsed
@@ -104,9 +98,6 @@ func (p *streamingPass) run(stdout io.Writer) error {
 	}
 	if err := ingest.NewRunner(env.Cluster, opts...).Run(src); err != nil {
 		return fmt.Errorf("streaming replay: %w", err)
-	}
-	if explainErr != nil {
-		return fmt.Errorf("streaming explain: %w", explainErr)
 	}
 	if ew != nil {
 		if err := ew.Close(); err != nil {

@@ -20,6 +20,7 @@ import (
 
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/pdns"
 	"dnsnoise/internal/sim"
 )
@@ -69,16 +70,14 @@ func run(args []string, stdout io.Writer) error {
 
 	store := pdns.NewStore()
 	store.SetMetrics(obs.Registry)
-	var fpWriter *pdns.FpWriter
+	var fp *jsonl.Writer[pdns.FpRecord]
 	sinks := []ingest.ObservationSink{ingest.TapSink(store.Tap(), nil)}
 	if *fpOut != "" {
-		f, err := os.Create(*fpOut)
-		if err != nil {
+		if fp, err = jsonl.Create[pdns.FpRecord](*fpOut); err != nil {
 			return err
 		}
-		defer f.Close()
-		fpWriter = pdns.NewFpWriter(f)
-		sinks = append(sinks, ingest.TapSink(fpWriter.Tap(), nil))
+		defer fp.Close()
+		sinks = append(sinks, ingest.TapSink(pdns.FpWriter{Writer: fp}.Tap(), nil))
 	}
 
 	w, err := source.Run(env, append(obs.IngestOptions(), ingest.WithSinks(sinks...))...)
@@ -86,11 +85,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if fpWriter != nil {
-		if err := fpWriter.Flush(); err != nil {
-			return err
+	if fp != nil {
+		if err := fp.Close(); err != nil {
+			return fmt.Errorf("fpdns: %w", err)
 		}
-		fmt.Fprintf(stdout, "fpDNS stream: %d tuples written to %s\n", fpWriter.Count(), *fpOut)
+		fmt.Fprintf(stdout, "fpDNS stream: %d tuples written to %s\n", fp.Count(), *fpOut)
 	}
 	fmt.Fprintf(stdout, "pDNS database from %d events:\n", w.Queries)
 	fmt.Fprintf(stdout, "  distinct resource records: %d (%.1f MB)\n",

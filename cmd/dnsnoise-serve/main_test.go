@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/qlog"
 	"dnsnoise/internal/telemetry"
 )
@@ -132,12 +133,7 @@ func TestServeCloseFlushesQlog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(qpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	evs, err := qlog.ReadEvents(f)
+	evs, err := jsonl.Open[qlog.Event](qpath)
 	if err != nil {
 		t.Fatal(err)
 	}

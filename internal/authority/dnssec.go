@@ -49,9 +49,6 @@ func NewSigner(zone string, rand io.Reader) (*Signer, error) {
 // Zone returns the zone this signer covers.
 func (s *Signer) Zone() string { return s.zone }
 
-// KeyTag returns the key identifier carried in RRSIGs.
-func (s *Signer) KeyTag() uint16 { return s.keyTag }
-
 // SignedCount returns how many RRsets this signer has signed.
 func (s *Signer) SignedCount() uint64 { return s.signed.Load() }
 

@@ -18,7 +18,6 @@ import (
 // Errors reported by zone construction and lookup.
 var (
 	ErrNotInZone  = errors.New("authority: name not in zone")
-	ErrNoZone     = errors.New("authority: no zone matches name")
 	ErrDupZone    = errors.New("authority: zone already registered")
 	ErrBadRecord  = errors.New("authority: record outside zone origin")
 	ErrZoneOrigin = errors.New("authority: invalid zone origin")
@@ -107,12 +106,6 @@ func NewZone(origin string, opts ...ZoneOption) (*Zone, error) {
 
 // Origin returns the zone apex name.
 func (z *Zone) Origin() string { return z.origin }
-
-// SOA returns the zone's start-of-authority record.
-func (z *Zone) SOA() dnsmsg.RR { return z.soa }
-
-// Signed reports whether the zone signs its answers.
-func (z *Zone) Signed() bool { return z.signer != nil }
 
 // Add inserts a record. Wildcard owners are written "*.<suffix>"; the suffix
 // must be the origin or below it.

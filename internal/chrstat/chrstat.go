@@ -544,31 +544,6 @@ func (h *HourlyCounter) Series(name string) []HourPoint {
 	return nil
 }
 
-// WindowVolume sums the named series' volume over the unix-hour range
-// [fromHour, toHour] without materializing the merged series — the
-// streaming pipeline's windowed read. Unknown series sum to 0. Safe for
-// concurrent use with the tap.
-func (h *HourlyCounter) WindowVolume(name string, fromHour, toHour int64) uint64 {
-	for i := range h.series {
-		if h.series[i].name != name {
-			continue
-		}
-		var total uint64
-		for s := range h.shards {
-			sh := &h.shards[s]
-			sh.mu.Lock()
-			for hour, v := range sh.counts[i] {
-				if hour >= fromHour && hour <= toHour {
-					total += v
-				}
-			}
-			sh.mu.Unlock()
-		}
-		return total
-	}
-	return 0
-}
-
 // SeriesNames lists the registered series in registration order.
 func (h *HourlyCounter) SeriesNames() []string {
 	out := make([]string, len(h.series))

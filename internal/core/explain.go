@@ -9,14 +9,7 @@
 package core
 
 import (
-	"bufio"
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"strings"
-	"sync"
 
 	"dnsnoise/internal/features"
 	"dnsnoise/internal/mlearn"
@@ -65,8 +58,8 @@ type ExplainRecord struct {
 
 // SetExplain installs the provenance callback, invoked once per
 // classifier decision with the completed record. When one miner mines on
-// several goroutines the callback must be safe for concurrent use;
-// ExplainWriter is. A nil fn disables provenance.
+// several goroutines the callback must be safe for concurrent use; a
+// jsonl.Writer's Write is. A nil fn disables provenance.
 func (m *Miner) SetExplain(fn func(ExplainRecord)) { m.explain = fn }
 
 // explainRecord assembles the provenance for one decision. vec is the
@@ -116,116 +109,6 @@ func (m *Miner) explainRecord(zone string, depth int, names, labels []string, ve
 	}
 	rec.SampleNames = append([]string(nil), names[:n]...)
 	return rec
-}
-
-// ExplainWriter streams explain records as JSON lines. Record is
-// mutex-guarded, so concurrent miners may share one writer.
-type ExplainWriter struct {
-	mu    sync.Mutex
-	enc   *json.Encoder
-	bw    *bufio.Writer
-	gz    *gzip.Writer
-	file  io.Closer
-	count uint64
-}
-
-// NewExplainWriter wraps w; the caller keeps ownership of w.
-func NewExplainWriter(w io.Writer) *ExplainWriter {
-	bw := bufio.NewWriter(w)
-	return &ExplainWriter{enc: json.NewEncoder(bw), bw: bw}
-}
-
-// CreateExplain creates path and returns a writer to it (".gz"
-// compresses).
-func CreateExplain(path string) (*ExplainWriter, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w := &ExplainWriter{file: f}
-	var out io.Writer = f
-	if strings.HasSuffix(path, ".gz") {
-		w.gz = gzip.NewWriter(f)
-		out = w.gz
-	}
-	w.bw = bufio.NewWriter(out)
-	w.enc = json.NewEncoder(w.bw)
-	return w, nil
-}
-
-// Record appends one record (safe for concurrent use).
-func (w *ExplainWriter) Record(rec ExplainRecord) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.count++
-	return w.enc.Encode(&rec)
-}
-
-// Count returns how many records have been written.
-func (w *ExplainWriter) Count() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.count
-}
-
-// Close flushes and closes the file when the writer owns one.
-func (w *ExplainWriter) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	if w.gz != nil {
-		if err := w.gz.Close(); err != nil {
-			return err
-		}
-		w.gz = nil
-	}
-	if w.file != nil {
-		err := w.file.Close()
-		w.file = nil
-		return err
-	}
-	return nil
-}
-
-// ReadExplain decodes an explain JSONL stream (gzip sniffed by magic
-// bytes).
-func ReadExplain(r io.Reader) ([]ExplainRecord, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		return decodeExplain(gz)
-	}
-	return decodeExplain(br)
-}
-
-// OpenExplain reads an -explain file from disk.
-func OpenExplain(path string) ([]ExplainRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadExplain(f)
-}
-
-func decodeExplain(r io.Reader) ([]ExplainRecord, error) {
-	dec := json.NewDecoder(r)
-	var out []ExplainRecord
-	for {
-		var rec ExplainRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
 }
 
 // VerifyExplain checks every record's internal consistency: the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dnsnoise/internal/features"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/mlearn"
 )
 
@@ -95,13 +96,13 @@ func TestExplainWriterRoundTrip(t *testing.T) {
 	for _, name := range []string{"explain.jsonl", "explain.jsonl.gz"} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), name)
-			w, err := CreateExplain(path)
+			w, err := jsonl.Create[ExplainRecord](path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			miner := trainedMiner(t, 0.5)
 			miner.SetExplain(func(rec ExplainRecord) {
-				if err := w.Record(rec); err != nil {
+				if err := w.Write(&rec); err != nil {
 					t.Error(err)
 				}
 			})
@@ -113,7 +114,7 @@ func TestExplainWriterRoundTrip(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			recs, err := OpenExplain(path)
+			recs, err := jsonl.Open[ExplainRecord](path)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -106,12 +106,23 @@ type verdictState struct {
 // VerdictSnapshot is an immutable view of the current verdict set,
 // published atomically after every re-score. Depths are encoded as a
 // per-zone bitmask so the serve path can probe a name's ancestor chain
-// with plain map lookups and no allocation.
+// with plain map lookups and no allocation (Flagged).
 type VerdictSnapshot struct {
 	window uint32
-	zones  map[string]uint64 // zone -> bitmask of disposable depths (1..63)
+	zones  map[string]depthMask // zone -> its disposable depths
 	pairs  int
 }
+
+// maxDepth bounds the depths a snapshot holds: dnsname.Validate admits
+// names of up to 127 labels.
+const maxDepth = 127
+
+// depthMask holds one bit per name depth 0..maxDepth.
+type depthMask [(maxDepth + 64) / 64]uint64
+
+func (m *depthMask) set(depth int) { m[depth>>6] |= 1 << (depth & 63) }
+
+func (m *depthMask) has(depth int) bool { return m[depth>>6]&(1<<(depth&63)) != 0 }
 
 // Window returns the 1-based window ordinal that published the snapshot.
 func (s *VerdictSnapshot) Window() uint32 {
@@ -129,33 +140,33 @@ func (s *VerdictSnapshot) Pairs() int {
 	return s.pairs
 }
 
-// Lookup probes one zone (as raw bytes, so wire-parsed names need no
-// string allocation) and returns its disposable-depth bitmask. Check a
-// full name's depth with DepthBit.
-func (s *VerdictSnapshot) Lookup(zone []byte) (uint64, bool) {
+// Flagged reports whether s flags a proper ancestor zone of name at
+// name's depth (its dots plus one): core.Matcher's semantics, as the live
+// scorer and the fleet's event stamp ask it. name is a dotted name as a
+// string or as raw bytes (a wire-parsed name needs no string); either
+// way the probe allocates nothing. A nil snapshot flags nothing.
+func Flagged[S ~string | ~[]byte](s *VerdictSnapshot, name S) bool {
 	if s == nil {
-		return 0, false
+		return false
 	}
-	mask, ok := s.zones[string(zone)] // compiler elides the conversion
-	return mask, ok
-}
-
-// LookupString is Lookup for callers that already hold a string.
-func (s *VerdictSnapshot) LookupString(zone string) (uint64, bool) {
-	if s == nil {
-		return 0, false
+	depth := 1
+	for i := 0; i < len(name); i++ {
+		if name[i] == '.' {
+			depth++
+		}
 	}
-	mask, ok := s.zones[zone]
-	return mask, ok
-}
-
-// DepthBit returns the bitmask bit for a full name's depth, and whether
-// the depth is encodable (1..63).
-func DepthBit(depth int) (uint64, bool) {
-	if depth <= 0 || depth >= 64 {
-		return 0, false
+	if depth > maxDepth {
+		return false
 	}
-	return 1 << uint(depth), true
+	for i := 0; i < len(name); i++ {
+		if name[i] != '.' {
+			continue
+		}
+		if mask, ok := s.zones[string(name[i+1:])]; ok && mask.has(depth) {
+			return true
+		}
+	}
+	return false
 }
 
 // RescoreResult is one window's re-score outcome.
@@ -603,17 +614,15 @@ func keepPair(k ZoneDepth) ZoneDepth {
 
 // publishSnapshot rebuilds and atomically publishes the verdict set.
 func (p *StreamingPipeline) publishSnapshot() {
-	zones := make(map[string]uint64)
+	zones := make(map[string]depthMask)
 	pairs := 0
 	for k, st := range p.states {
-		if !st.current {
+		if !st.current || k.Depth > maxDepth {
 			continue
 		}
-		bit, ok := DepthBit(k.Depth)
-		if !ok {
-			continue
-		}
-		zones[k.Zone] |= bit
+		mask := zones[k.Zone]
+		mask.set(k.Depth)
+		zones[k.Zone] = mask
 		pairs++
 	}
 	p.snap.Store(&VerdictSnapshot{window: p.windows.Load(), zones: zones, pairs: pairs})

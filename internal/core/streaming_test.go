@@ -11,6 +11,7 @@ import (
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/labelgen"
 	"dnsnoise/internal/mlearn"
 	"dnsnoise/internal/resolver"
@@ -216,15 +217,13 @@ func TestStreamingHysteresisAndDrift(t *testing.T) {
 	// The snapshot answers ancestor probes: a flagged (zone, depth) pair
 	// matches a name of that depth under the zone.
 	zd := stream.CurrentDisposable()[0]
-	mask, ok := snap.LookupString(zd.Zone)
-	if !ok {
-		t.Fatalf("snapshot missing zone %s", zd.Zone)
+	if name := nameUnder(zd); !Flagged(snap, name) || !Flagged(snap, []byte(name)) {
+		t.Fatalf("snapshot does not flag %s under pair %+v", name, zd)
 	}
-	bit, _ := DepthBit(zd.Depth)
-	if mask&bit == 0 {
-		t.Fatalf("zone %s mask %b missing depth %d", zd.Zone, mask, zd.Depth)
+	if name := "x." + nameUnder(zd); Flagged(snap, name) {
+		t.Fatalf("snapshot flags %s, one deeper than pair %+v", name, zd)
 	}
-	if _, ok := snap.Lookup([]byte("never.flagged.example")); ok {
+	if Flagged(snap, "x.never.flagged.example") {
 		t.Fatal("unknown zone matched")
 	}
 
@@ -280,10 +279,33 @@ func TestStreamingPrime(t *testing.T) {
 	if snap.Pairs() != 2 {
 		t.Fatalf("primed pairs = %d, want 2", snap.Pairs())
 	}
-	mask, ok := snap.Lookup([]byte("d.test"))
-	if bit, _ := DepthBit(3); !ok || mask&bit == 0 {
-		t.Fatalf("primed zone not probeable: mask=%b ok=%v", mask, ok)
+	if !Flagged(snap, []byte("a.d.test")) {
+		t.Fatal("primed pair (d.test, 3) does not flag a.d.test")
 	}
+}
+
+// TestSnapshotFlagsDeepPairs: a pair at any depth a valid name can have
+// (up to 127 labels) is published, counted, and flags the names under it.
+func TestSnapshotFlagsDeepPairs(t *testing.T) {
+	stream, err := NewStreamingPipeline(trainedClassifier(t), MinerConfig{Theta: 0.5}, StreamingConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := ZoneDepth{Zone: strings.Repeat("z.", 60) + "test", Depth: 70}
+	stream.Prime([]Finding{{Zone: deep.Zone, Depth: deep.Depth, Confidence: 0.9},
+		{Zone: "d.test", Depth: 3, Confidence: 0.9}})
+	snap := stream.Snapshot()
+	if got, want := snap.Pairs(), len(stream.CurrentDisposable()); got != want {
+		t.Fatalf("snapshot flags %d pairs, CurrentDisposable lists %d", got, want)
+	}
+	if name := nameUnder(deep); !Flagged(snap, name) {
+		t.Fatalf("depth-%d name under the deep pair scores benign", deep.Depth)
+	}
+}
+
+// nameUnder returns a name of zd.Depth labels under zd.Zone.
+func nameUnder(zd ZoneDepth) string {
+	return strings.Repeat("x.", zd.Depth-dnsname.CountLabels(zd.Zone)) + zd.Zone
 }
 
 // TestStreamingExplainStamps verifies the provenance extension: records

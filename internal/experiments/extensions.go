@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dnsnoise/internal/cache"
@@ -245,14 +244,4 @@ func (r *CrossNetworkResult) Render() string {
 	sb.WriteString("  note: zones that merely LOOK disposable look that way from every vantage\n")
 	sb.WriteString("  point, so agreement widens coverage more than it purifies precision\n")
 	return sb.String()
-}
-
-// SortedZones is a small helper for deterministic reporting in tests.
-func SortedZones(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for z := range m {
-		out = append(out, z)
-	}
-	sort.Strings(out)
-	return out
 }

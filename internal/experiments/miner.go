@@ -271,7 +271,7 @@ func GrowthStudy(scale sim.Scale) (*GrowthResult, error) {
 		}
 		dr.RRDisposableFrac = frac(rrMined, rrTotal)
 
-		truthMatch := truthMatcher(env.Registry.GroundTruth())
+		truthMatch := sim.TruthMatcher(env.Registry.GroundTruth())
 		_, truthQ = collector.QueriedNames(truthMatch)
 		_, truthR = collector.ResolvedNames(truthMatch)
 		dr.TruthQueriedFrac = frac(truthQ, qt)
@@ -301,30 +301,6 @@ func frac(num, den int) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-// truthMatcher builds an O(labels) ground-truth predicate: a name is
-// disposable when any of its parent zones carries a disposable label.
-func truthMatcher(gt map[string]bool) func(string) bool {
-	disp := make(map[string]struct{}, len(gt))
-	for zone, d := range gt {
-		if d {
-			disp[zone] = struct{}{}
-		}
-	}
-	return func(name string) bool {
-		for probe := name; probe != ""; {
-			if _, ok := disp[probe]; ok {
-				return true
-			}
-			dot := strings.IndexByte(probe, '.')
-			if dot < 0 {
-				break
-			}
-			probe = probe[dot+1:]
-		}
-		return false
-	}
 }
 
 // RenderFig13 prints the growth table (Figure 13).

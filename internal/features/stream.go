@@ -2,16 +2,13 @@
 // entropy from scratch each day; a streaming re-score runs every window
 // over a tree whose label sets barely change between windows, so the
 // entropies are memoized (EntropyCache), running moments track per-depth
-// label groups incrementally (RunningEntropy), and the CHR family gains a
-// windowed form read from the sharded hourly counters instead of a
-// completed day collector.
+// label groups incrementally (RunningEntropy).
 package features
 
 import (
 	"math"
 	"strings"
 
-	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/stats"
 )
 
@@ -125,22 +122,4 @@ func (r *RunningEntropy) Variance() float64 {
 		return 0
 	}
 	return v
-}
-
-// WindowCHR reads a windowed cache-hit rate straight from the sharded
-// hourly counters: 1 − above/below over the unix-hour range
-// [fromHour, toHour], the streaming stand-in for the day collector's
-// eq. 1 when a window closes mid-day. Series are the counter's registered
-// below/above volume series. Returns (chr, ok); ok is false when the
-// window saw no below traffic.
-func WindowCHR(h *chrstat.HourlyCounter, belowSeries, aboveSeries string, fromHour, toHour int64) (float64, bool) {
-	below := h.WindowVolume(belowSeries, fromHour, toHour)
-	if below == 0 {
-		return 0, false
-	}
-	above := h.WindowVolume(aboveSeries, fromHour, toHour)
-	if above >= below {
-		return 0, true
-	}
-	return 1 - float64(above)/float64(below), true
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/dnsmsg"
@@ -94,43 +93,5 @@ func TestRunningEntropyMatchesBatchMoments(t *testing.T) {
 	var empty RunningEntropy
 	if empty.Min() != 0 || empty.Max() != 0 || empty.Mean() != 0 || empty.Variance() != 0 {
 		t.Error("empty RunningEntropy should read all zeros")
-	}
-}
-
-// TestWindowCHR reads a windowed hit rate from the hourly counters.
-func TestWindowCHR(t *testing.T) {
-	h := chrstat.NewHourlyCounter()
-	h.AddSeries("below", func(ob resolver.Observation) bool { return ob.Server >= 0 })
-	h.AddSeries("above", func(ob resolver.Observation) bool { return ob.Server < 0 })
-	tap := h.Tap()
-	base := time.Date(2014, 6, 1, 0, 0, 0, 0, time.UTC)
-	obAt := func(hour int, name string, above bool) resolver.Observation {
-		ob := resolver.Observation{Time: base.Add(time.Duration(hour) * time.Hour), QName: name}
-		if above {
-			ob.Server = -1
-		}
-		return ob
-	}
-	// Hour 0: 4 below, 1 above. Hour 1: 4 below, 3 above.
-	for i := 0; i < 4; i++ {
-		tap.Observe(obAt(0, fmt.Sprintf("h0-%d.example.com", i), false))
-		tap.Observe(obAt(1, fmt.Sprintf("h1-%d.example.com", i), false))
-	}
-	tap.Observe(obAt(0, "h0-0.example.com", true))
-	for i := 0; i < 3; i++ {
-		tap.Observe(obAt(1, fmt.Sprintf("h1-%d.example.com", i), true))
-	}
-	h0 := base.Unix() / 3600
-	if chr, ok := WindowCHR(h, "below", "above", h0, h0); !ok || math.Abs(chr-0.75) > 1e-12 {
-		t.Fatalf("hour 0 CHR = %v ok=%v, want 0.75", chr, ok)
-	}
-	if chr, ok := WindowCHR(h, "below", "above", h0, h0+1); !ok || math.Abs(chr-0.5) > 1e-12 {
-		t.Fatalf("two-hour CHR = %v ok=%v, want 0.5", chr, ok)
-	}
-	if _, ok := WindowCHR(h, "below", "above", h0+10, h0+11); ok {
-		t.Fatal("empty window should report ok=false")
-	}
-	if got := h.WindowVolume("nosuch", h0, h0+1); got != 0 {
-		t.Fatalf("unknown series volume = %d", got)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"time"
 
 	"dnsnoise/internal/core"
@@ -294,27 +293,10 @@ func (s *popStamp) Consume(events []qlog.Event) error {
 func (s *popStamp) Flush() error { return nil }
 
 // scoreName probes the streaming pipeline's live verdict snapshot with
-// a dotted name: disposable when any proper ancestor zone is flagged
-// for the name's depth (core.Matcher semantics; see also
-// livescore.Scorer.ScoreWire, which does the same walk on wire format).
+// a dotted name, as livescore.Scorer.ScoreWire probes it with a wire name.
 func scoreName(sp *core.StreamingPipeline, name string) qlog.Verdict {
-	snap := sp.Snapshot()
-	if snap == nil || name == "" {
-		return qlog.VerdictBenign
+	if core.Flagged(sp.Snapshot(), name) {
+		return qlog.VerdictDisposable
 	}
-	depth := strings.Count(name, ".") + 1
-	bit, ok := core.DepthBit(depth)
-	if !ok {
-		return qlog.VerdictBenign
-	}
-	for probe := name; ; {
-		dot := strings.IndexByte(probe, '.')
-		if dot < 0 {
-			return qlog.VerdictBenign
-		}
-		probe = probe[dot+1:]
-		if mask, hit := snap.LookupString(probe); hit && mask&bit != 0 {
-			return qlog.VerdictDisposable
-		}
-	}
+	return qlog.VerdictBenign
 }

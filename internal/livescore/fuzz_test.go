@@ -12,7 +12,7 @@ import (
 // FuzzQuestionReaders holds the scorer to the front door's one question
 // reader, dnsmsg.AppendSoleQuestion (FuzzUnpack holds the reader to the
 // decoder): ScoreWire gives no verdict exactly when the reader rejects the
-// datagram, reads the root, or reads a name of more than maxLabelStarts
+// datagram, reads the root, or reads a name of more than maxLabels
 // labels or longer than a ring slot; otherwise it stages the reader's name.
 func FuzzQuestionReaders(f *testing.F) {
 	query := func(labels ...string) []byte {
@@ -31,8 +31,8 @@ func FuzzQuestionReaders(f *testing.F) {
 		query("dot.", "x"),                   // a label's own trailing dot
 		query("a.b", "x"),                    // a dot inside a label
 		query(),                              // the root
-		query(dots, dots, dots),              // labels of dots: past maxLabelStarts
-		query(dots, dots[1:], "x"),           // exactly maxLabelStarts labels
+		query(dots, dots, dots),              // labels of dots: past maxLabels
+		query(dots, dots[1:], "x"),           // exactly maxLabels labels
 		withCookieOPT(query("x", "example")), // dig's query
 		// A compressed question pointing back into the header.
 		{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 0x0C, 0, 1, 0, 1},
@@ -48,7 +48,7 @@ func FuzzQuestionReaders(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		name, _, _, ok := dnsmsg.AppendSoleQuestion(nil, data)
 		none := !ok || len(name) == 0 || len(name) > maxNameLen ||
-			dnsname.CountLabels(string(name)) > maxLabelStarts
+			dnsname.CountLabels(string(name)) > maxLabels
 		s.lastLen = 0 // stage even a repeat of the last input
 		if got := s.ScoreWire(data); (got == qlog.VerdictNone) != none {
 			t.Fatalf("ScoreWire = %q; the reader read %q (ok %v)", got, name, ok)

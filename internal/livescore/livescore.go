@@ -28,10 +28,10 @@ const (
 	// maxNameLen bounds a presentation-form name (RFC 1035: 255 wire
 	// octets bound the dotted form below 255 bytes).
 	maxNameLen = 255
-	// maxLabelStarts bounds the per-label offset table. 255 wire octets
-	// hold at most 127 labels, but a dot inside a wire label splits it
-	// in the presentation form, so a name may spell more.
-	maxLabelStarts = 128
+	// maxLabels bounds a scored name's labels. 255 wire octets hold at
+	// most 127 labels, but a dot inside a wire label splits it in the
+	// presentation form, so a name may spell more.
+	maxLabels = 128
 	// ringSlots is each scorer's staging capacity. When the miner's drain
 	// falls behind, pushes drop (counted) rather than block the packet
 	// loop.
@@ -90,7 +90,6 @@ type Scorer struct {
 	ring nameRing
 
 	scratch [maxNameLen]byte
-	starts  [maxLabelStarts]int
 
 	// last holds the previously staged name, so bursts of the same query
 	// (a hot name between drains) stage once instead of flooding the ring.
@@ -103,7 +102,7 @@ type Scorer struct {
 // verdict: VerdictDisposable when an ancestor zone is currently flagged for
 // the name's depth, VerdictBenign otherwise, and VerdictNone when the reader
 // rejects the datagram, reads the root, or the name has more than
-// maxLabelStarts labels (or, lowered past ASCII, outgrows a ring slot). The
+// maxLabels labels (or, lowered past ASCII, outgrows a ring slot). The
 // name, staged for the streaming miner too, is the one the reader returns;
 // its depth counts its dots, as the miner counts it (dnsname.CountLabels).
 // Zero allocations for an ASCII name; a byte >= 0x80 is lowered as
@@ -113,15 +112,8 @@ func (s *Scorer) ScoreWire(query []byte) qlog.Verdict {
 	if !ok || len(name) == 0 || len(name) > maxNameLen {
 		return qlog.VerdictNone
 	}
-	depth := 1
-	for i, c := range name {
-		if c == '.' {
-			if depth == maxLabelStarts {
-				return qlog.VerdictNone
-			}
-			s.starts[depth] = i + 1
-			depth++
-		}
+	if bytes.Count(name, []byte{'.'}) >= maxLabels {
+		return qlog.VerdictNone
 	}
 
 	// Stage for the miner's intake, skipping immediate repeats of a hot
@@ -132,18 +124,8 @@ func (s *Scorer) ScoreWire(query []byte) qlog.Verdict {
 		}
 	}
 
-	snap := s.eng.pipe.Snapshot()
-	bit, ok := core.DepthBit(depth)
-	if snap == nil || !ok {
-		return qlog.VerdictBenign
-	}
-	// Probe the proper ancestors (the paper's zones are always above the
-	// name): deepest first matches core.Matcher's semantics, though the
-	// snapshot makes any hit decisive.
-	for i := 1; i < depth; i++ {
-		if mask, hit := snap.Lookup(name[s.starts[i]:]); hit && mask&bit != 0 {
-			return qlog.VerdictDisposable
-		}
+	if core.Flagged(s.eng.pipe.Snapshot(), name) {
+		return qlog.VerdictDisposable
 	}
 	return qlog.VerdictBenign
 }

@@ -1,13 +1,10 @@
 package pdns
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"time"
 
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/resolver"
 )
 
@@ -25,29 +22,19 @@ type FpRecord struct {
 	RData  string    `json:"rdata"`
 }
 
-// FpWriter streams fpDNS tuples to a writer as JSON lines. Unsuccessful
-// resolutions are excluded, as in the paper's fpDNS dataset (which records
-// the answer sections only).
-type FpWriter struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	n   uint64
-}
-
-// NewFpWriter wraps w.
-func NewFpWriter(w io.Writer) *FpWriter {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	return &FpWriter{bw: bw, enc: json.NewEncoder(bw)}
-}
+// FpWriter streams fpDNS tuples as JSON lines. Unsuccessful resolutions
+// are excluded, as in the paper's fpDNS dataset (which records the answer
+// sections only).
+type FpWriter struct{ *jsonl.Writer[FpRecord] }
 
 // Tap returns a resolver tap recording every successful answer record.
-// Encoding errors surface on Flush.
-func (w *FpWriter) Tap() resolver.Tap {
+// A write error is kept by the writer and surfaces on Close.
+func (w FpWriter) Tap() resolver.Tap {
 	return resolver.TapFunc(func(ob resolver.Observation) {
 		if ob.RCode != dnsmsg.RCodeNoError || ob.RR.Name == "" {
 			return
 		}
-		rec := FpRecord{
+		w.Write(&FpRecord{
 			Time:   ob.Time.Truncate(time.Second),
 			Client: ob.ClientID,
 			QName:  ob.QName,
@@ -55,46 +42,6 @@ func (w *FpWriter) Tap() resolver.Tap {
 			Type:   ob.RR.Type.String(),
 			TTL:    ob.RR.TTL,
 			RData:  ob.RR.RData.Format(ob.RR.Type),
-		}
-		if err := w.enc.Encode(rec); err == nil {
-			w.n++
-		}
+		})
 	})
-}
-
-// Count returns the number of tuples written.
-func (w *FpWriter) Count() uint64 { return w.n }
-
-// Flush drains the buffer.
-func (w *FpWriter) Flush() error {
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("pdns: flush fpDNS stream: %w", err)
-	}
-	return nil
-}
-
-// ReadFpDNS parses an fpDNS JSONL stream, invoking visit for each record;
-// a visit returning false stops early.
-func ReadFpDNS(r io.Reader, visit func(FpRecord) bool) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec FpRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("pdns: fpDNS line %d: %w", line, err)
-		}
-		if !visit(rec) {
-			return nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("pdns: read fpDNS stream: %w", err)
-	}
-	return nil
 }

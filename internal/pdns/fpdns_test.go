@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/resolver"
 )
 
 func TestFpWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewFpWriter(&buf)
-	tap := w.Tap()
+	w := jsonl.NewWriter[FpRecord](&buf)
+	tap := FpWriter{Writer: w}.Tap()
 	at := time.Date(2011, 12, 1, 8, 0, 0, 123456789, time.UTC)
 	tap.Observe(resolver.Observation{
 		Time: at, ClientID: 42, QName: "www.example.com",
@@ -30,11 +31,8 @@ func TestFpWriterRoundTrip(t *testing.T) {
 		t.Fatalf("Count = %d, want 1", w.Count())
 	}
 
-	var recs []FpRecord
-	if err := ReadFpDNS(&buf, func(r FpRecord) bool {
-		recs = append(recs, r)
-		return true
-	}); err != nil {
+	recs, err := jsonl.Read[FpRecord](&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 {
@@ -51,24 +49,8 @@ func TestFpWriterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFpDNSEarlyStop(t *testing.T) {
-	input := `{"ts":"2011-12-01T00:00:00Z","client":1,"qname":"a.test","name":"a.test","type":"A","ttl":60,"rdata":"1.2.3.4"}
-{"ts":"2011-12-01T00:00:01Z","client":2,"qname":"b.test","name":"b.test","type":"A","ttl":60,"rdata":"1.2.3.5"}
-`
-	n := 0
-	if err := ReadFpDNS(strings.NewReader(input), func(FpRecord) bool {
-		n++
-		return false
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("visited %d, want 1 (early stop)", n)
-	}
-}
-
 func TestReadFpDNSMalformed(t *testing.T) {
-	if err := ReadFpDNS(strings.NewReader("{broken\n"), func(FpRecord) bool { return true }); err == nil {
+	if _, err := jsonl.Read[FpRecord](strings.NewReader("{broken\n")); err == nil {
 		t.Error("malformed line should fail")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/telemetry"
 )
 
@@ -126,10 +127,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 	for _, name := range []string{"events.jsonl", "events.jsonl.gz"} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), name)
-			sink, err := CreateJSONL(path)
+			f, err := jsonl.Create[Event](path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sink := JSONLSink{Writer: f}
 			l := New(Config{Sample: 1, RingSize: 8})
 			l.AddSink(sink)
 			l.SetDay(time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC))
@@ -152,7 +154,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 			if got := sink.Count(); got != 1 {
 				t.Errorf("sink count = %d, want 1", got)
 			}
-			evs, err := OpenEvents(path)
+			evs, err := jsonl.Open[Event](path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,14 +176,14 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 func TestReadEventsPlainWriter(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	sink := JSONLSink{Writer: jsonl.NewWriter[Event](&buf)}
 	if err := sink.Consume([]Event{{ID: 1, Name: "x.test"}, {ID: 2, Name: "y.test"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ReadEvents(&buf)
+	evs, err := jsonl.Read[Event](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

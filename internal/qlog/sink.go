@@ -1,150 +1,29 @@
 package qlog
 
 import (
-	"bufio"
-	"compress/gzip"
 	"encoding/json"
-	"fmt"
-	"io"
-	"math"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/telemetry"
 )
 
 // JSONLSink writes events as JSON lines, one per event — the -qlog file
-// format. It buffers internally; Flush/Close push everything out.
-type JSONLSink struct {
-	mu    sync.Mutex
-	enc   *json.Encoder
-	bw    *bufio.Writer
-	gz    *gzip.Writer
-	file  io.Closer // underlying file when opened via CreateJSONL
-	count uint64
-}
-
-// NewJSONLSink wraps w. The caller keeps ownership of w; Close flushes
-// but does not close it.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriter(w)
-	return &JSONLSink{enc: json.NewEncoder(bw), bw: bw}
-}
-
-// CreateJSONL creates path and returns a sink writing to it. A ".gz"
-// suffix gzip-compresses, mirroring traceio.CreatePath.
-func CreateJSONL(path string) (*JSONLSink, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	s := &JSONLSink{file: f}
-	var w io.Writer = f
-	if strings.HasSuffix(path, ".gz") {
-		s.gz = gzip.NewWriter(f)
-		w = s.gz
-	}
-	s.bw = bufio.NewWriter(w)
-	s.enc = json.NewEncoder(s.bw)
-	return s, nil
-}
+// format. Flush and Close are the embedded jsonl.Writer's.
+type JSONLSink struct{ *jsonl.Writer[Event] }
 
 // Consume encodes the batch.
-func (s *JSONLSink) Consume(events []Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s JSONLSink) Consume(events []Event) error {
 	for i := range events {
-		if err := s.enc.Encode(&events[i]); err != nil {
+		if err := s.Write(&events[i]); err != nil {
 			return err
 		}
-		s.count++
 	}
 	return nil
-}
-
-// Flush pushes buffered lines to the underlying writer.
-func (s *JSONLSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.bw.Flush(); err != nil {
-		return err
-	}
-	if s.gz != nil {
-		return s.gz.Flush()
-	}
-	return nil
-}
-
-// Count returns how many events have been written.
-func (s *JSONLSink) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Close flushes and closes the gzip stream and file (when the sink owns
-// one).
-func (s *JSONLSink) Close() error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gz != nil {
-		if err := s.gz.Close(); err != nil {
-			return err
-		}
-		s.gz = nil
-	}
-	if s.file != nil {
-		err := s.file.Close()
-		s.file = nil
-		return err
-	}
-	return nil
-}
-
-// ReadEvents decodes a JSONL event stream (gzip sniffed by magic bytes),
-// for tests and offline tooling.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		return decodeEvents(gz)
-	}
-	return decodeEvents(br)
-}
-
-// OpenEvents reads a -qlog file from disk.
-func OpenEvents(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadEvents(f)
-}
-
-func decodeEvents(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, err
-		}
-		out = append(out, ev)
-	}
 }
 
 // MemorySink retains the last N events in a ring, serving them (with
@@ -297,11 +176,11 @@ func (m *MemorySink) Handler() http.Handler {
 			f.Limit = v
 		}
 		var err error
-		if f.Since, err = parseTimeParam(q.Get("since")); err != nil {
+		if f.Since, err = telemetry.ParseTime(q.Get("since")); err != nil {
 			http.Error(w, "qlog: bad since parameter: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if f.Until, err = parseTimeParam(q.Get("until")); err != nil {
+		if f.Until, err = telemetry.ParseTime(q.Get("until")); err != nil {
 			http.Error(w, "qlog: bad until parameter: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -313,25 +192,6 @@ func (m *MemorySink) Handler() http.Handler {
 			Events   []Event `json:"events"`
 		}{m.Total(), len(evs), evs})
 	})
-}
-
-// parseTimeParam accepts RFC3339(Nano) timestamps or Unix seconds
-// (integer or fractional). Empty means unset.
-func parseTimeParam(s string) (time.Time, error) {
-	if s == "" {
-		return time.Time{}, nil
-	}
-	if t, err := time.Parse(time.RFC3339Nano, s); err == nil {
-		return t, nil
-	}
-	if t, err := time.Parse(time.RFC3339, s); err == nil {
-		return t, nil
-	}
-	sec, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(sec) || math.IsInf(sec, 0) {
-		return time.Time{}, fmt.Errorf("want RFC3339 or unix seconds, got %q", s)
-	}
-	return time.Unix(0, int64(sec*float64(time.Second))), nil
 }
 
 // Exemplar links one telemetry histogram bucket to a concrete sample

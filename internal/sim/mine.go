@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 	"os"
+	"strings"
 
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/mlearn"
 	"dnsnoise/internal/telemetry"
 )
@@ -37,20 +39,13 @@ func (e *Env) MineWindow(byName map[string][]*chrstat.RRStat, theta float64, exp
 		return nil, nil, err
 	}
 	miner.SetMetrics(reg)
-	var (
-		ew         *core.ExplainWriter
-		explainErr error
-	)
+	var ew *jsonl.Writer[core.ExplainRecord]
 	if explain != "" {
-		if ew, err = core.CreateExplain(explain); err != nil {
+		if ew, err = jsonl.Create[core.ExplainRecord](explain); err != nil {
 			return nil, nil, fmt.Errorf("explain: %w", err)
 		}
 		defer ew.Close()
-		miner.SetExplain(func(rec core.ExplainRecord) {
-			if err := ew.Record(rec); err != nil && explainErr == nil {
-				explainErr = err
-			}
-		})
+		miner.SetExplain(func(rec core.ExplainRecord) { ew.Write(&rec) })
 	}
 	span = tracer.Start("mine")
 	findings, err := miner.Mine(core.BuildTree(byName, e.Suffixes), byName)
@@ -60,13 +55,34 @@ func (e *Env) MineWindow(byName map[string][]*chrstat.RRStat, theta float64, exp
 	span.AddItems(int64(len(findings)))
 	span.End()
 	if ew != nil {
-		if explainErr == nil {
-			explainErr = ew.Close()
-		}
-		if explainErr != nil {
-			return nil, nil, fmt.Errorf("explain: %w", explainErr)
+		if err := ew.Close(); err != nil {
+			return nil, nil, fmt.Errorf("explain: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "explain: wrote %d decision records to %s\n", ew.Count(), explain)
 	}
 	return clf, findings, nil
+}
+
+// TruthMatcher builds an O(labels) ground-truth predicate: a name is
+// disposable when any of its parent zones carries a disposable label.
+func TruthMatcher(gt map[string]bool) func(string) bool {
+	disp := make(map[string]struct{}, len(gt))
+	for zone, d := range gt {
+		if d {
+			disp[zone] = struct{}{}
+		}
+	}
+	return func(name string) bool {
+		for probe := name; probe != ""; {
+			if _, ok := disp[probe]; ok {
+				return true
+			}
+			dot := strings.IndexByte(probe, '.')
+			if dot < 0 {
+				break
+			}
+			probe = probe[dot+1:]
+		}
+		return false
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dnsnoise/internal/ingest"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/qlog"
 	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/telemetry"
@@ -121,11 +122,11 @@ func (o *Obs) Start(command string, args []string) (err error) {
 		}
 		o.log = qlog.New(qlog.Config{Sample: o.QlogSample})
 		if o.QlogPath != "" {
-			f, err := qlog.CreateJSONL(o.QlogPath)
+			f, err := jsonl.Create[qlog.Event](o.QlogPath)
 			if err != nil {
 				return fmt.Errorf("qlog: %w", err)
 			}
-			o.log.AddSink(f)
+			o.log.AddSink(qlog.JSONLSink{Writer: f})
 		}
 		if mux != nil {
 			mem, ex := qlog.NewMemorySink(o.QlogMem), qlog.NewExemplarSink()

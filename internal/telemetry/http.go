@@ -3,10 +3,12 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // splitSeries separates an optional label set from a metric name:
@@ -124,4 +126,23 @@ func (r *Registry) Handler() http.Handler {
 		fmt.Fprint(w, "dnsnoise telemetry\n\n/metrics\n/debug/pprof/\n")
 	})
 	return mux
+}
+
+// ParseTime reads an HTTP query parameter naming an instant: RFC3339(Nano)
+// or Unix seconds (integer or fractional). Empty means unset.
+func ParseTime(s string) (time.Time, error) {
+	if s == "" {
+		return time.Time{}, nil
+	}
+	if t, err := time.Parse(time.RFC3339Nano, s); err == nil {
+		return t, nil
+	}
+	if t, err := time.Parse(time.RFC3339, s); err == nil {
+		return t, nil
+	}
+	sec, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsNaN(sec) || math.IsInf(sec, 0) {
+		return time.Time{}, fmt.Errorf("want RFC3339 or unix seconds, got %q", s)
+	}
+	return time.Unix(0, int64(sec*float64(time.Second))), nil
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"dnsnoise/internal/telemetry"
 )
 
 // Handler serves the range-query API, mounted at /debug/tsdb.
@@ -38,11 +40,11 @@ func (db *DB) Handler() http.Handler {
 			return
 		}
 		var opt Options
-		if opt.Start, err = parseQueryTime(q.Get("start")); err != nil {
+		if opt.Start, err = telemetry.ParseTime(q.Get("start")); err != nil {
 			http.Error(w, "bad start: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if opt.End, err = parseQueryTime(q.Get("end")); err != nil {
+		if opt.End, err = telemetry.ParseTime(q.Get("end")); err != nil {
 			http.Error(w, "bad end: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -59,25 +61,6 @@ func (db *DB) Handler() http.Handler {
 			Series []Result `json:"series"`
 		}{agg.String(), results})
 	})
-}
-
-// parseQueryTime accepts RFC3339(Nano) timestamps or Unix seconds (integer
-// or fractional). Empty means unset.
-func parseQueryTime(s string) (time.Time, error) {
-	if s == "" {
-		return time.Time{}, nil
-	}
-	if t, err := time.Parse(time.RFC3339Nano, s); err == nil {
-		return t, nil
-	}
-	if t, err := time.Parse(time.RFC3339, s); err == nil {
-		return t, nil
-	}
-	sec, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(sec) || math.IsInf(sec, 0) {
-		return time.Time{}, fmt.Errorf("want RFC3339 or unix seconds, got %q", s)
-	}
-	return time.Unix(0, int64(sec*float64(time.Second))), nil
 }
 
 // parseQueryDuration accepts Go durations ("15s") or plain seconds ("15").

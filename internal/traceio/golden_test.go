@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/workload"
 )
@@ -61,13 +62,13 @@ func readAll(t *testing.T, data []byte) []Event {
 func writeAll(t *testing.T, events []Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := &Writer{jsonl.NewWriter[Event](&buf)}
 	for _, e := range events {
 		if err := w.Write(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.jw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

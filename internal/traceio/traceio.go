@@ -1,13 +1,10 @@
 // Package traceio serializes query traces as JSON Lines, so generated
 // workloads can be stored, inspected, and replayed by the CLI tools.
-// Traces may be gzip-compressed: readers sniff the gzip magic bytes
-// regardless of file name, and the path helpers compress anything whose
-// name ends in ".gz".
+// The file format, gzip rule included, is internal/jsonl's.
 package traceio
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +17,7 @@ import (
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/dnsname"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/resolver"
 )
 
@@ -77,36 +75,12 @@ func (e Event) ToQuery() (resolver.Query, error) {
 	}, nil
 }
 
-// Writer emits events as JSON lines, optionally through a gzip layer.
-type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	gz  *gzip.Writer
-	n   int
-}
-
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// NewGzipWriter wraps w in a gzip-compressing trace writer. Close (or
-// Flush) must be called to terminate the gzip stream.
-func NewGzipWriter(w io.Writer) *Writer {
-	gz := gzip.NewWriter(w)
-	tw := NewWriter(gz)
-	tw.gz = gz
-	return tw
-}
+// Writer emits events as JSON lines. CreatePath makes one.
+type Writer struct{ jw *jsonl.Writer[Event] }
 
 // Write appends one event.
 func (w *Writer) Write(e Event) error {
-	if err := w.enc.Encode(e); err != nil {
-		return fmt.Errorf("traceio: write event: %w", err)
-	}
-	w.n++
-	return nil
+	return w.jw.Write(&e)
 }
 
 // Consume appends one query, satisfying the ingest pipeline's query-sink
@@ -116,22 +90,7 @@ func (w *Writer) Consume(q resolver.Query) error {
 }
 
 // Count returns the number of events written.
-func (w *Writer) Count() int { return w.n }
-
-// Flush drains the buffer (and terminates the gzip stream, when present);
-// call before closing the underlying writer.
-func (w *Writer) Flush() error {
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("traceio: flush: %w", err)
-	}
-	if w.gz != nil {
-		if err := w.gz.Close(); err != nil {
-			return fmt.Errorf("traceio: close gzip: %w", err)
-		}
-		w.gz = nil
-	}
-	return nil
-}
+func (w *Writer) Count() int { return int(w.jw.Count()) }
 
 // Reader parses JSON-line events. The input is sniffed for the gzip magic
 // bytes on the first read and decompressed transparently. The format is
@@ -156,15 +115,10 @@ func (r *Reader) init() error {
 	if r.sc != nil || r.initErr != nil {
 		return r.initErr
 	}
-	br := bufio.NewReaderSize(r.raw, 1<<16)
-	var src io.Reader = br
-	if head, err := br.Peek(2); err == nil && head[0] == 0x1f && head[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			r.initErr = fmt.Errorf("traceio: open gzip stream: %w", err)
-			return r.initErr
-		}
-		src = gz
+	src, err := jsonl.Sniff(r.raw)
+	if err != nil {
+		r.initErr = fmt.Errorf("traceio: open gzip stream: %w", err)
+		return r.initErr
 	}
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 0, 1<<16), maxLineBytes)
@@ -318,33 +272,15 @@ func OpenPath(path string) (*Reader, func() error, error) {
 
 // CreatePath creates a trace file for writing — "-" means stdout — gzip
 // compressing when the name ends in ".gz". The returned close function
-// flushes the writer (terminating any gzip stream) and closes the file.
+// flushes the writer, ends any gzip stream and closes the file.
 func CreatePath(path string) (*Writer, func() error, error) {
-	var (
-		f     *os.File
-		toEnd func() error
-	)
 	if path == "-" {
-		f, toEnd = os.Stdout, func() error { return nil }
-	} else {
-		var err error
-		f, err = os.Create(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		toEnd = f.Close
+		jw := jsonl.NewWriter[Event](os.Stdout)
+		return &Writer{jw}, jw.Close, nil
 	}
-	var w *Writer
-	if strings.HasSuffix(path, ".gz") {
-		w = NewGzipWriter(f)
-	} else {
-		w = NewWriter(f)
+	jw, err := jsonl.Create[Event](path)
+	if err != nil {
+		return nil, nil, err
 	}
-	return w, func() error {
-		if err := w.Flush(); err != nil {
-			toEnd()
-			return err
-		}
-		return toEnd()
-	}, nil
+	return &Writer{jw}, jw.Close, nil
 }

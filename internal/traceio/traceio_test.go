@@ -12,12 +12,13 @@ import (
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/jsonl"
 	"dnsnoise/internal/resolver"
 )
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := &Writer{jsonl.NewWriter[Event](&buf)}
 	queries := []resolver.Query{
 		{
 			Time:     time.Date(2011, 12, 1, 8, 30, 0, 0, time.UTC),
@@ -42,7 +43,7 @@ func TestRoundTrip(t *testing.T) {
 	if w.Count() != 2 {
 		t.Errorf("Count = %d, want 2", w.Count())
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.jw.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,8 +115,11 @@ func TestReaderRejectsMalformed(t *testing.T) {
 }
 
 func TestGzipRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewGzipWriter(&buf)
+	path := filepath.Join(t.TempDir(), "trace.jsonl.gz")
+	w, closeW, err := CreatePath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := Event{
 		Time:   time.Date(2011, 12, 1, 0, 0, 0, 123456789, time.UTC),
 		Client: 9, Name: "tok.avqs.mcafee.com", Type: "A", Disposable: true,
@@ -123,14 +127,18 @@ func TestGzipRoundTrip(t *testing.T) {
 	if err := w.Write(want); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := closeW(); err != nil {
 		t.Fatal(err)
 	}
-	if head := buf.Bytes()[:2]; head[0] != 0x1f || head[1] != 0x8b {
-		t.Fatalf("output does not start with gzip magic: %x", head)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("output does not start with gzip magic: %x", data[:2])
 	}
 	// The reader detects compression by sniffing, not by being told.
-	r := NewReader(&buf)
+	r := NewReader(bytes.NewReader(data))
 	got, err := r.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +230,7 @@ func TestToQueryRejectsUnknownType(t *testing.T) {
 func canonicalTrace(t testing.TB, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := &Writer{jsonl.NewWriter[Event](&buf)}
 	for i := 0; i < n; i++ {
 		e := Event{
 			Time:   time.Date(2011, 12, 1, 8, 30, i, 1000*i, time.UTC),
@@ -235,7 +243,7 @@ func canonicalTrace(t testing.TB, n int) []byte {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.jw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
