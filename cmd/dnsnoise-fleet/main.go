@@ -21,7 +21,7 @@
 //
 //	dnsnoise-fleet -pops 3 -days 2 -metrics-addr :8090 -linger 30s
 //	dnsnoise-fleet -pops 3 -days 2 -metrics-addr :8090 -tsdb-interval 1s -linger 5m
-//	dnsnoise-fleet -trace trace.jsonl -pops 4 -steering modulo -report -
+//	dnsnoise-fleet -trace trace.jsonl -pops 4 -report -
 package main
 
 import (
@@ -54,7 +54,6 @@ func run(args []string, stdout io.Writer) error {
 		source   sim.Source
 		obs      sim.Obs
 		pops     = fs.Int("pops", 3, "resolver PoPs in the fleet")
-		steering = fs.String("steering", "hash", "client steering: hash (rendezvous) or modulo")
 		linger   = fs.Duration("linger", 0, "keep the -metrics-addr endpoint serving this long after the run (for scrapes)")
 		parallel = fs.Bool("parallel", false, "resolve through per-server resolver workers in each PoP")
 
@@ -77,18 +76,13 @@ func run(args []string, stdout io.Writer) error {
 	if *pops < 1 {
 		return fmt.Errorf("-pops must be >= 1")
 	}
-	steer, err := fleet.ParseSteering(*steering)
-	if err != nil {
-		return err
-	}
-
 	if err := obs.Start("dnsnoise-fleet", args); err != nil {
 		return err
 	}
 	defer obs.Close()
 	obs.StartProgress(nil)
 
-	cfg := fleet.Config{Pops: *pops, Steering: steer, Scale: scale, Parallel: *parallel, Obs: &obs}
+	cfg := fleet.Config{Pops: *pops, Scale: scale, Parallel: *parallel, Obs: &obs}
 	if *score {
 		// The single-cluster pre-pass: the same workload through one
 		// ordinary cluster over a fresh world of the same scale, to train
@@ -146,8 +140,8 @@ func run(args []string, stdout io.Writer) error {
 			p.ID, st.Queries, 100*chr, st.UpstreamRTs, p.Store.Len())
 	}
 	merged := f.MergedStore()
-	fmt.Fprintf(stdout, "fleet: %d queries across %d pops (%s steering); merged pdns: %d records, %d disposable\n",
-		total, *pops, steer, merged.Len(), merged.DisposableCount())
+	fmt.Fprintf(stdout, "fleet: %d queries across %d pops (hash steering); merged pdns: %d records, %d disposable\n",
+		total, *pops, merged.Len(), merged.DisposableCount())
 
 	if *linger > 0 && obs.MetricsAddr != "" {
 		fmt.Fprintf(stdout, "lingering %s\n", *linger)

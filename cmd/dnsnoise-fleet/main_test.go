@@ -48,7 +48,6 @@ func TestRunIsDeterministic(t *testing.T) {
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-pops", "0"},
-		{"-steering", "nearest"},
 		{"-live", "-trace", "x.jsonl"},
 	} {
 		var out strings.Builder

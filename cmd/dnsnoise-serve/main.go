@@ -70,7 +70,6 @@ func start(args []string) (_ *service, err error) {
 		addr     = fs.String("addr", "127.0.0.1:5355", "UDP listen address")
 		zonefile = fs.String("zonefile", "", "optional extra zone file to serve ($ORIGIN required)")
 		nlisten  = fs.Int("listeners", 1, "SO_REUSEPORT listener sockets sharing the port (Linux; elsewhere falls back to 1)")
-		batch    = fs.Int("batch", udptransport.DefaultBatch, "datagrams moved per syscall via recvmmsg/sendmmsg (1 = single-packet syscalls)")
 		tcp      = fs.Bool("tcp", false, "also answer over TCP on the same port (RFC 1035 framing, for TC=1 retries)")
 	)
 	var score scoreConfig
@@ -122,7 +121,6 @@ func start(args []string) (_ *service, err error) {
 		udptransport.WithServerMetrics(obs.Registry),
 		udptransport.WithServerQueryLog(obs.Log()),
 		udptransport.WithListeners(*nlisten),
-		udptransport.WithBatch(*batch),
 	}
 	if *tcp {
 		serveOpts = append(serveOpts, udptransport.WithTCP())
@@ -140,8 +138,8 @@ func start(args []string) (_ *service, err error) {
 		return nil, err
 	}
 	obs.StartProgress(serveProgress(obs.Registry))
-	fmt.Fprintf(os.Stderr, "serving %d zones on udp://%s with %d listener(s), batch %d (try: dig @%s www.google.com A)\n",
-		len(env.Registry.AllZones()), svc.srv.Addr(), svc.srv.Listeners(), svc.srv.Batch(), svc.srv.Addr())
+	fmt.Fprintf(os.Stderr, "serving %d zones on udp://%s with %d listener(s) (try: dig @%s www.google.com A)\n",
+		len(env.Registry.AllZones()), svc.srv.Addr(), svc.srv.Listeners(), svc.srv.Addr())
 	return svc, nil
 }
 

@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/telemetry/alerts"
 	"dnsnoise/internal/telemetry/tsdb"
 )
@@ -221,7 +222,8 @@ func buildPanel(spec panelSpec, res []tsdb.Result) panelData {
 			continue
 		}
 		label := "all"
-		if pop := labelValue(r.Name, "pop"); pop != "" {
+		_, labels := telemetry.SplitSeries(r.Name)
+		if pop := telemetry.LabelValue(labels, "pop"); pop != "" {
 			label = "pop " + pop
 		}
 		vals := make([]float64, len(r.Points))
@@ -237,21 +239,6 @@ func buildPanel(spec panelSpec, res []tsdb.Result) panelData {
 	}
 	sort.Strings(pd.labels)
 	return pd
-}
-
-// labelValue extracts one label's value from a series name like
-// base{a="x",pop="2"}; empty when absent.
-func labelValue(name, key string) string {
-	i := strings.IndexByte(name, '{')
-	if i < 0 {
-		return ""
-	}
-	for _, pair := range strings.Split(strings.TrimSuffix(name[i+1:], "}"), ",") {
-		if k, v, ok := strings.Cut(pair, "="); ok && k == key {
-			return strings.Trim(v, `"`)
-		}
-	}
-	return ""
 }
 
 // foldMax merges two histories slot-wise (longer tail wins on length).

@@ -16,7 +16,7 @@ import (
 // serve) on an httptest server, with a little recent history recorded.
 func testBackend(t *testing.T) (addr string, done func()) {
 	t.Helper()
-	db := tsdb.New(tsdb.Config{Retain: 64, Derived: []tsdb.DerivedRule{}})
+	db := tsdb.New(tsdb.Config{Retain: 64})
 	now := time.Now()
 	for i := 0; i < 5; i++ {
 		db.Record(&telemetry.Snapshot{
@@ -99,19 +99,6 @@ func TestSparkline(t *testing.T) {
 	// max (the dropped 9s don't squash the remaining bars).
 	if got := sparkline([]float64{9, 9, 1, 1}, 2); got != "██" {
 		t.Fatalf("tail sparkline = %q", got)
-	}
-}
-
-func TestLabelValue(t *testing.T) {
-	for _, tc := range []struct{ name, key, want string }{
-		{`serve_qps{pop="2"}`, "pop", "2"},
-		{`x{a="1",pop="0"}`, "pop", "0"},
-		{`serve_qps`, "pop", ""},
-		{`x{a="1"}`, "pop", ""},
-	} {
-		if got := labelValue(tc.name, tc.key); got != tc.want {
-			t.Fatalf("labelValue(%q, %q) = %q, want %q", tc.name, tc.key, got, tc.want)
-		}
 	}
 }
 

@@ -130,9 +130,9 @@ func (d *Dataset) add(rec Record, below bool) error {
 		RCode: dnsmsg.RCodeNoError,
 	}
 	if below {
-		d.collector.BelowTap().Observe(ob)
+		d.collector.ObserveBelow(ob)
 	} else {
-		d.collector.AboveTap().Observe(ob)
+		d.collector.ObserveAbove(ob)
 	}
 	return nil
 }
@@ -145,8 +145,6 @@ type TrainOptions struct {
 	// MinGroupSize is the minimum number of names a same-depth group needs
 	// to become a training example (default 5).
 	MinGroupSize int
-	// MaxTreeDepth bounds the decision tree (default 8).
-	MaxTreeDepth int
 }
 
 // MineOptions tunes Algorithm 1.
@@ -181,7 +179,6 @@ func Train(d *Dataset, labeled []LabeledZone, opts TrainOptions) (*Classifier, e
 	byName := d.collector.ByName()
 	tree := core.BuildTree(byName, nil)
 	cfg := core.TrainingConfig{MinGroupSize: opts.MinGroupSize}
-	cfg.Tree.MaxDepth = opts.MaxTreeDepth
 	examples := core.BuildTrainingSet(tree, byName, labels, cfg)
 	clf, err := core.TrainClassifier(examples, cfg)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"dnsnoise/internal/dnsmsg"
 )
@@ -27,7 +26,6 @@ type Signer struct {
 	priv   ed25519.PrivateKey
 	pub    ed25519.PublicKey
 	keyTag uint16
-	signed atomic.Uint64 // RRsets signed
 }
 
 // NewSigner creates a signer for zone, drawing key material from rand
@@ -48,9 +46,6 @@ func NewSigner(zone string, rand io.Reader) (*Signer, error) {
 
 // Zone returns the zone this signer covers.
 func (s *Signer) Zone() string { return s.zone }
-
-// SignedCount returns how many RRsets this signer has signed.
-func (s *Signer) SignedCount() uint64 { return s.signed.Load() }
 
 // DNSKEY returns the zone's public-key record.
 func (s *Signer) DNSKEY() dnsmsg.RR {
@@ -91,7 +86,6 @@ func (s *Signer) signAs(owner string, rrset []dnsmsg.RR) (dnsmsg.RR, error) {
 	}
 	msg := canonicalRRSetBytes(owner, rrset)
 	sig := ed25519.Sign(s.priv, msg)
-	s.signed.Add(1)
 	return dnsmsg.RR{
 		Name:  owner,
 		Type:  dnsmsg.TypeRRSIG,

@@ -36,7 +36,7 @@ func goldenServer(t testing.TB) *Server {
 	in := func(name string, typ dnsmsg.Type, rdata string) dnsmsg.RR {
 		return dnsmsg.RR{Name: name, Type: typ, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(typ, rdata)}
 	}
-	static, err := NewZone("example.com", WithNegativeTTL(120))
+	static, err := NewZone("example.com")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,11 @@ type Zone struct {
 	wildcards map[string][]dnsmsg.RR
 	synth     SynthFunc
 	signer    *Signer
-	negTTL    uint32
 }
+
+// negativeTTL is every zone's SOA minimum, the negative-caching TTL
+// (RFC 2308), in seconds.
+const negativeTTL = 300
 
 // ZoneOption configures a Zone.
 type ZoneOption interface {
@@ -73,12 +76,6 @@ func WithSigner(s *Signer) ZoneOption {
 	return zoneOptionFunc(func(z *Zone) { z.signer = s })
 }
 
-// WithNegativeTTL sets the SOA minimum used as the negative-caching TTL
-// (RFC 2308). Default 300 seconds.
-func WithNegativeTTL(ttl uint32) ZoneOption {
-	return zoneOptionFunc(func(z *Zone) { z.negTTL = ttl })
-}
-
 // NewZone creates an empty zone rooted at origin.
 func NewZone(origin string, opts ...ZoneOption) (*Zone, error) {
 	origin = dnsname.Normalize(origin)
@@ -89,7 +86,6 @@ func NewZone(origin string, opts ...ZoneOption) (*Zone, error) {
 		origin:    origin,
 		records:   make(map[string][]dnsmsg.RR),
 		wildcards: make(map[string][]dnsmsg.RR),
-		negTTL:    300,
 	}
 	for _, o := range opts {
 		o.applyZone(z)
@@ -98,8 +94,8 @@ func NewZone(origin string, opts ...ZoneOption) (*Zone, error) {
 		Name:  origin,
 		Type:  dnsmsg.TypeSOA,
 		Class: dnsmsg.ClassIN,
-		TTL:   z.negTTL,
-		RData: dnsmsg.Text(fmt.Sprintf("ns1.%s hostmaster.%s 2011120100 7200 3600 1209600 %d", origin, origin, z.negTTL)),
+		TTL:   negativeTTL,
+		RData: dnsmsg.Text(fmt.Sprintf("ns1.%s hostmaster.%s 2011120100 7200 3600 1209600 %d", origin, origin, negativeTTL)),
 	}
 	return z, nil
 }

@@ -17,7 +17,7 @@ import (
 func (z *Zone) WriteZoneFile(w io.Writer) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "$ORIGIN %s.\n", z.origin)
-	fmt.Fprintf(&sb, "$TTL %d\n", z.negTTL)
+	fmt.Fprintf(&sb, "$TTL %d\n", negativeTTL)
 	fmt.Fprintf(&sb, "@ IN SOA %s\n", zoneRData(&z.soa))
 	if z.synth != nil {
 		sb.WriteString("; zone answers additional names programmatically (synthesizer installed)\n")

@@ -189,19 +189,8 @@ func NewCollector() *Collector {
 	return &Collector{names: make(map[string]*nameEntry)}
 }
 
-// BelowTap returns the tap to install below the resolvers.
-func (c *Collector) BelowTap() resolver.Tap {
-	return resolver.TapFunc(c.ObserveBelow)
-}
-
-// AboveTap returns the tap to install above the resolvers.
-func (c *Collector) AboveTap() resolver.Tap {
-	return resolver.TapFunc(c.ObserveAbove)
-}
-
 // ObserveBelow accumulates one below-side observation. Exported so the
-// collector satisfies the ingest pipeline's observation-sink contract; the
-// taps above are thin wrappers.
+// collector satisfies the ingest pipeline's observation-sink contract.
 func (c *Collector) ObserveBelow(ob resolver.Observation) {
 	c.belowTotal++
 	if ob.QName != "" {

@@ -32,10 +32,10 @@ func TestDHRComputation(t *testing.T) {
 	rr := rrA("www.example.com", "192.0.2.1")
 	// 5 queries below, 2 misses above -> DHR = 3/5.
 	for i := 0; i < 5; i++ {
-		c.BelowTap().Observe(obBelow(rr, cache.CategoryOther))
+		c.ObserveBelow(obBelow(rr, cache.CategoryOther))
 	}
 	for i := 0; i < 2; i++ {
-		c.AboveTap().Observe(obAbove(rr, cache.CategoryOther))
+		c.ObserveAbove(obAbove(rr, cache.CategoryOther))
 	}
 	recs := c.Records()
 	if len(recs) != 1 {
@@ -52,9 +52,9 @@ func TestDHRComputation(t *testing.T) {
 func TestDHRClampsAtZero(t *testing.T) {
 	c := NewCollector()
 	rr := rrA("x.example.com", "192.0.2.2")
-	c.BelowTap().Observe(obBelow(rr, cache.CategoryOther))
-	c.AboveTap().Observe(obAbove(rr, cache.CategoryOther))
-	c.AboveTap().Observe(obAbove(rr, cache.CategoryOther)) // above > below
+	c.ObserveBelow(obBelow(rr, cache.CategoryOther))
+	c.ObserveAbove(obAbove(rr, cache.CategoryOther))
+	c.ObserveAbove(obAbove(rr, cache.CategoryOther)) // above > below
 	if got := c.Records()[0].DHR(); got != 0 {
 		t.Errorf("DHR = %v, want clamp to 0", got)
 	}
@@ -70,10 +70,10 @@ func TestCHRSampleMultiplicity(t *testing.T) {
 	// Paper's worked example (Section III-C2): 5 queries, 2 misses ->
 	// CHR value 0.6 counted twice.
 	for i := 0; i < 5; i++ {
-		c.BelowTap().Observe(obBelow(rr, cache.CategoryOther))
+		c.ObserveBelow(obBelow(rr, cache.CategoryOther))
 	}
 	for i := 0; i < 2; i++ {
-		c.AboveTap().Observe(obAbove(rr, cache.CategoryOther))
+		c.ObserveAbove(obAbove(rr, cache.CategoryOther))
 	}
 	sample := c.CHRSample(nil, 0)
 	if len(sample) != 2 {
@@ -92,8 +92,8 @@ func TestCHRSampleMultiplicity(t *testing.T) {
 
 func TestSeparateRRsByRData(t *testing.T) {
 	c := NewCollector()
-	c.BelowTap().Observe(obBelow(rrA("x.example.com", "192.0.2.1"), cache.CategoryOther))
-	c.BelowTap().Observe(obBelow(rrA("x.example.com", "192.0.2.2"), cache.CategoryOther))
+	c.ObserveBelow(obBelow(rrA("x.example.com", "192.0.2.1"), cache.CategoryOther))
+	c.ObserveBelow(obBelow(rrA("x.example.com", "192.0.2.2"), cache.CategoryOther))
 	if c.NumRecords() != 2 {
 		t.Errorf("records = %d, want 2 (distinct rdata)", c.NumRecords())
 	}
@@ -106,8 +106,8 @@ func TestSeparateRRsByRData(t *testing.T) {
 func TestNXDomainCounting(t *testing.T) {
 	c := NewCollector()
 	nx := resolver.Observation{Time: t0, QName: "missing.example.com", RCode: dnsmsg.RCodeNXDomain}
-	c.BelowTap().Observe(nx)
-	c.AboveTap().Observe(nx)
+	c.ObserveBelow(nx)
+	c.ObserveAbove(nx)
 	below, above, belowNX, aboveNX := c.Totals()
 	if below != 1 || above != 1 || belowNX != 1 || aboveNX != 1 {
 		t.Errorf("totals = %d %d %d %d", below, above, belowNX, aboveNX)
@@ -125,9 +125,9 @@ func TestNXDomainCounting(t *testing.T) {
 
 func TestQueriedVsResolvedPredicates(t *testing.T) {
 	c := NewCollector()
-	c.BelowTap().Observe(obBelow(rrA("a.disp.test", "127.0.0.1"), cache.CategoryDisposable))
-	c.BelowTap().Observe(obBelow(rrA("www.ok.test", "192.0.2.1"), cache.CategoryOther))
-	c.BelowTap().Observe(resolver.Observation{Time: t0, QName: "typo.ok.test", RCode: dnsmsg.RCodeNXDomain})
+	c.ObserveBelow(obBelow(rrA("a.disp.test", "127.0.0.1"), cache.CategoryDisposable))
+	c.ObserveBelow(obBelow(rrA("www.ok.test", "192.0.2.1"), cache.CategoryOther))
+	c.ObserveBelow(resolver.Observation{Time: t0, QName: "typo.ok.test", RCode: dnsmsg.RCodeNXDomain})
 	isDisp := func(name string) bool { return name == "a.disp.test" }
 	qt, qm := c.QueriedNames(isDisp)
 	if qt != 3 || qm != 1 {
@@ -144,11 +144,11 @@ func TestDHRSampleAndLookupVolumes(t *testing.T) {
 	hot := rrA("hot.example.com", "192.0.2.1")
 	cold := rrA("cold.example.com", "192.0.2.2")
 	for i := 0; i < 10; i++ {
-		c.BelowTap().Observe(obBelow(hot, cache.CategoryOther))
+		c.ObserveBelow(obBelow(hot, cache.CategoryOther))
 	}
-	c.AboveTap().Observe(obAbove(hot, cache.CategoryOther))
-	c.BelowTap().Observe(obBelow(cold, cache.CategoryDisposable))
-	c.AboveTap().Observe(obAbove(cold, cache.CategoryDisposable))
+	c.ObserveAbove(obAbove(hot, cache.CategoryOther))
+	c.ObserveBelow(obBelow(cold, cache.CategoryDisposable))
+	c.ObserveAbove(obAbove(cold, cache.CategoryDisposable))
 
 	dhrs := c.DHRSample(nil)
 	if len(dhrs) != 2 {
@@ -168,12 +168,12 @@ func TestTailStats(t *testing.T) {
 	// 3 cold disposable records, 1 cold other, 1 hot other.
 	for i := 0; i < 3; i++ {
 		rr := rrA("d"+string(rune('a'+i))+".disp.test", "127.0.0.1")
-		c.BelowTap().Observe(obBelow(rr, cache.CategoryDisposable))
+		c.ObserveBelow(obBelow(rr, cache.CategoryDisposable))
 	}
-	c.BelowTap().Observe(obBelow(rrA("cold.ok.test", "192.0.2.9"), cache.CategoryOther))
+	c.ObserveBelow(obBelow(rrA("cold.ok.test", "192.0.2.9"), cache.CategoryOther))
 	hot := rrA("hot.ok.test", "192.0.2.1")
 	for i := 0; i < 50; i++ {
-		c.BelowTap().Observe(obBelow(hot, cache.CategoryOther))
+		c.ObserveBelow(obBelow(hot, cache.CategoryOther))
 	}
 	ts := c.Tail(func(st *RRStat) bool { return st.Below < 10 })
 	if ts.Records != 5 || ts.Tail != 4 {
@@ -286,12 +286,12 @@ func TestClientTracking(t *testing.T) {
 	c := NewCollector()
 	rr := rrA("shared.example.com", "192.0.2.1")
 	for client := uint32(0); client < 5; client++ {
-		c.BelowTap().Observe(resolver.Observation{
+		c.ObserveBelow(resolver.Observation{
 			Time: t0, ClientID: client, QName: rr.Name, RR: rr, RCode: dnsmsg.RCodeNoError,
 		})
 	}
 	// Repeats from the same client do not inflate the count.
-	c.BelowTap().Observe(resolver.Observation{
+	c.ObserveBelow(resolver.Observation{
 		Time: t0, ClientID: 2, QName: rr.Name, RR: rr, RCode: dnsmsg.RCodeNoError,
 	})
 	st := c.Records()[0]
@@ -309,7 +309,7 @@ func TestClientTrackingSaturates(t *testing.T) {
 	c := NewCollector()
 	rr := rrA("hot.example.com", "192.0.2.1")
 	for client := uint32(0); client < 200; client++ {
-		c.BelowTap().Observe(resolver.Observation{
+		c.ObserveBelow(resolver.Observation{
 			Time: t0, ClientID: client, QName: rr.Name, RR: rr, RCode: dnsmsg.RCodeNoError,
 		})
 	}

@@ -36,26 +36,17 @@ func NewShardedCollector(numServers int) *ShardedCollector {
 	return &ShardedCollector{shards: shards}
 }
 
-// BelowTap returns the below-side tap. Safe for concurrent use as long as
-// observations with the same Server index arrive from one goroutine, which
-// is exactly the contract a resolver.Stream provides.
-func (s *ShardedCollector) BelowTap() resolver.Tap {
-	return resolver.TapFunc(s.ObserveBelow)
-}
-
-// AboveTap returns the above-side tap, with the same contract as BelowTap.
-func (s *ShardedCollector) AboveTap() resolver.Tap {
-	return resolver.TapFunc(s.ObserveAbove)
-}
-
 // ObserveBelow routes one below-side observation to its server's shard.
 // Exported so the sharded collector satisfies the ingest pipeline's
-// observation-sink contract.
+// observation-sink contract. Safe for concurrent use as long as
+// observations with the same Server index arrive from one goroutine, which
+// is exactly the contract a resolver.Stream provides.
 func (s *ShardedCollector) ObserveBelow(ob resolver.Observation) {
 	s.shard(ob.Server).ObserveBelow(ob)
 }
 
-// ObserveAbove routes one above-side observation to its server's shard.
+// ObserveAbove routes one above-side observation to its server's shard,
+// with the same contract as ObserveBelow.
 func (s *ShardedCollector) ObserveAbove(ob resolver.Observation) {
 	s.shard(ob.Server).ObserveAbove(ob)
 }

@@ -23,8 +23,8 @@ func synthCollector(seed int64, nDisp, nNorm, namesPerZone int) (*chrstat.Collec
 	rng := rand.New(rand.NewSource(seed))
 	c := chrstat.NewCollector()
 	labels := make(map[string]bool)
-	below := c.BelowTap()
-	above := c.AboveTap()
+	below := resolver.TapFunc(c.ObserveBelow)
+	above := resolver.TapFunc(c.ObserveAbove)
 
 	emit := func(name string, cat cache.Category, queries, misses int) {
 		rr := dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
@@ -61,7 +61,7 @@ func TestNewMinerValidation(t *testing.T) {
 	if _, err := NewMiner(nil, MinerConfig{}); !errors.Is(err, ErrNoClassifier) {
 		t.Errorf("NewMiner(nil) = %v, want ErrNoClassifier", err)
 	}
-	m, err := NewMiner(mlearn.NewDecisionTree(mlearn.TreeConfig{}), MinerConfig{})
+	m, err := NewMiner(mlearn.NewDecisionTree(), MinerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestMinerRecursesIntoSubZones(t *testing.T) {
 	// recursion even though the e2LD-level group looks benign.
 	rng := rand.New(rand.NewSource(20))
 	c := chrstat.NewCollector()
-	below, above := c.BelowTap(), c.AboveTap()
+	below, above := resolver.TapFunc(c.ObserveBelow), resolver.TapFunc(c.ObserveAbove)
 	labels := make(map[string]bool)
 
 	mkRR := func(name string) dnsmsg.RR {
@@ -357,7 +357,7 @@ func TestEndToEndSimulatedDay(t *testing.T) {
 		t.Fatal(err)
 	}
 	collector := chrstat.NewCollector()
-	cluster.SetTaps(collector.BelowTap(), collector.AboveTap())
+	cluster.SetTaps(resolver.TapFunc(collector.ObserveBelow), resolver.TapFunc(collector.ObserveAbove))
 
 	gen := workload.NewGenerator(reg, workload.GeneratorConfig{Seed: 56, Clients: 400, BaseEventsPerDay: 60000})
 	profile := workload.DecemberProfile(time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC))

@@ -23,8 +23,6 @@ type TrainingConfig struct {
 	// with at least 15 disposable domains (default 5: the simulated days
 	// are smaller than the ISP's).
 	MinGroupSize int
-	// Tree bounds the decision tree.
-	Tree mlearn.TreeConfig
 	// FeatureMask optionally restricts features (for the ablation
 	// experiments); nil uses the full 8-dimensional vector.
 	FeatureMask []int
@@ -33,14 +31,6 @@ type TrainingConfig struct {
 func (c *TrainingConfig) setDefaults() {
 	if c.MinGroupSize == 0 {
 		c.MinGroupSize = 5
-	}
-	// Group training sets are small (hundreds of examples); a slightly
-	// deeper tree with tiny leaves beats the generic defaults here.
-	if c.Tree.MaxDepth == 0 {
-		c.Tree.MaxDepth = 10
-	}
-	if c.Tree.MinLeaf == 0 {
-		c.Tree.MinLeaf = 2
 	}
 }
 
@@ -89,7 +79,7 @@ func TrainClassifier(examples []features.Example, cfg TrainingConfig) (*mlearn.D
 	if err != nil {
 		return nil, err
 	}
-	dt := mlearn.NewDecisionTree(cfg.Tree)
+	dt := mlearn.NewDecisionTree()
 	if err := dt.Fit(x, y); err != nil {
 		return nil, fmt.Errorf("fit decision tree: %w", err)
 	}
@@ -105,7 +95,7 @@ func EvaluateClassifier(examples []features.Example, folds int, cfg TrainingConf
 		return nil, err
 	}
 	return mlearn.CrossValidate(
-		func() mlearn.Classifier { return mlearn.NewDecisionTree(cfg.Tree) },
+		func() mlearn.Classifier { return mlearn.NewDecisionTree() },
 		x, y, folds, rng)
 }
 

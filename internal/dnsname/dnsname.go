@@ -153,15 +153,6 @@ func Parent(name string) string {
 	return name[dot+1:]
 }
 
-// LeftLabel returns the leftmost label of name.
-func LeftLabel(name string) string {
-	dot := strings.IndexByte(name, '.')
-	if dot < 0 {
-		return name
-	}
-	return name[:dot]
-}
-
 // Hash is 64-bit FNV-1a over name, a string or its bytes: the one hash behind
 // the lock stripes (pdns, chrstat, the streaming miner's pending sets) and the
 // synthetic rdata of the simulated namespace. It is small enough for the

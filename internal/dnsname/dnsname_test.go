@@ -191,12 +191,6 @@ func TestParentLeftLabel(t *testing.T) {
 	if got := Parent("c"); got != "" {
 		t.Errorf("Parent(single) = %q, want \"\"", got)
 	}
-	if got := LeftLabel("a.b.c"); got != "a" {
-		t.Errorf("LeftLabel = %q, want a", got)
-	}
-	if got := LeftLabel("c"); got != "c" {
-		t.Errorf("LeftLabel(single) = %q, want c", got)
-	}
 }
 
 func TestIsSubdomainOf(t *testing.T) {

@@ -250,8 +250,8 @@ func TestFig15Shape(t *testing.T) {
 			res.FirstDayNewShare, res.LastDayNewShare)
 	}
 	// Wildcard collapse shrinks the store dramatically.
-	if res.Collapse.Ratio() > 0.6 {
-		t.Errorf("collapse ratio = %.3f, want a large reduction (paper: 0.7%%)", res.Collapse.Ratio())
+	if c := res.Collapse; float64(c.After) > 0.6*float64(c.Before) {
+		t.Errorf("collapse kept %d of %d records, want a large reduction (paper: 0.7%%)", c.After, c.Before)
 	}
 }
 

@@ -303,7 +303,7 @@ type DNSSECResult struct {
 func DNSSECLoad(scale sim.Scale) (*DNSSECResult, error) {
 	env, err := sim.NewEnv(scale,
 		sim.WithSignedDisposableZones(),
-		sim.WithResolverOptions(resolver.WithValidation(true)))
+		sim.WithResolverOptions(resolver.WithValidation()))
 	if err != nil {
 		return nil, err
 	}

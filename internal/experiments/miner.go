@@ -128,7 +128,7 @@ func Fig12ROC(scale sim.Scale) (*Fig12Result, error) {
 		y[i] = ex.Disposable
 	}
 	res.ModelSelection, err = mlearn.SelectModel(map[string]func() mlearn.Classifier{
-		"lad-tree":    func() mlearn.Classifier { return mlearn.NewDecisionTree(mlearn.TreeConfig{}) },
+		"lad-tree":    func() mlearn.Classifier { return mlearn.NewDecisionTree() },
 		"naive-bayes": func() mlearn.Classifier { return &mlearn.NaiveBayes{} },
 		"knn":         func() mlearn.Classifier { return &mlearn.KNN{K: 5} },
 		"neural-net":  func() mlearn.Classifier { return &mlearn.MLP{} },

@@ -24,8 +24,8 @@ func BenchmarkFromGroup(b *testing.B) {
 		rr := dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
 			RData: dnsmsg.IPv4(127, 0, 0, byte(i%255))}
 		ob := resolver.Observation{QName: name, RR: rr, RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable}
-		c.BelowTap().Observe(ob)
-		c.AboveTap().Observe(ob)
+		c.ObserveBelow(ob)
+		c.ObserveAbove(ob)
 	}
 	byName := c.ByName()
 	b.ReportAllocs()

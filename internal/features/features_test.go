@@ -17,10 +17,10 @@ func collectorWith(t *testing.T, belowAbove map[string][2]int) *chrstat.Collecto
 	for name, counts := range belowAbove {
 		rr := dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.IPv4(127, 0, 0, 1)}
 		for i := 0; i < counts[0]; i++ {
-			c.BelowTap().Observe(resolver.Observation{QName: name, RR: rr, RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable})
+			c.ObserveBelow(resolver.Observation{QName: name, RR: rr, RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable})
 		}
 		for i := 0; i < counts[1]; i++ {
-			c.AboveTap().Observe(resolver.Observation{QName: name, RR: rr, RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable})
+			c.ObserveAbove(resolver.Observation{QName: name, RR: rr, RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable})
 		}
 	}
 	return c

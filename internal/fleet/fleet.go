@@ -32,42 +32,10 @@ import (
 	"dnsnoise/internal/telemetry"
 )
 
-// Steering selects the client-to-PoP mapping.
-type Steering int
-
-const (
-	// SteeringHash is rendezvous (highest-random-weight) hashing: each
-	// client scores every PoP and picks the max, so resizing the fleet
-	// moves only the clients whose winner changed.
-	SteeringHash Steering = iota
-	// SteeringModulo is plain clientID % pops.
-	SteeringModulo
-)
-
-// ParseSteering maps the CLI spelling to a Steering.
-func ParseSteering(s string) (Steering, error) {
-	switch s {
-	case "hash", "rendezvous", "consistent":
-		return SteeringHash, nil
-	case "modulo", "mod":
-		return SteeringModulo, nil
-	}
-	return 0, fmt.Errorf("fleet: unknown steering %q (hash or modulo)", s)
-}
-
-func (s Steering) String() string {
-	if s == SteeringModulo {
-		return "modulo"
-	}
-	return "hash"
-}
-
 // Config sizes a fleet.
 type Config struct {
 	// Pops is the number of resolver clusters (default 3).
 	Pops int
-	// Steering picks the client-to-PoP mapping (default SteeringHash).
-	Steering Steering
 	// Scale sizes the shared authoritative namespace, the generator over
 	// it (which a trace replay must build exactly as the recording did;
 	// see sim.Source), and each PoP's cluster.
@@ -160,12 +128,12 @@ func (f *Fleet) Env() *sim.Env { return f.env }
 // Pops returns the PoPs (shared slice; do not mutate).
 func (f *Fleet) Pops() []*PoP { return f.pops }
 
-// Route returns the PoP a client steers to.
+// Route returns the PoP a client steers to by rendezvous
+// (highest-random-weight) hashing: each client scores every PoP and picks
+// the max, so resizing the fleet moves only the clients whose winner
+// changed.
 func (f *Fleet) Route(clientID uint32) int {
-	if f.cfg.Steering == SteeringModulo {
-		return int(clientID) % len(f.pops)
-	}
-	// Rendezvous hash: splitmix-style mix of (client, pop), argmax wins.
+	// Splitmix-style mix of (client, pop), argmax wins.
 	best, bestScore := 0, uint64(0)
 	for i := range f.pops {
 		x := uint64(clientID)<<32 | uint64(i)

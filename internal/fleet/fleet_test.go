@@ -187,39 +187,40 @@ func TestFleetMatchesSingleCluster(t *testing.T) {
 	}
 }
 
-// TestFleetSteering pins the client-to-PoP mappings: modulo is exact,
-// rendezvous is stable per client and touches every PoP.
+// TestFleetSteering pins the client-to-PoP mapping: rendezvous is stable
+// per client, touches every PoP, and growing the fleet by one PoP moves a
+// client only to the new PoP.
 func TestFleetSteering(t *testing.T) {
-	if _, err := fleet.ParseSteering("bogus"); err == nil {
-		t.Fatal("ParseSteering accepted bogus")
-	}
-	cfg := testConfig(3)
-	cfg.Steering = fleet.SteeringModulo
-	fm, err := fleet.New(cfg)
+	f3, err := fleet.New(testConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := uint32(0); c < 50; c++ {
-		if got := fm.Route(c); got != int(c)%3 {
-			t.Fatalf("modulo Route(%d) = %d", c, got)
-		}
-	}
-	fh, err := fleet.New(testConfig(3))
+	f4, err := fleet.New(testConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits := make([]int, 3)
+	moved := 0
 	for c := uint32(0); c < 300; c++ {
-		p := fh.Route(c)
-		if p2 := fh.Route(c); p2 != p {
+		p := f3.Route(c)
+		if p2 := f3.Route(c); p2 != p {
 			t.Fatalf("rendezvous Route(%d) unstable: %d then %d", c, p, p2)
 		}
 		hits[p]++
+		if q := f4.Route(c); q != p {
+			if q != 3 {
+				t.Fatalf("growing to 4 pops moved client %d from pop %d to pop %d", c, p, q)
+			}
+			moved++
+		}
 	}
 	for i, n := range hits {
 		if n == 0 {
 			t.Fatalf("rendezvous steering never picked pop %d (hits %v)", i, hits)
 		}
+	}
+	if moved == 0 || moved > 150 {
+		t.Fatalf("growing to 4 pops moved %d of 300 clients, want some and at most half", moved)
 	}
 }
 

@@ -174,7 +174,7 @@ func TestRunnerRotationMatchesManualDays(t *testing.T) {
 	var want []*chrstat.Collector
 	for _, p := range profiles {
 		col := chrstat.NewCollector()
-		mc.SetTaps(col.BelowTap(), col.AboveTap())
+		mc.SetTaps(resolver.TapFunc(col.ObserveBelow), resolver.TapFunc(col.ObserveAbove))
 		var resolveErr error
 		manual.gen.GenerateDay(p, func(q resolver.Query) bool {
 			_, resolveErr = mc.Resolve(q)
@@ -412,59 +412,6 @@ func mineFindings(t *testing.T, reg *workload.Registry, col *chrstat.Collector) 
 		t.Fatal(err)
 	}
 	return findings
-}
-
-// TestPipelineHookMatchesManualProcessDay checks that a rotating runner
-// feeding core.Pipeline through PipelineHook produces the same cumulative
-// ranking as the hand-written glue: one RunDay-style loop calling
-// ProcessDay per day with the same trained miner.
-func TestPipelineHookMatchesManualProcessDay(t *testing.T) {
-	profiles := testProfiles(2)
-
-	// Train one miner on a fresh day-1 run, shared by both pipelines.
-	trainEnv := newTestEnv(t)
-	tw := runWindows(t, trainEnv.cluster(t), NewGeneratorSource(trainEnv.gen, profiles[0]))
-	miner := trainMiner(t, trainEnv.reg, tw[0].Collector)
-
-	manual := newTestEnv(t)
-	mc := manual.cluster(t)
-	wantPipe, err := core.NewPipeline(miner, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range profiles {
-		col := chrstat.NewCollector()
-		mc.SetTaps(col.BelowTap(), col.AboveTap())
-		var resolveErr error
-		manual.gen.GenerateDay(p, func(q resolver.Query) bool {
-			_, resolveErr = mc.Resolve(q)
-			return resolveErr == nil
-		})
-		if resolveErr != nil {
-			t.Fatal(resolveErr)
-		}
-		if _, err := wantPipe.ProcessDay(p.Date, col.ByName()); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	env := newTestEnv(t)
-	gotPipe, err := core.NewPipeline(miner, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := NewRunner(env.cluster(t), OnWindow(PipelineHook(gotPipe)))
-	if err := runner.Run(NewGeneratorSource(env.gen, profiles...)); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := gotPipe.Days(), wantPipe.Days(); got != want {
-		t.Fatalf("pipeline processed %d days, want %d", got, want)
-	}
-	if !reflect.DeepEqual(gotPipe.Ranking(), wantPipe.Ranking()) {
-		t.Errorf("hook-fed ranking diverges from manual ProcessDay loop:\ngot  %+v\nwant %+v",
-			gotPipe.Ranking(), wantPipe.Ranking())
-	}
 }
 
 // TestReplayFindingsMatchLive closes the loop at the miner: the zones

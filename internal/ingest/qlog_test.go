@@ -16,7 +16,7 @@ func TestRunnerStampsQlogDays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := qlog.New(qlog.Config{Sample: 16, RingSize: 32})
+	l := qlog.New(qlog.Config{Sample: 16})
 	mem := qlog.NewMemorySink(1 << 14)
 	l.AddSink(mem)
 	cluster, err := resolver.NewCluster(auth,
@@ -60,7 +60,7 @@ func TestRunnerFlushesQlogAtDayEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := qlog.New(qlog.Config{Sample: 16, RingSize: 1 << 12})
+	l := qlog.New(qlog.Config{Sample: 16})
 	mem := qlog.NewMemorySink(1 << 14)
 	l.AddSink(mem)
 	cluster, err := resolver.NewCluster(auth,
@@ -73,9 +73,16 @@ func TestRunnerFlushesQlogAtDayEnd(t *testing.T) {
 	if err := r.Run(NewGeneratorSource(env.gen, testProfiles(1)...)); err != nil {
 		t.Fatal(err)
 	}
-	// Ring (4096) far exceeds the sampled count, so only the day-end
-	// FlushQueryLog can have delivered these.
-	if mem.Total() == 0 {
+	// A final Flush must find every ring already empty: the day-end
+	// FlushQueryLog delivered whatever had not filled a ring.
+	n := mem.Total()
+	if n == 0 {
 		t.Error("day barrier did not drain the recorders")
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if left := mem.Total() - n; left != 0 {
+		t.Errorf("day barrier left %d events in the recorders", left)
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 const (
 	base36     = "0123456789abcdefghijklmnopqrstuvwxyz"
-	base16     = "0123456789abcdef"
 	consonants = "bcdfghjklmnpqrstvwz"
 	vowels     = "aeiouy"
 )
@@ -37,18 +36,6 @@ func AppendToken(dst []byte, rng *rand.Rand, n int) []byte {
 		dst = append(dst, base36[rng.Intn(len(base36))])
 	}
 	return dst
-}
-
-// HexToken returns an n-character lowercase hexadecimal token.
-func HexToken(rng *rand.Rand, n int) string {
-	if n <= 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = base16[rng.Intn(len(base16))]
-	}
-	return string(b)
 }
 
 // HumanWord returns a pronounceable word of roughly n characters by

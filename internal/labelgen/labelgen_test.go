@@ -31,16 +31,6 @@ func TestTokenAlphabetAndLength(t *testing.T) {
 	}
 }
 
-func TestHexTokenAlphabet(t *testing.T) {
-	tok := HexToken(rng(2), 32)
-	if len(tok) != 32 {
-		t.Fatalf("len = %d", len(tok))
-	}
-	if !regexp.MustCompile(`^[0-9a-f]+$`).MatchString(tok) {
-		t.Errorf("HexToken = %q, not hex", tok)
-	}
-}
-
 func TestHumanWordShape(t *testing.T) {
 	w := HumanWord(rng(3), 6)
 	if len(w) != 6 {

@@ -16,7 +16,7 @@ func newPrimedEngine(t testing.TB, findings ...core.Finding) *Engine {
 	t.Helper()
 	// A trivially fitted classifier (always benign) so engine re-scores
 	// over staged names never error; verdicts come from Prime.
-	clf := mlearn.NewDecisionTree(mlearn.TreeConfig{})
+	clf := mlearn.NewDecisionTree()
 	x := make([][]float64, 4)
 	y := make([]bool, 4)
 	for i := range x {

@@ -31,7 +31,7 @@ func BenchmarkTreeFit(b *testing.B) {
 	x, y := benchData(800)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dt := NewDecisionTree(TreeConfig{})
+		dt := NewDecisionTree()
 		if err := dt.Fit(x, y); err != nil {
 			b.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func BenchmarkTreeFit(b *testing.B) {
 
 func BenchmarkTreePredict(b *testing.B) {
 	x, y := benchData(800)
-	dt := NewDecisionTree(TreeConfig{})
+	dt := NewDecisionTree()
 	if err := dt.Fit(x, y); err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func BenchmarkCrossValidate(b *testing.B) {
 	x, y := benchData(400)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := CrossValidate(func() Classifier { return NewDecisionTree(TreeConfig{}) },
+		if _, err := CrossValidate(func() Classifier { return NewDecisionTree() },
 			x, y, 10, rand.New(rand.NewSource(8))); err != nil {
 			b.Fatal(err)
 		}

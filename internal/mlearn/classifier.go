@@ -54,22 +54,12 @@ func checkTrainingSet(x [][]float64, y []bool) (dim int, err error) {
 
 // --- Decision tree -----------------------------------------------------
 
-// TreeConfig bounds decision-tree growth.
-type TreeConfig struct {
-	// MaxDepth limits tree height (default 8).
-	MaxDepth int
-	// MinLeaf is the minimum number of samples in a leaf (default 3).
-	MinLeaf int
-}
-
-func (c *TreeConfig) setDefaults() {
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 8
-	}
-	if c.MinLeaf == 0 {
-		c.MinLeaf = 3
-	}
-}
+// The decision tree's growth bounds: its height, and the fewest samples a
+// leaf may hold.
+const (
+	treeMaxDepth = 8
+	treeMinLeaf  = 3
+)
 
 // DecisionTree is a CART-style binary classification tree whose leaves hold
 // Laplace-smoothed class probabilities, splitting on Gini impurity with
@@ -79,7 +69,6 @@ func (c *TreeConfig) setDefaults() {
 // selected: an axis-aligned threshold tree producing a confidence score per
 // leaf.
 type DecisionTree struct {
-	cfg       TreeConfig
 	root      *treeNode
 	dim       int
 	posWeight float64
@@ -97,9 +86,8 @@ type treeNode struct {
 }
 
 // NewDecisionTree returns an untrained tree.
-func NewDecisionTree(cfg TreeConfig) *DecisionTree {
-	cfg.setDefaults()
-	return &DecisionTree{cfg: cfg}
+func NewDecisionTree() *DecisionTree {
+	return &DecisionTree{}
 }
 
 var _ Classifier = (*DecisionTree)(nil)
@@ -144,7 +132,7 @@ func (t *DecisionTree) grow(x [][]float64, y []bool, idx []int, depth int) *tree
 	wpos := t.posWeight * float64(pos)
 	wneg := float64(len(idx) - pos)
 	leafProb := (wpos + 0.25) / (wpos + wneg + 0.5)
-	if depth >= t.cfg.MaxDepth || len(idx) < 2*t.cfg.MinLeaf || pos == 0 || pos == len(idx) {
+	if depth >= treeMaxDepth || len(idx) < 2*treeMinLeaf || pos == 0 || pos == len(idx) {
 		return &treeNode{leaf: true, prob: leafProb}
 	}
 	feature, threshold, gain, ok := t.bestSplit(x, y, idx)
@@ -200,7 +188,7 @@ func (t *DecisionTree) bestSplit(x [][]float64, y []bool, idx []int) (feature in
 				continue // can only split between distinct values
 			}
 			rightN := len(vals) - leftN
-			if leftN < t.cfg.MinLeaf || rightN < t.cfg.MinLeaf {
+			if leftN < treeMinLeaf || rightN < treeMinLeaf {
 				continue // only consider splits both children can accept
 			}
 			rightPos := totalPos - leftPos

@@ -36,14 +36,6 @@ func (c Confusion) Accuracy() float64 {
 	return float64(c.TP+c.TN) / float64(total)
 }
 
-// Precision returns positive predictive value.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
 // Add accumulates another matrix.
 func (c *Confusion) Add(o Confusion) {
 	c.TP += o.TP

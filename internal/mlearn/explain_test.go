@@ -12,7 +12,7 @@ import (
 func TestExplainPathMatchesPredictProb(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x, y := gaussianBlobs(rng, 300, 4, 2)
-	tree := NewDecisionTree(TreeConfig{})
+	tree := NewDecisionTree()
 	if err := tree.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestExplainPathMatchesPredictProb(t *testing.T) {
 }
 
 func TestExplainPathErrors(t *testing.T) {
-	tree := NewDecisionTree(TreeConfig{})
+	tree := NewDecisionTree()
 	if _, _, err := tree.ExplainPath([]float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("unfitted ExplainPath = %v, want ErrNotFitted", err)
 	}

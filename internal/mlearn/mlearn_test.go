@@ -27,7 +27,7 @@ func gaussianBlobs(rng *rand.Rand, n, dim int, sep float64) (x [][]float64, y []
 
 func classifiers() map[string]func() Classifier {
 	return map[string]func() Classifier{
-		"tree":     func() Classifier { return NewDecisionTree(TreeConfig{}) },
+		"tree":     func() Classifier { return NewDecisionTree() },
 		"nb":       func() Classifier { return &NaiveBayes{} },
 		"knn":      func() Classifier { return &KNN{K: 5} },
 		"logistic": func() Classifier { return &Logistic{} },
@@ -104,7 +104,7 @@ func TestNaiveBayesSingleClass(t *testing.T) {
 
 func TestDecisionTreeSingleClassLeaf(t *testing.T) {
 	// A pure training set yields a stump predicting that class.
-	dt := NewDecisionTree(TreeConfig{})
+	dt := NewDecisionTree()
 	x := [][]float64{{1}, {2}, {3}}
 	if err := dt.Fit(x, []bool{true, true, true}); err != nil {
 		t.Fatal(err)
@@ -122,14 +122,16 @@ func TestDecisionTreeSingleClassLeaf(t *testing.T) {
 }
 
 func TestDecisionTreeRespectsMaxDepth(t *testing.T) {
+	// Heavily overlapping classes: an unbounded tree grows well past the
+	// bound chasing noise, so this one must stop exactly at it.
 	rng := rand.New(rand.NewSource(3))
-	x, y := gaussianBlobs(rng, 300, 4, 0.5)
-	dt := NewDecisionTree(TreeConfig{MaxDepth: 3, MinLeaf: 1})
+	x, y := gaussianBlobs(rng, 2000, 4, 0.5)
+	dt := NewDecisionTree()
 	if err := dt.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if dt.Depth() > 3 {
-		t.Errorf("Depth = %d, want <= 3", dt.Depth())
+	if dt.Depth() != treeMaxDepth {
+		t.Errorf("Depth = %d, want %d", dt.Depth(), treeMaxDepth)
 	}
 }
 
@@ -137,7 +139,7 @@ func TestDecisionTreeProbabilitiesAreCalibratedLeaves(t *testing.T) {
 	// Leaf probabilities must be Laplace-smoothed: never exactly 0 or 1.
 	rng := rand.New(rand.NewSource(4))
 	x, y := gaussianBlobs(rng, 200, 2, 4)
-	dt := NewDecisionTree(TreeConfig{})
+	dt := NewDecisionTree()
 	if err := dt.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +166,8 @@ func TestConfusionMetrics(t *testing.T) {
 	if got := c.Accuracy(); got != 0.925 {
 		t.Errorf("Accuracy = %v, want 0.925", got)
 	}
-	if got := c.Precision(); math.Abs(got-90.0/95) > 1e-12 {
-		t.Errorf("Precision = %v", got)
-	}
 	var zero Confusion
-	if zero.TPR() != 0 || zero.FPR() != 0 || zero.Accuracy() != 0 || zero.Precision() != 0 {
+	if zero.TPR() != 0 || zero.FPR() != 0 || zero.Accuracy() != 0 {
 		t.Error("zero confusion metrics should be 0")
 	}
 	sum := Confusion{TP: 1}
@@ -181,7 +180,7 @@ func TestConfusionMetrics(t *testing.T) {
 func TestCrossValidateOnSeparableData(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x, y := gaussianBlobs(rng, 400, 4, 3)
-	res, err := CrossValidate(func() Classifier { return NewDecisionTree(TreeConfig{}) },
+	res, err := CrossValidate(func() Classifier { return NewDecisionTree() },
 		x, y, 10, rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +306,7 @@ func TestFeatureImportance(t *testing.T) {
 		x = append(x, []float64{signal + rng.NormFloat64()*0.3, rng.NormFloat64(), rng.NormFloat64()})
 		y = append(y, pos)
 	}
-	dt := NewDecisionTree(TreeConfig{})
+	dt := NewDecisionTree()
 	if err := dt.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +330,7 @@ func TestFeatureImportance(t *testing.T) {
 }
 
 func TestFeatureImportanceStump(t *testing.T) {
-	dt := NewDecisionTree(TreeConfig{})
+	dt := NewDecisionTree()
 	if err := dt.Fit([][]float64{{1}, {2}, {3}}, []bool{true, true, true}); err != nil {
 		t.Fatal(err)
 	}

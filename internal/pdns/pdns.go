@@ -301,14 +301,6 @@ type CollapseResult struct {
 	BytesAfter uint64
 }
 
-// Ratio returns After/Before over the whole store.
-func (r CollapseResult) Ratio() float64 {
-	if r.Before == 0 {
-		return 0
-	}
-	return float64(r.After) / float64(r.Before)
-}
-
 // DisposableRatio returns Wildcards/Collapsed: how many records the folded
 // (disposable) population shrinks to. This is the paper's headline metric —
 // 129,674,213 disposable RRs reduced to 945,065 wildcards (0.7%).

@@ -194,26 +194,23 @@ type Config struct {
 	// Sample head-samples 1 query in Sample per recorder (1 records every
 	// query). Default DefaultSample.
 	Sample int
-	// RingSize is each recorder's staging capacity in events — the batch
-	// size of one sink drain. Default DefaultRingSize.
-	RingSize int
 }
 
-// Defaults for Config. The sample rate matches the resolver's latency
-// sampling: thousands of events over a simulated day, with the per-query
-// cost amortized far below the hit path's own.
-const (
-	DefaultSample   = 64
-	DefaultRingSize = 256
-)
+// DefaultSample is Config's default sample rate. It matches the resolver's
+// latency sampling: thousands of events over a simulated day, with the
+// per-query cost amortized far below the hit path's own.
+const DefaultSample = 64
+
+// DefaultRingSize is each recorder's staging capacity in events — the
+// batch size of one sink drain.
+const DefaultRingSize = 256
 
 // Log is the shared half of the event log: the sink fan-out, the
 // monotonically increasing event ID, and the day/window stamp. Workers
 // never touch it directly on the per-event path — they go through their
 // own Recorder and meet the log's mutex only when a ring drains.
 type Log struct {
-	sample   uint64
-	ringSize int
+	sample uint64
 
 	nextID atomic.Uint64
 	day    atomic.Pointer[string]
@@ -230,10 +227,7 @@ func New(cfg Config) *Log {
 	if cfg.Sample < 1 {
 		cfg.Sample = DefaultSample
 	}
-	if cfg.RingSize < 1 {
-		cfg.RingSize = DefaultRingSize
-	}
-	return &Log{sample: uint64(cfg.Sample), ringSize: cfg.RingSize}
+	return &Log{sample: uint64(cfg.Sample)}
 }
 
 // AddSink registers a sink. Nil sinks are dropped.
@@ -253,7 +247,7 @@ func (l *Log) NewRecorder(server int) *Recorder {
 	if l == nil {
 		return nil
 	}
-	r := &Recorder{log: l, server: int32(server), sample: l.sample, buf: make([]Event, l.ringSize)}
+	r := &Recorder{log: l, server: int32(server), sample: l.sample, buf: make([]Event, DefaultRingSize)}
 	l.mu.Lock()
 	l.recs = append(l.recs, r)
 	l.mu.Unlock()

@@ -88,17 +88,17 @@ func TestSamplingCadence(t *testing.T) {
 }
 
 func TestRecorderStampsAndDrains(t *testing.T) {
-	l := New(Config{Sample: 1, RingSize: 4})
-	mem := NewMemorySink(64)
+	l := New(Config{Sample: 1})
+	mem := NewMemorySink(2 * DefaultRingSize)
 	l.AddSink(mem)
 	l.SetDay(time.Date(2011, 12, 1, 9, 30, 0, 0, time.UTC))
 	r := l.NewRecorder(3)
-	for i := 0; i < 4; i++ { // exactly one ring: drains on the 4th emit
+	for i := 0; i < DefaultRingSize; i++ { // exactly one ring: drains on the last emit
 		r.Emit(Event{Name: "a.example.com", Qtype: "A", Outcome: OutcomeHit})
 	}
 	evs := mem.Snapshot(Filter{})
-	if len(evs) != 4 {
-		t.Fatalf("ring of 4 drained %d events", len(evs))
+	if len(evs) != DefaultRingSize {
+		t.Fatalf("ring of %d drained %d events", DefaultRingSize, len(evs))
 	}
 	for i, ev := range evs {
 		if ev.ID != uint64(i+1) {
@@ -132,7 +132,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			sink := JSONLSink{Writer: f}
-			l := New(Config{Sample: 1, RingSize: 8})
+			l := New(Config{Sample: 1})
 			l.AddSink(sink)
 			l.SetDay(time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC))
 			r := l.NewRecorder(1)
@@ -354,15 +354,15 @@ func TestExemplarSink(t *testing.T) {
 }
 
 // TestEmitDoesNotAllocate pins the sampled path's cost: staging an event
-// into the ring is a plain store. Ring size exceeds the run count so no
-// drain happens inside the measured window.
+// into the ring is a plain store. The run count stays below the ring size
+// so no drain happens inside the measured window.
 func TestEmitDoesNotAllocate(t *testing.T) {
-	l := New(Config{Sample: 1, RingSize: 1 << 12})
+	l := New(Config{Sample: 1})
 	l.AddSink(NewMemorySink(16))
 	l.SetDay(time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC))
 	r := l.NewRecorder(0)
 	ev := Event{Name: "host.alloc.test", Qtype: "A", Outcome: OutcomeHit, LatencyNs: 50}
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := testing.AllocsPerRun(DefaultRingSize-2, func() {
 		if r.Sample() {
 			r.Emit(ev)
 		}

@@ -21,7 +21,7 @@ func TestConcurrentRecordersAndReader(t *testing.T) {
 		eventsPerWorker  = 5000
 		readerIterations = 200
 	)
-	l := New(Config{Sample: 1, RingSize: 32})
+	l := New(Config{Sample: 1})
 	mem := NewMemorySink(256)
 	ex := NewExemplarSink()
 	l.AddSink(mem)

@@ -36,30 +36,6 @@ func HitRatePoisson(lambda, ttl float64) (float64, error) {
 	return lt / (lt + 1), nil
 }
 
-// MissRatePoisson is 1 - HitRatePoisson: the renewal rate of the item.
-func MissRatePoisson(lambda, ttl float64) (float64, error) {
-	h, err := HitRatePoisson(lambda, ttl)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - h, nil
-}
-
-// HitRateDeterministic returns the hit rate when queries arrive at an exact
-// interval d seconds apart (the other boundary case Jung et al. analyze).
-// With d <= ttl every query after a miss hits until the entry expires:
-// each cycle spans ceil(ttl/d) queries, one of which is the miss.
-func HitRateDeterministic(d, ttl float64) (float64, error) {
-	if d <= 0 || ttl <= 0 {
-		return 0, ErrBadParams
-	}
-	if d > ttl {
-		return 0, nil // every query arrives after expiry
-	}
-	perCycle := math.Ceil(ttl/d) + 1
-	return (perCycle - 1) / perCycle, nil
-}
-
 // Prediction pairs a record's observed parameters with the model's output.
 type Prediction struct {
 	Name      string

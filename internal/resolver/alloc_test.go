@@ -223,7 +223,7 @@ func TestResolveHitPathZeroAllocQlogSampleMiss(t *testing.T) {
 // staging the event and draining the ring into the memory and exemplar
 // sinks must not allocate. Only a file sink's JSON encoding costs heap.
 func TestResolveHitPathZeroAllocQlogSampled(t *testing.T) {
-	l := qlog.New(qlog.Config{Sample: 1, RingSize: 64})
+	l := qlog.New(qlog.Config{Sample: 1})
 	l.AddSink(qlog.NewMemorySink(256))
 	l.AddSink(qlog.NewExemplarSink())
 	c := allocTestCluster(t, WithQueryLog(l))
@@ -233,7 +233,8 @@ func TestResolveHitPathZeroAllocQlogSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Time = t0.Add(time.Second)
-	allocs := testing.AllocsPerRun(200, func() {
+	// Enough runs for the ring to drain into the sinks several times.
+	allocs := testing.AllocsPerRun(4*qlog.DefaultRingSize, func() {
 		if _, err := c.Resolve(q); err != nil {
 			t.Fatal(err)
 		}

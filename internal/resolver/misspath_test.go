@@ -208,7 +208,7 @@ func signedUpstream(t *testing.T, zones int) *authority.Server {
 // be those of the outer response, not of the scratch the key fetch reused.
 func TestValidationKeyFetchDuringExchange(t *testing.T) {
 	up := signedUpstream(t, 1)
-	c, err := NewCluster(up, WithServers(1), WithValidation(true))
+	c, err := NewCluster(up, WithServers(1), WithValidation())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestValidationKeyFetchParallelMatchesSequential(t *testing.T) {
 		rcode dnsmsg.RCode
 	}
 	run := func(parallel bool) (Stats, []seen) {
-		c, err := NewCluster(signedUpstream(t, zones), WithServers(4), WithValidation(true))
+		c, err := NewCluster(signedUpstream(t, zones), WithServers(4), WithValidation())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 // log draining into a memory sink.
 func qlogCluster(t *testing.T, extra ...Option) (*Cluster, *qlog.MemorySink) {
 	t.Helper()
-	l := qlog.New(qlog.Config{Sample: 1, RingSize: 8})
+	l := qlog.New(qlog.Config{Sample: 1})
 	mem := qlog.NewMemorySink(256)
 	l.AddSink(mem)
 	opts := append([]Option{WithServers(1), WithQueryLog(l)}, extra...)

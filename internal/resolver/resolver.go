@@ -287,8 +287,8 @@ func WithCachePolicy(p cache.PolicyKind) Option {
 }
 
 // WithValidation enables DNSSEC validation of signed answers (Section VI-B).
-func WithValidation(enabled bool) Option {
-	return optionFunc(func(o *options) { o.validate = enabled })
+func WithValidation() Option {
+	return optionFunc(func(o *options) { o.validate = true })
 }
 
 // WithDeprioritizer installs the Section VI-A caching mitigation: answers

@@ -346,7 +346,7 @@ func TestValidationCountsSignatures(t *testing.T) {
 	if err := up.AddZone(z); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(up, WithServers(1), WithValidation(true))
+	c, err := NewCluster(up, WithServers(1), WithValidation())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Median returns the median of xs without mutating it, or 0 for an empty
 // sample.
 func Median(xs []float64) float64 {
@@ -181,93 +176,6 @@ func (c *CDF) Points(n int) []Point {
 type Point struct {
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
-}
-
-// Histogram is a fixed-bin histogram. Construct with NewHistogram or
-// NewLogHistogram.
-type Histogram struct {
-	edges  []float64 // len(edges) == len(counts)+1
-	counts []int
-	under  int // observations below the first edge
-	over   int // observations at or above the last edge
-	total  int
-}
-
-// NewHistogram builds a histogram with nbins equal-width bins over [lo, hi).
-// It returns nil if nbins < 1 or hi <= lo.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins < 1 || hi <= lo {
-		return nil
-	}
-	edges := make([]float64, nbins+1)
-	width := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + width*float64(i)
-	}
-	return &Histogram{edges: edges, counts: make([]int, nbins)}
-}
-
-// NewLogHistogram builds a histogram whose bin edges grow geometrically from
-// lo to hi (both must be positive, hi > lo). Useful for long-tailed
-// quantities such as lookup volumes and TTLs.
-func NewLogHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins < 1 || lo <= 0 || hi <= lo {
-		return nil
-	}
-	edges := make([]float64, nbins+1)
-	ratio := math.Pow(hi/lo, 1/float64(nbins))
-	edges[0] = lo
-	for i := 1; i <= nbins; i++ {
-		edges[i] = edges[i-1] * ratio
-	}
-	edges[nbins] = hi // avoid floating-point drift at the top edge
-	return &Histogram{edges: edges, counts: make([]int, nbins)}
-}
-
-// Observe adds one observation to the histogram.
-func (h *Histogram) Observe(x float64) {
-	h.total++
-	switch {
-	case x < h.edges[0]:
-		h.under++
-	case x >= h.edges[len(h.edges)-1]:
-		h.over++
-	default:
-		// Binary search for the bin: first edge strictly greater than x,
-		// minus one.
-		idx := sort.SearchFloat64s(h.edges, x)
-		if idx < len(h.edges) && h.edges[idx] == x {
-			// x sits exactly on an edge: it belongs to the bin starting there.
-			h.counts[idx]++
-			return
-		}
-		h.counts[idx-1]++
-	}
-}
-
-// Total returns the number of observations, including under/overflow.
-func (h *Histogram) Total() int { return h.total }
-
-// Bins returns a copy of the histogram contents as (lower edge, count) pairs.
-func (h *Histogram) Bins() []Bin {
-	out := make([]Bin, len(h.counts))
-	for i, c := range h.counts {
-		out[i] = Bin{Lo: h.edges[i], Hi: h.edges[i+1], Count: c}
-	}
-	return out
-}
-
-// Underflow returns the count of observations below the first edge.
-func (h *Histogram) Underflow() int { return h.under }
-
-// Overflow returns the count of observations at or above the last edge.
-func (h *Histogram) Overflow() int { return h.over }
-
-// Bin is one histogram bucket covering [Lo, Hi).
-type Bin struct {
-	Lo    float64 `json:"lo"`
-	Hi    float64 `json:"hi"`
-	Count int     `json:"count"`
 }
 
 // ShannonEntropy returns the Shannon entropy, in bits, of the byte

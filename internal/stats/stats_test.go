@@ -38,9 +38,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
 		t.Errorf("Variance = %v, want 4", got)
 	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
 	if got := Variance(nil); got != 0 {
 		t.Errorf("Variance(nil) = %v, want 0", got)
 	}
@@ -210,105 +207,6 @@ func TestQuantileCDFInverseProperty(t *testing.T) {
 		if got := c.At(v); math.Abs(got-q) > 0.01 {
 			t.Errorf("At(Quantile(%v)) = %v, want ~%v", q, got, q)
 		}
-	}
-}
-
-func TestHistogramBasic(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if h == nil {
-		t.Fatal("NewHistogram returned nil")
-	}
-	for _, x := range []float64{-1, 0, 1.5, 2, 9.9, 10, 100} {
-		h.Observe(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	if h.Underflow() != 1 {
-		t.Errorf("Underflow = %d, want 1", h.Underflow())
-	}
-	if h.Overflow() != 2 {
-		t.Errorf("Overflow = %d, want 2", h.Overflow())
-	}
-	bins := h.Bins()
-	if len(bins) != 5 {
-		t.Fatalf("Bins len = %d, want 5", len(bins))
-	}
-	// 0 and 1.5 land in [0,2); 2 lands in [2,4); 9.9 lands in [8,10).
-	if bins[0].Count != 2 {
-		t.Errorf("bin 0 count = %d, want 2", bins[0].Count)
-	}
-	if bins[1].Count != 1 {
-		t.Errorf("bin 1 count = %d, want 1", bins[1].Count)
-	}
-	if bins[4].Count != 1 {
-		t.Errorf("bin 4 count = %d, want 1", bins[4].Count)
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	if h := NewHistogram(5, 5, 3); h != nil {
-		t.Error("NewHistogram with hi==lo should be nil")
-	}
-	if h := NewHistogram(0, 10, 0); h != nil {
-		t.Error("NewHistogram with 0 bins should be nil")
-	}
-	if h := NewLogHistogram(0, 10, 3); h != nil {
-		t.Error("NewLogHistogram with lo==0 should be nil")
-	}
-	if h := NewLogHistogram(10, 1, 3); h != nil {
-		t.Error("NewLogHistogram with hi<lo should be nil")
-	}
-}
-
-func TestLogHistogramEdges(t *testing.T) {
-	h := NewLogHistogram(1, 1000, 3)
-	if h == nil {
-		t.Fatal("NewLogHistogram returned nil")
-	}
-	bins := h.Bins()
-	if len(bins) != 3 {
-		t.Fatalf("Bins len = %d, want 3", len(bins))
-	}
-	wantEdges := []float64{1, 10, 100, 1000}
-	for i, b := range bins {
-		if !almostEqual(b.Lo, wantEdges[i], 1e-9) {
-			t.Errorf("bin %d Lo = %v, want %v", i, b.Lo, wantEdges[i])
-		}
-	}
-	if !almostEqual(bins[2].Hi, 1000, 0) {
-		t.Errorf("final Hi = %v, want 1000", bins[2].Hi)
-	}
-	h.Observe(1)
-	h.Observe(9.99)
-	h.Observe(10)
-	h.Observe(999)
-	bins = h.Bins()
-	if bins[0].Count != 2 || bins[1].Count != 1 || bins[2].Count != 1 {
-		t.Errorf("counts = %v, want [2 1 1]", []int{bins[0].Count, bins[1].Count, bins[2].Count})
-	}
-}
-
-// Property: histogram conserves observations.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		h := NewHistogram(0, 1, 10)
-		n := 0
-		for _, v := range raw {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Observe(v)
-			n++
-		}
-		sum := h.Underflow() + h.Overflow()
-		for _, b := range h.Bins() {
-			sum += b.Count
-		}
-		return sum == n && h.Total() == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -11,14 +11,33 @@ import (
 	"time"
 )
 
-// splitSeries separates an optional label set from a metric name:
+// SplitSeries separates a series name from its brace-wrapped label set:
 // `resolver_queries_total{server="0"}` → base "resolver_queries_total",
-// labels `server="0"`.
-func splitSeries(name string) (base, labels string) {
+// labels `server="0"`. A name without labels returns labels == "".
+func SplitSeries(name string) (base, labels string) {
 	if i := strings.IndexByte(name, '{'); i >= 0 {
 		return name[:i], strings.TrimSuffix(name[i+1:], "}")
 	}
 	return name, ""
+}
+
+// LabelValue returns the unquoted value of key in a label set such as
+// `verdict="benign",pop="2"` (the labels SplitSeries returns), or "" when
+// key is absent. A comma inside a quoted value does not end its pair.
+func LabelValue(labels, key string) string {
+	start, inQuote := 0, false
+	for i := 0; i <= len(labels); i++ {
+		switch {
+		case i < len(labels) && labels[i] == '"':
+			inQuote = !inQuote
+		case i == len(labels) || labels[i] == ',' && !inQuote:
+			if k, v, ok := strings.Cut(labels[start:i], "="); ok && k == key {
+				return strings.Trim(v, `"`)
+			}
+			start = i + 1
+		}
+	}
+	return ""
 }
 
 // joinLabels renders a label set ("" for none) plus any extra pairs.
@@ -44,7 +63,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	typed := make(map[string]bool)
 	for _, e := range r.sortedEntries() {
-		base, labels := splitSeries(e.name)
+		base, labels := SplitSeries(e.name)
 		if !typed[base] {
 			typed[base] = true
 			if e.help != "" {

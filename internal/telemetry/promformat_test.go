@@ -104,3 +104,22 @@ func TestWritePrometheusMetricsEndpointStrict(t *testing.T) {
 		}
 	}
 }
+
+func TestLabelValue(t *testing.T) {
+	for _, tc := range []struct{ name, base, key, want string }{
+		{`serve_qps{pop="2"}`, "serve_qps", "pop", "2"},
+		{`x{a="1",pop="0"}`, "x", "pop", "0"},
+		{`serve_qps`, "serve_qps", "pop", ""},
+		{`x{a="1"}`, "x", "pop", ""},
+		{`x{a="1,pop=9",pop="3"}`, "x", "pop", "3"}, // a quoted comma splits nothing
+		{`udp_scored_total{verdict="disposable",pop="0"}`, "udp_scored_total", "verdict", "disposable"},
+	} {
+		base, labels := SplitSeries(tc.name)
+		if base != tc.base {
+			t.Fatalf("SplitSeries(%q) base = %q, want %q", tc.name, base, tc.base)
+		}
+		if got := LabelValue(labels, tc.key); got != tc.want {
+			t.Fatalf("LabelValue(%q, %q) = %q, want %q", labels, tc.key, got, tc.want)
+		}
+	}
+}

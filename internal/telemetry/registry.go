@@ -87,7 +87,7 @@ func (r *Registry) WithLabel(key, value string) *Registry {
 // panicking on kind mismatch.
 func (r *Registry) lookup(name, help string, kind Kind) *entry {
 	if r.labels != "" {
-		base, labels := splitSeries(name)
+		base, labels := SplitSeries(name)
 		name = base + joinLabels(labels, r.labels)
 	}
 	e, ok := r.entries[name]

@@ -87,7 +87,7 @@ func TestQueryMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20111201))
 	const retain = 17 // deliberately odd and small: wraps constantly
 
-	db := New(Config{Retain: retain, Derived: []DerivedRule{}})
+	db := New(Config{Retain: retain})
 	names := []string{"a_total", `a_total{server="1"}`, "b_total", "g_gauge", `g_gauge{pop="2"}`}
 	kinds := []Kind{KindCounter, KindCounter, KindCounter, KindGauge, KindGauge}
 	ref := make(map[string]*naiveSeries)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"dnsnoise/internal/telemetry"
 )
 
 // Agg selects how samples inside a query bucket collapse to one point.
@@ -119,13 +121,13 @@ func MatchSeries(pattern, name string) bool {
 		if globMatch(pattern, name) {
 			return true
 		}
-		base, _ := splitName(name)
+		base, _ := telemetry.SplitSeries(name)
 		return globMatch(pattern, base)
 	}
 	if strings.ContainsRune(pattern, '{') {
 		return pattern == name
 	}
-	base, _ := splitName(name)
+	base, _ := telemetry.SplitSeries(name)
 	return pattern == base
 }
 

@@ -97,9 +97,6 @@ type Config struct {
 	// Retain is the number of samples kept per series (the ring capacity).
 	// At a 1s sweep interval the default holds 10 minutes of history.
 	Retain int
-	// Derived is the set of ratio/rate rules evaluated per sweep. Nil means
-	// DefaultDerived(); an empty non-nil slice disables derived series.
-	Derived []DerivedRule
 }
 
 // DefaultRetain is the per-series ring capacity when Config.Retain is 0.
@@ -111,7 +108,7 @@ const DefaultRetain = 600
 type DB struct {
 	mu      sync.Mutex
 	retain  int
-	derived []DerivedRule
+	derived []DerivedRule // DefaultDerived(), evaluated per sweep
 
 	series map[string]*series
 	names  []string // sorted keys of series, for deterministic listings
@@ -131,13 +128,9 @@ func New(cfg Config) *DB {
 	if retain <= 0 {
 		retain = DefaultRetain
 	}
-	derived := cfg.Derived
-	if derived == nil {
-		derived = DefaultDerived()
-	}
 	return &DB{
 		retain:   retain,
-		derived:  derived,
+		derived:  DefaultDerived(),
 		series:   make(map[string]*series),
 		prevHist: make(map[string]telemetry.HistogramSnapshot),
 		prevCnt:  make(map[string]float64),
@@ -208,7 +201,7 @@ func (db *DB) Record(snap *telemetry.Snapshot) {
 			if !seen || d < 0 { // first sight or counter reset
 				d = v
 			}
-			base, labels := splitName(name)
+			base, labels := telemetry.SplitSeries(name)
 			deltas = append(deltas, counterDelta{base: base, labels: labels, delta: d})
 		}
 		db.prevCnt[name] = v
@@ -220,7 +213,7 @@ func (db *DB) Record(snap *telemetry.Snapshot) {
 
 	for _, name := range sortedKeys(snap.Histograms) {
 		h := snap.Histograms[name]
-		base, labels := splitName(name)
+		base, labels := telemetry.SplitSeries(name)
 		db.upsert(base+"_count"+wrapLabels(labels), KindCounter).append(t, float64(h.Count))
 		w := h.Delta(db.prevHist[name])
 		db.prevHist[name] = h
@@ -264,7 +257,7 @@ func (db *DB) recordDerived(t int64, dtSeconds float64, deltas []counterDelta) {
 			return a
 		}
 		for _, d := range deltas {
-			pop := labelValue(d.labels, "pop")
+			pop := telemetry.LabelValue(d.labels, "pop")
 			if d.base == rule.Num && rule.matchNumLabels(d.labels) {
 				get(pop).num += d.delta
 			}
@@ -319,7 +312,8 @@ func (r DerivedRule) matchNumLabels(labels string) bool {
 	if r.NumLabels == "" {
 		return true
 	}
-	return hasLabelPair(labels, r.NumLabels)
+	key, value, _ := strings.Cut(r.NumLabels, "=")
+	return telemetry.LabelValue(labels, key) == strings.Trim(value, `"`)
 }
 
 // DefaultDerived is the rule set every CLI ships with: throughput rates for
@@ -338,70 +332,11 @@ func DefaultDerived() []DerivedRule {
 	}
 }
 
-// splitName separates a series name from its brace-wrapped label set:
-// `udp_scored_total{verdict="benign"}` -> ("udp_scored_total",
-// `verdict="benign"`). Names without labels return labels == "".
-func splitName(name string) (base, labels string) {
-	i := strings.IndexByte(name, '{')
-	if i < 0 {
-		return name, ""
-	}
-	labels = name[i+1:]
-	labels = strings.TrimSuffix(labels, "}")
-	return name[:i], labels
-}
-
 func wrapLabels(labels string) string {
 	if labels == "" {
 		return ""
 	}
 	return "{" + labels + "}"
-}
-
-// labelValue extracts the (unquoted) value of key from a label set string,
-// or "" when absent. Label values in this codebase never contain commas or
-// escaped quotes, but the scan tolerates quoted commas anyway.
-func labelValue(labels, key string) string {
-	for _, pair := range splitLabelPairs(labels) {
-		k, v, ok := strings.Cut(pair, "=")
-		if !ok || k != key {
-			continue
-		}
-		return strings.Trim(v, `"`)
-	}
-	return ""
-}
-
-// hasLabelPair reports whether the label set contains the exact pair, e.g.
-// `verdict="disposable"`.
-func hasLabelPair(labels, pair string) bool {
-	for _, p := range splitLabelPairs(labels) {
-		if p == pair {
-			return true
-		}
-	}
-	return false
-}
-
-// splitLabelPairs splits `a="1",b="2"` on commas outside quotes.
-func splitLabelPairs(labels string) []string {
-	if labels == "" {
-		return nil
-	}
-	var pairs []string
-	start, inQuote := 0, false
-	for i := 0; i < len(labels); i++ {
-		switch labels[i] {
-		case '"':
-			inQuote = !inQuote
-		case ',':
-			if !inQuote {
-				pairs = append(pairs, labels[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(pairs, labels[start:])
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -104,22 +104,20 @@ func TestDerivedRatiosAndPopGrouping(t *testing.T) {
 	}
 }
 
-// TestDerivedNoDataVsZero: a ratio rule emits nothing while the denominator
-// is idle, and a genuine zero when the denominator moves without the
-// numerator.
+// TestDerivedNoDataVsZero: a ratio rule (serve_drop_rate) emits nothing
+// while the denominator is idle, and a genuine zero when the denominator
+// moves without the numerator.
 func TestDerivedNoDataVsZero(t *testing.T) {
-	db := New(Config{Retain: 8, Derived: []DerivedRule{
-		{Name: "drop_rate", Num: "dropped", Den: []string{"rx"}},
-	}})
-	db.Record(snapAt(t0, map[string]uint64{"dropped": 0, "rx": 0}, nil))
-	db.Record(snapAt(t0.Add(time.Second), map[string]uint64{"dropped": 0, "rx": 0}, nil))
-	db.Record(snapAt(t0.Add(2*time.Second), map[string]uint64{"dropped": 0, "rx": 100}, nil))
-	res := db.Query("drop_rate", AggAvg, Options{Start: t0, End: t0.Add(3 * time.Second), Step: time.Second})
+	db := New(Config{Retain: 8})
+	db.Record(snapAt(t0, map[string]uint64{"udp_dropped_total": 0, "udp_rx_packets_total": 0}, nil))
+	db.Record(snapAt(t0.Add(time.Second), map[string]uint64{"udp_dropped_total": 0, "udp_rx_packets_total": 0}, nil))
+	db.Record(snapAt(t0.Add(2*time.Second), map[string]uint64{"udp_dropped_total": 0, "udp_rx_packets_total": 100}, nil))
+	res := db.Query("serve_drop_rate", AggAvg, Options{Start: t0, End: t0.Add(3 * time.Second), Step: time.Second})
 	if len(res) != 1 || len(res[0].Points) != 1 {
-		t.Fatalf("drop_rate = %+v, want exactly one point (idle sweeps emit no data)", res)
+		t.Fatalf("serve_drop_rate = %+v, want exactly one point (idle sweeps emit no data)", res)
 	}
 	if res[0].Points[0].V != 0 {
-		t.Errorf("drop_rate = %v, want 0", res[0].Points[0].V)
+		t.Errorf("serve_drop_rate = %v, want 0", res[0].Points[0].V)
 	}
 }
 
@@ -166,7 +164,7 @@ func TestHistogramDerivedSeries(t *testing.T) {
 }
 
 func TestRingWrap(t *testing.T) {
-	db := New(Config{Retain: 4, Derived: []DerivedRule{}})
+	db := New(Config{Retain: 4})
 	for i := 0; i < 10; i++ {
 		db.Record(snapAt(t0.Add(time.Duration(i)*time.Second), map[string]uint64{"c": uint64(i)}, nil))
 	}
@@ -213,7 +211,7 @@ func TestMatchSeries(t *testing.T) {
 }
 
 func TestMonotonicTimestamps(t *testing.T) {
-	db := New(Config{Retain: 8, Derived: []DerivedRule{}})
+	db := New(Config{Retain: 8})
 	db.Record(snapAt(t0, map[string]uint64{"c": 1}, nil))
 	db.Record(snapAt(t0, map[string]uint64{"c": 2}, nil)) // same wall time
 	// Start exactly at t0: the first sample (at t0) is the rate base, the
@@ -323,7 +321,7 @@ func TestFleetMergeBitConsistency(t *testing.T) {
 	for pop, db := range single {
 		popLbl := `{pop="` + []string{"0", "1"}[pop] + `"}`
 		for _, info := range db.Series() {
-			base, labels := splitName(info.Name)
+			base, labels := telemetry.SplitSeries(info.Name)
 			if strings.HasPrefix(base, "go_") {
 				continue // runtime metrics are process-wide, registered once
 			}

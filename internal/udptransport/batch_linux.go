@@ -54,13 +54,9 @@ type mmsgIO struct {
 	scnt    int
 }
 
-// newPacketIO selects the batched path for batch > 1 and the portable
-// single-packet path for batch == 1, keeping the two syscall disciplines
-// comparable under one flag.
+// newPacketIO selects the batched path, or the portable single-packet
+// path for a socket that exposes no raw descriptor.
 func newPacketIO(conn *net.UDPConn, slots []pktBuf, rx []byte) packetIO {
-	if len(slots) <= 1 {
-		return newSingleIO(conn, slots, rx)
-	}
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return newSingleIO(conn, slots, rx)

@@ -170,7 +170,7 @@ func TestServeFloodZeroAlloc(t *testing.T) {
 func TestServeFloodZeroAllocScored(t *testing.T) {
 	// A trivially fitted classifier: only the observe-side intake runs
 	// during the flood, so its quality is irrelevant.
-	clf := mlearn.NewDecisionTree(mlearn.TreeConfig{})
+	clf := mlearn.NewDecisionTree()
 	x := make([][]float64, 4)
 	for i := range x {
 		x[i] = make([]float64, features.Dim)

@@ -12,7 +12,7 @@ import (
 // — dig's EDNS query included, no name for a shape it rejects — and the
 // rcode-derived outcome.
 func TestServerQueryLog(t *testing.T) {
-	l := qlog.New(qlog.Config{Sample: 1, RingSize: 8})
+	l := qlog.New(qlog.Config{Sample: 1})
 	mem := qlog.NewMemorySink(64)
 	l.AddSink(mem)
 	srv, err := Serve(testAuthority(t), "", WithServerQueryLog(l))
@@ -78,7 +78,7 @@ func TestServerQueryLog(t *testing.T) {
 // TestServerQueryLogSampling checks the head sampler thins server-side
 // events: with Sample 4, twelve queries yield exactly three.
 func TestServerQueryLogSampling(t *testing.T) {
-	l := qlog.New(qlog.Config{Sample: 4, RingSize: 8})
+	l := qlog.New(qlog.Config{Sample: 4})
 	mem := qlog.NewMemorySink(64)
 	l.AddSink(mem)
 	srv, err := Serve(testAuthority(t), "", WithServerQueryLog(l))

@@ -31,7 +31,7 @@ func (s suffixScorer) ScoreWire(query []byte) qlog.Verdict {
 // histograms, and the sampled qlog events (filterable by verdict).
 func TestWithScorerTagsEventsAndCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	l := qlog.New(qlog.Config{Sample: 1, RingSize: 8})
+	l := qlog.New(qlog.Config{Sample: 1})
 	mem := qlog.NewMemorySink(64)
 	l.AddSink(mem)
 	var made int

@@ -38,7 +38,7 @@ func TestConcurrentListenersAndClients(t *testing.T) {
 	// workers (where available) answering several concurrent clients, each
 	// with its own socket. Every response must match its query's ID and
 	// carry the right answer regardless of which listener served it.
-	srv, err := Serve(testAuthority(t), "", WithListeners(4), WithBatch(8))
+	srv, err := Serve(testAuthority(t), "", WithListeners(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,23 +109,38 @@ func TestListenersSharePort(t *testing.T) {
 }
 
 func TestBatchOneUsesSinglePacketPath(t *testing.T) {
-	// Batch 1 must serve correctly through the portable single-packet
-	// syscall path on every platform (on Linux this is the "unbatched"
-	// side of the serve-throughput comparison).
-	srv, err := Serve(testAuthority(t), "", WithBatch(1))
+	// The portable single-packet path (one datagram per syscall) is what
+	// builds without recvmmsg serve through. Run it on every platform: a
+	// one-listener server whose worker's io is swapped for a singleIO
+	// before its loop starts.
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := &Server{wire: dnsmsg.AsWireHandler(testAuthority(t)), conns: []*net.UDPConn{conn}}
+	w := newListenerWorker(srv, conn, 0)
+	w.io = newSingleIO(conn, w.slots, make([]byte, maxPacket))
+	srv.workers = []*listenerWorker{w}
+	srv.wg.Add(1)
+	go w.loop()
 	defer srv.Close()
-	if srv.Batch() != 1 {
-		t.Fatalf("Batch() = %d, want 1", srv.Batch())
-	}
 	wire, err := dnsmsg.NewQuery(9, "www.udp.test", dnsmsg.TypeA).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exchange("udp", srv.Addr(), wire); err != nil {
+	respWire, err := exchange("udp", srv.Addr(), wire)
+	if err != nil {
 		t.Fatal(err)
+	}
+	resp, err := dnsmsg.Decode(respWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.ID != 9 || len(resp.Answers) != 1 || resp.Answers[0].RData != dnsmsg.IPv4(198, 18, 0, 7) {
+		t.Fatalf("response = %+v", resp)
+	}
+	if got := w.stats.txPackets.Load(); got != 1 {
+		t.Errorf("txPackets = %d, want 1", got)
 	}
 }
 

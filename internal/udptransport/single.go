@@ -8,9 +8,8 @@ import (
 
 // singleIO is the portable packetIO: one datagram per syscall through the
 // AddrPort read/write methods, which pass the peer address by value and so
-// keep the path allocation-free. It is both the non-Linux fallback and the
-// batch=1 configuration everywhere (the "single vs batched syscalls" axis
-// of the serve-throughput benchmark).
+// keep the path allocation-free. It serves builds where batchSyscalls is
+// false, and sockets that expose no raw descriptor; it uses slot 0 only.
 type singleIO struct {
 	conn  *net.UDPConn
 	slots []pktBuf

@@ -36,11 +36,10 @@ const minUDPPayload = 512
 // cannot possibly be valid queries and are dropped before the handler.
 const dnsHeaderLen = 12
 
-// DefaultBatch is the per-listener datagram batch size when WithBatch is
-// not given: large enough to amortize syscall cost under load, small
-// enough that the per-listener buffer block (batch x maxPacket) stays in
-// cache-friendly territory.
-const DefaultBatch = 32
+// batchLen is the per-listener datagram batch size: large enough to
+// amortize syscall cost under load, small enough that the per-listener
+// buffer block (batchLen x maxPacket) stays in cache-friendly territory.
+const batchLen = 32
 
 // Scorer classifies one wire-format query as it passes through the serve
 // path, returning its live disposable verdict. Implementations must be
@@ -61,7 +60,6 @@ type Server struct {
 	log        *qlog.Log
 	newScorer  func(listener int) Scorer
 	listeners  int
-	batch      int
 	tcpEnabled bool
 	tcp        *tcpState
 
@@ -143,17 +141,6 @@ func WithListeners(n int) ServerOption {
 	}
 }
 
-// WithBatch sets the per-listener datagram batch size (default
-// DefaultBatch). On Linux a batch moves through one recvmmsg/sendmmsg
-// syscall pair; 1 forces single-packet syscalls everywhere.
-func WithBatch(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.batch = n
-		}
-	}
-}
-
 // Serve binds addr (e.g. "127.0.0.1:0" for an ephemeral port; "" defaults
 // to that) and starts answering queries with handler until Close. A
 // handler that also implements dnsmsg.WireHandler (like authority.Server)
@@ -172,7 +159,7 @@ func Serve(handler dnsmsg.Handler, addr string, opts ...ServerOption) (*Server, 
 	if err != nil {
 		return nil, fmt.Errorf("udptransport: resolve %q: %w", addr, err)
 	}
-	s := &Server{listeners: 1, batch: DefaultBatch}
+	s := &Server{listeners: 1}
 	for _, o := range opts {
 		o(s)
 	}
@@ -322,9 +309,6 @@ func (s *Server) Addr() string { return s.conns[0].LocalAddr().String() }
 // requested count, or 1 where SO_REUSEPORT is unavailable.
 func (s *Server) Listeners() int { return len(s.conns) }
 
-// Batch reports the per-listener datagram batch size in effect.
-func (s *Server) Batch() int { return s.batch }
-
 // Close stops the server and waits for every listener worker to exit.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -380,17 +364,13 @@ type packetIO interface {
 }
 
 func newListenerWorker(s *Server, conn *net.UDPConn, id int) *listenerWorker {
-	batch := s.batch
-	if batch < 1 {
-		batch = 1
-	}
 	w := &listenerWorker{
 		srv:   s,
 		conn:  conn,
 		id:    id,
-		slots: make([]pktBuf, batch),
+		slots: make([]pktBuf, batchLen),
 	}
-	rx := make([]byte, batch*maxPacket)
+	rx := make([]byte, batchLen*maxPacket)
 	w.io = newPacketIO(conn, w.slots, rx)
 	w.qrec = s.log.NewRecorder(id) // nil-safe: nil log -> nil recorder
 	if s.newScorer != nil {

@@ -202,10 +202,11 @@ type RegistryConfig struct {
 	// HostsPerZoneMax caps the host pool of a non-disposable zone
 	// (default 64).
 	HostsPerZoneMax int
-	// CDNFanout is the fraction of non-disposable zones whose www is a
-	// CNAME into a CDN zone (default 0.25).
-	CDNFanout float64
 }
+
+// cdnFanout is the fraction of non-disposable zones whose www is a CNAME
+// into a CDN zone.
+const cdnFanout = 0.25
 
 func (c *RegistryConfig) setDefaults() {
 	if c.NonDisposableZones == 0 {
@@ -216,9 +217,6 @@ func (c *RegistryConfig) setDefaults() {
 	}
 	if c.HostsPerZoneMax == 0 {
 		c.HostsPerZoneMax = 64
-	}
-	if c.CDNFanout == 0 {
-		c.CDNFanout = 0.25
 	}
 }
 
@@ -327,7 +325,7 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 				spec.HostPool = append(spec.HostPool, h+"."+e2ld)
 			}
 		}
-		if rng.Float64() < cfg.CDNFanout {
+		if rng.Float64() < cdnFanout {
 			spec.CNAMETarget = r.CDN[rng.Intn(len(r.CDN))]
 		}
 		r.NonDisposable = append(r.NonDisposable, spec)
@@ -444,16 +442,6 @@ func (r *Registry) GroundTruth() map[string]bool {
 	out := make(map[string]bool)
 	for _, z := range r.AllZones() {
 		out[z.Zone] = z.Disposable()
-	}
-	return out
-}
-
-// DisposableE2LDs returns the set of registrable domains hosting at least
-// one disposable zone.
-func (r *Registry) DisposableE2LDs() map[string]bool {
-	out := make(map[string]bool)
-	for _, z := range r.Disposable {
-		out[z.E2LD] = true
 	}
 	return out
 }

@@ -408,9 +408,11 @@ func TestKindLabels(t *testing.T) {
 
 func TestDisposableE2LDRatio(t *testing.T) {
 	r := NewRegistry(RegistryConfig{Seed: 20})
-	zones := len(r.Disposable)
-	e2lds := len(r.DisposableE2LDs())
-	ratio := float64(zones) / float64(e2lds)
+	e2lds := map[string]bool{}
+	for _, z := range r.Disposable {
+		e2lds[z.E2LD] = true
+	}
+	ratio := float64(len(r.Disposable)) / float64(len(e2lds))
 	// Paper: 14,488 zones under 12,397 2LDs (ratio 1.17).
 	if ratio < 1.05 || ratio > 1.35 {
 		t.Errorf("zones/e2lds ratio = %.2f, want ~1.17", ratio)
