@@ -36,8 +36,9 @@ type scoreConfig struct {
 // for, trains the classifier on ground-truth labels, mines that day with
 // the batch miner, and primes a streaming pipeline with the findings. The
 // returned engine is already running — its scorers classify datagrams
-// against the primed snapshot while the engine goroutine feeds observed
-// names back into the miner and re-scores every cfg.window of wall time.
+// against the primed snapshot and note each name into the miner on their
+// listener's goroutine, while the engine re-scores every cfg.window of
+// wall time.
 // Beside it comes one mined disposable name, "" when the mine found none.
 //
 // The classifier is restricted to the tree-structure feature family: the
@@ -80,7 +81,6 @@ func buildScoring(env *sim.Env, cfg scoreConfig, treg *telemetry.Registry) (*liv
 	pipe.Prime(findings)
 	pipe.SetMetrics(treg)
 	eng := livescore.NewEngine(pipe)
-	eng.SetMetrics(treg)
 	eng.Start(cfg.window)
 
 	snap := pipe.Snapshot()

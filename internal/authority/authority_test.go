@@ -29,79 +29,103 @@ func aRR(name, ip string) dnsmsg.RR {
 	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(dnsmsg.TypeA, ip)}
 }
 
+// serve registers zones on a new server.
+func serve(t *testing.T, zones ...*Zone) *Server {
+	t.Helper()
+	s := NewServer()
+	for _, z := range zones {
+		if err := s.AddZone(z); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// ask sends (name, qtype) to s as a wire query and decodes the reply
+// AppendHandleWire gives: the bytes the socket sends.
+func ask(t *testing.T, s *Server, name string, qtype dnsmsg.Type) *dnsmsg.Message {
+	t.Helper()
+	query, err := dnsmsg.NewQuery(0, name, qtype).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := s.AppendHandleWire(nil, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := dnsmsg.Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// answers asks a server holding only z for (name, qtype) and returns the
+// reply's answer section.
+func answers(t *testing.T, z *Zone, name string, qtype dnsmsg.Type) []dnsmsg.RR {
+	t.Helper()
+	return ask(t, serve(t, z), name, qtype).Answers
+}
+
 func TestZoneExactLookup(t *testing.T) {
 	z := mustZone(t, "example.com")
 	mustAdd(t, z, aRR("www.example.com", "192.0.2.1"))
-	got, err := z.Lookup("WWW.Example.Com", dnsmsg.TypeA)
-	if err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if len(got) != 1 || got[0].RData != dnsmsg.IPv4(192, 0, 2, 1) {
-		t.Errorf("Lookup = %v", got)
+	got := ask(t, serve(t, z), "WWW.Example.Com", dnsmsg.TypeA)
+	if got.Header.RCode != dnsmsg.RCodeNoError || len(got.Answers) != 1 || got.Answers[0].RData != dnsmsg.IPv4(192, 0, 2, 1) {
+		t.Errorf("reply = %+v", got)
 	}
 }
 
 func TestZoneNXDomain(t *testing.T) {
 	z := mustZone(t, "example.com")
 	mustAdd(t, z, aRR("www.example.com", "192.0.2.1"))
-	if _, err := z.Lookup("missing.example.com", dnsmsg.TypeA); !errors.Is(err, ErrNotInZone) {
-		t.Errorf("Lookup missing = %v, want ErrNotInZone", err)
-	}
-	if _, err := z.Lookup("www.other.com", dnsmsg.TypeA); !errors.Is(err, ErrNotInZone) {
-		t.Errorf("Lookup outside zone = %v, want ErrNotInZone", err)
+	s := serve(t, z)
+	for _, name := range []string{"missing.example.com", "www.other.com"} {
+		if got := ask(t, s, name, dnsmsg.TypeA); got.Header.RCode != dnsmsg.RCodeNXDomain {
+			t.Errorf("%s: RCode = %v, want NXDOMAIN", name, got.Header.RCode)
+		}
 	}
 }
 
 func TestZoneNoData(t *testing.T) {
 	z := mustZone(t, "example.com")
 	mustAdd(t, z, aRR("www.example.com", "192.0.2.1"))
-	got, err := z.Lookup("www.example.com", dnsmsg.TypeAAAA)
-	if err != nil {
-		t.Fatalf("NODATA lookup should not error: %v", err)
-	}
-	if len(got) != 0 {
-		t.Errorf("NODATA lookup = %v, want empty", got)
+	got := ask(t, serve(t, z), "www.example.com", dnsmsg.TypeAAAA)
+	if got.Header.RCode != dnsmsg.RCodeNoError || len(got.Answers) != 0 {
+		t.Errorf("NODATA reply = %+v, want NOERROR with no answer", got)
 	}
 }
 
 func TestZoneCNAMEAnswersOtherTypes(t *testing.T) {
 	z := mustZone(t, "example.com")
 	mustAdd(t, z, dnsmsg.RR{Name: "www.example.com", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.Text("edge.cdn.example.com")})
-	got, err := z.Lookup("www.example.com", dnsmsg.TypeA)
-	if err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if len(got) != 1 || got[0].Type != dnsmsg.TypeCNAME {
-		t.Errorf("A query over CNAME owner = %v, want the CNAME", got)
+	got := ask(t, serve(t, z), "www.example.com", dnsmsg.TypeA)
+	if len(got.Answers) != 1 || got.Answers[0].Type != dnsmsg.TypeCNAME {
+		t.Errorf("A query over CNAME owner = %v, want the CNAME", got.Answers)
 	}
 }
 
 func TestZoneWildcard(t *testing.T) {
 	z := mustZone(t, "fbcdn.net")
 	mustAdd(t, z, dnsmsg.RR{Name: "*.dns.xx.fbcdn.net", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 30, RData: dnsmsg.IPv4(192, 0, 2, 77)})
-	got, err := z.Lookup("1022vr5.dns.xx.fbcdn.net", dnsmsg.TypeA)
-	if err != nil {
-		t.Fatalf("wildcard Lookup: %v", err)
-	}
+	s := serve(t, z)
+	got := ask(t, s, "1022vr5.dns.xx.fbcdn.net", dnsmsg.TypeA).Answers
 	if len(got) != 1 || got[0].Name != "1022vr5.dns.xx.fbcdn.net" || got[0].RData != dnsmsg.IPv4(192, 0, 2, 77) {
 		t.Errorf("wildcard answer = %v", got)
 	}
 	// Wildcard only matches direct and deeper children of its parent, not
 	// sibling branches.
-	if _, err := z.Lookup("a.other.xx.fbcdn.net", dnsmsg.TypeA); !errors.Is(err, ErrNotInZone) {
-		t.Errorf("sibling branch = %v, want ErrNotInZone", err)
+	if got := ask(t, s, "a.other.xx.fbcdn.net", dnsmsg.TypeA); got.Header.RCode != dnsmsg.RCodeNXDomain {
+		t.Errorf("sibling branch = %v, want NXDOMAIN", got.Header.RCode)
 	}
 }
 
 func TestZoneWildcardDeepMatch(t *testing.T) {
 	z := mustZone(t, "example.com")
 	mustAdd(t, z, dnsmsg.RR{Name: "*.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 30, RData: dnsmsg.IPv4(192, 0, 2, 9)})
-	got, err := z.Lookup("a.b.c.example.com", dnsmsg.TypeA)
-	if err != nil {
-		t.Fatalf("deep wildcard: %v", err)
-	}
-	if got[0].Name != "a.b.c.example.com" {
-		t.Errorf("owner = %q", got[0].Name)
+	got := ask(t, serve(t, z), "a.b.c.example.com", dnsmsg.TypeA).Answers
+	if len(got) != 1 || got[0].Name != "a.b.c.example.com" {
+		t.Errorf("deep wildcard answer = %v", got)
 	}
 }
 
@@ -109,11 +133,8 @@ func TestZoneExactBeatsWildcard(t *testing.T) {
 	z := mustZone(t, "example.com")
 	mustAdd(t, z, dnsmsg.RR{Name: "*.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 30, RData: dnsmsg.IPv4(192, 0, 2, 9)})
 	mustAdd(t, z, aRR("www.example.com", "192.0.2.1"))
-	got, err := z.Lookup("www.example.com", dnsmsg.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].RData != dnsmsg.IPv4(192, 0, 2, 1) {
+	got := ask(t, serve(t, z), "www.example.com", dnsmsg.TypeA).Answers
+	if len(got) != 1 || got[0].RData != dnsmsg.IPv4(192, 0, 2, 1) {
 		t.Errorf("exact record should beat wildcard, got %v", got)
 	}
 }
@@ -125,16 +146,13 @@ func TestZoneSynth(t *testing.T) {
 		}
 		return append(dst, dnsmsg.RR{Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60, RData: dnsmsg.IPv4(127, 0, 0, 1)}), true
 	}
-	z := mustZone(t, "mcafee.com", WithSynth(synth))
-	got, err := z.Lookup("0.0.0.0.1.0.0.4e.13cfus2drmdq.avqs.mcafee.com", dnsmsg.TypeA)
-	if err != nil {
-		t.Fatalf("synth Lookup: %v", err)
-	}
-	if got[0].Name != "0.0.0.0.1.0.0.4e.13cfus2drmdq.avqs.mcafee.com" || got[0].RData != dnsmsg.IPv4(127, 0, 0, 1) {
+	s := serve(t, mustZone(t, "mcafee.com", WithSynth(synth)))
+	got := ask(t, s, "0.0.0.0.1.0.0.4e.13cfus2drmdq.avqs.mcafee.com", dnsmsg.TypeA).Answers
+	if len(got) != 1 || got[0].Name != "0.0.0.0.1.0.0.4e.13cfus2drmdq.avqs.mcafee.com" || got[0].RData != dnsmsg.IPv4(127, 0, 0, 1) {
 		t.Errorf("synth answer = %v", got)
 	}
-	if _, err := z.Lookup("www.mcafee.com", dnsmsg.TypeA); !errors.Is(err, ErrNotInZone) {
-		t.Errorf("non-synth name = %v, want fall-through to NXDOMAIN", err)
+	if got := ask(t, s, "www.mcafee.com", dnsmsg.TypeA); got.Header.RCode != dnsmsg.RCodeNXDomain {
+		t.Errorf("non-synth name = %v, want fall-through to NXDOMAIN", got.Header.RCode)
 	}
 }
 
@@ -152,23 +170,17 @@ func TestZoneAddValidation(t *testing.T) {
 }
 
 func TestServerRouting(t *testing.T) {
-	s := NewServer()
 	z1 := mustZone(t, "example.com")
 	mustAdd(t, z1, aRR("www.example.com", "192.0.2.1"))
 	z2 := mustZone(t, "deep.example.com")
 	mustAdd(t, z2, aRR("host.deep.example.com", "192.0.2.2"))
-	if err := s.AddZone(z1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddZone(z2); err != nil {
-		t.Fatal(err)
-	}
+	s := serve(t, z1, z2)
 	// Longest-suffix zone must win.
-	resp := s.Resolve("host.deep.example.com", dnsmsg.TypeA)
+	resp := ask(t, s, "host.deep.example.com", dnsmsg.TypeA)
 	if resp.Header.RCode != dnsmsg.RCodeNoError || len(resp.Answers) != 1 || resp.Answers[0].RData != dnsmsg.IPv4(192, 0, 2, 2) {
 		t.Errorf("deep zone response = %+v", resp)
 	}
-	resp = s.Resolve("www.example.com", dnsmsg.TypeA)
+	resp = ask(t, s, "www.example.com", dnsmsg.TypeA)
 	if len(resp.Answers) != 1 || resp.Answers[0].RData != dnsmsg.IPv4(192, 0, 2, 1) {
 		t.Errorf("parent zone response = %+v", resp)
 	}
@@ -185,12 +197,8 @@ func TestServerDuplicateZone(t *testing.T) {
 }
 
 func TestServerNXDomainCarriesSOA(t *testing.T) {
-	s := NewServer()
-	z := mustZone(t, "example.com")
-	if err := s.AddZone(z); err != nil {
-		t.Fatal(err)
-	}
-	resp := s.Resolve("nope.example.com", dnsmsg.TypeA)
+	s := serve(t, mustZone(t, "example.com"))
+	resp := ask(t, s, "nope.example.com", dnsmsg.TypeA)
 	if resp.Header.RCode != dnsmsg.RCodeNXDomain {
 		t.Fatalf("RCode = %v", resp.Header.RCode)
 	}
@@ -207,7 +215,7 @@ func TestServerNXDomainCarriesSOA(t *testing.T) {
 
 func TestServerUnmatchedQuery(t *testing.T) {
 	s := NewServer()
-	resp := s.Resolve("www.unknown.test", dnsmsg.TypeA)
+	resp := ask(t, s, "www.unknown.test", dnsmsg.TypeA)
 	if resp.Header.RCode != dnsmsg.RCodeNXDomain {
 		t.Errorf("RCode = %v, want NXDOMAIN", resp.Header.RCode)
 	}
@@ -368,13 +376,10 @@ func TestSignedZoneAttachesRRSIG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer()
 	z := mustZone(t, "example.com", WithSigner(signer))
 	mustAdd(t, z, aRR("www.example.com", "192.0.2.1"))
-	if err := s.AddZone(z); err != nil {
-		t.Fatal(err)
-	}
-	resp := s.Resolve("www.example.com", dnsmsg.TypeA)
+	s := serve(t, z)
+	resp := ask(t, s, "www.example.com", dnsmsg.TypeA)
 	if len(resp.Answers) != 2 {
 		t.Fatalf("answers = %d, want A + RRSIG", len(resp.Answers))
 	}
@@ -384,12 +389,13 @@ func TestSignedZoneAttachesRRSIG(t *testing.T) {
 	if s.Stats().Signatures != 1 {
 		t.Errorf("Signatures = %d, want 1", s.Stats().Signatures)
 	}
-	// The resolver-side validation path must succeed end to end.
-	dnskey, ok := s.DNSKEY("example.com")
-	if !ok {
-		t.Fatal("DNSKEY missing for signed zone")
+	// The resolver-side validation path must succeed end to end, with the
+	// key fetched over the wire as a validating resolver fetches it.
+	keys := ask(t, s, "example.com", dnsmsg.TypeDNSKEY).Answers
+	if len(keys) != 1 || keys[0].Type != dnsmsg.TypeDNSKEY {
+		t.Fatalf("DNSKEY reply for the signed zone = %v", keys)
 	}
-	pub, err := PublicKeyFromDNSKEY(dnskey)
+	pub, err := PublicKeyFromDNSKEY(keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}

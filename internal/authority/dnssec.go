@@ -44,9 +44,6 @@ func NewSigner(zone string, rand io.Reader) (*Signer, error) {
 	}, nil
 }
 
-// Zone returns the zone this signer covers.
-func (s *Signer) Zone() string { return s.zone }
-
 // DNSKEY returns the zone's public-key record.
 func (s *Signer) DNSKEY() dnsmsg.RR {
 	return dnsmsg.RR{

@@ -8,8 +8,8 @@ import (
 	"dnsnoise/internal/dnsmsg"
 )
 
-// ExampleParseZoneFile loads a master-file zone and serves a wildcard
-// query from it.
+// ExampleParseZoneFile loads a master-file zone and answers a wildcard
+// query from it on the wire.
 func ExampleParseZoneFile() {
 	const zoneText = `
 $ORIGIN cdn.example.
@@ -27,7 +27,21 @@ www      IN A     192.0.2.10
 		fmt.Println(err)
 		return
 	}
-	resp := srv.Resolve("e42.shard.cdn.example", dnsmsg.TypeA)
+	query, err := dnsmsg.NewQuery(1, "e42.shard.cdn.example", dnsmsg.TypeA).Encode()
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	reply, err := srv.HandleWire(query)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	resp, err := dnsmsg.Decode(reply)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println(resp.Answers[0])
 	// Output:
 	// e42.shard.cdn.example 60 IN A 192.0.2.99

@@ -23,8 +23,8 @@ type ServerStats struct {
 // the Internet: root, TLD and leaf delegations are collapsed into a direct
 // lookup, which preserves everything the recursive cache observes.
 //
-// Resolve and HandleWire are safe for concurrent use once all zones are
-// registered: the zone and key maps are read-only after setup and the
+// HandleWire and AppendHandleWire are safe for concurrent use once all zones
+// are registered: the zone and key maps are read-only after setup and the
 // counters are atomic.
 type Server struct {
 	zones map[string]*Zone
@@ -54,21 +54,6 @@ func (s *Server) AddZone(z *Zone) error {
 		s.keys[z.origin] = []dnsmsg.RR{z.signer.DNSKEY()}
 	}
 	return nil
-}
-
-// Zone returns the registered zone with the given origin, if any.
-func (s *Server) Zone(origin string) (*Zone, bool) {
-	z, ok := s.zones[dnsname.Normalize(origin)]
-	return z, ok
-}
-
-// DNSKEY returns the public key record for a signed zone.
-func (s *Server) DNSKEY(origin string) (dnsmsg.RR, bool) {
-	rrs, ok := s.keys[dnsname.Normalize(origin)]
-	if !ok {
-		return dnsmsg.RR{}, false
-	}
-	return rrs[0], true
 }
 
 // Stats returns a copy of the server counters.
@@ -105,8 +90,8 @@ var scratchPool = sync.Pool{New: func() any {
 	return &scratch{name: make([]byte, 0, dnsname.MaxNameLength+2)}
 }}
 
-// reply is one authoritative decision, before it takes a form: Resolve wraps
-// it in a Message, AppendHandleWire writes it to the wire.
+// reply is one authoritative decision, before AppendHandleWire writes it to
+// the wire.
 type reply struct {
 	rcode         dnsmsg.RCode
 	authoritative bool
@@ -178,27 +163,6 @@ func (r *reply) header(id uint16) dnsmsg.Header {
 		RecursionAvailable: true,
 		RCode:              r.rcode,
 	}
-}
-
-// Resolve answers (name, qtype) and returns the full response message.
-// NXDOMAIN responses carry the zone SOA in the authority section; signed
-// zones attach an RRSIG after each positive answer RRset.
-func (s *Server) Resolve(name string, qtype dnsmsg.Type) *dnsmsg.Message {
-	name = dnsname.Normalize(name)
-	var sc scratch
-	r := s.answer([]byte(name), qtype, &sc)
-	resp := &dnsmsg.Message{
-		Header:    r.header(0),
-		Questions: []dnsmsg.Question{{Name: name, Type: qtype, Class: dnsmsg.ClassIN}},
-	}
-	resp.Answers = appendSpelled(resp.Answers, r.answers, r.owned, name) // a copy: zone data stays private
-	if r.signed {
-		resp.Answers = append(resp.Answers, r.rrsig)
-	}
-	if r.soa != nil {
-		resp.Authority = append(resp.Authority, *r.soa)
-	}
-	return resp
 }
 
 // HandleWire decodes a wire-format query, resolves it and returns the

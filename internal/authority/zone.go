@@ -32,10 +32,9 @@ var (
 //
 // The records belong to the question: their Name is left empty, and the
 // server writes them under the question's own name (spelling it as a string
-// only for Zone.Lookup, Server.Resolve and a signer). name, normalized, and
-// dst are the server's scratch, valid only during the call: a SynthFunc must
-// not retain either, and the caller reuses the returned slice for the next
-// query.
+// only for a signer). name, normalized, and dst are the server's scratch,
+// valid only during the call: a SynthFunc must not retain either, and the
+// caller reuses the returned slice for the next query.
 type SynthFunc func(name []byte, qtype dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool)
 
 // Zone holds the authoritative data for one DNS zone.
@@ -153,23 +152,11 @@ func rrset(rrs []dnsmsg.RR, typ dnsmsg.Type) []dnsmsg.RR {
 	return nil
 }
 
-// Lookup answers (name, qtype) from zone data. Resolution order follows real
-// authoritative behaviour: exact match, then CNAME at the exact owner, then
-// synthesizer, then the closest-enclosing wildcard, then NXDOMAIN
-// (ErrNotInZone with the SOA available via SOA()). A name with records of
-// other types yields an empty, non-error answer (NODATA). The records are the
-// caller's to keep, each named.
-func (z *Zone) Lookup(name string, qtype dnsmsg.Type) ([]dnsmsg.RR, error) {
-	name = dnsname.Normalize(name)
-	var scratch []dnsmsg.RR
-	rrs, owned, err := z.lookup([]byte(name), qtype, &scratch)
-	if len(rrs) == 0 {
-		return nil, err
-	}
-	return appendSpelled(nil, rrs, owned, name), nil
-}
-
-// lookup is Lookup for a normalized name held as bytes, without the copy: an
+// lookup answers (name, qtype), name normalized and held as bytes, from zone
+// data. Resolution order follows real authoritative behaviour: exact match,
+// then CNAME at the exact owner, then synthesizer, then the
+// closest-enclosing wildcard, then NXDOMAIN (ErrNotInZone). A name with
+// records of other types yields an empty, non-error answer (NODATA). An
 // exact match hands back the zone's own RRset, which the caller must only
 // read. owned reports that the records were made for the question — by the
 // synthesizer, into *scratch (kept grown for the next call), or matched by a
@@ -220,17 +207,4 @@ func parent(name []byte) []byte {
 		return nil
 	}
 	return name[dot+1:]
-}
-
-// appendSpelled appends rrs to dst, each named name when the question owns
-// them: where a record leaves the server as a value rather than as wire.
-func appendSpelled(dst, rrs []dnsmsg.RR, owned bool, name string) []dnsmsg.RR {
-	at := len(dst)
-	dst = append(dst, rrs...)
-	if owned {
-		for i := range dst[at:] {
-			dst[at+i].Name = name
-		}
-	}
-	return dst
 }

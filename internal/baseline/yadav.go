@@ -206,6 +206,3 @@ func (y *YadavDetector) Detect(zone string, names []string) (bool, float64, erro
 	score := y.Score(labelsUnder(zone, names))
 	return score > y.threshold, score, nil
 }
-
-// Threshold returns the fitted decision threshold.
-func (y *YadavDetector) Threshold() float64 { return y.threshold }

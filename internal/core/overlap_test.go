@@ -295,6 +295,59 @@ func TestEndDayReleasesTheDay(t *testing.T) {
 	}
 }
 
+// TestObserveNameBesideBarriers: the serve path's intake needs no
+// quiescence. Two goroutines note distinct names while the caller runs
+// Rescore and EndDay, and every name is inserted into the tree exactly
+// once, in the window that closed after it was noted. Run it under -race.
+func TestObserveNameBesideBarriers(t *testing.T) {
+	p, err := NewStreamingPipeline(trainedClassifier(t), MinerConfig{Theta: 0.5}, StreamingConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perGoroutine = 4000
+	var done atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			defer done.Add(1)
+			for i := 0; i < perGoroutine; i++ {
+				p.ObserveName(fmt.Appendf(nil, "n%d-g%d.zone%d.example.com", i, g, i%7))
+			}
+		}(g)
+	}
+	inserted := 0
+	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	endDay := func() {
+		res, err := p.EndDay(date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inserted += res.Inserted
+	}
+	for w := 0; done.Load() < 2; w++ {
+		if w%4 == 3 {
+			endDay()
+			continue
+		}
+		h, err := p.Rescore(date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inserted += res.Inserted
+	}
+	wg.Wait()
+	endDay() // the names noted since the last barrier
+	if inserted != 2*perGoroutine {
+		t.Errorf("%d names noted, %d inserted", 2*perGoroutine, inserted)
+	}
+}
+
 // flakyClassifier fails on demand.
 type flakyClassifier struct {
 	mlearn.Classifier

@@ -108,9 +108,8 @@ type verdictState struct {
 // per-zone bitmask so the serve path can probe a name's ancestor chain
 // with plain map lookups and no allocation (Flagged).
 type VerdictSnapshot struct {
-	window uint32
-	zones  map[string]depthMask // zone -> its disposable depths
-	pairs  int
+	zones map[string]depthMask // zone -> its disposable depths
+	pairs int
 }
 
 // maxDepth bounds the depths a snapshot holds: dnsname.Validate admits
@@ -123,14 +122,6 @@ type depthMask [(maxDepth + 64) / 64]uint64
 func (m *depthMask) set(depth int) { m[depth>>6] |= 1 << (depth & 63) }
 
 func (m *depthMask) has(depth int) bool { return m[depth>>6]&(1<<(depth&63)) != 0 }
-
-// Window returns the 1-based window ordinal that published the snapshot.
-func (s *VerdictSnapshot) Window() uint32 {
-	if s == nil {
-		return 0
-	}
-	return s.window
-}
 
 // Pairs returns how many (zone, depth) pairs the snapshot flags.
 func (s *VerdictSnapshot) Pairs() int {
@@ -192,11 +183,10 @@ const pendingStripeCount = 16
 
 type pendingStripe struct {
 	mu sync.Mutex
-	// seen holds the window, by the stripe's own count of barriers, that
-	// last noted each name: a name is admitted once per window.
-	seen   map[string]uint32
-	window uint32
-	names  []string
+	// seen holds the names the open window has noted, cleared at the
+	// barrier: a name is admitted once per window.
+	seen  map[string]struct{}
+	names []string
 	// spare is the other intake buffer: swapped with names at the barrier,
 	// drained by the re-score, which owns it (no lock) until the next one.
 	spare []string
@@ -218,12 +208,15 @@ func (h *RescoreHandle) Wait() (RescoreResult, error) {
 
 // StreamingPipeline is the incremental miner. Observe* methods are safe
 // for concurrent use (the parallel resolver workers call them);
-// Rescore/EndDay/Prime must run with the observe side quiesced — the
-// ingest runner calls them at stream barriers, the serve path from its
-// single miner goroutine — and one at a time. Between two of them the
-// re-score goroutine owns the tree, the entropy cache, the verdict states,
-// the scratch, the per-zone findings and the spare intake buffers, and reads
-// a counts view that stays frozen until the next barrier refreshes it.
+// Rescore/EndDay/Prime run one at a time, and with ObserveBelow and
+// ObserveAbove quiesced — the ingest runner calls them at stream barriers.
+// ObserveName may run beside Rescore and EndDay, as the serve path's
+// scorers run beside its re-score ticker: every access to a stripe's names
+// and seen is under the stripe's lock, and its spare buffer belongs to the
+// re-score. Between two barriers the re-score goroutine owns the tree, the entropy
+// cache, the verdict states, the scratch, the per-zone findings and the
+// spare intake buffers, and reads a counts view that stays frozen until the
+// next barrier refreshes it.
 type StreamingPipeline struct {
 	miner    *Miner
 	suffixes *dnsname.Suffixes
@@ -291,7 +284,7 @@ func NewStreamingPipeline(classifier mlearn.Classifier, mcfg MinerConfig, scfg S
 	p.tree.SetHorizon(scfg.KeepWindows)
 	miner.SetEntropyCache(p.entropy)
 	for i := range p.pending {
-		p.pending[i].seen, p.pending[i].window = make(map[string]uint32), 1
+		p.pending[i].seen = make(map[string]struct{})
 	}
 	return p, nil
 }
@@ -371,13 +364,13 @@ func (p *StreamingPipeline) ObserveAbove(ob resolver.Observation) { p.collector.
 // serve path's intake, where only the query stream is visible — once per
 // window. The bytes stay the caller's: a name is copied when a window first
 // notes it, so the intake allocates by the names that arrive, not by how
-// often or how promptly they do. Safe for concurrent use.
+// often they do. Safe for concurrent use, and beside Rescore and EndDay.
 func (p *StreamingPipeline) ObserveName(name []byte) {
 	s := &p.pending[dnsname.Hash(name)&(pendingStripeCount-1)]
 	s.mu.Lock()
-	if s.seen[string(name)] != s.window { // probed by the bytes: no copy
+	if _, ok := s.seen[string(name)]; !ok { // probed by the bytes: no copy
 		key := string(name)
-		s.seen[key] = s.window
+		s.seen[key] = struct{}{}
 		s.names = append(s.names, key)
 	}
 	s.mu.Unlock()
@@ -425,10 +418,11 @@ func (p *StreamingPipeline) join() error {
 }
 
 // closeWindow is the barrier half of a re-score, what must be ordered
-// against the observe side: close the stripes' window and swap their intake
-// buffers, bring the counts view up to date with the records the window
-// touched. The view and the touched owner names are returned, not kept, so
-// that EndDay's Reset leaves the day's records unreachable.
+// against the observe side: close the stripes' window (swap their intake
+// buffers, forget what the window noted), bring the counts view up to date
+// with the records the window touched. The view and the touched owner names
+// are returned, not kept, so that EndDay's Reset leaves the day's records
+// unreachable.
 func (p *StreamingPipeline) closeWindow(date time.Time, res *RescoreResult) (byName map[string][]*chrstat.RRStat, touched []string) {
 	p.day = date.UTC().Format("2006-01-02")
 	*res = RescoreResult{Window: p.windows.Load() + 1, Date: date}
@@ -436,7 +430,7 @@ func (p *StreamingPipeline) closeWindow(date time.Time, res *RescoreResult) (byN
 		s := &p.pending[i]
 		s.mu.Lock()
 		s.names, s.spare = s.spare, s.names
-		s.window++
+		clear(s.seen)
 		s.mu.Unlock()
 	}
 	return p.counts.Refresh(p.collector)
@@ -469,14 +463,6 @@ func (p *StreamingPipeline) mineWindow(res *RescoreResult, byName map[string][]*
 	expired := p.tree.Expire()
 	res.Expired = len(expired)
 	for _, name := range expired {
-		// The stripe forgets the name with the tree, unless the window now
-		// open has noted it: what a window admits never depends on this.
-		s := &p.pending[dnsname.Hash(name)&(pendingStripeCount-1)]
-		s.mu.Lock()
-		if w, ok := s.seen[name]; ok && w != s.window {
-			delete(s.seen, name)
-		}
-		s.mu.Unlock()
 		p.entropy.Forget(name)
 	}
 
@@ -521,9 +507,9 @@ func (p *StreamingPipeline) mineWindow(res *RescoreResult, byName map[string][]*
 // EndDay closes the day: a final window re-score, joined and run inline
 // (whose findings are the day's verdicts — the batch-equivalence
 // artifact), a fold into the cumulative ranking exactly like
-// Pipeline.ProcessDay, then a reset of the tree, collector, and intake
-// dedup for the next day, and of whatever else holds a name or a handle of
-// this one. Hysteresis state and the published snapshot survive across days.
+// Pipeline.ProcessDay, then a reset of the tree and collector for the next
+// day, and of whatever else holds a name or a handle of this one. Hysteresis
+// state and the published snapshot survive across days.
 func (p *StreamingPipeline) EndDay(date time.Time) (RescoreResult, error) {
 	var res RescoreResult
 	if err := p.join(); err != nil {
@@ -540,12 +526,6 @@ func (p *StreamingPipeline) EndDay(date time.Time) (RescoreResult, error) {
 	p.collector = chrstat.NewShardedCollector(p.cfg.NumServers)
 	p.counts.Reset()
 	p.entropy.Reset()
-	for i := range p.pending {
-		s := &p.pending[i]
-		s.mu.Lock()
-		s.seen = make(map[string]uint32)
-		s.mu.Unlock()
-	}
 	return res, nil
 }
 
@@ -625,7 +605,7 @@ func (p *StreamingPipeline) publishSnapshot() {
 		zones[k.Zone] = mask
 		pairs++
 	}
-	p.snap.Store(&VerdictSnapshot{window: p.windows.Load(), zones: zones, pairs: pairs})
+	p.snap.Store(&VerdictSnapshot{zones: zones, pairs: pairs})
 }
 
 // Prime seeds the verdict states from a batch mine's findings (the serve
@@ -680,10 +660,5 @@ func (p *StreamingPipeline) Windows() uint32 { return p.windows.Load() }
 
 // Ranking returns the cumulative day ranking folded from EndDay verdicts,
 // identical in shape to the batch pipeline's. EndDay alone folds it, under
-// the ranking's own lock: no re-score to wait for here or in Summary.
+// the ranking's own lock: no re-score to wait for here.
 func (p *StreamingPipeline) Ranking() []ZoneRecord { return p.rank.Ranking() }
-
-// Summary delegates to the cumulative ranking's Figure 11 inventory.
-func (p *StreamingPipeline) Summary(minDays int) (zones, e2lds, persistent int) {
-	return p.rank.Summary(minDays)
-}

@@ -224,22 +224,14 @@ func (m *Message) unpack(data []byte, asked string, tail bool) error {
 	d := decoder{data: data, pos: headerLen, qname: asked}
 	m.Questions = m.Questions[:0]
 	for i := int(binary.BigEndian.Uint16(data[offQDCount:])); i > 0; i-- {
-		name, err := d.name()
-		if err != nil {
-			return err
-		}
-		typ, err := d.u16()
-		if err != nil {
-			return err
-		}
-		class, err := d.u16()
+		q, err := d.question()
 		if err != nil {
 			return err
 		}
 		if len(m.Questions) == 0 {
-			d.qname = name
+			d.qname = q.Name
 		}
-		m.Questions = append(m.Questions, Question{Name: name, Type: Type(typ), Class: Class(class)})
+		m.Questions = append(m.Questions, q)
 	}
 	var err error
 	if m.Answers, err = d.section(m.Answers[:0], offANCount); err != nil {
@@ -598,9 +590,13 @@ func (d *decoder) section(rrs []RR, countOff int) ([]RR, error) {
 // name decodes a possibly-compressed domain name starting at the current
 // position: assembled in a stack buffer, converted to a string once.
 func (d *decoder) name() (string, error) {
+	if d.skip {
+		_, err := d.appendName(nil)
+		return "", err
+	}
 	var scratch [maxNameLen]byte
 	name, err := d.appendName(scratch[:0])
-	if err != nil || d.skip {
+	if err != nil {
 		return "", err
 	}
 	if string(name) == d.qname {
@@ -610,9 +606,10 @@ func (d *decoder) name() (string, error) {
 }
 
 // appendName decodes the name at the current position in presentation form
-// onto dst and advances past it.
+// onto dst and advances past it; in skip mode it checks the name by the same
+// rules and appends nothing.
 func (d *decoder) appendName(dst []byte) ([]byte, error) {
-	start := len(dst)
+	size := 0 // the name's presentation length so far
 	pos := d.pos
 	jumped := false
 	jumps := 0
@@ -651,20 +648,41 @@ func (d *decoder) appendName(dst []byte) ([]byte, error) {
 			if pos+1+n > len(d.data) {
 				return dst, ErrTruncatedMessage
 			}
-			size := len(dst) - start + n
-			if len(dst) > start {
-				size++ // the separating dot
+			grown := size + n
+			if size > 0 {
+				grown++ // the separating dot
 			}
-			if size > maxNameLen {
+			if grown > maxNameLen {
 				return dst, ErrNameTooLong
 			}
-			if len(dst) > start {
-				dst = append(dst, '.')
+			if !d.skip {
+				if size > 0 {
+					dst = append(dst, '.')
+				}
+				dst = append(dst, d.data[pos+1:pos+1+n]...)
 			}
-			dst = append(dst, d.data[pos+1:pos+1+n]...)
+			size = grown
 			pos += 1 + n
 		}
 	}
+}
+
+// question decodes one question-section entry.
+func (d *decoder) question() (Question, error) {
+	var q Question
+	name, err := d.name()
+	if err != nil {
+		return q, err
+	}
+	typ, err := d.u16()
+	if err != nil {
+		return q, err
+	}
+	class, err := d.u16()
+	if err != nil {
+		return q, err
+	}
+	return Question{Name: name, Type: Type(typ), Class: Class(class)}, nil
 }
 
 func (d *decoder) rr() (RR, error) {

@@ -11,98 +11,60 @@ const TypeOPT Type = 41
 // headerLen is the fixed DNS message header size.
 const headerLen = 12
 
-// skipName advances past a possibly-compressed domain name starting at off
-// and returns the offset just past it, or -1 when the wire is truncated or
-// malformed. A compression pointer terminates the name (it is always the
-// final two octets, RFC 1035 §4.1.4), so no jump is followed.
-func skipName(msg []byte, off int) int {
-	for off < len(msg) {
-		b := msg[off]
-		switch {
-		case b == 0:
-			return off + 1
-		case b&0xC0 == 0xC0:
-			if off+2 > len(msg) {
-				return -1
-			}
-			return off + 2
-		case b&0xC0 != 0:
-			return -1
-		default:
-			off += 1 + int(b)
+// skipQuestions walks the question section by the decoder's rules,
+// spelling nothing, and leaves d just past it.
+func (d *decoder) skipQuestions() error {
+	for i := int(binary.BigEndian.Uint16(d.data[offQDCount:])); i > 0; i-- {
+		if _, err := d.question(); err != nil {
+			return err
 		}
 	}
-	return -1
-}
-
-// skipRR advances past one resource record starting at off and returns the
-// offset just past its rdata, or -1 on truncated/malformed wire.
-func skipRR(msg []byte, off int) int {
-	off = skipName(msg, off)
-	if off < 0 || off+10 > len(msg) {
-		return -1
-	}
-	rdlen := int(binary.BigEndian.Uint16(msg[off+8:]))
-	off += 10 + rdlen
-	if off > len(msg) {
-		return -1
-	}
-	return off
+	return nil
 }
 
 // QuestionSectionEnd returns the offset just past the question section of a
-// wire message, or -1 when the message is truncated or malformed. It works
-// on the raw wire without decoding and never allocates, so the UDP serve
-// path can use it per packet.
+// wire message, or -1 when the message is truncated or malformed. It walks
+// the section by the decoder's rules without spelling a name and never
+// allocates, so the UDP serve path can use it per packet.
 func QuestionSectionEnd(msg []byte) int {
 	if len(msg) < headerLen {
 		return -1
 	}
-	qd := int(binary.BigEndian.Uint16(msg[4:6]))
-	off := headerLen
-	for i := 0; i < qd; i++ {
-		off = skipName(msg, off)
-		if off < 0 || off+4 > len(msg) {
-			return -1
-		}
-		off += 4
+	d := decoder{data: msg, pos: headerLen, skip: true}
+	if d.skipQuestions() != nil {
+		return -1
 	}
-	return off
+	return d.pos
 }
 
 // EDNSUDPSize scans msg's additional section for an EDNS0 OPT pseudo-RR and
 // returns its advertised UDP payload size (the OPT record's class field,
 // RFC 6891 §6.1.2). The second result is false when the message carries no
-// OPT record or is malformed. Like QuestionSectionEnd it reads the raw wire
-// without allocating, so the serve path can derive a truncation budget from
-// every query.
+// OPT record or the decoder rejects a record before it; a message with no
+// additional record is not walked at all. Like QuestionSectionEnd it reads
+// the wire without allocating, so the serve path can derive a truncation
+// budget from every query.
 func EDNSUDPSize(msg []byte) (uint16, bool) {
-	off := QuestionSectionEnd(msg)
-	if off < 0 {
+	if len(msg) < headerLen || binary.BigEndian.Uint16(msg[offARCount:]) == 0 {
 		return 0, false
 	}
-	an := int(binary.BigEndian.Uint16(msg[6:8]))
-	ns := int(binary.BigEndian.Uint16(msg[8:10]))
-	ar := int(binary.BigEndian.Uint16(msg[10:12]))
-	for i := 0; i < an+ns; i++ {
-		if off = skipRR(msg, off); off < 0 {
-			return 0, false
-		}
+	d := decoder{data: msg, pos: headerLen, skip: true}
+	if d.skipQuestions() != nil {
+		return 0, false
 	}
-	for i := 0; i < ar; i++ {
-		next := skipName(msg, off)
-		if next < 0 || next+10 > len(msg) {
+	if _, err := d.section(nil, offANCount); err != nil {
+		return 0, false
+	}
+	if _, err := d.section(nil, offNSCount); err != nil {
+		return 0, false
+	}
+	for i := int(binary.BigEndian.Uint16(msg[offARCount:])); i > 0; i-- {
+		rr, err := d.rr()
+		if err != nil {
 			return 0, false
 		}
-		typ := Type(binary.BigEndian.Uint16(msg[next:]))
-		class := binary.BigEndian.Uint16(msg[next+2:])
-		rdlen := int(binary.BigEndian.Uint16(msg[next+8:]))
-		off = next + 10 + rdlen
-		if off > len(msg) {
-			return 0, false
-		}
-		if typ == TypeOPT {
-			return class, true
+		if rr.Type == TypeOPT {
+			return uint16(rr.Class), true
 		}
 	}
 	return 0, false

@@ -39,15 +39,21 @@ func TestQuestionSectionEnd(t *testing.T) {
 }
 
 func TestQuestionSectionEndCompressedName(t *testing.T) {
-	// A question name given as a compression pointer terminates the name
-	// in two octets.
+	// A second question whose name is a compression pointer to the first
+	// ends in two octets.
 	wire := []byte{
-		0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
-		0xC0, 0x0C, // pointer (self-referential target is irrelevant to skipping)
-		0, 1, 0, 1,
+		0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0,
+		1, 'x', 4, 't', 'e', 's', 't', 0, 0, 1, 0, 1,
+		0xC0, 0x0C, 0, 1, 0, 1,
 	}
 	if got := QuestionSectionEnd(wire); got != len(wire) {
 		t.Errorf("QuestionSectionEnd = %d, want %d", got, len(wire))
+	}
+	// A pointer that does not point back is malformed, as the decoder
+	// reads it.
+	self := []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 0x0C, 0, 1, 0, 1}
+	if got := QuestionSectionEnd(self); got != -1 {
+		t.Errorf("QuestionSectionEnd(self-pointer) = %d, want -1", got)
 	}
 }
 

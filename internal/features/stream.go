@@ -1,12 +1,10 @@
 // Streaming feature variants. The batch extractor recomputes every label
 // entropy from scratch each day; a streaming re-score runs every window
 // over a tree whose label sets barely change between windows, so the
-// entropies are memoized (EntropyCache), running moments track per-depth
-// label groups incrementally (RunningEntropy).
+// entropies are memoized (EntropyCache).
 package features
 
 import (
-	"math"
 	"strings"
 
 	"dnsnoise/internal/stats"
@@ -57,69 +55,4 @@ func (c *EntropyCache) Forget(name string) {
 		label, name, _ = strings.Cut(name, ".")
 		delete(c.m, label)
 	}
-}
-
-// RunningEntropy accumulates streaming moments over one per-depth label
-// group: cardinality, min/max, mean and variance of the label entropies,
-// maintained in O(1) per label via Welford's update. It cannot produce
-// the median (an order statistic needs the full sample — the day-boundary
-// re-score recomputes exactly), but it gives the per-window monitoring
-// view without retaining the label set.
-type RunningEntropy struct {
-	n        int
-	min, max float64
-	mean, m2 float64
-}
-
-// Add folds one label's entropy into the moments.
-func (r *RunningEntropy) Add(entropy float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = entropy, entropy
-	} else {
-		if entropy < r.min {
-			r.min = entropy
-		}
-		if entropy > r.max {
-			r.max = entropy
-		}
-	}
-	delta := entropy - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (entropy - r.mean)
-}
-
-// Cardinality returns how many labels were folded in.
-func (r *RunningEntropy) Cardinality() int { return r.n }
-
-// Min and Max return the extreme entropies (0 when empty).
-func (r *RunningEntropy) Min() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.min
-}
-
-// Max returns the largest folded entropy (0 when empty).
-func (r *RunningEntropy) Max() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.max
-}
-
-// Mean returns the running mean entropy.
-func (r *RunningEntropy) Mean() float64 { return r.mean }
-
-// Variance returns the running population variance (matching
-// stats.Variance's convention).
-func (r *RunningEntropy) Variance() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	v := r.m2 / float64(r.n)
-	if math.IsNaN(v) || v < 0 {
-		return 0
-	}
-	return v
 }

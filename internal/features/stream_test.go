@@ -2,14 +2,12 @@ package features
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/dntree"
 	"dnsnoise/internal/resolver"
-	"dnsnoise/internal/stats"
 )
 
 // TestFromGroupCachedBitIdentical pins the streaming equivalence property
@@ -55,43 +53,5 @@ func TestFromGroupCachedBitIdentical(t *testing.T) {
 	cache.Reset()
 	if cache.Len() != 0 {
 		t.Fatal("Reset did not clear the cache")
-	}
-}
-
-// TestRunningEntropyMatchesBatchMoments checks the O(1) streaming moments
-// against the exact batch statistics over the same entropy sample.
-func TestRunningEntropyMatchesBatchMoments(t *testing.T) {
-	labels := []string{"a", "bb", "x9k2q", "wwwwww", "u8f3n1d0", "cdn", "static", "z"}
-	var r RunningEntropy
-	sample := make([]float64, 0, len(labels))
-	for _, l := range labels {
-		e := stats.ShannonEntropy(l)
-		r.Add(e)
-		sample = append(sample, e)
-	}
-	if r.Cardinality() != len(labels) {
-		t.Fatalf("Cardinality = %d, want %d", r.Cardinality(), len(labels))
-	}
-	min, max, err := stats.MinMax(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const eps = 1e-12
-	for _, c := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"min", r.Min(), min},
-		{"max", r.Max(), max},
-		{"mean", r.Mean(), stats.Mean(sample)},
-		{"variance", r.Variance(), stats.Variance(sample)},
-	} {
-		if math.Abs(c.got-c.want) > eps {
-			t.Errorf("%s: running %v, batch %v", c.name, c.got, c.want)
-		}
-	}
-	var empty RunningEntropy
-	if empty.Min() != 0 || empty.Max() != 0 || empty.Mean() != 0 || empty.Variance() != 0 {
-		t.Error("empty RunningEntropy should read all zeros")
 	}
 }

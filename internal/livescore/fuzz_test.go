@@ -13,7 +13,8 @@ import (
 // reader, dnsmsg.AppendSoleQuestion (FuzzUnpack holds the reader to the
 // decoder): ScoreWire gives no verdict exactly when the reader rejects the
 // datagram, reads the root, or reads a name of more than maxLabels
-// labels or longer than a ring slot; otherwise it stages the reader's name.
+// labels or longer than maxNameLen; otherwise it notes the reader's name for
+// the miner, once.
 func FuzzQuestionReaders(f *testing.F) {
 	query := func(labels ...string) []byte {
 		wire := []byte{0xbe, 0xef, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0}
@@ -43,20 +44,21 @@ func FuzzQuestionReaders(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	eng := newPrimedEngine(f)
-	s := &Scorer{eng: eng}
+	var noted []string
+	s := &Scorer{
+		pipe: newPrimedEngine(f).pipe,
+		note: func(name []byte) { noted = append(noted, string(name)) },
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		name, _, _, ok := dnsmsg.AppendSoleQuestion(nil, data)
 		none := !ok || len(name) == 0 || len(name) > maxNameLen ||
 			dnsname.CountLabels(string(name)) > maxLabels
-		s.lastLen = 0 // stage even a repeat of the last input
+		noted = noted[:0]
 		if got := s.ScoreWire(data); (got == qlog.VerdictNone) != none {
 			t.Fatalf("ScoreWire = %q; the reader read %q (ok %v)", got, name, ok)
 		}
-		var staged []string
-		s.ring.drain(func(b []byte) { staged = append(staged, string(b)) })
-		if none && len(staged) != 0 || !none && (len(staged) != 1 || staged[0] != string(name)) {
-			t.Fatalf("reader name %q (no verdict: %v), scorer staged %q", name, none, staged)
+		if none && len(noted) != 0 || !none && (len(noted) != 1 || noted[0] != string(name)) {
+			t.Fatalf("reader name %q (no verdict: %v), scorer noted %q", name, none, noted)
 		}
 	})
 }

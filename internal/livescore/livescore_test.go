@@ -99,11 +99,17 @@ func TestScoreWireStagesNamesForMiner(t *testing.T) {
 	names := []string{"a.zone.test", "b.zone.test", "c.zone.test"}
 	for _, n := range names {
 		s.ScoreWire(queryWire(t, n))
-		s.ScoreWire(queryWire(t, n)) // immediate repeat: staged once
+		s.ScoreWire(queryWire(t, n)) // a repeat: noted once a window
 	}
-	if got := eng.Flush(); got != len(names) {
-		t.Fatalf("Flush moved %d names, want %d", got, len(names))
+	if got := rescore(t, eng); got != len(names) {
+		t.Fatalf("re-score inserted %d names, want %d", got, len(names))
 	}
+}
+
+// rescore closes the pipeline's window and returns how many new names the
+// tree took in.
+func rescore(t *testing.T, eng *Engine) int {
+	t.Helper()
 	h, err := eng.pipe.Rescore(time.Date(2014, 4, 1, 0, 0, 0, 0, time.UTC))
 	if err != nil {
 		t.Fatal(err)
@@ -112,77 +118,51 @@ func TestScoreWireStagesNamesForMiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Inserted != len(names) {
-		t.Fatalf("re-score inserted %d names, want %d", res.Inserted, len(names))
+	return res.Inserted
+}
+
+// TestScoreWireDropsNothing: every name one scorer scores reaches the
+// miner, however many arrive between two re-scores.
+func TestScoreWireDropsNothing(t *testing.T) {
+	eng := newPrimedEngine(t)
+	s := eng.NewScorer()
+	const names = 1034
+	for i := 0; i < names; i++ {
+		s.ScoreWire(queryWire(t, fmt.Sprintf("n%d.burst.test", i)))
+	}
+	if got := rescore(t, eng); got != names {
+		t.Fatalf("re-score inserted %d names, want %d", got, names)
+	}
+	if got := eng.Dropped(); got != 0 {
+		t.Errorf("Dropped = %d, want 0", got)
 	}
 }
 
 // TestScoreWireZeroAlloc is the serve-path gate at the unit level: scoring
 // a query against a primed snapshot allocates nothing, dig's EDNS query
-// included.
+// included, and neither does noting a name the window has already noted —
+// only a name's first sighting in a window is copied, so what the serve
+// path allocates depends on the names that arrive, not on how often. The
+// long name is past any small-string buffer the runtime could lend.
 func TestScoreWireZeroAlloc(t *testing.T) {
 	eng := newPrimedEngine(t, core.Finding{Zone: "api.example.com", Depth: 4, Confidence: 0.99})
 	s := eng.NewScorer()
 	hit := queryWire(t, "u8f3n1d0.api.example.com")
 	miss := queryWire(t, "static.other.example.net")
 	dig := withCookieOPT(queryWire(t, "0.0.0.0.1.0.0.4e.abc123.api.example.com"))
+	long := queryWire(t, "a-label-of-some-length.and-another-label-of-length.zone.example.test")
 	if got := testing.AllocsPerRun(200, func() {
 		s.ScoreWire(hit)
 		s.ScoreWire(miss)
 		s.ScoreWire(dig)
+		s.ScoreWire(long)
 	}); got != 0 {
 		t.Errorf("ScoreWire allocates %.1f per run, want 0", got)
 	}
 }
 
-// TestDrainSeenNameZeroAlloc: moving a name the window has already noted
-// from a ring into the pipeline allocates nothing — only a name's first
-// sighting in a window is copied. Otherwise what the serve path allocates
-// depends on how many names a full ring dropped, which is to say on how the
-// host scheduled the drain (serve-wire's allocs_per_query once moved 3 %
-// from run to run for that reason alone).
-func TestDrainSeenNameZeroAlloc(t *testing.T) {
-	eng := newPrimedEngine(t)
-	s := eng.NewScorer()
-	// Long enough that a copy could not sit on the stack, and two of them,
-	// or the scorer's own repeat filter stages nothing the second time.
-	a := queryWire(t, "a-label-of-some-length.and-another-one.zone.test")
-	b := queryWire(t, "b-label-of-some-length.and-another-one.zone.test")
-	round := func() int {
-		s.ScoreWire(a)
-		s.ScoreWire(b)
-		return eng.Flush()
-	}
-	if got := round(); got != 2 {
-		t.Fatalf("fixture: Flush moved %d names, want 2", got)
-	}
-	moved := 0
-	if got := testing.AllocsPerRun(200, func() { moved += round() }); got != 0 {
-		t.Errorf("draining two names already noted allocates %.1f per run, want 0", got)
-	}
-	if moved != 2*201 { // AllocsPerRun warms up with one run of its own
-		t.Errorf("fixture: %d names moved in 201 rounds, want 2 each", moved)
-	}
-}
-
-// TestRingOverflowDrops fills a ring past capacity and checks pushes drop
-// (counted) instead of blocking or wrapping.
-func TestRingOverflowDrops(t *testing.T) {
-	eng := newPrimedEngine(t)
-	s := eng.NewScorer()
-	for i := 0; i < ringSlots+10; i++ {
-		s.ScoreWire(queryWire(t, fmt.Sprintf("n%d.overflow.test", i)))
-	}
-	if got := eng.Dropped(); got != 10 {
-		t.Fatalf("dropped %d names, want 10", got)
-	}
-	if got := eng.Flush(); got != ringSlots {
-		t.Fatalf("Flush moved %d names, want %d", got, ringSlots)
-	}
-}
-
-// TestEngineConcurrentScoring runs several scorers against a live engine
-// (drain + re-score) under the race detector.
+// TestEngineConcurrentScoring runs several scorers, each noting names into
+// the pipeline, beside the engine's re-scores under the race detector.
 func TestEngineConcurrentScoring(t *testing.T) {
 	eng := newPrimedEngine(t, core.Finding{Zone: "sig.load.test", Depth: 4, Confidence: 0.9})
 	eng.Start(5 * time.Millisecond)
@@ -217,8 +197,5 @@ func TestEngineConcurrentScoring(t *testing.T) {
 	done := eng.pipe.Windows()
 	if res, err := eng.last.Wait(); err != nil || res.Window != done {
 		t.Errorf("after Close %d windows are mined, the last one started is %d (err %v)", done, res.Window, err)
-	}
-	if left := eng.Flush(); left != 0 {
-		t.Errorf("%d names left in rings after Close", left)
 	}
 }

@@ -226,10 +226,20 @@ func TestValidationKeyFetchDuringExchange(t *testing.T) {
 	if resp.RCode != dnsmsg.RCodeNoError || !reflect.DeepEqual(resp.Answers, wantAnswers) {
 		t.Errorf("answers = %+v (rcode %v), want %+v", resp.Answers, resp.RCode, wantAnswers)
 	}
-	dnskey, ok := up.DNSKEY("signed-0.test")
-	if !ok {
-		t.Fatal("no DNSKEY for the signed zone")
+	// The key the validator fetches, as the authority answers it on the wire.
+	query, err := dnsmsg.NewQuery(0, "signed-0.test", dnsmsg.TypeDNSKEY).Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
+	reply, err := up.HandleWire(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := dnsmsg.Decode(reply)
+	if err != nil || len(keys.Answers) != 1 {
+		t.Fatalf("DNSKEY reply for the signed zone: %+v, %v", keys, err)
+	}
+	dnskey := keys.Answers[0]
 	ob := func(qname string, rr dnsmsg.RR) Observation {
 		return Observation{Time: t0, ClientID: 1, Server: 0, QName: qname, RR: rr}
 	}

@@ -76,9 +76,6 @@ func NewEngine(db *tsdb.DB, rules []Rule, log *qlog.Log) *Engine {
 	return &Engine{db: db, rules: rules, log: log, insts: make(map[string]map[string]*instance)}
 }
 
-// Rules returns the engine's rule set.
-func (e *Engine) Rules() []Rule { return e.rules }
-
 // Eval runs every rule once against the tsdb at time now. A violation must
 // hold in both the long window and (if configured) the short window —
 // the two-window burn-rate form — to advance the state machine.
@@ -256,11 +253,6 @@ func (e *Engine) Snapshot() Status {
 		st.Transitions = append(st.Transitions, e.hist[:at]...)
 	}
 	return st
-}
-
-// Firing reports the number of currently firing instances.
-func (e *Engine) Firing() int {
-	return e.Snapshot().Firing
 }
 
 // Handler serves the alert status as JSON (mounted at /debug/alerts).

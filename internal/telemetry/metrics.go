@@ -151,14 +151,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // Snapshot captures the histogram's current state, including the p50,
 // p95 and p99 quantile estimates.
 func (h *Histogram) Snapshot() HistogramSnapshot {

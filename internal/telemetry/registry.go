@@ -54,7 +54,6 @@ type Registry struct {
 type metricSet struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	last    *Snapshot // previous DeltaSnapshot baseline
 	runtime runtimeStats
 }
 
@@ -247,49 +246,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	return s
-}
-
-// DeltaSnapshot captures every metric and also returns the change since
-// the previous DeltaSnapshot call (or since registry creation, the
-// first time). The periodic progress logger is built on it.
-func (r *Registry) DeltaSnapshot() (cur, delta *Snapshot) {
-	if r == nil {
-		return nil, nil
-	}
-	cur = r.Snapshot()
-	r.mu.Lock()
-	prev := r.last
-	r.last = cur
-	r.mu.Unlock()
-	return cur, cur.Delta(prev)
-}
-
-// Delta returns the change from prev to s: counters and histograms
-// subtracted (clamped at zero), gauges carried over as-is. A nil prev
-// returns s unchanged.
-func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
-	if s == nil {
-		return nil
-	}
-	if prev == nil {
-		return s
-	}
-	d := &Snapshot{
-		Time:       s.Time,
-		Counters:   make(map[string]uint64, len(s.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-	}
-	for name, v := range s.Counters {
-		d.Counters[name] = subClamp(v, prev.Counters[name])
-	}
-	for name, v := range s.Gauges {
-		d.Gauges[name] = v
-	}
-	for name, v := range s.Histograms {
-		d.Histograms[name] = v.Delta(prev.Histograms[name])
-	}
-	return d
 }
 
 // Counter returns the named counter's value in the snapshot (0 when

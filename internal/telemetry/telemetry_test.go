@@ -128,39 +128,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("events_total", "test counter")
-	h := r.Histogram("lat_ns", "test histogram")
-	c.Add(5)
-	h.Observe(10)
-	h.Observe(100)
-	_, d1 := r.DeltaSnapshot()
-	if d1.Counter("events_total") != 5 {
-		t.Fatalf("first delta counter = %d, want 5", d1.Counter("events_total"))
-	}
-	if d1.Histograms["lat_ns"].Count != 2 {
-		t.Fatalf("first delta hist count = %d, want 2", d1.Histograms["lat_ns"].Count)
-	}
-
-	c.Add(3)
-	h.Observe(10)
-	cur, d2 := r.DeltaSnapshot()
-	if cur.Counter("events_total") != 8 {
-		t.Fatalf("cumulative counter = %d, want 8", cur.Counter("events_total"))
-	}
-	if d2.Counter("events_total") != 3 {
-		t.Fatalf("second delta counter = %d, want 3", d2.Counter("events_total"))
-	}
-	hd := d2.Histograms["lat_ns"]
-	if hd.Count != 1 || hd.Sum != 10 {
-		t.Fatalf("second delta hist = count %d sum %d, want 1/10", hd.Count, hd.Sum)
-	}
-	if len(hd.Buckets) != 1 || hd.Buckets[0].Lo != 8 {
-		t.Fatalf("second delta buckets = %+v, want one bucket at lo=8", hd.Buckets)
-	}
-}
-
 func TestRegistryFuncsAndReuse(t *testing.T) {
 	r := NewRegistry()
 	v := uint64(41)

@@ -72,17 +72,6 @@ func (s *series) len() int {
 	return s.next
 }
 
-// last returns the most recent sample; ok is false on an empty ring.
-func (s *series) last() (sample, bool) {
-	if s.next == 0 {
-		if !s.full {
-			return sample{}, false
-		}
-		return s.buf[len(s.buf)-1], true
-	}
-	return s.buf[s.next-1], true
-}
-
 // ordered appends the ring's samples, oldest first, to dst and returns it.
 func (s *series) ordered(dst []sample) []sample {
 	if s.full {

@@ -8,10 +8,6 @@ import (
 	"unsafe"
 )
 
-// batchSyscalls reports that this build amortizes syscall cost with
-// recvmmsg/sendmmsg: one kernel crossing moves a whole batch of datagrams.
-const batchSyscalls = true
-
 // mmsghdr mirrors the kernel's struct mmsghdr on 64-bit Linux: a msghdr
 // plus the per-message byte count the kernel fills in (received length on
 // recvmmsg, transmitted length on sendmmsg), padded to pointer alignment.
@@ -54,8 +50,9 @@ type mmsgIO struct {
 	scnt    int
 }
 
-// newPacketIO selects the batched path, or the portable single-packet
-// path for a socket that exposes no raw descriptor.
+// newPacketIO selects the batched path, where one kernel crossing moves a
+// whole batch of datagrams, or the portable single-packet path for a
+// socket that exposes no raw descriptor.
 func newPacketIO(conn *net.UDPConn, slots []pktBuf, rx []byte) packetIO {
 	rc, err := conn.SyscallConn()
 	if err != nil {

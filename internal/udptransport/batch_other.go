@@ -4,11 +4,9 @@ package udptransport
 
 import "net"
 
-// batchSyscalls is false where recvmmsg/sendmmsg are unavailable (or the
-// kernel struct layout is unverified): a batch degrades to the portable
-// one-datagram-per-syscall path.
-const batchSyscalls = false
-
+// newPacketIO is the portable one-datagram-per-syscall path: here
+// recvmmsg/sendmmsg are unavailable, or the kernel struct layout is
+// unverified.
 func newPacketIO(conn *net.UDPConn, slots []pktBuf, rx []byte) packetIO {
 	return newSingleIO(conn, slots, rx)
 }

@@ -163,10 +163,10 @@ func TestServeFloodZeroAlloc(t *testing.T) {
 
 // TestServeFloodZeroAllocScored is the same flood down the -score serve
 // path: every packet runs through a livescore scorer backed by a primed
-// streaming pipeline, whose verdict lookup and name staging must stay
-// allocation-free too. The engine runs intake-only (no wall-clock
-// re-score): its drain goroutine copies a name only when a window first
-// notes it, and the flood rotates over five names.
+// streaming pipeline, whose verdict lookup and name intake must stay
+// allocation-free too. No re-score runs, so the window stays open: the
+// listener's scorer copies a name only when the window first notes it, and
+// the flood rotates over five names.
 func TestServeFloodZeroAllocScored(t *testing.T) {
 	// A trivially fitted classifier: only the observe-side intake runs
 	// during the flood, so its quality is irrelevant.
@@ -187,8 +187,6 @@ func TestServeFloodZeroAllocScored(t *testing.T) {
 	// disposable-hit path, the most work the lookup ever does.
 	pipe.Prime([]core.Finding{{Zone: "bench.test", Depth: 3, Confidence: 0.99}})
 	eng := livescore.NewEngine(pipe)
-	eng.Start(0)
-	defer eng.Close()
 	checkFloodZeroAlloc(t, "scored serve path",
 		WithScorer(func(int) Scorer { return eng.NewScorer() }))
 }

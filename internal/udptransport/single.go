@@ -8,8 +8,9 @@ import (
 
 // singleIO is the portable packetIO: one datagram per syscall through the
 // AddrPort read/write methods, which pass the peer address by value and so
-// keep the path allocation-free. It serves builds where batchSyscalls is
-// false, and sockets that expose no raw descriptor; it uses slot 0 only.
+// keep the path allocation-free. It serves builds without recvmmsg/sendmmsg
+// (batch_other.go), and sockets that expose no raw descriptor; it uses
+// slot 0 only.
 type singleIO struct {
 	conn  *net.UDPConn
 	slots []pktBuf

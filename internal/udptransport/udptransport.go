@@ -45,8 +45,9 @@ const batchLen = 32
 // path, returning its live disposable verdict. Implementations must be
 // safe for the transport's calling pattern — one scorer per listener
 // worker, never shared — and must not retain query past the call. The
-// canonical implementation is livescore.Scorer, which probes the
-// streaming miner's verdict snapshot with zero allocations.
+// canonical implementation is livescore.Scorer, which notes the name into
+// the streaming miner on the listener's goroutine and probes the miner's
+// verdict snapshot, with zero allocations for a name already noted.
 type Scorer interface {
 	ScoreWire(query []byte) qlog.Verdict
 }

@@ -50,9 +50,6 @@ func NewGenerator(registry *Registry, cfg GeneratorConfig) *Generator {
 	}
 }
 
-// Registry returns the namespace this generator draws from.
-func (g *Generator) Registry() *Registry { return g.registry }
-
 // EventsFor returns the event count a profile's day will produce.
 func (g *Generator) EventsFor(p Profile) int {
 	scale := p.VolumeScale
@@ -127,9 +124,6 @@ func (s *DayStream) Next() (q resolver.Query, ok bool) {
 
 // Remaining reports how many queries the stream has left.
 func (s *DayStream) Remaining() int { return len(s.times) - s.i }
-
-// Profile returns the profile the stream was started with.
-func (s *DayStream) Profile() Profile { return s.p }
 
 // nextQuery draws a single query according to the profile mix.
 func (g *Generator) nextQuery(p Profile, at time.Time, disp, nonDisp *zonePicker) resolver.Query {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsnoise/internal/authority"
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/dnsname"
@@ -112,6 +113,25 @@ func TestZoneSpecNextNameNonDisposableIsBounded(t *testing.T) {
 	}
 }
 
+// ask sends (name, qtype) to srv as a wire query and decodes the reply the
+// socket would send.
+func ask(t *testing.T, srv *authority.Server, name string, qtype dnsmsg.Type) *dnsmsg.Message {
+	t.Helper()
+	query, err := dnsmsg.NewQuery(0, name, qtype).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := srv.HandleWire(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := dnsmsg.Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func TestBuildAuthorityAnswersEveryKind(t *testing.T) {
 	r := testRegistry(t)
 	srv, err := r.BuildAuthority(nil, nil)
@@ -121,7 +141,7 @@ func TestBuildAuthorityAnswersEveryKind(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, z := range r.AllZones() {
 		name, qtype := z.NextName(rng)
-		resp := srv.Resolve(name, qtype)
+		resp := ask(t, srv, name, qtype)
 		if resp.Header.RCode != dnsmsg.RCodeNoError {
 			t.Errorf("zone %s (%v): %s -> %v", z.Zone, z.Kind, name, resp.Header.RCode)
 			continue
@@ -140,11 +160,11 @@ func TestBuildAuthorityNXForUnknownChildren(t *testing.T) {
 	}
 	// Non-disposable zones must NXDOMAIN unknown children; disposable zones
 	// answer anything.
-	resp := srv.Resolve("definitely-not-a-host.google.com", dnsmsg.TypeA)
+	resp := ask(t, srv, "definitely-not-a-host.google.com", dnsmsg.TypeA)
 	if resp.Header.RCode != dnsmsg.RCodeNXDomain {
 		t.Errorf("unknown child of google.com = %v, want NXDOMAIN", resp.Header.RCode)
 	}
-	resp = srv.Resolve("anything.at.all.avqs.mcafee.com", dnsmsg.TypeA)
+	resp = ask(t, srv, "anything.at.all.avqs.mcafee.com", dnsmsg.TypeA)
 	if resp.Header.RCode != dnsmsg.RCodeNoError {
 		t.Errorf("disposable synth = %v, want NOERROR", resp.Header.RCode)
 	}
@@ -157,8 +177,8 @@ func TestSignalingZonesVaryRData(t *testing.T) {
 		t.Fatal(err)
 	}
 	const name = "0.0.0.0.1.0.0.4e.13cfus2drmdq3j8cafidezr8l6.avqs.mcafee.com"
-	a := srv.Resolve(name, dnsmsg.TypeA).Answers
-	b := srv.Resolve(name, dnsmsg.TypeA).Answers
+	a := ask(t, srv, name, dnsmsg.TypeA).Answers
+	b := ask(t, srv, name, dnsmsg.TypeA).Answers
 	if len(a) < 2 {
 		t.Fatalf("signaling answer should be a multi-record set, got %d", len(a))
 	}
@@ -185,7 +205,7 @@ func TestCNAMEShardingIntoCDN(t *testing.T) {
 		}
 		found = true
 		owner := z.HostPool[0]
-		resp := srv.Resolve(owner, dnsmsg.TypeA)
+		resp := ask(t, srv, owner, dnsmsg.TypeA)
 		if len(resp.Answers) != 1 || resp.Answers[0].Type != dnsmsg.TypeCNAME {
 			t.Fatalf("sharded host %s answers = %+v, want CNAME", owner, resp.Answers)
 		}
