@@ -10,7 +10,7 @@ import (
 // reports through pdns.MergeStores.
 func smallFleet(extra ...string) []string {
 	return append([]string{
-		"-pops", "3", "-days", "1", "-score", "-score-window", "6h",
+		"-pops", "3", "-days", "1", "-score",
 		"-zones", "60", "-disposable-zones", "30", "-hosts-per-zone", "16",
 		"-clients", "100", "-events", "8000", "-servers", "2", "-cache", "8192",
 	}, extra...)

@@ -53,7 +53,6 @@ func run(args []string, stdout io.Writer) error {
 		explain   = fs.String("explain", "", "write one provenance record per classifier decision as JSON lines to this path (.gz compresses; with -window the records come from the streaming pass, stamped with window and hysteresis state)")
 		verifyExp = fs.String("verify-explain", "", "verify an -explain file (replay every decision path) and exit")
 		window    = fs.Duration("window", 0, "after the batch mine, replay the stream through the incremental miner, re-scoring every this much simulated time (0 disables the streaming pass)")
-		hyster    = fs.Int("hysteresis", 2, "consecutive streaming windows required to flip a zone's verdict (with -window)")
 		keepWin   = fs.Int("keep-windows", 0, "sliding horizon for the streaming pass: only the last N re-score windows back a zone's evidence, so stale zones decay and expire (0 = cumulative, matching the batch miner)")
 	)
 	source.RegisterFlags(fs)
@@ -149,7 +148,7 @@ func run(args []string, stdout io.Writer) error {
 	if *window > 0 {
 		pass := &streamingPass{
 			scale: scale, source: source, parallel: *parallel,
-			clf: clf, theta: *theta, window: *window, hysteresis: *hyster,
+			clf: clf, theta: *theta, window: *window,
 			keepWindows: *keepWin, explain: *explain, batchFindings: findings,
 		}
 		if err := pass.run(stdout); err != nil {

@@ -298,7 +298,7 @@ func TestStreamingWindowPass(t *testing.T) {
 
 	explainPath := filepath.Join(t.TempDir(), "explain.jsonl")
 	var streamed strings.Builder
-	args := append(mineFlags(trace), "-window", "6h", "-hysteresis", "2", "-explain", explainPath)
+	args := append(mineFlags(trace), "-window", "6h", "-explain", explainPath)
 	if err := run(args, &streamed); err != nil {
 		t.Fatalf("streaming run: %v", err)
 	}

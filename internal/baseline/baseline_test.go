@@ -116,7 +116,7 @@ func buildZones(seed int64, nDisp, nBenign, perZone int) []LabeledZoneNames {
 	for i := 0; i < nDisp; i++ {
 		z := LabeledZoneNames{Zone: fmt.Sprintf("sig%d.vendor.com", i), Disposable: true}
 		for j := 0; j < perZone; j++ {
-			z.Names = append(z.Names, labelgen.Token(rng, 22)+"."+z.Zone)
+			z.Names = append(z.Names, string(labelgen.AppendToken(nil, rng, 22))+"."+z.Zone)
 		}
 		out = append(out, z)
 	}

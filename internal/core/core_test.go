@@ -42,7 +42,7 @@ func synthCollector(seed int64, nDisp, nNorm, namesPerZone int) (*chrstat.Collec
 		zone := fmt.Sprintf("sig%d.%s.com", z, labelgen.HumanWord(rng, 6))
 		labels[zone] = true
 		for i := 0; i < namesPerZone; i++ {
-			name := labelgen.Token(rng, 20) + "." + zone
+			name := string(labelgen.AppendToken(nil, rng, 20)) + "." + zone
 			emit(name, cache.CategoryDisposable, 1, 1)
 		}
 	}
@@ -211,7 +211,7 @@ func TestMinerRecursesIntoSubZones(t *testing.T) {
 		zone := fmt.Sprintf("t%d.traindisp.com", z)
 		labels[zone] = true
 		for i := 0; i < 12; i++ {
-			ob := resolver.Observation{QName: "x", RR: mkRR(labelgen.Token(rng, 22) + "." + zone), RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable}
+			ob := resolver.Observation{QName: "x", RR: mkRR(string(labelgen.AppendToken(nil, rng, 22)) + "." + zone), RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable}
 			below.Observe(ob)
 			above.Observe(ob)
 		}
@@ -228,7 +228,7 @@ func TestMinerRecursesIntoSubZones(t *testing.T) {
 	// Target: disposable names under a deep sub-zone.
 	const deepZone = "avqs.vendor-av.com"
 	for i := 0; i < 20; i++ {
-		ob := resolver.Observation{QName: "x", RR: mkRR(labelgen.Token(rng, 26) + "." + deepZone), RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable}
+		ob := resolver.Observation{QName: "x", RR: mkRR(string(labelgen.AppendToken(nil, rng, 26)) + "." + deepZone), RCode: dnsmsg.RCodeNoError, Category: cache.CategoryDisposable}
 		below.Observe(ob)
 		above.Observe(ob)
 	}

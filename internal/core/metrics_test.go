@@ -8,7 +8,7 @@ import (
 )
 
 // TestPipelineMetrics mines two days with a registry attached and checks
-// the miner and pipeline counters agree with the returned findings.
+// the miner's counters agree with the returned findings.
 func TestPipelineMetrics(t *testing.T) {
 	trainC, trainLabels := synthCollector(70, 15, 15, 15)
 	trainByName := trainC.ByName()
@@ -28,7 +28,6 @@ func TestPipelineMetrics(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	miner.SetMetrics(reg)
-	pipe.SetMetrics(reg)
 
 	day := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
 	var totalFindings uint64
@@ -42,15 +41,6 @@ func TestPipelineMetrics(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counter("pipeline_findings_total"); got != totalFindings {
-		t.Errorf("pipeline_findings_total = %d, want %d", got, totalFindings)
-	}
-	if got := snap.Gauges["pipeline_days"]; got != 2 {
-		t.Errorf("pipeline_days = %v, want 2", got)
-	}
-	if got := snap.Gauges["pipeline_zones"]; got <= 0 {
-		t.Errorf("pipeline_zones = %v, want > 0", got)
-	}
 	decisions := snap.Counter("miner_decisions_total")
 	disposable := snap.Counter("miner_disposable_groups_total")
 	if decisions == 0 {

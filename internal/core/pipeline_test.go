@@ -3,123 +3,10 @@ package core
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestPipelineValidation(t *testing.T) {
 	if _, err := NewPipeline(nil, nil); !errors.Is(err, ErrNoClassifier) {
 		t.Errorf("NewPipeline(nil) = %v, want ErrNoClassifier", err)
-	}
-}
-
-func TestPipelineAccumulatesAcrossDays(t *testing.T) {
-	// Train on one synthetic population, then feed three days of fresh
-	// populations through the pipeline.
-	trainC, trainLabels := synthCollector(70, 15, 15, 15)
-	trainByName := trainC.ByName()
-	trainTree := BuildTree(trainByName, nil)
-	examples := BuildTrainingSet(trainTree, trainByName, trainLabels, TrainingConfig{})
-	clf, err := TrainClassifier(examples, TrainingConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	miner, err := NewMiner(clf, MinerConfig{Theta: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := NewPipeline(miner, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	day := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
-	var perDayZones []int
-	for d := 0; d < 3; d++ {
-		// Same seed → same zones each day: persistence accumulates.
-		c, _ := synthCollector(71, 10, 10, 15)
-		findings, err := pipe.ProcessDay(day.AddDate(0, 0, d), c.ByName())
-		if err != nil {
-			t.Fatal(err)
-		}
-		zones := make(map[string]bool)
-		for _, f := range findings {
-			zones[f.Zone] = true
-		}
-		perDayZones = append(perDayZones, len(zones))
-	}
-	if pipe.Days() != 3 {
-		t.Errorf("Days = %d, want 3", pipe.Days())
-	}
-
-	ranking := pipe.Ranking()
-	if len(ranking) == 0 {
-		t.Fatal("empty ranking")
-	}
-	// Zones recur daily, so the top of the ranking must have DaysSeen == 3,
-	// names accumulated over three days, and correct first/last bounds.
-	top := ranking[0]
-	if top.DaysSeen != 3 {
-		t.Errorf("top DaysSeen = %d, want 3", top.DaysSeen)
-	}
-	if !top.FirstSeen.Equal(day) || !top.LastSeen.Equal(day.AddDate(0, 0, 2)) {
-		t.Errorf("bounds = %v .. %v", top.FirstSeen, top.LastSeen)
-	}
-	if top.Names < perDayZones[0] {
-		t.Errorf("cumulative names = %d, implausibly low", top.Names)
-	}
-	if top.MaxConfidence <= 0.5 {
-		t.Errorf("MaxConfidence = %v", top.MaxConfidence)
-	}
-	// Ranking order invariant.
-	for i := 1; i < len(ranking); i++ {
-		if ranking[i].DaysSeen > ranking[i-1].DaysSeen {
-			t.Fatal("ranking not ordered by persistence")
-		}
-	}
-
-	zones, e2lds, persistent := pipe.Summary(3)
-	if zones == 0 || e2lds == 0 {
-		t.Errorf("summary = %d zones / %d e2lds", zones, e2lds)
-	}
-	if persistent == 0 {
-		t.Error("recurring zones should be persistent at minDays=3")
-	}
-	if persistent > zones {
-		t.Error("persistent > zones")
-	}
-}
-
-func TestPipelineDistinctDaysDistinctZones(t *testing.T) {
-	trainC, trainLabels := synthCollector(80, 12, 12, 15)
-	byName := trainC.ByName()
-	examples := BuildTrainingSet(BuildTree(byName, nil), byName, trainLabels, TrainingConfig{})
-	clf, err := TrainClassifier(examples, TrainingConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	miner, err := NewMiner(clf, MinerConfig{Theta: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := NewPipeline(miner, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	day := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
-	// Two days with DIFFERENT zone populations: the union grows, nothing
-	// reaches DaysSeen 2.
-	for d, seed := range []int64{81, 82} {
-		c, _ := synthCollector(seed, 8, 8, 15)
-		if _, err := pipe.ProcessDay(day.AddDate(0, 0, d), c.ByName()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, _, persistent := pipe.Summary(2)
-	if persistent != 0 {
-		t.Errorf("persistent = %d, want 0 for disjoint populations", persistent)
-	}
-	zones, _, _ := pipe.Summary(1)
-	if zones < 10 {
-		t.Errorf("union zones = %d, want the populations' union", zones)
 	}
 }

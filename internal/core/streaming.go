@@ -22,8 +22,8 @@
 // The equivalence contract: with expiry disabled (KeepWindows == 0), the
 // re-score at a day boundary sees exactly the tree and collector state the
 // batch miner would build from the same trace, so EndDay's findings are
-// DeepEqual to Pipeline.ProcessDay's — the paper's measurements survive
-// the refactor. Tests pin this sequentially and under -parallel.
+// DeepEqual to Miner.Mine's over that day — the paper's measurements
+// survive the refactor. Tests pin this sequentially and under -parallel.
 
 package core
 
@@ -218,9 +218,8 @@ func (h *RescoreHandle) Wait() (RescoreResult, error) {
 // spare intake buffers, and reads a counts view that stays frozen until the
 // next barrier refreshes it.
 type StreamingPipeline struct {
-	miner    *Miner
-	suffixes *dnsname.Suffixes
-	cfg      StreamingConfig
+	miner *Miner
+	cfg   StreamingConfig
 
 	tree      *dntree.Tree
 	entropy   *features.EntropyCache
@@ -238,7 +237,6 @@ type StreamingPipeline struct {
 	states  map[ZoneDepth]*verdictState
 	snap    atomic.Pointer[VerdictSnapshot]
 
-	rank     *Pipeline      // cumulative day ranking, folded exactly like batch
 	inflight *RescoreHandle // what the last barrier started, until the next joins it
 
 	onDrift func(DriftEvent)
@@ -266,20 +264,14 @@ func NewStreamingPipeline(classifier mlearn.Classifier, mcfg MinerConfig, scfg S
 	if suffixes == nil {
 		suffixes = dnsname.DefaultSuffixes()
 	}
-	rank, err := NewPipeline(miner, suffixes)
-	if err != nil {
-		return nil, err
-	}
 	p := &StreamingPipeline{
 		miner:     miner,
-		suffixes:  suffixes,
 		cfg:       scfg,
 		tree:      dntree.New(suffixes),
 		entropy:   features.NewEntropyCache(),
 		collector: chrstat.NewShardedCollector(scfg.NumServers),
 		found:     make(map[*dntree.Node][]Finding),
 		states:    make(map[ZoneDepth]*verdictState),
-		rank:      rank,
 	}
 	p.tree.SetHorizon(scfg.KeepWindows)
 	miner.SetEntropyCache(p.entropy)
@@ -506,10 +498,9 @@ func (p *StreamingPipeline) mineWindow(res *RescoreResult, byName map[string][]*
 
 // EndDay closes the day: a final window re-score, joined and run inline
 // (whose findings are the day's verdicts — the batch-equivalence
-// artifact), a fold into the cumulative ranking exactly like
-// Pipeline.ProcessDay, then a reset of the tree and collector for the next
-// day, and of whatever else holds a name or a handle of this one. Hysteresis
-// state and the published snapshot survive across days.
+// artifact), then a reset of the tree and collector for the next day, and
+// of whatever else holds a name or a handle of this one. Hysteresis state
+// and the published snapshot alone survive across days.
 func (p *StreamingPipeline) EndDay(date time.Time) (RescoreResult, error) {
 	var res RescoreResult
 	if err := p.join(); err != nil {
@@ -519,7 +510,6 @@ func (p *StreamingPipeline) EndDay(date time.Time) (RescoreResult, error) {
 	if err := p.mineWindow(&res, byName, touched); err != nil {
 		return res, err
 	}
-	p.rank.fold(date, res.Findings)
 	p.tree.ResetStream()
 	p.scratch.groups, p.scratch.zones, p.dirty = nil, nil, nil // handles into the tree that was
 	clear(p.found)
@@ -657,8 +647,3 @@ func sortPairs(ps []ZoneDepth) {
 
 // Windows returns how many re-scores have completed (mined, not started).
 func (p *StreamingPipeline) Windows() uint32 { return p.windows.Load() }
-
-// Ranking returns the cumulative day ranking folded from EndDay verdicts,
-// identical in shape to the batch pipeline's. EndDay alone folds it, under
-// the ranking's own lock: no re-score to wait for here.
-func (p *StreamingPipeline) Ranking() []ZoneRecord { return p.rank.Ranking() }

@@ -13,7 +13,7 @@ func benchTree(n int) (*Tree, []string) {
 	t := New(nil)
 	names := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		name := labelgen.Token(rng, 20) + fmt.Sprintf(".z%d.example.com", i%50)
+		name := string(labelgen.AppendToken(nil, rng, 20)) + fmt.Sprintf(".z%d.example.com", i%50)
 		t.Insert(name)
 		names = append(names, name)
 	}
@@ -40,7 +40,7 @@ func BenchmarkInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	shallow, deep := make([]string, 1<<14), make([]string, 1<<14)
 	for i := range shallow {
-		shallow[i] = labelgen.Token(rng, 20) + ".avqs.mcafee.com"
+		shallow[i] = string(labelgen.AppendToken(nil, rng, 20)) + ".avqs.mcafee.com"
 		deep[i] = mcafeeName(rng)
 	}
 	fresh := func(names []string) func(*testing.B) {

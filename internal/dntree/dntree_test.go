@@ -226,7 +226,7 @@ func TestGroupPartitionProperty(t *testing.T) {
 			depth := rng.Intn(3) + 1
 			labels := make([]string, depth)
 			for j := range labels {
-				labels[j] = labelgen.Token(rng, rng.Intn(6)+1)
+				labels[j] = string(labelgen.AppendToken(nil, rng, rng.Intn(6)+1))
 			}
 			name := strings.Join(labels, ".") + ".zone.test"
 			tr.Insert(name)

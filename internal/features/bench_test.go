@@ -17,7 +17,7 @@ func BenchmarkFromGroup(b *testing.B) {
 	c := chrstat.NewCollector()
 	g := dntree.Group{Zone: "bench.test", Depth: 3}
 	for i := 0; i < 200; i++ {
-		label := labelgen.Token(rng, 20)
+		label := string(labelgen.AppendToken(nil, rng, 20))
 		name := label + ".bench.test"
 		g.Names = append(g.Names, name)
 		g.Labels = append(g.Labels, label)

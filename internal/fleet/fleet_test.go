@@ -339,7 +339,7 @@ func observedFleet(t *testing.T, rules string) string {
 	t.Helper()
 	obs := &sim.Obs{
 		QlogSample: 64, QlogMem: 1024,
-		TSDBInterval: 20 * time.Millisecond, TSDBRetain: 64, AlertRules: rules,
+		TSDBInterval: 20 * time.Millisecond, AlertRules: rules,
 	}
 	base := startObs(t, obs)
 	cfg := testConfig(3)

@@ -1,7 +1,9 @@
 package ingest
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,14 +14,12 @@ import (
 )
 
 // streamFixture trains one classifier on a fresh day-1 run and computes
-// the batch reference: per-day findings and the cumulative ranking over
-// the full profile sequence.
+// the batch reference: per-day findings over the full profile sequence.
 type streamFixture struct {
 	clf      *mlearn.DecisionTree
 	mcfg     core.MinerConfig
 	profiles []workload.Profile
 	days     [][]core.Finding
-	ranking  []core.ZoneRecord
 }
 
 func newStreamFixture(t *testing.T, nDays int) *streamFixture {
@@ -43,20 +43,16 @@ func newStreamFixture(t *testing.T, nDays int) *streamFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := core.NewPipeline(miner, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	env := newTestEnv(t)
 	runner := NewRunner(env.cluster(t), OnWindow(func(w Window) error {
-		findings, err := pipe.ProcessDay(w.Date, w.Collector.ByName())
+		byName := w.Collector.ByName()
+		findings, err := miner.Mine(core.BuildTree(byName, nil), byName)
 		fx.days = append(fx.days, findings)
 		return err
 	}))
 	if err := runner.Run(NewGeneratorSource(env.gen, fx.profiles...)); err != nil {
 		t.Fatal(err)
 	}
-	fx.ranking = pipe.Ranking()
 	mined := 0
 	for _, d := range fx.days {
 		mined += len(d)
@@ -121,17 +117,14 @@ func TestStreamingMatchesBatchAtDayBoundaries(t *testing.T) {
 				t.Errorf("only %d re-scores over %d days; intra-day ticks never fired",
 					sp.Windows(), len(fx.profiles))
 			}
-			if !reflect.DeepEqual(sp.Ranking(), fx.ranking) {
-				t.Errorf("cumulative streaming ranking diverges from batch")
-			}
 		})
 	}
 }
 
-// TestStreamingHooksFoldRanking exercises the packaged option bundle: a
-// parallel run wired through StreamingHooks folds the same cumulative
-// ranking as the batch pipeline.
-func TestStreamingHooksFoldRanking(t *testing.T) {
+// TestStreamingHooksMatchBatch exercises the packaged option bundle: a
+// parallel run wired through StreamingHooks ends, at hysteresis 1, holding
+// exactly the (zone, depth) pairs the batch miner found on the last day.
+func TestStreamingHooksMatchBatch(t *testing.T) {
 	fx := newStreamFixture(t, 2)
 	sp, err := core.NewStreamingPipeline(fx.clf, fx.mcfg,
 		core.StreamingConfig{Hysteresis: 1, NumServers: 3}, nil)
@@ -144,9 +137,16 @@ func TestStreamingHooksFoldRanking(t *testing.T) {
 		Run(NewGeneratorSource(env.gen, fx.profiles...)); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sp.Ranking(), fx.ranking) {
-		t.Errorf("StreamingHooks ranking diverges from batch:\nstream: %+v\nbatch:  %+v",
-			sp.Ranking(), fx.ranking)
+	var want []core.ZoneDepth
+	for _, f := range fx.days[len(fx.days)-1] {
+		want = append(want, core.ZoneDepth{Zone: f.Zone, Depth: f.Depth})
+	}
+	slices.SortFunc(want, func(a, b core.ZoneDepth) int {
+		return cmp.Or(cmp.Compare(a.Zone, b.Zone), cmp.Compare(a.Depth, b.Depth))
+	})
+	if got := sp.CurrentDisposable(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("StreamingHooks verdicts diverge from the batch's last day:\nstream: %+v\nbatch:  %+v",
+			got, want)
 	}
 	if sp.Windows() <= uint32(len(fx.profiles)) {
 		t.Errorf("only %d re-scores over %d days; ticks never fired",

@@ -21,16 +21,8 @@ const (
 	vowels     = "aeiouy"
 )
 
-// Token returns an n-character lowercase base-36 token: the high-entropy
-// building block of most disposable names.
-func Token(rng *rand.Rand, n int) string {
-	if n <= 0 {
-		return ""
-	}
-	return string(AppendToken(make([]byte, 0, n), rng, n))
-}
-
-// AppendToken appends an n-character Token to dst.
+// AppendToken appends an n-character lowercase base-36 token to dst: the
+// high-entropy building block of most disposable names.
 func AppendToken(dst []byte, rng *rand.Rand, n int) []byte {
 	for i := 0; i < n; i++ {
 		dst = append(dst, base36[rng.Intn(len(base36))])

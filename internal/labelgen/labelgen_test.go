@@ -16,18 +16,18 @@ func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func TestTokenAlphabetAndLength(t *testing.T) {
 	r := rng(1)
 	for _, n := range []int{1, 5, 26, 63} {
-		tok := Token(r, n)
-		if len(tok) != n {
-			t.Errorf("Token(%d) len = %d", n, len(tok))
+		tok := AppendToken([]byte("x."), r, n)
+		if len(tok) != 2+n || string(tok[:2]) != "x." {
+			t.Errorf("AppendToken(x., %d) = %q", n, tok)
 		}
-		for _, c := range tok {
+		for _, c := range string(tok[2:]) {
 			if !strings.ContainsRune(base36, c) {
-				t.Errorf("Token produced %q outside base36", c)
+				t.Errorf("AppendToken produced %q outside base36", c)
 			}
 		}
 	}
-	if Token(r, 0) != "" || Token(r, -3) != "" {
-		t.Error("Token with n<=0 should be empty")
+	if len(AppendToken(nil, r, 0)) != 0 || len(AppendToken(nil, r, -3)) != 0 {
+		t.Error("AppendToken with n<=0 should append nothing")
 	}
 }
 
@@ -200,7 +200,7 @@ func TestEntropySeparation(t *testing.T) {
 	r := rng(11)
 	var algo, human []float64
 	for i := 0; i < 300; i++ {
-		algo = append(algo, stats.ShannonEntropy(Token(r, 16)))
+		algo = append(algo, stats.ShannonEntropy(string(AppendToken(nil, r, 16))))
 		human = append(human, stats.ShannonEntropy(HumanWord(r, 8)))
 	}
 	if am, hm := stats.Mean(algo), stats.Mean(human); am <= hm+0.5 {

@@ -22,10 +22,10 @@ import (
 // once started, its running state. Telemetry (-metrics-addr, -progress,
 // -report) turns on the registry and tracer; the query log (-qlog,
 // -qlog-sample, -qlog-mem) turns on with a file or an endpoint; continuous
-// telemetry (-tsdb-interval, -tsdb-retain, -alert-rules) sweeps the
-// registry into a tsdb and evaluates alert rules after every sweep. All of
-// it is opt-in: with no flag set every handle is nil, every instrument
-// downstream is a nil no-op and stdout is byte-identical.
+// telemetry (-tsdb-interval, -alert-rules) sweeps the registry into a tsdb
+// of tsdb.DefaultRetain samples a series and evaluates alert rules after
+// every sweep. All of it is opt-in: with no flag set every handle is nil,
+// every instrument downstream is a nil no-op and stdout is byte-identical.
 type Obs struct {
 	MetricsAddr  string
 	Progress     time.Duration
@@ -34,7 +34,6 @@ type Obs struct {
 	QlogSample   int
 	QlogMem      int
 	TSDBInterval time.Duration
-	TSDBRetain   int
 	AlertRules   string
 
 	// Set by Start; nil when the matching flags are off. Pass them through
@@ -69,8 +68,6 @@ func (o *Obs) RegisterFlags(fs *flag.FlagSet) {
 		"retain the last N sampled events for GET /debug/qlog (needs -metrics-addr)")
 	fs.DurationVar(&o.TSDBInterval, "tsdb-interval", 0,
 		"sweep telemetry into the in-process tsdb at this interval and evaluate alert rules (e.g. 1s; 0 disables)")
-	fs.IntVar(&o.TSDBRetain, "tsdb-retain", tsdb.DefaultRetain,
-		"samples retained per tsdb series (ring capacity)")
 	fs.StringVar(&o.AlertRules, "alert-rules", "",
 		"JSON SLO/alert rules file evaluated each tsdb sweep (empty: built-in defaults; 'none': no rules)")
 }
@@ -150,7 +147,7 @@ func (o *Obs) Start(command string, args []string) (err error) {
 				return err
 			}
 		}
-		db := tsdb.New(tsdb.Config{Retain: o.TSDBRetain})
+		db := tsdb.New(tsdb.Config{})
 		// Transitions mirror into the query log (nil is fine).
 		engine := alerts.NewEngine(db, rules, o.log)
 		o.sweeper = tsdb.NewSweeper(db, o.TSDBInterval, o.Registry.Snapshot)

@@ -91,7 +91,7 @@ func (s *Scale) RegisterClusterFlags(fs *flag.FlagSet) {
 }
 
 // RegisterCacheFlags adds -cache-policy, for CLIs whose cluster size is
-// fixed elsewhere (-scale, the -score training day).
+// fixed elsewhere (-scale).
 func (s *Scale) RegisterCacheFlags(fs *flag.FlagSet) {
 	fs.TextVar(&s.CachePolicy, "cache-policy", s.CachePolicy, "cache eviction `policy`: lru or sieve")
 }

@@ -83,39 +83,6 @@ func MinMax(xs []float64) (min, max float64, err error) {
 	return min, max, nil
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between closest ranks. It returns ErrEmpty for an empty
-// sample and clamps q into [0, 1].
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	return quantileSorted(cp, q), nil
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // CDF is an empirical cumulative distribution function over a finite sample.
 // The zero value is not usable; construct one with NewCDF.
 type CDF struct {
@@ -143,14 +110,6 @@ func (c *CDF) At(x float64) float64 {
 	// want the count of entries <= x, so search for the first entry > x.
 	idx := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > x })
 	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile of the underlying sample.
-func (c *CDF) Quantile(q float64) (float64, error) {
-	if len(c.sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	return quantileSorted(c.sorted, q), nil
 }
 
 // Points samples the CDF at n evenly spaced probe values spanning the sample

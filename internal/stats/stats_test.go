@@ -3,8 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -84,33 +82,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{q: 0, want: 10},
-		{q: 0.25, want: 20},
-		{q: 0.5, want: 30},
-		{q: 1, want: 50},
-		{q: -0.5, want: 10}, // clamped
-		{q: 1.5, want: 50},  // clamped
-	}
-	for _, tt := range tests {
-		got, err := Quantile(xs, tt.q)
-		if err != nil {
-			t.Fatalf("Quantile(%v): %v", tt.q, err)
-		}
-		if !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if _, err := Quantile(nil, 0.5); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Quantile(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
 func TestCDFAt(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 2, 3})
 	tests := []struct {
@@ -141,9 +112,6 @@ func TestCDFEmpty(t *testing.T) {
 	}
 	if pts := c.Points(10); pts != nil {
 		t.Errorf("empty CDF Points = %v, want nil", pts)
-	}
-	if _, err := c.Quantile(0.5); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty CDF Quantile err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -188,25 +156,6 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: Quantile and CDF are approximate inverses on continuous samples.
-func TestQuantileCDFInverseProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	c := NewCDF(xs)
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-		v, err := c.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := c.At(v); math.Abs(got-q) > 0.01 {
-			t.Errorf("At(Quantile(%v)) = %v, want ~%v", q, got, q)
-		}
 	}
 }
 
@@ -266,33 +215,5 @@ func TestFractions(t *testing.T) {
 	}
 	if got := FractionLeq(nil, 1); got != 0 {
 		t.Errorf("FractionLeq(nil) = %v, want 0", got)
-	}
-}
-
-// Property: quantiles are monotone in q.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-	}
-	qs := []float64{0, 0.1, 0.3, 0.5, 0.7, 0.9, 1}
-	prev := math.Inf(-1)
-	for _, q := range qs {
-		v, err := Quantile(xs, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v < prev {
-			t.Errorf("Quantile(%v) = %v < previous %v", q, v, prev)
-		}
-		prev = v
-	}
-	sort.Float64s(xs)
-	if v, _ := Quantile(xs, 0); v != xs[0] {
-		t.Errorf("Quantile(0) = %v, want min %v", v, xs[0])
-	}
-	if v, _ := Quantile(xs, 1); v != xs[len(xs)-1] {
-		t.Errorf("Quantile(1) = %v, want max %v", v, xs[len(xs)-1])
 	}
 }

@@ -59,20 +59,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add offsets the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -87,7 +73,7 @@ const histBuckets = 65
 
 // Histogram counts uint64 observations (latencies in nanoseconds, sizes
 // in bytes, ...) in power-of-two buckets. Updates are a few uncontended
-// atomic adds; reads (Snapshot, Quantile) walk the buckets without
+// atomic adds; reads (Snapshot) walk the buckets without
 // stopping writers, so a snapshot taken mid-update may be off by the
 // in-flight observation. The zero value is ready to use; a nil
 // *Histogram ignores observations.
@@ -143,26 +129,10 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bucketOf(v)].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Snapshot captures the histogram's current state, including the p50,
 // p95 and p99 quantile estimates.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	return SnapshotHistograms(h)
-}
-
-// Quantile estimates the q-th quantile (clamped into [0, 1]) from the
-// bucket counts, interpolating linearly inside the covering bucket. The
-// estimate is exact for zero values and within one power-of-two bucket
-// otherwise. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Snapshot().Quantile(q)
 }
 
 // Bucket is one histogram bucket: observations in [Lo, Hi).
@@ -210,8 +180,10 @@ func SnapshotHistograms(hs ...*Histogram) HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-th quantile from the snapshot's buckets (see
-// Histogram.Quantile).
+// Quantile estimates the q-th quantile (clamped into [0, 1]) from the
+// bucket counts, interpolating linearly inside the covering bucket. The
+// estimate is exact for zero values and within one power-of-two bucket
+// otherwise. Returns 0 for an empty snapshot.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
