@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func TestServeAnswersOverUDP(t *testing.T) {
 		args []string
 	}{
 		{"plain", nil},
-		{"scored", []string{"-score", "-window", "0"}},
+		{"scored", []string{"-score", "-window", "1h"}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			args := append([]string{"-addr", "127.0.0.1:0", "-zones", "40", "-disposable-zones", "8"}, mode.args...)
@@ -94,6 +95,22 @@ func TestServeAnswersOverUDP(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServeScoreNeedsAWindow: -score with a re-score interval of 0 or less
+// is refused before anything starts, since a miner that is never re-scored
+// would hold every name it notes for the life of the process.
+func TestServeScoreNeedsAWindow(t *testing.T) {
+	for _, window := range []string{"0", "-1s"} {
+		svc, err := start([]string{"-addr", "127.0.0.1:0", "-score", "-window", window})
+		if err == nil {
+			svc.Close()
+			t.Fatalf("-score -window %s: started, want an error", window)
+		}
+		if !strings.Contains(err.Error(), "-window") {
+			t.Errorf("-score -window %s: %v, want it to name -window", window, err)
+		}
 	}
 }
 
