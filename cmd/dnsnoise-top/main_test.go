@@ -16,7 +16,7 @@ import (
 // serve) on an httptest server, with a little recent history recorded.
 func testBackend(t *testing.T) (addr string, done func()) {
 	t.Helper()
-	db := tsdb.New(tsdb.Config{Retain: 64})
+	db := tsdb.New()
 	now := time.Now()
 	for i := 0; i < 5; i++ {
 		db.Record(&telemetry.Snapshot{

@@ -2,7 +2,8 @@ package dnsmsg
 
 // Handler answers one wire-format DNS query with a freshly allocated
 // wire-format response. Implementations must not retain query past the call:
-// callers reuse their query buffers.
+// callers reuse their query buffers. Only the resolver's upstream takes this
+// form (through AsWireHandler); the UDP front door takes a WireHandler.
 type Handler interface {
 	HandleWire(query []byte) ([]byte, error)
 }

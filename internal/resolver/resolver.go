@@ -407,7 +407,7 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 		"DNSSEC validations that failed.",
 		func() uint64 { return c.Stats().ValidationErrs })
 	reg.HistogramFunc("resolver_latency_ns",
-		"Sampled per-query wall time in nanoseconds (1 query in 16).",
+		"Sampled per-query wall time in nanoseconds (1 query in 64).",
 		func() telemetry.HistogramSnapshot { return telemetry.SnapshotHistograms(hists...) })
 }
 

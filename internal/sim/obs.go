@@ -147,7 +147,7 @@ func (o *Obs) Start(command string, args []string) (err error) {
 				return err
 			}
 		}
-		db := tsdb.New(tsdb.Config{})
+		db := tsdb.New()
 		// Transitions mirror into the query log (nil is fine).
 		engine := alerts.NewEngine(db, rules, o.log)
 		o.sweeper = tsdb.NewSweeper(db, o.TSDBInterval, o.Registry.Snapshot)

@@ -45,7 +45,7 @@ func TestStateMachineTransitionTable(t *testing.T) {
 		Name: "g_high", Series: "g", Agg: "max", Threshold: 10,
 		Window: Duration(time.Second), For: Duration(2 * time.Second),
 	}
-	db := tsdb.New(tsdb.Config{Retain: 64})
+	db := tsdb.New()
 	e := NewEngine(db, []Rule{rule}, nil)
 
 	steps := []struct {
@@ -91,7 +91,7 @@ func TestStateMachineTransitionTable(t *testing.T) {
 
 func TestZeroForFiresImmediately(t *testing.T) {
 	rule := Rule{Name: "g_now", Series: "g", Agg: "max", Threshold: 10, Window: Duration(5 * time.Second)}
-	db := tsdb.New(tsdb.Config{Retain: 16})
+	db := tsdb.New()
 	e := NewEngine(db, []Rule{rule}, nil)
 	feed(db, e, t0, 99)
 	if got := state(e, "g_now", "g"); got != "firing" {
@@ -107,7 +107,7 @@ func TestShortWindowGuard(t *testing.T) {
 		Name: "g_burn", Series: "g", Agg: "max", Threshold: 10,
 		Window: Duration(20 * time.Second), ShortWindow: Duration(2 * time.Second),
 	}
-	db := tsdb.New(tsdb.Config{Retain: 64})
+	db := tsdb.New()
 	e := NewEngine(db, []Rule{rule}, nil)
 
 	feed(db, e, t0, 50) // violates both windows: fires (For=0)
@@ -129,7 +129,7 @@ func TestShortWindowGuard(t *testing.T) {
 // per-PoP labels), with independent state machines.
 func TestPerSeriesInstances(t *testing.T) {
 	rule := Rule{Name: "qps_high", Series: "qps", Agg: "max", Threshold: 100, Window: Duration(5 * time.Second)}
-	db := tsdb.New(tsdb.Config{Retain: 16})
+	db := tsdb.New()
 	e := NewEngine(db, []Rule{rule}, nil)
 	db.Record(&telemetry.Snapshot{Time: t0, Gauges: map[string]float64{
 		`qps{pop="0"}`: 500, `qps{pop="1"}`: 50,
@@ -150,7 +150,7 @@ func TestPerSeriesInstances(t *testing.T) {
 // TestNoDataResolves: a firing series that stops reporting resolves.
 func TestNoDataResolves(t *testing.T) {
 	rule := Rule{Name: "g_high", Series: "g", Agg: "max", Threshold: 10, Window: Duration(2 * time.Second)}
-	db := tsdb.New(tsdb.Config{Retain: 16})
+	db := tsdb.New()
 	e := NewEngine(db, []Rule{rule}, nil)
 	feed(db, e, t0, 99)
 	if got := state(e, "g_high", "g"); got != "firing" {
@@ -171,7 +171,7 @@ func TestQlogMirror(t *testing.T) {
 	l.AddSink(mem)
 
 	rule := Rule{Name: "g_high", Series: "g", Agg: "max", Threshold: 10, Window: Duration(2 * time.Second)}
-	db := tsdb.New(tsdb.Config{Retain: 16})
+	db := tsdb.New()
 	e := NewEngine(db, []Rule{rule}, l)
 	feed(db, e, t0, 99)                   // firing
 	feed(db, e, t0.Add(3*time.Second), 1) // window slides past the 99: resolved
@@ -249,7 +249,7 @@ func TestDefaultRulesValid(t *testing.T) {
 
 func TestHandler(t *testing.T) {
 	rule := Rule{Name: "g_high", Series: "g", Agg: "max", Threshold: 10, Window: Duration(2 * time.Second)}
-	db := tsdb.New(tsdb.Config{Retain: 16})
+	db := tsdb.New()
 	e := NewEngine(db, []Rule{rule}, nil)
 	feed(db, e, t0, 99)
 

@@ -35,7 +35,7 @@ func TestResolvePathZeroAllocWithTsdb(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db := tsdb.New(tsdb.Config{Retain: 64})
+	db := tsdb.New()
 	sw := tsdb.NewSweeper(db, time.Hour, reg.Snapshot)
 
 	t0 := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)

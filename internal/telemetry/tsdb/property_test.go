@@ -79,15 +79,15 @@ func naiveAggregate(samples []sample, agg Agg, startNs, stepNs int64, nb int) []
 	return points
 }
 
-// TestQueryMatchesNaiveReference drives a small-retain DB through hundreds
-// of sweeps (forcing many ring wrap-arounds) with randomized counter and
+// TestQueryMatchesNaiveReference drives a DB through two and a half times
+// DefaultRetain sweeps (so every ring wraps twice) with randomized counter and
 // gauge series, then checks hundreds of randomized range queries against
 // the naive reference model, for every aggregation.
 func TestQueryMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20111201))
-	const retain = 17 // deliberately odd and small: wraps constantly
+	const retain = DefaultRetain
 
-	db := New(Config{Retain: retain})
+	db := New()
 	names := []string{"a_total", `a_total{server="1"}`, "b_total", "g_gauge", `g_gauge{pop="2"}`}
 	kinds := []Kind{KindCounter, KindCounter, KindCounter, KindGauge, KindGauge}
 	ref := make(map[string]*naiveSeries)
@@ -98,7 +98,7 @@ func TestQueryMatchesNaiveReference(t *testing.T) {
 	counters := map[string]uint64{names[0]: 0, names[1]: 0, names[2]: 0}
 	now := t0
 	var minT, maxT time.Time
-	for sweep := 0; sweep < 300; sweep++ {
+	for sweep := 0; sweep < 5*retain/2; sweep++ {
 		now = now.Add(time.Duration(200+rng.Intn(1800)) * time.Millisecond)
 		if minT.IsZero() {
 			minT = now

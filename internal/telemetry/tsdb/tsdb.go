@@ -6,8 +6,8 @@
 // disposable-verdict share) computed from counter deltas, and windowed
 // p50/p99 gauges computed from histogram-snapshot deltas between sweeps.
 //
-// Memory is bounded up front: retain samples x live series, 16 bytes per
-// sample, no reallocation after a series' first appearance. Everything runs
+// Memory is bounded up front: DefaultRetain samples x live series, 16 bytes
+// per sample, no reallocation after a series' first appearance. Everything runs
 // in the sweep goroutine; the packet/resolve hot path is never touched —
 // sweeps read the same scrape-time CounterFunc/shard-sum paths /metrics
 // uses.
@@ -80,15 +80,8 @@ func (s *series) ordered(dst []sample) []sample {
 	return append(dst, s.buf[:s.next]...)
 }
 
-// Config sizes a DB. The zero value is usable: DefaultRetain samples per
-// series and the DefaultDerived rule set.
-type Config struct {
-	// Retain is the number of samples kept per series (the ring capacity).
-	// At a 1s sweep interval the default holds 10 minutes of history.
-	Retain int
-}
-
-// DefaultRetain is the per-series ring capacity when Config.Retain is 0.
+// DefaultRetain is the number of samples every series keeps (its ring
+// capacity): 10 minutes of history at a 1s sweep interval.
 const DefaultRetain = 600
 
 // DB is the store. All methods are safe for concurrent use; Record is
@@ -96,7 +89,6 @@ const DefaultRetain = 600
 // to be.
 type DB struct {
 	mu      sync.Mutex
-	retain  int
 	derived []DerivedRule // DefaultDerived(), evaluated per sweep
 
 	series map[string]*series
@@ -111,14 +103,10 @@ type DB struct {
 	sweeps  uint64
 }
 
-// New builds a DB from cfg.
-func New(cfg Config) *DB {
-	retain := cfg.Retain
-	if retain <= 0 {
-		retain = DefaultRetain
-	}
+// New builds an empty DB whose series keep DefaultRetain samples each and
+// which evaluates the DefaultDerived rule set.
+func New() *DB {
 	return &DB{
-		retain:   retain,
 		derived:  DefaultDerived(),
 		series:   make(map[string]*series),
 		prevHist: make(map[string]telemetry.HistogramSnapshot),
@@ -127,7 +115,7 @@ func New(cfg Config) *DB {
 }
 
 // Retain reports the per-series ring capacity.
-func (db *DB) Retain() int { return db.retain }
+func (db *DB) Retain() int { return DefaultRetain }
 
 // Sweeps reports how many snapshots have been recorded.
 func (db *DB) Sweeps() uint64 {
@@ -139,13 +127,13 @@ func (db *DB) Sweeps() uint64 {
 	return db.sweeps
 }
 
-// upsert returns the ring for name, creating it (with the DB's retain
+// upsert returns the ring for name, creating it (with DefaultRetain
 // capacity) on first sight. Caller holds db.mu.
 func (db *DB) upsert(name string, kind Kind) *series {
 	if s, ok := db.series[name]; ok {
 		return s
 	}
-	s := &series{kind: kind, buf: make([]sample, db.retain)}
+	s := &series{kind: kind, buf: make([]sample, DefaultRetain)}
 	db.series[name] = s
 	i := sort.SearchStrings(db.names, name)
 	db.names = append(db.names, "")

@@ -19,7 +19,7 @@ func snapAt(t time.Time, counters map[string]uint64, gauges map[string]float64) 
 }
 
 func TestRecordAndRateQuery(t *testing.T) {
-	db := New(Config{Retain: 16})
+	db := New()
 	for i := 0; i <= 5; i++ {
 		db.Record(snapAt(t0.Add(time.Duration(i)*time.Second), map[string]uint64{
 			"udp_rx_packets_total": uint64(100 * i),
@@ -65,7 +65,7 @@ func TestRecordAndRateQuery(t *testing.T) {
 }
 
 func TestDerivedRatiosAndPopGrouping(t *testing.T) {
-	db := New(Config{Retain: 8})
+	db := New()
 	mk := func(i uint64) map[string]uint64 {
 		return map[string]uint64{
 			`resolver_cache_hits_total{pop="0"}`:             90 * i,
@@ -108,7 +108,7 @@ func TestDerivedRatiosAndPopGrouping(t *testing.T) {
 // while the denominator is idle, and a genuine zero when the denominator
 // moves without the numerator.
 func TestDerivedNoDataVsZero(t *testing.T) {
-	db := New(Config{Retain: 8})
+	db := New()
 	db.Record(snapAt(t0, map[string]uint64{"udp_dropped_total": 0, "udp_rx_packets_total": 0}, nil))
 	db.Record(snapAt(t0.Add(time.Second), map[string]uint64{"udp_dropped_total": 0, "udp_rx_packets_total": 0}, nil))
 	db.Record(snapAt(t0.Add(2*time.Second), map[string]uint64{"udp_dropped_total": 0, "udp_rx_packets_total": 100}, nil))
@@ -124,7 +124,7 @@ func TestDerivedNoDataVsZero(t *testing.T) {
 func TestHistogramDerivedSeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram("resolver_latency_ns", "test")
-	db := New(Config{Retain: 8})
+	db := New()
 
 	h.Observe(1000)
 	h.Observe(1000)
@@ -164,24 +164,25 @@ func TestHistogramDerivedSeries(t *testing.T) {
 }
 
 func TestRingWrap(t *testing.T) {
-	db := New(Config{Retain: 4})
-	for i := 0; i < 10; i++ {
+	db := New()
+	const sweeps = DefaultRetain + 6
+	for i := 0; i < sweeps; i++ {
 		db.Record(snapAt(t0.Add(time.Duration(i)*time.Second), map[string]uint64{"c": uint64(i)}, nil))
 	}
-	res := db.Query("c", AggMax, Options{Start: t0.Add(-time.Minute), End: t0.Add(time.Minute), Step: time.Second})
+	res := db.Query("c", AggMax, Options{Start: t0.Add(-time.Minute), End: t0.Add(sweeps*time.Second + time.Minute), Step: time.Second})
 	if len(res) != 1 {
 		t.Fatalf("res = %+v", res)
 	}
-	if len(res[0].Points) != 4 {
-		t.Fatalf("points after wrap = %d, want 4 (retain)", len(res[0].Points))
+	if len(res[0].Points) != DefaultRetain {
+		t.Fatalf("points after wrap = %d, want %d (retain)", len(res[0].Points), DefaultRetain)
 	}
 	for i, p := range res[0].Points {
 		if want := float64(6 + i); p.V != want {
 			t.Errorf("point %d = %v, want %v", i, p.V, want)
 		}
 	}
-	if info := db.Series(); len(info) != 1 || info[0].Samples != 4 {
-		t.Errorf("Series() = %+v, want one entry with 4 samples", info)
+	if info := db.Series(); len(info) != 1 || info[0].Samples != DefaultRetain {
+		t.Errorf("Series() = %+v, want one entry with %d samples", info, DefaultRetain)
 	}
 }
 
@@ -211,7 +212,7 @@ func TestMatchSeries(t *testing.T) {
 }
 
 func TestMonotonicTimestamps(t *testing.T) {
-	db := New(Config{Retain: 8})
+	db := New()
 	db.Record(snapAt(t0, map[string]uint64{"c": 1}, nil))
 	db.Record(snapAt(t0, map[string]uint64{"c": 2}, nil)) // same wall time
 	// Start exactly at t0: the first sample (at t0) is the rate base, the
@@ -229,7 +230,7 @@ func TestMonotonicTimestamps(t *testing.T) {
 func TestHandler(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("udp_rx_packets_total", "test")
-	db := New(Config{Retain: 16})
+	db := New()
 	sw := NewSweeper(db, time.Hour, reg.Snapshot)
 	// Spread sweeps across several 10ms query buckets so the rate agg has a
 	// base sample before at least one bucket.
@@ -253,7 +254,7 @@ func TestHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &idx); err != nil {
 		t.Fatal(err)
 	}
-	if idx.Retain != 16 || idx.Sweeps != 3 || len(idx.Series) == 0 {
+	if idx.Retain != DefaultRetain || idx.Sweeps != 3 || len(idx.Series) == 0 {
 		t.Fatalf("index = %+v", idx)
 	}
 
@@ -300,8 +301,8 @@ func TestFleetMergeBitConsistency(t *testing.T) {
 		}
 	}
 
-	single := []*DB{New(Config{}), New(Config{})}
-	fleetDB := New(Config{})
+	single := []*DB{New(), New()}
+	fleetDB := New()
 	for sweep := 0; sweep < 3; sweep++ {
 		ts := t0.Add(time.Duration(sweep) * time.Second)
 		for i := range regs {

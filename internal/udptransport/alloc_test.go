@@ -5,6 +5,7 @@ import (
 
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/qlog"
+	"dnsnoise/internal/telemetry"
 )
 
 // echoWireHandler is a zero-allocation WireHandler: the response is the
@@ -12,13 +13,6 @@ import (
 // the transport's own packet path from handler allocations, exactly like
 // the resolve-path guards isolate the cache-hit path from upstream cost.
 type echoWireHandler struct{}
-
-func (echoWireHandler) HandleWire(query []byte) ([]byte, error) {
-	out := make([]byte, len(query))
-	copy(out, query)
-	out[2] |= 0x80
-	return out, nil
-}
 
 func (echoWireHandler) AppendHandleWire(dst, query []byte) ([]byte, error) {
 	dst = append(dst, query...)
@@ -29,10 +23,10 @@ func (echoWireHandler) AppendHandleWire(dst, query []byte) ([]byte, error) {
 // newProcessHarness builds a listener worker detached from any socket,
 // with one slot preloaded with wire: exactly the state the serve loop
 // hands to process for each received datagram.
-func newProcessHarness(t *testing.T, h dnsmsg.Handler, wire []byte) *listenerWorker {
+func newProcessHarness(t *testing.T, h dnsmsg.WireHandler, wire []byte) *listenerWorker {
 	t.Helper()
 	w := &listenerWorker{
-		srv:   &Server{wire: dnsmsg.AsWireHandler(h)},
+		srv:   &Server{wire: h},
 		slots: make([]pktBuf, 1),
 	}
 	rx := make([]byte, maxPacket)
@@ -60,6 +54,15 @@ func TestServePacketPathZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { w.process(b) }); allocs != 0 {
 		t.Errorf("serve packet path allocates %.1f allocs/op, want 0", allocs)
+	}
+	// With a registry attached, one packet in 64 reads the clock and
+	// observes the latency histogram: still nothing on the heap.
+	w.srv.latAll = telemetry.NewRegistry().Histogram("udp_handle_latency_ns", "test")
+	if allocs := testing.AllocsPerRun(1000, func() { w.process(b) }); allocs != 0 {
+		t.Errorf("timed serve packet path allocates %.1f allocs/op, want 0", allocs)
+	}
+	if w.srv.latAll.Snapshot().Count == 0 {
+		t.Error("no packet was timed")
 	}
 }
 
@@ -126,10 +129,9 @@ func TestServePacketPathZeroAllocQlogMiss(t *testing.T) {
 	}
 }
 
-// wireHandlerFunc adapts a function to both handler contracts.
+// wireHandlerFunc adapts a function to the append contract.
 type wireHandlerFunc func(dst, query []byte) ([]byte, error)
 
-func (f wireHandlerFunc) HandleWire(query []byte) ([]byte, error) { return f(nil, query) }
 func (f wireHandlerFunc) AppendHandleWire(dst, query []byte) ([]byte, error) {
 	return f(dst, query)
 }

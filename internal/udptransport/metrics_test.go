@@ -12,13 +12,13 @@ import (
 
 // strictHandler refuses sub-header datagrams (the in-process authority
 // would answer them FORMERR), so the test can exercise the drop counter.
-type strictHandler struct{ inner dnsmsg.Handler }
+type strictHandler struct{ inner dnsmsg.WireHandler }
 
-func (h strictHandler) HandleWire(q []byte) ([]byte, error) {
+func (h strictHandler) AppendHandleWire(dst, q []byte) ([]byte, error) {
 	if len(q) < dnsHeaderLen {
-		return nil, errors.New("garbage query")
+		return dst, errors.New("garbage query")
 	}
-	return h.inner.HandleWire(q)
+	return h.inner.AppendHandleWire(dst, q)
 }
 
 // TestServerMetrics drives one good query and one garbage datagram through
@@ -82,5 +82,30 @@ func TestServerMetrics(t *testing.T) {
 	}
 	if got := snap.Counter("udp_truncated_total"); got != 0 {
 		t.Errorf("udp_truncated_total = %d, want 0", got)
+	}
+}
+
+// TestHandleLatencyWithoutQueryLog: with a registry and no query log, the
+// front door still times one packet in 64, so udp_handle_latency_ns (and
+// the p99 alert over it) has data on a server run without -qlog.
+func TestHandleLatencyWithoutQueryLog(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv, err := Serve(testAuthority(t), "", WithServerMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	wire, err := dnsmsg.NewQuery(1, "www.udp.test", dnsmsg.TypeA).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= latSampleMask; i++ {
+		if _, err := exchange("udp", srv.Addr(), wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Snapshot().Histograms["udp_handle_latency_ns"].Count; got < 1 {
+		t.Errorf("udp_handle_latency_ns count = %d after %d queries, want >= 1", got, latSampleMask+1)
 	}
 }

@@ -15,13 +15,13 @@ import (
 // recordingHandler counts how many queries actually reach the wrapped
 // handler.
 type recordingHandler struct {
-	inner dnsmsg.Handler
+	inner dnsmsg.WireHandler
 	calls atomic.Uint64
 }
 
-func (r *recordingHandler) HandleWire(query []byte) ([]byte, error) {
+func (r *recordingHandler) AppendHandleWire(dst, query []byte) ([]byte, error) {
 	r.calls.Add(1)
-	return r.inner.HandleWire(query)
+	return r.inner.AppendHandleWire(dst, query)
 }
 
 // expectedListeners is what Serve(WithListeners(n)) actually opens on this
@@ -117,7 +117,7 @@ func TestBatchOneUsesSinglePacketPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{wire: dnsmsg.AsWireHandler(testAuthority(t)), conns: []*net.UDPConn{conn}}
+	srv := &Server{wire: testAuthority(t), conns: []*net.UDPConn{conn}}
 	w := newListenerWorker(srv, conn, 0)
 	w.io = newSingleIO(conn, w.slots, make([]byte, maxPacket))
 	srv.workers = []*listenerWorker{w}
@@ -179,10 +179,10 @@ func TestMalformedDatagramDroppedBeforeHandler(t *testing.T) {
 // far beyond the classic 512-byte budget.
 type bigResponder struct{ records int }
 
-func (h bigResponder) HandleWire(query []byte) ([]byte, error) {
+func (h bigResponder) AppendHandleWire(dst, query []byte) ([]byte, error) {
 	msg, err := dnsmsg.Decode(query)
 	if err != nil || len(msg.Questions) != 1 {
-		return nil, err
+		return dst, err
 	}
 	resp := dnsmsg.NewResponse(msg, dnsmsg.RCodeNoError)
 	resp.Header.ID = msg.Header.ID
@@ -192,7 +192,7 @@ func (h bigResponder) HandleWire(query []byte) ([]byte, error) {
 			TTL: 60, RData: dnsmsg.Text(fmt.Sprintf("record-%03d-%s", i, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")),
 		})
 	}
-	return resp.Encode()
+	return resp.AppendEncode(dst)
 }
 
 // appendOPT adds an EDNS0 OPT pseudo-RR advertising the given UDP payload

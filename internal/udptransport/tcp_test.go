@@ -323,7 +323,7 @@ func FuzzTCPFrames(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	srv := &Server{wire: dnsmsg.AsWireHandler(testAuthority(f)), tcp: &tcpState{conns: map[net.Conn]struct{}{}}}
+	srv := &Server{wire: testAuthority(f), tcp: &tcpState{conns: map[net.Conn]struct{}{}}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqPeer, reqEnd := net.Pipe()
 		replyEnd, replyPeer := net.Pipe()

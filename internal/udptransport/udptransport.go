@@ -1,5 +1,5 @@
 // Package udptransport answers DNS queries arriving on real sockets with a
-// dnsmsg handler (dnsnoise-serve's authority). The Server is a multi-core
+// dnsmsg.WireHandler (dnsnoise-serve's authority). The Server is a multi-core
 // front door: N listener sockets (SO_REUSEPORT on Linux, single-socket
 // elsewhere), each owned by a worker goroutine that moves datagrams in
 // batches (recvmmsg/sendmmsg on Linux, one-packet syscalls elsewhere)
@@ -64,10 +64,9 @@ type Server struct {
 	tcpEnabled bool
 	tcp        *tcpState
 
-	// Handler latency, observed on sampled (logged) packets only — the
-	// unsampled fast path never reads the clock. Nil-safe. latAll covers
-	// every sampled packet (the tsdb's p99 series and its alert rule);
-	// the per-verdict pair exists only with a scorer attached.
+	// Handler latency of timed packets (see latSampleMask). Nil-safe.
+	// latAll covers every timed packet (the tsdb's p99 series and its alert
+	// rule); the per-verdict pair exists only with a scorer attached.
 	latAll        *telemetry.Histogram
 	latBenign     *telemetry.Histogram
 	latDisposable *telemetry.Histogram
@@ -143,13 +142,10 @@ func WithListeners(n int) ServerOption {
 }
 
 // Serve binds addr (e.g. "127.0.0.1:0" for an ephemeral port; "" defaults
-// to that) and starts answering queries with handler until Close. A
-// handler that also implements dnsmsg.WireHandler (like authority.Server)
-// is served through that contract — the response appended to a
-// transport-owned buffer reused across packets, so steady-state handling
-// allocates nothing in the transport; a plain one is adapted with one copy
-// per response.
-func Serve(handler dnsmsg.Handler, addr string, opts ...ServerOption) (*Server, error) {
+// to that) and starts answering queries with handler until Close. Each
+// response is appended to a transport-owned buffer reused across packets,
+// so steady-state handling allocates nothing in the transport.
+func Serve(handler dnsmsg.WireHandler, addr string, opts ...ServerOption) (*Server, error) {
 	if handler == nil {
 		return nil, errors.New("udptransport: nil handler")
 	}
@@ -164,7 +160,7 @@ func Serve(handler dnsmsg.Handler, addr string, opts ...ServerOption) (*Server, 
 	for _, o := range opts {
 		o(s)
 	}
-	s.wire = dnsmsg.AsWireHandler(handler)
+	s.wire = handler
 	if err := s.bind(addr, laddr.Port == 0); err != nil {
 		return nil, err
 	}
@@ -279,7 +275,7 @@ func (s *Server) registerMetrics() {
 		sum(func(st *listenerStats) uint64 { return st.truncated.Load() }))
 	s.reg.Gauge("udp_listeners", "Active listener sockets.").Set(float64(len(s.conns)))
 	s.latAll = s.reg.Histogram("udp_handle_latency_ns",
-		"Handler latency of sampled queries, all verdicts.")
+		"Handler latency of timed queries (1 in 64, and every logged one), all verdicts.")
 	if s.tcp != nil {
 		s.reg.CounterFunc("tcp_connections_total", "TCP fallback connections accepted.",
 			s.tcp.accepts.Load)
@@ -296,9 +292,9 @@ func (s *Server) registerMetrics() {
 			"Queries live-scored disposable.",
 			sum(func(st *listenerStats) uint64 { return st.scoredDisposable.Load() }))
 		s.latBenign = s.reg.Histogram(`udp_handle_latency_ns{verdict="benign"}`,
-			"Handler latency of sampled queries scored benign.")
+			"Handler latency of timed queries scored benign.")
 		s.latDisposable = s.reg.Histogram(`udp_handle_latency_ns{verdict="disposable"}`,
-			"Handler latency of sampled queries scored disposable.")
+			"Handler latency of timed queries scored disposable.")
 	}
 }
 
@@ -350,7 +346,8 @@ type listenerWorker struct {
 	stats  listenerStats
 	qrec   *qlog.Recorder
 	scorer Scorer // per-listener, nil when scoring is off
-	qname  []byte // logQuery's question scratch
+	qname  []byte // record's question scratch
+	ticks  uint32 // packets seen, for the latency sample
 }
 
 // packetIO moves batches of datagrams between a socket and the worker's
@@ -425,13 +422,15 @@ func (w *listenerWorker) process(b *pktBuf) {
 		}
 	}
 	logged := w.qrec.Sample()
+	w.ticks++
+	timed := logged || w.srv.latAll != nil && w.ticks&latSampleMask == 0
 	var handleStart time.Time
-	if logged {
+	if timed {
 		handleStart = time.Now()
 	}
 	out, err := w.srv.wire.AppendHandleWire(b.out[:0], b.in)
-	if logged {
-		w.logQuery(b.in, out, err, verdict, time.Since(handleStart))
+	if timed {
+		w.record(b.in, out, err, verdict, logged, time.Since(handleStart))
 	}
 	if err != nil || len(out) == 0 {
 		// Unanswerable garbage: drop it, like a real server under junk
@@ -479,19 +478,27 @@ func truncateResponse(resp []byte) []byte {
 	return resp[:end]
 }
 
-// logQuery emits one event for a head-sampled query: the question as
-// dnsmsg.AppendSoleQuestion reads it from the query wire (no name for a
-// shape the reader rejects), the outcome derived from the response rcode,
-// the live-scoring verdict (when a scorer is attached), and the handler's
-// wall time. Spelling the name and the per-verdict latency observation
-// happen only on sampled queries, off the unsampled fast path.
-func (w *listenerWorker) logQuery(query, resp []byte, herr error, verdict qlog.Verdict, elapsed time.Duration) {
+// latSampleMask times 1 packet in 64, plus every logged one, when a
+// registry is attached: the resolver's rule for two clock reads a sample.
+const latSampleMask = 63
+
+// record observes a timed packet's handler latency, overall and under its
+// verdict, and for a head-sampled (logged) one emits its event: the
+// question as dnsmsg.AppendSoleQuestion reads it from the query wire (no
+// name for a shape the reader rejects), the outcome derived from the
+// response rcode, the live-scoring verdict (when a scorer is attached),
+// and the handler's wall time. Spelling the name happens only on sampled
+// queries, off the unsampled fast path.
+func (w *listenerWorker) record(query, resp []byte, herr error, verdict qlog.Verdict, logged bool, elapsed time.Duration) {
 	w.srv.latAll.Observe(uint64(elapsed))
 	switch verdict {
 	case qlog.VerdictBenign:
 		w.srv.latBenign.Observe(uint64(elapsed))
 	case qlog.VerdictDisposable:
 		w.srv.latDisposable.Observe(uint64(elapsed))
+	}
+	if !logged {
+		return
 	}
 	ev := qlog.Event{Time: time.Now(), LatencyNs: uint64(elapsed), Verdict: verdict}
 	if name, _, qtype, ok := dnsmsg.AppendSoleQuestion(w.qname[:0], query); ok {
