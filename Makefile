@@ -50,14 +50,17 @@ bench:
 # name or per finding, and TestTreeInsertZeroAlloc: a re-stamp allocates
 # nothing, a new node its share of a slab chunk) — the source side of a
 # replay (BenchmarkReaderNext and BenchmarkDayStream
-# with the guards that a canonical trace line costs one allocation and a
-# generated name at most one, and BenchmarkTraceSource, the decode and the
+# with the guards that a canonical trace line costs one allocation, a
+# generated name at most one and a generated day's clock 8 bytes an event,
+# TestDayStreamAllocs, and BenchmarkTraceSource, the decode and the
 # batch handoff per query at one processor and at two) — the CHR collector
 # (BenchmarkObserveBelow and BenchmarkObserveMiss, a miss's above-then-below
 # pair, each known/fresh,
 # BenchmarkMerge and BenchmarkMergeTouched, the merge a window pays, with the
 # guards that a known record costs nothing, a new or merged one its share of
-# a slab chunk and of map growth, not objects of its own, a further record of
+# a slab chunk and of map growth, not objects of its own, a record only a
+# later shard holds no RRStat bytes (Merge relinks it into shard 0 in place,
+# TestMergeAllocs), a further record of
 # a known name the slab share alone, a client past a record's fourth a block
 # chunk's share, and a counts view's new name or grown group a run of its
 # pointer chunk, not a slice) — the rpDNS store (a duplicate insert costs
@@ -76,7 +79,7 @@ bench-smoke:
 	$(GO) test -run 'TestRescoreSteadyStateAllocs' -v ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkDayStream' \
 		-benchtime=100x -benchmem ./internal/traceio/ ./internal/workload/
-	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs' -v ./internal/traceio/ ./internal/workload/
+	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs|TestDayStreamAllocs' -v ./internal/traceio/ ./internal/workload/
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceSource' -benchtime=100x -benchmem -cpu 1,2 ./internal/ingest/
 	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
 	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs|TestRefreshAllocs|TestInsertAllocs' -v ./internal/chrstat/ ./internal/pdns/

@@ -132,27 +132,61 @@ func mergeFixture() (s *ShardedCollector, records int) {
 	return s, len(obs)
 }
 
-// TestMergeAllocs: folding a shard's record into the merged collector costs
-// what observing it new does — not a record, a client map and an id slice
-// each, and not a growing id slice for a record past four clients.
+// TestMergeAllocs: Merge folds shard 1 into shard 0 in place. The fixture's
+// records are disjoint, so each of shard 1's is relinked with its name: it
+// costs shard 0's map a slot and no RRStat bytes, entry or client blocks of
+// its own, where the copying fold paid 104 bytes for the record alone. What
+// the map's growth costs is measured on a map that takes the same names in
+// the same order, and subtracted; the allocations stay within the copying
+// fold's budget too. Each run folds a fixture of its own: Merge spends it.
 func TestMergeAllocs(t *testing.T) {
-	s, records := mergeFixture()
-	perRecord := testing.AllocsPerRun(3, func() { s.Merge() }) / float64(records)
-	t.Logf("Merge: %.3f allocs per absorbed record", perRecord)
+	const runs = 3
+	var allocs, bytes, mapBytes float64
+	var records int
+	for run := 0; run < runs; run++ {
+		s, n := mergeFixture()
+		m := make(map[string]*nameEntry)
+		for name := range s.shards[0].names {
+			m[name] = nil
+		}
+		later := s.shards[1].names
+		_, b := heapAllocs(func() {
+			for name := range later {
+				m[name] = nil
+			}
+		})
+		mapBytes += b
+
+		a, b := heapAllocs(func() { s.Merge() })
+		allocs, bytes, records = allocs+a, bytes+b, n
+	}
+	perRecord := allocs / runs / float64(records)
+	beyondMap := (bytes - mapBytes) / runs / float64(records/2)
+	t.Logf("Merge: %.3f allocs per absorbed record; %.2f bytes per record only shard 1 held, beyond %.1f of map growth",
+		perRecord, beyondMap, mapBytes/runs/float64(records/2))
 	if perRecord > 0.05 {
 		t.Errorf("Merge cost %.3f allocations per absorbed record, budget 0.05", perRecord)
+	}
+	if beyondMap > 8 {
+		t.Errorf("a record only shard 1 held cost %.1f bytes beyond the map's growth, budget 8: it was copied, not relinked", beyondMap)
 	}
 }
 
 // mallocs counts the heap allocations of one call of f, which AllocsPerRun
 // cannot: its warm-up call would consume what f is measured on.
 func mallocs(f func()) float64 {
+	objects, _ := heapAllocs(f)
+	return objects
+}
+
+// heapAllocs counts the heap allocations of one call of f and their bytes.
+func heapAllocs(f func()) (objects, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs - before.Mallocs)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 }
 
 // TestRefreshAllocs: a view's record costs its share of a slab chunk, and its
@@ -258,11 +292,14 @@ func BenchmarkObserveMiss(b *testing.B) {
 	})
 }
 
+// BenchmarkMerge folds the fixture's two shards; Merge spends them, so each
+// iteration builds its fixture with the timer stopped.
 func BenchmarkMerge(b *testing.B) {
-	s, _ := mergeFixture()
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, _ := mergeFixture()
+		b.StartTimer()
 		s.Merge()
 	}
 }

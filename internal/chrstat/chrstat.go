@@ -185,8 +185,12 @@ func (e *nameEntry) resolved() bool {
 }
 
 // NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{names: make(map[string]*nameEntry)}
+func NewCollector() *Collector { return NewCollectorSize(0) }
+
+// NewCollectorSize returns an empty collector with room for names names, so
+// that a window sized from the last one's NumNames does not regrow its map.
+func NewCollectorSize(names int) *Collector {
+	return &Collector{names: make(map[string]*nameEntry, names)}
 }
 
 // ObserveBelow accumulates one below-side observation. Exported so the
@@ -291,6 +295,10 @@ func (c *Collector) Records() []*RRStat {
 
 // NumRecords returns the count of distinct resource records observed.
 func (c *Collector) NumRecords() int { return c.records }
+
+// NumNames returns the count of distinct names observed: queried, answered
+// or seen above.
+func (c *Collector) NumNames() int { return len(c.names) }
 
 // ByName returns the records grouped by owner name, which is how the
 // collector holds them: a name's records in first-seen order, in one slice

@@ -142,12 +142,14 @@ func retainedClients(c *Collector) map[string][]uint32 {
 	return out
 }
 
-// TestMergeMatchesSequentialCollector: Merge over 2–4 shards reports what one
+// TestMergeMatchesSequentialCollector: a fold of 2–4 shards reports what one
 // Collector fed the shards' streams one after the other reports — counts,
 // name sets, and every record's client count and saturation — whether the
 // shards' client sets are disjoint (hash affinity) or overlap, below the cap
-// and past it; and merging again gives the same collector down to the ids
-// retained, whatever order the maps iterate in.
+// and past it; and folding again gives the same collector down to the ids
+// retained, whatever order the maps iterate in. The repeated folds are the
+// copying oracle's, which leaves the shards intact; the consuming Merge
+// ends each round and must equal it.
 func TestMergeMatchesSequentialCollector(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// How a merged record came to saturate: a shard already had, or only the
@@ -188,7 +190,7 @@ func TestMergeMatchesSequentialCollector(t *testing.T) {
 			}
 		}
 
-		merged := s.Merge()
+		merged := mergeCopy(s)
 		want := summarize(sequential)
 		if got := summarize(merged); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d (%d shards, disjoint %v, %d clients): Merge = %+v\nsequential = %+v", round, shards, disjoint, clientSpace, got, want)
@@ -211,13 +213,16 @@ func TestMergeMatchesSequentialCollector(t *testing.T) {
 		}
 		retained := retainedClients(merged)
 		for again := 0; again < 20; again++ {
-			m := s.Merge()
+			m := mergeCopy(s)
 			if got := summarize(m); !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d, merge %d differs from the first", round, again+2)
 			}
 			if got := retainedClients(m); !reflect.DeepEqual(got, retained) {
 				t.Fatalf("round %d, merge %d retained other client ids than the first", round, again+2)
 			}
+		}
+		if got := summarize(checkMergeMatchesCopy(t, s)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d (%d shards, disjoint %v, %d clients): the consuming Merge = %+v\nsequential = %+v", round, shards, disjoint, clientSpace, got, want)
 		}
 	}
 	if byShard == 0 || byUnion == 0 || unsaturated == 0 {

@@ -200,10 +200,10 @@ func randomObservations(rng *rand.Rand, n, servers int) []tapped {
 // and to three shards, beside the model, and compares everything they report
 // a dozen times on the way: Records, ByName and its order, NumRecords,
 // Totals, the name counts with and without a predicate, Clients() up to and
-// past saturation — and, for the shards, the Counts view against Merge() at
-// every refresh. Merge() reports what one collector reports that saw shard
-// 0's observations, then shard 1's, then shard 2's, so that is the order the
-// model sees them in.
+// past saturation — and, for the shards, the Counts view against the copying
+// fold at every refresh, and Merge at the end. A fold reports what one
+// collector reports that saw shard 0's observations, then shard 1's, then
+// shard 2's, so that is the order the model sees them in.
 func TestMatchesReference(t *testing.T) {
 	const shards = 3
 	var saturated, multi, cnameOnly int
@@ -214,6 +214,7 @@ func TestMatchesReference(t *testing.T) {
 		c, ref := NewCollector(), newRefCollector()
 		s := NewShardedCollector(shards)
 		var view Counts
+		var byShard *refCollector
 		touched := make(map[string]bool)
 		for i, o := range stream {
 			ref.observe(o.ob, o.below)
@@ -231,7 +232,7 @@ func TestMatchesReference(t *testing.T) {
 				continue
 			}
 			compareWithReference(t, c, ref)
-			byShard := newRefCollector()
+			byShard = newRefCollector()
 			for server := 0; server < shards; server++ {
 				for _, o := range stream[:i+1] {
 					if o.ob.Server == server {
@@ -239,12 +240,18 @@ func TestMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			compareWithReference(t, s.Merge(), byShard)
+			compareWithReference(t, mergeCopy(s), byShard)
 			checkCountsEqualMerge(t, &view, s, touched)
 			clear(touched)
 			if t.Failed() {
 				t.Fatalf("seed %d, after %d observations", seed, i+1)
 			}
+		}
+		// The last refresh came after the last observation: the consuming
+		// Merge ends the stream.
+		compareWithReference(t, checkMergeMatchesCopy(t, s), byShard)
+		if t.Failed() {
+			t.Fatalf("seed %d, the consuming Merge", seed)
 		}
 		for _, rec := range ref.records {
 			if rec.seenBy.saturated {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/slab"
 )
@@ -14,7 +13,8 @@ import (
 // simulated server gets a private Collector shard; the taps route every
 // observation to the shard named by its Server index, so shards are only
 // ever touched by their own worker and no locking is needed on the hot
-// path. Merge folds the shards into one ordinary Collector after the run.
+// path. Merge folds the shards into shard 0 after the run, which spends the
+// sharded collector.
 //
 // Because the cluster pins each client to one server, shard client sets
 // are disjoint and the merged per-record client counts (including the
@@ -26,14 +26,35 @@ type ShardedCollector struct {
 
 // NewShardedCollector returns a collector with one shard per server.
 func NewShardedCollector(numServers int) *ShardedCollector {
+	return NewShardedCollectorSize(numServers, nil)
+}
+
+// NewShardedCollectorSize returns a collector with one shard per server,
+// shard i with room for names[i] names (see NewCollectorSize); a shard past
+// the end of names starts empty.
+func NewShardedCollectorSize(numServers int, names []int) *ShardedCollector {
 	if numServers < 1 {
 		numServers = 1
 	}
 	shards := make([]*Collector, numServers)
 	for i := range shards {
-		shards[i] = NewCollector()
+		size := 0
+		if i < len(names) {
+			size = names[i]
+		}
+		shards[i] = NewCollectorSize(size)
 	}
 	return &ShardedCollector{shards: shards}
+}
+
+// NumNames returns each shard's NumNames, in server order: what a window
+// sized from this one gives each shard room for.
+func (s *ShardedCollector) NumNames() []int {
+	out := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		out[i] = sh.NumNames()
+	}
+	return out
 }
 
 // ObserveBelow routes one below-side observation to its server's shard.
@@ -53,27 +74,43 @@ func (s *ShardedCollector) ObserveAbove(ob resolver.Observation) {
 
 func (s *ShardedCollector) shard(i int) *Collector {
 	if i < 0 || i >= len(s.shards) {
+		s.mustLive("observation into")
 		panic(fmt.Sprintf("chrstat: observation from server %d, collector has %d shards", i, len(s.shards)))
 	}
 	return s.shards[i]
 }
 
-// Merge folds all shards into a single Collector, deterministically: shards
-// are absorbed in server order. The result is equivalent to a sequential
-// Collector that observed the union of the shard streams — counter totals
-// and distinct-name sets are exact, and per-record client counts agree
-// including saturation (see absorb).
-func (s *ShardedCollector) Merge() *Collector {
-	out := NewCollector()
-	for _, sh := range s.shards {
-		out.absorb(sh)
+// mustLive panics, naming the misuse, when Merge has spent s.
+func (s *ShardedCollector) mustLive(use string) {
+	if s.shards == nil {
+		panic("chrstat: " + use + " a ShardedCollector that Merge already spent")
 	}
+}
+
+// Merge folds shards 1..n into shard 0, in server order, and returns shard
+// 0. The result is what a sequential Collector reports that observed shard
+// 0's stream, then shard 1's, and so on: counter totals and distinct-name
+// sets are exact, a name's records come in shard 0's order and then what
+// later shards add, TTL and Category are those of the first shard in server
+// order that holds the record, and per-record client counts agree including
+// saturation (see RRStat.absorb). A name or record shard 0 lacks is relinked
+// from its shard, not copied, so the result holds on to every shard's slab
+// chunks. Merge spends s: a second Merge, an observation or a Counts refresh
+// after it panics.
+func (s *ShardedCollector) Merge() *Collector {
+	s.mustLive("Merge of")
+	out := s.shards[0]
+	for _, sh := range s.shards[1:] {
+		out.fold(sh)
+	}
+	s.shards = nil
 	return out
 }
 
 // Counts is a reusable per-name view of a ShardedCollector's per-record
-// sums: Merge().ByName() for a reader of the counts alone (DHR, Misses),
-// with no client set, name set or Collector copied per refresh. The zero
+// sums: what Merge().ByName() would report, for a reader of the counts
+// alone (DHR, Misses), with no client set or name set copied per refresh
+// and the collector left to go on observing. The zero
 // value is ready. Its RRStats carry no client sets and are overwritten by
 // the next Refresh: hold them, and the touched names, no longer than that.
 // A name's group is a run of the view's pointer slab; one that outgrows its
@@ -97,8 +134,10 @@ type touchedRecord struct {
 // since the last refresh: the shards of an attached collector list those as
 // they go, and the view adds what each gained since, so a refresh costs what
 // was touched and allocates only for new records. Name, Type, TTL, Category,
-// Below and Above equal Merge()'s. A collector serves one view, for life.
+// Below and Above equal those of the collector Merge would fold s into. A
+// collector serves one view, for life, and none once Merge has spent it.
 func (v *Counts) Refresh(s *ShardedCollector) (byName map[string][]*RRStat, touched []string) {
+	s.mustLive("Counts refresh of")
 	if v.from != s { // attach: every record s holds is listed, as new
 		*v = Counts{from: s, byName: make(map[string][]*RRStat)}
 		for _, sh := range s.shards {
@@ -144,23 +183,36 @@ func (v *Counts) Refresh(s *ShardedCollector) (byName map[string][]*RRStat, touc
 // Reset empties the view and releases its records.
 func (v *Counts) Reset() { *v = Counts{} }
 
-// absorb folds src into c.
-func (c *Collector) absorb(src *Collector) {
+// fold moves src's observations into c, and src must not be used after: a
+// name c lacks takes src's entry, a record c lacks is relinked at the end of
+// its name's chain, and a record both hold is summed into c's.
+func (c *Collector) fold(src *Collector) {
 	c.belowTotal += src.belowTotal
 	c.aboveTotal += src.aboveTotal
 	c.belowNX += src.belowNX
 	c.aboveNX += src.aboveNX
+	c.records += src.records
 	for name, from := range src.names {
-		e := c.entry(name)
+		e := c.names[name]
+		if e == nil {
+			c.names[name] = from
+			continue
+		}
 		e.queried = e.queried || from.queried
-		for st := from.head; st != nil; st = st.next {
-			rr := dnsmsg.RR{Name: st.Name, Type: st.Type, TTL: st.TTL, RData: st.RData}
-			c.stat(rr, st.Category).absorb(st, &c.blocks)
+		for st := from.head; st != nil; {
+			next := st.next
+			if dst, link := e.find(st.Type, st.RData); dst != nil {
+				dst.absorb(st, &c.blocks)
+				c.records--
+			} else {
+				st.next, *link = nil, st
+			}
+			st = next
 		}
 	}
 }
 
-// absorb folds one shard's record stats into dst. Client sets union up to
+// absorb sums one shard's record stats into dst. Client sets union up to
 // the tracking cap: the count saturates at maxTrackedClients exactly when a
 // sequential observer of the combined stream would saturate, because either
 // some shard already overflowed (>=65 distinct clients on one stream) or

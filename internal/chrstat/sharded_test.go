@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -50,7 +51,7 @@ func checkCountsEqualMerge(t *testing.T, v *Counts, s *ShardedCollector, want ma
 	if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 		t.Errorf("the refresh touched %d names, the observations %d", len(got), len(want))
 	}
-	merged := s.Merge()
+	merged := mergeCopy(s)
 	if got := viewRecords(v); got != merged.NumRecords() {
 		t.Fatalf("view holds %d records, Merge %d", got, merged.NumRecords())
 	}
@@ -78,6 +79,106 @@ func checkCountsEqualMerge(t *testing.T, v *Counts, s *ShardedCollector, want ma
 				t.Errorf("%s: grouped a record of %s", name, st.Name)
 			}
 		}
+	}
+}
+
+// absorb copies src into c and leaves src as it was: the oracle the
+// in-place fold is held to, and a merge a test may repeat in the middle of
+// a stream.
+func (c *Collector) absorb(src *Collector) {
+	c.belowTotal += src.belowTotal
+	c.aboveTotal += src.aboveTotal
+	c.belowNX += src.belowNX
+	c.aboveNX += src.aboveNX
+	for name, from := range src.names {
+		e := c.entry(name)
+		e.queried = e.queried || from.queried
+		for st := from.head; st != nil; st = st.next {
+			rr := dnsmsg.RR{Name: st.Name, Type: st.Type, TTL: st.TTL, RData: st.RData}
+			c.stat(rr, st.Category).absorb(st, &c.blocks)
+		}
+	}
+}
+
+// mergeCopy absorbs every shard of s into a fresh collector, in server
+// order, and leaves s as it was.
+func mergeCopy(s *ShardedCollector) *Collector {
+	out := NewCollector()
+	for _, sh := range s.shards {
+		out.absorb(sh)
+	}
+	return out
+}
+
+// checkMergeMatchesCopy spends s with Merge and holds the result to
+// mergeCopy's of the same shards: everything summarize reports, each name's
+// records in the same order, and the same client ids retained — as sets,
+// since a relinked record keeps its ids in arrival order where the copy
+// inserts them sorted. It returns what Merge returned.
+func checkMergeMatchesCopy(t *testing.T, s *ShardedCollector) *Collector {
+	t.Helper()
+	want := mergeCopy(s)
+	got := s.Merge()
+	if g, w := summarize(got), summarize(want); !reflect.DeepEqual(g, w) {
+		t.Errorf("Merge = %+v\nthe copying fold = %+v", g, w)
+	}
+	if g, w := spellByName(got), spellByName(want); !reflect.DeepEqual(g, w) {
+		t.Errorf("Merge groups %v\nthe copying fold %v", g, w)
+	}
+	g, w := retainedClients(got), retainedClients(want)
+	for _, ids := range g {
+		slices.Sort(ids)
+	}
+	for _, ids := range w {
+		slices.Sort(ids)
+	}
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("Merge retained other client ids than the copying fold")
+	}
+	return got
+}
+
+// spellByName lists each name's records, spelled, in the collector's order.
+func spellByName(c *Collector) map[string][]string {
+	out := make(map[string][]string)
+	for name, group := range c.ByName() {
+		for _, st := range group {
+			out[name] = append(out[name], spell(st))
+		}
+	}
+	return out
+}
+
+// TestMergeSpendsShards: Merge hands its shards to the result, so a second
+// Merge, an observation or a refresh after it would count into the merged
+// window or count it twice. Each panics, naming the misuse, and the merged
+// collector keeps what it had.
+func TestMergeSpendsShards(t *testing.T) {
+	s := NewShardedCollector(2)
+	ob := obBelow(rrA("spent.example.com", "192.0.2.1"), cache.CategoryOther)
+	ob.Server = 1
+	s.ObserveBelow(ob)
+	merged := s.Merge()
+	for _, misuse := range []struct {
+		name string
+		use  func()
+	}{
+		{"a second Merge", func() { s.Merge() }},
+		{"ObserveBelow", func() { s.ObserveBelow(ob) }},
+		{"ObserveAbove", func() { s.ObserveAbove(ob) }},
+		{"a Counts refresh", func() { new(Counts).Refresh(s) }},
+	} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			misuse.use()
+			return ""
+		}()
+		if !strings.Contains(msg, "Merge already spent") {
+			t.Errorf("%s after Merge: panic %q, want one naming the spent collector", misuse.name, msg)
+		}
+	}
+	if below, _, _, _ := merged.Totals(); below != 1 || merged.NumRecords() != 1 {
+		t.Errorf("after the misuses the merged collector counts %d observations and %d records, want 1 and 1", below, merged.NumRecords())
 	}
 }
 
@@ -144,6 +245,9 @@ func TestCountsEqualsMerge(t *testing.T) {
 		every[name] = true
 	}
 	checkCountsEqualMerge(t, &second, s, every)
+
+	// At the end of the stream, Merge folds in place what the copy folds.
+	checkMergeMatchesCopy(t, s)
 
 	v.Reset()
 	if got, _ := v.Refresh(NewShardedCollector(3)); len(got) != 0 {

@@ -383,6 +383,33 @@ func TestCrossModeReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestLaterWindowsMatchAcrossModes: from the second day on, a window's
+// collector is sized from the last window's — shard by shard in parallel,
+// where the last window's shards were folded into its shard 0 in place.
+// Three days through one sequential runner and through one parallel runner
+// must measure the same, window by window.
+func TestLaterWindowsMatchAcrossModes(t *testing.T) {
+	profiles := testProfiles(3)
+	var runs [2][]Window
+	for i, mode := range modes {
+		env := newTestEnv(t)
+		runs[i] = runWindows(t, env.cluster(t), NewGeneratorSource(env.gen, profiles...), mode.opts...)
+		if len(runs[i]) != len(profiles) {
+			t.Fatalf("%s: %d windows, want %d", mode.name, len(runs[i]), len(profiles))
+		}
+	}
+	for i, seq := range runs[0] {
+		par := runs[1][i]
+		if seq.Queries != par.Queries || seq.Collector.NumNames() != par.Collector.NumNames() {
+			t.Errorf("window %d: sequential %d queries over %d names, parallel %d over %d",
+				i, seq.Queries, seq.Collector.NumNames(), par.Queries, par.Collector.NumNames())
+		}
+		if !reflect.DeepEqual(measurements(seq.Collector), measurements(par.Collector)) {
+			t.Errorf("window %d measurements diverge between one sequential and one parallel runner", i)
+		}
+	}
+}
+
 // mineFindings runs the mining pipeline on a collector the way the mine
 // CLI does: train on the registry's labels, then execute Algorithm 1.
 // trainMiner trains the classifier on one collector's statistics and

@@ -19,9 +19,12 @@ type Window struct {
 	// Date is UTC midnight of the window's day — in single-window mode,
 	// of the first query's day (zero when the stream was empty).
 	Date time.Time
-	// Collector holds the window's black-box cache measurements. In
-	// parallel mode this is the deterministic merge of the per-server
-	// shards, equal to what a sequential run would collect.
+	// Collector holds the window's black-box cache measurements, and
+	// belongs to the OnWindow callbacks: nothing observes into it after
+	// they are handed it. In parallel mode it is the per-server shards
+	// folded into shard 0 by ShardedCollector.Merge, equal to what a
+	// sequential run would collect; it holds on to every shard's slab
+	// chunks.
 	Collector *chrstat.Collector
 	// Queries is the number of queries the window resolved.
 	Queries int
@@ -71,6 +74,8 @@ type Runner struct {
 	stream      *resolver.Stream          // parallel mode, from the first Submit on
 	col         *chrstat.Collector        // the open window's collector, sequentially
 	shards      *chrstat.ShardedCollector // the open window's collector, in parallel
+	colNames    int                       // the last window's name count, sequentially: the next window's size
+	shardNames  []int                     // the same by shard, in parallel, counted before the fold
 	winDate     time.Time
 	curDay      time.Time
 	started     bool
@@ -362,14 +367,16 @@ func (r *Runner) rotate(day time.Time) error {
 	}
 	r.resolveSpan = r.tracer.Start("resolve")
 	if !r.started || !r.single {
-		// A window's collector: per-server shards, merged at emit, in
-		// parallel mode; sequentially one plain collector, never copied.
+		// A window's collector: per-server shards, folded into shard 0 at
+		// emit, in parallel mode; sequentially one plain collector. Either
+		// is sized from the last window, whose names the next mostly meets
+		// again.
 		r.winDate, r.count = day, 0
 		if r.parallel {
-			r.shards = chrstat.NewShardedCollector(r.cluster.NumServers())
+			r.shards = chrstat.NewShardedCollectorSize(r.cluster.NumServers(), r.shardNames)
 			r.installTaps(r.shards)
 		} else {
-			r.col = chrstat.NewCollector()
+			r.col = chrstat.NewCollectorSize(r.colNames)
 			r.installTaps(r.col)
 		}
 	}
@@ -390,7 +397,10 @@ func (r *Runner) finishDay(emit bool) error {
 	if emit {
 		w := Window{Date: r.winDate, Collector: r.col, Queries: r.count}
 		if r.shards != nil {
+			r.shardNames = r.shards.NumNames()
 			w.Collector = r.shards.Merge()
+		} else {
+			r.colNames = r.col.NumNames()
 		}
 		err = r.emit(w)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -53,5 +54,35 @@ func BenchmarkDayStream(b *testing.B) {
 		if _, ok := day.Next(); !ok {
 			b.Fatal("day ended early")
 		}
+	}
+}
+
+// TestDayStreamAllocs: StartDay holds the day's clock as one 8-byte offset
+// an event, not a 24-byte time.Time, and allocates nothing else that grows
+// with the day: the bytes it allocates for two days of different volumes
+// differ by at most 8 an event. What does not grow, the zone pickers of the
+// pin registry, stays under 16 KiB.
+func TestDayStreamAllocs(t *testing.T) {
+	p := FebruaryProfile(time.Date(2011, 2, 1, 0, 0, 0, 0, time.UTC))
+	p.DisposableFrac = 0.30
+	startDay := func(base int) (bytes, events float64) {
+		gen := NewGenerator(pinRegistry(), GeneratorConfig{Seed: 12, Clients: 500, BaseEventsPerDay: base})
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		day := gen.StartDay(p)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc), float64(day.Remaining())
+	}
+	b1, n1 := startDay(20_000)
+	b2, n2 := startDay(60_000)
+	perEvent := (b2 - b1) / (n2 - n1)
+	constant := b1 - perEvent*n1
+	t.Logf("StartDay: %.2f bytes per event plus %.0f", perEvent, constant)
+	if perEvent > 8.5 {
+		t.Errorf("StartDay allocates %.2f bytes per event, budget 8 (an offset) and the large allocation's page rounding", perEvent)
+	}
+	if constant > 16<<10 {
+		t.Errorf("StartDay allocates %.0f bytes beside its offsets, budget 16 KiB", constant)
 	}
 }

@@ -82,7 +82,8 @@ func (g *Generator) GenerateDay(p Profile, emit func(resolver.Query) bool) {
 type DayStream struct {
 	g       *Generator
 	p       Profile
-	times   []time.Time
+	day     time.Time       // midnight of the profile's date, in its location
+	offsets []time.Duration // each query's time after day, 8 bytes where a time.Time is 24
 	disp    *zonePicker
 	nonDisp *zonePicker
 	i       int
@@ -93,8 +94,7 @@ type DayStream struct {
 // order, to what GenerateDay would emit for the same generator state.
 func (g *Generator) StartDay(p Profile) *DayStream {
 	p.ApplyToRegistry(g.registry, g.rng)
-	n := g.EventsFor(p)
-	times := diurnalTimes(g.rng, p.Date, n)
+	offsets := diurnalOffsets(g.rng, g.EventsFor(p))
 
 	dispPicker := newZonePicker(g.registry.Disposable)
 	// CDN zones receive direct client queries alongside their
@@ -105,7 +105,8 @@ func (g *Generator) StartDay(p Profile) *DayStream {
 	return &DayStream{
 		g:       g,
 		p:       p,
-		times:   times,
+		day:     time.Date(p.Date.Year(), p.Date.Month(), p.Date.Day(), 0, 0, 0, 0, p.Date.Location()),
+		offsets: offsets,
 		disp:    dispPicker,
 		nonDisp: newZonePicker(ordinary),
 	}
@@ -114,16 +115,16 @@ func (g *Generator) StartDay(p Profile) *DayStream {
 // Next draws the day's next query in timestamp order; ok is false once the
 // day is exhausted.
 func (s *DayStream) Next() (q resolver.Query, ok bool) {
-	if s.i >= len(s.times) {
+	if s.i >= len(s.offsets) {
 		return resolver.Query{}, false
 	}
-	q = s.g.nextQuery(s.p, s.times[s.i], s.disp, s.nonDisp)
+	q = s.g.nextQuery(s.p, s.day.Add(s.offsets[s.i]), s.disp, s.nonDisp)
 	s.i++
 	return q, true
 }
 
 // Remaining reports how many queries the stream has left.
-func (s *DayStream) Remaining() int { return len(s.times) - s.i }
+func (s *DayStream) Remaining() int { return len(s.offsets) - s.i }
 
 // nextQuery draws a single query according to the profile mix.
 func (g *Generator) nextQuery(p Profile, at time.Time, disp, nonDisp *zonePicker) resolver.Query {
@@ -183,11 +184,11 @@ func (g *Generator) nxName() string {
 	return name
 }
 
-// diurnalTimes draws n timestamps across the day following the human diurnal
-// curve the paper shows in Figure 2: a 4-5am trough and an evening peak. The
-// returned slice is sorted (generation is sequential in time).
-func diurnalTimes(rng *rand.Rand, date time.Time, n int) []time.Time {
-	day := time.Date(date.Year(), date.Month(), date.Day(), 0, 0, 0, 0, date.Location())
+// diurnalOffsets draws n times of day, as offsets from midnight, following
+// the human diurnal curve the paper shows in Figure 2: a 4-5am trough and an
+// evening peak. The returned slice is sorted (generation is sequential in
+// time).
+func diurnalOffsets(rng *rand.Rand, n int) []time.Duration {
 	// Build an hourly intensity table, then sample inside hours.
 	weights := make([]float64, 24)
 	var total float64
@@ -206,13 +207,13 @@ func diurnalTimes(rng *rand.Rand, date time.Time, n int) []time.Time {
 		counts[h]++
 		assigned++
 	}
-	out := make([]time.Time, 0, n)
+	out := make([]time.Duration, 0, n)
 	for h := 0; h < 24; h++ {
-		base := day.Add(time.Duration(h) * time.Hour)
+		base := time.Duration(h) * time.Hour
 		step := float64(time.Hour) / float64(counts[h]+1)
 		for i := 0; i < counts[h]; i++ {
 			jitter := time.Duration(rng.Int63n(int64(step)))
-			out = append(out, base.Add(time.Duration(float64(i)*step)).Add(jitter))
+			out = append(out, base+time.Duration(float64(i)*step)+jitter)
 		}
 	}
 	return out

@@ -356,10 +356,10 @@ func TestGenerateDayEarlyStop(t *testing.T) {
 
 func TestDiurnalShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	times := diurnalTimes(rng, time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC), 24000)
+	offsets := diurnalOffsets(rng, 24000)
 	byHour := make([]int, 24)
-	for _, ts := range times {
-		byHour[ts.Hour()]++
+	for _, off := range offsets {
+		byHour[off/time.Hour]++
 	}
 	if byHour[20] <= byHour[4] {
 		t.Errorf("evening (%d) should exceed pre-dawn (%d)", byHour[20], byHour[4])
