@@ -37,7 +37,7 @@ func BenchmarkFig2TrafficProfile(b *testing.B) {
 
 func BenchmarkFig3LongTail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3LongTail(benchScale()); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).Fig3LongTail(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func BenchmarkFig4CHR(b *testing.B) {
 
 func BenchmarkFig5NewRRs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5NewRRs(benchScale(), 4); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 4).Fig5NewRRs(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,15 +61,7 @@ func BenchmarkFig5NewRRs(b *testing.B) {
 
 func BenchmarkFig7LabeledCHR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7LabeledCHR(benchScale()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11Summary(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.GrowthStudy(benchScale()); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).Fig7LabeledCHR(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,53 +69,31 @@ func BenchmarkFig11Summary(b *testing.B) {
 
 func BenchmarkFig12ROC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12ROC(benchScale()); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).Fig12ROC(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFig13Growth(b *testing.B) {
-	// The growth study backs Figures 11, 13, 14 and Tables I, II; this
-	// bench measures it with rendering included.
+// BenchmarkGrowthStudy measures the one study behind Figures 11, 13 and 14
+// and Tables I and II, with all four renderings.
+func BenchmarkGrowthStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.GrowthStudy(benchScale())
+		r, err := experiments.NewRun(benchScale(), 0).GrowthStudy()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.RenderFig13() == "" {
-			b.Fatal("empty render")
-		}
-	}
-}
-
-func BenchmarkTable1And2Tails(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.GrowthStudy(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.RenderTables() == "" {
-			b.Fatal("empty render")
-		}
-	}
-}
-
-func BenchmarkFig14TTL(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.GrowthStudy(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.RenderFig14() == "" {
-			b.Fatal("empty render")
+		for _, out := range []string{r.RenderFig11(), r.RenderFig13(), r.RenderFig14(), r.RenderTables()} {
+			if out == "" {
+				b.Fatal("empty render")
+			}
 		}
 	}
 }
 
 func BenchmarkFig15PDNSGrowth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig15PDNSGrowth(benchScale(), 4); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 4).Fig15PDNSGrowth(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,27 +115,9 @@ func BenchmarkDNSSECLoad(b *testing.B) {
 	}
 }
 
-func BenchmarkWildcardCollapse(b *testing.B) {
-	// Collapse is part of Fig15; this bench isolates it over a prebuilt
-	// store by re-running the smallest pipeline.
-	r, err := experiments.Fig15PDNSGrowth(benchScale(), 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if r.Collapse.Before == 0 {
-		b.Fatal("empty store")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig15PDNSGrowth(benchScale(), 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblationFeatureFamilies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FeatureAblation(benchScale()); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).FeatureAblation(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,7 +187,7 @@ func hostLabel(i int) string {
 
 func BenchmarkRenewalModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RenewalModel(benchScale()); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).RenewalModel(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -251,7 +203,7 @@ func BenchmarkTaxonomy(b *testing.B) {
 
 func BenchmarkBaselineComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Baseline(benchScale()); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).Baseline(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,7 +211,7 @@ func BenchmarkBaselineComparison(b *testing.B) {
 
 func BenchmarkCacheMitigation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CacheMitigation(benchScale(), 0.3); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).CacheMitigation(0.3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,11 +24,13 @@ import (
 	"dnsnoise/internal/sim"
 )
 
-// experiment binds an id to its runner.
+// experiment binds an id to its runner, which returns the id's report.
+// Every runner of one invocation reads the same experiments.Run, so ids
+// that share a dataset simulate it once.
 type experiment struct {
 	id    string
 	about string
-	run   func(scale sim.Scale, out io.Writer) error
+	run   func(r *experiments.Run) (string, error)
 }
 
 func main() {
@@ -39,136 +41,58 @@ func main() {
 }
 
 func catalog() []experiment {
+	type Run = experiments.Run
 	return []experiment{
-		{id: "fig2", about: "traffic above/below the RDNS cluster (6 days)", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.Fig2TrafficProfile(s, 6)
-			return render(out, r, err)
-		}},
-		{id: "fig3a", about: "lookup volume long tail", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.Fig3LongTail(s)
-			return render(out, r, err)
-		}},
-		{id: "fig3b", about: "domain hit rate long tail", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.Fig3LongTail(s)
-			return render(out, r, err)
-		}},
-		{id: "fig4", about: "cache hit rate distribution", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.Fig4CHR(s, 3)
-			return render(out, r, err)
-		}},
-		{id: "fig5", about: "new deduplicated RRs per day (13 days)", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.Fig5NewRRs(s, 13)
-			return render(out, r, err)
-		}},
-		{id: "fig7", about: "CHR distribution: disposable vs non-disposable", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.Fig7LabeledCHR(s)
-			return render(out, r, err)
-		}},
-		{id: "fig11", about: "measurement results summary", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.GrowthStudy(s)
+		{"fig2", "traffic above/below the RDNS cluster (6 days)", func(r *Run) (string, error) { return show(experiments.Fig2TrafficProfile(r.Scale(), 6)) }},
+		{"fig3a", "lookup volume long tail", func(r *Run) (string, error) { return show(r.Fig3LongTail()) }},
+		{"fig3b", "domain hit rate long tail", func(r *Run) (string, error) { return show(r.Fig3LongTail()) }},
+		{"fig4", "cache hit rate distribution", func(r *Run) (string, error) { return show(experiments.Fig4CHR(r.Scale(), 3)) }},
+		{"fig5", "new deduplicated RRs per day (13 days)", func(r *Run) (string, error) { return show(r.Fig5NewRRs()) }},
+		{"fig7", "CHR distribution: disposable vs non-disposable", func(r *Run) (string, error) { return show(r.Fig7LabeledCHR()) }},
+		{"fig11", "measurement results summary", growth((*experiments.GrowthResult).RenderFig11)},
+		{"fig12", "classifier ROC + model selection", func(r *Run) (string, error) { return show(r.Fig12ROC()) }},
+		{"fig13", "growth of disposable zones (6 dates)", growth((*experiments.GrowthResult).RenderFig13)},
+		{"fig14", "disposable TTL histogram (first vs last date)", growth((*experiments.GrowthResult).RenderFig14)},
+		{"fig15", "pDNS growth + wildcard collapse (13 days)", func(r *Run) (string, error) { return show(r.Fig15PDNSGrowth()) }},
+		{"table1", "disposable RRs in the lookup-volume tail", growth((*experiments.GrowthResult).RenderTables)},
+		{"table2", "disposable RRs in the zero-DHR tail", growth((*experiments.GrowthResult).RenderTables)},
+		{"cache", "Section VI-A cache pressure sweep", func(r *Run) (string, error) { return show(experiments.CachePressure(r.Scale(), nil)) }},
+		{"cache-policy", "Section VI-A impact analysis under LRU and SIEVE", func(r *Run) (string, error) { return show(experiments.CachePolicySweep(r.Scale())) }},
+		{"dnssec", "Section VI-B DNSSEC validation load", func(r *Run) (string, error) { return show(experiments.DNSSECLoad(r.Scale())) }},
+		{"mitigation", "Section VI-A low-priority caching mitigation", func(r *Run) (string, error) { return show(r.CacheMitigation(0.3)) }},
+		{"crossnet", "cross-network globally disposable zones", func(r *Run) (string, error) { return show(experiments.CrossNetwork(r.Scale())) }},
+		{"clients", "distinct clients per RR by class", func(r *Run) (string, error) { return show(r.ClientCardinality()) }},
+		{"renewal", "Jung TTL renewal model vs black-box measurement", func(r *Run) (string, error) { return show(r.RenewalModel()) }},
+		{"taxonomy", "Plonka treetop taxonomy vs disposable class", func(r *Run) (string, error) { return show(experiments.Taxonomy(r.Scale())) }},
+		{"baseline", "Yadav name-only detector vs the miner", func(r *Run) (string, error) { return show(r.Baseline()) }},
+		{"ablation-features", "feature family ablation", func(r *Run) (string, error) { return show(r.FeatureAblation()) }},
+		{"ablation-cache", "independent vs shared cache ablation", func(r *Run) (string, error) {
+			res, err := experiments.SharedCacheAblation(r.Scale())
 			if err != nil {
-				return err
+				return "", err
 			}
-			_, err = fmt.Fprintln(out, r.RenderFig11())
-			return err
-		}},
-		{id: "fig12", about: "classifier ROC + model selection", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.Fig12ROC(s)
-			return render(out, r, err)
-		}},
-		{id: "fig13", about: "growth of disposable zones (6 dates)", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.GrowthStudy(s)
-			if err != nil {
-				return err
-			}
-			_, err = fmt.Fprintln(out, r.RenderFig13())
-			return err
-		}},
-		{id: "fig14", about: "disposable TTL histogram (first vs last date)", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.GrowthStudy(s)
-			if err != nil {
-				return err
-			}
-			_, err = fmt.Fprintln(out, r.RenderFig14())
-			return err
-		}},
-		{id: "fig15", about: "pDNS growth + wildcard collapse (13 days)", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.Fig15PDNSGrowth(s, 13)
-			return render(out, r, err)
-		}},
-		{id: "table1", about: "disposable RRs in the lookup-volume tail", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.GrowthStudy(s)
-			if err != nil {
-				return err
-			}
-			_, err = fmt.Fprintln(out, r.RenderTables())
-			return err
-		}},
-		{id: "table2", about: "disposable RRs in the zero-DHR tail", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.GrowthStudy(s)
-			if err != nil {
-				return err
-			}
-			_, err = fmt.Fprintln(out, r.RenderTables())
-			return err
-		}},
-		{id: "cache", about: "Section VI-A cache pressure sweep", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.CachePressure(s, nil)
-			return render(out, r, err)
-		}},
-		{id: "cache-policy", about: "Section VI-A impact analysis under LRU and SIEVE", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.CachePolicySweep(s)
-			return render(out, r, err)
-		}},
-		{id: "dnssec", about: "Section VI-B DNSSEC validation load", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.DNSSECLoad(s)
-			return render(out, r, err)
-		}},
-		{id: "mitigation", about: "Section VI-A low-priority caching mitigation", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.CacheMitigation(s, 0.3)
-			return render(out, r, err)
-		}},
-		{id: "crossnet", about: "cross-network globally disposable zones", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.CrossNetwork(s)
-			return render(out, r, err)
-		}},
-		{id: "clients", about: "distinct clients per RR by class", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.ClientCardinality(s)
-			return render(out, r, err)
-		}},
-		{id: "renewal", about: "Jung TTL renewal model vs black-box measurement", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.RenewalModel(s)
-			return render(out, r, err)
-		}},
-		{id: "taxonomy", about: "Plonka treetop taxonomy vs disposable class", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.Taxonomy(s)
-			return render(out, r, err)
-		}},
-		{id: "baseline", about: "Yadav name-only detector vs the miner", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.Baseline(s)
-			return render(out, r, err)
-		}},
-		{id: "ablation-features", about: "feature family ablation", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.FeatureAblation(s)
-			return render(out, r, err)
-		}},
-		{id: "ablation-cache", about: "independent vs shared cache ablation", run: func(s sim.Scale, out io.Writer) error {
-			r, err := experiments.SharedCacheAblation(s)
-			if err != nil {
-				return err
-			}
-			_, err = fmt.Fprintln(out, r.RenderHitRates())
-			return err
+			return res.RenderHitRates(), nil
 		}},
 	}
 }
 
-func render(out io.Writer, r interface{ Render() string }, err error) error {
+// show renders an experiment's result.
+func show[R interface{ Render() string }](res R, err error) (string, error) {
 	if err != nil {
-		return err
+		return "", err
 	}
-	_, err = fmt.Fprintln(out, r.Render())
-	return err
+	return res.Render(), nil
+}
+
+// growth renders one view of the run's growth study.
+func growth(view func(*experiments.GrowthResult) string) func(*experiments.Run) (string, error) {
+	return func(r *experiments.Run) (string, error) {
+		res, err := r.GrowthStudy()
+		if err != nil {
+			return "", err
+		}
+		return view(res), nil
+	}
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -177,7 +101,7 @@ func run(args []string, stdout io.Writer) error {
 		id       = fs.String("id", "all", "experiment id, or 'all'")
 		scale    = fs.String("scale", "default", "simulation scale: small or default")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
-		parallel = fs.Int("parallel", 1, "run up to N experiments concurrently (each builds its own environment)")
+		parallel = fs.Int("parallel", 1, "run up to N experiments concurrently")
 		// Not sim's namespace -seed: the namespace comes from -scale, and
 		// this only overrides that scale's seed.
 		seed = fs.Int64("seed", 0, "override the scale's seed (0 keeps the default)")
@@ -235,6 +159,10 @@ func run(args []string, stdout io.Writer) error {
 	// (Cluster.FlushQueryLog), so concurrent -parallel experiments never
 	// flush each other's live workers; obs.Close drains the rest at exit.
 	sc.QueryLog = obs.Log()
+	// One run for every selected id: the datasets several ids read (the
+	// reference day, the 13-day rpDNS bootstrap, the growth study, the
+	// February day) are simulated once, by whichever id needs them first.
+	shared := experiments.NewRun(sc, 13)
 	// Experiments run concurrently under -parallel, so each owns a root
 	// span; the completion counter feeds the periodic progress line.
 	completed := obs.Registry.Counter("exp_completed_total",
@@ -250,15 +178,17 @@ func run(args []string, stdout io.Writer) error {
 		start := time.Now()
 		sp := obs.Tracer.StartRoot(e.id)
 		fmt.Fprintf(out, "=== %s — %s ===\n", e.id, e.about)
-		if err := e.run(sc, out); err != nil {
+		report, err := e.run(shared)
+		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.id, err)
 		}
+		fmt.Fprintln(out, report)
 		sp.End()
 		completed.Inc()
 		// Wall clock goes to stderr: stdout is the report, byte-identical
 		// across runs, -parallel settings and observability flags.
 		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", e.id, time.Since(start).Seconds())
-		_, err := fmt.Fprintln(out)
+		_, err = fmt.Fprintln(out)
 		return err
 	}
 	if *parallel == 1 {
@@ -271,10 +201,11 @@ func run(args []string, stdout io.Writer) error {
 		return obs.Close()
 	}
 
-	// Experiments are independent (each builds its own registry, authority,
-	// cluster and generator from the scale's seed), so they fan out over a
-	// bounded worker pool. Output is buffered per experiment and printed in
-	// catalog order, so -parallel changes wall-clock only, never the report.
+	// Experiments only read what they share (a dataset is built once and
+	// handed to every reader; the rest build their own world from the
+	// scale's seed), so they fan out over a bounded worker pool. Output is
+	// buffered per experiment and printed in catalog order, so -parallel
+	// changes wall-clock only, never the report.
 	type report struct {
 		buf bytes.Buffer
 		err error

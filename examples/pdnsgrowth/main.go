@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	res, err := experiments.Fig15PDNSGrowth(sim.Small(), 8)
+	res, err := experiments.NewRun(sim.Small(), 8).Fig15PDNSGrowth()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -361,16 +361,11 @@ func TestEndToEndSimulatedDay(t *testing.T) {
 
 	gen := workload.NewGenerator(reg, workload.GeneratorConfig{Seed: 56, Clients: 400, BaseEventsPerDay: 60000})
 	profile := workload.DecemberProfile(time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC))
-	var resolveErr error
-	gen.GenerateDay(profile, func(q resolver.Query) bool {
+	day := gen.StartDay(profile)
+	for q, ok := day.Next(); ok; q, ok = day.Next() {
 		if _, err := cluster.Resolve(q); err != nil {
-			resolveErr = err
-			return false
+			t.Fatal(err)
 		}
-		return true
-	})
-	if resolveErr != nil {
-		t.Fatal(resolveErr)
 	}
 
 	byName := collector.ByName()

@@ -21,6 +21,11 @@ func tinyScale() sim.Scale {
 	}
 }
 
+// tinyRun is the tests' one reproduction: each dataset it holds is
+// simulated once, for every test that reads it. Its bootstrap spans six
+// December days.
+var tinyRun = NewRun(tinyScale(), 6)
+
 func TestFig2Shape(t *testing.T) {
 	res, err := Fig2TrafficProfile(tinyScale(), 2)
 	if err != nil {
@@ -65,7 +70,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	res, err := Fig3LongTail(tinyScale())
+	res, err := tinyRun.Fig3LongTail()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +105,12 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	res, err := Fig5NewRRs(tinyScale(), 5)
+	res, err := tinyRun.Fig5NewRRs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Days) != 5 {
-		t.Fatalf("days = %d, want 5", len(res.Days))
+	if len(res.Days) != 6 {
+		t.Fatalf("days = %d, want 6", len(res.Days))
 	}
 	// Overall new RRs decline as bounded pools deplete; Akamai declines
 	// hard; Google grows with the experiment ramp.
@@ -121,7 +126,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res, err := Fig7LabeledCHR(tinyScale())
+	res, err := tinyRun.Fig7LabeledCHR()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +140,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	res, err := Fig12ROC(tinyScale())
+	res, err := tinyRun.Fig12ROC()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +172,7 @@ func TestGrowthStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("growth study runs 7 simulated days")
 	}
-	res, err := GrowthStudy(tinyScale())
+	res, err := tinyRun.GrowthStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +238,7 @@ func TestFig15Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pdns growth runs 6 simulated days")
 	}
-	res, err := Fig15PDNSGrowth(tinyScale(), 6)
+	res, err := tinyRun.Fig15PDNSGrowth()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +307,7 @@ func TestDNSSECLoadShape(t *testing.T) {
 }
 
 func TestFeatureAblationShape(t *testing.T) {
-	res, err := FeatureAblation(tinyScale())
+	res, err := tinyRun.FeatureAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +356,7 @@ func TestSharedCacheAblationShape(t *testing.T) {
 }
 
 func TestCacheMitigationShape(t *testing.T) {
-	res, err := CacheMitigation(tinyScale(), 0.3)
+	res, err := tinyRun.CacheMitigation(0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +409,7 @@ func TestCrossNetworkShape(t *testing.T) {
 }
 
 func TestRenewalModelShape(t *testing.T) {
-	res, err := RenewalModel(tinyScale())
+	res, err := tinyRun.RenewalModel()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +454,7 @@ func TestTaxonomyShape(t *testing.T) {
 }
 
 func TestBaselineShape(t *testing.T) {
-	res, err := Baseline(tinyScale())
+	res, err := tinyRun.Baseline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +489,7 @@ func TestBaselineShape(t *testing.T) {
 }
 
 func TestClientCardinalityShape(t *testing.T) {
-	res, err := ClientCardinality(tinyScale())
+	res, err := tinyRun.ClientCardinality()
 	if err != nil {
 		t.Fatal(err)
 	}

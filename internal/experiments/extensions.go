@@ -31,12 +31,12 @@ type MitigationResult struct {
 	MinedZones int
 }
 
-// CacheMitigation mines one day to learn the disposable zones, then replays
-// a heavy-disposable day twice with a small cache: once plain, once with
-// mined names deprioritized. The mitigation must restore most of the
-// non-disposable hit rate (Section VI-A's "caching policies may require
-// adjustments").
-func CacheMitigation(scale sim.Scale, disposableFrac float64) (*MitigationResult, error) {
+// CacheMitigation takes the disposable zones mined from the reference day,
+// then replays a heavy-disposable day twice with a small cache: once
+// plain, once with mined names deprioritized. The mitigation must restore
+// most of the non-disposable hit rate (Section VI-A's "caching policies
+// may require adjustments").
+func (r *Run) CacheMitigation(disposableFrac float64) (*MitigationResult, error) {
 	if disposableFrac <= 0 {
 		disposableFrac = 0.3
 	}
@@ -45,21 +45,17 @@ func CacheMitigation(scale sim.Scale, disposableFrac float64) (*MitigationResult
 	// VI-A) are in exactly that regime. With timer-wheel expiry the cache
 	// holds only live entries, so the binding point sits far below the
 	// lazy-expiry sizing.
-	cacheSize := scale.CacheSize / 256
+	cacheSize := r.scale.CacheSize / 256
 	if cacheSize < 128 {
 		cacheSize = 128
 	}
 
 	// Phase 1: learn the disposable zones from a normal day.
-	learnEnv, err := sim.NewEnv(scale)
+	d, err := r.refDay()
 	if err != nil {
 		return nil, err
 	}
-	collector, err := learnEnv.RunDay(workload.DecemberProfile(dateAt(0)), nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	findings, err := trainAndMine(learnEnv, collector.ByName())
+	findings, err := d.findings()
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +69,7 @@ func CacheMitigation(scale sim.Scale, disposableFrac float64) (*MitigationResult
 
 	// Phase 2: replay the heavy day with and without the mitigation.
 	run := func(opts ...resolver.Option) (hit, nonDispMiss float64, premature uint64, err error) {
-		s := scale
+		s := r.scale
 		s.CacheSize = cacheSize
 		env, err := sim.NewEnv(s, sim.WithResolverOptions(opts...))
 		if err != nil {
@@ -81,7 +77,7 @@ func CacheMitigation(scale sim.Scale, disposableFrac float64) (*MitigationResult
 		}
 		p := workload.DecemberProfile(dateAt(1))
 		p.DisposableFrac = disposableFrac
-		if _, err := env.RunDay(p, nil, nil); err != nil {
+		if _, err := env.RunDay(p); err != nil {
 			return 0, 0, 0, err
 		}
 		st := env.Cluster.Stats()
@@ -159,7 +155,7 @@ func CrossNetwork(scale sim.Scale) (*CrossNetworkResult, error) {
 		})
 		p := workload.DecemberProfile(dateAt(0))
 		p.DisposableFrac = frac
-		collector, err := env.RunDay(p, nil, nil)
+		collector, err := env.RunDay(p)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -30,31 +30,19 @@ type Fig15Result struct {
 	Collapse pdns.CollapseResult
 }
 
-// Fig15PDNSGrowth bootstraps a pDNS database over `days` December days,
-// then trains and runs the miner on the final day to drive the wildcard
-// collapse with mined (not ground-truth) zones.
-func Fig15PDNSGrowth(scale sim.Scale, days int) (*Fig15Result, error) {
-	env, err := sim.NewEnv(scale)
+// Fig15PDNSGrowth reads the rpDNS bootstrap's growth, then trains and
+// runs the miner on its final day to drive the wildcard collapse with
+// mined (not ground-truth) zones.
+func (r *Run) Fig15PDNSGrowth() (*Fig15Result, error) {
+	b, err := r.bootstrap()
 	if err != nil {
 		return nil, err
 	}
-	store := pdns.NewStore()
-
-	var finalFindings []core.Finding
-	for d := 0; d < days; d++ {
-		p := workload.DecemberProfile(dateAt(d))
-		p.MeasurementBoost *= 1 + 0.35*float64(d)/float64(max(days-1, 1))
-		collector, err := env.RunDay(p, store.Tap(), nil)
-		if err != nil {
-			return nil, err
-		}
-		if d == days-1 {
-			if finalFindings, err = trainAndMine(env, collector.ByName()); err != nil {
-				return nil, err
-			}
-		}
+	finalFindings, err := trainAndMine(b.env, b.last.ByName())
+	if err != nil {
+		return nil, err
 	}
-
+	store := b.store
 	res := &Fig15Result{
 		Days:          store.Days(),
 		TotalRRs:      store.Len(),
@@ -141,7 +129,7 @@ func CachePressure(scale sim.Scale, fracs []float64) (*CachePressureResult, erro
 		}
 		p := workload.DecemberProfile(dateAt(0))
 		p.DisposableFrac = f
-		if _, err := env.RunDay(p, nil, nil); err != nil {
+		if _, err := env.RunDay(p); err != nil {
 			return nil, err
 		}
 		st := env.Cluster.Stats()
@@ -213,7 +201,7 @@ func CachePolicySweep(scale sim.Scale) (*CachePolicySweepResult, error) {
 			}
 			p := workload.DecemberProfile(dateAt(0))
 			p.DisposableFrac = disposableFrac
-			if _, err := env.RunDay(p, nil, nil); err != nil {
+			if _, err := env.RunDay(p); err != nil {
 				return nil, err
 			}
 			st := env.Cluster.Stats()
@@ -308,7 +296,7 @@ func DNSSECLoad(scale sim.Scale) (*DNSSECResult, error) {
 		return nil, err
 	}
 	p := workload.DecemberProfile(dateAt(0))
-	if _, err := env.RunDay(p, nil, nil); err != nil {
+	if _, err := env.RunDay(p); err != nil {
 		return nil, err
 	}
 	st := env.Cluster.Stats()
@@ -352,21 +340,17 @@ type AblationRow struct {
 	FPR  float64
 }
 
-// FeatureAblation cross-validates the classifier with the full feature
-// vector, tree-structure features only, and CHR features only — the design
-// question of Section V-A2.
-func FeatureAblation(scale sim.Scale) (*AblationResult, error) {
-	env, err := sim.NewEnv(scale)
+// FeatureAblation cross-validates the classifier on the reference day with
+// the full feature vector, tree-structure features only, and CHR features
+// only — the design question of Section V-A2.
+func (r *Run) FeatureAblation() (*AblationResult, error) {
+	d, err := r.refDay()
 	if err != nil {
 		return nil, err
 	}
-	collector, err := env.RunDay(workload.DecemberProfile(dateAt(0)), nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	byName := collector.ByName()
-	tree := core.BuildTree(byName, env.Suffixes)
-	labels := env.TrainingLabels()
+	byName := d.byName
+	tree := core.BuildTree(byName, d.env.Suffixes)
+	labels := d.env.TrainingLabels()
 
 	variants := []struct {
 		name string
@@ -380,7 +364,7 @@ func FeatureAblation(scale sim.Scale) (*AblationResult, error) {
 	for i, v := range variants {
 		cfg := core.TrainingConfig{FeatureMask: v.mask}
 		examples := core.BuildTrainingSet(tree, byName, labels, cfg)
-		cv, err := core.EvaluateClassifier(examples, 10, cfg, rand.New(rand.NewSource(scale.Seed+300+int64(i))))
+		cv, err := core.EvaluateClassifier(examples, 10, cfg, rand.New(rand.NewSource(r.scale.Seed+300+int64(i))))
 		if err != nil {
 			return nil, fmt.Errorf("variant %s: %w", v.name, err)
 		}
@@ -420,12 +404,10 @@ func SharedCacheAblation(scale sim.Scale) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		collector, err := env.RunDay(workload.DecemberProfile(dateAt(0)), nil, nil)
-		if err != nil {
+		if _, err := env.RunDay(workload.DecemberProfile(dateAt(0))); err != nil {
 			return nil, err
 		}
 		st := env.Cluster.Stats()
-		_ = collector
 		res.Rows = append(res.Rows, AblationRow{
 			Name: v.name,
 			AUC:  frac64(st.CacheHits, st.Queries), // reported as hit rate

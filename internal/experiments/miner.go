@@ -27,25 +27,21 @@ type Fig7Result struct {
 	NonDispAboveThreshold float64 // fraction of non-disposable CHR > 0.58 (paper: 45%)
 }
 
-// Fig7LabeledCHR runs one day and splits the CHR sample by ground-truth
+// Fig7LabeledCHR splits the reference day's CHR sample by ground-truth
 // category, reproducing Figure 7.
-func Fig7LabeledCHR(scale sim.Scale) (*Fig7Result, error) {
-	env, err := sim.NewEnv(scale)
+func (r *Run) Fig7LabeledCHR() (*Fig7Result, error) {
+	d, err := r.refDay()
 	if err != nil {
 		return nil, err
 	}
-	p := workload.DecemberProfile(dateAt(0))
-	collector, err := env.RunDay(p, nil, nil)
-	if err != nil {
-		return nil, err
-	}
+	collector := d.collector
 	isDisp := func(st *chrstat.RRStat) bool { return st.Category == cache.CategoryDisposable }
 	isNot := func(st *chrstat.RRStat) bool { return st.Category != cache.CategoryDisposable }
 	disp := collector.CHRSample(isDisp, 64)
 	non := collector.CHRSample(isNot, 64)
 	nonCDF := stats.NewCDF(non)
 	return &Fig7Result{
-		Date:                  p.Label,
+		Date:                  d.label,
 		DisposableCDF:         stats.NewCDF(disp).Points(21),
 		NonDisposableCDF:      nonCDF.Points(21),
 		DisposableZeroFrac:    stats.FractionZero(disp),
@@ -81,23 +77,17 @@ type Fig12Result struct {
 	FeatureImportance []float64
 }
 
-// Fig12ROC builds the labeled training set from one simulated day and runs
+// Fig12ROC builds the labeled training set from the reference day and runs
 // the paper's 10-fold cross-validation, both for the selected decision tree
 // (ROC, Figure 12) and the model-selection candidates.
-func Fig12ROC(scale sim.Scale) (*Fig12Result, error) {
-	env, err := sim.NewEnv(scale)
+func (r *Run) Fig12ROC() (*Fig12Result, error) {
+	d, err := r.refDay()
 	if err != nil {
 		return nil, err
 	}
-	p := workload.DecemberProfile(dateAt(0))
-	collector, err := env.RunDay(p, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	byName := collector.ByName()
-	examples := env.TrainingSet(byName, core.TrainingConfig{})
+	examples := d.env.TrainingSet(d.byName, core.TrainingConfig{})
 
-	rng := rand.New(rand.NewSource(scale.Seed + 100))
+	rng := rand.New(rand.NewSource(r.scale.Seed + 100))
 	cv, err := core.EvaluateClassifier(examples, 10, core.TrainingConfig{}, rng)
 	if err != nil {
 		return nil, err
@@ -133,7 +123,7 @@ func Fig12ROC(scale sim.Scale) (*Fig12Result, error) {
 		"knn":         func() mlearn.Classifier { return &mlearn.KNN{K: 5} },
 		"neural-net":  func() mlearn.Classifier { return &mlearn.MLP{} },
 		"logistic":    func() mlearn.Classifier { return &mlearn.Logistic{} },
-	}, x, y, 10, rand.New(rand.NewSource(scale.Seed+101)))
+	}, x, y, 10, rand.New(rand.NewSource(r.scale.Seed+101)))
 	if err != nil {
 		return nil, err
 	}
@@ -207,8 +197,11 @@ type GrowthResult struct {
 
 // GrowthStudy trains the classifier once (10-fold validated), then applies
 // the miner to each of the paper's six dated profiles and measures
-// disposable shares, tails and TTLs.
-func GrowthStudy(scale sim.Scale) (*GrowthResult, error) {
+// disposable shares, tails and TTLs. The run simulates the study once for
+// Figures 11, 13 and 14 and Tables I and II.
+func (r *Run) GrowthStudy() (*GrowthResult, error) { return r.growth() }
+
+func growthStudy(scale sim.Scale) (*GrowthResult, error) {
 	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
@@ -218,7 +211,7 @@ func GrowthStudy(scale sim.Scale) (*GrowthResult, error) {
 	// Train on a dedicated calibration day using the ground-truth labels
 	// (the stand-in for the paper's manual labeling on 11/10/2011).
 	trainProfile := workload.DecemberProfile(dateAt(-10))
-	trainCollector, err := env.RunDay(trainProfile, nil, nil)
+	trainCollector, err := env.RunDay(trainProfile)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +232,7 @@ func GrowthStudy(scale sim.Scale) (*GrowthResult, error) {
 	res := &GrowthResult{TrainAt05: cv.ConfusionAt(0.5), TrainAt09: cv.ConfusionAt(0.9)}
 	allFindings := make([]core.Finding, 0, 256)
 	for _, p := range dates {
-		collector, err := env.RunDay(p, nil, nil)
+		collector, err := env.RunDay(p)
 		if err != nil {
 			return nil, err
 		}

@@ -41,11 +41,11 @@ func TestParallelDayMatchesSequential(t *testing.T) {
 	}
 	profile := workload.DecemberProfile(dateAt(0))
 
-	seqCol, err := seqEnv.RunDay(profile, nil, nil)
+	seqCol, err := seqEnv.RunDay(profile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCol, err := parEnv.RunDay(profile, nil, nil, ingest.WithParallel())
+	parCol, err := parEnv.RunDay(profile, ingest.WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,8 @@ func TestResolveStreamConcurrentTaps(t *testing.T) {
 		hourlyBelow.Observe(ob)
 		storeBelow.Observe(ob)
 	})
-	collector, err := env.RunDay(workload.DecemberProfile(dateAt(0)), both, hourly.Tap(), ingest.WithParallel())
+	collector, err := env.RunDay(workload.DecemberProfile(dateAt(0)),
+		ingest.WithSinks(ingest.TapSink(both, hourly.Tap())), ingest.WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
+	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/renewal"
 	"dnsnoise/internal/sim"
 	"dnsnoise/internal/stats"
@@ -26,23 +27,20 @@ type RenewalResult struct {
 	HotCompare renewal.Compare
 }
 
-// RenewalModel runs one December day, fits the Poisson renewal model to
-// each record's observed query rate and TTL, and compares against the
+// RenewalModel fits the Poisson renewal model to each record's observed
+// query rate and TTL on the reference day, and compares against the
 // measured DHR. The paper argues the single-shared-cache assumption breaks
 // at a resolver cluster; the hot-record correlation quantifies how much
 // signal survives anyway.
-func RenewalModel(scale sim.Scale) (*RenewalResult, error) {
-	env, err := sim.NewEnv(scale)
+func (r *Run) RenewalModel() (*RenewalResult, error) {
+	d, err := r.refDay()
 	if err != nil {
 		return nil, err
 	}
-	collector, err := env.RunDay(workload.DecemberProfile(dateAt(0)), nil, nil)
-	if err != nil {
-		return nil, err
-	}
+	servers := float64(d.servers)
 	const daySeconds = 86400.0
 	var all, hot []renewal.Prediction
-	for _, st := range collector.Records() {
+	for _, st := range d.collector.Records() {
 		if st.Below == 0 || st.TTL == 0 {
 			continue
 		}
@@ -55,7 +53,7 @@ func RenewalModel(scale sim.Scale) (*RenewalResult, error) {
 		// stream across N servers, cutting the effective per-cache rate —
 		// apply the correction the paper says an outside observer cannot
 		// make reliably.
-		predicted, err = renewal.HitRatePoisson(lambda/float64(env.Cluster.NumServers()), float64(st.TTL))
+		predicted, err = renewal.HitRatePoisson(lambda/servers, float64(st.TTL))
 		if err != nil {
 			continue
 		}
@@ -108,14 +106,16 @@ type TaxonomyResult struct {
 	DisposableInCanonical  float64
 }
 
-// Taxonomy classifies one day of below-traffic with the treetop rules.
+// Taxonomy classifies one day of below-traffic with the treetop rules. It
+// taps the day as it resolves, so it simulates its own.
 func Taxonomy(scale sim.Scale) (*TaxonomyResult, error) {
 	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
 	var tc baseline.TaxonomyCounter
-	if _, err := env.RunDay(workload.DecemberProfile(dateAt(0)), tc.Tap(), nil); err != nil {
+	if _, err := env.RunDay(workload.DecemberProfile(dateAt(0)),
+		ingest.WithSinks(ingest.TapSink(tc.Tap(), nil))); err != nil {
 		return nil, err
 	}
 	return &TaxonomyResult{
@@ -163,20 +163,16 @@ type BaselineResult struct {
 	ColdCDNFlaggedMiner int
 }
 
-// Baseline runs both detectors over one simulated day. Both train on the
+// Baseline runs both detectors over the reference day. Both train on the
 // same labeled zones; Yadav sees only the name strings, the miner sees
 // names plus caching behaviour.
-func Baseline(scale sim.Scale) (*BaselineResult, error) {
-	env, err := sim.NewEnv(scale)
+func (r *Run) Baseline() (*BaselineResult, error) {
+	d, err := r.refDay()
 	if err != nil {
 		return nil, err
 	}
-	collector, err := env.RunDay(workload.DecemberProfile(dateAt(0)), nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	byName := collector.ByName()
-	tree := core.BuildTree(byName, env.Suffixes)
+	env := d.env
+	tree := core.BuildTree(d.byName, env.Suffixes)
 	labels := env.TrainingLabels()
 
 	// Gather each labeled zone's observed names.
@@ -197,7 +193,7 @@ func Baseline(scale sim.Scale) (*BaselineResult, error) {
 	if err := yadav.Fit(trainZones); err != nil {
 		return nil, fmt.Errorf("fit yadav: %w", err)
 	}
-	findings, err := trainAndMine(env, byName)
+	findings, err := d.findings()
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +265,7 @@ func Baseline(scale sim.Scale) (*BaselineResult, error) {
 			res.CDNFlaggedYadav++
 		}
 	}
-	for _, st := range collector.Records() {
+	for _, st := range d.collector.Records() {
 		if !cdnZone(st.Name) {
 			continue
 		}
@@ -327,17 +323,14 @@ type ClientsResult struct {
 	NonDisposableHandful float64
 }
 
-// ClientCardinality runs one day and splits the distinct-client
+// ClientCardinality splits the reference day's distinct-client
 // distribution by ground-truth class.
-func ClientCardinality(scale sim.Scale) (*ClientsResult, error) {
-	env, err := sim.NewEnv(scale)
+func (r *Run) ClientCardinality() (*ClientsResult, error) {
+	d, err := r.refDay()
 	if err != nil {
 		return nil, err
 	}
-	collector, err := env.RunDay(workload.DecemberProfile(dateAt(0)), nil, nil)
-	if err != nil {
-		return nil, err
-	}
+	collector := d.collector
 	isDisp := func(st *chrstat.RRStat) bool { return st.Category == cache.CategoryDisposable }
 	isNot := func(st *chrstat.RRStat) bool { return st.Category != cache.CategoryDisposable }
 	disp := collector.ClientCounts(isDisp)

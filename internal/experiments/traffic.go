@@ -159,14 +159,17 @@ type Fig3Result struct {
 	DHRCDF      []stats.Point
 }
 
-// Fig3LongTail runs one February-calibrated day and measures both tails.
-func Fig3LongTail(scale sim.Scale) (*Fig3Result, error) {
+// Fig3LongTail measures both tails of one February-calibrated day; the
+// run simulates the day once for Figures 3a and 3b.
+func (r *Run) Fig3LongTail() (*Fig3Result, error) { return r.fig3() }
+
+func fig3LongTail(scale sim.Scale) (*Fig3Result, error) {
 	env, err := sim.NewEnv(scale)
 	if err != nil {
 		return nil, err
 	}
 	p := workload.FebruaryProfile(dateAt(0))
-	collector, err := env.RunDay(p, nil, nil)
+	collector, err := env.RunDay(p)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +216,7 @@ func Fig4CHR(scale sim.Scale, days int) (*Fig4Result, error) {
 	var aggregate []float64
 	for d := 0; d < days; d++ {
 		p := workload.DecemberProfile(dateAt(d))
-		collector, err := env.RunDay(p, nil, nil)
+		collector, err := env.RunDay(p)
 		if err != nil {
 			return nil, err
 		}
@@ -245,49 +248,23 @@ func (r *Fig4Result) Render() string {
 
 // Fig5Result tracks rpDNS new-RR volumes over consecutive days.
 type Fig5Result struct {
-	Days        []pdns.DayCounts
-	SeriesNames []string
-	TotalRRs    int
+	Days     []pdns.DayCounts
+	TotalRRs int
 	// Trend summaries: final-day count / first-day count per series.
 	AllTrend    float64
 	AkamaiTrend float64
 	GoogleTrend float64
 }
 
-// Fig5NewRRs bootstraps an rpDNS store over `days` consecutive December
-// days (paper: 11/28-12/10) and reports new records per day for the overall
-// stream, Akamai and Google. Google's measurement experiment ramps up over
-// the window, as the paper observed.
-func Fig5NewRRs(scale sim.Scale, days int) (*Fig5Result, error) {
-	env, err := sim.NewEnv(scale)
+// Fig5NewRRs reports the rpDNS bootstrap's new records per day (paper:
+// 11/28-12/10) for the overall stream, Akamai and Google. Google's
+// measurement experiment ramps up over the window, as the paper observed.
+func (r *Run) Fig5NewRRs() (*Fig5Result, error) {
+	b, err := r.bootstrap()
 	if err != nil {
 		return nil, err
 	}
-	store := pdns.NewStore()
-	store.AddSeries("akamai", func(rec *pdns.Record) bool { return AkamaiNames(rec.Name) })
-	store.AddSeries("google", func(rec *pdns.Record) bool { return GoogleNames(rec.Name) })
-
-	profiles := make([]workload.Profile, days)
-	for d := range profiles {
-		p := workload.DecemberProfile(dateAt(d))
-		// Google's ipv6 experiment grew ~25% across the window (Figure 5);
-		// ramp the measurement boost linearly.
-		p.MeasurementBoost *= 1 + 0.35*float64(d)/float64(max(days-1, 1))
-		profiles[d] = p
-	}
-	// The store does its own day bucketing from observation timestamps, so
-	// it rides the whole rotating stream as a persistent sink.
-	runner := ingest.NewRunner(env.Cluster,
-		ingest.WithSinks(ingest.TapSink(store.Tap(), nil)),
-	)
-	if err := runner.Run(ingest.NewGeneratorSource(env.Generator, profiles...)); err != nil {
-		return nil, err
-	}
-	res := &Fig5Result{
-		Days:        store.Days(),
-		SeriesNames: store.SeriesNames(),
-		TotalRRs:    store.Len(),
-	}
+	res := &Fig5Result{Days: b.store.Days(), TotalRRs: b.store.Len()}
 	if len(res.Days) >= 2 {
 		first, last := res.Days[0], res.Days[len(res.Days)-1]
 		res.AllTrend = ratio(last.New, first.New)

@@ -96,29 +96,29 @@ func drain(t *testing.T, src QuerySource) []resolver.Query {
 	}
 }
 
-// TestGeneratorSourceMatchesGenerateDay pins the pull-style source to the
-// push-style generator: same seeds, same profiles, identical query
-// sequence.
+// TestGeneratorSourceMatchesGenerateDay pins the source to the generator's
+// days walked by hand, one DayStream per profile: same seeds, same
+// profiles, identical query sequence.
 func TestGeneratorSourceMatchesGenerateDay(t *testing.T) {
 	profiles := testProfiles(2)
 
-	var pushed []resolver.Query
-	push := newTestEnv(t)
+	var walked []resolver.Query
+	hand := newTestEnv(t)
 	for _, p := range profiles {
-		push.gen.GenerateDay(p, func(q resolver.Query) bool {
-			pushed = append(pushed, q)
-			return true
-		})
+		day := hand.gen.StartDay(p)
+		for q, ok := day.Next(); ok; q, ok = day.Next() {
+			walked = append(walked, q)
+		}
 	}
 
-	pull := newTestEnv(t)
-	pulled := drain(t, NewGeneratorSource(pull.gen, profiles...))
+	src := newTestEnv(t)
+	pulled := drain(t, NewGeneratorSource(src.gen, profiles...))
 
-	if len(pushed) != len(pulled) {
-		t.Fatalf("pulled %d queries, pushed %d", len(pulled), len(pushed))
+	if len(walked) != len(pulled) {
+		t.Fatalf("source drew %d queries, the days by hand %d", len(pulled), len(walked))
 	}
-	if !reflect.DeepEqual(pushed, pulled) {
-		t.Error("pull-style stream diverges from GenerateDay")
+	if !reflect.DeepEqual(walked, pulled) {
+		t.Error("source stream diverges from the days' DayStreams")
 	}
 }
 
@@ -175,13 +175,11 @@ func TestRunnerRotationMatchesManualDays(t *testing.T) {
 	for _, p := range profiles {
 		col := chrstat.NewCollector()
 		mc.SetTaps(resolver.TapFunc(col.ObserveBelow), resolver.TapFunc(col.ObserveAbove))
-		var resolveErr error
-		manual.gen.GenerateDay(p, func(q resolver.Query) bool {
-			_, resolveErr = mc.Resolve(q)
-			return resolveErr == nil
-		})
-		if resolveErr != nil {
-			t.Fatal(resolveErr)
+		day := manual.gen.StartDay(p)
+		for q, ok := day.Next(); ok; q, ok = day.Next() {
+			if _, err := mc.Resolve(q); err != nil {
+				t.Fatal(err)
+			}
 		}
 		want = append(want, col)
 	}

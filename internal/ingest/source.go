@@ -13,10 +13,9 @@ import (
 
 // GeneratorSource adapts a workload generator to the QuerySource
 // interface: each profile becomes one day of queries, drawn in timestamp
-// order through the generator's pull-style DayStream. The source consumes
-// the generator's rng exactly as workload.GenerateDay would, so the query
-// sequence is identical to the push-style path for the same generator
-// state.
+// order through the generator's DayStream. The source consumes the
+// generator's rng exactly as walking each profile's DayStream by hand
+// would, so the query sequence is the same for the same generator state.
 type GeneratorSource struct {
 	g        *workload.Generator
 	profiles []workload.Profile

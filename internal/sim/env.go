@@ -124,15 +124,11 @@ func (e *Env) NewCluster(opts ...resolver.Option) (*resolver.Cluster, error) {
 }
 
 // RunDay simulates one profile-calibrated day, returning a fresh per-day
-// collector. Extra taps observe alongside it (below side first, above side
-// second); pass nil for none. The day is driven through the ingest runner
-// (generator source, single window), which preserves the pre-ingest
-// semantics exactly: the window collector observes before the extra taps,
-// and resolution stops at the first error. opts add runner options.
-func (e *Env) RunDay(p workload.Profile, extraBelow, extraAbove resolver.Tap, opts ...ingest.Option) (*chrstat.Collector, error) {
-	opts = append(opts,
-		ingest.WithQueryLog(e.Scale.QueryLog),
-		ingest.WithSinks(ingest.TapSink(extraBelow, extraAbove)))
+// collector. The day is driven through the ingest runner (generator
+// source, single window): resolution stops at the first error, and sinks
+// that opts add with ingest.WithSinks observe after the day's collector.
+func (e *Env) RunDay(p workload.Profile, opts ...ingest.Option) (*chrstat.Collector, error) {
+	opts = append(opts, ingest.WithQueryLog(e.Scale.QueryLog))
 	w, err := e.RunWindow(ingest.NewGeneratorSource(e.Generator, p), opts...)
 	if err != nil {
 		return nil, fmt.Errorf("day %s: %w", p.Label, err)

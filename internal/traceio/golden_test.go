@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"dnsnoise/internal/jsonl"
-	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/workload"
 )
 
@@ -82,10 +81,10 @@ func generateGolden(t *testing.T) []byte {
 	p := workload.FebruaryProfile(time.Date(2011, 2, 1, 0, 0, 0, 0, time.UTC))
 	p.DisposableFrac = 0.30
 	var events []Event
-	gen.GenerateDay(p, func(q resolver.Query) bool {
+	day := gen.StartDay(p)
+	for q, ok := day.Next(); ok; q, ok = day.Next() {
 		events = append(events, FromQuery(q))
-		return true
-	})
+	}
 	at := time.Date(2011, 2, 1, 23, 59, 59, 999_999_999, time.UTC)
 	for i, name := range []string{"a<b.example.com", "x>y.example.com", "q&a.example.com"} {
 		events = append(events, Event{Time: at, Client: uint32(i), Name: name, Type: "A"})

@@ -4,24 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"dnsnoise/internal/resolver"
 )
-
-func BenchmarkGenerateDay(b *testing.B) {
-	reg := NewRegistry(RegistryConfig{Seed: 9, NonDisposableZones: 150, DisposableZones: 50, HostsPerZoneMax: 32})
-	gen := NewGenerator(reg, GeneratorConfig{Seed: 10, Clients: 300, BaseEventsPerDay: 20000})
-	p := DecemberProfile(time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		gen.GenerateDay(p, func(resolver.Query) bool { n++; return true })
-		if n == 0 {
-			b.Fatal("no events")
-		}
-	}
-}
 
 func BenchmarkBuildAuthority(b *testing.B) {
 	reg := NewRegistry(RegistryConfig{Seed: 9, NonDisposableZones: 150, DisposableZones: 50, HostsPerZoneMax: 32})

@@ -59,26 +59,9 @@ func (g *Generator) EventsFor(p Profile) int {
 	return int(float64(g.cfg.BaseEventsPerDay) * scale)
 }
 
-// GenerateDay emits one day of queries in timestamp order. The profile is
-// applied to the registry first (TTL mixture, measurement boost). The emit
-// callback receives each query; returning false stops generation early.
-func (g *Generator) GenerateDay(p Profile, emit func(resolver.Query) bool) {
-	day := g.StartDay(p)
-	for {
-		q, ok := day.Next()
-		if !ok {
-			return
-		}
-		if !emit(q) {
-			return
-		}
-	}
-}
-
-// DayStream is the pull-style counterpart of GenerateDay: one day's query
-// stream drawn on demand. A stream consumes its generator's rng, so at most
-// one DayStream per generator may be active at a time, and interleaving
-// Next calls with GenerateDay produces a different (still valid) day.
+// DayStream is one day's query stream, drawn on demand in timestamp order.
+// A stream consumes its generator's rng, so at most one DayStream per
+// generator may be active at a time.
 type DayStream struct {
 	g       *Generator
 	p       Profile
@@ -89,9 +72,9 @@ type DayStream struct {
 	i       int
 }
 
-// StartDay applies the profile to the registry and prepares the day's
-// stream. The queries drawn from the returned stream are identical, in
-// order, to what GenerateDay would emit for the same generator state.
+// StartDay applies the profile to the registry (TTL mixture, measurement
+// boost) and prepares the day's stream. The same generator state always
+// draws the same queries, in the same order.
 func (g *Generator) StartDay(p Profile) *DayStream {
 	p.ApplyToRegistry(g.registry, g.rng)
 	offsets := diurnalOffsets(g.rng, g.EventsFor(p))

@@ -292,10 +292,10 @@ func TestGenerateDayVolumeAndOrder(t *testing.T) {
 	g := NewGenerator(r, GeneratorConfig{Seed: 9, Clients: 100, BaseEventsPerDay: 5000})
 	p := FebruaryProfile(time.Date(2011, 2, 1, 0, 0, 0, 0, time.UTC))
 	var events []resolver.Query
-	g.GenerateDay(p, func(q resolver.Query) bool {
+	s := g.StartDay(p)
+	for q, ok := s.Next(); ok; q, ok = s.Next() {
 		events = append(events, q)
-		return true
-	})
+	}
 	if len(events) != 5000 {
 		t.Fatalf("events = %d, want 5000", len(events))
 	}
@@ -316,7 +316,8 @@ func TestGenerateDayMixMatchesProfile(t *testing.T) {
 	p := DecemberProfile(time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC))
 	var disp, total int
 	gt := r.GroundTruth()
-	g.GenerateDay(p, func(q resolver.Query) bool {
+	day := g.StartDay(p)
+	for q, ok := day.Next(); ok; q, ok = day.Next() {
 		total++
 		if q.Category == cache.CategoryDisposable {
 			disp++
@@ -333,24 +334,29 @@ func TestGenerateDayMixMatchesProfile(t *testing.T) {
 				t.Fatalf("disposable-labeled query %q under no disposable zone", q.Name)
 			}
 		}
-		return true
-	})
+	}
 	got := float64(disp) / float64(total)
 	if got < p.DisposableFrac*0.8 || got > p.DisposableFrac*1.2 {
 		t.Errorf("disposable query share = %.4f, want ~%.4f", got, p.DisposableFrac)
 	}
 }
 
+// TestGenerateDayEarlyStop: a day stopped after 100 draws holds the rest,
+// and the generator starts the next day on a stream of its own.
 func TestGenerateDayEarlyStop(t *testing.T) {
 	r := testRegistry(t)
 	g := NewGenerator(r, GeneratorConfig{Seed: 11, Clients: 10, BaseEventsPerDay: 5000})
-	n := 0
-	g.GenerateDay(FebruaryProfile(time.Date(2011, 2, 1, 0, 0, 0, 0, time.UTC)), func(resolver.Query) bool {
-		n++
-		return n < 100
-	})
-	if n != 100 {
-		t.Errorf("early stop after %d events, want 100", n)
+	day := g.StartDay(FebruaryProfile(time.Date(2011, 2, 1, 0, 0, 0, 0, time.UTC)))
+	for i := 0; i < 100; i++ {
+		if _, ok := day.Next(); !ok {
+			t.Fatalf("day ended after %d draws", i)
+		}
+	}
+	if got := day.Remaining(); got != 4900 {
+		t.Errorf("stopped after 100 draws with %d left, want 4900", got)
+	}
+	if got := g.StartDay(FebruaryProfile(time.Date(2011, 2, 2, 0, 0, 0, 0, time.UTC))).Remaining(); got != 5000 {
+		t.Errorf("next day holds %d draws, want 5000", got)
 	}
 }
 
@@ -381,16 +387,11 @@ func TestEndToEndDayThroughResolver(t *testing.T) {
 	}
 	g := NewGenerator(r, GeneratorConfig{Seed: 13, Clients: 200, BaseEventsPerDay: 8000})
 	p := DecemberProfile(time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC))
-	var resolveErr error
-	g.GenerateDay(p, func(q resolver.Query) bool {
+	day := g.StartDay(p)
+	for q, ok := day.Next(); ok; q, ok = day.Next() {
 		if _, err := cluster.Resolve(q); err != nil {
-			resolveErr = err
-			return false
+			t.Fatalf("resolve: %v", err)
 		}
-		return true
-	})
-	if resolveErr != nil {
-		t.Fatalf("resolve: %v", resolveErr)
 	}
 	st := cluster.Stats()
 	if st.Queries == 0 || st.CacheHits == 0 {
