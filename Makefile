@@ -50,9 +50,11 @@ bench:
 # name or per finding, and TestTreeInsertZeroAlloc: a re-stamp allocates
 # nothing, a new node its share of a slab chunk) — the source side of a
 # replay (BenchmarkReaderNext and BenchmarkDayStream
-# with the guards that a canonical trace line costs one allocation, a
-# generated name at most one and a generated day's clock 8 bytes an event,
-# TestDayStreamAllocs, and BenchmarkTraceSource, the decode and the
+# with the guards that a canonical trace line costs at most one allocation
+# and none when its name repeats, a generated name at most one, a generated
+# day's clock 8 bytes an event, TestDayStreamAllocs, and a replay's burnt
+# day nothing beyond StartDay's, TestBurnDayAllocs; and
+# BenchmarkTraceSource, the decode and the
 # batch handoff per query at one processor and at two) — the CHR collector
 # (BenchmarkObserveBelow and BenchmarkObserveMiss, a miss's above-then-below
 # pair, each known/fresh,
@@ -79,7 +81,7 @@ bench-smoke:
 	$(GO) test -run 'TestRescoreSteadyStateAllocs' -v ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkDayStream' \
 		-benchtime=100x -benchmem ./internal/traceio/ ./internal/workload/
-	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs|TestDayStreamAllocs' -v ./internal/traceio/ ./internal/workload/
+	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs|TestDayStreamAllocs|TestBurnDayAllocs' -v ./internal/traceio/ ./internal/workload/
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceSource' -benchtime=100x -benchmem -cpu 1,2 ./internal/ingest/
 	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
 	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs|TestRefreshAllocs|TestInsertAllocs' -v ./internal/chrstat/ ./internal/pdns/

@@ -101,8 +101,9 @@ func newBootstrap(scale sim.Scale, days int) (*bootstrap, error) {
 		return nil, err
 	}
 	b := &bootstrap{env: env, store: pdns.NewStore()}
-	b.store.AddSeries("akamai", func(rec *pdns.Record) bool { return AkamaiNames(rec.Name) })
-	b.store.AddSeries("google", func(rec *pdns.Record) bool { return GoogleNames(rec.Name) })
+	// PerSeries[0] counts Akamai's records, PerSeries[1] Google's.
+	b.store.AddSeries(func(rec *pdns.Record) bool { return AkamaiNames(rec.Name) })
+	b.store.AddSeries(func(rec *pdns.Record) bool { return GoogleNames(rec.Name) })
 
 	profiles := make([]workload.Profile, days)
 	for d := range profiles {

@@ -113,8 +113,8 @@ func TestSharedDatasetsMatchOwnRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := pdns.NewStore()
-	store.AddSeries("akamai", func(rec *pdns.Record) bool { return AkamaiNames(rec.Name) })
-	store.AddSeries("google", func(rec *pdns.Record) bool { return GoogleNames(rec.Name) })
+	store.AddSeries(func(rec *pdns.Record) bool { return AkamaiNames(rec.Name) })
+	store.AddSeries(func(rec *pdns.Record) bool { return GoogleNames(rec.Name) })
 	var last *chrstat.Collector
 	for d := 0; d < days; d++ {
 		p := workload.DecemberProfile(dateAt(d))

@@ -65,18 +65,14 @@ func (s *GeneratorSource) Close() error { return nil }
 // eras from the generator's rng) before emitting that day's queries; the
 // authoritative server answers from that live state, so a byte-identical
 // replay must walk the registry through the same states. The hook does so
-// by generating — and discarding — each day exactly as the recording run
-// did, consuming identical rng draws. profileFor must return the same
-// profile the recording used for the date; g must be a fresh generator
-// built with the recording's seeds.
+// by burning each day (workload.Generator.BurnDay): the recording run's rng
+// draws, in its order, without minting a name. profileFor must return the
+// same profile the recording used for the date; g must be a fresh
+// generator built with the recording's seeds, and mints nothing after.
 func ReplayProfiles(g *workload.Generator, profileFor func(time.Time) workload.Profile) func(time.Time) error {
 	return func(date time.Time) error {
-		day := g.StartDay(profileFor(date))
-		for {
-			if _, ok := day.Next(); !ok {
-				return nil
-			}
-		}
+		g.BurnDay(profileFor(date))
+		return nil
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 )
 
 const (
@@ -38,16 +37,20 @@ func HumanWord(rng *rand.Rand, n int) string {
 	if n <= 0 {
 		return ""
 	}
-	var sb strings.Builder
-	sb.Grow(n)
+	var buf [16]byte
+	return string(appendHumanWord(buf[:0], rng, n))
+}
+
+// appendHumanWord appends HumanWord's n letters to dst.
+func appendHumanWord(dst []byte, rng *rand.Rand, n int) []byte {
 	for i := 0; i < n; i++ {
 		if i%2 == 0 {
-			sb.WriteByte(consonants[rng.Intn(len(consonants))])
+			dst = append(dst, consonants[rng.Intn(len(consonants))])
 		} else {
-			sb.WriteByte(vowels[rng.Intn(len(vowels))])
+			dst = append(dst, vowels[rng.Intn(len(vowels))])
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // The disposable grammars below append the labels left of the zone (deepest
@@ -167,9 +170,15 @@ func HostName(rng *rand.Rand) string {
 // ZoneName returns a plausible registrable-domain left label for seeding
 // simulated zones ("vexora", "talbin3", ...).
 func ZoneName(rng *rand.Rand) string {
-	w := HumanWord(rng, rng.Intn(6)+4)
+	var buf [16]byte
+	return string(AppendZoneName(buf[:0], rng))
+}
+
+// AppendZoneName appends what ZoneName returns, with the same draws, to dst.
+func AppendZoneName(dst []byte, rng *rand.Rand) []byte {
+	dst = appendHumanWord(dst, rng, rng.Intn(6)+4)
 	if rng.Float64() < 0.2 {
-		return fmt.Sprintf("%s%d", w, rng.Intn(100))
+		dst = appendInt(dst, rng.Intn(100))
 	}
-	return w
+	return dst
 }

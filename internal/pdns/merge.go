@@ -28,8 +28,8 @@ func MergeStores(stores ...*Store) *Store {
 	if first == nil {
 		return out
 	}
-	for i, name := range first.seriesNm {
-		out.AddSeries(name, first.seriesFn[i])
+	for _, pred := range first.seriesFn {
+		out.AddSeries(pred)
 	}
 	// Fold the records into out's own index first, the earliest sighting of
 	// each winning; count them into days once every sighting is in.

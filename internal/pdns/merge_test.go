@@ -39,7 +39,7 @@ func TestMergeStoresMatchesSingle(t *testing.T) {
 
 	newStore := func() *Store {
 		s := NewStore()
-		s.AddSeries("disposable", func(rec *Record) bool { return rec.Category == cache.CategoryDisposable })
+		s.AddSeries(func(rec *Record) bool { return rec.Category == cache.CategoryDisposable })
 		return s
 	}
 	single := newStore()

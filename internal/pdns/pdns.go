@@ -93,7 +93,6 @@ func (sh *shard) record(rr dnsmsg.RR) (rec *Record, added bool) {
 type Store struct {
 	shards   [numShards]shard
 	seriesFn []func(*Record) bool
-	seriesNm []string
 
 	// Telemetry counters; nil (no-op) unless SetMetrics was called.
 	mInserts *telemetry.Counter
@@ -152,18 +151,10 @@ func (s *Store) all(yield func(*Record) bool) {
 	}
 }
 
-// AddSeries registers a named per-day matcher (e.g. "google", "akamai").
-// Must be called before observations arrive.
-func (s *Store) AddSeries(name string, pred func(*Record) bool) {
-	s.seriesNm = append(s.seriesNm, name)
+// AddSeries registers a per-day matcher, counted in DayCounts.PerSeries at
+// its registration index. Must be called before observations arrive.
+func (s *Store) AddSeries(pred func(*Record) bool) {
 	s.seriesFn = append(s.seriesFn, pred)
-}
-
-// SeriesNames lists registered series in order.
-func (s *Store) SeriesNames() []string {
-	out := make([]string, len(s.seriesNm))
-	copy(out, s.seriesNm)
-	return out
 }
 
 // Tap returns the below-side resolver tap feeding the store.

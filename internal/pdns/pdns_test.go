@@ -56,7 +56,7 @@ func TestFirstSeenWins(t *testing.T) {
 
 func TestDayCounts(t *testing.T) {
 	s := NewStore()
-	s.AddSeries("google", func(r *Record) bool {
+	s.AddSeries(func(r *Record) bool { // google
 		return strings.HasSuffix(r.Name, ".google.com")
 	})
 	s.Insert(rrA("www.google.com", "192.0.2.1"), cache.CategoryOther, day1)
@@ -79,9 +79,6 @@ func TestDayCounts(t *testing.T) {
 	}
 	if days[0].PerSeries[0] != 1 || days[1].PerSeries[0] != 0 {
 		t.Errorf("google series = %d, %d", days[0].PerSeries[0], days[1].PerSeries[0])
-	}
-	if got := s.SeriesNames(); len(got) != 1 || got[0] != "google" {
-		t.Errorf("SeriesNames = %v", got)
 	}
 }
 

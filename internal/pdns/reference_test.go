@@ -158,8 +158,8 @@ func TestMatchesReference(t *testing.T) {
 	}
 	newStore := func() *Store {
 		s := NewStore()
-		s.AddSeries("z0", series[0])
-		s.AddSeries("a", series[1])
+		s.AddSeries(series[0])
+		s.AddSeries(series[1])
 		return s
 	}
 	multi := 0

@@ -47,8 +47,8 @@ func shardTestRecords() []struct {
 
 func newSeriesStore() *Store {
 	s := NewStore()
-	s.AddSeries("zone0", func(rec *Record) bool { return strings.Contains(rec.Name, ".zone0.") })
-	s.AddSeries("disposable", func(rec *Record) bool { return rec.Category == cache.CategoryDisposable })
+	s.AddSeries(func(rec *Record) bool { return strings.Contains(rec.Name, ".zone0.") })
+	s.AddSeries(func(rec *Record) bool { return rec.Category == cache.CategoryDisposable })
 	return s
 }
 

@@ -60,9 +60,10 @@ func (s *Source) Validate() error {
 // Open returns the stream over env's world, and the day-start hook the
 // run must install (ingest.OnDayStart, or fleet.Run's replayDay). A live
 // stream draws from env's generator and needs no hook (nil). A replay
-// burns the same generator draws through ingest.ReplayProfiles at each
-// day start instead, so the registry walks the recording's per-day TTL
-// states; env must be freshly built from the recording's flags.
+// burns each recorded day on env's generator instead (ingest.ReplayProfiles:
+// the same draws, no names minted), so the registry walks the recording's
+// per-day TTL states; env must be freshly built from the recording's flags,
+// and its generator is spent for live use.
 func (s *Source) Open(env *Env) (ingest.QuerySource, func(time.Time) error, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err

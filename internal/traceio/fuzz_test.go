@@ -144,7 +144,9 @@ var hostileLines = []string{
 // FuzzReaderLine holds the canonical-line decoder inside encoding/json: for
 // arbitrary bytes the Reader yields the events the reference yields —
 // reflect.DeepEqual, so the stamp's location too — fails where the reference
-// fails, and never panics.
+// fails, and never panics. It reads the input twice through one Reader, and
+// the second pass, whose names the first left in the Reader's table, must
+// give the same events and the same error.
 func FuzzReaderLine(f *testing.F) {
 	for _, name := range []string{"golden.jsonl", "foreign.jsonl"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -165,18 +167,28 @@ func FuzzReaderLine(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := referenceRead(data)
-		got, gotErr := readEvents(data)
+		r := NewReader(bytes.NewReader(data))
+		got, gotErr := drain(r)
 		if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
 			return // sniffed as gzip: the lines are not the input's
 		}
-		if (gotErr != nil) != (wantErr != nil) {
-			t.Fatalf("reader error %v, reference error %v", gotErr, wantErr)
+		check := func(pass string, got []Event, gotErr error) {
+			if (gotErr != nil) != (wantErr != nil) {
+				t.Fatalf("%s pass: reader error %v, reference error %v", pass, gotErr, wantErr)
+			}
+			if gotErr != nil && !errors.Is(gotErr, ErrBadEvent) {
+				t.Fatalf("%s pass: reader error %v does not wrap ErrBadEvent", pass, gotErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s pass: reader decoded\n  %+v\nreference\n  %+v", pass, got, want)
+			}
 		}
-		if gotErr != nil && !errors.Is(gotErr, ErrBadEvent) {
-			t.Fatalf("reader error %v does not wrap ErrBadEvent", gotErr)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("reader decoded\n  %+v\nreference\n  %+v", got, want)
+		check("first", got, gotErr)
+		r.raw, r.sc, r.line = bytes.NewReader(data), nil, 0
+		again, againErr := drain(r)
+		check("second", again, againErr)
+		if gotErr != nil && gotErr.Error() != againErr.Error() {
+			t.Fatalf("second pass failed with %v, first with %v", againErr, gotErr)
 		}
 		for _, e := range got {
 			if !encodes(e.Name) {

@@ -35,7 +35,11 @@ func eventLine(e Event) string {
 
 // readEvents decodes data up to its end or its first bad line.
 func readEvents(data []byte) ([]Event, error) {
-	r := NewReader(bytes.NewReader(data))
+	return drain(NewReader(bytes.NewReader(data)))
+}
+
+// drain reads r up to its end or its first bad line.
+func drain(r *Reader) ([]Event, error) {
 	var out []Event
 	for {
 		e, err := r.Next()

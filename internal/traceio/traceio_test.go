@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -227,7 +228,8 @@ func TestToQueryRejectsUnknownType(t *testing.T) {
 
 // canonicalTrace is Writer output covering both stamp shapes, both types the
 // generator asks for and both labels.
-func canonicalTrace(t testing.TB, n int) []byte {
+// With distinct set, every line's name is one no other line carries.
+func canonicalTrace(t testing.TB, n int, distinct bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := &Writer{jsonl.NewWriter[Event](&buf)}
@@ -239,6 +241,9 @@ func canonicalTrace(t testing.TB, n int) []byte {
 		if i%3 == 1 {
 			e.Name, e.Type, e.Disposable = "0.0.0.0.1.0.0.4e.135jg5e1pd7s4735ftrqweufm5.avqs.mcafee.com", "AAAA", true
 		}
+		if distinct {
+			e.Name = strconv.Itoa(i) + "." + e.Name
+		}
 		if err := w.Write(e); err != nil {
 			t.Fatal(err)
 		}
@@ -249,26 +254,36 @@ func canonicalTrace(t testing.TB, n int) []byte {
 	return buf.Bytes()
 }
 
-// TestReaderNextAllocs: a line the Writer emitted costs its name and nothing
-// else (the json.Unmarshal path costs six). AllocsPerRun rounds down, so
-// the count is taken over a batch of events, not per call.
+// TestReaderNextAllocs: a line the Writer emitted costs at most its name
+// (the json.Unmarshal path costs six), and nothing when the Reader's name
+// table holds the name already. AllocsPerRun rounds down, so the count is
+// taken over a batch of events, not per call.
 func TestReaderNextAllocs(t *testing.T) {
 	const batch, runs = 1000, 5
-	r := NewReader(bytes.NewReader(canonicalTrace(t, batch*(runs+1))))
-	allocs := testing.AllocsPerRun(runs, func() {
-		for i := 0; i < batch; i++ {
-			if _, err := r.Next(); err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		names    string
+		distinct bool
+		limit    float64
+	}{
+		{"repeated", false, 0},
+		{"distinct", true, batch},
+	} {
+		r := NewReader(bytes.NewReader(canonicalTrace(t, batch*(runs+1), c.distinct)))
+		allocs := testing.AllocsPerRun(runs, func() {
+			for i := 0; i < batch; i++ {
+				if _, err := r.Next(); err != nil {
+					t.Fatal(err)
+				}
 			}
+		})
+		if allocs > c.limit {
+			t.Errorf("Reader.Next allocated %.0f times for %d canonical events with %s names, want <= %.0f", allocs, batch, c.names, c.limit)
 		}
-	})
-	if allocs > batch {
-		t.Errorf("Reader.Next allocated %.0f times for %d canonical events, want <= one each", allocs, batch)
 	}
 }
 
 func BenchmarkReaderNext(b *testing.B) {
-	data := canonicalTrace(b, 10_000)
+	data := canonicalTrace(b, 10_000, false)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)) / 10_000)
 	b.ResetTimer()

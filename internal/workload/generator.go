@@ -101,7 +101,7 @@ func (s *DayStream) Next() (q resolver.Query, ok bool) {
 	if s.i >= len(s.offsets) {
 		return resolver.Query{}, false
 	}
-	q = s.g.nextQuery(s.p, s.day.Add(s.offsets[s.i]), s.disp, s.nonDisp)
+	q = s.g.nextQuery(s.p, s.day.Add(s.offsets[s.i]), s.disp, s.nonDisp, true)
 	s.i++
 	return q, true
 }
@@ -109,20 +109,40 @@ func (s *DayStream) Next() (q resolver.Query, ok bool) {
 // Remaining reports how many queries the stream has left.
 func (s *DayStream) Remaining() int { return len(s.offsets) - s.i }
 
-// nextQuery draws a single query according to the profile mix.
-func (g *Generator) nextQuery(p Profile, at time.Time, disp, nonDisp *zonePicker) resolver.Query {
+// BurnDay moves the generator and the registry through a day exactly as
+// StartDay and draining its stream would — every rng draw, each profile
+// mutation, the repeat rings' and the NX pool's lengths and positions —
+// without minting a name: where a fresh name would be kept, the ring keeps
+// its zone's origin and the pool burntNXName. A replay re-walks recorded
+// days this way (ingest.ReplayProfiles). A day generated afterwards by
+// the same generator would repeat those placeholders, so burn only with a
+// generator that mints no more.
+func (g *Generator) BurnDay(p Profile) {
+	s := g.StartDay(p)
+	for _, off := range s.offsets {
+		g.nextQuery(p, s.day.Add(off), s.disp, s.nonDisp, false)
+	}
+}
+
+// burntNXName is what BurnDay leaves in the NX pool in place of a fresh
+// nonexistent name.
+const burntNXName = "burnt.invalid"
+
+// nextQuery draws a single query according to the profile mix; with mint
+// false its fresh names are placeholders (BurnDay).
+func (g *Generator) nextQuery(p Profile, at time.Time, disp, nonDisp *zonePicker, mint bool) resolver.Query {
 	client := uint32(g.rng.Intn(g.cfg.Clients))
 	r := g.rng.Float64()
 	switch {
 	case r < p.NXFrac:
 		return resolver.Query{
 			Time: at, ClientID: client,
-			Name: g.nxName(), Type: dnsmsg.TypeA,
+			Name: g.nxName(mint), Type: dnsmsg.TypeA,
 			Category: cache.CategoryOther,
 		}
 	case r < p.NXFrac+p.DisposableFrac:
 		zone := disp.pick(g.rng)
-		name, qtype := zone.NextName(g.rng)
+		name, qtype := zone.nextName(g.rng, mint)
 		return resolver.Query{
 			Time: at, ClientID: client,
 			Name: name, Type: qtype,
@@ -130,7 +150,7 @@ func (g *Generator) nextQuery(p Profile, at time.Time, disp, nonDisp *zonePicker
 		}
 	default:
 		zone := nonDisp.pick(g.rng)
-		name, qtype := zone.NextName(g.rng)
+		name, qtype := zone.nextName(g.rng, mint)
 		return resolver.Query{
 			Time: at, ClientID: client,
 			Name: name, Type: qtype,
@@ -142,8 +162,9 @@ func (g *Generator) nextQuery(p Profile, at time.Time, disp, nonDisp *zonePicker
 // nxName mints a nonexistent name. Most NXDOMAIN traffic in the wild is
 // repetitive — misconfigured clients re-asking the same dead names — so 70%
 // of draws reuse a bounded junk pool and 30% are fresh typo-like names
-// under real zones.
-func (g *Generator) nxName() string {
+// under real zones. With mint false a fresh name is spelled but not made
+// a string: burntNXName stands in for it.
+func (g *Generator) nxName(mint bool) string {
 	if len(g.nxPool) > 0 && g.rng.Float64() < 0.7 {
 		return g.nxPool[g.rng.Intn(len(g.nxPool))]
 	}
@@ -155,10 +176,13 @@ func (g *Generator) nxName() string {
 		b = append(append(b, '.'), zone.Zone...)
 	} else {
 		b = labelgen.AppendToken(b, g.rng, 8)
-		b = append(append(b, '.'), labelgen.ZoneName(g.rng)...)
+		b = labelgen.AppendZoneName(append(b, '.'), g.rng)
 		b = append(b, ".com"...)
 	}
-	name := string(b)
+	name := burntNXName
+	if mint {
+		name = string(b)
+	}
 	if len(g.nxPool) < g.nxPoolCap {
 		g.nxPool = append(g.nxPool, name)
 	} else if g.nxPoolCap > 0 {

@@ -113,9 +113,11 @@ type ZoneSpec struct {
 // Disposable reports the ground-truth label of the zone.
 func (z *ZoneSpec) Disposable() bool { return z.Kind.Disposable() }
 
+// ringSize is how many recently minted names a disposable zone keeps.
+const ringSize = 32
+
 // rememberName records a freshly minted disposable name for possible repeats.
 func (z *ZoneSpec) rememberName(name string) {
-	const ringSize = 32
 	if len(z.recent) < ringSize {
 		z.recent = append(z.recent, name)
 		return
@@ -134,6 +136,14 @@ func (z *ZoneSpec) recentName(rng *rand.Rand) string {
 
 // NextName mints the next query name (and query type) for this zone.
 func (z *ZoneSpec) NextName(rng *rand.Rand) (string, dnsmsg.Type) {
+	return z.nextName(rng, true)
+}
+
+// nextName is NextName with minting optional. With mint false a fresh
+// disposable name is spelled, drawing exactly what minting draws, but not
+// made a string: nextName returns, and the repeat ring keeps, the zone
+// origin in its place (Generator.BurnDay).
+func (z *ZoneSpec) nextName(rng *rand.Rand, mint bool) (string, dnsmsg.Type) {
 	qtype := dnsmsg.TypeA
 	if z.AAAAShare > 0 && rng.Float64() < z.AAAAShare {
 		qtype = dnsmsg.TypeAAAA
@@ -175,6 +185,10 @@ func (z *ZoneSpec) NextName(rng *rand.Rand) (string, dnsmsg.Type) {
 		b = labelgen.AppendDNSBLName(b, rng)
 	default: // KindTracking
 		b = labelgen.AppendTrackingName(b, rng)
+	}
+	if !mint {
+		z.rememberName(z.Zone)
+		return z.Zone, qtype
 	}
 	name := string(append(append(b, '.'), z.Zone...))
 	z.rememberName(name)
