@@ -70,7 +70,10 @@ bench:
 # the serve path, plain and scored, answering from a real authority, to zero
 # process-wide allocations per packet (TestServeFloodZeroAlloc*, on the
 # 'ZeroAlloc' line with the authority guard, so an allocation coming back
-# to either fails the job). Whole-program
+# to either fails the job) — and the heap guards: a slab chunk of elements
+# with pointers fits its 8 KiB size class (TestChunkFitsSizeClass), and a
+# cache's heap follows its live entries, not its capacity
+# (TestIndexFollowsLiveSet). Whole-program
 # overhead questions (telemetry, qlog, fleet collector, tsdb) go to
 # benchmark/run.sh A/A runs and -compare instead.
 bench-smoke:
@@ -85,6 +88,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceSource' -benchtime=100x -benchmem -cpu 1,2 ./internal/ingest/
 	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
 	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs|TestRefreshAllocs|TestInsertAllocs' -v ./internal/chrstat/ ./internal/pdns/
+	$(GO) test -run 'TestChunkFitsSizeClass|TestIndexFollowsLiveSet' -v ./internal/slab/ ./internal/cache/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/ ./internal/dntree/
 
 # Ten seconds of native fuzzing on each decoder that reads outside input,

@@ -9,17 +9,21 @@
 // evictions per (evicted category, inserting category) pair.
 //
 // The implementation is a slab-backed intrusive structure: entry payloads
-// live in a contiguous arena, with a map from key to slot index. Two
-// parallel link arenas thread through the slab: the eviction-policy order
-// (policy.go — LRU by default, SIEVE selectable at construction)
-// and the TTL timer wheel (wheel.go), which files every entry into a bucket
-// for its expiry second so Advance reclaims whole buckets of dead entries
-// without scanning live ones. Steady-state operation — hits, refreshes,
-// reclaim, and evict-then-insert churn once the slab has grown to capacity —
-// performs no heap allocation: every structural move touches only a handful
-// of int32 links. Keys and values are typed via generics, so callers pay
-// neither boxing nor a type assertion per operation, and GetName answers a
-// question read off the wire from its name's bytes.
+// live in a contiguous arena, with a map from key to slot index. Both start
+// empty and grow with the entries, so a cache holds what its live set
+// needs, not what its capacity would. Two parallel link arenas thread
+// through the slab: the eviction-policy order (policy.go — LRU by default,
+// SIEVE selectable at construction) and the TTL timer wheel (wheel.go),
+// which files every entry into a bucket for its expiry second so Advance
+// reclaims whole buckets of dead entries without scanning live ones.
+// Steady-state operation — hits, refreshes, reclaim, and evict-then-insert
+// churn once the slab has grown to capacity — performs no heap allocation:
+// every structural move touches only a handful of int32 links. Below
+// capacity, churn may still grow the index now and then until it levels:
+// Go's Swiss-table map clears the tombstones deleted keys leave by growing.
+// Keys and values are typed via generics, so callers pay neither boxing nor
+// a type assertion per operation, and GetName answers a question read off
+// the wire from its name's bytes.
 package cache
 
 import (
@@ -116,16 +120,17 @@ type LRU[K comparable, V any] struct {
 }
 
 // New returns a cache holding at most capacity entries, evicting with the
-// given policy. capacity < 1 is promoted to 1. The entry arena grows
-// geometrically up to capacity on first use and is never released, so
-// steady-state operation allocates nothing.
+// given policy. capacity < 1 is promoted to 1. The entry arena and the
+// index start empty and grow with the entries, the arena geometrically up
+// to capacity; neither is released, so once they have grown to the live
+// set, steady-state operation allocates nothing.
 func New[K comparable, V any](capacity int, policy PolicyKind) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	c := &LRU[K, V]{
 		capacity: capacity,
-		index:    make(map[K]int32, capacity),
+		index:    make(map[K]int32),
 		ord:      newOrder(),
 		pol:      policyFor(policy),
 		free:     nilIdx,

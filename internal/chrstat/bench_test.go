@@ -47,7 +47,7 @@ func crowd(obs []resolver.Observation) (more []resolver.Observation, spilled int
 // map group of its own. A second and a third record on a known name cost a
 // slab share each and nothing else: they hang off the first, no slice grows.
 // A client past a record's fourth costs its share of a block chunk: fourteen
-// ids to a block, 128 blocks to a chunk — not a growing slice.
+// ids to a block, 127 blocks to a chunk — not a growing slice.
 func TestObserveAllocs(t *testing.T) {
 	const records = 10000
 	obs := freshObservations(records)

@@ -16,7 +16,6 @@ package chrstat
 import (
 	"slices"
 	"sync"
-	"unsafe"
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
@@ -35,7 +34,7 @@ const maxTrackedClients = 64
 const inlineClients = 4
 
 // clientBlock holds a record's client ids past the inline ones, blockClients
-// at a time, chained in arrival order: 64 bytes, 128 to a slab chunk.
+// at a time, chained in arrival order: 64 bytes, 127 to a slab chunk.
 type clientBlock struct {
 	ids  [blockClients]uint32
 	next *clientBlock
@@ -115,9 +114,6 @@ func (s *RRStat) trackClient(id uint32, blocks *slab.Slab[clientBlock]) {
 	}
 	s.nclients++
 }
-
-// statChunk is how many RRStats a slab chunk holds.
-const statChunk = slab.ChunkBytes / int(unsafe.Sizeof(RRStat{}))
 
 // DHR returns the record's domain hit rate. Records observed above more
 // often than below (possible when a prefetch-style fetch never reaches a

@@ -11,6 +11,7 @@ import (
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/slab"
 )
 
 // observeRandom feeds n random observations over a small record population
@@ -259,6 +260,9 @@ func TestCountsEqualsMerge(t *testing.T) {
 	}
 }
 
+// statChunk is how many RRStats a slab chunk holds.
+var statChunk = slab.PerChunk[RRStat]()
+
 // TestRecordSize pins the record at 104 bytes, 78 to an 8 KiB slab chunk: a
 // resolver's live heap is mostly these (sim-day holds 300 k of them). It went
 // 88 → 120 → 104. It was 88 while a map keyed by (name, type, rdata) told
@@ -267,12 +271,21 @@ func TestCountsEqualsMerge(t *testing.T) {
 // back a 40-byte key in every map slot, the queried-names and resolved-names
 // sets, and two of the three hashes an observation paid. The 16 came back
 // when the spilled client ids moved from a slice (24 bytes) to a chain of
-// collector-owned blocks (a pointer, 8).
+// collector-owned blocks (a pointer, 8). The collector's other slab
+// elements are pinned too, a name's entry at 16 bytes and a client block at
+// 64, both with a pointer: slab.TestChunkFitsSizeClass holds chunks of
+// those shapes to their size class.
 func TestRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(RRStat{}); got != 104 {
 		t.Errorf("RRStat is %d bytes, want 104", got)
 	}
 	if statChunk != 78 {
 		t.Errorf("a slab chunk holds %d records, want 78", statChunk)
+	}
+	if got := unsafe.Sizeof(nameEntry{}); got != 16 {
+		t.Errorf("nameEntry is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(clientBlock{}); got != 64 {
+		t.Errorf("clientBlock is %d bytes, want 64", got)
 	}
 }

@@ -181,8 +181,11 @@ func (t *Tree) walk(name string, create bool) *Node {
 }
 
 // Slab chunks double from slabMin nodes to slabMax (256 KiB), so a small
-// tree stays small and a day's tree is a few dozen allocations.
-const slabMin, slabMax = 64, 4096
+// tree stays small and a day's tree is a few dozen allocations. A chunk is
+// one node short of a power of two: nodes hold pointers, so the allocator
+// puts an 8-byte header in front of a chunk up to 32 KiB, and 64 nodes
+// (4 104 bytes with it) would take the 4 864-byte size class, 63 the 4 096.
+const slabMin, slabMax = 63, 4095
 
 // newNode links a node named name as parent's first child, in a pruned
 // slot if there is one.
@@ -192,7 +195,7 @@ func (t *Tree) newNode(parent *Node, name string) *Node {
 		t.free = n.next
 	} else {
 		if len(t.slab) == cap(t.slab) {
-			t.slab = make([]Node, 0, min(max(2*cap(t.slab), slabMin), slabMax))
+			t.slab = make([]Node, 0, min(max(2*cap(t.slab)+1, slabMin), slabMax))
 		}
 		t.slab = t.slab[:len(t.slab)+1]
 		n = &t.slab[len(t.slab)-1]

@@ -149,7 +149,7 @@ func stableRecords(s *pdns.Store, varying func(string) bool) []string {
 			continue
 		}
 		out = append(out, fmt.Sprintf("%s|%d|%s|%d|%d",
-			r.Name, r.Type, r.RData.Format(r.Type), r.FirstSeen.UnixNano(), r.Category))
+			r.Name, r.Type, r.RData.Format(r.Type), r.FirstSeen().UnixNano(), r.Category))
 	}
 	sort.Strings(out)
 	return out

@@ -39,8 +39,8 @@ func MergeStores(stores ...*Store) *Store {
 		}
 		for rec := range s.all {
 			m, added := out.shardFor(rec.Name).record(dnsmsg.RR{Name: rec.Name, Type: rec.Type, RData: rec.RData})
-			if added || rec.FirstSeen.Before(m.FirstSeen) {
-				m.FirstSeen, m.Category = rec.FirstSeen, rec.Category
+			if added || rec.firstSeen < m.firstSeen {
+				m.firstSeen, m.Category = rec.firstSeen, rec.Category
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func TestMergeStoresMatchesSingle(t *testing.T) {
 		t.Fatalf("merged Days = %+v, want %+v", got, want)
 	}
 	key := func(r *Record) string {
-		return fmt.Sprintf("%s|%d|%s|%d|%d", r.Name, r.Type, r.RData.Format(r.Type), r.FirstSeen.Unix(), r.Category)
+		return fmt.Sprintf("%s|%d|%s|%d|%d", r.Name, r.Type, r.RData.Format(r.Type), r.FirstSeen().Unix(), r.Category)
 	}
 	var a, b []string
 	for _, r := range merged.Records() {

@@ -19,16 +19,22 @@ import (
 )
 
 // Record is one deduplicated rpDNS entry: the (name, type, rdata) tuple
-// plus the date it was first observed.
+// plus the instant it was first observed. It is 64 bytes, 127 to a slab
+// chunk: the first sighting is kept as Unix nanoseconds, not a time.Time
+// (24 bytes), and the small fields go last, where they share one word.
 type Record struct {
 	Name      string
-	Type      dnsmsg.Type
-	Category  cache.Category
 	RData     dnsmsg.RData
-	FirstSeen time.Time
+	firstSeen int64 // Unix nanoseconds
 
 	next *Record // the owner name's next record in its store, in first-seen order
+
+	Type     dnsmsg.Type
+	Category cache.Category
 }
+
+// FirstSeen returns the instant the record was first observed, in UTC.
+func (r *Record) FirstSeen() time.Time { return time.Unix(0, r.firstSeen).UTC() }
 
 // DayCounts summarizes the newly observed records of one calendar day.
 type DayCounts struct {
@@ -180,14 +186,14 @@ func (s *Store) Insert(rr dnsmsg.RR, cat cache.Category, at time.Time) {
 		return
 	}
 	s.mInserts.Inc()
-	rec.FirstSeen, rec.Category = at, cat
+	rec.firstSeen, rec.Category = at.UnixNano(), cat
 	s.countNew(sh, rec)
 }
 
 // countNew enters rec in its first day's accounting; the caller holds sh's
 // lock.
 func (s *Store) countNew(sh *shard, rec *Record) {
-	day := rec.FirstSeen.Unix() / 86400
+	day := rec.FirstSeen().Unix() / 86400
 	dc, ok := sh.days[day]
 	if !ok {
 		dc = &DayCounts{

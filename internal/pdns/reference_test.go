@@ -25,7 +25,7 @@ func spell(name string, t dnsmsg.Type, d dnsmsg.RData) string {
 func (r refStore) insert(rr dnsmsg.RR, cat cache.Category, at time.Time) {
 	key := spell(rr.Name, rr.Type, rr.RData)
 	if _, ok := r[key]; !ok {
-		r[key] = Record{Name: rr.Name, Type: rr.Type, RData: rr.RData, FirstSeen: at, Category: cat}
+		r[key] = Record{Name: rr.Name, Type: rr.Type, RData: rr.RData, firstSeen: at.UnixNano(), Category: cat}
 	}
 }
 
@@ -37,7 +37,7 @@ func (r refStore) merged(other refStore) refStore {
 		out[key] = rec
 	}
 	for key, rec := range other {
-		if prev, ok := out[key]; !ok || rec.FirstSeen.Before(prev.FirstSeen) {
+		if prev, ok := out[key]; !ok || rec.FirstSeen().Before(prev.FirstSeen()) {
 			out[key] = rec
 		}
 	}
@@ -47,7 +47,7 @@ func (r refStore) merged(other refStore) refStore {
 func (r refStore) days(series []func(*Record) bool) []DayCounts {
 	byDay := make(map[int64]*DayCounts)
 	for _, rec := range r {
-		day := rec.FirstSeen.Unix() / 86400
+		day := rec.FirstSeen().Unix() / 86400
 		dc := byDay[day]
 		if dc == nil {
 			dc = &DayCounts{Date: time.Unix(day*86400, 0).UTC(), PerSeries: make([]int, len(series))}
@@ -103,7 +103,7 @@ func compareWithReference(t *testing.T, s *Store, ref refStore, series []func(*R
 		if _, dup := got[key]; dup {
 			t.Errorf("Records lists %q twice", key)
 		}
-		got[key] = Record{Name: rec.Name, Type: rec.Type, RData: rec.RData, FirstSeen: rec.FirstSeen, Category: rec.Category}
+		got[key] = Record{Name: rec.Name, Type: rec.Type, RData: rec.RData, firstSeen: rec.firstSeen, Category: rec.Category}
 	}
 	if !reflect.DeepEqual(got, ref) {
 		t.Errorf("Records holds %d records that differ from the model's %d", len(got), len(ref))

@@ -1,15 +1,12 @@
 package slab
 
-import (
-	"testing"
-	"unsafe"
-)
+import "testing"
 
 // TestRunsDoNotOverlap: runs are disjoint and capped, so appending to one
 // within its capacity never writes into another, and values never move.
 func TestRunsDoNotOverlap(t *testing.T) {
 	var sl Slab[uint64]
-	perChunk := ChunkBytes / int(unsafe.Sizeof(uint64(0)))
+	perChunk := PerChunk[uint64]()
 	var runs [][]uint64
 	for i := 0; i < 3*perChunk; i += 7 {
 		r := sl.Run(7)
