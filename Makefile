@@ -94,10 +94,12 @@ bench-smoke:
 # Ten seconds of native fuzzing on each decoder that reads outside input,
 # from the committed seeds. The wire decoder (the golden corpus plus
 # hand-built hostile wires): no panic, reuse equals fresh decode, the asked
-# name changes nothing, re-encode is a fixed point, the wire scanners agree.
-# The live scorer against the one question reader: no verdict exactly when
-# the reader rejects, reads the root or reads too many labels, else the
-# reader's name staged. The trace reader (the golden and foreign traces plus
+# name changes nothing, re-encode is a fixed point, the wire scanners agree,
+# a question name re-encodes to the query's labels. The live scorer against
+# the one question reader: no verdict exactly when the reader rejects or
+# reads the root, else the reader's name staged. The front door (a listener
+# worker's packet path answering from an authority): every reply is a
+# FORMERR or carries the query's ID and question, up to ASCII case. The trace reader (the golden and foreign traces plus
 # hostile lines): its canonical-line path decodes what encoding/json decodes
 # and fails where it fails. The exposition parser (a rendered registry, whole and cut): no
 # panic, and a sample that parses survives being spelled out again. The
@@ -114,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/telemetry/promtext
 	$(GO) test -run '^$$' -fuzz FuzzParseZoneFile -fuzztime 10s ./internal/authority
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrames -fuzztime 10s ./internal/udptransport
+	$(GO) test -run '^$$' -fuzz FuzzFrontDoor -fuzztime 10s ./internal/udptransport
 
 clean:
 	$(GO) clean ./...

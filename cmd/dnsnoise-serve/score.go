@@ -32,11 +32,11 @@ type scoreConfig struct {
 }
 
 // serveHorizon is the live miner's sliding horizon, in re-score windows: a
-// name no listener has noted for this many windows leaves the tree and the
-// entropy cache. The serve path never closes a day, and a flood of fresh
-// names (a random-subdomain attack) can arrive within one, so without a
-// horizon every distinct name ever queried would stay for the life of the
-// process; with it the miner holds at most this many windows of names.
+// name no listener has noted for this many windows leaves the tree. The
+// serve path never closes a day, and a flood of fresh names (a
+// random-subdomain attack) can arrive within one, so without a horizon
+// every distinct name ever queried would stay for the life of the process;
+// with it the miner holds at most this many windows of names.
 //
 // What the verdicts catch depends on the span the horizon covers, this many
 // times -window, and on how many queries that span holds, not on how many

@@ -80,12 +80,6 @@ type Miner struct {
 	// classifier decision (see explain.go).
 	explain func(ExplainRecord)
 
-	// entropy, when set via SetEntropyCache, memoizes label entropies
-	// across Mine calls — the streaming re-score path. The cached variant
-	// is bit-identical to the batch computation, so sharing a miner
-	// between modes cannot change its output.
-	entropy *features.EntropyCache
-
 	// Telemetry counters; nil (no-op) unless SetMetrics was called. The
 	// counters are atomic, so concurrent Mine calls may share them.
 	mDecisions  *telemetry.Counter
@@ -103,10 +97,6 @@ func (m *Miner) SetMetrics(reg *telemetry.Registry) {
 	m.mDisposable = reg.Counter("miner_disposable_groups_total",
 		"Groups classified disposable (Algorithm 1 line 5 positives).")
 }
-
-// SetEntropyCache installs a memoized label-entropy cache used by every
-// subsequent Mine. Pass nil to return to uncached batch extraction.
-func (m *Miner) SetEntropyCache(c *features.EntropyCache) { m.entropy = c }
 
 // NewMiner wraps a trained classifier.
 func NewMiner(classifier mlearn.Classifier, cfg MinerConfig) (*Miner, error) {
@@ -177,7 +167,7 @@ func (m *Miner) mineZone(tree *dntree.Tree, byName map[string][]*chrstat.RRStat,
 		if len(g.Names) < m.cfg.MinGroupSize {
 			continue
 		}
-		slice := sc.samples.FromGroup(*g, byName, m.entropy).AppendTo(sc.vec[:0])
+		slice := sc.samples.FromGroup(*g, byName).AppendTo(sc.vec[:0])
 		input := slice
 		if m.cfg.FeatureMask != nil {
 			input = features.Mask(slice, m.cfg.FeatureMask)

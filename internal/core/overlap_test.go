@@ -173,8 +173,8 @@ func watchName(name string) <-chan struct{} {
 // intake: a record's owner and the copy ObserveName made of a bare name the
 // first time it was noted, which every holder of a name
 // keeps alive — counts view, collector shards and their touched lists,
-// touched-name buffer, stripes, entropy cache, findings kept per zone,
-// scratch — and every holder of a tree handle too, because one node reaches
+// touched-name buffer, stripes, findings kept per zone, scratch — and
+// every holder of a tree handle too, because one node reaches
 // the whole tree through its parent (handles left in the scratch across
 // EndDay once read +80 % live heap), and every holder of a finding's zone
 // across days — verdict states and snapshot — since a zone is a slice
@@ -258,8 +258,8 @@ func TestEndDayReleasesTheDay(t *testing.T) {
 	if p.collector.Merge().NumRecords() != 0 {
 		t.Error("the collector of the finished day is still the pipeline's")
 	}
-	if p.tree.BlackCount() != 0 || p.tree.NumStarts() != 0 || p.entropy.Len() != 0 {
-		t.Errorf("%d black names, %d starts, %d cached entropies after EndDay", p.tree.BlackCount(), p.tree.NumStarts(), p.entropy.Len())
+	if p.tree.BlackCount() != 0 || p.tree.NumStarts() != 0 {
+		t.Errorf("%d black names, %d starts after EndDay", p.tree.BlackCount(), p.tree.NumStarts())
 	}
 	if len(p.found) != 0 {
 		t.Errorf("%d zones keep their findings after EndDay", len(p.found))

@@ -10,8 +10,8 @@
 //     path is the collector's — or bare names, through lock-striped buffers;
 //   - re-scores each window the zones it touched — the effective 2LDs
 //     above a name it observed or expired — by running Algorithm 1 over
-//     them with memoized label entropies and restoring the mined names, and
-//     reports them with what every other zone gave when it was last mined;
+//     them and restoring the mined names, and reports them with what every
+//     other zone gave when it was last mined;
 //   - debounces verdict flips with hysteresis — a zone's public verdict
 //     changes only after K consecutive windows propose the same flip —
 //     and emits a DriftEvent at each accepted flip;
@@ -39,7 +39,6 @@ import (
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/dntree"
-	"dnsnoise/internal/features"
 	"dnsnoise/internal/mlearn"
 	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/telemetry"
@@ -213,16 +212,15 @@ func (h *RescoreHandle) Wait() (RescoreResult, error) {
 // ObserveName may run beside Rescore and EndDay, as the serve path's
 // scorers run beside its re-score ticker: every access to a stripe's names
 // and seen is under the stripe's lock, and its spare buffer belongs to the
-// re-score. Between two barriers the re-score goroutine owns the tree, the entropy
-// cache, the verdict states, the scratch, the per-zone findings and the
-// spare intake buffers, and reads a counts view that stays frozen until the
-// next barrier refreshes it.
+// re-score. Between two barriers the re-score goroutine owns the tree, the
+// verdict states, the scratch, the per-zone findings and the spare intake
+// buffers, and reads a counts view that stays frozen until the next
+// barrier refreshes it.
 type StreamingPipeline struct {
 	miner *Miner
 	cfg   StreamingConfig
 
 	tree      *dntree.Tree
-	entropy   *features.EntropyCache
 	collector *chrstat.ShardedCollector
 	counts    chrstat.Counts // the collector's per-name sums, brought up to date each window
 	scratch   mineScratch    // the miner's working storage, kept across re-scores
@@ -268,13 +266,11 @@ func NewStreamingPipeline(classifier mlearn.Classifier, mcfg MinerConfig, scfg S
 		miner:     miner,
 		cfg:       scfg,
 		tree:      dntree.New(suffixes),
-		entropy:   features.NewEntropyCache(),
 		collector: chrstat.NewShardedCollector(scfg.NumServers),
 		found:     make(map[*dntree.Node][]Finding),
 		states:    make(map[ZoneDepth]*verdictState),
 	}
 	p.tree.SetHorizon(scfg.KeepWindows)
-	miner.SetEntropyCache(p.entropy)
 	for i := range p.pending {
 		p.pending[i].seen = make(map[string]struct{})
 	}
@@ -452,11 +448,7 @@ func (p *StreamingPipeline) mineWindow(res *RescoreResult, byName map[string][]*
 		s.spare = s.spare[:0]
 	}
 	p.mNames.Add(uint64(res.Inserted))
-	expired := p.tree.Expire()
-	res.Expired = len(expired)
-	for _, name := range expired {
-		p.entropy.Forget(name)
-	}
+	res.Expired = p.tree.Expire()
 
 	// Re-score: mine the zones the window touched, then restore the tree. A
 	// failed window is not advanced, and its zones stay dirty.
@@ -515,7 +507,6 @@ func (p *StreamingPipeline) EndDay(date time.Time) (RescoreResult, error) {
 	clear(p.found)
 	p.collector = chrstat.NewShardedCollector(p.cfg.NumServers)
 	p.counts.Reset()
-	p.entropy.Reset()
 	return res, nil
 }
 

@@ -366,54 +366,25 @@ func TestStreamingSlidingExpiry(t *testing.T) {
 	if res := rescore(t, stream, date); res.Inserted != 1 {
 		t.Fatalf("window 4: inserted=%d", res.Inserted)
 	}
-}
 
-// TestEntropyCacheBoundedByLiveTree: under a sliding horizon the label
-// entropy cache follows the tree — windows of fresh one-shot names leave
-// it no larger than the labels of the names still live, not one entry per
-// label ever mined — and a day boundary empties it with the tree.
-func TestEntropyCacheBoundedByLiveTree(t *testing.T) {
+	// Windows of fresh one-shot names over several zones: each window
+	// expires exactly what the window keep before it brought.
 	const keep, zones, perWindow = 2, 5, 20
-	stream, err := NewStreamingPipeline(trainedClassifier(t), MinerConfig{Theta: 0.5},
-		StreamingConfig{Hysteresis: 1, KeepWindows: keep}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(3))
-	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	var batches [][]string
 	for w := 0; w < 12; w++ {
-		var batch []string
 		for z := 0; z < zones; z++ {
 			for i := 0; i < perWindow; i++ {
-				batch = append(batch, fmt.Sprintf("%s.sig%d.vendor.com", string(labelgen.AppendToken(nil, rng, 20)), z))
+				stream.ObserveName(fmt.Appendf(nil, "%s.sig%d.vendor.com", labelgen.AppendToken(nil, rng, 20), z))
 			}
-		}
-		batches = append(batches, batch)
-		for _, name := range batch {
-			stream.ObserveName([]byte(name))
 		}
 		res := rescore(t, stream, date)
-		if w >= keep && res.Expired != zones*perWindow {
-			t.Fatalf("window %d expired %d names, want the %d of window %d", w, res.Expired, zones*perWindow, w-keep)
-		}
-		live := make(map[string]struct{})
-		for _, batch := range batches[max(0, len(batches)-keep):] {
-			for _, name := range batch {
-				for _, label := range strings.Split(name, ".") {
-					live[label] = struct{}{}
-				}
-			}
-		}
-		if got := stream.entropy.Len(); got == 0 || got > len(live) {
-			t.Fatalf("window %d: %d cached entropies, want 1..%d (the live labels)", w, got, len(live))
+		if want := zones * perWindow; res.Inserted != want || w >= keep && res.Expired != want {
+			t.Fatalf("fresh window %d: %d inserted, %d expired; want %d and, past the horizon, the %d of window %d",
+				w, res.Inserted, res.Expired, want, want, w-keep)
 		}
 	}
 	if _, err := stream.EndDay(date); err != nil {
 		t.Fatal(err)
-	}
-	if got := stream.entropy.Len(); got != 0 {
-		t.Errorf("%d cached entropies survive the day boundary", got)
 	}
 	if got, _ := stream.counts.Refresh(stream.collector); len(got) != 0 {
 		t.Errorf("the counts view still groups %d names after EndDay", len(got))

@@ -1,13 +1,11 @@
 package dnsmsg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode/utf8"
-
-	"dnsnoise/internal/dnsname"
 )
 
 // Flag bit positions within the header's 16-bit flags word.
@@ -251,10 +249,9 @@ func (m *Message) unpack(data []byte, asked string, tail bool) error {
 // the additional section, owned by the single root byte (not a pointer),
 // with its rdata inside data — the query dig sends. The question's name is
 // appended to dst in presentation form, normalized as dnsname.Normalize
-// would (ASCII lower-cased in place, one trailing dot dropped; a name with a
-// byte past ASCII takes Normalize itself, which allocates), and the extended
-// dst is returned: the name is what follows len(dst). ok is false for any
-// other shape, well-formed or not: those take Unpack.
+// would (ASCII lower-cased in place; a decoded name has no trailing dot), and
+// the extended dst is returned: the name is what follows len(dst). ok is
+// false for any other shape, well-formed or not: those take Unpack.
 func AppendSoleQuestion(dst, data []byte) (name []byte, id uint16, qtype Type, ok bool) {
 	// The section counts as one number: QDCOUNT 1, ARCOUNT 0 or 1, the rest 0.
 	if len(data) < headerLen || binary.BigEndian.Uint64(data[offQDCount:])&^1 != 1<<48 {
@@ -274,24 +271,12 @@ func AppendSoleQuestion(dst, data []byte) (name []byte, id uint16, qtype Type, o
 			return dst, 0, 0, false
 		}
 	}
-	return normalizeTail(name, start), binary.BigEndian.Uint16(data), Type(binary.BigEndian.Uint16(data[d.pos:])), true
-}
-
-// normalizeTail applies dnsname.Normalize to name[start:].
-func normalizeTail(name []byte, start int) []byte {
-	tail := name[start:]
-	for i, c := range tail {
-		if c >= utf8.RuneSelf {
-			return append(name[:start], dnsname.Normalize(string(tail))...)
-		}
-		if 'A' <= c && c <= 'Z' {
-			tail[i] = c + 'a' - 'A'
+	for i := start; i < len(name); i++ {
+		if c := name[i]; 'A' <= c && c <= 'Z' {
+			name[i] = c + 'a' - 'A'
 		}
 	}
-	if len(tail) > 0 && tail[len(tail)-1] == '.' {
-		name = name[:len(name)-1]
-	}
-	return name
+	return name, binary.BigEndian.Uint16(data), Type(binary.BigEndian.Uint16(data[d.pos:])), true
 }
 
 func (b *Builder) u8(v uint8)   { b.buf = append(b.buf, v) }
@@ -607,7 +592,8 @@ func (d *decoder) name() (string, error) {
 
 // appendName decodes the name at the current position in presentation form
 // onto dst and advances past it; in skip mode it checks the name by the same
-// rules and appends nothing.
+// rules and appends nothing. A label holding a dot is refused: its
+// presentation form would spell two labels, another name.
 func (d *decoder) appendName(dst []byte) ([]byte, error) {
 	size := 0 // the name's presentation length so far
 	pos := d.pos
@@ -655,11 +641,15 @@ func (d *decoder) appendName(dst []byte) ([]byte, error) {
 			if grown > maxNameLen {
 				return dst, ErrNameTooLong
 			}
+			label := d.data[pos+1 : pos+1+n]
+			if bytes.IndexByte(label, '.') >= 0 {
+				return dst, ErrDotInLabel
+			}
 			if !d.skip {
 				if size > 0 {
 					dst = append(dst, '.')
 				}
-				dst = append(dst, d.data[pos+1:pos+1+n]...)
+				dst = append(dst, label...)
 			}
 			size = grown
 			pos += 1 + n

@@ -1,6 +1,7 @@
 package dnsmsg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -59,6 +60,7 @@ func hostileSeeds() map[string][]byte {
 		// Labels the presentation form cannot carry: a dot inside, a blank.
 		"label-with-dot":   append(header(1, 0), 2, 'a', '.', 1, 'b', 0, 0, 1, 0, 1),
 		"label-ending-dot": append(header(1, 0), 2, 'a', '.', 0, 0, 1, 0, 1),
+		"question-a.b":     append(header(1, 0), 3, 'a', '.', 'b', 1, 'x', 0, 0, 1, 0, 1),
 		// Question names the in-place reader must normalize as
 		// dnsname.Normalize does: upper-case ASCII, UTF-8 upper case, and
 		// bytes that are not UTF-8 at all.
@@ -101,38 +103,25 @@ func hostileSeeds() map[string][]byte {
 	return seeds
 }
 
-// lossless reports whether every name and SOA in m survives the trip through
-// presentation form: a name ending in a dot loses it to the encoder's
-// trailing-dot rule, and an SOA whose names hold blanks or are the root
-// re-splits into different fields.
+// lossless reports whether every SOA in m survives the trip through
+// presentation form: one whose names hold blanks or are the root re-splits
+// into different fields. (A decoded name never ends in a dot: a label
+// holding one is refused.)
 func lossless(m *Message) bool {
-	for _, q := range m.Questions {
-		if strings.HasSuffix(q.Name, ".") {
-			return false
-		}
-	}
 	for _, section := range [][]RR{m.Answers, m.Authority, m.Additional} {
 		for _, rr := range section {
-			if strings.HasSuffix(rr.Name, ".") {
-				return false
+			if rr.Type != TypeSOA {
+				continue
 			}
-			switch rr.Type {
-			case TypeCNAME, TypeNS:
-				if strings.HasSuffix(rr.RData.Text(), ".") {
-					return false
-				}
-			case TypeSOA:
-				fields := strings.Fields(rr.RData.Text())
-				if strings.Join(fields, " ") != rr.RData.Text() || strings.HasSuffix(fields[0], ".") || strings.HasSuffix(fields[1], ".") {
-					return false
-				}
+			if fields := strings.Fields(rr.RData.Text()); strings.Join(fields, " ") != rr.RData.Text() {
+				return false
 			}
 		}
 	}
 	return true
 }
 
-// FuzzUnpack holds the decoder to five promises on arbitrary bytes: it never
+// FuzzUnpack holds the decoder to six promises on arbitrary bytes: it never
 // panics or reads out of bounds; unpacking into a dirty, reused Message gives
 // what decoding into a fresh one gives; UnpackReply, told the name that was
 // asked about (the right one, a wrong one, none), returns Unpack's header,
@@ -142,7 +131,9 @@ func lossless(m *Message) bool {
 // fixed point, to the same message when the presentation forms are lossless,
 // and to the same A addresses always; and the zero-alloc wire scanners
 // (QuestionSectionEnd, EDNSUDPSize, AppendSoleQuestion) agree with it wherever
-// both accept.
+// both accept; and a question name is its labels: re-encoded, a decoded
+// question name spells the query's label bytes, and the question reader's
+// spells them up to ASCII case.
 func FuzzUnpack(f *testing.F) {
 	for _, tc := range goldenCorpus() {
 		f.Add(readGolden(f, tc.name))
@@ -189,6 +180,17 @@ func FuzzUnpack(f *testing.F) {
 		if err != nil {
 			return
 		}
+		sole, _, _, soleOK := AppendSoleQuestion(nil, data)
+		for i, off := 0, headerLen; i < len(fresh.Questions); i++ {
+			labels, end := wireName(data, off)
+			off = end + 4
+			if got := encodeName(t, fresh.Questions[i].Name); !bytes.Equal(got, labels) {
+				t.Fatalf("question %d: decoded %q re-encodes to %q; the query's labels are %q", i, fresh.Questions[i].Name, got, labels)
+			}
+			if got := encodeName(t, string(sole)); soleOK && !equalFoldASCII(got, labels) {
+				t.Fatalf("AppendSoleQuestion read %q, which re-encodes to %q; the query's labels are %q", sole, got, labels)
+			}
+		}
 
 		wire, err := fresh.Encode()
 		if err != nil {
@@ -215,6 +217,61 @@ func FuzzUnpack(f *testing.F) {
 			t.Fatalf("encode(decode(wire)) != wire: %v\n was %x\n now %x", err, wire, again)
 		}
 	})
+}
+
+// wireName returns the labels of the name at off in msg as one uncompressed
+// wire name, root byte included, and the offset just past the name's own
+// bytes. The decoder must have read the name.
+func wireName(msg []byte, off int) (labels []byte, end int) {
+	end = -1
+	for {
+		switch c := msg[off]; {
+		case c == 0:
+			if end < 0 {
+				end = off + 1
+			}
+			return append(labels, 0), end
+		case c&0xC0 == 0xC0:
+			if end < 0 {
+				end = off + 2
+			}
+			off = int(binary.BigEndian.Uint16(msg[off:]) & 0x3FFF)
+		default:
+			labels = append(labels, msg[off:off+1+int(c)]...)
+			off += 1 + int(c)
+		}
+	}
+}
+
+// encodeName is the Builder's wire form of name, written as a message's
+// first name, so uncompressed.
+func encodeName(t *testing.T, name string) []byte {
+	var b Builder
+	b.Begin(nil, Header{})
+	if err := b.Question(name, TypeA, ClassIN); err != nil {
+		t.Fatalf("a decoded name does not encode: %q: %v", name, err)
+	}
+	wire := b.Bytes()
+	return wire[headerLen : len(wire)-4]
+}
+
+// equalFoldASCII reports whether a and b are equal once A-Z are lowered.
+func equalFoldASCII(a, b []byte) bool {
+	lower := func(c byte) byte {
+		if 'A' <= c && c <= 'Z' {
+			return c + 'a' - 'A'
+		}
+		return c
+	}
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if lower(a[i]) != lower(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameReply reports whether reply is what UnpackReply should make of the

@@ -117,6 +117,7 @@ var (
 	ErrBadPointer       = errors.New("dnsmsg: invalid compression pointer")
 	ErrNameTooLong      = errors.New("dnsmsg: name too long")
 	ErrLabelTooLong     = errors.New("dnsmsg: label exceeds 63 octets")
+	ErrDotInLabel       = errors.New("dnsmsg: label holds a dot")
 	ErrBadRData         = errors.New("dnsmsg: malformed rdata")
 )
 

@@ -328,14 +328,17 @@ func TestAppendSoleQuestion(t *testing.T) {
 	if !ok || id != 0xbeef || qtype != TypeAAAA || string(name) != "keptwww.example.com" {
 		t.Errorf("AppendSoleQuestion(plain query) = %q, %#x, %v, %v", name, id, qtype, ok)
 	}
-	// Past ASCII the name is dnsname.Normalize's, and so is a label's own
-	// trailing dot.
-	for _, label := range []string{"\xc3\x89COLE", "\xff\xfeA", "dot."} {
+	// Past ASCII the name is dnsname.Normalize's: only A-Z are lowered. A
+	// label holding a dot is refused, by the reader and the decoder alike.
+	for label, want := range map[string]string{"\xc3\x89COLE": "\xc3\x89cole", "\xff\xfeA": "\xff\xfea", "dot.": "", "a.b": ""} {
 		raw := []byte{0xbe, 0xef, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, byte(len(label))}
 		raw = append(append(raw, label...), 0, 0, 1, 0, 1)
 		name, _, _, ok := AppendSoleQuestion(nil, raw)
-		if want := dnsname.Normalize(label); !ok || string(name) != want {
+		if ok != (want != "") || string(name) != want || want != dnsname.Normalize(want) {
 			t.Errorf("AppendSoleQuestion(%q) = %q, %v; want %q", label, name, ok, want)
+		}
+		if _, err := Decode(raw); (err == nil) != ok || !ok && !errors.Is(err, ErrDotInLabel) {
+			t.Errorf("Decode(%q): %v", label, err)
 		}
 	}
 	// An EDNS query — a root-owned OPT, bare or carrying dig's COOKIE — is

@@ -12,7 +12,6 @@ package dnsname
 import (
 	"errors"
 	"strings"
-	"unicode/utf8"
 )
 
 // Errors reported by name validation.
@@ -29,31 +28,21 @@ const MaxNameLength = 253
 // MaxLabelLength is the maximum length of a single label per RFC 1035.
 const MaxLabelLength = 63
 
-// Normalize lower-cases a domain name and strips a single trailing dot.
-// It performs no validation; see Validate.
+// Normalize lower-cases the ASCII letters of a domain name and strips a
+// single trailing dot. Case folding is ASCII-only (RFC 4343 §3): every other
+// byte is kept as it is. It performs no validation; see Validate.
 //
 // Normalize sits on the per-query hot path, so it is written to allocate
 // nothing for already-normalized input (the overwhelmingly common case for
 // generated and replayed workloads): a single scan classifies the name, a
 // bare trailing dot is stripped by reslicing, and only a name that actually
 // contains an upper-case ASCII letter pays one allocation for the lowered
-// copy. Names with non-ASCII bytes take the full Unicode path, preserving
-// strings.ToLower semantics.
+// copy.
 func Normalize(name string) string {
-	hasUpper := false
 	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c >= utf8.RuneSelf {
-			// Rare: defer to the Unicode-correct (allocating) path.
-			name = strings.ToLower(name)
-			return strings.TrimSuffix(name, ".")
+		if c := name[i]; 'A' <= c && c <= 'Z' {
+			return normalizeASCIIUpper(name)
 		}
-		if 'A' <= c && c <= 'Z' {
-			hasUpper = true
-		}
-	}
-	if hasUpper {
-		return normalizeASCIIUpper(name)
 	}
 	if len(name) > 0 && name[len(name)-1] == '.' {
 		return name[:len(name)-1]
@@ -61,8 +50,8 @@ func Normalize(name string) string {
 	return name
 }
 
-// normalizeASCIIUpper lowers an all-ASCII name containing at least one
-// upper-case letter and strips a single trailing dot, in one pass with one
+// normalizeASCIIUpper lowers a name containing at least one upper-case
+// ASCII letter and strips a single trailing dot, in one pass with one
 // allocation.
 func normalizeASCIIUpper(name string) string {
 	n := len(name)

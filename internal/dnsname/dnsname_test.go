@@ -18,6 +18,9 @@ func TestNormalize(t *testing.T) {
 		{give: "EXAMPLE.COM.", want: "example.com"},
 		{give: "", want: ""},
 		{give: ".", want: ""},
+		// Case folding is ASCII-only (RFC 4343 §3): other bytes stay.
+		{give: "ÀÈÌ.COM.", want: "ÀÈÌ.com"},
+		{give: "X\x80Y", want: "x\x80y"},
 	}
 	for _, tt := range tests {
 		if got := Normalize(tt.give); got != tt.want {
@@ -27,16 +30,22 @@ func TestNormalize(t *testing.T) {
 }
 
 // TestNormalizeMatchesReference: the single-pass implementation must agree
-// byte-for-byte with the original ToLower+TrimSuffix composition on
-// arbitrary input, including non-ASCII.
+// byte-for-byte with a plain byte-by-byte lowering of A-Z and TrimSuffix on
+// arbitrary input, including non-ASCII and bytes that are not UTF-8.
 func TestNormalizeMatchesReference(t *testing.T) {
 	ref := func(name string) string {
-		return strings.TrimSuffix(strings.ToLower(name), ".")
+		b := []byte(name)
+		for i, c := range b {
+			if 'A' <= c && c <= 'Z' {
+				b[i] = c + 'a' - 'A'
+			}
+		}
+		return strings.TrimSuffix(string(b), ".")
 	}
 	for _, name := range []string{
 		"", ".", "..", "a", "A", "a.", "A.", "aBc.DeF.com", "already.normal.com",
 		"trailing.dot.", "MIXED.case.", "Ünïcode.ÉXAMPLE.com", "ünïcode.com",
-		"123.456", "UPPER", "x.Y.z.W.", "ÀÈÌ.com.",
+		"123.456", "UPPER", "x.Y.z.W.", "ÀÈÌ.com.", "x\x80Y", "\xffA.",
 	} {
 		if got, want := Normalize(name), ref(name); got != want {
 			t.Errorf("Normalize(%q) = %q, reference = %q", name, got, want)

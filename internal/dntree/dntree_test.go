@@ -137,6 +137,17 @@ func startNames(tr *Tree) []string {
 	return out
 }
 
+// blackNames is the set of the tree's black names.
+func blackNames(tr *Tree) map[string]bool {
+	out := make(map[string]bool)
+	for name, n := range tr.nodes {
+		if n.black {
+			out[name] = true
+		}
+	}
+	return out
+}
+
 // childZones and hasBlackDescendants are the handle queries by name.
 func childZones(tr *Tree, zone string) []string {
 	var out []string
@@ -611,9 +622,17 @@ func TestMatchesReference(t *testing.T) {
 				op = "Expire"
 				tr.Restore()
 				tr.SetHorizon(1 + rng.Intn(3))
-				starts := startNames(tr)
-				for _, name := range tr.Expire() {
-					mark(name, starts)
+				starts, before := startNames(tr), blackNames(tr)
+				n := tr.Expire()
+				expired := 0
+				for name := range before {
+					if !tr.IsBlack(name) {
+						expired++
+						mark(name, starts)
+					}
+				}
+				if n != expired {
+					t.Fatalf("seed %d step %d: Expire = %d, %d names expired", seed, step, n, expired)
 				}
 			default:
 				op = "ResetStream"

@@ -94,17 +94,16 @@ func (t *Tree) Dirty(dst []*Node) []*Node {
 
 // Expire decolors every black node last observed before the horizon (the
 // current window and the keep-1 before it), prunes the emptied branches,
-// marks dirty the starts above them, and returns the expired names (so
-// callers can drop them from their own state). Only the lists of the
-// windows that fell out are visited; a name re-observed since its listing
-// carries a newer stamp and survives. The tree must be restored: a node a
-// mine decolored looks expired already.
-func (t *Tree) Expire() []string {
+// marks dirty the starts above them, and returns how many names expired.
+// Only the lists of the windows that fell out are visited; a name
+// re-observed since its listing carries a newer stamp and survives. The
+// tree must be restored: a node a mine decolored looks expired already.
+func (t *Tree) Expire() int {
 	if t.keep == 0 || t.window < t.keep {
-		return nil
+		return 0
 	}
 	oldest := t.window + 1 - t.keep
-	var expired []string
+	expired := 0
 	for w, nodes := range t.byWindow {
 		if w >= oldest {
 			continue
@@ -116,7 +115,7 @@ func (t *Tree) Expire() []string {
 			t.touch(n)
 			t.setBlack(n, false)
 			t.register(n, -1)
-			expired = append(expired, n.name) // before prune empties the slot
+			expired++
 			t.prune(n)
 		}
 		delete(t.byWindow, w)

@@ -85,7 +85,7 @@ func Mask(vec []float64, keep []int) []float64 {
 // day's RR statistics by owner name (chrstat.Collector.ByName); names with
 // no recorded RRs contribute nothing to the CHR family.
 func FromGroup(g dntree.Group, byName map[string][]*chrstat.RRStat) Vector {
-	return new(Scratch).FromGroup(g, byName, nil)
+	return new(Scratch).FromGroup(g, byName)
 }
 
 // Scratch holds the two samples an extraction builds — the label entropies
@@ -96,15 +96,15 @@ type Scratch struct {
 }
 
 // FromGroup is the one extraction body: the same arithmetic in the same
-// order whatever the scratch held and whether entropies come from cache or
-// (nil) are computed, so batch and streaming vectors are bit-identical.
-func (sc *Scratch) FromGroup(g dntree.Group, byName map[string][]*chrstat.RRStat, cache *EntropyCache) Vector {
+// order whatever the scratch held, so batch and streaming vectors are
+// bit-identical.
+func (sc *Scratch) FromGroup(g dntree.Group, byName map[string][]*chrstat.RRStat) Vector {
 	var v Vector
 
 	// Tree-structure features over the adjacent label set L_k.
 	entropies := sc.entropies[:0]
 	for _, label := range g.Labels {
-		entropies = append(entropies, cache.Entropy(label))
+		entropies = append(entropies, stats.ShannonEntropy(label))
 	}
 	sc.entropies = entropies
 	v.Cardinality = float64(len(g.Labels))

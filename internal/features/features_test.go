@@ -1,7 +1,9 @@
 package features
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dnsnoise/internal/cache"
@@ -174,5 +176,43 @@ func TestDisposableVsNonDisposableSeparation(t *testing.T) {
 	if disp.CHRZeroFrac <= nonDisp.CHRZeroFrac {
 		t.Errorf("disposable zero-CHR frac %.2f should exceed %.2f",
 			disp.CHRZeroFrac, nonDisp.CHRZeroFrac)
+	}
+}
+
+// TestScratchReuseBitIdentical pins the streaming equivalence property at
+// the feature layer: the miner's way — one Scratch across groups of every
+// size, in either order — must produce the exact same vector (==, not
+// approximately) as a fresh extraction.
+func TestScratchReuseBitIdentical(t *testing.T) {
+	tr := dntree.New(nil)
+	col := chrstat.NewCollector()
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("u%08x.api.zone.example.com", i*2654435761)
+		if i%4 == 0 {
+			name = fmt.Sprintf("h%d.zone.example.com", i)
+		}
+		tr.Insert(name)
+		ob := resolver.Observation{
+			QName: name,
+			RR:    dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, RData: dnsmsg.IPv4(10, 0, 0, 1), TTL: 30},
+		}
+		col.ObserveBelow(ob)
+		if i%3 == 0 {
+			col.ObserveAbove(ob)
+		}
+	}
+	byName := col.ByName()
+	groups := tr.GroupsUnder("example.com")
+	if len(groups) < 2 {
+		t.Fatalf("%d groups, want several to reuse the scratch across", len(groups))
+	}
+	var sc Scratch
+	for pass := 0; pass < 2; pass++ {
+		for _, g := range groups {
+			if got, want := sc.FromGroup(g, byName), FromGroup(g, byName); got != want {
+				t.Fatalf("pass %d depth %d: reused scratch %+v != fresh %+v", pass, g.Depth, got, want)
+			}
+		}
+		slices.Reverse(groups)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // FuzzQuestionReaders holds the scorer to the front door's one question
 // reader, dnsmsg.AppendSoleQuestion (FuzzUnpack holds the reader to the
 // decoder): ScoreWire gives no verdict exactly when the reader rejects the
-// datagram, reads the root, or reads a name of more than maxLabels
-// labels or longer than maxNameLen; otherwise it notes the reader's name for
-// the miner, once.
+// datagram or reads the root; otherwise it notes the reader's name for the
+// miner, once. A name the reader reads has at most 127 labels and 253
+// bytes, which is all the scorer's scratch and the snapshot's depths hold.
 func FuzzQuestionReaders(f *testing.F) {
 	query := func(labels ...string) []byte {
 		wire := []byte{0xbe, 0xef, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0}
@@ -24,6 +24,7 @@ func FuzzQuestionReaders(f *testing.F) {
 		return append(wire, 0, 0, 1, 0, 1)
 	}
 	dots := strings.Repeat(".", 63)
+	most := strings.Split(strings.Repeat("x.", 126)+"x", ".")
 	for _, seed := range [][]byte{
 		query("www", "example", "com"),
 		query("TOK2", "API", "Example", "COM"),
@@ -32,8 +33,8 @@ func FuzzQuestionReaders(f *testing.F) {
 		query("dot.", "x"),                   // a label's own trailing dot
 		query("a.b", "x"),                    // a dot inside a label
 		query(),                              // the root
-		query(dots, dots, dots),              // labels of dots: past maxLabels
-		query(dots, dots[1:], "x"),           // exactly maxLabels labels
+		query(dots, dots, dots),              // labels of dots: refused
+		query(most...),                       // the most labels a name holds
 		withCookieOPT(query("x", "example")), // dig's query
 		// A compressed question pointing back into the header.
 		{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 0x0C, 0, 1, 0, 1},
@@ -51,8 +52,10 @@ func FuzzQuestionReaders(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		name, _, _, ok := dnsmsg.AppendSoleQuestion(nil, data)
-		none := !ok || len(name) == 0 || len(name) > maxNameLen ||
-			dnsname.CountLabels(string(name)) > maxLabels
+		none := !ok || len(name) == 0
+		if len(name) > dnsname.MaxNameLength || dnsname.CountLabels(string(name)) > 127 {
+			t.Fatalf("the reader read %q: %d bytes, %d labels", name, len(name), dnsname.CountLabels(string(name)))
+		}
 		noted = noted[:0]
 		if got := s.ScoreWire(data); (got == qlog.VerdictNone) != none {
 			t.Fatalf("ScoreWire = %q; the reader read %q (ok %v)", got, name, ok)

@@ -11,23 +11,13 @@
 package livescore
 
 import (
-	"bytes"
 	"time"
 
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/qlog"
 	"dnsnoise/internal/telemetry"
-)
-
-const (
-	// maxNameLen bounds a presentation-form name (RFC 1035: 255 wire
-	// octets bound the dotted form below 255 bytes).
-	maxNameLen = 255
-	// maxLabels bounds a scored name's labels. 255 wire octets hold at
-	// most 127 labels, but a dot inside a wire label splits it in the
-	// presentation form, so a name may spell more.
-	maxLabels = 128
 )
 
 // Scorer scores wire queries for one listener worker. Not safe for
@@ -38,7 +28,7 @@ type Scorer struct {
 	// note is the miner's intake, pipe.ObserveName.
 	note func(name []byte)
 
-	scratch [maxNameLen]byte
+	scratch [dnsname.MaxNameLength]byte // the longest name the reader reads
 }
 
 // ScoreWire reads the question name out of a wire-format DNS query with
@@ -46,17 +36,13 @@ type Scorer struct {
 // streaming miner and returns its live verdict: VerdictDisposable when an
 // ancestor zone is currently flagged for the name's depth, VerdictBenign
 // otherwise, and VerdictNone (noting nothing) when the reader rejects the
-// datagram, reads the root, or the name has more than maxLabels labels (or,
-// lowered past ASCII, outgrows maxNameLen). Its depth counts its dots, as
-// the miner counts it (dnsname.CountLabels). Zero allocations for an ASCII
-// name the window has noted; a byte >= 0x80 is lowered as
-// dnsname.Normalize does, which may allocate.
+// datagram or reads the root. The reader refuses a label holding a dot, so
+// the name has at most 127 labels and 253 bytes, and its depth counts its
+// dots, as the miner counts it (dnsname.CountLabels). Zero allocations for
+// a name the window has noted.
 func (s *Scorer) ScoreWire(query []byte) qlog.Verdict {
 	name, _, _, ok := dnsmsg.AppendSoleQuestion(s.scratch[:0], query)
-	if !ok || len(name) == 0 || len(name) > maxNameLen {
-		return qlog.VerdictNone
-	}
-	if bytes.Count(name, []byte{'.'}) >= maxLabels {
+	if !ok || len(name) == 0 {
 		return qlog.VerdictNone
 	}
 	s.note(name)

@@ -30,7 +30,7 @@ var raceEnabled bool
 // authority.Server whose names cover every kind of answer it gives — a
 // static A, a CNAME owner, a wildcard match, a synthesized multi-record A
 // and an NXDOMAIN with its SOA.
-func floodAuthority(t *testing.T) *authority.Server {
+func floodAuthority(t testing.TB) *authority.Server {
 	t.Helper()
 	srv := authority.NewServer()
 	static, err := authority.NewZone("bench.test")
