@@ -101,7 +101,7 @@ func BenchmarkFig15PDNSGrowth(b *testing.B) {
 
 func BenchmarkCachePressure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CachePressure(benchScale(), []float64{0, 0.2}); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).CachePressure([]float64{0, 0.2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func BenchmarkCachePressure(b *testing.B) {
 
 func BenchmarkDNSSECLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DNSSECLoad(benchScale()); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).DNSSECLoad(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func BenchmarkAblationFeatureFamilies(b *testing.B) {
 
 func BenchmarkAblationSharedCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SharedCacheAblation(benchScale()); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).SharedCacheAblation(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func BenchmarkRenewalModel(b *testing.B) {
 
 func BenchmarkTaxonomy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Taxonomy(benchScale()); err != nil {
+		if _, err := experiments.NewRun(benchScale(), 0).Taxonomy(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,18 +56,18 @@ func catalog() []experiment {
 		{"fig15", "pDNS growth + wildcard collapse (13 days)", func(r *Run) (string, error) { return show(r.Fig15PDNSGrowth()) }},
 		{"table1", "disposable RRs in the lookup-volume tail", growth((*experiments.GrowthResult).RenderTables)},
 		{"table2", "disposable RRs in the zero-DHR tail", growth((*experiments.GrowthResult).RenderTables)},
-		{"cache", "Section VI-A cache pressure sweep", func(r *Run) (string, error) { return show(experiments.CachePressure(r.Scale(), nil)) }},
-		{"cache-policy", "Section VI-A impact analysis under LRU and SIEVE", func(r *Run) (string, error) { return show(experiments.CachePolicySweep(r.Scale())) }},
-		{"dnssec", "Section VI-B DNSSEC validation load", func(r *Run) (string, error) { return show(experiments.DNSSECLoad(r.Scale())) }},
+		{"cache", "Section VI-A cache pressure sweep", func(r *Run) (string, error) { return show(r.CachePressure(nil)) }},
+		{"cache-policy", "Section VI-A impact analysis under LRU and SIEVE", func(r *Run) (string, error) { return show(r.CachePolicySweep()) }},
+		{"dnssec", "Section VI-B DNSSEC validation load", func(r *Run) (string, error) { return show(r.DNSSECLoad()) }},
 		{"mitigation", "Section VI-A low-priority caching mitigation", func(r *Run) (string, error) { return show(r.CacheMitigation(0.3)) }},
 		{"crossnet", "cross-network globally disposable zones", func(r *Run) (string, error) { return show(experiments.CrossNetwork(r.Scale())) }},
 		{"clients", "distinct clients per RR by class", func(r *Run) (string, error) { return show(r.ClientCardinality()) }},
 		{"renewal", "Jung TTL renewal model vs black-box measurement", func(r *Run) (string, error) { return show(r.RenewalModel()) }},
-		{"taxonomy", "Plonka treetop taxonomy vs disposable class", func(r *Run) (string, error) { return show(experiments.Taxonomy(r.Scale())) }},
+		{"taxonomy", "Plonka treetop taxonomy vs disposable class", func(r *Run) (string, error) { return show(r.Taxonomy()) }},
 		{"baseline", "Yadav name-only detector vs the miner", func(r *Run) (string, error) { return show(r.Baseline()) }},
 		{"ablation-features", "feature family ablation", func(r *Run) (string, error) { return show(r.FeatureAblation()) }},
 		{"ablation-cache", "independent vs shared cache ablation", func(r *Run) (string, error) {
-			res, err := experiments.SharedCacheAblation(r.Scale())
+			res, err := r.SharedCacheAblation()
 			if err != nil {
 				return "", err
 			}

@@ -18,7 +18,7 @@
 // Everything below the API (the DNS wire codec, resolver-cluster and
 // authority simulators, workload generator, and the experiment harness that
 // regenerates the paper's tables and figures) lives under internal/ and is
-// exercised by cmd/dnsnoise-exp and the examples.
+// exercised by the programs under cmd/.
 package dnsnoise
 
 import (

@@ -8,6 +8,21 @@ import (
 	"testing/quick"
 )
 
+// NewResponse builds a response skeleton mirroring query q.
+func NewResponse(q *Message, rcode RCode) *Message {
+	resp := &Message{
+		Header: Header{
+			ID:                 q.Header.ID,
+			Response:           true,
+			RecursionDesired:   q.Header.RecursionDesired,
+			RecursionAvailable: true,
+			RCode:              rcode,
+		},
+	}
+	resp.Questions = append(resp.Questions, q.Questions...)
+	return resp
+}
+
 func roundTrip(t *testing.T, m *Message) *Message {
 	t.Helper()
 	wire, err := m.Encode()

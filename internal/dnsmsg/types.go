@@ -177,18 +177,3 @@ func NewQuery(id uint16, name string, qtype Type) *Message {
 		Questions: []Question{{Name: name, Type: qtype, Class: ClassIN}},
 	}
 }
-
-// NewResponse builds a response skeleton mirroring query q.
-func NewResponse(q *Message, rcode RCode) *Message {
-	resp := &Message{
-		Header: Header{
-			ID:                 q.Header.ID,
-			Response:           true,
-			RecursionDesired:   q.Header.RecursionDesired,
-			RecursionAvailable: true,
-			RCode:              rcode,
-		},
-	}
-	resp.Questions = append(resp.Questions, q.Questions...)
-	return resp
-}

@@ -9,9 +9,10 @@
 // and benches run in milliseconds while the CLI reproduces full-size runs.
 //
 // Experiments that read a dataset others read too are methods of a Run,
-// which simulates each such dataset once. An experiment whose world
-// differs (another start date, cache, seed, signer or tap) is a function
-// of the scale and simulates its own.
+// which simulates each such dataset once, as it does each Section VI
+// world (a December day under another cache, disposable share or signer).
+// An experiment whose world is its alone (another start date, seed or
+// traffic ramp) is a function of the scale and simulates its own.
 package experiments
 
 import (
@@ -20,11 +21,14 @@ import (
 	"sync"
 	"time"
 
+	"dnsnoise/internal/baseline"
+	"dnsnoise/internal/cache"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/pdns"
+	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/sim"
 	"dnsnoise/internal/workload"
 )
@@ -39,6 +43,9 @@ type Run struct {
 	bootstrap func() (*bootstrap, error)
 	growth    func() (*GrowthResult, error)
 	fig3      func() (*Fig3Result, error)
+
+	mu     sync.Mutex
+	worlds map[world]func() (counters, error)
 }
 
 // NewRun returns a run at scale whose pDNS bootstrap (Figures 5 and 15)
@@ -50,6 +57,7 @@ func NewRun(scale sim.Scale, bootstrapDays int) *Run {
 		bootstrap: sync.OnceValues(func() (*bootstrap, error) { return newBootstrap(scale, bootstrapDays) }),
 		growth:    sync.OnceValues(func() (*GrowthResult, error) { return growthStudy(scale) }),
 		fig3:      sync.OnceValues(func() (*Fig3Result, error) { return fig3LongTail(scale) }),
+		worlds:    map[world]func() (counters, error){},
 	}
 }
 
@@ -62,6 +70,8 @@ type refDay struct {
 	env       *sim.Env
 	label     string
 	servers   int // the cluster's server count
+	stats     resolver.Stats
+	taxonomy  baseline.TaxonomyCounter // the day's below-traffic, by treetop class
 	collector *chrstat.Collector
 	byName    map[string][]*chrstat.RRStat
 	// findings are the day's mined zones (trainAndMine), on first use.
@@ -74,12 +84,11 @@ func newRefDay(scale sim.Scale) (*refDay, error) {
 		return nil, err
 	}
 	p := workload.DecemberProfile(dateAt(0))
-	collector, err := env.RunDay(p)
-	if err != nil {
+	d := &refDay{env: env, label: p.Label, servers: env.Cluster.NumServers()}
+	if d.collector, err = env.RunDay(p, ingest.WithSinks(ingest.TapSink(d.taxonomy.Tap(), nil))); err != nil {
 		return nil, err
 	}
-	d := &refDay{env: env, label: p.Label, servers: env.Cluster.NumServers(),
-		collector: collector, byName: collector.ByName()}
+	d.stats, d.byName = env.Cluster.Stats(), d.collector.ByName()
 	keepNamespace(env)
 	d.findings = sync.OnceValues(func() ([]core.Finding, error) { return trainAndMine(env, d.byName) })
 	return d, nil
@@ -129,6 +138,68 @@ func newBootstrap(scale sim.Scale, days int) (*bootstrap, error) {
 	}
 	keepNamespace(env)
 	return b, nil
+}
+
+// world is one December day of a fresh world that differs from the
+// reference world in its scale's cache, its disposable share or its
+// signer: a Section VI measurement or the cache ablation.
+type world struct {
+	scale sim.Scale
+	day   int // offset from dateAt(0)
+	// share is the disposable share of the day's volume; negative keeps
+	// the profile's own.
+	share  float64
+	signed bool // disposable zones signed, every resolver validating
+}
+
+// counters are what a world's day leaves to read.
+type counters struct {
+	stats      resolver.Stats
+	caches     []cache.Stats
+	signatures uint64 // the authority's RRSIGs
+}
+
+// simulate resolves the world's day on a fresh cluster built with opts.
+func (w world) simulate(opts ...resolver.Option) (counters, error) {
+	var envOpts []sim.EnvOption
+	if w.signed {
+		envOpts = append(envOpts, sim.WithSignedDisposableZones())
+		opts = append(opts, resolver.WithValidation())
+	}
+	env, err := sim.NewEnv(w.scale, append(envOpts, sim.WithResolverOptions(opts...))...)
+	if err != nil {
+		return counters{}, err
+	}
+	p := workload.DecemberProfile(dateAt(w.day))
+	if w.share >= 0 {
+		p.DisposableFrac = w.share
+	}
+	if _, err := env.RunDay(p); err != nil {
+		return counters{}, err
+	}
+	return counters{env.Cluster.Stats(), env.Cluster.CacheStats(), env.Authority.Stats().Signatures}, nil
+}
+
+// premature sums the caches' premature evictions of victim entries by
+// inserter inserts.
+func (c counters) premature(victim, inserter cache.Category) uint64 {
+	var n uint64
+	for _, cs := range c.caches {
+		n += cs.PrematureEvictions[victim][inserter]
+	}
+	return n
+}
+
+// counters returns w's counters, simulating w on its first read in the run.
+func (r *Run) counters(w world) (counters, error) {
+	r.mu.Lock()
+	read, ok := r.worlds[w]
+	if !ok {
+		read = sync.OnceValues(func() (counters, error) { return w.simulate() })
+		r.worlds[w] = read
+	}
+	r.mu.Unlock()
+	return read()
 }
 
 // keepNamespace drops what a dataset's readers never use once its days are

@@ -261,7 +261,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestCachePressureShape(t *testing.T) {
-	res, err := CachePressure(tinyScale(), []float64{0, 0.15, 0.35})
+	res, err := tinyRun.CachePressure([]float64{0, 0.15, 0.35})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestCachePressureShape(t *testing.T) {
 }
 
 func TestDNSSECLoadShape(t *testing.T) {
-	res, err := DNSSECLoad(tinyScale())
+	res, err := tinyRun.DNSSECLoad()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestFeatureAblationShape(t *testing.T) {
 }
 
 func TestSharedCacheAblationShape(t *testing.T) {
-	res, err := SharedCacheAblation(tinyScale())
+	res, err := tinyRun.SharedCacheAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestRenewalModelShape(t *testing.T) {
 }
 
 func TestTaxonomyShape(t *testing.T) {
-	res, err := Taxonomy(tinyScale())
+	res, err := tinyRun.Taxonomy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestClientCardinalityShape(t *testing.T) {
 // never hits less often than LRU, hits strictly more often where the cache
 // is smallest, and the two are the same cache where nothing live is evicted.
 func TestCachePolicySweepVerdict(t *testing.T) {
-	res, err := CachePolicySweep(sim.Small())
+	res, err := NewRun(sim.Small(), 0).CachePolicySweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,10 +45,8 @@ func (r *Run) CacheMitigation(disposableFrac float64) (*MitigationResult, error)
 	// VI-A) are in exactly that regime. With timer-wheel expiry the cache
 	// holds only live entries, so the binding point sits far below the
 	// lazy-expiry sizing.
-	cacheSize := r.scale.CacheSize / 256
-	if cacheSize < 128 {
-		cacheSize = 128
-	}
+	heavy := world{scale: r.scale, day: 1, share: disposableFrac}
+	heavy.scale.CacheSize = max(r.scale.CacheSize/256, 128)
 
 	// Phase 1: learn the disposable zones from a normal day.
 	d, err := r.refDay()
@@ -61,47 +59,31 @@ func (r *Run) CacheMitigation(disposableFrac float64) (*MitigationResult, error)
 	}
 	matcher := core.NewMatcher(findings)
 
-	res := &MitigationResult{
-		DisposableFrac: disposableFrac,
-		CacheSize:      cacheSize,
-		MinedZones:     len(matcher.Zones()),
-	}
-
-	// Phase 2: replay the heavy day with and without the mitigation.
-	run := func(opts ...resolver.Option) (hit, nonDispMiss float64, premature uint64, err error) {
-		s := r.scale
-		s.CacheSize = cacheSize
-		env, err := sim.NewEnv(s, sim.WithResolverOptions(opts...))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		p := workload.DecemberProfile(dateAt(1))
-		p.DisposableFrac = disposableFrac
-		if _, err := env.RunDay(p); err != nil {
-			return 0, 0, 0, err
-		}
-		st := env.Cluster.Stats()
-		for _, cs := range env.Cluster.CacheStats() {
-			premature += cs.PrematureEvictions[cache.CategoryOther][cache.CategoryDisposable]
-		}
-		hit = frac64(st.CacheHits, st.Queries)
-		nonDispMiss = frac64(st.MissesByCategory[cache.CategoryOther], st.QueriesByCategory[cache.CategoryOther])
-		return hit, nonDispMiss, premature, nil
-	}
-
-	if res.BaseHitRate, res.BaseNonDispMissRate, res.BasePremature, err = run(); err != nil {
-		return nil, err
-	}
-	deprioritize := func(name string) bool {
-		_, ok := matcher.Match(name)
-		return ok
-	}
-	res.MitigatedHitRate, res.MitigatedNonDispMissRate, res.MitigatedPremature, err =
-		run(resolver.WithDeprioritizer(deprioritize))
+	// Phase 2: replay the heavy day with and without the mitigation. The
+	// mitigated run is the run's alone: its deprioritizer is no map key.
+	base, err := r.counters(heavy)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	mitigated, err := heavy.simulate(resolver.WithDeprioritizer(func(name string) bool {
+		_, ok := matcher.Match(name)
+		return ok
+	}))
+	if err != nil {
+		return nil, err
+	}
+	const other, disp = cache.CategoryOther, cache.CategoryDisposable
+	return &MitigationResult{
+		DisposableFrac:           disposableFrac,
+		CacheSize:                heavy.scale.CacheSize,
+		BaseHitRate:              hitRate(base.stats),
+		BaseNonDispMissRate:      nonDispMissRate(base.stats),
+		BasePremature:            base.premature(other, disp),
+		MitigatedHitRate:         hitRate(mitigated.stats),
+		MitigatedNonDispMissRate: nonDispMissRate(mitigated.stats),
+		MitigatedPremature:       mitigated.premature(other, disp),
+		MinedZones:               len(matcher.Zones()),
+	}, nil
 }
 
 // Render prints the before/after comparison.

@@ -10,8 +10,6 @@ import (
 	"dnsnoise/internal/features"
 	"dnsnoise/internal/pdns"
 	"dnsnoise/internal/resolver"
-	"dnsnoise/internal/sim"
-	"dnsnoise/internal/workload"
 )
 
 // --- Figure 15 + Section VI-C: passive DNS database growth ----------------
@@ -108,42 +106,27 @@ type CachePressureResult struct {
 // deliberately small cache and measures premature evictions of useful
 // entries and the resulting above-traffic inflation for non-disposable
 // names — the paper's "DNS service degradation" mechanism.
-func CachePressure(scale sim.Scale, fracs []float64) (*CachePressureResult, error) {
+func (r *Run) CachePressure(fracs []float64) (*CachePressureResult, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4}
 	}
 	// The timer wheel reclaims dead entries proactively, so capacity binds
 	// on the LIVE working set — a much smaller cache than under lazy
 	// expiry is needed before disposable inserts displace useful entries.
-	cacheSize := scale.CacheSize / 64
-	if cacheSize < 128 {
-		cacheSize = 128
-	}
-	res := &CachePressureResult{CacheSize: cacheSize}
+	s := r.scale
+	s.CacheSize = max(s.CacheSize/64, 128)
+	res := &CachePressureResult{CacheSize: s.CacheSize}
 	for _, f := range fracs {
-		s := scale
-		s.CacheSize = cacheSize
-		env, err := sim.NewEnv(s)
+		c, err := r.counters(world{scale: s, share: f})
 		if err != nil {
 			return nil, err
 		}
-		p := workload.DecemberProfile(dateAt(0))
-		p.DisposableFrac = f
-		if _, err := env.RunDay(p); err != nil {
-			return nil, err
-		}
-		st := env.Cluster.Stats()
-		var premature uint64
-		for _, cs := range env.Cluster.CacheStats() {
-			premature += cs.PrematureEvictions[cache.CategoryOther][cache.CategoryDisposable]
-		}
 		res.Points = append(res.Points, CachePoint{
 			DisposableFrac:     f,
-			HitRate:            frac64(st.CacheHits, st.Queries),
-			PrematureEvictions: premature,
-			AboveQueries:       st.UpstreamRTs,
-			NonDispMissRate: frac64(st.MissesByCategory[cache.CategoryOther],
-				st.QueriesByCategory[cache.CategoryOther]),
+			HitRate:            hitRate(c.stats),
+			PrematureEvictions: c.premature(cache.CategoryOther, cache.CategoryDisposable),
+			AboveQueries:       c.stats.UpstreamRTs,
+			NonDispMissRate:    nonDispMissRate(c.stats),
 		})
 	}
 	return res, nil
@@ -154,6 +137,13 @@ func frac64(num, den uint64) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
+}
+
+func hitRate(st resolver.Stats) float64 { return frac64(st.CacheHits, st.Queries) }
+
+// nonDispMissRate is the cache-miss rate of non-disposable queries.
+func nonDispMissRate(st resolver.Stats) float64 {
+	return frac64(st.MissesByCategory[cache.CategoryOther], st.QueriesByCategory[cache.CategoryOther])
 }
 
 // CachePolicyPoint is one (policy, capacity) cell of the eviction-policy
@@ -181,51 +171,33 @@ type CachePolicySweepResult struct {
 // so differences are attributable to the policy alone — the head-to-head
 // comparison behind the "when does SIEVE beat LRU" question at capacity
 // scale (EXPERIMENTS.md has the ten-seed answer).
-func CachePolicySweep(scale sim.Scale) (*CachePolicySweepResult, error) {
-	sizes := []int{scale.CacheSize / 256, scale.CacheSize / 64, scale.CacheSize / 16}
-	for i, s := range sizes {
-		if s < 128 {
-			sizes[i] = 128
-		}
-	}
+func (r *Run) CachePolicySweep() (*CachePolicySweepResult, error) {
 	const disposableFrac = 0.3
+	const other, disp = cache.CategoryOther, cache.CategoryDisposable
 	res := &CachePolicySweepResult{DisposableFrac: disposableFrac}
-	for _, size := range sizes {
+	for _, div := range []int{256, 64, 16} {
 		for _, kind := range cache.Policies() {
-			s := scale
-			s.CacheSize = size
+			s := r.scale
+			s.CacheSize = max(r.scale.CacheSize/div, 128)
 			s.CachePolicy = kind
-			env, err := sim.NewEnv(s)
+			c, err := r.counters(world{scale: s, share: disposableFrac})
 			if err != nil {
 				return nil, err
 			}
-			p := workload.DecemberProfile(dateAt(0))
-			p.DisposableFrac = disposableFrac
-			if _, err := env.RunDay(p); err != nil {
-				return nil, err
-			}
-			st := env.Cluster.Stats()
-			var premOD, premAll, premDisp, reclaims uint64
-			for _, cs := range env.Cluster.CacheStats() {
-				premOD += cs.PrematureEvictions[cache.CategoryOther][cache.CategoryDisposable]
-				for v := 0; v < 2; v++ {
-					for i := 0; i < 2; i++ {
-						premAll += cs.PrematureEvictions[v][i]
-					}
-				}
-				premDisp += cs.PrematureEvictions[cache.CategoryDisposable][cache.CategoryOther] +
-					cs.PrematureEvictions[cache.CategoryDisposable][cache.CategoryDisposable]
+			premDisp := c.premature(disp, other) + c.premature(disp, disp)
+			premAll := premDisp + c.premature(other, other) + c.premature(other, disp)
+			var reclaims uint64
+			for _, cs := range c.caches {
 				reclaims += cs.Reclaims
 			}
 			res.Points = append(res.Points, CachePolicyPoint{
 				Policy:             kind.String(),
-				CacheSize:          size,
-				HitRate:            frac64(st.CacheHits, st.Queries),
-				PrematureEvictions: premOD,
+				CacheSize:          s.CacheSize,
+				HitRate:            hitRate(c.stats),
+				PrematureEvictions: c.premature(other, disp),
 				DisposableShare:    frac64(premDisp, premAll),
 				WheelReclaims:      reclaims,
-				NonDispMissRate: frac64(st.MissesByCategory[cache.CategoryOther],
-					st.QueriesByCategory[cache.CategoryOther]),
+				NonDispMissRate:    nonDispMissRate(c.stats),
 			})
 		}
 	}
@@ -288,24 +260,18 @@ type DNSSECResult struct {
 
 // DNSSECLoad signs every disposable zone, enables the validating resolver,
 // and measures signature validations attributable to disposable queries.
-func DNSSECLoad(scale sim.Scale) (*DNSSECResult, error) {
-	env, err := sim.NewEnv(scale,
-		sim.WithSignedDisposableZones(),
-		sim.WithResolverOptions(resolver.WithValidation()))
+func (r *Run) DNSSECLoad() (*DNSSECResult, error) {
+	c, err := r.counters(world{scale: r.scale, share: -1, signed: true})
 	if err != nil {
 		return nil, err
 	}
-	p := workload.DecemberProfile(dateAt(0))
-	if _, err := env.RunDay(p); err != nil {
-		return nil, err
-	}
-	st := env.Cluster.Stats()
+	st := c.stats
 	res := &DNSSECResult{
 		Validations:       st.Validations,
 		ValidationErrs:    st.ValidationErrs,
 		DisposableQueries: st.QueriesByCategory[cache.CategoryDisposable],
 		DisposableMisses:  st.MissesByCategory[cache.CategoryDisposable],
-		SignaturesSigned:  env.Authority.Stats().Signatures,
+		SignaturesSigned:  c.signatures,
 	}
 	if res.DisposableMisses > 0 {
 		res.ValidationsPerDisp = float64(st.Validations) / float64(res.DisposableMisses)
@@ -384,36 +350,24 @@ func (r *AblationResult) Render() string {
 	return renderTable(header, rows)
 }
 
-// SharedCacheAblation compares the paper's per-server independent caches
-// against one shared cache of equal total capacity.
-func SharedCacheAblation(scale sim.Scale) (*AblationResult, error) {
-	res := &AblationResult{}
-	variants := []struct {
-		name    string
-		servers int
-		size    int
-	}{
-		{name: "independent-caches", servers: scale.Servers, size: scale.CacheSize},
-		{name: "one-shared-cache", servers: 1, size: scale.CacheSize * scale.Servers},
+// SharedCacheAblation compares the paper's per-server independent caches,
+// the reference day's, against one shared cache of equal total capacity.
+func (r *Run) SharedCacheAblation() (*AblationResult, error) {
+	d, err := r.refDay()
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range variants {
-		s := scale
-		s.Servers = v.servers
-		s.CacheSize = v.size
-		env, err := sim.NewEnv(s)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := env.RunDay(workload.DecemberProfile(dateAt(0))); err != nil {
-			return nil, err
-		}
-		st := env.Cluster.Stats()
-		res.Rows = append(res.Rows, AblationRow{
-			Name: v.name,
-			AUC:  frac64(st.CacheHits, st.Queries), // reported as hit rate
-		})
+	s := r.scale
+	s.Servers, s.CacheSize = 1, r.scale.CacheSize*r.scale.Servers
+	shared, err := r.counters(world{scale: s, share: -1})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	// The AUC column carries the hit rate.
+	return &AblationResult{Rows: []AblationRow{
+		{Name: "independent-caches", AUC: hitRate(d.stats)},
+		{Name: "one-shared-cache", AUC: hitRate(shared.stats)},
+	}}, nil
 }
 
 // RenderHitRates prints the shared-cache ablation (AUC column is hit rate).

@@ -9,11 +9,8 @@ import (
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
-	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/renewal"
-	"dnsnoise/internal/sim"
 	"dnsnoise/internal/stats"
-	"dnsnoise/internal/workload"
 )
 
 // --- Jung et al. renewal model vs black-box measurement -------------------
@@ -106,18 +103,14 @@ type TaxonomyResult struct {
 	DisposableInCanonical  float64
 }
 
-// Taxonomy classifies one day of below-traffic with the treetop rules. It
-// taps the day as it resolves, so it simulates its own.
-func Taxonomy(scale sim.Scale) (*TaxonomyResult, error) {
-	env, err := sim.NewEnv(scale)
+// Taxonomy classifies the reference day's below-traffic with the treetop
+// rules.
+func (r *Run) Taxonomy() (*TaxonomyResult, error) {
+	d, err := r.refDay()
 	if err != nil {
 		return nil, err
 	}
-	var tc baseline.TaxonomyCounter
-	if _, err := env.RunDay(workload.DecemberProfile(dateAt(0)),
-		ingest.WithSinks(ingest.TapSink(tc.Tap(), nil))); err != nil {
-		return nil, err
-	}
+	tc := &d.taxonomy
 	return &TaxonomyResult{
 		CanonicalShare:         tc.Share(baseline.Canonical),
 		OverloadedShare:        tc.Share(baseline.Overloaded),

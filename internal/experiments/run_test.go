@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dnsnoise/internal/baseline"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/pdns"
@@ -17,8 +18,9 @@ import (
 // shared dataset out over goroutines of its own, as dnsnoise-exp -id all
 // -parallel does, and counts the days they simulate: every simulated day
 // stamps the query log once. The run builds the reference day, the
-// bootstrap, the growth study and the February day once each, and the five
-// growth-study ids and the two Figure 3 ids read one result apiece.
+// bootstrap, the growth study, the February day and each Section VI world
+// once, and the five growth-study ids and the two Figure 3 ids read one
+// result apiece.
 func TestRunSimulatesEachDatasetOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the growth study and a two-day bootstrap")
@@ -45,6 +47,10 @@ func TestRunSimulatesEachDatasetOnce(t *testing.T) {
 		func() error { _, err := r.Baseline(); return err },
 		func() error { _, err := r.ClientCardinality(); return err },
 		func() error { _, err := r.CacheMitigation(0.3); return err },
+		func() error { _, err := r.CachePressure(nil); return err },
+		func() error { _, err := r.CachePolicySweep(); return err },
+		func() error { _, err := r.Taxonomy(); return err },
+		func() error { _, err := r.SharedCacheAblation(); return err },
 	}
 	for range 5 { // fig11, fig13, fig14, table1, table2
 		readers = append(readers, func() error {
@@ -78,12 +84,15 @@ func TestRunSimulatesEachDatasetOnce(t *testing.T) {
 			t.Fatalf("reader %d: %v", i, err)
 		}
 	}
-	// The reference day 1, the bootstrap 2, the growth study 7 (its
-	// training day and six dates), the February day 1, and the two days
-	// the mitigation replays on caches of its own.
+	// The reference day 1 (taxonomy and the independent caches read it
+	// too), the bootstrap 2, the growth study 7 (its training day and six
+	// dates), the February day 1, the mitigation's plain and deprioritized
+	// days 2, the cache-pressure sweep 6, the policy sweep 5 (its 30 %
+	// LRU cell at the pressure sweep's size is the sweep's 30 % row) and
+	// the one shared cache 1.
 	log.EmitNow(qlog.Event{})
-	if got := stamps.ev.Window; got != 13 {
-		t.Errorf("readers simulated %d days, want 13", got)
+	if got := stamps.ev.Window; got != 25 {
+		t.Errorf("readers simulated %d days, want 25", got)
 	}
 	if len(growth) != 1 || len(fig3) != 1 {
 		t.Errorf("growth-study ids read %d results, Figure 3 ids %d; want one each", len(growth), len(fig3))
@@ -95,7 +104,8 @@ func TestRunSimulatesEachDatasetOnce(t *testing.T) {
 // RunDay a day on a fresh world with the store tapped: the store's days
 // and size and the final day's mined zones must be the same. The
 // reference day must hold, name by name, what a fresh world's first
-// December day holds.
+// December day holds, and its cluster's counters and treetop taxonomy
+// must be that day's.
 func TestSharedDatasetsMatchOwnRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a 13-day bootstrap twice at the small scale")
@@ -150,7 +160,8 @@ func TestSharedDatasetsMatchOwnRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, err := fresh.RunDay(workload.DecemberProfile(dateAt(0)))
+	var tc baseline.TaxonomyCounter
+	own, err := fresh.RunDay(workload.DecemberProfile(dateAt(0)), ingest.WithSinks(ingest.TapSink(tc.Tap(), nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +171,12 @@ func TestSharedDatasetsMatchOwnRuns(t *testing.T) {
 	}
 	if got, want := nameSums(d.byName), nameSums(own.ByName()); !reflect.DeepEqual(got, want) {
 		t.Errorf("reference day holds %d names, a fresh day %d, or their sums differ", len(got), len(want))
+	}
+	if got, want := d.stats, fresh.Cluster.Stats(); got != want {
+		t.Errorf("reference day's cluster counted\n%+v\na fresh day's\n%+v", got, want)
+	}
+	if d.taxonomy != tc {
+		t.Errorf("reference day's taxonomy %+v, a fresh day's %+v", d.taxonomy, tc)
 	}
 }
 

@@ -187,8 +187,11 @@ func (h bigResponder) AppendHandleWire(dst, query []byte) ([]byte, error) {
 	if err != nil || len(msg.Questions) != 1 {
 		return dst, err
 	}
-	resp := dnsmsg.NewResponse(msg, dnsmsg.RCodeNoError)
-	resp.Header.ID = msg.Header.ID
+	resp := &dnsmsg.Message{
+		Header: dnsmsg.Header{ID: msg.Header.ID, Response: true,
+			RecursionDesired: msg.Header.RecursionDesired, RecursionAvailable: true},
+		Questions: msg.Questions,
+	}
 	for i := 0; i < h.records; i++ {
 		resp.Answers = append(resp.Answers, dnsmsg.RR{
 			Name: msg.Questions[0].Name, Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN,
