@@ -47,8 +47,14 @@ bench:
 # tree and BenchmarkRescoreTouched over a window that touched three zones of
 # it, the batch BenchmarkMine, the tree's GroupsUnder/ChildZones and Insert,
 # the guard that an untouched re-score allocates for what it reports, not per
-# name or per finding, and TestTreeInsertZeroAlloc: a re-stamp allocates
-# nothing, a new node its share of a slab chunk) — the source side of a
+# name or per finding, nor for a window of bare names the tree holds, and
+# TestTreeInsertZeroAlloc: a re-stamp, by string or by bytes, allocates
+# nothing, a new node its share of a slab chunk) — the serve path's name
+# intake (BenchmarkObserveName: a name the window holds and a name new to a
+# window whose buffers an earlier one grew, both reading 0 allocs/op; the
+# guard is TestScoreWireFreshNamesZeroAlloc on the 'ZeroAlloc' line: a
+# recycled window of fresh names, a random-subdomain flood, costs the
+# listener no allocation) — the source side of a
 # replay (BenchmarkReaderNext and BenchmarkDayStream
 # with the guards that a canonical trace line costs at most one allocation
 # and none when its name repeats, a generated name at most one, a generated
@@ -79,7 +85,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolveCacheHit|BenchmarkResolveCacheMiss|BenchmarkPutGet|BenchmarkEvictionChurn|BenchmarkAppendHandleWire|BenchmarkUnpack' \
 		-benchtime=100x -benchmem ./internal/resolver/ ./internal/cache/ ./internal/authority/ ./internal/dnsmsg/
-	$(GO) test -run '^$$' -bench 'BenchmarkRescore|BenchmarkMine|BenchmarkGroupsUnder|BenchmarkChildZones|BenchmarkInsert' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRescore|BenchmarkMine|BenchmarkObserveName|BenchmarkGroupsUnder|BenchmarkChildZones|BenchmarkInsert' \
 		-benchtime=100x -benchmem ./internal/core/ ./internal/dntree/
 	$(GO) test -run 'TestRescoreSteadyStateAllocs' -v ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkDayStream' \

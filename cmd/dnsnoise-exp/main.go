@@ -66,13 +66,7 @@ func catalog() []experiment {
 		{"taxonomy", "Plonka treetop taxonomy vs disposable class", func(r *Run) (string, error) { return show(r.Taxonomy()) }},
 		{"baseline", "Yadav name-only detector vs the miner", func(r *Run) (string, error) { return show(r.Baseline()) }},
 		{"ablation-features", "feature family ablation", func(r *Run) (string, error) { return show(r.FeatureAblation()) }},
-		{"ablation-cache", "independent vs shared cache ablation", func(r *Run) (string, error) {
-			res, err := r.SharedCacheAblation()
-			if err != nil {
-				return "", err
-			}
-			return res.RenderHitRates(), nil
-		}},
+		{"ablation-cache", "independent vs shared cache ablation", func(r *Run) (string, error) { return show(r.SharedCacheAblation()) }},
 	}
 }
 

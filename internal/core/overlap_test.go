@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,8 +171,8 @@ func watchName(name string) <-chan struct{} {
 
 // TestEndDayReleasesTheDay: after EndDay nothing of the finished day is
 // reachable from the pipeline. Two probe names say so, one through each
-// intake: a record's owner and the copy ObserveName made of a bare name the
-// first time it was noted, which every holder of a name
+// intake: a record's owner and the copy the tree made of a bare name when it
+// first took the name in from a stripe, which every holder of a name
 // keeps alive — counts view, collector shards and their touched lists,
 // touched-name buffer, stripes, findings kept per zone, scratch — and
 // every holder of a tree handle too, because one node reaches
@@ -212,15 +213,15 @@ func TestEndDayReleasesTheDay(t *testing.T) {
 		// zone's tree node, and the zone of its findings, slice the probe.
 		if i%(len(events)/3) == 0 {
 			p.ObserveName(nameProbe)
-			if i == 0 { // the copy the tree will be built from
-				noted := p.pending[dnsname.Hash(nameProbe)&(pendingStripeCount-1)].names
-				nameFreed = watchName(noted[len(noted)-1])
-			}
 			for n := 0; n < 8*pendingStripeCount; n++ {
 				p.ObserveName(fmt.Appendf(nil, "k%d-%d.bucket.s3.example.com", i, n))
 			}
 			if _, err := p.Rescore(date); err != nil {
 				t.Fatal(err)
+			}
+			if i == 0 { // the copy the tree holds the name by
+				p.wait()
+				nameFreed = watchName(p.tree.Node(string(nameProbe)).Name())
 			}
 		}
 	}
@@ -271,22 +272,20 @@ func TestEndDayReleasesTheDay(t *testing.T) {
 	buffers := 0
 	for i := range p.pending {
 		s := &p.pending[i]
-		if len(s.seen) != 0 || len(s.names) != 0 || len(s.spare) != 0 {
-			t.Errorf("stripe %d: %d seen, %d pending, %d spare names after EndDay", i, len(s.seen), len(s.names), len(s.spare))
+		if s.names.len() != 0 || len(s.names.bytes) != 0 || s.spare.len() != 0 || len(s.spare.bytes) != 0 {
+			t.Errorf("stripe %d: %d pending, %d spare names after EndDay", i, s.names.len(), s.spare.len())
 		}
-		for _, buf := range [][]string{s.names, s.spare} {
-			if cap(buf) > 0 {
+		for _, set := range []*nameSet{&s.names, &s.spare} {
+			if cap(set.bytes) > 0 {
 				buffers++
 			}
-			for _, name := range buf[:cap(buf)] {
-				if name != "" {
-					t.Fatalf("stripe %d: an idle intake buffer still holds %q", i, name)
-				}
+			if slices.ContainsFunc(set.index, func(o uint32) bool { return o != 0 }) {
+				t.Fatalf("stripe %d: an idle intake index still lists a name", i)
 			}
 		}
 	}
 	if buffers != 2*pendingStripeCount {
-		t.Errorf("fixture: %d intake buffers were ever used, want both of every stripe", buffers)
+		t.Errorf("fixture: %d intake sets were ever used, want both of every stripe", buffers)
 	}
 }
 

@@ -182,13 +182,11 @@ const pendingStripeCount = 16
 
 type pendingStripe struct {
 	mu sync.Mutex
-	// seen holds the names the open window has noted, cleared at the
-	// barrier: a name is admitted once per window.
-	seen  map[string]struct{}
-	names []string
-	// spare is the other intake buffer: swapped with names at the barrier,
-	// drained by the re-score, which owns it (no lock) until the next one.
-	spare []string
+	// names holds what the open window has noted, each name once.
+	names nameSet
+	// spare is the other set: swapped with names at the barrier, drained
+	// and reset by the re-score, which owns it (no lock) until the next one.
+	spare nameSet
 }
 
 // RescoreHandle is one window's re-score in flight on its own goroutine.
@@ -211,11 +209,10 @@ func (h *RescoreHandle) Wait() (RescoreResult, error) {
 // ObserveAbove quiesced — the ingest runner calls them at stream barriers.
 // ObserveName may run beside Rescore and EndDay, as the serve path's
 // scorers run beside its re-score ticker: every access to a stripe's names
-// and seen is under the stripe's lock, and its spare buffer belongs to the
-// re-score. Between two barriers the re-score goroutine owns the tree, the
-// verdict states, the scratch, the per-zone findings and the spare intake
-// buffers, and reads a counts view that stays frozen until the next
-// barrier refreshes it.
+// is under the stripe's lock, and its spare set belongs to the re-score.
+// Between two barriers the re-score goroutine owns the tree, the verdict
+// states, the scratch, the per-zone findings and the spare intake sets, and
+// reads a counts view that stays frozen until the next barrier refreshes it.
 type StreamingPipeline struct {
 	miner *Miner
 	cfg   StreamingConfig
@@ -271,9 +268,6 @@ func NewStreamingPipeline(classifier mlearn.Classifier, mcfg MinerConfig, scfg S
 		states:    make(map[ZoneDepth]*verdictState),
 	}
 	p.tree.SetHorizon(scfg.KeepWindows)
-	for i := range p.pending {
-		p.pending[i].seen = make(map[string]struct{})
-	}
 	return p, nil
 }
 
@@ -350,17 +344,15 @@ func (p *StreamingPipeline) ObserveAbove(ob resolver.Observation) { p.collector.
 
 // ObserveName notes a bare name with no cache observation behind it — the
 // serve path's intake, where only the query stream is visible — once per
-// window. The bytes stay the caller's: a name is copied when a window first
-// notes it, so the intake allocates by the names that arrive, not by how
-// often they do. Safe for concurrent use, and beside Rescore and EndDay.
+// window. The bytes stay the caller's: a window's new name is copied into
+// its stripe's buffer, which is reused window after window, so once the
+// buffers have held a window the intake allocates nothing, however many
+// names arrive. Safe for concurrent use, and beside Rescore and EndDay.
 func (p *StreamingPipeline) ObserveName(name []byte) {
-	s := &p.pending[dnsname.Hash(name)&(pendingStripeCount-1)]
+	h := dnsname.Hash(name)
+	s := &p.pending[h&(pendingStripeCount-1)]
 	s.mu.Lock()
-	if _, ok := s.seen[string(name)]; !ok { // probed by the bytes: no copy
-		key := string(name)
-		s.seen[key] = struct{}{}
-		s.names = append(s.names, key)
-	}
+	s.names.add(name, h)
 	s.mu.Unlock()
 }
 
@@ -407,10 +399,10 @@ func (p *StreamingPipeline) join() error {
 
 // closeWindow is the barrier half of a re-score, what must be ordered
 // against the observe side: close the stripes' window (swap their intake
-// buffers, forget what the window noted), bring the counts view up to date
-// with the records the window touched. The view and the touched owner names
-// are returned, not kept, so that EndDay's Reset leaves the day's records
-// unreachable.
+// sets: the open window's goes to the mine, the one it emptied comes back),
+// bring the counts view up to date with the records the window touched. The
+// view and the touched owner names are returned, not kept, so that EndDay's
+// Reset leaves the day's records unreachable.
 func (p *StreamingPipeline) closeWindow(date time.Time, res *RescoreResult) (byName map[string][]*chrstat.RRStat, touched []string) {
 	p.day = date.UTC().Format("2006-01-02")
 	*res = RescoreResult{Window: p.windows.Load() + 1, Date: date}
@@ -418,7 +410,6 @@ func (p *StreamingPipeline) closeWindow(date time.Time, res *RescoreResult) (byN
 		s := &p.pending[i]
 		s.mu.Lock()
 		s.names, s.spare = s.spare, s.names
-		clear(s.seen)
 		s.mu.Unlock()
 	}
 	return p.counts.Refresh(p.collector)
@@ -432,20 +423,21 @@ func (p *StreamingPipeline) mineWindow(res *RescoreResult, byName map[string][]*
 		defer func(start time.Time) { p.mRescoreNs.Observe(uint64(time.Since(start))) }(time.Now())
 	}
 	// The window's names, from both intakes, before the horizon is applied:
-	// a name the tree knows is re-stamped, and the expiry leaves it alone.
-	insert := func(names []string) {
-		for _, name := range names {
-			if p.tree.InsertAt(name) {
+	// a name the tree knows is re-stamped, and the expiry leaves it alone. A
+	// bare name is copied only if the tree has no node of it.
+	for _, name := range touched {
+		if p.tree.InsertAt(name) {
+			res.Inserted++
+		}
+	}
+	for i := range p.pending {
+		s := &p.pending[i].spare
+		for j := range s.len() {
+			if p.tree.InsertAtBytes(s.name(j)) {
 				res.Inserted++
 			}
 		}
-	}
-	insert(touched)
-	for i := range p.pending {
-		s := &p.pending[i]
-		insert(s.spare)
-		clear(s.spare) // an idle buffer keeps no name alive
-		s.spare = s.spare[:0]
+		s.reset()
 	}
 	p.mNames.Add(uint64(res.Inserted))
 	res.Expired = p.tree.Expire()

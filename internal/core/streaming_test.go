@@ -421,7 +421,10 @@ func steadyPipeline(tb testing.TB) (*StreamingPipeline, time.Time, int) {
 // what it reports (the findings' list, the hysteresis fold, the snapshot)
 // and for running beside the intake (handle, channel, goroutine) — 24
 // objects on this fixture — not per name, per record or per finding in the
-// tree. The limit is that reading plus a handful, so that it can fail.
+// tree. The limit is that reading plus a handful, so that it can fail. A
+// window that notes, as bare names, the 130 names of one zone the tree
+// holds is held to the same limit: the drain stamps a name the tree holds
+// with no copy, and the zone's mine adds two objects (26).
 func TestRescoreSteadyStateAllocs(t *testing.T) {
 	const limit = 28
 	stream, date, names := steadyPipeline(t)
@@ -430,6 +433,30 @@ func TestRescoreSteadyStateAllocs(t *testing.T) {
 		t.Errorf("a re-score of an unchanged tree of %d names allocates %.0f objects, want at most %d", names, allocs, limit)
 	}
 	t.Logf("%.0f allocs per steady-state re-score of %d names", allocs, names)
+
+	first := synthObservations(21, 35, 15, 130)[0].ob.RR.Name
+	var held [][]byte
+	for _, name := range stream.tree.NamesUnder(first[strings.IndexByte(first, '.')+1:]) {
+		held = append(held, []byte(name))
+	}
+	if len(held) != 130 {
+		t.Fatalf("fixture: %d names under the first zone, want 130", len(held))
+	}
+	window := func() {
+		for _, name := range held {
+			stream.ObserveName(name)
+		}
+		if res := rescore(t, stream, date); res.Inserted != 0 {
+			t.Fatalf("a window of held names inserted %d", res.Inserted)
+		}
+	}
+	window() // the barrier swaps two intake sets a stripe: grow both
+	window()
+	allocs = testing.AllocsPerRun(5, window)
+	if allocs > limit {
+		t.Errorf("a re-score of a window of %d bare names the tree holds allocates %.0f objects, want at most %d", len(held), allocs, limit)
+	}
+	t.Logf("%.0f allocs per re-score of %d held bare names", allocs, len(held))
 }
 
 func BenchmarkRescore(b *testing.B) {
@@ -483,6 +510,56 @@ func BenchmarkRescoreTouched(b *testing.B) {
 	if got := len(stream.dirty); got != 3 {
 		b.Fatalf("the last window mined %d zones, want 3", got)
 	}
+}
+
+// BenchmarkObserveName prices the serve path's intake, one name a call, on
+// 4 096 names of 20-byte random labels under one zone: noted again in the
+// window that holds them (repeated), and noted into windows that have not
+// (fresh), whose intake sets earlier windows grew. The barriers are not
+// timed; both cases should read 0 allocs/op.
+func BenchmarkObserveName(b *testing.B) {
+	stream, err := NewStreamingPipeline(trainedClassifier(b), MinerConfig{Theta: 0.5}, StreamingConfig{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	names := make([][]byte, 4096)
+	for i := range names {
+		names[i] = append(labelgen.AppendToken(nil, rng, 20), ".flood.example.com"...)
+	}
+	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	window := func() {
+		for _, name := range names {
+			stream.ObserveName(name)
+		}
+	}
+	for range 2 { // the barrier swaps two intake sets a stripe: grow both
+		window()
+		rescore(b, stream, date)
+	}
+	b.Run("repeated", func(b *testing.B) {
+		window()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stream.ObserveName(names[i%len(names)])
+		}
+		b.StopTimer()
+		rescore(b, stream, date)
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%len(names) == 0 {
+				b.StopTimer()
+				rescore(b, stream, date)
+				b.StartTimer()
+			}
+			stream.ObserveName(names[i%len(names)])
+		}
+		b.StopTimer()
+		rescore(b, stream, date)
+	})
 }
 
 // BenchmarkMine prices the batch miner over the steady fixture's day.

@@ -140,7 +140,11 @@ func (t *Tree) blacken(name string) (n *Node, fresh bool) {
 	if name = dnsname.Normalize(name); name == "" {
 		return nil, false
 	}
-	n = t.walk(name, true)
+	return t.color(t.walk(name, true))
+}
+
+// color is blacken for a node the tree holds.
+func (t *Tree) color(n *Node) (_ *Node, fresh bool) {
 	if fresh = !n.black; fresh {
 		t.setBlack(n, true)
 		t.register(n, 1)

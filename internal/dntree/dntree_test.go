@@ -591,14 +591,24 @@ func TestMatchesReference(t *testing.T) {
 				tr.Restore()
 				tr.Insert(randomName())
 			case r < 60:
+				// Every other step through the bytes, as the name came:
+				// InsertAtBytes normalizes as InsertAt does.
 				op = "InsertAt"
-				name := dnsname.Normalize(randomName())
+				raw := randomName()
+				name := dnsname.Normalize(raw)
 				tr.Restore() // the contract: nothing is inserted into a mined tree
 				n := tr.Node(name)
 				fresh := name != "" && (n == nil || !n.black)
 				stamps := fresh || name != "" && n.lastSeen != tr.window
-				if got := tr.InsertAt(name); got != fresh {
-					t.Fatalf("seed %d step %d: InsertAt(%q) = %v", seed, step, name, got)
+				var got bool
+				if step%2 == 0 {
+					op = "InsertAtBytes"
+					got = tr.InsertAtBytes([]byte(raw))
+				} else {
+					got = tr.InsertAt(name)
+				}
+				if got != fresh {
+					t.Fatalf("seed %d step %d: %s(%q) = %v", seed, step, op, raw, got)
 				}
 				if stamps {
 					mark(name, startNames(tr))
@@ -683,11 +693,11 @@ func TestMatchesReference(t *testing.T) {
 }
 
 // TestTreeInsertZeroAlloc: a name the tree holds is re-stamped without an
-// allocation, and a tree of new deep names allocates for its slab chunks and
-// the growth of its index, not per node. The index's growth is measured on
-// its own, the same names put in the same order: 0.006 allocations a node
-// on the Swiss-table map of Go 1.24, 0.033 on Go 1.23's, which allocates
-// overflow buckets one by one.
+// allocation, given as a string or as bytes, and a tree of new deep names
+// allocates for its slab chunks and the growth of its index, not per node.
+// The index's growth is measured on its own, the same names put in the same
+// order: 0.006 allocations a node on the Swiss-table map of Go 1.24, 0.033
+// on Go 1.23's, which allocates overflow buckets one by one.
 func TestTreeInsertZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	names := make([]string, 10000)
@@ -705,6 +715,18 @@ func TestTreeInsertZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("re-stamping %d names: %v allocations", len(names), allocs)
+	}
+	raw := make([][]byte, len(names))
+	for i, name := range names {
+		raw[i] = []byte(name)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		tr.AdvanceWindow()
+		for _, name := range raw {
+			tr.InsertAtBytes(name)
+		}
+	}); allocs != 0 {
+		t.Errorf("re-stamping %d names by their bytes: %v allocations", len(names), allocs)
 	}
 
 	created := 0

@@ -37,8 +37,24 @@ func (t *Tree) SetHorizon(keep int) {
 // node becomes (or stays) black, records the window as its last
 // observation and, once per window, marks dirty every start above it.
 // It reports whether the name is new to the tree.
-func (t *Tree) InsertAt(name string) bool {
-	n, fresh := t.blacken(name)
+func (t *Tree) InsertAt(name string) bool { return t.stamp(t.blacken(name)) }
+
+// InsertAtBytes is InsertAt for a name held as bytes, which it copies only
+// when the tree has no node of that name: a name the tree holds, and that
+// normalizes to itself, is stamped with no string made. A node's name is
+// normalized, so a hit has no upper case; a trailing dot is what the probe
+// must rule out.
+func (t *Tree) InsertAtBytes(name []byte) bool {
+	if len(name) > 0 && name[len(name)-1] != '.' {
+		if n := t.nodes[string(name)]; n != nil { // probed by the bytes: no copy
+			return t.stamp(t.color(n))
+		}
+	}
+	return t.InsertAt(string(name))
+}
+
+// stamp is the rest of InsertAt, for the node blacken or color returned.
+func (t *Tree) stamp(n *Node, fresh bool) bool {
 	if n == nil || !fresh && n.lastSeen == t.window {
 		return false // no name, or already stamped this window
 	}

@@ -317,3 +317,29 @@ func TestExpireRecyclesSlots(t *testing.T) {
 	runtime.KeepAlive(tr)
 	checkNodes(t, tr)
 }
+
+// TestInsertAtBytesNormalizesAsInsertAt: the bytes form stamps the node
+// InsertAt would, for the names a probe of the raw bytes could mistake too:
+// upper case, a trailing dot, and the one-dot name of a node that a name
+// ending in two dots made.
+func TestInsertAtBytesNormalizesAsInsertAt(t *testing.T) {
+	held := []string{"www.example.com", "odd.example.com.."}
+	for _, name := range []string{"www.example.com", "WWW.Example.com", "www.example.com.",
+		"odd.example.com.", "odd.example.com..", "new.example.com", ""} {
+		byString, byBytes := New(nil), New(nil)
+		for _, h := range held {
+			byString.InsertAt(h)
+			byBytes.InsertAt(h)
+		}
+		byString.AdvanceWindow()
+		byBytes.AdvanceWindow()
+		want, got := byString.InsertAt(name), byBytes.InsertAtBytes([]byte(name))
+		if got != want || !reflect.DeepEqual(blackNames(byBytes), blackNames(byString)) {
+			t.Errorf("InsertAtBytes(%q) = %v over %v; InsertAt: %v over %v",
+				name, got, blackNames(byBytes), want, blackNames(byString))
+		}
+		if b, s := byBytes.Node(name), byString.Node(name); b != nil && s != nil && b.lastSeen != s.lastSeen {
+			t.Errorf("InsertAtBytes(%q) stamped window %d, InsertAt %d", name, b.lastSeen, s.lastSeen)
+		}
+	}
+}

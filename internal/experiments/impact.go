@@ -350,9 +350,16 @@ func (r *AblationResult) Render() string {
 	return renderTable(header, rows)
 }
 
+// SharedCacheResult is the shared-cache ablation: the cluster hit rate of
+// the paper's per-server independent caches and of one shared cache of equal
+// total capacity.
+type SharedCacheResult struct {
+	Independent, Shared float64
+}
+
 // SharedCacheAblation compares the paper's per-server independent caches,
 // the reference day's, against one shared cache of equal total capacity.
-func (r *Run) SharedCacheAblation() (*AblationResult, error) {
+func (r *Run) SharedCacheAblation() (*SharedCacheResult, error) {
 	d, err := r.refDay()
 	if err != nil {
 		return nil, err
@@ -363,19 +370,13 @@ func (r *Run) SharedCacheAblation() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The AUC column carries the hit rate.
-	return &AblationResult{Rows: []AblationRow{
-		{Name: "independent-caches", AUC: hitRate(d.stats)},
-		{Name: "one-shared-cache", AUC: hitRate(shared.stats)},
-	}}, nil
+	return &SharedCacheResult{Independent: hitRate(d.stats), Shared: hitRate(shared.stats)}, nil
 }
 
-// RenderHitRates prints the shared-cache ablation (AUC column is hit rate).
-func (r *AblationResult) RenderHitRates() string {
-	header := []string{"variant", "cluster hit rate"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.Name, pct(row.AUC)})
-	}
-	return renderTable(header, rows)
+// Render prints the shared-cache ablation.
+func (r *SharedCacheResult) Render() string {
+	return renderTable([]string{"variant", "cluster hit rate"}, [][]string{
+		{"independent-caches", pct(r.Independent)},
+		{"one-shared-cache", pct(r.Shared)},
+	})
 }

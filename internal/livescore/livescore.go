@@ -3,10 +3,12 @@
 // Scorer reads the question name out of the query datagram with the
 // authority's reader, dnsmsg.AppendSoleQuestion, into per-worker scratch,
 // notes it straight into the StreamingPipeline (ObserveName: one stripe
-// lock, and a string only the first time a window sees the name), and
-// probes the current core.VerdictSnapshot along the name's ancestor chain.
-// All of it runs on the listener's goroutine and, for a name already noted,
-// allocates nothing (guarded by AllocsPerRun tests). The Engine is only the
+// lock, and the first time a window sees the name, its bytes appended to
+// the stripe's buffer, which is reused window after window), and probes the
+// current core.VerdictSnapshot along the name's ancestor chain. All of it
+// runs on the listener's goroutine and, once the intake's buffers have held
+// a window's names, allocates nothing, fresh names included (guarded by
+// allocation tests). The Engine is only the
 // wall-clock re-score ticker.
 package livescore
 
@@ -38,8 +40,9 @@ type Scorer struct {
 // otherwise, and VerdictNone (noting nothing) when the reader rejects the
 // datagram or reads the root. The reader refuses a label holding a dot, so
 // the name has at most 127 labels and 253 bytes, and its depth counts its
-// dots, as the miner counts it (dnsname.CountLabels). Zero allocations for
-// a name the window has noted.
+// dots, as the miner counts it (dnsname.CountLabels). Zero allocations once
+// the miner's intake buffers have held a window's names, for a name new to
+// the window too.
 func (s *Scorer) ScoreWire(query []byte) qlog.Verdict {
 	name, _, _, ok := dnsmsg.AppendSoleQuestion(s.scratch[:0], query)
 	if !ok || len(name) == 0 {

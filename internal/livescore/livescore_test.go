@@ -2,6 +2,8 @@ package livescore
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -140,10 +142,8 @@ func TestScoreWireDropsNothing(t *testing.T) {
 
 // TestScoreWireZeroAlloc is the serve-path gate at the unit level: scoring
 // a query against a primed snapshot allocates nothing, dig's EDNS query
-// included, and neither does noting a name the window has already noted —
-// only a name's first sighting in a window is copied, so what the serve
-// path allocates depends on the names that arrive, not on how often. The
-// long name is past any small-string buffer the runtime could lend.
+// included, and neither does noting a name the window has already noted.
+// The long name is past any small-string buffer the runtime could lend.
 func TestScoreWireZeroAlloc(t *testing.T) {
 	eng := newPrimedEngine(t, core.Finding{Zone: "api.example.com", Depth: 4, Confidence: 0.99})
 	s := eng.NewScorer()
@@ -158,6 +158,56 @@ func TestScoreWireZeroAlloc(t *testing.T) {
 		s.ScoreWire(long)
 	}); got != 0 {
 		t.Errorf("ScoreWire allocates %.1f per run, want 0", got)
+	}
+}
+
+// TestScoreWireFreshNamesZeroAlloc: a random-subdomain flood, a window of
+// names none seen before, costs the listener nothing per name once the
+// intake's buffers have held a window as large. The barrier swaps each
+// stripe's two name sets, so two warm windows grow both; the third reuses
+// the first's. Every window is 1 536 fresh names of the same length under
+// one zone, about 96 a stripe: well inside the doubled capacity a stripe's
+// share of a warm window left it.
+func TestScoreWireFreshNamesZeroAlloc(t *testing.T) {
+	eng := newPrimedEngine(t, core.Finding{Zone: "flood.example.com", Depth: 4, Confidence: 0.99})
+	s := eng.NewScorer()
+	const perWindow = 1536
+	rng := rand.New(rand.NewSource(48))
+	window := func() [][]byte {
+		wires := make([][]byte, perWindow)
+		for i := range wires {
+			label := make([]byte, 16)
+			for j := range label {
+				label[j] = "abcdefghijklmnopqrstuvwxyz0123456789"[rng.Intn(36)]
+			}
+			wires[i] = queryWire(t, string(label)+".flood.example.com")
+		}
+		return wires
+	}
+	score := func(wires [][]byte) {
+		for _, wire := range wires {
+			if got := s.ScoreWire(wire); got != qlog.VerdictDisposable {
+				t.Fatalf("ScoreWire = %v, want disposable", got)
+			}
+		}
+	}
+	for range 2 {
+		score(window())
+		if got := rescore(t, eng); got != perWindow {
+			t.Fatalf("a warm window inserted %d names, want %d", got, perWindow)
+		}
+	}
+	fresh := window()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	score(fresh)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("scoring %d fresh names in a recycled window: %d allocations, want 0", perWindow, allocs)
+	}
+	if got := rescore(t, eng); got != perWindow {
+		t.Fatalf("the measured window inserted %d names, want %d", got, perWindow)
 	}
 }
 

@@ -164,9 +164,9 @@ func TestServeFloodZeroAlloc(t *testing.T) {
 // TestServeFloodZeroAllocScored is the same flood down the -score serve
 // path: every packet runs through a livescore scorer backed by a primed
 // streaming pipeline, whose verdict lookup and name intake must stay
-// allocation-free too. No re-score runs, so the window stays open: the
-// listener's scorer copies a name only when the window first notes it, and
-// the flood rotates over five names.
+// allocation-free too. No re-score runs, so the window stays open and the
+// flood rotates over six names it has noted: the distinct-name flood is
+// livescore.TestScoreWireFreshNamesZeroAlloc.
 func TestServeFloodZeroAllocScored(t *testing.T) {
 	// A trivially fitted classifier: only the observe-side intake runs
 	// during the flood, so its quality is irrelevant.

@@ -47,7 +47,8 @@ const batchLen = 32
 // worker, never shared — and must not retain query past the call. The
 // canonical implementation is livescore.Scorer, which notes the name into
 // the streaming miner on the listener's goroutine and probes the miner's
-// verdict snapshot, with zero allocations for a name already noted.
+// verdict snapshot, with zero allocations once the miner's intake buffers
+// have held a window's names.
 type Scorer interface {
 	ScoreWire(query []byte) qlog.Verdict
 }
