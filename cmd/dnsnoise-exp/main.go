@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"sort"
 	"sync"
@@ -158,15 +157,10 @@ func run(args []string, stdout io.Writer) error {
 	// February day) are simulated once, by whichever id needs them first.
 	shared := experiments.NewRun(sc, 13)
 	// Experiments run concurrently under -parallel, so each owns a root
-	// span; the completion counter feeds the periodic progress line.
+	// span; the progress line prints the completion counter and the gauge.
 	completed := obs.Registry.Counter("exp_completed_total",
 		"Experiments finished so far.")
-	obs.StartProgress(func(time.Duration) []slog.Attr {
-		return []slog.Attr{
-			slog.Uint64("completed", completed.Value()),
-			slog.Int("selected", len(selected)),
-		}
-	})
+	obs.Registry.Gauge("exp_selected", "Experiments this run selected.").Set(float64(len(selected)))
 
 	runOne := func(e experiment, out io.Writer) error {
 		start := time.Now()

@@ -82,7 +82,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer obs.Close()
-	obs.StartProgress(nil)
 
 	cfg := fleet.Config{Pops: *pops, Scale: scale, Parallel: *parallel, Obs: &obs}
 	if *score {

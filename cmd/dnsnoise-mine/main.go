@@ -88,7 +88,6 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	obs.StartProgress(sim.ClusterProgress(env.Cluster))
 
 	opts := obs.IngestOptions()
 	if *parallel {

@@ -66,7 +66,6 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	obs.StartProgress(sim.ClusterProgress(env.Cluster))
 
 	store := pdns.NewStore()
 	store.SetMetrics(obs.Registry)

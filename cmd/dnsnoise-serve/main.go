@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -21,7 +20,6 @@ import (
 	"dnsnoise/internal/authority"
 	"dnsnoise/internal/livescore"
 	"dnsnoise/internal/sim"
-	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/udptransport"
 )
 
@@ -138,35 +136,7 @@ func start(args []string) (_ *service, err error) {
 	if svc.srv, err = udptransport.Serve(svc.auth, *addr, serveOpts...); err != nil {
 		return nil, err
 	}
-	obs.StartProgress(serveProgress(obs.Registry))
 	fmt.Fprintf(os.Stderr, "serving %d zones on udp://%s with %d listener(s) (try: dig @%s www.google.com A)\n",
 		len(env.Registry.AllZones()), svc.srv.Addr(), svc.srv.Listeners(), svc.srv.Addr())
 	return svc, nil
-}
-
-// serveProgress returns the per-tick attributes for the -progress line:
-// cumulative datagrams in/out and the receive rate since the last tick.
-// It runs on the progress goroutine only, so the last-tick state needs
-// no locking.
-func serveProgress(reg *telemetry.Registry) telemetry.ProgressFunc {
-	var (
-		lastRx      uint64
-		lastElapsed time.Duration
-	)
-	return func(elapsed time.Duration) []slog.Attr {
-		snap := reg.Snapshot()
-		rx := snap.Counter("udp_rx_packets_total")
-		dt := (elapsed - lastElapsed).Seconds()
-		drx := rx - lastRx
-		lastRx, lastElapsed = rx, elapsed
-		attrs := []slog.Attr{
-			slog.Uint64("rx_packets", rx),
-			slog.Uint64("tx_packets", snap.Counter("udp_tx_packets_total")),
-			slog.Uint64("dropped", snap.Counter("udp_dropped_total")),
-		}
-		if dt > 0 {
-			attrs = append(attrs, slog.Float64("rx_pps", float64(drx)/dt))
-		}
-		return attrs
-	}
 }

@@ -11,7 +11,9 @@ import (
 // back to back in one buffer, their end offsets, and an open-addressed
 // index of their ordinals keyed by dnsname.Hash. Reset keeps the buffers'
 // capacity, so a set reused window after window allocates nothing once it
-// has held a window's names, and a set never added to holds nothing.
+// has held a window's names, and a set never added to holds nothing; a
+// window that fills under a quarter of them gives them back, so a flood
+// sizes a set for two windows, not for good.
 type nameSet struct {
 	bytes []byte
 	ends  []uint32 // name i is bytes[ends[i-1]:ends[i]]
@@ -69,8 +71,14 @@ func (s *nameSet) rehash(size int) {
 	}
 }
 
-// reset empties the set and keeps its buffers.
+// reset empties the set. It keeps the buffers unless they have held more
+// than minIntake names and the window just drained filled under a quarter
+// of its bytes or of its ends.
 func (s *nameSet) reset() {
+	if cap(s.ends) > minIntake && (4*len(s.bytes) < cap(s.bytes) || 4*len(s.ends) < cap(s.ends)) {
+		*s = nameSet{}
+		return
+	}
 	if len(s.ends) > 0 {
 		clear(s.index)
 	}

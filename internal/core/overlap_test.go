@@ -430,3 +430,50 @@ func TestRescoreLagMetrics(t *testing.T) {
 		t.Errorf("streaming_rescore_wait_ns: %d joins timed, want 2", h.Count)
 	}
 }
+
+// TestIntakeShrinksAfterAFlood: one window of 20× the usual names grows a
+// stripe's name set to its size, and the first ordinary window drained
+// from that set gives the buffers back, so that a few ordinary windows
+// later no stripe holds more than twice what ordinary windows grew it to.
+func TestIntakeShrinksAfterAFlood(t *testing.T) {
+	p, err := NewStreamingPipeline(trainedClassifier(t), MinerConfig{Theta: 0.5}, StreamingConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ordinary = 50 * pendingStripeCount
+	date := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	window := func(n int) {
+		for i := range n {
+			p.ObserveName(fmt.Appendf(nil, "n%d.zone%d.example.com", i, i%7))
+		}
+		rescore(t, p, date)
+	}
+	held := func(i int) (bytes int) {
+		for _, set := range []*nameSet{&p.pending[i].names, &p.pending[i].spare} {
+			bytes += cap(set.bytes) + 4*cap(set.ends) + 4*len(set.index)
+		}
+		return bytes
+	}
+	window(ordinary) // the barrier swaps two sets a stripe: grow both
+	window(ordinary)
+	var warm [pendingStripeCount]int
+	for i := range warm {
+		warm[i] = held(i)
+	}
+	window(20 * ordinary)
+	flooded := 0
+	for i := range warm {
+		flooded = max(flooded, held(i)/warm[i])
+	}
+	if flooded < 8 {
+		t.Fatalf("fixture: the flood grew a stripe to %d× its ordinary size, want about 20×", flooded)
+	}
+	for range 4 {
+		window(ordinary)
+	}
+	for i, w := range warm {
+		if got := held(i); got > 2*w {
+			t.Errorf("stripe %d holds %d B of intake after the flood, ordinary windows %d B", i, got, w)
+		}
+	}
+}

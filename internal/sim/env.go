@@ -2,9 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"log/slog"
 	"math/rand"
-	"time"
 
 	"dnsnoise/internal/authority"
 	"dnsnoise/internal/chrstat"
@@ -14,7 +12,6 @@ import (
 	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/mlearn"
 	"dnsnoise/internal/resolver"
-	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/workload"
 )
 
@@ -173,29 +170,4 @@ func (e *Env) Train(byName map[string][]*chrstat.RRStat, cfg core.TrainingConfig
 		return nil, nil, fmt.Errorf("train: %w", err)
 	}
 	return clf, examples, nil
-}
-
-// ClusterProgress returns the per-tick attributes for a simulation's
-// -progress line: cumulative queries, qps since the last tick, and the
-// cache hit ratio so far. It runs on the progress goroutine only, so the
-// last-tick state needs no locking.
-func ClusterProgress(cluster *resolver.Cluster) telemetry.ProgressFunc {
-	var (
-		lastQueries uint64
-		lastElapsed time.Duration
-	)
-	return func(elapsed time.Duration) []slog.Attr {
-		st := cluster.Stats()
-		dq := st.Queries - lastQueries
-		dt := (elapsed - lastElapsed).Seconds()
-		lastQueries, lastElapsed = st.Queries, elapsed
-		attrs := []slog.Attr{slog.Uint64("queries", st.Queries)}
-		if dt > 0 {
-			attrs = append(attrs, slog.Float64("qps", float64(dq)/dt))
-		}
-		if st.Queries > 0 {
-			attrs = append(attrs, slog.Float64("chr", float64(st.CacheHits)/float64(st.Queries)))
-		}
-		return attrs
-	}
 }

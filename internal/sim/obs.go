@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"dnsnoise/internal/ingest"
@@ -24,8 +27,10 @@ import (
 // -qlog-sample, -qlog-mem) turns on with a file or an endpoint; continuous
 // telemetry (-tsdb-interval, -alert-rules) sweeps the registry into a tsdb
 // of tsdb.DefaultRetain samples a series and evaluates alert rules after
-// every sweep. All of it is opt-in: with no flag set every handle is nil,
-// every instrument downstream is a nil no-op and stdout is byte-identical.
+// every sweep; -progress logs what a sweep recorded (without
+// -tsdb-interval, from a private tsdb swept every -progress). All of it is
+// opt-in: with no flag set every handle is nil, every instrument
+// downstream is a nil no-op and stdout is byte-identical.
 type Obs struct {
 	MetricsAddr  string
 	Progress     time.Duration
@@ -42,14 +47,19 @@ type Obs struct {
 	Tracer   *telemetry.Tracer
 	Logger   *slog.Logger // only with -progress
 
-	log          *qlog.Log
-	report       *telemetry.RunReport
-	ln           net.Listener
-	srv          *http.Server
-	served       chan struct{} // closed when srv.Serve has returned
-	sweeper      *tsdb.Sweeper
-	stopProgress func()
-	closed       bool
+	log     *qlog.Log
+	report  *telemetry.RunReport
+	ln      net.Listener
+	srv     *http.Server
+	served  chan struct{} // closed when srv.Serve has returned
+	db      *tsdb.DB
+	sweeper *tsdb.Sweeper
+	closed  atomic.Bool // Close has begun: its final sweep logs a progress line
+
+	// The -progress line's clock, and the last -progress period a line was
+	// logged in (only the sweep goroutine touches it).
+	start      time.Time
+	lastPeriod time.Duration
 }
 
 // RegisterFlags adds the session's flags to fs.
@@ -74,10 +84,10 @@ func (o *Obs) RegisterFlags(fs *flag.FlagSet) {
 
 // Start builds the session from the parsed flags in dependency order:
 // registry and tracer, the HTTP endpoint (every route on one mux), the
-// query log and its sinks, then the tsdb, alert engine and sweeper. On
-// error it closes whatever it opened. Defer Close for error paths and also
-// return it at the end of a successful run, to surface flush and
-// report-write errors.
+// query log and its sinks, then the tsdb, alert engine, progress line and
+// sweeper. On error it closes whatever it opened. Defer Close for error
+// paths and also return it at the end of a successful run, to surface
+// flush and report-write errors.
 func (o *Obs) Start(command string, args []string) (err error) {
 	telemetryOn := o.MetricsAddr != "" || o.Progress > 0 || o.ReportPath != ""
 	if o.TSDBInterval > 0 && !telemetryOn {
@@ -136,6 +146,15 @@ func (o *Obs) Start(command string, args []string) (err error) {
 		}
 	}
 
+	if o.TSDBInterval <= 0 && o.Logger == nil {
+		return nil
+	}
+	every := o.TSDBInterval
+	if every <= 0 {
+		every = o.Progress // a private tsdb, with no rules
+	}
+	o.db = tsdb.New()
+	o.sweeper = tsdb.NewSweeper(o.db, every, o.Registry.Snapshot)
 	if o.TSDBInterval > 0 {
 		var rules []alerts.Rule
 		switch o.AlertRules {
@@ -147,34 +166,62 @@ func (o *Obs) Start(command string, args []string) (err error) {
 				return err
 			}
 		}
-		db := tsdb.New()
 		// Transitions mirror into the query log (nil is fine).
-		engine := alerts.NewEngine(db, rules, o.log)
-		o.sweeper = tsdb.NewSweeper(db, o.TSDBInterval, o.Registry.Snapshot)
+		engine := alerts.NewEngine(o.db, rules, o.log)
 		o.sweeper.OnSweep(engine.Eval)
-		o.sweeper.Start()
 		if mux != nil {
-			mux.Handle("/debug/tsdb", db.Handler())
+			mux.Handle("/debug/tsdb", o.db.Handler())
 			mux.Handle("/debug/alerts", engine.Handler())
 			fmt.Fprintf(os.Stderr, "telemetry: tsdb sweeping every %v (%d rules); /debug/tsdb and /debug/alerts live\n",
 				o.TSDBInterval, len(rules))
 		}
 	}
+	if o.Logger != nil {
+		o.start = time.Now()
+		o.sweeper.OnSweep(o.logProgress)
+	}
+	o.sweeper.Start()
 	return nil
+}
+
+// progressSeries are what a -progress line prints after uptime_s, each
+// the latest sweep's sample (tsdb.DB.Latest); a series the command did
+// not register is left out.
+var progressSeries = func() []string {
+	var names []string
+	for _, r := range tsdb.DefaultDerived() {
+		names = append(names, r.Name)
+	}
+	return append(names, "resolver_queries_total", "ingest_queries_total",
+		"udp_rx_packets_total", "udp_tx_packets_total", "udp_dropped_total",
+		"exp_completed_total", "exp_selected", "go_heap_alloc_bytes", "go_goroutines")
+}()
+
+// logProgress is the sweep hook of -progress: it logs the first sweep of
+// each -progress period, and the final sweep Close takes.
+func (o *Obs) logProgress(now time.Time) {
+	uptime := now.Sub(o.start)
+	period := uptime / o.Progress
+	if period <= o.lastPeriod && !o.closed.Load() {
+		return
+	}
+	o.lastPeriod = period
+	attrs := []slog.Attr{slog.Float64("uptime_s", uptime.Seconds())}
+	for _, name := range progressSeries {
+		v, ok := o.db.Latest(name)
+		switch {
+		case !ok:
+		case v == math.Trunc(v) && math.Abs(v) < 1<<53:
+			attrs = append(attrs, slog.Int64(name, int64(v)))
+		default:
+			attrs = append(attrs, slog.Float64(name, v))
+		}
+	}
+	o.Logger.LogAttrs(context.Background(), slog.LevelInfo, "progress", attrs...)
 }
 
 // Log returns the query log (nil when disabled).
 func (o *Obs) Log() *qlog.Log { return o.log }
-
-// StartProgress starts the -progress line (a no-op without the flag). Call
-// it once the objects fn reads exist; fn may be nil for process vitals
-// only.
-func (o *Obs) StartProgress(fn telemetry.ProgressFunc) {
-	if o.Logger == nil || o.stopProgress != nil {
-		return
-	}
-	o.stopProgress = telemetry.StartProgress(o.Logger, o.Progress, fn)
-}
 
 // ResolverOptions attaches a cluster's counters and event recorders.
 func (o *Obs) ResolverOptions() []resolver.Option {
@@ -193,25 +240,20 @@ func (o *Obs) IngestOptions() []ingest.Option {
 }
 
 // Close shuts the session down in the reverse of Start: the sweeper stops
-// first, because its final sweep may still mirror an alert transition into
-// the query log; then the query log flushes and closes; then the progress
-// line stops, the run report is written and the endpoint closes. The query
-// log needs quiesced recorders, so join whatever is still resolving (a
-// serve loop) before calling. Idempotent; returns the first error.
+// first, because its final sweep logs the last progress line and may still
+// mirror an alert transition into the query log; then the query log
+// flushes and closes, the run report is written and the endpoint closes.
+// The query log needs quiesced recorders, so join whatever is still
+// resolving (a serve loop) before calling. Idempotent; returns the first
+// error.
 func (o *Obs) Close() error {
-	if o.closed {
+	if o.closed.Swap(true) {
 		return nil
 	}
-	o.closed = true
-	if o.sweeper != nil {
-		o.sweeper.Stop()
-	}
+	o.sweeper.Stop()
 	var err error
 	if cerr := o.log.Close(); cerr != nil {
 		err = fmt.Errorf("qlog: %w", cerr)
-	}
-	if o.stopProgress != nil {
-		o.stopProgress()
 	}
 	if o.report != nil {
 		if rerr := o.report.Finish(o.Registry, o.Tracer).WriteFile(o.ReportPath); err == nil {

@@ -103,6 +103,26 @@ func (db *DB) Series() []SeriesInfo {
 	return out
 }
 
+// Latest returns the latest sweep's samples of the series named base,
+// summed across their label sets as the derived rules sum them, and false
+// when that sweep recorded none. A pop label partitions: a fleet's per-PoP
+// series are not summed into a process total.
+func (db *DB) Latest(base string) (v float64, ok bool) {
+	if db == nil {
+		return 0, false
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for name, s := range db.series {
+		b, labels := telemetry.SplitSeries(name)
+		last := s.buf[(s.next+len(s.buf)-1)%len(s.buf)]
+		if b == base && telemetry.LabelValue(labels, "pop") == "" && last.t == db.lastT {
+			v, ok = v+last.v, true
+		}
+	}
+	return v, ok
+}
+
 // MatchSeries reports whether a query pattern selects a series name.
 // Three forms, in order of specificity:
 //   - pattern containing '*': glob over the full name (and over the base

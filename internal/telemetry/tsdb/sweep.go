@@ -55,7 +55,9 @@ func (s *Sweeper) Sweep() {
 	}
 }
 
-// Start launches the sweep loop. Safe to call once; Stop tears it down.
+// Start records a first sweep at once, so that the first tick's rates
+// cover the time since Start, then launches the sweep loop. Safe to call
+// once; Stop tears it down.
 func (s *Sweeper) Start() {
 	if s == nil || s.every <= 0 {
 		return
@@ -68,6 +70,7 @@ func (s *Sweeper) Start() {
 	s.started = true
 	s.stop = make(chan struct{})
 	s.done = make(chan struct{})
+	s.Sweep()
 	go func() {
 		defer close(s.done)
 		tick := time.NewTicker(s.every)

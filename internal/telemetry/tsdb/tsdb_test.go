@@ -344,3 +344,37 @@ func TestFleetMergeBitConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestSweeperStartBaseline: Start records a sweep, so the first sweep
+// after it already has rates, and Latest reads the latest sweep's samples
+// only, summed over label sets, a PoP's apart.
+func TestSweeperStartBaseline(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	db := New()
+	sw := NewSweeper(db, time.Hour, reg.Snapshot)
+	sw.Start()
+	reg.Counter(`udp_rx_packets_total{listener="0"}`, "").Add(5)
+	reg.Counter(`udp_rx_packets_total{listener="1"}`, "").Add(2)
+	reg.Counter(`udp_rx_packets_total{pop="1"}`, "").Add(100)
+	reg.Counter("udp_dropped_total", "")
+	sw.Stop()
+	if db.Sweeps() != 2 {
+		t.Fatalf("sweeps = %d, want the baseline and Stop's", db.Sweeps())
+	}
+	if v, ok := db.Latest("serve_qps"); !ok || v <= 0 {
+		t.Errorf("serve_qps = %v, %v: want a rate from the sweep after the baseline", v, ok)
+	}
+	if v, ok := db.Latest("udp_rx_packets_total"); !ok || v != 7 {
+		t.Errorf("udp_rx_packets_total = %v, %v, want 7 (the PoP's 100 apart)", v, ok)
+	}
+	if _, ok := db.Latest("udp_rx_packets"); ok {
+		t.Error("Latest matched a series by a prefix of its name")
+	}
+	if _, ok := db.Latest("serve_drop_rate"); !ok {
+		t.Fatal("no serve_drop_rate over a window that received packets")
+	}
+	sw.Sweep() // an idle one: no ratio
+	if v, ok := db.Latest("serve_drop_rate"); ok {
+		t.Errorf("serve_drop_rate = %v after an idle sweep, want none: the older sample is not this sweep's", v)
+	}
+}
