@@ -40,8 +40,9 @@ bench:
 # TestWireProbeZeroAlloc), LRU Get/Put refresh, Normalize fast paths, the
 # UDP serve packet path, live scoring, the resolve path with a tsdb sweeper
 # attached, and authority.AppendHandleWire answering a static, CNAME,
-# wildcard, synthesized or NXDOMAIN query into reused scratch, and the small
-# fixed budgets of the miss path (a cold single-A or NXDOMAIN resolve 0, a
+# wildcard, synthesized or NXDOMAIN query into reused scratch, a registry
+# host's A, AAAA, CNAME or NODATA answer (TestHostSynthZeroAlloc), and the
+# small fixed budgets of the miss path (a cold single-A or NXDOMAIN resolve 0, a
 # 3-address one its one kept []RR, dnsmsg Unpack/AppendEncode into reused
 # scratch) — the miner (BenchmarkRescore over an unchanged 5 k-name
 # tree and BenchmarkRescoreTouched over a window that touched three zones of
@@ -77,10 +78,11 @@ bench:
 # process-wide allocations per packet (TestServeFloodZeroAlloc*, on the
 # 'ZeroAlloc' line with the authority guard, so an allocation coming back
 # to either fails the job) — and the heap guards: a slab chunk of elements
-# with pointers fits its 8 KiB size class (TestChunkFitsSizeClass), and a
+# with pointers fits its 8 KiB size class (TestChunkFitsSizeClass), a
 # cache's heap follows its live entries, not its capacity
-# (TestIndexFollowsLiveSet). Whole-program
-# overhead questions (telemetry, qlog, fleet collector, tsdb) go to
+# (TestIndexFollowsLiveSet), and the benchmark-size namespace's authority,
+# which computes its answers, holds at most 3 MiB (TestAuthorityHeap).
+# Whole-program overhead questions (telemetry, qlog, fleet collector, tsdb) go to
 # benchmark/run.sh A/A runs and -compare instead.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolveCacheHit|BenchmarkResolveCacheMiss|BenchmarkPutGet|BenchmarkEvictionChurn|BenchmarkAppendHandleWire|BenchmarkUnpack' \
@@ -94,8 +96,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceSource' -benchtime=100x -benchmem -cpu 1,2 ./internal/ingest/
 	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
 	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs|TestRefreshAllocs|TestInsertAllocs' -v ./internal/chrstat/ ./internal/pdns/
-	$(GO) test -run 'TestChunkFitsSizeClass|TestIndexFollowsLiveSet' -v ./internal/slab/ ./internal/cache/
-	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/ ./internal/dntree/
+	$(GO) test -run 'TestChunkFitsSizeClass|TestIndexFollowsLiveSet|TestAuthorityHeap' -v ./internal/slab/ ./internal/cache/ ./internal/workload/
+	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/ ./internal/dntree/ ./internal/workload/
 
 # Ten seconds of native fuzzing on each decoder that reads outside input,
 # from the committed seeds. The wire decoder (the golden corpus plus

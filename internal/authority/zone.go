@@ -1,7 +1,8 @@
-// Package authority simulates the authoritative side of the DNS: zone data
-// with exact and wildcard matches, programmatic answer synthesis for
-// disposable zones, NXDOMAIN with SOA, and optional Ed25519 zone signing for
-// the DNSSEC load experiments (paper Section VI-B).
+// Package authority simulates the authoritative side of the DNS:
+// programmatic answer synthesis, which answers every zone of the simulated
+// namespace, zone data with exact and wildcard matches, which serves zone
+// files, NXDOMAIN with SOA, and optional Ed25519 zone signing for the DNSSEC
+// load experiments (paper Section VI-B).
 package authority
 
 import (
@@ -24,11 +25,13 @@ var (
 )
 
 // SynthFunc programmatically answers a query for a name inside a zone. It
-// appends the answer RRset to dst and returns the extended slice and true,
-// or false when the name should fall through to wildcard/NXDOMAIN handling.
-// Disposable zones (McAfee-style reputation lookups, telemetry channels) are
-// modeled with SynthFuncs: any algorithmically generated child name gets an
-// answer.
+// appends the answer RRset to dst and returns the extended slice and true —
+// true with nothing appended is NODATA — or false when the name should fall
+// through to wildcard/NXDOMAIN handling. Every zone of the simulated
+// namespace answers through one: a disposable zone (McAfee-style reputation
+// lookups, telemetry channels) answers any algorithmically generated child
+// name, an ordinary or CDN zone its host pool, so the namespace is computed,
+// not stored. Records added with Zone.Add serve zone files.
 //
 // The records belong to the question: their Name is left empty, and the
 // server writes them under the question's own name (spelling it as a string
@@ -44,7 +47,8 @@ type Zone struct {
 	// records holds every record of an owner under the owner's name, grouped
 	// by type, so one map probe finds the RRset asked for, a CNAME standing
 	// in for it, or — owner present, type absent — NODATA. wildcards does the
-	// same for "*.<parent>" owners, under the parent's name.
+	// same for "*.<parent>" owners, under the parent's name. Both are made
+	// by the first Add: a zone that only synthesizes holds neither.
 	records   map[string][]dnsmsg.RR
 	wildcards map[string][]dnsmsg.RR
 	synth     SynthFunc
@@ -81,11 +85,7 @@ func NewZone(origin string, opts ...ZoneOption) (*Zone, error) {
 	if err := dnsname.Validate(origin); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrZoneOrigin, err)
 	}
-	z := &Zone{
-		origin:    origin,
-		records:   make(map[string][]dnsmsg.RR),
-		wildcards: make(map[string][]dnsmsg.RR),
-	}
+	z := &Zone{origin: origin}
 	for _, o := range opts {
 		o.applyZone(z)
 	}
@@ -102,9 +102,13 @@ func NewZone(origin string, opts ...ZoneOption) (*Zone, error) {
 // Origin returns the zone apex name.
 func (z *Zone) Origin() string { return z.origin }
 
-// Add inserts a record. Wildcard owners are written "*.<suffix>"; the suffix
-// must be the origin or below it.
+// Add inserts a record, as the zone-file reader does. Wildcard owners are
+// written "*.<suffix>"; the suffix must be the origin or below it.
 func (z *Zone) Add(rr dnsmsg.RR) error {
+	if z.records == nil {
+		z.records = make(map[string][]dnsmsg.RR)
+		z.wildcards = make(map[string][]dnsmsg.RR)
+	}
 	name := dnsname.Normalize(rr.Name)
 	if rest, ok := strings.CutPrefix(name, "*."); ok {
 		if !dnsname.IsSubdomainOf(rest, z.origin) {

@@ -472,19 +472,25 @@ func (b *Builder) txt(s string) {
 
 // soa encodes the presentation form "mname rname serial refresh retry expire
 // minimum": seven fields separated by ASCII white space, the five numbers
-// plain decimal uint32s.
+// plain decimal uint32s. Every negative answer's SOA passes through here, so
+// the fields are cut by a byte loop: strings.IndexAny and TrimLeft over a
+// set build that set on every call.
 func (b *Builder) soa(s string) error {
 	var fields [7]string
 	n := 0
-	for rest := strings.TrimLeft(s, asciiSpace); rest != ""; n++ {
-		end := strings.IndexAny(rest, asciiSpace)
-		if end < 0 {
-			end = len(rest)
+	for i := 0; i < len(s); {
+		if asciiSpace(s[i]) {
+			i++
+			continue
+		}
+		end := i + 1
+		for end < len(s) && !asciiSpace(s[end]) {
+			end++
 		}
 		if n < len(fields) {
-			fields[n] = rest[:end]
+			fields[n] = s[i:end]
 		}
-		rest = strings.TrimLeft(rest[end:], asciiSpace)
+		n, i = n+1, end
 	}
 	if n != len(fields) {
 		return fmt.Errorf("%w: SOA wants 7 fields, got %d", ErrBadRData, n)
@@ -505,7 +511,9 @@ func (b *Builder) soa(s string) error {
 	return nil
 }
 
-const asciiSpace = " \t\n\v\f\r"
+// asciiSpace reports whether c is one of the six ASCII white-space bytes,
+// " \t\n\v\f\r".
+func asciiSpace(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
 
 // decoder walks a wire-format buffer.
 type decoder struct {

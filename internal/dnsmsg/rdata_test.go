@@ -112,6 +112,10 @@ func TestParseRDataRejectsWhatTheEncoderWould(t *testing.T) {
 		{TypeTXT, strings.Repeat("x", 65300), false}, // 65300 + 257 length octets
 		{TypeSOA, "ns1.x.com hostmaster.x.com 1 2 3 4 5", true},
 		{TypeSOA, "ns1.x.com hostmaster.x.com 1 2 3 4 five", false},
+		{TypeSOA, "\tns1.x.com\thostmaster.x.com\n1\v2\f3\r4  5\n", true},
+		{TypeSOA, "ns1.x.com\thostmaster.x.com\n1\v2\f3\r4", false},     // six fields
+		{TypeSOA, "ns1.x.com hostmaster.x.com 1 2 3 4 5\v6", false},     // eight
+		{TypeSOA, "ns1.x.com hostmaster.x.com 1 2 3 4 5\u00a06", false}, // no-break space is not a separator
 		{TypeRRSIG, "A 15 3 300 x.com sig=00 keytag=1", true},
 		{Type(99), `\# 4`, false},
 	} {

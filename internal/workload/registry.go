@@ -86,7 +86,7 @@ type ZoneSpec struct {
 	Weight float64
 	// HostPool holds the finite name pool of a non-disposable or CDN zone
 	// as full names ("www.vexora.com"), hottest first. NextName hands them
-	// out as they are and the authority owns its records by these same
+	// out as they are and the authority's host index is keyed by these same
 	// strings, so a pool name exists once.
 	HostPool []string
 	// RDataPool bounds distinct rdata for pool-based zones.
@@ -461,17 +461,24 @@ func (r *Registry) GroundTruth() map[string]bool {
 }
 
 // BuildAuthority constructs the authoritative server answering for every
-// registered zone. Disposable zones answer any child name via synthesis;
-// non-disposable and CDN zones carry static pools (with optional CNAME
-// sharding into a CDN). Passing a non-nil signerRand additionally signs the
+// registered zone. Every zone answers through a synthesizer, so no record is
+// stored: a disposable zone answers any child name (makeSynth), a
+// non-disposable or CDN zone its host pool, with optional CNAME sharding into
+// a CDN (makeHostSynth). Passing a non-nil signerRand additionally signs the
 // listed origins (for the DNSSEC experiments).
 func (r *Registry) BuildAuthority(signerRand *rand.Rand, signedOrigins map[string]bool) (*authority.Server, error) {
 	srv := authority.NewServer()
 	for _, spec := range r.AllZones() {
-		var opts []authority.ZoneOption
+		var synth authority.SynthFunc
 		if spec.Disposable() {
-			opts = append(opts, authority.WithSynth(makeSynth(spec)))
+			synth = makeSynth(spec)
+		} else {
+			var err error
+			if synth, err = makeHostSynth(spec); err != nil {
+				return nil, err
+			}
 		}
+		opts := []authority.ZoneOption{authority.WithSynth(synth)}
 		if signerRand != nil && signedOrigins[spec.Zone] {
 			signer, err := authority.NewSigner(spec.Zone, signerRand)
 			if err != nil {
@@ -483,11 +490,6 @@ func (r *Registry) BuildAuthority(signerRand *rand.Rand, signedOrigins map[strin
 		if err != nil {
 			return nil, fmt.Errorf("zone %q: %w", spec.Zone, err)
 		}
-		if !spec.Disposable() {
-			if err := populateStaticZone(z, spec); err != nil {
-				return nil, err
-			}
-		}
 		if err := srv.AddZone(z); err != nil {
 			return nil, err
 		}
@@ -495,46 +497,59 @@ func (r *Registry) BuildAuthority(signerRand *rand.Rand, signedOrigins map[strin
 	return srv, nil
 }
 
-// populateStaticZone installs the host pool of a non-disposable or CDN zone.
-func populateStaticZone(z *authority.Zone, spec *ZoneSpec) error {
-	pool := spec.RDataPool
-	if pool < 1 {
-		pool = 1
+// makeHostSynth builds the answerer for the host pool of a non-disposable or
+// CDN zone. Host i answers A with the zone's address i mod RDataPool, and
+// AAAA likewise when the zone asks AAAA at all; the hottest host (typically
+// www) of a sharded zone is a CNAME into the CDN, whatever the qtype. Another
+// qtype for a host is NODATA, a name outside the pool NXDOMAIN. Everything an
+// answer holds is fixed here — the addresses, spelled once for the zone
+// rather than once a record or an answer, the CNAME and the TTL — so a
+// profile that changes the spec later does not change the served data.
+func makeHostSynth(spec *ZoneSpec) (authority.SynthFunc, error) {
+	origin := dnsname.Normalize(spec.Zone)
+	hosts := make(map[string]int, len(spec.HostPool))
+	for i, host := range spec.HostPool {
+		name := dnsname.Normalize(host)
+		if !dnsname.IsSubdomainOf(name, origin) {
+			return nil, fmt.Errorf("%w: %q not under %q", authority.ErrBadRecord, host, origin)
+		}
+		hosts[name] = i
 	}
 	// Deterministic per-zone rdata assignment keeps authority data stable
 	// across runs with the same registry seed.
 	h := dnsname.Hash(spec.Zone)
-	for i, owner := range spec.HostPool {
-		if spec.CNAMETarget != nil && i == 0 {
-			// The hottest host (typically www) shards into the CDN.
-			target := spec.CNAMETarget.HostPool[h%uint64(len(spec.CNAMETarget.HostPool))]
-			rr := dnsmsg.RR{
-				Name: owner, Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN,
-				TTL: spec.TTL, RData: dnsmsg.Text(target),
-			}
-			if err := z.Add(rr); err != nil {
-				return err
-			}
-			continue
-		}
-		rr := dnsmsg.RR{
-			Name: owner, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN,
-			TTL: spec.TTL, RData: syntheticIPv4(h, uint64(i)%uint64(pool)),
-		}
-		if err := z.Add(rr); err != nil {
-			return err
-		}
-		if spec.AAAAShare > 0 {
-			rr6 := dnsmsg.RR{
-				Name: owner, Type: dnsmsg.TypeAAAA, Class: dnsmsg.ClassIN,
-				TTL: spec.TTL, RData: syntheticIPv6(h, uint64(i)%uint64(pool)),
-			}
-			if err := z.Add(rr6); err != nil {
-				return err
-			}
+	pool := max(spec.RDataPool, 1)
+	a := make([]dnsmsg.RData, pool)
+	var aaaa []dnsmsg.RData
+	if spec.AAAAShare > 0 {
+		aaaa = make([]dnsmsg.RData, pool)
+	}
+	for i := range a {
+		a[i] = syntheticIPv4(h, uint64(i))
+		if aaaa != nil {
+			aaaa[i] = syntheticIPv6(h, uint64(i))
 		}
 	}
-	return nil
+	ttl := spec.TTL
+	var cname *dnsmsg.RR
+	if t := spec.CNAMETarget; t != nil {
+		target := t.HostPool[h%uint64(len(t.HostPool))]
+		cname = &dnsmsg.RR{Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: ttl, RData: dnsmsg.Text(target)}
+	}
+	return func(name []byte, qtype dnsmsg.Type, dst []dnsmsg.RR) ([]dnsmsg.RR, bool) {
+		i, ok := hosts[string(name)]
+		switch {
+		case !ok:
+			return dst, false
+		case i == 0 && cname != nil:
+			return append(dst, *cname), true
+		case qtype == dnsmsg.TypeA:
+			return append(dst, dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: ttl, RData: a[i%pool]}), true
+		case qtype == dnsmsg.TypeAAAA && aaaa != nil:
+			return append(dst, dnsmsg.RR{Type: qtype, Class: dnsmsg.ClassIN, TTL: ttl, RData: aaaa[i%pool]}), true
+		}
+		return dst, true // NODATA: the host has no records of qtype
+	}, nil
 }
 
 // makeSynth builds the programmatic answerer for a disposable zone.
