@@ -74,13 +74,14 @@ bench:
 # chunk's share, and a counts view's new name or grown group a run of its
 # pointer chunk, not a slice) — the rpDNS store (a duplicate insert costs
 # nothing, a new record its stripe's slab share) — and the loopback socket flood that holds
-# the serve path, plain and scored, answering from a real authority, to zero
+# the serve path, plain and scored, answering from a real authority, and
+# recursive, answering cache hits from a resolver shard, to zero
 # process-wide allocations per packet (TestServeFloodZeroAlloc*, on the
 # 'ZeroAlloc' line with the authority guard, so an allocation coming back
 # to either fails the job) — and the heap guards: a slab chunk of elements
 # with pointers fits its 8 KiB size class (TestChunkFitsSizeClass), a
-# cache's heap follows its live entries, not its capacity
-# (TestIndexFollowsLiveSet), and the benchmark-size namespace's authority,
+# cache's heap follows its live entries, not its capacity, and churn
+# never grows its index (TestIndexFlatUnderChurn), and the benchmark-size namespace's authority,
 # which computes its answers, holds at most 3 MiB (TestAuthorityHeap).
 # Whole-program overhead questions (telemetry, qlog, fleet collector, tsdb) go to
 # benchmark/run.sh A/A runs and -compare instead.
@@ -96,7 +97,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceSource' -benchtime=100x -benchmem -cpu 1,2 ./internal/ingest/
 	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
 	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs|TestRefreshAllocs|TestInsertAllocs' -v ./internal/chrstat/ ./internal/pdns/
-	$(GO) test -run 'TestChunkFitsSizeClass|TestIndexFollowsLiveSet|TestAuthorityHeap' -v ./internal/slab/ ./internal/cache/ ./internal/workload/
+	$(GO) test -run 'TestChunkFitsSizeClass|TestIndexFlatUnderChurn|TestAuthorityHeap' -v ./internal/slab/ ./internal/cache/ ./internal/workload/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/ ./internal/dntree/ ./internal/workload/
 
 # Ten seconds of native fuzzing on each decoder that reads outside input,

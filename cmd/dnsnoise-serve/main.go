@@ -6,7 +6,10 @@
 //	dig @127.0.0.1 -p 5355 0.0.0.0.1.0.0.4e.abc123.avqs.mcafee.com A
 //
 // Zone files (RFC 1035 master-file subset) can be layered on top of the
-// generated namespace with -zonefile.
+// generated namespace with -zonefile. With -recursive the socket is served
+// by a recursive resolver instead: one server of a resolver cluster
+// (resolver.Shard), its cache in front of the namespace's authority, so a
+// repeated question is a cache hit, as the paper's resolvers answer it.
 package main
 
 import (
@@ -18,7 +21,9 @@ import (
 	"time"
 
 	"dnsnoise/internal/authority"
+	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/livescore"
+	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/sim"
 	"dnsnoise/internal/udptransport"
 )
@@ -38,8 +43,9 @@ func main() {
 	}
 }
 
-// service is a started dnsnoise-serve: the namespace's authority answering
-// on a socket, with live scoring behind it when -score is set.
+// service is a started dnsnoise-serve: the namespace's authority, or with
+// -recursive a resolver shard recursing to it, answering on a socket, with
+// live scoring behind it when -score is set.
 type service struct {
 	auth    *authority.Server
 	srv     *udptransport.Server
@@ -69,6 +75,7 @@ func start(args []string) (_ *service, err error) {
 		zonefile = fs.String("zonefile", "", "optional extra zone file to serve ($ORIGIN required)")
 		nlisten  = fs.Int("listeners", 1, "SO_REUSEPORT listener sockets sharing the port (Linux; elsewhere falls back to 1)")
 		tcp      = fs.Bool("tcp", false, "also answer over TCP on the same port (RFC 1035 framing, for TC=1 retries)")
+		recurse  = fs.Bool("recursive", false, "answer as a recursive resolver: one cache in front of the namespace's authority (one listener, no -tcp)")
 	)
 	var score scoreConfig
 	fs.BoolVar(&score.enabled, "score", false, "live-score every query against the streaming miner (trains on one in-process day at startup)")
@@ -84,6 +91,14 @@ func start(args []string) (_ *service, err error) {
 	if score.enabled && score.window <= 0 {
 		// A miner that is never re-scored would only hold what it notes.
 		return nil, fmt.Errorf("-window %s: the re-score interval must be positive", score.window)
+	}
+	// A shard is one server's state, read and written by the goroutine that
+	// answers it: one listener's, and no TCP connection's.
+	if *recurse && *nlisten > 1 {
+		return nil, fmt.Errorf("-recursive -listeners %d: a resolver shard answers one listener, so -listeners must be 1", *nlisten)
+	}
+	if *recurse && *tcp {
+		return nil, fmt.Errorf("-recursive -tcp: a resolver shard answers one listener's datagrams, not TCP connections")
 	}
 	if err := obs.Start("dnsnoise-serve", args); err != nil {
 		return nil, err
@@ -118,14 +133,33 @@ func start(args []string) (_ *service, err error) {
 
 	serveOpts := []udptransport.ServerOption{
 		udptransport.WithServerMetrics(obs.Registry),
-		udptransport.WithServerQueryLog(obs.Log()),
 		udptransport.WithListeners(*nlisten),
 	}
 	if *tcp {
 		serveOpts = append(serveOpts, udptransport.WithTCP())
 	}
+	var handler dnsmsg.WireHandler = svc.auth
+	what := "zones"
+	if *recurse {
+		// The resolver logs each query's cache outcome, so the query log is
+		// the cluster's and not the transport's: one event a query.
+		cl, err := resolver.NewCluster(svc.auth, resolver.WithServers(1),
+			resolver.WithTelemetry(obs.Registry), resolver.WithQueryLog(obs.Log()))
+		if err != nil {
+			return nil, err
+		}
+		handler, what = cl.Shard(0), "zones recursively"
+	} else {
+		serveOpts = append(serveOpts, udptransport.WithServerQueryLog(obs.Log()))
+	}
 	if score.enabled {
-		if svc.eng, svc.example, err = buildScoring(env, score, obs.Registry); err != nil {
+		// With -recursive the resolver series are the shard's, so the
+		// training cluster registers none.
+		trainReg := obs.Registry
+		if *recurse {
+			trainReg = nil
+		}
+		if svc.eng, svc.example, err = buildScoring(env, score, obs.Registry, trainReg); err != nil {
 			return nil, err
 		}
 		eng := svc.eng
@@ -133,10 +167,10 @@ func start(args []string) (_ *service, err error) {
 			func(listener int) udptransport.Scorer { return eng.NewScorer() }))
 	}
 
-	if svc.srv, err = udptransport.Serve(svc.auth, *addr, serveOpts...); err != nil {
+	if svc.srv, err = udptransport.Serve(handler, *addr, serveOpts...); err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "serving %d zones on udp://%s with %d listener(s) (try: dig @%s www.google.com A)\n",
-		len(env.Registry.AllZones()), svc.srv.Addr(), svc.srv.Listeners(), svc.srv.Addr())
+	fmt.Fprintf(os.Stderr, "serving %d %s on udp://%s with %d listener(s) (try: dig @%s www.google.com A)\n",
+		len(env.Registry.AllZones()), what, svc.srv.Addr(), svc.srv.Listeners(), svc.srv.Addr())
 	return svc, nil
 }

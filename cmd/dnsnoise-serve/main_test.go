@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,10 +16,11 @@ import (
 	"dnsnoise/internal/telemetry"
 )
 
-// TestServeAnswersOverUDP starts the command on a small namespace, plain and
-// with -score, and sends real UDP queries for a static host, a synthesized
-// disposable name and a name no zone holds: each reply carries the RCODE and
-// answer count the authority gives the same query in process.
+// TestServeAnswersOverUDP starts the command on a small namespace, plain,
+// with -score, with -recursive and with both, and sends real UDP queries for a static
+// host, a synthesized disposable name and a name no zone holds: each reply
+// carries the RCODE and answer count the authority gives the same query in
+// process.
 func TestServeAnswersOverUDP(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -26,6 +28,8 @@ func TestServeAnswersOverUDP(t *testing.T) {
 	}{
 		{"plain", nil},
 		{"scored", []string{"-score", "-window", "1h"}},
+		{"recursive", []string{"-recursive"}},
+		{"scored-recursive", []string{"-score", "-window", "1h", "-recursive"}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			args := append([]string{"-addr", "127.0.0.1:0", "-zones", "40", "-disposable-zones", "8"}, mode.args...)
@@ -114,14 +118,58 @@ func TestServeScoreNeedsAWindow(t *testing.T) {
 	}
 }
 
+// TestServeRecursiveRefusesListeners: -recursive with more than one
+// listener is refused before anything starts, since a resolver shard is one
+// listener's state.
+func TestServeRecursiveRefusesListeners(t *testing.T) {
+	svc, err := start([]string{"-addr", "127.0.0.1:0", "-recursive", "-listeners", "2"})
+	if err == nil {
+		svc.Close()
+		t.Fatal("-recursive -listeners 2: started, want an error")
+	}
+	if !strings.Contains(err.Error(), "-listeners") {
+		t.Errorf("-recursive -listeners 2: %v, want it to name -listeners", err)
+	}
+}
+
+// TestServeRecursiveRefusesTCP: -recursive with -tcp is refused before
+// anything starts, since TCP connections are answered on goroutines of
+// their own, beside the listener's.
+func TestServeRecursiveRefusesTCP(t *testing.T) {
+	svc, err := start([]string{"-addr", "127.0.0.1:0", "-recursive", "-tcp"})
+	if err == nil {
+		svc.Close()
+		t.Fatal("-recursive -tcp: started, want an error")
+	}
+	if !strings.Contains(err.Error(), "-tcp") {
+		t.Errorf("-recursive -tcp: %v, want it to name -tcp", err)
+	}
+}
+
 // TestServeCloseFlushesQlog: every query answered before Close is in the
 // -qlog file once Close returns, each under its own event id, and the
-// -report file is written, naming the command.
+// -report file is written, naming the command. With -recursive the events
+// are the resolver's: the first query of the name is a miss, every later
+// one a cache hit.
 func TestServeCloseFlushesQlog(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		args []string
+	}{
+		{"plain", nil},
+		{"recursive", []string{"-recursive"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			checkCloseFlushesQlog(t, mode.args...)
+		})
+	}
+}
+
+func checkCloseFlushesQlog(t *testing.T, extra ...string) {
 	dir := t.TempDir()
 	qpath, rpath := filepath.Join(dir, "q.jsonl"), filepath.Join(dir, "r.json")
-	svc, err := start([]string{"-addr", "127.0.0.1:0", "-zones", "40", "-disposable-zones", "8",
-		"-qlog", qpath, "-qlog-sample", "1", "-report", rpath})
+	svc, err := start(append([]string{"-addr", "127.0.0.1:0", "-zones", "40", "-disposable-zones", "8",
+		"-qlog", qpath, "-qlog-sample", "1", "-report", rpath}, extra...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +208,14 @@ func TestServeCloseFlushesQlog(t *testing.T) {
 	}
 	if len(evs) != n || len(ids) != n {
 		t.Fatalf("-qlog holds %d events with %d distinct ids, want %d answered queries", len(evs), len(ids), n)
+	}
+	if len(extra) > 0 {
+		sort.Slice(evs, func(i, j int) bool { return evs[i].ID < evs[j].ID })
+		for i, ev := range evs {
+			if hit := ev.Outcome == qlog.OutcomeHit; hit != (i > 0) || ev.CacheHit != hit {
+				t.Errorf("query %d of the name: outcome %v, cache hit %v; want a miss, then hits", i, ev.Outcome, ev.CacheHit)
+			}
+		}
 	}
 	data, err := os.ReadFile(rpath)
 	if err != nil {

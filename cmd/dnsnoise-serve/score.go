@@ -109,8 +109,10 @@ func trainServeMiner(env *sim.Env, theta float64, treg *telemetry.Registry) (ser
 // the miner on their listener's goroutine, while the engine re-scores every
 // cfg.window of wall time over the last serveHorizon windows of names.
 // Beside it comes one mined disposable name, "" when the mine found none.
-func buildScoring(env *sim.Env, cfg scoreConfig, treg *telemetry.Registry) (*livescore.Engine, string, error) {
-	m, err := trainServeMiner(env, cfg.theta, treg)
+// The pipeline's metrics register on reg, the training cluster's on
+// clusterReg.
+func buildScoring(env *sim.Env, cfg scoreConfig, reg, clusterReg *telemetry.Registry) (*livescore.Engine, string, error) {
+	m, err := trainServeMiner(env, cfg.theta, clusterReg)
 	if err != nil {
 		return nil, "", err
 	}
@@ -119,7 +121,7 @@ func buildScoring(env *sim.Env, cfg scoreConfig, treg *telemetry.Registry) (*liv
 		return nil, "", err
 	}
 	pipe.Prime(m.findings)
-	pipe.SetMetrics(treg)
+	pipe.SetMetrics(reg)
 	eng := livescore.NewEngine(pipe)
 	eng.Start(cfg.window)
 

@@ -177,7 +177,7 @@ func (s *Server) HandleWire(query []byte) ([]byte, error) {
 // dnsmsg.WireHandler): with dst a caller-owned scratch buffer threaded
 // through every call, the steady-state exchange allocates no response. A
 // query's question, EDNS or not, is read in place into pooled scratch
-// (dnsmsg.AppendSoleQuestion), looked up as bytes, and the reply goes from
+// (dnsmsg.AppendQuestion), looked up as bytes, and the reply goes from
 // the zone's records — or the synthesizer's, appended into the same scratch
 // — straight to the wire under the question's own bytes: no query or
 // response Message is built and no name is spelled, so an unsigned answer
@@ -186,24 +186,12 @@ func (s *Server) HandleWire(query []byte) ([]byte, error) {
 func (s *Server) AppendHandleWire(dst, query []byte) ([]byte, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	name, id, qtype, ok := dnsmsg.AppendSoleQuestion(sc.name[:0], query)
+	// A shape the sole-question reader does not take (several questions,
+	// records other than one OPT, garbage) goes to the full decoder, which
+	// tells an answerable query from a FORMERR.
+	name, id, qtype, _, ok := dnsmsg.AppendQuestion(sc.name[:0], query)
 	if !ok {
-		// A shape the reader does not take: several questions, records
-		// other than one OPT, or garbage. The full decoder tells which.
-		var msg dnsmsg.Message
-		err := msg.Unpack(query)
-		if err != nil || len(msg.Questions) != 1 {
-			resp := dnsmsg.Message{Header: dnsmsg.Header{Response: true, RCode: dnsmsg.RCodeFormErr}}
-			if len(query) >= 12 { // a readable header: answer under its id
-				resp.Header.ID = uint16(query[0])<<8 | uint16(query[1])
-			}
-			if err == nil {
-				resp.Questions = msg.Questions
-			}
-			return resp.AppendEncode(dst)
-		}
-		id, qtype = msg.Header.ID, msg.Questions[0].Type
-		name = append(sc.name[:0], dnsname.Normalize(msg.Questions[0].Name)...)
+		return dnsmsg.AppendFormErr(dst, query)
 	}
 	sc.name = name[:0]
 	r := s.answer(name, qtype, sc)

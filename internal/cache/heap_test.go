@@ -30,57 +30,53 @@ func heapAfter(fill func() any) float64 {
 	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
 }
 
-// churn puts keys distinct names into c, one a millisecond, each living
-// ttl, advancing the timer wheel as the resolver does, and returns c.
-func churn(c *LRU[Key, answerValue], keys int, ttl time.Duration) *LRU[Key, answerValue] {
+// churn puts names [from, to) into c, name i at i+1 ms of query time,
+// each living ttl, advancing the timer wheel as the resolver does.
+func churn(c *LRU[Key, answerValue], from, to int, ttl time.Duration) {
 	var buf []byte
-	now := t0
-	for i := range keys {
-		now = now.Add(time.Millisecond)
+	for i := from; i < to; i++ {
+		now := t0.Add(time.Duration(i+1) * time.Millisecond)
 		c.Advance(now)
 		buf = strconv.AppendInt(append(buf[:0], 'n'), int64(i), 10)
 		buf = append(buf, ".churn.example.com"...)
 		c.PutEv(Key{string(buf), dnsmsg.TypeA}, answerValue{}, ttl, CategoryDisposable, now)
 	}
-	return c
 }
 
-// presized is New with the index made for capacity entries up front: the
-// yardstick TestIndexFollowsLiveSet holds the cache to.
-func presized(capacity int) *LRU[Key, answerValue] {
-	c := New[Key, answerValue](capacity, PolicyLRU)
-	c.index = make(map[Key]int32, capacity)
-	return c
-}
-
-// TestIndexFollowsLiveSet: a cache's heap follows the entries it holds, not
-// its capacity. Churned through 3 M names whose 3 s TTL keeps about 3 000 of
-// them alive, a 65 536-entry cache holds what those entries need: its index
-// grows with them, as its arena does. On Go 1.24's map that was 1.9 MiB
-// against 5.8 with the index presized; the budget is half the presized
-// cache's, since churn still grows a Swiss-table index a little beyond its
-// live set (1.3 MiB after 0.3 M names, 2.0 after 10 M). At full capacity
-// the cache holds no more than a presized one (16.8 MiB both).
-func TestIndexFollowsLiveSet(t *testing.T) {
-	const capacity, names, ttl = 65536, 3_000_000, 3 * time.Second
+// TestIndexFlatUnderChurn: a cache's heap follows the entries it holds,
+// not its capacity nor how many names have passed through it. Ten million
+// distinct names, one a millisecond with a 3 s TTL, keep about 3 000 alive
+// in a 65 536-entry cache. After the first million the index never grows
+// again: a delete that left tombstones would grow it on churn alone, as
+// Go's map index did (the whole cache went 1.33 MiB after 0.3 M names to
+// 1.99 MiB after 10 M). At the end the cache holds under a tenth of what
+// the same cache holds full.
+func TestIndexFlatUnderChurn(t *testing.T) {
+	const capacity, names, warm, step, ttl = 65536, 10_000_000, 1_000_000, 1_000_000, 3 * time.Second
+	var warmBuckets int
 	live := heapAfter(func() any {
-		c := churn(New[Key, answerValue](capacity, PolicyLRU), names, ttl)
-		if n := c.Len(); n < 2500 || n > 3500 {
-			t.Errorf("the churned cache holds %d entries, want about 3 000", n)
+		c := New[Key, answerValue](capacity, PolicyLRU)
+		churn(c, 0, warm, ttl)
+		warmBuckets = len(c.index.entries)
+		for from := warm; from < names; from += step {
+			churn(c, from, from+step, ttl)
+			if got := len(c.index.entries); got != warmBuckets {
+				t.Fatalf("after %d names the index has %d buckets, %d after %d: churn grew it", from+step, got, warmBuckets, warm)
+			}
+		}
+		if n := c.Len(); n < 2500 || n > 3500 || c.index.n != n {
+			t.Errorf("the churned cache holds %d entries and its index %d, want the same, about 3 000", n, c.index.n)
 		}
 		return c
 	})
-	livePresized := heapAfter(func() any { return churn(presized(capacity), names, ttl) })
 	full := heapAfter(func() any {
-		return churn(New[Key, answerValue](capacity, PolicyLRU), 4*capacity, time.Hour)
+		c := New[Key, answerValue](capacity, PolicyLRU)
+		churn(c, 0, 4*capacity, time.Hour)
+		return c
 	})
-	fullPresized := heapAfter(func() any { return churn(presized(capacity), 4*capacity, time.Hour) })
-	t.Logf("live heap at about 3 000 entries: %.2f MiB (index presized: %.2f); full: %.2f MiB (%.2f)",
-		live, livePresized, full, fullPresized)
-	if live > livePresized/2 {
-		t.Errorf("a cache of about 3 000 live entries holds %.2f MiB, more than half the %.2f of one with a presized index", live, livePresized)
-	}
-	if full > fullPresized*1.01 {
-		t.Errorf("a full cache holds %.2f MiB, more than the %.2f of one with a presized index", full, fullPresized)
+	t.Logf("live heap at about 3 000 entries: %.2f MiB, index %d buckets (%.0f KiB); full: %.2f MiB",
+		live, warmBuckets, float64(8*warmBuckets)/1024, full)
+	if live > full/10 {
+		t.Errorf("a cache of about 3 000 live entries holds %.2f MiB, more than a tenth of the %.2f MiB it holds full", live, full)
 	}
 }

@@ -8,33 +8,36 @@
 // measurement, entries carry an opaque Category label and the cache counts
 // evictions per (evicted category, inserting category) pair.
 //
-// The implementation is a slab-backed intrusive structure: entry payloads
-// live in a contiguous arena, with a map from key to slot index. Both start
-// empty and grow with the entries, so a cache holds what its live set
-// needs, not what its capacity would. Two parallel link arenas thread
-// through the slab: the eviction-policy order (policy.go — LRU by default,
-// SIEVE selectable at construction) and the TTL timer wheel (wheel.go),
-// which files every entry into a bucket for its expiry second so Advance
-// reclaims whole buckets of dead entries without scanning live ones.
-// Steady-state operation — hits, refreshes, reclaim, and evict-then-insert
-// churn once the slab has grown to capacity — performs no heap allocation:
-// every structural move touches only a handful of int32 links. Below
-// capacity, churn may still grow the index now and then until it levels:
-// Go's Swiss-table map clears the tombstones deleted keys leave by growing.
-// Keys and values are typed via generics, so callers pay neither boxing nor
-// a type assertion per operation, and GetName answers a question read off
-// the wire from its name's bytes.
+// The implementation is a slab-backed intrusive structure: entry payloads,
+// keys included, live in a contiguous arena, and the cache's own
+// open-addressed index (index.go) maps a key's hash to its slot. Both start
+// small and grow with the entries, so a cache holds what its live set
+// needs, not what its capacity would; the index deletes without
+// tombstones, so churn through names that come and go never grows it. Two
+// parallel link arenas thread through the slab: the eviction-policy order
+// (policy.go — LRU by default, SIEVE selectable at construction) and the TTL
+// timer wheel (wheel.go), which files every entry into a bucket for its
+// expiry second so Advance reclaims whole buckets of dead entries without
+// scanning live ones. Steady-state operation — hits, refreshes, reclaim,
+// and evict-then-insert churn once the arena and the index have grown to
+// the live set — performs no heap allocation: every structural move touches
+// only a handful of int32 links and index words. Keys and values are typed
+// via generics, so callers pay neither boxing nor a type assertion per
+// operation, and GetName answers a question read off the wire from its
+// name's bytes.
 package cache
 
 import (
+	"hash/maphash"
 	"sync/atomic"
 	"time"
 
 	"dnsnoise/internal/dnsmsg"
 )
 
-// Key is the DNS cache key: a normalized owner name and a query type. A
-// comparable struct keys the index map directly, so building one is free.
+// Key is the DNS cache key: a normalized owner name and a query type. The
+// index hashes the name's bytes and the type, so GetName finds a Key from
+// the bytes of a name read off the wire, and building one is free.
 type Key struct {
 	Name string
 	Type dnsmsg.Type
@@ -100,6 +103,7 @@ type slot[K comparable, V any] struct {
 	value    V
 	expires  time.Time
 	category Category
+	fp       uint32 // the key's fingerprint, which files it in the index
 }
 
 // LRU is a fixed-capacity cache with per-entry TTL and a pluggable eviction
@@ -110,7 +114,9 @@ type slot[K comparable, V any] struct {
 type LRU[K comparable, V any] struct {
 	capacity int
 	slab     []slot[K, V]
-	index    map[K]int32
+	index    index
+	hash     func(K) uint64
+	seed     maphash.Seed // the hash's, which GetName hashes a name's bytes with
 	ord      order
 	pol      Policy
 	whl      wheel
@@ -121,20 +127,22 @@ type LRU[K comparable, V any] struct {
 
 // New returns a cache holding at most capacity entries, evicting with the
 // given policy. capacity < 1 is promoted to 1. The entry arena and the
-// index start empty and grow with the entries, the arena geometrically up
-// to capacity; neither is released, so once they have grown to the live
-// set, steady-state operation allocates nothing.
+// index start small and grow with the entries, the arena geometrically up
+// to capacity and the index by doubling; neither is released, so once they
+// have grown to the live set, steady-state operation allocates nothing.
 func New[K comparable, V any](capacity int, policy PolicyKind) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	c := &LRU[K, V]{
 		capacity: capacity,
-		index:    make(map[K]int32),
+		index:    newIndex(),
+		seed:     maphash.MakeSeed(),
 		ord:      newOrder(),
 		pol:      policyFor(policy),
 		free:     nilIdx,
 	}
+	c.hash = hasherFor[K](c.seed)
 	c.whl.init()
 	return c
 }
@@ -262,36 +270,53 @@ func (c *LRU[K, V]) Advance(now time.Time) {
 // GetName, PutEv, PutLowPriorityEv or Advance), which may move, refresh or
 // zero the slot. A caller that keeps the value longer copies it first.
 func (c *LRU[K, V]) Get(key K, now time.Time) (*V, bool) {
-	i, ok := c.index[key]
-	if s := c.lookup(i, ok, now); s != nil {
+	if s := c.lookup(c.find(key, fingerprint(c.hash(key))), now); s != nil {
 		return &s.value, true
 	}
 	return nil, false
 }
 
-// GetName is Get of Key{string(name), qtype} without spelling the name.
-// The conversion sits inside the map index, where the compiler reads the
-// bytes in place; a Get caller builds the key first, which allocates for a
-// name longer than 32 bytes. It is a function because a method cannot fix
-// its receiver's K to Key. On a hit it also returns the cached key's own
-// name, which the caller may keep without a copy, and, as Get does, a
-// pointer to the value that is valid only until the next structural
-// operation.
+// GetName is Get of Key{string(name), qtype} without spelling the name:
+// the index hashes a Key's name as bytes, so the probe hashes and compares
+// name where it lies, where a Get caller builds the key first, which
+// allocates for a name longer than 32 bytes. It is a function because a
+// method cannot fix its receiver's K to Key. On a hit it also returns the
+// cached key's own name, which the caller may keep without a copy, and, as
+// Get does, a pointer to the value that is valid only until the next
+// structural operation.
 func GetName[V any](c *LRU[Key, V], name []byte, qtype dnsmsg.Type, now time.Time) (cached string, v *V, ok bool) {
-	i, ok := c.index[Key{string(name), qtype}]
-	if s := c.lookup(i, ok, now); s != nil {
+	fp := fingerprint(maphash.Bytes(c.seed, name) ^ typeMix(qtype))
+	i, b := c.index.probe(fp, c.index.home(fp))
+	for ; i != nilIdx; i, b = c.index.probe(fp, b) {
+		if k := &c.slab[i].key; k.Type == qtype && k.Name == string(name) {
+			break
+		}
+	}
+	if s := c.lookup(i, now); s != nil {
 		return s.key.Name, &s.value, true
 	}
 	return "", nil, false
 }
 
-// lookup is what Get and GetName share after the index: ok says slot i
-// holds the key. It counts the hit, the miss or the expiry, reports a hit
-// to the policy and returns its slot, valid until the next structural
+// find returns the slot holding key, whose fingerprint is fp; nilIdx when
+// the cache does not hold it.
+func (c *LRU[K, V]) find(key K, fp uint32) int32 {
+	i, b := c.index.probe(fp, c.index.home(fp))
+	for ; i != nilIdx; i, b = c.index.probe(fp, b) {
+		if c.slab[i].key == key {
+			break
+		}
+	}
+	return i
+}
+
+// lookup is what Get and GetName share after the index: slot i holds the
+// key, or is nilIdx. It counts the hit, the miss or the expiry, reports a
+// hit to the policy and returns its slot, valid until the next structural
 // operation; nil on a miss.
-func (c *LRU[K, V]) lookup(i int32, ok bool, now time.Time) *slot[K, V] {
+func (c *LRU[K, V]) lookup(i int32, now time.Time) *slot[K, V] {
 	c.whl.observe(now)
-	if !ok {
+	if i == nilIdx {
 		c.stats.misses.Add(1)
 		return nil
 	}
@@ -350,7 +375,8 @@ func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now tim
 	}
 	w.observe(now)
 	expires := now.Add(ttl)
-	if i, ok := c.index[key]; ok {
+	fp := fingerprint(c.hash(key))
+	if i := c.find(key, fp); i != nilIdx {
 		s := &c.slab[i]
 		s.value = value
 		s.expires = expires
@@ -370,9 +396,10 @@ func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now tim
 	s.value = value
 	s.expires = expires
 	s.category = cat
+	s.fp = fp
 	c.pol.insert(&c.ord, i, low)
 	w.file(i, w.tickOf(expires))
-	c.index[key] = i
+	c.index.insert(fp, i)
 	c.size.Add(1)
 	return &s.value, ev
 }
@@ -436,7 +463,7 @@ func appendCapped[E any](s []E, v E, limit int) []E {
 // chain.
 func (c *LRU[K, V]) removeSlot(i int32) {
 	s := &c.slab[i]
-	delete(c.index, s.key)
+	c.index.remove(s.fp, i)
 	c.whl.unfile(i)
 	c.pol.remove(&c.ord, i)
 	var zero slot[K, V]

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"dnsnoise/internal/dnsname"
 )
 
 // refEntry is the naive reference model: a map of key → (value, expiry,
@@ -27,8 +29,8 @@ func valueOf[V any](v *V, ok bool) (V, bool) {
 }
 
 func peek[K comparable, V any](c *LRU[K, V], key K) (slot[K, V], bool) {
-	i, ok := c.index[key]
-	if !ok {
+	i := c.find(key, fingerprint(c.hash(key)))
+	if i == nilIdx {
 		return slot[K, V]{}, false
 	}
 	return c.slab[i], true
@@ -44,41 +46,93 @@ func peek[K comparable, V any](c *LRU[K, V], key K) (slot[K, V], bool) {
 // unexpired entry, with the same value. With a small capacity evictions are
 // policy-specific, so the check weakens to soundness: whatever the cache
 // returns must match the model, and occupancy stays within capacity.
+//
+// The churn sequence is the index's worst case: a tiny cache, thousands of
+// keys drawn evenly, TTLs of a few seconds that Advance reclaims in bulk,
+// and a hash that files every key in one of four runs under one of twenty
+// fingerprints, so removals shift long runs that wrap around the table.
+//
+// After every operation of every sequence the index must agree with the
+// arena (checkIndex), and the model drops the keys the cache no longer
+// holds: each must have expired, or be the one victim of an evicting put.
 func TestReferenceModelProperty(t *testing.T) {
-	const keyUniverse = 64
 	for _, kind := range Policies() {
-		for _, cfg := range []struct {
-			name     string
-			capacity int
-			exact    bool
-		}{
-			{"unbounded", keyUniverse + 8, true},
-			{"pressured", keyUniverse / 4, false},
+		for _, cfg := range []refConfig{
+			{name: "unbounded", capacity: 64 + 8, keys: 64, exact: true},
+			{name: "pressured", capacity: 64 / 4, keys: 64},
+			{name: "churn", capacity: 16, keys: 4096, churn: true},
 		} {
 			t.Run(kind.String()+"/"+cfg.name, func(t *testing.T) {
-				runReferenceModel(t, kind, cfg.capacity, cfg.exact, keyUniverse)
+				runReferenceModel(t, kind, cfg)
 			})
 		}
 	}
 }
 
-func runReferenceModel(t *testing.T, kind PolicyKind, capacity int, exact bool, keyUniverse int) {
+// refConfig is one reference-model sequence.
+type refConfig struct {
+	name     string
+	capacity int
+	keys     int  // the key universe
+	exact    bool // capacity holds every key: nothing is evicted
+	churn    bool // even keys, short TTLs, long hops, colliding hashes
+}
+
+// checkIndex holds the index to the arena: every occupied slot's key is
+// found at that slot, and the table holds one entry per stored entry.
+func checkIndex[K comparable, V any](c *LRU[K, V]) error {
+	free := make(map[int32]bool)
+	for i := c.free; i != nilIdx; i = c.ord.next[i] {
+		free[i] = true
+	}
+	occupied := 0
+	for _, e := range c.index.entries {
+		if e != 0 {
+			occupied++
+		}
+	}
+	if stored := len(c.slab) - len(free); occupied != c.Len() || stored != c.Len() || c.index.n != c.Len() {
+		return fmt.Errorf("index holds %d entries (counts %d), arena %d, Len %d", occupied, c.index.n, stored, c.Len())
+	}
+	for i := range c.slab {
+		if free[int32(i)] {
+			continue
+		}
+		if k := c.slab[i].key; c.find(k, fingerprint(c.hash(k))) != int32(i) {
+			return fmt.Errorf("slot %d's key %v is not found at it", i, k)
+		}
+	}
+	return nil
+}
+
+func runReferenceModel(t *testing.T, kind PolicyKind, cfg refConfig) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(0xD15C0))
-	c := New[string, int](capacity, kind)
+	c := New[string, int](cfg.capacity, kind)
+	if cfg.churn {
+		c.hash = func(k string) uint64 {
+			h := dnsname.Hash(k)
+			return h%4<<62 | h%5<<32
+		}
+	}
 	model := make(map[string]refEntry)
-	keys := make([]string, keyUniverse)
+	keys := make([]string, cfg.keys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("name%d", i)
 	}
 	// Zipf-ish skew: low indices are hot.
 	pick := func() string {
-		i := rng.Intn(keyUniverse)
-		if rng.Intn(4) != 0 {
+		i := rng.Intn(cfg.keys)
+		if !cfg.churn && rng.Intn(4) != 0 {
 			i = rng.Intn(1 + i/4)
 		}
 		return keys[i]
 	}
+	maxTTL, maxHop := 600, 2500
+	if cfg.churn {
+		maxTTL, maxHop = 4, 400
+	}
+	exact, capacity := cfg.exact, cfg.capacity
 	now := t0
 	modelLive := func(k string) (refEntry, bool) {
 		e, ok := model[k]
@@ -89,21 +143,22 @@ func runReferenceModel(t *testing.T, kind PolicyKind, capacity int, exact bool, 
 	}
 	for op := 0; op < 20000; op++ {
 		// Time moves forward in uneven sub-second to multi-second hops.
-		now = now.Add(time.Duration(rng.Intn(2500)) * time.Millisecond)
+		now = now.Add(time.Duration(rng.Intn(maxHop)) * time.Millisecond)
 		k := pick()
+		var ev Eviction
 		switch rng.Intn(10) {
 		case 0, 1, 2: // PutEv
 			v := rng.Int()
-			ttl := time.Duration(1+rng.Intn(600)) * time.Second
+			ttl := time.Duration(1+rng.Intn(maxTTL)) * time.Second
 			cat := Category(rng.Intn(2))
-			if _, ev := c.PutEv(k, v, ttl, cat, now); exact && ev != (Eviction{}) {
+			if _, ev = c.PutEv(k, v, ttl, cat, now); exact && ev != (Eviction{}) {
 				t.Fatalf("op %d: PutEv(%s) evicted %+v below capacity", op, k, ev)
 			}
 			model[k] = refEntry{val: v, exp: now.Add(ttl), cat: cat}
 		case 3: // PutLowPriorityEv
 			v := rng.Int()
-			ttl := time.Duration(1+rng.Intn(30)) * time.Second
-			if _, ev := c.PutLowPriorityEv(k, v, ttl, CategoryDisposable, now); exact && ev != (Eviction{}) {
+			ttl := time.Duration(1+rng.Intn(min(maxTTL, 30))) * time.Second
+			if _, ev = c.PutLowPriorityEv(k, v, ttl, CategoryDisposable, now); exact && ev != (Eviction{}) {
 				t.Fatalf("op %d: PutLowPriorityEv(%s) evicted %+v below capacity", op, k, ev)
 			}
 			model[k] = refEntry{val: v, exp: now.Add(ttl), cat: CategoryDisposable}
@@ -135,6 +190,21 @@ func runReferenceModel(t *testing.T, kind PolicyKind, capacity int, exact bool, 
 		}
 		if c.Len() > capacity {
 			t.Fatalf("op %d: Len %d exceeds capacity %d", op, c.Len(), capacity)
+		}
+		if err := checkIndex(c); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		evicted := 0
+		for mk, e := range model {
+			if _, ok := peek(c, mk); ok {
+				continue
+			}
+			if now.Before(e.exp) {
+				if evicted++; !ev.Evicted || evicted > 1 {
+					t.Fatalf("op %d: the cache lost %s, live in the model (%+v), after %+v", op, mk, e, ev)
+				}
+			}
+			delete(model, mk)
 		}
 		if ll, l := c.LiveLen(), c.Len(); ll < 0 || ll > l {
 			t.Fatalf("op %d: LiveLen %d outside [0, Len=%d]", op, ll, l)

@@ -253,30 +253,75 @@ func (m *Message) unpack(data []byte, asked string, tail bool) error {
 // the extended dst is returned: the name is what follows len(dst). ok is
 // false for any other shape, well-formed or not: those take Unpack.
 func AppendSoleQuestion(dst, data []byte) (name []byte, id uint16, qtype Type, ok bool) {
+	name, id, qtype, _, ok = appendSoleQuestion(dst, data)
+	return name, id, qtype, ok
+}
+
+// AppendQuestion reads a query's ID and question as a server answers it: by
+// AppendSoleQuestion where that reader takes the query, and otherwise by the
+// full decoder, the name normalized alike (lower-cased, one trailing dot
+// dropped). It returns the question's class too. ok is false when the query
+// does not decode to exactly one question: a server answers that with
+// AppendFormErr.
+func AppendQuestion(dst, data []byte) (name []byte, id uint16, qtype Type, class Class, ok bool) {
+	if name, id, qtype, class, ok = appendSoleQuestion(dst, data); ok {
+		return name, id, qtype, class, ok
+	}
+	var msg Message
+	if msg.Unpack(data) != nil || len(msg.Questions) != 1 {
+		return dst, 0, 0, 0, false
+	}
+	q := msg.Questions[0]
+	name = append(dst, strings.TrimSuffix(q.Name, ".")...)
+	lowerASCII(name[len(dst):])
+	return name, msg.Header.ID, q.Type, q.Class, true
+}
+
+// AppendFormErr appends the FORMERR that answers a query AppendQuestion
+// cannot read: under the query's ID when its header is readable (0
+// otherwise), echoing its questions when it decodes.
+func AppendFormErr(dst, query []byte) ([]byte, error) {
+	resp := Message{Header: Header{Response: true, RCode: RCodeFormErr}}
+	if len(query) >= headerLen {
+		resp.Header.ID = binary.BigEndian.Uint16(query)
+	}
+	var msg Message
+	if msg.Unpack(query) == nil {
+		resp.Questions = msg.Questions
+	}
+	return resp.AppendEncode(dst)
+}
+
+func appendSoleQuestion(dst, data []byte) (name []byte, id uint16, qtype Type, class Class, ok bool) {
 	// The section counts as one number: QDCOUNT 1, ARCOUNT 0 or 1, the rest 0.
 	if len(data) < headerLen || binary.BigEndian.Uint64(data[offQDCount:])&^1 != 1<<48 {
-		return dst, 0, 0, false
+		return dst, 0, 0, 0, false
 	}
-	start := len(dst)
 	d := decoder{data: data, pos: headerLen}
 	name, err := d.appendName(dst)
 	end := d.pos + 4
 	if err != nil || end > len(data) {
-		return dst, 0, 0, false
+		return dst, 0, 0, 0, false
 	}
 	if data[offARCount+1] == 1 {
 		// The OPT record: root owner, TYPE, CLASS, TTL, RDLEN, then rdata.
 		if end+11 > len(data) || data[end] != 0 || Type(binary.BigEndian.Uint16(data[end+1:])) != TypeOPT ||
 			end+11+int(binary.BigEndian.Uint16(data[end+9:])) > len(data) {
-			return dst, 0, 0, false
+			return dst, 0, 0, 0, false
 		}
 	}
-	for i := start; i < len(name); i++ {
-		if c := name[i]; 'A' <= c && c <= 'Z' {
-			name[i] = c + 'a' - 'A'
+	lowerASCII(name[len(dst):])
+	return name, binary.BigEndian.Uint16(data), Type(binary.BigEndian.Uint16(data[d.pos:])),
+		Class(binary.BigEndian.Uint16(data[d.pos+2:])), true
+}
+
+// lowerASCII lower-cases A-Z in b in place.
+func lowerASCII(b []byte) {
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
 		}
 	}
-	return name, binary.BigEndian.Uint16(data), Type(binary.BigEndian.Uint16(data[d.pos:])), true
 }
 
 func (b *Builder) u8(v uint8)   { b.buf = append(b.buf, v) }

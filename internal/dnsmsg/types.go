@@ -78,7 +78,7 @@ func ParseType(s string) (Type, error) {
 	}
 }
 
-// Class is a DNS class; only IN is used.
+// Class is a DNS class. Only IN is served; a resolver refuses the others.
 type Class uint16
 
 // ClassIN is the Internet class.
@@ -93,6 +93,7 @@ const (
 	RCodeFormErr  RCode = 1
 	RCodeServFail RCode = 2
 	RCodeNXDomain RCode = 3
+	RCodeRefused  RCode = 5
 )
 
 // String returns the conventional mnemonic for rc.
@@ -106,6 +107,8 @@ func (rc RCode) String() string {
 		return "SERVFAIL"
 	case RCodeNXDomain:
 		return "NXDOMAIN"
+	case RCodeRefused:
+		return "REFUSED"
 	default:
 		return fmt.Sprintf("RCODE%d", uint8(rc))
 	}

@@ -391,3 +391,45 @@ func TestAppendSoleQuestion(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendQuestion: the server's reader returns the question's class, and
+// takes on the full decoder what the sole-question reader refuses, the name
+// normalized alike; a query without exactly one question is refused, and
+// AppendFormErr answers it under its ID with the questions it holds.
+func TestAppendQuestion(t *testing.T) {
+	ch := NewQuery(0xbeef, "WWW.Example.com", TypeTXT)
+	ch.Questions[0].Class = 3 // CH
+	wire := mustEncode(t, ch)
+	name, id, qtype, class, ok := AppendQuestion([]byte("kept"), wire)
+	if !ok || id != 0xbeef || qtype != TypeTXT || class != 3 || string(name) != "keptwww.example.com" {
+		t.Errorf("AppendQuestion(CH query) = %q, %#x, %v, %v, %v", name, id, qtype, class, ok)
+	}
+	twoOPT := appendOPT(appendOPT(mustEncode(t, NewQuery(7, "Mixed.Case.test", TypeA)), 1232), 512)
+	name, id, qtype, class, ok = AppendQuestion(nil, twoOPT)
+	if !ok || id != 7 || qtype != TypeA || class != ClassIN || string(name) != "mixed.case.test" {
+		t.Errorf("AppendQuestion(two OPTs) = %q, %#x, %v, %v, %v", name, id, qtype, class, ok)
+	}
+	two := NewQuery(9, "a.test", TypeA)
+	two.Questions = append(two.Questions, two.Questions[0])
+	for _, tc := range []struct {
+		what  string
+		wire  []byte
+		id    uint16
+		qdcnt int
+	}{
+		{"two questions", mustEncode(t, two), 9, 2},
+		{"a cut question", wire[:len(wire)-1], 0xbeef, 0},
+	} {
+		if _, _, _, _, ok := AppendQuestion(nil, tc.wire); ok {
+			t.Errorf("AppendQuestion accepted %s", tc.what)
+		}
+		resp, err := AppendFormErr(nil, tc.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Decode(resp)
+		if err != nil || m.Header.ID != tc.id || !m.Header.Response || m.Header.RCode != RCodeFormErr || len(m.Questions) != tc.qdcnt {
+			t.Errorf("AppendFormErr(%s) = %+v, %v", tc.what, m, err)
+		}
+	}
+}

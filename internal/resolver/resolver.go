@@ -13,6 +13,9 @@
 // resource record, exactly like the fpDNS collection described in
 // Section III-A.
 //
+// Cluster.Resolve answers a Query in process; Cluster.Shard puts one server
+// behind a socket, answering DNS queries off the wire from the same cache.
+//
 // All per-query state — caches, counters, upstream message IDs, scratch wire
 // buffers — is sharded per server, so the cluster can run one worker
 // goroutine per server (see StartStream) without any locking on the hot

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"dnsnoise/internal/features"
 	"dnsnoise/internal/livescore"
 	"dnsnoise/internal/mlearn"
+	"dnsnoise/internal/resolver"
 )
 
 const (
@@ -64,16 +66,34 @@ func floodAuthority(t testing.TB) *authority.Server {
 	return srv
 }
 
+// floodName is one name a flood rotates over, with the reply it must get.
+type floodName struct {
+	name    string
+	rcode   dnsmsg.RCode
+	answers uint16
+	dig     bool // sent as dig sends it, with an EDNS0 OPT record
+}
+
+// authorityFlood is one name of each kind of answer floodAuthority gives.
+var authorityFlood = []floodName{
+	{"www.bench.test", dnsmsg.RCodeNoError, 1, false},
+	{"alias.bench.test", dnsmsg.RCodeNoError, 1, false},
+	{"x7f3k.wild.bench.test", dnsmsg.RCodeNoError, 1, false},
+	{"a1b2c3d4.dyn.bench.test", dnsmsg.RCodeNoError, 3, false},
+	{"nope.bench.test", dnsmsg.RCodeNXDomain, 0, false},
+	{"0.0.0.0.1.0.0.4e.abc123.dyn.bench.test", dnsmsg.RCodeNoError, 3, true},
+}
+
 // checkFloodZeroAlloc floods a default-configuration front door, answering
-// from floodAuthority, over a real loopback socket from one connected client
-// and holds process-wide Mallocs per packet to zero: the price of the whole
-// serve path, syscall layer and authority included, which the AllocsPerRun
-// guards in alloc_test.go can only measure up to the socket boundary. The
-// queries rotate over one name of each kind of answer, each checked for its
-// RCODE and answer count. The client loop is itself allocation-free
-// (preallocated queries and buffer, no per-attempt state), so a nonzero
-// reading implicates the serve path. One query carries the OPT record dig
-// attaches by default: the query real clients send is held to zero too.
+// with h, over a real loopback socket from one connected client and holds
+// process-wide Mallocs per packet to zero: the price of the whole serve
+// path, syscall layer and handler included, which the AllocsPerRun guards
+// in alloc_test.go can only measure up to the socket boundary. The queries
+// rotate over names, each checked for its RCODE and answer count. The
+// client loop is itself allocation-free (preallocated queries and buffer,
+// no per-attempt state), so a nonzero reading implicates the serve path.
+// The floods send one query with the OPT record dig attaches by default:
+// the query real clients send is held to zero too.
 //
 // The reading is rounded to the nearest whole allocation first: a handful
 // of stray runtime allocations across tens of thousands of packets is
@@ -81,9 +101,9 @@ func floodAuthority(t testing.TB) *authority.Server {
 // process-wide, so no flood test may run beside another test (no
 // t.Parallel). Under the race detector the reading is logged, not held to
 // zero (race_test.go).
-func checkFloodZeroAlloc(t *testing.T, what string, opts ...ServerOption) {
+func checkFloodZeroAlloc(t *testing.T, what string, h dnsmsg.WireHandler, names []floodName, opts ...ServerOption) {
 	t.Helper()
-	srv, err := Serve(floodAuthority(t), "127.0.0.1:0", opts...)
+	srv, err := Serve(h, "127.0.0.1:0", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +120,7 @@ func checkFloodZeroAlloc(t *testing.T, what string, opts ...ServerOption) {
 		answers uint16
 	}
 	var queries []floodQuery
-	for _, q := range []struct {
-		name    string
-		rcode   dnsmsg.RCode
-		answers uint16
-		dig     bool // sent as dig sends it, with an EDNS0 OPT record
-	}{
-		{"www.bench.test", dnsmsg.RCodeNoError, 1, false},
-		{"alias.bench.test", dnsmsg.RCodeNoError, 1, false},
-		{"x7f3k.wild.bench.test", dnsmsg.RCodeNoError, 1, false},
-		{"a1b2c3d4.dyn.bench.test", dnsmsg.RCodeNoError, 3, false},
-		{"nope.bench.test", dnsmsg.RCodeNXDomain, 0, false},
-		{"0.0.0.0.1.0.0.4e.abc123.dyn.bench.test", dnsmsg.RCodeNoError, 3, true},
-	} {
+	for _, q := range names {
 		wire, err := dnsmsg.NewQuery(1, q.name, dnsmsg.TypeA).Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +166,32 @@ func checkFloodZeroAlloc(t *testing.T, what string, opts ...ServerOption) {
 // TestServePacketPathZeroAlloc: recv, dispatch, the authority's answer and
 // send on a real socket.
 func TestServeFloodZeroAlloc(t *testing.T) {
-	checkFloodZeroAlloc(t, "serve path")
+	checkFloodZeroAlloc(t, "serve path", floodAuthority(t), authorityFlood)
+}
+
+// TestServeFloodZeroAllocRecursive is the flood answered by a resolver
+// shard recursing to floodAuthority, as dnsnoise-serve -recursive serves:
+// after the warm-up every name is a cache hit (the 1 s TTLs lapse a few
+// times, and each lapse costs one miss), held to zero allocations a packet.
+// The alias is answered with its whole chain, and the NXDOMAIN name is
+// left out, since no negative answer is cached and each of its queries is
+// a miss.
+func TestServeFloodZeroAllocRecursive(t *testing.T) {
+	c, err := resolver.NewCluster(floodAuthority(t), resolver.WithServers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []floodName
+	for _, n := range authorityFlood {
+		switch {
+		case n.rcode == dnsmsg.RCodeNXDomain:
+			continue
+		case strings.HasPrefix(n.name, "alias."):
+			n.answers = 2 // the CNAME and its target's A
+		}
+		names = append(names, n)
+	}
+	checkFloodZeroAlloc(t, "recursive serve path", c.Shard(0), names)
 }
 
 // TestServeFloodZeroAllocScored is the same flood down the -score serve
@@ -187,6 +220,6 @@ func TestServeFloodZeroAllocScored(t *testing.T) {
 	// disposable-hit path, the most work the lookup ever does.
 	pipe.Prime([]core.Finding{{Zone: "bench.test", Depth: 3, Confidence: 0.99}})
 	eng := livescore.NewEngine(pipe)
-	checkFloodZeroAlloc(t, "scored serve path",
+	checkFloodZeroAlloc(t, "scored serve path", floodAuthority(t), authorityFlood,
 		WithScorer(func(int) Scorer { return eng.NewScorer() }))
 }

@@ -304,3 +304,54 @@ func TestEDNSBudgetRaisesTruncationPoint(t *testing.T) {
 		t.Error("TC not set when response exceeds the EDNS budget")
 	}
 }
+
+// clockedHandler is a BatchClock handler: it answers as the authority does
+// and records, per call, the time it was last handed and how often.
+type clockedHandler struct {
+	dnsmsg.WireHandler
+	now  time.Time
+	sets int
+	seen []time.Time // now, at each call
+}
+
+func (h *clockedHandler) SetNow(now time.Time) { h.now, h.sets = now, h.sets+1 }
+
+func (h *clockedHandler) AppendHandleWire(dst, query []byte) ([]byte, error) {
+	h.seen = append(h.seen, h.now)
+	return h.WireHandler.AppendHandleWire(dst, query)
+}
+
+// TestBatchClockSetPerBatch: a handler that keeps the batch's time is
+// handed the wall clock before each received batch, so every query is
+// answered at a time no earlier than it was sent, and the worker reads the
+// clock once a batch, not once a packet: with one query in flight each
+// batch is one datagram.
+func TestBatchClockSetPerBatch(t *testing.T) {
+	h := &clockedHandler{WireHandler: testAuthority(t)}
+	srv, err := Serve(h, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := dnsmsg.NewQuery(9, "www.udp.test", dnsmsg.TypeA).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	sent := make([]time.Time, n)
+	for i := range sent {
+		sent[i] = time.Now()
+		if _, err := exchange("udp", srv.Addr(), wire); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	srv.Close() // joins the worker: its writes to h are done
+	if len(h.seen) != n || h.sets != n {
+		t.Fatalf("%d queries answered after %d clock sets, want %d of each", len(h.seen), h.sets, n)
+	}
+	for i, at := range h.seen {
+		if at.Before(sent[i]) || i > 0 && !at.After(h.seen[i-1]) {
+			t.Errorf("query %d, sent at %v, was answered at the handed time %v (the one before: %v)", i, sent[i], at, h.seen[max(i-1, 0)])
+		}
+	}
+}

@@ -1,10 +1,10 @@
 // Package udptransport answers DNS queries arriving on real sockets with a
-// dnsmsg.WireHandler (dnsnoise-serve's authority). The Server is a multi-core
-// front door: N listener sockets (SO_REUSEPORT on Linux, single-socket
-// elsewhere), each owned by a worker goroutine that moves datagrams in
-// batches (recvmmsg/sendmmsg on Linux, one-packet syscalls elsewhere)
-// through preallocated buffers — the steady-state packet path performs zero
-// heap allocations. WithTCP adds the RFC 1035 framed TCP lane that a
+// dnsmsg.WireHandler (dnsnoise-serve's authority, or with -recursive a
+// resolver shard). The Server is a multi-core front door: N listener
+// sockets (SO_REUSEPORT on Linux, single-socket elsewhere), each owned by
+// a worker goroutine that moves datagrams in batches (recvmmsg/sendmmsg on
+// Linux, one-packet syscalls elsewhere) through preallocated buffers — the
+// steady-state packet path performs zero heap allocations. WithTCP adds the RFC 1035 framed TCP lane that a
 // truncated (TC=1) answer sends clients to. There is no client side: the
 // resolver exchanges with its upstream in process.
 package udptransport
@@ -51,6 +51,15 @@ const batchLen = 32
 // have held a window's names.
 type Scorer interface {
 	ScoreWire(query []byte) qlog.Verdict
+}
+
+// BatchClock is a handler that answers by a clock it is handed instead of
+// one it reads (resolver.Shard): the listener worker reads the wall clock
+// once per received batch and sets it before the batch's first packet.
+// Such a handler is one goroutine's state, so it is served by one listener
+// and no TCP lane.
+type BatchClock interface {
+	SetNow(time.Time)
 }
 
 // Server answers DNS queries from one or more UDP sockets.
@@ -346,9 +355,10 @@ type listenerWorker struct {
 	io     packetIO
 	stats  listenerStats
 	qrec   *qlog.Recorder
-	scorer Scorer // per-listener, nil when scoring is off
-	qname  []byte // record's question scratch
-	ticks  uint32 // packets seen, for the latency sample
+	scorer Scorer     // per-listener, nil when scoring is off
+	clock  BatchClock // the handler, when it keeps the batch's time
+	qname  []byte     // record's question scratch
+	ticks  uint32     // packets seen, for the latency sample
 }
 
 // packetIO moves batches of datagrams between a socket and the worker's
@@ -372,6 +382,7 @@ func newListenerWorker(s *Server, conn *net.UDPConn, id int) *listenerWorker {
 	rx := make([]byte, batchLen*maxPacket)
 	w.io = newPacketIO(conn, w.slots, rx)
 	w.qrec = s.log.NewRecorder(id) // nil-safe: nil log -> nil recorder
+	w.clock, _ = s.wire.(BatchClock)
 	if s.newScorer != nil {
 		w.scorer = s.newScorer(id)
 	}
@@ -384,6 +395,9 @@ func (w *listenerWorker) loop() {
 		n, err := w.io.recv()
 		if err != nil {
 			return // closed (or fatal socket error): stop serving
+		}
+		if w.clock != nil {
+			w.clock.SetNow(time.Now())
 		}
 		for i := 0; i < n; i++ {
 			w.process(&w.slots[i])
