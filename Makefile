@@ -67,13 +67,15 @@ bench:
 # pair, each known/fresh,
 # BenchmarkMerge and BenchmarkMergeTouched, the merge a window pays, with the
 # guards that a known record costs nothing, a new or merged one its share of
-# a slab chunk and of map growth, not objects of its own, a record only a
-# later shard holds no RRStat bytes (Merge relinks it into shard 0 in place,
+# a slab chunk and of the name index's growth, not objects of its own, a
+# record only a later shard holds no RRStat or entry bytes (Merge relinks it
+# into shard 0 in place, which adopts the shard's entry chunks,
 # TestMergeAllocs), a further record of
 # a known name the slab share alone, a client past a record's fourth a block
 # chunk's share, and a counts view's new name or grown group a run of its
-# pointer chunk, not a slice) — the rpDNS store (a duplicate insert costs
-# nothing, a new record its stripe's slab share) — and the loopback socket flood that holds
+# pointer chunk, not a slice) — the rpDNS store (BenchmarkInsert, a fresh and
+# a duplicate record, with the guards that a duplicate insert costs nothing
+# and a new record its stripe's slab share) — and the loopback socket flood that holds
 # the serve path, plain and scored, answering from a real authority, and
 # recursive, answering cache hits from a resolver shard, to zero
 # process-wide allocations per packet (TestServeFloodZeroAlloc*, on the
@@ -81,8 +83,10 @@ bench:
 # to either fails the job) — and the heap guards: a slab chunk of elements
 # with pointers fits its 8 KiB size class (TestChunkFitsSizeClass), a
 # cache's heap follows its live entries, not its capacity, and churn
-# never grows its index (TestIndexFlatUnderChurn), and the benchmark-size namespace's authority,
-# which computes its answers, holds at most 3 MiB (TestAuthorityHeap).
+# never grows its index (TestIndexFlatUnderChurn), the benchmark-size namespace's authority,
+# which computes its answers, holds at most 3 MiB (TestAuthorityHeap), and
+# an rpDNS record holds at most 72 bytes of live heap, its 56 and its share
+# of its stripe's index (TestStoreHeap).
 # Whole-program overhead questions (telemetry, qlog, fleet collector, tsdb) go to
 # benchmark/run.sh A/A runs and -compare instead.
 bench-smoke:
@@ -95,9 +99,9 @@ bench-smoke:
 		-benchtime=100x -benchmem ./internal/traceio/ ./internal/workload/
 	$(GO) test -run 'TestReaderNextAllocs|TestNextNameAllocs|TestDayStreamAllocs|TestBurnDayAllocs' -v ./internal/traceio/ ./internal/workload/
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceSource' -benchtime=100x -benchmem -cpu 1,2 ./internal/ingest/
-	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge' -benchtime=100x -benchmem ./internal/chrstat/
+	$(GO) test -run '^$$' -bench 'BenchmarkObserveBelow|BenchmarkObserveMiss|BenchmarkMerge|BenchmarkInsert' -benchtime=100x -benchmem ./internal/chrstat/ ./internal/pdns/
 	$(GO) test -run 'TestObserveAllocs|TestMergeAllocs|TestRefreshAllocs|TestInsertAllocs' -v ./internal/chrstat/ ./internal/pdns/
-	$(GO) test -run 'TestChunkFitsSizeClass|TestIndexFlatUnderChurn|TestAuthorityHeap' -v ./internal/slab/ ./internal/cache/ ./internal/workload/
+	$(GO) test -run 'TestChunkFitsSizeClass|TestIndexFlatUnderChurn|TestAuthorityHeap|TestStoreHeap' -v ./internal/slab/ ./internal/cache/ ./internal/workload/ ./internal/pdns/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/ ./internal/authority/ ./internal/dnsmsg/ ./internal/dntree/ ./internal/workload/
 
 # Ten seconds of native fuzzing on each decoder that reads outside input,

@@ -57,15 +57,15 @@ func TestIndexFlatUnderChurn(t *testing.T) {
 	live := heapAfter(func() any {
 		c := New[Key, answerValue](capacity, PolicyLRU)
 		churn(c, 0, warm, ttl)
-		warmBuckets = len(c.index.entries)
+		warmBuckets = c.index.Buckets()
 		for from := warm; from < names; from += step {
 			churn(c, from, from+step, ttl)
-			if got := len(c.index.entries); got != warmBuckets {
+			if got := c.index.Buckets(); got != warmBuckets {
 				t.Fatalf("after %d names the index has %d buckets, %d after %d: churn grew it", from+step, got, warmBuckets, warm)
 			}
 		}
-		if n := c.Len(); n < 2500 || n > 3500 || c.index.n != n {
-			t.Errorf("the churned cache holds %d entries and its index %d, want the same, about 3 000", n, c.index.n)
+		if n := c.Len(); n < 2500 || n > 3500 || c.index.Len() != n {
+			t.Errorf("the churned cache holds %d entries and its index %d, want the same, about 3 000", n, c.index.Len())
 		}
 		return c
 	})

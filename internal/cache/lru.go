@@ -9,11 +9,11 @@
 // evictions per (evicted category, inserting category) pair.
 //
 // The implementation is a slab-backed intrusive structure: entry payloads,
-// keys included, live in a contiguous arena, and the cache's own
-// open-addressed index (index.go) maps a key's hash to its slot. Both start
-// small and grow with the entries, so a cache holds what its live set
-// needs, not what its capacity would; the index deletes without
-// tombstones, so churn through names that come and go never grows it. Two
+// keys included, live in a contiguous arena, and an open-addressed index
+// (slab.Index) maps a key's hash to its slot. Both start small and grow
+// with the entries, so a cache holds what its live set needs, not what its
+// capacity would; the index deletes without tombstones, so churn through
+// names that come and go never grows it. Two
 // parallel link arenas thread through the slab: the eviction-policy order
 // (policy.go — LRU by default, SIEVE selectable at construction) and the TTL
 // timer wheel (wheel.go), which files every entry into a bucket for its
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/slab"
 )
 
 // Key is the DNS cache key: a normalized owner name and a query type. The
@@ -114,7 +115,7 @@ type slot[K comparable, V any] struct {
 type LRU[K comparable, V any] struct {
 	capacity int
 	slab     []slot[K, V]
-	index    index
+	index    slab.Index
 	hash     func(K) uint64
 	seed     maphash.Seed // the hash's, which GetName hashes a name's bytes with
 	ord      order
@@ -136,7 +137,6 @@ func New[K comparable, V any](capacity int, policy PolicyKind) *LRU[K, V] {
 	}
 	c := &LRU[K, V]{
 		capacity: capacity,
-		index:    newIndex(),
 		seed:     maphash.MakeSeed(),
 		ord:      newOrder(),
 		pol:      policyFor(policy),
@@ -270,7 +270,7 @@ func (c *LRU[K, V]) Advance(now time.Time) {
 // GetName, PutEv, PutLowPriorityEv or Advance), which may move, refresh or
 // zero the slot. A caller that keeps the value longer copies it first.
 func (c *LRU[K, V]) Get(key K, now time.Time) (*V, bool) {
-	if s := c.lookup(c.find(key, fingerprint(c.hash(key))), now); s != nil {
+	if s := c.lookup(c.find(key, slab.Fingerprint(c.hash(key))), now); s != nil {
 		return &s.value, true
 	}
 	return nil, false
@@ -285,9 +285,9 @@ func (c *LRU[K, V]) Get(key K, now time.Time) (*V, bool) {
 // Get does, a pointer to the value that is valid only until the next
 // structural operation.
 func GetName[V any](c *LRU[Key, V], name []byte, qtype dnsmsg.Type, now time.Time) (cached string, v *V, ok bool) {
-	fp := fingerprint(maphash.Bytes(c.seed, name) ^ typeMix(qtype))
-	i, b := c.index.probe(fp, c.index.home(fp))
-	for ; i != nilIdx; i, b = c.index.probe(fp, b) {
+	fp := slab.Fingerprint(maphash.Bytes(c.seed, name) ^ typeMix(qtype))
+	i, b := c.index.Probe(fp, c.index.Home(fp))
+	for ; i != nilIdx; i, b = c.index.Probe(fp, b) {
 		if k := &c.slab[i].key; k.Type == qtype && k.Name == string(name) {
 			break
 		}
@@ -301,8 +301,8 @@ func GetName[V any](c *LRU[Key, V], name []byte, qtype dnsmsg.Type, now time.Tim
 // find returns the slot holding key, whose fingerprint is fp; nilIdx when
 // the cache does not hold it.
 func (c *LRU[K, V]) find(key K, fp uint32) int32 {
-	i, b := c.index.probe(fp, c.index.home(fp))
-	for ; i != nilIdx; i, b = c.index.probe(fp, b) {
+	i, b := c.index.Probe(fp, c.index.Home(fp))
+	for ; i != nilIdx; i, b = c.index.Probe(fp, b) {
 		if c.slab[i].key == key {
 			break
 		}
@@ -375,7 +375,7 @@ func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now tim
 	}
 	w.observe(now)
 	expires := now.Add(ttl)
-	fp := fingerprint(c.hash(key))
+	fp := slab.Fingerprint(c.hash(key))
 	if i := c.find(key, fp); i != nilIdx {
 		s := &c.slab[i]
 		s.value = value
@@ -399,7 +399,7 @@ func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now tim
 	s.fp = fp
 	c.pol.insert(&c.ord, i, low)
 	w.file(i, w.tickOf(expires))
-	c.index.insert(fp, i)
+	c.index.Insert(fp, i)
 	c.size.Add(1)
 	return &s.value, ev
 }
@@ -463,7 +463,7 @@ func appendCapped[E any](s []E, v E, limit int) []E {
 // chain.
 func (c *LRU[K, V]) removeSlot(i int32) {
 	s := &c.slab[i]
-	c.index.remove(s.fp, i)
+	c.index.Remove(s.fp, i)
 	c.whl.unfile(i)
 	c.pol.remove(&c.ord, i)
 	var zero slot[K, V]

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dnsnoise/internal/dnsname"
+	"dnsnoise/internal/slab"
 )
 
 // refEntry is the naive reference model: a map of key → (value, expiry,
@@ -29,7 +30,7 @@ func valueOf[V any](v *V, ok bool) (V, bool) {
 }
 
 func peek[K comparable, V any](c *LRU[K, V], key K) (slot[K, V], bool) {
-	i := c.find(key, fingerprint(c.hash(key)))
+	i := c.find(key, slab.Fingerprint(c.hash(key)))
 	if i == nilIdx {
 		return slot[K, V]{}, false
 	}
@@ -79,26 +80,21 @@ type refConfig struct {
 }
 
 // checkIndex holds the index to the arena: every occupied slot's key is
-// found at that slot, and the table holds one entry per stored entry.
+// found at that slot, and the index files one entry per stored entry (that
+// its count is its occupied buckets' is slab.TestIndexMatchesMap's to show).
 func checkIndex[K comparable, V any](c *LRU[K, V]) error {
 	free := make(map[int32]bool)
 	for i := c.free; i != nilIdx; i = c.ord.next[i] {
 		free[i] = true
 	}
-	occupied := 0
-	for _, e := range c.index.entries {
-		if e != 0 {
-			occupied++
-		}
-	}
-	if stored := len(c.slab) - len(free); occupied != c.Len() || stored != c.Len() || c.index.n != c.Len() {
-		return fmt.Errorf("index holds %d entries (counts %d), arena %d, Len %d", occupied, c.index.n, stored, c.Len())
+	if stored := len(c.slab) - len(free); stored != c.Len() || c.index.Len() != c.Len() {
+		return fmt.Errorf("index holds %d entries, arena %d, Len %d", c.index.Len(), stored, c.Len())
 	}
 	for i := range c.slab {
 		if free[int32(i)] {
 			continue
 		}
-		if k := c.slab[i].key; c.find(k, fingerprint(c.hash(k))) != int32(i) {
+		if k := c.slab[i].key; c.find(k, slab.Fingerprint(c.hash(k))) != int32(i) {
 			return fmt.Errorf("slot %d's key %v is not found at it", i, k)
 		}
 	}

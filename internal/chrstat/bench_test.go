@@ -7,6 +7,7 @@ import (
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/resolver"
+	"dnsnoise/internal/slab"
 )
 
 // freshObservations returns n below-side observations of n distinct
@@ -43,8 +44,8 @@ func crowd(obs []resolver.Observation) (more []resolver.Observation, spilled int
 // TestObserveAllocs: an observation of a record the collector knows, from a
 // client the record knows, allocates nothing; a new record with its one
 // client costs its share of two slab chunks (the record, its name's entry)
-// and of the growth of the collector's one map — and no object, client map or
-// map group of its own. A second and a third record on a known name cost a
+// and of the growth of the collector's name index — and no object or client
+// map of its own. A second and a third record on a known name cost a
 // slab share each and nothing else: they hang off the first, no slice grows.
 // A client past a record's fourth costs its share of a block chunk: fourteen
 // ids to a block, 127 blocks to a chunk — not a growing slice.
@@ -67,9 +68,8 @@ func TestObserveAllocs(t *testing.T) {
 			c.ObserveBelow(obs[i])
 		}
 	}) / records
-	// The rest is measured on c, whose map knows every name by now: the two
-	// builds a difference would take hash their maps apart, and on Go 1.23's
-	// map their overflow buckets differ by more than the budgets below.
+	// The rest is measured on c, whose index knows every name by now, so
+	// that nothing but the observations is counted.
 	observe := func(stream []resolver.Observation) float64 {
 		return mallocs(func() {
 			for i := range stream {
@@ -134,41 +134,42 @@ func mergeFixture() (s *ShardedCollector, records int) {
 
 // TestMergeAllocs: Merge folds shard 1 into shard 0 in place. The fixture's
 // records are disjoint, so each of shard 1's is relinked with its name: it
-// costs shard 0's map a slot and no RRStat bytes, entry or client blocks of
-// its own, where the copying fold paid 104 bytes for the record alone. What
-// the map's growth costs is measured on a map that takes the same names in
-// the same order, and subtracted; the allocations stay within the copying
-// fold's budget too. Each run folds a fixture of its own: Merge spends it.
+// costs shard 0's index a bucket and no RRStat bytes, entry or client blocks
+// of its own (shard 0 adopts shard 1's entry chunks), where the copying fold
+// paid 104 bytes for the record alone. What the index's growth costs is
+// measured on a table that takes the same fingerprints in the same order,
+// and subtracted; the allocations stay within the copying fold's budget
+// too. Each run folds a fixture of its own: Merge spends it.
 func TestMergeAllocs(t *testing.T) {
 	const runs = 3
-	var allocs, bytes, mapBytes float64
+	var allocs, bytes, indexBytes float64
 	var records int
 	for run := 0; run < runs; run++ {
 		s, n := mergeFixture()
-		m := make(map[string]*nameEntry)
-		for name := range s.shards[0].names {
-			m[name] = nil
+		var ix slab.Index
+		for _, e := range s.shards[0].entries.All {
+			ix.Insert(e.fp, 0)
 		}
-		later := s.shards[1].names
+		later := &s.shards[1].entries
 		_, b := heapAllocs(func() {
-			for name := range later {
-				m[name] = nil
+			for _, e := range later.All {
+				ix.Insert(e.fp, 0)
 			}
 		})
-		mapBytes += b
+		indexBytes += b
 
 		a, b := heapAllocs(func() { s.Merge() })
 		allocs, bytes, records = allocs+a, bytes+b, n
 	}
 	perRecord := allocs / runs / float64(records)
-	beyondMap := (bytes - mapBytes) / runs / float64(records/2)
-	t.Logf("Merge: %.3f allocs per absorbed record; %.2f bytes per record only shard 1 held, beyond %.1f of map growth",
-		perRecord, beyondMap, mapBytes/runs/float64(records/2))
+	beyondIndex := (bytes - indexBytes) / runs / float64(records/2)
+	t.Logf("Merge: %.3f allocs per absorbed record; %.2f bytes per record only shard 1 held, beyond %.1f of index growth",
+		perRecord, beyondIndex, indexBytes/runs/float64(records/2))
 	if perRecord > 0.05 {
 		t.Errorf("Merge cost %.3f allocations per absorbed record, budget 0.05", perRecord)
 	}
-	if beyondMap > 8 {
-		t.Errorf("a record only shard 1 held cost %.1f bytes beyond the map's growth, budget 8: it was copied, not relinked", beyondMap)
+	if beyondIndex > 8 {
+		t.Errorf("a record only shard 1 held cost %.1f bytes beyond the index's growth, budget 8: it was copied, not relinked", beyondIndex)
 	}
 }
 

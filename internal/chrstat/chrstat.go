@@ -14,6 +14,7 @@
 package chrstat
 
 import (
+	"hash/maphash"
 	"slices"
 	"sync"
 
@@ -134,21 +135,22 @@ func (s *RRStat) Misses() uint64 { return s.Above }
 
 // Collector accumulates one observation window (typically a day), indexed by
 // owner name: a name is hashed once, and its records — one or two as a rule,
-// nine at most on the benchmark's days — are told apart by walking them. It
-// is not safe for concurrent use, which is what lets it remember the last
-// name it looked up: the above-then-below pair of a cache miss and every
-// further record of a multi-record answer find their name without touching
-// the map.
+// nine at most on the benchmark's days — are told apart by walking them. The
+// names' entries are numbered in the collector's slab chunks and filed by
+// number in its index, under the fingerprints they keep, so a fold files a
+// shard's names without hashing them again. It is not safe for concurrent
+// use, which is what lets it remember the last name it looked up: the
+// above-then-below pair of a cache miss and every further record of a
+// multi-record answer find their name without touching the index.
 type Collector struct {
-	names   map[string]*nameEntry
-	records int // distinct records, over all names
+	index   slab.Index           // the names: each entry's number, under its fingerprint
+	entries slab.Slab[nameEntry] // in first-seen order
+	records int                  // distinct records, over all names
 
-	lastName string // the name last looked up, and its entry
-	last     *nameEntry
+	last *nameEntry // the entry last looked up
 
-	slab    slab.Slab[RRStat]
-	entries slab.Slab[nameEntry]
-	blocks  slab.Slab[clientBlock] // the records' spilled client ids
+	slab   slab.Slab[RRStat]
+	blocks slab.Slab[clientBlock] // the records' spilled client ids
 
 	// epoch is zero until a Counts view attaches; then touched lists a record
 	// the first time an epoch observes it, and a refresh starts the next.
@@ -161,14 +163,25 @@ type Collector struct {
 	aboveNX    uint64
 }
 
-// nameEntry is what a collector knows of one name: whether it was queried
-// below, and the records it owns, chained through RRStat.next. A name that
-// only ever failed has no record; one that was only a CNAME target or was
-// only seen above was not queried.
+// nameEntry is what a collector knows of one name: the name and its
+// fingerprint, whether it was queried below, and the records it owns,
+// chained through RRStat.next. A name that only ever failed has no record;
+// one that was only a CNAME target or was only seen above was not queried.
+// An entry a fold found a name for in the collector it folded into is
+// zeroed: no name, no record.
 type nameEntry struct {
+	name    string
 	head    *RRStat
+	fp      uint32
 	queried bool
 }
+
+// seed keys the names' hash, one for every collector, so that a fold
+// compares the fingerprints two collectors keep.
+var seed = maphash.MakeSeed()
+
+// fingerprint is what an index files name under.
+func fingerprint(name string) uint32 { return slab.Fingerprint(maphash.String(seed, name)) }
 
 // resolved reports whether some record of the name was answered below.
 func (e *nameEntry) resolved() bool {
@@ -184,9 +197,12 @@ func (e *nameEntry) resolved() bool {
 func NewCollector() *Collector { return NewCollectorSize(0) }
 
 // NewCollectorSize returns an empty collector with room for names names, so
-// that a window sized from the last one's NumNames does not regrow its map.
+// that a window sized from the last one's NumNames does not regrow its
+// index.
 func NewCollectorSize(names int) *Collector {
-	return &Collector{names: make(map[string]*nameEntry, names)}
+	c := &Collector{}
+	c.index.Reserve(names)
+	return c
 }
 
 // ObserveBelow accumulates one below-side observation. Exported so the
@@ -224,16 +240,30 @@ func (c *Collector) ObserveAbove(ob resolver.Observation) {
 
 // entry returns name's entry, new if the name is.
 func (c *Collector) entry(name string) *nameEntry {
-	if c.last != nil && name == c.lastName {
+	if c.last != nil && c.last.name == name {
 		return c.last
 	}
-	e := c.names[name]
+	fp := fingerprint(name)
+	e := c.find(name, fp)
 	if e == nil {
-		e = c.entries.New()
-		c.names[name] = e
+		var i int32
+		i, e = c.entries.Add()
+		e.name, e.fp = name, fp
+		c.index.Insert(fp, i)
 	}
-	c.lastName, c.last = name, e
+	c.last = e
 	return e
+}
+
+// find returns the entry of name, whose fingerprint is fp; nil if the
+// collector has none.
+func (c *Collector) find(name string, fp uint32) *nameEntry {
+	for i, b := c.index.Probe(fp, c.index.Home(fp)); i != slab.Nil; i, b = c.index.Probe(fp, b) {
+		if e := c.entries.At(i); e.name == name {
+			return e
+		}
+	}
+	return nil
 }
 
 // find returns the name's record of type t with payload d, nil if it has
@@ -262,16 +292,16 @@ func (c *Collector) stat(rr dnsmsg.RR, cat cache.Category) *RRStat {
 
 // lookup returns the collector's record of that identity, nil if it has none.
 func (c *Collector) lookup(name string, t dnsmsg.Type, d dnsmsg.RData) (st *RRStat) {
-	if e := c.names[name]; e != nil {
+	if e := c.find(name, fingerprint(name)); e != nil {
 		st, _ = e.find(t, d)
 	}
 	return st
 }
 
 // all yields every record, a name's records together and in first-seen
-// order; the order of names is undefined.
+// order, the names in the order of their entries.
 func (c *Collector) all(yield func(*RRStat) bool) {
-	for _, e := range c.names {
+	for _, e := range c.entries.All {
 		for st := e.head; st != nil; st = st.next {
 			if !yield(st) {
 				return
@@ -280,7 +310,7 @@ func (c *Collector) all(yield func(*RRStat) bool) {
 	}
 }
 
-// Records returns every distinct RR's stats. The slice order is undefined.
+// Records returns every distinct RR's stats, in the order all yields them.
 func (c *Collector) Records() []*RRStat {
 	out := make([]*RRStat, 0, c.records)
 	for st := range c.all {
@@ -294,15 +324,15 @@ func (c *Collector) NumRecords() int { return c.records }
 
 // NumNames returns the count of distinct names observed: queried, answered
 // or seen above.
-func (c *Collector) NumNames() int { return len(c.names) }
+func (c *Collector) NumNames() int { return c.index.Len() }
 
 // ByName returns the records grouped by owner name, which is how the
 // collector holds them: a name's records in first-seen order, in one slice
 // cut from an array that holds them all.
 func (c *Collector) ByName() map[string][]*RRStat {
-	out := make(map[string][]*RRStat, len(c.names)) // a few too many: names that only failed own nothing
+	out := make(map[string][]*RRStat, c.NumNames()) // a few too many: names that only failed own nothing
 	flat := make([]*RRStat, 0, c.records)
-	for name, e := range c.names {
+	for _, e := range c.entries.All {
 		if e.head == nil {
 			continue
 		}
@@ -310,7 +340,7 @@ func (c *Collector) ByName() map[string][]*RRStat {
 		for st := e.head; st != nil; st = st.next {
 			flat = append(flat, st)
 		}
-		out[name] = flat[start:len(flat):len(flat)]
+		out[e.name] = flat[start:len(flat):len(flat)]
 	}
 	return out
 }
@@ -334,12 +364,12 @@ func (c *Collector) ResolvedNames(pred func(string) bool) (total, matching int) 
 }
 
 func (c *Collector) countNames(in func(*nameEntry) bool, pred func(string) bool) (total, matching int) {
-	for name, e := range c.names {
+	for _, e := range c.entries.All {
 		if !in(e) {
 			continue
 		}
 		total++
-		if pred != nil && pred(name) {
+		if pred != nil && pred(e.name) {
 			matching++
 		}
 	}

@@ -183,19 +183,23 @@ func (v *Counts) Refresh(s *ShardedCollector) (byName map[string][]*RRStat, touc
 // Reset empties the view and releases its records.
 func (v *Counts) Reset() { *v = Counts{} }
 
-// fold moves src's observations into c, and src must not be used after: a
-// name c lacks takes src's entry, a record c lacks is relinked at the end of
-// its name's chain, and a record both hold is summed into c's.
+// fold moves src's observations into c, and src must not be used after: c
+// adopts src's entry chunks, a name c lacks is filed in c's index under the
+// fingerprint its entry keeps, a record c lacks is relinked at the end of
+// its name's chain, a record both hold is summed into c's, and the entry of
+// a name both hold is zeroed.
 func (c *Collector) fold(src *Collector) {
 	c.belowTotal += src.belowTotal
 	c.aboveTotal += src.aboveTotal
 	c.belowNX += src.belowNX
 	c.aboveNX += src.aboveNX
 	c.records += src.records
-	for name, from := range src.names {
-		e := c.names[name]
+	adopted := src.entries
+	base := c.entries.Adopt(&src.entries)
+	for i, from := range adopted.All {
+		e := c.find(from.name, from.fp)
 		if e == nil {
-			c.names[name] = from
+			c.index.Insert(from.fp, i+base)
 			continue
 		}
 		e.queried = e.queried || from.queried
@@ -209,6 +213,7 @@ func (c *Collector) fold(src *Collector) {
 			}
 			st = next
 		}
+		*from = nameEntry{}
 	}
 }
 

@@ -5,12 +5,14 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"dnsnoise/internal/cache"
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/resolver"
 	"dnsnoise/internal/slab"
 )
 
@@ -91,8 +93,11 @@ func (c *Collector) absorb(src *Collector) {
 	c.aboveTotal += src.aboveTotal
 	c.belowNX += src.belowNX
 	c.aboveNX += src.aboveNX
-	for name, from := range src.names {
-		e := c.entry(name)
+	for _, from := range src.entries.All {
+		if from.name == "" {
+			continue // a fold zeroed it
+		}
+		e := c.entry(from.name)
 		e.queried = e.queried || from.queried
 		for st := from.head; st != nil; st = st.next {
 			rr := dnsmsg.RR{Name: st.Name, Type: st.Type, TTL: st.TTL, RData: st.RData}
@@ -272,9 +277,13 @@ var statChunk = slab.PerChunk[RRStat]()
 // sets, and two of the three hashes an observation paid. The 16 came back
 // when the spilled client ids moved from a slice (24 bytes) to a chain of
 // collector-owned blocks (a pointer, 8). The collector's other slab
-// elements are pinned too, a name's entry at 16 bytes and a client block at
-// 64, both with a pointer: slab.TestChunkFitsSizeClass holds chunks of
-// those shapes to their size class.
+// elements are pinned too, a client block at 64 bytes and a name's entry at
+// 32, 255 to a chunk: it went 16 → 32 when the index by name stopped being
+// a Go map, whose slots held the name's string header beside the entry's
+// pointer (24 bytes a slot before the map's own slack), and became a table
+// of 8-byte buckets filing entries by number, so the entry holds the name
+// and its fingerprint. Both have a pointer: slab.TestChunkFitsSizeClass
+// holds chunks of those shapes to their size class.
 func TestRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(RRStat{}); got != 104 {
 		t.Errorf("RRStat is %d bytes, want 104", got)
@@ -282,10 +291,82 @@ func TestRecordSize(t *testing.T) {
 	if statChunk != 78 {
 		t.Errorf("a slab chunk holds %d records, want 78", statChunk)
 	}
-	if got := unsafe.Sizeof(nameEntry{}); got != 16 {
-		t.Errorf("nameEntry is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(nameEntry{}); got != 32 {
+		t.Errorf("nameEntry is %d bytes, want 32", got)
+	}
+	if got := slab.PerChunk[nameEntry](); got != 255 {
+		t.Errorf("a slab chunk holds %d name entries, want 255", got)
 	}
 	if got := unsafe.Sizeof(clientBlock{}); got != 64 {
 		t.Errorf("clientBlock is %d bytes, want 64", got)
 	}
+}
+
+// fingerprintTwins returns two names that share a fingerprint under this
+// process's seed, found by search: a pair turns up after about 2^16 names.
+func fingerprintTwins(t *testing.T) [2]string {
+	t.Helper()
+	seen := make(map[uint32]string)
+	for i := range 1 << 22 {
+		name := "c" + strconv.Itoa(i) + ".fp.example.com"
+		fp := fingerprint(name)
+		if twin, ok := seen[fp]; ok {
+			return [2]string{twin, name}
+		}
+		seen[fp] = name
+	}
+	t.Fatal("no two of 4 M names share a fingerprint")
+	return [2]string{}
+}
+
+// TestFingerprintCollision: two names under one fingerprint stay two names,
+// each with its own records, when one collector observes both, when a fold
+// brings one to a shard that holds the other, and when both shards hold
+// both: the index finds a name by its fingerprint and then compares it.
+func TestFingerprintCollision(t *testing.T) {
+	twins := fingerprintTwins(t)
+	ips := [2][]string{{"127.0.3.17", "127.0.3.18"}, {"127.0.3.17"}}
+	observe := func(c interface{ ObserveBelow(resolver.Observation) }, server int, which ...int) {
+		for _, i := range which {
+			for _, ip := range ips[i] {
+				ob := obBelow(rrA(twins[i], ip), cache.CategoryDisposable)
+				ob.Server = server
+				c.ObserveBelow(ob)
+			}
+		}
+	}
+	check := func(what string, c *Collector, below uint64) {
+		t.Helper()
+		byName := c.ByName()
+		if queried, _ := c.QueriedNames(nil); c.NumNames() != 2 || queried != 2 || len(byName) != 2 || c.NumRecords() != 3 {
+			t.Fatalf("%s: %d names (%d queried, %d grouped), %d records; want 2 names of 3 records", what, c.NumNames(), queried, len(byName), c.NumRecords())
+		}
+		for i, name := range twins {
+			if len(byName[name]) != len(ips[i]) {
+				t.Errorf("%s: %s owns %d records, want %d", what, name, len(byName[name]), len(ips[i]))
+			}
+			for _, st := range byName[name] {
+				if st.Name != name || st.Below != below {
+					t.Errorf("%s: %s groups %s observed %d times, want itself %d times", what, name, spell(st), st.Below, below)
+				}
+			}
+		}
+	}
+
+	c := NewCollector() // the twins' observations interleaved, so each lookup probes
+	for _, o := range []struct {
+		twin int
+		ip   string
+	}{{0, ips[0][0]}, {1, ips[1][0]}, {0, ips[0][1]}} {
+		c.ObserveBelow(obBelow(rrA(twins[o.twin], o.ip), cache.CategoryDisposable))
+	}
+	check("one collector", c, 1)
+	s := NewShardedCollector(2)
+	observe(s, 0, 0)
+	observe(s, 1, 1)
+	check("a fold of disjoint shards", s.Merge(), 1)
+	s = NewShardedCollector(2)
+	observe(s, 0, 0, 1)
+	observe(s, 1, 1, 0)
+	check("a fold of shards that hold both", s.Merge(), 2)
 }

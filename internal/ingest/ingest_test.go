@@ -165,15 +165,18 @@ func runWindows(t *testing.T, c *resolver.Cluster, src QuerySource, opts ...Opti
 
 // TestRunnerRotationMatchesManualDays compares the rotating runner against
 // the pre-ingest idiom — one collector per day, taps reinstalled between
-// days, caches persisting — and requires deep equality per window.
+// days, caches persisting — and requires deep equality per window. Each day's
+// collector has room for the last day's names, as the runner's windows do,
+// so that the two name indexes have one size.
 func TestRunnerRotationMatchesManualDays(t *testing.T) {
 	profiles := testProfiles(3)
 
 	manual := newTestEnv(t)
 	mc := manual.cluster(t)
 	var want []*chrstat.Collector
+	names := 0
 	for _, p := range profiles {
-		col := chrstat.NewCollector()
+		col := chrstat.NewCollectorSize(names)
 		mc.SetTaps(resolver.TapFunc(col.ObserveBelow), resolver.TapFunc(col.ObserveAbove))
 		day := manual.gen.StartDay(p)
 		for q, ok := day.Next(); ok; q, ok = day.Next() {
@@ -182,6 +185,7 @@ func TestRunnerRotationMatchesManualDays(t *testing.T) {
 			}
 		}
 		want = append(want, col)
+		names = col.NumNames()
 	}
 
 	env := newTestEnv(t)

@@ -38,14 +38,18 @@ func MergeStores(stores ...*Store) *Store {
 			continue
 		}
 		for rec := range s.all {
-			m, added := out.shardFor(rec.Name).record(dnsmsg.RR{Name: rec.Name, Type: rec.Type, RData: rec.RData})
+			sh, fp := out.shardFor(rec.Name)
+			m, added := sh.record(dnsmsg.RR{Name: rec.Name, Type: rec.Type, RData: rec.RData}, fp)
 			if added || rec.firstSeen < m.firstSeen {
 				m.firstSeen, m.Category = rec.firstSeen, rec.Category
 			}
 		}
 	}
-	for rec := range out.all {
-		out.countNew(out.shardFor(rec.Name), rec)
+	for i := range out.shards {
+		sh := &out.shards[i]
+		for _, rec := range sh.recs.All {
+			out.countNew(sh, rec)
+		}
 	}
 	return out
 }

@@ -19,15 +19,17 @@ import (
 )
 
 // Record is one deduplicated rpDNS entry: the (name, type, rdata) tuple
-// plus the instant it was first observed. It is 64 bytes, 127 to a slab
+// plus the instant it was first observed. It is 56 bytes, 146 to a slab
 // chunk: the first sighting is kept as Unix nanoseconds, not a time.Time
-// (24 bytes), and the small fields go last, where they share one word.
+// (24 bytes), the link to the name's next record is that record's number in
+// its stripe (4 bytes, not a pointer's 8), and the small fields go last,
+// where they share one word.
 type Record struct {
 	Name      string
 	RData     dnsmsg.RData
 	firstSeen int64 // Unix nanoseconds
 
-	next *Record // the owner name's next record in its store, in first-seen order
+	next int32 // the number of the owner name's next record in its stripe, in first-seen order; slab.Nil ends the chain
 
 	Type     dnsmsg.Type
 	Category cache.Category
@@ -52,35 +54,42 @@ type DayCounts struct {
 const numShards = 32
 
 // shard is one lock stripe: its own dedup index and per-day accounting, so
-// concurrent inserts for different name hashes never contend. The index is by
-// owner name, like the CHR collector's: a name leads to its first record and
-// the rest chain from it, so a lookup hashes the name and walks the two or
-// three records it owns. The records are cut from the stripe's slab, and a
-// store never frees one, so a *Record stays valid as long as the store.
+// concurrent inserts for different name hashes never contend. The records
+// are numbered in the stripe's slab chunks, and the index is by owner name,
+// like the CHR collector's: it files a name's first record by number, under
+// the name's fingerprint, and the rest chain from it, so a lookup probes
+// with the hash the stripe was picked by and walks the two or three records
+// the name owns. A store never frees a record, so a *Record stays valid as
+// long as the store.
 type shard struct {
-	mu     sync.Mutex
-	byName map[string]*Record
-	n      int                  // records, over all names
-	days   map[int64]*DayCounts // unix day -> counts
-	recs   slab.Slab[Record]
+	mu    sync.Mutex
+	index slab.Index
+	recs  slab.Slab[Record]
+	n     int                  // records, over all names
+	days  map[int64]*DayCounts // unix day -> counts
 }
 
 // record returns the shard's record of rr's (name, type, rdata), which it
-// appends to the name's chain when it has none.
-func (sh *shard) record(rr dnsmsg.RR) (rec *Record, added bool) {
+// appends to the name's chain when it has none; fp is the name's
+// fingerprint.
+func (sh *shard) record(rr dnsmsg.RR, fp uint32) (rec *Record, added bool) {
+	i, b := sh.index.Probe(fp, sh.index.Home(fp))
+	for i != slab.Nil && sh.recs.At(i).Name != rr.Name {
+		i, b = sh.index.Probe(fp, b)
+	}
 	var last *Record
-	for rec = sh.byName[rr.Name]; rec != nil; rec = rec.next {
-		if rec.Type == rr.Type && rec.RData == rr.RData {
+	for ; i != slab.Nil; i = rec.next {
+		if rec = sh.recs.At(i); rec.Type == rr.Type && rec.RData == rr.RData {
 			return rec, false
 		}
 		last = rec
 	}
-	rec = sh.recs.New()
-	rec.Name, rec.Type, rec.RData = rr.Name, rr.Type, rr.RData
+	i, rec = sh.recs.Add()
+	rec.Name, rec.Type, rec.RData, rec.next = rr.Name, rr.Type, rr.RData, slab.Nil
 	if last == nil {
-		sh.byName[rr.Name] = rec
+		sh.index.Insert(fp, i)
 	} else {
-		last.next = rec
+		last.next = i
 	}
 	sh.n++
 	return rec, true
@@ -93,7 +102,7 @@ func (sh *shard) record(rr dnsmsg.RR) (rec *Record, added bool) {
 // The store is striped into numShards independently locked shards by an
 // FNV-1a hash of the owner name, so a cluster's concurrent per-server
 // workers insert without funneling through a single mutex; dedup means most
-// observations take their stripe's lock only for a map lookup. Readers
+// observations take their stripe's lock only for an index probe. Readers
 // (Len, Records, Days, ...) merge a view across the stripes and may run
 // while insertion is in flight.
 type Store struct {
@@ -128,15 +137,17 @@ func (s *Store) SetMetrics(reg *telemetry.Registry) {
 func NewStore() *Store {
 	s := &Store{}
 	for i := range s.shards {
-		s.shards[i].byName = make(map[string]*Record)
 		s.shards[i].days = make(map[int64]*DayCounts)
 	}
 	return s
 }
 
-// shardFor maps an owner name to its lock stripe.
-func (s *Store) shardFor(name string) *shard {
-	return &s.shards[dnsname.Hash(name)&(numShards-1)]
+// shardFor maps an owner name to its lock stripe and its fingerprint in the
+// stripe's index, both from one hash: the stripe from its low bits, the
+// fingerprint from its top half.
+func (s *Store) shardFor(name string) (*shard, uint32) {
+	h := dnsname.Hash(name)
+	return &s.shards[h&(numShards-1)], slab.Fingerprint(h)
 }
 
 // all yields every record, stripe by stripe under the stripe's lock: the loop
@@ -145,12 +156,10 @@ func (s *Store) all(yield func(*Record) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, rec := range sh.byName {
-			for ; rec != nil; rec = rec.next {
-				if !yield(rec) {
-					sh.mu.Unlock()
-					return
-				}
+		for _, rec := range sh.recs.All {
+			if !yield(rec) {
+				sh.mu.Unlock()
+				return
 			}
 		}
 		sh.mu.Unlock()
@@ -177,10 +186,10 @@ func (s *Store) Tap() resolver.Tap {
 // ignored; the first sighting wins. Safe for concurrent use; inserts for
 // names hashing to different stripes proceed in parallel.
 func (s *Store) Insert(rr dnsmsg.RR, cat cache.Category, at time.Time) {
-	sh := s.shardFor(rr.Name)
+	sh, fp := s.shardFor(rr.Name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	rec, added := sh.record(rr)
+	rec, added := sh.record(rr, fp)
 	if !added {
 		s.mDups.Inc()
 		return
@@ -269,7 +278,8 @@ func (s *Store) Days() []DayCounts {
 	return out
 }
 
-// Records returns all stored records; order is undefined.
+// Records returns all stored records, stripe by stripe, each stripe's in
+// the order they were first stored.
 func (s *Store) Records() []*Record {
 	out := make([]*Record, 0, s.Len())
 	for rec := range s.all {
@@ -278,13 +288,16 @@ func (s *Store) Records() []*Record {
 	return out
 }
 
+// recordOverhead is what the storage estimate charges a record beyond its
+// name and rdata: its type, timestamp and index entry.
+const recordOverhead = 24
+
 // StorageBytes estimates the database's storage cost as the sum of tuple
-// sizes: name + rdata + fixed overhead per record (type, timestamp, index).
+// sizes: name + rdata + recordOverhead a record.
 func (s *Store) StorageBytes() uint64 {
-	const overhead = 24
 	var total uint64
 	for rec := range s.all {
-		total += uint64(len(rec.Name) + rec.RData.TextLen(rec.Type) + overhead)
+		total += uint64(len(rec.Name) + rec.RData.TextLen(rec.Type) + recordOverhead)
 	}
 	return total
 }
@@ -320,20 +333,19 @@ func (s *Store) CollapseWildcards(zoneOf func(name string) (string, bool)) Colla
 	wildcards := make(map[string]struct{})
 	kept := 0
 	var keptBytes uint64
-	const overhead = 24
 	for rec := range s.all {
 		res.Before++
 		zone, ok := zoneOf(rec.Name)
 		if !ok {
 			kept++
-			keptBytes += uint64(len(rec.Name) + rec.RData.TextLen(rec.Type) + overhead)
+			keptBytes += uint64(len(rec.Name) + rec.RData.TextLen(rec.Type) + recordOverhead)
 			continue
 		}
 		res.Collapsed++
 		owner := "*." + zone
 		if _, seen := wildcards[owner]; !seen {
 			wildcards[owner] = struct{}{}
-			keptBytes += uint64(len(owner) + overhead)
+			keptBytes += uint64(len(owner) + recordOverhead)
 		}
 	}
 	res.Wildcards = len(wildcards)

@@ -9,13 +9,15 @@ import (
 )
 
 // Elements with pointers of the sizes the stores cut from slabs: a Counts
-// run's *RRStat (8 bytes), chrstat's nameEntry (16: a pointer and a bool)
-// and clientBlock (64: fourteen ids and a pointer; chrstat.TestRecordSize
-// pins both shapes), and pdns.Record (64).
+// run's *RRStat (8 bytes), chrstat's nameEntry (32: a name, a pointer, a
+// fingerprint and a bool) and clientBlock (64: fourteen ids and a pointer;
+// chrstat.TestRecordSize pins both shapes), and pdns.Record (56).
 type (
 	ptr8      struct{ p *int }
 	nameEntry struct {
+		name    string
 		head    *int
+		fp      uint32
 		queried bool
 	}
 	clientBlock struct {
@@ -29,8 +31,10 @@ type (
 )
 
 // chunkBytes returns the heap bytes a chunk of T takes, measured over many
-// chunks of values handed out one at a time. The reading also counts what
-// the rest of the process allocates meanwhile: a few bytes a chunk.
+// chunks of values handed out one at a time. The reading also counts the
+// slab's list of its chunks, a slice header a chunk that doubles as it
+// fills (47 bytes a chunk over 128), and what the rest of the process
+// allocates meanwhile: a few bytes a chunk.
 func chunkBytes[T any]() float64 {
 	const chunks = 128
 	sl := new(slab.Slab[T])
@@ -55,7 +59,7 @@ func TestChunkFitsSizeClass(t *testing.T) {
 		bytes func() float64
 	}{
 		{"8-byte pointer", chunkBytes[ptr8]},
-		{"16-byte nameEntry", chunkBytes[nameEntry]},
+		{"32-byte nameEntry", chunkBytes[nameEntry]},
 		{"64-byte clientBlock", chunkBytes[clientBlock]},
 		{"64-byte element", chunkBytes[ptr64]},
 		{"pdns.Record", chunkBytes[pdns.Record]},
