@@ -114,7 +114,8 @@ bench-smoke:
 # worker's packet path answering from an authority): every reply is a
 # FORMERR or carries the query's ID and question, up to ASCII case. The trace reader (the golden and foreign traces plus
 # hostile lines): its canonical-line path decodes what encoding/json decodes
-# and fails where it fails. The exposition parser (a rendered registry, whole and cut): no
+# and fails where it fails. The exposition parser that telemetry's tests hold
+# WritePrometheus to (a rendered registry, whole and cut): no
 # panic, and a sample that parses survives being spelled out again. The
 # zone-file reader (the zone files of its tests, good and bad): no panic,
 # every record of an accepted zone is served over the wire, and write →
@@ -126,7 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnpack -fuzztime 10s ./internal/dnsmsg
 	$(GO) test -run '^$$' -fuzz FuzzQuestionReaders -fuzztime 10s ./internal/livescore
 	$(GO) test -run '^$$' -fuzz FuzzReaderLine -fuzztime 10s ./internal/traceio
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/telemetry/promtext
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzParseZoneFile -fuzztime 10s ./internal/authority
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrames -fuzztime 10s ./internal/udptransport
 	$(GO) test -run '^$$' -fuzz FuzzFrontDoor -fuzztime 10s ./internal/udptransport

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net/netip"
 	"testing"
 
 	"dnsnoise/internal/dnsmsg"
@@ -26,7 +27,8 @@ func mustAdd(t *testing.T, z *Zone, rr dnsmsg.RR) {
 }
 
 func aRR(name, ip string) dnsmsg.RR {
-	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(dnsmsg.TypeA, ip)}
+	a := netip.MustParseAddr(ip).As4()
+	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(a[0], a[1], a[2], a[3])}
 }
 
 // serve registers zones on a new server.
@@ -336,7 +338,7 @@ func TestSignerSignVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	rrset := []dnsmsg.RR{aRR("www.example.com", "192.0.2.1")}
-	rrsig, err := signer.Sign(rrset)
+	rrsig, err := signer.signAs("www.example.com", rrset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,12 +364,10 @@ func TestSignerRejectsMixedRRset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := signer.Sign(nil); err == nil {
-		t.Error("Sign(empty) should fail")
-	}
-	mixed := []dnsmsg.RR{aRR("a.example.com", "192.0.2.1"), aRR("b.example.com", "192.0.2.2")}
-	if _, err := signer.Sign(mixed); err == nil {
-		t.Error("Sign(mixed owners) should fail")
+	txt := dnsmsg.RR{Name: "a.example.com", Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.Text("x")}
+	mixed := []dnsmsg.RR{aRR("a.example.com", "192.0.2.1"), txt}
+	if _, err := signer.signAs("a.example.com", mixed); err == nil {
+		t.Error("signAs(mixed types) should fail")
 	}
 }
 

@@ -55,25 +55,12 @@ func (s *Signer) DNSKEY() dnsmsg.RR {
 	}
 }
 
-// Sign produces an RRSIG covering rrset. All records in the set must share
-// owner name and type; the canonical signing input is the sorted set of
-// "name|type|ttl|rdata" lines, mirroring RFC 4034 canonical form closely
-// enough for a correct verify-what-you-signed contract.
-func (s *Signer) Sign(rrset []dnsmsg.RR) (dnsmsg.RR, error) {
-	if len(rrset) == 0 {
-		return dnsmsg.RR{}, fmt.Errorf("authority: empty rrset")
-	}
-	owner := rrset[0].Name
-	for _, rr := range rrset[1:] {
-		if rr.Name != owner {
-			return dnsmsg.RR{}, fmt.Errorf("authority: mixed rrset (%s vs %s)", owner, rr.Name)
-		}
-	}
-	return s.signAs(owner, rrset)
-}
-
-// signAs is Sign for a non-empty RRset named owner whatever its records'
-// Names say: the records a synthesizer or a wildcard made for a question.
+// signAs produces an RRSIG covering a non-empty rrset named owner, whatever
+// its records' Names say: the records a synthesizer or a wildcard made for a
+// question. The records must share a type; the canonical signing input is
+// the sorted set of "name|type|ttl|rdata" lines, mirroring RFC 4034
+// canonical form closely enough for a correct verify-what-you-signed
+// contract.
 func (s *Signer) signAs(owner string, rrset []dnsmsg.RR) (dnsmsg.RR, error) {
 	typ, ttl := rrset[0].Type, rrset[0].TTL
 	for _, rr := range rrset[1:] {

@@ -34,7 +34,11 @@ func goldenServer(t testing.TB) *Server {
 		}
 	}
 	in := func(name string, typ dnsmsg.Type, rdata string) dnsmsg.RR {
-		return dnsmsg.RR{Name: name, Type: typ, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(typ, rdata)}
+		d, err := dnsmsg.ParseRData(typ, rdata)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dnsmsg.RR{Name: name, Type: typ, Class: dnsmsg.ClassIN, TTL: 300, RData: d}
 	}
 	static, err := NewZone("example.com")
 	if err != nil {

@@ -39,11 +39,11 @@ var (
 // defaultOrigin argument seeds the origin before any $ORIGIN directive;
 // pass "" to require one in the file.
 //
-// Every record is checked as it is read: a name must be one WriteZoneFile can
-// spell back (printable ASCII, none of the characters the syntax gives a
-// meaning), and rdata one the wire encoder accepts. A zone that parses
-// therefore answers every query for its records, and survives
-// WriteZoneFile → ParseZoneFile unchanged.
+// Every record is checked as it is read: a name must be printable ASCII
+// holding none of the bytes the syntax gives a meaning (space, `"$();@\`),
+// so it is written bare, and rdata must be one the wire encoder accepts. A
+// zone that parses therefore answers every query for its records, and
+// written back out in this syntax it parses to the same zone.
 func ParseZoneFile(r io.Reader, defaultOrigin string, opts ...ZoneOption) (*Zone, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -208,8 +208,8 @@ func expandName(name, origin string) (string, error) {
 }
 
 // checkName accepts a valid name made of printable ASCII other than the
-// bytes the file syntax reads as something else: one WriteZoneFile can write
-// bare.
+// bytes the file syntax reads as something else, so the name is written
+// bare: unquoted and unescaped.
 func checkName(name string) error {
 	for i := 0; i < len(name); i++ {
 		if c := name[i]; c <= ' ' || c >= 0x7f || strings.IndexByte(`"$();@\`, c) >= 0 {

@@ -198,19 +198,13 @@ func TestParseZoneFileEscapes(t *testing.T) {
 			t.Errorf("%s TXT = %v; want %q", name, rrs, want)
 		}
 	}
-	var first, second strings.Builder
-	if err := z.WriteZoneFile(&first); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseZoneFile(strings.NewReader(first.String()), "")
+	first := zoneFileText(z)
+	back, err := ParseZoneFile(strings.NewReader(first), "")
 	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, first.String())
+		t.Fatalf("reparse: %v\n%s", err, first)
 	}
-	if err := back.WriteZoneFile(&second); err != nil {
-		t.Fatal(err)
-	}
-	if first.String() != second.String() {
-		t.Errorf("write → parse → write changed the file:\n%s\nbecame\n%s", first.String(), second.String())
+	if second := zoneFileText(back); first != second {
+		t.Errorf("write → parse → write changed the file:\n%s\nbecame\n%s", first, second)
 	}
 }
 

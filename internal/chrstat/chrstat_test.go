@@ -2,6 +2,7 @@ package chrstat
 
 import (
 	"fmt"
+	"net/netip"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,7 +17,8 @@ import (
 var t0 = time.Date(2011, 11, 10, 0, 0, 0, 0, time.UTC)
 
 func rrA(name, ip string) dnsmsg.RR {
-	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(dnsmsg.TypeA, ip)}
+	a := netip.MustParseAddr(ip).As4()
+	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(a[0], a[1], a[2], a[3])}
 }
 
 func obBelow(rr dnsmsg.RR, cat cache.Category) resolver.Observation {

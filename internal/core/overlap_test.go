@@ -259,8 +259,8 @@ func TestEndDayReleasesTheDay(t *testing.T) {
 	if p.collector.Merge().NumRecords() != 0 {
 		t.Error("the collector of the finished day is still the pipeline's")
 	}
-	if p.tree.BlackCount() != 0 || p.tree.NumStarts() != 0 {
-		t.Errorf("%d black names, %d starts after EndDay", p.tree.BlackCount(), p.tree.NumStarts())
+	if black := len(p.tree.NamesUnder("")); black != 0 || p.tree.NumStarts() != 0 {
+		t.Errorf("%d black names, %d starts after EndDay", black, p.tree.NumStarts())
 	}
 	if len(p.found) != 0 {
 		t.Errorf("%d zones keep their findings after EndDay", len(p.found))

@@ -46,16 +46,6 @@ func ParseRData(t Type, s string) (RData, error) {
 	return d, nil
 }
 
-// MustRData is ParseRData for payloads spelled in the source; it panics on a
-// malformed one.
-func MustRData(t Type, s string) RData {
-	d, err := ParseRData(t, s)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // IPv4 returns the address bytes of an A payload.
 func (d RData) IPv4() [4]byte { return d.ip4 }
 

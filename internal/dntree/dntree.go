@@ -29,7 +29,6 @@ type Tree struct {
 	// registers under: the zones Algorithm 1 starts from. Batch inserts only
 	// add to them; streaming expiry (stream.go) also takes away.
 	starts    map[string]*Node
-	black     int
 	decolored []*Node // turned white since the last Restore
 
 	// Streaming state (see stream.go): the window ordinal, the horizon in
@@ -70,7 +69,6 @@ func (t *Tree) setBlack(n *Node, black bool) {
 		delta = -1
 	}
 	n.black = black
-	t.black += int(delta)
 	for p := n.parent; p != nil; p = p.parent {
 		p.below += delta
 	}
@@ -218,18 +216,6 @@ func (t *Tree) Node(name string) *Node { return t.walk(dnsname.Normalize(name), 
 
 // Name returns the node's full domain name.
 func (n *Node) Name() string { return n.name }
-
-// IsBlack reports whether name is currently a black node.
-func (t *Tree) IsBlack(name string) bool {
-	n := t.Node(name)
-	return n != nil && n.black
-}
-
-// BlackCount returns the number of black nodes in the tree.
-func (t *Tree) BlackCount() int { return t.black }
-
-// Decolor turns name's node white and reports whether it was black.
-func (t *Tree) Decolor(name string) bool { return t.decolor(t.Node(name)) }
 
 func (t *Tree) decolor(n *Node) bool {
 	if n == nil || !n.black {

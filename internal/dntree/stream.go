@@ -174,7 +174,6 @@ func (t *Tree) ResetStream() {
 	t.root = &Node{}
 	t.nodes, t.slab, t.free = make(map[string]*Node), nil, nil
 	clear(t.starts)
-	t.black = 0
 	clear(t.byWindow)
 	t.decolored, t.dirty, t.deep = nil, nil, nil
 	// The window ordinal keeps counting: hysteresis state outlives days.

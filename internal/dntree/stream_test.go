@@ -36,7 +36,7 @@ func TestStreamEquivalenceWithBatch(t *testing.T) {
 		}
 		stream.InsertAt(n)
 	}
-	if got, want := stream.BlackCount(), batch.BlackCount(); got != want {
+	if got, want := stream.blackCount(), batch.blackCount(); got != want {
 		t.Fatalf("BlackCount: stream %d, batch %d", got, want)
 	}
 	if got, want := startNames(stream), startNames(batch); !reflect.DeepEqual(got, want) {
@@ -56,32 +56,32 @@ func TestRecolorUndoesDecolor(t *testing.T) {
 	tr.InsertAt("a.zone.example.net")
 	tr.InsertAt("b.zone.example.net")
 	tr.InsertAt("c.zone.example.net")
-	before := tr.BlackCount()
-	if !tr.Decolor("a.zone.example.net") {
-		t.Fatal("Decolor returned false for a black node")
+	before := tr.blackCount()
+	if !tr.decolorName("a.zone.example.net") {
+		t.Fatal("decolorName returned false for a black node")
 	}
-	if tr.IsBlack("a.zone.example.net") {
-		t.Fatal("node still black after Decolor")
+	if tr.isBlack("a.zone.example.net") {
+		t.Fatal("node still black after decolorName")
 	}
 	// A group goes white in one call, less what already is.
 	groups := tr.GroupsUnder("example.net")
-	tr.Decolor("b.zone.example.net")
+	tr.decolorName("b.zone.example.net")
 	tr.DecolorGroup(&groups[0])
-	if got := tr.BlackCount(); got != 0 {
+	if got := tr.blackCount(); got != 0 {
 		t.Fatalf("BlackCount after DecolorGroup = %d, want 0", got)
 	}
 	tr.Restore()
-	if got := tr.BlackCount(); got != before {
+	if got := tr.blackCount(); got != before {
 		t.Fatalf("BlackCount after decolor+restore = %d, want %d", got, before)
 	}
-	if !tr.IsBlack("a.zone.example.net") {
+	if !tr.isBlack("a.zone.example.net") {
 		t.Fatal("node not black after Restore")
 	}
-	tr.Decolor("c.zone.example.net")
+	tr.decolorName("c.zone.example.net")
 	tr.Restore()
-	tr.Decolor("a.zone.example.net")
+	tr.decolorName("a.zone.example.net")
 	tr.Restore()
-	if got := tr.BlackCount(); got != before {
+	if got := tr.blackCount(); got != before {
 		t.Fatalf("BlackCount after two more rounds = %d, want %d: Restore remembers a round it already restored", got, before)
 	}
 	checkNodes(t, tr)
@@ -105,13 +105,13 @@ func TestExpireBefore(t *testing.T) {
 	if expired := tr.Expire(); expired != 1 {
 		t.Fatalf("%d expired, want old.zone.example.com alone", expired)
 	}
-	if tr.IsBlack("old.zone.example.com") {
+	if tr.isBlack("old.zone.example.com") {
 		t.Fatal("expired name still black")
 	}
-	if !tr.IsBlack("stable.zone.example.com") || !tr.IsBlack("new.zone.example.com") {
+	if !tr.isBlack("stable.zone.example.com") || !tr.isBlack("new.zone.example.com") {
 		t.Fatal("surviving names lost their color")
 	}
-	if got := tr.BlackCount(); got != 2 {
+	if got := tr.blackCount(); got != 2 {
 		t.Fatalf("BlackCount = %d, want 2", got)
 	}
 	// The e2ld survives while any black name remains, and disappears once
@@ -127,8 +127,8 @@ func TestExpireBefore(t *testing.T) {
 	if got := startNames(tr); len(got) != 0 {
 		t.Fatalf("Effective2LDs after full expiry = %v, want empty", got)
 	}
-	if tr.BlackCount() != 0 {
-		t.Fatalf("BlackCount after full expiry = %d", tr.BlackCount())
+	if tr.blackCount() != 0 {
+		t.Fatalf("BlackCount after full expiry = %d", tr.blackCount())
 	}
 	// Pruned: the zone has no remaining structure to group.
 	if gs := tr.GroupsUnder("example.com"); len(gs) != 0 {
@@ -150,7 +150,7 @@ func TestExpireBefore(t *testing.T) {
 func dirtyNames(tr *Tree) []string {
 	var out []string
 	for _, n := range tr.Dirty(nil) {
-		out = append(out, n.Name())
+		out = append(out, n.name)
 	}
 	return out
 }
@@ -240,14 +240,14 @@ func TestResetStream(t *testing.T) {
 	tr.SetHorizon(3)
 	tr.InsertAt("a.zone.example.com")
 	tr.InsertAt("k.bucket.s3.example.com")
-	tr.Decolor("a.zone.example.com")
+	tr.decolorName("a.zone.example.com")
 	tr.AdvanceWindow()
 	tr.InsertAt("b.zone.example.com")
 	if len(tr.decolored) == 0 || len(tr.dirty) == 0 || len(tr.deep) == 0 || len(tr.byWindow) == 0 {
 		t.Fatalf("fixture: %d decolored, %d dirty, %d deep, %d window lists", len(tr.decolored), len(tr.dirty), len(tr.deep), len(tr.byWindow))
 	}
 	tr.ResetStream()
-	if tr.BlackCount() != 0 || len(startNames(tr)) != 0 {
+	if tr.blackCount() != 0 || len(startNames(tr)) != 0 {
 		t.Fatal("ResetStream left names behind")
 	}
 	if tr.window != 1 {
@@ -261,7 +261,7 @@ func TestResetStream(t *testing.T) {
 		t.Errorf("ResetStream keeps %d indexed nodes, a chunk of %d, free slots %v: the old tree's", len(tr.nodes), cap(tr.slab), tr.free != nil)
 	}
 	tr.InsertAt("b.zone.example.com")
-	if !tr.IsBlack("b.zone.example.com") {
+	if !tr.isBlack("b.zone.example.com") {
 		t.Fatal("insert after reset failed")
 	}
 }

@@ -277,22 +277,6 @@ func (t *DecisionTree) FeatureImportance() []float64 {
 	return out
 }
 
-// Depth returns the height of the fitted tree (0 for a stump).
-func (t *DecisionTree) Depth() int {
-	var h func(*treeNode) int
-	h = func(n *treeNode) int {
-		if n == nil || n.leaf {
-			return 0
-		}
-		l, r := h(n.left), h(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return h(t.root)
-}
-
 // --- Gaussian naive Bayes ----------------------------------------------
 
 // NaiveBayes is a Gaussian naive Bayes classifier with a variance floor.

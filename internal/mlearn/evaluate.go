@@ -36,14 +36,6 @@ func (c Confusion) Accuracy() float64 {
 	return float64(c.TP+c.TN) / float64(total)
 }
 
-// Add accumulates another matrix.
-func (c *Confusion) Add(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
 // String renders the matrix compactly.
 func (c Confusion) String() string {
 	return fmt.Sprintf("TP=%d FP=%d TN=%d FN=%d TPR=%.3f FPR=%.3f",
@@ -103,9 +95,6 @@ func CrossValidate(mk func() Classifier, x [][]float64, y []bool, folds int, rng
 type CVResult struct {
 	preds []scored
 }
-
-// Len returns the number of held-out predictions.
-func (r *CVResult) Len() int { return len(r.preds) }
 
 // ConfusionAt thresholds the pooled predictions at theta.
 func (r *CVResult) ConfusionAt(theta float64) Confusion {

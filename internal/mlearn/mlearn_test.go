@@ -116,9 +116,25 @@ func TestDecisionTreeSingleClassLeaf(t *testing.T) {
 	if p < 0.5 {
 		t.Errorf("pure-positive stump prob = %v, want > 0.5", p)
 	}
-	if dt.Depth() != 0 {
-		t.Errorf("Depth = %d, want 0", dt.Depth())
+	if dt.depth() != 0 {
+		t.Errorf("Depth = %d, want 0", dt.depth())
 	}
+}
+
+// depth returns the height of the fitted tree (0 for a stump).
+func (t *DecisionTree) depth() int {
+	var h func(*treeNode) int
+	h = func(n *treeNode) int {
+		if n == nil || n.leaf {
+			return 0
+		}
+		l, r := h(n.left), h(n.right)
+		if l > r {
+			return l + 1
+		}
+		return r + 1
+	}
+	return h(t.root)
 }
 
 func TestDecisionTreeRespectsMaxDepth(t *testing.T) {
@@ -130,8 +146,8 @@ func TestDecisionTreeRespectsMaxDepth(t *testing.T) {
 	if err := dt.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if dt.Depth() != treeMaxDepth {
-		t.Errorf("Depth = %d, want %d", dt.Depth(), treeMaxDepth)
+	if dt.depth() != treeMaxDepth {
+		t.Errorf("Depth = %d, want %d", dt.depth(), treeMaxDepth)
 	}
 }
 
@@ -170,11 +186,6 @@ func TestConfusionMetrics(t *testing.T) {
 	if zero.TPR() != 0 || zero.FPR() != 0 || zero.Accuracy() != 0 {
 		t.Error("zero confusion metrics should be 0")
 	}
-	sum := Confusion{TP: 1}
-	sum.Add(Confusion{TP: 2, FP: 3})
-	if sum.TP != 3 || sum.FP != 3 {
-		t.Errorf("Add = %+v", sum)
-	}
 }
 
 func TestCrossValidateOnSeparableData(t *testing.T) {
@@ -185,8 +196,8 @@ func TestCrossValidateOnSeparableData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != len(x) {
-		t.Errorf("pooled predictions = %d, want %d", res.Len(), len(x))
+	if len(res.preds) != len(x) {
+		t.Errorf("pooled predictions = %d, want %d", len(res.preds), len(x))
 	}
 	c := res.ConfusionAt(0.5)
 	if c.TPR() < 0.9 || c.FPR() > 0.1 {

@@ -3,6 +3,7 @@ package pdns
 import (
 	"fmt"
 	"maps"
+	"net/netip"
 	"runtime"
 	"strings"
 	"testing"
@@ -18,7 +19,8 @@ import (
 var day1 = time.Date(2011, 11, 28, 10, 0, 0, 0, time.UTC)
 
 func rrA(name, ip string) dnsmsg.RR {
-	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(dnsmsg.TypeA, ip)}
+	a := netip.MustParseAddr(ip).As4()
+	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(a[0], a[1], a[2], a[3])}
 }
 
 func TestInsertDeduplicates(t *testing.T) {

@@ -112,7 +112,7 @@ func TestWireProbeZeroAlloc(t *testing.T) {
 		hits, obs uint64
 	}
 	read := func() reading {
-		return reading{c.PerServerStats()[s.idx], s.cache.Stats().Hits, uint64(seen)}
+		return reading{s.stats.snapshot(), s.cache.Stats().Hits, uint64(seen)}
 	}
 	r0 := read()
 	viaName, err := c.Resolve(q)

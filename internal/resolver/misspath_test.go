@@ -3,6 +3,7 @@ package resolver
 import (
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"reflect"
 	"sort"
 	"sync"
@@ -220,7 +221,8 @@ func TestValidationKeyFetchDuringExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := func(name, ip string) dnsmsg.RR {
-		return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.MustRData(dnsmsg.TypeA, ip)}
+		a := netip.MustParseAddr(ip).As4()
+		return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, RData: dnsmsg.IPv4(a[0], a[1], a[2], a[3])}
 	}
 	wantAnswers := []dnsmsg.RR{a("tok1.signed-0.test", "198.18.0.1"), a("tok1.signed-0.test", "198.18.0.2")}
 	if resp.RCode != dnsmsg.RCodeNoError || !reflect.DeepEqual(resp.Answers, wantAnswers) {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dnsnoise/internal/dnsmsg"
+	"dnsnoise/internal/qlog"
 )
 
 // Shard is one server of a cluster answering DNS queries off the wire: a
@@ -41,10 +42,14 @@ func (sh *Shard) SetNow(now time.Time) { sh.now = now }
 //
 // A hit allocates nothing; a miss spells the name once, for its cache key.
 // A query the cluster's log samples is delivered to the log's sinks before
-// the call returns.
+// the call returns; the FORMERR and REFUSED ones, which resolve nothing, are
+// logged with outcome error, as a front door logs a query its handler
+// rejects.
 func (sh *Shard) AppendHandleWire(dst, query []byte) ([]byte, error) {
 	name, id, qtype, class, ok := dnsmsg.AppendQuestion(sh.name[:0], query)
 	if !ok {
+		sh.logError(nil, 0)
+		sh.s.qrec.Drain()
 		return dnsmsg.AppendFormErr(dst, query)
 	}
 	sh.name = name[:0]
@@ -52,6 +57,7 @@ func (sh *Shard) AppendHandleWire(dst, query []byte) ([]byte, error) {
 	var answers []dnsmsg.RR
 	if class != dnsmsg.ClassIN {
 		h.RCode = dnsmsg.RCodeRefused
+		sh.logError(name, qtype)
 	} else if resp, err := sh.c.resolveOn(sh.s, Query{Time: sh.now, Type: qtype}, name); err != nil {
 		h.RCode = dnsmsg.RCodeServFail
 	} else {
@@ -69,4 +75,18 @@ func (sh *Shard) AppendHandleWire(dst, query []byte) ([]byte, error) {
 		}
 	}
 	return b.Bytes(), nil
+}
+
+// logError samples a query answered without resolving, as resolveOn samples
+// one it resolves, and records a sampled one's event, outcome error, for the
+// caller's Drain. name is nil when the question is unreadable.
+func (sh *Shard) logError(name []byte, qtype dnsmsg.Type) {
+	if !sh.s.qrec.Sample() {
+		return
+	}
+	ev := qlog.Event{Time: sh.now, Outcome: qlog.OutcomeError}
+	if name != nil {
+		ev.Name, ev.Qtype = string(name), qtype.String()
+	}
+	sh.s.qrec.Emit(ev)
 }

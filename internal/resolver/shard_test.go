@@ -2,14 +2,17 @@ package resolver
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"dnsnoise/internal/authority"
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/dnsname"
+	"dnsnoise/internal/qlog"
 )
 
 // wireQuery encodes a one-question query, RD set as asked.
@@ -181,6 +184,46 @@ func TestShardRefusesOtherClasses(t *testing.T) {
 	}
 	if st := c.Stats(); st.CacheMisses != 1 {
 		t.Errorf("the IN question after CH ones was not a miss: %+v", st)
+	}
+}
+
+// TestShardLogsWhatItDoesNotResolve: at sample 1, the FORMERR of an
+// unreadable question and the REFUSED of a CH one each leave one event,
+// outcome error, the CH one under its name and qtype, as the front door
+// logs a query an authority rejects; an IN query after them is logged as
+// it resolves.
+func TestShardLogsWhatItDoesNotResolve(t *testing.T) {
+	l := qlog.New(qlog.Config{Sample: 1})
+	mem := qlog.NewMemorySink(16)
+	l.AddSink(mem)
+	c, err := NewCluster(testUpstream(t), WithServers(1), WithQueryLog(l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := c.Shard(0)
+	sh.SetNow(t0)
+	for _, query := range [][]byte{
+		{0xBE, 0xEF, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0}, // a question promised, none carried
+		wireQuery(t, 0x77, "www.example.com", dnsmsg.TypeA, 3, true),
+		wireQuery(t, 0x78, "www.example.com", dnsmsg.TypeA, dnsmsg.ClassIN, true),
+	} {
+		if _, err := sh.AppendHandleWire(nil, query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evs := mem.Snapshot(qlog.Filter{})
+	slices.SortFunc(evs, func(a, b qlog.Event) int { return cmp.Compare(a.ID, b.ID) })
+	type seen struct {
+		name, qtype string
+		outcome     qlog.Outcome
+	}
+	var got []seen
+	for _, ev := range evs {
+		got = append(got, seen{ev.Name, ev.Qtype, ev.Outcome})
+	}
+	want := []seen{{"", "", qlog.OutcomeError}, {"www.example.com", "A", qlog.OutcomeError}, {"www.example.com", "A", qlog.OutcomeNoError}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("events %+v, want %+v", got, want)
 	}
 }
 

@@ -97,9 +97,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: cp}
 }
 
-// Len returns the number of samples behind the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // At returns P(X <= x), the fraction of samples less than or equal to x.
 // An empty CDF reports 0 everywhere.
 func (c *CDF) At(x float64) float64 {

@@ -100,8 +100,8 @@ func TestCDFAt(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", tt.x, got, tt.want)
 		}
 	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d, want 4", c.Len())
+	if len(c.sorted) != 4 {
+		t.Errorf("%d samples, want 4", len(c.sorted))
 	}
 }
 

@@ -4,27 +4,24 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"dnsnoise/internal/telemetry/promtext"
 )
 
 // This file validates WritePrometheus against a strict reading of the
-// text exposition format (version 0.0.4). The parser itself lives in
-// the importable promtext package so the fleet control plane and its
-// tests can reuse it; these wrappers just adapt errors to the test.
+// text exposition format (version 0.0.4), the parser of promtext_test.go;
+// these wrappers just adapt errors to the test.
 
-func parsePromExposition(t *testing.T, out string) []promtext.Sample {
+func parsePromExposition(t *testing.T, out string) []promSample {
 	t.Helper()
-	samples, err := promtext.Parse(out)
+	samples, err := parseProm(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return samples
 }
 
-func checkPromHistograms(t *testing.T, samples []promtext.Sample) {
+func checkPromHistograms(t *testing.T, samples []promSample) {
 	t.Helper()
-	n, err := promtext.CheckHistograms(samples)
+	n, err := checkHistograms(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +64,7 @@ func TestWritePrometheusStrictFormat(t *testing.T) {
 	// Spot-check the parse itself recovered the registered values.
 	byKey := map[string]float64{}
 	for _, sm := range samples {
-		byKey[promtext.SeriesKey(sm)+"/"+sm.Labels["le"]] = sm.Value
+		byKey[promSeriesKey(sm)+"/"+sm.Labels["le"]] = sm.Value
 	}
 	if got := byKey[`resolver_shard_total{server=1}/`]; got != 20 {
 		t.Errorf("shard 1 = %v, want 20", got)

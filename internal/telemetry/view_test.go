@@ -3,8 +3,6 @@ package telemetry
 import (
 	"strings"
 	"testing"
-
-	"dnsnoise/internal/telemetry/promtext"
 )
 
 // TestRegistryWithLabel: a view hands back the same instrument when a name
@@ -83,11 +81,11 @@ func TestSnapshotWritePrometheusStrict(t *testing.T) {
 	if err := r.WithLabel("pop", "9").WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := promtext.Parse(sb.String())
+	samples, err := parseProm(sb.String())
 	if err != nil {
 		t.Fatalf("labelled exposition failed strict parse: %v\n%s", err, sb.String())
 	}
-	n, err := promtext.CheckHistograms(samples)
+	n, err := checkHistograms(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
